@@ -151,6 +151,7 @@ pub struct BeamResult {
 /// `tpu-obs` handles for the beam (`autotuner.beam.*`), resolved once per
 /// search. Instrumentation is read-only: the trajectory is bit-identical
 /// whether or not the registry is enabled.
+#[derive(Default)]
 struct BeamObs {
     expanded: Counter,
     scored: Counter,
@@ -179,22 +180,6 @@ impl BeamObs {
             batch_size: registry.histogram("autotuner.beam.batch_size"),
             depth: registry.gauge("autotuner.beam.depth"),
             best_cost: registry.gauge("autotuner.beam.best_cost"),
-        }
-    }
-
-    fn noop() -> BeamObs {
-        BeamObs {
-            expanded: Counter::noop(),
-            scored: Counter::noop(),
-            tt_hits: Counter::noop(),
-            tt_stores: Counter::noop(),
-            margin_pruned: Counter::noop(),
-            width_pruned: Counter::noop(),
-            batches: Counter::noop(),
-            batch_eval_ns: Histogram::noop(),
-            batch_size: Histogram::noop(),
-            depth: Gauge::noop(),
-            best_cost: Gauge::noop(),
         }
     }
 }
@@ -397,11 +382,7 @@ pub fn beam_search_with_tt<O: BatchObjective>(
     tt: &AtomicCache,
     registry: &Registry,
 ) -> BeamResult {
-    let obs = if registry.is_enabled() {
-        BeamObs::new(registry)
-    } else {
-        BeamObs::noop()
-    };
+    let obs = BeamObs::new(registry);
     let width = params.beam_width.max(1);
     let mut stats = BeamStats::default();
 

@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::Arc;
 use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
 use tpu_hlo::{FusedProgram, Kernel, Program};
-use tpu_learned_cost::{AtomicCache, CostModel, FnCostModel, KernelCache, Predictor};
+use tpu_learned_cost::{AtomicCache, CostModel, FnCostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 use tpu_sim::{DeviceError, FaultCounts, TpuConfig, TpuDevice};
 use tpu_tile::valid_tile_sizes;
@@ -85,6 +85,19 @@ pub struct TunedConfig {
     pub retry_stats: HwRetryStats,
     /// Faults the device injected during this run's hardware phase.
     pub faults: FaultCounts,
+}
+
+impl TunedConfig {
+    /// The model-guided phase's predictor counters, set beside the
+    /// hardware tallies of the re-rank.
+    fn with_model_stats(self, stats: PredictStats) -> TunedConfig {
+        TunedConfig {
+            model_evals: stats.model_evals,
+            cache_hits: stats.cache_hits,
+            model_batches: stats.model_batches,
+            ..self
+        }
+    }
 }
 
 /// How [`HardwareObjective::measure`] retries and aggregates under faults.
@@ -207,6 +220,7 @@ pub struct HardwareObjective<'a> {
 }
 
 /// `tpu-obs` handles for the hardware path (`autotuner.hw.*`).
+#[derive(Default)]
 struct HwObs {
     evals: Counter,
     budget_exhausted: Counter,
@@ -231,20 +245,6 @@ impl HwObs {
             device_time_ns: registry.gauge("autotuner.hw.device_time_ns"),
             budget_ns: registry.gauge("autotuner.hw.budget_ns"),
             budget_overshoot_ns: registry.gauge("autotuner.hw.budget_overshoot_ns"),
-        }
-    }
-
-    fn noop() -> HwObs {
-        HwObs {
-            evals: Counter::noop(),
-            budget_exhausted: Counter::noop(),
-            retries: Counter::noop(),
-            outliers_rejected: Counter::noop(),
-            exhausted_candidates: Counter::noop(),
-            measure_ns: Histogram::noop(),
-            device_time_ns: Gauge::noop(),
-            budget_ns: Gauge::noop(),
-            budget_overshoot_ns: Gauge::noop(),
         }
     }
 }
@@ -289,7 +289,7 @@ impl<'a> HardwareObjective<'a> {
             hw_evals: 0,
             retry,
             stats: HwRetryStats::default(),
-            obs: HwObs::noop(),
+            obs: HwObs::default(),
         }
     }
 
@@ -434,6 +434,7 @@ pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCach
 /// `tpu-obs` handles for the model path (`autotuner.model.*`). The
 /// predictor itself carries the cache/forward metrics (`core.engine.*`);
 /// this layer only tracks config-level throughput.
+#[derive(Default)]
 struct ModelObs {
     configs: Counter,
     evaluate_ns: Histogram,
@@ -444,13 +445,6 @@ impl ModelObs {
         ModelObs {
             configs: registry.counter("autotuner.model.configs"),
             evaluate_ns: registry.histogram("autotuner.model.evaluate_ns"),
-        }
-    }
-
-    fn noop() -> ModelObs {
-        ModelObs {
-            configs: Counter::noop(),
-            evaluate_ns: Histogram::noop(),
         }
     }
 }
@@ -465,7 +459,7 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
             program,
             space,
             predictor,
-            obs: ModelObs::noop(),
+            obs: ModelObs::default(),
         }
     }
 
@@ -542,7 +536,7 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
             predictor,
             tpu,
             tile_candidates: tile_candidates.max(1),
-            obs: ModelObs::noop(),
+            obs: ModelObs::default(),
         }
     }
 
@@ -819,47 +813,36 @@ pub fn autotune_with_cost_model_observed<M: CostModel + ?Sized, C: KernelCache>(
         },
         registry,
     );
-    let stats = predictor.stats();
     predictor.record_cache_stats();
 
     // Phase 2: the shared metered re-rank (identical for SA and beam).
-    device.reset_time_used();
-    let faults_before = device.fault_counts();
-    let candidates: Vec<FusionConfig> = result.top.into_iter().map(|(c, _)| c).collect();
-    let (chosen, hw_evals, retry_stats) = rerank_on_hardware(
+    rerank_on_hardware(
         program,
         &space,
         device,
         budgets.hardware_ns,
         registry,
-        candidates,
+        result.top.into_iter().map(|(c, _)| c).collect(),
         start,
-    );
-    let fused = apply_fusion(program, &space, &chosen);
-    TunedConfig {
-        true_ns: device.true_program_time(&fused),
-        config: chosen,
-        hw_evals,
-        model_evals: stats.model_evals,
-        cache_hits: stats.cache_hits,
-        model_batches: stats.model_batches,
-        retry_stats,
-        faults: fault_delta(faults_before, device.fault_counts()),
-    }
+    )
+    .with_model_stats(predictor.stats())
 }
 
 /// Phase 2 of the §6.3 protocol, shared verbatim by the SA and beam
-/// harnesses: measure the model-ranked candidates on hardware through the
-/// single metered [`HardwareObjective::measure`] path — same
-/// [`RetryPolicy`] resolution (default on fault-free devices, resilient
-/// under a fault plan), same one-measurement budget-overshoot bound — with
-/// the start config appended as a safety net. The best measured config
-/// wins; a candidate whose measurement exhausts its retries is skipped
-/// (the next-ranked one still gets its chance); budget exhaustion ends the
-/// re-rank; with nothing measurable the start config is returned.
+/// harnesses: reset the device meter, then measure the model-ranked
+/// candidates on hardware through the single metered
+/// [`HardwareObjective::measure`] path — same [`RetryPolicy`] resolution
+/// (default on fault-free devices, resilient under a fault plan), same
+/// one-measurement budget-overshoot bound — with the start config appended
+/// as a safety net. The best measured config wins; a candidate whose
+/// measurement exhausts its retries is skipped (the next-ranked one still
+/// gets its chance); budget exhaustion ends the re-rank; with nothing
+/// measurable the start config is returned.
 ///
-/// Returns `(chosen, hw_evals, retry_stats)`.
-pub(crate) fn rerank_on_hardware(
+/// The returned [`TunedConfig`] carries this phase's hardware tallies; the
+/// caller adds its search phase's counters with
+/// [`TunedConfig::with_model_stats`].
+fn rerank_on_hardware(
     program: &Program,
     space: &FusionSpace,
     device: &TpuDevice,
@@ -867,7 +850,9 @@ pub(crate) fn rerank_on_hardware(
     registry: &Registry,
     mut candidates: Vec<FusionConfig>,
     start: FusionConfig,
-) -> (FusionConfig, usize, HwRetryStats) {
+) -> TunedConfig {
+    device.reset_time_used();
+    let faults_before = device.fault_counts();
     if !candidates.contains(&start) {
         candidates.push(start.clone());
     }
@@ -884,11 +869,18 @@ pub(crate) fn rerank_on_hardware(
             Err(MeasureError::BudgetExhausted) => break,
         }
     }
-    (
-        best.map(|(c, _)| c).unwrap_or(start),
-        hw.hw_evals(),
-        hw.retry_stats(),
-    )
+    let chosen = best.map(|(c, _)| c).unwrap_or(start);
+    let fused = apply_fusion(program, space, &chosen);
+    TunedConfig {
+        true_ns: device.true_program_time(&fused),
+        config: chosen,
+        hw_evals: hw.hw_evals(),
+        model_evals: 0,
+        cache_hits: 0,
+        model_batches: 0,
+        retry_stats: hw.retry_stats(),
+        faults: fault_delta(faults_before, device.fault_counts()),
+    }
 }
 
 /// Model-guided autotuning with the beam searcher in place of SA:
@@ -968,33 +960,19 @@ pub fn autotune_beam_with_cost_model_observed<M: CostModel + ?Sized, C: KernelCa
         let objective = ModelObjective::new(program, &space, &predictor).observed(registry);
         beam_search_observed(program, &space, start.clone(), objective, &effective, registry)
     };
-    let stats = predictor.stats();
     predictor.record_cache_stats();
 
     // Phase 2: the shared metered re-rank (identical for SA and beam).
-    device.reset_time_used();
-    let faults_before = device.fault_counts();
-    let candidates: Vec<FusionConfig> = result.top.into_iter().map(|(c, _)| c).collect();
-    let (chosen, hw_evals, retry_stats) = rerank_on_hardware(
+    rerank_on_hardware(
         program,
         &space,
         device,
         budgets.hardware_ns,
         registry,
-        candidates,
+        result.top.into_iter().map(|(c, _)| c).collect(),
         start,
-    );
-    let fused = apply_fusion(program, &space, &chosen);
-    TunedConfig {
-        true_ns: device.true_program_time(&fused),
-        config: chosen,
-        hw_evals,
-        model_evals: stats.model_evals,
-        cache_hits: stats.cache_hits,
-        model_batches: stats.model_batches,
-        retry_stats,
-        faults: fault_delta(faults_before, device.fault_counts()),
-    }
+    )
+    .with_model_stats(predictor.stats())
 }
 
 /// Speedup of a tuned config over the default heuristic config (how Fig. 4
@@ -1353,7 +1331,7 @@ mod tests {
         let start = start_config(&p, &space, StartMode::Default, 0);
         let budget = 10e9;
         let candidates = vec![start.clone(); 64]; // plenty to exhaust the budget
-        let (_, hw_evals, stats) = rerank_on_hardware(
+        let tuned = rerank_on_hardware(
             &p,
             &space,
             &device,
@@ -1362,7 +1340,8 @@ mod tests {
             candidates,
             start.clone(),
         );
-        assert!(hw_evals > 0);
+        assert!(tuned.hw_evals > 0);
+        let stats = tuned.retry_stats;
         let fused = apply_fusion(&p, &space, &start);
         let exec_bound = device.true_program_time(&fused) * 1.0401;
         assert!(

@@ -105,6 +105,7 @@ pub struct SaResult {
 
 /// `tpu-obs` handles for the annealer (`autotuner.sa.*`), resolved once
 /// per search.
+#[derive(Default)]
 struct SaObs {
     candidates: Counter,
     accepts: Counter,
@@ -125,18 +126,6 @@ impl SaObs {
             batch_eval_ns: registry.histogram("autotuner.sa.batch_eval_ns"),
             batch_size: registry.histogram("autotuner.sa.batch_size"),
             best_cost: registry.gauge("autotuner.sa.best_cost"),
-        }
-    }
-
-    fn noop() -> SaObs {
-        SaObs {
-            candidates: Counter::noop(),
-            accepts: Counter::noop(),
-            rejects: Counter::noop(),
-            batches: Counter::noop(),
-            batch_eval_ns: Histogram::noop(),
-            batch_size: Histogram::noop(),
-            best_cost: Gauge::noop(),
         }
     }
 }
@@ -202,11 +191,7 @@ pub fn simulated_annealing_observed<O>(
 where
     O: BatchObjective,
 {
-    let obs = if registry.is_enabled() {
-        SaObs::new(registry)
-    } else {
-        SaObs::noop()
-    };
+    let obs = SaObs::new(registry);
     let chains = cfg.chains.max(1);
     let mut rngs: Vec<ChaCha8Rng> = (0..chains)
         .map(|c| ChaCha8Rng::seed_from_u64(chain_seed(cfg.seed, c)))

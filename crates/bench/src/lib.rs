@@ -1,5 +1,5 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper, plus helpers used by the Criterion benches.
+//! Shared harness for the experiment binaries for every paper table and
+//! figure. Speed is measured by `tpu-perf` (`benchmark/`), not here.
 //!
 //! Binaries (run with `--release`):
 //!

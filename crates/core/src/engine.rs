@@ -406,6 +406,7 @@ pub struct Predictor<M, C: KernelCache = AtomicCache> {
 /// the default no-op registry). Metric names live under `core.engine.*`
 /// (per-session serving counters and latencies) and `core.cache.*`
 /// (gauges mirroring the shared cache's own counters).
+#[derive(Default)]
 struct EngineObs {
     enabled: bool,
     kernels: Counter,
@@ -438,10 +439,6 @@ impl EngineObs {
             cache_hit_rate: registry.gauge("core.cache.hit_rate"),
         }
     }
-
-    fn noop() -> EngineObs {
-        EngineObs::new(&Registry::noop())
-    }
 }
 
 impl<M: CostModel> Predictor<M> {
@@ -472,7 +469,7 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
             hits: AtomicU64::new(0),
             evals: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            obs: EngineObs::noop(),
+            obs: EngineObs::default(),
         }
     }
 

@@ -105,9 +105,10 @@ impl TrainReport {
 }
 
 /// `tpu-obs` handles for the training loop (`core.train.*`), resolved
-/// once per [`train_observed`] call. The no-op variant skips name
-/// registration entirely so the uninstrumented [`train_step`] wrapper
-/// stays free of per-step overhead.
+/// once per [`train_observed`] call. `Default` is all no-op handles and
+/// registers no names, so the uninstrumented [`train_step`] wrapper stays
+/// free of per-step overhead.
+#[derive(Default)]
 struct TrainObs {
     epochs: Counter,
     steps: Counter,
@@ -138,23 +139,6 @@ impl TrainObs {
             val_metric: registry.series("core.train.val_metric"),
             best_val: registry.gauge("core.train.best_val"),
             best_epoch: registry.gauge("core.train.best_epoch"),
-        }
-    }
-
-    fn noop() -> TrainObs {
-        TrainObs {
-            epochs: Counter::noop(),
-            steps: Counter::noop(),
-            steps_skipped: Counter::noop(),
-            rollbacks: Counter::noop(),
-            epoch_ns: Histogram::noop(),
-            step_ns: Histogram::noop(),
-            grad_reduce_ns: Histogram::noop(),
-            val_ns: Histogram::noop(),
-            epoch_loss: Series::noop(),
-            val_metric: Series::noop(),
-            best_val: Gauge::noop(),
-            best_epoch: Gauge::noop(),
         }
     }
 }
@@ -412,7 +396,7 @@ pub fn train_step<M: KernelModel>(
     opt: &mut Adam,
     tapes: &mut Vec<Tape>,
 ) -> Option<f64> {
-    train_step_inner(model, train_set, idxs, cfg, opt, tapes, &TrainObs::noop())
+    train_step_inner(model, train_set, idxs, cfg, opt, tapes, &TrainObs::default())
 }
 
 fn train_step_inner<M: KernelModel>(
@@ -491,6 +475,103 @@ fn train_step_inner<M: KernelModel>(
     Some(loss_sum)
 }
 
+/// The per-epoch trace plus the weights of the best validation epoch:
+/// the early-stopping state every training loop carries.
+struct Progress {
+    report: TrainReport,
+    best_weights: Option<String>,
+}
+
+impl Progress {
+    fn fresh() -> Progress {
+        Progress {
+            report: TrainReport {
+                train_loss: Vec::new(),
+                val_metric: Vec::new(),
+                best_val: f64::NAN,
+                best_epoch: 0,
+            },
+            best_weights: None,
+        }
+    }
+
+    /// Record `epoch`'s validation metric; the first finite metric and
+    /// every strict improvement after it snapshot the model's weights.
+    fn record_validation<M: KernelModel>(
+        &mut self,
+        model: &M,
+        epoch: usize,
+        vm: f64,
+        loss: TaskLoss,
+    ) {
+        let higher_better = matches!(loss, TaskLoss::TileRank(_) | TaskLoss::TileMse);
+        let report = &mut self.report;
+        report.val_metric.push(vm);
+        let improved = report.best_val.is_nan()
+            || (higher_better && vm > report.best_val)
+            || (!higher_better && vm < report.best_val);
+        if improved && vm.is_finite() {
+            report.best_val = vm;
+            report.best_epoch = epoch;
+            self.best_weights = Some(model.params().to_json());
+        }
+    }
+
+    /// Restore the best-validation weights and hand back the trace.
+    fn finish<M: KernelModel>(self, model: &mut M) -> TrainReport {
+        if let Some(w) = self.best_weights {
+            if let Ok(store) = ParamStore::from_json(&w) {
+                *model.params_mut() = store;
+            }
+        }
+        self.report
+    }
+}
+
+/// Run one epoch under the non-finite-loss rollback guard. `attempt`
+/// steps the model through the epoch's batches and returns the step
+/// losses; when their mean is non-finite the epoch-start weights and
+/// optimizer are restored, the learning rate is halved, and `attempt`
+/// runs again — at most `max_rollbacks` retries. `attempt` must replay
+/// the same batches on every call (it owns restoring any RNG it draws
+/// from).
+///
+/// Returns the epoch's mean loss, or `None` when the bound is exhausted:
+/// the model is then back at its epoch-start (last healthy) state and the
+/// caller must stop training.
+fn guarded_epoch<M: KernelModel, E>(
+    model: &mut M,
+    opt: &mut Adam,
+    max_rollbacks: usize,
+    rollbacks: &mut u64,
+    obs: &TrainObs,
+    mut attempt: impl FnMut(&mut M, &mut Adam) -> Result<Vec<f64>, E>,
+) -> Result<Option<f64>, E> {
+    // Cheap relative to an epoch of forward/backward.
+    let snap_params = model.params().clone();
+    let snap_opt = opt.state();
+    let mut attempts = 0usize;
+    loop {
+        let losses = attempt(model, opt)?;
+        let epoch_loss = mean(&losses);
+        // `mean` of zero steps is NaN by construction, not divergence —
+        // only a non-finite loss from real steps triggers the guard.
+        if losses.is_empty() || epoch_loss.is_finite() {
+            return Ok(Some(epoch_loss));
+        }
+        *rollbacks += 1;
+        obs.rollbacks.inc();
+        *model.params_mut() = snap_params.clone();
+        let mut backed_off = snap_opt.clone();
+        backed_off.lr *= 0.5f32.powi(attempts as i32 + 1);
+        *opt = Adam::from_state(backed_off);
+        attempts += 1;
+        if attempts > max_rollbacks {
+            return Ok(None);
+        }
+    }
+}
+
 /// Train a model, tracking the validation metric per epoch and restoring
 /// the best-validation weights at the end (early-stopping selection).
 pub fn train<M: KernelModel>(
@@ -555,28 +636,17 @@ pub fn train_resumable<M: KernelModel>(
     resume: Option<&TrainCheckpoint>,
     mut on_checkpoint: Option<&mut dyn FnMut(&TrainCheckpoint)>,
 ) -> Result<TrainReport, CheckpointError> {
-    let obs = if registry.is_enabled() {
-        TrainObs::new(registry)
-    } else {
-        TrainObs::noop()
-    };
+    let obs = TrainObs::new(registry);
     let mut rng;
     let mut opt;
-    let mut report;
-    let mut best_weights: Option<String>;
+    let mut progress;
     let mut rollbacks: u64;
     let start_epoch;
     match resume {
         None => {
             rng = ChaCha8Rng::seed_from_u64(cfg.seed);
             opt = Adam::new(cfg.lr);
-            report = TrainReport {
-                train_loss: Vec::new(),
-                val_metric: Vec::new(),
-                best_val: f64::NAN,
-                best_epoch: 0,
-            };
-            best_weights = None;
+            progress = Progress::fresh();
             rollbacks = 0;
             start_epoch = 0;
         }
@@ -605,85 +675,68 @@ pub fn train_resumable<M: KernelModel>(
             rng = ChaCha8Rng::from_state_words(&words);
             opt = Adam::from_state(ckpt.opt.clone());
             *model.params_mut() = ckpt.params.clone();
-            report = TrainReport {
-                train_loss: ckpt.train_loss.iter().map(|&v| decode_f64(v)).collect(),
-                val_metric: ckpt.val_metric.iter().map(|&v| decode_f64(v)).collect(),
-                best_val: decode_f64(ckpt.best_val),
-                best_epoch: ckpt.best_epoch,
+            progress = Progress {
+                report: TrainReport {
+                    train_loss: ckpt.train_loss.iter().map(|&v| decode_f64(v)).collect(),
+                    val_metric: ckpt.val_metric.iter().map(|&v| decode_f64(v)).collect(),
+                    best_val: decode_f64(ckpt.best_val),
+                    best_epoch: ckpt.best_epoch,
+                },
+                best_weights: ckpt.best_weights.clone(),
             };
-            best_weights = ckpt.best_weights.clone();
             rollbacks = ckpt.rollbacks;
             start_epoch = ckpt.epoch;
         }
     }
-    let higher_better = matches!(cfg.loss, TaskLoss::TileRank(_) | TaskLoss::TileMse);
     let mut tapes: Vec<Tape> = Vec::new();
 
-    'epochs: for epoch in start_epoch..cfg.epochs {
+    for epoch in start_epoch..cfg.epochs {
         let epoch_timer = obs.epoch_ns.start_timer();
-        // Epoch-start snapshot, restored if the epoch's loss goes
-        // non-finite. Cheap relative to an epoch of forward/backward.
         let snap_rng = rng.state_words();
-        let snap_params = model.params().clone();
-        let snap_opt = opt.state();
-        let mut attempts = 0usize;
-        let epoch_loss = loop {
-            let mut batches = batch_indices(train_set, cfg, &mut rng);
-            batches.truncate(cfg.max_batches_per_epoch);
-            let mut losses = Vec::new();
-            for idxs in &batches {
-                let step_timer = obs.step_ns.start_timer();
-                let step =
-                    train_step_inner(model, train_set, idxs, cfg, &mut opt, &mut tapes, &obs);
-                step_timer.stop();
-                if let Some(l) = step {
-                    losses.push(l);
-                    obs.steps.inc();
-                } else {
-                    obs.steps_skipped.inc();
+        let outcome = guarded_epoch(
+            model,
+            &mut opt,
+            cfg.max_rollbacks,
+            &mut rollbacks,
+            &obs,
+            |model, opt| {
+                rng = ChaCha8Rng::from_state_words(&snap_rng);
+                let mut batches = batch_indices(train_set, cfg, &mut rng);
+                batches.truncate(cfg.max_batches_per_epoch);
+                let mut losses = Vec::new();
+                for idxs in &batches {
+                    let step_timer = obs.step_ns.start_timer();
+                    let step = train_step_inner(model, train_set, idxs, cfg, opt, &mut tapes, &obs);
+                    step_timer.stop();
+                    if let Some(l) = step {
+                        losses.push(l);
+                        obs.steps.inc();
+                    } else {
+                        obs.steps_skipped.inc();
+                    }
                 }
-            }
-            let epoch_loss = mean(&losses);
-            // `mean` of zero steps is NaN by construction, not divergence —
-            // only a non-finite loss from real steps triggers the guard.
-            if losses.is_empty() || epoch_loss.is_finite() {
-                break epoch_loss;
-            }
-            rollbacks += 1;
-            obs.rollbacks.inc();
-            rng = ChaCha8Rng::from_state_words(&snap_rng);
-            *model.params_mut() = snap_params.clone();
-            let mut backed_off = snap_opt.clone();
-            backed_off.lr *= 0.5f32.powi(attempts as i32 + 1);
-            opt = Adam::from_state(backed_off);
-            attempts += 1;
-            if attempts > cfg.max_rollbacks {
-                // Give up: the model is already restored to the last
-                // healthy state; stop before poisoning it again.
-                epoch_timer.stop();
-                break 'epochs;
-            }
+                Ok::<_, CheckpointError>(losses)
+            },
+        )?;
+        let Some(epoch_loss) = outcome else {
+            // Give up: the model is already restored to the last healthy
+            // state; stop before poisoning it again.
+            epoch_timer.stop();
+            break;
         };
-        report.train_loss.push(epoch_loss);
+        progress.report.train_loss.push(epoch_loss);
         obs.epoch_loss.push(epoch_loss);
 
         let val_timer = obs.val_ns.start_timer();
         let vm = validation_metric(model, val_set, cfg.loss);
         val_timer.stop();
         obs.val_metric.push(vm);
-        report.val_metric.push(vm);
-        let improved = report.best_val.is_nan()
-            || (higher_better && vm > report.best_val)
-            || (!higher_better && vm < report.best_val);
-        if improved && vm.is_finite() {
-            report.best_val = vm;
-            report.best_epoch = epoch;
-            best_weights = Some(model.params().to_json());
-        }
+        progress.record_validation(model, epoch, vm, cfg.loss);
         epoch_timer.stop();
         obs.epochs.inc();
 
         if let Some(sink) = on_checkpoint.as_deref_mut() {
+            let report = &progress.report;
             sink(&TrainCheckpoint {
                 schema: SCHEMA.to_string(),
                 model_kind: model.model_name().to_string(),
@@ -693,7 +746,7 @@ pub fn train_resumable<M: KernelModel>(
                 rng: rng.state_words().to_vec(),
                 params: model.params().clone(),
                 opt: opt.state(),
-                best_weights: best_weights.clone(),
+                best_weights: progress.best_weights.clone(),
                 best_val: encode_f64(report.best_val),
                 best_epoch: report.best_epoch,
                 train_loss: report.train_loss.iter().map(|&v| encode_f64(v)).collect(),
@@ -701,15 +754,9 @@ pub fn train_resumable<M: KernelModel>(
             });
         }
     }
-    obs.best_val.set(report.best_val);
-    obs.best_epoch.set(report.best_epoch as f64);
-
-    if let Some(w) = best_weights {
-        if let Ok(store) = ParamStore::from_json(&w) {
-            *model.params_mut() = store;
-        }
-    }
-    Ok(report)
+    obs.best_val.set(progress.report.best_val);
+    obs.best_epoch.set(progress.report.best_epoch as f64);
+    Ok(progress.finish(model))
 }
 
 /// Index-planning metadata for one training example: everything the epoch
@@ -868,7 +915,9 @@ pub fn stream_epoch_plan<S: BatchSource + ?Sized>(
 /// are bit-identical for any `RAYON_NUM_THREADS` and identical whether
 /// `source` is the in-memory slice or a streamed dataset file.
 ///
-/// Validation tracking and best-weight restoration mirror [`train`].
+/// Validation tracking, best-weight restoration and the non-finite-loss
+/// rollback guard ([`TrainConfig::max_rollbacks`]) are the ones
+/// [`train_resumable`] runs; a retried epoch reloads its batches.
 ///
 /// # Errors
 ///
@@ -880,53 +929,46 @@ pub fn train_stream<M: KernelModel, S: BatchSource + ?Sized>(
     cfg: &TrainConfig,
     scfg: &StreamConfig,
 ) -> Result<TrainReport, String> {
-    let higher_better = matches!(cfg.loss, TaskLoss::TileRank(_) | TaskLoss::TileMse);
+    let obs = TrainObs::default();
     let mut opt = Adam::new(cfg.lr);
     let mut tapes: Vec<Tape> = Vec::new();
-    let mut report = TrainReport {
-        train_loss: Vec::new(),
-        val_metric: Vec::new(),
-        best_val: f64::NAN,
-        best_epoch: 0,
-    };
-    let mut best_weights: Option<String> = None;
+    let mut progress = Progress::fresh();
+    let mut rollbacks = 0u64;
     for epoch in 0..cfg.epochs {
         let batches = stream_epoch_plan(source, cfg, scfg, epoch);
-        let mut losses = Vec::new();
-        for idxs in &batches {
-            let mut prepared = source.load(idxs)?;
-            for (p, &gi) in prepared.iter_mut().zip(idxs) {
-                if scfg.segment_nodes > 0 && p.num_nodes() > scfg.segment_nodes {
-                    *p = crate::batch::bfs_segment(
-                        p,
-                        scfg.segment_nodes,
-                        mix_seed(scfg.segment_seed, epoch as u64, gi as u64),
-                    );
+        let outcome = guarded_epoch(
+            model,
+            &mut opt,
+            cfg.max_rollbacks,
+            &mut rollbacks,
+            &obs,
+            |model, opt| {
+                let mut losses = Vec::new();
+                for idxs in &batches {
+                    let mut prepared = source.load(idxs)?;
+                    for (p, &gi) in prepared.iter_mut().zip(idxs) {
+                        if scfg.segment_nodes > 0 && p.num_nodes() > scfg.segment_nodes {
+                            *p = crate::batch::bfs_segment(
+                                p,
+                                scfg.segment_nodes,
+                                mix_seed(scfg.segment_seed, epoch as u64, gi as u64),
+                            );
+                        }
+                    }
+                    let local: Vec<usize> = (0..prepared.len()).collect();
+                    let step =
+                        train_step_inner(model, &prepared, &local, cfg, opt, &mut tapes, &obs);
+                    losses.extend(step);
                 }
-            }
-            let local: Vec<usize> = (0..prepared.len()).collect();
-            if let Some(l) = train_step(model, &prepared, &local, cfg, &mut opt, &mut tapes) {
-                losses.push(l);
-            }
-        }
-        report.train_loss.push(mean(&losses));
+                Ok::<_, String>(losses)
+            },
+        )?;
+        let Some(epoch_loss) = outcome else { break };
+        progress.report.train_loss.push(epoch_loss);
         let vm = validation_metric(model, val_set, cfg.loss);
-        report.val_metric.push(vm);
-        let improved = report.best_val.is_nan()
-            || (higher_better && vm > report.best_val)
-            || (!higher_better && vm < report.best_val);
-        if improved && vm.is_finite() {
-            report.best_val = vm;
-            report.best_epoch = epoch;
-            best_weights = Some(model.params().to_json());
-        }
+        progress.record_validation(model, epoch, vm, cfg.loss);
     }
-    if let Some(w) = best_weights {
-        if let Ok(store) = ParamStore::from_json(&w) {
-            *model.params_mut() = store;
-        }
-    }
-    Ok(report)
+    Ok(progress.finish(model))
 }
 
 /// One hyperparameter-search trial description and its score.

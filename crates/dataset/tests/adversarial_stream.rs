@@ -20,8 +20,14 @@ use tpu_dataset::{DatasetReader, DatasetWriter, StreamError};
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_learned_cost::{Prepared, Sample};
 
+/// Per-thread paths: the tests of this binary run concurrently and would
+/// otherwise create and delete each other's `seed` file.
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("tpu_adv_stream_{}_{name}", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "tpu_adv_stream_{}_{:?}_{name}",
+        std::process::id(),
+        std::thread::current().id()
+    ))
 }
 
 fn kernel_prepared(cols: usize, runtime: f64, group: usize) -> Prepared {

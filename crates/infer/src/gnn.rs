@@ -151,7 +151,7 @@ impl FrozenGnn {
             }
             // Neighborhood reduction over the doubled edge list, in the
             // exact edge order the tape's gather + segment op uses.
-            self.aggregate(p, &msg, &mut agg, n);
+            aggregate(self.reduction, p, &msg, &mut agg, n, h);
 
             let sa = self.s_agg[k];
             quant::quantize_into(&agg, sa, &mut qagg);
@@ -187,38 +187,7 @@ impl FrozenGnn {
             if !enabled {
                 continue;
             }
-            match which {
-                0 => {
-                    pool.fill(0.0);
-                    for i in 0..n {
-                        for j in 0..h {
-                            pool[j] += eps[i * h + j];
-                        }
-                    }
-                }
-                1 => {
-                    pool.fill(0.0);
-                    for i in 0..n {
-                        for j in 0..h {
-                            pool[j] += eps[i * h + j];
-                        }
-                    }
-                    for v in pool.iter_mut() {
-                        *v /= n as f32;
-                    }
-                }
-                _ => {
-                    pool.fill(f32::NEG_INFINITY);
-                    for i in 0..n {
-                        for j in 0..h {
-                            let v = eps[i * h + j];
-                            if v > pool[j] {
-                                pool[j] = v;
-                            }
-                        }
-                    }
-                }
-            }
+            pool_into(which, &eps, n, &mut pool);
             let sp = self.s_pool[head_idx];
             quant::quantize_into(&pool, sp, &mut qpool);
             let head = &self.heads[head_idx];
@@ -226,60 +195,6 @@ impl FrozenGnn {
             head_idx += 1;
         }
         y + self.log_ns_offset
-    }
-
-    fn aggregate(&self, p: &Prepared, msg: &[f32], agg: &mut [f32], n: usize) {
-        let h = self.hidden;
-        match self.reduction {
-            Reduction::Sum | Reduction::Mean => {
-                agg[..n * h].fill(0.0);
-                for &(a, b) in &p.edges {
-                    for j in 0..h {
-                        agg[b * h + j] += msg[a * h + j];
-                    }
-                    for j in 0..h {
-                        agg[a * h + j] += msg[b * h + j];
-                    }
-                }
-                if self.reduction == Reduction::Mean {
-                    let mut counts = vec![0usize; n];
-                    for &(a, b) in &p.edges {
-                        counts[b] += 1;
-                        counts[a] += 1;
-                    }
-                    for (i, &cnt) in counts.iter().enumerate() {
-                        if cnt > 0 {
-                            for v in &mut agg[i * h..(i + 1) * h] {
-                                *v /= cnt as f32;
-                            }
-                        }
-                    }
-                }
-            }
-            Reduction::Max => {
-                agg[..n * h].fill(f32::NEG_INFINITY);
-                for &(a, b) in &p.edges {
-                    for j in 0..h {
-                        let v = msg[a * h + j];
-                        if v > agg[b * h + j] {
-                            agg[b * h + j] = v;
-                        }
-                    }
-                    for j in 0..h {
-                        let v = msg[b * h + j];
-                        if v > agg[a * h + j] {
-                            agg[a * h + j] = v;
-                        }
-                    }
-                }
-                // Nodes with no neighbors: the tape zeroes those rows.
-                for v in &mut agg[..n * h] {
-                    if *v == f32::NEG_INFINITY {
-                        *v = 0.0;
-                    }
-                }
-            }
-        }
     }
 
     pub(crate) fn write(&self, w: &mut Writer) {
@@ -495,7 +410,7 @@ impl Raw<'_> {
                     *v = v.max(0.0);
                 }
             }
-            aggregate_f32(self.reduction, p, &msg, &mut agg, n, h);
+            aggregate(self.reduction, p, &msg, &mut agg, n, h);
             calib.agg[k] = max_abs(calib.agg[k], &agg[..n * h]);
 
             let mut next = vec![0.0f32; n * h];
@@ -515,41 +430,23 @@ impl Raw<'_> {
             eps = next;
         }
 
+        let mut pool = vec![0.0f32; h];
         let mut pi = 0usize;
         for (which, enabled) in self.pools.iter().enumerate() {
             if !enabled {
                 continue;
             }
-            let mut pool = vec![0.0f32; h];
-            match which {
-                0 | 1 => {
-                    for i in 0..n {
-                        for j in 0..h {
-                            pool[j] += eps[i * h + j];
-                        }
-                    }
-                    if which == 1 {
-                        for v in pool.iter_mut() {
-                            *v /= n as f32;
-                        }
-                    }
-                }
-                _ => {
-                    pool.fill(f32::NEG_INFINITY);
-                    for i in 0..n {
-                        for j in 0..h {
-                            pool[j] = pool[j].max(eps[i * h + j]);
-                        }
-                    }
-                }
-            }
+            pool_into(which, &eps, n, &mut pool);
             calib.pool[pi] = max_abs(calib.pool[pi], &pool);
             pi += 1;
         }
     }
 }
 
-fn aggregate_f32(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], n: usize, h: usize) {
+/// Neighborhood reduction of the `n×h` messages `msg` into `agg` over the
+/// doubled edge list, in the exact edge order the tape's gather + segment
+/// op uses. Shared by the calibration forward and the int16 forward.
+fn aggregate(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], n: usize, h: usize) {
     match red {
         Reduction::Sum | Reduction::Mean => {
             agg[..n * h].fill(0.0);
@@ -591,6 +488,33 @@ fn aggregate_f32(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], n: 
                     *v = 0.0;
                 }
             }
+        }
+    }
+}
+
+/// Kernel pooling of the `n×h` node states `eps` into the `h`-wide `pool`
+/// (overwritten): `which` indexes [`FrozenGnn::pools`] — 0 sum, 1 mean,
+/// 2 max.
+fn pool_into(which: usize, eps: &[f32], n: usize, pool: &mut [f32]) {
+    let h = pool.len();
+    if which == 2 {
+        pool.fill(f32::NEG_INFINITY);
+        for i in 0..n {
+            for j in 0..h {
+                pool[j] = pool[j].max(eps[i * h + j]);
+            }
+        }
+        return;
+    }
+    pool.fill(0.0);
+    for i in 0..n {
+        for j in 0..h {
+            pool[j] += eps[i * h + j];
+        }
+    }
+    if which == 1 {
+        for v in pool.iter_mut() {
+            *v /= n as f32;
         }
     }
 }

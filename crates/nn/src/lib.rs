@@ -45,4 +45,4 @@ pub use loss::{
 pub use optim::{clip_grad_norm, Adam, AdamState, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
 pub use tape::{GradBuffer, GradSink, Tape, Var};
-pub use tensor::{force_reference_matmul, Tensor};
+pub use tensor::Tensor;

@@ -13,7 +13,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Rows handled together by the matmul micro-kernel: four output rows
 /// share one streaming pass over a `B` panel, quadrupling arithmetic per
@@ -28,26 +27,6 @@ const NR: usize = 16;
 /// Minimum multiply-add count before the parallel path pays for its
 /// thread handoff; below this everything runs on the calling thread.
 const PAR_FLOPS: usize = 1 << 20;
-
-/// When set, [`Tensor::matmul`] and the fused variants fall back to the
-/// naive serial reference kernel. Used by benches to measure the blocked
-/// kernel against the pre-optimization baseline on identical inputs.
-static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Force all matrix products onto the naive serial reference kernel
-/// (`true`) or the blocked/parallel kernels (`false`, the default). In
-/// forced mode the fused transposed variants also materialize their
-/// transposes first, reconstructing the pre-optimization computation.
-///
-/// Because every kernel is bit-identical to the reference, this only
-/// changes speed, never results. Intended for benchmarks; global.
-pub fn force_reference_matmul(on: bool) {
-    FORCE_REFERENCE.store(on, Ordering::Relaxed);
-}
-
-fn reference_forced() -> bool {
-    FORCE_REFERENCE.load(Ordering::Relaxed)
-}
 
 /// A row-major 2-D tensor of `f32`. Scalars are `1×1`, vectors are `1×d`
 /// or `n×1`.
@@ -270,10 +249,6 @@ impl Tensor {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        if reference_forced() {
-            reference_mm(&self.data, k, &other.data, n, &mut out.data);
-            return;
-        }
         let a = &self.data;
         let b = &other.data;
         run_row_chunks(m, n, m * n * k, &mut out.data, |r0, chunk| {
@@ -310,14 +285,6 @@ impl Tensor {
         out.fill_zero();
         let (m, k, n) = (self.cols, self.rows, other.cols);
         if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        if reference_forced() {
-            // Pre-optimization shape of the computation: materialize the
-            // transpose, then run the naive kernel. Bit-identical because
-            // the element summation order is unchanged.
-            let at = self.transpose();
-            reference_mm(&at.data, k, &other.data, n, &mut out.data);
             return;
         }
         let a = &self.data;
@@ -371,10 +338,6 @@ impl Tensor {
         // `bt` for `∂loss/∂A = g · Bᵀ` where `B` is a weight matrix).
         let bt = other.transpose();
         out.fill_zero();
-        if reference_forced() {
-            reference_mm(&self.data, k, &bt.data, n, &mut out.data);
-            return;
-        }
         let a = &self.data;
         let b = &bt.data;
         run_row_chunks(m, n, m * n * k, &mut out.data, |r0, chunk| {
@@ -838,65 +801,6 @@ mod tests {
         let mut out = Tensor::full(6, 4, 123.0); // stale contents must be overwritten
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul_reference(&b));
-    }
-
-    /// Diagnostic (not a correctness test): prints blocked-vs-reference
-    /// timings on shapes representative of the GNN training workload.
-    /// Run with:
-    /// `cargo test -p tpu-nn --release kernel_timing -- --ignored --nocapture`
-    #[test]
-    #[ignore = "manual timing diagnostic"]
-    fn kernel_timing() {
-        let time = |f: &dyn Fn()| {
-            f(); // warm
-            let mut best = f64::INFINITY;
-            for _ in 0..5 {
-                let t0 = std::time::Instant::now();
-                for _ in 0..50 {
-                    f();
-                }
-                best = best.min(t0.elapsed().as_secs_f64() / 50.0);
-            }
-            best * 1e6 // µs
-        };
-        for &(m, k, n) in &[
-            (200usize, 64usize, 48usize),
-            (200, 48, 48),
-            (600, 48, 48),
-            (200, 48, 1),
-            (256, 256, 256),
-        ] {
-            let a = random_tensor(m, k, 1);
-            let b = random_tensor(k, n, 2);
-            let out = Tensor::zeros(m, n);
-            let blocked = time(&|| a.matmul_into(&b, &mut out.clone()));
-            force_reference_matmul(true);
-            let reference = time(&|| a.matmul_into(&b, &mut out.clone()));
-            force_reference_matmul(false);
-            println!("mm {m}x{k}x{n}: blocked {blocked:.1}us reference {reference:.1}us");
-
-            let at = a.transpose();
-            let blocked = time(&|| {
-                let _ = at.matmul_at(&b);
-            });
-            force_reference_matmul(true);
-            let reference = time(&|| {
-                let _ = at.matmul_at(&b);
-            });
-            force_reference_matmul(false);
-            println!("at {m}x{k}x{n}: blocked {blocked:.1}us reference {reference:.1}us");
-
-            let bt = b.transpose();
-            let blocked = time(&|| {
-                let _ = a.matmul_bt(&bt);
-            });
-            force_reference_matmul(true);
-            let reference = time(&|| {
-                let _ = a.matmul_bt(&bt);
-            });
-            force_reference_matmul(false);
-            println!("bt {m}x{k}x{n}: blocked {blocked:.1}us reference {reference:.1}us");
-        }
     }
 
     #[test]

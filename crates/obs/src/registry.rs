@@ -270,13 +270,14 @@ impl Registry {
 }
 
 /// A monotonic counter handle.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Counter {
     cell: Option<Arc<AtomicU64>>,
 }
 
 impl Counter {
-    /// A handle that discards (what a no-op registry hands out).
+    /// A handle that discards (what a no-op registry hands out, and the
+    /// `Default`).
     pub fn noop() -> Counter {
         Counter { cell: None }
     }
@@ -306,13 +307,13 @@ impl Counter {
 opaque_debug!(Counter, cell);
 
 /// A last-value-wins gauge handle.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Gauge {
     cell: Option<Arc<AtomicU64>>,
 }
 
 impl Gauge {
-    /// A handle that discards.
+    /// A handle that discards (the `Default`).
     pub fn noop() -> Gauge {
         Gauge { cell: None }
     }
@@ -336,13 +337,13 @@ impl Gauge {
 opaque_debug!(Gauge, cell);
 
 /// A fixed-bucket histogram handle (log₂ buckets; see [`bucket_index`]).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Histogram {
     core: Option<Arc<HistogramCore>>,
 }
 
 impl Histogram {
-    /// A handle that discards.
+    /// A handle that discards (the `Default`).
     pub fn noop() -> Histogram {
         Histogram { core: None }
     }
@@ -379,13 +380,13 @@ opaque_debug!(Histogram, core);
 /// An append-only `f64` series handle (loss trajectories and similar
 /// short per-epoch traces — entries are never dropped, so keep it to
 /// per-epoch/per-phase cadence, not per-kernel).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Series {
     values: Option<Arc<Mutex<Vec<f64>>>>,
 }
 
 impl Series {
-    /// A handle that discards.
+    /// A handle that discards (the `Default`).
     pub fn noop() -> Series {
         Series { values: None }
     }

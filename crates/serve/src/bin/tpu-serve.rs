@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! tpu-serve [--tcp ADDR] [--model sim|analytical|gnn|frozen] [--bundle PATH]
-//!           [--faults SEED] [--runs N] [--cache-slots N] [--mutex-cache]
+//!           [--faults SEED] [--runs N] [--cache-slots N]
 //!           [--max-pending N] [--batch-max N] [--eval-budget N]
 //!           [--deadline-ms N] [--no-breaker] [--breaker-trip N]
 //!           [--breaker-cooldown N]
@@ -21,7 +21,7 @@
 //! after an admission check (finite predictions + Kendall-τ ≥ 0.99
 //! against the incumbent on the probe panel).
 //!
-//! Drive mode: a load generator for CI smoke and benches.
+//! Drive mode: a load generator for CI smoke.
 //!
 //! ```text
 //! tpu-serve drive ADDR [--clients N] [--requests N] [--distinct K]
@@ -54,8 +54,7 @@ use std::time::Instant;
 
 use tpu_infer::FrozenModel;
 use tpu_learned_cost::{
-    load_gnn, AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, KernelCache,
-    PredictionCache, SimOracle,
+    load_gnn, AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, SimOracle,
 };
 use tpu_obs::Registry;
 use tpu_serve::{
@@ -139,15 +138,6 @@ fn build_model(args: &[String]) -> Box<dyn CostModel + Send> {
     }
 }
 
-fn build_cache(args: &[String]) -> Arc<dyn KernelCache> {
-    let slots = flag_parse(args, "--cache-slots", 1usize << 16);
-    if args.iter().any(|a| a == "--mutex-cache") {
-        Arc::new(PredictionCache::with_capacity(slots))
-    } else {
-        Arc::new(AtomicCache::with_capacity(slots))
-    }
-}
-
 fn run_serve(args: &[String]) -> ExitCode {
     let cfg = ServeConfig {
         batch_max: flag_parse(args, "--batch-max", 64),
@@ -184,7 +174,7 @@ fn run_serve(args: &[String]) -> ExitCode {
     };
     let engine = Arc::new(ServeEngine::start_with(
         model,
-        build_cache(args),
+        Arc::new(AtomicCache::with_capacity(flag_parse(args, "--cache-slots", 1usize << 16))),
         cfg,
         opts,
         &registry,
@@ -430,7 +420,7 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: tpu-serve [--tcp ADDR] [--model sim|analytical|gnn|frozen] [--bundle PATH]\n\
-             \x20                [--faults SEED] [--runs N] [--cache-slots N] [--mutex-cache]\n\
+             \x20                [--faults SEED] [--runs N] [--cache-slots N]\n\
              \x20                [--max-pending N] [--batch-max N] [--eval-budget N]\n\
              \x20                [--deadline-ms MS] [--no-breaker] [--breaker-trip N]\n\
              \x20                [--breaker-cooldown N]\n\

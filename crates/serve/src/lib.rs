@@ -15,7 +15,7 @@
 //! - [`serve_tcp`] — TCP frontend, one thread per client, all funneling
 //!   into the shared engine so batches form across clients,
 //! - [`demo_kernels`] / [`percentile`] — load-generator helpers shared by
-//!   the `drive` subcommand, the serve bench, and CI smoke.
+//!   the `drive` subcommand and CI smoke.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;

@@ -15,7 +15,7 @@ use tpu_obs::{Counter, Gauge, Histogram, Registry};
 /// All handles default to no-ops; [`TpuDevice::observed`] swaps in live
 /// ones. The histograms record **simulated** nanoseconds (the metered
 /// device time), not wall time.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DeviceObs {
     kernel_execs: Counter,
     eval_overheads: Counter,
@@ -28,19 +28,6 @@ struct DeviceObs {
 }
 
 impl DeviceObs {
-    fn noop() -> DeviceObs {
-        DeviceObs {
-            kernel_execs: Counter::noop(),
-            eval_overheads: Counter::noop(),
-            exec_ns: Histogram::noop(),
-            time_used_ns: Gauge::noop(),
-            fault_transients: Counter::noop(),
-            fault_preemptions: Counter::noop(),
-            fault_spikes: Counter::noop(),
-            fault_lost_ns: Histogram::noop(),
-        }
-    }
-
     fn new(registry: &Registry) -> DeviceObs {
         DeviceObs {
             kernel_execs: registry.counter("sim.device.kernel_execs"),
@@ -131,7 +118,7 @@ impl TpuDevice {
             used_ns: Cell::new(0.0),
             fault_event: Cell::new(0),
             faults: Cell::new(FaultCounts::default()),
-            obs: DeviceObs::noop(),
+            obs: DeviceObs::default(),
         }
     }
 

@@ -7,15 +7,19 @@
 //!    sizes: segment seeds are mixed from (seed, epoch, example index) on
 //!    the planning thread, and gradient reduction is shard-ordered, so
 //!    the thread count only changes scheduling, never arithmetic.
+//! 3. A non-finite epoch loss rolls back under `TrainConfig::max_rollbacks`
+//!    exactly as in-memory training does. (That the loop keeps one batch
+//!    resident at a time is pinned in `stream_residency.rs`.)
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tpu_repro::dataset::{
     stream_corpus, Corpus, CorpusScale, DatasetReader, DatasetWriter, FusionDatasetConfig,
     StreamGenConfig,
 };
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::learned::{
-    train_stream, BatchSource, GnnConfig, GnnModel, KernelModel, Prepared, Sample, StreamConfig,
-    TrainConfig,
+    stream_epoch_plan, train_stream, BatchSource, ExampleMeta, GnnConfig, GnnModel, KernelModel,
+    Prepared, Sample, StreamConfig, TrainConfig,
 };
 use tpu_repro::sim::{kernel_time_ns, TpuConfig};
 
@@ -169,4 +173,61 @@ fn segment_training_is_bit_identical_across_thread_counts() {
             "final parameters differ at {threads} threads"
         );
     }
+}
+
+/// An in-memory source that counts the `load` calls it serves.
+struct CountingSource<'a> {
+    examples: &'a [Prepared],
+    loads: AtomicUsize,
+}
+
+impl BatchSource for CountingSource<'_> {
+    fn num_examples(&self) -> usize {
+        self.examples.len()
+    }
+    fn meta(&self, i: usize) -> ExampleMeta {
+        self.examples.meta(i)
+    }
+    fn load(&self, idxs: &[usize]) -> Result<Vec<Prepared>, String> {
+        self.loads.fetch_add(1, Ordering::SeqCst);
+        self.examples.load(idxs)
+    }
+}
+
+/// `TrainConfig::max_rollbacks` guards the streaming loop too: an infinite
+/// target (a NaN one is clamped to 1 ns by `log_targets`) makes the loss
+/// of every attempt at epoch 0 non-finite, so training retries exactly
+/// `max_rollbacks` times, then stops on the untouched initial weights.
+#[test]
+fn train_stream_rolls_back_a_non_finite_epoch() {
+    let mut examples = segment_workload();
+    examples[5].runtime_ns = f64::INFINITY;
+    let (train_set, val_set) = examples.split_at(11);
+    let source = CountingSource {
+        examples: train_set,
+        loads: AtomicUsize::new(0),
+    };
+    let train_cfg = TrainConfig {
+        epochs: 3,
+        batch_size: 4,
+        shards: 2,
+        max_rollbacks: 2,
+        ..Default::default()
+    };
+    let scfg = StreamConfig::default();
+    let mut model = small_model();
+    let report = train_stream(&mut model, &source, val_set, &train_cfg, &scfg).unwrap();
+
+    assert!(report.train_loss.is_empty(), "a poisoned epoch was recorded");
+    assert_eq!(
+        model.params().to_json(),
+        small_model().params().to_json(),
+        "training did not stop at the last healthy weights"
+    );
+    let per_attempt = stream_epoch_plan(&source, &train_cfg, &scfg, 0).len();
+    assert_eq!(
+        source.loads.load(Ordering::SeqCst),
+        (train_cfg.max_rollbacks + 1) * per_attempt,
+        "one first attempt plus max_rollbacks retries of epoch 0"
+    );
 }
