@@ -24,8 +24,9 @@
 //! bits a fresh evaluation would (objectives are deterministic functions
 //! of the fused structure) and costs zero model evaluations, which is what
 //! lets the beam cover more of the space than its eval budget alone would
-//! allow. `AtomicCache::with_capacity(0)` (or `use_tt: false`) disables
-//! reuse without changing any scored cost.
+//! allow. A zero-capacity table (`tt_slots: 0`, or
+//! `AtomicCache::with_capacity(0)` passed in) disables reuse without
+//! changing any scored cost.
 //!
 //! # Pruning
 //!
@@ -34,10 +35,8 @@
 //! cost exceeds `incumbent * (1 + prune_margin)` — pruning never drops a
 //! candidate whose predicted cost is within the margin of (or beats) the
 //! incumbent; those can only fall to beam-width truncation, which keeps
-//! strictly better-ranked candidates. The margin is a tunable
-//! [`SearchParams`] hyperparameter; [`spsa_tune`] optimizes it (and the
-//! beam width) against a caller-supplied objective, e.g. tuned true
-//! runtime on the simulator ([`tune_search_params`]).
+//! strictly better-ranked candidates. The margin is a
+//! [`SearchParams`] hyperparameter.
 //!
 //! # Determinism
 //!
@@ -52,20 +51,15 @@
 //! scored cost).
 
 use crate::sa::{push_top, BatchObjective};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use tpu_fusion::{apply_fusion, FusionConfig, FusionSpace};
 use tpu_hlo::{canonical_kernel_hash, Program};
-use tpu_learned_cost::{AtomicCache, CostModel, Predictor};
+use tpu_learned_cost::AtomicCache;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
-use tpu_sim::TpuDevice;
 
-/// Hyperparameters of the beam search. `prune_margin` and `beam_width`
-/// are the SPSA-tunable pair (see [`spsa_tune`]); the rest plumb budgets
-/// and reuse policy.
+/// Hyperparameters of the beam search: `prune_margin` and `beam_width`
+/// shape the search; the rest plumb budgets and reuse policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchParams {
     /// States kept per depth after pruning (>= 1).
@@ -81,13 +75,11 @@ pub struct SearchParams {
     /// Keep the best `top_k` distinct configs seen (for the §6.3 hardware
     /// re-rank).
     pub top_k: usize,
-    /// Seed for the random start mode and the SPSA meta-loop. The beam
-    /// itself is deterministic and never draws from it.
+    /// Seed for the random start mode. The beam itself is deterministic
+    /// and never draws from it.
     pub seed: u64,
-    /// Whether to consult/fill the transposition table.
-    pub use_tt: bool,
     /// Slots of the internally-created TT (when the caller does not pass
-    /// one). 0 disables reuse even with `use_tt: true`.
+    /// one). 0 disables reuse.
     pub tt_slots: usize,
     /// Joint fusion+tile search: per-kernel tile candidates the model
     /// objective folds into each config's score (0 = fusion-only). Used by
@@ -104,7 +96,6 @@ impl Default for SearchParams {
             max_evals: usize::MAX >> 1,
             top_k: 16,
             seed: 7,
-            use_tt: true,
             tt_slots: 1 << 16,
             tile_candidates: 0,
         }
@@ -258,19 +249,20 @@ fn score_candidates<O: BatchObjective>(
     cands: &[FusionConfig],
     objective: &mut O,
     tt: &AtomicCache,
-    use_tt: bool,
     remaining: usize,
     stats: &mut BeamStats,
     obs: &BeamObs,
 ) -> LayerScore {
     let n = cands.len();
+    // A zero-capacity table is "no reuse": skip its probes and stores.
+    let reuse = tt.capacity() > 0;
     let hashes: Vec<u64> = cands
         .par_iter()
         .map(|c| fused_structure_hash(program, space, c))
         .collect();
     let mut costs = vec![f64::NAN; n];
     let mut resolved = vec![false; n];
-    if use_tt {
+    if reuse {
         for i in 0..n {
             if let Some(Some(c)) = tt.lookup_hash(hashes[i]) {
                 costs[i] = c;
@@ -319,7 +311,7 @@ fn score_candidates<O: BatchObjective>(
             miss_costs[j] = cost;
             stats.scored += 1;
             obs.scored.inc();
-            if use_tt {
+            if reuse {
                 tt.insert_hash(miss_hashes[j], Some(cost));
                 stats.tt_stores += 1;
                 obs.tt_stores.inc();
@@ -340,7 +332,7 @@ fn score_candidates<O: BatchObjective>(
 }
 
 /// [`beam_search_with_tt`] with an internally-created transposition table
-/// (`params.tt_slots` slots when `params.use_tt`, else disabled).
+/// of `params.tt_slots` slots.
 pub fn beam_search<O: BatchObjective>(
     program: &Program,
     space: &FusionSpace,
@@ -361,8 +353,7 @@ pub fn beam_search_observed<O: BatchObjective>(
     params: &SearchParams,
     registry: &Registry,
 ) -> BeamResult {
-    let slots = if params.use_tt { params.tt_slots } else { 0 };
-    let tt = AtomicCache::with_capacity(slots);
+    let tt = AtomicCache::with_capacity(params.tt_slots);
     beam_search_with_tt(program, space, start, objective, params, &tt, registry)
 }
 
@@ -393,7 +384,6 @@ pub fn beam_search_with_tt<O: BatchObjective>(
         std::slice::from_ref(&start),
         &mut objective,
         tt,
-        params.use_tt,
         usize::MAX,
         &mut stats,
         &obs,
@@ -443,7 +433,6 @@ pub fn beam_search_with_tt<O: BatchObjective>(
             &cands,
             &mut objective,
             tt,
-            params.use_tt,
             params.max_evals - spent,
             &mut stats,
             &obs,
@@ -484,121 +473,6 @@ pub fn beam_search_with_tt<O: BatchObjective>(
         top,
         stats,
     }
-}
-
-/// SPSA (simultaneous perturbation stochastic approximation) schedule for
-/// the prune-margin/beam-width meta-loop.
-#[derive(Debug, Clone)]
-pub struct SpsaConfig {
-    /// Gradient iterations; each costs two objective evaluations.
-    pub iters: usize,
-    /// RNG seed for the Bernoulli perturbation directions.
-    pub seed: u64,
-    /// Step-size scale (`a_k = a / (A + k + 1)^0.602`).
-    pub a: f64,
-    /// Perturbation scale (`c_k = c / (k + 1)^0.101`).
-    pub c: f64,
-    /// Stability constant `A`.
-    pub stability: f64,
-}
-
-impl Default for SpsaConfig {
-    fn default() -> Self {
-        SpsaConfig {
-            iters: 6,
-            seed: 17,
-            a: 0.25,
-            c: 0.15,
-            stability: 2.0,
-        }
-    }
-}
-
-/// In the normalized SPSA coordinates, `u[0]` is the prune margin on
-/// `[0, 1]` and `u[1]` maps affinely to a beam width on `[1, 16]`.
-fn params_at(u: [f64; 2], base: &SearchParams) -> SearchParams {
-    SearchParams {
-        prune_margin: u[0],
-        beam_width: (1.0 + u[1] * 15.0).round().max(1.0) as usize,
-        ..base.clone()
-    }
-}
-
-/// Minimize `objective` over (prune_margin, beam_width) with seeded SPSA:
-/// both hyperparameters live in a normalized unit square, each iteration
-/// perturbs them simultaneously along a Bernoulli direction and steps
-/// against the estimated gradient. Deterministic for a given
-/// [`SpsaConfig::seed`]. Returns the best parameters *evaluated* (every
-/// probe counts, so a lucky perturbation is never thrown away) and their
-/// objective value.
-pub fn spsa_tune<F: FnMut(&SearchParams) -> f64>(
-    base: &SearchParams,
-    cfg: &SpsaConfig,
-    mut objective: F,
-) -> (SearchParams, f64) {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let clamp01 = |u: [f64; 2]| [u[0].clamp(0.0, 1.0), u[1].clamp(0.0, 1.0)];
-    let mut u = clamp01([
-        base.prune_margin,
-        (base.beam_width as f64 - 1.0) / 15.0,
-    ]);
-    let mut best_params = params_at(u, base);
-    let mut best_y = objective(&best_params);
-    for k in 0..cfg.iters {
-        let ak = cfg.a / (cfg.stability + k as f64 + 1.0).powf(0.602);
-        let ck = cfg.c / (k as f64 + 1.0).powf(0.101);
-        let delta = [
-            if rng.gen::<bool>() { 1.0 } else { -1.0 },
-            if rng.gen::<bool>() { 1.0 } else { -1.0 },
-        ];
-        let up = clamp01([u[0] + ck * delta[0], u[1] + ck * delta[1]]);
-        let um = clamp01([u[0] - ck * delta[0], u[1] - ck * delta[1]]);
-        let yp = objective(&params_at(up, base));
-        let ym = objective(&params_at(um, base));
-        if yp < best_y {
-            best_y = yp;
-            best_params = params_at(up, base);
-        }
-        if ym < best_y {
-            best_y = ym;
-            best_params = params_at(um, base);
-        }
-        if yp.is_finite() && ym.is_finite() {
-            let g = (yp - ym) / (2.0 * ck);
-            u = clamp01([u[0] - ak * g * delta[0], u[1] - ak * g * delta[1]]);
-        }
-    }
-    let final_params = params_at(u, base);
-    let final_y = objective(&final_params);
-    if final_y < best_y {
-        (final_params, final_y)
-    } else {
-        (best_params, best_y)
-    }
-}
-
-/// Tune (prune_margin, beam_width) for one program against the simulator:
-/// each SPSA probe runs a full model-guided beam from the default config
-/// and scores the found configuration by its *noiseless true runtime* on
-/// `device` — the meta-loop the prune margin is calibrated by. Each probe
-/// gets a fresh prediction cache and TT so hyperparameters are compared
-/// from equal footing. Deterministic for fixed seeds.
-pub fn tune_search_params<M: CostModel + ?Sized>(
-    program: &Program,
-    device: &TpuDevice,
-    model: &M,
-    base: &SearchParams,
-    cfg: &SpsaConfig,
-) -> (SearchParams, f64) {
-    let (space, start) = tpu_fusion::default_space_and_config(&program.computation);
-    spsa_tune(base, cfg, |params| {
-        let cache = Arc::new(AtomicCache::with_capacity(1 << 14));
-        let predictor = Predictor::with_cache(model, Arc::clone(&cache));
-        let objective = crate::harness::ModelObjective::new(program, &space, &predictor);
-        let result = beam_search(program, &space, start.clone(), objective, params);
-        let fused = apply_fusion(program, &space, &result.best_config);
-        device.true_program_time(&fused)
-    })
 }
 
 #[cfg(test)]
@@ -681,20 +555,20 @@ mod tests {
     fn tt_disabled_matches_enabled() {
         let p = chain_program(10);
         let space = FusionSpace::new(&p.computation);
-        let run = |use_tt| {
+        let run = |tt_slots| {
             beam_search(
                 &p,
                 &space,
                 space.none(),
                 |c: &FusionConfig| unfused_edges(c) + 0.125,
                 &SearchParams {
-                    use_tt,
+                    tt_slots,
                     ..Default::default()
                 },
             )
         };
-        let with_tt = run(true);
-        let without = run(false);
+        let with_tt = run(SearchParams::default().tt_slots);
+        let without = run(0);
         assert_eq!(with_tt.best_config, without.best_config);
         assert_eq!(with_tt.best_cost.to_bits(), without.best_cost.to_bits());
         assert!(with_tt.stats.tt_hits > 0, "chains alias: TT must hit");
@@ -740,7 +614,7 @@ mod tests {
             },
             &SearchParams {
                 max_evals: 7,
-                use_tt: false,
+                tt_slots: 0,
                 ..Default::default()
             },
         );
@@ -766,7 +640,7 @@ mod tests {
                 unfused_edges(c)
             },
             &SearchParams {
-                use_tt: false,
+                tt_slots: 0,
                 ..Default::default()
             },
         );
@@ -871,32 +745,6 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
             assert_ne!(w[0].0, w[1].0);
         }
-    }
-
-    #[test]
-    fn spsa_minimizes_a_known_bowl() {
-        // Objective minimized at margin 0.6, width 4 — SPSA must get close
-        // from the default start.
-        let base = SearchParams::default();
-        let (best, y) = spsa_tune(&base, &SpsaConfig::default(), |p| {
-            (p.prune_margin - 0.6).powi(2) + ((p.beam_width as f64 - 4.0) / 15.0).powi(2)
-        });
-        assert!(y < 0.04, "spsa left too much on the table: y={y}");
-        assert!((best.prune_margin - 0.6).abs() < 0.25, "margin={}", best.prune_margin);
-    }
-
-    #[test]
-    fn spsa_deterministic_given_seed() {
-        let base = SearchParams::default();
-        let run = || {
-            spsa_tune(&base, &SpsaConfig::default(), |p| {
-                (p.prune_margin - 0.3).powi(2) + (p.beam_width as f64) * 0.001
-            })
-        };
-        let (a, ya) = run();
-        let (b, yb) = run();
-        assert_eq!(a, b);
-        assert_eq!(ya.to_bits(), yb.to_bits());
     }
 
     #[test]

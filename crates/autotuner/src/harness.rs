@@ -1422,55 +1422,6 @@ mod tests {
     }
 
     #[test]
-    fn spsa_meta_loop_is_deterministic_and_in_bounds() {
-        let p = program();
-        let device = TpuDevice::new(3);
-        let cfg = TpuConfig::default();
-        let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
-            Some(tpu_sim::kernel_time_ns(k, &cfg))
-        });
-        let base = crate::beam::SearchParams {
-            max_evals: 120,
-            ..Default::default()
-        };
-        let spsa = crate::beam::SpsaConfig {
-            iters: 2,
-            ..Default::default()
-        };
-        let (params_a, y_a) = crate::beam::tune_search_params(&p, &device, &model, &base, &spsa);
-        let (params_b, y_b) = crate::beam::tune_search_params(&p, &device, &model, &base, &spsa);
-        assert_eq!(params_a, params_b);
-        assert_eq!(y_a.to_bits(), y_b.to_bits());
-        assert!(y_a.is_finite() && y_a > 0.0);
-        assert!((0.0..=1.0).contains(&params_a.prune_margin));
-        assert!((1..=16).contains(&params_a.beam_width));
-    }
-
-    #[test]
-    #[ignore = "seed-landscape probe, run manually"]
-    fn probe_chaos_seeds() {
-        let p = program();
-        for budget in [40e9, 60e9] {
-            for sa_seed in [0u64, 1, 2] {
-                let device = TpuDevice::new(3);
-                let ff = autotune_hardware_only(&p, &device, StartMode::Default, budget, sa_seed);
-                for fseed in [5u64, 7, 11, 13] {
-                    let device = TpuDevice::new(3).with_faults(tpu_sim::FaultPlan::chaos(fseed));
-                    let ch =
-                        autotune_hardware_only(&p, &device, StartMode::Default, budget, sa_seed);
-                    println!(
-                        "budget={:.0e} sa={sa_seed} fault={fseed}: ff={:.0} chaos={:.0} ratio={:.3}",
-                        budget,
-                        ff.true_ns,
-                        ch.true_ns,
-                        ch.true_ns / ff.true_ns
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn chaos_autotune_converges_near_fault_free() {
         // Acceptance criterion: under the default chaos plan the
         // hardware-only autotuner completes without panicking and lands

@@ -61,7 +61,7 @@ pub use harness::{
 pub use baselines::{hill_climb, random_search, SearchResult};
 pub use beam::{
     beam_search, beam_search_observed, beam_search_with_tt, fused_structure_hash, margin_cut,
-    reduce_layer, spsa_tune, tune_search_params, BeamResult, BeamStats, SearchParams, SpsaConfig,
+    reduce_layer, BeamResult, BeamStats, SearchParams,
 };
 pub use random_search::random_configs;
 pub use sa::{simulated_annealing, simulated_annealing_observed, BatchObjective, SaConfig, SaResult};

@@ -137,7 +137,7 @@ proptest! {
             &space,
             space.none(),
             objective,
-            &SearchParams { use_tt: false, ..base },
+            &SearchParams { tt_slots: 0, ..base },
         );
         prop_assert_eq!(&with_tt.best_config, &without.best_config);
         prop_assert_eq!(with_tt.best_cost.to_bits(), without.best_cost.to_bits());

@@ -70,7 +70,8 @@ impl<M: CostModel + ?Sized> CostModel for &M {
 }
 
 /// A boxed model is a model: lets daemons hold runtime-selected backends
-/// as `Box<dyn CostModel + Send>` and still hand them to [`Predictor`].
+/// as `Box<dyn CostModel + Send>` and still hand them to
+/// [`Predictor`](crate::Predictor).
 impl<M: CostModel + ?Sized> CostModel for Box<M> {
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
         (**self).predict_kernel_ns(kernel)

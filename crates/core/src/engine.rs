@@ -373,7 +373,7 @@ impl PredictStats {
 /// behind.
 ///
 /// Every `predict` call resolves its kernels in three steps: hash and look
-/// up each kernel in the sharded [`PredictionCache`]; deduplicate the
+/// up each kernel in the session's [`KernelCache`]; deduplicate the
 /// distinct misses (first-occurrence order); hand those misses to the
 /// backend as **one** [`CostModel::predict_batch_ns`] call. For the neural
 /// backends that one call is one packed [`GraphBatch`] forward, so a batch
@@ -498,9 +498,10 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
     }
 
     /// Export the shared cache's counters as `core.cache.*` gauges.
-    /// Walks every shard for the entry count, so call this at phase
-    /// boundaries (end of a run, before writing a report), not per
-    /// predict. No-op without an attached registry.
+    /// The entry count may scan the whole cache ([`AtomicCache::len`]
+    /// reads every slot), so call this at phase boundaries (end of a run,
+    /// before writing a report), not per predict. No-op without an
+    /// attached registry.
     pub fn record_cache_stats(&self) {
         if !self.obs.enabled {
             return;

@@ -14,7 +14,7 @@
 //!   sorted nodes,
 //! - [`train`]: the fusion objective (squared error on log targets) and the
 //!   tile-size objective (pairwise rank loss, Eq. 2) with per-kernel batch
-//!   grouping, plus the hyperparameter grid search,
+//!   grouping,
 //! - [`metrics`]: MAPE and Kendall's τ as reported in Tables 2–3,
 //! - [`CostModel`]: one batch-first interface over learned/analytical/
 //!   simulator backends, making the model retargetable across compiler
@@ -68,9 +68,9 @@ pub use engine::{
 pub use lstm_model::{LstmConfig, LstmModel};
 pub use model::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction, LOG_NS_OFFSET};
 pub use train::{
-    hyper_search_gnn, per_group_kendall, predict_log_ns, prepare, stream_epoch_plan, train,
-    train_observed, train_resumable, train_step, train_stream, validation_metric, BatchSource,
-    ExampleMeta, HyperTrial, KernelModel, StreamConfig, TaskLoss, TrainConfig, TrainReport,
+    per_group_kendall, predict_log_ns, prepare, stream_epoch_plan, train, train_observed,
+    train_resumable, train_step, train_stream, validation_metric, BatchSource, ExampleMeta,
+    KernelModel, StreamConfig, TaskLoss, TrainConfig, TrainReport,
 };
 
 // Re-exported so downstream crates (e.g. the streamed dataset reader) can

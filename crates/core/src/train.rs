@@ -971,82 +971,6 @@ pub fn train_stream<M: KernelModel, S: BatchSource + ?Sized>(
     Ok(progress.finish(model))
 }
 
-/// One hyperparameter-search trial description and its score.
-#[derive(Debug, Clone)]
-pub struct HyperTrial {
-    /// Description, e.g. `"reduction=Sum pooling=3 phi=Logistic"`.
-    pub description: String,
-    /// Validation metric achieved.
-    pub val_metric: f64,
-}
-
-/// Grid-search GraphSAGE hyperparameters (reduction × pooling combo, and φ
-/// for the rank loss), returning the best model and all trials.
-///
-/// The grid mirrors the paper's tuned choices at laptop scale.
-pub fn hyper_search_gnn(
-    base: crate::model::GnnConfig,
-    train_set: &[Prepared],
-    val_set: &[Prepared],
-    cfg: &TrainConfig,
-) -> (GnnModel, TrainReport, Vec<HyperTrial>) {
-    use crate::model::{PoolCombo, Reduction};
-    let reductions = [Reduction::Sum, Reduction::Mean, Reduction::Max];
-    let poolings = [
-        PoolCombo::all(),
-        PoolCombo {
-            sum: true,
-            mean: false,
-            max: true,
-        },
-    ];
-    let phis: Vec<TaskLoss> = match cfg.loss {
-        TaskLoss::TileRank(_) => vec![
-            TaskLoss::TileRank(RankPhi::Hinge),
-            TaskLoss::TileRank(RankPhi::Logistic),
-        ],
-        other => vec![other],
-    };
-
-    let higher_better = matches!(cfg.loss, TaskLoss::TileRank(_) | TaskLoss::TileMse);
-    let mut best: Option<(GnnModel, TrainReport, f64)> = None;
-    let mut trials = Vec::new();
-    for &red in &reductions {
-        for &pool in &poolings {
-            for &loss in &phis {
-                let mut gcfg = base.clone();
-                gcfg.reduction = red;
-                gcfg.pooling = pool;
-                let mut model = GnnModel::new(gcfg);
-                let mut tcfg = cfg.clone();
-                tcfg.loss = loss;
-                let report = train(&mut model, train_set, val_set, &tcfg);
-                let score = report.best_val;
-                trials.push(HyperTrial {
-                    description: format!(
-                        "reduction={red:?} pooling={} loss={loss:?}",
-                        pool.count()
-                    ),
-                    val_metric: score,
-                });
-                let better = match &best {
-                    None => true,
-                    Some((_, _, b)) => {
-                        (higher_better && score > *b) || (!higher_better && score < *b)
-                    }
-                };
-                if better && score.is_finite() {
-                    best = Some((model, report, score));
-                }
-            }
-        }
-    }
-    // INVARIANT: the reduction/pooling/phi grids are non-empty statics,
-    // so at least one trial always runs.
-    let (model, report, _) = best.expect("at least one trial");
-    (model, report, trials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,7 @@ use crate::corpus::{Corpus, Split};
 use rayon::prelude::*;
 use std::collections::HashSet;
 use tpu_autotuner::random_configs;
-use tpu_fusion::{apply_fusion, default_space_and_config, FusionSpace};
+use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::{kernel_hash, Kernel, Program};
 use tpu_sim::{default_tile, TpuConfig, TpuDevice};
 
@@ -86,7 +86,6 @@ pub fn program_kernels(
     let (space, default_cfg) = default_space_and_config(&program.computation);
     let mut configs = random_configs(&space, cfg.configs_per_program, seed);
     configs.push(default_cfg);
-    let _ = FusionSpace::new(&program.computation); // space reuse sanity
     let mut seen: HashSet<u64> = HashSet::new();
     let mut kernels = Vec::new();
     for c in &configs {
@@ -109,6 +108,29 @@ pub fn program_kernels(
     kernels
 }
 
+/// The per-program generation step shared by [`build_fusion_dataset`] and
+/// [`crate::stream_corpus`]: the kernels of corpus program `pi` with their
+/// min-of-`runs` runtimes, in generation order.
+///
+/// The device's noise RNG is one sequential stream per program, so every
+/// kernel is measured in order here and cross-program duplicates are
+/// dropped by the callers only afterwards.
+pub(crate) fn measured_program_kernels(
+    program: &Program,
+    pi: usize,
+    cfg: &FusionDatasetConfig,
+) -> Vec<(Kernel, f64)> {
+    let kernels = program_kernels(program, cfg, cfg.seed ^ (pi as u64).wrapping_mul(0x9e37));
+    let device = TpuDevice::with_config(cfg.machine.clone(), cfg.seed ^ pi as u64);
+    kernels
+        .into_iter()
+        .map(|k| {
+            let runtime_ns = device.measure_kernel(&k, cfg.runs);
+            (k, runtime_ns)
+        })
+        .collect()
+}
+
 /// Build the fusion dataset over the fusion-eligible programs of a corpus,
 /// in parallel (the paper uses 50 machines; we use threads).
 pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> FusionDataset {
@@ -116,18 +138,12 @@ pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> Fusio
     let mut examples: Vec<KernelExample> = eligible
         .par_iter()
         .flat_map(|&pi| {
-            let program = &corpus.entries[pi].program;
-            let kernels = program_kernels(program, cfg, cfg.seed ^ (pi as u64).wrapping_mul(0x9e37));
-            let device = TpuDevice::with_config(cfg.machine.clone(), cfg.seed ^ pi as u64);
-            kernels
+            measured_program_kernels(&corpus.entries[pi].program, pi, cfg)
                 .into_iter()
-                .map(|k| {
-                    let runtime_ns = device.measure_kernel(&k, cfg.runs);
-                    KernelExample {
-                        kernel: k,
-                        runtime_ns,
-                        program_idx: pi,
-                    }
+                .map(|(kernel, runtime_ns)| KernelExample {
+                    kernel,
+                    runtime_ns,
+                    program_idx: pi,
                 })
                 .collect::<Vec<_>>()
         })

@@ -33,7 +33,7 @@
 //! of a truncated dataset that silently trains on partial data.
 
 use crate::corpus::Corpus;
-use crate::fusion_ds::{program_kernels, FusionDatasetConfig};
+use crate::fusion_ds::{measured_program_kernels, FusionDatasetConfig};
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -567,12 +567,12 @@ pub struct StreamSummary {
 /// time — the streaming replacement for
 /// [`crate::build_fusion_dataset`] + export.
 ///
-/// Per fusion-eligible program the kernels, measurements, and global
-/// dedup match [`crate::build_fusion_dataset`] exactly (same seeds, same
-/// order), so training from the streamed file is bit-identical to
-/// training from the in-memory dataset. Programs above
-/// [`StreamGenConfig::whole_graph_nodes`] nodes are additionally emitted
-/// as single whole-graph records (group = own, target = sum of measured
+/// Per fusion-eligible program the kernels and measurements come from the
+/// generation step [`crate::build_fusion_dataset`] itself runs, and the
+/// global dedup follows it the same way, so training from the streamed
+/// file is bit-identical to training from the in-memory dataset. Programs
+/// above [`StreamGenConfig::whole_graph_nodes`] nodes are additionally
+/// emitted as single whole-graph records (group = own, target = sum of measured
 /// default-fusion kernel runtimes) — the TpuGraphs-scale examples that
 /// motivate graph-segment training. Only one program's examples are ever
 /// buffered.
@@ -594,24 +594,10 @@ pub fn stream_corpus(
     for pi in 0..corpus.len() {
         let program = &corpus.entries[pi].program;
         if eligible.contains(&pi) {
-            let kernels = program_kernels(
-                program,
-                &cfg.fusion,
-                cfg.fusion.seed ^ (pi as u64).wrapping_mul(0x9e37),
-            );
-            // Measure every per-program kernel in order, *then* drop
-            // global duplicates: the device RNG is a sequential stream, so
-            // this is the only order that reproduces
-            // `build_fusion_dataset`'s measurements bit for bit.
-            let device =
-                TpuDevice::with_config(cfg.fusion.machine.clone(), cfg.fusion.seed ^ pi as u64);
-            let samples: Vec<Sample> = kernels
+            let samples: Vec<Sample> = measured_program_kernels(program, pi, &cfg.fusion)
                 .into_iter()
-                .map(|k| {
-                    let runtime_ns = device.measure_kernel(&k, cfg.fusion.runs);
-                    Sample::new(k, runtime_ns)
-                })
-                .filter(|s| seen.insert(kernel_hash(&s.kernel)))
+                .filter(|(k, _)| seen.insert(kernel_hash(k)))
+                .map(|(k, runtime_ns)| Sample::new(k, runtime_ns))
                 .collect();
             for p in Prepared::from_samples(&samples) {
                 writer.append(&p, pi as u32)?;

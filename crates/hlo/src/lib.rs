@@ -40,14 +40,12 @@ mod graph;
 mod hashing;
 pub mod interp;
 mod kernel;
-pub mod layout_pass;
 pub mod viz;
 mod node;
 mod opcode;
 mod passes;
 mod program;
 mod shape;
-pub mod stats;
 mod text;
 
 pub use attrs::{Comparison, ConvAttrs, DotDims, NodeAttrs, PadConfig, SliceAttrs};

@@ -1,5 +1,5 @@
 //! The serving engine: a worker thread that batches concurrent requests
-//! into single [`Predictor::predict_ns`] calls.
+//! into single [`Predictor::predict_ns_refs`] calls.
 //!
 //! Frontends (`stdin`, TCP client threads) call [`ServeEngine::submit`];
 //! the worker drains everything queued since its last batch and answers
@@ -327,11 +327,12 @@ pub struct ServeStats {
     pub breaker_open_served: u64,
     /// Breaker state: 0 closed, 1 open, 2 half-open.
     pub breaker_state: u8,
-    /// Predictor counters mirrored after each batch.
+    /// Predictor counters summed over every served batch (monotonic
+    /// across reloads).
     pub predict: PredictStats,
-    /// Cache residency after the last batch.
+    /// Cache residency at the time of the call.
     pub cache_entries: usize,
-    /// Cache evictions after the last batch.
+    /// Cache evictions at the time of the call.
     pub cache_evictions: u64,
 }
 
@@ -375,12 +376,12 @@ enum Job {
 /// 0 leaves hashes untouched (bit-compatible with the unwrapped cache).
 struct EpochCache {
     inner: Arc<dyn KernelCache>,
-    epoch: Arc<AtomicU64>,
+    shared: Arc<Shared>,
 }
 
 impl EpochCache {
     fn tag(&self, hash: u64) -> u64 {
-        let e = self.epoch.load(Ordering::Relaxed);
+        let e = self.shared.epoch.load(Ordering::Relaxed);
         // splitmix64's odd multiplier: distinct epochs decorrelate fully.
         hash ^ e.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
@@ -421,15 +422,15 @@ struct Shared {
     backend_panics: AtomicU64,
     reloads: AtomicU64,
     reloads_rejected: AtomicU64,
+    // Model epoch: bumped by the worker on every swap, read by
+    // `EpochCache::tag` and by stats.
     epoch: AtomicU64,
-    // PredictStats mirror, refreshed by the worker after every batch (the
-    // predictor itself lives on the worker thread and is not `Sync`).
+    // The serving predict counters: the worker adds each batch's
+    // `PredictStats` before it sends that batch's replies.
     kernels: AtomicU64,
     cache_hits: AtomicU64,
     model_evals: AtomicU64,
     model_batches: AtomicU64,
-    cache_entries: AtomicU64,
-    cache_evictions: AtomicU64,
 }
 
 impl Shared {
@@ -452,8 +453,6 @@ impl Shared {
             cache_hits: AtomicU64::new(0),
             model_evals: AtomicU64::new(0),
             model_batches: AtomicU64::new(0),
-            cache_entries: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
         }
     }
 }
@@ -461,6 +460,9 @@ impl Shared {
 /// A running serving engine; see the module docs for the design.
 pub struct ServeEngine {
     shared: Arc<Shared>,
+    // The caller's cache, untagged: `stats` reads its residency and
+    // eviction count on request.
+    cache: Arc<dyn KernelCache>,
     tx: Mutex<Option<Sender<Job>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     backend: Mutex<String>,
@@ -481,9 +483,9 @@ impl ServeEngine {
     /// Spawn the worker thread over `model` and `cache` with default
     /// resilience options (wall clock, no breaker, no reload).
     ///
-    /// The cache is taken as `Arc<dyn KernelCache>` so callers pick the
-    /// backend (atomic vs. sharded-mutex) at runtime; metrics go to
-    /// `registry` through the predictor's usual `core.cache.*` surface.
+    /// The cache is taken as `Arc<dyn KernelCache>` so the caller keeps a
+    /// handle on it (to pre-warm or inspect it); metrics go to `registry`
+    /// through the predictor's usual `core.engine.*` surface.
     pub fn start(
         model: Box<dyn CostModel + Send>,
         cache: Arc<dyn KernelCache>,
@@ -512,13 +514,13 @@ impl ServeEngine {
         let budget = cfg.eval_budget;
         let worker_clock = Arc::clone(&opts.clock);
         let worker_breaker = opts.breaker.clone();
-        let epoch = Arc::new(AtomicU64::new(0));
+        let worker_cache = Arc::clone(&cache);
         let worker = std::thread::Builder::new()
             .name("tpu-serve-worker".to_string())
             .spawn(move || {
                 let cache = Arc::new(EpochCache {
-                    inner: cache,
-                    epoch,
+                    inner: worker_cache,
+                    shared: Arc::clone(&worker_shared),
                 });
                 let mut ctx = Worker {
                     predictor: Predictor::with_cache(model, Arc::clone(&cache)).observed(&registry),
@@ -529,14 +531,13 @@ impl ServeEngine {
                     breaker: worker_breaker,
                     batch_max,
                     budget,
-                    // Predictor counters accumulated over models swapped out.
-                    base: PredictStats::default(),
                 };
                 ctx.run(&rx);
             })
             .expect("spawn serve worker");
         ServeEngine {
             shared,
+            cache,
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
             backend: Mutex::new(backend),
@@ -717,7 +718,9 @@ impl ServeEngine {
         reply_rx.recv().map_err(|_| ReloadError::ShuttingDown)
     }
 
-    /// Snapshot the serving counters.
+    /// Snapshot the serving counters. The cache numbers are read from the
+    /// cache here, not kept by the worker: `len()` may scan every slot, so
+    /// it runs once per `stats` call and never per batch.
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared;
         let (breaker_trips, breaker_open_served, breaker_state) = match &self.breaker {
@@ -753,8 +756,8 @@ impl ServeEngine {
                 model_evals: s.model_evals.load(Ordering::Relaxed),
                 model_batches: s.model_batches.load(Ordering::Relaxed),
             },
-            cache_entries: s.cache_entries.load(Ordering::Relaxed) as usize,
-            cache_evictions: s.cache_evictions.load(Ordering::Relaxed),
+            cache_entries: self.cache.len(),
+            cache_evictions: self.cache.eviction_count(),
         }
     }
 
@@ -785,7 +788,6 @@ struct Worker {
     breaker: Option<Arc<CircuitBreaker>>,
     batch_max: usize,
     budget: Option<u64>,
-    base: PredictStats,
 }
 
 impl Worker {
@@ -836,6 +838,7 @@ impl Worker {
         // exceeds their budget — a reply now would be late anyway, and
         // skipping them keeps an overloaded daemon's batches useful.
         let now = self.clock.now_ms();
+        let mut kernels: Vec<Kernel> = Vec::with_capacity(jobs.len());
         let mut live = Vec::with_capacity(jobs.len());
         for job in jobs {
             let Job::Predict {
@@ -853,7 +856,8 @@ impl Worker {
                 self.shared.pending.fetch_sub(1, Ordering::SeqCst);
                 let _ = reply.send(Err(ServeError::DeadlineExpired));
             } else {
-                live.push((kernel, deadline_ms, enqueued_ms, reply));
+                kernels.push(kernel);
+                live.push((deadline_ms, enqueued_ms, reply));
             }
         }
         if live.is_empty() {
@@ -869,16 +873,25 @@ impl Worker {
             .as_ref()
             .is_some_and(|b| b.state() != BreakerState::Closed);
 
-        let evals_so_far = self.base.model_evals + self.predictor.stats().model_evals;
+        let evals_so_far = self.shared.model_evals.load(Ordering::Relaxed);
         let within_budget = self.budget.is_none_or(|b| evals_so_far < b);
-        let kernels: Vec<Kernel> = live.iter().map(|(k, ..)| k.clone()).collect();
         let results: Vec<Result<Option<f64>, ServeError>> = if within_budget {
+            let refs: Vec<&Kernel> = kernels.iter().collect();
             // Panic isolation: a panicking backend fails this batch with a
             // typed error and trips the breaker instead of killing the
-            // daemon. The predictor's caches and counters are updated
-            // only after a successful batch, so they stay consistent.
-            match catch_unwind(AssertUnwindSafe(|| self.predictor.predict_ns(&kernels))) {
-                Ok(preds) => preds.into_iter().map(Ok).collect(),
+            // daemon. The cache and the counters are updated only after a
+            // successful batch, so they stay consistent.
+            match catch_unwind(AssertUnwindSafe(|| self.predictor.predict_ns_refs(&refs))) {
+                Ok((preds, batch)) => {
+                    // Counted before the replies below go out, so a
+                    // `stats` request that follows a reply sees its batch.
+                    let s = &self.shared;
+                    s.kernels.fetch_add(batch.kernels, Ordering::Relaxed);
+                    s.cache_hits.fetch_add(batch.cache_hits, Ordering::Relaxed);
+                    s.model_evals.fetch_add(batch.model_evals, Ordering::Relaxed);
+                    s.model_batches.fetch_add(batch.model_batches, Ordering::Relaxed);
+                    preds.into_iter().map(Ok).collect()
+                }
                 Err(_) => {
                     self.shared.backend_panics.fetch_add(1, Ordering::Relaxed);
                     if let Some(b) = &self.breaker {
@@ -900,14 +913,10 @@ impl Worker {
                 .collect()
         };
 
-        self.mirror_stats();
-
         // Post-batch deadline check: a result that took too long to
         // compute is reported expired, never silently served late.
         let now = self.clock.now_ms();
-        for ((_kernel, deadline_ms, enqueued_ms, reply), result) in
-            live.into_iter().zip(results)
-        {
+        for ((deadline_ms, enqueued_ms, reply), result) in live.into_iter().zip(results) {
             let result = match result {
                 Ok(_) if Self::expired(now, enqueued_ms, deadline_ms) => {
                     Err(ServeError::DeadlineExpired)
@@ -945,51 +954,16 @@ impl Worker {
                 panel,
                 reply,
             } => {
-                // Accumulate the outgoing model's counters so mirrored
-                // totals stay monotonic across swaps.
-                let old = self.predictor.stats();
-                self.base.kernels += old.kernels;
-                self.base.cache_hits += old.cache_hits;
-                self.base.model_evals += old.model_evals;
-                self.base.model_batches += old.model_batches;
                 // Bump the epoch first (new keys immediately diverge),
                 // then clear: stale entries are doubly unreachable.
-                self.cache.epoch.fetch_add(1, Ordering::SeqCst);
                 self.shared.epoch.fetch_add(1, Ordering::SeqCst);
                 self.cache.clear();
                 self.predictor =
                     Predictor::with_cache(model, Arc::clone(&self.cache)).observed(&self.registry);
                 let preds = self.predictor.model().predict_batch_ns(&panel);
-                self.mirror_stats();
                 let _ = reply.send(preds);
             }
             Job::Predict { .. } => unreachable!("handle_control only takes control jobs"),
         }
-    }
-
-    fn mirror_stats(&self) {
-        let stats = self.predictor.stats();
-        let shared = &self.shared;
-        shared
-            .kernels
-            .store(self.base.kernels + stats.kernels, Ordering::Relaxed);
-        shared
-            .cache_hits
-            .store(self.base.cache_hits + stats.cache_hits, Ordering::Relaxed);
-        shared.model_evals.store(
-            self.base.model_evals + stats.model_evals,
-            Ordering::Relaxed,
-        );
-        shared.model_batches.store(
-            self.base.model_batches + stats.model_batches,
-            Ordering::Relaxed,
-        );
-        shared
-            .cache_entries
-            .store(self.predictor.cache().len() as u64, Ordering::Relaxed);
-        shared.cache_evictions.store(
-            self.predictor.cache().eviction_count(),
-            Ordering::Relaxed,
-        );
     }
 }

@@ -9,7 +9,7 @@
 //! control and an optional model-evaluation budget, and shuts down
 //! gracefully (drain, then join).
 //!
-//! - [`ServeEngine`] — the batching worker (see [`engine`] docs),
+//! - [`ServeEngine`] — the batching worker,
 //! - [`serve_ndjson`] — serial frontend over any reader/writer (stdin mode;
 //!   deterministic, which the chaos-replay test relies on),
 //! - [`serve_tcp`] — TCP frontend, one thread per client, all funneling
@@ -382,6 +382,9 @@ mod tests {
         let kernels = demo_kernels(3);
         // First kernel consumes the budget (serial submits: one per batch).
         assert!(serve.submit(kernels[0].clone()).is_ok());
+        // The budget check reads this counter: it is already 1 when the
+        // first reply has arrived.
+        assert_eq!(serve.stats().predict.model_evals, 1);
         // A different kernel now misses the cache and is denied...
         assert_eq!(
             serve.submit(kernels[1].clone()),

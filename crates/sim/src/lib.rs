@@ -20,7 +20,6 @@
 mod config;
 mod cost;
 mod device;
-mod energy;
 mod fault;
 mod kernel_exec;
 mod report;
@@ -29,7 +28,6 @@ pub use config::TpuConfig;
 pub use fault::{DeviceError, Fault, FaultPlan};
 pub use cost::{conv_as_dot, dot_problem, mxu_cycles, node_compute_cycles, vpu_cycles, DotProblem};
 pub use device::{FaultCounts, TpuDevice};
-pub use energy::{kernel_energy, program_energy_uj, program_power_watts, EnergyModel, KernelEnergy};
 pub use kernel_exec::{
     analyze_kernel, default_tile, kernel_time_ns, tile_fits, working_set_bytes, KernelTiming,
 };

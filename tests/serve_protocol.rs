@@ -18,9 +18,10 @@
 //! and commit the updated `serve_golden.json` together with the change.
 
 use std::io::Cursor;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
-use tpu_repro::learned::{AtomicCache, CostModel, FnCostModel, KernelCache};
+use tpu_repro::learned::{AtomicCache, CacheStats, CostModel, FnCostModel, KernelCache};
 use tpu_repro::obs::Registry;
 use tpu_repro::serve::{protocol, serve_ndjson, ServeConfig, ServeEngine};
 
@@ -209,4 +210,71 @@ fn oversized_lines_are_rejected_without_breaking_the_stream() {
     );
     assert!(replies[1].contains("\"ns\":200.5"), "stream must survive the oversized line");
     assert!(replies[2].contains("\"shutdown\":true"));
+}
+
+/// A [`KernelCache`] that counts the calls a served batch may and may not
+/// make: `lookup_hash` is per request, `len` and `stats` may scan every
+/// slot and belong to a `stats` request only.
+struct CountingCache {
+    inner: AtomicCache,
+    lookups: AtomicU64,
+    lens: AtomicU64,
+    stats: AtomicU64,
+}
+
+impl KernelCache for CountingCache {
+    fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.inner.lookup_hash(hash)
+    }
+    fn insert_hash(&self, hash: u64, prediction: Option<f64>) {
+        self.inner.insert_hash(hash, prediction);
+    }
+    fn len(&self) -> usize {
+        self.lens.fetch_add(1, Ordering::Relaxed);
+        self.inner.len()
+    }
+    fn clear(&self) {
+        self.inner.clear();
+    }
+    fn stats(&self) -> CacheStats {
+        self.stats.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats()
+    }
+    fn eviction_count(&self) -> u64 {
+        self.inner.eviction_count()
+    }
+}
+
+#[test]
+fn a_served_batch_never_scans_the_cache() {
+    // 8 distinct kernels through 4 slots, each submitted twice: hits,
+    // misses and evictions all occur, one request per batch.
+    let counting = Arc::new(CountingCache {
+        inner: AtomicCache::with_capacity(4),
+        lookups: AtomicU64::new(0),
+        lens: AtomicU64::new(0),
+        stats: AtomicU64::new(0),
+    });
+    let model: Box<dyn CostModel + Send> = Box::new(FnCostModel::new("nodes", |k: &Kernel| {
+        Some(k.computation.num_nodes() as f64)
+    }));
+    let cache: Arc<dyn KernelCache> = counting.clone();
+    let serve = ServeEngine::start(model, cache, ServeConfig::default(), &Registry::noop());
+    let n = 16u64;
+    for i in 0..n {
+        let kernel = chain_kernel(1 + (i % 8) as usize, 32);
+        let nodes = kernel.computation.num_nodes() as f64;
+        assert_eq!(serve.submit(kernel), Ok(Some(nodes)));
+    }
+    assert_eq!(counting.lens.load(Ordering::Relaxed), 0, "a batch called len()");
+    assert_eq!(counting.stats.load(Ordering::Relaxed), 0, "a batch called stats()");
+    assert_eq!(counting.lookups.load(Ordering::Relaxed), n);
+
+    let stats = serve.stats();
+    assert_eq!(stats.cache_entries, counting.inner.len());
+    assert_eq!(stats.cache_evictions, counting.inner.eviction_count());
+    assert_eq!(stats.predict.kernels, n);
+    assert_eq!(stats.predict.cache_hits + stats.predict.model_evals, n);
+    serve.shutdown();
 }

@@ -363,6 +363,12 @@ fn reload_admission_accepts_equivalent_rejects_corrupt_and_low_tau() {
     assert_eq!(stats.reloads, 1);
     assert_eq!(stats.reloads_rejected, 3);
     assert_eq!(stats.epoch, 1);
+    // One request before the swap, one after: counters carry across the
+    // swap, the swap cleared the cache (so the repeat is an eval, not a
+    // hit), and admission's panel scoring is not counted.
+    assert_eq!(stats.predict.kernels, 2);
+    assert_eq!(stats.predict.model_evals, 2);
+    assert_eq!(stats.predict.cache_hits, 0);
     engine.shutdown();
 }
 
