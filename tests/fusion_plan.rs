@@ -1,0 +1,114 @@
+//! The fusion pass, pinned against the pass as it was before it was split
+//! into plan + materialize.
+//!
+//! `fusion_golden.json` records, for the five `search_tune` programs under
+//! the all-unfused, all-fused, default and two seeded random
+//! configurations, how many kernels `apply_fusion` emits, each kernel's
+//! canonical hash in emission order, and a digest of the whole
+//! `FusedProgram`'s `Debug` rendering (which covers what the canonical hash
+//! leaves out: node and parameter names, `source_root`, kernel kind). It
+//! was generated by the single-function pass and must keep passing
+//! unchanged, so "the split emits byte-identical kernels" is checked
+//! against the old code and not against itself. If a change to the pass's
+//! *output* is intentional, regenerate with:
+//!
+//! ```text
+//! REGEN_GOLDEN=1 cargo test --test fusion_plan
+//! ```
+//!
+//! and commit the updated `fusion_golden.json` together with the change.
+
+use std::fmt::Write;
+use std::hash::{Hash, Hasher};
+use tpu_repro::autotuner::random_configs;
+use tpu_repro::dataset::{Corpus, CorpusScale};
+use tpu_repro::fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
+use tpu_repro::hlo::{canonical_kernel_hash, Program};
+
+/// The held-out programs with at least 100 fusion decisions (the
+/// benchmark's `search_tune` set).
+const PROGRAMS: [&str; 5] = ["ConvDRAW", "WaveRNN", "NMT Model", "RNN", "Translate"];
+
+/// The pinned configurations of one program, labelled.
+fn configs(space: &FusionSpace, default: FusionConfig) -> Vec<(String, FusionConfig)> {
+    let mut out = vec![
+        ("none".to_string(), space.none()),
+        ("all".to_string(), space.all()),
+        ("default".to_string(), default),
+    ];
+    for (i, config) in random_configs(space, 2, 1).into_iter().enumerate() {
+        out.push((format!("random{i}"), config));
+    }
+    out
+}
+
+fn search_tune_programs() -> Vec<Program> {
+    let corpus = Corpus::build(CorpusScale::Full);
+    PROGRAMS
+        .iter()
+        .map(|name| {
+            let i = corpus
+                .index_of(name)
+                .unwrap_or_else(|| panic!("the full corpus holds {name}"));
+            corpus.entries[i].program.clone()
+        })
+        .collect()
+}
+
+fn render() -> String {
+    let mut out = String::from("{\n");
+    let programs = search_tune_programs();
+    for (pi, program) in programs.iter().enumerate() {
+        let (space, default) = default_space_and_config(&program.computation);
+        writeln!(out, "  \"{}\": {{", program.name).expect("write to string");
+        let configs = configs(&space, default);
+        for (ci, (label, config)) in configs.iter().enumerate() {
+            let fused = apply_fusion(program, &space, config);
+            let mut digest = std::collections::hash_map::DefaultHasher::new();
+            format!("{fused:?}").hash(&mut digest);
+            let hashes: Vec<String> = fused
+                .kernels
+                .iter()
+                .map(|k| format!("\"{:016x}\"", canonical_kernel_hash(k)))
+                .collect();
+            writeln!(
+                out,
+                "    \"{label}\": {{ \"kernels\": {}, \"debug_digest\": \"{:016x}\", \"hashes\": [{}] }}{}",
+                fused.kernels.len(),
+                digest.finish(),
+                hashes.join(", "),
+                if ci + 1 < configs.len() { "," } else { "" }
+            )
+            .expect("write to string");
+        }
+        out.push_str(if pi + 1 < programs.len() { "  },\n" } else { "  }\n" });
+    }
+    out.push_str("}\n");
+    out
+}
+
+#[test]
+fn apply_fusion_matches_the_pre_split_pass() {
+    let rendered = render();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fusion_golden.json");
+
+    if std::env::var("REGEN_GOLDEN").is_ok() {
+        std::fs::write(&path, &rendered).expect("write fusion golden");
+        println!("regenerated {}", path.display());
+        return;
+    }
+
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot {} ({e}); run REGEN_GOLDEN=1 cargo test --test fusion_plan",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rendered, golden,
+        "apply_fusion's output drifted from tests/fusion_golden.json; if intentional, \
+         regenerate with REGEN_GOLDEN=1 and commit the diff"
+    );
+}
