@@ -45,15 +45,18 @@
 //! model-guided ordering) with the unfused child before the fused one,
 //! layers are reduced with a stable sort keyed by `f64::total_cmp`, and
 //! all parallelism lives inside the objective's order-preserving batch
-//! evaluation and the order-preserving parallel hash of the layer. Results
-//! are bit-identical for any `RAYON_NUM_THREADS`, any beam width, and any
-//! TT pre-warmth (a warm TT changes how many evals are *spent*, never a
-//! scored cost).
+//! evaluation and the order-preserving parallel *planning* of the layer:
+//! the plans' fusion groups are resolved to kernel hashes through the
+//! search's kernel memo sequentially, in candidate order. Results are
+//! bit-identical for any `RAYON_NUM_THREADS`, any beam width, and any TT
+//! pre-warmth (a warm TT changes how many evals are *spent*, never a scored
+//! cost).
 
+use crate::memo::KernelMemo;
 use crate::sa::{push_top, BatchObjective};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
-use tpu_fusion::{apply_fusion, FusionConfig, FusionSpace};
+use tpu_fusion::{fusion_groups, materialize, FusionConfig, FusionSpace};
 use tpu_hlo::{canonical_kernel_hash, Program};
 use tpu_learned_cost::AtomicCache;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
@@ -181,12 +184,22 @@ impl BeamObs {
 /// deterministic objective gives them bit-equal costs — which is what
 /// makes a TT hit exactly substitutable for a fresh evaluation.
 pub fn fused_structure_hash(program: &Program, space: &FusionSpace, config: &FusionConfig) -> u64 {
+    let groups = fusion_groups(program, space, config);
+    fold_structure_key(
+        groups
+            .iter()
+            .map(|g| canonical_kernel_hash(&materialize(program, g))),
+    )
+}
+
+/// Fold per-kernel canonical hashes, in emission order, into the
+/// transposition-table key of a fused program.
+fn fold_structure_key(kernel_hashes: impl ExactSizeIterator<Item = u64>) -> u64 {
     use std::hash::{Hash, Hasher};
-    let fused = apply_fusion(program, space, config);
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    fused.kernels.len().hash(&mut h);
-    for k in &fused.kernels {
-        canonical_kernel_hash(k).hash(&mut h);
+    kernel_hashes.len().hash(&mut h);
+    for k in kernel_hashes {
+        k.hash(&mut h);
     }
     h.finish()
 }
@@ -213,17 +226,32 @@ pub fn reduce_layer(
     width: usize,
     margin: f64,
 ) -> (Vec<(FusionConfig, f64)>, u64, u64) {
+    let costs: Vec<f64> = layer.iter().map(|(_, c)| *c).collect();
+    let (kept, margin_pruned, width_pruned) = reduce_costs(&costs, incumbent, width, margin);
+    let kept = kept.into_iter().map(|i| layer[i].clone()).collect();
+    (kept, margin_pruned, width_pruned)
+}
+
+/// [`reduce_layer`] over the costs alone: the positions that survive, in
+/// their new order.
+fn reduce_costs(costs: &[f64], incumbent: f64, width: usize, margin: f64) -> (Vec<usize>, u64, u64) {
     let cut = margin_cut(incumbent, margin);
-    let mut kept: Vec<(FusionConfig, f64)> = layer
-        .iter()
-        .filter(|(_, c)| *c <= cut)
-        .cloned()
-        .collect();
-    let margin_pruned = (layer.len() - kept.len()) as u64;
-    kept.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let mut kept: Vec<usize> = (0..costs.len()).filter(|&i| costs[i] <= cut).collect();
+    let margin_pruned = (costs.len() - kept.len()) as u64;
+    kept.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
     let width_pruned = kept.len().saturating_sub(width.max(1)) as u64;
     kept.truncate(width.max(1));
     (kept, margin_pruned, width_pruned)
+}
+
+/// One beam state: a configuration, its predicted cost, and its
+/// transposition-table key (carried so that the child that keeps the
+/// parent's decision, which *is* the parent, is not planned again).
+#[derive(Clone)]
+struct BeamEntry {
+    config: FusionConfig,
+    cost: f64,
+    key: u64,
 }
 
 /// Outcome of scoring one candidate layer.
@@ -231,10 +259,52 @@ struct LayerScore {
     /// Cost per candidate, positionally. NaN marks "not evaluated"
     /// (budget exhausted before this candidate's miss was admitted).
     costs: Vec<f64>,
+    /// Transposition-table key per candidate, positionally.
+    keys: Vec<u64>,
     /// Objective evaluations consumed (unique, non-NaN-scored misses).
     spent: usize,
     /// The search must stop after consuming this layer.
     exhausted: bool,
+}
+
+/// What a search owns besides its beam: the objective, the transposition
+/// table, the kernel memo its keys are computed through, and the
+/// accounting.
+struct Scorer<'a, O> {
+    program: &'a Program,
+    space: &'a FusionSpace,
+    objective: O,
+    tt: &'a AtomicCache,
+    memo: KernelMemo,
+    stats: BeamStats,
+    obs: BeamObs,
+}
+
+impl<O: BatchObjective> Scorer<'_, O> {
+    /// The transposition-table key of every candidate: the inherited one
+    /// where the caller knows it, otherwise [`fused_structure_hash`]
+    /// computed through the memo. Candidates are planned in parallel
+    /// (pure); their groups are then resolved sequentially in candidate
+    /// order, so the memo's contents never depend on the thread count.
+    fn structure_keys(&mut self, cands: &[FusionConfig], inherited: &[Option<u64>]) -> Vec<u64> {
+        let (program, space) = (self.program, self.space);
+        let plans: Vec<_> = cands
+            .par_iter()
+            .enumerate()
+            .map(|(i, c)| inherited[i].is_none().then(|| fusion_groups(program, space, c)))
+            .collect();
+        plans
+            .into_iter()
+            .zip(inherited)
+            .map(|(plan, known)| match plan {
+                Some(groups) => {
+                    let memo = &mut self.memo;
+                    fold_structure_key(groups.into_iter().map(|g| memo.kernel(program, g).hash()))
+                }
+                None => known.expect("a candidate without a plan inherited its key"),
+            })
+            .collect()
+    }
 }
 
 /// Score `cands` through the TT and at most `remaining` objective
@@ -242,24 +312,23 @@ struct LayerScore {
 /// misses go to the objective as one batch in candidate order (so when the
 /// budget truncates the batch, it is the best-ordered candidates that get
 /// scored).
-#[allow(clippy::too_many_arguments)]
 fn score_candidates<O: BatchObjective>(
-    program: &Program,
-    space: &FusionSpace,
+    scorer: &mut Scorer<'_, O>,
     cands: &[FusionConfig],
-    objective: &mut O,
-    tt: &AtomicCache,
+    inherited: &[Option<u64>],
     remaining: usize,
-    stats: &mut BeamStats,
-    obs: &BeamObs,
 ) -> LayerScore {
     let n = cands.len();
+    let hashes = scorer.structure_keys(cands, inherited);
+    let Scorer {
+        objective,
+        tt,
+        stats,
+        obs,
+        ..
+    } = scorer;
     // A zero-capacity table is "no reuse": skip its probes and stores.
     let reuse = tt.capacity() > 0;
-    let hashes: Vec<u64> = cands
-        .par_iter()
-        .map(|c| fused_structure_hash(program, space, c))
-        .collect();
     let mut costs = vec![f64::NAN; n];
     let mut resolved = vec![false; n];
     if reuse {
@@ -326,6 +395,7 @@ fn score_candidates<O: BatchObjective>(
     }
     LayerScore {
         costs,
+        keys: hashes,
         spent,
         exhausted: budget_exhausted || objective_exhausted,
     }
@@ -368,42 +438,44 @@ pub fn beam_search_with_tt<O: BatchObjective>(
     program: &Program,
     space: &FusionSpace,
     start: FusionConfig,
-    mut objective: O,
+    objective: O,
     params: &SearchParams,
     tt: &AtomicCache,
     registry: &Registry,
 ) -> BeamResult {
-    let obs = BeamObs::new(registry);
     let width = params.beam_width.max(1);
-    let mut stats = BeamStats::default();
-
-    // The start evaluation is shared and budget-free, mirroring SA.
-    let sc = score_candidates(
+    let mut scorer = Scorer {
         program,
         space,
-        std::slice::from_ref(&start),
-        &mut objective,
+        objective,
         tt,
-        usize::MAX,
-        &mut stats,
-        &obs,
-    );
+        memo: KernelMemo::default(),
+        stats: BeamStats::default(),
+        obs: BeamObs::new(registry),
+    };
+
+    // The start evaluation is shared and budget-free, mirroring SA.
+    let sc = score_candidates(&mut scorer, std::slice::from_ref(&start), &[None], usize::MAX);
     let start_cost = sc.costs[0];
     if start_cost.is_nan() {
         // Budget exhausted on the very first evaluation.
         return BeamResult {
             best_config: start,
             best_cost: f64::INFINITY,
-            evals: stats.scored as usize,
+            evals: scorer.stats.scored as usize,
             top: Vec::new(),
-            stats,
+            stats: scorer.stats,
         };
     }
     let mut top: Vec<(FusionConfig, f64)> = Vec::new();
     push_top(&start, start_cost, params.top_k, &mut top);
     let mut best = start.clone();
     let mut best_cost = start_cost;
-    let mut beam: Vec<(FusionConfig, f64)> = vec![(start, start_cost)];
+    let mut beam = vec![BeamEntry {
+        config: start,
+        cost: start_cost,
+        key: sc.keys[0],
+    }];
     let mut spent = 0usize;
     let mut exhausted = false;
 
@@ -412,66 +484,69 @@ pub fn beam_search_with_tt<O: BatchObjective>(
             break;
         }
         // Expand in beam order (ascending predicted cost), unfused child
-        // first, dedup by configuration.
-        let mut dedup: HashSet<FusionConfig> = HashSet::with_capacity(beam.len() * 2);
-        let mut cands: Vec<FusionConfig> = Vec::with_capacity(beam.len() * 2);
-        for (cfg, _) in &beam {
+        // first. The child that keeps the parent's decision is the parent:
+        // it inherits the parent's key.
+        let mut children: Vec<(FusionConfig, Option<u64>)> = Vec::with_capacity(beam.len() * 2);
+        for parent in &beam {
             for bit in [false, true] {
-                let mut child = cfg.clone();
+                let mut child = parent.config.clone();
                 child.decisions[depth] = bit;
-                if dedup.insert(child.clone()) {
-                    cands.push(child);
-                }
+                let key = (parent.config.decisions[depth] == bit).then_some(parent.key);
+                children.push((child, key));
             }
         }
-        stats.expanded += cands.len() as u64;
-        obs.expanded.add(cands.len() as u64);
+        // Dedup by configuration, first occurrence wins.
+        let first: Vec<bool> = {
+            let mut seen: HashSet<&FusionConfig> = HashSet::with_capacity(children.len());
+            children.iter().map(|(c, _)| seen.insert(c)).collect()
+        };
+        let (cands, inherited): (Vec<FusionConfig>, Vec<Option<u64>>) = children
+            .into_iter()
+            .zip(first)
+            .filter_map(|(child, first)| first.then_some(child))
+            .unzip();
+        scorer.stats.expanded += cands.len() as u64;
+        scorer.obs.expanded.add(cands.len() as u64);
 
-        let ls = score_candidates(
-            program,
-            space,
-            &cands,
-            &mut objective,
-            tt,
-            params.max_evals - spent,
-            &mut stats,
-            &obs,
-        );
+        let ls = score_candidates(&mut scorer, &cands, &inherited, params.max_evals - spent);
         spent += ls.spent;
         exhausted = ls.exhausted;
 
-        let layer: Vec<(FusionConfig, f64)> = cands
+        let layer: Vec<BeamEntry> = cands
             .into_iter()
             .zip(ls.costs)
-            .filter(|(_, c)| !c.is_nan())
+            .zip(ls.keys)
+            .filter(|((_, cost), _)| !cost.is_nan())
+            .map(|((config, cost), key)| BeamEntry { config, cost, key })
             .collect();
-        for (cfg, cost) in &layer {
-            if cost.is_finite() {
-                push_top(cfg, *cost, params.top_k, &mut top);
-                if *cost < best_cost {
-                    best = cfg.clone();
-                    best_cost = *cost;
+        for entry in &layer {
+            if entry.cost.is_finite() {
+                push_top(&entry.config, entry.cost, params.top_k, &mut top);
+                if entry.cost < best_cost {
+                    best = entry.config.clone();
+                    best_cost = entry.cost;
                 }
             }
         }
+        let costs: Vec<f64> = layer.iter().map(|e| e.cost).collect();
         let (kept, margin_pruned, width_pruned) =
-            reduce_layer(&layer, best_cost, width, params.prune_margin);
-        stats.margin_pruned += margin_pruned;
-        stats.width_pruned += width_pruned;
-        obs.margin_pruned.add(margin_pruned);
-        obs.width_pruned.add(width_pruned);
-        beam = kept;
-        stats.depths += 1;
-        obs.depth.set((depth + 1) as f64);
+            reduce_costs(&costs, best_cost, width, params.prune_margin);
+        scorer.stats.margin_pruned += margin_pruned;
+        scorer.stats.width_pruned += width_pruned;
+        scorer.obs.margin_pruned.add(margin_pruned);
+        scorer.obs.width_pruned.add(width_pruned);
+        beam = kept.into_iter().map(|i| layer[i].clone()).collect();
+        scorer.stats.depths += 1;
+        scorer.obs.depth.set((depth + 1) as f64);
     }
 
-    obs.best_cost.set(best_cost);
+    scorer.obs.best_cost.set(best_cost);
     BeamResult {
         best_config: best,
         best_cost,
-        evals: stats.scored as usize,
+        evals: scorer.stats.scored as usize,
         top,
-        stats,
+        stats: scorer.stats,
     }
 }
 
@@ -745,6 +820,34 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
             assert_ne!(w[0].0, w[1].0);
         }
+    }
+
+    #[test]
+    fn memoized_keys_equal_the_public_hash_and_inherited_keys_skip_the_plan() {
+        let p = chain_program(6);
+        let space = FusionSpace::new(&p.computation);
+        let tt = AtomicCache::with_capacity(0);
+        let mut scorer = Scorer {
+            program: &p,
+            space: &space,
+            objective: |c: &FusionConfig| unfused_edges(c),
+            tt: &tt,
+            memo: KernelMemo::default(),
+            stats: BeamStats::default(),
+            obs: BeamObs::default(),
+        };
+        let mut half = space.none();
+        half.decisions[2] = true;
+        let cands = [space.none(), half, space.all()];
+        let keys = scorer.structure_keys(&cands, &[None, None, None]);
+        for (c, k) in cands.iter().zip(&keys) {
+            assert_eq!(*k, fused_structure_hash(&p, &space, c));
+        }
+        // An inherited key is taken as is: nothing is planned or resolved.
+        let built = scorer.memo.len();
+        let keys = scorer.structure_keys(&cands[..1], &[Some(42)]);
+        assert_eq!(keys, [42]);
+        assert_eq!(scorer.memo.len(), built);
     }
 
     #[test]

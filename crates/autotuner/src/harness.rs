@@ -9,17 +9,24 @@
 //!   re-rank loop, goes through [`HardwareObjective::measure`] and is
 //!   metered identically;
 //! - [`ModelObjective`] scores a whole batch of candidate configs through
-//!   a [`Predictor`] session: fuse all candidates (in parallel), flatten
-//!   their kernels, and resolve them in one predictor call so all chains'
-//!   cache misses share a single packed model forward.
+//!   a [`Predictor`] session: plan all candidates' fusion groups (in
+//!   parallel), resolve the groups to kernels through the objective's
+//!   per-search memo (sequentially — a group shared with an earlier
+//!   candidate is neither extracted nor hashed again), and score the
+//!   flattened kernels in one predictor call so all chains' cache misses
+//!   share a single packed model forward.
 
 use crate::beam::{beam_search_observed, SearchParams};
+use crate::memo::{GroupMemo, KernelMemo};
 use crate::sa::{simulated_annealing_observed, BatchObjective, SaConfig};
 use rayon::prelude::*;
 use std::fmt;
 use std::sync::Arc;
-use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
-use tpu_hlo::{FusedProgram, Kernel, Program};
+use tpu_fusion::{
+    apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionGroup,
+    FusionSpace,
+};
+use tpu_hlo::{FusedProgram, HashedKernel, Kernel, Program};
 use tpu_learned_cost::{AtomicCache, CostModel, FnCostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 use tpu_sim::{DeviceError, FaultCounts, TpuConfig, TpuDevice};
@@ -412,14 +419,30 @@ impl BatchObjective for HardwareObjective<'_> {
     }
 }
 
+/// The fusion plan of every candidate, in candidate order. Planning is
+/// pure, so it runs in parallel; what the plans' groups resolve to is then
+/// looked up sequentially by the caller, which keeps its memo — and so
+/// every result — independent of the thread count.
+fn plan_all(
+    program: &Program,
+    space: &FusionSpace,
+    configs: &[FusionConfig],
+) -> Vec<Vec<FusionGroup>> {
+    configs
+        .par_iter()
+        .map(|cfg| fusion_groups(program, space, cfg))
+        .collect()
+}
+
 /// The model evaluation path: predicted program runtime through a shared
 /// [`Predictor`] session.
 ///
-/// A batch of `C` candidate configs becomes: `C` parallel `apply_fusion`
-/// calls, one flattened kernel list, and **one** predictor call — so the
-/// distinct cache misses of all chains are scored in a single packed model
-/// forward. A kernel the model cannot score makes its config rank last
-/// (infinite predicted cost).
+/// A batch of `C` candidate configs becomes: `C` parallel fusion plans, one
+/// flattened kernel list resolved through the objective's memo (each
+/// distinct fusion group of the search is extracted and hashed once), and
+/// **one** predictor call — so the distinct cache misses of all chains are
+/// scored in a single packed model forward. A kernel the model cannot
+/// score makes its config rank last (infinite predicted cost).
 ///
 /// Holds the predictor by reference so the caller keeps access to the
 /// session's [`PredictStats`](tpu_learned_cost::PredictStats) after the
@@ -428,6 +451,7 @@ pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCach
     program: &'a Program,
     space: &'a FusionSpace,
     predictor: &'a Predictor<&'a M, C>,
+    memo: KernelMemo,
     obs: ModelObs,
 }
 
@@ -459,6 +483,7 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
             program,
             space,
             predictor,
+            memo: KernelMemo::default(),
             obs: ModelObs::default(),
         }
     }
@@ -475,18 +500,19 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
         let _timer = self.obs.evaluate_ns.start_timer();
         self.obs.configs.add(configs.len() as u64);
-        let fused: Vec<FusedProgram> = configs
-            .par_iter()
-            .map(|cfg| apply_fusion(self.program, self.space, cfg))
-            .collect();
-        let mut spans = Vec::with_capacity(fused.len());
-        let mut refs: Vec<&Kernel> = Vec::new();
-        for fp in &fused {
-            let lo = refs.len();
-            refs.extend(fp.kernels.iter());
-            spans.push(lo..refs.len());
+        let plans = plan_all(self.program, self.space, configs);
+        let mut spans = Vec::with_capacity(plans.len());
+        let mut kernels: Vec<Arc<HashedKernel>> = Vec::new();
+        for plan in plans {
+            let lo = kernels.len();
+            kernels.extend(
+                plan.into_iter()
+                    .map(|g| Arc::clone(self.memo.kernel(self.program, g))),
+            );
+            spans.push(lo..kernels.len());
         }
-        let (preds, _) = self.predictor.predict_ns_refs(&refs);
+        let refs: Vec<&HashedKernel> = kernels.iter().map(Arc::as_ref).collect();
+        let (preds, _) = self.predictor.predict_hashed(&refs);
         spans
             .into_iter()
             .map(|span| {
@@ -519,7 +545,19 @@ pub struct TiledModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = Atomi
     predictor: &'a Predictor<&'a M, C>,
     tpu: TpuConfig,
     tile_candidates: usize,
+    /// Per fusion group, its kernel's tile variants (see `tile_variants`).
+    memo: GroupMemo<Vec<HashedKernel>>,
     obs: ModelObs,
+}
+
+/// Tile variants of one kernel, each with its cache key: the untiled kernel
+/// first, then its top `candidates` VMEM-valid tilings.
+fn tile_variants(k: Kernel, tpu: &TpuConfig, candidates: usize) -> Vec<HashedKernel> {
+    let tiled: Vec<HashedKernel> = valid_tile_sizes(&k, tpu, candidates)
+        .into_iter()
+        .map(|t| HashedKernel::new(k.clone().with_tile(t)))
+        .collect();
+    std::iter::once(HashedKernel::new(k)).chain(tiled).collect()
 }
 
 impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
@@ -536,6 +574,7 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
             predictor,
             tpu,
             tile_candidates: tile_candidates.max(1),
+            memo: GroupMemo::default(),
             obs: ModelObs::default(),
         }
     }
@@ -546,25 +585,18 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
         self
     }
 
-    /// Tile variants of one kernel: the untiled kernel first, then its
-    /// candidate tilings.
-    fn variants(&self, k: &Kernel) -> Vec<Kernel> {
-        let mut out = vec![k.clone()];
-        for t in valid_tile_sizes(k, &self.tpu, self.tile_candidates) {
-            out.push(k.clone().with_tile(t));
-        }
-        out
-    }
-
     /// The fused program for `config` with each kernel's model-best tile
     /// attached (left untiled when the untiled variant wins or the model
     /// cannot score any variant).
     pub fn tile_program(&self, config: &FusionConfig) -> FusedProgram {
         let fused = apply_fusion(self.program, self.space, config);
-        let per_kernel: Vec<Vec<Kernel>> =
-            fused.kernels.iter().map(|k| self.variants(k)).collect();
-        let refs: Vec<&Kernel> = per_kernel.iter().flatten().collect();
-        let (preds, _) = self.predictor.predict_ns_refs(&refs);
+        let per_kernel: Vec<Vec<HashedKernel>> = fused
+            .kernels
+            .into_iter()
+            .map(|k| tile_variants(k, &self.tpu, self.tile_candidates))
+            .collect();
+        let refs: Vec<&HashedKernel> = per_kernel.iter().flatten().collect();
+        let (preds, _) = self.predictor.predict_hashed(&refs);
         let mut kernels = Vec::with_capacity(per_kernel.len());
         let mut at = 0usize;
         for group in per_kernel {
@@ -579,10 +611,11 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
                     }
                 }
             }
-            kernels.push(group.into_iter().nth(winner).expect("winner within group"));
+            let chosen = group.into_iter().nth(winner).expect("winner within group");
+            kernels.push(chosen.into_kernel());
             at += n;
         }
-        FusedProgram::new(fused.name.clone(), kernels)
+        FusedProgram::new(fused.name, kernels)
     }
 }
 
@@ -590,24 +623,33 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for TiledModelObjecti
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
         let _timer = self.obs.evaluate_ns.start_timer();
         self.obs.configs.add(configs.len() as u64);
-        let fused: Vec<FusedProgram> = configs
-            .par_iter()
-            .map(|cfg| apply_fusion(self.program, self.space, cfg))
+        let plans = plan_all(self.program, self.space, configs);
+        // Per config, each kernel's variants; then the flat list the
+        // predictor sees, with per-config, per-kernel spans.
+        let (program, tpu, n) = (self.program, &self.tpu, self.tile_candidates);
+        let resolved: Vec<Vec<Arc<Vec<HashedKernel>>>> = plans
+            .into_iter()
+            .map(|plan| {
+                plan.into_iter()
+                    .map(|g| {
+                        let build = |g: &FusionGroup| tile_variants(materialize(program, g), tpu, n);
+                        Arc::clone(self.memo.resolve(g, build))
+                    })
+                    .collect()
+            })
             .collect();
-        // Flat variant list with per-config, per-kernel spans.
-        let mut variants: Vec<Kernel> = Vec::new();
-        let mut config_spans: Vec<Vec<std::ops::Range<usize>>> = Vec::with_capacity(fused.len());
-        for fp in &fused {
-            let mut spans = Vec::with_capacity(fp.kernels.len());
-            for k in &fp.kernels {
-                let lo = variants.len();
-                variants.extend(self.variants(k));
-                spans.push(lo..variants.len());
+        let mut refs: Vec<&HashedKernel> = Vec::new();
+        let mut config_spans: Vec<Vec<std::ops::Range<usize>>> = Vec::with_capacity(resolved.len());
+        for kernels in &resolved {
+            let mut spans = Vec::with_capacity(kernels.len());
+            for variants in kernels {
+                let lo = refs.len();
+                refs.extend(variants.iter());
+                spans.push(lo..refs.len());
             }
             config_spans.push(spans);
         }
-        let refs: Vec<&Kernel> = variants.iter().collect();
-        let (preds, _) = self.predictor.predict_ns_refs(&refs);
+        let (preds, _) = self.predictor.predict_hashed(&refs);
         config_spans
             .into_iter()
             .map(|spans| {

@@ -48,6 +48,7 @@
 mod baselines;
 mod beam;
 mod harness;
+mod memo;
 mod random_search;
 mod sa;
 

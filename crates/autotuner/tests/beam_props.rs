@@ -10,7 +10,10 @@
 //!    TT-enabled one;
 //! 3. margin pruning is safe: [`reduce_layer`] never drops a candidate
 //!    inside the margin window unless the width bound forces it, and its
-//!    accounting always adds up.
+//!    accounting always adds up;
+//! 4. the key the beam files a cost under — folded from memoized kernel
+//!    hashes, or inherited from the parent state — is the public
+//!    [`fused_structure_hash`] of the configuration.
 
 use proptest::prelude::*;
 use tpu_autotuner::{
@@ -114,6 +117,40 @@ proptest! {
         prop_assert_eq!(cold.best_cost.to_bits(), warm.best_cost.to_bits());
         prop_assert_eq!(warm.evals, 0, "warm TT replay spent fresh evals");
         prop_assert!(warm.stats.tt_hits > 0);
+    }
+
+    /// The beam never calls [`fused_structure_hash`]: it folds the hashes
+    /// of kernels resolved through its per-search memo, and the child that
+    /// keeps its parent's decision inherits the parent's key outright. Both
+    /// shortcuts must land on the public key: after a search from a drawn
+    /// start, every configuration it ranked sits in the table under
+    /// `fused_structure_hash`, with the bit-equal cost.
+    #[test]
+    fn beam_files_costs_under_fused_structure_hash(
+        start in arb_config(program_edges()),
+        width in 1usize..6,
+    ) {
+        let p = program();
+        let space = FusionSpace::new(&p.computation);
+        let params = SearchParams {
+            beam_width: width,
+            top_k: 64,
+            ..Default::default()
+        };
+        let tt = AtomicCache::with_capacity(1 << 16);
+        let objective = |c: &FusionConfig| oracle_cost(&p, &space, c);
+        let result = beam_search_with_tt(
+            &p, &space, start, objective, &params, &tt, &Registry::noop(),
+        );
+        prop_assert!(!result.top.is_empty());
+        for (config, cost) in &result.top {
+            let filed = tt.lookup_hash(fused_structure_hash(&p, &space, config));
+            prop_assert_eq!(
+                filed.flatten().map(f64::to_bits),
+                Some(cost.to_bits()),
+                "a ranked configuration is not in the table under its public key"
+            );
+        }
     }
 
     /// Disabling the TT changes accounting, never the answer: same best

@@ -27,7 +27,7 @@ use crate::train::KernelModel;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tpu_hlo::{canonical_kernel_hash, Kernel};
+use tpu_hlo::{canonical_kernel_hash, HashedKernel, Kernel};
 use tpu_nn::Tape;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 
@@ -533,6 +533,26 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
     pub fn predict_ns_refs(&self, kernels: &[&Kernel]) -> (Vec<Option<f64>>, PredictStats) {
         let _call_timer = self.obs.predict_ns.start_timer();
         let hashes: Vec<u64> = kernels.iter().map(|k| canonical_kernel_hash(k)).collect();
+        self.predict_keyed(kernels, &hashes)
+    }
+
+    /// [`Predictor::predict_ns_refs`] for kernels that already carry their
+    /// cache key: the same lookups, miss batch, inserts and
+    /// [`PredictStats`], minus the hashing.
+    pub fn predict_hashed(
+        &self,
+        kernels: &[&HashedKernel],
+    ) -> (Vec<Option<f64>>, PredictStats) {
+        let _call_timer = self.obs.predict_ns.start_timer();
+        let refs: Vec<&Kernel> = kernels.iter().map(|k| k.kernel()).collect();
+        let hashes: Vec<u64> = kernels.iter().map(|k| k.hash()).collect();
+        self.predict_keyed(&refs, &hashes)
+    }
+
+    /// The one serving body: `hashes[i]` is the canonical hash of
+    /// `kernels[i]`. Private so that only the two entries above, which
+    /// guarantee that pairing, can reach the cache.
+    fn predict_keyed(&self, kernels: &[&Kernel], hashes: &[u64]) -> (Vec<Option<f64>>, PredictStats) {
         // `Some(cached)` = resolved (the cached value may itself be `None`
         // for a kernel the backend cannot score); `None` = cache miss.
         let mut resolved: Vec<Option<Option<f64>>> =

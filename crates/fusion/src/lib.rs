@@ -8,7 +8,9 @@
 //!   legal fusion decisions (one boolean per fusible edge),
 //! - [`FusionConfig`] — a point in that space,
 //! - [`apply_fusion`] — the pass decomposing a program into [`tpu_hlo::Kernel`]s
-//!   under a configuration, with XLA-style producer duplication,
+//!   under a configuration, with XLA-style producer duplication; it is
+//!   [`fusion_groups`] (plan which nodes each kernel computes) followed by
+//!   [`materialize`] (build one kernel from one [`FusionGroup`]),
 //! - [`default_config`] — the compiler's built-in greedy heuristic, the
 //!   baseline every autotuning speedup in Figure 4 is measured against.
 //!
@@ -36,5 +38,5 @@ mod space;
 
 pub use heuristic::{default_config, default_space_and_config, fused_fraction};
 pub use legality::{consumer_fusible, fusible_edges, producer_fusible, MAX_FUSIBLE_CONSTANT_ELEMS};
-pub use pass::{apply_fusion, unfused};
+pub use pass::{apply_fusion, fusion_groups, materialize, unfused, FusionGroup};
 pub use space::{FusionConfig, FusionSpace};

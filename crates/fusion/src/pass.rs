@@ -1,5 +1,13 @@
 //! The fusion pass: apply a [`FusionConfig`] to a program, producing the
 //! kernels the TPU will execute.
+//!
+//! The pass is two steps. [`fusion_groups`] *plans*: it decides which nodes
+//! materialize and which nodes each kernel computes, touching only the
+//! decision tables of the [`FusionSpace`]. [`materialize`] *builds* one
+//! kernel from one group. [`apply_fusion`] is their composition and the
+//! only way a kernel is made; callers that score many configurations of
+//! one program plan each of them and materialize only the groups they have
+//! not met before.
 
 use crate::space::{FusionConfig, FusionSpace};
 use tpu_hlo::{FusedProgram, Kernel, NodeId, OpCategory, Opcode, Program};
@@ -11,9 +19,36 @@ fn is_heavy(cat: OpCategory) -> bool {
     )
 }
 
-/// Apply a fusion configuration, decomposing the program into kernels
-/// (§3.1: "The graphs are then decomposed according to these fusion
-/// configurations").
+/// One kernel of a fusion plan: the node whose value the kernel writes to
+/// HBM and the nodes computed inside it.
+///
+/// A fused kernel is a pure function of `(program, root, members)`, so a
+/// group is the key under which a search may remember the kernel
+/// ([`materialize`]) across the configurations that share it. Only
+/// [`fusion_groups`] makes groups, which is what keeps `members` sorted,
+/// duplicate-free and ending in `root`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct FusionGroup {
+    root: NodeId,
+    members: Vec<NodeId>,
+}
+
+impl FusionGroup {
+    /// The node this kernel materializes (the largest member id).
+    pub fn root(&self) -> NodeId {
+        self.root
+    }
+
+    /// Every node computed inside the kernel, ascending, `root` included.
+    pub fn members(&self) -> &[NodeId] {
+        &self.members
+    }
+}
+
+/// Plan a fusion configuration: decide which nodes materialize and which
+/// nodes each materialized node's kernel computes, without building any
+/// kernel. This is the cheap half of [`apply_fusion`]; [`materialize`] is
+/// the other.
 ///
 /// Semantics follow XLA loop fusion with duplication:
 ///
@@ -38,32 +73,31 @@ fn is_heavy(cat: OpCategory) -> bool {
 /// edges of a DAG, the kernel-level dependency graph is acyclic by
 /// construction — no legality DFS is needed at application time.
 ///
+/// Groups come out in root-id order (a topological order of the kernel
+/// DAG).
+///
 /// # Panics
 ///
-/// Panics if `config` does not match `space`.
-pub fn apply_fusion(
+/// Panics if `config` does not match `space`, or `space` was built for a
+/// different computation.
+pub fn fusion_groups(
     program: &Program,
     space: &FusionSpace,
     config: &FusionConfig,
-) -> FusedProgram {
+) -> Vec<FusionGroup> {
     let c = &program.computation;
     assert_eq!(
         config.decisions.len(),
         space.num_edges(),
         "config does not match space"
     );
-
-    let fused = |p: NodeId, q: NodeId| -> bool {
-        space
-            .edge_index(p, q)
-            .map(|i| config.fused(i))
-            .unwrap_or(false)
-    };
-
-    let users = c.all_users();
     let n = c.num_nodes();
+    assert_eq!(space.num_nodes(), n, "space does not match program");
+
+    let fused = |edge: Option<usize>| edge.is_some_and(|i| config.fused(i));
     let excluded =
         |id: NodeId| matches!(c.node(id).opcode, Opcode::Parameter | Opcode::Constant);
+    let heavy = |id: NodeId| is_heavy(c.node(id).opcode.category());
 
     // Natural materialization points.
     let mut is_root = vec![false; n];
@@ -71,24 +105,31 @@ pub fn apply_fusion(
         if excluded(node.id) {
             continue;
         }
-        is_root[node.id.index()] = node.id == c.root()
-            || users[node.id.index()].is_empty()
-            || users[node.id.index()]
-                .iter()
-                .any(|&u| !fused(node.id, u));
+        let users = space.user_edges(node.id);
+        is_root[node.id.index()] =
+            node.id == c.root() || users.is_empty() || users.iter().any(|&edge| !fused(edge));
     }
 
     // Closure of a root under the current root set: fused operand edges,
-    // cut at other roots and excluded nodes.
-    let collect = |root: NodeId, is_root: &[bool]| -> Vec<NodeId> {
+    // cut at other roots and excluded nodes, in discovery order (which
+    // decides the hero below). `seen[i] == stamp` marks membership in the
+    // closure being collected.
+    let mut seen = vec![0u32; n];
+    let mut stamp = 0u32;
+    let mut stack: Vec<NodeId> = Vec::new();
+    let mut collect = |root: NodeId, is_root: &[bool]| -> Vec<NodeId> {
+        stamp += 1;
+        seen[root.index()] = stamp;
         let mut members = vec![root];
-        let mut stack = vec![root];
+        stack.push(root);
         while let Some(cur) = stack.pop() {
-            for &op in &c.node(cur).operands {
+            let edges = space.operand_edges(cur);
+            for (&op, &edge) in c.node(cur).operands.iter().zip(edges) {
                 if excluded(op) || is_root[op.index()] {
                     continue;
                 }
-                if fused(op, cur) && !members.contains(&op) {
+                if fused(edge) && seen[op.index()] != stamp {
+                    seen[op.index()] = stamp;
                     members.push(op);
                     stack.push(op);
                 }
@@ -98,22 +139,20 @@ pub fn apply_fusion(
     };
 
     // Fixed point: force heavies to materialize when a config would
-    // duplicate them across kernels or co-locate two heroes.
-    loop {
-        let roots: Vec<NodeId> = (0..n)
-            .map(|i| NodeId(i as u32))
-            .filter(|&id| is_root[id.index()])
-            .collect();
+    // duplicate them across kernels or co-locate two heroes. The round
+    // that forces nothing has collected the final closures.
+    let mut groups: Vec<FusionGroup> = loop {
+        let mut groups = Vec::new();
         let mut appearances = vec![0usize; n];
         let mut forced: Vec<NodeId> = Vec::new();
-        for &r in &roots {
+        for r in (0..n).map(|i| NodeId(i as u32)).filter(|r| is_root[r.index()]) {
             let members = collect(r, &is_root);
             // One hero per kernel: keep the first heavy (the root itself
             // when it is heavy), force any further heavy member out.
-            let mut hero_seen = is_heavy(c.node(r).opcode.category());
+            let mut hero_seen = heavy(r);
             for &m in &members {
                 appearances[m.index()] += 1;
-                if m != r && is_heavy(c.node(m).opcode.category()) {
+                if m != r && heavy(m) {
                     if hero_seen {
                         forced.push(m);
                     } else {
@@ -121,36 +160,56 @@ pub fn apply_fusion(
                     }
                 }
             }
+            groups.push(FusionGroup { root: r, members });
         }
         // No heavy may be duplicated.
         for node in c.nodes() {
-            if is_heavy(node.opcode.category())
-                && !is_root[node.id.index()]
-                && appearances[node.id.index()] > 1
-            {
+            if heavy(node.id) && !is_root[node.id.index()] && appearances[node.id.index()] > 1 {
                 forced.push(node.id);
             }
         }
         if forced.is_empty() {
-            break;
+            break groups;
         }
         for f in forced {
             is_root[f.index()] = true;
         }
+    };
+    for g in &mut groups {
+        g.members.sort_unstable();
     }
+    groups
+}
 
-    // Emit kernels in id order (a topological order of the kernel DAG).
-    let mut kernels = Vec::new();
-    for node in c.nodes() {
-        if !is_root[node.id.index()] {
-            continue;
-        }
-        let mut members = collect(node.id, &is_root);
-        members.sort();
-        let (sub, _) = c.extract_subgraph(&members, node.id);
-        kernels.push(Kernel::new(sub).with_source_root(node.id));
-    }
+/// Build the kernel of one group of a plan: extract the members as a
+/// self-contained computation whose imported operands become parameters,
+/// classify it, and record which program node it computes.
+///
+/// `group` must come from [`fusion_groups`] over the same `program`.
+pub fn materialize(program: &Program, group: &FusionGroup) -> Kernel {
+    let (sub, _) = program
+        .computation
+        .extract_subgraph(&group.members, group.root);
+    Kernel::new(sub).with_source_root(group.root)
+}
 
+/// Apply a fusion configuration, decomposing the program into kernels
+/// (§3.1: "The graphs are then decomposed according to these fusion
+/// configurations"): plan the groups ([`fusion_groups`], which documents
+/// the semantics), then [`materialize`] each one in order.
+///
+/// # Panics
+///
+/// Panics if `config` does not match `space`.
+pub fn apply_fusion(
+    program: &Program,
+    space: &FusionSpace,
+    config: &FusionConfig,
+) -> FusedProgram {
+    let kernels = fusion_groups(program, space, config)
+        .iter()
+        .map(|g| materialize(program, g))
+        .collect();
     FusedProgram::new(program.name.clone(), kernels)
 }
 

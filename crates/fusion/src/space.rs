@@ -12,18 +12,71 @@ use tpu_hlo::{Computation, NodeId};
 pub struct FusionSpace {
     edges: Vec<(NodeId, NodeId)>,
     index: HashMap<(NodeId, NodeId), usize>,
+    /// Per node and consumer (each consumer once), the decision index of
+    /// the `(node, consumer)` edge; `None` marks an edge that is not a
+    /// decision and therefore never fused.
+    user_edges: Vec<Vec<Option<usize>>>,
+    /// Per node and operand position, the decision index of the
+    /// `(operand, node)` edge.
+    operand_edges: Vec<Vec<Option<usize>>>,
 }
 
 impl FusionSpace {
     /// Build the space for a computation.
+    ///
+    /// Besides the edge list this tabulates, per node, which decision
+    /// governs each of its consumer and operand edges, so the fusion plan
+    /// ([`fusion_groups`](crate::fusion_groups)) answers "is this edge
+    /// fused" with array reads.
     pub fn new(c: &Computation) -> FusionSpace {
         let edges = fusible_edges(c);
-        let index = edges
+        let index: HashMap<(NodeId, NodeId), usize> = edges
             .iter()
             .enumerate()
             .map(|(i, &e)| (e, i))
             .collect();
-        FusionSpace { edges, index }
+        let user_edges = c
+            .all_users()
+            .into_iter()
+            .enumerate()
+            .map(|(p, users)| {
+                users
+                    .into_iter()
+                    .map(|u| index.get(&(NodeId(p as u32), u)).copied())
+                    .collect()
+            })
+            .collect();
+        let operand_edges = c
+            .nodes()
+            .iter()
+            .map(|n| {
+                n.operands
+                    .iter()
+                    .map(|&op| index.get(&(op, n.id)).copied())
+                    .collect()
+            })
+            .collect();
+        FusionSpace {
+            edges,
+            index,
+            user_edges,
+            operand_edges,
+        }
+    }
+
+    /// Decision index per consumer of `node`.
+    pub(crate) fn user_edges(&self, node: NodeId) -> &[Option<usize>] {
+        &self.user_edges[node.index()]
+    }
+
+    /// Decision index per operand position of `node`.
+    pub(crate) fn operand_edges(&self, node: NodeId) -> &[Option<usize>] {
+        &self.operand_edges[node.index()]
+    }
+
+    /// Number of nodes of the computation the space was built for.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.user_edges.len()
     }
 
     /// The fusible edges, in decision order.

@@ -106,6 +106,43 @@ pub fn canonical_kernel_hash(k: &Kernel) -> u64 {
     kernel_hash(k)
 }
 
+/// A [`Kernel`] together with its [`canonical_kernel_hash`], computed once.
+///
+/// The prediction cache is keyed by that hash, and a cached value is only
+/// valid if the key belongs to the kernel it was computed for. The one
+/// constructor computes the hash and nothing hands out `&mut Kernel`, so a
+/// key can never disagree with its kernel; code that scores the same
+/// kernels again and again (the autotuner's searchers) carries the pair
+/// instead of re-hashing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HashedKernel {
+    kernel: Kernel,
+    hash: u64,
+}
+
+impl HashedKernel {
+    /// Hash `kernel` and keep the two together.
+    pub fn new(kernel: Kernel) -> HashedKernel {
+        let hash = canonical_kernel_hash(&kernel);
+        HashedKernel { kernel, hash }
+    }
+
+    /// The kernel.
+    pub fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+
+    /// Its canonical hash.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// Give the kernel back, dropping the key.
+    pub fn into_kernel(self) -> Kernel {
+        self.kernel
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,5 +197,17 @@ mod tests {
         let k3 = crate::Kernel::new(graph(8));
         assert_ne!(kernel_hash(&k1), kernel_hash(&k2));
         assert_ne!(kernel_hash(&k1), kernel_hash(&k3));
+    }
+
+    #[test]
+    fn hashed_kernel_key_is_the_canonical_hash_of_its_kernel() {
+        let untiled = crate::Kernel::new(graph(8));
+        let tiled = untiled.clone().with_tile(TileSize(vec![8, 4]));
+        let (hu, ht) = (HashedKernel::new(untiled.clone()), HashedKernel::new(tiled.clone()));
+        assert_eq!(hu.hash(), canonical_kernel_hash(&untiled));
+        assert_eq!(ht.hash(), canonical_kernel_hash(&tiled));
+        assert_ne!(hu.hash(), ht.hash(), "a tiled variant is a different key");
+        assert_eq!(ht.kernel(), &tiled);
+        assert_eq!(ht.into_kernel(), tiled);
     }
 }

@@ -53,7 +53,7 @@ pub use builder::GraphBuilder;
 pub use dtype::DType;
 pub use error::{HloError, Result};
 pub use graph::{Adjacency, Computation};
-pub use hashing::{canonical_hash, canonical_kernel_hash, kernel_hash};
+pub use hashing::{canonical_hash, canonical_kernel_hash, kernel_hash, HashedKernel};
 pub use kernel::{Kernel, KernelKind, TileSize};
 pub use node::{Node, NodeId};
 pub use opcode::{OpCategory, Opcode};

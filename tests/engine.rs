@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tpu_repro::autotuner::{autotune_with_cost_model, Budgets, StartMode};
 use tpu_repro::hlo::{
-    canonical_kernel_hash, DType, GraphBuilder, Kernel, Program, Shape, TileSize,
+    canonical_kernel_hash, DType, GraphBuilder, HashedKernel, Kernel, Program, Shape, TileSize,
 };
 use tpu_repro::learned::{
     CostModel, FnCostModel, GnnConfig, GnnModel, PredictionCache, Predictor, Prepared,
@@ -95,6 +95,63 @@ fn miss_batch_is_one_backend_call() {
     assert_eq!(warm.model_batches, 0, "warm batch needs no forward at all");
     assert_eq!(warm.model_evals, 0);
     assert_eq!(warm.cache_hits, kernels.len() as u64);
+}
+
+#[test]
+fn keyed_prediction_is_the_unkeyed_one_minus_the_hashing() {
+    // `predict_hashed` and `predict_ns_refs` share one body: on a batch
+    // mixing cache hits, fresh misses and duplicates of both, they must
+    // return bit-equal predictions, equal per-call and cumulative stats,
+    // and ask the backend for the same kernels in the same order.
+    let kernels = kernel_corpus();
+    let hashed: Vec<HashedKernel> = kernels.iter().cloned().map(HashedKernel::new).collect();
+    for (k, h) in kernels.iter().zip(&hashed) {
+        assert_eq!(h.hash(), canonical_kernel_hash(k));
+    }
+    // Warm 0..4; then ask for hits (1, 3), misses (6, 9), a duplicate hit
+    // (1) and duplicate misses (9, 6), interleaved.
+    let warm: Vec<usize> = (0..4).collect();
+    let mixed = [1usize, 6, 3, 9, 1, 9, 6, 12];
+
+    let run = |keyed: bool| {
+        let asked = std::sync::Mutex::new(Vec::<u64>::new());
+        let model = FnCostModel::new("recording", |k: &Kernel| {
+            asked.lock().unwrap().push(canonical_kernel_hash(k));
+            Some(kernel_time_ns(k, &TpuConfig::default()))
+        });
+        let predictor = Predictor::with_cache(&model, Arc::new(PredictionCache::new()));
+        let mut out = Vec::new();
+        for batch in [&warm[..], &mixed[..]] {
+            out.push(if keyed {
+                let refs: Vec<&HashedKernel> = batch.iter().map(|&i| &hashed[i]).collect();
+                predictor.predict_hashed(&refs)
+            } else {
+                let refs: Vec<&Kernel> = batch.iter().map(|&i| &kernels[i]).collect();
+                predictor.predict_ns_refs(&refs)
+            });
+        }
+        let total = predictor.stats();
+        drop(predictor);
+        (out, total, asked.into_inner().unwrap())
+    };
+    let (plain, plain_total, plain_asked) = run(false);
+    let (keyed, keyed_total, keyed_asked) = run(true);
+
+    for ((pp, ps), (kp, ks)) in plain.iter().zip(&keyed) {
+        let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+            v.iter().map(|p| p.map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(pp), bits(kp));
+        assert_eq!(ps, ks, "per-call PredictStats differ");
+    }
+    assert_eq!(plain_total, keyed_total);
+    assert_eq!(plain_asked, keyed_asked, "the backend saw different miss batches");
+    let (_, mixed_stats) = &keyed[1];
+    assert_eq!(
+        (mixed_stats.kernels, mixed_stats.cache_hits, mixed_stats.model_evals, mixed_stats.model_batches),
+        (8, 3, 3, 1),
+        "3 hit positions, 3 distinct misses in one batch"
+    );
 }
 
 #[test]

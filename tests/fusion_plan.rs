@@ -1,5 +1,5 @@
 //! The fusion pass, pinned against the pass as it was before it was split
-//! into plan + materialize.
+//! into plan + materialize, and the two halves checked against the whole.
 //!
 //! `fusion_golden.json` records, for the five `search_tune` programs under
 //! the all-unfused, all-fused, default and two seeded random
@@ -22,8 +22,10 @@ use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 use tpu_repro::autotuner::random_configs;
 use tpu_repro::dataset::{Corpus, CorpusScale};
-use tpu_repro::fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
-use tpu_repro::hlo::{canonical_kernel_hash, Program};
+use tpu_repro::fusion::{
+    apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionSpace,
+};
+use tpu_repro::hlo::{canonical_kernel_hash, NodeId, OpCategory, Opcode, Program};
 
 /// The held-out programs with at least 100 fusion decisions (the
 /// benchmark's `search_tune` set).
@@ -111,4 +113,69 @@ fn apply_fusion_matches_the_pre_split_pass() {
         "apply_fusion's output drifted from tests/fusion_golden.json; if intentional, \
          regenerate with REGEN_GOLDEN=1 and commit the diff"
     );
+}
+
+#[test]
+fn plan_and_materialize_are_the_pass() {
+    let mut programs = search_tune_programs();
+    programs.extend(
+        Corpus::build(CorpusScale::Tiny)
+            .entries
+            .into_iter()
+            .map(|e| e.program),
+    );
+    for program in &programs {
+        let c = &program.computation;
+        let (space, default) = default_space_and_config(c);
+        let mut configs = configs(&space, default);
+        for (i, config) in random_configs(&space, 6, 11).into_iter().enumerate() {
+            configs.push((format!("extra{i}"), config));
+        }
+        let is_heavy = |id: NodeId| {
+            matches!(
+                c.node(id).opcode.category(),
+                OpCategory::Dot | OpCategory::Convolution | OpCategory::Reduction
+            )
+        };
+        for (label, config) in &configs {
+            let at = format!("{} / {label}", program.name);
+            let groups = fusion_groups(program, &space, config);
+            let fused = apply_fusion(program, &space, config);
+            assert_eq!(groups.len(), fused.kernels.len(), "{at}");
+            assert!(
+                groups.windows(2).all(|w| w[0].root() < w[1].root()),
+                "{at}: groups not in ascending root order"
+            );
+            let mut heavy_home = vec![None; c.num_nodes()];
+            for (group, kernel) in groups.iter().zip(&fused.kernels) {
+                let members = group.members();
+                assert!(
+                    members.windows(2).all(|w| w[0] < w[1]),
+                    "{at}: members of {} not sorted and duplicate-free",
+                    group.root()
+                );
+                assert_eq!(members.last(), Some(&group.root()), "{at}");
+                assert!(
+                    members.iter().all(|&m| !matches!(
+                        c.node(m).opcode,
+                        Opcode::Parameter | Opcode::Constant
+                    )),
+                    "{at}: a parameter or constant inside {}",
+                    group.root()
+                );
+                let heavies: Vec<NodeId> =
+                    members.iter().copied().filter(|&m| is_heavy(m)).collect();
+                assert!(heavies.len() <= 1, "{at}: two heroes in {}", group.root());
+                for h in heavies {
+                    assert_eq!(
+                        heavy_home[h.index()].replace(group.root()),
+                        None,
+                        "{at}: heavy {h} duplicated into {}",
+                        group.root()
+                    );
+                }
+                assert_eq!(&materialize(program, group), kernel, "{at}");
+            }
+        }
+    }
 }
