@@ -410,21 +410,8 @@ pub fn beam_search<O: BatchObjective>(
     objective: O,
     params: &SearchParams,
 ) -> BeamResult {
-    beam_search_observed(program, space, start, objective, params, &Registry::noop())
-}
-
-/// [`beam_search`] with `autotuner.beam.*` metrics recorded into
-/// `registry`.
-pub fn beam_search_observed<O: BatchObjective>(
-    program: &Program,
-    space: &FusionSpace,
-    start: FusionConfig,
-    objective: O,
-    params: &SearchParams,
-    registry: &Registry,
-) -> BeamResult {
     let tt = AtomicCache::with_capacity(params.tt_slots);
-    beam_search_with_tt(program, space, start, objective, params, &tt, registry)
+    beam_search_with_tt(program, space, start, objective, params, &tt)
 }
 
 /// Run the beam search, sharing `tt` with the caller — pass the same table
@@ -434,6 +421,8 @@ pub fn beam_search_observed<O: BatchObjective>(
 /// The search stops when the decision depth is exhausted, the beam empties
 /// (everything margin-pruned), `params.max_evals` objective evaluations
 /// are spent, or the objective signals budget exhaustion with `f64::NAN`.
+///
+/// `autotuner.beam.*` metrics go to [`BatchObjective::registry`].
 pub fn beam_search_with_tt<O: BatchObjective>(
     program: &Program,
     space: &FusionSpace,
@@ -441,17 +430,16 @@ pub fn beam_search_with_tt<O: BatchObjective>(
     objective: O,
     params: &SearchParams,
     tt: &AtomicCache,
-    registry: &Registry,
 ) -> BeamResult {
     let width = params.beam_width.max(1);
     let mut scorer = Scorer {
         program,
         space,
-        objective,
         tt,
         memo: KernelMemo::default(),
         stats: BeamStats::default(),
-        obs: BeamObs::new(registry),
+        obs: BeamObs::new(&objective.registry()),
+        objective,
     };
 
     // The start evaluation is shared and budget-free, mirroring SA.
@@ -662,13 +650,10 @@ mod tests {
         let space = FusionSpace::new(&p.computation);
         let params = SearchParams::default();
         let tt = AtomicCache::with_capacity(1 << 12);
-        let registry = Registry::noop();
         let objective = |c: &FusionConfig| unfused_edges(c);
-        let cold =
-            beam_search_with_tt(&p, &space, space.none(), objective, &params, &tt, &registry);
+        let cold = beam_search_with_tt(&p, &space, space.none(), objective, &params, &tt);
         assert!(cold.evals > 0);
-        let warm =
-            beam_search_with_tt(&p, &space, space.none(), objective, &params, &tt, &registry);
+        let warm = beam_search_with_tt(&p, &space, space.none(), objective, &params, &tt);
         assert_eq!(warm.evals, 0, "fully warm TT answers every candidate");
         assert_eq!(warm.best_config, cold.best_config);
         assert_eq!(warm.best_cost.to_bits(), cold.best_cost.to_bits());
@@ -769,18 +754,27 @@ mod tests {
     }
 
     #[test]
-    fn observed_beam_records_and_matches_plain() {
+    fn beam_records_into_the_objective_registry_and_matches_plain() {
+        /// The toy objective, handing on a registry like the
+        /// predictor-backed objectives do.
+        struct Carrying(Registry);
+        impl BatchObjective for Carrying {
+            fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
+                configs.iter().map(|c| unfused_edges(c) + 0.5).collect()
+            }
+            fn registry(&self) -> Registry {
+                self.0.clone()
+            }
+        }
         let p = chain_program(10);
         let space = FusionSpace::new(&p.computation);
-        let objective = |c: &FusionConfig| unfused_edges(c) + 0.5;
         let params = SearchParams {
             beam_width: 4,
             ..Default::default()
         };
-        let plain = beam_search(&p, &space, space.none(), objective, &params);
+        let plain = beam_search(&p, &space, space.none(), Carrying(Registry::noop()), &params);
         let registry = Registry::enabled();
-        let observed =
-            beam_search_observed(&p, &space, space.none(), objective, &params, &registry);
+        let observed = beam_search(&p, &space, space.none(), Carrying(registry.clone()), &params);
         assert_eq!(plain.best_config, observed.best_config);
         assert_eq!(plain.best_cost.to_bits(), observed.best_cost.to_bits());
         assert_eq!(plain.stats, observed.stats);

@@ -16,9 +16,9 @@
 //!   flattened kernels in one predictor call so all chains' cache misses
 //!   share a single packed model forward.
 
-use crate::beam::{beam_search_observed, SearchParams};
+use crate::beam::{beam_search, SearchParams};
 use crate::memo::{GroupMemo, KernelMemo};
-use crate::sa::{simulated_annealing_observed, BatchObjective, SaConfig};
+use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
 use rayon::prelude::*;
 use std::fmt;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use tpu_fusion::{
     FusionSpace,
 };
 use tpu_hlo::{FusedProgram, HashedKernel, Kernel, Program};
-use tpu_learned_cost::{AtomicCache, CostModel, FnCostModel, KernelCache, PredictStats, Predictor};
+use tpu_learned_cost::{AtomicCache, CostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 use tpu_sim::{DeviceError, FaultCounts, TpuConfig, TpuDevice};
 use tpu_tile::valid_tile_sizes;
@@ -48,8 +48,6 @@ pub struct Budgets {
     pub hardware_ns: f64,
     /// Model-guided SA steps (paper: 1 h of CPU; here a step count).
     pub model_steps: usize,
-    /// Hardware time for the "best known" reference run (paper: 4 h).
-    pub best_known_ns: f64,
     /// How many model-ranked configs to re-measure on hardware.
     pub top_k: usize,
     /// Parallel annealing chains in the model-guided phase. The step
@@ -61,9 +59,8 @@ pub struct Budgets {
 impl Default for Budgets {
     fn default() -> Self {
         Budgets {
-            hardware_ns: 300e9,     // 5 minutes
-            model_steps: 4_000,     // "one hour on a CPU"
-            best_known_ns: 14_400e9, // 4 hours
+            hardware_ns: 300e9, // 5 minutes
+            model_steps: 4_000, // "one hour on a CPU"
             top_k: 16,
             chains: 4,
         }
@@ -215,6 +212,11 @@ impl std::error::Error for MeasureError {
 /// budget. As a [`BatchObjective`] it evaluates candidates sequentially
 /// (hardware is a serial resource) and reports `f64::NAN` once the budget
 /// is exhausted.
+///
+/// `autotuner.hw.*` metrics — measurement counts, retry/outlier/exhaustion
+/// counters, wall time per measurement, and the metered device time
+/// against the budget (plus any overshoot) as gauges — go to the
+/// registry the device carries ([`TpuDevice::observed`]).
 pub struct HardwareObjective<'a> {
     program: &'a Program,
     space: &'a FusionSpace,
@@ -227,7 +229,6 @@ pub struct HardwareObjective<'a> {
 }
 
 /// `tpu-obs` handles for the hardware path (`autotuner.hw.*`).
-#[derive(Default)]
 struct HwObs {
     evals: Counter,
     budget_exhausted: Counter,
@@ -288,6 +289,9 @@ impl<'a> HardwareObjective<'a> {
         } else {
             RetryPolicy::resilient()
         };
+        let obs = HwObs::new(device.registry());
+        obs.budget_ns.set(budget_ns);
+        obs.device_time_ns.set(device.device_time_used());
         HardwareObjective {
             program,
             space,
@@ -296,7 +300,7 @@ impl<'a> HardwareObjective<'a> {
             hw_evals: 0,
             retry,
             stats: HwRetryStats::default(),
-            obs: HwObs::default(),
+            obs,
         }
     }
 
@@ -307,17 +311,6 @@ impl<'a> HardwareObjective<'a> {
             max_attempts: retry.max_attempts.max(retry.runs.max(1)),
             outlier_threshold: retry.outlier_threshold,
         };
-        self
-    }
-
-    /// Record `autotuner.hw.*` metrics into `registry`: measurement
-    /// counts, retry/outlier/exhaustion counters, wall time per
-    /// measurement, and the metered device time against the budget (plus
-    /// any overshoot) as gauges.
-    pub fn observed(mut self, registry: &Registry) -> HardwareObjective<'a> {
-        self.obs = HwObs::new(registry);
-        self.obs.budget_ns.set(self.budget_ns);
-        self.obs.device_time_ns.set(self.device.device_time_used());
         self
     }
 
@@ -391,6 +384,30 @@ impl<'a> HardwareObjective<'a> {
     pub fn retry_stats(&self) -> HwRetryStats {
         self.stats
     }
+
+    /// The outcome of a run that settled on `config`: its noiseless
+    /// runtime beside this objective's hardware tallies and the faults the
+    /// device injected since `faults_before`.
+    fn tuned(&self, config: FusionConfig, faults_before: FaultCounts) -> TunedConfig {
+        let fused = apply_fusion(self.program, self.space, &config);
+        let faults = self.device.fault_counts();
+        TunedConfig {
+            true_ns: self.device.true_program_time(&fused),
+            config,
+            hw_evals: self.hw_evals,
+            model_evals: 0,
+            cache_hits: 0,
+            model_batches: 0,
+            retry_stats: self.stats,
+            // The device's tallies are monotonic across runs; a
+            // `TunedConfig` reports only its own run.
+            faults: FaultCounts {
+                transients: faults.transients - faults_before.transients,
+                preemptions: faults.preemptions - faults_before.preemptions,
+                spikes: faults.spikes - faults_before.spikes,
+            },
+        }
+    }
 }
 
 impl BatchObjective for HardwareObjective<'_> {
@@ -416,6 +433,10 @@ impl BatchObjective for HardwareObjective<'_> {
             }
         }
         out
+    }
+
+    fn registry(&self) -> Registry {
+        self.device.registry().clone()
     }
 }
 
@@ -446,7 +467,9 @@ fn plan_all(
 ///
 /// Holds the predictor by reference so the caller keeps access to the
 /// session's [`PredictStats`](tpu_learned_cost::PredictStats) after the
-/// search consumes the objective.
+/// search consumes the objective. `autotuner.model.*` metrics (configs
+/// scored, wall time per batched evaluate call) go to the registry the
+/// session carries ([`Predictor::observed`]).
 pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCache> {
     program: &'a Program,
     space: &'a FusionSpace,
@@ -458,7 +481,6 @@ pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCach
 /// `tpu-obs` handles for the model path (`autotuner.model.*`). The
 /// predictor itself carries the cache/forward metrics (`core.engine.*`);
 /// this layer only tracks config-level throughput.
-#[derive(Default)]
 struct ModelObs {
     configs: Counter,
     evaluate_ns: Histogram,
@@ -484,15 +506,8 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
             space,
             predictor,
             memo: KernelMemo::default(),
-            obs: ModelObs::default(),
+            obs: ModelObs::new(predictor.registry()),
         }
-    }
-
-    /// Record `autotuner.model.*` metrics into `registry`: configs scored
-    /// and wall time per batched evaluate call.
-    pub fn observed(mut self, registry: &Registry) -> ModelObjective<'a, M, C> {
-        self.obs = ModelObs::new(registry);
-        self
     }
 }
 
@@ -523,6 +538,10 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
                     .unwrap_or(f64::INFINITY)
             })
             .collect()
+    }
+
+    fn registry(&self) -> Registry {
+        self.predictor.registry().clone()
     }
 }
 
@@ -575,14 +594,8 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
             tpu,
             tile_candidates: tile_candidates.max(1),
             memo: GroupMemo::default(),
-            obs: ModelObs::default(),
+            obs: ModelObs::new(predictor.registry()),
         }
-    }
-
-    /// Record `autotuner.model.*` metrics into `registry`.
-    pub fn observed(mut self, registry: &Registry) -> TiledModelObjective<'a, M, C> {
-        self.obs = ModelObs::new(registry);
-        self
     }
 
     /// The fused program for `config` with each kernel's model-best tile
@@ -666,6 +679,10 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for TiledModelObjecti
             })
             .collect()
     }
+
+    fn registry(&self) -> Registry {
+        self.predictor.registry().clone()
+    }
 }
 
 /// The starting configuration for a mode.
@@ -690,6 +707,11 @@ pub fn start_config(
 ///
 /// Always single-chain: hardware measurements are serial and the annealer
 /// must see each result before proposing the next candidate.
+///
+/// On an observed device ([`TpuDevice::observed`]) the run records
+/// `autotuner.sa.*` and `autotuner.hw.*` into the device's registry.
+/// Instrumentation is read-only: the tuned config is bit-identical either
+/// way.
 pub fn autotune_hardware_only(
     program: &Program,
     device: &TpuDevice,
@@ -697,89 +719,28 @@ pub fn autotune_hardware_only(
     budget_ns: f64,
     seed: u64,
 ) -> TunedConfig {
-    autotune_hardware_only_observed(program, device, mode, budget_ns, seed, &Registry::noop())
-}
-
-/// [`autotune_hardware_only`] with `autotuner.sa.*` and `autotuner.hw.*`
-/// metrics recorded into `registry`. Instrumentation is read-only: the
-/// tuned config is bit-identical whether or not the registry is enabled.
-pub fn autotune_hardware_only_observed(
-    program: &Program,
-    device: &TpuDevice,
-    mode: StartMode,
-    budget_ns: f64,
-    seed: u64,
-    registry: &Registry,
-) -> TunedConfig {
     let (space, _) = default_space_and_config(&program.computation);
     let start = start_config(program, &space, mode, seed);
     device.reset_time_used();
     let faults_before = device.fault_counts();
-    let mut hw = HardwareObjective::new(program, &space, device, budget_ns).observed(registry);
-    let result = simulated_annealing_observed(
+    let mut hw = HardwareObjective::new(program, &space, device, budget_ns);
+    let result = anneal(
         &space,
         start.clone(),
-        |cfg: &FusionConfig| match hw.measure(cfg) {
-            Ok(t) => t,
-            Err(MeasureError::RetriesExhausted { .. }) => f64::INFINITY,
-            Err(MeasureError::BudgetExhausted) => f64::NAN,
-        },
+        &mut hw,
         &SaConfig {
             steps: usize::MAX >> 1,
             seed,
             chains: 1,
             ..Default::default()
         },
-        registry,
     );
-    let hw_evals = hw.hw_evals();
-    let retry_stats = hw.retry_stats();
     let best = if result.best_cost.is_finite() {
         result.best_config
     } else {
         start
     };
-    let fused = apply_fusion(program, &space, &best);
-    TunedConfig {
-        true_ns: device.true_program_time(&fused),
-        config: best,
-        hw_evals,
-        model_evals: 0,
-        cache_hits: 0,
-        model_batches: 0,
-        retry_stats,
-        faults: fault_delta(faults_before, device.fault_counts()),
-    }
-}
-
-/// Faults injected between two device snapshots (the device's tallies are
-/// monotonic across runs; a `TunedConfig` reports only its own run).
-fn fault_delta(before: FaultCounts, after: FaultCounts) -> FaultCounts {
-    FaultCounts {
-        transients: after.transients - before.transients,
-        preemptions: after.preemptions - before.preemptions,
-        spikes: after.spikes - before.spikes,
-    }
-}
-
-/// Model-guided autotuning with a closure cost model (convenience wrapper
-/// over [`autotune_with_cost_model`] with a private per-run cache).
-///
-/// `kernel_cost` predicts one kernel's runtime in ns.
-pub fn autotune_with_model<F>(
-    program: &Program,
-    device: &TpuDevice,
-    kernel_cost: F,
-    mode: StartMode,
-    budgets: &Budgets,
-    seed: u64,
-) -> TunedConfig
-where
-    F: Fn(&tpu_hlo::Kernel) -> f64,
-{
-    let model = FnCostModel::new("closure", move |k: &tpu_hlo::Kernel| Some(kernel_cost(k)));
-    let cache = Arc::new(AtomicCache::serving_default());
-    autotune_with_cost_model(program, device, &model, &cache, mode, budgets, seed)
+    hw.tuned(best, faults_before)
 }
 
 /// Model-guided: multi-chain SA on the cost model for `model_steps` (no
@@ -800,6 +761,11 @@ where
 /// The tuned config is bit-identical for any `RAYON_NUM_THREADS` and any
 /// cache pre-warmth; it does depend on `budgets.chains` (different chain
 /// count, different search trajectory).
+///
+/// On an observed device the model phase records `autotuner.sa.*`,
+/// `autotuner.model.*` and the predictor's `core.engine.*` /
+/// `core.cache.*` families into the device's registry, and the re-rank
+/// `autotuner.hw.*`. Instrumentation is read-only.
 pub fn autotune_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
     program: &Program,
     device: &TpuDevice,
@@ -809,62 +775,112 @@ pub fn autotune_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
     budgets: &Budgets,
     seed: u64,
 ) -> TunedConfig {
-    autotune_with_cost_model_observed(
+    let sa = SaConfig {
+        steps: budgets.model_steps,
+        seed,
+        top_k: budgets.top_k,
+        chains: budgets.chains.max(1),
+        ..Default::default()
+    };
+    model_guided(
         program,
         device,
         model,
         cache,
         mode,
-        budgets,
         seed,
-        &Registry::noop(),
+        budgets,
+        |space, start, predictor| {
+            let objective = ModelObjective::new(program, space, predictor);
+            simulated_annealing(space, start, objective, &sa).top
+        },
     )
 }
 
-/// [`autotune_with_cost_model`] with metrics recorded into `registry`:
-/// the model phase fills `autotuner.sa.*`, `autotuner.model.*` and the
-/// predictor's `core.engine.*` / `core.cache.*` families; the top-k
-/// re-rank fills `autotuner.hw.*`. Instrumentation is read-only: the
-/// tuned config is bit-identical whether or not the registry is enabled.
-#[allow(clippy::too_many_arguments)]
-pub fn autotune_with_cost_model_observed<M: CostModel + ?Sized, C: KernelCache>(
+/// Model-guided autotuning with the beam searcher in place of SA:
+/// transposition-table-backed beam search on the cost model for at most
+/// `budgets.model_steps` model evaluations (TT hits are free), then the
+/// top-k model-ranked configs go through the *same* metered hardware
+/// re-rank as [`autotune_with_cost_model`] — the two entry points are the
+/// two callers of one private body and differ only in the search they
+/// hand it.
+///
+/// `params` supplies the search hyperparameters (beam width, prune
+/// margin, TT policy, tile candidates, seed); its `max_evals`/`top_k` are
+/// overridden by `budgets.model_steps`/`budgets.top_k` so the two
+/// searchers meter from one source of truth. With
+/// `params.tile_candidates > 0` the eval function scores each config at
+/// its model-best tiling ([`TiledModelObjective`] — the joint fusion+tile
+/// space); otherwise it is the fusion-only [`ModelObjective`].
+///
+/// The tuned config is bit-identical for any `RAYON_NUM_THREADS` and any
+/// cache/TT pre-warmth. On an observed device the model phase records
+/// `autotuner.beam.*` where the SA entry records `autotuner.sa.*`.
+pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
     program: &Program,
     device: &TpuDevice,
     model: &M,
     cache: &Arc<C>,
     mode: StartMode,
     budgets: &Budgets,
+    params: &SearchParams,
+) -> TunedConfig {
+    let effective = SearchParams {
+        max_evals: budgets.model_steps,
+        top_k: budgets.top_k,
+        ..params.clone()
+    };
+    let tiles = effective.tile_candidates;
+    model_guided(
+        program,
+        device,
+        model,
+        cache,
+        mode,
+        params.seed,
+        budgets,
+        |space, start, predictor| {
+            if tiles > 0 {
+                let tpu = device.config().clone();
+                let objective = TiledModelObjective::new(program, space, predictor, tpu, tiles);
+                beam_search(program, space, start, objective, &effective).top
+            } else {
+                let objective = ModelObjective::new(program, space, predictor);
+                beam_search(program, space, start, objective, &effective).top
+            }
+        },
+    )
+}
+
+/// Phases 1–2 of the §6.3 protocol, written once. Phase 1: `search` ranks
+/// configurations on the CPU through a [`Predictor`] session over `model`
+/// and `cache` — the session is observed into the registry `device`
+/// carries, so the objective and searcher built over it record there too.
+/// Phase 2: [`rerank_on_hardware`] measures the ranked candidates within
+/// `budgets.hardware_ns`.
+#[allow(clippy::too_many_arguments)]
+fn model_guided<M: CostModel + ?Sized, C: KernelCache>(
+    program: &Program,
+    device: &TpuDevice,
+    model: &M,
+    cache: &Arc<C>,
+    mode: StartMode,
     seed: u64,
-    registry: &Registry,
+    budgets: &Budgets,
+    search: impl FnOnce(&FusionSpace, FusionConfig, &Predictor<&M, C>) -> Vec<(FusionConfig, f64)>,
 ) -> TunedConfig {
     let (space, _) = default_space_and_config(&program.computation);
     let start = start_config(program, &space, mode, seed);
-
-    // Phase 1: model-guided annealing on the CPU.
-    let predictor = Predictor::with_cache(model, Arc::clone(cache)).observed(registry);
-    let result = simulated_annealing_observed(
-        &space,
-        start.clone(),
-        ModelObjective::new(program, &space, &predictor).observed(registry),
-        &SaConfig {
-            steps: budgets.model_steps,
-            seed,
-            top_k: budgets.top_k,
-            chains: budgets.chains.max(1),
-            ..Default::default()
-        },
-        registry,
-    );
+    let predictor = Predictor::with_cache(model, Arc::clone(cache)).observed(device.registry());
+    let ranked = search(&space, start.clone(), &predictor);
     predictor.record_cache_stats();
-
-    // Phase 2: the shared metered re-rank (identical for SA and beam).
+    let candidates = ranked.into_iter().map(|(c, _)| c).collect();
     rerank_on_hardware(
         program,
         &space,
         device,
         budgets.hardware_ns,
-        registry,
-        result.top.into_iter().map(|(c, _)| c).collect(),
+        candidates,
         start,
     )
     .with_model_stats(predictor.stats())
@@ -889,7 +905,6 @@ fn rerank_on_hardware(
     space: &FusionSpace,
     device: &TpuDevice,
     budget_ns: f64,
-    registry: &Registry,
     mut candidates: Vec<FusionConfig>,
     start: FusionConfig,
 ) -> TunedConfig {
@@ -898,7 +913,7 @@ fn rerank_on_hardware(
     if !candidates.contains(&start) {
         candidates.push(start.clone());
     }
-    let mut hw = HardwareObjective::new(program, space, device, budget_ns).observed(registry);
+    let mut hw = HardwareObjective::new(program, space, device, budget_ns);
     let mut best: Option<(FusionConfig, f64)> = None;
     for cfg in candidates {
         match hw.measure(&cfg) {
@@ -911,110 +926,7 @@ fn rerank_on_hardware(
             Err(MeasureError::BudgetExhausted) => break,
         }
     }
-    let chosen = best.map(|(c, _)| c).unwrap_or(start);
-    let fused = apply_fusion(program, space, &chosen);
-    TunedConfig {
-        true_ns: device.true_program_time(&fused),
-        config: chosen,
-        hw_evals: hw.hw_evals(),
-        model_evals: 0,
-        cache_hits: 0,
-        model_batches: 0,
-        retry_stats: hw.retry_stats(),
-        faults: fault_delta(faults_before, device.fault_counts()),
-    }
-}
-
-/// Model-guided autotuning with the beam searcher in place of SA:
-/// transposition-table-backed beam search on the cost model for at most
-/// `budgets.model_steps` model evaluations (TT hits are free), then the
-/// top-k model-ranked configs go through the *same* metered hardware
-/// re-rank as [`autotune_with_cost_model`] — [`RetryPolicy`] resolution
-/// and budget-overshoot bounds are shared code, not mirrored logic.
-///
-/// `params` supplies the search hyperparameters (beam width, prune
-/// margin, TT policy, tile candidates, seed); its `max_evals`/`top_k` are
-/// overridden by `budgets.model_steps`/`budgets.top_k` so the two
-/// searchers meter from one source of truth. With
-/// `params.tile_candidates > 0` the eval function scores each config at
-/// its model-best tiling ([`TiledModelObjective`] — the joint fusion+tile
-/// space); otherwise it is the fusion-only [`ModelObjective`].
-///
-/// The tuned config is bit-identical for any `RAYON_NUM_THREADS` and any
-/// cache/TT pre-warmth.
-pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
-    program: &Program,
-    device: &TpuDevice,
-    model: &M,
-    cache: &Arc<C>,
-    mode: StartMode,
-    budgets: &Budgets,
-    params: &SearchParams,
-) -> TunedConfig {
-    autotune_beam_with_cost_model_observed(
-        program,
-        device,
-        model,
-        cache,
-        mode,
-        budgets,
-        params,
-        &Registry::noop(),
-    )
-}
-
-/// [`autotune_beam_with_cost_model`] with metrics recorded into
-/// `registry`: the model phase fills `autotuner.beam.*`,
-/// `autotuner.model.*` and the predictor's `core.engine.*` families; the
-/// re-rank fills `autotuner.hw.*`. Instrumentation is read-only.
-#[allow(clippy::too_many_arguments)]
-pub fn autotune_beam_with_cost_model_observed<M: CostModel + ?Sized, C: KernelCache>(
-    program: &Program,
-    device: &TpuDevice,
-    model: &M,
-    cache: &Arc<C>,
-    mode: StartMode,
-    budgets: &Budgets,
-    params: &SearchParams,
-    registry: &Registry,
-) -> TunedConfig {
-    let (space, _) = default_space_and_config(&program.computation);
-    let start = start_config(program, &space, mode, params.seed);
-    let effective = SearchParams {
-        max_evals: budgets.model_steps,
-        top_k: budgets.top_k,
-        ..params.clone()
-    };
-
-    // Phase 1: model-guided beam search on the CPU.
-    let predictor = Predictor::with_cache(model, Arc::clone(cache)).observed(registry);
-    let result = if effective.tile_candidates > 0 {
-        let objective = TiledModelObjective::new(
-            program,
-            &space,
-            &predictor,
-            device.config().clone(),
-            effective.tile_candidates,
-        )
-        .observed(registry);
-        beam_search_observed(program, &space, start.clone(), objective, &effective, registry)
-    } else {
-        let objective = ModelObjective::new(program, &space, &predictor).observed(registry);
-        beam_search_observed(program, &space, start.clone(), objective, &effective, registry)
-    };
-    predictor.record_cache_stats();
-
-    // Phase 2: the shared metered re-rank (identical for SA and beam).
-    rerank_on_hardware(
-        program,
-        &space,
-        device,
-        budgets.hardware_ns,
-        registry,
-        result.top.into_iter().map(|(c, _)| c).collect(),
-        start,
-    )
-    .with_model_stats(predictor.stats())
+    hw.tuned(best.map(|(c, _)| c).unwrap_or(start), faults_before)
 }
 
 /// Speedup of a tuned config over the default heuristic config (how Fig. 4
@@ -1028,13 +940,15 @@ pub fn speedup_over_default(program: &Program, device: &TpuDevice, tuned: &Tuned
 #[cfg(test)]
 mod tests {
     use super::*;
-    // The tests deliberately run the model phase over the sharded-mutex
-    // reference cache: `autotune_with_cost_model` is generic over
-    // `KernelCache`, and keeping one backend here and the lock-free
-    // default in the binaries exercises both instantiations.
-    use tpu_learned_cost::PredictionCache;
     use tpu_hlo::{DType, GraphBuilder, Shape};
+    use tpu_learned_cost::FnCostModel;
     use tpu_sim::TpuConfig;
+
+    /// A fresh prediction cache, far larger than any test program's
+    /// distinct-kernel count: nothing a test inserts is ever replaced.
+    fn fresh_cache() -> Arc<AtomicCache> {
+        Arc::new(AtomicCache::serving_default())
+    }
 
     /// A program with enough fusion decisions to tune: interleaved
     /// elementwise chains and dots with a multi-consumer node.
@@ -1058,7 +972,6 @@ mod tests {
         Budgets {
             hardware_ns: 40e9,
             model_steps: 400,
-            best_known_ns: 200e9,
             top_k: 6,
             chains: 4,
         }
@@ -1081,13 +994,17 @@ mod tests {
         let device = TpuDevice::new(3);
         let budgets = quick_budgets();
         // Oracle model (the simulator itself) — upper bound for a learned model.
+        let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
+            Some(tpu_sim::kernel_time_ns(k, &cfg))
+        });
         let mut best_model = f64::INFINITY;
         let mut best_hw = f64::INFINITY;
         for seed in 0..3 {
-            let m = autotune_with_model(
+            let m = autotune_with_cost_model(
                 &p,
                 &device,
-                |k| tpu_sim::kernel_time_ns(k, &cfg),
+                &model,
+                &fresh_cache(),
                 StartMode::Random,
                 &budgets,
                 seed,
@@ -1107,10 +1024,14 @@ mod tests {
         let p = program();
         let cfg = TpuConfig::default();
         let device = TpuDevice::new(9);
-        let tuned = autotune_with_model(
+        let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
+            Some(tpu_sim::kernel_time_ns(k, &cfg))
+        });
+        let tuned = autotune_with_cost_model(
             &p,
             &device,
-            |k| tpu_sim::kernel_time_ns(k, &cfg),
+            &model,
+            &fresh_cache(),
             StartMode::Default,
             &quick_budgets(),
             0,
@@ -1139,7 +1060,7 @@ mod tests {
         let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
             Some(tpu_sim::kernel_time_ns(k, &cfg))
         });
-        let cache = Arc::new(PredictionCache::new());
+        let cache = fresh_cache();
         let cold = autotune_with_cost_model(
             &p,
             &device,
@@ -1171,7 +1092,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_autotune_fills_all_metric_families_and_matches_plain() {
+    fn autotune_fills_all_metric_families_of_the_device_registry_and_matches_plain() {
         let p = program();
         let cfg = TpuConfig::default();
         let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
@@ -1184,7 +1105,7 @@ mod tests {
             &p,
             &device,
             &model,
-            &Arc::new(PredictionCache::new()),
+            &fresh_cache(),
             StartMode::Default,
             &budgets,
             0,
@@ -1192,15 +1113,14 @@ mod tests {
 
         let registry = Registry::enabled();
         let device = TpuDevice::new(11).observed(&registry);
-        let observed = autotune_with_cost_model_observed(
+        let observed = autotune_with_cost_model(
             &p,
             &device,
             &model,
-            &Arc::new(PredictionCache::new()),
+            &fresh_cache(),
             StartMode::Default,
             &budgets,
             0,
-            &registry,
         );
 
         // Determinism contract: same seed, same answer, instrumented or not.
@@ -1243,16 +1163,21 @@ mod tests {
     }
 
     #[test]
-    fn observed_hardware_only_counts_budget_exhaustion() {
+    fn hardware_only_counts_budget_exhaustion_into_the_device_registry() {
         let p = program();
         let registry = Registry::enabled();
         let device = TpuDevice::new(3);
         let plain = autotune_hardware_only(&p, &device, StartMode::Default, 20e9, 1);
-        let device = TpuDevice::new(3);
-        let tuned =
-            autotune_hardware_only_observed(&p, &device, StartMode::Default, 20e9, 1, &registry);
+        let device = TpuDevice::new(3).observed(&registry);
+        let tuned = autotune_hardware_only(&p, &device, StartMode::Default, 20e9, 1);
         assert_eq!(plain.config, tuned.config);
         let snap = registry.snapshot();
+        // The baseline's annealer records too: one candidate per admitted
+        // measurement plus the NaN probe that ended the run.
+        assert_eq!(
+            snap.counter("autotuner.sa.batches"),
+            Some(tuned.hw_evals as u64 + 1)
+        );
         assert_eq!(snap.counter("autotuner.hw.evals"), Some(tuned.hw_evals as u64));
         // The run ends by exhausting the budget, which the objective
         // reports as NaN exactly once.
@@ -1270,11 +1195,11 @@ mod tests {
         // of the final admitted measurement — never by stacked evals.
         let p = program();
         let registry = Registry::enabled();
-        let device = TpuDevice::new(21);
+        let device = TpuDevice::new(21).observed(&registry);
         let (space, _) = default_space_and_config(&p.computation);
         let start = start_config(&p, &space, StartMode::Default, 0);
         let budget = 10e9;
-        let mut hw = HardwareObjective::new(&p, &space, &device, budget).observed(&registry);
+        let mut hw = HardwareObjective::new(&p, &space, &device, budget);
         loop {
             match hw.measure(&start) {
                 Ok(_) => {}
@@ -1337,7 +1262,7 @@ mod tests {
                 &p,
                 &device,
                 &model,
-                &Arc::new(PredictionCache::new()),
+                &fresh_cache(),
                 StartMode::Default,
                 &budgets,
                 0,
@@ -1347,7 +1272,7 @@ mod tests {
                 &p,
                 &device,
                 &model,
-                &Arc::new(PredictionCache::new()),
+                &fresh_cache(),
                 StartMode::Default,
                 &budgets,
                 &crate::beam::SearchParams {
@@ -1373,15 +1298,7 @@ mod tests {
         let start = start_config(&p, &space, StartMode::Default, 0);
         let budget = 10e9;
         let candidates = vec![start.clone(); 64]; // plenty to exhaust the budget
-        let tuned = rerank_on_hardware(
-            &p,
-            &space,
-            &device,
-            budget,
-            &Registry::noop(),
-            candidates,
-            start.clone(),
-        );
+        let tuned = rerank_on_hardware(&p, &space, &device, budget, candidates, start.clone());
         assert!(tuned.hw_evals > 0);
         let stats = tuned.retry_stats;
         let fused = apply_fusion(&p, &space, &start);
@@ -1406,7 +1323,7 @@ mod tests {
             &p,
             &device,
             &model,
-            &Arc::new(PredictionCache::new()),
+            &fresh_cache(),
             StartMode::Default,
             &quick_budgets(),
             &crate::beam::SearchParams {
@@ -1438,8 +1355,7 @@ mod tests {
             Some(tpu_sim::kernel_time_ns(k, &sim_cfg))
         });
         let (space, default_cfg) = default_space_and_config(&p.computation);
-        let cache = Arc::new(PredictionCache::new());
-        let predictor = Predictor::with_cache(&model, Arc::clone(&cache));
+        let predictor = Predictor::with_cache(&model, fresh_cache());
         let mut plain = ModelObjective::new(&p, &space, &predictor);
         let mut tiled = TiledModelObjective::new(&p, &space, &predictor, cfg.clone(), 4);
         for candidate in [space.none(), space.all(), default_cfg] {
@@ -1548,14 +1464,13 @@ mod tests {
     }
 
     #[test]
-    fn observed_chaos_run_exports_retry_metrics() {
+    fn chaos_run_exports_retry_metrics_into_the_device_registry() {
         let p = program();
         let registry = Registry::enabled();
         let device = TpuDevice::new(3)
             .with_faults(tpu_sim::FaultPlan::chaos(7))
             .observed(&registry);
-        let tuned =
-            autotune_hardware_only_observed(&p, &device, StartMode::Default, 30e9, 1, &registry);
+        let tuned = autotune_hardware_only(&p, &device, StartMode::Default, 30e9, 1);
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("autotuner.hw.retries"),
@@ -1590,7 +1505,7 @@ mod tests {
             Some(tpu_sim::kernel_time_ns(k, &cfg))
         });
         for chains in [1, 4] {
-            let cache = Arc::new(PredictionCache::new());
+            let cache = fresh_cache();
             let budgets = Budgets {
                 chains,
                 ..quick_budgets()

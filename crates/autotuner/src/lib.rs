@@ -21,11 +21,15 @@
 //!   respectively,
 //! - [`autotune_hardware_only`] — the baseline autotuner under a hardware
 //!   budget,
-//! - [`autotune_with_model`] / [`autotune_with_cost_model`] — model-guided
-//!   search + top-k hardware re-ranking (the §6.3 protocol), with
-//!   per-kernel predictions served through a shared
-//!   [`tpu_learned_cost::PredictionCache`],
+//! - [`autotune_with_cost_model`] / [`autotune_beam_with_cost_model`] —
+//!   model-guided search (SA or beam) + top-k hardware re-ranking (the
+//!   §6.3 protocol), with per-kernel predictions served through a shared
+//!   [`tpu_learned_cost::KernelCache`],
 //! - [`random_configs`] — the dataset-generation random search (§5).
+//!
+//! Observability has no entry points of its own: a run records into the
+//! registry its [`tpu_sim::TpuDevice`] was `.observed(..)` with (and a
+//! bare objective into its device's or predictor's), or nowhere.
 //!
 //! # Example
 //!
@@ -53,16 +57,14 @@ mod random_search;
 mod sa;
 
 pub use harness::{
-    autotune_beam_with_cost_model, autotune_beam_with_cost_model_observed,
-    autotune_hardware_only, autotune_hardware_only_observed, autotune_with_cost_model,
-    autotune_with_cost_model_observed, autotune_with_model, speedup_over_default, start_config,
-    Budgets, HardwareObjective, HwRetryStats, MeasureError, ModelObjective, RetryPolicy,
-    StartMode, TiledModelObjective, TunedConfig,
+    autotune_beam_with_cost_model, autotune_hardware_only, autotune_with_cost_model,
+    speedup_over_default, start_config, Budgets, HardwareObjective, HwRetryStats, MeasureError,
+    ModelObjective, RetryPolicy, StartMode, TiledModelObjective, TunedConfig,
 };
 pub use baselines::{hill_climb, random_search, SearchResult};
 pub use beam::{
-    beam_search, beam_search_observed, beam_search_with_tt, fused_structure_hash, margin_cut,
-    reduce_layer, BeamResult, BeamStats, SearchParams,
+    beam_search, beam_search_with_tt, fused_structure_hash, margin_cut, reduce_layer, BeamResult,
+    BeamStats, SearchParams,
 };
 pub use random_search::random_configs;
-pub use sa::{simulated_annealing, simulated_annealing_observed, BatchObjective, SaConfig, SaResult};
+pub use sa::{simulated_annealing, BatchObjective, SaConfig, SaResult};

@@ -36,6 +36,14 @@ use tpu_obs::{Counter, Gauge, Histogram, Registry};
 pub trait BatchObjective {
     /// Cost per candidate, positionally.
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64>;
+
+    /// Where a search over this objective records its own metrics
+    /// (`autotuner.sa.*`, `autotuner.beam.*`). An objective built over an
+    /// observed device or predictor session hands on that carrier's
+    /// registry; anything else — closures included — records nothing.
+    fn registry(&self) -> Registry {
+        Registry::noop()
+    }
 }
 
 impl<F: FnMut(&FusionConfig) -> f64> BatchObjective for F {
@@ -163,35 +171,36 @@ pub(crate) fn push_top(cfg_: &FusionConfig, cost: f64, k: usize, top: &mut Vec<(
 /// The search stops when `cfg.steps` candidate evaluations are spent or
 /// when the objective signals exhaustion by returning `f64::NAN` (used by
 /// hardware-budgeted runs).
-pub fn simulated_annealing<O>(
-    space: &FusionSpace,
-    start: FusionConfig,
-    objective: O,
-    cfg: &SaConfig,
-) -> SaResult
-where
-    O: BatchObjective,
-{
-    simulated_annealing_observed(space, start, objective, cfg, &Registry::noop())
-}
-
-/// [`simulated_annealing`] with `autotuner.sa.*` metrics recorded into
-/// `registry`: candidate/accept/reject counts, per-batch objective
-/// latency and batch sizes, and the final best cost.
 ///
-/// Instrumentation is read-only: the search trajectory and the returned
-/// [`SaResult`] are bit-identical whether or not the registry is enabled.
-pub fn simulated_annealing_observed<O>(
+/// `autotuner.sa.*` metrics — candidate/accept/reject counts, per-batch
+/// objective latency and batch sizes, the final best cost — go to
+/// [`BatchObjective::registry`]. Instrumentation is read-only: the
+/// trajectory and the returned [`SaResult`] are bit-identical whether or
+/// not that registry is enabled.
+pub fn simulated_annealing<O>(
     space: &FusionSpace,
     start: FusionConfig,
     mut objective: O,
     cfg: &SaConfig,
-    registry: &Registry,
 ) -> SaResult
 where
     O: BatchObjective,
 {
-    let obs = SaObs::new(registry);
+    anneal(space, start, &mut objective, cfg)
+}
+
+/// [`simulated_annealing`] over a borrowed objective, for a caller that
+/// reads the objective's own accounting after the search.
+pub(crate) fn anneal<O>(
+    space: &FusionSpace,
+    start: FusionConfig,
+    objective: &mut O,
+    cfg: &SaConfig,
+) -> SaResult
+where
+    O: BatchObjective,
+{
+    let obs = SaObs::new(&objective.registry());
     let chains = cfg.chains.max(1);
     let mut rngs: Vec<ChaCha8Rng> = (0..chains)
         .map(|c| ChaCha8Rng::seed_from_u64(chain_seed(cfg.seed, c)))
@@ -450,20 +459,32 @@ mod tests {
     }
 
     #[test]
-    fn observed_annealing_records_and_matches_plain() {
+    fn annealing_records_into_the_objective_registry_and_matches_plain() {
+        /// The toy objective, handing on a registry like the device- and
+        /// predictor-backed objectives do.
+        struct Carrying(Registry);
+        impl BatchObjective for Carrying {
+            fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
+                configs
+                    .iter()
+                    .map(|c| (c.decisions.len() - c.num_fused()) as f64)
+                    .collect()
+            }
+            fn registry(&self) -> Registry {
+                self.0.clone()
+            }
+        }
         let p = chain_program(10);
         let space = FusionSpace::new(&p.computation);
-        let objective = |c: &FusionConfig| (c.decisions.len() - c.num_fused()) as f64;
         let cfg = SaConfig {
             steps: 200,
             seed: 5,
             chains: 4,
             ..Default::default()
         };
-        let plain = simulated_annealing(&space, space.none(), objective, &cfg);
+        let plain = simulated_annealing(&space, space.none(), Carrying(Registry::noop()), &cfg);
         let registry = Registry::enabled();
-        let observed =
-            simulated_annealing_observed(&space, space.none(), objective, &cfg, &registry);
+        let observed = simulated_annealing(&space, space.none(), Carrying(registry.clone()), &cfg);
 
         // Determinism contract: instrumentation never alters the search.
         assert_eq!(plain.best_config, observed.best_config);

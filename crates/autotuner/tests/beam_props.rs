@@ -22,7 +22,6 @@ use tpu_autotuner::{
 use tpu_fusion::{apply_fusion, FusionConfig, FusionSpace};
 use tpu_hlo::{DType, GraphBuilder, Program, Shape};
 use tpu_learned_cost::AtomicCache;
-use tpu_obs::Registry;
 use tpu_sim::{kernel_time_ns, TpuConfig};
 
 /// A small program whose fusion space still has enough decisions for the
@@ -107,12 +106,8 @@ proptest! {
         };
         let tt = AtomicCache::with_capacity(1 << 12);
         let objective = |c: &FusionConfig| oracle_cost(&p, &space, c);
-        let cold = beam_search_with_tt(
-            &p, &space, space.none(), objective, &params, &tt, &Registry::noop(),
-        );
-        let warm = beam_search_with_tt(
-            &p, &space, space.none(), objective, &params, &tt, &Registry::noop(),
-        );
+        let cold = beam_search_with_tt(&p, &space, space.none(), objective, &params, &tt);
+        let warm = beam_search_with_tt(&p, &space, space.none(), objective, &params, &tt);
         prop_assert_eq!(&cold.best_config, &warm.best_config);
         prop_assert_eq!(cold.best_cost.to_bits(), warm.best_cost.to_bits());
         prop_assert_eq!(warm.evals, 0, "warm TT replay spent fresh evals");
@@ -139,9 +134,7 @@ proptest! {
         };
         let tt = AtomicCache::with_capacity(1 << 16);
         let objective = |c: &FusionConfig| oracle_cost(&p, &space, c);
-        let result = beam_search_with_tt(
-            &p, &space, start, objective, &params, &tt, &Registry::noop(),
-        );
+        let result = beam_search_with_tt(&p, &space, start, objective, &params, &tt);
         prop_assert!(!result.top.is_empty());
         for (config, cost) in &result.top {
             let filed = tt.lookup_hash(fused_structure_hash(&p, &space, config));

@@ -7,8 +7,10 @@
 //! only, within a 5-minute device budget. The model-guided autotuner runs
 //! simulated annealing against the learned model on the CPU, then measures
 //! its top-ranked configs on hardware within the same budget. "Best known"
-//! is a 4-hour hardware-only run. Each program is autotuned several times
-//! and the best speedup is reported.
+//! is the best configuration any run of this program found — a long
+//! (paper: 4-hour) hardware-only run and every budgeted run beside it.
+//! Each program is autotuned several times and the best speedup is
+//! reported.
 //!
 //! ```text
 //! cargo run -p tpu-bench --release --bin fig4 [-- default|random] [-- --quick]
@@ -17,17 +19,16 @@
 use rayon::prelude::*;
 use std::sync::Arc;
 use tpu_autotuner::{
-    autotune_hardware_only_observed, autotune_with_cost_model_observed, Budgets, StartMode,
-    TunedConfig,
+    autotune_hardware_only, autotune_with_cost_model, Budgets, StartMode, TunedConfig,
 };
 use tpu_bench::{
     corpus, fusion_train_val, print_table, registry_for_report, report_path_from_args,
-    write_report, Scale,
+    train_checkpointed, write_report, Scale,
 };
 use tpu_dataset::build_fusion_dataset;
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::Program;
-use tpu_learned_cost::{train_observed, AtomicCache, GnnModel};
+use tpu_learned_cost::{AtomicCache, GnnModel};
 use tpu_obs::RunReport;
 use tpu_sim::{TpuConfig, TpuDevice};
 
@@ -89,30 +90,32 @@ fn main() {
     let (train_prep, val_prep) = fusion_train_val(&dataset, &split, train_cap, val_cap);
     let mut gnn = GnnModel::new(scale.gnn_cfg());
     let t0 = std::time::Instant::now();
-    let rep = train_observed(&mut gnn, &train_prep, &val_prep, &scale.train_cfg(), &registry);
+    let tcfg = scale.train_cfg();
+    let rep = train_checkpointed(&mut gnn, &train_prep, &val_prep, &tcfg, &registry, None);
     println!(
         "learned model trained: best val MAPE {:.1}% [{:?}]",
         rep.best_val,
         t0.elapsed()
     );
 
-    let (reps, budgets) = match scale {
+    // `long_run_ns`: hardware time of the long reference run (paper: 4 h).
+    let (reps, long_run_ns, budgets) = match scale {
         Scale::Quick => (
             3usize,
+            600e9,
             Budgets {
                 hardware_ns: 60e9,
                 model_steps: 500,
-                best_known_ns: 600e9,
                 top_k: 10,
                 chains: 4,
             },
         ),
         Scale::Full => (
             10usize,
+            7_200e9,
             Budgets {
                 hardware_ns: 300e9,
                 model_steps: 2_500,
-                best_known_ns: 7_200e9,
                 top_k: 16,
                 chains: 4,
             },
@@ -129,18 +132,13 @@ fn main() {
         .par_iter()
         .map(|&pi| {
             let program = &corpus.entries[pi].program;
+            // The observed device carries the report's registry into every
+            // run below (no thread-local could: these are rayon workers).
             let device =
                 TpuDevice::with_config(machine.clone(), 1000 + pi as u64).observed(&registry);
 
-            // Best known: one long hardware-only run.
-            let best_known_run = autotune_hardware_only_observed(
-                program,
-                &device,
-                StartMode::Default,
-                budgets.best_known_ns,
-                999,
-                &registry,
-            );
+            let long_run =
+                autotune_hardware_only(program, &device, StartMode::Default, long_run_ns, 999);
 
             // One prediction cache per program, shared across repetitions:
             // later repetitions revisit mostly-cached kernels.
@@ -149,30 +147,29 @@ fn main() {
             let mut model_runs = Vec::new();
             for rep_i in 0..reps {
                 let seed = rep_i as u64;
-                hw_runs.push(autotune_hardware_only_observed(
+                hw_runs.push(autotune_hardware_only(
                     program,
                     &device,
                     mode,
                     budgets.hardware_ns,
                     seed,
-                    &registry,
                 ));
-                model_runs.push(autotune_with_cost_model_observed(
-                    program,
-                    &device,
-                    &gnn,
-                    &cache,
-                    mode,
-                    &budgets,
-                    seed,
-                    &registry,
+                model_runs.push(autotune_with_cost_model(
+                    program, &device, &gnn, &cache, mode, &budgets, seed,
                 ));
             }
+            let hw_only = best_speedup(program, &device, &hw_runs);
+            let with_model = best_speedup(program, &device, &model_runs);
             ProgramRow {
                 name: program.name.clone(),
-                hw_only: best_speedup(program, &device, &hw_runs),
-                with_model: best_speedup(program, &device, &model_runs),
-                best_known: best_speedup(program, &device, &[best_known_run]),
+                hw_only,
+                with_model,
+                // Best known is the best anything found: the long run and
+                // every budgeted run, so it can never sit below a column
+                // beside it.
+                best_known: best_speedup(program, &device, &[long_run])
+                    .max(hw_only)
+                    .max(with_model),
                 model_evals: model_runs.iter().map(|r| r.model_evals).sum(),
                 cache_hits: model_runs.iter().map(|r| r.cache_hits).sum(),
             }
@@ -211,7 +208,7 @@ fn main() {
     };
     print_table(
         title,
-        &["Program", "Hardware only", "Hardware + learned model", "Best known (long run)"],
+        &["Program", "Hardware only", "Hardware + learned model", "Best known (any run)"],
         &all,
     );
 

@@ -28,10 +28,7 @@ use tpu_dataset::{
 };
 use tpu_hlo::Kernel;
 use tpu_learned_cost::metrics::{kendall_tau, mape, median};
-use tpu_learned_cost::{
-    prepare, train_observed, AtomicCache, GnnModel, KernelModel, LstmModel, Predictor,
-    Prepared, TrainConfig, TrainReport,
-};
+use tpu_learned_cost::{prepare, AtomicCache, GnnModel, LstmModel, Predictor, Prepared};
 use tpu_obs::{Registry, RunReport};
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
 
@@ -117,31 +114,6 @@ impl SplitResult {
     }
 }
 
-/// Train one model: with `--checkpoint`, against its own resumable
-/// checkpoint file (`<stem>.<tag>.json`); otherwise the plain —
-/// checkpoint-free but numerically identical — observed path.
-fn train_model<M: KernelModel>(
-    model: &mut M,
-    tag: &str,
-    train_prep: &[Prepared],
-    val_prep: &[Prepared],
-    tcfg: &TrainConfig,
-    registry: &Registry,
-    checkpoint_stem: Option<&std::path::Path>,
-) -> TrainReport {
-    match checkpoint_stem {
-        Some(stem) => train_checkpointed(
-            model,
-            train_prep,
-            val_prep,
-            tcfg,
-            registry,
-            &checkpoint_variant_path(stem, tag),
-        ),
-        None => train_observed(model, train_prep, val_prep, tcfg, registry),
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_split(
     scale: Scale,
@@ -173,6 +145,9 @@ fn run_split(
     // Train both learned models; like the paper's hyperparameter search,
     // train several seeds and keep the best on validation.
     let tcfg = scale.train_cfg();
+    // With `--checkpoint`, each model trains against its own resumable
+    // file `<stem>.<tag>.json`.
+    let checkpoint = |tag: &str| checkpoint_stem.map(|stem| checkpoint_variant_path(stem, tag));
     let seeds: &[u64] = match scale {
         Scale::Quick => &[17],
         Scale::Full => &[17, 43],
@@ -184,14 +159,13 @@ fn run_split(
             let mut cfg = scale.gnn_cfg();
             cfg.seed = seed;
             let mut m = GnnModel::new(cfg);
-            let rep = train_model(
+            let rep = train_checkpointed(
                 &mut m,
-                &format!("{split_name}.gnn{seed}"),
                 &train_prep,
                 &val_prep,
                 &tcfg,
                 registry,
-                checkpoint_stem,
+                checkpoint(&format!("{split_name}.gnn{seed}")).as_deref(),
             );
             println!(
                 "[{split_name}] gnn seed {seed}: val MAPE {:.1}% (epoch {})",
@@ -210,14 +184,13 @@ fn run_split(
             let mut cfg = scale.lstm_cfg();
             cfg.seed = seed;
             let mut m = LstmModel::new(cfg);
-            let rep = train_model(
+            let rep = train_checkpointed(
                 &mut m,
-                &format!("{split_name}.lstm{seed}"),
                 &train_prep,
                 &val_prep,
                 &tcfg,
                 registry,
-                checkpoint_stem,
+                checkpoint(&format!("{split_name}.lstm{seed}")).as_deref(),
             );
             println!(
                 "[{split_name}] lstm seed {seed}: val MAPE {:.1}% (epoch {})",
@@ -298,7 +271,6 @@ fn run_split(
         let lstm_pred = predict_ns_prepared(&lstm, prepared);
         (targets, ours, lstm_pred)
     });
-    let _ = (gnn.model_name(), lstm.model_name());
     predictor.record_cache_stats();
     SplitResult { evals, large_holdout: large }
 }

@@ -22,8 +22,8 @@
 
 use std::sync::Arc;
 use tpu_autotuner::{
-    autotune_beam_with_cost_model_observed, autotune_with_cost_model_observed,
-    speedup_over_default, Budgets, SearchParams, StartMode,
+    autotune_beam_with_cost_model, autotune_with_cost_model, speedup_over_default, Budgets,
+    SearchParams, StartMode,
 };
 use tpu_bench::{
     checkpoint_path_from_args, checkpoint_variant_path, corpus, fault_seed_from_args,
@@ -33,8 +33,8 @@ use tpu_bench::{
 use tpu_dataset::build_fusion_dataset;
 use tpu_learned_cost::metrics::{kendall_tau, mape, median};
 use tpu_learned_cost::{
-    prepare, train_observed, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmModel,
-    Prepared, Reduction, TaskLoss, TrainConfig, TrainReport,
+    prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmModel, Prepared, Reduction,
+    TaskLoss, TrainConfig,
 };
 use tpu_obs::RunReport;
 use tpu_sim::{FaultPlan, TpuDevice};
@@ -60,31 +60,6 @@ fn test_medians<M: KernelModel>(
         taus.push(kendall_tau(&p, &t));
     }
     (median(&mapes), median(&taus))
-}
-
-/// Train one sweep model: with `--checkpoint`, against its own resumable
-/// checkpoint file (`<stem>.<tag>.json`); otherwise the plain —
-/// checkpoint-free but numerically identical — observed path.
-fn train_model<M: KernelModel>(
-    model: &mut M,
-    tag: &str,
-    train_prep: &[Prepared],
-    val_prep: &[Prepared],
-    tcfg: &TrainConfig,
-    registry: &tpu_obs::Registry,
-    checkpoint_stem: Option<&std::path::Path>,
-) -> TrainReport {
-    match checkpoint_stem {
-        Some(stem) => train_checkpointed(
-            model,
-            train_prep,
-            val_prep,
-            tcfg,
-            registry,
-            &checkpoint_variant_path(stem, tag),
-        ),
-        None => train_observed(model, train_prep, val_prep, tcfg, registry),
-    }
 }
 
 fn main() {
@@ -191,18 +166,24 @@ fn main() {
             },
         ),
     ];
+    // With `--checkpoint`, each model trains against its own resumable
+    // file `<stem>.<tag>.json`.
+    let checkpoint = |tag: &str| {
+        checkpoint_stem
+            .as_deref()
+            .map(|stem| checkpoint_variant_path(stem, tag))
+    };
     let mut winner: Option<(f64, GnnModel)> = None;
     for (i, (name, gcfg)) in variants.into_iter().enumerate() {
         let t0 = std::time::Instant::now();
         let mut m = GnnModel::new(gcfg);
-        let rep = train_model(
+        let rep = train_checkpointed(
             &mut m,
-            &format!("v{i}"),
             &train_prep,
             &val_prep,
             &tcfg,
             &registry,
-            checkpoint_stem.as_deref(),
+            checkpoint(&format!("v{i}")).as_deref(),
         );
         let (test_mape, test_tau) = test_medians(&m, &by_program);
         println!("{name}: done in {:?}", t0.elapsed());
@@ -219,14 +200,13 @@ fn main() {
     {
         let t0 = std::time::Instant::now();
         let mut m = LstmModel::new(scale.lstm_cfg());
-        let rep = train_model(
+        let rep = train_checkpointed(
             &mut m,
-            "lstm",
             &train_prep,
             &val_prep,
             &tcfg,
             &registry,
-            checkpoint_stem.as_deref(),
+            checkpoint("lstm").as_deref(),
         );
         let (test_mape, test_tau) = test_medians(&m, &by_program);
         println!("lstm h48: done in {:?}", t0.elapsed());
@@ -265,7 +245,6 @@ fn main() {
             Scale::Quick => 200,
             Scale::Full => 1_000,
         },
-        best_known_ns: 60e9,
         top_k: 8,
         chains: 4,
     };
@@ -276,7 +255,7 @@ fn main() {
     }
     .observed(&registry);
     let tuned = match search {
-        SearchAlgo::Sa => autotune_with_cost_model_observed(
+        SearchAlgo::Sa => autotune_with_cost_model(
             target,
             &device,
             &gnn,
@@ -284,9 +263,8 @@ fn main() {
             StartMode::Default,
             &budgets,
             0,
-            &registry,
         ),
-        SearchAlgo::Beam => autotune_beam_with_cost_model_observed(
+        SearchAlgo::Beam => autotune_beam_with_cost_model(
             target,
             &device,
             &gnn,
@@ -297,7 +275,6 @@ fn main() {
                 seed: 0,
                 ..Default::default()
             },
-            &registry,
         ),
     };
     println!(

@@ -261,21 +261,27 @@ pub fn checkpoint_variant_path(stem: &std::path::Path, tag: &str) -> std::path::
     stem.with_file_name(format!("{base}.{tag}.json"))
 }
 
-/// Train with checkpoint/resume against a file: resumes from `path` when
-/// it holds a checkpoint that fits `model` (anything else — missing file,
-/// corrupt JSON, wrong model family or shape — is reported and training
-/// starts fresh), and rewrites `path` after every completed epoch. A
-/// resumed run is bit-identical to an uninterrupted one
+/// Train one model of an experiment, recording `core.train.*` into
+/// `registry`. With a checkpoint `path`: resumes from it when it holds a
+/// checkpoint that fits `model` (anything else — missing file, corrupt
+/// JSON, wrong model family or shape — is reported and training starts
+/// fresh), and rewrites it after every completed epoch. A resumed run is
+/// bit-identical to an uninterrupted one
 /// (`tpu_learned_cost::train_resumable`'s contract), so the sweep results
-/// do not depend on where a run was interrupted.
+/// do not depend on where a run was interrupted. Without a path: the
+/// checkpoint-free but numerically identical run.
 pub fn train_checkpointed<M: KernelModel>(
     model: &mut M,
     train_prep: &[Prepared],
     val_prep: &[Prepared],
     cfg: &TrainConfig,
     registry: &tpu_obs::Registry,
-    path: &std::path::Path,
+    path: Option<&std::path::Path>,
 ) -> TrainReport {
+    let Some(path) = path else {
+        return train_resumable(model, train_prep, val_prep, cfg, registry, None, None)
+            .expect("fresh training cannot fail checkpoint validation");
+    };
     let resume = match std::fs::read_to_string(path) {
         Ok(json) => match TrainCheckpoint::from_json(&json) {
             Ok(ckpt) => {

@@ -1,6 +1,7 @@
 //! A lock-free, fixed-capacity prediction cache with atomic packed
-//! entries — the serving-grade replacement for the sharded-mutex
-//! [`PredictionCache`](crate::PredictionCache).
+//! entries — the serving-grade replacement for the historical
+//! sharded-mutex map (now the test-only reference under
+//! `tests/support/`).
 //!
 //! The serving workload (a daemon answering kernel-cost queries from many
 //! concurrent autotuner clients, §6.3 at fleet scale) is read-mostly and
@@ -115,9 +116,8 @@ impl Slot {
 /// Lock-free, fixed-capacity, open-addressed prediction cache keyed by
 /// the canonical kernel hash.
 ///
-/// Drop-in serving replacement for the sharded-mutex
-/// [`PredictionCache`](crate::PredictionCache) behind the
-/// [`KernelCache`] trait: same counters, same
+/// Drop-in serving replacement for the historical sharded-mutex map
+/// behind the [`KernelCache`] trait: same counters, same
 /// [`CacheStats`] snapshot, same `Option<Option<f64>>` lookup contract
 /// (the cached value may itself be `None` for a kernel the backend
 /// cannot score). The differences are deliberate serving trade-offs:

@@ -6,9 +6,10 @@
 //! and throughput matters more than single-kernel latency. This module adds
 //! the two pieces the paper's deployment story needs:
 //!
-//! - [`PredictionCache`] — a thread-safe, sharded map from the canonical
-//!   kernel hash ([`tpu_hlo::canonical_kernel_hash`]) to a cached
-//!   prediction, with hit/miss/eviction counters,
+//! - [`KernelCache`] — the storage contract: a thread-safe map from the
+//!   canonical kernel hash ([`tpu_hlo::canonical_kernel_hash`]) to a
+//!   cached prediction, with hit/miss/eviction counters (the shipped
+//!   implementation is the lock-free [`AtomicCache`]),
 //! - [`Predictor`] — a serving session over any [`CostModel`]: it hashes
 //!   the incoming kernels, answers what it can from the cache, deduplicates
 //!   the distinct misses, and presents them to the backend as **one**
@@ -30,10 +31,6 @@ use std::sync::{Arc, Mutex};
 use tpu_hlo::{canonical_kernel_hash, HashedKernel, Kernel};
 use tpu_nn::Tape;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
-
-/// Number of independent shards; bounds lock contention under parallel
-/// lookups without a concurrent-map dependency.
-const SHARDS: usize = 16;
 
 /// A point-in-time snapshot of cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -69,15 +66,12 @@ impl CacheStats {
 /// from the canonical kernel hash to a cached prediction, with hit /
 /// miss / eviction accounting.
 ///
-/// Two implementations ship:
-///
-/// - [`AtomicCache`] — the serving default: fixed-capacity,
-///   open-addressed, lock-free atomic slots with lossy replacement (see
-///   `atomic_cache` module docs for the torn-read defense),
-/// - [`PredictionCache`] — the historical sharded-mutex map: unbounded
-///   or capped, strictly lossless below its capacity. Kept as the
-///   reference implementation the lock-free cache is property-tested
-///   against, and for callers that need exact residency.
+/// One implementation ships: [`AtomicCache`] — fixed-capacity,
+/// open-addressed, lock-free atomic slots with lossy replacement (see
+/// the `atomic_cache` module docs for the torn-read defense). The
+/// lossless sharded-mutex map it replaced lives on under
+/// `tests/support/` as the reference `tests/cache_props.rs`
+/// property-tests it against.
 ///
 /// The stored value is `Option<f64>` so "this backend cannot score that
 /// kernel" (§6.3 footnote 3) is itself cacheable. Implementations may be
@@ -108,206 +102,6 @@ pub trait KernelCache: Send + Sync {
 
     /// Evictions so far, without scanning entries.
     fn eviction_count(&self) -> u64;
-}
-
-/// Thread-safe prediction cache keyed by the canonical kernel hash.
-///
-/// Stores `Option<f64>` so "this backend cannot score that kernel" (the
-/// analytical model on kernels without tile-size options, §6.3 footnote 3)
-/// is cached too instead of being recomputed on every visit.
-///
-/// Lookups and inserts never hold a lock across a model evaluation: under
-/// contention two threads may both miss and compute the same prediction,
-/// which is harmless (predictions are deterministic) and cheaper than
-/// serialising forward passes behind a lock.
-pub struct PredictionCache {
-    shards: [Mutex<HashMap<u64, Option<f64>>>; SHARDS],
-    /// Per-shard entry caps; `None` = unbounded. The caps sum to exactly
-    /// the `max_entries` passed to [`PredictionCache::with_capacity`].
-    shard_caps: Option<[usize; SHARDS]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for PredictionCache {
-    fn default() -> PredictionCache {
-        PredictionCache::new()
-    }
-}
-
-impl std::fmt::Debug for PredictionCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PredictionCache")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl PredictionCache {
-    /// An unbounded cache.
-    pub fn new() -> PredictionCache {
-        PredictionCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            shard_caps: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// A cache holding at most **exactly** `max_entries` predictions:
-    /// capacity is distributed over the shards so the per-shard caps sum
-    /// to `max_entries` (historically the per-shard cap was rounded *up*,
-    /// so small capacities overshot — `with_capacity(3)` could hold 48
-    /// entries). Inserting into a full shard evicts an arbitrary resident
-    /// entry of that shard, and inserting into a shard with no slots at
-    /// all (`max_entries < SHARDS` leaves some empty) discards the
-    /// incoming entry; both are counted in [`CacheStats::evictions`].
-    /// `max_entries == 0` disables storage entirely — every lookup
-    /// misses, nothing is counted as an eviction — which gives
-    /// cache-sensitive code an uncached baseline without a second code
-    /// path.
-    pub fn with_capacity(max_entries: usize) -> PredictionCache {
-        let base = max_entries / SHARDS;
-        let extra = max_entries % SHARDS;
-        PredictionCache {
-            shard_caps: Some(std::array::from_fn(|i| base + usize::from(i < extra))),
-            ..PredictionCache::new()
-        }
-    }
-
-    /// The cache key for a kernel.
-    pub fn key(kernel: &Kernel) -> u64 {
-        canonical_kernel_hash(kernel)
-    }
-
-    fn shard_index(hash: u64) -> usize {
-        (hash % SHARDS as u64) as usize
-    }
-
-    fn shard(&self, hash: u64) -> &Mutex<HashMap<u64, Option<f64>>> {
-        &self.shards[PredictionCache::shard_index(hash)]
-    }
-
-    /// Lock a shard, recovering from mutex poisoning: shard updates are
-    /// single `HashMap` operations (never left half-done by a panic) and
-    /// predictions are deterministic, so a panic on another serving thread
-    /// must not take the cache — and every future lookup — down with it.
-    fn lock(
-        shard: &Mutex<HashMap<u64, Option<f64>>>,
-    ) -> std::sync::MutexGuard<'_, HashMap<u64, Option<f64>>> {
-        shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Look up by pre-computed hash, counting a hit or miss.
-    pub fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
-        let found = PredictionCache::lock(self.shard(hash)).get(&hash).copied();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Insert a prediction under a pre-computed hash, evicting if full.
-    /// No-op on a zero-capacity cache.
-    pub fn insert_hash(&self, hash: u64, prediction: Option<f64>) {
-        let cap = self.shard_caps.map(|caps| caps[PredictionCache::shard_index(hash)]);
-        if cap == Some(0) {
-            // A shard with no slots. On a zero-capacity cache storage is
-            // simply disabled (the uncached baseline — not eviction
-            // pressure, so nothing is counted); with a nonzero total
-            // capacity the incoming entry is discarded under pressure
-            // and accounted for, keeping `len + evictions` equal to the
-            // number of distinct inserts.
-            if self.shard_caps.is_some_and(|caps| caps.iter().any(|&c| c != 0)) {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        let mut map = PredictionCache::lock(self.shard(hash));
-        if let Some(cap) = cap {
-            if map.len() >= cap && !map.contains_key(&hash) {
-                if let Some(&victim) = map.keys().next() {
-                    map.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        map.insert(hash, prediction);
-    }
-
-    /// Return the cached prediction for `kernel`, computing it with
-    /// `compute` on a miss. The lock is not held while `compute` runs.
-    pub fn get_or_compute(
-        &self,
-        kernel: &Kernel,
-        compute: impl FnOnce() -> Option<f64>,
-    ) -> Option<f64> {
-        let hash = PredictionCache::key(kernel);
-        if let Some(cached) = self.lookup_hash(hash) {
-            return cached;
-        }
-        let fresh = compute();
-        self.insert_hash(hash, fresh);
-        fresh
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| PredictionCache::lock(s).len()).sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all entries (counters are kept).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            PredictionCache::lock(s).clear();
-        }
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
-    }
-
-    /// Evictions so far — one atomic read, unlike [`PredictionCache::stats`]
-    /// whose entry count locks every shard. Used by the instrumented
-    /// predict path to attribute evictions without touching shard locks.
-    pub fn eviction_count(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
-impl KernelCache for PredictionCache {
-    fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
-        PredictionCache::lookup_hash(self, hash)
-    }
-    fn insert_hash(&self, hash: u64, prediction: Option<f64>) {
-        PredictionCache::insert_hash(self, hash, prediction)
-    }
-    fn len(&self) -> usize {
-        PredictionCache::len(self)
-    }
-    fn clear(&self) {
-        PredictionCache::clear(self)
-    }
-    fn stats(&self) -> CacheStats {
-        PredictionCache::stats(self)
-    }
-    fn eviction_count(&self) -> u64 {
-        PredictionCache::eviction_count(self)
-    }
 }
 
 /// A shared cache handle is a cache: lets serving stacks select the
@@ -387,9 +181,9 @@ impl PredictStats {
 ///
 /// The cache backend is pluggable through [`KernelCache`]; the default is
 /// the lock-free [`AtomicCache`], and [`Predictor::with_cache`] accepts
-/// the sharded-mutex [`PredictionCache`] (or any other implementation)
-/// unchanged. Predictions are bit-identical whichever backend serves
-/// them — a lossy cache only changes *when* the pure model is re-asked.
+/// any other implementation unchanged. Predictions are bit-identical
+/// whichever backend serves them — a lossy cache only changes *when* the
+/// pure model is re-asked.
 pub struct Predictor<M, C: KernelCache = AtomicCache> {
     model: M,
     cache: Arc<C>,
@@ -408,7 +202,7 @@ pub struct Predictor<M, C: KernelCache = AtomicCache> {
 /// (gauges mirroring the shared cache's own counters).
 #[derive(Default)]
 struct EngineObs {
-    enabled: bool,
+    registry: Registry,
     kernels: Counter,
     cache_hits: Counter,
     model_evals: Counter,
@@ -425,7 +219,7 @@ struct EngineObs {
 impl EngineObs {
     fn new(registry: &Registry) -> EngineObs {
         EngineObs {
-            enabled: registry.is_enabled(),
+            registry: registry.clone(),
             kernels: registry.counter("core.engine.kernels"),
             cache_hits: registry.counter("core.engine.cache_hits"),
             model_evals: registry.counter("core.engine.model_evals"),
@@ -477,9 +271,19 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
     /// miss-batch sizes, and per-call / per-forward latencies are recorded
     /// under `core.engine.*`. With the default no-op registry this is a
     /// no-op; instrumentation never changes predictions.
+    ///
+    /// The session *carries* the registry: objectives and searches built
+    /// over it record into [`Predictor::registry`] without being handed
+    /// one.
     pub fn observed(mut self, registry: &Registry) -> Predictor<M, C> {
         self.obs = EngineObs::new(registry);
         self
+    }
+
+    /// The registry this session was [`observed`](Predictor::observed)
+    /// with (the no-op registry otherwise).
+    pub fn registry(&self) -> &Registry {
+        &self.obs.registry
     }
 
     /// The wrapped model.
@@ -503,7 +307,7 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
     /// before writing a report), not per predict. No-op without an
     /// attached registry.
     pub fn record_cache_stats(&self) {
-        if !self.obs.enabled {
+        if !self.obs.registry.is_enabled() {
             return;
         }
         let s = self.cache.stats();
@@ -570,7 +374,7 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
 
         let mut model_batches = 0u64;
         if !pending.is_empty() {
-            let evictions_before = if self.obs.enabled {
+            let evictions_before = if self.obs.registry.is_enabled() {
                 self.cache.eviction_count()
             } else {
                 0
@@ -593,7 +397,7 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
                     *r = by_hash.get(&hashes[i]).copied();
                 }
             }
-            if self.obs.enabled {
+            if self.obs.registry.is_enabled() {
                 self.obs
                     .cache_evictions
                     .add(self.cache.eviction_count() - evictions_before);
@@ -1061,49 +865,7 @@ mod tests {
         // otherwise emit NaN, which is not representable in JSON.
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
         assert_eq!(PredictStats::default().hit_rate(), 0.0);
-        assert_eq!(PredictionCache::new().stats().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn cache_hits_after_insert() {
-        let cache = PredictionCache::new();
-        let k = kernel(64);
-        assert_eq!(cache.get_or_compute(&k, || Some(42.0)), Some(42.0));
-        assert_eq!(cache.get_or_compute(&k, || panic!("must not recompute")), Some(42.0));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_stores_unsupported_kernels() {
-        let cache = PredictionCache::new();
-        let k = kernel(64);
-        assert_eq!(cache.get_or_compute(&k, || None), None);
-        // The negative result is cached: the closure must not run again.
-        assert_eq!(cache.get_or_compute(&k, || panic!("recomputed None")), None);
-    }
-
-    #[test]
-    fn capacity_bound_evicts() {
-        let cache = PredictionCache::with_capacity(SHARDS); // 1 entry/shard
-        for cols in 1..=64 {
-            let k = kernel(cols);
-            cache.get_or_compute(&k, || Some(cols as f64));
-        }
-        let s = cache.stats();
-        assert!(s.entries <= SHARDS, "entries {} > cap {}", s.entries, SHARDS);
-        assert!(s.evictions > 0);
-    }
-
-    #[test]
-    fn zero_capacity_cache_stores_nothing() {
-        let cache = PredictionCache::with_capacity(0);
-        let k = kernel(64);
-        assert_eq!(cache.get_or_compute(&k, || Some(1.0)), Some(1.0));
-        assert_eq!(cache.get_or_compute(&k, || Some(2.0)), Some(2.0));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 0));
+        assert_eq!(AtomicCache::with_capacity(8).stats().hit_rate(), 0.0);
     }
 
     #[test]
@@ -1220,6 +982,8 @@ mod tests {
         let registry = Registry::enabled();
         let model = GnnModel::new(GnnConfig::default());
         let p = Predictor::new(&model).observed(&registry);
+        assert!(p.registry().is_enabled(), "an observed session carries its registry");
+        assert!(!Predictor::new(&model).registry().is_enabled());
         let kernels: Vec<Kernel> = (1..=4).map(|i| kernel(i * 16)).collect();
         let cold = p.predict_ns(&kernels);
         let warm = p.predict_ns(&kernels);
@@ -1248,8 +1012,8 @@ mod tests {
         let inner = FnCostModel::new("probe", |k: &Kernel| {
             Some(k.computation.num_nodes() as f64)
         });
-        // 16 shards x 1 entry: inserting many distinct kernels must evict.
-        let cache = Arc::new(PredictionCache::with_capacity(SHARDS));
+        // 16 slots: inserting 64 distinct kernels must evict.
+        let cache = Arc::new(AtomicCache::with_capacity(16));
         let p = Predictor::with_cache(inner, cache).observed(&registry);
         let kernels: Vec<Kernel> = (1..=64).map(kernel).collect();
         p.predict_ns(&kernels);

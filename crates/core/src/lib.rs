@@ -19,13 +19,12 @@
 //! - [`CostModel`]: one batch-first interface over learned/analytical/
 //!   simulator backends, making the model retargetable across compiler
 //!   tasks — `predict_batch_ns` is the primary serving surface,
-//! - [`Predictor`] / [`AtomicCache`] / [`PredictionCache`]: the inference
-//!   engine — a serving session that answers what it can from the
-//!   canonical-hash cache (by default the lock-free fixed-capacity
-//!   [`AtomicCache`]; the sharded-mutex [`PredictionCache`] remains as
-//!   the lossless reference backend behind the [`KernelCache`] trait)
-//!   and presents the distinct misses to the backend as one packed
-//!   forward pass, for serving the model inside an autotuner (§6.3).
+//! - [`Predictor`] / [`AtomicCache`]: the inference engine — a serving
+//!   session that answers what it can from the canonical-hash cache (the
+//!   lock-free fixed-capacity [`AtomicCache`], or any other
+//!   [`KernelCache`]) and presents the distinct misses to the backend as
+//!   one packed forward pass, for serving the model inside an autotuner
+//!   (§6.3).
 //!
 //! # Example
 //!
@@ -63,14 +62,14 @@ pub use checkpoint::{CheckpointError, TrainCheckpoint, SCHEMA as CHECKPOINT_SCHE
 pub use cost_model::{CostModel, FnCostModel, SimOracle};
 pub use engine::{
     forward_log_ns, forward_log_ns_chunked, BatchRoute, BreakerConfig, BreakerState, CacheStats,
-    CircuitBreaker, FallbackChain, KernelCache, PredictStats, PredictionCache, Predictor,
+    CircuitBreaker, FallbackChain, KernelCache, PredictStats, Predictor,
 };
 pub use lstm_model::{LstmConfig, LstmModel};
 pub use model::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction, LOG_NS_OFFSET};
 pub use train::{
-    per_group_kendall, predict_log_ns, prepare, stream_epoch_plan, train, train_observed,
-    train_resumable, train_step, train_stream, validation_metric, BatchSource, ExampleMeta,
-    KernelModel, StreamConfig, TaskLoss, TrainConfig, TrainReport,
+    per_group_kendall, predict_log_ns, prepare, stream_epoch_plan, train, train_resumable,
+    train_step, train_stream, validation_metric, BatchSource, ExampleMeta, KernelModel,
+    StreamConfig, TaskLoss, TrainConfig, TrainReport,
 };
 
 // Re-exported so downstream crates (e.g. the streamed dataset reader) can

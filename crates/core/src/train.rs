@@ -105,7 +105,7 @@ impl TrainReport {
 }
 
 /// `tpu-obs` handles for the training loop (`core.train.*`), resolved
-/// once per [`train_observed`] call. `Default` is all no-op handles and
+/// once per [`train_resumable`] call. `Default` is all no-op handles and
 /// registers no names, so the uninstrumented [`train_step`] wrapper stays
 /// free of per-step overhead.
 #[derive(Default)]
@@ -574,42 +574,35 @@ fn guarded_epoch<M: KernelModel, E>(
 
 /// Train a model, tracking the validation metric per epoch and restoring
 /// the best-validation weights at the end (early-stopping selection).
+///
+/// This is [`train_resumable`] with a no-op registry, no resume and no
+/// checkpoint sink; call that to record `core.train.*` metrics.
 pub fn train<M: KernelModel>(
     model: &mut M,
     train_set: &[Prepared],
     val_set: &[Prepared],
     cfg: &TrainConfig,
 ) -> TrainReport {
-    train_observed(model, train_set, val_set, cfg, &Registry::noop())
-}
-
-/// [`train`] with `core.train.*` metrics recorded into `registry`:
-/// per-step and per-epoch wall time, grad-reduce latency, the loss and
-/// validation trajectories as series, and the best-epoch outcome.
-///
-/// Instrumentation is read-only — with a no-op registry this **is**
-/// [`train`], and the returned report and final weights are bit-identical
-/// whether or not the registry is enabled.
-pub fn train_observed<M: KernelModel>(
-    model: &mut M,
-    train_set: &[Prepared],
-    val_set: &[Prepared],
-    cfg: &TrainConfig,
-    registry: &Registry,
-) -> TrainReport {
     // INVARIANT: with `resume: None` every error arm in `train_resumable`
     // is unreachable (they all validate the resume checkpoint).
-    train_resumable(model, train_set, val_set, cfg, registry, None, None)
+    train_resumable(model, train_set, val_set, cfg, &Registry::noop(), None, None)
         .expect("fresh training cannot fail checkpoint validation")
 }
 
-/// [`train_observed`] with checkpointing, resume, and a non-finite-loss
-/// rollback guard.
+/// The one full training entry: [`train`] plus `core.train.*` metrics,
+/// checkpointing, resume, and a non-finite-loss rollback guard.
 ///
+/// - `registry`: per-step and per-epoch wall time, grad-reduce latency,
+///   the loss and validation trajectories as series, and the best-epoch
+///   outcome are recorded under `core.train.*`. Training has no
+///   long-lived resource to carry a registry (unlike a device or a
+///   predictor session), so it is passed here. Instrumentation is
+///   read-only: the report and final weights are bit-identical whether
+///   or not the registry is enabled.
 /// - `resume`: continue a run from a [`TrainCheckpoint`] (weights,
 ///   optimizer, RNG stream, and per-epoch trace are all restored); the
 ///   resumed run is **bit-identical** to the uninterrupted one. `None`
-///   trains from scratch and reproduces [`train_observed`] exactly.
+///   trains from scratch and reproduces [`train`] exactly.
 /// - `on_checkpoint`: called after every completed epoch with a snapshot
 ///   that resumes from that point. `None` skips snapshot assembly
 ///   entirely, so plain training pays nothing for this feature.
@@ -1183,7 +1176,7 @@ mod obs_tests {
     }
 
     #[test]
-    fn train_observed_records_trajectory_and_counts() {
+    fn enabled_registry_records_trajectory_and_counts() {
         let (train_set, val_set) = tiny_dataset();
         let mut model = GnnModel::new(GnnConfig {
             hidden: 8,
@@ -1193,7 +1186,8 @@ mod obs_tests {
         });
         let registry = Registry::enabled();
         let cfg = tiny_cfg();
-        let report = train_observed(&mut model, &train_set, &val_set, &cfg, &registry);
+        let report =
+            train_resumable(&mut model, &train_set, &val_set, &cfg, &registry, None, None).unwrap();
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("core.train.epochs"), Some(3));
@@ -1234,7 +1228,9 @@ mod obs_tests {
 
         let mut observed = GnnModel::new(gcfg);
         let registry = Registry::enabled();
-        let obs_report = train_observed(&mut observed, &train_set, &val_set, &cfg, &registry);
+        let obs_report =
+            train_resumable(&mut observed, &train_set, &val_set, &cfg, &registry, None, None)
+                .unwrap();
 
         assert_eq!(plain_report.train_loss, obs_report.train_loss);
         assert_eq!(

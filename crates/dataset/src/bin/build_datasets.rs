@@ -1,36 +1,24 @@
-//! `build-datasets`: generate the fusion and tile-size datasets, either
-//! as the streaming `tpu-ds.v1` binary format (written record-by-record
-//! during generation, so peak RSS never holds the corpus) or as the
-//! legacy JSONL files.
+//! `build-datasets`: generate the fusion dataset as a streaming
+//! `tpu-ds.v1` file (`fusion.tpuds`), written record-by-record during
+//! generation so peak RSS never holds the corpus — the file
+//! `DatasetReader` and `train_stream` read.
 //!
 //! ```text
 //! cargo run -p tpu-dataset --release --bin build-datasets -- \
-//!     [--out DIR] [--format bin|json] [--scale tiny|full|large] \
-//!     [--configs N] [--tiles N] [--quick]
+//!     [--out DIR] [--scale tiny|full|large] [--configs N] [--quick]
 //! ```
 //!
-//! `--format bin` (the default) writes `fusion.tpuds`; `--format json`
-//! keeps the old `fusion.jsonl` + `tile.jsonl` pipeline for compatibility.
 //! `--quick` shrinks the per-program config count for CI smoke runs.
 
 use std::path::PathBuf;
 use tpu_dataset::{
-    build_fusion_dataset, build_tile_dataset, fraction_below_5us, stream_corpus,
-    write_fusion_dataset, write_tile_dataset, Corpus, CorpusScale, DatasetWriter,
-    FusionDatasetConfig, StreamGenConfig, TileDatasetConfig,
+    stream_corpus, Corpus, CorpusScale, DatasetWriter, FusionDatasetConfig, StreamGenConfig,
 };
-
-enum Format {
-    Bin,
-    Json,
-}
 
 fn main() {
     let mut out = PathBuf::from("datasets");
     let mut scale = CorpusScale::Full;
-    let mut format = Format::Bin;
     let mut configs = 40usize;
-    let mut tiles = 40usize;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -47,32 +35,13 @@ fn main() {
                     }
                 }
             }
-            "--format" => {
-                format = match it.next().as_deref() {
-                    Some("bin") => Format::Bin,
-                    Some("json") => Format::Json,
-                    other => {
-                        eprintln!("--format needs bin|json, got {other:?}");
-                        std::process::exit(1);
-                    }
-                }
-            }
             "--configs" => {
                 configs = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--configs needs a number")
             }
-            "--tiles" => {
-                tiles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tiles needs a number")
-            }
-            "--quick" => {
-                configs = 4;
-                tiles = 6;
-            }
+            "--quick" => configs = 4,
             other => {
                 eprintln!("unknown argument `{other}`");
                 std::process::exit(1);
@@ -84,68 +53,27 @@ fn main() {
     let corpus = Corpus::build(scale);
     println!("corpus: {} programs ({scale:?})", corpus.len());
 
-    match format {
-        Format::Bin => {
-            let t0 = std::time::Instant::now();
-            let path = out.join("fusion.tpuds");
-            let mut writer = DatasetWriter::create(&path).expect("create dataset file");
-            let cfg = StreamGenConfig {
-                fusion: FusionDatasetConfig {
-                    configs_per_program: configs,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let summary = stream_corpus(&corpus, &cfg, &mut writer).expect("stream corpus");
-            let n = writer.finish().expect("finish dataset file");
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            println!(
-                "streamed {} records ({} kernel examples, {} whole-graph) \
-                 to {} ({:.1} MiB) in {:?}",
-                n,
-                summary.kernel_examples,
-                summary.whole_graph_examples,
-                path.display(),
-                bytes as f64 / (1024.0 * 1024.0),
-                t0.elapsed()
-            );
-        }
-        Format::Json => {
-            let t0 = std::time::Instant::now();
-            let fusion = build_fusion_dataset(
-                &corpus,
-                &FusionDatasetConfig {
-                    configs_per_program: configs,
-                    ..Default::default()
-                },
-            );
-            println!(
-                "fusion dataset: {} unique kernels ({:.1}% below 5us) in {:?}",
-                fusion.examples.len(),
-                100.0 * fraction_below_5us(&fusion),
-                t0.elapsed()
-            );
-            let fusion_path = out.join("fusion.jsonl");
-            write_fusion_dataset(&fusion, &fusion_path).expect("write fusion dataset");
-            println!("wrote {}", fusion_path.display());
-
-            let t0 = std::time::Instant::now();
-            let tile = build_tile_dataset(
-                &corpus,
-                &TileDatasetConfig {
-                    max_tiles_per_kernel: tiles,
-                    ..Default::default()
-                },
-            );
-            println!(
-                "tile dataset: {} examples over {} kernels in {:?}",
-                tile.examples.len(),
-                tile.num_kernels,
-                t0.elapsed()
-            );
-            let tile_path = out.join("tile.jsonl");
-            write_tile_dataset(&tile, &tile_path).expect("write tile dataset");
-            println!("wrote {}", tile_path.display());
-        }
-    }
+    let t0 = std::time::Instant::now();
+    let path = out.join("fusion.tpuds");
+    let mut writer = DatasetWriter::create(&path).expect("create dataset file");
+    let cfg = StreamGenConfig {
+        fusion: FusionDatasetConfig {
+            configs_per_program: configs,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let summary = stream_corpus(&corpus, &cfg, &mut writer).expect("stream corpus");
+    let n = writer.finish().expect("finish dataset file");
+    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    println!(
+        "streamed {} records ({} kernel examples, {} whole-graph) \
+         to {} ({:.1} MiB) in {:?}",
+        n,
+        summary.kernel_examples,
+        summary.whole_graph_examples,
+        path.display(),
+        bytes as f64 / (1024.0 * 1024.0),
+        t0.elapsed()
+    );
 }

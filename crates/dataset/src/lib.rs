@@ -28,7 +28,6 @@
 //! ```
 
 mod corpus;
-mod export;
 mod fusion_ds;
 pub mod models;
 mod stats;
@@ -38,9 +37,6 @@ mod tile_ds;
 pub use corpus::{
     Corpus, CorpusScale, Entry, Split, FUSION_NODE_LIMIT, HELD_OUT_FAMILIES,
     RANDOM_TEST_PROGRAMS,
-};
-pub use export::{
-    read_fusion_dataset, read_tile_dataset, write_fusion_dataset, write_tile_dataset,
 };
 pub use fusion_ds::{
     build_fusion_dataset, program_kernels, FusionDataset, FusionDatasetConfig, KernelExample,

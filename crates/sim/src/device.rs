@@ -101,6 +101,7 @@ pub struct TpuDevice {
     fault_event: Cell<u64>,
     faults: Cell<FaultCounts>,
     obs: DeviceObs,
+    registry: Registry,
 }
 
 impl TpuDevice {
@@ -119,6 +120,7 @@ impl TpuDevice {
             fault_event: Cell::new(0),
             faults: Cell::new(FaultCounts::default()),
             obs: DeviceObs::default(),
+            registry: Registry::noop(),
         }
     }
 
@@ -133,9 +135,20 @@ impl TpuDevice {
     /// histogram, and the running device-time meter as a gauge.
     /// Instrumentation never feeds back into timing or noise, so observed
     /// and unobserved devices produce bit-identical measurements.
+    ///
+    /// The device *carries* the registry: whatever runs on it — a
+    /// hardware objective, an autotuning run — records into
+    /// [`TpuDevice::registry`] without being handed one.
     pub fn observed(mut self, registry: &Registry) -> TpuDevice {
         self.obs = DeviceObs::new(registry);
+        self.registry = registry.clone();
         self
+    }
+
+    /// The registry this device was [`observed`](TpuDevice::observed)
+    /// with (the no-op registry otherwise).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// The device configuration.
@@ -443,6 +456,8 @@ mod tests {
     fn observed_device_meters_into_registry() {
         let registry = Registry::enabled();
         let d = TpuDevice::new(3).observed(&registry);
+        assert!(d.registry().is_enabled(), "an observed device carries its registry");
+        assert!(!TpuDevice::new(3).registry().is_enabled());
         let k = kernel();
         let t1 = d.execute_kernel(&k);
         let t2 = d.execute_kernel(&k);

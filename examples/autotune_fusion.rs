@@ -9,12 +9,14 @@
 //! cargo run --release --example autotune_fusion
 //! ```
 
+use std::sync::Arc;
 use tpu_repro::autotuner::{
-    autotune_hardware_only, autotune_with_model, speedup_over_default, Budgets, StartMode,
+    autotune_hardware_only, autotune_with_cost_model, speedup_over_default, Budgets, StartMode,
 };
 use tpu_repro::dataset::models;
 use tpu_repro::fusion::default_space_and_config;
-use tpu_repro::sim::{kernel_time_ns, TpuConfig, TpuDevice};
+use tpu_repro::learned::{AtomicCache, SimOracle};
+use tpu_repro::sim::{TpuConfig, TpuDevice};
 
 fn main() {
     let program = models::resnet_v1("resnet_tune", 4, 14, 32, 3);
@@ -32,10 +34,11 @@ fn main() {
     let budgets = Budgets {
         hardware_ns: 60e9,  // one minute of device time
         model_steps: 1_500, // CPU-side search steps, shared across chains
-        best_known_ns: 300e9,
         top_k: 12,
         chains: 4, // parallel annealing chains, batched per step
     };
+
+    let oracle = SimOracle::new(machine);
 
     for mode in [StartMode::Default, StartMode::Random] {
         println!("\n--- starting from {mode:?} configuration ---");
@@ -48,14 +51,10 @@ fn main() {
             speedup_over_default(&program, &device, &hw)
         );
 
-        let tuned = autotune_with_model(
-            &program,
-            &device,
-            |k| kernel_time_ns(k, &machine),
-            mode,
-            &budgets,
-            1,
-        );
+        // A fresh prediction cache per run.
+        let cache = Arc::new(AtomicCache::serving_default());
+        let tuned =
+            autotune_with_cost_model(&program, &device, &oracle, &cache, mode, &budgets, 1);
         println!(
             "with cost model: {:>6.2} ms after {} hardware evals (speedup {:.3}x)",
             tuned.true_ns / 1e6,

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use tpu_repro::autotuner::{autotune_with_cost_model, Budgets, StartMode, TunedConfig};
 use tpu_repro::hlo::{DType, GraphBuilder, Program, Shape};
-use tpu_repro::learned::{GnnConfig, GnnModel, PredictionCache};
+use tpu_repro::learned::{AtomicCache, GnnConfig, GnnModel};
 use tpu_repro::sim::TpuDevice;
 
 fn tunable_program() -> Program {
@@ -35,11 +35,10 @@ fn tunable_program() -> Program {
 /// same-seed device so hardware noise is identical across runs.
 fn run_once(program: &Program, gnn: &GnnModel, chains: usize) -> TunedConfig {
     let device = TpuDevice::new(13);
-    let cache = Arc::new(PredictionCache::new());
+    let cache = Arc::new(AtomicCache::serving_default());
     let budgets = Budgets {
         hardware_ns: 25e9,
         model_steps: 120,
-        best_known_ns: 50e9,
         top_k: 5,
         chains,
     };

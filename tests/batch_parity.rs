@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::analytical::AnalyticalModel;
-use tpu_repro::learned::{CostModel, LstmConfig, LstmModel, PredictionCache, Predictor};
+use tpu_repro::learned::{AtomicCache, CostModel, LstmConfig, LstmModel, Predictor};
 use tpu_repro::sim::TpuConfig;
 
 /// An elementwise chain of `len` ops over a `rows x cols` matrix: `len`
@@ -109,7 +109,7 @@ fn analytical_batch_bit_identical_including_unsupported_kernels() {
 #[test]
 fn empty_after_dedup_batch_runs_no_forward() {
     let model = LstmModel::new(LstmConfig::default());
-    let predictor = Predictor::with_cache(model, Arc::new(PredictionCache::new()));
+    let predictor = Predictor::with_cache(model, Arc::new(AtomicCache::serving_default()));
     let kernels = ragged(7);
     let refs: Vec<&Kernel> = kernels.iter().collect();
 

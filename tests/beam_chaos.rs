@@ -17,7 +17,7 @@ use tpu_repro::autotuner::{
 };
 use tpu_repro::fusion::default_space_and_config;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Program, Shape};
-use tpu_repro::learned::{FnCostModel, PredictionCache, Predictor};
+use tpu_repro::learned::{AtomicCache, FnCostModel, Predictor};
 use tpu_repro::sim::{kernel_time_ns, FaultPlan, TpuConfig, TpuDevice};
 
 fn tunable_program() -> Program {
@@ -50,11 +50,10 @@ fn run_once(program: &Program, fault_seed: Option<u64>) -> TunedConfig {
         None => TpuDevice::new(13),
     };
     let model = oracle();
-    let cache = Arc::new(PredictionCache::new());
+    let cache = Arc::new(AtomicCache::serving_default());
     let budgets = Budgets {
         hardware_ns: 20e9,
         model_steps: 120,
-        best_known_ns: 50e9,
         top_k: 5,
         chains: 1,
     };
@@ -117,7 +116,7 @@ fn beam_chaos_autotune_is_bit_identical_and_converges() {
     // returns is finite even when the hardware is faulty.
     let (space, start) = default_space_and_config(&program.computation);
     let model = oracle();
-    let predictor = Predictor::with_cache(&model, Arc::new(PredictionCache::new()));
+    let predictor = Predictor::with_cache(&model, Arc::new(AtomicCache::serving_default()));
     let raw = beam_search(
         &program,
         &space,

@@ -17,7 +17,7 @@ use tpu_repro::autotuner::{
 use tpu_repro::autotuner::BeamResult;
 use tpu_repro::fusion::default_space_and_config;
 use tpu_repro::hlo::{DType, GraphBuilder, Program, Shape};
-use tpu_repro::learned::{GnnConfig, GnnModel, PredictionCache, Predictor};
+use tpu_repro::learned::{AtomicCache, GnnConfig, GnnModel, Predictor};
 use tpu_repro::sim::TpuDevice;
 
 fn tunable_program() -> Program {
@@ -43,11 +43,10 @@ fn tunable_program() -> Program {
 /// standalone search so the [`BeamStats`] accounting is pinned too.
 fn run_once(program: &Program, gnn: &GnnModel, width: usize) -> (TunedConfig, BeamResult) {
     let device = TpuDevice::new(13);
-    let cache = Arc::new(PredictionCache::new());
+    let cache = Arc::new(AtomicCache::serving_default());
     let budgets = Budgets {
         hardware_ns: 25e9,
         model_steps: 120,
-        best_known_ns: 50e9,
         top_k: 5,
         chains: 1,
     };
@@ -67,7 +66,7 @@ fn run_once(program: &Program, gnn: &GnnModel, width: usize) -> (TunedConfig, Be
     );
 
     let (space, start) = default_space_and_config(&program.computation);
-    let predictor = Predictor::with_cache(gnn, Arc::new(PredictionCache::new()));
+    let predictor = Predictor::with_cache(gnn, Arc::new(AtomicCache::serving_default()));
     let raw = beam_search(
         program,
         &space,

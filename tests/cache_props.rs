@@ -1,7 +1,7 @@
-//! Property-based tests for the prediction caches — the lossless
-//! sharded-mutex [`PredictionCache`] and the lossy lock-free
-//! [`AtomicCache`] — and the serving invariants of [`Predictor`] built
-//! on top of either.
+//! Property-based tests for the prediction caches — the lossy lock-free
+//! [`AtomicCache`] the library ships and the lossless sharded-mutex
+//! [`PredictionCache`] kept under `tests/support/` as its reference —
+//! and the serving invariants of [`Predictor`] built on top of either.
 //!
 //! The cache is the correctness linchpin of the serving engine: a lost
 //! entry silently re-runs the model (wrong perf), a corrupted entry
@@ -18,7 +18,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
-use tpu_repro::learned::{AtomicCache, FnCostModel, PredictionCache, Predictor};
+use tpu_repro::learned::{AtomicCache, FnCostModel, Predictor};
+
+mod support;
+use support::PredictionCache;
 
 /// Random (key, value) pairs with distinct keys; values may be `None`
 /// (a kernel the backend cannot score is itself a cacheable answer).

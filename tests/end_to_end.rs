@@ -2,7 +2,8 @@
 //! construction through fusion, tiling, measurement, learning, and
 //! autotuning.
 
-use tpu_repro::autotuner::{autotune_with_model, Budgets, StartMode};
+use std::sync::Arc;
+use tpu_repro::autotuner::{autotune_with_cost_model, Budgets, StartMode, TunedConfig};
 use tpu_repro::dataset::{
     build_fusion_dataset, build_tile_dataset, Corpus, CorpusScale, FusionDatasetConfig,
     TileDatasetConfig,
@@ -10,7 +11,8 @@ use tpu_repro::dataset::{
 use tpu_repro::fusion::{apply_fusion, default_space_and_config};
 use tpu_repro::hlo::{DType, GraphBuilder, Program, Shape};
 use tpu_repro::learned::{
-    predict_log_ns, prepare, train, CostModel, GnnConfig, GnnModel, Sample, TaskLoss, TrainConfig,
+    predict_log_ns, prepare, train, AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel,
+    Sample, TaskLoss, TrainConfig,
 };
 use tpu_repro::sim::{kernel_time_ns, TpuConfig, TpuDevice};
 use tpu_repro::tile::{best_tile, valid_tile_sizes};
@@ -171,6 +173,21 @@ fn oracle_tile_selection_beats_worst_tile() {
     assert!(worst_ns > best_ns * 1.2);
 }
 
+/// Model-guided autotuning with a closure cost model (`kernel_cost`
+/// predicts one kernel's runtime in ns) and a private per-run cache.
+fn autotune_with_model(
+    program: &Program,
+    device: &TpuDevice,
+    kernel_cost: impl Fn(&tpu_repro::hlo::Kernel) -> f64,
+    mode: StartMode,
+    budgets: &Budgets,
+    seed: u64,
+) -> TunedConfig {
+    let model = FnCostModel::new("closure", move |k: &tpu_repro::hlo::Kernel| Some(kernel_cost(k)));
+    let cache = Arc::new(AtomicCache::serving_default());
+    autotune_with_cost_model(program, device, &model, &cache, mode, budgets, seed)
+}
+
 #[test]
 fn autotuner_with_trained_model_helps_from_random_start() {
     // End-to-end §6.3 miniature: train a model on one program's kernels,
@@ -187,7 +204,6 @@ fn autotuner_with_trained_model_helps_from_random_start() {
         &Budgets {
             hardware_ns: 30e9,
             model_steps: 300,
-            best_known_ns: 100e9,
             top_k: 8,
             chains: 2,
         },

@@ -11,7 +11,7 @@ use tpu_repro::hlo::{
     canonical_kernel_hash, DType, GraphBuilder, HashedKernel, Kernel, Program, Shape, TileSize,
 };
 use tpu_repro::learned::{
-    CostModel, FnCostModel, GnnConfig, GnnModel, PredictionCache, Predictor, Prepared,
+    AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, Predictor, Prepared,
 };
 use tpu_repro::sim::{kernel_time_ns, TpuConfig, TpuDevice};
 
@@ -119,7 +119,7 @@ fn keyed_prediction_is_the_unkeyed_one_minus_the_hashing() {
             asked.lock().unwrap().push(canonical_kernel_hash(k));
             Some(kernel_time_ns(k, &TpuConfig::default()))
         });
-        let predictor = Predictor::with_cache(&model, Arc::new(PredictionCache::new()));
+        let predictor = Predictor::with_cache(&model, Arc::new(AtomicCache::serving_default()));
         let mut out = Vec::new();
         for batch in [&warm[..], &mixed[..]] {
             out.push(if keyed {
@@ -200,12 +200,11 @@ fn revisiting_a_configuration_costs_zero_fresh_model_evals() {
         evals.fetch_add(1, Ordering::SeqCst);
         Some(kernel_time_ns(k, &machine))
     });
-    let cache = Arc::new(PredictionCache::new());
+    let cache = Arc::new(AtomicCache::serving_default());
     let device = TpuDevice::new(7);
     let budgets = Budgets {
         hardware_ns: 30e9,
         model_steps: 200,
-        best_known_ns: 60e9,
         top_k: 4,
         chains: 4,
     };

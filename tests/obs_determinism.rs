@@ -6,17 +6,25 @@
 //! series). A regression in either direction is a bug: divergent results
 //! mean a metric read perturbed the computation; an empty registry means
 //! the instrumentation silently fell off the code path.
+//!
+//! There is one way into each run. An autotuning run records into the
+//! registry its device was `.observed(..)` with — the predictor session,
+//! objectives and searcher the harness builds all derive theirs from it —
+//! and nowhere otherwise; training takes its registry as an argument of
+//! `train_resumable`.
 
+use rayon::prelude::*;
 use std::sync::Arc;
 use tpu_repro::autotuner::{
-    autotune_with_cost_model, autotune_with_cost_model_observed, Budgets, StartMode, TunedConfig,
+    autotune_beam_with_cost_model, autotune_hardware_only, autotune_with_cost_model, Budgets,
+    SearchParams, StartMode, TunedConfig,
 };
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Program, Shape};
 use tpu_repro::learned::{
-    prepare, train, train_observed, GnnConfig, GnnModel, KernelModel, PredictionCache, Sample,
+    prepare, train, train_resumable, AtomicCache, GnnConfig, GnnModel, KernelModel, Sample,
     TrainConfig, TrainReport,
 };
-use tpu_repro::obs::Registry;
+use tpu_repro::obs::{Registry, Snapshot};
 use tpu_repro::sim::{kernel_time_ns, TpuConfig, TpuDevice};
 
 fn ew_kernel(rows: usize, cols: usize) -> Kernel {
@@ -85,42 +93,71 @@ fn train_once(registry: Option<&Registry>) -> (TrainReport, String) {
         ..Default::default()
     };
     let report = match registry {
-        Some(r) => train_observed(&mut model, &train_set, &val_set, &cfg, r),
+        Some(r) => train_resumable(&mut model, &train_set, &val_set, &cfg, r, None, None).unwrap(),
         None => train(&mut model, &train_set, &val_set, &cfg),
     };
     (report, model.params().to_json())
 }
 
-fn autotune_once(registry: Option<&Registry>) -> TunedConfig {
-    let program = tunable_program();
-    let gnn = small_gnn();
-    let device = match registry {
-        Some(r) => TpuDevice::new(13).observed(r),
-        None => TpuDevice::new(13),
-    };
-    let cache = Arc::new(PredictionCache::new());
-    let budgets = Budgets {
+/// The device of one run: observed into `registry` when there is one.
+fn device(seed: u64, registry: Option<&Registry>) -> TpuDevice {
+    match registry {
+        Some(r) => TpuDevice::new(seed).observed(r),
+        None => TpuDevice::new(seed),
+    }
+}
+
+fn budgets() -> Budgets {
+    Budgets {
         hardware_ns: 25e9,
         model_steps: 100,
-        best_known_ns: 50e9,
         top_k: 5,
         chains: 2,
-    };
-    match registry {
-        Some(r) => autotune_with_cost_model_observed(
-            &program,
-            &device,
-            &gnn,
-            &cache,
-            StartMode::Random,
-            &budgets,
-            11,
-            r,
-        ),
-        None => {
-            autotune_with_cost_model(&program, &device, &gnn, &cache, StartMode::Random, &budgets, 11)
-        }
     }
+}
+
+fn fresh_cache() -> Arc<AtomicCache> {
+    Arc::new(AtomicCache::serving_default())
+}
+
+fn autotune_once(registry: Option<&Registry>) -> TunedConfig {
+    autotune_with_cost_model(
+        &tunable_program(),
+        &device(13, registry),
+        &small_gnn(),
+        &fresh_cache(),
+        StartMode::Random,
+        &budgets(),
+        11,
+    )
+}
+
+fn beam_once(program: &Program, device: &TpuDevice) -> TunedConfig {
+    let params = SearchParams {
+        seed: 11,
+        ..Default::default()
+    };
+    autotune_beam_with_cost_model(
+        program,
+        device,
+        &small_gnn(),
+        &fresh_cache(),
+        StartMode::Random,
+        &budgets(),
+        &params,
+    )
+}
+
+/// Every field of the outcome, floats by bit pattern.
+fn assert_bit_identical(a: &TunedConfig, b: &TunedConfig) {
+    assert_eq!(a.config, b.config);
+    assert_eq!(a.true_ns.to_bits(), b.true_ns.to_bits());
+    assert_eq!(
+        (a.hw_evals, a.model_evals, a.model_batches, a.cache_hits),
+        (b.hw_evals, b.model_evals, b.model_batches, b.cache_hits)
+    );
+    assert_eq!(a.retry_stats, b.retry_stats);
+    assert_eq!(a.faults, b.faults);
 }
 
 #[test]
@@ -159,12 +196,7 @@ fn observed_autotuning_is_byte_identical_and_recorded() {
     let observed = autotune_once(Some(&registry));
 
     // Byte-identical tuning outcome and accounting.
-    assert_eq!(plain.config, observed.config);
-    assert_eq!(plain.true_ns.to_bits(), observed.true_ns.to_bits());
-    assert_eq!(
-        (plain.hw_evals, plain.model_evals, plain.model_batches, plain.cache_hits),
-        (observed.hw_evals, observed.model_evals, observed.model_batches, observed.cache_hits)
-    );
+    assert_bit_identical(&plain, &observed);
 
     // ... while every layer below left its trace: SA, the serving engine,
     // the hardware phase, and the simulated device.
@@ -180,4 +212,78 @@ fn observed_autotuning_is_byte_identical_and_recorded() {
         snap.gauge("autotuner.sa.best_cost").is_some(),
         "best cost gauge missing"
     );
+}
+
+#[test]
+fn the_device_registry_reaches_every_layer_of_a_plain_run() {
+    let program = tunable_program();
+
+    // Unobserved devices: nothing is global, so a registry that merely
+    // exists hears nothing of the runs beside it.
+    let bystander = Registry::enabled();
+    let plain_beam = beam_once(&program, &device(13, None));
+    let plain_hw =
+        autotune_hardware_only(&program, &device(17, None), StartMode::Default, 20e9, 1);
+    assert_eq!(bystander.snapshot(), Snapshot::default());
+
+    // The same calls on observed devices record every layer they pass
+    // through...
+    let registry = Registry::enabled();
+    let beam = beam_once(&program, &device(13, Some(&registry)));
+    let snap = registry.snapshot();
+    assert!(snap.counter("autotuner.sa.candidates").is_none(), "beam ran no annealer");
+    assert_eq!(snap.counter("core.engine.model_evals"), Some(beam.model_evals));
+    assert_eq!(snap.counter("core.engine.cache_hits"), Some(beam.cache_hits));
+    assert!(snap.gauge("core.cache.entries").is_some_and(|n| n > 0.0));
+    assert!(snap.counter("autotuner.beam.scored").is_some_and(|n| n > 0));
+    assert_eq!(
+        snap.counter("autotuner.model.configs"),
+        snap.counter("autotuner.beam.scored"),
+        "every configuration the beam scored went through the model objective"
+    );
+    assert_eq!(snap.counter("autotuner.hw.evals"), Some(beam.hw_evals as u64));
+    assert_eq!(snap.counter("sim.device.eval_overheads"), Some(beam.hw_evals as u64));
+
+    let registry = Registry::enabled();
+    let hw = autotune_hardware_only(
+        &program,
+        &device(17, Some(&registry)),
+        StartMode::Default,
+        20e9,
+        1,
+    );
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("autotuner.hw.evals"), Some(hw.hw_evals as u64));
+    assert_eq!(snap.counter("autotuner.hw.budget_exhausted"), Some(1));
+    assert_eq!(
+        snap.counter("autotuner.sa.candidates"),
+        Some(hw.hw_evals as u64),
+        "the baseline's annealer saw exactly the measured candidates"
+    );
+    assert!(snap.counter("core.engine.kernels").is_none(), "the baseline asks no model");
+
+    // ... and change nothing.
+    assert_bit_identical(&plain_beam, &beam);
+    assert_bit_identical(&plain_hw, &hw);
+}
+
+#[test]
+fn concurrent_runs_record_into_one_registry_through_their_devices() {
+    // Why the registry travels with the device and not in a thread-local:
+    // `fig4` tunes its programs inside `par_iter` workers, and a scope set
+    // on the calling thread would not reach them.
+    let program = tunable_program();
+    let registry = Registry::enabled();
+    let tuned: Vec<TunedConfig> = [13u64, 29]
+        .par_iter()
+        .map(|&seed| beam_once(&program, &device(seed, Some(&registry))))
+        .collect();
+
+    let snap = registry.snapshot();
+    let sum = |f: fn(&TunedConfig) -> u64| tuned.iter().map(f).sum::<u64>();
+    assert!(tuned.iter().all(|t| t.hw_evals > 0 && t.model_evals > 0));
+    assert_eq!(snap.counter("autotuner.hw.evals"), Some(sum(|t| t.hw_evals as u64)));
+    assert_eq!(snap.counter("sim.device.eval_overheads"), Some(sum(|t| t.hw_evals as u64)));
+    assert_eq!(snap.counter("core.engine.model_evals"), Some(sum(|t| t.model_evals)));
+    assert_eq!(snap.counter("core.engine.cache_hits"), Some(sum(|t| t.cache_hits)));
 }

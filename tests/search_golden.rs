@@ -43,7 +43,6 @@ fn budgets() -> Budgets {
     Budgets {
         hardware_ns: 40e9,
         model_steps: 200,
-        best_known_ns: 200e9,
         top_k: 6,
         chains: 4,
     }
