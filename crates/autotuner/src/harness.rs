@@ -17,7 +17,7 @@
 //!   share a single packed model forward.
 
 use crate::beam::{beam_search, SearchParams};
-use crate::memo::{GroupMemo, KernelMemo};
+use crate::memo::GroupMemo;
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
 use rayon::prelude::*;
 use std::fmt;
@@ -463,7 +463,20 @@ fn plan_all(
 /// distinct fusion group of the search is extracted and hashed once), and
 /// **one** predictor call — so the distinct cache misses of all chains are
 /// scored in a single packed model forward. A kernel the model cannot
-/// score makes its config rank last (infinite predicted cost).
+/// score — [`CostModel`] answering `None`, or a non-finite runtime — makes
+/// its config rank last (infinite predicted cost); the result is never
+/// `NaN`, which [`BatchObjective`] reserves for an exhausted budget.
+///
+/// [`ModelObjective::with_tiles`] widens this to the joint fusion+tile
+/// space: each kernel is then scored as its untiled self plus its top
+/// VMEM-valid tile sizes and counts at the per-kernel minimum — all
+/// variants of all configs still in **one** predictor call per batch, so
+/// the packed forward covers the whole tile neighbourhood too. Tiled
+/// variants carry distinct canonical hashes, which means the prediction
+/// cache (and the beam's transposition table above it) shares tile scores
+/// across candidates and searches exactly like untiled kernels. The
+/// untiled variant always participates in the minimum, so a config's joint
+/// score is never worse than its fusion-only score under the same model.
 ///
 /// Holds the predictor by reference so the caller keeps access to the
 /// session's [`PredictStats`](tpu_learned_cost::PredictStats) after the
@@ -474,7 +487,11 @@ pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCach
     program: &'a Program,
     space: &'a FusionSpace,
     predictor: &'a Predictor<&'a M, C>,
-    memo: KernelMemo,
+    /// The machine whose VMEM bounds the tilings, and how many of each
+    /// kernel's tilings to score; `None` scores kernels untiled only.
+    tiles: Option<(TpuConfig, usize)>,
+    /// Per fusion group, its kernel's variants (see `kernel_variants`).
+    memo: GroupMemo<Vec<HashedKernel>>,
     obs: ModelObs,
 }
 
@@ -486,116 +503,60 @@ struct ModelObs {
     evaluate_ns: Histogram,
 }
 
-impl ModelObs {
-    fn new(registry: &Registry) -> ModelObs {
-        ModelObs {
-            configs: registry.counter("autotuner.model.configs"),
-            evaluate_ns: registry.histogram("autotuner.model.evaluate_ns"),
-        }
-    }
-}
-
-impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
-    pub fn new(
-        program: &'a Program,
-        space: &'a FusionSpace,
-        predictor: &'a Predictor<&'a M, C>,
-    ) -> ModelObjective<'a, M, C> {
-        ModelObjective {
-            program,
-            space,
-            predictor,
-            memo: KernelMemo::default(),
-            obs: ModelObs::new(predictor.registry()),
-        }
-    }
-}
-
-impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_, M, C> {
-    fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
-        let _timer = self.obs.evaluate_ns.start_timer();
-        self.obs.configs.add(configs.len() as u64);
-        let plans = plan_all(self.program, self.space, configs);
-        let mut spans = Vec::with_capacity(plans.len());
-        let mut kernels: Vec<Arc<HashedKernel>> = Vec::new();
-        for plan in plans {
-            let lo = kernels.len();
-            kernels.extend(
-                plan.into_iter()
-                    .map(|g| Arc::clone(self.memo.kernel(self.program, g))),
-            );
-            spans.push(lo..kernels.len());
-        }
-        let refs: Vec<&HashedKernel> = kernels.iter().map(Arc::as_ref).collect();
-        let (preds, _) = self.predictor.predict_hashed(&refs);
-        spans
-            .into_iter()
-            .map(|span| {
-                preds[span]
-                    .iter()
-                    .copied()
-                    .try_fold(0.0, |total, p| p.map(|ns| total + ns))
-                    .unwrap_or(f64::INFINITY)
-            })
-            .collect()
-    }
-
-    fn registry(&self) -> Registry {
-        self.predictor.registry().clone()
-    }
-}
-
-/// The joint fusion+tile model path: each candidate configuration is
-/// scored at its *model-best tiling*. For every fused kernel the objective
-/// scores the untiled kernel plus its top `tile_candidates` VMEM-valid
-/// tile sizes and keeps the per-kernel minimum — all variants of all
-/// configs resolved in **one** predictor call per batch, so the packed
-/// forward covers the whole tile neighbourhood too. Tiled variants carry
-/// distinct canonical hashes, which means the prediction cache (and the
-/// beam's transposition table above it) shares tile scores across
-/// candidates and searches exactly like untiled kernels.
-///
-/// The untiled variant always participates in the minimum, so a config's
-/// joint score is never worse than its fusion-only score under the same
-/// model.
-pub struct TiledModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCache> {
-    program: &'a Program,
-    space: &'a FusionSpace,
-    predictor: &'a Predictor<&'a M, C>,
-    tpu: TpuConfig,
-    tile_candidates: usize,
-    /// Per fusion group, its kernel's tile variants (see `tile_variants`).
-    memo: GroupMemo<Vec<HashedKernel>>,
-    obs: ModelObs,
-}
-
-/// Tile variants of one kernel, each with its cache key: the untiled kernel
-/// first, then its top `candidates` VMEM-valid tilings.
-fn tile_variants(k: Kernel, tpu: &TpuConfig, candidates: usize) -> Vec<HashedKernel> {
-    let tiled: Vec<HashedKernel> = valid_tile_sizes(&k, tpu, candidates)
+/// The variants one kernel is scored as, each with its cache key: the
+/// untiled kernel first, then (joint space only) its top VMEM-valid
+/// tilings.
+fn kernel_variants(k: Kernel, tiles: Option<&(TpuConfig, usize)>) -> Vec<HashedKernel> {
+    let tiled: Vec<HashedKernel> = tiles
+        .map(|(tpu, candidates)| valid_tile_sizes(&k, tpu, *candidates))
+        .unwrap_or_default()
         .into_iter()
         .map(|t| HashedKernel::new(k.clone().with_tile(t)))
         .collect();
     std::iter::once(HashedKernel::new(k)).chain(tiled).collect()
 }
 
-impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
+/// The cheapest scoreable variant: the index and finite runtime of the
+/// first minimum among `preds`, or `None` when the model scored none.
+fn best_variant(preds: &[Option<f64>]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (j, ns) in preds.iter().enumerate() {
+        if let Some(ns) = ns.filter(|ns| ns.is_finite()) {
+            if best.is_none_or(|(_, b)| ns < b) {
+                best = Some((j, ns));
+            }
+        }
+    }
+    best
+}
+
+impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
+    /// The fusion-only objective.
     pub fn new(
         program: &'a Program,
         space: &'a FusionSpace,
         predictor: &'a Predictor<&'a M, C>,
-        tpu: TpuConfig,
-        tile_candidates: usize,
-    ) -> TiledModelObjective<'a, M, C> {
-        TiledModelObjective {
+    ) -> ModelObjective<'a, M, C> {
+        let registry = predictor.registry();
+        ModelObjective {
             program,
             space,
             predictor,
-            tpu,
-            tile_candidates: tile_candidates.max(1),
+            tiles: None,
             memo: GroupMemo::default(),
-            obs: ModelObs::new(predictor.registry()),
+            obs: ModelObs {
+                configs: registry.counter("autotuner.model.configs"),
+                evaluate_ns: registry.histogram("autotuner.model.evaluate_ns"),
+            },
         }
+    }
+
+    /// Score every config at its model-best tiling: each kernel as its
+    /// untiled self plus its top `candidates` (at least one) tile sizes
+    /// that fit `tpu`'s VMEM.
+    pub fn with_tiles(mut self, tpu: TpuConfig, candidates: usize) -> ModelObjective<'a, M, C> {
+        self.tiles = Some((tpu, candidates.max(1)));
+        self
     }
 
     /// The fused program for `config` with each kernel's model-best tile
@@ -606,25 +567,16 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
         let per_kernel: Vec<Vec<HashedKernel>> = fused
             .kernels
             .into_iter()
-            .map(|k| tile_variants(k, &self.tpu, self.tile_candidates))
+            .map(|k| kernel_variants(k, self.tiles.as_ref()))
             .collect();
         let refs: Vec<&HashedKernel> = per_kernel.iter().flatten().collect();
         let (preds, _) = self.predictor.predict_hashed(&refs);
         let mut kernels = Vec::with_capacity(per_kernel.len());
         let mut at = 0usize;
-        for group in per_kernel {
-            let n = group.len();
-            let mut winner = 0usize;
-            let mut best = f64::INFINITY;
-            for (j, p) in preds[at..at + n].iter().enumerate() {
-                if let Some(ns) = p {
-                    if *ns < best {
-                        best = *ns;
-                        winner = j;
-                    }
-                }
-            }
-            let chosen = group.into_iter().nth(winner).expect("winner within group");
+        for variants in per_kernel {
+            let n = variants.len();
+            let winner = best_variant(&preds[at..at + n]).map_or(0, |(j, _)| j);
+            let chosen = variants.into_iter().nth(winner).expect("winner exists");
             kernels.push(chosen.into_kernel());
             at += n;
         }
@@ -632,50 +584,39 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> TiledModelObjective<'a, M, C> {
     }
 }
 
-impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for TiledModelObjective<'_, M, C> {
+impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_, M, C> {
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
         let _timer = self.obs.evaluate_ns.start_timer();
         self.obs.configs.add(configs.len() as u64);
         let plans = plan_all(self.program, self.space, configs);
-        // Per config, each kernel's variants; then the flat list the
-        // predictor sees, with per-config, per-kernel spans.
-        let (program, tpu, n) = (self.program, &self.tpu, self.tile_candidates);
+        // Per config, each kernel's variants; the predictor sees them as
+        // one flat list, in config, kernel, variant order.
+        let (program, tiles) = (self.program, self.tiles.as_ref());
         let resolved: Vec<Vec<Arc<Vec<HashedKernel>>>> = plans
             .into_iter()
             .map(|plan| {
                 plan.into_iter()
                     .map(|g| {
-                        let build = |g: &FusionGroup| tile_variants(materialize(program, g), tpu, n);
+                        let build =
+                            |g: &FusionGroup| kernel_variants(materialize(program, g), tiles);
                         Arc::clone(self.memo.resolve(g, build))
                     })
                     .collect()
             })
             .collect();
-        let mut refs: Vec<&HashedKernel> = Vec::new();
-        let mut config_spans: Vec<Vec<std::ops::Range<usize>>> = Vec::with_capacity(resolved.len());
-        for kernels in &resolved {
-            let mut spans = Vec::with_capacity(kernels.len());
-            for variants in kernels {
-                let lo = refs.len();
-                refs.extend(variants.iter());
-                spans.push(lo..refs.len());
-            }
-            config_spans.push(spans);
-        }
+        let refs: Vec<&HashedKernel> = resolved.iter().flatten().flat_map(|v| v.iter()).collect();
         let (preds, _) = self.predictor.predict_hashed(&refs);
-        config_spans
-            .into_iter()
-            .map(|spans| {
-                spans
-                    .into_iter()
-                    .try_fold(0.0, |total, span| {
-                        let best = preds[span]
-                            .iter()
-                            .flatten()
-                            .fold(f64::INFINITY, |m, ns| m.min(*ns));
-                        best.is_finite().then_some(total + best)
-                    })
-                    .unwrap_or(f64::INFINITY)
+        let mut at = 0usize;
+        resolved
+            .iter()
+            .map(|kernels| {
+                let mut total = 0.0;
+                for variants in kernels {
+                    let scores = &preds[at..at + variants.len()];
+                    at += variants.len();
+                    total += best_variant(scores).map_or(f64::INFINITY, |(_, ns)| ns);
+                }
+                total
             })
             .collect()
     }
@@ -810,8 +751,8 @@ pub fn autotune_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
 /// overridden by `budgets.model_steps`/`budgets.top_k` so the two
 /// searchers meter from one source of truth. With
 /// `params.tile_candidates > 0` the eval function scores each config at
-/// its model-best tiling ([`TiledModelObjective`] — the joint fusion+tile
-/// space); otherwise it is the fusion-only [`ModelObjective`].
+/// its model-best tiling ([`ModelObjective::with_tiles`] — the joint
+/// fusion+tile space); otherwise it is the fusion-only [`ModelObjective`].
 ///
 /// The tuned config is bit-identical for any `RAYON_NUM_THREADS` and any
 /// cache/TT pre-warmth. On an observed device the model phase records
@@ -840,14 +781,11 @@ pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
         params.seed,
         budgets,
         |space, start, predictor| {
+            let mut objective = ModelObjective::new(program, space, predictor);
             if tiles > 0 {
-                let tpu = device.config().clone();
-                let objective = TiledModelObjective::new(program, space, predictor, tpu, tiles);
-                beam_search(program, space, start, objective, &effective).top
-            } else {
-                let objective = ModelObjective::new(program, space, predictor);
-                beam_search(program, space, start, objective, &effective).top
+                objective = objective.with_tiles(device.config().clone(), tiles);
             }
+            beam_search(program, space, start, objective, &effective).top
         },
     )
 }
@@ -1357,7 +1295,7 @@ mod tests {
         let (space, default_cfg) = default_space_and_config(&p.computation);
         let predictor = Predictor::with_cache(&model, fresh_cache());
         let mut plain = ModelObjective::new(&p, &space, &predictor);
-        let mut tiled = TiledModelObjective::new(&p, &space, &predictor, cfg.clone(), 4);
+        let mut tiled = ModelObjective::new(&p, &space, &predictor).with_tiles(cfg.clone(), 4);
         for candidate in [space.none(), space.all(), default_cfg] {
             let batch = [candidate.clone()];
             let plain_cost = plain.evaluate(&batch)[0];
@@ -1377,6 +1315,57 @@ mod tests {
                 "materialized program cost {oracle_sum} != joint score {tiled_cost}"
             );
         }
+    }
+
+    /// A model that answers `Some(NaN)` for a kernel must not end the
+    /// search: `NaN` from a [`BatchObjective`] means "budget exhausted", so
+    /// such a config ranks last instead and SA spends all its steps.
+    #[test]
+    fn a_nan_prediction_ranks_its_config_last_without_ending_the_search() {
+        let p = program();
+        let (space, start) = default_space_and_config(&p.computation);
+        // Every kernel the start config does not contain scores NaN, so
+        // the first move away from it meets one.
+        let known: Vec<u64> = apply_fusion(&p, &space, &start)
+            .kernels
+            .iter()
+            .map(tpu_hlo::canonical_kernel_hash)
+            .collect();
+        let oracle = TpuConfig::default();
+        let model = FnCostModel::new("nan-off-start", move |k: &tpu_hlo::Kernel| {
+            if known.contains(&tpu_hlo::canonical_kernel_hash(k)) {
+                Some(tpu_sim::kernel_time_ns(k, &oracle))
+            } else {
+                Some(f64::NAN)
+            }
+        });
+        let predictor = Predictor::with_cache(&model, fresh_cache());
+        let mut objective = ModelObjective::new(&p, &space, &predictor);
+        let costs = objective.evaluate(&[start, space.none()]);
+        assert!(costs[0].is_finite());
+        assert_eq!(costs[1], f64::INFINITY);
+
+        let budgets = Budgets {
+            model_steps: 60,
+            ..quick_budgets()
+        };
+        let registry = tpu_obs::Registry::enabled();
+        let device = TpuDevice::new(3).observed(&registry);
+        autotune_with_cost_model(
+            &p,
+            &device,
+            &model,
+            &fresh_cache(),
+            StartMode::Default,
+            &budgets,
+            0,
+        );
+        // The shared start config plus one candidate per annealing step.
+        assert_eq!(
+            registry.snapshot().counter("autotuner.sa.candidates"),
+            Some(budgets.model_steps as u64 + 1),
+            "SA stopped before spending its model_steps"
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod sa;
 pub use harness::{
     autotune_beam_with_cost_model, autotune_hardware_only, autotune_with_cost_model,
     speedup_over_default, start_config, Budgets, HardwareObjective, HwRetryStats, MeasureError,
-    ModelObjective, RetryPolicy, StartMode, TiledModelObjective, TunedConfig,
+    ModelObjective, RetryPolicy, StartMode, TunedConfig,
 };
 pub use baselines::{hill_climb, random_search, SearchResult};
 pub use beam::{

@@ -7,29 +7,14 @@
 //! cargo run -p tpu-bench --release --bin table3 [-- --quick]
 //! ```
 
-use std::collections::HashMap;
 use tpu_bench::{cap_prepared, corpus, print_table, tile_samples, CalibratedAnalytical, Scale};
 use tpu_dataset::{build_tile_dataset, Corpus, Split, TileDataset, TileExample};
-use tpu_learned_cost::metrics::{kendall_tau, mean, median};
-use tpu_learned_cost::{predict_log_ns, prepare, train, GnnModel, TaskLoss, TrainConfig};
+use tpu_learned_cost::metrics::{mean, median};
+use tpu_learned_cost::{
+    per_group_kendall, predict_log_ns, prepare, train, GnnModel, TaskLoss, TrainConfig,
+};
 use tpu_nn::RankPhi;
 use tpu_sim::TpuConfig;
-
-/// Mean per-kernel τ for one program under one model's predictions.
-fn program_tau(examples: &[&TileExample], preds: &[f64]) -> f64 {
-    let mut by_kernel: HashMap<usize, (Vec<f64>, Vec<f64>)> = HashMap::new();
-    for (ex, &p) in examples.iter().zip(preds) {
-        let e = by_kernel.entry(ex.kernel_group).or_default();
-        e.0.push(p);
-        e.1.push(ex.runtime_ns);
-    }
-    let taus: Vec<f64> = by_kernel
-        .values()
-        .filter(|(p, _)| p.len() >= 2)
-        .map(|(p, t)| kendall_tau(p, t))
-        .collect();
-    mean(&taus)
-}
 
 struct SplitOutcome {
     rows: Vec<Vec<String>>,
@@ -113,9 +98,12 @@ fn run_split(
         // Drop kernels the analytical model cannot score from its own
         // column only (it is "developed specifically for this task" and
         // supports all tiled kernels by construction here).
-        let t_rank = program_tau(&examples, &rank_preds);
-        let t_mse = program_tau(&examples, &mse_preds);
-        let t_ana = program_tau(&examples, &ana_preds);
+        // Mean per-kernel τ (`prepared` carries each example's kernel
+        // group and measured runtime).
+        let program_tau = |preds: &[f64]| mean(&per_group_kendall(preds, &prepared));
+        let t_rank = program_tau(&rank_preds);
+        let t_mse = program_tau(&mse_preds);
+        let t_ana = program_tau(&ana_preds);
         cols[0].push(t_rank);
         cols[1].push(t_mse);
         cols[2].push(t_ana);

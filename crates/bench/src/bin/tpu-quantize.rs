@@ -2,9 +2,10 @@
 //!
 //! The bridge between the training stack and the frozen serving path:
 //! either trains a model in-process or loads a JSON bundle, runs
-//! post-training quantization ([`tpu_infer::freeze`]), verifies the
-//! quantized model still ranks like its f32 source, and writes the blob
-//! that `tpu-serve --model frozen --bundle <blob>` loads.
+//! post-training quantization ([`tpu_infer::freeze_gnn`] /
+//! [`tpu_infer::freeze_lstm`]), verifies the quantized model still ranks
+//! like its f32 source, and writes the blob that
+//! `tpu-serve --model frozen --bundle <blob>` loads.
 //!
 //! ```text
 //! cargo run -p tpu-bench --release --bin tpu-quantize -- \
@@ -22,7 +23,7 @@ use std::process::ExitCode;
 use tpu_bench::{corpus, fusion_train_val, Scale};
 use tpu_dataset::build_fusion_dataset;
 use tpu_hlo::Kernel;
-use tpu_infer::{calibration_kernels, freeze, FrozenModel, FrozenSource};
+use tpu_infer::{calibration_kernels, freeze_gnn, freeze_lstm, FrozenModel};
 use tpu_learned_cost::metrics::kendall_tau;
 use tpu_learned_cost::{load_gnn, load_lstm, train, CostModel, GnnModel, LstmModel};
 
@@ -105,11 +106,15 @@ fn main() -> ExitCode {
 
     let (frozen, source_name): (FrozenModel, &str) = match &trained {
         FrozenTrained::Gnn(m) => (
-            freeze(FrozenSource::Gnn(m), &calib).unwrap_or_else(|e| die(&format!("freeze: {e}"))),
+            freeze_gnn(m, &calib)
+                .map(FrozenModel::Gnn)
+                .unwrap_or_else(|e| die(&format!("freeze: {e}"))),
             "learned-gnn",
         ),
         FrozenTrained::Lstm(m) => (
-            freeze(FrozenSource::Lstm(m), &calib).unwrap_or_else(|e| die(&format!("freeze: {e}"))),
+            freeze_lstm(m, &calib)
+                .map(FrozenModel::Lstm)
+                .unwrap_or_else(|e| die(&format!("freeze: {e}"))),
             "lstm-baseline",
         ),
     };

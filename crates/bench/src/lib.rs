@@ -16,7 +16,6 @@
 //! Every binary accepts `--quick` for a reduced-scale smoke run.
 
 use rayon::prelude::*;
-use std::collections::HashMap;
 use tpu_analytical::{AnalyticalModel, Calibration};
 use tpu_dataset::{Corpus, CorpusScale, FusionDataset, FusionDatasetConfig, Split, TileDatasetConfig};
 use tpu_hlo::Kernel;
@@ -441,26 +440,11 @@ pub fn fusion_train_val(
     )
 }
 
-/// Model predictions in nanoseconds for a prepared evaluation set, served
-/// as packed batch forwards (64 kernels per chunk).
-pub fn predict_ns_prepared<M: KernelModel + ?Sized>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
-    let refs: Vec<&Prepared> = prepared.iter().collect();
-    tpu_learned_cost::forward_log_ns_chunked(model, &refs, 64)
-        .into_iter()
-        .map(f64::exp)
-        .collect()
-}
-
-/// Group items by program index for per-program metric rows.
-pub fn group_by_program<T>(
-    items: &[T],
-    program_of: impl Fn(&T) -> usize,
-) -> HashMap<usize, Vec<&T>> {
-    let mut map: HashMap<usize, Vec<&T>> = HashMap::new();
-    for it in items {
-        map.entry(program_of(it)).or_default().push(it);
-    }
-    map
+/// Model predictions in nanoseconds for a prepared evaluation set
+/// ([`tpu_learned_cost::predict_log_ns`], exponentiated).
+pub fn predict_ns_prepared<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
+    let log_ns = tpu_learned_cost::predict_log_ns(model, prepared);
+    log_ns.into_iter().map(f64::exp).collect()
 }
 
 /// Render an aligned text table.

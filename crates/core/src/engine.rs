@@ -808,13 +808,7 @@ impl<P: CostModel, S: CostModel> CostModel for FallbackChain<P, S> {
 /// [`CostModel::predict_batch_ns`]: the whole slice becomes a single
 /// disjoint [`GraphBatch`].
 pub fn forward_log_ns<M: KernelModel + ?Sized>(model: &M, prepared: &[&Prepared]) -> Vec<f64> {
-    let Some(batch) = GraphBatch::pack(prepared) else {
-        return Vec::new();
-    };
-    let mut tape = Tape::new();
-    let pred = model.forward_batch(&mut tape, &batch);
-    let t = tape.value(pred);
-    (0..t.rows()).map(|r| t.get(r, 0) as f64).collect()
+    forward_log_ns_chunked(model, prepared, prepared.len())
 }
 
 /// Chunked variant of [`forward_log_ns`] for large evaluation sets, where

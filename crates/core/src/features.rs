@@ -144,11 +144,6 @@ pub fn kernel_features(k: &Kernel) -> (Vec<usize>, Tensor) {
     (ids, Tensor::from_vec(n, FEATURE_DIM, data))
 }
 
-/// One-hot dtype width (exposed for tests).
-pub fn dtype_one_hot_width() -> usize {
-    DTYPE_ONE_HOT
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,7 @@
 //! sequences of nodes, whose embeddings are the same per-node
 //! representations used in our proposed model."
 
-use crate::batch::{GraphBatch, Prepared, Sample};
+use crate::batch::{GraphBatch, Prepared};
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -165,12 +165,7 @@ impl LstmModel {
     /// [`CostModel::predict_batch_ns`](crate::CostModel) or a
     /// [`Predictor`](crate::Predictor) session instead.
     pub fn predict_log_ns(&self, kernel: &Kernel) -> f64 {
-        let prepared = Prepared::from_sample(&Sample::new(kernel.clone(), 0.0));
-        // INVARIANT: pack returns None only for an empty slice.
-        let batch = GraphBatch::pack(&[&prepared]).expect("one kernel");
-        let mut tape = Tape::new();
-        let out = self.forward(&mut tape, &batch);
-        tape.value(out).item() as f64
+        crate::engine::forward_log_ns(self, &[&Prepared::from_kernel(kernel)])[0]
     }
 
     /// Predict runtime in nanoseconds.
@@ -182,6 +177,7 @@ impl LstmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Sample;
     use tpu_hlo::{DType, GraphBuilder, Shape};
 
     fn kernel(depth: usize) -> Kernel {

@@ -1,6 +1,6 @@
 //! The GraphSAGE-based performance model (§4.1, Eq. 1).
 
-use crate::batch::{GraphBatch, Prepared, Sample};
+use crate::batch::{GraphBatch, Prepared};
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -290,12 +290,7 @@ impl GnnModel {
     /// go through [`CostModel::predict_batch_ns`](crate::CostModel) or a
     /// [`Predictor`](crate::Predictor) session instead.
     pub fn predict_log_ns(&self, kernel: &Kernel) -> f64 {
-        let prepared = Prepared::from_sample(&Sample::new(kernel.clone(), 0.0));
-        // INVARIANT: pack returns None only for an empty slice.
-        let batch = GraphBatch::pack(&[&prepared]).expect("one kernel");
-        let mut tape = Tape::new();
-        let out = self.forward(&mut tape, &batch);
-        tape.value(out).item() as f64
+        crate::engine::forward_log_ns(self, &[&Prepared::from_kernel(kernel)])[0]
     }
 
     /// Predict runtime in nanoseconds for a single kernel.
@@ -331,6 +326,7 @@ impl GnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Sample;
     use tpu_hlo::{DType, GraphBuilder, Shape};
 
     fn kernel(cols: usize) -> Kernel {

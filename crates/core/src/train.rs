@@ -11,11 +11,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tpu_nn::{
-    clip_grad_norm, grouped_pairwise_rank_loss, mse_loss, Adam, GradBuffer, Optimizer, ParamStore,
-    RankPhi, Tape, Tensor, Var,
+    clip_grad_norm, grouped_pairwise_rank_loss, mse_loss, Adam, GradBuffer, ParamStore, RankPhi,
+    Tape, Tensor, Var,
 };
 use tpu_obs::{Counter, Gauge, Histogram, Registry, Series};
 
@@ -90,18 +91,6 @@ pub struct TrainReport {
     pub best_val: f64,
     /// Epoch index of the best metric.
     pub best_epoch: usize,
-}
-
-impl TrainReport {
-    /// Render the per-epoch trace as CSV (`epoch,train_loss,val_metric`),
-    /// for plotting training curves outside Rust.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("epoch,train_loss,val_metric\n");
-        for (i, (l, v)) in self.train_loss.iter().zip(&self.val_metric).enumerate() {
-            out.push_str(&format!("{i},{l},{v}\n"));
-        }
-        out
-    }
 }
 
 /// `tpu-obs` handles for the training loop (`core.train.*`), resolved
@@ -220,9 +209,12 @@ pub fn validation_metric<M: KernelModel>(model: &M, val: &[Prepared], loss: Task
     }
 }
 
-/// Kendall τ between predictions and targets within each group.
+/// Kendall τ between predictions and targets within each group of at
+/// least two samples, in ascending group-id order: callers average the
+/// result, and an f64 sum taken in a `HashMap`'s process-random order
+/// would differ in its last bits between identical runs.
 pub fn per_group_kendall(preds: &[f64], prepared: &[Prepared]) -> Vec<f64> {
-    let mut by_group: HashMap<usize, (Vec<f64>, Vec<f64>)> = HashMap::new();
+    let mut by_group: BTreeMap<usize, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
     for (p, item) in preds.iter().zip(prepared) {
         let e = by_group.entry(item.group).or_default();
         e.0.push(*p);
@@ -235,6 +227,39 @@ pub fn per_group_kendall(preds: &[f64], prepared: &[Prepared]) -> Vec<f64> {
         .collect()
 }
 
+/// Tile-task batches: whole rank groups packed greedily up to
+/// `batch_size`, so in-batch pairs exist (§4.2's batching modification).
+/// `groups` yields each example's group id in example order. Groups are
+/// collected in sorted-id order before the shuffle: iterating a `HashMap`
+/// here would order the shuffle's input by the process-random hash seed,
+/// making batch composition differ between identical runs.
+fn pack_rank_groups(
+    groups: impl Iterator<Item = usize>,
+    batch_size: usize,
+    rng: &mut ChaCha8Rng,
+) -> Vec<Vec<usize>> {
+    let mut by_group: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (i, group) in groups.enumerate() {
+        by_group.entry(group).or_default().push(i);
+    }
+    let mut group_list: Vec<Vec<usize>> = by_group.into_values().collect();
+    group_list.shuffle(rng);
+    let mut batches = Vec::new();
+    let mut cur: Vec<usize> = Vec::new();
+    for g in group_list {
+        if !cur.is_empty() && cur.len() + g.len() > batch_size {
+            batches.push(std::mem::take(&mut cur));
+        }
+        cur.extend(g);
+    }
+    if !cur.is_empty() {
+        batches.push(cur);
+    }
+    batches
+}
+
+/// The in-memory planner: one whole-dataset shuffle per epoch, drawn from
+/// the run's single running RNG stream.
 fn batch_indices(
     prepared: &[Prepared],
     cfg: &TrainConfig,
@@ -246,31 +271,8 @@ fn batch_indices(
             idx.shuffle(rng);
             idx.chunks(cfg.batch_size).map(<[usize]>::to_vec).collect()
         }
-        // Tile task: keep groups intact so in-batch pairs exist (§4.2's
-        // batching modification). Groups are collected in sorted-id order
-        // before the shuffle: iterating a HashMap here would order the
-        // shuffle's input by the process-random hash seed, making batch
-        // composition differ between identical runs.
         TaskLoss::TileRank(_) | TaskLoss::TileMse => {
-            let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for (i, p) in prepared.iter().enumerate() {
-                groups.entry(p.group).or_default().push(i);
-            }
-            let mut group_list: Vec<Vec<usize>> = groups.into_values().collect();
-            group_list.shuffle(rng);
-            let mut batches = Vec::new();
-            let mut cur: Vec<usize> = Vec::new();
-            for g in group_list {
-                if !cur.is_empty() && cur.len() + g.len() > cfg.batch_size {
-                    batches.push(std::mem::take(&mut cur));
-                }
-                cur.extend(g);
-            }
-            if !cur.is_empty() {
-                batches.push(cur);
-            }
-            batches
+            pack_rank_groups(prepared.iter().map(|p| p.group), cfg.batch_size, rng)
         }
     }
 }
@@ -475,66 +477,12 @@ fn train_step_inner<M: KernelModel>(
     Some(loss_sum)
 }
 
-/// The per-epoch trace plus the weights of the best validation epoch:
-/// the early-stopping state every training loop carries.
-struct Progress {
-    report: TrainReport,
-    best_weights: Option<String>,
-}
-
-impl Progress {
-    fn fresh() -> Progress {
-        Progress {
-            report: TrainReport {
-                train_loss: Vec::new(),
-                val_metric: Vec::new(),
-                best_val: f64::NAN,
-                best_epoch: 0,
-            },
-            best_weights: None,
-        }
-    }
-
-    /// Record `epoch`'s validation metric; the first finite metric and
-    /// every strict improvement after it snapshot the model's weights.
-    fn record_validation<M: KernelModel>(
-        &mut self,
-        model: &M,
-        epoch: usize,
-        vm: f64,
-        loss: TaskLoss,
-    ) {
-        let higher_better = matches!(loss, TaskLoss::TileRank(_) | TaskLoss::TileMse);
-        let report = &mut self.report;
-        report.val_metric.push(vm);
-        let improved = report.best_val.is_nan()
-            || (higher_better && vm > report.best_val)
-            || (!higher_better && vm < report.best_val);
-        if improved && vm.is_finite() {
-            report.best_val = vm;
-            report.best_epoch = epoch;
-            self.best_weights = Some(model.params().to_json());
-        }
-    }
-
-    /// Restore the best-validation weights and hand back the trace.
-    fn finish<M: KernelModel>(self, model: &mut M) -> TrainReport {
-        if let Some(w) = self.best_weights {
-            if let Ok(store) = ParamStore::from_json(&w) {
-                *model.params_mut() = store;
-            }
-        }
-        self.report
-    }
-}
-
 /// Run one epoch under the non-finite-loss rollback guard. `attempt`
 /// steps the model through the epoch's batches and returns the step
 /// losses; when their mean is non-finite the epoch-start weights and
 /// optimizer are restored, the learning rate is halved, and `attempt`
 /// runs again — at most `max_rollbacks` retries. `attempt` must replay
-/// the same batches on every call (it owns restoring any RNG it draws
-/// from).
+/// the same batches on every call.
 ///
 /// Returns the epoch's mean loss, or `None` when the bound is exhausted:
 /// the model is then back at its epoch-start (last healthy) state and the
@@ -572,6 +520,218 @@ fn guarded_epoch<M: KernelModel, E>(
     }
 }
 
+/// Everything a run carries from one epoch to the next — what a
+/// [`TrainCheckpoint`] snapshots and a resume restores — plus the run's
+/// metric handles.
+struct RunState {
+    obs: TrainObs,
+    /// The next epoch to run.
+    epoch: usize,
+    /// The in-memory planner's running shuffle stream (the streaming
+    /// planner reseeds per epoch and leaves it untouched).
+    rng: ChaCha8Rng,
+    opt: Adam,
+    rollbacks: u64,
+    /// The per-epoch trace and the best validation epoch so far…
+    report: TrainReport,
+    /// …and that epoch's weights: the early-stopping selection.
+    best_weights: Option<String>,
+}
+
+impl RunState {
+    fn fresh(cfg: &TrainConfig, obs: TrainObs) -> RunState {
+        RunState {
+            obs,
+            epoch: 0,
+            rng: ChaCha8Rng::seed_from_u64(cfg.seed),
+            opt: Adam::new(cfg.lr),
+            rollbacks: 0,
+            report: TrainReport {
+                train_loss: Vec::new(),
+                val_metric: Vec::new(),
+                best_val: f64::NAN,
+                best_epoch: 0,
+            },
+            best_weights: None,
+        }
+    }
+
+    /// Validate `ckpt` against `model`, load its weights into the model,
+    /// and continue from its state.
+    fn resume<M: KernelModel>(
+        ckpt: &TrainCheckpoint,
+        model: &mut M,
+        obs: TrainObs,
+    ) -> Result<RunState, CheckpointError> {
+        if ckpt.model_kind != model.model_name() {
+            return Err(CheckpointError::WrongModel {
+                expected: model.model_name().to_string(),
+                found: ckpt.model_kind.clone(),
+            });
+        }
+        let arch = model.params();
+        if ckpt.params.num_params() != arch.num_params()
+            || ckpt.params.num_scalars() != arch.num_scalars()
+        {
+            return Err(CheckpointError::WeightMismatch {
+                expected: arch.num_scalars(),
+                found: ckpt.params.num_scalars(),
+            });
+        }
+        let words: [u32; 33] = ckpt.rng.as_slice().try_into().map_err(|_| {
+            CheckpointError::Corrupt(format!(
+                "rng snapshot must be 33 words, got {}",
+                ckpt.rng.len()
+            ))
+        })?;
+        *model.params_mut() = ckpt.params.clone();
+        Ok(RunState {
+            obs,
+            epoch: ckpt.epoch,
+            rng: ChaCha8Rng::from_state_words(&words),
+            opt: Adam::from_state(ckpt.opt.clone()),
+            rollbacks: ckpt.rollbacks,
+            report: TrainReport {
+                train_loss: ckpt.train_loss.iter().map(|&v| decode_f64(v)).collect(),
+                val_metric: ckpt.val_metric.iter().map(|&v| decode_f64(v)).collect(),
+                best_val: decode_f64(ckpt.best_val),
+                best_epoch: ckpt.best_epoch,
+            },
+            best_weights: ckpt.best_weights.clone(),
+        })
+    }
+
+    /// The snapshot that resumes after `self.epoch` completed epochs.
+    fn checkpoint<M: KernelModel>(&self, model: &M) -> TrainCheckpoint {
+        let report = &self.report;
+        TrainCheckpoint {
+            schema: SCHEMA.to_string(),
+            model_kind: model.model_name().to_string(),
+            epoch: self.epoch,
+            lr: self.opt.lr(),
+            rollbacks: self.rollbacks,
+            rng: self.rng.state_words().to_vec(),
+            params: model.params().clone(),
+            opt: self.opt.state(),
+            best_weights: self.best_weights.clone(),
+            best_val: encode_f64(report.best_val),
+            best_epoch: report.best_epoch,
+            train_loss: report.train_loss.iter().map(|&v| encode_f64(v)).collect(),
+            val_metric: report.val_metric.iter().map(|&v| encode_f64(v)).collect(),
+        }
+    }
+
+    /// Record `epoch`'s validation metric; the first finite metric and
+    /// every strict improvement after it snapshot the model's weights.
+    fn record_validation<M: KernelModel>(
+        &mut self,
+        model: &M,
+        epoch: usize,
+        vm: f64,
+        loss: TaskLoss,
+    ) {
+        let higher_better = matches!(loss, TaskLoss::TileRank(_) | TaskLoss::TileMse);
+        let report = &mut self.report;
+        report.val_metric.push(vm);
+        let improved = report.best_val.is_nan()
+            || (higher_better && vm > report.best_val)
+            || (!higher_better && vm < report.best_val);
+        if improved && vm.is_finite() {
+            report.best_val = vm;
+            report.best_epoch = epoch;
+            self.best_weights = Some(model.params().to_json());
+        }
+    }
+
+    /// Restore the best-validation weights and hand back the trace.
+    fn finish<M: KernelModel>(self, model: &mut M) -> TrainReport {
+        if let Some(w) = self.best_weights {
+            if let Ok(store) = ParamStore::from_json(&w) {
+                *model.params_mut() = store;
+            }
+        }
+        self.report
+    }
+}
+
+/// A batch's examples and the positions of its members among them.
+type Batch<'a, 'i> = (Cow<'a, [Prepared]>, Cow<'i, [usize]>);
+
+/// The epoch loop every training entry point runs: plan the epoch's
+/// batches, step through them under the non-finite-loss rollback guard,
+/// record the loss, validate, record the metric (snapshotting the best
+/// weights), hand the checkpoint sink its snapshot; at the end restore
+/// the best-validation weights. Callers differ only in what they hand it:
+///
+/// - `plan(epoch, rng)`: the epoch's batches as example indices, already
+///   capped. Planned once per epoch, so a rolled-back epoch replays the
+///   same batches.
+/// - `batch(epoch, idxs)`: the examples of one planned batch.
+fn run_epochs<'a, M: KernelModel, E>(
+    model: &mut M,
+    val_set: &[Prepared],
+    cfg: &TrainConfig,
+    mut run: RunState,
+    mut plan: impl FnMut(usize, &mut ChaCha8Rng) -> Vec<Vec<usize>>,
+    mut batch: impl for<'i> FnMut(usize, &'i [usize]) -> Result<Batch<'a, 'i>, E>,
+    mut on_checkpoint: Option<&mut dyn FnMut(&TrainCheckpoint)>,
+) -> Result<TrainReport, E> {
+    let mut tapes: Vec<Tape> = Vec::new();
+    for epoch in run.epoch..cfg.epochs {
+        let epoch_timer = run.obs.epoch_ns.start_timer();
+        let batches = plan(epoch, &mut run.rng);
+        let obs = &run.obs;
+        let outcome = guarded_epoch(
+            model,
+            &mut run.opt,
+            cfg.max_rollbacks,
+            &mut run.rollbacks,
+            obs,
+            |model, opt| {
+                let mut losses = Vec::new();
+                for idxs in &batches {
+                    let step_timer = obs.step_ns.start_timer();
+                    let (examples, members) = batch(epoch, idxs)?;
+                    let loss =
+                        train_step_inner(model, &examples, &members, cfg, opt, &mut tapes, obs);
+                    step_timer.stop();
+                    if let Some(l) = loss {
+                        losses.push(l);
+                        obs.steps.inc();
+                    } else {
+                        obs.steps_skipped.inc();
+                    }
+                }
+                Ok(losses)
+            },
+        )?;
+        let Some(epoch_loss) = outcome else {
+            // Give up: the model is already restored to the last healthy
+            // state; stop before poisoning it again.
+            epoch_timer.stop();
+            break;
+        };
+        run.report.train_loss.push(epoch_loss);
+        run.obs.epoch_loss.push(epoch_loss);
+
+        let val_timer = run.obs.val_ns.start_timer();
+        let vm = validation_metric(model, val_set, cfg.loss);
+        val_timer.stop();
+        run.obs.val_metric.push(vm);
+        run.record_validation(model, epoch, vm, cfg.loss);
+        epoch_timer.stop();
+        run.obs.epochs.inc();
+
+        run.epoch = epoch + 1;
+        if let Some(sink) = on_checkpoint.as_deref_mut() {
+            sink(&run.checkpoint(model));
+        }
+    }
+    run.obs.best_val.set(run.report.best_val);
+    run.obs.best_epoch.set(run.report.best_epoch as f64);
+    Ok(run.finish(model))
+}
+
 /// Train a model, tracking the validation metric per epoch and restoring
 /// the best-validation weights at the end (early-stopping selection).
 ///
@@ -589,8 +749,8 @@ pub fn train<M: KernelModel>(
         .expect("fresh training cannot fail checkpoint validation")
 }
 
-/// The one full training entry: [`train`] plus `core.train.*` metrics,
-/// checkpointing, resume, and a non-finite-loss rollback guard.
+/// The one full in-memory training entry: [`train`] plus `core.train.*`
+/// metrics, checkpointing, resume, and a non-finite-loss rollback guard.
 ///
 /// - `registry`: per-step and per-epoch wall time, grad-reduce latency,
 ///   the loss and validation trajectories as series, and the best-epoch
@@ -607,11 +767,11 @@ pub fn train<M: KernelModel>(
 ///   that resumes from that point. `None` skips snapshot assembly
 ///   entirely, so plain training pays nothing for this feature.
 /// - Rollback guard: when an epoch produces a non-finite mean loss
-///   (diverged weights, poisoned gradients), the epoch-start weights,
-///   optimizer, and RNG are restored, the learning rate is halved, and the
-///   epoch retries — at most [`TrainConfig::max_rollbacks`] times, after
-///   which training stops at the last healthy state. Each rollback bumps
-///   `core.train.rollbacks`.
+///   (diverged weights, poisoned gradients), the epoch-start weights and
+///   optimizer are restored, the learning rate is halved, and the epoch
+///   retries on the same batches — at most [`TrainConfig::max_rollbacks`]
+///   times, after which training stops at the last healthy state. Each
+///   rollback bumps `core.train.rollbacks`.
 ///
 /// # Errors
 ///
@@ -627,129 +787,27 @@ pub fn train_resumable<M: KernelModel>(
     cfg: &TrainConfig,
     registry: &Registry,
     resume: Option<&TrainCheckpoint>,
-    mut on_checkpoint: Option<&mut dyn FnMut(&TrainCheckpoint)>,
+    on_checkpoint: Option<&mut dyn FnMut(&TrainCheckpoint)>,
 ) -> Result<TrainReport, CheckpointError> {
     let obs = TrainObs::new(registry);
-    let mut rng;
-    let mut opt;
-    let mut progress;
-    let mut rollbacks: u64;
-    let start_epoch;
-    match resume {
-        None => {
-            rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-            opt = Adam::new(cfg.lr);
-            progress = Progress::fresh();
-            rollbacks = 0;
-            start_epoch = 0;
-        }
-        Some(ckpt) => {
-            if ckpt.model_kind != model.model_name() {
-                return Err(CheckpointError::WrongModel {
-                    expected: model.model_name().to_string(),
-                    found: ckpt.model_kind.clone(),
-                });
-            }
-            let arch = model.params();
-            if ckpt.params.num_params() != arch.num_params()
-                || ckpt.params.num_scalars() != arch.num_scalars()
-            {
-                return Err(CheckpointError::WeightMismatch {
-                    expected: arch.num_scalars(),
-                    found: ckpt.params.num_scalars(),
-                });
-            }
-            let words: [u32; 33] = ckpt.rng.as_slice().try_into().map_err(|_| {
-                CheckpointError::Corrupt(format!(
-                    "rng snapshot must be 33 words, got {}",
-                    ckpt.rng.len()
-                ))
-            })?;
-            rng = ChaCha8Rng::from_state_words(&words);
-            opt = Adam::from_state(ckpt.opt.clone());
-            *model.params_mut() = ckpt.params.clone();
-            progress = Progress {
-                report: TrainReport {
-                    train_loss: ckpt.train_loss.iter().map(|&v| decode_f64(v)).collect(),
-                    val_metric: ckpt.val_metric.iter().map(|&v| decode_f64(v)).collect(),
-                    best_val: decode_f64(ckpt.best_val),
-                    best_epoch: ckpt.best_epoch,
-                },
-                best_weights: ckpt.best_weights.clone(),
-            };
-            rollbacks = ckpt.rollbacks;
-            start_epoch = ckpt.epoch;
-        }
-    }
-    let mut tapes: Vec<Tape> = Vec::new();
-
-    for epoch in start_epoch..cfg.epochs {
-        let epoch_timer = obs.epoch_ns.start_timer();
-        let snap_rng = rng.state_words();
-        let outcome = guarded_epoch(
-            model,
-            &mut opt,
-            cfg.max_rollbacks,
-            &mut rollbacks,
-            &obs,
-            |model, opt| {
-                rng = ChaCha8Rng::from_state_words(&snap_rng);
-                let mut batches = batch_indices(train_set, cfg, &mut rng);
-                batches.truncate(cfg.max_batches_per_epoch);
-                let mut losses = Vec::new();
-                for idxs in &batches {
-                    let step_timer = obs.step_ns.start_timer();
-                    let step = train_step_inner(model, train_set, idxs, cfg, opt, &mut tapes, &obs);
-                    step_timer.stop();
-                    if let Some(l) = step {
-                        losses.push(l);
-                        obs.steps.inc();
-                    } else {
-                        obs.steps_skipped.inc();
-                    }
-                }
-                Ok::<_, CheckpointError>(losses)
-            },
-        )?;
-        let Some(epoch_loss) = outcome else {
-            // Give up: the model is already restored to the last healthy
-            // state; stop before poisoning it again.
-            epoch_timer.stop();
-            break;
-        };
-        progress.report.train_loss.push(epoch_loss);
-        obs.epoch_loss.push(epoch_loss);
-
-        let val_timer = obs.val_ns.start_timer();
-        let vm = validation_metric(model, val_set, cfg.loss);
-        val_timer.stop();
-        obs.val_metric.push(vm);
-        progress.record_validation(model, epoch, vm, cfg.loss);
-        epoch_timer.stop();
-        obs.epochs.inc();
-
-        if let Some(sink) = on_checkpoint.as_deref_mut() {
-            let report = &progress.report;
-            sink(&TrainCheckpoint {
-                schema: SCHEMA.to_string(),
-                model_kind: model.model_name().to_string(),
-                epoch: epoch + 1,
-                lr: opt.lr(),
-                rollbacks,
-                rng: rng.state_words().to_vec(),
-                params: model.params().clone(),
-                opt: opt.state(),
-                best_weights: progress.best_weights.clone(),
-                best_val: encode_f64(report.best_val),
-                best_epoch: report.best_epoch,
-                train_loss: report.train_loss.iter().map(|&v| encode_f64(v)).collect(),
-                val_metric: report.val_metric.iter().map(|&v| encode_f64(v)).collect(),
-            });
-        }
-    }
-    obs.best_val.set(progress.report.best_val);
-    obs.best_epoch.set(progress.report.best_epoch as f64);
-    Ok(progress.finish(model))
+    let run = match resume {
+        None => RunState::fresh(cfg, obs),
+        Some(ckpt) => RunState::resume(ckpt, model, obs)?,
+    };
+    run_epochs(
+        model,
+        val_set,
+        cfg,
+        run,
+        |_, rng| {
+            let mut batches = batch_indices(train_set, cfg, rng);
+            batches.truncate(cfg.max_batches_per_epoch);
+            batches
+        },
+        // The slice is indexed in place: no example is copied per batch.
+        |_, idxs| Ok((Cow::Borrowed(train_set), Cow::Borrowed(idxs))),
+        on_checkpoint,
+    )
 }
 
 /// Index-planning metadata for one training example: everything the epoch
@@ -871,25 +929,7 @@ pub fn stream_epoch_plan<S: BatchSource + ?Sized>(
             order.chunks(batch).map(<[usize]>::to_vec).collect()
         }
         TaskLoss::TileRank(_) | TaskLoss::TileMse => {
-            let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for i in 0..n {
-                groups.entry(source.meta(i).group).or_default().push(i);
-            }
-            let mut group_list: Vec<Vec<usize>> = groups.into_values().collect();
-            group_list.shuffle(&mut rng);
-            let mut out = Vec::new();
-            let mut cur: Vec<usize> = Vec::new();
-            for g in group_list {
-                if !cur.is_empty() && cur.len() + g.len() > batch {
-                    out.push(std::mem::take(&mut cur));
-                }
-                cur.extend(g);
-            }
-            if !cur.is_empty() {
-                out.push(cur);
-            }
-            out
+            pack_rank_groups((0..n).map(|i| source.meta(i).group), batch, &mut rng)
         }
     };
     batches.truncate(cfg.max_batches_per_epoch);
@@ -898,19 +938,19 @@ pub fn stream_epoch_plan<S: BatchSource + ?Sized>(
 
 /// Train from a [`BatchSource`], one batch in memory at a time.
 ///
-/// The streaming twin of [`train`]: batches follow
-/// [`stream_epoch_plan`]'s per-epoch reshuffled order, each batch is
-/// loaded, (if oversized) segment-sampled, stepped, and dropped — peak RSS
-/// is the model plus one batch, independent of corpus size. Graphs above
+/// Runs the epoch loop [`train_resumable`] runs — validation tracking,
+/// best-weight restoration and the non-finite-loss rollback guard
+/// ([`TrainConfig::max_rollbacks`]) are that loop's — with a different
+/// planner and a different way to obtain a batch: batches follow
+/// [`stream_epoch_plan`]'s per-epoch reshuffled order, and each batch is
+/// loaded, (if oversized) segment-sampled, stepped, and dropped, so peak
+/// RSS is the model plus one batch, independent of corpus size (a retried
+/// epoch reloads its batches). Graphs above
 /// [`StreamConfig::segment_nodes`] train on a [`crate::bfs_segment`]
 /// resampled per epoch with a seed mixed from
 /// `(segment_seed, epoch, example id)` on the planning thread, so results
 /// are bit-identical for any `RAYON_NUM_THREADS` and identical whether
 /// `source` is the in-memory slice or a streamed dataset file.
-///
-/// Validation tracking, best-weight restoration and the non-finite-loss
-/// rollback guard ([`TrainConfig::max_rollbacks`]) are the ones
-/// [`train_resumable`] runs; a retried epoch reloads its batches.
 ///
 /// # Errors
 ///
@@ -922,46 +962,28 @@ pub fn train_stream<M: KernelModel, S: BatchSource + ?Sized>(
     cfg: &TrainConfig,
     scfg: &StreamConfig,
 ) -> Result<TrainReport, String> {
-    let obs = TrainObs::default();
-    let mut opt = Adam::new(cfg.lr);
-    let mut tapes: Vec<Tape> = Vec::new();
-    let mut progress = Progress::fresh();
-    let mut rollbacks = 0u64;
-    for epoch in 0..cfg.epochs {
-        let batches = stream_epoch_plan(source, cfg, scfg, epoch);
-        let outcome = guarded_epoch(
-            model,
-            &mut opt,
-            cfg.max_rollbacks,
-            &mut rollbacks,
-            &obs,
-            |model, opt| {
-                let mut losses = Vec::new();
-                for idxs in &batches {
-                    let mut prepared = source.load(idxs)?;
-                    for (p, &gi) in prepared.iter_mut().zip(idxs) {
-                        if scfg.segment_nodes > 0 && p.num_nodes() > scfg.segment_nodes {
-                            *p = crate::batch::bfs_segment(
-                                p,
-                                scfg.segment_nodes,
-                                mix_seed(scfg.segment_seed, epoch as u64, gi as u64),
-                            );
-                        }
-                    }
-                    let local: Vec<usize> = (0..prepared.len()).collect();
-                    let step =
-                        train_step_inner(model, &prepared, &local, cfg, opt, &mut tapes, &obs);
-                    losses.extend(step);
+    run_epochs(
+        model,
+        val_set,
+        cfg,
+        RunState::fresh(cfg, TrainObs::default()),
+        |epoch, _| stream_epoch_plan(source, cfg, scfg, epoch),
+        |epoch, idxs| {
+            let mut prepared = source.load(idxs)?;
+            for (p, &gi) in prepared.iter_mut().zip(idxs) {
+                if scfg.segment_nodes > 0 && p.num_nodes() > scfg.segment_nodes {
+                    *p = crate::batch::bfs_segment(
+                        p,
+                        scfg.segment_nodes,
+                        mix_seed(scfg.segment_seed, epoch as u64, gi as u64),
+                    );
                 }
-                Ok::<_, String>(losses)
-            },
-        )?;
-        let Some(epoch_loss) = outcome else { break };
-        progress.report.train_loss.push(epoch_loss);
-        let vm = validation_metric(model, val_set, cfg.loss);
-        progress.record_validation(model, epoch, vm, cfg.loss);
-    }
-    Ok(progress.finish(model))
+            }
+            let local: Vec<usize> = (0..prepared.len()).collect();
+            Ok((Cow::Owned(prepared), Cow::Owned(local)))
+        },
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -1131,6 +1153,30 @@ mod tests {
         let mut sorted = taus.clone();
         sorted.sort_by(f64::total_cmp);
         assert_eq!(sorted, vec![-1.0, 1.0]);
+    }
+
+    /// The taus come back in ascending group-id order, whatever order the
+    /// samples arrive in: `validation_metric` averages them, and a sum
+    /// taken in hash order differs in its last bits between identical
+    /// runs.
+    #[test]
+    fn per_group_kendall_orders_by_group_id() {
+        let k = ew_kernel(64, 64);
+        let mut prepared = Vec::new();
+        let mut preds = Vec::new();
+        // 80 groups, visited in a scattered order; group g is ranked
+        // correctly iff g is even.
+        for g in (0..80usize).map(|i| (i * 37) % 80) {
+            for (t, pred) in [(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)] {
+                prepared.push(Prepared::from_sample(&Sample::grouped(k.clone(), t, g)));
+                preds.push(if g % 2 == 0 { pred } else { -pred });
+            }
+        }
+        let taus = per_group_kendall(&preds, &prepared);
+        assert_eq!(taus.len(), 80);
+        for (g, tau) in taus.iter().enumerate() {
+            assert_eq!(*tau, if g % 2 == 0 { 1.0 } else { -1.0 }, "group {g}");
+        }
     }
 
     #[test]
@@ -1663,24 +1709,5 @@ mod stream_tests {
         assert_ne!(a, c);
         assert_ne!(b, c);
         assert_eq!(mix_seed(17, 3, 9), mix_seed(17, 3, 9));
-    }
-}
-
-#[cfg(test)]
-mod report_tests {
-    use super::*;
-
-    #[test]
-    fn csv_has_one_row_per_epoch() {
-        let r = TrainReport {
-            train_loss: vec![1.0, 0.5],
-            val_metric: vec![30.0, 20.0],
-            best_val: 20.0,
-            best_epoch: 1,
-        };
-        let csv = r.to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().next().unwrap().starts_with("epoch,"));
-        assert!(csv.contains("1,0.5,20"));
     }
 }

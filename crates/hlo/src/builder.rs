@@ -427,34 +427,6 @@ impl GraphBuilder {
         self.unary(Opcode::Reverse, x)
     }
 
-    /// Dynamic slice: `x` sliced to `out_shape` at runtime offsets given by
-    /// `indices`.
-    pub fn dynamic_slice(&mut self, x: NodeId, indices: NodeId, out_shape: Shape) -> NodeId {
-        let dtype = self.dtype(x);
-        self.push(
-            Opcode::DynamicSlice,
-            dtype,
-            out_shape,
-            vec![x, indices],
-            NodeAttrs::none(),
-            "",
-        )
-    }
-
-    /// Dynamic update slice: write `update` into `x` at offsets `indices`.
-    pub fn dynamic_update_slice(&mut self, x: NodeId, update: NodeId, indices: NodeId) -> NodeId {
-        let dtype = self.dtype(x);
-        let shape = self.shape(x).clone();
-        self.push(
-            Opcode::DynamicUpdateSlice,
-            dtype,
-            shape,
-            vec![x, update, indices],
-            NodeAttrs::none(),
-            "",
-        )
-    }
-
     /// Gather rows: `table [V, D]` indexed by `indices [N]` -> `[N, D]`.
     pub fn gather_rows(&mut self, table: NodeId, indices: NodeId) -> NodeId {
         let t = self.shape(table).clone();
@@ -468,20 +440,6 @@ impl GraphBuilder {
             dtype,
             out,
             vec![table, indices],
-            NodeAttrs::none(),
-            "",
-        )
-    }
-
-    /// Scatter-add rows of `updates [N, D]` into `table [V, D]` at `indices [N]`.
-    pub fn scatter_rows(&mut self, table: NodeId, indices: NodeId, updates: NodeId) -> NodeId {
-        let t = self.shape(table).clone();
-        let dtype = self.dtype(table);
-        self.push(
-            Opcode::Scatter,
-            dtype,
-            t,
-            vec![table, indices, updates],
             NodeAttrs::none(),
             "",
         )

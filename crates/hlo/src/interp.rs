@@ -12,7 +12,6 @@ use crate::error::{HloError, Result};
 use crate::graph::Computation;
 use crate::node::{Node, NodeId};
 use crate::opcode::Opcode;
-use crate::shape::Shape;
 use std::collections::HashMap;
 
 /// A dense row-major n-dimensional `f32` array.
@@ -638,21 +637,12 @@ fn eval_node(
     })
 }
 
-/// Convenience: evaluate and return the value's dims as a [`Shape`].
-pub fn evaluated_shape(c: &Computation, seed: u64) -> Result<Shape> {
-    let v = evaluate_seeded(c, seed)?;
-    Ok(if v.dims().is_empty() {
-        Shape::scalar()
-    } else {
-        Shape::new(v.dims().to_vec())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::dtype::DType;
+    use crate::shape::Shape;
 
     #[test]
     fn elementwise_chain_values() {

@@ -174,8 +174,13 @@ impl<'a> Reader<'a> {
         Ok(b.chunks_exact(2).map(|c| i16::from_le_bytes([c[0], c[1]])).collect())
     }
 
-    /// A quantized (i16) tensor record.
-    pub(crate) fn qtensor(&mut self, what: &str) -> Result<QTensor, FrozenError> {
+    /// A quantized (i16) tensor record, which must be `want_rows×want_cols`.
+    pub(crate) fn qtensor(
+        &mut self,
+        what: &str,
+        want_rows: usize,
+        want_cols: usize,
+    ) -> Result<QTensor, FrozenError> {
         let dtype = self.u32()?;
         if dtype != DTYPE_I16 {
             return Err(FrozenError::Corrupt(format!(
@@ -184,6 +189,11 @@ impl<'a> Reader<'a> {
         }
         let rows = self.dim("rows")?;
         let cols = self.dim("cols")?;
+        if rows != want_rows || cols != want_cols {
+            return Err(FrozenError::Corrupt(format!(
+                "{what}: expected {want_rows}x{want_cols}, blob carries {rows}x{cols}"
+            )));
+        }
         let scale = self.f32()?;
         let data = self.i16s(rows * cols)?;
         Ok(QTensor { rows, cols, scale, data })
@@ -319,7 +329,7 @@ mod tests {
         r.magic().unwrap();
         assert_eq!(r.u32().unwrap(), VERSION);
         assert_eq!(r.u32().unwrap(), KIND_LSTM);
-        let q2 = r.qtensor("q").unwrap();
+        let q2 = r.qtensor("q", 2, 3).unwrap();
         assert_eq!(q2, q);
         assert_eq!(r.ftensor("b", 2).unwrap(), vec![1.5, -2.5]);
         r.finish().unwrap();
@@ -337,6 +347,6 @@ mod tests {
         r.magic().unwrap();
         r.u32().unwrap();
         r.u32().unwrap();
-        assert!(matches!(r.qtensor("w"), Err(FrozenError::Corrupt(_))));
+        assert!(matches!(r.qtensor("w", 1, 1), Err(FrozenError::Corrupt(_))));
     }
 }

@@ -4,7 +4,9 @@
 //! right tool for gradients, pure overhead for serving. This crate is the
 //! serving artifact instead — the NNUE idea applied to the cost model:
 //!
-//! - **post-training quantization**: trained [`GnnModel`] / [`LstmModel`]
+//! - **post-training quantization**: trained
+//!   [`GnnModel`](tpu_learned_cost::GnnModel) /
+//!   [`LstmModel`](tpu_learned_cost::LstmModel)
 //!   weights become int16 tensors with per-tensor scales chosen so the
 //!   i16×i16→i32 accumulator provably cannot overflow
 //!   ([`quant::weight_qmax`]),
@@ -40,8 +42,10 @@
 
 pub mod quant;
 
+mod arith;
 mod blob;
 mod gnn;
+mod layers;
 mod lstm;
 
 pub use blob::{FrozenError, KIND_GNN, KIND_LSTM, MAGIC, VERSION};
@@ -49,8 +53,9 @@ pub use gnn::{freeze_gnn, FrozenGnn};
 pub use lstm::{freeze_lstm, FrozenLstm};
 
 use rayon::prelude::*;
-use tpu_hlo::{DType, FusedProgram, GraphBuilder, Kernel, Shape, TileSize};
-use tpu_learned_cost::{CostModel, GnnModel, LstmModel, Prepared};
+use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
+use std::borrow::Cow;
+use tpu_learned_cost::{CostModel, Prepared};
 
 /// Batch MAC count above which [`FrozenModel::predict_batch_ns`] fans
 /// kernels out to rayon. Below it the serial loop wins — thread handoff
@@ -156,24 +161,14 @@ impl CostModel for FrozenModel {
     }
 }
 
-/// Freeze either model family behind one entry point.
-///
-/// # Errors
-///
-/// See [`freeze_gnn`] / [`freeze_lstm`].
-pub fn freeze(model: FrozenSource<'_>, calib: &[Kernel]) -> Result<FrozenModel, FrozenError> {
-    match model {
-        FrozenSource::Gnn(m) => freeze_gnn(m, calib).map(FrozenModel::Gnn),
-        FrozenSource::Lstm(m) => freeze_lstm(m, calib).map(FrozenModel::Lstm),
+/// The kernels a freeze calibrates on: the caller's, or the built-in
+/// [`calibration_kernels`] set when none are given.
+pub(crate) fn calibration_set(calib: &[Kernel]) -> Cow<'_, [Kernel]> {
+    if calib.is_empty() {
+        Cow::Owned(calibration_kernels(16))
+    } else {
+        Cow::Borrowed(calib)
     }
-}
-
-/// Borrowed trained model handed to [`freeze`].
-pub enum FrozenSource<'a> {
-    /// Freeze a GraphSAGE model.
-    Gnn(&'a GnnModel),
-    /// Freeze an LSTM baseline.
-    Lstm(&'a LstmModel),
 }
 
 /// A deterministic family of generator kernels used to calibrate
@@ -211,15 +206,10 @@ pub fn calibration_kernels(n: usize) -> Vec<Kernel> {
         .collect()
 }
 
-/// A program made of calibration kernels (program-level smoke tests).
-pub fn calibration_program(n: usize) -> FusedProgram {
-    FusedProgram::new("calibration", calibration_kernels(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_learned_cost::{GnnConfig, LstmConfig};
+    use tpu_learned_cost::{GnnConfig, GnnModel, LstmConfig, LstmModel};
 
     fn frozen_gnn() -> FrozenModel {
         let model = GnnModel::new(GnnConfig::default());
@@ -303,7 +293,7 @@ mod tests {
     #[test]
     fn program_prediction_sums_kernels() {
         let frozen = frozen_gnn();
-        let program = calibration_program(4);
+        let program = tpu_hlo::FusedProgram::new("calibration", calibration_kernels(4));
         let total = frozen.predict_program_ns(&program).unwrap();
         let by_hand: f64 = program
             .kernels

@@ -1,224 +1,159 @@
 //! The frozen LSTM baseline forward: quantized gate matmuls, f32 cell
 //! state.
 //!
-//! The per-node projection (ε⁰, shared with the GNN) and the fused gate
-//! matmul run in i16×i16→i32; gate nonlinearities and the `c`/`h`
-//! recurrence stay in f32 — they are O(H) per step against the matmul's
-//! O(H·(D+H)), and sigmoid/tanh have no cheap integer form. The hidden
-//! state is bounded in `[-1, 1]` (it is `sigmoid · tanh`), so its
-//! requantization each step uses the static unit scale and cannot
-//! saturate.
+//! The dataflow is written once, in [`Lstm::forward`], over an [`Arith`].
+//! Under [`Int16`] the per-node projection (ε⁰, the encoder shared with
+//! the GNN) and the fused gate matmul run in i16×i16→i32; gate
+//! nonlinearities and the `c`/`h` recurrence stay in f32 — they are O(H)
+//! per step against the matmul's O(H·(D+H)), and sigmoid/tanh have no
+//! cheap integer form. The hidden state is bounded in `[-1, 1]` (it is
+//! `sigmoid · tanh`), so its requantization each step uses the static
+//! unit scale and cannot saturate; the two stages that can (features,
+//! node projections) carry scales observed by running the same body
+//! under [`Calibrate`].
 
+use crate::arith::{Arith, Calibrate, Int16, Stage};
 use crate::blob::{FrozenError, Reader, Writer};
-use crate::quant::{self, QTensor, Q_ACT_MAX, S_UNIT};
-use tpu_hlo::{Kernel, Opcode};
+use crate::layers::{LayerSpec, Layers, ENCODED};
+use crate::quant::{QTensor, S_UNIT};
+use tpu_hlo::Kernel;
 use tpu_learned_cost::features::FEATURE_DIM;
 use tpu_learned_cost::{LstmModel, Prepared};
-use tpu_nn::Tensor;
 
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// Activation-scale slots, in blob order: features, node projections.
+const SCALE_SLOTS: usize = 2;
+
+/// The affine layers, in blob order: the encoder's f₁ (`node_dim` wide);
+/// the fused `i, f, g, o` gates as their step-input rows (`0..D` of
+/// `lstm.w`) and their previous-hidden rows (`D..D+H`); the head.
+fn layer_specs(embed_dim: usize, node_dim: usize, hidden: usize) -> [LayerSpec; 3] {
+    [
+        LayerSpec::encoder(embed_dim, node_dim),
+        LayerSpec::new("lstm", vec![node_dim, hidden], 4 * hidden),
+        LayerSpec::new("head", vec![hidden], 1),
+    ]
+}
+
+/// An LSTM baseline over weight container `M`: training-store slices
+/// while calibrating, [`QTensor`]s once frozen.
+#[derive(Debug, Clone)]
+struct Lstm<M> {
+    hidden: usize,
+    /// Shaped by [`layer_specs`].
+    layers: Layers<M>,
+}
+
+impl<M> Lstm<M> {
+    /// The one walk over the layers: the head output (before the log-ns
+    /// offset) for one featurized kernel. Nodes are consumed in index
+    /// order — for a single packed kernel that is exactly the tape
+    /// baseline's topological sequence.
+    fn forward<A: Arith<Mat = M>>(&self, a: &mut A, p: &Prepared) -> f32 {
+        let n = p.num_nodes();
+        let d = self.layers.encoded_dim();
+        let h = self.hidden;
+        let (gate_layer, head) = (&self.layers.affine[1], &self.layers.affine[2]);
+
+        // Node projections (the GNN's ε⁰), staged row by row.
+        let mut qx = vec![A::Elem::default(); n * d];
+        let mut node = vec![0.0f32; d];
+        let mut qfeat = vec![A::Elem::default(); FEATURE_DIM];
+        let mut s_x = S_UNIT; // read only after a node has set it
+        for i in 0..n {
+            self.layers.encode(a, p, i, &mut qfeat, &mut node);
+            s_x = a.stage(ENCODED, &node, &mut qx[i * d..(i + 1) * d]);
+        }
+
+        // The recurrence: state in f32, hidden restaged at the unit scale
+        // for the next step's matmul — the zero initial state included.
+        let mut c = vec![0.0f32; h];
+        let mut qh = vec![A::Elem::default(); h];
+        let mut gates = vec![0.0f32; 4 * h];
+        let s_h = a.stage(Stage::Unit, &c, &mut qh);
+        for t in 0..n {
+            let x = &qx[t * d..(t + 1) * d];
+            a.affine(gate_layer, [(x, s_x), (&qh, s_h)], &mut gates);
+            // `h = o ⊙ tanh(c)` overwrites the output gate's lanes.
+            let (ifg, o) = gates.split_at_mut(3 * h);
+            for j in 0..h {
+                c[j] = sigmoid(ifg[h + j]) * c[j] + sigmoid(ifg[j]) * ifg[2 * h + j].tanh();
+                o[j] = sigmoid(o[j]) * c[j].tanh();
+            }
+            a.stage(Stage::Unit, o, &mut qh);
+        }
+        A::dot(&qh, s_h, &head.w[0]) + head.b[0]
+    }
+}
+
+impl<'w> Lstm<&'w [f32]> {
+    /// Borrow a trained model's layers from its parameter store.
+    fn from_model(model: &'w LstmModel) -> Result<Self, FrozenError> {
+        let cfg = model.config();
+        let specs = layer_specs(cfg.opcode_embed_dim, cfg.node_dim, cfg.hidden);
+        Ok(Lstm {
+            hidden: cfg.hidden,
+            layers: Layers::from_store(model.store(), cfg.opcode_embed_dim, &specs)?,
+        })
+    }
+}
+
 /// A frozen, quantized [`LstmModel`]: flat arrays, no tape.
 #[derive(Debug, Clone)]
 pub struct FrozenLstm {
-    embed_dim: usize,
-    node_dim: usize,
-    hidden: usize,
+    net: Lstm<QTensor>,
     log_ns_offset: f32,
-    /// Calibrated scale of the raw node features.
-    s_feat: f32,
-    /// Calibrated scale of the f₁ node projections (the LSTM inputs).
-    s_node: f32,
-    /// Opcode embedding table; tensor scale doubles as activation scale.
-    emb: QTensor,
-    /// f₁ rows acting on the opcode embedding (rows `0..E` of `f1.w`).
-    w1e: QTensor,
-    /// f₁ rows acting on the features (rows `E..E+F`).
-    w1f: QTensor,
-    b1: Vec<f32>,
-    /// Gate rows acting on the step input (rows `0..D` of `lstm.w`),
-    /// fused `i, f, g, o` order, `D×4H`.
-    wx: QTensor,
-    /// Gate rows acting on the previous hidden state (rows `D..D+H`).
-    wh: QTensor,
-    /// Fused gate bias, `4H`.
-    b: Vec<f32>,
-    /// Head weight, `H×1`.
-    head: QTensor,
-    head_bias: f32,
+    /// Calibrated activation scales, [`SCALE_SLOTS`] of them.
+    scales: Vec<f32>,
 }
 
 impl FrozenLstm {
-    /// LSTM hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     /// Rough multiply-accumulate count of one forward — drives the rayon
     /// threshold in [`crate::FrozenModel`].
     pub fn mac_estimate(&self, p: &Prepared) -> usize {
         let n = p.num_nodes();
-        n * (self.embed_dim + FEATURE_DIM) * self.node_dim
-            + n * (self.node_dim + self.hidden) * 4 * self.hidden
-            + self.hidden
+        let (d, h) = (self.net.layers.encoded_dim(), self.net.hidden);
+        n * self.net.layers.encoder_macs() + n * (d + h) * 4 * h + h
     }
 
-    /// Predicted log-runtime (ns) of one featurized kernel. Nodes are
-    /// consumed in index order — for a single packed kernel that is
-    /// exactly the tape baseline's topological sequence.
+    /// Predicted log-runtime (ns) of one featurized kernel.
     pub fn forward_log_ns(&self, p: &Prepared) -> f32 {
-        let n = p.num_nodes();
-        let d = self.node_dim;
-        let h = self.hidden;
-
-        // Node projections (the GNN's ε⁰), then quantized once.
-        let mut qx = vec![0i16; n * d];
-        {
-            let mut node = vec![0.0f32; d];
-            let mut qfeat = vec![0i16; FEATURE_DIM];
-            let mut acc_e = vec![0i32; d];
-            let mut acc_f = vec![0i32; d];
-            let se = self.emb.scale * self.w1e.scale;
-            let sf = self.s_feat * self.w1f.scale;
-            for i in 0..n {
-                acc_e.fill(0);
-                acc_f.fill(0);
-                quant::quantize_into(p.features.row(i), self.s_feat, &mut qfeat);
-                quant::matvec_accum(self.emb.row(p.opcode_ids[i]), &self.w1e.data, &mut acc_e);
-                quant::matvec_accum(&qfeat, &self.w1f.data, &mut acc_f);
-                for j in 0..d {
-                    node[j] = (acc_e[j] as f32 * se + acc_f[j] as f32 * sf + self.b1[j]).max(0.0);
-                }
-                quant::quantize_into(&node, self.s_node, &mut qx[i * d..(i + 1) * d]);
-            }
-        }
-
-        // The recurrence: gates in i32, state in f32, hidden requantized
-        // to the unit scale for the next step's matmul.
-        let mut c = vec![0.0f32; h];
-        let mut qh = vec![0i16; h];
-        let mut gates = vec![0.0f32; 4 * h];
-        let mut acc_x = vec![0i32; 4 * h];
-        let mut acc_h = vec![0i32; 4 * h];
-        let sx = self.s_node * self.wx.scale;
-        let sh = S_UNIT * self.wh.scale;
-        for t in 0..n {
-            acc_x.fill(0);
-            acc_h.fill(0);
-            quant::matvec_accum(&qx[t * d..(t + 1) * d], &self.wx.data, &mut acc_x);
-            quant::matvec_accum(&qh, &self.wh.data, &mut acc_h);
-            for j in 0..4 * h {
-                gates[j] = acc_x[j] as f32 * sx + acc_h[j] as f32 * sh + self.b[j];
-            }
-            for j in 0..h {
-                let i_g = sigmoid(gates[j]);
-                let f_g = sigmoid(gates[h + j]);
-                let g_g = gates[2 * h + j].tanh();
-                let o_g = sigmoid(gates[3 * h + j]);
-                c[j] = f_g * c[j] + i_g * g_g;
-                qh[j] = quant::quantize_one(o_g * c[j].tanh(), S_UNIT);
-            }
-        }
-
-        let y = quant::dot_i16(&qh, &self.head.data) as f32 * (S_UNIT * self.head.scale);
-        y + self.head_bias + self.log_ns_offset
+        let widest = self.net.layers.encoded_dim().max(4 * self.net.hidden);
+        let mut int16 = Int16::new(&self.scales, widest);
+        self.net.forward(&mut int16, p) + self.log_ns_offset
     }
 
     pub(crate) fn write(&self, w: &mut Writer) {
-        w.u32(self.embed_dim as u32);
-        w.u32(self.node_dim as u32);
-        w.u32(self.hidden as u32);
-        w.u32(FEATURE_DIM as u32);
-        w.u32(self.emb.rows as u32);
+        w.u32(self.net.layers.embed_dim as u32);
+        w.u32(self.net.layers.encoded_dim() as u32);
+        w.u32(self.net.hidden as u32);
+        self.net.layers.write_layout(w);
         w.f32(self.log_ns_offset);
-        w.scales(&[self.s_feat, self.s_node]);
-        w.u32(9);
-        w.qtensor(&self.emb);
-        w.qtensor(&self.w1e);
-        w.qtensor(&self.w1f);
-        w.ftensor(&self.b1);
-        w.qtensor(&self.wx);
-        w.qtensor(&self.wh);
-        w.ftensor(&self.b);
-        w.qtensor(&self.head);
-        w.ftensor(&[self.head_bias]);
+        w.scales(&self.scales);
+        self.net.layers.write(w);
     }
 
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<FrozenLstm, FrozenError> {
         let embed_dim = r.dim("opcode_embed_dim")?;
         let node_dim = r.dim("node_dim")?;
         let hidden = r.dim("hidden")?;
-        let feature_dim = r.dim("feature_dim")?;
-        if feature_dim != FEATURE_DIM {
-            return Err(FrozenError::Corrupt(format!(
-                "blob was frozen with feature_dim {feature_dim}, this build uses {FEATURE_DIM}"
-            )));
-        }
-        let opcode_count = r.dim("opcode_count")?;
-        if opcode_count != Opcode::count() {
-            return Err(FrozenError::Corrupt(format!(
-                "blob was frozen with {opcode_count} opcodes, this build has {}",
-                Opcode::count()
-            )));
-        }
+        Layers::read_layout(r)?;
         let log_ns_offset = r.f32()?;
         let n_scales = r.dim("n_scales")?;
-        if n_scales != 2 {
+        if n_scales != SCALE_SLOTS {
             return Err(FrozenError::Corrupt(format!(
-                "expected 2 activation scales, blob carries {n_scales}"
+                "expected {SCALE_SLOTS} activation scales, blob carries {n_scales}"
             )));
         }
-        let scales = r.f32s(2)?;
-        let n_tensors = r.dim("n_tensors")?;
-        if n_tensors != 9 {
-            return Err(FrozenError::Corrupt(format!(
-                "expected 9 tensor records, blob carries {n_tensors}"
-            )));
-        }
-
-        let emb = r.qtensor("opcode embedding")?;
-        let w1e = r.qtensor("f1 embedding rows")?;
-        let w1f = r.qtensor("f1 feature rows")?;
-        let b1 = r.ftensor("f1 bias", node_dim)?;
-        let wx = r.qtensor("gate input rows")?;
-        let wh = r.qtensor("gate hidden rows")?;
-        let b = r.ftensor("gate bias", 4 * hidden)?;
-        let head = r.qtensor("head")?;
-        let head_bias = r.ftensor("head bias", 1)?[0];
-        for (what, t, rows, cols) in [
-            ("opcode embedding", &emb, opcode_count, embed_dim),
-            ("f1 embedding rows", &w1e, embed_dim, node_dim),
-            ("f1 feature rows", &w1f, feature_dim, node_dim),
-            ("gate input rows", &wx, node_dim, 4 * hidden),
-            ("gate hidden rows", &wh, hidden, 4 * hidden),
-            ("head", &head, hidden, 1),
-        ] {
-            if t.rows != rows || t.cols != cols {
-                return Err(FrozenError::Corrupt(format!(
-                    "{what}: expected {rows}x{cols}, blob carries {}x{}",
-                    t.rows, t.cols
-                )));
-            }
-        }
-
+        let scales = r.f32s(SCALE_SLOTS)?;
+        let layers = Layers::read(r, embed_dim, &layer_specs(embed_dim, node_dim, hidden))?;
         Ok(FrozenLstm {
-            embed_dim,
-            node_dim,
-            hidden,
+            net: Lstm { hidden, layers },
             log_ns_offset,
-            s_feat: scales[0],
-            s_node: scales[1],
-            emb,
-            w1e,
-            w1f,
-            b1,
-            wx,
-            wh,
-            b,
-            head,
-            head_bias,
+            scales,
         })
     }
 }
@@ -232,73 +167,21 @@ impl FrozenLstm {
 /// [`FrozenError::MissingParam`] if the store lacks an expected parameter,
 /// [`FrozenError::FanInTooLarge`] if a layer cannot be quantized safely.
 pub fn freeze_lstm(model: &LstmModel, calib: &[Kernel]) -> Result<FrozenLstm, FrozenError> {
-    let cfg = model.config();
-    let store = model.store();
-    let tensor = |name: &str| -> Result<&Tensor, FrozenError> {
-        store
-            .find(name)
-            .map(|id| store.value(id))
-            .ok_or_else(|| FrozenError::MissingParam(name.into()))
-    };
-
-    let (e, d, h) = (cfg.opcode_embed_dim, cfg.node_dim, cfg.hidden);
-    let emb_t = tensor("opcode_embedding")?;
-    let w1_t = tensor("f1.w")?;
-    let b1_t = tensor("f1.b")?;
-    let lstm_w = tensor("lstm.w")?;
-    let lstm_b = tensor("lstm.b")?;
-    let head_w = tensor("head.w")?;
-    let head_b = tensor("head.b")?;
-    let (w1e_raw, w1f_raw) = w1_t.data().split_at(e * d);
-    let (wx_raw, wh_raw) = lstm_w.data().split_at(d * 4 * h);
-
-    // Calibration: feature maxima plus f32 node projections; the
-    // recurrence itself needs no scale (hidden state is unit-bounded).
-    let own;
-    let calib_kernels = if calib.is_empty() {
-        own = crate::calibration_kernels(16);
-        &own
-    } else {
-        calib
-    };
-    let mut feat_max = 0.0f32;
-    let mut node_max = 0.0f32;
-    let mut node = vec![0.0f32; d];
-    for k in calib_kernels {
-        let p = Prepared::from_kernel(k);
-        feat_max = p.features.data().iter().fold(feat_max, |m, &v| m.max(v.abs()));
-        for i in 0..p.num_nodes() {
-            node.copy_from_slice(b1_t.data());
-            let e0 = p.opcode_ids[i] * e;
-            crate::gnn::matvec_f32(&emb_t.data()[e0..e0 + e], w1e_raw, &mut node);
-            crate::gnn::matvec_f32(p.features.row(i), w1f_raw, &mut node);
-            for v in &node {
-                node_max = node_max.max(v.max(0.0));
-            }
-        }
+    let net = Lstm::from_model(model)?;
+    // Calibration: the forward about to be frozen, run in f32. Only the
+    // stages before the recurrence carry a calibrated scale (the hidden
+    // state is unit-bounded).
+    let mut observed = Calibrate::new(SCALE_SLOTS);
+    for k in crate::calibration_set(calib).iter() {
+        net.forward(&mut observed, &Prepared::from_kernel(k));
     }
-
-    let qw_e = quant::weight_qmax(e)?;
-    let qw_f = quant::weight_qmax(FEATURE_DIM)?;
-    let qw_d = quant::weight_qmax(d)?;
-    let qw_h = quant::weight_qmax(h)?;
-
     Ok(FrozenLstm {
-        embed_dim: e,
-        node_dim: d,
-        hidden: h,
+        net: Lstm {
+            hidden: net.hidden,
+            layers: net.layers.quantize()?,
+        },
         log_ns_offset: tpu_learned_cost::LOG_NS_OFFSET,
-        s_feat: quant::act_scale(feat_max),
-        s_node: quant::act_scale(node_max),
-        emb: QTensor::quantize(Opcode::count(), e, emb_t.data(), Q_ACT_MAX),
-        w1e: QTensor::quantize(e, d, w1e_raw, qw_e),
-        w1f: QTensor::quantize(FEATURE_DIM, d, w1f_raw, qw_f),
-        b1: b1_t.data().to_vec(),
-        wx: QTensor::quantize(d, 4 * h, wx_raw, qw_d),
-        wh: QTensor::quantize(h, 4 * h, wh_raw, qw_h),
-        b: lstm_b.data().to_vec(),
-        head: QTensor::quantize(h, 1, head_w.data(), qw_h),
-        head_bias: head_b.data()[0],
+        scales: observed.scales(),
     })
 }
 
@@ -318,6 +201,21 @@ mod tests {
                 (want - got).abs() < 0.05,
                 "tape {want} vs frozen {got} drifted past quantization noise"
             );
+        }
+    }
+
+    /// The body the int16 instance serves is the model: run in f32 it
+    /// agrees with the tape to accumulation-order noise.
+    #[test]
+    fn the_forward_body_in_f32_is_the_tape_forward() {
+        let model = LstmModel::new(LstmConfig::default());
+        let net = Lstm::from_model(&model).unwrap();
+        for k in crate::calibration_kernels(12) {
+            let want = model.predict_log_ns(&k) as f32;
+            let mut f32_run = Calibrate::new(SCALE_SLOTS);
+            let got = net.forward(&mut f32_run, &Prepared::from_kernel(&k))
+                + tpu_learned_cost::LOG_NS_OFFSET;
+            assert!((want - got).abs() < 1e-4, "tape {want} vs f32 body {got}");
         }
     }
 }

@@ -7,7 +7,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Activation applied by [`Linear::forward`] and [`Mlp`].
+/// Activation applied by [`Linear::forward`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
     /// No activation.
@@ -79,57 +79,6 @@ impl Linear {
         let xw = tape.matmul(x, w);
         let z = tape.add_row(xw, b);
         self.activation.apply(tape, z)
-    }
-}
-
-/// A stack of [`Linear`] layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Mlp {
-    layers: Vec<Linear>,
-}
-
-impl Mlp {
-    /// Create an MLP with the given layer widths; `dims = [in, h1, …, out]`.
-    /// All hidden layers use `hidden_act`; the final layer uses `out_act`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two dims are given.
-    pub fn new<R: Rng + ?Sized>(
-        store: &mut ParamStore,
-        name: &str,
-        dims: &[usize],
-        hidden_act: Activation,
-        out_act: Activation,
-        rng: &mut R,
-    ) -> Mlp {
-        assert!(dims.len() >= 2, "mlp needs at least in/out dims");
-        let mut layers = Vec::new();
-        for i in 0..dims.len() - 1 {
-            let act = if i + 2 == dims.len() { out_act } else { hidden_act };
-            layers.push(Linear::new(
-                store,
-                &format!("{name}.{i}"),
-                dims[i],
-                dims[i + 1],
-                act,
-                rng,
-            ));
-        }
-        Mlp { layers }
-    }
-
-    /// Apply all layers.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, mut x: Var) -> Var {
-        for l in &self.layers {
-            x = l.forward(tape, store, x);
-        }
-        x
-    }
-
-    /// Number of layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
     }
 }
 
@@ -290,7 +239,7 @@ impl LstmCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -304,25 +253,6 @@ mod tests {
         let y = l.forward(&mut tape, &store, x);
         assert_eq!(tape.value(y).shape(), (3, 8));
         assert!(tape.value(y).data().iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn mlp_depth_and_shapes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut store = ParamStore::new();
-        let m = Mlp::new(
-            &mut store,
-            "m",
-            &[4, 16, 16, 1],
-            Activation::Relu,
-            Activation::Identity,
-            &mut rng,
-        );
-        assert_eq!(m.depth(), 3);
-        let mut tape = Tape::new();
-        let x = tape.input(Tensor::ones(5, 4));
-        let y = m.forward(&mut tape, &store, x);
-        assert_eq!(tape.value(y).shape(), (5, 1));
     }
 
     #[test]
@@ -391,18 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn mlp_can_learn_xor() {
-        // End-to-end sanity: a small MLP fits XOR.
+    fn linear_stack_can_learn_xor() {
+        // End-to-end sanity: two stacked layers fit XOR.
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut store = ParamStore::new();
-        let m = Mlp::new(
-            &mut store,
-            "xor",
-            &[2, 8, 1],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng,
-        );
+        let l0 = Linear::new(&mut store, "xor.0", 2, 8, Activation::Tanh, &mut rng);
+        let l1 = Linear::new(&mut store, "xor.1", 8, 1, Activation::Identity, &mut rng);
         let x = Tensor::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
         let y = Tensor::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]);
         let mut opt = Adam::new(0.05);
@@ -410,7 +334,8 @@ mod tests {
         for _ in 0..300 {
             let mut tape = Tape::new();
             let xv = tape.input(x.clone());
-            let pred = m.forward(&mut tape, &store, xv);
+            let hidden = l0.forward(&mut tape, &store, xv);
+            let pred = l1.forward(&mut tape, &store, hidden);
             let yv = tape.input(y.clone());
             let diff = tape.sub(pred, yv);
             let sq = tape.square(diff);

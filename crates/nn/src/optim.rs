@@ -1,70 +1,8 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer and gradient clipping.
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
-
-/// A parameter-update rule consuming accumulated gradients.
-pub trait Optimizer {
-    /// Apply one update from the store's accumulated gradients. Gradients
-    /// are *not* zeroed; call [`ParamStore::zero_grads`] before the next
-    /// forward pass.
-    fn step(&mut self, store: &mut ParamStore);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr` and no momentum.
-    pub fn new(lr: f32) -> Sgd {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Sgd {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        if self.velocity.is_empty() && self.momentum != 0.0 {
-            self.velocity = store
-                .ids()
-                .map(|id| {
-                    let v = store.value(id);
-                    Tensor::zeros(v.rows(), v.cols())
-                })
-                .collect();
-        }
-        for id in store.ids().collect::<Vec<_>>() {
-            let g = store.grad(id).clone();
-            if self.momentum != 0.0 {
-                let vel = &mut self.velocity[id.0];
-                for (v, &gv) in vel.data_mut().iter_mut().zip(g.data()) {
-                    *v = self.momentum * *v + gv;
-                }
-                store.value_mut(id).axpy(-self.lr, &self.velocity[id.0].clone());
-            } else {
-                store.value_mut(id).axpy(-self.lr, &g);
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction and optional decoupled weight
 /// decay.
@@ -104,11 +42,6 @@ impl Adam {
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
-    }
-
-    /// Set the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     /// Snapshot the full optimizer state (hyperparameters, step count,
@@ -163,8 +96,11 @@ pub struct AdamState {
     pub v: Vec<Tensor>,
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+impl Adam {
+    /// Apply one update from the store's accumulated gradients. Gradients
+    /// are *not* zeroed; call [`ParamStore::zero_grads`] before the next
+    /// forward pass.
+    pub fn step(&mut self, store: &mut ParamStore) {
         if self.m.is_empty() {
             for id in store.ids() {
                 let val = store.value(id);
@@ -212,7 +148,7 @@ mod tests {
     use super::*;
     use crate::tape::Tape;
 
-    fn quadratic_step(store: &mut ParamStore, opt: &mut dyn Optimizer) -> f32 {
+    fn quadratic_step(store: &mut ParamStore, opt: &mut Adam) -> f32 {
         // loss = (p - 3)^2 for a single scalar param.
         let id = store.ids().next().unwrap();
         let mut tape = Tape::new();
@@ -225,30 +161,6 @@ mod tests {
         tape.backward(loss, store);
         opt.step(store);
         l
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        store.register("p", Tensor::scalar(0.0));
-        let mut opt = Sgd::new(0.1);
-        let mut loss = f32::INFINITY;
-        for _ in 0..100 {
-            loss = quadratic_step(&mut store, &mut opt);
-        }
-        assert!(loss < 1e-6, "loss={loss}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut store = ParamStore::new();
-        store.register("p", Tensor::scalar(10.0));
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        for _ in 0..200 {
-            quadratic_step(&mut store, &mut opt);
-        }
-        let id = store.ids().next().unwrap();
-        assert!((store.value(id).item() - 3.0).abs() < 0.05);
     }
 
     #[test]
@@ -291,14 +203,6 @@ mod tests {
         let pre2 = clip_grad_norm(&mut store, 10.0);
         assert!((pre2 - 1.0).abs() < 1e-5);
         assert!((store.grad_norm() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn adam_lr_accessors() {
-        let mut a = Adam::new(0.1);
-        assert_eq!(a.lr(), 0.1);
-        a.set_lr(0.01);
-        assert_eq!(a.lr(), 0.01);
     }
 
     #[test]

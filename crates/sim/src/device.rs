@@ -193,12 +193,6 @@ impl TpuDevice {
         self.faults.get()
     }
 
-    /// Execution-event count so far (one per kernel-execution attempt);
-    /// drives the deterministic fault schedule.
-    pub fn fault_events(&self) -> u64 {
-        self.fault_event.get()
-    }
-
     /// Execute a kernel once, returning a noisy runtime in ns, or a
     /// [`DeviceError`] if the fault schedule injects a failure at this
     /// execution event.
@@ -504,7 +498,6 @@ mod tests {
             b.device_time_used().to_bits()
         );
         assert_eq!(b.fault_counts(), FaultCounts::default());
-        assert_eq!(b.fault_events(), 32);
     }
 
     #[test]
