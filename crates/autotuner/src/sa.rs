@@ -256,9 +256,15 @@ where
                 best = cand.clone();
                 best_cost = cost;
             }
-            // Metropolis acceptance on relative cost, per chain.
-            let rel = (cost - current_cost[c]) / current_cost[c].abs().max(1e-9);
-            if rel <= 0.0 || rngs[c].gen::<f64>() < (-rel / temp.max(1e-12)).exp() {
+            // Metropolis acceptance on relative cost, per chain. A move
+            // that is no worse is taken before `rel` is formed: from a
+            // `+inf` current cost `rel` is NaN, which would reject every
+            // move and pin the chain to the neighbours of its start.
+            let accept = cost <= current_cost[c] || {
+                let rel = (cost - current_cost[c]) / current_cost[c].abs().max(1e-9);
+                rngs[c].gen::<f64>() < (-rel / temp.max(1e-12)).exp()
+            };
+            if accept {
                 current[c] = cand.clone();
                 current_cost[c] = cost;
                 obs.accepts.inc();
@@ -517,6 +523,57 @@ mod tests {
             snap.gauge("autotuner.sa.best_cost"),
             Some(observed.best_cost)
         );
+    }
+
+    #[test]
+    fn a_chain_leaves_a_start_whose_cost_is_infinite() {
+        /// `+inf` on the start only (a start the hardware could not
+        /// measure, or a model that answered `None` for one of its
+        /// kernels); keeps every candidate it is shown.
+        struct UnscorableStart {
+            start: FusionConfig,
+            seen: Vec<FusionConfig>,
+            registry: Registry,
+        }
+        impl BatchObjective for UnscorableStart {
+            fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
+                self.seen.extend_from_slice(configs);
+                let cost = |c: &FusionConfig| {
+                    if *c == self.start {
+                        f64::INFINITY
+                    } else {
+                        (c.decisions.len() - c.num_fused()) as f64
+                    }
+                };
+                configs.iter().map(cost).collect()
+            }
+            fn registry(&self) -> Registry {
+                self.registry.clone()
+            }
+        }
+        let p = chain_program(12);
+        let space = FusionSpace::new(&p.computation);
+        let cfg = SaConfig {
+            steps: 200,
+            ..Default::default()
+        };
+        let mut objective = UnscorableStart {
+            start: space.none(),
+            seen: Vec::new(),
+            registry: Registry::enabled(),
+        };
+        let result = anneal(&space, space.none(), &mut objective, &cfg);
+
+        let snap = objective.registry.snapshot();
+        assert!(snap.counter("autotuner.sa.accepts").unwrap() >= 1);
+        // A chain stuck on its start only ever proposes configs within
+        // one flip-set of it.
+        let from_start = |c: &FusionConfig| c.decisions.iter().filter(|&&fused| fused).count();
+        assert!(
+            objective.seen.iter().any(|c| from_start(c) > cfg.flips),
+            "every candidate is a neighbour of the start"
+        );
+        assert!(result.best_cost.is_finite());
     }
 
     #[test]

@@ -1,25 +1,25 @@
-//! The frozen GraphSAGE forward: a quantized, tape-free mirror of
-//! `tpu_learned_cost::GnnModel`.
+//! The frozen GraphSAGE forward: a tape-free mirror of
+//! `tpu_learned_cost::GnnModel`, in the same f32 the model was trained
+//! in.
 //!
-//! The dataflow is written once, in [`Gnn::forward`], over an
-//! [`Arith`]. Under [`Int16`] matmuls run in i16×i16→i32 (split per input
-//! segment so each segment keeps its own activation scale); everything a
-//! matmul cannot amortize — bias add, ReLU, neighborhood aggregation, L2
-//! normalization, pooling — is f32 in the body itself. Post-normalization
-//! embeddings are bounded in `[-1, 1]`, so from hop 1 onward activations
-//! use the static unit scale and cannot saturate; the stages that can
-//! (features, ε⁰, aggregation, pools) carry calibrated scales in the blob,
-//! observed by running the same body under [`Calibrate`].
+//! The dataflow is written once, in [`FrozenGnn::forward_log_ns`]: one
+//! kernel at a time, one [`Affine::apply`](crate::layers::Affine::apply)
+//! per node and layer over the trained weight matrices, with bias add,
+//! ReLU, neighborhood aggregation, L2 normalization and pooling in the
+//! body itself. It can differ from the tape only by f32 summation order
+//! (`tests/parity.rs` pins the two within 1e-5 log-ns).
+//!
+//! Blob header, after `kind`: `opcode_embed_dim`, `hidden`, `hops`, the
+//! reduction code (0 sum, 1 mean, 2 max) and the pool mask (bit 0 sum,
+//! bit 1 mean, bit 2 max), each a u32. The tensors: the embedding table,
+//! then weight and bias of f₁, of each hop's f₂ and f₃, and of the head.
 
-use crate::arith::{relu, Arith, Calibrate, Int16, Stage};
-use crate::blob::{FrozenError, Reader, Writer};
-use crate::layers::{LayerSpec, Layers, ENCODED};
-use crate::quant::QTensor;
+use crate::blob::{FrozenError, Reader, Writer, RECORD_HEADER_BYTES};
+use crate::layers::{relu, LayerSpec, Layers};
 use tpu_hlo::Kernel;
-use tpu_learned_cost::features::FEATURE_DIM;
 use tpu_learned_cost::{GnnArch, GnnModel, Prepared, Reduction};
 
-/// `x / max(‖x‖₂, ε)` uses the tape's epsilon so frozen and f32 paths
+/// `x / max(‖x‖₂, ε)` uses the tape's epsilon so frozen and tape paths
 /// normalize degenerate rows identically.
 const L2_EPS: f32 = 1e-6;
 
@@ -55,138 +55,27 @@ impl Arch {
         self.pools.iter().filter(|&&on| on).count()
     }
 
-    /// Activation-scale slots, in blob order: features, ε⁰, one per hop's
-    /// neighborhood aggregate, one per enabled pool.
-    fn scale_slots(&self) -> usize {
-        2 + self.hops + self.num_pools()
-    }
-
     /// The affine layers, in blob order: the encoder's f₁; per hop f₂,
-    /// then f₃ as its self rows (`0..H` of `f3.w`) and its
-    /// neighborhood-aggregate rows (`H..2H`); the head, one `H×1` chunk
-    /// per enabled pool in concat order.
+    /// then f₃ over `[ε ‖ neighborhood aggregate]`; the head over the
+    /// enabled pools in concat order.
     fn layer_specs(&self, embed_dim: usize) -> Vec<LayerSpec> {
         let h = self.hidden;
         let mut specs = vec![LayerSpec::encoder(embed_dim, h)];
         for k in 0..self.hops {
-            specs.push(LayerSpec::new(format!("hop{k}.f2"), vec![h], h));
-            specs.push(LayerSpec::new(format!("hop{k}.f3"), vec![h; 2], h));
+            specs.push(LayerSpec::new(format!("hop{k}.f2"), h, h));
+            specs.push(LayerSpec::new(format!("hop{k}.f3"), 2 * h, h));
         }
-        specs.push(LayerSpec::new("head", vec![h; self.num_pools()], 1));
+        specs.push(LayerSpec::new("head", h * self.num_pools(), 1));
         specs
     }
 }
 
-/// A GraphSAGE model over weight container `M`: training-store slices
-/// while calibrating, [`QTensor`]s once frozen.
-#[derive(Debug, Clone)]
-struct Gnn<M> {
-    arch: Arch,
-    /// Shaped by [`Arch::layer_specs`].
-    layers: Layers<M>,
-}
-
-impl<M> Gnn<M> {
-    /// The one walk over the layers: the head output (before the log-ns
-    /// offset) for one featurized kernel.
-    fn forward<A: Arith<Mat = M>>(&self, a: &mut A, p: &Prepared) -> f32 {
-        let Arch {
-            hidden: h,
-            hops,
-            reduction,
-            pools,
-        } = self.arch;
-        let n = p.num_nodes();
-        let (head, hop_layers) = self.layers.affine[1..].split_last().expect("a head layer");
-        if n == 0 {
-            return head.b[0];
-        }
-
-        let mut eps = vec![0.0f32; n * h];
-        let mut qfeat = vec![A::Elem::default(); FEATURE_DIM];
-        for i in 0..n {
-            self.layers
-                .encode(a, p, i, &mut qfeat, &mut eps[i * h..(i + 1) * h]);
-        }
-        let mut qeps = vec![A::Elem::default(); n * h];
-        let mut s_eps = a.stage(ENCODED, &eps, &mut qeps);
-
-        let mut msg = vec![0.0f32; n * h];
-        let mut agg = vec![0.0f32; n * h];
-        let mut qagg = vec![A::Elem::default(); n * h];
-        for (k, hop) in hop_layers.chunks_exact(2).enumerate() {
-            let (f2, f3) = (&hop[0], &hop[1]);
-            // Per-node message: relu(f₂(ε)).
-            for i in 0..n {
-                let node = i * h..(i + 1) * h;
-                a.affine(f2, [(&qeps[node.clone()], s_eps)], &mut msg[node]);
-            }
-            relu(&mut msg);
-            aggregate(reduction, p, &msg, &mut agg, n, h);
-            let s_agg = a.stage(Stage::Slot(2 + k), &agg, &mut qagg);
-
-            // εᵏ = l₂(relu(f₃([ε ‖ agg]))).
-            for i in 0..n {
-                let node = i * h..(i + 1) * h;
-                let row = &mut eps[node.clone()];
-                a.affine(
-                    f3,
-                    [(&qeps[node.clone()], s_eps), (&qagg[node], s_agg)],
-                    row,
-                );
-                relu(row);
-                let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(L2_EPS);
-                for v in row.iter_mut() {
-                    *v /= norm;
-                }
-            }
-            // Normalized rows are in [-1, 1]: unit scale, no saturation.
-            s_eps = a.stage(Stage::Unit, &eps, &mut qeps);
-        }
-
-        // Kernel pooling + head, one dot product per enabled pool.
-        let mut pool = vec![0.0f32; h];
-        let mut qpool = vec![A::Elem::default(); h];
-        let mut y = head.b[0];
-        let enabled = (0..3).filter(|&which| pools[which]);
-        for (slot, (which, chunk)) in enabled.zip(&head.w).enumerate() {
-            pool_into(which, &eps, n, &mut pool);
-            let s_pool = a.stage(Stage::Slot(2 + hops + slot), &pool, &mut qpool);
-            y += A::dot(&qpool, s_pool, chunk);
-        }
-        y
-    }
-}
-
-impl<'w> Gnn<&'w [f32]> {
-    /// Borrow a trained model's layers from its parameter store.
-    fn from_model(model: &'w GnnModel) -> Result<Self, FrozenError> {
-        let cfg = model.config();
-        if cfg.arch != GnnArch::GraphSage {
-            return Err(FrozenError::UnsupportedArch("GcnMean".into()));
-        }
-        if cfg.pooling.count() == 0 {
-            return Err(FrozenError::UnsupportedArch("pool-less head".into()));
-        }
-        let arch = Arch {
-            hidden: cfg.hidden,
-            hops: cfg.hops,
-            reduction: cfg.reduction,
-            pools: [cfg.pooling.sum, cfg.pooling.mean, cfg.pooling.max],
-        };
-        let specs = arch.layer_specs(cfg.opcode_embed_dim);
-        let layers = Layers::from_store(model.store(), cfg.opcode_embed_dim, &specs)?;
-        Ok(Gnn { arch, layers })
-    }
-}
-
-/// A frozen, quantized [`GnnModel`]: flat arrays, no tape, no autograd.
+/// A frozen [`GnnModel`]: flat f32 arrays, no tape, no autograd.
 #[derive(Debug, Clone)]
 pub struct FrozenGnn {
-    net: Gnn<QTensor>,
-    log_ns_offset: f32,
-    /// Calibrated activation scales, one per [`Arch::scale_slots`] slot.
-    scales: Vec<f32>,
+    arch: Arch,
+    /// Shaped by [`Arch::layer_specs`].
+    layers: Layers,
 }
 
 impl FrozenGnn {
@@ -194,17 +83,68 @@ impl FrozenGnn {
     /// threshold in [`crate::FrozenModel`].
     pub fn mac_estimate(&self, p: &Prepared) -> usize {
         let n = p.num_nodes();
-        let arch = &self.net.arch;
-        let h = arch.hidden;
-        n * self.net.layers.encoder_macs()
-            + arch.hops * (3 * n * h * h + 2 * p.edges.len() * h)
-            + arch.num_pools() * h
+        let h = self.arch.hidden;
+        n * self.layers.encoder_macs()
+            + self.arch.hops * (3 * n * h * h + 2 * p.edges.len() * h)
+            + self.arch.num_pools() * h
     }
 
-    /// Predicted log-runtime (ns) of one featurized kernel.
+    /// Predicted log-runtime (ns) of one featurized kernel: the one walk
+    /// over the layers. Four buffers (node states, messages / next
+    /// states, aggregates, the pooled embedding) plus, per hop of a mean
+    /// reduction, the neighbor counts are all it allocates
+    /// (`tests/alloc_count.rs` counts them).
     pub fn forward_log_ns(&self, p: &Prepared) -> f32 {
-        let mut int16 = Int16::new(&self.scales, self.net.arch.hidden);
-        self.net.forward(&mut int16, p) + self.log_ns_offset
+        let Arch {
+            hidden: h,
+            reduction,
+            pools,
+            ..
+        } = self.arch;
+        let n = p.num_nodes();
+        let (head, hop_layers) = self.layers.affine[1..].split_last().expect("a head layer");
+        if n == 0 {
+            return head.b[0] + self.layers.log_ns_offset;
+        }
+
+        let mut eps = vec![0.0f32; n * h];
+        for (i, row) in eps.chunks_exact_mut(h).enumerate() {
+            self.layers.encode(p, i, row);
+        }
+        // Messages first, then the hop's new node states: f₃ reads node
+        // `i` of `eps` and `agg` only, so it can overwrite message `i`.
+        let mut next = vec![0.0f32; n * h];
+        let mut agg = vec![0.0f32; n * h];
+        for hop in hop_layers.chunks_exact(2) {
+            let (f2, f3) = (&hop[0], &hop[1]);
+            // Per-node message: relu(f₂(ε)).
+            for (x, msg) in eps.chunks_exact(h).zip(next.chunks_exact_mut(h)) {
+                f2.apply(&[x], msg);
+            }
+            relu(&mut next);
+            aggregate(reduction, p, &next, &mut agg, n, h);
+            // εᵏ = l₂(relu(f₃([ε ‖ agg]))).
+            let inputs = eps.chunks_exact(h).zip(agg.chunks_exact(h));
+            for ((x, a), row) in inputs.zip(next.chunks_exact_mut(h)) {
+                f3.apply(&[x, a], row);
+                relu(row);
+                let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(L2_EPS);
+                for v in row.iter_mut() {
+                    *v /= norm;
+                }
+            }
+            std::mem::swap(&mut eps, &mut next);
+        }
+
+        // Kernel embedding κ = the enabled pools side by side, then the head.
+        let mut kappa = vec![0.0f32; head.rows()];
+        let enabled = (0..3).filter(|&which| pools[which]);
+        for (which, pool) in enabled.zip(kappa.chunks_exact_mut(h)) {
+            pool_into(which, &eps, n, pool);
+        }
+        let mut y = [0.0f32];
+        head.apply(&[&kappa], &mut y);
+        y[0] + self.layers.log_ns_offset
     }
 
     pub(crate) fn write(&self, w: &mut Writer) {
@@ -213,29 +153,25 @@ impl FrozenGnn {
             hops,
             reduction,
             pools,
-        } = self.net.arch;
-        w.u32(self.net.layers.embed_dim as u32);
+        } = self.arch;
+        w.u32(self.layers.embed_dim() as u32);
         w.u32(hidden as u32);
         w.u32(hops as u32);
         w.u32(reduction_code(reduction));
         w.u32(pools[0] as u32 | (pools[1] as u32) << 1 | (pools[2] as u32) << 2);
-        self.net.layers.write_layout(w);
-        w.f32(self.log_ns_offset);
-        w.scales(&self.scales);
-        self.net.layers.write(w);
+        self.layers.write(w);
     }
 
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<FrozenGnn, FrozenError> {
         let embed_dim = r.dim("opcode_embed_dim")?;
-        let hidden = r.dim("hidden")?;
+        let hidden = r.width("hidden")?;
         let hops = r.dim("hops")?;
-        // Every hop costs at least one activation scale (4 B) plus five
-        // tensor records of a 16 B header each. A hop count the blob's
-        // remaining bytes cannot possibly back is corrupt, and must be
-        // rejected *before* the count sizes any allocation — `dim`'s
-        // 2^24 ceiling alone still lets a 100-byte blob demand
-        // gigabytes of layer capacity.
-        if hops.saturating_mul(84) > r.remaining() {
+        // Every hop costs four tensor records (weight and bias of f₂ and
+        // f₃). A hop count the blob's remaining bytes cannot possibly
+        // back is corrupt, and must be rejected *before* the count sizes
+        // any allocation — `dim`'s 2^24 ceiling alone still lets a
+        // 100-byte blob demand gigabytes of layer capacity.
+        if hops.saturating_mul(4 * RECORD_HEADER_BYTES) > r.remaining() {
             return Err(FrozenError::Corrupt(format!(
                 "hop count {hops} exceeds what {} remaining bytes can hold",
                 r.remaining()
@@ -246,29 +182,14 @@ impl FrozenGnn {
         if mask == 0 || mask > 0b111 {
             return Err(FrozenError::Corrupt(format!("pool mask {mask:#b} invalid")));
         }
-        let pools = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
         let arch = Arch {
             hidden,
             hops,
             reduction,
-            pools,
+            pools: [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0],
         };
-        Layers::read_layout(r)?;
-        let log_ns_offset = r.f32()?;
-        let n_scales = r.dim("n_scales")?;
-        if n_scales != arch.scale_slots() {
-            return Err(FrozenError::Corrupt(format!(
-                "expected {} activation scales, blob carries {n_scales}",
-                arch.scale_slots()
-            )));
-        }
-        let scales = r.f32s(n_scales)?;
-        let layers = Layers::read(r, embed_dim, &arch.layer_specs(embed_dim))?;
-        Ok(FrozenGnn {
-            net: Gnn { arch, layers },
-            log_ns_offset,
-            scales,
-        })
+        let layers = Layers::read(r, &arch.layer_specs(embed_dim))?;
+        Ok(FrozenGnn { arch, layers })
     }
 }
 
@@ -348,117 +269,42 @@ fn pool_into(which: usize, eps: &[f32], n: usize, pool: &mut [f32]) {
 }
 
 /// Freeze a trained (or freshly initialized) [`GnnModel`] into a
-/// [`FrozenGnn`], calibrating activation scales on `calib` kernels (the
-/// built-in [`crate::calibration_kernels`] set when empty).
+/// [`FrozenGnn`]: its weights, copied as they are.
+///
+/// `_calib` is ignored. It fed the activation-scale calibration of the
+/// int16 format this crate no longer has, and stays in the signature only
+/// because `benchmark/` (frozen between benchmark-archetype PRs) still
+/// passes it; the next such PR drops the argument.
 ///
 /// # Errors
 ///
 /// [`FrozenError::UnsupportedArch`] for `GcnMean` or a pool-less config,
 /// [`FrozenError::MissingParam`] if the store lacks an expected parameter,
-/// [`FrozenError::FanInTooLarge`] if a layer cannot be quantized safely.
-pub fn freeze_gnn(model: &GnnModel, calib: &[Kernel]) -> Result<FrozenGnn, FrozenError> {
-    let net = Gnn::from_model(model)?;
-    // Calibration: the forward about to be frozen, run in f32 over
-    // representative kernels, records the largest magnitude each
-    // to-be-quantized stage produces.
-    let mut observed = Calibrate::new(net.arch.scale_slots());
-    for k in crate::calibration_set(calib).iter() {
-        net.forward(&mut observed, &Prepared::from_kernel(k));
+/// [`FrozenError::NonFinite`] naming the first parameter that holds a NaN
+/// or an infinity.
+pub fn freeze_gnn(model: &GnnModel, _calib: &[Kernel]) -> Result<FrozenGnn, FrozenError> {
+    let cfg = model.config();
+    if cfg.arch != GnnArch::GraphSage {
+        return Err(FrozenError::UnsupportedArch("GcnMean".into()));
     }
-    Ok(FrozenGnn {
-        net: Gnn {
-            arch: net.arch,
-            layers: net.layers.quantize()?,
-        },
-        log_ns_offset: tpu_learned_cost::LOG_NS_OFFSET,
-        scales: observed.scales(),
-    })
+    if cfg.pooling.count() == 0 {
+        return Err(FrozenError::UnsupportedArch("pool-less head".into()));
+    }
+    let arch = Arch {
+        hidden: cfg.hidden,
+        hops: cfg.hops,
+        reduction: cfg.reduction,
+        pools: [cfg.pooling.sum, cfg.pooling.mean, cfg.pooling.max],
+    };
+    let specs = arch.layer_specs(cfg.opcode_embed_dim);
+    let layers = Layers::from_store(model.store(), &specs)?;
+    Ok(FrozenGnn { arch, layers })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_learned_cost::{GnnConfig, PoolCombo};
-
-    fn calib() -> Vec<Kernel> {
-        crate::calibration_kernels(12)
-    }
-
-    #[test]
-    fn frozen_tracks_tape_forward() {
-        let model = GnnModel::new(GnnConfig::default());
-        let frozen = freeze_gnn(&model, &calib()).unwrap();
-        for k in calib() {
-            let want = model.predict_log_ns(&k) as f32;
-            let got = frozen.forward_log_ns(&Prepared::from_kernel(&k));
-            assert!(
-                (want - got).abs() < 0.05,
-                "tape {want} vs frozen {got} drifted past quantization noise"
-            );
-        }
-    }
-
-    /// The body the int16 instance serves is the model: run in f32 it
-    /// agrees with the tape to accumulation-order noise, not merely to
-    /// quantization noise.
-    #[test]
-    fn the_forward_body_in_f32_is_the_tape_forward() {
-        for red in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
-            let model = GnnModel::new(GnnConfig {
-                reduction: red,
-                ..Default::default()
-            });
-            let net = Gnn::from_model(&model).unwrap();
-            for k in calib() {
-                let want = model.predict_log_ns(&k) as f32;
-                let mut f32_run = Calibrate::new(net.arch.scale_slots());
-                let got = net.forward(&mut f32_run, &Prepared::from_kernel(&k))
-                    + tpu_learned_cost::LOG_NS_OFFSET;
-                assert!(
-                    (want - got).abs() < 1e-4,
-                    "{red:?}: tape {want} vs f32 body {got}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_reduction_and_pool_combo_freezes() {
-        for red in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
-            for pool in [
-                PoolCombo {
-                    sum: true,
-                    mean: false,
-                    max: false,
-                },
-                PoolCombo {
-                    sum: false,
-                    mean: true,
-                    max: true,
-                },
-                PoolCombo::all(),
-            ] {
-                let cfg = GnnConfig {
-                    reduction: red,
-                    pooling: pool,
-                    hops: 1,
-                    hidden: 16,
-                    opcode_embed_dim: 8,
-                    ..Default::default()
-                };
-                let model = GnnModel::new(cfg);
-                let frozen = freeze_gnn(&model, &calib()).unwrap();
-                for k in calib().iter().take(3) {
-                    let want = model.predict_log_ns(k) as f32;
-                    let got = frozen.forward_log_ns(&Prepared::from_kernel(k));
-                    assert!(
-                        (want - got).abs() < 0.05,
-                        "{red:?}/{pool:?}: {want} vs {got}"
-                    );
-                }
-            }
-        }
-    }
+    use tpu_learned_cost::GnnConfig;
 
     #[test]
     fn gcn_mean_is_a_typed_unsupported_arch() {
@@ -473,15 +319,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_hop_model_freezes() {
-        let model = GnnModel::new(GnnConfig {
-            hops: 0,
-            ..Default::default()
-        });
-        let frozen = freeze_gnn(&model, &calib()).unwrap();
-        let k = &calib()[0];
-        let want = model.predict_log_ns(k) as f32;
-        let got = frozen.forward_log_ns(&Prepared::from_kernel(k));
-        assert!((want - got).abs() < 0.05);
+    fn a_non_finite_parameter_is_refused_by_name() {
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut model = GnnModel::new(GnnConfig::default());
+            let id = model.store().find("hop1.f3.b").expect("a second hop");
+            model.store_mut().value_mut(id).data_mut()[3] = poison;
+            assert_eq!(
+                freeze_gnn(&model, &[]).unwrap_err(),
+                FrozenError::NonFinite("hop1.f3.b".into())
+            );
+        }
     }
 }

@@ -1,37 +1,28 @@
 //! A frozen network's weights as the blob lays them out: the opcode
-//! embedding table, then a list of affine layers, each its weight blocks
-//! (one per input segment) followed by its bias. Both architectures are
-//! such a list — they differ in the layers' shapes ([`LayerSpec`]) and in
-//! the dataflow between them — so borrowing the weights from a training
-//! store, quantizing them, and their blob records are written once here,
-//! as is the node encoder both architectures start with.
+//! embedding table, then a list of affine layers, each its `rows×out`
+//! weight matrix — exactly as the training store holds it — followed by
+//! its bias. Both architectures are such a list; they differ in the
+//! layers' shapes ([`LayerSpec`]) and in the dataflow between them. So
+//! copying the weights out of a training store, the finiteness rule,
+//! their blob records and the node encoder both architectures start with
+//! are written once here.
 
-use crate::arith::{relu, Arith, Stage};
 use crate::blob::{FrozenError, Reader, Writer};
-use crate::quant::{self, QTensor, Q_ACT_MAX};
 use tpu_hlo::Opcode;
 use tpu_learned_cost::features::FEATURE_DIM;
 use tpu_learned_cost::Prepared;
 use tpu_nn::ParamStore;
 
-/// Scale slot of the raw node features: first in both architectures'
-/// blob scale lists.
-const FEATURES: Stage = Stage::Slot(0);
-
-/// Scale slot of the encoder's output (the caller stages it): second in
-/// both architectures' blob scale lists.
-pub(crate) const ENCODED: Stage = Stage::Slot(1);
-
-/// Shape of one affine layer: its name in the training store, the input
-/// rows of each weight block, and its output width.
+/// Shape of one affine layer: its name in the training store, its input
+/// rows and its output width.
 pub(crate) struct LayerSpec {
     name: String,
-    rows: Vec<usize>,
+    rows: usize,
     out: usize,
 }
 
 impl LayerSpec {
-    pub(crate) fn new(name: impl Into<String>, rows: Vec<usize>, out: usize) -> LayerSpec {
+    pub(crate) fn new(name: impl Into<String>, rows: usize, out: usize) -> LayerSpec {
         LayerSpec {
             name: name.into(),
             rows,
@@ -39,34 +30,66 @@ impl LayerSpec {
         }
     }
 
-    /// The encoder's f₁: one block for the opcode embedding, one for the
-    /// features (the segments have different scales).
+    /// The encoder's f₁ over `[opcode embedding ‖ features]`.
     pub(crate) fn encoder(embed_dim: usize, out: usize) -> LayerSpec {
-        LayerSpec::new("f1", vec![embed_dim, FEATURE_DIM], out)
+        LayerSpec::new("f1", embed_dim + FEATURE_DIM, out)
     }
 }
 
-/// One affine layer over weight container `M`. A layer whose input is a
-/// concatenation holds one `rows×out` block per segment, so each segment
-/// is its own matmul term.
+/// One affine layer: `w` is `rows×out` row-major, `b` is `out` wide.
 #[derive(Debug, Clone)]
-pub(crate) struct Affine<M> {
-    pub(crate) w: Vec<M>,
+pub(crate) struct Affine {
+    w: Vec<f32>,
     pub(crate) b: Vec<f32>,
 }
 
-/// All weights of one network: training-store slices while calibrating,
-/// [`QTensor`]s once frozen.
-#[derive(Debug, Clone)]
-pub(crate) struct Layers<M> {
-    pub(crate) embed_dim: usize,
-    /// Opcode embedding table, `opcodes × embed_dim`.
-    emb: M,
-    /// In blob order; the first is the encoder's f₁.
-    pub(crate) affine: Vec<Affine<M>>,
+impl Affine {
+    /// Input rows of the weight matrix.
+    pub(crate) fn rows(&self) -> usize {
+        self.w.len() / self.b.len()
+    }
+
+    /// `out = b + [inputs…]·w`. A concatenated input is its segments in
+    /// order: each meets the next consecutive row range of `w`, so nothing
+    /// is copied side by side first. Bias first, then ascending row — one
+    /// fixed f32 summation order, whatever thread runs it.
+    pub(crate) fn apply(&self, inputs: &[&[f32]], out: &mut [f32]) {
+        debug_assert_eq!(inputs.iter().map(|s| s.len()).sum::<usize>(), self.rows());
+        out.copy_from_slice(&self.b);
+        let mut rows = self.w.chunks_exact(out.len());
+        for segment in inputs {
+            for (&a, row) in segment.iter().zip(&mut rows) {
+                for (o, &w) in out.iter_mut().zip(row) {
+                    *o += a * w;
+                }
+            }
+        }
+    }
 }
 
-impl<M> Layers<M> {
+/// In-place ReLU.
+pub(crate) fn relu(xs: &mut [f32]) {
+    for v in xs {
+        *v = v.max(0.0);
+    }
+}
+
+/// All weights of one frozen network, every value finite.
+#[derive(Debug, Clone)]
+pub(crate) struct Layers {
+    /// Opcode embedding table, `opcodes × embed_dim`.
+    emb: Vec<f32>,
+    /// In blob order; the first is the encoder's f₁.
+    pub(crate) affine: Vec<Affine>,
+    /// Added to the head's output: the training target's centring.
+    pub(crate) log_ns_offset: f32,
+}
+
+impl Layers {
+    pub(crate) fn embed_dim(&self) -> usize {
+        self.emb.len() / Opcode::count()
+    }
+
     /// Output width of the node encoder.
     pub(crate) fn encoded_dim(&self) -> usize {
         self.affine[0].b.len()
@@ -74,103 +97,66 @@ impl<M> Layers<M> {
 
     /// Multiply-accumulates per encoded node.
     pub(crate) fn encoder_macs(&self) -> usize {
-        (self.embed_dim + FEATURE_DIM) * self.encoded_dim()
+        self.affine[0].w.len()
     }
 
     /// The node encoder, `ε⁰ = relu([opcode embedding ‖ features]·W₁ + b₁)`
     /// — the GNN's initial node state and the LSTM's step input — for
-    /// node `i` of `p`. `qfeat` is `FEATURE_DIM` elements of scratch.
-    pub(crate) fn encode<A: Arith<Mat = M>>(
-        &self,
-        a: &mut A,
-        p: &Prepared,
-        i: usize,
-        qfeat: &mut [A::Elem],
-        out: &mut [f32],
-    ) {
-        let s_feat = a.stage(FEATURES, p.features.row(i), qfeat);
-        // Table rows *are* layer inputs: the table's scale is theirs.
-        let (emb, s_emb) = A::row(&self.emb, p.opcode_ids[i], self.embed_dim);
-        a.affine(&self.affine[0], [(emb, s_emb), (qfeat, s_feat)], out);
+    /// node `i` of `p`.
+    pub(crate) fn encode(&self, p: &Prepared, i: usize, out: &mut [f32]) {
+        let d = self.embed_dim();
+        let emb = &self.emb[p.opcode_ids[i] * d..][..d];
+        self.affine[0].apply(&[emb, p.features.row(i)], out);
         relu(out);
     }
-}
 
-impl<'w> Layers<&'w [f32]> {
-    /// Borrow a trained model's weights: `opcode_embedding`, then
-    /// `{name}.w` (split into the spec's row blocks) and `{name}.b` per
-    /// layer.
-    pub(crate) fn from_store(
-        store: &'w ParamStore,
-        embed_dim: usize,
-        specs: &[LayerSpec],
-    ) -> Result<Self, FrozenError> {
-        let param = |name: &str| -> Result<&'w [f32], FrozenError> {
-            store
+    /// Copy a trained model's weights: `opcode_embedding`, then `{name}.w`
+    /// and `{name}.b` per layer, each refused by name if it holds a NaN
+    /// or an infinity.
+    pub(crate) fn from_store(store: &ParamStore, specs: &[LayerSpec]) -> Result<Self, FrozenError> {
+        let param = |name: &str| -> Result<Vec<f32>, FrozenError> {
+            let id = store
                 .find(name)
-                .map(|id| store.value(id).data())
-                .ok_or_else(|| FrozenError::MissingParam(name.into()))
+                .ok_or_else(|| FrozenError::MissingParam(name.into()))?;
+            let values = store.value(id).data();
+            finite(name, values)?;
+            Ok(values.to_vec())
         };
         let emb = param("opcode_embedding")?;
         let mut affine = Vec::with_capacity(specs.len());
         for spec in specs {
-            let mut rest = param(&format!("{}.w", spec.name))?;
-            let mut w = Vec::with_capacity(spec.rows.len());
-            for rows in &spec.rows {
-                let (block, tail) = rest.split_at(rows * spec.out);
-                w.push(block);
-                rest = tail;
-            }
-            let b = param(&format!("{}.b", spec.name))?.to_vec();
-            affine.push(Affine { w, b });
-        }
-        Ok(Layers {
-            embed_dim,
-            emb,
-            affine,
-        })
-    }
-
-    /// Quantize every block to the widest int16 range its own fan-in
-    /// leaves the i32 accumulator ([`quant::weight_qmax`]); the embedding
-    /// table holds activations and takes the activation range.
-    pub(crate) fn quantize(&self) -> Result<Layers<QTensor>, FrozenError> {
-        let mut affine = Vec::with_capacity(self.affine.len());
-        for layer in &self.affine {
-            let out = layer.b.len();
-            let mut w = Vec::with_capacity(layer.w.len());
-            for block in &layer.w {
-                let rows = block.len() / out;
-                w.push(QTensor::quantize(
-                    rows,
-                    out,
-                    block,
-                    quant::weight_qmax(rows)?,
-                ));
-            }
             affine.push(Affine {
-                w,
-                b: layer.b.clone(),
+                w: param(&format!("{}.w", spec.name))?,
+                b: param(&format!("{}.b", spec.name))?,
             });
         }
+        let log_ns_offset = tpu_learned_cost::LOG_NS_OFFSET;
+        finite("log_ns_offset", &[log_ns_offset])?;
         Ok(Layers {
-            embed_dim: self.embed_dim,
-            emb: QTensor::quantize(Opcode::count(), self.embed_dim, self.emb, Q_ACT_MAX),
+            emb,
             affine,
+            log_ns_offset,
         })
     }
-}
 
-impl Layers<QTensor> {
-    /// The two header fields that tie a blob to this build's feature
-    /// layout.
-    pub(crate) fn write_layout(&self, w: &mut Writer) {
+    /// Everything after the kind-specific header: the two fields that tie
+    /// a blob to this build's feature layout, the offset, the tensors.
+    pub(crate) fn write(&self, w: &mut Writer) {
         w.u32(FEATURE_DIM as u32);
-        w.u32(self.emb.rows as u32);
+        w.u32(Opcode::count() as u32);
+        w.f32(self.log_ns_offset);
+        w.u32(1 + 2 * self.affine.len() as u32);
+        w.tensor(Opcode::count(), self.embed_dim(), &self.emb);
+        for layer in &self.affine {
+            w.tensor(layer.rows(), layer.b.len(), &layer.w);
+            w.tensor(1, layer.b.len(), &layer.b);
+        }
     }
 
-    /// Reject a blob frozen under a different feature layout.
-    pub(crate) fn read_layout(r: &mut Reader<'_>) -> Result<(), FrozenError> {
+    /// The mirror of [`Layers::write`] for a blob whose header implies
+    /// `specs`: a different feature layout is rejected, and every record
+    /// must have exactly the shape the specs give it.
+    pub(crate) fn read(r: &mut Reader<'_>, specs: &[LayerSpec]) -> Result<Self, FrozenError> {
         let feature_dim = r.dim("feature_dim")?;
         if feature_dim != FEATURE_DIM {
             return Err(FrozenError::Corrupt(format!(
@@ -184,50 +170,36 @@ impl Layers<QTensor> {
                 Opcode::count()
             )));
         }
-        Ok(())
-    }
-
-    /// The tensor section: its record count, then the records.
-    pub(crate) fn write(&self, w: &mut Writer) {
-        let records: usize = self.affine.iter().map(|l| l.w.len() + 1).sum();
-        w.u32((1 + records) as u32);
-        w.qtensor(&self.emb);
-        for layer in &self.affine {
-            for block in &layer.w {
-                w.qtensor(block);
-            }
-            w.ftensor(&layer.b);
-        }
-    }
-
-    /// The tensor section of a blob whose header implies `specs`; every
-    /// record must have exactly the shape they give it.
-    pub(crate) fn read(
-        r: &mut Reader<'_>,
-        embed_dim: usize,
-        specs: &[LayerSpec],
-    ) -> Result<Self, FrozenError> {
-        let records = 1 + specs.iter().map(|s| s.rows.len() + 1).sum::<usize>();
+        let log_ns_offset = r.f32("log_ns_offset")?;
+        let records = 1 + 2 * specs.len();
         let n_tensors = r.dim("n_tensors")?;
         if n_tensors != records {
             return Err(FrozenError::Corrupt(format!(
                 "expected {records} tensor records, blob carries {n_tensors}"
             )));
         }
-        let emb = r.qtensor("opcode embedding", Opcode::count(), embed_dim)?;
+        let embed_dim = specs[0].rows - FEATURE_DIM;
+        let emb = r.tensor("opcode embedding", Opcode::count(), embed_dim)?;
         let mut affine = Vec::with_capacity(specs.len());
         for spec in specs {
-            let mut w = Vec::with_capacity(spec.rows.len());
-            for &rows in &spec.rows {
-                w.push(r.qtensor(&spec.name, rows, spec.out)?);
-            }
-            let b = r.ftensor(&spec.name, spec.out)?;
-            affine.push(Affine { w, b });
+            affine.push(Affine {
+                w: r.tensor(&spec.name, spec.rows, spec.out)?,
+                b: r.tensor(&spec.name, 1, spec.out)?,
+            });
         }
         Ok(Layers {
-            embed_dim,
             emb,
             affine,
+            log_ns_offset,
         })
+    }
+}
+
+/// The freeze-time rule for every parameter: no NaN, no infinity.
+fn finite(name: &str, values: &[f32]) -> Result<(), FrozenError> {
+    if values.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(FrozenError::NonFinite(name.into()))
     }
 }

@@ -1,22 +1,22 @@
-//! Frozen quantized inference for the learned TPU cost model.
+//! Frozen inference for the learned TPU cost model.
 //!
 //! The training stack (`tpu-nn`) builds an autograd tape per forward: the
 //! right tool for gradients, pure overhead for serving. This crate is the
-//! serving artifact instead — the NNUE idea applied to the cost model:
+//! serving artifact instead:
 //!
-//! - **post-training quantization**: trained
+//! - **one tape-free forward per architecture**: the trained
 //!   [`GnnModel`](tpu_learned_cost::GnnModel) /
-//!   [`LstmModel`](tpu_learned_cost::LstmModel)
-//!   weights become int16 tensors with per-tensor scales chosen so the
-//!   i16×i16→i32 accumulator provably cannot overflow
-//!   ([`quant::weight_qmax`]),
-//! - **a compact versioned blob** (`tpu-frozen.v1`): fixed-layout records
+//!   [`LstmModel`](tpu_learned_cost::LstmModel) weights, copied as they
+//!   are, walked in plain f32 over flat arrays — the number system the
+//!   model was trained in, so a frozen prediction differs from the tape's
+//!   only by summation order,
+//! - **a compact versioned blob** (`tpu-frozen.v2`): fixed-layout records
 //!   loadable with plain little-endian byte reads — no tape, no serde
-//!   tree, no reflection ([`FrozenModel::from_bytes`]),
-//! - **branch-free flat-array forward kernels**: explicit chunked integer
-//!   inner loops, rayon fan-out only above a MAC threshold, bit-identical
-//!   for any thread count because every kernel's forward is independent
-//!   and integer accumulation order is fixed.
+//!   tree, no reflection ([`FrozenModel::from_bytes`]) — in which every
+//!   number is finite, checked at both ends,
+//! - **thread-count independence**: rayon fan-out only above a MAC
+//!   threshold, bit-identical for any thread count because every kernel's
+//!   forward is independent and runs its additions in one fixed order.
 //!
 //! [`FrozenModel`] implements [`CostModel`], so it drops behind
 //! `AtomicCache`, `FallbackChain`, and the `tpu-serve` daemon unchanged.
@@ -31,7 +31,7 @@
 //! let frozen = FrozenModel::Gnn(freeze_gnn(&model, &[]).unwrap());
 //! let blob = frozen.to_bytes();
 //! let restored = FrozenModel::from_bytes(&blob).unwrap();
-//! let k = &tpu_infer::calibration_kernels(1)[0];
+//! let k = &tpu_infer::probe_kernels(1)[0];
 //! assert_eq!(
 //!     restored.predict_kernel_ns(k),
 //!     frozen.predict_kernel_ns(k),
@@ -40,9 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod quant;
-
-mod arith;
 mod blob;
 mod gnn;
 mod layers;
@@ -54,17 +51,16 @@ pub use lstm::{freeze_lstm, FrozenLstm};
 
 use rayon::prelude::*;
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
-use std::borrow::Cow;
 use tpu_learned_cost::{CostModel, Prepared};
 
 /// Batch MAC count above which [`FrozenModel::predict_batch_ns`] fans
 /// kernels out to rayon. Below it the serial loop wins — thread handoff
-/// costs more than the integer matmuls. Either path is bit-identical:
+/// costs more than the matmuls. Either path is bit-identical:
 /// kernels are independent and results are written back by input index.
 pub const PAR_MAC_THRESHOLD: usize = 1 << 21;
 
-/// A frozen, quantized cost model loaded from (or destined for) a
-/// `tpu-frozen.v1` blob.
+/// A frozen cost model loaded from (or destined for) a `tpu-frozen.v2`
+/// blob.
 #[derive(Debug, Clone)]
 pub enum FrozenModel {
     /// A frozen GraphSAGE model.
@@ -74,13 +70,14 @@ pub enum FrozenModel {
 }
 
 impl FrozenModel {
-    /// Parse a `tpu-frozen.v1` blob.
+    /// Parse a `tpu-frozen.v2` blob.
     ///
     /// # Errors
     ///
     /// Typed [`FrozenError`]s for truncated input, wrong magic,
-    /// unsupported version, unknown kind, or structurally inconsistent
-    /// contents — never a panic.
+    /// unsupported version (a v1 blob included), unknown kind, a NaN or
+    /// infinite value, or structurally inconsistent contents — never a
+    /// panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<FrozenModel, FrozenError> {
         let mut r = blob::Reader::new(bytes);
         r.magic()?;
@@ -97,8 +94,9 @@ impl FrozenModel {
         Ok(model)
     }
 
-    /// Serialize to a `tpu-frozen.v1` blob. Byte-for-byte deterministic
-    /// for a given model (the golden snapshot test pins this).
+    /// Serialize to a `tpu-frozen.v2` blob. Byte-for-byte deterministic
+    /// for a given model (the golden snapshot test pins this), and always
+    /// one [`FrozenModel::from_bytes`] accepts.
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
             FrozenModel::Gnn(m) => {
@@ -161,26 +159,16 @@ impl CostModel for FrozenModel {
     }
 }
 
-/// The kernels a freeze calibrates on: the caller's, or the built-in
-/// [`calibration_kernels`] set when none are given.
-pub(crate) fn calibration_set(calib: &[Kernel]) -> Cow<'_, [Kernel]> {
-    if calib.is_empty() {
-        Cow::Owned(calibration_kernels(16))
-    } else {
-        Cow::Borrowed(calib)
-    }
-}
-
-/// A deterministic family of generator kernels used to calibrate
-/// activation scales and to pin quantized-vs-f32 parity: elementwise
-/// chains over varied shapes, some with a second branch (fan-in edges),
-/// a trailing reduction, or an attached tile size.
-pub fn calibration_kernels(n: usize) -> Vec<Kernel> {
+/// A deterministic family of generator kernels for pinning frozen-vs-tape
+/// parity and probing loaded blobs: elementwise chains over varied
+/// shapes, some with a second branch (fan-in edges), a trailing
+/// reduction, or an attached tile size.
+pub fn probe_kernels(n: usize) -> Vec<Kernel> {
     (0..n)
         .map(|i| {
             let rows = 8usize << (i % 6);
             let cols = 8 + 24 * ((i * 5) % 11);
-            let mut b = GraphBuilder::new(format!("calib{i}"));
+            let mut b = GraphBuilder::new(format!("probe{i}"));
             let x = b.parameter("x", Shape::matrix(rows, cols), DType::F32);
             let mut v = x;
             for step in 0..=(i % 4) {
@@ -225,7 +213,7 @@ mod tests {
             let bytes = frozen.to_bytes();
             let restored = FrozenModel::from_bytes(&bytes).unwrap();
             assert_eq!(restored.to_bytes(), bytes);
-            let k = &calibration_kernels(3)[2];
+            let k = &probe_kernels(3)[2];
             assert_eq!(restored.predict_kernel_ns(k), frozen.predict_kernel_ns(k));
         }
     }
@@ -280,20 +268,35 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_across_threshold() {
+    fn batch_matches_single_on_either_side_of_the_threshold() {
         let frozen = frozen_gnn();
-        // Enough kernels that the batch path crosses PAR_MAC_THRESHOLD.
-        let kernels = calibration_kernels(40);
-        let batch = frozen.predict_batch_ns(&kernels);
-        for (k, b) in kernels.iter().zip(&batch) {
-            assert_eq!(*b, frozen.predict_kernel_ns(k), "batch must be bit-identical");
+        // Three kernels stay serial; forty cross PAR_MAC_THRESHOLD.
+        for (n, parallel) in [(3, false), (40, true)] {
+            let kernels = probe_kernels(n);
+            let macs: usize = Prepared::from_kernels(&kernels)
+                .iter()
+                .map(|p| frozen.mac_estimate(p))
+                .sum();
+            assert_eq!(
+                macs >= PAR_MAC_THRESHOLD,
+                parallel,
+                "{n} kernels: {macs} MACs"
+            );
+            let batch = frozen.predict_batch_ns(&kernels);
+            for (k, b) in kernels.iter().zip(&batch) {
+                assert_eq!(
+                    *b,
+                    frozen.predict_kernel_ns(k),
+                    "batch must be bit-identical"
+                );
+            }
         }
     }
 
     #[test]
     fn program_prediction_sums_kernels() {
         let frozen = frozen_gnn();
-        let program = tpu_hlo::FusedProgram::new("calibration", calibration_kernels(4));
+        let program = tpu_hlo::FusedProgram::new("probe", probe_kernels(4));
         let total = frozen.predict_program_ns(&program).unwrap();
         let by_hand: f64 = program
             .kernels

@@ -1,11 +1,12 @@
-//! Adversarial-input hardening suite for the `tpu-frozen.v1` blob
+//! Adversarial-input hardening suite for the `tpu-frozen.v2` blob
 //! loader.
 //!
 //! [`FrozenModel::from_bytes`] is the hot-reload admission point of the
 //! serving daemon: whatever bytes an operator (or an attacker who can
 //! write the model directory) hands it must come back as a typed
-//! [`FrozenError`], never a panic, and never an allocation the input
-//! cannot back. Three byte-fuzz families pin that:
+//! [`FrozenError`], never a panic, never an allocation the input cannot
+//! back, and never a model holding a NaN or an infinity (f32 payloads can
+//! encode both). Three byte-fuzz families pin that:
 //!
 //! - every truncation prefix of a valid blob,
 //! - single-bit flips anywhere in a valid blob,
@@ -16,7 +17,7 @@
 //! be rejected as corrupt *before* the count sizes a `Vec`.
 
 use proptest::prelude::*;
-use tpu_infer::{calibration_kernels, freeze_gnn, freeze_lstm, FrozenError, FrozenModel, MAGIC};
+use tpu_infer::{freeze_gnn, freeze_lstm, probe_kernels, FrozenError, FrozenModel, MAGIC, VERSION};
 use tpu_learned_cost::{CostModel, GnnConfig, GnnModel, LstmConfig, LstmModel};
 
 /// A small fixed-seed frozen GNN: the fuzz corpus seed.
@@ -28,7 +29,7 @@ fn gnn_blob() -> Vec<u8> {
         seed: 41,
         ..GnnConfig::default()
     });
-    FrozenModel::Gnn(freeze_gnn(&model, &calibration_kernels(4)).unwrap()).to_bytes()
+    FrozenModel::Gnn(freeze_gnn(&model, &[]).unwrap()).to_bytes()
 }
 
 fn lstm_blob() -> Vec<u8> {
@@ -36,7 +37,7 @@ fn lstm_blob() -> Vec<u8> {
         seed: 41,
         ..LstmConfig::default()
     });
-    FrozenModel::Lstm(freeze_lstm(&model, &calibration_kernels(4)).unwrap()).to_bytes()
+    FrozenModel::Lstm(freeze_lstm(&model, &[]).unwrap()).to_bytes()
 }
 
 /// splitmix64 used to derive fuzz bytes from a proptest seed.
@@ -74,8 +75,12 @@ proptest! {
     }
 
     /// Single-bit flips anywhere in a valid blob never panic. A flip in
-    /// a weight payload may still load (that is fine — quantized weights
-    /// carry no checksum); a flip in structure must fail typed.
+    /// structure fails typed. A flip in a payload either makes a NaN or
+    /// an infinity — corrupt — or a finite wrong weight, which loads
+    /// (weights carry no checksum): such a model must hold only finite
+    /// numbers, so that its own bytes load again, and must answer the
+    /// probe kernels without panicking — whether those answers are
+    /// finite and rank like the incumbent's is the reload gate's call.
     #[test]
     fn bit_flips_never_panic(seed in any::<u64>(), lstm in any::<bool>()) {
         let mut bytes = if lstm { lstm_blob() } else { gnn_blob() };
@@ -84,10 +89,12 @@ proptest! {
             let at = (splitmix(&mut s) % bytes.len() as u64) as usize;
             let bit = 1u8 << (splitmix(&mut s) % 8);
             bytes[at] ^= bit;
-            // Load (or typed failure) — either way, no panic, and any
-            // successful load must actually be usable.
             if let Ok(model) = FrozenModel::from_bytes(&bytes) {
-                let _ = model.predict_kernel_ns(&calibration_kernels(1)[0]);
+                prop_assert!(model.predict_kernel_ns(&probe_kernels(1)[0]).is_some());
+                prop_assert_eq!(
+                    FrozenModel::from_bytes(&model.to_bytes()).map(|m| m.to_bytes()),
+                    Ok(bytes.clone())
+                );
             }
             bytes[at] ^= bit; // restore so flips stay single-bit
         }
@@ -100,7 +107,7 @@ proptest! {
     fn arbitrary_buffers_fail_typed(seed in any::<u64>(), len in 0usize..4096, kind in 1u32..3) {
         let mut bytes = Vec::with_capacity(16 + len);
         bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&kind.to_le_bytes());
         let mut s = seed;
         for _ in 0..len {
@@ -153,6 +160,30 @@ fn ceiling_dimensions_fail_without_allocation() {
     }
 }
 
+/// f32 can carry what the old int16 payloads could not: a NaN or an
+/// infinity in a weight, a bias or the log-ns offset is corrupt, never a
+/// loaded model.
+#[test]
+fn non_finite_values_are_corrupt() {
+    let full = gnn_blob();
+    // The offset follows magic(8) version(4) kind(4), five GNN header
+    // fields and the two layout fields; the head's bias ends the blob;
+    // the embedding table's payload starts after n_tensors(4) and its
+    // own 12-byte record header.
+    for at in [44, 64, full.len() - 4] {
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut bytes = full.clone();
+            bytes[at..at + 4].copy_from_slice(&poison.to_le_bytes());
+            match FrozenModel::from_bytes(&bytes) {
+                Err(FrozenError::Corrupt(msg)) => {
+                    assert!(msg.contains("NaN or infinite"), "offset {at}: {msg}")
+                }
+                other => panic!("offset {at}, {poison}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// The magic / version / kind gates stay first in line.
 #[test]
 fn prefix_gates_fail_typed() {
@@ -160,7 +191,10 @@ fn prefix_gates_fail_typed() {
 
     let mut bad_magic = full.clone();
     bad_magic[0] ^= 0x40;
-    assert_eq!(FrozenModel::from_bytes(&bad_magic).unwrap_err(), FrozenError::BadMagic);
+    assert_eq!(
+        FrozenModel::from_bytes(&bad_magic).unwrap_err(),
+        FrozenError::BadMagic
+    );
 
     let mut bad_version = full.clone();
     bad_version[8..12].copy_from_slice(&7u32.to_le_bytes());
@@ -171,7 +205,10 @@ fn prefix_gates_fail_typed() {
 
     let mut bad_kind = full;
     bad_kind[12..16].copy_from_slice(&9u32.to_le_bytes());
-    assert_eq!(FrozenModel::from_bytes(&bad_kind).unwrap_err(), FrozenError::BadKind(9));
+    assert_eq!(
+        FrozenModel::from_bytes(&bad_kind).unwrap_err(),
+        FrozenError::BadKind(9)
+    );
 
     assert_eq!(
         FrozenModel::from_bytes(&[]).unwrap_err(),

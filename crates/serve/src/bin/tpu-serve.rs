@@ -17,7 +17,7 @@
 //! on the chain by default (`--no-breaker` removes it): consecutive
 //! unusable primary answers divert whole batches to the oracle for a
 //! request-count cool-down. `--deadline-ms` sets the default per-request
-//! deadline. The `reload` NDJSON op hot-swaps a `tpu-frozen.v1` blob
+//! deadline. The `reload` NDJSON op hot-swaps a `tpu-frozen.v2` blob
 //! after an admission check (finite predictions + Kendall-τ ≥ 0.99
 //! against the incumbent on the probe panel).
 //!
@@ -377,7 +377,7 @@ fn run_drive(args: &[String]) -> ExitCode {
 }
 
 /// `tpu-serve reload ADDR PATH`: ask a running daemon to hot-swap its
-/// model from a `tpu-frozen.v1` blob. Prints the daemon's reply line
+/// model from a `tpu-frozen.v2` blob. Prints the daemon's reply line
 /// verbatim; exits nonzero when the reload was rejected (so scripts can
 /// assert both admission and rejection).
 fn run_reload(args: &[String]) -> ExitCode {

@@ -28,7 +28,7 @@
 //!   panics and reports its state in [`ServeStats`]. Replies served while
 //!   the breaker was open are marked degraded.
 //! - **Validated hot reload** — [`ServeEngine::reload_from_bytes`] parses
-//!   a `tpu-frozen.v1` blob off the worker thread, admission-checks it
+//!   a `tpu-frozen.v2` blob off the worker thread, admission-checks it
 //!   (finite predictions + Kendall-τ against the incumbent on a fixed
 //!   probe panel), then atomically swaps it into the worker. The cache is
 //!   cleared only on a successful swap, and a model-epoch tag mixed into
@@ -213,7 +213,7 @@ pub enum ReloadError {
     Disabled,
     /// The blob could not be read from disk.
     Io(String),
-    /// The bytes are not a valid `tpu-frozen.v1` blob.
+    /// The bytes are not a valid `tpu-frozen.v2` blob.
     Parse(String),
     /// The candidate produced a missing or non-finite prediction on the
     /// probe panel (0-based position).
@@ -259,7 +259,7 @@ impl ReloadError {
     }
 }
 
-/// Admission policy for hot reloads: how a candidate `tpu-frozen.v1` blob
+/// Admission policy for hot reloads: how a candidate `tpu-frozen.v2` blob
 /// is validated and wrapped before it replaces the serving model.
 pub struct ReloadPolicy {
     /// Minimum Kendall-τ between candidate and incumbent predictions on
@@ -609,7 +609,7 @@ impl ServeEngine {
         }
     }
 
-    /// Hot-reload the serving model from a `tpu-frozen.v1` blob on disk.
+    /// Hot-reload the serving model from a `tpu-frozen.v2` blob on disk.
     /// See [`ServeEngine::reload_from_bytes`].
     pub fn reload_from_path(&self, path: &str) -> Result<u64, ReloadError> {
         // Policy check before touching the filesystem: an engine with no
@@ -625,7 +625,7 @@ impl ServeEngine {
         self.reload_from_bytes(&bytes)
     }
 
-    /// Validate `bytes` as a `tpu-frozen.v1` blob and, if it passes the
+    /// Validate `bytes` as a `tpu-frozen.v2` blob and, if it passes the
     /// admission check, atomically swap it into the worker. Returns the
     /// new model epoch.
     ///

@@ -78,7 +78,7 @@ pub enum Request {
     Stats { id: u64 },
     /// Liveness check.
     Ping { id: u64 },
-    /// Hot-reload the serving model from a `tpu-frozen.v1` blob.
+    /// Hot-reload the serving model from a `tpu-frozen.v2` blob.
     Reload { id: u64, path: String },
     /// Ask the daemon to drain and exit.
     Shutdown { id: u64 },

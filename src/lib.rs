@@ -16,7 +16,7 @@
 //! - [`obs`] — metrics registry, scoped timers, and structured run reports,
 //! - [`dataset`] — the synthetic program corpus and dataset pipelines,
 //! - [`serve`] — the `tpu-serve` NDJSON prediction daemon,
-//! - [`infer`] — frozen int16-quantized inference (`tpu-frozen.v1` blobs).
+//! - [`infer`] — frozen tape-free f32 inference (`tpu-frozen.v2` blobs).
 //!
 //! # Example
 //!

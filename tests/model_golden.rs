@@ -11,18 +11,17 @@
 //!   `train_resumable` resumed mid-run, and for `train_stream` from memory
 //!   (capped by `max_batches_per_epoch`) and from a `tpu-ds.v1` file (with
 //!   graphs over `segment_nodes`),
-//! - for `freeze_gnn` of briefly trained weights over every neighbourhood
-//!   reduction × {sum-only, mean+max, all} pools × {0, 2} hops with dataset
-//!   calibration, for `freeze_lstm`, and for both with the empty-`calib`
-//!   default: a digest of `to_bytes()` (which carries every calibrated
-//!   scale) and the prediction bits on `calibration_kernels(16)`.
+//! - for `freeze_gnn` of the trained GNN, of briefly trained weights over
+//!   every neighbourhood reduction × {sum-only, mean+max, all} pools ×
+//!   {0, 2} hops, and for `freeze_lstm`: a digest of `to_bytes()` and the
+//!   prediction bits on `probe_kernels(16)`.
 //!
-//! `model_golden.json` was generated by the code *before* calibration
-//! began to run the forward it freezes and before `train_stream` and
-//! `train_resumable` came to share one epoch loop, and must keep passing
-//! unchanged: both are restructurings, so not one bit may move. If a
-//! change to training or freezing arithmetic is *intentional*, regenerate
-//! with:
+//! The `train_*` rows of `model_golden.json` were generated by the code
+//! *before* `train_stream` and `train_resumable` came to share one epoch
+//! loop and must keep passing unchanged: a restructuring may not move one
+//! bit. The `freeze_*` rows were recorded by the f32 frozen forward of
+//! `tpu-frozen.v2`. If a change to training or freezing arithmetic is
+//! *intentional*, regenerate with:
 //!
 //! ```text
 //! REGEN_GOLDEN=1 cargo test --test model_golden
@@ -36,7 +35,7 @@ use tpu_repro::dataset::{
     DatasetWriter, FusionDatasetConfig, StreamGenConfig, TileDatasetConfig,
 };
 use tpu_repro::hlo::Kernel;
-use tpu_repro::infer::{calibration_kernels, freeze_gnn, freeze_lstm, FrozenModel};
+use tpu_repro::infer::{freeze_gnn, freeze_lstm, probe_kernels, FrozenModel};
 use tpu_repro::learned::{
     prepare, train, train_resumable, train_stream, BatchSource, GnnConfig, GnnModel, KernelModel,
     LstmConfig, LstmModel, PoolCombo, Prepared, Reduction, Sample, StreamConfig, TaskLoss,
@@ -71,7 +70,7 @@ fn render_run<M: KernelModel>(out: &mut String, label: &str, report: &TrainRepor
 }
 
 fn render_frozen(out: &mut String, label: &str, frozen: &FrozenModel, last: bool) {
-    let preds: Vec<String> = calibration_kernels(16)
+    let preds: Vec<String> = probe_kernels(16)
         .iter()
         .map(|k| {
             frozen
@@ -251,14 +250,15 @@ fn render() -> String {
     render_run(&mut out, "train_stream_file_segmented", &report, &from_file);
     let _ = std::fs::remove_file(&path);
 
-    // --- freeze: the trained models, dataset and default calibration ---
+    // --- freeze: the trained models ---
     let frozen = |m: &GnnModel, c: &[Kernel]| FrozenModel::Gnn(freeze_gnn(m, c).expect("freezes"));
-    render_frozen(&mut out, "freeze_gnn_dataset_calib", &frozen(&gnn, &calib), false);
-    render_frozen(&mut out, "freeze_gnn_default_calib", &frozen(&gnn, &[]), false);
     let frozen_lstm =
         |c: &[Kernel]| FrozenModel::Lstm(freeze_lstm(&lstm, c).expect("lstm freezes"));
-    render_frozen(&mut out, "freeze_lstm_dataset_calib", &frozen_lstm(&calib), false);
-    render_frozen(&mut out, "freeze_lstm_default_calib", &frozen_lstm(&[]), false);
+    // The `calib` argument must not reach the result: one row per model.
+    assert_eq!(frozen(&gnn, &calib).to_bytes(), frozen(&gnn, &[]).to_bytes());
+    assert_eq!(frozen_lstm(&calib).to_bytes(), frozen_lstm(&[]).to_bytes());
+    render_frozen(&mut out, "freeze_gnn", &frozen(&gnn, &[]), false);
+    render_frozen(&mut out, "freeze_lstm", &frozen_lstm(&[]), false);
 
     // --- freeze: every reduction x pool combo x hop count, briefly trained ---
     let brief = TrainConfig {
@@ -286,7 +286,7 @@ fn render() -> String {
                 train(&mut m, train_set, val_set, &brief);
                 let label = format!("freeze_gnn_{reduction:?}_{pool_name}_{hops}hops");
                 let last = (ri, pi, hi) == (reductions.len() - 1, pools.len() - 1, 1);
-                render_frozen(&mut out, &label, &frozen(&m, &calib), last);
+                render_frozen(&mut out, &label, &frozen(&m, &[]), last);
             }
         }
     }

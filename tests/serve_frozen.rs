@@ -1,10 +1,10 @@
-//! The frozen int16 backend behind the serve stack: determinism and
-//! backend visibility.
+//! The frozen backend behind the serve stack: determinism and backend
+//! visibility.
 //!
 //! The frozen forward batches through `FrozenModel::predict_batch_ns`,
 //! which fans kernels out over rayon above a MAC threshold. Thread count
-//! must never leak into served bytes — integer accumulation order is
-//! fixed and kernels are independent — so the same request stream must
+//! must never leak into served bytes — each kernel's f32 summation order
+//! is fixed and kernels are independent — so the same request stream must
 //! produce byte-identical replies at 1, 2, and 8 threads, and the stats
 //! reply must name `frozen-gnn` as the active backend.
 //!

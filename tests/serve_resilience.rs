@@ -372,6 +372,57 @@ fn reload_admission_accepts_equivalent_rejects_corrupt_and_low_tau() {
     engine.shutdown();
 }
 
+/// The int16 `tpu-frozen.v1` format has no reader any more: a blob an
+/// operator froze before the format change must be refused at the door,
+/// loudly and typed, with the incumbent untouched.
+#[test]
+fn reloading_a_v1_blob_is_rejected_at_parse_and_the_incumbent_keeps_serving() {
+    let v1_blob = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/infer/tests/golden_frozen_v1.blob"
+    );
+    let incumbent = FrozenModel::from_bytes(&frozen_gnn_blob(71)).unwrap();
+    let engine = ServeEngine::start_with(
+        Box::new(incumbent.clone()),
+        fresh_cache(),
+        ServeConfig::default(),
+        ServeOptions {
+            reload: Some(identity_reload_policy()),
+            ..ServeOptions::default()
+        },
+        &Registry::noop(),
+    );
+    let kernels = demo_kernels(2);
+    let input = [
+        protocol::predict_request_line(1, &kernels[0]),
+        protocol::reload_request_line(2, v1_blob),
+        protocol::simple_request_line("stats", 3),
+    ]
+    .join("\n");
+    let mut output = Vec::new();
+    serve_ndjson(&engine, Cursor::new(input), &mut output).expect("serve io");
+    let output = String::from_utf8(output).expect("utf-8 replies");
+    let replies: Vec<&str> = output.lines().collect();
+    assert_eq!(replies.len(), 3, "{output}");
+    assert!(replies[0].contains("\"ok\":true"), "{}", replies[0]);
+    for field in [
+        "\"code\":\"reload_rejected\"",
+        "\"reason\":\"parse\"",
+        "unsupported tpu-frozen version 1",
+    ] {
+        assert!(replies[1].contains(field), "reload reply missing {field}: {}", replies[1]);
+    }
+    for field in ["\"reloads\":0", "\"reloads_rejected\":1", "\"epoch\":0"] {
+        assert!(replies[2].contains(field), "stats missing {field}: {}", replies[2]);
+    }
+    // A kernel the cache has never seen: the model itself answers, and it
+    // is still the incumbent, bit for bit.
+    let after = engine.submit(kernels[1].clone()).unwrap().unwrap();
+    let direct = incumbent.predict_kernel_ns(&kernels[1]).unwrap();
+    assert_eq!(after.to_bits(), direct.to_bits());
+    engine.shutdown();
+}
+
 #[test]
 fn mid_load_reload_drops_no_requests() {
     let blob = Arc::new(frozen_gnn_blob(71));
