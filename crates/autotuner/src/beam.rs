@@ -44,20 +44,19 @@
 //! order (previous layer sorted ascending by predicted cost — the
 //! model-guided ordering) with the unfused child before the fused one,
 //! layers are reduced with a stable sort keyed by `f64::total_cmp`, and
-//! all parallelism lives inside the objective's order-preserving batch
-//! evaluation and the order-preserving parallel *planning* of the layer:
-//! the plans' fusion groups are resolved to kernel hashes through the
-//! search's kernel memo sequentially, in candidate order. Results are
-//! bit-identical for any `RAYON_NUM_THREADS`, any beam width, and any TT
-//! pre-warmth (a warm TT changes how many evals are *spent*, never a scored
-//! cost).
+//! the layer is planned sequentially, in candidate order, by the search's
+//! planner: each candidate as a delta from the nearest candidate of the
+//! layer before, which decides what the plan costs and never what it is.
+//! The only parallelism lives inside the objective's order-preserving
+//! batch evaluation. Results are bit-identical for any
+//! `RAYON_NUM_THREADS`, any beam width, and any TT pre-warmth (a warm TT
+//! changes how many evals are *spent*, never a scored cost).
 
-use crate::memo::KernelMemo;
+use crate::memo::Planner;
 use crate::sa::{push_top, BatchObjective};
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use tpu_fusion::{fusion_groups, materialize, FusionConfig, FusionSpace};
-use tpu_hlo::{canonical_kernel_hash, Program};
+use tpu_hlo::{canonical_kernel_hash, HashedKernel, Program};
 use tpu_learned_cost::AtomicCache;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 
@@ -268,14 +267,13 @@ struct LayerScore {
 }
 
 /// What a search owns besides its beam: the objective, the transposition
-/// table, the kernel memo its keys are computed through, and the
-/// accounting.
+/// table, the planner its keys are computed through (each group's kernel
+/// with its canonical hash), and the accounting.
 struct Scorer<'a, O> {
     program: &'a Program,
-    space: &'a FusionSpace,
     objective: O,
     tt: &'a AtomicCache,
-    memo: KernelMemo,
+    planner: Planner<'a, HashedKernel>,
     stats: BeamStats,
     obs: BeamObs,
 }
@@ -283,25 +281,24 @@ struct Scorer<'a, O> {
 impl<O: BatchObjective> Scorer<'_, O> {
     /// The transposition-table key of every candidate: the inherited one
     /// where the caller knows it, otherwise [`fused_structure_hash`]
-    /// computed through the memo. Candidates are planned in parallel
-    /// (pure); their groups are then resolved sequentially in candidate
-    /// order, so the memo's contents never depend on the thread count.
+    /// computed through the planner, which plans only the candidates
+    /// without a key.
     fn structure_keys(&mut self, cands: &[FusionConfig], inherited: &[Option<u64>]) -> Vec<u64> {
-        let (program, space) = (self.program, self.space);
-        let plans: Vec<_> = cands
-            .par_iter()
-            .enumerate()
-            .map(|(i, c)| inherited[i].is_none().then(|| fusion_groups(program, space, c)))
-            .collect();
-        plans
-            .into_iter()
-            .zip(inherited)
-            .map(|(plan, known)| match plan {
-                Some(groups) => {
-                    let memo = &mut self.memo;
-                    fold_structure_key(groups.into_iter().map(|g| memo.kernel(program, g).hash()))
-                }
-                None => known.expect("a candidate without a plan inherited its key"),
+        let program = self.program;
+        let unknown = cands.iter().zip(inherited).filter(|(_, key)| key.is_none());
+        let mut plans = self
+            .planner
+            .plan_batch(unknown.map(|(c, _)| c), |g| {
+                HashedKernel::new(materialize(program, g))
+            })
+            .iter();
+        inherited
+            .iter()
+            .map(|known| {
+                known.unwrap_or_else(|| {
+                    let plan = plans.next().expect("one plan per candidate without a key");
+                    fold_structure_key(plan.values().iter().map(|k| k.hash()))
+                })
             })
             .collect()
     }
@@ -432,13 +429,13 @@ pub fn beam_search_with_tt<O: BatchObjective>(
     tt: &AtomicCache,
 ) -> BeamResult {
     let width = params.beam_width.max(1);
+    let registry = objective.registry();
     let mut scorer = Scorer {
         program,
-        space,
         tt,
-        memo: KernelMemo::default(),
+        planner: Planner::new(program, space, &registry),
         stats: BeamStats::default(),
-        obs: BeamObs::new(&objective.registry()),
+        obs: BeamObs::new(&registry),
         objective,
     };
 
@@ -823,10 +820,9 @@ mod tests {
         let tt = AtomicCache::with_capacity(0);
         let mut scorer = Scorer {
             program: &p,
-            space: &space,
             objective: |c: &FusionConfig| unfused_edges(c),
             tt: &tt,
-            memo: KernelMemo::default(),
+            planner: Planner::new(&p, &space, &Registry::noop()),
             stats: BeamStats::default(),
             obs: BeamObs::default(),
         };
@@ -838,10 +834,10 @@ mod tests {
             assert_eq!(*k, fused_structure_hash(&p, &space, c));
         }
         // An inherited key is taken as is: nothing is planned or resolved.
-        let built = scorer.memo.len();
+        let built = scorer.planner.built();
         let keys = scorer.structure_keys(&cands[..1], &[Some(42)]);
         assert_eq!(keys, [42]);
-        assert_eq!(scorer.memo.len(), built);
+        assert_eq!(scorer.planner.built(), built);
     }
 
     #[test]

@@ -9,23 +9,19 @@
 //!   re-rank loop, goes through [`HardwareObjective::measure`] and is
 //!   metered identically;
 //! - [`ModelObjective`] scores a whole batch of candidate configs through
-//!   a [`Predictor`] session: plan all candidates' fusion groups (in
-//!   parallel), resolve the groups to kernels through the objective's
-//!   per-search memo (sequentially — a group shared with an earlier
-//!   candidate is neither extracted nor hashed again), and score the
-//!   flattened kernels in one predictor call so all chains' cache misses
-//!   share a single packed model forward.
+//!   a [`Predictor`] session: plan each candidate as a delta from the
+//!   nearest candidate of the batch before (the objective's per-search
+//!   planner — a group the flipped decisions cannot have touched is not
+//!   planned, extracted or hashed again), and score the flattened kernels
+//!   in one predictor call so all chains' cache misses share a single
+//!   packed model forward.
 
 use crate::beam::{beam_search, SearchParams};
-use crate::memo::GroupMemo;
+use crate::memo::Planner;
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
-use rayon::prelude::*;
 use std::fmt;
 use std::sync::Arc;
-use tpu_fusion::{
-    apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionGroup,
-    FusionSpace,
-};
+use tpu_fusion::{apply_fusion, default_space_and_config, materialize, FusionConfig, FusionSpace};
 use tpu_hlo::{FusedProgram, HashedKernel, Kernel, Program};
 use tpu_learned_cost::{AtomicCache, CostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
@@ -440,32 +436,17 @@ impl BatchObjective for HardwareObjective<'_> {
     }
 }
 
-/// The fusion plan of every candidate, in candidate order. Planning is
-/// pure, so it runs in parallel; what the plans' groups resolve to is then
-/// looked up sequentially by the caller, which keeps its memo — and so
-/// every result — independent of the thread count.
-fn plan_all(
-    program: &Program,
-    space: &FusionSpace,
-    configs: &[FusionConfig],
-) -> Vec<Vec<FusionGroup>> {
-    configs
-        .par_iter()
-        .map(|cfg| fusion_groups(program, space, cfg))
-        .collect()
-}
-
 /// The model evaluation path: predicted program runtime through a shared
 /// [`Predictor`] session.
 ///
-/// A batch of `C` candidate configs becomes: `C` parallel fusion plans, one
-/// flattened kernel list resolved through the objective's memo (each
-/// distinct fusion group of the search is extracted and hashed once), and
-/// **one** predictor call — so the distinct cache misses of all chains are
-/// scored in a single packed model forward. A kernel the model cannot
-/// score — [`CostModel`] answering `None`, or a non-finite runtime — makes
-/// its config rank last (infinite predicted cost); the result is never
-/// `NaN`, which [`BatchObjective`] reserves for an exhausted budget.
+/// A batch of `C` candidate configs becomes: `C` fusion plans, each a delta
+/// from the nearest config of the batch before; one flattened kernel list
+/// (each distinct fusion group of the search is extracted and hashed
+/// once); and **one** predictor call — so the distinct cache misses of all
+/// chains are scored in a single packed model forward. A kernel the model
+/// cannot score — [`CostModel`] answering `None`, or a non-finite runtime —
+/// makes its config rank last (infinite predicted cost); the result is
+/// never `NaN`, which [`BatchObjective`] reserves for an exhausted budget.
 ///
 /// [`ModelObjective::with_tiles`] widens this to the joint fusion+tile
 /// space: each kernel is then scored as its untiled self plus its top
@@ -490,8 +471,9 @@ pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCach
     /// The machine whose VMEM bounds the tilings, and how many of each
     /// kernel's tilings to score; `None` scores kernels untiled only.
     tiles: Option<(TpuConfig, usize)>,
-    /// Per fusion group, its kernel's variants (see `kernel_variants`).
-    memo: GroupMemo<Vec<HashedKernel>>,
+    /// Plans each batch; per fusion group, its kernel's variants (see
+    /// `kernel_variants`).
+    planner: Planner<'a, Vec<HashedKernel>>,
     obs: ModelObs,
 }
 
@@ -543,7 +525,7 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
             space,
             predictor,
             tiles: None,
-            memo: GroupMemo::default(),
+            planner: Planner::new(program, space, registry),
             obs: ModelObs {
                 configs: registry.counter("autotuner.model.configs"),
                 evaluate_ns: registry.histogram("autotuner.model.evaluate_ns"),
@@ -588,30 +570,24 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
         let _timer = self.obs.evaluate_ns.start_timer();
         self.obs.configs.add(configs.len() as u64);
-        let plans = plan_all(self.program, self.space, configs);
         // Per config, each kernel's variants; the predictor sees them as
         // one flat list, in config, kernel, variant order.
         let (program, tiles) = (self.program, self.tiles.as_ref());
-        let resolved: Vec<Vec<Arc<Vec<HashedKernel>>>> = plans
-            .into_iter()
-            .map(|plan| {
-                plan.into_iter()
-                    .map(|g| {
-                        let build =
-                            |g: &FusionGroup| kernel_variants(materialize(program, g), tiles);
-                        Arc::clone(self.memo.resolve(g, build))
-                    })
-                    .collect()
-            })
+        let plans = self.planner.plan_batch(configs, |g| {
+            kernel_variants(materialize(program, g), tiles)
+        });
+        let refs: Vec<&HashedKernel> = plans
+            .iter()
+            .flat_map(|plan| plan.values())
+            .flat_map(|variants| variants.iter())
             .collect();
-        let refs: Vec<&HashedKernel> = resolved.iter().flatten().flat_map(|v| v.iter()).collect();
         let (preds, _) = self.predictor.predict_hashed(&refs);
         let mut at = 0usize;
-        resolved
+        plans
             .iter()
-            .map(|kernels| {
+            .map(|plan| {
                 let mut total = 0.0;
-                for variants in kernels {
+                for variants in plan.values() {
                     let scores = &preds[at..at + variants.len()];
                     at += variants.len();
                     total += best_variant(scores).map_or(f64::INFINITY, |(_, ns)| ns);

@@ -1,72 +1,191 @@
-//! What one search remembers about the kernels of its program.
+//! What one search remembers about the plans and kernels of its program.
 //!
 //! A fused kernel is a pure function of `(program, root, members)` — a
 //! [`FusionGroup`] — and successive candidates of a search share almost all
-//! of their groups: one flipped decision changes one to three of them. So
-//! whoever scores configurations plans each candidate (cheap, pure, done in
-//! parallel) and then resolves the plan's groups through a [`GroupMemo`],
-//! which builds a group's value the first time it is asked and hands out
-//! the same `Arc` afterwards.
+//! of their groups: a candidate differs from one scored a batch earlier in
+//! one to four decisions, and a flipped decision changes the groups of the
+//! fused region it touches and no others (DESIGN.md, "Fusion planning is
+//! local"). So whoever scores configurations hands each batch to a
+//! [`Planner`], which
 //!
-//! Resolution is sequential, in candidate order, under `&mut`: which group
-//! is built when — and so every result — is independent of
-//! `RAYON_NUM_THREADS`. A memo belongs to one search over one program and
-//! dies with it: no capacity, no eviction (a program of N nodes has at most
-//! a few N distinct groups in play).
+//! - remembers the previous batch's configurations with their resolved
+//!   plans, and plans each incoming configuration as a delta
+//!   ([`FusionPlanner::replan`]) from the nearest of them: the groups the
+//!   flips cannot have touched come back with the `Arc` they already had;
+//! - resolves only the re-planned groups through a map from group to what
+//!   was built from it, which builds a group's value the first time it is
+//!   asked and hands out the same `Arc` afterwards;
+//! - plans from scratch when nothing near is remembered (the first batch,
+//!   or a jump of more than [`MAX_DELTA_FLIPS`] decisions).
+//!
+//! Which base a configuration is planned from decides how much work the
+//! plan costs and nothing else: a re-plan equals the plan from scratch
+//! group for group, so every value, in order, is the same either way.
+//! Everything runs sequentially under `&mut`, in candidate order. A planner
+//! belongs to one search over one program and dies with it: no capacity,
+//! no eviction (a program of N nodes has at most a few N distinct groups
+//! in play).
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use tpu_fusion::{materialize, FusionGroup};
-use tpu_hlo::{HashedKernel, Program};
+use tpu_fusion::{FusionConfig, FusionGroup, FusionPlanner, FusionSpace, Planned};
+use tpu_hlo::{NodeId, Program};
+use tpu_obs::{Counter, Registry};
 
-/// Per-search memo from a fusion group to what was built from it.
-pub(crate) struct GroupMemo<T> {
-    built: HashMap<FusionGroup, Arc<T>>,
+/// A configuration further than this many decisions from every remembered
+/// one is planned from scratch. Where the touched regions are small a
+/// re-plan costs about 0.7–1.2 µs for one flipped decision and 0.6–1 µs
+/// for each further one, against 6–20 µs for the full plan, and passes it
+/// between 12 and 32 flips; where one fused region spans most of the
+/// graph it never wins (CHANGES.md, PR 19, has the table per program). The
+/// searchers stay within 4.
+const MAX_DELTA_FLIPS: usize = 8;
+
+/// One configuration's plan, resolved: per group, in emission order, what
+/// was built from it.
+pub(crate) struct Plan<T> {
+    config: FusionConfig,
+    roots: Vec<NodeId>,
+    values: Vec<Arc<T>>,
 }
 
-impl<T> Default for GroupMemo<T> {
-    fn default() -> Self {
-        GroupMemo {
-            built: HashMap::new(),
-        }
+impl<T> Plan<T> {
+    /// What was built from each group of the plan, in emission order.
+    pub(crate) fn values(&self) -> &[Arc<T>] {
+        &self.values
     }
 }
 
-impl<T> GroupMemo<T> {
-    /// The value for `group`, built with `build` on first sight.
-    pub(crate) fn resolve(
+/// `tpu-obs` handles of a planner (`autotuner.plan.*`): how many
+/// configurations were planned as a delta and how many from scratch, and
+/// how many of their groups were planned again against handed back.
+struct PlanObs {
+    delta: Counter,
+    full: Counter,
+    groups_fresh: Counter,
+    groups_kept: Counter,
+}
+
+/// Per-search planner: from a batch of configurations to what is built
+/// from each of their fusion groups.
+pub(crate) struct Planner<'a, T> {
+    fusion: FusionPlanner<'a>,
+    built: HashMap<FusionGroup, Arc<T>>,
+    /// The last non-empty batch, the bases of the next one.
+    previous: Vec<Plan<T>>,
+    obs: PlanObs,
+}
+
+/// The decisions in which two configurations of one space differ.
+fn differing<'c>(
+    a: &'c FusionConfig,
+    b: &'c FusionConfig,
+) -> impl Iterator<Item = usize> + 'c {
+    a.decisions
+        .iter()
+        .zip(&b.decisions)
+        .enumerate()
+        .filter_map(|(i, (x, y))| (x != y).then_some(i))
+}
+
+impl<'a, T> Planner<'a, T> {
+    /// A planner for one search over `program`, recording
+    /// `autotuner.plan.*` into `registry`.
+    pub(crate) fn new(
+        program: &'a Program,
+        space: &'a FusionSpace,
+        registry: &Registry,
+    ) -> Planner<'a, T> {
+        Planner {
+            fusion: FusionPlanner::new(program, space),
+            built: HashMap::new(),
+            previous: Vec::new(),
+            obs: PlanObs {
+                delta: registry.counter("autotuner.plan.delta"),
+                full: registry.counter("autotuner.plan.full"),
+                groups_fresh: registry.counter("autotuner.plan.groups_fresh"),
+                groups_kept: registry.counter("autotuner.plan.groups_kept"),
+            },
+        }
+    }
+
+    /// The resolved plan of every configuration, in order; a group met for
+    /// the first time in this search is built with `build`.
+    pub(crate) fn plan_batch<'c>(
         &mut self,
-        group: FusionGroup,
-        build: impl FnOnce(&FusionGroup) -> T,
-    ) -> &Arc<T> {
-        self.built
-            .entry(group)
-            .or_insert_with_key(|g| Arc::new(build(g)))
+        configs: impl IntoIterator<Item = &'c FusionConfig>,
+        mut build: impl FnMut(&FusionGroup) -> T,
+    ) -> &[Plan<T>] {
+        let built = &mut self.built;
+        let mut resolve = |group: FusionGroup| {
+            let root = group.root();
+            let value = built
+                .entry(group)
+                .or_insert_with_key(|g| Arc::new(build(g)));
+            (root, Arc::clone(value))
+        };
+        let mut batch: Vec<Plan<T>> = Vec::new();
+        let mut flipped: Vec<usize> = Vec::new();
+        for config in configs {
+            let base = self
+                .previous
+                .iter()
+                .map(|base| (differing(&base.config, config).count(), base))
+                .min_by_key(|&(distance, _)| distance)
+                .filter(|&(distance, _)| distance <= MAX_DELTA_FLIPS);
+            let (roots, values): (Vec<NodeId>, Vec<Arc<T>>) = match base {
+                Some((_, base)) => {
+                    flipped.clear();
+                    flipped.extend(differing(&base.config, config));
+                    let planned = self.fusion.replan(&base.roots, config, &flipped);
+                    let mut kept = 0u64;
+                    let plan: (Vec<NodeId>, Vec<Arc<T>>) = planned
+                        .into_iter()
+                        .map(|group| match group {
+                            Planned::Kept(i) => {
+                                kept += 1;
+                                (base.roots[i], Arc::clone(&base.values[i]))
+                            }
+                            Planned::Fresh(group) => resolve(group),
+                        })
+                        .unzip();
+                    self.obs.delta.inc();
+                    self.obs.groups_kept.add(kept);
+                    self.obs.groups_fresh.add(plan.0.len() as u64 - kept);
+                    plan
+                }
+                None => {
+                    let groups = self.fusion.plan(config);
+                    self.obs.full.inc();
+                    self.obs.groups_fresh.add(groups.len() as u64);
+                    groups.into_iter().map(&mut resolve).unzip()
+                }
+            };
+            batch.push(Plan {
+                config: config.clone(),
+                roots,
+                values,
+            });
+        }
+        if batch.is_empty() {
+            return &[];
+        }
+        self.previous = batch;
+        &self.previous
     }
 
     /// Distinct groups built so far.
     #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
+    pub(crate) fn built(&self) -> usize {
         self.built.len()
-    }
-}
-
-/// The memo of the fusion-only scorers: each group's kernel with its
-/// canonical hash.
-pub(crate) type KernelMemo = GroupMemo<HashedKernel>;
-
-impl KernelMemo {
-    /// The kernel of `group`, materialized and hashed on first sight.
-    pub(crate) fn kernel(&mut self, program: &Program, group: FusionGroup) -> &Arc<HashedKernel> {
-        self.resolve(group, |g| HashedKernel::new(materialize(program, g)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_fusion::{apply_fusion, fusion_groups, FusionSpace};
-    use tpu_hlo::{DType, GraphBuilder, Shape};
+    use tpu_fusion::{apply_fusion, materialize};
+    use tpu_hlo::{DType, GraphBuilder, HashedKernel, Shape};
 
     /// Two independent chains joined at the end: flipping a decision in one
     /// chain leaves the other chain's groups untouched.
@@ -82,23 +201,30 @@ mod tests {
         Program::new("two-chains", b.finish(sum))
     }
 
+    fn kernels(
+        planner: &mut Planner<'_, HashedKernel>,
+        program: &Program,
+        configs: &[FusionConfig],
+    ) -> Vec<Vec<Arc<HashedKernel>>> {
+        planner
+            .plan_batch(configs, |g| HashedKernel::new(materialize(program, g)))
+            .iter()
+            .map(|plan| plan.values().to_vec())
+            .collect()
+    }
+
     #[test]
-    fn configs_that_share_a_group_materialize_it_once() {
+    fn a_flip_in_one_chain_hands_back_the_other_chains_arcs() {
         let p = two_chains();
         let space = FusionSpace::new(&p.computation);
         let none = space.none();
         let mut flipped = none.clone();
-        flipped.decisions[space.edge_index(tpu_hlo::NodeId(2), tpu_hlo::NodeId(3)).unwrap()] = true;
+        flipped.decisions[space.edge_index(NodeId(2), NodeId(3)).unwrap()] = true;
 
-        let mut memo = KernelMemo::default();
-        let mut resolve = |cfg| -> Vec<Arc<HashedKernel>> {
-            fusion_groups(&p, &space, cfg)
-                .into_iter()
-                .map(|g| Arc::clone(memo.kernel(&p, g)))
-                .collect()
-        };
-        let first = resolve(&none);
-        let second = resolve(&flipped);
+        let registry = Registry::enabled();
+        let mut planner = Planner::new(&p, &space, &registry);
+        let first = kernels(&mut planner, &p, std::slice::from_ref(&none)).remove(0);
+        let second = kernels(&mut planner, &p, std::slice::from_ref(&flipped)).remove(0);
         // none: {a1} {a2} {b1} {b2} {sum}; flipped: {a1,a2} {b1} {b2} {sum}.
         assert_eq!((first.len(), second.len()), (5, 4));
         let shared = second
@@ -106,9 +232,17 @@ mod tests {
             .filter(|k| first.iter().any(|f| Arc::ptr_eq(f, k)))
             .count();
         assert_eq!(shared, 3, "b1, b2 and sum are the same Arcs");
-        assert_eq!(memo.len(), 6, "one new kernel for the flipped decision");
+        assert_eq!(planner.built(), 6, "one new kernel for the flipped decision");
 
-        // And what the memo hands out is what the pass emits.
+        // The first config had no base; the second was a delta that kept
+        // the other chain and the join without asking the map for them.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("autotuner.plan.full"), Some(1));
+        assert_eq!(snap.counter("autotuner.plan.delta"), Some(1));
+        assert_eq!(snap.counter("autotuner.plan.groups_kept"), Some(3));
+        assert_eq!(snap.counter("autotuner.plan.groups_fresh"), Some(5 + 1));
+
+        // And what the planner hands out is what the pass emits.
         for (cfg, resolved) in [(&none, &first), (&flipped, &second)] {
             let fused = apply_fusion(&p, &space, cfg);
             assert_eq!(fused.kernels.len(), resolved.len());
@@ -116,5 +250,43 @@ mod tests {
                 assert_eq!(k, r.kernel());
             }
         }
+    }
+
+    /// Which base a config is planned from — none, a near one, one of
+    /// several, one too far for a delta — never shows in its plan.
+    #[test]
+    fn the_base_never_changes_a_plan() {
+        let p = two_chains();
+        let space = FusionSpace::new(&p.computation);
+        let registry = Registry::noop();
+        let hashes = |plans: Vec<Vec<Arc<HashedKernel>>>| -> Vec<Vec<u64>> {
+            plans
+                .iter()
+                .map(|plan| plan.iter().map(|k| k.hash()).collect())
+                .collect()
+        };
+        let configs: Vec<FusionConfig> = (0..1u32 << space.num_edges())
+            .map(|bits| FusionConfig {
+                decisions: (0..space.num_edges()).map(|i| bits >> i & 1 == 1).collect(),
+            })
+            .collect();
+        let from_scratch: Vec<Vec<u64>> = configs
+            .iter()
+            .map(|c| {
+                let mut fresh = Planner::new(&p, &space, &registry);
+                hashes(kernels(&mut fresh, &p, std::slice::from_ref(c))).remove(0)
+            })
+            .collect();
+        // One config at a time (each the base of the next, Gray-code near
+        // or far), then all of them as one batch over the last base.
+        let mut planner = Planner::new(&p, &space, &registry);
+        for (c, expected) in configs.iter().zip(&from_scratch) {
+            let got = hashes(kernels(&mut planner, &p, std::slice::from_ref(c))).remove(0);
+            assert_eq!(&got, expected);
+        }
+        assert_eq!(hashes(kernels(&mut planner, &p, &configs)), from_scratch);
+        // An empty batch forgets nothing and plans nothing.
+        assert!(kernels(&mut planner, &p, &[]).is_empty());
+        assert_eq!(hashes(kernels(&mut planner, &p, &configs[..2])), from_scratch[..2]);
     }
 }

@@ -11,9 +11,12 @@
 //! 3. margin pruning is safe: [`reduce_layer`] never drops a candidate
 //!    inside the margin window unless the width bound forces it, and its
 //!    accounting always adds up;
-//! 4. the key the beam files a cost under — folded from memoized kernel
-//!    hashes, or inherited from the parent state — is the public
-//!    [`fused_structure_hash`] of the configuration.
+//! 4. the key the beam files a cost under — folded from the kernel hashes
+//!    of a delta plan (kept from the layer before, or memoized), or
+//!    inherited from the parent state — is the public
+//!    [`fused_structure_hash`] of the configuration
+//!    (`tests/plan_history.rs` at the workspace root checks the same along
+//!    a beam trajectory over a `search_tune` program).
 
 use proptest::prelude::*;
 use tpu_autotuner::{
@@ -115,7 +118,7 @@ proptest! {
     }
 
     /// The beam never calls [`fused_structure_hash`]: it folds the hashes
-    /// of kernels resolved through its per-search memo, and the child that
+    /// of kernels resolved through its per-search planner, and the child that
     /// keeps its parent's decision inherits the parent's key outright. Both
     /// shortcuts must land on the public key: after a search from a drawn
     /// start, every configuration it ranked sits in the table under

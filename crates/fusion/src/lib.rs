@@ -38,5 +38,7 @@ mod space;
 
 pub use heuristic::{default_config, default_space_and_config, fused_fraction};
 pub use legality::{consumer_fusible, fusible_edges, producer_fusible, MAX_FUSIBLE_CONSTANT_ELEMS};
-pub use pass::{apply_fusion, fusion_groups, materialize, unfused, FusionGroup};
+pub use pass::{
+    apply_fusion, fusion_groups, materialize, unfused, FusionGroup, FusionPlanner, Planned,
+};
 pub use space::{FusionConfig, FusionSpace};

@@ -1,22 +1,48 @@
 //! The fusion pass: apply a [`FusionConfig`] to a program, producing the
 //! kernels the TPU will execute.
 //!
-//! The pass is two steps. [`fusion_groups`] *plans*: it decides which nodes
-//! materialize and which nodes each kernel computes, touching only the
-//! decision tables of the [`FusionSpace`]. [`materialize`] *builds* one
+//! The pass is two steps. A [`FusionPlanner`] *plans*: it decides which
+//! nodes materialize and which nodes each kernel computes, touching only
+//! the decision tables of the [`FusionSpace`]. [`materialize`] *builds* one
 //! kernel from one group. [`apply_fusion`] is their composition and the
 //! only way a kernel is made; callers that score many configurations of
 //! one program plan each of them and materialize only the groups they have
 //! not met before.
+//!
+//! Planning is **local**: the plan of a connected component of fused
+//! producer→consumer edges reads nothing outside the component (DESIGN.md,
+//! "Fusion planning is local"). So there is one planning body, run over a
+//! node set. [`FusionPlanner::plan`] (which is [`fusion_groups`]) runs it
+//! over every node; [`FusionPlanner::replan`] runs it over the components
+//! that a few flipped decisions touch and splices the result into the plan
+//! the caller already has.
 
 use crate::space::{FusionConfig, FusionSpace};
-use tpu_hlo::{FusedProgram, Kernel, NodeId, OpCategory, Opcode, Program};
+use tpu_hlo::{Computation, FusedProgram, Kernel, NodeId, OpCategory, Opcode, Program};
 
-fn is_heavy(cat: OpCategory) -> bool {
+/// `Parameter` and `Constant` nodes never form kernels of their own and
+/// are never members of one.
+fn excluded(c: &Computation, id: NodeId) -> bool {
+    matches!(c.node(id).opcode, Opcode::Parameter | Opcode::Constant)
+}
+
+fn heavy(c: &Computation, id: NodeId) -> bool {
     matches!(
-        cat,
+        c.node(id).opcode.category(),
         OpCategory::Dot | OpCategory::Convolution | OpCategory::Reduction
     )
+}
+
+/// Whether a non-excluded node materializes by its own consumer edges
+/// alone: it is the computation root, or one of those edges is unfused (an
+/// edge that is not a decision never fuses).
+fn natural_root(c: &Computation, space: &FusionSpace, config: &FusionConfig, id: NodeId) -> bool {
+    let users = space.user_edges(id);
+    id == c.root()
+        || users.is_empty()
+        || users
+            .iter()
+            .any(|edge| !edge.is_some_and(|i| config.fused(i)))
 }
 
 /// One kernel of a fusion plan: the node whose value the kernel writes to
@@ -24,8 +50,8 @@ fn is_heavy(cat: OpCategory) -> bool {
 ///
 /// A fused kernel is a pure function of `(program, root, members)`, so a
 /// group is the key under which a search may remember the kernel
-/// ([`materialize`]) across the configurations that share it. Only
-/// [`fusion_groups`] makes groups, which is what keeps `members` sorted,
+/// ([`materialize`]) across the configurations that share it. Only a
+/// [`FusionPlanner`] makes groups, which is what keeps `members` sorted,
 /// duplicate-free and ending in `root`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FusionGroup {
@@ -45,10 +71,20 @@ impl FusionGroup {
     }
 }
 
-/// Plan a fusion configuration: decide which nodes materialize and which
-/// nodes each materialized node's kernel computes, without building any
-/// kernel. This is the cheap half of [`apply_fusion`]; [`materialize`] is
-/// the other.
+/// One group of a re-planned configuration ([`FusionPlanner::replan`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Planned {
+    /// The group at this index of the old plan, untouched by the flips.
+    Kept(usize),
+    /// A group of a re-planned component. It may equal a group of the old
+    /// plan: a component is re-planned whole.
+    Fresh(FusionGroup),
+}
+
+/// Plans the fusion configurations of one program: which nodes materialize
+/// and which nodes each materialized node's kernel computes, without
+/// building any kernel. This is the cheap half of [`apply_fusion`];
+/// [`materialize`] is the other.
 ///
 /// Semantics follow XLA loop fusion with duplication:
 ///
@@ -76,6 +112,272 @@ impl FusionGroup {
 /// Groups come out in root-id order (a topological order of the kernel
 /// DAG).
 ///
+/// The planner owns the scratch of the planning body (one slot per node),
+/// so a caller that plans many configurations of one program keeps one
+/// planner and pays for a flipped decision only what [`Self::replan`]
+/// touches.
+pub struct FusionPlanner<'a> {
+    program: &'a Program,
+    space: &'a FusionSpace,
+    /// Whether a node is a kernel root. Written before it is read: a full
+    /// plan writes every node, a re-plan every node of its region and each
+    /// of their operands, which is all the planning body looks at.
+    is_root: Vec<bool>,
+    /// `rooted[i] == stamp` of a re-plan: it has written `is_root[i]`.
+    rooted: Vec<u64>,
+    /// `seen[i] == stamp` marks membership in the closure (or region)
+    /// being collected.
+    seen: Vec<u64>,
+    stamp: u64,
+    /// How many closures of the current forcing round hold a node; all
+    /// zero between rounds.
+    appearances: Vec<u32>,
+    stack: Vec<NodeId>,
+    forced: Vec<NodeId>,
+    /// The nodes a re-plan runs the planning body over, ascending.
+    region: Vec<NodeId>,
+}
+
+impl<'a> FusionPlanner<'a> {
+    /// A planner for `program` over `space`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `space` was built for a different computation.
+    pub fn new(program: &'a Program, space: &'a FusionSpace) -> FusionPlanner<'a> {
+        let n = program.computation.num_nodes();
+        assert_eq!(space.num_nodes(), n, "space does not match program");
+        FusionPlanner {
+            program,
+            space,
+            is_root: vec![false; n],
+            rooted: vec![0; n],
+            seen: vec![0; n],
+            stamp: 0,
+            appearances: vec![0; n],
+            stack: Vec::new(),
+            forced: Vec::new(),
+            region: Vec::new(),
+        }
+    }
+
+    /// Plan `config` from nothing: the planning body over every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` does not match the planner's space.
+    pub fn plan(&mut self, config: &FusionConfig) -> Vec<FusionGroup> {
+        let (c, space) = (&self.program.computation, self.space);
+        assert_eq!(
+            config.decisions.len(),
+            space.num_edges(),
+            "config does not match space"
+        );
+        for node in c.nodes() {
+            self.is_root[node.id.index()] =
+                !excluded(c, node.id) && natural_root(c, space, config, node.id);
+        }
+        self.plan_nodes((0..c.num_nodes()).map(|i| NodeId(i as u32)))
+    }
+
+    /// Plan `config` given the plan of a configuration that differs from
+    /// it in the decisions `flipped` (each index once): `old_roots` are
+    /// that plan's group roots, in its order. Equals [`Self::plan`] of
+    /// `config` group for group, with every group the flips cannot have
+    /// touched reported as [`Planned::Kept`] under its old index.
+    ///
+    /// An *effective edge* is a fused producer→consumer edge whose
+    /// producer is neither `Parameter`/`Constant` nor a root by its own
+    /// consumer edges; closures, heroes and duplicate counts walk those
+    /// edges only, so the plan of a connected component of them reads
+    /// nothing outside it. A flip of `(p, q)` changes effective edges
+    /// between `p` and `p`'s consumers and no others, so the components
+    /// (under `config`) holding those nodes are planned again and every
+    /// other component keeps its groups. A `p` that is excluded, or that
+    /// materializes whatever the flipped edges say, changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` does not match the planner's space or a flipped
+    /// index is out of range.
+    pub fn replan(
+        &mut self,
+        old_roots: &[NodeId],
+        config: &FusionConfig,
+        flipped: &[usize],
+    ) -> Vec<Planned> {
+        let (c, space) = (&self.program.computation, self.space);
+        assert_eq!(
+            config.decisions.len(),
+            space.num_edges(),
+            "config does not match space"
+        );
+        let consumer = |edge: &Option<usize>| {
+            let i = edge.expect("a node that is not a natural root has only decision edges");
+            space.edges()[i].1
+        };
+
+        // Seeds: each flipped edge's producer and that producer's
+        // consumers. `seen` doubles as the region's visited set until the
+        // planning body starts collecting closures.
+        self.stamp += 1;
+        let visit = self.stamp;
+        let mut region = std::mem::take(&mut self.region);
+        region.clear();
+        let mut reach = |id: NodeId, region: &mut Vec<NodeId>| {
+            if self.seen[id.index()] != visit {
+                self.seen[id.index()] = visit;
+                region.push(id);
+            }
+        };
+        for &i in flipped {
+            let p = space.edges()[i].0;
+            let users = space.user_edges(p);
+            let root_regardless = p == c.root()
+                || users
+                    .iter()
+                    .any(|edge| !edge.is_some_and(|j| flipped.contains(&j) || config.fused(j)));
+            if excluded(c, p) || root_regardless {
+                continue;
+            }
+            reach(p, &mut region);
+            for edge in users {
+                reach(consumer(edge), &mut region);
+            }
+        }
+
+        // Grow the seeds to whole components, noting on the way which of
+        // the nodes the planning body will look at are natural roots.
+        let mut natural = |id: NodeId| {
+            let i = id.index();
+            if self.rooted[i] != visit {
+                self.rooted[i] = visit;
+                self.is_root[i] = natural_root(c, space, config, id);
+            }
+            self.is_root[i]
+        };
+        let mut at = 0;
+        while at < region.len() {
+            let v = region[at];
+            at += 1;
+            for &op in &c.node(v).operands {
+                if !excluded(c, op) && !natural(op) {
+                    reach(op, &mut region);
+                }
+            }
+            if !natural(v) {
+                for edge in space.user_edges(v) {
+                    reach(consumer(edge), &mut region);
+                }
+            }
+        }
+        region.sort_unstable();
+
+        // Re-plan the region and splice it into the old plan in root
+        // order: an old group stays iff its root is outside the region.
+        let mut fresh = self
+            .plan_nodes(region.iter().copied())
+            .into_iter()
+            .peekable();
+        let mut out = Vec::with_capacity(old_roots.len() + fresh.len());
+        let mut replaced = region.iter().copied().peekable();
+        for (i, &root) in old_roots.iter().enumerate() {
+            while replaced.next_if(|&r| r < root).is_some() {}
+            if replaced.peek() == Some(&root) {
+                continue;
+            }
+            while let Some(group) = fresh.next_if(|g| g.root < root) {
+                out.push(Planned::Fresh(group));
+            }
+            out.push(Planned::Kept(i));
+        }
+        out.extend(fresh.map(Planned::Fresh));
+        self.region = region;
+        out
+    }
+
+    /// Closure of a root under the current root set: operand edges cut at
+    /// roots and excluded nodes, in discovery order (which decides the
+    /// hero). An operand that is not a root has every consumer edge fused,
+    /// this one included.
+    fn collect(&mut self, root: NodeId) -> Vec<NodeId> {
+        let c = &self.program.computation;
+        self.stamp += 1;
+        self.seen[root.index()] = self.stamp;
+        let mut members = Vec::with_capacity(8);
+        members.push(root);
+        self.stack.push(root);
+        while let Some(cur) = self.stack.pop() {
+            for &op in &c.node(cur).operands {
+                if excluded(c, op) || self.is_root[op.index()] {
+                    continue;
+                }
+                if self.seen[op.index()] != self.stamp {
+                    self.seen[op.index()] = self.stamp;
+                    members.push(op);
+                    self.stack.push(op);
+                }
+            }
+        }
+        members
+    }
+
+    /// The planning body: the groups rooted in `nodes` (ascending), which
+    /// must be whole components of effective edges with `is_root` holding
+    /// the natural roots among them and their operands.
+    ///
+    /// Fixed point: force heavies to materialize when a config would
+    /// duplicate them across kernels or co-locate two heroes. The round
+    /// that forces nothing has collected the final closures.
+    fn plan_nodes(&mut self, nodes: impl Iterator<Item = NodeId> + Clone) -> Vec<FusionGroup> {
+        let c = &self.program.computation;
+        let mut groups: Vec<FusionGroup> = loop {
+            let roots = nodes.clone().filter(|r| self.is_root[r.index()]).count();
+            let mut groups = Vec::with_capacity(roots);
+            for r in nodes.clone() {
+                if !self.is_root[r.index()] {
+                    continue;
+                }
+                let members = self.collect(r);
+                // One hero per kernel: keep the first heavy (the root itself
+                // when it is heavy), force any further heavy member out.
+                let mut hero_seen = heavy(c, r);
+                for &m in &members {
+                    self.appearances[m.index()] += 1;
+                    if m != r && heavy(c, m) {
+                        if hero_seen {
+                            self.forced.push(m);
+                        } else {
+                            hero_seen = true;
+                        }
+                    }
+                }
+                groups.push(FusionGroup { root: r, members });
+            }
+            // No heavy may be duplicated.
+            for id in nodes.clone() {
+                let held_by = std::mem::take(&mut self.appearances[id.index()]);
+                if held_by > 1 && heavy(c, id) && !self.is_root[id.index()] {
+                    self.forced.push(id);
+                }
+            }
+            if self.forced.is_empty() {
+                break groups;
+            }
+            for f in self.forced.drain(..) {
+                self.is_root[f.index()] = true;
+            }
+        };
+        for g in &mut groups {
+            g.members.sort_unstable();
+        }
+        groups
+    }
+}
+
+/// Plan one configuration from nothing: [`FusionPlanner::plan`], which
+/// documents the semantics, on a planner of its own.
+///
 /// # Panics
 ///
 /// Panics if `config` does not match `space`, or `space` was built for a
@@ -85,107 +387,14 @@ pub fn fusion_groups(
     space: &FusionSpace,
     config: &FusionConfig,
 ) -> Vec<FusionGroup> {
-    let c = &program.computation;
-    assert_eq!(
-        config.decisions.len(),
-        space.num_edges(),
-        "config does not match space"
-    );
-    let n = c.num_nodes();
-    assert_eq!(space.num_nodes(), n, "space does not match program");
-
-    let fused = |edge: Option<usize>| edge.is_some_and(|i| config.fused(i));
-    let excluded =
-        |id: NodeId| matches!(c.node(id).opcode, Opcode::Parameter | Opcode::Constant);
-    let heavy = |id: NodeId| is_heavy(c.node(id).opcode.category());
-
-    // Natural materialization points.
-    let mut is_root = vec![false; n];
-    for node in c.nodes() {
-        if excluded(node.id) {
-            continue;
-        }
-        let users = space.user_edges(node.id);
-        is_root[node.id.index()] =
-            node.id == c.root() || users.is_empty() || users.iter().any(|&edge| !fused(edge));
-    }
-
-    // Closure of a root under the current root set: fused operand edges,
-    // cut at other roots and excluded nodes, in discovery order (which
-    // decides the hero below). `seen[i] == stamp` marks membership in the
-    // closure being collected.
-    let mut seen = vec![0u32; n];
-    let mut stamp = 0u32;
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut collect = |root: NodeId, is_root: &[bool]| -> Vec<NodeId> {
-        stamp += 1;
-        seen[root.index()] = stamp;
-        let mut members = vec![root];
-        stack.push(root);
-        while let Some(cur) = stack.pop() {
-            let edges = space.operand_edges(cur);
-            for (&op, &edge) in c.node(cur).operands.iter().zip(edges) {
-                if excluded(op) || is_root[op.index()] {
-                    continue;
-                }
-                if fused(edge) && seen[op.index()] != stamp {
-                    seen[op.index()] = stamp;
-                    members.push(op);
-                    stack.push(op);
-                }
-            }
-        }
-        members
-    };
-
-    // Fixed point: force heavies to materialize when a config would
-    // duplicate them across kernels or co-locate two heroes. The round
-    // that forces nothing has collected the final closures.
-    let mut groups: Vec<FusionGroup> = loop {
-        let mut groups = Vec::new();
-        let mut appearances = vec![0usize; n];
-        let mut forced: Vec<NodeId> = Vec::new();
-        for r in (0..n).map(|i| NodeId(i as u32)).filter(|r| is_root[r.index()]) {
-            let members = collect(r, &is_root);
-            // One hero per kernel: keep the first heavy (the root itself
-            // when it is heavy), force any further heavy member out.
-            let mut hero_seen = heavy(r);
-            for &m in &members {
-                appearances[m.index()] += 1;
-                if m != r && heavy(m) {
-                    if hero_seen {
-                        forced.push(m);
-                    } else {
-                        hero_seen = true;
-                    }
-                }
-            }
-            groups.push(FusionGroup { root: r, members });
-        }
-        // No heavy may be duplicated.
-        for node in c.nodes() {
-            if heavy(node.id) && !is_root[node.id.index()] && appearances[node.id.index()] > 1 {
-                forced.push(node.id);
-            }
-        }
-        if forced.is_empty() {
-            break groups;
-        }
-        for f in forced {
-            is_root[f.index()] = true;
-        }
-    };
-    for g in &mut groups {
-        g.members.sort_unstable();
-    }
-    groups
+    FusionPlanner::new(program, space).plan(config)
 }
 
 /// Build the kernel of one group of a plan: extract the members as a
 /// self-contained computation whose imported operands become parameters,
 /// classify it, and record which program node it computes.
 ///
-/// `group` must come from [`fusion_groups`] over the same `program`.
+/// `group` must come from a [`FusionPlanner`] over the same `program`.
 pub fn materialize(program: &Program, group: &FusionGroup) -> Kernel {
     let (sub, _) = program
         .computation
@@ -195,17 +404,13 @@ pub fn materialize(program: &Program, group: &FusionGroup) -> Kernel {
 
 /// Apply a fusion configuration, decomposing the program into kernels
 /// (§3.1: "The graphs are then decomposed according to these fusion
-/// configurations"): plan the groups ([`fusion_groups`], which documents
-/// the semantics), then [`materialize`] each one in order.
+/// configurations"): plan the groups ([`fusion_groups`]), then
+/// [`materialize`] each one in order.
 ///
 /// # Panics
 ///
 /// Panics if `config` does not match `space`.
-pub fn apply_fusion(
-    program: &Program,
-    space: &FusionSpace,
-    config: &FusionConfig,
-) -> FusedProgram {
+pub fn apply_fusion(program: &Program, space: &FusionSpace, config: &FusionConfig) -> FusedProgram {
     let kernels = fusion_groups(program, space, config)
         .iter()
         .map(|g| materialize(program, g))

@@ -16,25 +16,19 @@ pub struct FusionSpace {
     /// the `(node, consumer)` edge; `None` marks an edge that is not a
     /// decision and therefore never fused.
     user_edges: Vec<Vec<Option<usize>>>,
-    /// Per node and operand position, the decision index of the
-    /// `(operand, node)` edge.
-    operand_edges: Vec<Vec<Option<usize>>>,
 }
 
 impl FusionSpace {
     /// Build the space for a computation.
     ///
     /// Besides the edge list this tabulates, per node, which decision
-    /// governs each of its consumer and operand edges, so the fusion plan
-    /// ([`fusion_groups`](crate::fusion_groups)) answers "is this edge
-    /// fused" with array reads.
+    /// governs each of its consumer edges, so the fusion plan
+    /// ([`FusionPlanner`](crate::FusionPlanner)) answers "does this node
+    /// materialize" with array reads.
     pub fn new(c: &Computation) -> FusionSpace {
         let edges = fusible_edges(c);
-        let index: HashMap<(NodeId, NodeId), usize> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| (e, i))
-            .collect();
+        let index: HashMap<(NodeId, NodeId), usize> =
+            edges.iter().enumerate().map(|(i, &e)| (e, i)).collect();
         let user_edges = c
             .all_users()
             .into_iter()
@@ -46,32 +40,16 @@ impl FusionSpace {
                     .collect()
             })
             .collect();
-        let operand_edges = c
-            .nodes()
-            .iter()
-            .map(|n| {
-                n.operands
-                    .iter()
-                    .map(|&op| index.get(&(op, n.id)).copied())
-                    .collect()
-            })
-            .collect();
         FusionSpace {
             edges,
             index,
             user_edges,
-            operand_edges,
         }
     }
 
     /// Decision index per consumer of `node`.
     pub(crate) fn user_edges(&self, node: NodeId) -> &[Option<usize>] {
         &self.user_edges[node.index()]
-    }
-
-    /// Decision index per operand position of `node`.
-    pub(crate) fn operand_edges(&self, node: NodeId) -> &[Option<usize>] {
-        &self.operand_edges[node.index()]
     }
 
     /// Number of nodes of the computation the space was built for.

@@ -23,7 +23,8 @@ use std::hash::{Hash, Hasher};
 use tpu_repro::autotuner::random_configs;
 use tpu_repro::dataset::{Corpus, CorpusScale};
 use tpu_repro::fusion::{
-    apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionSpace,
+    apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionGroup,
+    FusionPlanner, FusionSpace, Planned,
 };
 use tpu_repro::hlo::{canonical_kernel_hash, NodeId, OpCategory, Opcode, Program};
 
@@ -178,4 +179,69 @@ fn plan_and_materialize_are_the_pass() {
             }
         }
     }
+}
+
+/// A re-plan applied to the plan it was made from.
+fn splice(old: &[FusionGroup], planned: Vec<Planned>) -> Vec<FusionGroup> {
+    planned
+        .into_iter()
+        .map(|p| match p {
+            Planned::Kept(i) => old[i].clone(),
+            Planned::Fresh(group) => group,
+        })
+        .collect()
+}
+
+/// Random walks of 1-4 simultaneous flips over every program of the full
+/// corpus, from the default, all-unfused, all-fused and a random
+/// configuration: after every step the re-plan, spliced into the plan of
+/// the step before, is the plan from scratch, group for group.
+#[test]
+fn a_replan_equals_the_plan_from_scratch_across_the_full_corpus() {
+    const STEPS: usize = 40;
+    let corpus = Corpus::build(CorpusScale::Full);
+    let (mut flips, mut kept, mut fresh) = (0usize, 0usize, 0usize);
+    for (pi, entry) in corpus.entries.iter().enumerate() {
+        let program = &entry.program;
+        let (space, default) = default_space_and_config(&program.computation);
+        if space.num_edges() == 0 {
+            continue;
+        }
+        let mut rng = proptest::TestRng::new(pi as u64);
+        let random = random_configs(&space, 1, pi as u64).remove(0);
+        let mut planner = FusionPlanner::new(program, &space);
+        for (si, start) in [default, space.none(), space.all(), random].into_iter().enumerate() {
+            let mut config = start;
+            let mut plan = planner.plan(&config);
+            assert_eq!(plan, fusion_groups(program, &space, &config), "{}", program.name);
+            for step in 0..STEPS {
+                let mut flipped: Vec<usize> = Vec::new();
+                for _ in 0..1 + rng.below(4) {
+                    let i = rng.below(space.num_edges() as u64) as usize;
+                    if !flipped.contains(&i) {
+                        flipped.push(i);
+                        config.decisions[i] = !config.decisions[i];
+                    }
+                }
+                let roots: Vec<NodeId> = plan.iter().map(FusionGroup::root).collect();
+                let planned = planner.replan(&roots, &config, &flipped);
+                flips += flipped.len();
+                kept += planned.iter().filter(|p| matches!(p, Planned::Kept(_))).count();
+                fresh += planned.iter().filter(|p| matches!(p, Planned::Fresh(_))).count();
+                let next = splice(&plan, planned);
+                assert_eq!(
+                    next,
+                    fusion_groups(program, &space, &config),
+                    "{} / start {si} / step {step}: flipped {flipped:?}",
+                    program.name
+                );
+                plan = next;
+            }
+        }
+    }
+    assert!(flips > 30_000, "only {flips} flips checked");
+    assert!(
+        kept > 4 * fresh,
+        "re-plans kept {kept} groups and planned {fresh} again: the delta is not local"
+    );
 }
