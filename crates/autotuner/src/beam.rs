@@ -1,4 +1,4 @@
-//! Model-guided beam search over the fusion(+tile) configuration space
+//! Model-guided beam search over the fusion configuration space
 //! (ROADMAP item 4: learned-model-guided tree search to augment SA).
 //!
 //! The searcher walks the fusion decisions in edge order: a *state* at
@@ -56,7 +56,7 @@ use crate::memo::Planner;
 use crate::sa::{push_top, BatchObjective};
 use std::collections::{HashMap, HashSet};
 use tpu_fusion::{fusion_groups, materialize, FusionConfig, FusionSpace};
-use tpu_hlo::{canonical_kernel_hash, HashedKernel, Program};
+use tpu_hlo::{canonical_kernel_hash, Program};
 use tpu_learned_cost::AtomicCache;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 
@@ -83,11 +83,6 @@ pub struct SearchParams {
     /// Slots of the internally-created TT (when the caller does not pass
     /// one). 0 disables reuse.
     pub tt_slots: usize,
-    /// Joint fusion+tile search: per-kernel tile candidates the model
-    /// objective folds into each config's score (0 = fusion-only). Used by
-    /// the harness to build a tiled objective; the search core is
-    /// objective-agnostic.
-    pub tile_candidates: usize,
 }
 
 impl Default for SearchParams {
@@ -99,7 +94,6 @@ impl Default for SearchParams {
             top_k: 16,
             seed: 7,
             tt_slots: 1 << 16,
-            tile_candidates: 0,
         }
     }
 }
@@ -270,10 +264,9 @@ struct LayerScore {
 /// table, the planner its keys are computed through (each group's kernel
 /// with its canonical hash), and the accounting.
 struct Scorer<'a, O> {
-    program: &'a Program,
     objective: O,
     tt: &'a AtomicCache,
-    planner: Planner<'a, HashedKernel>,
+    planner: Planner<'a>,
     stats: BeamStats,
     obs: BeamObs,
 }
@@ -284,20 +277,14 @@ impl<O: BatchObjective> Scorer<'_, O> {
     /// computed through the planner, which plans only the candidates
     /// without a key.
     fn structure_keys(&mut self, cands: &[FusionConfig], inherited: &[Option<u64>]) -> Vec<u64> {
-        let program = self.program;
         let unknown = cands.iter().zip(inherited).filter(|(_, key)| key.is_none());
-        let mut plans = self
-            .planner
-            .plan_batch(unknown.map(|(c, _)| c), |g| {
-                HashedKernel::new(materialize(program, g))
-            })
-            .iter();
+        let mut plans = self.planner.plan_batch(unknown.map(|(c, _)| c)).iter();
         inherited
             .iter()
             .map(|known| {
                 known.unwrap_or_else(|| {
                     let plan = plans.next().expect("one plan per candidate without a key");
-                    fold_structure_key(plan.values().iter().map(|k| k.hash()))
+                    fold_structure_key(plan.kernels().iter().map(|k| k.hash()))
                 })
             })
             .collect()
@@ -431,7 +418,6 @@ pub fn beam_search_with_tt<O: BatchObjective>(
     let width = params.beam_width.max(1);
     let registry = objective.registry();
     let mut scorer = Scorer {
-        program,
         tt,
         planner: Planner::new(program, space, &registry),
         stats: BeamStats::default(),
@@ -819,7 +805,6 @@ mod tests {
         let space = FusionSpace::new(&p.computation);
         let tt = AtomicCache::with_capacity(0);
         let mut scorer = Scorer {
-            program: &p,
             objective: |c: &FusionConfig| unfused_edges(c),
             tt: &tt,
             planner: Planner::new(&p, &space, &Registry::noop()),

@@ -21,12 +21,11 @@ use crate::memo::Planner;
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
 use std::fmt;
 use std::sync::Arc;
-use tpu_fusion::{apply_fusion, default_space_and_config, materialize, FusionConfig, FusionSpace};
-use tpu_hlo::{FusedProgram, HashedKernel, Kernel, Program};
+use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
+use tpu_hlo::{HashedKernel, Program};
 use tpu_learned_cost::{AtomicCache, CostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
-use tpu_sim::{DeviceError, FaultCounts, TpuConfig, TpuDevice};
-use tpu_tile::valid_tile_sizes;
+use tpu_sim::{DeviceError, FaultCounts, TpuDevice};
 
 /// Where the search starts (§6.3 runs the autotuner "in two modes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,32 +447,14 @@ impl BatchObjective for HardwareObjective<'_> {
 /// makes its config rank last (infinite predicted cost); the result is
 /// never `NaN`, which [`BatchObjective`] reserves for an exhausted budget.
 ///
-/// [`ModelObjective::with_tiles`] widens this to the joint fusion+tile
-/// space: each kernel is then scored as its untiled self plus its top
-/// VMEM-valid tile sizes and counts at the per-kernel minimum — all
-/// variants of all configs still in **one** predictor call per batch, so
-/// the packed forward covers the whole tile neighbourhood too. Tiled
-/// variants carry distinct canonical hashes, which means the prediction
-/// cache (and the beam's transposition table above it) shares tile scores
-/// across candidates and searches exactly like untiled kernels. The
-/// untiled variant always participates in the minimum, so a config's joint
-/// score is never worse than its fusion-only score under the same model.
-///
 /// Holds the predictor by reference so the caller keeps access to the
 /// session's [`PredictStats`](tpu_learned_cost::PredictStats) after the
 /// search consumes the objective. `autotuner.model.*` metrics (configs
 /// scored, wall time per batched evaluate call) go to the registry the
 /// session carries ([`Predictor::observed`]).
 pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCache> {
-    program: &'a Program,
-    space: &'a FusionSpace,
     predictor: &'a Predictor<&'a M, C>,
-    /// The machine whose VMEM bounds the tilings, and how many of each
-    /// kernel's tilings to score; `None` scores kernels untiled only.
-    tiles: Option<(TpuConfig, usize)>,
-    /// Plans each batch; per fusion group, its kernel's variants (see
-    /// `kernel_variants`).
-    planner: Planner<'a, Vec<HashedKernel>>,
+    planner: Planner<'a>,
     obs: ModelObs,
 }
 
@@ -485,35 +466,9 @@ struct ModelObs {
     evaluate_ns: Histogram,
 }
 
-/// The variants one kernel is scored as, each with its cache key: the
-/// untiled kernel first, then (joint space only) its top VMEM-valid
-/// tilings.
-fn kernel_variants(k: Kernel, tiles: Option<&(TpuConfig, usize)>) -> Vec<HashedKernel> {
-    let tiled: Vec<HashedKernel> = tiles
-        .map(|(tpu, candidates)| valid_tile_sizes(&k, tpu, *candidates))
-        .unwrap_or_default()
-        .into_iter()
-        .map(|t| HashedKernel::new(k.clone().with_tile(t)))
-        .collect();
-    std::iter::once(HashedKernel::new(k)).chain(tiled).collect()
-}
-
-/// The cheapest scoreable variant: the index and finite runtime of the
-/// first minimum among `preds`, or `None` when the model scored none.
-fn best_variant(preds: &[Option<f64>]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (j, ns) in preds.iter().enumerate() {
-        if let Some(ns) = ns.filter(|ns| ns.is_finite()) {
-            if best.is_none_or(|(_, b)| ns < b) {
-                best = Some((j, ns));
-            }
-        }
-    }
-    best
-}
-
 impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
-    /// The fusion-only objective.
+    /// An objective scoring configurations of `program` over `space`
+    /// through `predictor`.
     pub fn new(
         program: &'a Program,
         space: &'a FusionSpace,
@@ -521,10 +476,7 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
     ) -> ModelObjective<'a, M, C> {
         let registry = predictor.registry();
         ModelObjective {
-            program,
-            space,
             predictor,
-            tiles: None,
             planner: Planner::new(program, space, registry),
             obs: ModelObs {
                 configs: registry.counter("autotuner.model.configs"),
@@ -532,67 +484,28 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
             },
         }
     }
-
-    /// Score every config at its model-best tiling: each kernel as its
-    /// untiled self plus its top `candidates` (at least one) tile sizes
-    /// that fit `tpu`'s VMEM.
-    pub fn with_tiles(mut self, tpu: TpuConfig, candidates: usize) -> ModelObjective<'a, M, C> {
-        self.tiles = Some((tpu, candidates.max(1)));
-        self
-    }
-
-    /// The fused program for `config` with each kernel's model-best tile
-    /// attached (left untiled when the untiled variant wins or the model
-    /// cannot score any variant).
-    pub fn tile_program(&self, config: &FusionConfig) -> FusedProgram {
-        let fused = apply_fusion(self.program, self.space, config);
-        let per_kernel: Vec<Vec<HashedKernel>> = fused
-            .kernels
-            .into_iter()
-            .map(|k| kernel_variants(k, self.tiles.as_ref()))
-            .collect();
-        let refs: Vec<&HashedKernel> = per_kernel.iter().flatten().collect();
-        let (preds, _) = self.predictor.predict_hashed(&refs);
-        let mut kernels = Vec::with_capacity(per_kernel.len());
-        let mut at = 0usize;
-        for variants in per_kernel {
-            let n = variants.len();
-            let winner = best_variant(&preds[at..at + n]).map_or(0, |(j, _)| j);
-            let chosen = variants.into_iter().nth(winner).expect("winner exists");
-            kernels.push(chosen.into_kernel());
-            at += n;
-        }
-        FusedProgram::new(fused.name, kernels)
-    }
 }
 
 impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_, M, C> {
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
         let _timer = self.obs.evaluate_ns.start_timer();
         self.obs.configs.add(configs.len() as u64);
-        // Per config, each kernel's variants; the predictor sees them as
-        // one flat list, in config, kernel, variant order.
-        let (program, tiles) = (self.program, self.tiles.as_ref());
-        let plans = self.planner.plan_batch(configs, |g| {
-            kernel_variants(materialize(program, g), tiles)
-        });
+        // The predictor sees every config's kernels as one flat list, in
+        // config, kernel order.
+        let plans = self.planner.plan_batch(configs);
         let refs: Vec<&HashedKernel> = plans
             .iter()
-            .flat_map(|plan| plan.values())
-            .flat_map(|variants| variants.iter())
+            .flat_map(|plan| plan.kernels())
+            .map(Arc::as_ref)
             .collect();
         let (preds, _) = self.predictor.predict_hashed(&refs);
-        let mut at = 0usize;
+        let mut preds = preds.into_iter();
         plans
             .iter()
             .map(|plan| {
-                let mut total = 0.0;
-                for variants in plan.values() {
-                    let scores = &preds[at..at + variants.len()];
-                    at += variants.len();
-                    total += best_variant(scores).map_or(f64::INFINITY, |(_, ns)| ns);
-                }
-                total
+                preds.by_ref().take(plan.kernels().len()).fold(0.0, |total, ns| {
+                    total + ns.filter(|ns| ns.is_finite()).unwrap_or(f64::INFINITY)
+                })
             })
             .collect()
     }
@@ -723,12 +636,9 @@ pub fn autotune_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
 /// hand it.
 ///
 /// `params` supplies the search hyperparameters (beam width, prune
-/// margin, TT policy, tile candidates, seed); its `max_evals`/`top_k` are
-/// overridden by `budgets.model_steps`/`budgets.top_k` so the two
-/// searchers meter from one source of truth. With
-/// `params.tile_candidates > 0` the eval function scores each config at
-/// its model-best tiling ([`ModelObjective::with_tiles`] — the joint
-/// fusion+tile space); otherwise it is the fusion-only [`ModelObjective`].
+/// margin, TT policy, seed); its `max_evals`/`top_k` are overridden by
+/// `budgets.model_steps`/`budgets.top_k` so the two searchers meter from
+/// one source of truth.
 ///
 /// The tuned config is bit-identical for any `RAYON_NUM_THREADS` and any
 /// cache/TT pre-warmth. On an observed device the model phase records
@@ -747,7 +657,6 @@ pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
         top_k: budgets.top_k,
         ..params.clone()
     };
-    let tiles = effective.tile_candidates;
     model_guided(
         program,
         device,
@@ -757,10 +666,7 @@ pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
         params.seed,
         budgets,
         |space, start, predictor| {
-            let mut objective = ModelObjective::new(program, space, predictor);
-            if tiles > 0 {
-                objective = objective.with_tiles(device.config().clone(), tiles);
-            }
+            let objective = ModelObjective::new(program, space, predictor);
             beam_search(program, space, start, objective, &effective).top
         },
     )
@@ -1251,11 +1157,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_objective_is_never_worse_and_is_argmin_consistent() {
-        // The untiled variant always participates in the per-kernel min,
-        // so the joint fusion+tile score can only improve on the
-        // fusion-only score; and the score must equal the oracle cost of
-        // the materialized tile_program.
+    fn model_objective_is_the_oracle_sum_over_the_fused_kernels() {
         let mut b = GraphBuilder::new("main");
         let x = b.parameter("x", Shape::matrix(1024, 512), DType::F32);
         let w = b.parameter("w", Shape::matrix(512, 1024), DType::F32);
@@ -1270,25 +1172,17 @@ mod tests {
         });
         let (space, default_cfg) = default_space_and_config(&p.computation);
         let predictor = Predictor::with_cache(&model, fresh_cache());
-        let mut plain = ModelObjective::new(&p, &space, &predictor);
-        let mut tiled = ModelObjective::new(&p, &space, &predictor).with_tiles(cfg.clone(), 4);
+        let mut objective = ModelObjective::new(&p, &space, &predictor);
         for candidate in [space.none(), space.all(), default_cfg] {
-            let batch = [candidate.clone()];
-            let plain_cost = plain.evaluate(&batch)[0];
-            let tiled_cost = tiled.evaluate(&batch)[0];
-            assert!(
-                tiled_cost <= plain_cost,
-                "joint score {tiled_cost} worse than fusion-only {plain_cost}"
-            );
-            let materialized = tiled.tile_program(&candidate);
-            let oracle_sum: f64 = materialized
+            let cost = objective.evaluate(std::slice::from_ref(&candidate))[0];
+            let oracle_sum: f64 = apply_fusion(&p, &space, &candidate)
                 .kernels
                 .iter()
                 .map(|k| tpu_sim::kernel_time_ns(k, &cfg))
                 .sum();
             assert!(
-                (oracle_sum - tiled_cost).abs() <= tiled_cost * 1e-12,
-                "materialized program cost {oracle_sum} != joint score {tiled_cost}"
+                (oracle_sum - cost).abs() <= cost * 1e-12,
+                "fused program cost {oracle_sum} != objective {cost}"
             );
         }
     }

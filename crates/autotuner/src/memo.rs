@@ -12,8 +12,8 @@
 //!   plans, and plans each incoming configuration as a delta
 //!   ([`FusionPlanner::replan`]) from the nearest of them: the groups the
 //!   flips cannot have touched come back with the `Arc` they already had;
-//! - resolves only the re-planned groups through a map from group to what
-//!   was built from it, which builds a group's value the first time it is
+//! - resolves only the re-planned groups through a map from group to its
+//!   kernel, which extracts and hashes a group's kernel the first time it is
 //!   asked and hands out the same `Arc` afterwards;
 //! - plans from scratch when nothing near is remembered (the first batch,
 //!   or a jump of more than [`MAX_DELTA_FLIPS`] decisions).
@@ -28,8 +28,8 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use tpu_fusion::{FusionConfig, FusionGroup, FusionPlanner, FusionSpace, Planned};
-use tpu_hlo::{NodeId, Program};
+use tpu_fusion::{materialize, FusionConfig, FusionGroup, FusionPlanner, FusionSpace, Planned};
+use tpu_hlo::{HashedKernel, NodeId, Program};
 use tpu_obs::{Counter, Registry};
 
 /// A configuration further than this many decisions from every remembered
@@ -41,18 +41,18 @@ use tpu_obs::{Counter, Registry};
 /// searchers stay within 4.
 const MAX_DELTA_FLIPS: usize = 8;
 
-/// One configuration's plan, resolved: per group, in emission order, what
-/// was built from it.
-pub(crate) struct Plan<T> {
+/// One configuration's plan, resolved: per group, in emission order, its
+/// kernel with its canonical hash.
+pub(crate) struct Plan {
     config: FusionConfig,
     roots: Vec<NodeId>,
-    values: Vec<Arc<T>>,
+    kernels: Vec<Arc<HashedKernel>>,
 }
 
-impl<T> Plan<T> {
-    /// What was built from each group of the plan, in emission order.
-    pub(crate) fn values(&self) -> &[Arc<T>] {
-        &self.values
+impl Plan {
+    /// The kernel of each group of the plan, in emission order.
+    pub(crate) fn kernels(&self) -> &[Arc<HashedKernel>] {
+        &self.kernels
     }
 }
 
@@ -66,13 +66,14 @@ struct PlanObs {
     groups_kept: Counter,
 }
 
-/// Per-search planner: from a batch of configurations to what is built
-/// from each of their fusion groups.
-pub(crate) struct Planner<'a, T> {
+/// Per-search planner: from a batch of configurations to the hashed kernel
+/// of each of their fusion groups.
+pub(crate) struct Planner<'a> {
+    program: &'a Program,
     fusion: FusionPlanner<'a>,
-    built: HashMap<FusionGroup, Arc<T>>,
+    built: HashMap<FusionGroup, Arc<HashedKernel>>,
     /// The last non-empty batch, the bases of the next one.
-    previous: Vec<Plan<T>>,
+    previous: Vec<Plan>,
     obs: PlanObs,
 }
 
@@ -88,15 +89,16 @@ fn differing<'c>(
         .filter_map(|(i, (x, y))| (x != y).then_some(i))
 }
 
-impl<'a, T> Planner<'a, T> {
+impl<'a> Planner<'a> {
     /// A planner for one search over `program`, recording
     /// `autotuner.plan.*` into `registry`.
     pub(crate) fn new(
         program: &'a Program,
         space: &'a FusionSpace,
         registry: &Registry,
-    ) -> Planner<'a, T> {
+    ) -> Planner<'a> {
         Planner {
+            program,
             fusion: FusionPlanner::new(program, space),
             built: HashMap::new(),
             previous: Vec::new(),
@@ -110,21 +112,20 @@ impl<'a, T> Planner<'a, T> {
     }
 
     /// The resolved plan of every configuration, in order; a group met for
-    /// the first time in this search is built with `build`.
+    /// the first time in this search has its kernel extracted and hashed.
     pub(crate) fn plan_batch<'c>(
         &mut self,
         configs: impl IntoIterator<Item = &'c FusionConfig>,
-        mut build: impl FnMut(&FusionGroup) -> T,
-    ) -> &[Plan<T>] {
-        let built = &mut self.built;
+    ) -> &[Plan] {
+        let (program, built) = (self.program, &mut self.built);
         let mut resolve = |group: FusionGroup| {
             let root = group.root();
-            let value = built
+            let kernel = built
                 .entry(group)
-                .or_insert_with_key(|g| Arc::new(build(g)));
-            (root, Arc::clone(value))
+                .or_insert_with_key(|g| Arc::new(HashedKernel::new(materialize(program, g))));
+            (root, Arc::clone(kernel))
         };
-        let mut batch: Vec<Plan<T>> = Vec::new();
+        let mut batch: Vec<Plan> = Vec::new();
         let mut flipped: Vec<usize> = Vec::new();
         for config in configs {
             let base = self
@@ -133,18 +134,18 @@ impl<'a, T> Planner<'a, T> {
                 .map(|base| (differing(&base.config, config).count(), base))
                 .min_by_key(|&(distance, _)| distance)
                 .filter(|&(distance, _)| distance <= MAX_DELTA_FLIPS);
-            let (roots, values): (Vec<NodeId>, Vec<Arc<T>>) = match base {
+            let (roots, kernels): (Vec<NodeId>, Vec<Arc<HashedKernel>>) = match base {
                 Some((_, base)) => {
                     flipped.clear();
                     flipped.extend(differing(&base.config, config));
                     let planned = self.fusion.replan(&base.roots, config, &flipped);
                     let mut kept = 0u64;
-                    let plan: (Vec<NodeId>, Vec<Arc<T>>) = planned
+                    let plan: (Vec<NodeId>, Vec<Arc<HashedKernel>>) = planned
                         .into_iter()
                         .map(|group| match group {
                             Planned::Kept(i) => {
                                 kept += 1;
-                                (base.roots[i], Arc::clone(&base.values[i]))
+                                (base.roots[i], Arc::clone(&base.kernels[i]))
                             }
                             Planned::Fresh(group) => resolve(group),
                         })
@@ -164,7 +165,7 @@ impl<'a, T> Planner<'a, T> {
             batch.push(Plan {
                 config: config.clone(),
                 roots,
-                values,
+                kernels,
             });
         }
         if batch.is_empty() {
@@ -184,8 +185,8 @@ impl<'a, T> Planner<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_fusion::{apply_fusion, materialize};
-    use tpu_hlo::{DType, GraphBuilder, HashedKernel, Shape};
+    use tpu_fusion::apply_fusion;
+    use tpu_hlo::{DType, GraphBuilder, Shape};
 
     /// Two independent chains joined at the end: flipping a decision in one
     /// chain leaves the other chain's groups untouched.
@@ -201,15 +202,11 @@ mod tests {
         Program::new("two-chains", b.finish(sum))
     }
 
-    fn kernels(
-        planner: &mut Planner<'_, HashedKernel>,
-        program: &Program,
-        configs: &[FusionConfig],
-    ) -> Vec<Vec<Arc<HashedKernel>>> {
+    fn kernels(planner: &mut Planner<'_>, configs: &[FusionConfig]) -> Vec<Vec<Arc<HashedKernel>>> {
         planner
-            .plan_batch(configs, |g| HashedKernel::new(materialize(program, g)))
+            .plan_batch(configs)
             .iter()
-            .map(|plan| plan.values().to_vec())
+            .map(|plan| plan.kernels().to_vec())
             .collect()
     }
 
@@ -223,8 +220,8 @@ mod tests {
 
         let registry = Registry::enabled();
         let mut planner = Planner::new(&p, &space, &registry);
-        let first = kernels(&mut planner, &p, std::slice::from_ref(&none)).remove(0);
-        let second = kernels(&mut planner, &p, std::slice::from_ref(&flipped)).remove(0);
+        let first = kernels(&mut planner, std::slice::from_ref(&none)).remove(0);
+        let second = kernels(&mut planner, std::slice::from_ref(&flipped)).remove(0);
         // none: {a1} {a2} {b1} {b2} {sum}; flipped: {a1,a2} {b1} {b2} {sum}.
         assert_eq!((first.len(), second.len()), (5, 4));
         let shared = second
@@ -274,19 +271,19 @@ mod tests {
             .iter()
             .map(|c| {
                 let mut fresh = Planner::new(&p, &space, &registry);
-                hashes(kernels(&mut fresh, &p, std::slice::from_ref(c))).remove(0)
+                hashes(kernels(&mut fresh, std::slice::from_ref(c))).remove(0)
             })
             .collect();
         // One config at a time (each the base of the next, Gray-code near
         // or far), then all of them as one batch over the last base.
         let mut planner = Planner::new(&p, &space, &registry);
         for (c, expected) in configs.iter().zip(&from_scratch) {
-            let got = hashes(kernels(&mut planner, &p, std::slice::from_ref(c))).remove(0);
+            let got = hashes(kernels(&mut planner, std::slice::from_ref(c))).remove(0);
             assert_eq!(&got, expected);
         }
-        assert_eq!(hashes(kernels(&mut planner, &p, &configs)), from_scratch);
+        assert_eq!(hashes(kernels(&mut planner, &configs)), from_scratch);
         // An empty batch forgets nothing and plans nothing.
-        assert!(kernels(&mut planner, &p, &[]).is_empty());
-        assert_eq!(hashes(kernels(&mut planner, &p, &configs[..2])), from_scratch[..2]);
+        assert!(kernels(&mut planner, &[]).is_empty());
+        assert_eq!(hashes(kernels(&mut planner, &configs[..2])), from_scratch[..2]);
     }
 }

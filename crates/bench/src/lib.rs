@@ -377,18 +377,8 @@ impl CalibratedAnalytical {
         model_machine: &TpuConfig,
         real_machine: &TpuConfig,
     ) -> Self {
-        let model = AnalyticalModel::new(model_machine.clone());
         let device = tpu_sim::TpuDevice::with_config(real_machine.clone(), 99);
-        let fused: Vec<tpu_hlo::FusedProgram> = test_programs
-            .iter()
-            .map(|&i| {
-                let p = &corpus.entries[i].program;
-                let (space, cfg) = tpu_fusion::default_space_and_config(&p.computation);
-                tpu_fusion::apply_fusion(p, &space, &cfg)
-            })
-            .collect();
-        let calibration = Calibration::fit(&model, &fused, &device);
-        CalibratedAnalytical { model, calibration }
+        Self::fit_with_device(corpus, test_programs, model_machine, &device)
     }
 
     /// Uncalibrated (identity coefficients) — for within-kernel ranking

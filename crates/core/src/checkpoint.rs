@@ -14,8 +14,8 @@ use tpu_nn::{AdamState, ParamStore};
 /// Schema tag written into every checkpoint.
 pub const SCHEMA: &str = "tpu-learned-cost.checkpoint.v1";
 
-/// Why a checkpoint failed to load or resume — typed like
-/// [`crate::BundleError`] so callers can match on the failure mode.
+/// Why a checkpoint failed to load or resume — typed so callers can match
+/// on the failure mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The JSON could not be parsed into a checkpoint.

@@ -47,7 +47,6 @@ pub mod metrics;
 
 mod atomic_cache;
 mod batch;
-mod bundle;
 mod checkpoint;
 mod cost_model;
 mod engine;
@@ -57,7 +56,6 @@ mod train;
 
 pub use atomic_cache::AtomicCache;
 pub use batch::{bfs_segment, GraphBatch, Prepared, Sample};
-pub use bundle::{load_gnn, load_lstm, save_gnn, save_lstm, BundleError};
 pub use checkpoint::{CheckpointError, TrainCheckpoint, SCHEMA as CHECKPOINT_SCHEMA};
 pub use cost_model::{CostModel, FnCostModel, SimOracle};
 pub use engine::{

@@ -6,13 +6,12 @@ use crate::batch::{GraphBatch, Prepared};
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tpu_hlo::{Kernel, Opcode};
 use tpu_nn::{Activation, Embedding, Linear, LstmCell, ParamStore, Tape, Tensor, Var};
 
 /// Hyperparameters of the LSTM baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmConfig {
     /// Opcode embedding width (shared representation with the GNN).
     pub opcode_embed_dim: usize,

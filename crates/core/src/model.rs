@@ -4,7 +4,6 @@ use crate::batch::{GraphBatch, Prepared};
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tpu_hlo::{Kernel, Opcode};
 use tpu_nn::{Activation, Embedding, Linear, ParamStore, Tape, Var};
@@ -14,7 +13,7 @@ use tpu_nn::{Activation, Embedding, Linear, ParamStore, Tape, Var};
 pub const LOG_NS_OFFSET: f32 = 8.0;
 
 /// Message-passing architecture for the node-embedding stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GnnArch {
     /// The paper's GraphSAGE (Eq. 1): concat(self, Σ f₂(neighbors)) → f₃ →
     /// L2 normalize.
@@ -26,7 +25,7 @@ pub enum GnnArch {
 
 /// Neighborhood reduction Σ of Eq. 1 ("a reduction chosen during
 /// hyperparameter search").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reduction {
     /// Sum over neighbor embeddings.
     Sum,
@@ -39,7 +38,7 @@ pub enum Reduction {
 /// Which of sum/mean/max row-pools form the kernel embedding κ (§4.1:
 /// "the exact combination of sum, mean, and max vectors is tuned via
 /// hyperparameter search").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolCombo {
     /// Include the per-kernel sum pool.
     pub sum: bool,
@@ -66,7 +65,7 @@ impl PoolCombo {
 }
 
 /// Hyperparameters of the GNN model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnnConfig {
     /// Opcode embedding width.
     pub opcode_embed_dim: usize,
@@ -297,30 +296,6 @@ impl GnnModel {
     pub fn predict_ns(&self, kernel: &Kernel) -> f64 {
         self.predict_log_ns(kernel).exp()
     }
-
-    /// Serialize parameters to JSON.
-    pub fn weights_json(&self) -> String {
-        self.store.to_json()
-    }
-
-    /// Load parameters previously produced by [`GnnModel::weights_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message if the JSON is malformed or the parameter
-    /// count disagrees with this architecture.
-    pub fn load_weights_json(&mut self, json: &str) -> Result<(), String> {
-        let store = ParamStore::from_json(json)?;
-        if store.num_params() != self.store.num_params() {
-            return Err(format!(
-                "parameter count mismatch: {} vs {}",
-                store.num_params(),
-                self.store.num_params()
-            ));
-        }
-        self.store = store;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -394,34 +369,6 @@ mod tests {
         };
         let m = GnnModel::new(cfg);
         assert!(m.predict_log_ns(&kernel(64)).is_finite());
-    }
-
-    #[test]
-    fn weights_roundtrip() {
-        let m = GnnModel::new(GnnConfig::default());
-        let json = m.weights_json();
-        let mut m2 = GnnModel::new(GnnConfig {
-            seed: 999, // different init
-            ..GnnConfig::default()
-        });
-        let before = m2.predict_log_ns(&kernel(128));
-        m2.load_weights_json(&json).unwrap();
-        let after = m2.predict_log_ns(&kernel(128));
-        assert_ne!(before, after);
-        assert_eq!(after, m.predict_log_ns(&kernel(128)));
-    }
-
-    #[test]
-    fn load_rejects_wrong_architecture() {
-        let m = GnnModel::new(GnnConfig {
-            hops: 1,
-            ..Default::default()
-        });
-        let mut m2 = GnnModel::new(GnnConfig {
-            hops: 3,
-            ..Default::default()
-        });
-        assert!(m2.load_weights_json(&m.weights_json()).is_err());
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl HashedKernel {
     pub fn hash(&self) -> u64 {
         self.hash
     }
-
-    /// Give the kernel back, dropping the key.
-    pub fn into_kernel(self) -> Kernel {
-        self.kernel
-    }
 }
 
 #[cfg(test)]
@@ -208,6 +203,5 @@ mod tests {
         assert_eq!(ht.hash(), canonical_kernel_hash(&tiled));
         assert_ne!(hu.hash(), ht.hash(), "a tiled variant is a different key");
         assert_eq!(ht.kernel(), &tiled);
-        assert_eq!(ht.into_kernel(), tiled);
     }
 }

@@ -43,7 +43,6 @@ mod kernel;
 pub mod viz;
 mod node;
 mod opcode;
-mod passes;
 mod program;
 mod shape;
 mod text;
@@ -57,7 +56,6 @@ pub use hashing::{canonical_hash, canonical_kernel_hash, kernel_hash, HashedKern
 pub use kernel::{Kernel, KernelKind, TileSize};
 pub use node::{Node, NodeId};
 pub use opcode::{OpCategory, Opcode};
-pub use passes::{cse, dce};
 pub use program::{FusedProgram, Program};
 pub use shape::{Layout, Shape, MAX_RANK};
 pub use text::{dump_computation, parse_computation};

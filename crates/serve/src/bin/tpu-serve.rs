@@ -4,7 +4,7 @@
 //! stdin/stdout, or over TCP with `--tcp ADDR`.
 //!
 //! ```text
-//! tpu-serve [--tcp ADDR] [--model sim|analytical|gnn|frozen] [--bundle PATH]
+//! tpu-serve [--tcp ADDR] [--model sim|analytical|frozen] [--bundle BLOB]
 //!           [--faults SEED] [--runs N] [--cache-slots N]
 //!           [--max-pending N] [--batch-max N] [--eval-budget N]
 //!           [--deadline-ms N] [--no-breaker] [--breaker-trip N]
@@ -20,6 +20,9 @@
 //! deadline. The `reload` NDJSON op hot-swaps a `tpu-frozen.v2` blob
 //! after an admission check (finite predictions + Kendall-τ ≥ 0.99
 //! against the incumbent on the probe panel).
+//!
+//! An argument that is not one of the mode's flags, or a flag given last
+//! without its value, is a usage error (exit code 2).
 //!
 //! Drive mode: a load generator for CI smoke.
 //!
@@ -54,7 +57,7 @@ use std::time::Instant;
 
 use tpu_infer::FrozenModel;
 use tpu_learned_cost::{
-    load_gnn, AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, SimOracle,
+    AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, SimOracle,
 };
 use tpu_obs::Registry;
 use tpu_serve::{
@@ -62,6 +65,50 @@ use tpu_serve::{
     DeviceModel, ReloadPolicy, ServeConfig, ServeEngine, ServeOptions,
 };
 use tpu_sim::{TpuConfig, TpuDevice};
+
+const USAGE: &str = "\
+usage: tpu-serve [--tcp ADDR] [--model sim|analytical|frozen] [--bundle BLOB]
+                 [--faults SEED] [--runs N] [--cache-slots N]
+                 [--max-pending N] [--batch-max N] [--eval-budget N]
+                 [--deadline-ms MS] [--no-breaker] [--breaker-trip N]
+                 [--breaker-cooldown N]
+       tpu-serve drive ADDR [--clients N] [--requests N] [--distinct K]
+                 [--deadline-ms MS] [--shutdown]
+       tpu-serve reload ADDR PATH";
+
+/// Flags of serve mode that take a value, and those that do not.
+const SERVE_VALUED: [&str; 12] = [
+    "--tcp",
+    "--model",
+    "--bundle",
+    "--faults",
+    "--runs",
+    "--cache-slots",
+    "--max-pending",
+    "--batch-max",
+    "--eval-budget",
+    "--deadline-ms",
+    "--breaker-trip",
+    "--breaker-cooldown",
+];
+const SERVE_SWITCHES: [&str; 1] = ["--no-breaker"];
+const DRIVE_VALUED: [&str; 4] = ["--clients", "--requests", "--distinct", "--deadline-ms"];
+const DRIVE_SWITCHES: [&str; 1] = ["--shutdown"];
+
+/// Reject what [`flag_value`] would skip in silence: an argument that is
+/// none of the mode's flags, and a valued flag with nothing after it.
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if valued.contains(&arg.as_str()) {
+            if args.next().is_none() {
+                die(&format!("{arg} requires a value\n{USAGE}"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            die(&format!("unknown argument {arg:?}\n{USAGE}"));
+        }
+    }
+}
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -116,16 +163,9 @@ fn build_model(args: &[String]) -> Box<dyn CostModel + Send> {
         None => match flag_value(args, "--model").as_deref().unwrap_or("sim") {
             "sim" => Box::new(SimOracle::new(cfg.clone())),
             "analytical" => Box::new(AnalyticalCost::new(cfg.clone())),
-            "gnn" => {
-                let path = flag_value(args, "--bundle")
-                    .unwrap_or_else(|| die("--model gnn requires --bundle PATH"));
-                let json = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-                Box::new(load_gnn(&json).unwrap_or_else(|e| die(&format!("{e:?}"))))
-            }
             "frozen" => {
                 let path = flag_value(args, "--bundle")
-                    .unwrap_or_else(|| die("--model frozen requires --bundle PATH"));
+                    .unwrap_or_else(|| die("--model frozen requires --bundle BLOB"));
                 let bytes =
                     std::fs::read(&path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
                 Box::new(
@@ -133,12 +173,13 @@ fn build_model(args: &[String]) -> Box<dyn CostModel + Send> {
                         .unwrap_or_else(|e| die(&format!("load {path}: {e}"))),
                 )
             }
-            other => die(&format!("unknown model {other:?} (sim|analytical|gnn|frozen)")),
+            other => die(&format!("unknown model {other:?} (sim|analytical|frozen)\n{USAGE}")),
         },
     }
 }
 
 fn run_serve(args: &[String]) -> ExitCode {
+    check_flags(args, &SERVE_VALUED, &SERVE_SWITCHES);
     let cfg = ServeConfig {
         batch_max: flag_parse(args, "--batch-max", 64),
         max_pending: flag_parse(args, "--max-pending", 1024),
@@ -305,6 +346,7 @@ fn run_drive(args: &[String]) -> ExitCode {
         .filter(|a| !a.starts_with("--"))
         .unwrap_or_else(|| die("drive requires an ADDR argument"))
         .clone();
+    check_flags(&args[1..], &DRIVE_VALUED, &DRIVE_SWITCHES);
     let clients = flag_parse(args, "--clients", 8usize).max(1);
     let total = flag_parse(args, "--requests", 100usize).max(1);
     let distinct = flag_parse(args, "--distinct", 16usize).max(1);
@@ -418,16 +460,7 @@ fn run_reload(args: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: tpu-serve [--tcp ADDR] [--model sim|analytical|gnn|frozen] [--bundle PATH]\n\
-             \x20                [--faults SEED] [--runs N] [--cache-slots N]\n\
-             \x20                [--max-pending N] [--batch-max N] [--eval-budget N]\n\
-             \x20                [--deadline-ms MS] [--no-breaker] [--breaker-trip N]\n\
-             \x20                [--breaker-cooldown N]\n\
-             \x20      tpu-serve drive ADDR [--clients N] [--requests N] [--distinct K]\n\
-             \x20                [--deadline-ms MS] [--shutdown]\n\
-             \x20      tpu-serve reload ADDR PATH"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
     match args.first().map(String::as_str) {

@@ -16,8 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned by the fallible device API (`try_execute_kernel` and
-/// friends). Mirrors `BundleError` in `tpu-learned-cost`: a plain enum
-/// implementing [`std::error::Error`].
+/// friends): a plain enum implementing [`std::error::Error`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeviceError {
     /// The run failed before launching (measurement-infrastructure

@@ -1,11 +1,13 @@
 //! Train the learned performance model end-to-end on a small corpus and
-//! watch it beat an untrained baseline — a miniature of §6.1.
+//! watch it beat an untrained baseline — a miniature of §6.1 — then freeze
+//! it into the blob the serving path loads.
 //!
 //! ```text
 //! cargo run --release --example train_cost_model
 //! ```
 
 use tpu_repro::dataset::{build_fusion_dataset, Corpus, CorpusScale, FusionDatasetConfig};
+use tpu_repro::infer::{freeze_gnn, FrozenModel};
 use tpu_repro::learned::metrics::mape;
 use tpu_repro::learned::{
     predict_log_ns, prepare, train, GnnConfig, GnnModel, Sample, TrainConfig,
@@ -61,18 +63,15 @@ fn main() {
         ..Default::default()
     });
 
-    let eval = |model: &GnnModel, name: &str| {
-        let preds: Vec<f64> = predict_log_ns(model, &test_prep)
-            .into_iter()
-            .map(f64::exp)
-            .collect();
+    let eval = |log_ns: Vec<f64>, name: &str| {
+        let preds: Vec<f64> = log_ns.into_iter().map(f64::exp).collect();
         let targets: Vec<f64> = test_prep.iter().map(|p| p.runtime_ns).collect();
         let m = mape(&preds, &targets);
         println!("{name}: test MAPE {m:.1}%");
         m
     };
 
-    let before = eval(&model, "untrained");
+    let before = eval(predict_log_ns(&model, &test_prep), "untrained");
 
     let cfg = TrainConfig {
         epochs: 60,
@@ -90,15 +89,17 @@ fn main() {
         report.val_metric.last().unwrap()
     );
 
-    let after = eval(&model, "trained  ");
+    let after = eval(predict_log_ns(&model, &test_prep), "trained  ");
     println!(
         "\nimprovement on held-out kernels: {:.1}% -> {:.1}% MAPE",
         before, after
     );
 
-    // Persist and reload the weights.
-    let json = model.weights_json();
-    let mut restored = GnnModel::new(model.config().clone());
-    restored.load_weights_json(&json).expect("weights roundtrip");
-    eval(&restored, "reloaded ");
+    // Deploy: freeze the trained weights into a `tpu-frozen.v2` blob and
+    // load it back, as `tpu-serve --model frozen --bundle BLOB` does.
+    let frozen = freeze_gnn(&model, &[]).expect("trained weights are finite");
+    let blob = FrozenModel::Gnn(frozen).to_bytes();
+    let served = FrozenModel::from_bytes(&blob).expect("a blob just written loads");
+    let log_ns = test_prep.iter().map(|p| served.predict_log_ns(p)).collect();
+    eval(log_ns, &format!("frozen ({} B)", blob.len()));
 }

@@ -2,20 +2,23 @@
 //! line.
 //!
 //! ```text
-//! tpu-cost <program.hlo> [--backend sim|analytical|gnn[:bundle.json]] [--fuse] [--dot out.dot]
+//! tpu-cost <program.hlo> [--backend sim|analytical|frozen:BLOB] [--fuse] [--dot out.dot]
 //! tpu-cost --demo        # run on a built-in demo program
 //! ```
 //!
 //! The input file uses the text format of `tpu_hlo::dump_computation`
 //! (see `cargo run --release --example dump_ir`). With `--fuse`, the
 //! default fusion heuristic runs first and per-kernel costs are printed;
-//! otherwise every op is its own kernel.
+//! otherwise every op is its own kernel. `frozen:BLOB` scores with the
+//! `tpu-frozen.v2` blob at `BLOB` (what `tpu-freeze` writes); a path that
+//! is missing, unreadable or not such a blob is an error.
 
 use std::process::ExitCode;
 use tpu_repro::analytical::{AnalyticalModel, Calibration};
 use tpu_repro::fusion::{apply_fusion, default_space_and_config, unfused};
 use tpu_repro::hlo::{parse_computation, FusedProgram, Program};
-use tpu_repro::learned::{CostModel, GnnConfig, GnnModel};
+use tpu_repro::infer::FrozenModel;
+use tpu_repro::learned::CostModel;
 use tpu_repro::sim::{kernel_time_ns, TpuConfig};
 
 struct Args {
@@ -44,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
             "--demo" => args.demo = true,
             "--dot" => args.dot_out = Some(it.next().ok_or("--dot needs a path")?),
             "--help" | "-h" => {
-                return Err("usage: tpu-cost <program.hlo> [--backend sim|analytical|gnn[:bundle.json]] [--fuse] [--dot out.dot] | --demo".into());
+                return Err("usage: tpu-cost <program.hlo> [--backend sim|analytical|frozen:BLOB] [--fuse] [--dot out.dot] | --demo".into());
             }
             other if args.input.is_none() && !other.starts_with('-') => {
                 args.input = Some(other.to_string());
@@ -53,6 +56,16 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// The `tpu-frozen.v2` model a `frozen:BLOB` backend names.
+fn load_frozen(backend: &str) -> Result<FrozenModel, String> {
+    let path = match backend.split_once(':') {
+        Some((_, path)) if !path.is_empty() => path,
+        _ => return Err("the frozen backend needs a blob: --backend frozen:BLOB".into()),
+    };
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read blob {path}: {e}"))?;
+    FrozenModel::from_bytes(&bytes).map_err(|e| format!("cannot load blob {path}: {e}"))
 }
 
 fn demo_program() -> Program {
@@ -121,33 +134,15 @@ fn main() -> ExitCode {
                 let cal = Calibration::identity();
                 Box::new(move |k| cal.predict_ns(&model, k))
             }
-            "gnn" => {
-                let model = match args.backend.split_once(':') {
-                    Some((_, bundle_path)) => {
-                        let json = match std::fs::read_to_string(bundle_path) {
-                            Ok(j) => j,
-                            Err(e) => {
-                                eprintln!("cannot read bundle {bundle_path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        match tpu_repro::learned::load_gnn(&json) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                eprintln!("cannot load bundle: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    None => {
-                        eprintln!("note: no bundle given, using untrained weights");
-                        GnnModel::new(GnnConfig::default())
-                    }
-                };
-                Box::new(move |k| model.predict_kernel_ns(k))
-            }
+            "frozen" => match load_frozen(&args.backend) {
+                Ok(model) => Box::new(move |k| model.predict_kernel_ns(k)),
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            },
             other => {
-                eprintln!("unknown backend `{other}` (sim|analytical|gnn)");
+                eprintln!("unknown backend `{other}` (sim|analytical|frozen:BLOB)");
                 return ExitCode::FAILURE;
             }
         };

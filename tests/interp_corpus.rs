@@ -4,7 +4,6 @@
 
 use tpu_repro::dataset::{Corpus, CorpusScale};
 use tpu_repro::hlo::interp::evaluate_seeded;
-use tpu_repro::hlo::{cse, dce};
 
 #[test]
 fn every_tiny_corpus_program_executes() {
@@ -23,33 +22,6 @@ fn every_tiny_corpus_program_executes() {
             "{}: root shape mismatch",
             entry.program.name
         );
-    }
-}
-
-#[test]
-fn cse_and_dce_preserve_program_outputs() {
-    let corpus = Corpus::build(CorpusScale::Tiny);
-    for entry in corpus.entries.iter().take(6) {
-        let c = &entry.program.computation;
-        let cleaned = cse(&dce(c));
-        assert!(cleaned.num_nodes() <= c.num_nodes());
-        let before = evaluate_seeded(c, 3).unwrap();
-        // Skip programs with RNG nodes: node-id-seeded draws shift when
-        // DCE/CSE renumber nodes, so values legitimately differ.
-        let has_rng = c
-            .nodes()
-            .iter()
-            .any(|n| n.opcode == tpu_repro::hlo::Opcode::Rng);
-        if has_rng {
-            continue;
-        }
-        let after = evaluate_seeded(&cleaned, 3).unwrap();
-        assert_eq!(before.dims(), after.dims(), "{}", entry.program.name);
-        for (a, b) in before.data().iter().zip(after.data()) {
-            let equal = a.to_bits() == b.to_bits()
-                || (a - b).abs() <= 1e-3 * (1.0 + b.abs());
-            assert!(equal, "{}: {a} vs {b}", entry.program.name);
-        }
     }
 }
 

@@ -6,9 +6,8 @@
 //! the fusion pass, kernel hashing, the prediction cache, the transposition
 //! table. This snapshot does: for small corpus programs it records the
 //! tuned configuration, its true runtime, every eval/hit/batch counter of
-//! both §6.3 harnesses (beam and simulated annealing, fusion-only and joint
-//! fusion+tile), and the phase-1 accounting of the bare searchers, under
-//! the simulator as the cost model.
+//! both §6.3 harnesses (beam and simulated annealing), and the phase-1
+//! accounting of the bare searchers, under the simulator as the cost model.
 //!
 //! `search_golden.json` was generated by the code *before* the fusion pass
 //! was split into plan + materialize and the searchers gained their kernel
@@ -93,19 +92,6 @@ fn render_case(program: &Program, mode: StartMode) -> String {
         &params,
     );
     render_tuned(&mut out, "autotune_beam", &beam);
-    let tiled = autotune_beam_with_cost_model(
-        program,
-        &TpuDevice::new(SEED),
-        &model,
-        &fresh_cache(),
-        mode,
-        &budgets,
-        &SearchParams {
-            tile_candidates: 2,
-            ..params.clone()
-        },
-    );
-    render_tuned(&mut out, "autotune_beam_tiled", &tiled);
     let sa = autotune_with_cost_model(
         program,
         &TpuDevice::new(SEED),
@@ -117,7 +103,7 @@ fn render_case(program: &Program, mode: StartMode) -> String {
     );
     render_tuned(&mut out, "autotune_sa", &sa);
 
-    // Phase 1 alone: the bare searchers over the fusion-only objective.
+    // Phase 1 alone: the bare searchers over the model objective.
     let (space, start) = default_space_and_config(&program.computation);
     let predictor = Predictor::with_cache(&model, fresh_cache());
     let raw = beam_search(
