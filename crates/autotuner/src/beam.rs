@@ -227,7 +227,12 @@ pub fn reduce_layer(
 
 /// [`reduce_layer`] over the costs alone: the positions that survive, in
 /// their new order.
-fn reduce_costs(costs: &[f64], incumbent: f64, width: usize, margin: f64) -> (Vec<usize>, u64, u64) {
+fn reduce_costs(
+    costs: &[f64],
+    incumbent: f64,
+    width: usize,
+    margin: f64,
+) -> (Vec<usize>, u64, u64) {
     let cut = margin_cut(incumbent, margin);
     let mut kept: Vec<usize> = (0..costs.len()).filter(|&i| costs[i] <= cut).collect();
     let margin_pruned = (costs.len() - kept.len()) as u64;
@@ -426,7 +431,12 @@ pub fn beam_search_with_tt<O: BatchObjective>(
     };
 
     // The start evaluation is shared and budget-free, mirroring SA.
-    let sc = score_candidates(&mut scorer, std::slice::from_ref(&start), &[None], usize::MAX);
+    let sc = score_candidates(
+        &mut scorer,
+        std::slice::from_ref(&start),
+        &[None],
+        usize::MAX,
+    );
     let start_cost = sc.costs[0];
     if start_cost.is_nan() {
         // Budget exhausted on the very first evaluation.
@@ -755,23 +765,50 @@ mod tests {
             beam_width: 4,
             ..Default::default()
         };
-        let plain = beam_search(&p, &space, space.none(), Carrying(Registry::noop()), &params);
+        let plain = beam_search(
+            &p,
+            &space,
+            space.none(),
+            Carrying(Registry::noop()),
+            &params,
+        );
         let registry = Registry::enabled();
-        let observed = beam_search(&p, &space, space.none(), Carrying(registry.clone()), &params);
+        let observed = beam_search(
+            &p,
+            &space,
+            space.none(),
+            Carrying(registry.clone()),
+            &params,
+        );
         assert_eq!(plain.best_config, observed.best_config);
         assert_eq!(plain.best_cost.to_bits(), observed.best_cost.to_bits());
         assert_eq!(plain.stats, observed.stats);
 
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("autotuner.beam.scored"), Some(observed.stats.scored));
-        assert_eq!(snap.counter("autotuner.beam.expanded"), Some(observed.stats.expanded));
-        assert_eq!(snap.counter("autotuner.beam.tt_hits"), Some(observed.stats.tt_hits));
+        assert_eq!(
+            snap.counter("autotuner.beam.scored"),
+            Some(observed.stats.scored)
+        );
+        assert_eq!(
+            snap.counter("autotuner.beam.expanded"),
+            Some(observed.stats.expanded)
+        );
+        assert_eq!(
+            snap.counter("autotuner.beam.tt_hits"),
+            Some(observed.stats.tt_hits)
+        );
         assert_eq!(
             snap.counter("autotuner.beam.margin_pruned"),
             Some(observed.stats.margin_pruned)
         );
-        assert_eq!(snap.counter("autotuner.beam.batches"), Some(observed.stats.batches));
-        assert_eq!(snap.gauge("autotuner.beam.best_cost"), Some(observed.best_cost));
+        assert_eq!(
+            snap.counter("autotuner.beam.batches"),
+            Some(observed.stats.batches)
+        );
+        assert_eq!(
+            snap.gauge("autotuner.beam.best_cost"),
+            Some(observed.best_cost)
+        );
         assert_eq!(
             snap.gauge("autotuner.beam.depth"),
             Some(observed.stats.depths as f64)

@@ -184,7 +184,10 @@ impl fmt::Display for MeasureError {
         match self {
             MeasureError::BudgetExhausted => write!(f, "hardware-time budget exhausted"),
             MeasureError::RetriesExhausted { attempts, last } => {
-                write!(f, "all {attempts} measurement attempts faulted (last: {last})")
+                write!(
+                    f,
+                    "all {attempts} measurement attempts faulted (last: {last})"
+                )
             }
         }
     }
@@ -319,8 +322,7 @@ impl<'a> HardwareObjective<'a> {
     /// never by an unbounded number of stacked evals.
     pub fn measure(&mut self, config: &FusionConfig) -> Result<f64, MeasureError> {
         let used = self.device.device_time_used();
-        if used >= self.budget_ns || used + self.device.config().eval_overhead_ns > self.budget_ns
-        {
+        if used >= self.budget_ns || used + self.device.config().eval_overhead_ns > self.budget_ns {
             self.obs.budget_exhausted.inc();
             return Err(MeasureError::BudgetExhausted);
         }
@@ -503,9 +505,12 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
         plans
             .iter()
             .map(|plan| {
-                preds.by_ref().take(plan.kernels().len()).fold(0.0, |total, ns| {
-                    total + ns.filter(|ns| ns.is_finite()).unwrap_or(f64::INFINITY)
-                })
+                preds
+                    .by_ref()
+                    .take(plan.kernels().len())
+                    .fold(0.0, |total, ns| {
+                        total + ns.filter(|ns| ns.is_finite()).unwrap_or(f64::INFINITY)
+                    })
             })
             .collect()
     }
@@ -830,7 +835,8 @@ mod tests {
                 seed,
             );
             best_model = best_model.min(m.true_ns);
-            let h = autotune_hardware_only(&p, &device, StartMode::Random, budgets.hardware_ns, seed);
+            let h =
+                autotune_hardware_only(&p, &device, StartMode::Random, budgets.hardware_ns, seed);
             best_hw = best_hw.min(h.true_ns);
         }
         assert!(
@@ -907,7 +913,10 @@ mod tests {
             0,
         );
         assert_eq!(warm.model_evals, 0, "warm cache: zero fresh evaluations");
-        assert_eq!(warm.config, cold.config, "same seed + warm cache, same answer");
+        assert_eq!(
+            warm.config, cold.config,
+            "same seed + warm cache, same answer"
+        );
         assert!(warm.cache_hits > 0);
     }
 
@@ -971,7 +980,10 @@ mod tests {
             snap.counter("autotuner.hw.evals"),
             Some(observed.hw_evals as u64)
         );
-        assert_eq!(snap.gauge("autotuner.hw.budget_ns"), Some(budgets.hardware_ns));
+        assert_eq!(
+            snap.gauge("autotuner.hw.budget_ns"),
+            Some(budgets.hardware_ns)
+        );
         let used = snap.gauge("autotuner.hw.device_time_ns").unwrap();
         assert!(used > 0.0 && (used - device.device_time_used()).abs() < 1e-6);
         // The observed device meters its own executions too.
@@ -998,7 +1010,10 @@ mod tests {
             snap.counter("autotuner.sa.batches"),
             Some(tuned.hw_evals as u64 + 1)
         );
-        assert_eq!(snap.counter("autotuner.hw.evals"), Some(tuned.hw_evals as u64));
+        assert_eq!(
+            snap.counter("autotuner.hw.evals"),
+            Some(tuned.hw_evals as u64)
+        );
         // The run ends by exhausting the budget, which the objective
         // reports as NaN exactly once.
         assert_eq!(snap.counter("autotuner.hw.budget_exhausted"), Some(1));
@@ -1041,7 +1056,9 @@ mod tests {
             overshoot
         );
         assert_eq!(
-            registry.snapshot().gauge("autotuner.hw.budget_overshoot_ns"),
+            registry
+                .snapshot()
+                .gauge("autotuner.hw.budget_overshoot_ns"),
             Some(hw.retry_stats().budget_overshoot_ns)
         );
 
@@ -1103,7 +1120,10 @@ mod tests {
             assert_eq!(sa.config, beam.config, "fault_seed={fault_seed:?}");
             assert_eq!(sa.true_ns.to_bits(), beam.true_ns.to_bits());
             assert_eq!(sa.hw_evals, beam.hw_evals);
-            assert_eq!(sa.retry_stats, beam.retry_stats, "fault_seed={fault_seed:?}");
+            assert_eq!(
+                sa.retry_stats, beam.retry_stats,
+                "fault_seed={fault_seed:?}"
+            );
             assert_eq!(sa.faults, beam.faults, "fault_seed={fault_seed:?}");
         }
     }
@@ -1256,8 +1276,7 @@ mod tests {
         assert_eq!(fault_free.faults.total(), 0);
         assert_eq!(fault_free.retry_stats.retries, 0);
         assert_eq!(
-            fault_free.retry_stats.attempts,
-            fault_free.hw_evals as u64,
+            fault_free.retry_stats.attempts, fault_free.hw_evals as u64,
             "fault-free default policy is exactly one attempt per eval"
         );
         let mut saw_faults = false;
@@ -1313,8 +1332,7 @@ mod tests {
         assert!(tuned.true_ns > 0.0);
         assert!(tuned.retry_stats.exhausted_candidates > 0);
         assert_eq!(
-            tuned.retry_stats.retries,
-            tuned.retry_stats.attempts,
+            tuned.retry_stats.retries, tuned.retry_stats.attempts,
             "every attempt failed"
         );
         // Transient faults charge no execution time, so only overheads

@@ -56,15 +56,15 @@ mod memo;
 mod random_search;
 mod sa;
 
-pub use harness::{
-    autotune_beam_with_cost_model, autotune_hardware_only, autotune_with_cost_model,
-    speedup_over_default, start_config, Budgets, HardwareObjective, HwRetryStats, MeasureError,
-    ModelObjective, RetryPolicy, StartMode, TunedConfig,
-};
 pub use baselines::{hill_climb, random_search, SearchResult};
 pub use beam::{
     beam_search, beam_search_with_tt, fused_structure_hash, margin_cut, reduce_layer, BeamResult,
     BeamStats, SearchParams,
+};
+pub use harness::{
+    autotune_beam_with_cost_model, autotune_hardware_only, autotune_with_cost_model,
+    speedup_over_default, start_config, Budgets, HardwareObjective, HwRetryStats, MeasureError,
+    ModelObjective, RetryPolicy, StartMode, TunedConfig,
 };
 pub use random_search::random_configs;
 pub use sa::{simulated_annealing, BatchObjective, SaConfig, SaResult};

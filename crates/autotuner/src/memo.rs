@@ -78,10 +78,7 @@ pub(crate) struct Planner<'a> {
 }
 
 /// The decisions in which two configurations of one space differ.
-fn differing<'c>(
-    a: &'c FusionConfig,
-    b: &'c FusionConfig,
-) -> impl Iterator<Item = usize> + 'c {
+fn differing<'c>(a: &'c FusionConfig, b: &'c FusionConfig) -> impl Iterator<Item = usize> + 'c {
     a.decisions
         .iter()
         .zip(&b.decisions)
@@ -229,7 +226,11 @@ mod tests {
             .filter(|k| first.iter().any(|f| Arc::ptr_eq(f, k)))
             .count();
         assert_eq!(shared, 3, "b1, b2 and sum are the same Arcs");
-        assert_eq!(planner.built(), 6, "one new kernel for the flipped decision");
+        assert_eq!(
+            planner.built(),
+            6,
+            "one new kernel for the flipped decision"
+        );
 
         // The first config had no base; the second was a delta that kept
         // the other chain and the join without asking the map for them.
@@ -284,6 +285,9 @@ mod tests {
         assert_eq!(hashes(kernels(&mut planner, &configs)), from_scratch);
         // An empty batch forgets nothing and plans nothing.
         assert!(kernels(&mut planner, &[]).is_empty());
-        assert_eq!(hashes(kernels(&mut planner, &configs[..2])), from_scratch[..2]);
+        assert_eq!(
+            hashes(kernels(&mut planner, &configs[..2])),
+            from_scratch[..2]
+        );
     }
 }

@@ -146,7 +146,12 @@ fn chain_seed(seed: u64, chain: usize) -> u64 {
 }
 
 /// Maintain a sorted, distinct top-k pool (shared with the beam search).
-pub(crate) fn push_top(cfg_: &FusionConfig, cost: f64, k: usize, top: &mut Vec<(FusionConfig, f64)>) {
+pub(crate) fn push_top(
+    cfg_: &FusionConfig,
+    cost: f64,
+    k: usize,
+    top: &mut Vec<(FusionConfig, f64)>,
+) {
     if !cost.is_finite() {
         return;
     }
@@ -509,14 +514,14 @@ mod tests {
                 + snap.counter("autotuner.sa.rejects").unwrap(),
             observed.evals as u64 - 1
         );
-        let sizes = snap.histogram("autotuner.sa.batch_size").expect("batch sizes");
-        assert_eq!(
-            snap.counter("autotuner.sa.batches"),
-            Some(sizes.count)
-        );
+        let sizes = snap
+            .histogram("autotuner.sa.batch_size")
+            .expect("batch sizes");
+        assert_eq!(snap.counter("autotuner.sa.batches"), Some(sizes.count));
         assert_eq!(sizes.sum, observed.evals as u64);
         assert_eq!(
-            snap.histogram("autotuner.sa.batch_eval_ns").map(|h| h.count),
+            snap.histogram("autotuner.sa.batch_eval_ns")
+                .map(|h| h.count),
             Some(sizes.count)
         );
         assert_eq!(

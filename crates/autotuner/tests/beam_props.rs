@@ -57,8 +57,7 @@ fn oracle_cost(program: &Program, space: &FusionSpace, config: &FusionConfig) ->
 
 /// A random decision vector of the right length for `space`.
 fn arb_config(num_edges: usize) -> impl Strategy<Value = FusionConfig> {
-    prop::collection::vec(any::<bool>(), num_edges)
-        .prop_map(|decisions| FusionConfig { decisions })
+    prop::collection::vec(any::<bool>(), num_edges).prop_map(|decisions| FusionConfig { decisions })
 }
 
 proptest! {

@@ -15,9 +15,7 @@
 //! 3. neither beats the enumerated minimum.
 
 use std::sync::Arc;
-use tpu_autotuner::{
-    beam_search, simulated_annealing, ModelObjective, SaConfig, SearchParams,
-};
+use tpu_autotuner::{beam_search, simulated_annealing, ModelObjective, SaConfig, SearchParams};
 use tpu_fusion::{apply_fusion, default_config, FusionConfig, FusionSpace};
 use tpu_hlo::{DType, GraphBuilder, Program, Shape};
 use tpu_learned_cost::{AtomicCache, Predictor, SimOracle};
