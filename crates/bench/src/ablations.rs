@@ -4,85 +4,86 @@
 //! GNN-vs-LSTM representation comparison at equal budget.
 //!
 //! ```text
-//! cargo run -p tpu-bench --release --bin ablations [-- --quick]
+//! cargo run -p tpu-bench --release -- ablations [--quick]
 //! ```
 
+use crate::{corpus, print_table, Args, Scale, Task};
 use tpu_autotuner::{hill_climb, random_search, simulated_annealing, SaConfig};
-use tpu_bench::{cap_prepared, corpus, fusion_samples, print_table, tile_samples, Scale};
+use tpu_dataset::build_tile_dataset;
 use tpu_fusion::apply_fusion;
-use tpu_sim::TpuConfig;
-use tpu_dataset::{build_fusion_dataset, build_tile_dataset};
 use tpu_learned_cost::{
-    prepare, train, GnnConfig, GnnModel, LstmModel, PoolCombo, Reduction, TaskLoss, TrainConfig,
+    train, GnnArch, GnnConfig, GnnModel, LstmModel, PoolCombo, Reduction, TaskLoss, TrainConfig,
 };
 use tpu_nn::RankPhi;
+use tpu_sim::TpuConfig;
 
-fn main() {
-    let scale = Scale::from_args();
+/// Run the experiment.
+pub fn run(args: &Args) {
+    let scale = args.scale;
     println!("Ablations (scale: {scale:?})");
+    let machine = TpuConfig::default();
     let corpus = corpus(scale);
-    let split = corpus.random_split(0);
 
     // --- Fusion-task ablations (metric: val MAPE, lower is better) ---
-    let fusion = build_fusion_dataset(&corpus, &scale.fusion_cfg());
-    let (train_ex, val_ex, _) = fusion.split(&split);
-    let (train_cap, val_cap) = match scale {
-        Scale::Quick => (600, 250),
-        Scale::Full => (8_000, 1_500),
-    };
-    let train_prep = cap_prepared(prepare(&fusion_samples(&train_ex)), train_cap, 1);
-    let val_prep = cap_prepared(prepare(&fusion_samples(&val_ex)), val_cap, 2);
+    let fusion = Task::random_fusion(&corpus, args, &machine);
     let tcfg = TrainConfig {
         epochs: scale.train_cfg().epochs.min(15),
         ..scale.train_cfg()
     };
 
     let mut rows = Vec::new();
+    let mut gnn_row = |label: String, cfg: GnnConfig| {
+        let rep = train(&mut GnnModel::new(cfg), &fusion.train, &fusion.val, &tcfg);
+        rows.push(vec![label, format!("{:.1}", rep.best_val)]);
+    };
+    let base = scale.gnn_cfg();
     // Hop count (k of Eq. 1). k = 0 degenerates to a DeepSets-style model.
     for hops in [0usize, 1, 2, 3] {
-        let mut m = GnnModel::new(GnnConfig {
-            hops,
-            ..scale.gnn_cfg()
-        });
-        let rep = train(&mut m, &train_prep, &val_prep, &tcfg);
-        rows.push(vec![format!("hops={hops}"), format!("{:.1}", rep.best_val)]);
+        gnn_row(
+            format!("hops={hops}"),
+            GnnConfig {
+                hops,
+                ..base.clone()
+            },
+        );
     }
     // Neighborhood reduction.
-    for red in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
-        let mut m = GnnModel::new(GnnConfig {
-            reduction: red,
-            ..scale.gnn_cfg()
-        });
-        let rep = train(&mut m, &train_prep, &val_prep, &tcfg);
-        rows.push(vec![format!("reduction={red:?}"), format!("{:.1}", rep.best_val)]);
+    for reduction in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
+        gnn_row(
+            format!("reduction={reduction:?}"),
+            GnnConfig {
+                reduction,
+                ..base.clone()
+            },
+        );
     }
     // Pooling combination.
-    for (label, pool) in [
+    for (label, pooling) in [
         ("pool=sum", PoolCombo { sum: true, mean: false, max: false }),
         ("pool=mean", PoolCombo { sum: false, mean: true, max: false }),
         ("pool=max", PoolCombo { sum: false, mean: false, max: true }),
         ("pool=all", PoolCombo::all()),
     ] {
-        let mut m = GnnModel::new(GnnConfig {
-            pooling: pool,
-            ..scale.gnn_cfg()
-        });
-        let rep = train(&mut m, &train_prep, &val_prep, &tcfg);
-        rows.push(vec![label.to_string(), format!("{:.1}", rep.best_val)]);
+        gnn_row(
+            label.to_string(),
+            GnnConfig {
+                pooling,
+                ..base.clone()
+            },
+        );
     }
     // Message-passing architecture: GraphSAGE vs a GCN-style mean-field.
-    {
-        let mut m = GnnModel::new(GnnConfig {
-            arch: tpu_learned_cost::GnnArch::GcnMean,
-            ..scale.gnn_cfg()
-        });
-        let rep = train(&mut m, &train_prep, &val_prep, &tcfg);
-        rows.push(vec!["arch=gcn-mean".into(), format!("{:.1}", rep.best_val)]);
-    }
+    gnn_row(
+        "arch=gcn-mean".to_string(),
+        GnnConfig {
+            arch: GnnArch::GcnMean,
+            ..base
+        },
+    );
     // Representation: GNN vs LSTM at the same budget.
     {
         let mut m = LstmModel::new(scale.lstm_cfg());
-        let rep = train(&mut m, &train_prep, &val_prep, &tcfg);
+        let rep = train(&mut m, &fusion.train, &fusion.val, &tcfg);
         rows.push(vec!["model=lstm".into(), format!("{:.1}", rep.best_val)]);
     }
     print_table(
@@ -92,10 +93,8 @@ fn main() {
     );
 
     // --- Tile-task ablation: phi of the rank loss (Eq. 2) ---
-    let tile = build_tile_dataset(&corpus, &scale.tile_cfg());
-    let (ttrain, tval, _) = tile.split(&split);
-    let ttrain_prep = cap_prepared(prepare(&tile_samples(&ttrain)), train_cap, 3);
-    let tval_prep = cap_prepared(prepare(&tile_samples(&tval)), val_cap, 4);
+    let tile_dataset = build_tile_dataset(&corpus, &scale.tile_cfg());
+    let tile = Task::tile(&corpus, &tile_dataset, corpus.random_split(0), args.caps());
     let mut rows = Vec::new();
     for (label, loss) in [
         ("phi=hinge", TaskLoss::TileRank(RankPhi::Hinge)),
@@ -104,7 +103,7 @@ fn main() {
     ] {
         let mut m = GnnModel::new(scale.gnn_cfg());
         let cfg = TrainConfig { loss, ..tcfg.clone() };
-        let rep = train(&mut m, &ttrain_prep, &tval_prep, &cfg);
+        let rep = train(&mut m, &tile.train, &tile.val, &cfg);
         rows.push(vec![label.to_string(), format!("{:.3}", rep.best_val)]);
     }
     print_table(
@@ -115,7 +114,6 @@ fn main() {
 
     // --- Search-strategy ablation: SA vs hill climbing vs random search
     // under an identical evaluation budget with the oracle objective.
-    let machine = TpuConfig::default();
     let steps = match scale {
         Scale::Quick => 400,
         Scale::Full => 2_000,

@@ -18,7 +18,7 @@
 //! without its path, is a usage error (exit code 2).
 
 use std::process::ExitCode;
-use tpu_bench::{corpus, fusion_train_val, Scale};
+use tpu_bench::{corpus, Scale, Task};
 use tpu_dataset::build_fusion_dataset;
 use tpu_hlo::Kernel;
 use tpu_infer::{freeze_gnn, freeze_lstm, FrozenModel};
@@ -43,12 +43,11 @@ fn die(msg: &str) -> ! {
 fn train_and_freeze(scale: Scale, lstm: bool) -> (Box<dyn CostModel>, FrozenModel, Vec<Kernel>) {
     let corpus = corpus(scale);
     let dataset = build_fusion_dataset(&corpus, &scale.fusion_cfg());
-    let split = corpus.random_split(0);
-    let (train_prep, val_prep) = fusion_train_val(&dataset, &split, 2_000, 500);
+    let task = Task::fusion(&corpus, &dataset, corpus.random_split(0), (2_000, 500));
     println!(
         "training on {} kernels ({} validation)",
-        train_prep.len(),
-        val_prep.len()
+        task.train.len(),
+        task.val.len()
     );
     let probes: Vec<Kernel> = dataset
         .examples
@@ -58,13 +57,13 @@ fn train_and_freeze(scale: Scale, lstm: bool) -> (Box<dyn CostModel>, FrozenMode
         .collect();
     if lstm {
         let mut model = LstmModel::new(scale.lstm_cfg());
-        let report = train(&mut model, &train_prep, &val_prep, &scale.train_cfg());
+        let report = train(&mut model, &task.train, &task.val, &scale.train_cfg());
         println!("trained LSTM: best val metric {:.4}", report.best_val);
         let frozen = freeze_lstm(&model, &[]).unwrap_or_else(|e| die(&format!("freeze: {e}")));
         (Box::new(model), FrozenModel::Lstm(frozen), probes)
     } else {
         let mut model = GnnModel::new(scale.gnn_cfg());
-        let report = train(&mut model, &train_prep, &val_prep, &scale.train_cfg());
+        let report = train(&mut model, &task.train, &task.val, &scale.train_cfg());
         println!("trained GNN: best val metric {:.4}", report.best_val);
         let frozen = freeze_gnn(&model, &[]).unwrap_or_else(|e| die(&format!("freeze: {e}")));
         (Box::new(model), FrozenModel::Gnn(frozen), probes)

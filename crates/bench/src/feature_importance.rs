@@ -5,17 +5,17 @@
 //! asserts the tile-size product is "crucial"; this measures that).
 //!
 //! ```text
-//! cargo run -p tpu-bench --release --bin feature_importance [-- --quick]
+//! cargo run -p tpu-bench --release -- feature_importance [--quick]
 //! ```
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tpu_bench::{cap_prepared, corpus, fusion_samples, print_table, Scale};
-use tpu_dataset::build_fusion_dataset;
+use crate::{cap_prepared, corpus, predict_ns_prepared, print_table, Args, Scale, Task};
 use tpu_hlo::MAX_RANK;
 use tpu_learned_cost::metrics::mape;
-use tpu_learned_cost::{predict_log_ns, prepare, train, GnnModel, Prepared};
+use tpu_learned_cost::{prepare, train, GnnModel, Prepared};
+use tpu_sim::TpuConfig;
 
 /// The fixed feature regions of `tpu_learned_cost::features` (§4.1: "an
 /// op's features occupy a fixed region of the Xᶠᵢ vector").
@@ -64,35 +64,25 @@ fn permute_columns(prepared: &[Prepared], cols: &std::ops::Range<usize>, seed: u
     out
 }
 
-fn eval_mape(model: &GnnModel, prepared: &[Prepared]) -> f64 {
-    let preds: Vec<f64> = predict_log_ns(model, prepared)
-        .into_iter()
-        .map(f64::exp)
-        .collect();
-    let targets: Vec<f64> = prepared.iter().map(|p| p.runtime_ns).collect();
-    mape(&preds, &targets)
-}
-
-fn main() {
-    let scale = Scale::from_args();
+/// Run the experiment.
+pub fn run(args: &Args) {
+    let scale = args.scale;
     println!("Permutation feature importance (scale: {scale:?})");
     let corpus = corpus(scale);
-    let dataset = build_fusion_dataset(&corpus, &scale.fusion_cfg());
-    let split = corpus.random_split(0);
-    let (train_ex, val_ex, test_ex) = dataset.split(&split);
-    let (train_cap, eval_cap) = match scale {
-        Scale::Quick => (700, 300),
-        Scale::Full => (12_000, 1_500),
+    let task = Task::random_fusion(&corpus, args, &TpuConfig::default());
+    let eval_cap = match scale {
+        Scale::Quick => 300,
+        Scale::Full => 1_500,
     };
-    let train_prep = cap_prepared(prepare(&fusion_samples(&train_ex)), train_cap, 1);
-    let val_prep = cap_prepared(prepare(&fusion_samples(&val_ex)), 1_000, 2);
-    let eval_prep = cap_prepared(prepare(&fusion_samples(&test_ex)), eval_cap, 3);
+    let eval_prep = cap_prepared(prepare(&task.test), eval_cap, 3);
 
     let mut model = GnnModel::new(scale.gnn_cfg());
-    let rep = train(&mut model, &train_prep, &val_prep, &scale.train_cfg());
+    let rep = train(&mut model, &task.train, &task.val, &scale.train_cfg());
     println!("trained: best val MAPE {:.1}%", rep.best_val);
 
-    let baseline = eval_mape(&model, &eval_prep);
+    let targets: Vec<f64> = eval_prep.iter().map(|p| p.runtime_ns).collect();
+    let eval_mape = |prepared: &[Prepared]| mape(&predict_ns_prepared(&model, prepared), &targets);
+    let baseline = eval_mape(&eval_prep);
     println!("baseline test MAPE: {baseline:.1}%\n");
 
     let mut rows = Vec::new();
@@ -100,7 +90,7 @@ fn main() {
         .into_iter()
         .map(|(name, cols)| {
             let permuted = permute_columns(&eval_prep, &cols, 9);
-            let degraded = eval_mape(&model, &permuted);
+            let degraded = eval_mape(&permuted);
             (name.to_string(), degraded - baseline)
         })
         .collect();

@@ -13,7 +13,7 @@
 //! reported.
 //!
 //! ```text
-//! cargo run -p tpu-bench --release --bin fig4 [-- default|random] [-- --quick]
+//! cargo run -p tpu-bench --release -- fig4 [default|random] [--quick] [--report <path>]
 //! ```
 
 use rayon::prelude::*;
@@ -21,15 +21,10 @@ use std::sync::Arc;
 use tpu_autotuner::{
     autotune_hardware_only, autotune_with_cost_model, Budgets, StartMode, TunedConfig,
 };
-use tpu_bench::{
-    corpus, fusion_train_val, print_table, registry_for_report, report_path_from_args,
-    train_checkpointed, write_report, Scale,
-};
-use tpu_dataset::build_fusion_dataset;
+use crate::{corpus, print_table, train_checkpointed, Args, Scale, Task};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::Program;
-use tpu_learned_cost::{AtomicCache, GnnModel};
-use tpu_obs::RunReport;
+use tpu_learned_cost::{AtomicCache, CostModel, GnnModel};
 use tpu_sim::{TpuConfig, TpuDevice};
 
 /// Programs autotuned in Figure 4: "a set of programs that gain
@@ -64,34 +59,25 @@ fn best_speedup(program: &Program, device: &TpuDevice, runs: &[TunedConfig]) -> 
         .fold(0.0f64, f64::max)
 }
 
-fn main() {
-    let scale = Scale::from_args();
-    let report_path = report_path_from_args();
-    let registry = registry_for_report(&report_path);
-    let mode = if std::env::args().any(|a| a == "random") {
-        StartMode::Random
-    } else {
-        StartMode::Default
-    };
-    println!("Figure 4{} reproduction (scale: {scale:?}, start: {mode:?})",
-        if mode == StartMode::Random { "b" } else { "a" });
+/// Run the experiment.
+pub fn run(args: &Args) {
+    let (scale, mode) = (args.scale, args.start);
+    let registry = args.registry();
+    println!(
+        "Figure 4{} reproduction (scale: {scale:?}, start: {mode:?})",
+        if mode == StartMode::Random { "b" } else { "a" }
+    );
 
     let machine = TpuConfig::default();
     let corpus = corpus(scale);
 
     // Train the learned model on the fusion dataset (the "best learned
     // performance model from Section 6.1").
-    let dataset = build_fusion_dataset(&corpus, &scale.fusion_cfg());
-    let split = corpus.random_split(0);
-    let (train_cap, val_cap) = match scale {
-        Scale::Quick => (800, 250),
-        Scale::Full => (12_000, 2_000),
-    };
-    let (train_prep, val_prep) = fusion_train_val(&dataset, &split, train_cap, val_cap);
+    let task = Task::random_fusion(&corpus, args, &machine);
     let mut gnn = GnnModel::new(scale.gnn_cfg());
     let t0 = std::time::Instant::now();
     let tcfg = scale.train_cfg();
-    let rep = train_checkpointed(&mut gnn, &train_prep, &val_prep, &tcfg, &registry, None);
+    let rep = train_checkpointed(&mut gnn, &task.train, &task.val, &tcfg, &registry, None);
     println!(
         "learned model trained: best val MAPE {:.1}% [{:?}]",
         rep.best_val,
@@ -238,13 +224,11 @@ fn main() {
         if m_best >= m_model - 0.01 { "OK" } else { "MISS" }
     );
 
-    if let Some(path) = report_path {
-        let report = RunReport::new("fig4", &registry)
-            .with_context("scale", format!("{scale:?}"))
-            .with_context("start_mode", format!("{mode:?}"))
-            .with_context("programs", rows.len())
-            .with_context("reps", reps)
-            .with_context("core.engine.backend", tpu_learned_cost::CostModel::name(&gnn));
-        write_report(&report, &path);
-    }
+    let context = [
+        ("start_mode", format!("{mode:?}")),
+        ("programs", rows.len().to_string()),
+        ("reps", reps.to_string()),
+        ("core.engine.backend", CostModel::name(&gnn).to_string()),
+    ];
+    args.write_report(&registry, &context);
 }

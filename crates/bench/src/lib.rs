@@ -1,26 +1,52 @@
-//! Shared harness for the experiment binaries for every paper table and
-//! figure. Speed is measured by `tpu-perf` (`benchmark/`), not here.
+//! Every paper table and figure, and the extensions beside them, as one
+//! library of experiments behind one driver. Speed is measured by
+//! `tpu-perf` (`benchmark/`), not here.
 //!
-//! Binaries (run with `--release`):
+//! ```text
+//! cargo run -p tpu-bench --release -- <experiment> [--quick] [flags]
+//! ```
 //!
-//! - `table1` — dataset statistics (Table 1),
-//! - `table2` — fusion-task accuracy: MAPE and Kendall's τ per test
+//! - [`table1`] — dataset statistics (Table 1),
+//! - [`table2`] — fusion-task accuracy: MAPE and Kendall's τ per test
 //!   program for Our Model / LSTM / Analytical (Table 2 + the in-text
 //!   <5 µs and manual-split numbers),
-//! - `table3` — tile-size task: mean per-kernel Kendall's τ for rank-loss
+//! - [`table3`] — tile-size task: mean per-kernel Kendall's τ for rank-loss
 //!   and MSE variants vs. the analytical model (Table 3),
-//! - `fig4 [default|random]` — autotuner speedups with and without the
+//! - [`fig4`] `[default|random]` — autotuner speedups with and without the
 //!   learned model (Figure 4a/4b),
-//! - `ablations` — hop count / reduction / pooling / φ ablations.
+//! - [`ablations`] — hop count / reduction / pooling / φ ablations,
+//! - [`tune`] — the §6 hyperparameter sweep and an autotuning demo,
+//! - [`retarget`], [`program_total`], [`feature_importance`] — extensions.
 //!
-//! Every binary accepts `--quick` for a reduced-scale smoke run.
+//! Each is a module with a `run(&Args)`; [`EXPERIMENTS`] lists them with
+//! the flags each reads and its training-set caps, and [`Args::parse`]
+//! rejects anything else with [`USAGE`]. Every experiment accepts
+//! `--quick` for a reduced-scale smoke run. The crate's other binary,
+//! `tpu-freeze`, trains a model and freezes it for `tpu-serve`.
+
+pub mod ablations;
+mod args;
+pub mod feature_importance;
+pub mod fig4;
+pub mod program_total;
+pub mod retarget;
+pub mod table1;
+pub mod table2;
+pub mod table3;
+mod task;
+pub mod tune;
+
+pub use args::{Args, Experiment, SearchAlgo, EXPERIMENTS, USAGE};
+pub use task::Task;
+pub(crate) use task::train_best;
 
 use rayon::prelude::*;
 use tpu_analytical::{AnalyticalModel, Calibration};
-use tpu_dataset::{Corpus, CorpusScale, FusionDataset, FusionDatasetConfig, Split, TileDatasetConfig};
+use tpu_dataset::{Corpus, CorpusScale, FusionDatasetConfig, TileDatasetConfig};
 use tpu_hlo::Kernel;
+use tpu_learned_cost::metrics::median;
 use tpu_learned_cost::{
-    prepare, train_resumable, CostModel, GnnConfig, KernelModel, LstmConfig, Prepared, Sample,
+    train_resumable, CostModel, GnnConfig, KernelModel, LstmConfig, Prepared, Sample,
     TrainCheckpoint, TrainConfig, TrainReport,
 };
 use tpu_sim::TpuConfig;
@@ -35,15 +61,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from process args: `--quick` selects [`Scale::Quick`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Corpus scale for this experiment scale.
     pub fn corpus(self) -> CorpusScale {
         match self {
@@ -137,129 +154,6 @@ pub fn corpus(scale: Scale) -> Corpus {
     Corpus::build(scale.corpus())
 }
 
-/// Path following a `--report <path>` flag in the process args, if any.
-///
-/// Experiment binaries that support it create an enabled
-/// [`tpu_obs::Registry`] when the flag is present (and a no-op one
-/// otherwise — results are bit-identical either way) and write a
-/// [`tpu_obs::RunReport`] to the path on exit.
-pub fn report_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--report" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// The registry for an optional `--report` run: enabled iff a report will
-/// be written.
-pub fn registry_for_report(path: &Option<std::path::PathBuf>) -> tpu_obs::Registry {
-    if path.is_some() {
-        tpu_obs::Registry::enabled()
-    } else {
-        tpu_obs::Registry::noop()
-    }
-}
-
-/// Write `report` to `path`, logging where it went (shared exit path of
-/// the `--report`-aware binaries).
-pub fn write_report(report: &tpu_obs::RunReport, path: &std::path::Path) {
-    match report.write(path) {
-        Ok(()) => println!("\nrun report written to {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write run report to {}: {e}", path.display()),
-    }
-}
-
-/// Fault seed following a `--faults <seed>` flag in the process args, if
-/// any.
-///
-/// Binaries that support it wrap their device in
-/// `tpu_sim::FaultPlan::chaos(seed)` so the run exercises the retrying
-/// measurement paths end to end; without the flag the device stays
-/// fault-free and results are bit-identical to a build without the
-/// feature. A malformed seed is a usage error and exits the process.
-pub fn fault_seed_from_args() -> Option<u64> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--faults" {
-            let Some(v) = args.next() else {
-                eprintln!("--faults requires a seed value");
-                std::process::exit(2);
-            };
-            return Some(v.parse().unwrap_or_else(|_| {
-                eprintln!("--faults seed must be an unsigned integer, got `{v}`");
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
-/// Which model-guided searcher drives the autotuning demo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchAlgo {
-    /// Multi-chain simulated annealing (the historical default).
-    Sa,
-    /// Transposition-table-backed beam search.
-    Beam,
-}
-
-/// Searcher following a `--search sa|beam` flag in the process args
-/// (default: SA). An unknown searcher name is a usage error and exits the
-/// process.
-pub fn search_from_args() -> SearchAlgo {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--search" {
-            let Some(v) = args.next() else {
-                eprintln!("--search requires a value (sa|beam)");
-                std::process::exit(2);
-            };
-            return match v.as_str() {
-                "sa" => SearchAlgo::Sa,
-                "beam" => SearchAlgo::Beam,
-                other => {
-                    eprintln!("--search must be `sa` or `beam`, got `{other}`");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    SearchAlgo::Sa
-}
-
-/// Path following a `--checkpoint <path>` flag in the process args, if
-/// any.
-///
-/// Binaries that train models use the path as a stem for per-model
-/// checkpoint files (see [`train_checkpointed`] and
-/// [`checkpoint_variant_path`]): a run resumes any checkpoints it finds
-/// and rewrites them after every epoch, so an interrupted run loses at
-/// most its current epoch.
-pub fn checkpoint_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--checkpoint" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Per-model checkpoint file derived from the `--checkpoint` stem: for a
-/// stem `sweeps/ckpt.json` and tag `v0`, `sweeps/ckpt.v0.json`. Binaries
-/// that train several models in one run give each a distinct tag so the
-/// checkpoints never collide.
-pub fn checkpoint_variant_path(stem: &std::path::Path, tag: &str) -> std::path::PathBuf {
-    let base = stem
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("checkpoint");
-    stem.with_file_name(format!("{base}.{tag}.json"))
-}
-
 /// Train one model of an experiment, recording `core.train.*` into
 /// `registry`. With a checkpoint `path`: resumes from it when it holds a
 /// checkpoint that fits `model` (anything else — missing file, corrupt
@@ -269,7 +163,7 @@ pub fn checkpoint_variant_path(stem: &std::path::Path, tag: &str) -> std::path::
 /// (`tpu_learned_cost::train_resumable`'s contract), so the sweep results
 /// do not depend on where a run was interrupted. Without a path: the
 /// checkpoint-free but numerically identical run.
-pub fn train_checkpointed<M: KernelModel>(
+pub(crate) fn train_checkpointed<M: KernelModel>(
     model: &mut M,
     train_prep: &[Prepared],
     val_prep: &[Prepared],
@@ -330,7 +224,7 @@ pub fn train_checkpointed<M: KernelModel>(
 }
 
 /// A calibrated analytical model bundled as a kernel-cost closure.
-pub struct CalibratedAnalytical {
+pub(crate) struct CalibratedAnalytical {
     model: AnalyticalModel,
     calibration: Calibration,
 }
@@ -338,7 +232,7 @@ pub struct CalibratedAnalytical {
 impl CalibratedAnalytical {
     /// Calibrate per-kind coefficients "by executing each program in the
     /// test set … with a default fusion configuration" (§6.1).
-    pub fn fit(corpus: &Corpus, test_programs: &[usize], machine: &TpuConfig) -> Self {
+    pub(crate) fn fit(corpus: &Corpus, test_programs: &[usize], machine: &TpuConfig) -> Self {
         let device = tpu_sim::TpuDevice::with_config(machine.clone(), 99);
         Self::fit_with_device(corpus, test_programs, machine, &device)
     }
@@ -348,7 +242,7 @@ impl CalibratedAnalytical {
     /// `Calibration::fit` retries faulted measurements and drops kernels
     /// it cannot measure, and is bit-identical to [`Self::fit`] when
     /// `device` is `TpuDevice::with_config(machine, 99)` with no faults.
-    pub fn fit_with_device(
+    pub(crate) fn fit_with_device(
         corpus: &Corpus,
         test_programs: &[usize],
         machine: &TpuConfig,
@@ -371,7 +265,7 @@ impl CalibratedAnalytical {
     /// come from `model_machine` (possibly stale), while the calibration
     /// coefficients are fit against measurements on `real_machine`. Used
     /// by the retargeting experiment.
-    pub fn fit_with_machines(
+    pub(crate) fn fit_with_machines(
         corpus: &Corpus,
         test_programs: &[usize],
         model_machine: &TpuConfig,
@@ -383,7 +277,7 @@ impl CalibratedAnalytical {
 
     /// Uncalibrated (identity coefficients) — for within-kernel ranking
     /// tasks where scales cancel (§6.2).
-    pub fn identity(machine: &TpuConfig) -> Self {
+    pub(crate) fn identity(machine: &TpuConfig) -> Self {
         CalibratedAnalytical {
             model: AnalyticalModel::new(machine.clone()),
             calibration: Calibration::identity(),
@@ -391,7 +285,7 @@ impl CalibratedAnalytical {
     }
 
     /// Predicted runtime in ns, or `None` for unsupported kernels.
-    pub fn predict_ns(&self, k: &Kernel) -> Option<f64> {
+    pub(crate) fn predict_ns(&self, k: &Kernel) -> Option<f64> {
         self.calibration.predict_ns(&self.model, k)
     }
 }
@@ -415,30 +309,15 @@ impl CostModel for CalibratedAnalytical {
     }
 }
 
-/// Capped, prepared (featurized) train/val sets for the fusion task — the
-/// setup shared by every experiment binary that trains a model.
-pub fn fusion_train_val(
-    dataset: &FusionDataset,
-    split: &Split,
-    train_cap: usize,
-    val_cap: usize,
-) -> (Vec<Prepared>, Vec<Prepared>) {
-    let (train_ex, val_ex, _) = dataset.split(split);
-    (
-        cap_prepared(prepare(&fusion_samples(&train_ex)), train_cap, 1),
-        cap_prepared(prepare(&fusion_samples(&val_ex)), val_cap, 2),
-    )
-}
-
 /// Model predictions in nanoseconds for a prepared evaluation set
 /// ([`tpu_learned_cost::predict_log_ns`], exponentiated).
-pub fn predict_ns_prepared<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
+pub(crate) fn predict_ns_prepared<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
     let log_ns = tpu_learned_cost::predict_log_ns(model, prepared);
     log_ns.into_iter().map(f64::exp).collect()
 }
 
 /// Render an aligned text table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -469,8 +348,26 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// One table row per `(label, values)` and a closing `Median` row over each
+/// column, every value rendered by `cell(column, value)`; the medians come
+/// back beside the rows.
+pub(crate) fn rows_with_median<const N: usize>(
+    rows: &[(String, [f64; N])],
+    cell: impl Fn(usize, f64) -> String,
+) -> (Vec<Vec<String>>, [f64; N]) {
+    let column = |c: usize| rows.iter().map(|(_, values)| values[c]).collect::<Vec<f64>>();
+    let medians: [f64; N] = std::array::from_fn(|c| median(&column(c)));
+    let render = |label: &str, values: &[f64; N]| {
+        let cells = values.iter().enumerate().map(|(c, &v)| cell(c, v));
+        std::iter::once(label.to_string()).chain(cells).collect::<Vec<String>>()
+    };
+    let mut table: Vec<Vec<String>> = rows.iter().map(|(label, v)| render(label, v)).collect();
+    table.push(render("Median", &medians));
+    (table, medians)
+}
+
 /// Convert fusion-dataset example refs into training samples.
-pub fn fusion_samples(examples: &[&tpu_dataset::KernelExample]) -> Vec<Sample> {
+pub(crate) fn fusion_samples(examples: &[&tpu_dataset::KernelExample]) -> Vec<Sample> {
     examples
         .iter()
         .map(|ex| Sample::new(ex.kernel.clone(), ex.runtime_ns))
@@ -478,7 +375,7 @@ pub fn fusion_samples(examples: &[&tpu_dataset::KernelExample]) -> Vec<Sample> {
 }
 
 /// Convert tile-dataset example refs into grouped training samples.
-pub fn tile_samples(examples: &[&tpu_dataset::TileExample]) -> Vec<Sample> {
+pub(crate) fn tile_samples(examples: &[&tpu_dataset::TileExample]) -> Vec<Sample> {
     examples
         .iter()
         .map(|ex| Sample::grouped(ex.kernel.clone(), ex.runtime_ns, ex.kernel_group))
@@ -486,7 +383,7 @@ pub fn tile_samples(examples: &[&tpu_dataset::TileExample]) -> Vec<Sample> {
 }
 
 /// Subsample a prepared set to at most `cap` items, deterministically.
-pub fn cap_prepared(mut prepared: Vec<Prepared>, cap: usize, seed: u64) -> Vec<Prepared> {
+pub(crate) fn cap_prepared(mut prepared: Vec<Prepared>, cap: usize, seed: u64) -> Vec<Prepared> {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     if prepared.len() > cap {

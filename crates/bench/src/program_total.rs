@@ -5,42 +5,33 @@
 //! per-kernel predictions, against the device-measured total.
 //!
 //! ```text
-//! cargo run -p tpu-bench --release --bin program_total [-- --quick]
+//! cargo run -p tpu-bench --release -- program_total [--quick]
 //! ```
 
-use tpu_bench::{cap_prepared, corpus, fusion_samples, print_table, CalibratedAnalytical, Scale};
-use tpu_dataset::build_fusion_dataset;
+use crate::{corpus, print_table, Args, CalibratedAnalytical, Task};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_learned_cost::metrics::{mape, median};
-use tpu_learned_cost::{prepare, train, CostModel, GnnModel};
+use tpu_learned_cost::{train, CostModel, GnnModel};
 use tpu_sim::{TpuConfig, TpuDevice};
 
-fn main() {
-    let scale = Scale::from_args();
+/// Run the experiment.
+pub fn run(args: &Args) {
+    let scale = args.scale;
     println!("Program-total runtime prediction (scale: {scale:?})");
     let machine = TpuConfig::default();
     let corpus = corpus(scale);
-    let dataset = build_fusion_dataset(&corpus, &scale.fusion_cfg());
-    let split = corpus.random_split(0);
-    let (train_ex, val_ex, _) = dataset.split(&split);
-
-    let (train_cap, val_cap) = match scale {
-        Scale::Quick => (700, 250),
-        Scale::Full => (12_000, 2_000),
-    };
-    let train_prep = cap_prepared(prepare(&fusion_samples(&train_ex)), train_cap, 1);
-    let val_prep = cap_prepared(prepare(&fusion_samples(&val_ex)), val_cap, 2);
+    let task = Task::random_fusion(&corpus, args, &machine);
     let mut gnn = GnnModel::new(scale.gnn_cfg());
-    let rep = train(&mut gnn, &train_prep, &val_prep, &scale.train_cfg());
+    let rep = train(&mut gnn, &task.train, &task.val, &scale.train_cfg());
     println!("learned model: best val MAPE {:.1}%", rep.best_val);
 
-    let analytical = CalibratedAnalytical::fit(&corpus, &split.test, &machine);
+    let analytical = CalibratedAnalytical::fit(&corpus, &task.split.test, &machine);
     let device = TpuDevice::with_config(machine.clone(), 77);
 
     let mut rows = Vec::new();
     let mut ape_gnn = Vec::new();
     let mut ape_ana = Vec::new();
-    for &pi in &split.test {
+    for &pi in &task.split.test {
         let program = &corpus.entries[pi].program;
         let (space, cfg) = default_space_and_config(&program.computation);
         let fused = apply_fusion(program, &space, &cfg);

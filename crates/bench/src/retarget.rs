@@ -6,13 +6,13 @@
 //! accurate, it requires much less effort to develop."
 //!
 //! ```text
-//! cargo run -p tpu-bench --release --bin retarget [-- --quick]
+//! cargo run -p tpu-bench --release -- retarget [--quick]
 //! ```
 
-use tpu_bench::{cap_prepared, corpus, fusion_samples, print_table, CalibratedAnalytical, Scale};
-use tpu_dataset::{build_fusion_dataset, FusionDatasetConfig};
+use crate::{corpus, predict_ns_prepared, print_table, Args, CalibratedAnalytical, Task};
+use tpu_dataset::Corpus;
 use tpu_learned_cost::metrics::{mape, median};
-use tpu_learned_cost::{predict_log_ns, prepare, train, GnnModel};
+use tpu_learned_cost::{prepare, train, GnnModel};
 use tpu_sim::TpuConfig;
 
 struct TargetResult {
@@ -22,60 +22,45 @@ struct TargetResult {
 }
 
 fn run_target(
-    scale: Scale,
-    corpus: &tpu_dataset::Corpus,
+    args: &Args,
+    corpus: &Corpus,
     machine: &TpuConfig,
     stale_machine: &TpuConfig,
 ) -> TargetResult {
-    let mut cfg = scale.fusion_cfg();
-    cfg.machine = machine.clone();
-    let dataset = build_fusion_dataset(corpus, &cfg);
-    let split = corpus.random_split(0);
-    let (train_ex, val_ex, test_ex) = dataset.split(&split);
-
-    let (train_cap, val_cap) = match scale {
-        Scale::Quick => (700, 250),
-        Scale::Full => (10_000, 1_500),
-    };
-    let train_prep = cap_prepared(prepare(&fusion_samples(&train_ex)), train_cap, 1);
-    let val_prep = cap_prepared(prepare(&fusion_samples(&val_ex)), val_cap, 2);
+    let task = Task::random_fusion(corpus, args, machine);
 
     // Retrain the learned model on the new machine's measurements — the
     // only "porting" work it needs.
-    let mut gnn = GnnModel::new(scale.gnn_cfg());
-    train(&mut gnn, &train_prep, &val_prep, &scale.train_cfg());
+    let mut gnn = GnnModel::new(args.scale.gnn_cfg());
+    train(&mut gnn, &task.train, &task.val, &args.scale.train_cfg());
 
     // The analytical model properly re-tuned for the machine, and a stale
-    // one still carrying the previous machine's constants.
-    let fresh = analytical_for(corpus, &split.test, machine, &cfg);
-    let stale = analytical_for(corpus, &split.test, stale_machine, &cfg);
+    // one still carrying the previous machine's constants. Either way its
+    // calibration coefficients are fit against the real target hardware
+    // (calibration is cheap; re-deriving the model is not).
+    let analytical_for = |model_machine: &TpuConfig| {
+        CalibratedAnalytical::fit_with_machines(corpus, &task.split.test, model_machine, machine)
+    };
+    let fresh = analytical_for(machine);
+    let stale = analytical_for(stale_machine);
 
     let mut learned_mapes = Vec::new();
     let mut fresh_mapes = Vec::new();
     let mut stale_mapes = Vec::new();
-    for &pi in &split.test {
-        let exs: Vec<&tpu_dataset::KernelExample> = test_ex
-            .iter()
-            .copied()
-            .filter(|e| e.program_idx == pi && e.runtime_ns >= 5_000.0)
-            .collect();
-        if exs.len() < 2 {
+    for (_, samples) in task.test_by_program(5_000.0) {
+        if samples.len() < 2 {
             continue;
         }
-        let targets: Vec<f64> = exs.iter().map(|e| e.runtime_ns).collect();
-        let prepared = prepare(&fusion_samples(&exs));
-        let learned: Vec<f64> = predict_log_ns(&gnn, &prepared)
-            .into_iter()
-            .map(f64::exp)
-            .collect();
+        let targets: Vec<f64> = samples.iter().map(|s| s.runtime_ns).collect();
+        let learned = predict_ns_prepared(&gnn, &prepare(&samples));
         learned_mapes.push(mape(&learned, &targets));
 
         let mut f_pred = Vec::new();
         let mut s_pred = Vec::new();
         let mut t_kept = Vec::new();
-        for (ex, &t) in exs.iter().zip(&targets) {
-            if let (Some(f), Some(s)) = (fresh.predict_ns(&ex.kernel), stale.predict_ns(&ex.kernel))
-            {
+        for (sample, &t) in samples.iter().zip(&targets) {
+            let kernel = &sample.kernel;
+            if let (Some(f), Some(s)) = (fresh.predict_ns(kernel), stale.predict_ns(kernel)) {
                 f_pred.push(f);
                 s_pred.push(s);
                 t_kept.push(t);
@@ -94,30 +79,18 @@ fn run_target(
     }
 }
 
-/// Analytical model whose *internal constants* come from `model_machine`
-/// but whose calibration coefficients are fit against the real target
-/// hardware (calibration is cheap; re-deriving the model is not).
-fn analytical_for(
-    corpus: &tpu_dataset::Corpus,
-    test_programs: &[usize],
-    model_machine: &TpuConfig,
-    data_cfg: &FusionDatasetConfig,
-) -> CalibratedAnalytical {
-    let _ = data_cfg;
-    CalibratedAnalytical::fit_with_machines(corpus, test_programs, model_machine, &data_cfg.machine)
-}
-
-fn main() {
-    let scale = Scale::from_args();
+/// Run the experiment.
+pub fn run(args: &Args) {
+    let scale = args.scale;
     println!("Retargeting experiment (scale: {scale:?})");
     let corpus = corpus(scale);
     let v2 = TpuConfig::default();
     let v3 = TpuConfig::v3_like();
 
     println!("\ntarget = TPU-v2-like (both models built for it):");
-    let on_v2 = run_target(scale, &corpus, &v2, &v2);
+    let on_v2 = run_target(args, &corpus, &v2, &v2);
     println!("\ntarget = TPU-v3-like (learned retrains; stale analytical keeps v2 constants):");
-    let on_v3 = run_target(scale, &corpus, &v3, &v2);
+    let on_v3 = run_target(args, &corpus, &v3, &v2);
 
     print_table(
         "Retargeting: median test MAPE (>=5us kernels)",

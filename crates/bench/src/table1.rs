@@ -2,16 +2,17 @@
 //! the fusion and tile-size datasets, under the manual and random splits.
 //!
 //! ```text
-//! cargo run -p tpu-bench --release --bin table1 [-- --quick]
+//! cargo run -p tpu-bench --release -- table1 [--quick]
 //! ```
 
-use tpu_bench::{corpus, print_table, Scale};
+use crate::{corpus, print_table, Args};
 use tpu_dataset::{
     build_fusion_dataset, build_tile_dataset, fraction_below_5us, fusion_stats, tile_stats,
 };
 
-fn main() {
-    let scale = Scale::from_args();
+/// Run the experiment.
+pub fn run(args: &Args) {
+    let scale = args.scale;
     println!("Table 1 reproduction (scale: {scale:?})");
     println!("Paper: 104 programs; 207M fusion kernels; 23M tile examples.");
     println!("This reproduction scales the pipelines down; shapes, not magnitudes, transfer.\n");

@@ -1,7 +1,7 @@
 //! Golden snapshots of every experiment's `--quick` stdout.
 //!
-//! The experiment binaries print the paper's tables; nothing else pins
-//! what they print across a refactor of the harness around them (argument
+//! The experiments print the paper's tables; nothing else pins what they
+//! print across a refactor of the harness around them (argument
 //! handling, corpus → dataset → split → capped train/val plumbing,
 //! per-program evaluation loops, table rendering). These snapshots do: one
 //! text file per run under `tests/golden/`, compared with the run's stdout
@@ -22,7 +22,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Golden file stem and the command line that produces it.
+/// Golden file stem and the `tpu-bench` arguments that produce it.
 const RUNS: [(&str, &[&str]); 11] = [
     ("table1", &["table1", "--quick"]),
     ("table2", &["table2", "--quick"]),
@@ -36,22 +36,6 @@ const RUNS: [(&str, &[&str]); 11] = [
     ("tune", &["tune", "--quick"]),
     ("tune_beam", &["tune", "--quick", "--search", "beam"]),
 ];
-
-/// The binary behind an experiment name.
-fn binary(experiment: &str) -> &'static str {
-    match experiment {
-        "table1" => env!("CARGO_BIN_EXE_table1"),
-        "table2" => env!("CARGO_BIN_EXE_table2"),
-        "table3" => env!("CARGO_BIN_EXE_table3"),
-        "ablations" => env!("CARGO_BIN_EXE_ablations"),
-        "retarget" => env!("CARGO_BIN_EXE_retarget"),
-        "program_total" => env!("CARGO_BIN_EXE_program_total"),
-        "feature_importance" => env!("CARGO_BIN_EXE_feature_importance"),
-        "fig4" => env!("CARGO_BIN_EXE_fig4"),
-        "tune" => env!("CARGO_BIN_EXE_tune"),
-        other => panic!("no binary for experiment {other}"),
-    }
-}
 
 /// True for the `Debug` rendering of a `std::time::Duration`.
 fn is_duration(s: &str) -> bool {
@@ -98,10 +82,10 @@ fn quick_runs_match_their_goldens() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let mut mismatched = Vec::new();
     for (stem, args) in RUNS {
-        let out = Command::new(binary(args[0]))
-            .args(&args[1..])
+        let out = Command::new(env!("CARGO_BIN_EXE_tpu-bench"))
+            .args(args)
             .output()
-            .expect("experiment binary runs");
+            .expect("tpu-bench runs");
         assert!(
             out.status.success(),
             "{args:?} failed: {}",

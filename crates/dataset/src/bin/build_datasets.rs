@@ -1,10 +1,10 @@
-//! `build-datasets`: generate the fusion dataset as a streaming
+//! `build_datasets`: generate the fusion dataset as a streaming
 //! `tpu-ds.v1` file (`fusion.tpuds`), written record-by-record during
 //! generation so peak RSS never holds the corpus — the file
 //! `DatasetReader` and `train_stream` read.
 //!
 //! ```text
-//! cargo run -p tpu-dataset --release --bin build-datasets -- \
+//! cargo run -p tpu-dataset --release --bin build_datasets -- \
 //!     [--out DIR] [--scale tiny|full|large] [--configs N] [--quick]
 //! ```
 //!
