@@ -7,9 +7,9 @@
 //!
 //! - [`valid_tile_sizes`] — enumerate a kernel's legal tile sizes (those
 //!   whose working set fits in VMEM),
-//! - [`rank_tiles`] / [`best_tile`] / [`tile_kernel`] — rank or select
-//!   tiles using *any* cost function (learned model, analytical model, or
-//!   the simulator as an oracle).
+//! - [`rank_tiles`] / [`best_tile`] — rank or select tiles using *any*
+//!   cost function (learned model, analytical model, or the simulator as
+//!   an oracle).
 //!
 //! # Example
 //!
@@ -32,4 +32,4 @@ mod enumerate;
 mod select;
 
 pub use enumerate::{has_tile_options, valid_tile_sizes, MIN_TILABLE_ELEMS};
-pub use select::{best_tile, rank_tiles, tile_kernel, tile_with_hardware};
+pub use select::{best_tile, rank_tiles};

@@ -42,18 +42,6 @@ where
         .map(|(t, _)| t)
 }
 
-/// Attach the best tile (per the cost function) to a kernel, or leave it
-/// untiled if it has no options.
-pub fn tile_kernel<F>(k: &Kernel, cfg: &TpuConfig, max_candidates: usize, cost: F) -> Kernel
-where
-    F: FnMut(&Kernel) -> f64,
-{
-    match best_tile(k, cfg, max_candidates, cost) {
-        Some(t) => k.clone().with_tile(t),
-        None => k.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,89 +80,11 @@ mod tests {
     }
 
     #[test]
-    fn tile_kernel_attaches_tile() {
-        let k = dot_kernel();
-        let tiled = tile_kernel(&k, &cfg(), 500, |kk| kernel_time_ns(kk, &cfg()));
-        assert!(tiled.tile.is_some());
-    }
-
-    #[test]
     fn untilable_kernel_left_alone() {
         let mut b = GraphBuilder::new("k");
         let x = b.parameter("x", Shape::matrix(4, 4), DType::F32);
         let t = b.tanh(x);
         let k = Kernel::new(b.finish(t));
         assert!(best_tile(&k, &cfg(), 500, |kk| kernel_time_ns(kk, &cfg())).is_none());
-        let tiled = tile_kernel(&k, &cfg(), 500, |kk| kernel_time_ns(kk, &cfg()));
-        assert!(tiled.tile.is_none());
-    }
-}
-
-/// Model-guided tile selection with hardware confirmation (the §6.3
-/// pattern applied to tiles): rank all candidates with a cheap cost model,
-/// measure only the model's top `top_k` on the device, return the best
-/// *measured* tile. Falls back to `None` for kernels without options.
-pub fn tile_with_hardware<F>(
-    k: &Kernel,
-    cfg: &TpuConfig,
-    max_candidates: usize,
-    cost: F,
-    device: &tpu_sim::TpuDevice,
-    top_k: usize,
-    runs: usize,
-) -> Option<(TileSize, f64)>
-where
-    F: FnMut(&Kernel) -> f64,
-{
-    let ranked = rank_tiles(k, cfg, max_candidates, cost);
-    ranked
-        .into_iter()
-        .take(top_k.max(1))
-        .map(|(t, _)| {
-            let cand = k.clone().with_tile(t.clone());
-            let measured = device.measure_kernel(&cand, runs.max(1));
-            (t, measured)
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-}
-
-#[cfg(test)]
-mod hardware_tests {
-    use super::*;
-    use tpu_hlo::{DType, GraphBuilder, Shape};
-    use tpu_sim::{kernel_time_ns, TpuDevice};
-
-    #[test]
-    fn hardware_confirmation_never_worse_than_model_choice() {
-        let mut b = GraphBuilder::new("k");
-        let x = b.parameter("x", Shape::matrix(1024, 512), DType::F32);
-        let w = b.parameter("w", Shape::matrix(512, 1024), DType::F32);
-        let d = b.dot(x, w);
-        let k = Kernel::new(b.finish(d));
-        let cfg = TpuConfig::default();
-        let device = TpuDevice::with_config(cfg.clone(), 5);
-
-        // A deliberately bad model: inverse of the true cost.
-        let bad_model = |kk: &Kernel| -kernel_time_ns(kk, &cfg);
-        let (_, with_hw) =
-            tile_with_hardware(&k, &cfg, 200, bad_model, &device, 8, 3).unwrap();
-        let model_only = best_tile(&k, &cfg, 200, |kk| -kernel_time_ns(kk, &cfg))
-            .map(|t| kernel_time_ns(&k.clone().with_tile(t), &cfg))
-            .unwrap();
-        assert!(
-            with_hw <= model_only * 1.05,
-            "hardware re-ranking must rescue a bad model: {with_hw} vs {model_only}"
-        );
-    }
-
-    #[test]
-    fn untilable_kernel_returns_none() {
-        let mut b = GraphBuilder::new("k");
-        let x = b.parameter("x", Shape::matrix(4, 4), DType::F32);
-        let t = b.tanh(x);
-        let k = Kernel::new(b.finish(t));
-        let cfg = TpuConfig::default();
-        let device = TpuDevice::with_config(cfg.clone(), 5);
-        assert!(tile_with_hardware(&k, &cfg, 64, |_| 1.0, &device, 4, 3).is_none());
     }
 }
