@@ -110,9 +110,11 @@ pub struct Args {
     pub scale: Scale,
     /// `fig4 default|random`: where the autotuner starts (default: default).
     pub start: StartMode,
-    /// `--report <path>`: record the run into an enabled registry and write
-    /// a [`RunReport`] there on exit (results are bit-identical either way).
+    /// `--report <path>`: write a [`RunReport`] there on exit.
     pub report: Option<PathBuf>,
+    /// What the run records into: enabled iff `--report` will write it out
+    /// (results are bit-identical either way).
+    pub registry: Registry,
     /// `--faults <seed>`: run the experiment's device under
     /// `tpu_sim::FaultPlan::chaos(seed)`, exercising the retrying
     /// measurement paths; without it the device is fault-free.
@@ -142,6 +144,7 @@ impl Args {
             scale: Scale::Full,
             start: StartMode::Default,
             report: None,
+            registry: Registry::noop(),
             faults: None,
             checkpoint: None,
             search: SearchAlgo::Sa,
@@ -155,7 +158,10 @@ impl Args {
                 "--quick" => args.scale = Scale::Quick,
                 "default" => args.start = StartMode::Default,
                 "random" => args.start = StartMode::Random,
-                "--report" => args.report = Some(value()?.into()),
+                "--report" => {
+                    args.report = Some(value()?.into());
+                    args.registry = Registry::enabled();
+                }
                 "--checkpoint" => args.checkpoint = Some(value()?.into()),
                 "--faults" => {
                     let seed = value()?;
@@ -185,22 +191,12 @@ impl Args {
         }
     }
 
-    /// The registry the run records into: enabled iff `--report` will
-    /// write it out.
-    pub(crate) fn registry(&self) -> Registry {
-        if self.report.is_some() {
-            Registry::enabled()
-        } else {
-            Registry::noop()
-        }
-    }
-
-    /// With `--report`: write what `registry` recorded, under the
-    /// experiment's name and with the scale, the fault seed if any and
-    /// `context`, and say where it went.
-    pub(crate) fn write_report(&self, registry: &Registry, context: &[(&str, String)]) {
+    /// With `--report`: write what the run recorded, under the experiment's
+    /// name and with the scale, the fault seed if any and `context`, and say
+    /// where it went.
+    pub(crate) fn write_report(&self, context: &[(&str, String)]) {
         let Some(path) = &self.report else { return };
-        let mut report = RunReport::new(self.experiment.name, registry)
+        let mut report = RunReport::new(self.experiment.name, &self.registry)
             .with_context("scale", format!("{:?}", self.scale));
         if let Some(seed) = self.faults {
             report = report.with_context("fault_seed", seed);
@@ -241,10 +237,13 @@ mod tests {
             assert!(USAGE.contains(e.name), "{} missing from the usage text", e.name);
             for flag in e.flags {
                 assert!(USAGE.contains(flag), "{flag} missing from the usage text");
-                let value = if *flag == "--search" { "beam" } else { "7" };
+                let value = match *flag {
+                    "--search" => "beam",
+                    valued if valued.starts_with("--") => "7",
+                    _positional => "",
+                };
                 let args = parse(&format!("{} --quick {flag} {value}", e.name));
-                // A positional (`fig4 random`) leaves the value as a stray.
-                assert_eq!(args.is_ok(), flag.starts_with("--"), "{} {flag}: {args:?}", e.name);
+                assert!(args.is_ok(), "{} {flag}: {args:?}", e.name);
             }
         }
     }
@@ -257,6 +256,7 @@ mod tests {
         assert_eq!((args.scale, args.search, args.faults), (Scale::Full, SearchAlgo::Beam, Some(7)));
         assert_eq!(args.caps(), (14_000, 2_500));
         assert_eq!(args.report, Some(PathBuf::from("r.json")));
+        assert!(args.registry.is_enabled());
         assert_eq!(args.checkpoint_for("v0"), Some(PathBuf::from("d/ckpt.v0.json")));
         let args = parse("fig4 random --quick").expect("a valid command line");
         assert_eq!((args.scale, args.start), (Scale::Quick, StartMode::Random));

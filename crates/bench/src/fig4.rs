@@ -62,7 +62,7 @@ fn best_speedup(program: &Program, device: &TpuDevice, runs: &[TunedConfig]) -> 
 /// Run the experiment.
 pub fn run(args: &Args) {
     let (scale, mode) = (args.scale, args.start);
-    let registry = args.registry();
+    let registry = &args.registry;
     println!(
         "Figure 4{} reproduction (scale: {scale:?}, start: {mode:?})",
         if mode == StartMode::Random { "b" } else { "a" }
@@ -77,7 +77,7 @@ pub fn run(args: &Args) {
     let mut gnn = GnnModel::new(scale.gnn_cfg());
     let t0 = std::time::Instant::now();
     let tcfg = scale.train_cfg();
-    let rep = train_checkpointed(&mut gnn, &task.train, &task.val, &tcfg, &registry, None);
+    let rep = train_checkpointed(&mut gnn, &task.train, &task.val, &tcfg, registry, None);
     println!(
         "learned model trained: best val MAPE {:.1}% [{:?}]",
         rep.best_val,
@@ -121,7 +121,7 @@ pub fn run(args: &Args) {
             // The observed device carries the report's registry into every
             // run below (no thread-local could: these are rayon workers).
             let device =
-                TpuDevice::with_config(machine.clone(), 1000 + pi as u64).observed(&registry);
+                TpuDevice::with_config(machine.clone(), 1000 + pi as u64).observed(registry);
 
             let long_run =
                 autotune_hardware_only(program, &device, StartMode::Default, long_run_ns, 999);
@@ -230,5 +230,5 @@ pub fn run(args: &Args) {
         ("reps", reps.to_string()),
         ("core.engine.backend", CostModel::name(&gnn).to_string()),
     ];
-    args.write_report(&registry, &context);
+    args.write_report(&context);
 }

@@ -32,7 +32,6 @@ use tpu_learned_cost::{
     prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel, Predictor,
     Prepared, Sample,
 };
-use tpu_obs::Registry;
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
 
 /// The columns of every per-program accuracy table.
@@ -97,7 +96,6 @@ fn select_by_seed<M: KernelModel>(
     args: &Args,
     task: &Task,
     split_name: &str,
-    registry: &Registry,
     family: &str,
     with_seed: impl Fn(u64) -> M,
 ) -> M {
@@ -110,7 +108,7 @@ fn select_by_seed<M: KernelModel>(
         .iter()
         .map(|&seed| (format!("{split_name}.{family}{seed}"), with_seed(seed)));
     let tcfg = args.scale.train_cfg();
-    let (_, best) = train_best(task, &tcfg, args, registry, candidates, |i, _, rep| {
+    let (_, best) = train_best(task, &tcfg, args, candidates, |i, _, rep| {
         println!(
             "[{split_name}] {family} seed {}: val MAPE {:.1}% (epoch {})",
             seeds[i], rep.best_val, rep.best_epoch
@@ -124,7 +122,6 @@ fn run_split(
     args: &Args,
     task: &Task,
     split_name: &str,
-    registry: &Registry,
     large_holdout: Option<&[Prepared]>,
 ) -> SplitResult {
     let scale = args.scale;
@@ -132,13 +129,13 @@ fn run_split(
     let [train, val, test] = task.sizes;
     println!("[{split_name}] examples: train={train} val={val} test={test}");
 
-    let gnn = select_by_seed(args, task, split_name, registry, "gnn", |seed| {
+    let gnn = select_by_seed(args, task, split_name, "gnn", |seed| {
         GnnModel::new(GnnConfig {
             seed,
             ..scale.gnn_cfg()
         })
     });
-    let lstm = select_by_seed(args, task, split_name, registry, "lstm", |seed| {
+    let lstm = select_by_seed(args, task, split_name, "lstm", |seed| {
         LstmModel::new(LstmConfig {
             seed,
             ..scale.lstm_cfg()
@@ -154,7 +151,7 @@ fn run_split(
         Some(seed) => {
             let device = TpuDevice::with_config(machine.clone(), 99)
                 .with_faults(FaultPlan::chaos(seed))
-                .observed(registry);
+                .observed(&args.registry);
             let a = CalibratedAnalytical::fit_with_device(
                 task.corpus,
                 test_programs,
@@ -178,7 +175,7 @@ fn run_split(
     // model-eval metrics of the serving path (predictions are identical
     // to calling the analytical model per kernel).
     let predictor = Predictor::with_cache(&analytical, Arc::new(AtomicCache::serving_default()))
-        .observed(registry);
+        .observed(&args.registry);
     let mut evals = Vec::new();
     for (name, samples) in task.test_by_program(0.0) {
         let analytical_preds = {
@@ -222,7 +219,6 @@ fn run_split(
 /// Run the experiment.
 pub fn run(args: &Args) {
     let scale = args.scale;
-    let registry = args.registry();
     println!("Table 2 reproduction (scale: {scale:?})");
     if let Some(seed) = args.faults {
         println!("fault injection: FaultPlan::chaos({seed}) on the calibration device");
@@ -258,7 +254,7 @@ pub fn run(args: &Args) {
 
     // --- Random split (Table 2 proper) ---
     let random = Task::fusion(&corpus, &dataset, corpus.random_split(0), args.caps());
-    let result = run_split(args, &random, "random", &registry, Some(&holdout));
+    let result = run_split(args, &random, "random", Some(&holdout));
     let (rows, med_big) = result.metric_rows(|t| t >= 5_000.0);
     print_table(
         "Table 2: fusion task, >=5us kernels, random split",
@@ -295,7 +291,7 @@ pub fn run(args: &Args) {
 
     // --- Manual split (in-text "harder task") ---
     let manual = Task::fusion(&corpus, &dataset, corpus.manual_split(), args.caps());
-    let manual_result = run_split(args, &manual, "manual", &registry, None);
+    let manual_result = run_split(args, &manual, "manual", None);
     let (rows_manual, med_manual) = manual_result.metric_rows(|t| t >= 5_000.0);
     print_table(
         "In-text: fusion task, >=5us kernels, manual split",
@@ -331,5 +327,5 @@ pub fn run(args: &Args) {
         ("splits", "random,manual".to_string()),
         ("core.engine.backend", "learned-gnn".to_string()),
     ];
-    args.write_report(&registry, &context);
+    args.write_report(&context);
 }

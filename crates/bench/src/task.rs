@@ -5,7 +5,6 @@ use crate::{cap_prepared, fusion_samples, tile_samples, train_checkpointed, Args
 use tpu_dataset::{build_fusion_dataset, Corpus, FusionDataset, FusionDatasetConfig, Split};
 use tpu_dataset::{KernelExample, TileDataset, TileExample};
 use tpu_learned_cost::{prepare, KernelModel, Prepared, Sample, TrainConfig, TrainReport};
-use tpu_obs::Registry;
 use tpu_sim::TpuConfig;
 
 /// A dataset divided by a corpus split: the capped, prepared (featurized)
@@ -108,15 +107,20 @@ pub(crate) fn train_best<M: KernelModel>(
     task: &Task,
     cfg: &TrainConfig,
     args: &Args,
-    registry: &Registry,
     candidates: impl IntoIterator<Item = (String, M)>,
     mut trained: impl FnMut(usize, &M, &TrainReport),
 ) -> (f64, M) {
     let mut best: Option<(f64, M)> = None;
     for (i, (tag, mut model)) in candidates.into_iter().enumerate() {
         let checkpoint = args.checkpoint_for(&tag);
-        let report =
-            train_checkpointed(&mut model, &task.train, &task.val, cfg, registry, checkpoint.as_deref());
+        let report = train_checkpointed(
+            &mut model,
+            &task.train,
+            &task.val,
+            cfg,
+            &args.registry,
+            checkpoint.as_deref(),
+        );
         trained(i, &model, &report);
         if best.as_ref().is_none_or(|(val, _)| report.best_val.total_cmp(val).is_lt()) {
             best = Some((report.best_val, model));

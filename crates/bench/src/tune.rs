@@ -73,7 +73,6 @@ fn sweep_row<M: KernelModel>(
 /// Run the experiment.
 pub fn run(args: &Args) {
     let (scale, search) = (args.scale, args.search);
-    let registry = args.registry();
     println!("Fusion-task hyperparameter sweep (scale: {scale:?}, search: {search:?})");
     if let Some(seed) = args.faults {
         println!("fault injection: FaultPlan::chaos({seed}) on the autotuning device");
@@ -160,11 +159,11 @@ pub fn run(args: &Args) {
         .iter()
         .enumerate()
         .map(|(i, (_, gcfg))| (format!("v{i}"), GnnModel::new(gcfg.clone())));
-    let (val, gnn) = train_best(&task, &tcfg, args, &registry, gnns, |i, m, rep| {
+    let (val, gnn) = train_best(&task, &tcfg, args, gnns, |i, m, rep| {
         rows.push(sweep_row(variants[i].0, m, rep, &by_program, &mut clock))
     });
     let lstm = [("lstm".to_string(), LstmModel::new(scale.lstm_cfg()))];
-    train_best(&task, &tcfg, args, &registry, lstm, |_, m, rep| {
+    train_best(&task, &tcfg, args, lstm, |_, m, rep| {
         rows.push(sweep_row("lstm h48", m, rep, &by_program, &mut clock))
     });
 
@@ -203,7 +202,7 @@ pub fn run(args: &Args) {
         Some(seed) => TpuDevice::new(42).with_faults(FaultPlan::chaos(seed)),
         None => TpuDevice::new(42),
     }
-    .observed(&registry);
+    .observed(&args.registry);
     let tuned = match search {
         SearchAlgo::Sa => autotune_with_cost_model(
             target,
@@ -251,5 +250,5 @@ pub fn run(args: &Args) {
         ("search", format!("{search:?}")),
         ("core.engine.backend", CostModel::name(&gnn).to_string()),
     ];
-    args.write_report(&registry, &context);
+    args.write_report(&context);
 }
