@@ -32,30 +32,20 @@ pub fn run(args: &Args) {
     };
 
     let mut rows = Vec::new();
-    let mut gnn_row = |label: String, cfg: GnnConfig| {
+    // Each GNN variant is the scale's configuration with one choice changed.
+    let mut gnn_row = |label: String, ablate: &dyn Fn(&mut GnnConfig)| {
+        let mut cfg = scale.gnn_cfg();
+        ablate(&mut cfg);
         let rep = train(&mut GnnModel::new(cfg), &fusion.train, &fusion.val, &tcfg);
         rows.push(vec![label, format!("{:.1}", rep.best_val)]);
     };
-    let base = scale.gnn_cfg();
     // Hop count (k of Eq. 1). k = 0 degenerates to a DeepSets-style model.
     for hops in [0usize, 1, 2, 3] {
-        gnn_row(
-            format!("hops={hops}"),
-            GnnConfig {
-                hops,
-                ..base.clone()
-            },
-        );
+        gnn_row(format!("hops={hops}"), &|cfg| cfg.hops = hops);
     }
     // Neighborhood reduction.
     for reduction in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
-        gnn_row(
-            format!("reduction={reduction:?}"),
-            GnnConfig {
-                reduction,
-                ..base.clone()
-            },
-        );
+        gnn_row(format!("reduction={reduction:?}"), &|cfg| cfg.reduction = reduction);
     }
     // Pooling combination.
     for (label, pooling) in [
@@ -64,22 +54,10 @@ pub fn run(args: &Args) {
         ("pool=max", PoolCombo { sum: false, mean: false, max: true }),
         ("pool=all", PoolCombo::all()),
     ] {
-        gnn_row(
-            label.to_string(),
-            GnnConfig {
-                pooling,
-                ..base.clone()
-            },
-        );
+        gnn_row(label.to_string(), &|cfg| cfg.pooling = pooling);
     }
     // Message-passing architecture: GraphSAGE vs a GCN-style mean-field.
-    gnn_row(
-        "arch=gcn-mean".to_string(),
-        GnnConfig {
-            arch: GnnArch::GcnMean,
-            ..base
-        },
-    );
+    gnn_row("arch=gcn-mean".to_string(), &|cfg| cfg.arch = GnnArch::GcnMean);
     // Representation: GNN vs LSTM at the same budget.
     {
         let mut m = LstmModel::new(scale.lstm_cfg());

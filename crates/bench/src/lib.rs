@@ -198,29 +198,20 @@ pub(crate) fn train_checkpointed<M: KernelModel>(
             eprintln!("  failed to write checkpoint {}: {e}", path.display());
         }
     };
-    match train_resumable(
-        model,
-        train_prep,
-        val_prep,
-        cfg,
-        registry,
-        resume.as_ref(),
-        Some(&mut sink),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            // The checkpoint parsed but does not fit this model (wrong
-            // family or weight shape). Resume validation happens before
-            // any state is touched, so the model is still fresh: report
-            // the mismatch and train from scratch, overwriting the file.
-            eprintln!(
-                "  checkpoint {} does not fit this model: {e}; training fresh",
-                path.display()
-            );
-            train_resumable(model, train_prep, val_prep, cfg, registry, None, Some(&mut sink))
-                .expect("fresh training cannot fail checkpoint validation")
-        }
-    }
+    let mut run = |resume: Option<&TrainCheckpoint>| {
+        train_resumable(model, train_prep, val_prep, cfg, registry, resume, Some(&mut sink))
+    };
+    run(resume.as_ref()).unwrap_or_else(|e| {
+        // The checkpoint parsed but does not fit this model (wrong family
+        // or weight shape). Resume validation happens before any state is
+        // touched, so the model is still fresh: report the mismatch and
+        // train from scratch, overwriting the file.
+        eprintln!(
+            "  checkpoint {} does not fit this model: {e}; training fresh",
+            path.display()
+        );
+        run(None).expect("fresh training cannot fail checkpoint validation")
+    })
 }
 
 /// A calibrated analytical model bundled as a kernel-cost closure.
