@@ -21,9 +21,10 @@ use std::sync::Arc;
 use tpu_autotuner::{
     autotune_hardware_only, autotune_with_cost_model, Budgets, StartMode, TunedConfig,
 };
-use crate::{corpus, print_table, train_checkpointed, Args, Scale, Task};
+use crate::{corpus, print_table, rows_with_summary, train_checkpointed, Args, Scale, Task};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::Program;
+use tpu_learned_cost::metrics::mean;
 use tpu_learned_cost::{AtomicCache, CostModel, GnnModel};
 use tpu_sim::{TpuConfig, TpuDevice};
 
@@ -44,9 +45,9 @@ const FIG4_PROGRAMS: [&str; 8] = [
 
 struct ProgramRow {
     name: String,
-    hw_only: f64,
-    with_model: f64,
-    best_known: f64,
+    /// Best speedup over the default configuration: hardware only, hardware
+    /// and learned model, best known.
+    speedups: [f64; 3],
     model_evals: u64,
     cache_hits: u64,
 }
@@ -146,48 +147,24 @@ pub fn run(args: &Args) {
             }
             let hw_only = best_speedup(program, &device, &hw_runs);
             let with_model = best_speedup(program, &device, &model_runs);
+            // Best known is the best anything found: the long run and every
+            // budgeted run, so it can never sit below a column beside it.
+            let best_known = best_speedup(program, &device, &[long_run])
+                .max(hw_only)
+                .max(with_model);
             ProgramRow {
                 name: program.name.clone(),
-                hw_only,
-                with_model,
-                // Best known is the best anything found: the long run and
-                // every budgeted run, so it can never sit below a column
-                // beside it.
-                best_known: best_speedup(program, &device, &[long_run])
-                    .max(hw_only)
-                    .max(with_model),
+                speedups: [hw_only, with_model, best_known],
                 model_evals: model_runs.iter().map(|r| r.model_evals).sum(),
                 cache_hits: model_runs.iter().map(|r| r.cache_hits).sum(),
             }
         })
         .collect();
 
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{:.3}x", r.hw_only),
-                format!("{:.3}x", r.with_model),
-                format!("{:.3}x", r.best_known),
-            ]
-        })
-        .collect();
-    let mut all = table_rows;
-    let mean = |f: fn(&ProgramRow) -> f64| -> f64 {
-        rows.iter().map(f).sum::<f64>() / rows.len() as f64
-    };
-    let (m_hw, m_model, m_best) = (
-        mean(|r| r.hw_only),
-        mean(|r| r.with_model),
-        mean(|r| r.best_known),
-    );
-    all.push(vec![
-        "Mean".into(),
-        format!("{m_hw:.3}x"),
-        format!("{m_model:.3}x"),
-        format!("{m_best:.3}x"),
-    ]);
+    let speedups: Vec<(String, [f64; 3])> =
+        rows.iter().map(|r| (r.name.clone(), r.speedups)).collect();
+    let (all, [m_hw, m_model, m_best]) =
+        rows_with_summary(&speedups, "Mean", mean, |_, speedup| format!("{speedup:.3}x"));
     let title = match mode {
         StartMode::Default => "Figure 4a: autotuning from the default configuration",
         StartMode::Random => "Figure 4b: autotuning from a random configuration",

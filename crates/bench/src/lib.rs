@@ -44,7 +44,6 @@ use rayon::prelude::*;
 use tpu_analytical::{AnalyticalModel, Calibration};
 use tpu_dataset::{Corpus, CorpusScale, FusionDatasetConfig, TileDatasetConfig};
 use tpu_hlo::Kernel;
-use tpu_learned_cost::metrics::median;
 use tpu_learned_cost::{
     train_resumable, CostModel, GnnConfig, KernelModel, LstmConfig, Prepared, Sample,
     TrainCheckpoint, TrainConfig, TrainReport,
@@ -339,22 +338,24 @@ pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// One table row per `(label, values)` and a closing `Median` row over each
-/// column, every value rendered by `cell(column, value)`; the medians come
-/// back beside the rows.
-pub(crate) fn rows_with_median<const N: usize>(
+/// One table row per `(label, values)` and a closing row, labelled
+/// `summary`, of `summarise` over each column — every value rendered by
+/// `cell(column, value)`; the summaries come back beside the rows.
+pub(crate) fn rows_with_summary<const N: usize>(
     rows: &[(String, [f64; N])],
+    summary: &str,
+    summarise: fn(&[f64]) -> f64,
     cell: impl Fn(usize, f64) -> String,
 ) -> (Vec<Vec<String>>, [f64; N]) {
     let column = |c: usize| rows.iter().map(|(_, values)| values[c]).collect::<Vec<f64>>();
-    let medians: [f64; N] = std::array::from_fn(|c| median(&column(c)));
+    let summaries: [f64; N] = std::array::from_fn(|c| summarise(&column(c)));
     let render = |label: &str, values: &[f64; N]| {
         let cells = values.iter().enumerate().map(|(c, &v)| cell(c, v));
         std::iter::once(label.to_string()).chain(cells).collect::<Vec<String>>()
     };
     let mut table: Vec<Vec<String>> = rows.iter().map(|(label, v)| render(label, v)).collect();
-    table.push(render("Median", &medians));
-    (table, medians)
+    table.push(render(summary, &summaries));
+    (table, summaries)
 }
 
 /// Convert fusion-dataset example refs into training samples.

@@ -17,7 +17,7 @@
 //! uninterrupted run).
 
 use crate::{
-    corpus, predict_ns_prepared, print_table, rows_with_median, train_best, Args,
+    corpus, predict_ns_prepared, print_table, rows_with_summary, train_best, Args,
     CalibratedAnalytical, Scale, Task,
 };
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use tpu_dataset::{
     FUSION_NODE_LIMIT,
 };
 use tpu_hlo::Kernel;
-use tpu_learned_cost::metrics::{kendall_tau, mape};
+use tpu_learned_cost::metrics::{kendall_tau, mape, median};
 use tpu_learned_cost::{
     prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel, Predictor,
     Prepared, Sample,
@@ -82,7 +82,7 @@ impl SplitResult {
             Some((ev.name.clone(), metrics))
         };
         let rows: Vec<(String, [f64; 6])> = self.evals.iter().filter_map(program_row).collect();
-        rows_with_median(&rows, |column, v| match column {
+        rows_with_summary(&rows, "Median", median, |column, v| match column {
             0..3 => format!("{v:.1}"),
             _ => format!("{v:.2}"),
         })

@@ -7,10 +7,10 @@
 //! cargo run -p tpu-bench --release -- table3 [--quick]
 //! ```
 
-use crate::{corpus, print_table, rows_with_median, Args, CalibratedAnalytical, Task};
+use crate::{corpus, print_table, rows_with_summary, Args, CalibratedAnalytical, Task};
 use std::time::Instant;
 use tpu_dataset::build_tile_dataset;
-use tpu_learned_cost::metrics::mean;
+use tpu_learned_cost::metrics::{mean, median};
 use tpu_learned_cost::{
     per_group_kendall, predict_log_ns, prepare, train, GnnModel, TaskLoss, TrainConfig,
 };
@@ -72,7 +72,7 @@ fn run_split(args: &Args, task: &Task, name: &str) -> (Vec<Vec<String>>, [f64; 3
         ];
         rows.push((program.to_string(), taus));
     }
-    rows_with_median(&rows, |_, tau| format!("{tau:.2}"))
+    rows_with_summary(&rows, "Median", median, |_, tau| format!("{tau:.2}"))
 }
 
 /// Run the experiment.
