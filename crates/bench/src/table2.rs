@@ -54,39 +54,34 @@ struct ProgramEval {
     analytical: Vec<f64>,
 }
 
-struct SplitResult {
-    evals: Vec<ProgramEval>,
-    /// (targets, ours, lstm) over the large-graph holdout, if evaluated.
-    large_holdout: Option<(Vec<f64>, Vec<f64>, Vec<f64>)>,
-}
-
-impl SplitResult {
-    /// The table rows (MAPE of ours / LSTM / analytical, then their τ) over
-    /// the kernels whose true runtime `keep`s them — programs left with
-    /// fewer than two are skipped — and the column medians.
-    fn metric_rows(&self, keep: impl Fn(f64) -> bool) -> (Vec<Vec<String>>, [f64; 6]) {
-        let program_row = |ev: &ProgramEval| {
-            let kept: Vec<usize> = (0..ev.targets.len())
-                .filter(|&i| keep(ev.targets[i]))
-                .collect();
-            if kept.len() < 2 {
-                return None;
-            }
-            let pick = |v: &[f64]| kept.iter().map(|&i| v[i]).collect::<Vec<f64>>();
-            let targets = pick(&ev.targets);
-            let models = [pick(&ev.ours), pick(&ev.lstm), pick(&ev.analytical)];
-            let metrics: [f64; 6] = std::array::from_fn(|column| match column {
-                0..3 => mape(&models[column], &targets),
-                _ => kendall_tau(&models[column - 3], &targets),
-            });
-            Some((ev.name.clone(), metrics))
-        };
-        let rows: Vec<(String, [f64; 6])> = self.evals.iter().filter_map(program_row).collect();
-        rows_with_summary(&rows, "Median", median, |column, v| match column {
-            0..3 => format!("{v:.1}"),
-            _ => format!("{v:.2}"),
-        })
-    }
+/// The table rows (MAPE of ours / LSTM / analytical, then their τ) over
+/// the kernels whose true runtime `keep`s them — programs left with
+/// fewer than two are skipped — and the column medians.
+fn metric_rows(
+    evals: &[ProgramEval],
+    keep: impl Fn(f64) -> bool,
+) -> (Vec<Vec<String>>, [f64; 6]) {
+    let program_row = |ev: &ProgramEval| {
+        let kept: Vec<usize> = (0..ev.targets.len())
+            .filter(|&i| keep(ev.targets[i]))
+            .collect();
+        if kept.len() < 2 {
+            return None;
+        }
+        let pick = |v: &[f64]| kept.iter().map(|&i| v[i]).collect::<Vec<f64>>();
+        let targets = pick(&ev.targets);
+        let models = [pick(&ev.ours), pick(&ev.lstm), pick(&ev.analytical)];
+        let metrics: [f64; 6] = std::array::from_fn(|column| match column {
+            0..3 => mape(&models[column], &targets),
+            _ => kendall_tau(&models[column - 3], &targets),
+        });
+        Some((ev.name.clone(), metrics))
+    };
+    let rows: Vec<(String, [f64; 6])> = evals.iter().filter_map(program_row).collect();
+    rows_with_summary(&rows, "Median", median, |column, v| match column {
+        0..3 => format!("{v:.1}"),
+        _ => format!("{v:.2}"),
+    })
 }
 
 /// Train one model of `family` per seed (like the paper's hyperparameter
@@ -122,8 +117,7 @@ fn run_split(
     args: &Args,
     task: &Task,
     split_name: &str,
-    large_holdout: Option<&[Prepared]>,
-) -> SplitResult {
+) -> (Vec<ProgramEval>, GnnModel, LstmModel) {
     let scale = args.scale;
     let machine = TpuConfig::default();
     let [train, val, test] = task.sizes;
@@ -199,21 +193,8 @@ fn run_split(
             analytical,
         });
     }
-    // Large-graph holdout: whole-program graphs far past FUSION_NODE_LIMIT,
-    // a scale regime the per-kernel training distribution never contains.
-    // The analytical baseline is per-kernel (tile-driven) and cannot score
-    // a whole multi-kernel program, so only the learned models appear.
-    let large = large_holdout.map(|prepared| {
-        let targets: Vec<f64> = prepared.iter().map(|p| p.runtime_ns).collect();
-        let ours = predict_ns_prepared(&gnn, prepared);
-        let lstm_pred = predict_ns_prepared(&lstm, prepared);
-        (targets, ours, lstm_pred)
-    });
     predictor.record_cache_stats();
-    SplitResult {
-        evals,
-        large_holdout: large,
-    }
+    (evals, gnn, lstm)
 }
 
 /// Run the experiment.
@@ -254,8 +235,8 @@ pub fn run(args: &Args) {
 
     // --- Random split (Table 2 proper) ---
     let random = Task::fusion(&corpus, &dataset, corpus.random_split(0), args.caps());
-    let result = run_split(args, &random, "random", Some(&holdout));
-    let (rows, med_big) = result.metric_rows(|t| t >= 5_000.0);
+    let (evals, gnn, lstm) = run_split(args, &random, "random");
+    let (rows, med_big) = metric_rows(&evals, |t| t >= 5_000.0);
     print_table(
         "Table 2: fusion task, >=5us kernels, random split",
         &HEADER,
@@ -263,25 +244,30 @@ pub fn run(args: &Args) {
     );
     println!("\nPaper medians (>=5us, random): MAPE 13.9 / 26.6 / 23.9; tau 0.90 / 0.81 / 0.81");
 
-    if let Some((targets, ours, lstm)) = &result.large_holdout {
-        print_table(
-            "Table 2 addendum: large-graph holdout (whole fused programs, random-split models)",
-            &["Holdout", "MAPE Ours", "MAPE LSTM", "tau Ours", "tau LSTM"],
-            &[vec![
-                format!("{} graphs", targets.len()),
-                format!("{:.1}", mape(ours, targets)),
-                format!("{:.1}", mape(lstm, targets)),
-                format!("{:.2}", kendall_tau(ours, targets)),
-                format!("{:.2}", kendall_tau(lstm, targets)),
-            ]],
-        );
-        println!(
-            "\n(whole-program graphs exceed FUSION_NODE_LIMIT = {FUSION_NODE_LIMIT} nodes; \
-             the per-kernel analytical baseline cannot score them)"
-        );
-    }
+    // Large-graph holdout: whole-program graphs far past FUSION_NODE_LIMIT,
+    // a scale regime the per-kernel training distribution never contains.
+    // The analytical baseline is per-kernel (tile-driven) and cannot score
+    // a whole multi-kernel program, so only the learned models appear.
+    let targets: Vec<f64> = holdout.iter().map(|p| p.runtime_ns).collect();
+    let ours = predict_ns_prepared(&gnn, &holdout);
+    let lstm_pred = predict_ns_prepared(&lstm, &holdout);
+    print_table(
+        "Table 2 addendum: large-graph holdout (whole fused programs, random-split models)",
+        &["Holdout", "MAPE Ours", "MAPE LSTM", "tau Ours", "tau LSTM"],
+        &[vec![
+            format!("{} graphs", targets.len()),
+            format!("{:.1}", mape(&ours, &targets)),
+            format!("{:.1}", mape(&lstm_pred, &targets)),
+            format!("{:.2}", kendall_tau(&ours, &targets)),
+            format!("{:.2}", kendall_tau(&lstm_pred, &targets)),
+        ]],
+    );
+    println!(
+        "\n(whole-program graphs exceed FUSION_NODE_LIMIT = {FUSION_NODE_LIMIT} nodes; \
+         the per-kernel analytical baseline cannot score them)"
+    );
 
-    let (rows_small, med_small) = result.metric_rows(|t| t < 5_000.0);
+    let (rows_small, med_small) = metric_rows(&evals, |t| t < 5_000.0);
     print_table(
         "In-text: fusion task, <5us kernels, random split",
         &HEADER,
@@ -291,8 +277,8 @@ pub fn run(args: &Args) {
 
     // --- Manual split (in-text "harder task") ---
     let manual = Task::fusion(&corpus, &dataset, corpus.manual_split(), args.caps());
-    let manual_result = run_split(args, &manual, "manual", None);
-    let (rows_manual, med_manual) = manual_result.metric_rows(|t| t >= 5_000.0);
+    let (manual_evals, ..) = run_split(args, &manual, "manual");
+    let (rows_manual, med_manual) = metric_rows(&manual_evals, |t| t >= 5_000.0);
     print_table(
         "In-text: fusion task, >=5us kernels, manual split",
         &HEADER,
