@@ -45,19 +45,44 @@ pub fn run(args: &Args) {
     }
     // Neighborhood reduction.
     for reduction in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
-        gnn_row(format!("reduction={reduction:?}"), &|cfg| cfg.reduction = reduction);
+        gnn_row(format!("reduction={reduction:?}"), &|cfg| {
+            cfg.reduction = reduction
+        });
     }
     // Pooling combination.
     for (label, pooling) in [
-        ("pool=sum", PoolCombo { sum: true, mean: false, max: false }),
-        ("pool=mean", PoolCombo { sum: false, mean: true, max: false }),
-        ("pool=max", PoolCombo { sum: false, mean: false, max: true }),
+        (
+            "pool=sum",
+            PoolCombo {
+                sum: true,
+                mean: false,
+                max: false,
+            },
+        ),
+        (
+            "pool=mean",
+            PoolCombo {
+                sum: false,
+                mean: true,
+                max: false,
+            },
+        ),
+        (
+            "pool=max",
+            PoolCombo {
+                sum: false,
+                mean: false,
+                max: true,
+            },
+        ),
         ("pool=all", PoolCombo::all()),
     ] {
         gnn_row(label.to_string(), &|cfg| cfg.pooling = pooling);
     }
     // Message-passing architecture: GraphSAGE vs a GCN-style mean-field.
-    gnn_row("arch=gcn-mean".to_string(), &|cfg| cfg.arch = GnnArch::GcnMean);
+    gnn_row("arch=gcn-mean".to_string(), &|cfg| {
+        cfg.arch = GnnArch::GcnMean
+    });
     // Representation: GNN vs LSTM at the same budget.
     {
         let mut m = LstmModel::new(scale.lstm_cfg());
@@ -80,7 +105,10 @@ pub fn run(args: &Args) {
         ("loss=weighted-mse", TaskLoss::TileMse),
     ] {
         let mut m = GnnModel::new(scale.gnn_cfg());
-        let cfg = TrainConfig { loss, ..tcfg.clone() };
+        let cfg = TrainConfig {
+            loss,
+            ..tcfg.clone()
+        };
         let rep = train(&mut m, &tile.train, &tile.val, &cfg);
         rows.push(vec![label.to_string(), format!("{:.3}", rep.best_val)]);
     }
@@ -98,7 +126,9 @@ pub fn run(args: &Args) {
     };
     let mut rows = Vec::new();
     for name in ["WaveRNN", "NMT Model", "Transformer", "ResNet v1"] {
-        let Some(pi) = corpus.index_of(name) else { continue };
+        let Some(pi) = corpus.index_of(name) else {
+            continue;
+        };
         let program = &corpus.entries[pi].program;
         if program.num_nodes() > tpu_dataset::FUSION_NODE_LIMIT {
             continue;
@@ -116,7 +146,11 @@ pub fn run(args: &Args) {
             &space,
             default_cfg.clone(),
             objective,
-            &SaConfig { steps, seed: 3, ..Default::default() },
+            &SaConfig {
+                steps,
+                seed: 3,
+                ..Default::default()
+            },
         );
         let hc = hill_climb(&space, default_cfg.clone(), objective, steps, 3);
         let rs = random_search(&space, default_cfg.clone(), objective, steps, 3);
@@ -129,7 +163,12 @@ pub fn run(args: &Args) {
     }
     print_table(
         "Search-strategy ablation (speedup over default at equal budget)",
-        &["Program", "Simulated annealing", "Hill climbing", "Random search"],
+        &[
+            "Program",
+            "Simulated annealing",
+            "Hill climbing",
+            "Random search",
+        ],
         &rows,
     );
 }

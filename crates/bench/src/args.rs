@@ -234,7 +234,11 @@ mod tests {
     #[test]
     fn every_flag_in_a_table_parses_and_is_in_the_usage_text() {
         for e in &EXPERIMENTS {
-            assert!(USAGE.contains(e.name), "{} missing from the usage text", e.name);
+            assert!(
+                USAGE.contains(e.name),
+                "{} missing from the usage text",
+                e.name
+            );
             for flag in e.flags {
                 assert!(USAGE.contains(flag), "{flag} missing from the usage text");
                 let value = match *flag {
@@ -253,11 +257,17 @@ mod tests {
         let args = parse("tune --search beam --faults 7 --checkpoint d/ckpt.json --report r.json")
             .expect("a valid command line");
         assert_eq!(args.experiment.name, "tune");
-        assert_eq!((args.scale, args.search, args.faults), (Scale::Full, SearchAlgo::Beam, Some(7)));
+        assert_eq!(
+            (args.scale, args.search, args.faults),
+            (Scale::Full, SearchAlgo::Beam, Some(7))
+        );
         assert_eq!(args.caps(), (14_000, 2_500));
         assert_eq!(args.report, Some(PathBuf::from("r.json")));
         assert!(args.registry.is_enabled());
-        assert_eq!(args.checkpoint_for("v0"), Some(PathBuf::from("d/ckpt.v0.json")));
+        assert_eq!(
+            args.checkpoint_for("v0"),
+            Some(PathBuf::from("d/ckpt.v0.json"))
+        );
         let args = parse("fig4 random --quick").expect("a valid command line");
         assert_eq!((args.scale, args.start), (Scale::Quick, StartMode::Random));
         assert_eq!(args.caps(), (800, 250));

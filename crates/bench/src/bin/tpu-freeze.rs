@@ -95,8 +95,14 @@ fn main() -> ExitCode {
 
     let mut drift = 0.0f64;
     for (i, k) in probes.iter().enumerate() {
-        let tape = trained.predict_kernel_ns(k).expect("tape scores kernel").ln();
-        let got = frozen.predict_kernel_ns(k).expect("frozen scores kernel").ln();
+        let tape = trained
+            .predict_kernel_ns(k)
+            .expect("tape scores kernel")
+            .ln();
+        let got = frozen
+            .predict_kernel_ns(k)
+            .expect("frozen scores kernel")
+            .ln();
         let d = (got - tape).abs();
         if d.is_nan() || d > MAX_LOG_DRIFT {
             eprintln!(

@@ -8,10 +8,10 @@
 //! cargo run -p tpu-bench --release -- feature_importance [--quick]
 //! ```
 
+use crate::{cap_prepared, corpus, predict_ns_prepared, print_table, Args, Scale, Task};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use crate::{cap_prepared, corpus, predict_ns_prepared, print_table, Args, Scale, Task};
 use tpu_hlo::MAX_RANK;
 use tpu_learned_cost::metrics::mape;
 use tpu_learned_cost::{prepare, train, GnnModel, Prepared};
@@ -42,7 +42,11 @@ fn feature_groups() -> Vec<(&'static str, std::ops::Range<usize>)> {
 }
 
 /// Shuffle the given columns across all nodes of all prepared samples.
-fn permute_columns(prepared: &[Prepared], cols: &std::ops::Range<usize>, seed: u64) -> Vec<Prepared> {
+fn permute_columns(
+    prepared: &[Prepared],
+    cols: &std::ops::Range<usize>,
+    seed: u64,
+) -> Vec<Prepared> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     // Collect every (sample, row) coordinate, then redistribute the
     // column block among them.

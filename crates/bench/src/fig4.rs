@@ -16,12 +16,12 @@
 //! cargo run -p tpu-bench --release -- fig4 [default|random] [--quick] [--report <path>]
 //! ```
 
+use crate::{corpus, print_table, rows_with_summary, train_checkpointed, Args, Scale, Task};
 use rayon::prelude::*;
 use std::sync::Arc;
 use tpu_autotuner::{
     autotune_hardware_only, autotune_with_cost_model, Budgets, StartMode, TunedConfig,
 };
-use crate::{corpus, print_table, rows_with_summary, train_checkpointed, Args, Scale, Task};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::Program;
 use tpu_learned_cost::metrics::mean;
@@ -164,14 +164,21 @@ pub fn run(args: &Args) {
     let speedups: Vec<(String, [f64; 3])> =
         rows.iter().map(|r| (r.name.clone(), r.speedups)).collect();
     let (all, [m_hw, m_model, m_best]) =
-        rows_with_summary(&speedups, "Mean", mean, |_, speedup| format!("{speedup:.3}x"));
+        rows_with_summary(&speedups, "Mean", mean, |_, speedup| {
+            format!("{speedup:.3}x")
+        });
     let title = match mode {
         StartMode::Default => "Figure 4a: autotuning from the default configuration",
         StartMode::Random => "Figure 4b: autotuning from a random configuration",
     };
     print_table(
         title,
-        &["Program", "Hardware only", "Hardware + learned model", "Best known (any run)"],
+        &[
+            "Program",
+            "Hardware only",
+            "Hardware + learned model",
+            "Best known (any run)",
+        ],
         &all,
     );
 
@@ -192,13 +199,21 @@ pub fn run(args: &Args) {
         "  model >= hardware-only on average: {:.3} vs {:.3} ({})",
         m_model,
         m_hw,
-        if m_model >= m_hw - 0.005 { "OK" } else { "MISS" }
+        if m_model >= m_hw - 0.005 {
+            "OK"
+        } else {
+            "MISS"
+        }
     );
     println!(
         "  best-known >= model: {:.3} vs {:.3} ({})",
         m_best,
         m_model,
-        if m_best >= m_model - 0.01 { "OK" } else { "MISS" }
+        if m_best >= m_model - 0.01 {
+            "OK"
+        } else {
+            "MISS"
+        }
     );
 
     let context = [

@@ -37,8 +37,8 @@ mod task;
 pub mod tune;
 
 pub use args::{Args, Experiment, SearchAlgo, EXPERIMENTS, USAGE};
-pub use task::Task;
 pub(crate) use task::train_best;
+pub use task::Task;
 
 use rayon::prelude::*;
 use tpu_analytical::{AnalyticalModel, Calibration};
@@ -198,7 +198,15 @@ pub(crate) fn train_checkpointed<M: KernelModel>(
         }
     };
     let mut run = |resume: Option<&TrainCheckpoint>| {
-        train_resumable(model, train_prep, val_prep, cfg, registry, resume, Some(&mut sink))
+        train_resumable(
+            model,
+            train_prep,
+            val_prep,
+            cfg,
+            registry,
+            resume,
+            Some(&mut sink),
+        )
     };
     run(resume.as_ref()).unwrap_or_else(|e| {
         // The checkpoint parsed but does not fit this model (wrong family
@@ -347,11 +355,17 @@ pub(crate) fn rows_with_summary<const N: usize>(
     summarise: fn(&[f64]) -> f64,
     cell: impl Fn(usize, f64) -> String,
 ) -> (Vec<Vec<String>>, [f64; N]) {
-    let column = |c: usize| rows.iter().map(|(_, values)| values[c]).collect::<Vec<f64>>();
+    let column = |c: usize| {
+        rows.iter()
+            .map(|(_, values)| values[c])
+            .collect::<Vec<f64>>()
+    };
     let summaries: [f64; N] = std::array::from_fn(|c| summarise(&column(c)));
     let render = |label: &str, values: &[f64; N]| {
         let cells = values.iter().enumerate().map(|(c, &v)| cell(c, v));
-        std::iter::once(label.to_string()).chain(cells).collect::<Vec<String>>()
+        std::iter::once(label.to_string())
+            .chain(cells)
+            .collect::<Vec<String>>()
     };
     let mut table: Vec<Vec<String>> = rows.iter().map(|(label, v)| render(label, v)).collect();
     table.push(render(summary, &summaries));

@@ -68,7 +68,12 @@ pub fn run(args: &Args) {
     ]);
     print_table(
         "Whole-program totals: measured vs predicted (default config, ms)",
-        &["Program", "Measured", "Learned (sum of kernels)", "Analytical (calibrated)"],
+        &[
+            "Program",
+            "Measured",
+            "Learned (sum of kernels)",
+            "Analytical (calibrated)",
+        ],
         &rows,
     );
     println!("\nThe kernel-sum decomposition (§4) transfers kernel-level accuracy to whole");

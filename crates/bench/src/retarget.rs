@@ -94,7 +94,12 @@ pub fn run(args: &Args) {
 
     print_table(
         "Retargeting: median test MAPE (>=5us kernels)",
-        &["Target", "Learned (retrained)", "Analytical (re-tuned)", "Analytical (stale)"],
+        &[
+            "Target",
+            "Learned (retrained)",
+            "Analytical (re-tuned)",
+            "Analytical (stale)",
+        ],
         &[
             vec![
                 "TPU-v2-like".into(),

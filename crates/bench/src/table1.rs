@@ -50,9 +50,21 @@ pub fn run(args: &Args) {
         let fs = fusion_stats(&fusion, split);
         let ts = tile_stats(&tile, split);
         for (row_name, progs, kernels) in [
-            ("Train", (fs.programs.0, ts.programs.0), (fs.examples.0, ts.examples.0)),
-            ("Val.", (fs.programs.1, ts.programs.1), (fs.examples.1, ts.examples.1)),
-            ("Test", (fs.programs.2, ts.programs.2), (fs.examples.2, ts.examples.2)),
+            (
+                "Train",
+                (fs.programs.0, ts.programs.0),
+                (fs.examples.0, ts.examples.0),
+            ),
+            (
+                "Val.",
+                (fs.programs.1, ts.programs.1),
+                (fs.examples.1, ts.examples.1),
+            ),
+            (
+                "Test",
+                (fs.programs.2, ts.programs.2),
+                (fs.examples.2, ts.examples.2),
+            ),
         ] {
             rows.push(vec![
                 format!("{split_name}/{row_name}"),
@@ -75,8 +87,6 @@ pub fn run(args: &Args) {
         &rows,
     );
 
-    println!(
-        "\nPaper reference (manual split): fusion programs 79/6/6, tile programs 92/6/6;"
-    );
+    println!("\nPaper reference (manual split): fusion programs 79/6/6, tile programs 92/6/6;");
     println!("(random split): fusion programs 78/8/8. Example counts are compute-budget-scaled.");
 }

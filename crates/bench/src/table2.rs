@@ -57,10 +57,7 @@ struct ProgramEval {
 /// The table rows (MAPE of ours / LSTM / analytical, then their τ) over
 /// the kernels whose true runtime `keep`s them — programs left with
 /// fewer than two are skipped — and the column medians.
-fn metric_rows(
-    evals: &[ProgramEval],
-    keep: impl Fn(f64) -> bool,
-) -> (Vec<Vec<String>>, [f64; 6]) {
+fn metric_rows(evals: &[ProgramEval], keep: impl Fn(f64) -> bool) -> (Vec<Vec<String>>, [f64; 6]) {
     let program_row = |ev: &ProgramEval| {
         let kept: Vec<usize> = (0..ev.targets.len())
             .filter(|&i| keep(ev.targets[i]))
@@ -229,8 +226,16 @@ pub fn run(args: &Args) {
     println!(
         "large-graph holdout: {} whole-program graphs ({}..{} nodes)",
         holdout.len(),
-        holdout.iter().map(|p| p.opcode_ids.len()).min().unwrap_or(0),
-        holdout.iter().map(|p| p.opcode_ids.len()).max().unwrap_or(0),
+        holdout
+            .iter()
+            .map(|p| p.opcode_ids.len())
+            .min()
+            .unwrap_or(0),
+        holdout
+            .iter()
+            .map(|p| p.opcode_ids.len())
+            .max()
+            .unwrap_or(0),
     );
 
     // --- Random split (Table 2 proper) ---
@@ -291,21 +296,36 @@ pub fn run(args: &Args) {
         "  random >=5us: ours-vs-lstm MAPE {:.1} vs {:.1} ({})",
         med_big[0],
         med_big[1],
-        if med_big[0] <= med_big[1] { "OK: ours <= lstm" } else { "MISS" }
+        if med_big[0] <= med_big[1] {
+            "OK: ours <= lstm"
+        } else {
+            "MISS"
+        }
     );
     println!(
         "  random >=5us: ours-vs-analytical MAPE {:.1} vs {:.1} ({})",
         med_big[0],
         med_big[2],
-        if med_big[0] <= med_big[2] { "OK: ours <= analytical" } else { "MISS" }
+        if med_big[0] <= med_big[2] {
+            "OK: ours <= analytical"
+        } else {
+            "MISS"
+        }
     );
     println!(
         "  manual harder than random for ours: {:.1} vs {:.1} ({})",
         med_manual[0],
         med_big[0],
-        if med_manual[0] >= med_big[0] { "OK" } else { "MISS" }
+        if med_manual[0] >= med_big[0] {
+            "OK"
+        } else {
+            "MISS"
+        }
     );
-    println!("  <5us medians: ours {:.1} lstm {:.1} analytical {:.1}", med_small[0], med_small[1], med_small[2]);
+    println!(
+        "  <5us medians: ours {:.1} lstm {:.1} analytical {:.1}",
+        med_small[0], med_small[1], med_small[2]
+    );
 
     // The "Ours" column's serving backend (the per-split models are dropped
     // by now; the name is a per-type constant).

@@ -17,7 +17,12 @@ use tpu_learned_cost::{
 use tpu_nn::RankPhi;
 use tpu_sim::TpuConfig;
 
-const HEADER: [&str; 4] = ["Program", "Ours (Rank Loss)", "Ours (MSE Loss)", "Analytical"];
+const HEADER: [&str; 4] = [
+    "Program",
+    "Ours (Rank Loss)",
+    "Ours (MSE Loss)",
+    "Analytical",
+];
 
 /// The table rows (rank loss, MSE loss, analytical) of one split, and the
 /// column medians.

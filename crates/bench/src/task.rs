@@ -36,7 +36,10 @@ impl<'a> Task<'a> {
         caps: (usize, usize),
     ) -> Task<'a> {
         let (train, val, test) = dataset.split(&split);
-        let test_program = test.iter().map(|ex: &&KernelExample| ex.program_idx).collect();
+        let test_program = test
+            .iter()
+            .map(|ex: &&KernelExample| ex.program_idx)
+            .collect();
         let samples = [train, val, test].map(|exs| fusion_samples(&exs));
         Task::new(corpus, split, samples, test_program, caps, (1, 2))
     }
@@ -60,7 +63,10 @@ impl<'a> Task<'a> {
         caps: (usize, usize),
     ) -> Task<'a> {
         let (train, val, test) = dataset.split(&split);
-        let test_program = test.iter().map(|ex: &&TileExample| ex.program_idx).collect();
+        let test_program = test
+            .iter()
+            .map(|ex: &&TileExample| ex.program_idx)
+            .collect();
         let samples = [train, val, test].map(|exs| tile_samples(&exs));
         Task::new(corpus, split, samples, test_program, caps, (3, 4))
     }
@@ -95,7 +101,11 @@ impl<'a> Task<'a> {
                 .collect()
         };
         let name_of = |pi: usize| self.corpus.entries[pi].program.name.as_str();
-        self.split.test.iter().map(|&pi| (name_of(pi), examples_of(pi))).collect()
+        self.split
+            .test
+            .iter()
+            .map(|&pi| (name_of(pi), examples_of(pi)))
+            .collect()
     }
 }
 
@@ -122,7 +132,10 @@ pub(crate) fn train_best<M: KernelModel>(
             checkpoint.as_deref(),
         );
         trained(i, &model, &report);
-        if best.as_ref().is_none_or(|(val, _)| report.best_val.total_cmp(val).is_lt()) {
+        if best
+            .as_ref()
+            .is_none_or(|(val, _)| report.best_val.total_cmp(val).is_lt())
+        {
             best = Some((report.best_val, model));
         }
     }

@@ -20,9 +20,7 @@
 //! training to `<stem>.<tag>.json` files next to `path` and resumes them
 //! on rerun (bit-identical to an uninterrupted run).
 
-use crate::{
-    corpus, predict_ns_prepared, print_table, train_best, Args, Scale, SearchAlgo, Task,
-};
+use crate::{corpus, predict_ns_prepared, print_table, train_best, Args, Scale, SearchAlgo, Task};
 use std::sync::Arc;
 use std::time::Instant;
 use tpu_autotuner::{

@@ -39,6 +39,11 @@ fn bad_command_lines_exit_2_with_the_usage_text_and_run_nothing() {
 #[test]
 fn a_valid_command_line_runs_its_experiment() {
     let out = run(&["table1", "--quick"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table 1: programs and examples"));
 }

@@ -69,10 +69,23 @@ fn scrub(stdout: &str) -> String {
 
 #[test]
 fn scrubbing_replaces_timings_and_nothing_else() {
-    assert_eq!(scrub_line("gnn h48 k2 sum: done in 129.961645ms"), "gnn h48 k2 sum: done in _");
-    assert_eq!(scrub_line("[manual] lstm selected [1.099832657s]"), "[manual] lstm selected [_]");
-    assert_eq!(scrub_line("tile dataset: 5 examples  [9.4µs]"), "tile dataset: 5 examples  [_]");
-    for untouched in ["[random] examples: train=163", "Median  47.3  0.62", "done in a while"] {
+    assert_eq!(
+        scrub_line("gnn h48 k2 sum: done in 129.961645ms"),
+        "gnn h48 k2 sum: done in _"
+    );
+    assert_eq!(
+        scrub_line("[manual] lstm selected [1.099832657s]"),
+        "[manual] lstm selected [_]"
+    );
+    assert_eq!(
+        scrub_line("tile dataset: 5 examples  [9.4µs]"),
+        "tile dataset: 5 examples  [_]"
+    );
+    for untouched in [
+        "[random] examples: train=163",
+        "Median  47.3  0.62",
+        "done in a while",
+    ] {
         assert_eq!(scrub_line(untouched), untouched);
     }
 }
