@@ -3,10 +3,11 @@
 //! in.
 //!
 //! The dataflow is written once, in [`FrozenGnn::forward_log_ns`]: one
-//! kernel at a time, one [`Affine::apply`](crate::layers::Affine::apply)
-//! per node and layer over the trained weight matrices, with bias add,
-//! ReLU, neighborhood aggregation, L2 normalization and pooling in the
-//! body itself. It can differ from the tape only by f32 summation order
+//! kernel at a time, one [`Affine::apply_rows`](crate::layers::Affine::apply_rows)
+//! per layer over all the kernel's nodes and the trained weight matrices,
+//! with ReLU, neighborhood aggregation, L2 normalization and pooling in
+//! the body itself, every buffer carved from one scratch allocation. It
+//! can differ from the tape only by f32 summation order
 //! (`tests/parity.rs` pins the two within 1e-5 log-ns).
 //!
 //! Blob header, after `kind`: `opcode_embed_dim`, `hidden`, `hops`, the
@@ -15,7 +16,7 @@
 //! then weight and bias of f₁, of each hop's f₂ and f₃, and of the head.
 
 use crate::blob::{FrozenError, Reader, Writer, RECORD_HEADER_BYTES};
-use crate::layers::{relu, LayerSpec, Layers};
+use crate::layers::{carve, relu, LayerSpec, Layers};
 use tpu_hlo::Kernel;
 use tpu_learned_cost::{GnnArch, GnnModel, Prepared, Reduction};
 
@@ -79,22 +80,30 @@ pub struct FrozenGnn {
 }
 
 impl FrozenGnn {
-    /// Rough multiply-accumulate count of one forward — drives the rayon
+    /// Rough multiply-accumulate count of one forward over a kernel of
+    /// `nodes` nodes and `edges` operand edges — drives the rayon
     /// threshold in [`crate::FrozenModel`].
-    pub fn mac_estimate(&self, p: &Prepared) -> usize {
-        let n = p.num_nodes();
+    pub fn mac_estimate(&self, nodes: usize, edges: usize) -> usize {
         let h = self.arch.hidden;
-        n * self.layers.encoder_macs()
-            + self.arch.hops * (3 * n * h * h + 2 * p.edges.len() * h)
+        nodes * self.layers.encoder_macs()
+            + self.arch.hops * (3 * nodes * h * h + 2 * edges * h)
             + self.arch.num_pools() * h
     }
 
+    /// f32s of scratch one forward over `nodes` nodes carves up: the
+    /// gathered embeddings, node states, messages / next states,
+    /// aggregates, neighbor counts and the pooled embedding.
+    pub(crate) fn scratch_len(&self, nodes: usize) -> usize {
+        let h = self.arch.hidden;
+        nodes * (self.layers.embed_dim() + 3 * h + 1) + self.arch.num_pools() * h
+    }
+
     /// Predicted log-runtime (ns) of one featurized kernel: the one walk
-    /// over the layers. Four buffers (node states, messages / next
-    /// states, aggregates, the pooled embedding) plus, per hop of a mean
-    /// reduction, the neighbor counts are all it allocates
-    /// (`tests/alloc_count.rs` counts them).
-    pub fn forward_log_ns(&self, p: &Prepared) -> f32 {
+    /// over the layers. Every buffer is carved from `scratch`, which is
+    /// grown if it is too short — the only allocation a forward can make
+    /// (`tests/alloc_count.rs` counts) — and holds nothing a later call
+    /// reads, so one `Vec` serves a whole batch.
+    pub fn forward_log_ns(&self, p: &Prepared, scratch: &mut Vec<f32>) -> f32 {
         let Arch {
             hidden: h,
             reduction,
@@ -107,27 +116,33 @@ impl FrozenGnn {
             return head.b[0] + self.layers.log_ns_offset;
         }
 
-        let mut eps = vec![0.0f32; n * h];
-        for (i, row) in eps.chunks_exact_mut(h).enumerate() {
-            self.layers.encode(p, i, row);
+        let scratch = carve(scratch, self.scratch_len(n));
+        let (emb, rest) = scratch.split_at_mut(n * self.layers.embed_dim());
+        let (mut eps, rest) = rest.split_at_mut(n * h);
+        let (mut next, rest) = rest.split_at_mut(n * h);
+        let (agg, rest) = rest.split_at_mut(n * h);
+        let (degree, kappa) = rest.split_at_mut(n);
+
+        self.layers.encode_rows(p, emb, eps);
+        if reduction == Reduction::Mean {
+            degree.fill(0.0);
+            for &(a, b) in &p.edges {
+                degree[a] += 1.0;
+                degree[b] += 1.0;
+            }
         }
         // Messages first, then the hop's new node states: f₃ reads node
         // `i` of `eps` and `agg` only, so it can overwrite message `i`.
-        let mut next = vec![0.0f32; n * h];
-        let mut agg = vec![0.0f32; n * h];
         for hop in hop_layers.chunks_exact(2) {
             let (f2, f3) = (&hop[0], &hop[1]);
             // Per-node message: relu(f₂(ε)).
-            for (x, msg) in eps.chunks_exact(h).zip(next.chunks_exact_mut(h)) {
-                f2.apply(&[x], msg);
-            }
-            relu(&mut next);
-            aggregate(reduction, p, &next, &mut agg, n, h);
+            f2.apply_rows(n, &[eps], next);
+            relu(next);
+            aggregate(reduction, p, next, agg, degree, h);
             // εᵏ = l₂(relu(f₃([ε ‖ agg]))).
-            let inputs = eps.chunks_exact(h).zip(agg.chunks_exact(h));
-            for ((x, a), row) in inputs.zip(next.chunks_exact_mut(h)) {
-                f3.apply(&[x, a], row);
-                relu(row);
+            f3.apply_rows(n, &[eps, agg], next);
+            relu(next);
+            for row in next.chunks_exact_mut(h) {
                 let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(L2_EPS);
                 for v in row.iter_mut() {
                     *v /= norm;
@@ -137,13 +152,12 @@ impl FrozenGnn {
         }
 
         // Kernel embedding κ = the enabled pools side by side, then the head.
-        let mut kappa = vec![0.0f32; head.rows()];
         let enabled = (0..3).filter(|&which| pools[which]);
         for (which, pool) in enabled.zip(kappa.chunks_exact_mut(h)) {
-            pool_into(which, &eps, n, pool);
+            pool_into(which, eps, n, pool);
         }
         let mut y = [0.0f32];
-        head.apply(&[&kappa], &mut y);
+        head.apply_rows(1, &[kappa], &mut y);
         y[0] + self.layers.log_ns_offset
     }
 
@@ -195,11 +209,11 @@ impl FrozenGnn {
 
 /// Neighborhood reduction of the `n×h` messages `msg` into `agg` over the
 /// doubled edge list, in the exact edge order the tape's gather + segment
-/// op uses.
-fn aggregate(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], n: usize, h: usize) {
+/// op uses. `degree[i]` is node `i`'s neighbor count (read by `Mean` only).
+fn aggregate(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], degree: &[f32], h: usize) {
     match red {
         Reduction::Sum | Reduction::Mean => {
-            agg[..n * h].fill(0.0);
+            agg.fill(0.0);
             for &(a, b) in &p.edges {
                 for j in 0..h {
                     agg[b * h + j] += msg[a * h + j];
@@ -209,22 +223,17 @@ fn aggregate(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], n: usiz
                 }
             }
             if red == Reduction::Mean {
-                let mut counts = vec![0usize; n];
-                for &(a, b) in &p.edges {
-                    counts[b] += 1;
-                    counts[a] += 1;
-                }
-                for (i, &cnt) in counts.iter().enumerate() {
-                    if cnt > 0 {
-                        for v in &mut agg[i * h..(i + 1) * h] {
-                            *v /= cnt as f32;
+                for (row, &cnt) in agg.chunks_exact_mut(h).zip(degree) {
+                    if cnt > 0.0 {
+                        for v in row {
+                            *v /= cnt;
                         }
                     }
                 }
             }
         }
         Reduction::Max => {
-            agg[..n * h].fill(f32::NEG_INFINITY);
+            agg.fill(f32::NEG_INFINITY);
             for &(a, b) in &p.edges {
                 for j in 0..h {
                     agg[b * h + j] = agg[b * h + j].max(msg[a * h + j]);
@@ -233,7 +242,7 @@ fn aggregate(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], n: usiz
                     agg[a * h + j] = agg[a * h + j].max(msg[b * h + j]);
                 }
             }
-            for v in &mut agg[..n * h] {
+            for v in agg.iter_mut() {
                 if *v == f32::NEG_INFINITY {
                     *v = 0.0;
                 }
@@ -304,7 +313,92 @@ pub fn freeze_gnn(model: &GnnModel, _calib: &[Kernel]) -> Result<FrozenGnn, Froz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_learned_cost::GnnConfig;
+    use tpu_learned_cost::{GnnConfig, PoolCombo};
+
+    /// The body `forward_log_ns` had before `apply_rows`: one oracle
+    /// matvec per node and layer, a buffer per stage, the mean's neighbor
+    /// counts as integers.
+    fn per_node_forward(m: &FrozenGnn, p: &Prepared) -> f32 {
+        let (h, n) = (m.arch.hidden, p.num_nodes());
+        let (head, hop_layers) = m.layers.affine[1..].split_last().unwrap();
+        let mut eps = vec![0.0f32; n * h];
+        for (i, row) in eps.chunks_exact_mut(h).enumerate() {
+            m.layers.encode(p, i, row);
+        }
+        let mut counts = vec![0usize; n];
+        for &(a, b) in &p.edges {
+            counts[a] += 1;
+            counts[b] += 1;
+        }
+        let degree: Vec<f32> = counts.iter().map(|&c| c as f32).collect();
+        let mut next = vec![0.0f32; n * h];
+        let mut agg = vec![0.0f32; n * h];
+        for hop in hop_layers.chunks_exact(2) {
+            for (x, msg) in eps.chunks_exact(h).zip(next.chunks_exact_mut(h)) {
+                hop[0].apply(&[x], msg);
+            }
+            relu(&mut next);
+            aggregate(m.arch.reduction, p, &next, &mut agg, &degree, h);
+            let inputs = eps.chunks_exact(h).zip(agg.chunks_exact(h));
+            for ((x, a), row) in inputs.zip(next.chunks_exact_mut(h)) {
+                hop[1].apply(&[x, a], row);
+                relu(row);
+                let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(L2_EPS);
+                row.iter_mut().for_each(|v| *v /= norm);
+            }
+            std::mem::swap(&mut eps, &mut next);
+        }
+        let mut kappa = vec![0.0f32; head.rows()];
+        let enabled = (0..3).filter(|&which| m.arch.pools[which]);
+        for (which, pool) in enabled.zip(kappa.chunks_exact_mut(h)) {
+            pool_into(which, &eps, n, pool);
+        }
+        let mut y = [0.0f32];
+        head.apply(&[&kappa], &mut y);
+        y[0] + m.layers.log_ns_offset
+    }
+
+    #[test]
+    fn the_blocked_forward_is_the_per_node_forward_bit_for_bit() {
+        let prepared: Vec<Prepared> = crate::probe_kernels(64)
+            .iter()
+            .map(Prepared::from_kernel)
+            .collect();
+        let mut scratch = Vec::new();
+        for reduction in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
+            for mask in 1..8u32 {
+                for (hops, hidden) in [(0, 48), (2, 48), (0, 64), (2, 64)] {
+                    let model = GnnModel::new(GnnConfig {
+                        reduction,
+                        hops,
+                        hidden,
+                        pooling: PoolCombo {
+                            sum: mask & 1 != 0,
+                            mean: mask & 2 != 0,
+                            max: mask & 4 != 0,
+                        },
+                        seed: u64::from(mask),
+                        ..GnnConfig::default()
+                    });
+                    let mut frozen = freeze_gnn(&model, &[]).unwrap();
+                    // A fresh model's biases are all zero, which would hide
+                    // a bias added anywhere but first.
+                    for (l, layer) in frozen.layers.affine.iter_mut().enumerate() {
+                        for (j, b) in layer.b.iter_mut().enumerate() {
+                            *b = ((7 * l + 3 * j) % 17) as f32 * 0.03 - 0.25;
+                        }
+                    }
+                    for (i, p) in prepared.iter().enumerate() {
+                        assert_eq!(
+                            frozen.forward_log_ns(p, &mut scratch).to_bits(),
+                            per_node_forward(&frozen, p).to_bits(),
+                            "{reduction:?}, pools {mask:#b}, {hops} hops, hidden {hidden}, probe {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn gcn_mean_is_a_typed_unsupported_arch() {

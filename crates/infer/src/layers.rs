@@ -4,8 +4,9 @@
 //! its bias. Both architectures are such a list; they differ in the
 //! layers' shapes ([`LayerSpec`]) and in the dataflow between them. So
 //! copying the weights out of a training store, the finiteness rule,
-//! their blob records and the node encoder both architectures start with
-//! are written once here.
+//! their blob records, the node encoder both architectures start with and
+//! the one matmul either runs — [`Affine::apply_rows`], a layer over all
+//! of a kernel's nodes in register-blocked tiles — are written once here.
 
 use crate::blob::{FrozenError, Reader, Writer};
 use tpu_hlo::Opcode;
@@ -49,22 +50,142 @@ impl Affine {
         self.w.len() / self.b.len()
     }
 
-    /// `out = b + [inputs…]·w`. A concatenated input is its segments in
-    /// order: each meets the next consecutive row range of `w`, so nothing
-    /// is copied side by side first. Bias first, then ascending row — one
-    /// fixed f32 summation order, whatever thread runs it.
-    pub(crate) fn apply(&self, inputs: &[&[f32]], out: &mut [f32]) {
-        debug_assert_eq!(inputs.iter().map(|s| s.len()).sum::<usize>(), self.rows());
-        out.copy_from_slice(&self.b);
-        let mut rows = self.w.chunks_exact(out.len());
-        for segment in inputs {
-            for (&a, row) in segment.iter().zip(&mut rows) {
-                for (o, &w) in out.iter_mut().zip(row) {
-                    *o += a * w;
-                }
+    /// `out[i] = b + [segments of row i…]·w` for all `n` rows of a layer
+    /// at once. A concatenated input is its segments in order: segment `s`
+    /// is an `n × kₛ` row-major buffer whose row `i` meets the next `kₛ`
+    /// consecutive rows of `w`, so nothing is copied side by side first.
+    ///
+    /// Rows go in blocks of up to [`BLOCK_ROWS`] and columns in register
+    /// tiles ([`Affine::tile`]), so a row of `w` is loaded once per block
+    /// rather than once per input row and no partial sum touches memory.
+    /// Every output element still sees bias first, then ascending row of
+    /// `w`, each term a multiply then an add, never contracted — one fixed
+    /// f32 operation sequence, whatever the block or the thread.
+    pub(crate) fn apply_rows(&self, n: usize, input: &[&[f32]], out: &mut [f32]) {
+        debug_assert_eq!(out.len(), n * self.b.len());
+        debug_assert_eq!(
+            input.iter().map(|s| s.len()).sum::<usize>(),
+            n * self.rows()
+        );
+        let mut i = 0;
+        while i + BLOCK_ROWS <= n {
+            self.row_block::<BLOCK_ROWS>(n, input, out, i);
+            i += BLOCK_ROWS;
+        }
+        match n - i {
+            3 => self.row_block::<3>(n, input, out, i),
+            2 => self.row_block::<2>(n, input, out, i),
+            1 => self.row_block::<1>(n, input, out, i),
+            _ => {}
+        }
+    }
+
+    /// Rows `i..i + R` across all column tiles, widest first. Fewer rows
+    /// take wider tiles, so a block keeps about the same number of vector
+    /// accumulators — enough independent add chains to hide the add's
+    /// latency — whatever `R` is; 64, 48 and `4·hidden` are multiples of
+    /// 16 and the head is one column, so no hot width has a scalar tail.
+    fn row_block<const R: usize>(&self, n: usize, input: &[&[f32]], out: &mut [f32], i: usize) {
+        let width = self.b.len();
+        let mut j = 0;
+        if R == 1 {
+            while j + 64 <= width {
+                self.tile::<R, 64>(n, input, out, i, j);
+                j += 64;
+            }
+        }
+        if R <= 2 {
+            while j + 32 <= width {
+                self.tile::<R, 32>(n, input, out, i, j);
+                j += 32;
+            }
+        }
+        while j + 16 <= width {
+            self.tile::<R, 16>(n, input, out, i, j);
+            j += 16;
+        }
+        while j < width {
+            self.tile::<R, 1>(n, input, out, i, j);
+            j += 1;
+        }
+    }
+
+    /// The `R×C` register tile `out[i..i + R][j..j + C]`: accumulators
+    /// start at the bias and take the segments in order.
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(
+        &self,
+        n: usize,
+        input: &[&[f32]],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+    ) {
+        let width = self.b.len();
+        let bias: [f32; C] = self.b[j..j + C].try_into().expect("a C-wide tile");
+        let mut acc = [bias; R];
+        let mut w = &self.w[..];
+        for segment in input {
+            let k = segment.len() / n;
+            let rows: [&[f32]; R] = std::array::from_fn(|r| &segment[(i + r) * k..][..k]);
+            let (w_segment, rest) = w.split_at(k * width);
+            acc = accumulate(acc, rows, w_segment, width, j);
+            w = rest;
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            out[(i + r) * width + j..][..C].copy_from_slice(acc_row);
+        }
+    }
+}
+
+/// Rows per register block of [`Affine::apply_rows`]. Not 8: the
+/// accumulators then spill to the stack and a forward takes twice what
+/// the per-row loop this replaced did (DESIGN.md, "One body per
+/// architecture", has the numbers and the `objdump` check).
+const BLOCK_ROWS: usize = 4;
+
+/// One segment's share of a tile: `acc[r] += rows[r][k] · w[k][j..j + C]`
+/// for ascending `k` — multiply-then-add pairs, never contracted into an
+/// FMA. The accumulators come in and go out **by value**; updated in
+/// place across the caller's loop over segments they stop living in
+/// registers (same DESIGN.md paragraph).
+///
+/// A `k` whose input is zero in every row of the block is skipped. Every
+/// stored weight is finite, so the skipped term is `±0`: it can change at
+/// most the sign of a zero accumulator, never a value. The test is one
+/// branch on the OR of the inputs' bits, sign bit shifted out — a compare
+/// per row costs more than the skip saves.
+#[inline(always)]
+fn accumulate<const R: usize, const C: usize>(
+    mut acc: [[f32; C]; R],
+    rows: [&[f32]; R],
+    w: &[f32],
+    width: usize,
+    j: usize,
+) -> [[f32; C]; R] {
+    for (k, w_row) in w.chunks_exact(width).enumerate() {
+        let a: [f32; R] = std::array::from_fn(|r| rows[r][k]);
+        if a.iter().fold(0, |bits, x| bits | x.to_bits()) << 1 == 0 {
+            continue;
+        }
+        let w_tile: &[f32; C] = w_row[j..j + C].try_into().expect("a C-wide tile");
+        for r in 0..R {
+            for t in 0..C {
+                acc[r][t] += a[r] * w_tile[t];
             }
         }
     }
+    acc
+}
+
+/// The first `len` f32s of `scratch`, grown if it is shorter: the one
+/// allocation a forward can make. Callers overwrite what they read, so
+/// what an earlier forward left there does not matter.
+pub(crate) fn carve(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    &mut scratch[..len]
 }
 
 /// In-place ReLU.
@@ -101,12 +222,15 @@ impl Layers {
     }
 
     /// The node encoder, `ε⁰ = relu([opcode embedding ‖ features]·W₁ + b₁)`
-    /// — the GNN's initial node state and the LSTM's step input — for
-    /// node `i` of `p`.
-    pub(crate) fn encode(&self, p: &Prepared, i: usize, out: &mut [f32]) {
+    /// — the GNN's initial node states and the LSTM's step inputs — for
+    /// every node of `p` in one product. `emb` (`n × embed_dim`) receives
+    /// the gathered embedding rows, `out` (`n × encoded_dim`) the result.
+    pub(crate) fn encode_rows(&self, p: &Prepared, emb: &mut [f32], out: &mut [f32]) {
         let d = self.embed_dim();
-        let emb = &self.emb[p.opcode_ids[i] * d..][..d];
-        self.affine[0].apply(&[emb, p.features.row(i)], out);
+        for (i, &op) in p.opcode_ids.iter().enumerate() {
+            emb[i * d..][..d].copy_from_slice(&self.emb[op * d..][..d]);
+        }
+        self.affine[0].apply_rows(p.num_nodes(), &[emb, p.features.data()], out);
         relu(out);
     }
 
@@ -201,5 +325,103 @@ fn finite(name: &str, values: &[f32]) -> Result<(), FrozenError> {
         Ok(())
     } else {
         Err(FrozenError::NonFinite(name.into()))
+    }
+}
+
+/// What the test-only per-node reference forwards (`gnn.rs`, `lstm.rs`)
+/// and the proptest below walk with.
+#[cfg(test)]
+impl Affine {
+    /// The scalar oracle [`Affine::apply_rows`] is tested against: one row,
+    /// `out = b + [inputs…]·w`, bias first, then ascending row of `w`.
+    pub(crate) fn apply(&self, inputs: &[&[f32]], out: &mut [f32]) {
+        assert_eq!(inputs.iter().map(|s| s.len()).sum::<usize>(), self.rows());
+        out.copy_from_slice(&self.b);
+        let mut rows = self.w.chunks_exact(out.len());
+        for segment in inputs {
+            for (&a, row) in segment.iter().zip(&mut rows) {
+                for (o, &w) in out.iter_mut().zip(row) {
+                    *o += a * w;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Layers {
+    /// The per-node encoder the test-only reference forwards walk with:
+    /// [`Layers::encode_rows`] for node `i` alone, through the oracle.
+    pub(crate) fn encode(&self, p: &Prepared, i: usize, out: &mut [f32]) {
+        let d = self.embed_dim();
+        let emb = &self.emb[p.opcode_ids[i] * d..][..d];
+        self.affine[0].apply(&[emb, p.features.row(i)], out);
+        relu(out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    const WIDTHS: [usize; 7] = [1, 5, 16, 48, 64, 192, 256];
+
+    /// `len` values, `zero_pct` % of them a zero of either sign, the rest
+    /// normal or subnormal, of either sign.
+    fn values(rng: &mut TestRng, len: usize, zero_pct: u64) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                if rng.below(100) < zero_pct {
+                    0.0 * sign
+                } else if rng.below(8) == 0 {
+                    f32::from_bits(1 + rng.below(1 << 22) as u32) * sign
+                } else {
+                    (rng.unit_f64() as f32 * 4.0 - 2.0) * sign
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        // 10 row counts × 7 widths: ~15 cases a pair.
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Every row of `apply_rows` against the scalar oracle, `==` per
+        /// element. `==` and not `to_bits`: a `k` whose inputs are zero in
+        /// the whole block is skipped, and the `±0` term the oracle adds
+        /// there can flip the sign of a zero accumulator — the one
+        /// difference the kernel is allowed (`-0.0 == 0.0`); any other is
+        /// a different f32 and fails.
+        #[test]
+        fn apply_rows_matches_the_scalar_oracle_row_by_row(
+            n in 0usize..=9,
+            width in 0usize..WIDTHS.len(),
+            ks in (1usize..40, 0usize..40),
+            zero_pct in 0u64..=95,
+            seed in any::<u64>(),
+        ) {
+            let width = WIDTHS[width];
+            // A second segment of zero columns is the one-segment case.
+            let ks = [ks.0, ks.1];
+            let rng = &mut TestRng::new(seed);
+            let layer = Affine {
+                w: values(rng, (ks[0] + ks[1]) * width, 10),
+                b: values(rng, width, 10),
+            };
+            let segments = ks.map(|k| values(rng, n * k, zero_pct));
+            let input: Vec<&[f32]> = segments.iter().map(Vec::as_slice).collect();
+
+            let mut got = vec![f32::NAN; n * width];
+            layer.apply_rows(n, &input, &mut got);
+            let mut want = vec![f32::NAN; width];
+            for (i, got_row) in got.chunks_exact(width).enumerate() {
+                let row: Vec<&[f32]> = (0..2).map(|s| &segments[s][i * ks[s]..][..ks[s]]).collect();
+                layer.apply(&row, &mut want);
+                prop_assert!(got_row == &want[..], "row {} of {}, width {}", i, n, width);
+            }
+        }
     }
 }

@@ -9,14 +9,19 @@
 //!   [`LstmModel`](tpu_learned_cost::LstmModel) weights, copied as they
 //!   are, walked in plain f32 over flat arrays — the number system the
 //!   model was trained in, so a frozen prediction differs from the tape's
-//!   only by summation order,
+//!   only by summation order. Each layer is one register-blocked product
+//!   over all of a kernel's nodes (`Affine::apply_rows`, the only matmul
+//!   here), and a forward's buffers are one scratch allocation that a
+//!   batch reuses,
 //! - **a compact versioned blob** (`tpu-frozen.v2`): fixed-layout records
 //!   loadable with plain little-endian byte reads — no tape, no serde
 //!   tree, no reflection ([`FrozenModel::from_bytes`]) — in which every
 //!   number is finite, checked at both ends,
 //! - **thread-count independence**: rayon fan-out only above a MAC
-//!   threshold, bit-identical for any thread count because every kernel's
-//!   forward is independent and runs its additions in one fixed order.
+//!   threshold — decided from node counts before any work, so a small
+//!   batch never touches the pool — and bit-identical for any thread
+//!   count because every kernel's forward is independent and runs its
+//!   additions in one fixed order.
 //!
 //! [`FrozenModel`] implements [`CostModel`], so it drops behind
 //! `AtomicCache`, `FallbackChain`, and the `tpu-serve` daemon unchanged.
@@ -114,16 +119,32 @@ impl FrozenModel {
 
     /// Predicted log-runtime (ns) of one featurized kernel.
     pub fn predict_log_ns(&self, p: &Prepared) -> f64 {
+        self.forward(p, &mut Vec::new())
+    }
+
+    /// One forward carved out of `scratch`, which it grows only if it is
+    /// shorter than `scratch_len` of `p`'s node count.
+    fn forward(&self, p: &Prepared, scratch: &mut Vec<f32>) -> f64 {
+        f64::from(match self {
+            FrozenModel::Gnn(m) => m.forward_log_ns(p, scratch),
+            FrozenModel::Lstm(m) => m.forward_log_ns(p, scratch),
+        })
+    }
+
+    fn scratch_len(&self, nodes: usize) -> usize {
         match self {
-            FrozenModel::Gnn(m) => f64::from(m.forward_log_ns(p)),
-            FrozenModel::Lstm(m) => f64::from(m.forward_log_ns(p)),
+            FrozenModel::Gnn(m) => m.scratch_len(nodes),
+            FrozenModel::Lstm(m) => m.scratch_len(nodes),
         }
     }
 
-    fn mac_estimate(&self, p: &Prepared) -> usize {
+    /// From the kernel's node and operand-edge counts alone, so the batch
+    /// path can choose serial or rayon before it featurizes anything.
+    fn mac_estimate(&self, kernel: &Kernel) -> usize {
+        let c = &kernel.computation;
         match self {
-            FrozenModel::Gnn(m) => m.mac_estimate(p),
-            FrozenModel::Lstm(m) => m.mac_estimate(p),
+            FrozenModel::Gnn(m) => m.mac_estimate(c.num_nodes(), c.num_edges()),
+            FrozenModel::Lstm(m) => m.mac_estimate(c.num_nodes()),
         }
     }
 }
@@ -133,22 +154,25 @@ impl CostModel for FrozenModel {
         Some(self.predict_log_ns(&Prepared::from_kernel(kernel)).exp())
     }
 
-    /// Parallel featurization, then per-kernel independent forwards —
-    /// serial below [`PAR_MAC_THRESHOLD`] total MACs, rayon above it.
+    /// Per-kernel independent featurize + forward. Below
+    /// [`PAR_MAC_THRESHOLD`] total MACs — decided from node counts, before
+    /// any work — a serial loop over one scratch sized for the largest
+    /// kernel, which never touches the rayon pool; above it, one rayon
+    /// fan-out over the kernels.
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        let prepared = Prepared::from_kernels(kernels);
-        let total: usize = prepared.iter().map(|p| self.mac_estimate(p)).sum();
+        let total: usize = kernels.iter().map(|k| self.mac_estimate(k)).sum();
         if total >= PAR_MAC_THRESHOLD {
-            prepared
+            return kernels
                 .par_iter()
-                .map(|p| Some(self.predict_log_ns(p).exp()))
-                .collect()
-        } else {
-            prepared
-                .iter()
-                .map(|p| Some(self.predict_log_ns(p).exp()))
-                .collect()
+                .map(|k| self.predict_kernel_ns(k))
+                .collect();
         }
+        let nodes = kernels.iter().map(|k| k.computation.num_nodes()).max();
+        let mut scratch = vec![0.0f32; self.scratch_len(nodes.unwrap_or(0))];
+        kernels
+            .iter()
+            .map(|k| Some(self.forward(&Prepared::from_kernel(k), &mut scratch).exp()))
+            .collect()
     }
 
     fn name(&self) -> &str {
@@ -273,10 +297,7 @@ mod tests {
         // Three kernels stay serial; forty cross PAR_MAC_THRESHOLD.
         for (n, parallel) in [(3, false), (40, true)] {
             let kernels = probe_kernels(n);
-            let macs: usize = Prepared::from_kernels(&kernels)
-                .iter()
-                .map(|p| frozen.mac_estimate(p))
-                .sum();
+            let macs: usize = kernels.iter().map(|k| frozen.mac_estimate(k)).sum();
             assert_eq!(
                 macs >= PAR_MAC_THRESHOLD,
                 parallel,

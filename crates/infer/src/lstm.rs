@@ -2,18 +2,19 @@
 //! `tpu_learned_cost::LstmModel`, in the same f32 the model was trained
 //! in.
 //!
-//! The dataflow is written once, in [`FrozenLstm::forward_log_ns`]: per
-//! node the encoder shared with the GNN (ε⁰), the fused gate matmul over
-//! `[step input ‖ previous hidden]`, then the `c`/`h` recurrence. It can
-//! differ from the tape only by f32 summation order (`tests/parity.rs`
-//! pins the two within 1e-5 log-ns).
+//! The dataflow is written once, in [`FrozenLstm::forward_log_ns`]: the
+//! encoder shared with the GNN over all nodes at once (ε⁰), then per node
+//! the fused gate product over `[step input ‖ previous hidden]` and the
+//! `c`/`h` recurrence, every buffer carved from one scratch allocation.
+//! It can differ from the tape only by f32 summation order
+//! (`tests/parity.rs` pins the two within 1e-5 log-ns).
 //!
 //! Blob header, after `kind`: `opcode_embed_dim`, `node_dim`, `hidden`,
 //! each a u32. The tensors: the embedding table, then weight and bias of
 //! f₁, of the fused `i, f, g, o` gates, and of the head.
 
 use crate::blob::{FrozenError, Reader, Writer};
-use crate::layers::{LayerSpec, Layers};
+use crate::layers::{carve, LayerSpec, Layers};
 use tpu_hlo::Kernel;
 use tpu_learned_cost::{LstmModel, Prepared};
 
@@ -41,28 +42,40 @@ pub struct FrozenLstm {
 }
 
 impl FrozenLstm {
-    /// Rough multiply-accumulate count of one forward — drives the rayon
-    /// threshold in [`crate::FrozenModel`].
-    pub fn mac_estimate(&self, p: &Prepared) -> usize {
-        let n = p.num_nodes();
+    /// Rough multiply-accumulate count of one forward over a kernel of
+    /// `nodes` nodes — drives the rayon threshold in
+    /// [`crate::FrozenModel`].
+    pub fn mac_estimate(&self, nodes: usize) -> usize {
         let (d, h) = (self.layers.encoded_dim(), self.hidden);
-        n * self.layers.encoder_macs() + n * (d + h) * 4 * h + h
+        nodes * self.layers.encoder_macs() + nodes * (d + h) * 4 * h + h
+    }
+
+    /// f32s of scratch one forward over `nodes` nodes carves up: the
+    /// gathered embeddings, the step inputs, `c`, `h` and the gates.
+    pub(crate) fn scratch_len(&self, nodes: usize) -> usize {
+        nodes * (self.layers.embed_dim() + self.layers.encoded_dim()) + 6 * self.hidden
     }
 
     /// Predicted log-runtime (ns) of one featurized kernel: the one walk
     /// over the layers. Nodes are consumed in index order — for a single
     /// packed kernel that is exactly the tape baseline's topological
-    /// sequence.
-    pub fn forward_log_ns(&self, p: &Prepared) -> f32 {
-        let h = self.hidden;
+    /// sequence. Every buffer is carved from `scratch`, which is grown if
+    /// it is too short — the only allocation a forward can make — and
+    /// holds nothing a later call reads.
+    pub fn forward_log_ns(&self, p: &Prepared, scratch: &mut Vec<f32>) -> f32 {
+        let (n, h, d) = (p.num_nodes(), self.hidden, self.layers.encoded_dim());
         let (gate_layer, head) = (&self.layers.affine[1], &self.layers.affine[2]);
-        let mut x = vec![0.0f32; self.layers.encoded_dim()];
-        let mut c = vec![0.0f32; h];
-        let mut hid = vec![0.0f32; h];
-        let mut gates = vec![0.0f32; 4 * h];
-        for t in 0..p.num_nodes() {
-            self.layers.encode(p, t, &mut x);
-            gate_layer.apply(&[&x, &hid], &mut gates);
+        let scratch = carve(scratch, self.scratch_len(n));
+        let (emb, rest) = scratch.split_at_mut(n * self.layers.embed_dim());
+        let (xs, rest) = rest.split_at_mut(n * d);
+        let (c, rest) = rest.split_at_mut(h);
+        let (hid, gates) = rest.split_at_mut(h);
+
+        self.layers.encode_rows(p, emb, xs);
+        c.fill(0.0);
+        hid.fill(0.0);
+        for x in xs.chunks_exact(d) {
+            gate_layer.apply_rows(1, &[x, hid], gates);
             for j in 0..h {
                 let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
                 c[j] = sigmoid(f) * c[j] + sigmoid(i) * g.tanh();
@@ -70,7 +83,7 @@ impl FrozenLstm {
             }
         }
         let mut y = [0.0f32];
-        head.apply(&[&hid], &mut y);
+        head.apply_rows(1, &[hid], &mut y);
         y[0] + self.layers.log_ns_offset
     }
 
@@ -106,4 +119,51 @@ pub fn freeze_lstm(model: &LstmModel, _calib: &[Kernel]) -> Result<FrozenLstm, F
         hidden: cfg.hidden,
         layers: Layers::from_store(model.store(), &specs)?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpu_learned_cost::LstmConfig;
+
+    /// The body `forward_log_ns` had before `apply_rows`: one node at a
+    /// time through the oracle matvec, a buffer per stage.
+    fn per_node_forward(m: &FrozenLstm, p: &Prepared) -> f32 {
+        let h = m.hidden;
+        let mut x = vec![0.0f32; m.layers.encoded_dim()];
+        let (mut c, mut hid) = (vec![0.0f32; h], vec![0.0f32; h]);
+        let mut gates = vec![0.0f32; 4 * h];
+        for t in 0..p.num_nodes() {
+            m.layers.encode(p, t, &mut x);
+            m.layers.affine[1].apply(&[&x, &hid], &mut gates);
+            for j in 0..h {
+                let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
+                c[j] = sigmoid(f) * c[j] + sigmoid(i) * g.tanh();
+                hid[j] = sigmoid(o) * c[j].tanh();
+            }
+        }
+        let mut y = [0.0f32];
+        m.layers.affine[2].apply(&[&hid], &mut y);
+        y[0] + m.layers.log_ns_offset
+    }
+
+    #[test]
+    fn the_blocked_forward_is_the_per_node_forward_bit_for_bit() {
+        let mut scratch = Vec::new();
+        for hidden in [48, 64] {
+            let model = LstmModel::new(LstmConfig {
+                hidden,
+                ..LstmConfig::default()
+            });
+            let frozen = freeze_lstm(&model, &[]).unwrap();
+            for (i, k) in crate::probe_kernels(64).iter().enumerate() {
+                let p = Prepared::from_kernel(k);
+                assert_eq!(
+                    frozen.forward_log_ns(&p, &mut scratch).to_bits(),
+                    per_node_forward(&frozen, &p).to_bits(),
+                    "hidden {hidden}, probe {i}"
+                );
+            }
+        }
+    }
 }

@@ -5,7 +5,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tpu_infer::{freeze_gnn, freeze_lstm, probe_kernels, FrozenModel};
-use tpu_learned_cost::{GnnConfig, GnnModel, LstmConfig, LstmModel, Prepared, Reduction};
+use tpu_learned_cost::{
+    CostModel, GnnConfig, GnnModel, LstmConfig, LstmModel, Prepared, Reduction,
+};
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
@@ -29,34 +31,50 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-fn allocations_of(frozen: &FrozenModel, p: &Prepared) -> usize {
+fn allocations_of<T>(f: impl FnOnce() -> T) -> usize {
     let before = ALLOCS.with(Cell::get);
-    std::hint::black_box(frozen.predict_log_ns(std::hint::black_box(p)));
+    std::hint::black_box(f());
     ALLOCS.with(Cell::get) - before
 }
 
+/// The default GNN per reduction, then the default LSTM.
+fn models() -> Vec<FrozenModel> {
+    let mut models: Vec<FrozenModel> = [Reduction::Sum, Reduction::Mean, Reduction::Max]
+        .into_iter()
+        .map(|reduction| {
+            let model = GnnModel::new(GnnConfig {
+                reduction,
+                ..GnnConfig::default()
+            });
+            FrozenModel::Gnn(freeze_gnn(&model, &[]).unwrap())
+        })
+        .collect();
+    let lstm = LstmModel::new(LstmConfig::default());
+    models.push(FrozenModel::Lstm(freeze_lstm(&lstm, &[]).unwrap()));
+    models
+}
+
 #[test]
-fn a_forward_allocates_its_few_buffers_and_nothing_else() {
+fn a_forward_allocates_its_one_scratch_and_nothing_else() {
     let prepared: Vec<Prepared> = probe_kernels(6).iter().map(Prepared::from_kernel).collect();
-    // Node states, messages / next states, aggregates, pooled embedding;
-    // a mean reduction adds its neighbor counts in each of the two hops.
-    for (reduction, want) in [
-        (Reduction::Sum, 4),
-        (Reduction::Mean, 6),
-        (Reduction::Max, 4),
-    ] {
-        let model = GnnModel::new(GnnConfig {
-            reduction,
-            ..GnnConfig::default()
-        });
-        let frozen = FrozenModel::Gnn(freeze_gnn(&model, &[]).unwrap());
+    for frozen in models() {
         for p in &prepared {
-            assert_eq!(allocations_of(&frozen, p), want, "{reduction:?} GNN");
+            let allocs = allocations_of(|| frozen.predict_log_ns(std::hint::black_box(p)));
+            assert_eq!(allocs, 1, "{}", frozen.name());
         }
     }
-    let lstm = LstmModel::new(LstmConfig::default());
-    let frozen = FrozenModel::Lstm(freeze_lstm(&lstm, &[]).unwrap());
-    for p in &prepared {
-        assert_eq!(allocations_of(&frozen, p), 4, "LSTM");
+}
+
+#[test]
+fn a_serial_batch_shares_one_scratch_between_its_forwards() {
+    let kernels = probe_kernels(6);
+    let featurize: usize = kernels
+        .iter()
+        .map(|k| allocations_of(|| Prepared::from_kernel(k)))
+        .sum();
+    for frozen in models() {
+        // Beyond featurizing each kernel: the scratch and the result Vec.
+        let allocs = allocations_of(|| frozen.predict_batch_ns(std::hint::black_box(&kernels)));
+        assert_eq!(allocs, featurize + 2, "{}", frozen.name());
     }
 }

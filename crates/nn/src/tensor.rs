@@ -485,7 +485,9 @@ where
 /// The output is tiled into `MR×NR` register blocks; each block runs the
 /// whole `k` loop with its partial sums in registers ([`mm_micro`]), so
 /// each output element still accumulates in ascending-`kk` order while the
-/// inner loop is a dense grid of independent fused multiply-adds.
+/// inner loop is a dense grid of independent multiply-then-add pairs,
+/// never contracted into FMAs (`.cargo/config.toml`: the bit contract
+/// depends on it).
 fn mm_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32], r0: usize) {
     if n == 0 {
         return;
