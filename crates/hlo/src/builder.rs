@@ -124,7 +124,14 @@ impl GraphBuilder {
 
     /// Add an `iota` (index-generating) node.
     pub fn iota(&mut self, shape: Shape, dtype: DType) -> NodeId {
-        self.push(Opcode::Iota, dtype, shape, Vec::new(), NodeAttrs::none(), "")
+        self.push(
+            Opcode::Iota,
+            dtype,
+            shape,
+            Vec::new(),
+            NodeAttrs::none(),
+            "",
+        )
     }
 
     /// Add a random-number generator node.
@@ -148,9 +155,7 @@ impl GraphBuilder {
         } else if sa.is_scalar() {
             sb
         } else {
-            panic!(
-                "elementwise operands disagree: {sa} vs {sb} (insert an explicit broadcast)"
-            );
+            panic!("elementwise operands disagree: {sa} vs {sb} (insert an explicit broadcast)");
         };
         let dtype = self.dtype(a);
         self.push(opcode, dtype, shape, vec![a, b], NodeAttrs::none(), "")
@@ -304,7 +309,14 @@ impl GraphBuilder {
             "reshape must preserve element count"
         );
         let dtype = self.dtype(x);
-        self.push(Opcode::Reshape, dtype, target, vec![x], NodeAttrs::none(), "")
+        self.push(
+            Opcode::Reshape,
+            dtype,
+            target,
+            vec![x],
+            NodeAttrs::none(),
+            "",
+        )
     }
 
     /// Transpose by `perm` (output dim `i` = input dim `perm[i]`).
@@ -321,7 +333,14 @@ impl GraphBuilder {
             transpose_perm: perm,
             ..Default::default()
         };
-        self.push(Opcode::Transpose, dtype, Shape::new(dims), vec![x], attrs, "")
+        self.push(
+            Opcode::Transpose,
+            dtype,
+            Shape::new(dims),
+            vec![x],
+            attrs,
+            "",
+        )
     }
 
     /// Broadcast `x` into `target`, with `broadcast_dims[i]` giving the
@@ -368,7 +387,9 @@ impl GraphBuilder {
     /// Slice `[start, limit)` along one dimension, full extent elsewhere.
     pub fn slice_dim(&mut self, x: NodeId, dim: usize, start: usize, limit: usize) -> NodeId {
         let s = self.shape(x).clone();
-        let starts: Vec<usize> = (0..s.rank()).map(|d| if d == dim { start } else { 0 }).collect();
+        let starts: Vec<usize> = (0..s.rank())
+            .map(|d| if d == dim { start } else { 0 })
+            .collect();
         let limits: Vec<usize> = (0..s.rank())
             .map(|d| if d == dim { limit } else { s.dim(d) })
             .collect();

@@ -71,10 +71,7 @@ impl fmt::Display for HloError {
                 node,
                 expected,
                 actual,
-            } => write!(
-                f,
-                "node {node} has {actual} operands, expected {expected}"
-            ),
+            } => write!(f, "node {node} has {actual} operands, expected {expected}"),
             HloError::Cycle { node } => write!(f, "cycle detected through node {node}"),
             HloError::MissingAttr { node, attr } => {
                 write!(f, "node {node} is missing required attribute `{attr}`")

@@ -344,11 +344,8 @@ impl Computation {
         let new_root = remap[&root_of_subgraph];
         // Mark the output node (§4.1 of the paper).
         new_nodes[new_root.index()].attrs.is_output = true;
-        let c = Computation::from_parts_unchecked(
-            format!("{}.fused", self.name),
-            new_nodes,
-            new_root,
-        );
+        let c =
+            Computation::from_parts_unchecked(format!("{}.fused", self.name), new_nodes, new_root);
         (c, remap)
     }
 }
@@ -478,10 +475,7 @@ mod tests {
     fn validate_rejects_dangling_operand() {
         let mut c = diamond();
         c.node_mut(NodeId(1)).operands = vec![NodeId(99)];
-        assert!(matches!(
-            c.validate(),
-            Err(HloError::UnknownOperand { .. })
-        ));
+        assert!(matches!(c.validate(), Err(HloError::UnknownOperand { .. })));
     }
 
     #[test]
@@ -496,10 +490,7 @@ mod tests {
     fn validate_rejects_arity() {
         let mut c = diamond();
         c.node_mut(NodeId(3)).operands = vec![NodeId(1)];
-        assert!(matches!(
-            c.validate(),
-            Err(HloError::ArityMismatch { .. })
-        ));
+        assert!(matches!(c.validate(), Err(HloError::ArityMismatch { .. })));
     }
 
     #[test]

@@ -24,7 +24,13 @@ fn hash_node(c: &Computation, id: crate::NodeId, h: &mut DefaultHasher, order_po
     }
     // Attributes that affect semantics/cost.
     if let Some(d) = &n.attrs.dot {
-        (d.lhs_contracting, d.rhs_contracting, &d.lhs_batch, &d.rhs_batch).hash(h);
+        (
+            d.lhs_contracting,
+            d.rhs_contracting,
+            &d.lhs_batch,
+            &d.rhs_batch,
+        )
+            .hash(h);
     }
     if let Some(cv) = &n.attrs.conv {
         (
@@ -198,7 +204,10 @@ mod tests {
     fn hashed_kernel_key_is_the_canonical_hash_of_its_kernel() {
         let untiled = crate::Kernel::new(graph(8));
         let tiled = untiled.clone().with_tile(TileSize(vec![8, 4]));
-        let (hu, ht) = (HashedKernel::new(untiled.clone()), HashedKernel::new(tiled.clone()));
+        let (hu, ht) = (
+            HashedKernel::new(untiled.clone()),
+            HashedKernel::new(tiled.clone()),
+        );
         assert_eq!(hu.hash(), canonical_kernel_hash(&untiled));
         assert_eq!(ht.hash(), canonical_kernel_hash(&tiled));
         assert_ne!(hu.hash(), ht.hash(), "a tiled variant is a different key");

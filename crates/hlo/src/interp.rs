@@ -108,11 +108,7 @@ impl NdArray {
 
     /// Flat offset of a multi-index.
     fn offset(&self, idx: &[usize]) -> usize {
-        self.strides()
-            .iter()
-            .zip(idx)
-            .map(|(&s, &i)| s * i)
-            .sum()
+        self.strides().iter().zip(idx).map(|(&s, &i)| s * i).sum()
     }
 
     /// Element at a multi-index.
@@ -175,10 +171,7 @@ fn for_each_index(dims: &[usize], mut f: impl FnMut(&[usize])) {
 ///
 /// Returns [`HloError::ShapeMismatch`] when an input value's dims disagree
 /// with the parameter's declared shape, and propagates validation errors.
-pub fn evaluate(
-    c: &Computation,
-    inputs: &HashMap<NodeId, NdArray>,
-) -> Result<NdArray> {
+pub fn evaluate(c: &Computation, inputs: &HashMap<NodeId, NdArray>) -> Result<NdArray> {
     c.validate()?;
     let mut values: Vec<Option<NdArray>> = vec![None; c.num_nodes()];
     for id in c.topo_order()? {
@@ -210,7 +203,10 @@ pub fn evaluate_seeded(c: &Computation, seed: u64) -> Result<NdArray> {
         let shape = &c.node(pid).shape;
         inputs.insert(
             pid,
-            NdArray::seeded(shape.dims().to_vec(), seed ^ (i as u64 + 1).wrapping_mul(0x5851)),
+            NdArray::seeded(
+                shape.dims().to_vec(),
+                seed ^ (i as u64 + 1).wrapping_mul(0x5851),
+            ),
         );
     }
     evaluate(c, &inputs)
@@ -231,9 +227,10 @@ fn eval_node(
     let arg = |i: usize| operand(values, node.operands[i]);
     Ok(match node.opcode {
         Parameter => {
-            let v = inputs.get(&node.id).cloned().unwrap_or_else(|| {
-                NdArray::seeded(out_dims.clone(), node.id.0 as u64 + 17)
-            });
+            let v = inputs
+                .get(&node.id)
+                .cloned()
+                .unwrap_or_else(|| NdArray::seeded(out_dims.clone(), node.id.0 as u64 + 17));
             if v.dims() != node.shape.dims() {
                 return Err(HloError::ShapeMismatch {
                     node: node.id,
@@ -512,7 +509,11 @@ fn eval_node(
             let out_ref = out.clone();
             for_each_index(&in_dims, |iidx| {
                 let oidx: Vec<usize> = keep.iter().map(|&d| iidx[d]).collect();
-                let off = if oidx.is_empty() { 0 } else { out_ref.offset(&oidx) };
+                let off = if oidx.is_empty() {
+                    0
+                } else {
+                    out_ref.offset(&oidx)
+                };
                 data[off] += input.at(iidx);
             });
             NdArray::new(out_dims, data)
@@ -595,8 +596,7 @@ fn eval_node(
                                 continue;
                             }
                             for fx in 0..conv.filter_w {
-                                let ix =
-                                    (x * conv.stride_w + fx) as isize - conv.pad_w.0 as isize;
+                                let ix = (x * conv.stride_w + fx) as isize - conv.pad_w.0 as isize;
                                 if ix < 0 || ix as usize >= iw {
                                     continue;
                                 }
@@ -624,7 +624,11 @@ fn eval_node(
             let mut out = x.clone();
             for (i, v) in out.data.iter_mut().enumerate() {
                 let cix = i % ch;
-                let s = scale.data.get(cix % scale.data.len()).copied().unwrap_or(1.0);
+                let s = scale
+                    .data
+                    .get(cix % scale.data.len())
+                    .copied()
+                    .unwrap_or(1.0);
                 let o = offset
                     .data
                     .get(cix % offset.data.len())
@@ -691,7 +695,10 @@ mod tests {
         let r = b.reduce(x, vec![1]);
         let c = b.finish(r);
         let mut inputs = HashMap::new();
-        inputs.insert(x, NdArray::new(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        inputs.insert(
+            x,
+            NdArray::new(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        );
         let out = evaluate(&c, &inputs).unwrap();
         assert_eq!(out.data(), &[6.0, 15.0]);
     }
@@ -703,7 +710,10 @@ mod tests {
         let t = b.transpose(x, vec![1, 0]);
         let c = b.finish(t);
         let mut inputs = HashMap::new();
-        inputs.insert(x, NdArray::new(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        inputs.insert(
+            x,
+            NdArray::new(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        );
         let out = evaluate(&c, &inputs).unwrap();
         assert_eq!(out.dims(), &[3, 2]);
         assert_eq!(out.at(&[0, 1]), 4.0);
@@ -733,10 +743,7 @@ mod tests {
         let y = b.convolution(x, w, crate::attrs::ConvAttrs::same(1));
         let c = b.finish(y);
         let mut inputs = HashMap::new();
-        inputs.insert(
-            x,
-            NdArray::new(vec![1, 2, 2, 1], vec![1.0, 2.0, 3.0, 4.0]),
-        );
+        inputs.insert(x, NdArray::new(vec![1, 2, 2, 1], vec![1.0, 2.0, 3.0, 4.0]));
         inputs.insert(w, NdArray::new(vec![1, 1, 1, 1], vec![1.0]));
         let out = evaluate(&c, &inputs).unwrap();
         assert_eq!(out.data(), &[1.0, 2.0, 3.0, 4.0]);
@@ -780,10 +787,7 @@ mod tests {
         let p = b.reduce_window(x, init, (2, 2, 2, 2));
         let c = b.finish(p);
         let mut inputs = HashMap::new();
-        inputs.insert(
-            x,
-            NdArray::new(vec![1, 2, 2, 1], vec![1.0, 5.0, 3.0, 2.0]),
-        );
+        inputs.insert(x, NdArray::new(vec![1, 2, 2, 1], vec![1.0, 5.0, 3.0, 2.0]));
         let out = evaluate(&c, &inputs).unwrap();
         assert_eq!(out.data(), &[5.0]);
     }

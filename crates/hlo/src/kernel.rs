@@ -162,7 +162,9 @@ impl Kernel {
 
     /// Bytes written back to HBM (the root output).
     pub fn output_bytes(&self) -> u64 {
-        self.computation.node(self.computation.root()).output_bytes()
+        self.computation
+            .node(self.computation.root())
+            .output_bytes()
     }
 
     /// Whether the kernel contains an op of the given category.

@@ -40,12 +40,12 @@ mod graph;
 mod hashing;
 pub mod interp;
 mod kernel;
-pub mod viz;
 mod node;
 mod opcode;
 mod program;
 mod shape;
 mod text;
+pub mod viz;
 
 pub use attrs::{Comparison, ConvAttrs, DotDims, NodeAttrs, PadConfig, SliceAttrs};
 pub use builder::GraphBuilder;

@@ -13,9 +13,7 @@ use std::fmt;
 /// only lets a node reference already-inserted operands, `operand.0 <
 /// node.0` holds for every edge, which makes insertion order a topological
 /// order.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -31,8 +31,15 @@ impl Shape {
     ///
     /// Panics if the rank exceeds [`MAX_RANK`] or any dimension is zero.
     pub fn new(dims: Vec<usize>) -> Shape {
-        assert!(dims.len() <= MAX_RANK, "rank {} exceeds MAX_RANK", dims.len());
-        assert!(dims.iter().all(|&d| d > 0), "zero-sized dimension in {dims:?}");
+        assert!(
+            dims.len() <= MAX_RANK,
+            "rank {} exceeds MAX_RANK",
+            dims.len()
+        );
+        assert!(
+            dims.iter().all(|&d| d > 0),
+            "zero-sized dimension in {dims:?}"
+        );
         Shape { dims }
     }
 
@@ -287,7 +294,10 @@ mod tests {
         let s = Shape::new(vec![2, 3]);
         assert_eq!(s.minor_dim_size(&Layout::default_for_rank(2)), 3);
         assert_eq!(s.minor_dim_size(&Layout::new(vec![0, 1])), 2);
-        assert_eq!(Shape::scalar().minor_dim_size(&Layout::default_for_rank(0)), 1);
+        assert_eq!(
+            Shape::scalar().minor_dim_size(&Layout::default_for_rank(0)),
+            1
+        );
     }
 
     #[test]

@@ -38,12 +38,18 @@ pub fn to_dot(c: &Computation) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", c.name());
     let _ = writeln!(out, "  rankdir=TB;");
-    let _ = writeln!(out, "  node [shape=box, style=filled, fontname=\"monospace\"];");
+    let _ = writeln!(
+        out,
+        "  node [shape=box, style=filled, fontname=\"monospace\"];"
+    );
     for n in c.nodes() {
         let label = if n.name.is_empty() {
             format!("{} {}\\n{}{}", n.id, n.opcode, n.dtype, n.shape)
         } else {
-            format!("{} {} ({})\\n{}{}", n.id, n.opcode, n.name, n.dtype, n.shape)
+            format!(
+                "{} {} ({})\\n{}{}",
+                n.id, n.opcode, n.name, n.dtype, n.shape
+            )
         };
         let peripheries = if n.id == c.root() { 2 } else { 1 };
         let _ = writeln!(
@@ -69,7 +75,10 @@ pub fn fused_to_dot(fp: &FusedProgram) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", fp.name);
     let _ = writeln!(out, "  rankdir=TB; compound=true;");
-    let _ = writeln!(out, "  node [shape=box, style=filled, fontname=\"monospace\"];");
+    let _ = writeln!(
+        out,
+        "  node [shape=box, style=filled, fontname=\"monospace\"];"
+    );
     for (ki, k) in fp.kernels.iter().enumerate() {
         let _ = writeln!(out, "  subgraph cluster_{ki} {{");
         let _ = writeln!(

@@ -173,7 +173,9 @@ fn build_model(args: &[String]) -> Box<dyn CostModel + Send> {
                         .unwrap_or_else(|e| die(&format!("load {path}: {e}"))),
                 )
             }
-            other => die(&format!("unknown model {other:?} (sim|analytical|frozen)\n{USAGE}")),
+            other => die(&format!(
+                "unknown model {other:?} (sim|analytical|frozen)\n{USAGE}"
+            )),
         },
     }
 }
@@ -183,10 +185,14 @@ fn run_serve(args: &[String]) -> ExitCode {
     let cfg = ServeConfig {
         batch_max: flag_parse(args, "--batch-max", 64),
         max_pending: flag_parse(args, "--max-pending", 1024),
-        eval_budget: flag_value(args, "--eval-budget")
-            .map(|v| v.parse().unwrap_or_else(|_| die("--eval-budget takes an integer"))),
-        deadline_ms: flag_value(args, "--deadline-ms")
-            .map(|v| v.parse().unwrap_or_else(|_| die("--deadline-ms takes an integer"))),
+        eval_budget: flag_value(args, "--eval-budget").map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| die("--eval-budget takes an integer"))
+        }),
+        deadline_ms: flag_value(args, "--deadline-ms").map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| die("--deadline-ms takes an integer"))
+        }),
     };
     let registry = Registry::enabled();
     let breaker = if args.iter().any(|a| a == "--no-breaker") {
@@ -207,15 +213,17 @@ fn run_serve(args: &[String]) -> ExitCode {
         reload: Some(ReloadPolicy {
             min_tau: 0.99,
             panel: probe_panel(),
-            wrap: Box::new(move |frozen| {
-                wrap_primary(Box::new(frozen), reload_breaker.clone())
-            }),
+            wrap: Box::new(move |frozen| wrap_primary(Box::new(frozen), reload_breaker.clone())),
         }),
         ..ServeOptions::default()
     };
     let engine = Arc::new(ServeEngine::start_with(
         model,
-        Arc::new(AtomicCache::with_capacity(flag_parse(args, "--cache-slots", 1usize << 16))),
+        Arc::new(AtomicCache::with_capacity(flag_parse(
+            args,
+            "--cache-slots",
+            1usize << 16,
+        ))),
         cfg,
         opts,
         &registry,
@@ -350,8 +358,10 @@ fn run_drive(args: &[String]) -> ExitCode {
     let clients = flag_parse(args, "--clients", 8usize).max(1);
     let total = flag_parse(args, "--requests", 100usize).max(1);
     let distinct = flag_parse(args, "--distinct", 16usize).max(1);
-    let deadline_ms = flag_value(args, "--deadline-ms")
-        .map(|v| v.parse::<u64>().unwrap_or_else(|_| die("--deadline-ms must be an integer")));
+    let deadline_ms = flag_value(args, "--deadline-ms").map(|v| {
+        v.parse::<u64>()
+            .unwrap_or_else(|_| die("--deadline-ms must be an integer"))
+    });
     let kernels = Arc::new(demo_kernels(distinct));
 
     let started = Instant::now();

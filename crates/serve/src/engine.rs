@@ -670,8 +670,7 @@ impl ServeEngine {
         // what the daemon serves — fallback chain, breaker and all.
         if slot.incumbent.is_none() {
             let panel = slot.policy.panel.clone();
-            slot.incumbent =
-                Some(self.control(|reply| Job::Snapshot { panel, reply })?);
+            slot.incumbent = Some(self.control(|reply| Job::Snapshot { panel, reply })?);
         }
         let incumbent = slot.incumbent.as_ref().expect("incumbent panel filled");
         let (a, b): (Vec<f64>, Vec<f64>) = incumbent
@@ -682,7 +681,11 @@ impl ServeEngine {
                 _ => None,
             })
             .unzip();
-        let tau = if a.len() < 2 { 0.0 } else { kendall_tau(&a, &b) };
+        let tau = if a.len() < 2 {
+            0.0
+        } else {
+            kendall_tau(&a, &b)
+        };
         if tau < slot.policy.min_tau {
             return Err(ReloadError::TauTooLow {
                 tau,
@@ -888,8 +891,10 @@ impl Worker {
                     let s = &self.shared;
                     s.kernels.fetch_add(batch.kernels, Ordering::Relaxed);
                     s.cache_hits.fetch_add(batch.cache_hits, Ordering::Relaxed);
-                    s.model_evals.fetch_add(batch.model_evals, Ordering::Relaxed);
-                    s.model_batches.fetch_add(batch.model_batches, Ordering::Relaxed);
+                    s.model_evals
+                        .fetch_add(batch.model_evals, Ordering::Relaxed);
+                    s.model_batches
+                        .fetch_add(batch.model_batches, Ordering::Relaxed);
                     preds.into_iter().map(Ok).collect()
                 }
                 Err(_) => {
@@ -904,12 +909,12 @@ impl Worker {
             // Budget spent: serve what the cache already knows, deny the rest.
             kernels
                 .iter()
-                .map(|k| {
-                    match self.predictor.cache().lookup_hash(canonical_kernel_hash(k)) {
+                .map(
+                    |k| match self.predictor.cache().lookup_hash(canonical_kernel_hash(k)) {
                         Some(cached) => Ok(cached),
                         None => Err(ServeError::BudgetExhausted),
-                    }
-                })
+                    },
+                )
                 .collect()
         };
 

@@ -263,10 +263,7 @@ impl DeviceModel {
 
     /// A chaos device: every fault class enabled, seeded for replay.
     pub fn chaos(seed: u64) -> DeviceModel {
-        DeviceModel::new(
-            TpuDevice::new(seed).with_faults(FaultPlan::chaos(seed)),
-            2,
-        )
+        DeviceModel::new(TpuDevice::new(seed).with_faults(FaultPlan::chaos(seed)), 2)
     }
 }
 
@@ -297,7 +294,11 @@ pub fn demo_kernels(n: usize) -> Vec<Kernel> {
                     b.exp(cur)
                 };
             }
-            let root = if i % 4 == 3 { b.reduce(cur, vec![0]) } else { cur };
+            let root = if i % 4 == 3 {
+                b.reduce(cur, vec![0])
+            } else {
+                cur
+            };
             let mut kernel = Kernel::new(b.finish(root));
             if i % 4 != 3 {
                 kernel = kernel.with_tile(TileSize(vec![8, 128.min(cols)]));
@@ -430,8 +431,7 @@ mod tests {
     fn fallback_chain_covers_faulty_device() {
         let primary = DeviceModel::chaos(11);
         let secondary = SimOracle::new(TpuConfig::default());
-        let model: Box<dyn CostModel + Send> =
-            Box::new(FallbackChain::new(primary, secondary));
+        let model: Box<dyn CostModel + Send> = Box::new(FallbackChain::new(primary, secondary));
         let cache: Arc<dyn KernelCache> = Arc::new(AtomicCache::serving_default());
         let serve = ServeEngine::start(model, cache, ServeConfig::default(), &Registry::noop());
         for kernel in demo_kernels(12) {

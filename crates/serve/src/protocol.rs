@@ -184,7 +184,10 @@ fn parse_id(fields: &[(String, Value)]) -> Result<u64, WireError> {
     match field(fields, "id") {
         Some(v) => match v.as_int() {
             Some(n) if n >= 0 && n <= u64::MAX as i128 => Ok(n as u64),
-            _ => Err(WireError::bad_request(None, "\"id\" must be a non-negative integer")),
+            _ => Err(WireError::bad_request(
+                None,
+                "\"id\" must be a non-negative integer",
+            )),
         },
         None => Err(WireError::bad_request(None, "missing \"id\" field")),
     }
@@ -207,9 +210,9 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         code: "parse",
         message: format!("invalid JSON: {e}"),
     })?;
-    let fields = value.as_object().ok_or_else(|| {
-        WireError::bad_request(None, "request must be a JSON object")
-    })?;
+    let fields = value
+        .as_object()
+        .ok_or_else(|| WireError::bad_request(None, "request must be a JSON object"))?;
     let id = parse_id(fields)?;
     let op = field(fields, "op")
         .and_then(Value::as_str)
@@ -303,7 +306,10 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
                 deadline_ms,
             })
         }
-        other => Err(WireError::bad_request(Some(id), format!("unknown op {other:?}"))),
+        other => Err(WireError::bad_request(
+            Some(id),
+            format!("unknown op {other:?}"),
+        )),
     }
 }
 
@@ -312,7 +318,12 @@ fn render(value: &Value) -> String {
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Build a predict request line (used by the load generator and tests).
@@ -446,9 +457,15 @@ pub fn stats_reply(id: u64, stats: &crate::ServeStats, backend: &str) -> String 
         ("reloads", Value::UInt(stats.reloads)),
         ("reloads_rejected", Value::UInt(stats.reloads_rejected)),
         ("epoch", Value::UInt(stats.epoch)),
-        ("breaker", Value::Str(stats.breaker_state_name().to_string())),
+        (
+            "breaker",
+            Value::Str(stats.breaker_state_name().to_string()),
+        ),
         ("breaker_trips", Value::UInt(stats.breaker_trips)),
-        ("breaker_open_served", Value::UInt(stats.breaker_open_served)),
+        (
+            "breaker_open_served",
+            Value::UInt(stats.breaker_open_served),
+        ),
         ("kernels", Value::UInt(stats.predict.kernels)),
         ("cache_hits", Value::UInt(stats.predict.cache_hits)),
         ("model_evals", Value::UInt(stats.predict.model_evals)),

@@ -11,7 +11,10 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
         .stdin(Stdio::null())
         .output()
         .expect("tpu-serve runs");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -22,11 +25,20 @@ fn bad_command_lines_exit_2_naming_the_offender() {
         (&["frozen"][..], "\"frozen\""),
         // A valued flag given last used to fall back to its default.
         (&["--tcp"][..], "--tcp requires a value"),
-        (&["--model", "sim", "--cache-slots"][..], "--cache-slots requires a value"),
-        (&["drive", "127.0.0.1:1", "--clients"][..], "--clients requires a value"),
+        (
+            &["--model", "sim", "--cache-slots"][..],
+            "--cache-slots requires a value",
+        ),
+        (
+            &["drive", "127.0.0.1:1", "--clients"][..],
+            "--clients requires a value",
+        ),
         (&["drive", "127.0.0.1:1", "--tcp", "x"][..], "--tcp"),
         // The tape model is not served: only its frozen blob is.
-        (&["--model", "gnn", "--bundle", "m.json"][..], "unknown model \"gnn\""),
+        (
+            &["--model", "gnn", "--bundle", "m.json"][..],
+            "unknown model \"gnn\"",
+        ),
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
@@ -37,6 +49,12 @@ fn bad_command_lines_exit_2_naming_the_offender() {
 
 #[test]
 fn a_valid_command_line_serves_stdin_to_its_end() {
-    let (code, stderr) = run(&["--model", "analytical", "--no-breaker", "--cache-slots", "64"]);
+    let (code, stderr) = run(&[
+        "--model",
+        "analytical",
+        "--no-breaker",
+        "--cache-slots",
+        "64",
+    ]);
     assert_eq!(code, Some(0), "{stderr}");
 }
