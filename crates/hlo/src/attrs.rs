@@ -2,6 +2,81 @@
 //! pads, and other operation configuration.
 
 use serde::{Deserialize, Serialize};
+use serde_json::{Error, Kind, Scanner};
+
+// The text format's `attrs=` reader: the structs below read straight off a
+// [`Scanner`], with no `Value` tree in between. Every reader accepts and
+// refuses exactly what the derived `Deserialize` of its type does — every
+// field required, the first of a repeated key wins, unknown keys skipped,
+// `1.0` an integer — and the derive stays as the oracle the tests compare
+// it with.
+
+type Read<T> = Result<T, Error>;
+
+fn read_usize(sc: &mut Scanner<'_>) -> Read<usize> {
+    let n = sc.number()?.as_int();
+    let n = n.ok_or_else(|| Error::expected("integer", "usize"))?;
+    usize::try_from(n).map_err(|_| Error::expected("in-range integer", "usize"))
+}
+
+fn read_vec<T>(sc: &mut Scanner<'_>, read: fn(&mut Scanner<'_>) -> Read<T>) -> Read<Vec<T>> {
+    sc.enter_array()?;
+    let mut items = Vec::new();
+    while sc.next_element()? {
+        items.push(read(sc)?);
+    }
+    Ok(items)
+}
+
+fn read_usizes(sc: &mut Scanner<'_>) -> Read<Vec<usize>> {
+    read_vec(sc, read_usize)
+}
+
+fn read_tuple<const N: usize>(sc: &mut Scanner<'_>) -> Read<[usize; N]> {
+    sc.enter_array()?;
+    let mut items = [0; N];
+    let mut len = 0;
+    while sc.next_element()? {
+        if len == N {
+            return Err(Error::expected("tuple of matching arity", "tuple"));
+        }
+        items[len] = read_usize(sc)?;
+        len += 1;
+    }
+    if len != N {
+        return Err(Error::expected("tuple of matching arity", "tuple"));
+    }
+    Ok(items)
+}
+
+fn read_pair(sc: &mut Scanner<'_>) -> Read<(usize, usize)> {
+    read_tuple(sc).map(|[a, b]| (a, b))
+}
+
+fn read_opt<T>(sc: &mut Scanner<'_>, read: fn(&mut Scanner<'_>) -> Read<T>) -> Read<Option<T>> {
+    if sc.peek()? == Kind::Null {
+        sc.null()?;
+        Ok(None)
+    } else {
+        read(sc).map(Some)
+    }
+}
+
+/// Read the object at `$sc` into one local per named field.
+macro_rules! read_fields {
+    ($sc:ident, $ty:literal, $($field:ident: $read:expr,)*) => {
+        $(let mut $field = None;)*
+        $sc.enter_object()?;
+        while let Some(key) = $sc.next_key()? {
+            $(if $field.is_none() && key == stringify!($field) {
+                $field = Some($read($sc)?);
+                continue;
+            })*
+            $sc.skip_value()?;
+        }
+        $(let $field = $field.ok_or_else(|| Error::missing(stringify!($field), $ty))?;)*
+    };
+}
 
 /// Dimension numbers for a [`Dot`](crate::Opcode::Dot) operation over rank-2
 /// (optionally batched rank-3) operands.
@@ -22,6 +97,21 @@ pub struct DotDims {
 }
 
 impl DotDims {
+    fn scan(sc: &mut Scanner<'_>) -> Read<DotDims> {
+        read_fields!(sc, "DotDims",
+            lhs_contracting: read_usize,
+            rhs_contracting: read_usize,
+            lhs_batch: read_usizes,
+            rhs_batch: read_usizes,
+        );
+        Ok(DotDims {
+            lhs_contracting,
+            rhs_contracting,
+            lhs_batch,
+            rhs_batch,
+        })
+    }
+
     /// The canonical `[M,K] · [K,N]` matmul dimension numbers.
     pub fn matmul() -> DotDims {
         DotDims {
@@ -63,6 +153,27 @@ pub struct ConvAttrs {
 }
 
 impl ConvAttrs {
+    fn scan(sc: &mut Scanner<'_>) -> Read<ConvAttrs> {
+        read_fields!(sc, "ConvAttrs",
+            filter_h: read_usize,
+            filter_w: read_usize,
+            stride_h: read_usize,
+            stride_w: read_usize,
+            pad_h: read_pair,
+            pad_w: read_pair,
+            feature_groups: read_usize,
+        );
+        Ok(ConvAttrs {
+            filter_h,
+            filter_w,
+            stride_h,
+            stride_w,
+            pad_h,
+            pad_w,
+            feature_groups,
+        })
+    }
+
     /// A `k`×`k` stride-1 SAME-padded convolution.
     pub fn same(k: usize) -> ConvAttrs {
         let lo = (k - 1) / 2;
@@ -130,6 +241,19 @@ pub struct SliceAttrs {
 }
 
 impl SliceAttrs {
+    fn scan(sc: &mut Scanner<'_>) -> Read<SliceAttrs> {
+        read_fields!(sc, "SliceAttrs",
+            starts: read_usizes,
+            limits: read_usizes,
+            strides: read_usizes,
+        );
+        Ok(SliceAttrs {
+            starts,
+            limits,
+            strides,
+        })
+    }
+
     /// Output dimension sizes implied by the bounds.
     pub fn out_dims(&self) -> Vec<usize> {
         self.starts
@@ -149,6 +273,13 @@ pub struct PadConfig {
 }
 
 impl PadConfig {
+    fn scan(sc: &mut Scanner<'_>) -> Read<PadConfig> {
+        read_fields!(sc, "PadConfig",
+            dims: (|sc| read_vec(sc, |sc| read_tuple(sc).map(|[lo, hi, int]| (lo, hi, int)))),
+        );
+        Ok(PadConfig { dims })
+    }
+
     /// Output dimension sizes after applying this padding to `in_dims`.
     pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         assert_eq!(self.dims.len(), in_dims.len());
@@ -175,6 +306,23 @@ pub enum Comparison {
     Gt,
     /// Greater than or equal.
     Ge,
+}
+
+impl Comparison {
+    fn scan(sc: &mut Scanner<'_>) -> Read<Comparison> {
+        let name = sc.string()?;
+        [
+            ("Eq", Comparison::Eq),
+            ("Ne", Comparison::Ne),
+            ("Lt", Comparison::Lt),
+            ("Le", Comparison::Le),
+            ("Gt", Comparison::Gt),
+            ("Ge", Comparison::Ge),
+        ]
+        .into_iter()
+        .find_map(|(text, variant)| (name == text).then_some(variant))
+        .ok_or_else(|| Error::expected("known variant", "Comparison"))
+    }
 }
 
 /// The full attribute bag of a node. Most fields are `None`/empty for most
@@ -212,6 +360,38 @@ impl NodeAttrs {
     /// An empty attribute bag.
     pub fn none() -> NodeAttrs {
         NodeAttrs::default()
+    }
+
+    /// Read the JSON object the text format writes after `attrs=`.
+    pub(crate) fn from_json(text: &str) -> Read<NodeAttrs> {
+        let sc = &mut Scanner::new(text);
+        read_fields!(sc, "NodeAttrs",
+            dot: (|sc| read_opt(sc, DotDims::scan)),
+            conv: (|sc| read_opt(sc, ConvAttrs::scan)),
+            reduce_dims: read_usizes,
+            transpose_perm: read_usizes,
+            broadcast_dims: read_usizes,
+            slice: (|sc| read_opt(sc, SliceAttrs::scan)),
+            pad: (|sc| read_opt(sc, PadConfig::scan)),
+            concat_dim: (|sc| read_opt(sc, read_usize)),
+            comparison: (|sc| read_opt(sc, Comparison::scan)),
+            window: (|sc| read_opt(sc, |sc| read_tuple(sc).map(|[h, w, sh, sw]| (h, w, sh, sw)))),
+            is_output: Scanner::bool,
+        );
+        sc.finish()?;
+        Ok(NodeAttrs {
+            dot,
+            conv,
+            reduce_dims,
+            transpose_perm,
+            broadcast_dims,
+            slice,
+            pad,
+            concat_dim,
+            comparison,
+            window,
+            is_output,
+        })
     }
 }
 

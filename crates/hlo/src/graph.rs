@@ -181,8 +181,10 @@ impl Computation {
         Ok(order)
     }
 
-    /// Validate structural invariants: non-empty, root exists, operands
-    /// exist, arities match, required attributes present, acyclic.
+    /// Validate structural invariants: non-empty, root exists, every
+    /// layout of its shape's rank, operands exist, arities match, required
+    /// attributes present, dot dimension numbers and convolution ranks
+    /// within the operands', acyclic.
     ///
     /// # Errors
     ///
@@ -199,6 +201,16 @@ impl Computation {
                 return Err(HloError::ShapeMismatch {
                     node: node.id,
                     reason: format!("node id {} does not match position {i}", node.id),
+                });
+            }
+            if node.layout.rank() != node.shape.rank() {
+                return Err(HloError::ShapeMismatch {
+                    node: node.id,
+                    reason: format!(
+                        "layout rank {} does not match shape rank {}",
+                        node.layout.rank(),
+                        node.shape.rank()
+                    ),
                 });
             }
             for &op in &node.operands {
@@ -263,8 +275,33 @@ impl Computation {
                 }
                 _ => {}
             }
+            // What the cost models index by must exist: a dot's dimension
+            // numbers in its operands, a convolution's NHWC / HWIO ranks.
+            let rank = |i: usize| self.node(node.operands[i]).shape.rank();
+            let indexable = match (node.opcode, &node.attrs.dot) {
+                (Opcode::Dot, Some(d)) => {
+                    d.lhs_contracting < rank(0)
+                        && d.rhs_contracting < rank(1)
+                        && d.lhs_batch.iter().all(|&b| b < rank(0))
+                        && d.rhs_batch.iter().all(|&b| b < rank(1))
+                }
+                (Opcode::Convolution, _) => [node.shape.rank(), rank(0), rank(1)] == [4; 3],
+                _ => true,
+            };
+            if !indexable {
+                return Err(HloError::ShapeMismatch {
+                    node: node.id,
+                    reason: format!("{} attributes exceed its operands' ranks", node.opcode),
+                });
+            }
         }
-        self.topo_order()?;
+        // Operands that all precede their users are a topological order
+        // already (every builder-made graph); only a graph with a forward
+        // reference needs the search for a cycle.
+        let ordered = |n: &Node| n.operands.iter().all(|&op| op < n.id);
+        if !self.nodes.iter().all(ordered) {
+            self.topo_order()?;
+        }
         Ok(())
     }
 

@@ -166,65 +166,6 @@ impl Opcode {
         }
     }
 
-    /// All opcodes in a stable order; the learned model's embedding table is
-    /// indexed by position in this slice.
-    pub fn all() -> &'static [Opcode] {
-        use Opcode::*;
-        &[
-            Parameter,
-            Constant,
-            Iota,
-            Rng,
-            Abs,
-            Negate,
-            Exp,
-            Log,
-            Sqrt,
-            Rsqrt,
-            Tanh,
-            Logistic,
-            Relu,
-            Sign,
-            Floor,
-            Ceil,
-            Cos,
-            Sin,
-            Not,
-            Convert,
-            Copy,
-            Add,
-            Subtract,
-            Multiply,
-            Divide,
-            Maximum,
-            Minimum,
-            Power,
-            Remainder,
-            And,
-            Or,
-            Xor,
-            Compare,
-            Select,
-            Clamp,
-            Reshape,
-            Transpose,
-            Broadcast,
-            Slice,
-            Concatenate,
-            Pad,
-            Reverse,
-            DynamicSlice,
-            DynamicUpdateSlice,
-            Gather,
-            Scatter,
-            Reduce,
-            ReduceWindow,
-            Dot,
-            Convolution,
-            BatchNormInference,
-        ]
-    }
-
     /// Number of distinct opcodes.
     pub fn count() -> usize {
         Opcode::all().len()
@@ -237,69 +178,92 @@ impl Opcode {
             .position(|&o| o == self)
             .expect("opcode missing from Opcode::all()")
     }
+}
 
-    /// Parse from the lowercase textual form produced by [`fmt::Display`].
-    pub fn parse(s: &str) -> Option<Opcode> {
-        Opcode::all().iter().copied().find(|o| o.mnemonic() == s)
-    }
+/// The opcodes in their stable order, each with the lowercase mnemonic
+/// of the text format: the one table [`Opcode::all`], [`Opcode::mnemonic`]
+/// and [`Opcode::parse`] are generated from, so they cannot fall out of
+/// step.
+macro_rules! opcode_table {
+    ($($op:ident => $text:literal,)*) => {
+        impl Opcode {
+            /// All opcodes in a stable order; the learned model's embedding
+            /// table is indexed by position in this slice.
+            pub fn all() -> &'static [Opcode] {
+                &[$(Opcode::$op,)*]
+            }
 
-    /// Lowercase mnemonic used by the text format.
-    pub fn mnemonic(self) -> &'static str {
-        use Opcode::*;
-        match self {
-            Parameter => "parameter",
-            Constant => "constant",
-            Iota => "iota",
-            Rng => "rng",
-            Abs => "abs",
-            Negate => "negate",
-            Exp => "exp",
-            Log => "log",
-            Sqrt => "sqrt",
-            Rsqrt => "rsqrt",
-            Tanh => "tanh",
-            Logistic => "logistic",
-            Relu => "relu",
-            Sign => "sign",
-            Floor => "floor",
-            Ceil => "ceil",
-            Cos => "cos",
-            Sin => "sin",
-            Not => "not",
-            Convert => "convert",
-            Copy => "copy",
-            Add => "add",
-            Subtract => "subtract",
-            Multiply => "multiply",
-            Divide => "divide",
-            Maximum => "maximum",
-            Minimum => "minimum",
-            Power => "power",
-            Remainder => "remainder",
-            And => "and",
-            Or => "or",
-            Xor => "xor",
-            Compare => "compare",
-            Select => "select",
-            Clamp => "clamp",
-            Reshape => "reshape",
-            Transpose => "transpose",
-            Broadcast => "broadcast",
-            Slice => "slice",
-            Concatenate => "concatenate",
-            Pad => "pad",
-            Reverse => "reverse",
-            DynamicSlice => "dynamic-slice",
-            DynamicUpdateSlice => "dynamic-update-slice",
-            Gather => "gather",
-            Scatter => "scatter",
-            Reduce => "reduce",
-            ReduceWindow => "reduce-window",
-            Dot => "dot",
-            Convolution => "convolution",
-            BatchNormInference => "batch-norm-inference",
+            /// Lowercase mnemonic used by the text format.
+            pub fn mnemonic(self) -> &'static str {
+                match self {
+                    $(Opcode::$op => $text,)*
+                }
+            }
+
+            /// Parse from the lowercase textual form produced by
+            /// [`fmt::Display`].
+            pub fn parse(s: &str) -> Option<Opcode> {
+                match s {
+                    $($text => Some(Opcode::$op),)*
+                    _ => None,
+                }
+            }
         }
-    }
+    };
+}
+
+opcode_table! {
+    Parameter => "parameter",
+    Constant => "constant",
+    Iota => "iota",
+    Rng => "rng",
+    Abs => "abs",
+    Negate => "negate",
+    Exp => "exp",
+    Log => "log",
+    Sqrt => "sqrt",
+    Rsqrt => "rsqrt",
+    Tanh => "tanh",
+    Logistic => "logistic",
+    Relu => "relu",
+    Sign => "sign",
+    Floor => "floor",
+    Ceil => "ceil",
+    Cos => "cos",
+    Sin => "sin",
+    Not => "not",
+    Convert => "convert",
+    Copy => "copy",
+    Add => "add",
+    Subtract => "subtract",
+    Multiply => "multiply",
+    Divide => "divide",
+    Maximum => "maximum",
+    Minimum => "minimum",
+    Power => "power",
+    Remainder => "remainder",
+    And => "and",
+    Or => "or",
+    Xor => "xor",
+    Compare => "compare",
+    Select => "select",
+    Clamp => "clamp",
+    Reshape => "reshape",
+    Transpose => "transpose",
+    Broadcast => "broadcast",
+    Slice => "slice",
+    Concatenate => "concatenate",
+    Pad => "pad",
+    Reverse => "reverse",
+    DynamicSlice => "dynamic-slice",
+    DynamicUpdateSlice => "dynamic-update-slice",
+    Gather => "gather",
+    Scatter => "scatter",
+    Reduce => "reduce",
+    ReduceWindow => "reduce-window",
+    Dot => "dot",
+    Convolution => "convolution",
+    BatchNormInference => "batch-norm-inference",
 }
 
 impl fmt::Display for Opcode {

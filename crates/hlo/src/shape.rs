@@ -25,22 +25,37 @@ pub struct Shape {
 }
 
 impl Shape {
+    /// Create a shape from dimension sizes that come from outside the
+    /// program (the text format).
+    ///
+    /// # Errors
+    ///
+    /// The rank exceeds [`MAX_RANK`], a dimension is zero, or the element
+    /// count does not fit `u64`.
+    pub fn try_new(dims: Vec<usize>) -> Result<Shape, String> {
+        if dims.len() > MAX_RANK {
+            return Err(format!("rank {} exceeds MAX_RANK", dims.len()));
+        }
+        if dims.contains(&0) {
+            return Err(format!("zero-sized dimension in {dims:?}"));
+        }
+        if dims
+            .iter()
+            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
+            .is_none()
+        {
+            return Err(format!("element count of {dims:?} overflows u64"));
+        }
+        Ok(Shape { dims })
+    }
+
     /// Create a shape from dimension sizes.
     ///
     /// # Panics
     ///
-    /// Panics if the rank exceeds [`MAX_RANK`] or any dimension is zero.
+    /// Panics where [`Shape::try_new`] returns an error.
     pub fn new(dims: Vec<usize>) -> Shape {
-        assert!(
-            dims.len() <= MAX_RANK,
-            "rank {} exceeds MAX_RANK",
-            dims.len()
-        );
-        assert!(
-            dims.iter().all(|&d| d > 0),
-            "zero-sized dimension in {dims:?}"
-        );
-        Shape { dims }
+        Shape::try_new(dims).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A rank-0 (scalar) shape.
@@ -158,19 +173,39 @@ pub struct Layout {
 }
 
 impl Layout {
+    /// Create a layout from a minor-to-major order that comes from
+    /// outside the program (the text format).
+    ///
+    /// # Errors
+    ///
+    /// `minor_to_major` is longer than [`MAX_RANK`] or is not a
+    /// permutation of `0..len`.
+    pub fn try_new(minor_to_major: Vec<usize>) -> Result<Layout, String> {
+        if minor_to_major.len() > MAX_RANK {
+            return Err(format!(
+                "layout rank {} exceeds MAX_RANK",
+                minor_to_major.len()
+            ));
+        }
+        let mut seen = [false; MAX_RANK];
+        for &d in &minor_to_major {
+            if d >= minor_to_major.len() {
+                return Err(format!("layout index {d} out of range"));
+            }
+            if std::mem::replace(&mut seen[d], true) {
+                return Err(format!("duplicate layout index {d}"));
+            }
+        }
+        Ok(Layout { minor_to_major })
+    }
+
     /// Create a layout from a minor-to-major permutation.
     ///
     /// # Panics
     ///
-    /// Panics if `minor_to_major` is not a permutation of `0..len`.
+    /// Panics where [`Layout::try_new`] returns an error.
     pub fn new(minor_to_major: Vec<usize>) -> Layout {
-        let mut seen = vec![false; minor_to_major.len()];
-        for &d in &minor_to_major {
-            assert!(d < minor_to_major.len(), "layout index {d} out of range");
-            assert!(!seen[d], "duplicate layout index {d}");
-            seen[d] = true;
-        }
-        Layout { minor_to_major }
+        Layout::try_new(minor_to_major).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The row-major default for a given rank.

@@ -1,5 +1,6 @@
 //! A human-readable text format for computations, with a round-tripping
-//! parser. Useful for debugging dataset kernels and for golden tests.
+//! parser. Useful for debugging dataset kernels and for golden tests, and
+//! the form a kernel takes on the `tpu-serve` wire.
 //!
 //! ```text
 //! computation softmax root=%4 {
@@ -17,7 +18,8 @@ use crate::error::{HloError, Result};
 use crate::graph::Computation;
 use crate::node::{Node, NodeId};
 use crate::opcode::Opcode;
-use crate::shape::{Layout, Shape};
+use crate::shape::{Layout, Shape, MAX_RANK};
+use serde_json::Scanner;
 use std::fmt::Write as _;
 
 /// Render a computation in the text format.
@@ -69,6 +71,27 @@ fn parse_node_id(tok: &str, line: usize) -> Result<NodeId> {
         .map_err(|_| parse_err(line, format!("bad node id `{tok}`")))
 }
 
+/// The comma-separated indices of `list` (none if it is empty), at most
+/// [`MAX_RANK`] of them: a longer list is refused before it is stored, in
+/// a message that does not quote it.
+fn parse_indices(list: &str, what: &str, line: usize) -> Result<Vec<usize>> {
+    if list.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut out = Vec::with_capacity(MAX_RANK);
+    for d in list.split(',') {
+        if out.len() == MAX_RANK {
+            return Err(parse_err(
+                line,
+                format!("{what} list longer than {MAX_RANK}"),
+            ));
+        }
+        let d = d.parse::<usize>();
+        out.push(d.map_err(|_| parse_err(line, format!("bad {what} in `{list}`")))?);
+    }
+    Ok(out)
+}
+
 /// Parse `f32[4,10]{1,0}` into (dtype, shape, layout).
 fn parse_type(tok: &str, line: usize) -> Result<(DType, Shape, Layout)> {
     let lb = tok
@@ -79,43 +102,89 @@ fn parse_type(tok: &str, line: usize) -> Result<(DType, Shape, Layout)> {
     let rb = tok
         .find(']')
         .ok_or_else(|| parse_err(line, format!("missing `]` in type `{tok}`")))?;
-    let dims_str = &tok[lb + 1..rb];
-    let dims: Vec<usize> = if dims_str.is_empty() {
-        Vec::new()
-    } else {
-        dims_str
-            .split(',')
-            .map(|d| {
-                d.parse::<usize>()
-                    .map_err(|_| parse_err(line, format!("bad dim `{d}`")))
-            })
-            .collect::<Result<_>>()?
-    };
+    let bad = |reason: String| parse_err(line, format!("bad type `{tok}`: {reason}"));
+    let shape = Shape::try_new(parse_indices(&tok[lb + 1..rb], "dim", line)?).map_err(bad)?;
+    // Sizes downstream are byte counts in `u64`.
+    if shape
+        .elem_count()
+        .checked_mul(dtype.size_bytes() as u64)
+        .is_none()
+    {
+        return Err(bad("byte size overflows u64".to_string()));
+    }
     let rest = &tok[rb + 1..];
     let layout = if rest.is_empty() {
-        Layout::default_for_rank(dims.len())
+        Layout::default_for_rank(shape.rank())
     } else {
         let inner = rest
             .strip_prefix('{')
             .and_then(|r| r.strip_suffix('}'))
             .ok_or_else(|| parse_err(line, format!("bad layout `{rest}`")))?;
-        let m2m: Vec<usize> = if inner.is_empty() {
-            Vec::new()
-        } else {
-            inner
-                .split(',')
-                .map(|d| {
-                    d.parse::<usize>()
-                        .map_err(|_| parse_err(line, format!("bad layout index `{d}`")))
-                })
-                .collect::<Result<_>>()?
-        };
-        Layout::new(m2m)
+        Layout::try_new(parse_indices(inner, "layout index", line)?).map_err(bad)?
     };
-    Ok((dtype, Shape::new(dims), layout))
+    Ok((dtype, shape, layout))
+}
+
+/// The string a `name=` token carries, as JSON.
+fn parse_name(json: &str) -> std::result::Result<String, serde_json::Error> {
+    let mut sc = Scanner::new(json);
+    let name = sc.string()?;
+    sc.finish()?;
+    Ok(name.unescape())
+}
+
+/// Index of the first byte of `bytes` that is at most `b' '` or not ASCII
+/// — the only bytes a whitespace character can start with — eight bytes
+/// at a time.
+fn find_ws_candidate(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let mut chunks = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in chunks.by_ref() {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks of eight"));
+        // A byte's top bit ends up set where the byte is below 0x21 (the
+        // subtraction borrows) or is not ASCII.
+        if (w.wrapping_sub(ONES * 0x21) | w) & (ONES * 0x80) != 0 {
+            break;
+        }
+        at += 8;
+    }
+    let is_candidate = |&b: &u8| b <= b' ' || !b.is_ascii();
+    bytes[at..].iter().position(is_candidate).map(|i| at + i)
+}
+
+/// The tokens `str::split_whitespace` would yield.
+struct Tokens<'a>(&'a str);
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.0.trim_start();
+        if s.is_empty() {
+            return None;
+        }
+        let mut end = 0;
+        while let Some(at) = find_ws_candidate(&s.as_bytes()[end..]) {
+            end += at;
+            let c = s[end..].chars().next().expect("end is a char boundary");
+            if c.is_whitespace() {
+                let (tok, rest) = s.split_at(end);
+                self.0 = rest;
+                return Some(tok);
+            }
+            end += c.len_utf8();
+        }
+        self.0 = "";
+        Some(s)
+    }
 }
 
 /// Parse the text format back into a [`Computation`]. Validates the result.
+///
+/// The text may come from the network (`tpu-serve` hands it every predict
+/// request's `kernel.text`): any input gives a computation or an error,
+/// never a panic, and nothing is allocated beyond the size of the text.
 ///
 /// # Errors
 ///
@@ -132,7 +201,7 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
     let header = header
         .strip_prefix("computation ")
         .ok_or_else(|| parse_err(header_line_no, "expected `computation <name> root=%N {`"))?;
-    let mut parts = header.split_whitespace();
+    let mut parts = Tokens(header);
     let name = parts
         .next()
         .ok_or_else(|| parse_err(header_line_no, "missing name"))?
@@ -158,7 +227,7 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
             .split_once('=')
             .ok_or_else(|| parse_err(line_no, "missing `=`"))?;
         let id = parse_node_id(lhs.trim(), line_no)?;
-        let mut toks = rhs.split_whitespace();
+        let mut toks = Tokens(rhs);
         let op_tok = toks
             .next()
             .ok_or_else(|| parse_err(line_no, "missing opcode"))?;
@@ -174,10 +243,10 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
         let mut attrs = NodeAttrs::default();
         for tok in toks {
             if let Some(rest) = tok.strip_prefix("name=") {
-                name_field = serde_json::from_str(rest)
-                    .map_err(|e| parse_err(line_no, format!("bad name: {e}")))?;
+                name_field =
+                    parse_name(rest).map_err(|e| parse_err(line_no, format!("bad name: {e}")))?;
             } else if let Some(rest) = tok.strip_prefix("attrs=") {
-                attrs = serde_json::from_str(rest)
+                attrs = NodeAttrs::from_json(rest)
                     .map_err(|e| parse_err(line_no, format!("bad attrs: {e}")))?;
             } else {
                 operands.push(parse_node_id(tok, line_no)?);

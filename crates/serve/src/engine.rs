@@ -1,7 +1,10 @@
 //! The serving engine: a worker thread that batches concurrent requests
-//! into single [`Predictor::predict_ns_refs`] calls.
+//! into single [`Predictor::predict_hashed`] calls.
 //!
-//! Frontends (`stdin`, TCP client threads) call [`ServeEngine::submit`];
+//! Frontends (`stdin`, TCP client threads) call
+//! [`ServeEngine::submit_hashed`] with the kernel and the cache key they
+//! computed while parsing ([`ServeEngine::submit`] hashes for a caller
+//! that holds a bare kernel);
 //! the worker drains everything queued since its last batch and answers
 //! it with one predictor call, so concurrent clients share forward
 //! passes and cache probes. Admission control bounds the queue: past
@@ -51,7 +54,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use tpu_hlo::{canonical_kernel_hash, Kernel};
+use tpu_hlo::{HashedKernel, Kernel};
 use tpu_infer::FrozenModel;
 use tpu_learned_cost::metrics::kendall_tau;
 use tpu_learned_cost::{
@@ -349,7 +352,7 @@ impl ServeStats {
 
 enum Job {
     Predict {
-        kernel: Kernel,
+        kernel: HashedKernel,
         deadline_ms: Option<u64>,
         enqueued_ms: u64,
         reply: SyncSender<Result<Prediction, ServeError>>,
@@ -575,6 +578,17 @@ impl ServeEngine {
     pub fn submit_with_deadline(
         &self,
         kernel: Kernel,
+        deadline_ms: Option<u64>,
+    ) -> Result<Prediction, ServeError> {
+        self.submit_hashed(HashedKernel::new(kernel), deadline_ms)
+    }
+
+    /// [`ServeEngine::submit_with_deadline`] for a kernel that already
+    /// carries its cache key: the frontends hash where they parse, on the
+    /// caller's thread, so the one worker never hashes.
+    pub fn submit_hashed(
+        &self,
+        kernel: HashedKernel,
         deadline_ms: Option<u64>,
     ) -> Result<Prediction, ServeError> {
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
@@ -841,7 +855,7 @@ impl Worker {
         // exceeds their budget — a reply now would be late anyway, and
         // skipping them keeps an overloaded daemon's batches useful.
         let now = self.clock.now_ms();
-        let mut kernels: Vec<Kernel> = Vec::with_capacity(jobs.len());
+        let mut kernels: Vec<HashedKernel> = Vec::with_capacity(jobs.len());
         let mut live = Vec::with_capacity(jobs.len());
         for job in jobs {
             let Job::Predict {
@@ -879,12 +893,12 @@ impl Worker {
         let evals_so_far = self.shared.model_evals.load(Ordering::Relaxed);
         let within_budget = self.budget.is_none_or(|b| evals_so_far < b);
         let results: Vec<Result<Option<f64>, ServeError>> = if within_budget {
-            let refs: Vec<&Kernel> = kernels.iter().collect();
+            let refs: Vec<&HashedKernel> = kernels.iter().collect();
             // Panic isolation: a panicking backend fails this batch with a
             // typed error and trips the breaker instead of killing the
             // daemon. The cache and the counters are updated only after a
             // successful batch, so they stay consistent.
-            match catch_unwind(AssertUnwindSafe(|| self.predictor.predict_ns_refs(&refs))) {
+            match catch_unwind(AssertUnwindSafe(|| self.predictor.predict_hashed(&refs))) {
                 Ok((preds, batch)) => {
                     // Counted before the replies below go out, so a
                     // `stats` request that follows a reply sees its batch.
@@ -909,12 +923,10 @@ impl Worker {
             // Budget spent: serve what the cache already knows, deny the rest.
             kernels
                 .iter()
-                .map(
-                    |k| match self.predictor.cache().lookup_hash(canonical_kernel_hash(k)) {
-                        Some(cached) => Ok(cached),
-                        None => Err(ServeError::BudgetExhausted),
-                    },
-                )
+                .map(|k| match self.predictor.cache().lookup_hash(k.hash()) {
+                    Some(cached) => Ok(cached),
+                    None => Err(ServeError::BudgetExhausted),
+                })
                 .collect()
         };
 

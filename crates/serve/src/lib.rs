@@ -35,26 +35,29 @@ pub use engine::{
     MonotonicClock, Prediction, ReloadError, ReloadPolicy, ServeClock, ServeConfig, ServeEngine,
     ServeError, ServeOptions, ServeStats, TickClock,
 };
-pub use protocol::{parse_request, KernelSpec, Request, WireError};
+pub use protocol::{parse_request, KernelSpec, Request, RequestRef, WireError};
 
-/// One line read from a client, bounded by [`protocol::MAX_LINE_BYTES`].
+/// How [`read_client_line`] left the line buffer.
 enum ClientLine {
-    /// A complete line within the cap (without the newline).
-    Line(String),
+    /// A complete line within the cap is in the buffer (without the newline).
+    Line,
     /// The line exceeded the cap; its bytes were drained, not buffered.
     TooLong,
-    /// The line was not valid UTF-8.
-    BadUtf8,
     /// The stream ended.
     Eof,
 }
 
-/// Read one newline-terminated line without ever buffering more than
-/// `max` bytes: once a line overflows, the rest of it is consumed and
-/// discarded chunk-by-chunk so an adversarial client cannot make the
-/// daemon allocate in proportion to what it sends.
-fn read_client_line<R: BufRead>(input: &mut R, max: usize) -> io::Result<ClientLine> {
-    let mut buf: Vec<u8> = Vec::new();
+/// Read one newline-terminated line into `buf` (cleared first; the
+/// connection reuses it) without ever buffering more than `max` bytes:
+/// once a line overflows, the rest of it is consumed and discarded
+/// chunk-by-chunk so an adversarial client cannot make the daemon
+/// allocate in proportion to what it sends.
+fn read_client_line<R: BufRead>(
+    input: &mut R,
+    max: usize,
+    buf: &mut Vec<u8>,
+) -> io::Result<ClientLine> {
+    buf.clear();
     let mut overflow = false;
     loop {
         let chunk = input.fill_buf()?;
@@ -65,34 +68,62 @@ fn read_client_line<R: BufRead>(input: &mut R, max: usize) -> io::Result<ClientL
             }
             break;
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if !overflow {
-                    buf.extend_from_slice(&chunk[..pos]);
-                }
-                input.consume(pos + 1);
-                break;
-            }
-            None => {
-                if !overflow {
-                    buf.extend_from_slice(chunk);
-                }
-                let n = chunk.len();
-                input.consume(n);
-                if buf.len() > max {
-                    overflow = true;
-                    buf = Vec::new();
-                }
-            }
+        let (line_part, consumed, done) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(pos) => (&chunk[..pos], pos + 1, true),
+            None => (chunk, chunk.len(), false),
+        };
+        if !overflow {
+            buf.extend_from_slice(line_part);
+        }
+        input.consume(consumed);
+        if buf.len() > max {
+            overflow = true;
+            // Drop the oversized allocation, not just its contents.
+            *buf = Vec::new();
+        }
+        if done {
+            break;
         }
     }
-    if overflow || buf.len() > max {
-        return Ok(ClientLine::TooLong);
+    Ok(if overflow {
+        ClientLine::TooLong
+    } else {
+        ClientLine::Line
+    })
+}
+
+/// Answer one request line into `reply`; `true` if it asked for shutdown.
+/// `text` is the connection's scratch for the unescaped kernel text.
+fn answer(serve: &ServeEngine, line: &str, text: &mut String, reply: &mut String) -> bool {
+    match protocol::scan_request(line) {
+        Ok(RequestRef::Predict {
+            id,
+            kernel,
+            deadline_ms,
+        }) => match kernel.to_hashed(text) {
+            Ok(kernel) => match serve.submit_hashed(kernel, deadline_ms) {
+                Ok(p) => protocol::write_predict_reply(reply, id, p.ns, p.degraded),
+                Err(e) => *reply = protocol::error_reply(Some(id), e.code(), e.message()),
+            },
+            Err(msg) => *reply = protocol::error_reply(Some(id), "hlo", &msg),
+        },
+        Ok(RequestRef::Stats { id }) => {
+            *reply = protocol::stats_reply(id, &serve.stats(), &serve.backend());
+        }
+        Ok(RequestRef::Ping { id }) => *reply = protocol::ping_reply(id),
+        Ok(RequestRef::Reload { id, path }) => {
+            *reply = match serve.reload_from_path(&path) {
+                Ok(epoch) => protocol::reload_reply(id, epoch),
+                Err(e) => protocol::reload_rejected_reply(id, e.reason(), &e.message()),
+            };
+        }
+        Ok(RequestRef::Shutdown { id }) => {
+            *reply = protocol::shutdown_reply(id);
+            return true;
+        }
+        Err(err) => *reply = protocol::error_reply(err.id, err.code, &err.message),
     }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(ClientLine::Line(s)),
-        Err(_) => Ok(ClientLine::BadUtf8),
-    }
+    false
 }
 
 /// Serve one NDJSON stream serially: read a line, answer it, repeat.
@@ -103,67 +134,44 @@ fn read_client_line<R: BufRead>(input: &mut R, max: usize) -> io::Result<ClientL
 /// is what stdin mode uses; because it is serial, a given request stream
 /// produces a byte-identical response stream run-to-run (the chaos-replay
 /// and resilience tests pin this).
+///
+/// A predict line goes from the line buffer to the engine in one pass
+/// (see [`protocol`]): scanned in place, its kernel text unescaped into
+/// one scratch string, parsed, hashed here, and submitted as a
+/// [`HashedKernel`](tpu_hlo::HashedKernel). The three buffers live as
+/// long as the connection, and each reply leaves in one `write_all`.
 pub fn serve_ndjson<R: BufRead, W: Write>(
     serve: &ServeEngine,
     mut input: R,
     mut output: W,
 ) -> io::Result<bool> {
+    let (mut buf, mut text, mut reply) = (Vec::new(), String::new(), String::new());
     loop {
-        let line = match read_client_line(&mut input, protocol::MAX_LINE_BYTES)? {
+        reply.clear();
+        let mut stop = false;
+        match read_client_line(&mut input, protocol::MAX_LINE_BYTES, &mut buf)? {
             ClientLine::Eof => return Ok(false),
             ClientLine::TooLong => {
-                let reply = protocol::error_reply(
+                reply = protocol::error_reply(
                     None,
                     "bad_request",
                     &format!("request line exceeds {} bytes", protocol::MAX_LINE_BYTES),
                 );
-                output.write_all(reply.as_bytes())?;
-                output.write_all(b"\n")?;
-                output.flush()?;
-                continue;
             }
-            ClientLine::BadUtf8 => {
-                let reply =
-                    protocol::error_reply(None, "bad_request", "request line is not valid UTF-8");
-                output.write_all(reply.as_bytes())?;
-                output.write_all(b"\n")?;
-                output.flush()?;
-                continue;
-            }
-            ClientLine::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
+            ClientLine::Line => match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => stop = answer(serve, line, &mut text, &mut reply),
+                Err(_) => {
+                    reply = protocol::error_reply(
+                        None,
+                        "bad_request",
+                        "request line is not valid UTF-8",
+                    );
+                }
+            },
         }
-        let mut stop = false;
-        let reply = match parse_request(&line) {
-            Ok(Request::Predict {
-                id,
-                spec,
-                deadline_ms,
-            }) => match spec.to_kernel() {
-                Ok(kernel) => match serve.submit_with_deadline(kernel, deadline_ms) {
-                    Ok(p) => protocol::predict_reply(id, p.ns, p.degraded),
-                    Err(e) => protocol::error_reply(Some(id), e.code(), e.message()),
-                },
-                Err(msg) => protocol::error_reply(Some(id), "hlo", &msg),
-            },
-            Ok(Request::Stats { id }) => {
-                protocol::stats_reply(id, &serve.stats(), &serve.backend())
-            }
-            Ok(Request::Ping { id }) => protocol::ping_reply(id),
-            Ok(Request::Reload { id, path }) => match serve.reload_from_path(&path) {
-                Ok(epoch) => protocol::reload_reply(id, epoch),
-                Err(e) => protocol::reload_rejected_reply(id, e.reason(), &e.message()),
-            },
-            Ok(Request::Shutdown { id }) => {
-                stop = true;
-                protocol::shutdown_reply(id)
-            }
-            Err(err) => protocol::error_reply(err.id, err.code, &err.message),
-        };
+        reply.push('\n');
         output.write_all(reply.as_bytes())?;
-        output.write_all(b"\n")?;
         output.flush()?;
         if stop {
             return Ok(true);

@@ -42,12 +42,24 @@
 //! than [`MAX_PATH_BYTES`] is refused with `bad_request` — the daemon
 //! never buffers unboundedly on behalf of a client.
 //!
-//! Replies are built directly as [`serde::Value`] trees and printed with
-//! [`serde_json::to_string`], so the byte layout is deterministic — the
-//! golden test in `tests/serve_protocol.rs` pins it.
+//! A request line is read in one pass and copied nowhere:
+//! [`scan_request`] walks it with the pull [`Scanner`], noting the fields
+//! it needs and leaving `kernel.text` as a validated span of the line
+//! ([`KernelRef`]); [`KernelRef::to_hashed`] unescapes that span into a
+//! buffer the connection reuses, parses it and hashes the kernel, and the
+//! [`HashedKernel`] goes to the engine. No `Value` tree, no `String` per
+//! key, no owned copy of the text. [`parse_request`] / [`KernelSpec`] are
+//! the owning form of the same scan, for callers that keep a request.
+//! The predict reply is written straight into the connection's output
+//! buffer ([`write_predict_reply`]); the rare replies (`stats`, errors,
+//! reload) are built as [`serde::Value`] trees. Both print through the one
+//! vendored serializer, so the byte layout is deterministic — the golden
+//! test in `tests/serve_protocol.rs` pins it.
 
 use serde::Value;
-use tpu_hlo::{dump_computation, parse_computation, Kernel, KernelKind, TileSize};
+use serde_json::{Kind, RawStr, Scanner};
+use std::fmt::Write as _;
+use tpu_hlo::{dump_computation, parse_computation, HashedKernel, Kernel, KernelKind, TileSize};
 
 /// Longest accepted request line, in bytes. Anything longer is refused
 /// with `bad_request` instead of being buffered.
@@ -121,16 +133,82 @@ impl KernelSpec {
 
     /// Materialize the kernel, parsing the HLO text.
     pub fn to_kernel(&self) -> Result<Kernel, String> {
-        let computation = parse_computation(&self.text).map_err(|e| e.to_string())?;
-        let mut kernel = Kernel::new(computation);
-        if let Some(kind) = self.kind {
-            kernel.kind = kind;
-        }
-        if let Some(tile) = &self.tile {
-            kernel = kernel.with_tile(TileSize(tile.clone()));
-        }
-        Ok(kernel)
+        build_kernel(&self.text, self.kind, self.tile.as_deref())
     }
+}
+
+fn build_kernel(
+    text: &str,
+    kind: Option<KernelKind>,
+    tile: Option<&[usize]>,
+) -> Result<Kernel, String> {
+    let computation = parse_computation(text).map_err(|e| e.to_string())?;
+    let mut kernel = Kernel::new(computation);
+    if let Some(kind) = kind {
+        kernel.kind = kind;
+    }
+    if let Some(tile) = tile {
+        kernel = kernel.with_tile(TileSize(tile.to_vec()));
+    }
+    Ok(kernel)
+}
+
+/// The kernel payload of a predict request as [`scan_request`] found it:
+/// the text still escaped, in the line; the tile inline.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelRef<'a> {
+    text: RawStr<'a>,
+    kind: Option<KernelKind>,
+    tile: Option<Tile>,
+}
+
+/// At most [`MAX_TILE_DIMS`] tile extents, held without a heap allocation.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    dims: [usize; MAX_TILE_DIMS],
+    len: usize,
+}
+
+impl KernelRef<'_> {
+    fn tile(&self) -> Option<&[usize]> {
+        self.tile.as_ref().map(|t| &t.dims[..t.len])
+    }
+
+    /// Unescape the text into `scratch` (cleared first; a connection
+    /// reuses one), parse it, and hash the kernel where it was parsed.
+    pub fn to_hashed(&self, scratch: &mut String) -> Result<HashedKernel, String> {
+        scratch.clear();
+        self.text.unescape_into(scratch);
+        build_kernel(scratch, self.kind, self.tile()).map(HashedKernel::new)
+    }
+
+    fn to_spec(self) -> KernelSpec {
+        KernelSpec {
+            text: self.text.unescape(),
+            kind: self.kind,
+            tile: self.tile().map(<[usize]>::to_vec),
+        }
+    }
+}
+
+/// A request as [`scan_request`] found it, borrowing the line.
+#[derive(Debug, Clone)]
+pub enum RequestRef<'a> {
+    /// Score one kernel, optionally under a deadline.
+    Predict {
+        id: u64,
+        kernel: KernelRef<'a>,
+        /// Per-request deadline; `None` inherits the server default.
+        deadline_ms: Option<u64>,
+    },
+    /// Report serving counters.
+    Stats { id: u64 },
+    /// Liveness check.
+    Ping { id: u64 },
+    /// Hot-reload the serving model from a `tpu-frozen.v2` blob.
+    Reload { id: u64, path: String },
+    /// Ask the daemon to drain and exit.
+    Shutdown { id: u64 },
 }
 
 /// A protocol-level failure: everything needed to build the error reply.
@@ -165,152 +243,288 @@ pub fn kind_name(kind: KernelKind) -> &'static str {
     }
 }
 
-fn parse_kind(name: &str) -> Option<KernelKind> {
-    Some(match name {
-        "single" => KernelKind::Single,
-        "loop_fusion" => KernelKind::LoopFusion,
-        "input_fusion" => KernelKind::InputFusion,
-        "output_fusion" => KernelKind::OutputFusion,
-        "convolution" => KernelKind::Convolution,
-        _ => return None,
-    })
+fn parse_kind(name: RawStr<'_>) -> Option<KernelKind> {
+    KernelKind::all()
+        .iter()
+        .copied()
+        .find(|&kind| name == kind_name(kind))
 }
 
-fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    serde::get_field(fields, key)
+/// One field of interest as the scan found it. The first occurrence of a
+/// key wins, as in a `Value` tree read with `serde::get_field`.
+#[derive(Debug, Clone, Copy, Default)]
+enum Field<T> {
+    #[default]
+    Absent,
+    Null,
+    /// Present, but not of the kind the field must have.
+    Wrong,
+    Is(T),
 }
 
-fn parse_id(fields: &[(String, Value)]) -> Result<u64, WireError> {
-    match field(fields, "id") {
-        Some(v) => match v.as_int() {
-            Some(n) if n >= 0 && n <= u64::MAX as i128 => Ok(n as u64),
-            _ => Err(WireError::bad_request(
-                None,
-                "\"id\" must be a non-negative integer",
-            )),
-        },
-        None => Err(WireError::bad_request(None, "missing \"id\" field")),
+impl<T> Field<T> {
+    /// Fill from the value at `sc` if this is the key's first occurrence
+    /// and the value is of `kind`; any other value is skipped, its syntax
+    /// checked.
+    fn read<'a>(
+        &mut self,
+        sc: &mut Scanner<'a>,
+        kind: Kind,
+        read: impl FnOnce(&mut Scanner<'a>) -> Result<T, serde::Error>,
+    ) -> Result<(), serde::Error> {
+        if !matches!(self, Field::Absent) {
+            return sc.skip_value();
+        }
+        *self = match sc.peek()? {
+            Kind::Null => {
+                sc.null()?;
+                Field::Null
+            }
+            k if k == kind => Field::Is(read(sc)?),
+            _ => {
+                sc.skip_value()?;
+                Field::Wrong
+            }
+        };
+        Ok(())
+    }
+
+    fn is(self) -> Option<T> {
+        match self {
+            Field::Is(v) => Some(v),
+            _ => None,
+        }
     }
 }
 
-/// Parse one request line.
-///
-/// On failure the returned [`WireError`] carries the request id when the
-/// line was at least well-formed enough to recover it, so the error reply
-/// can still be correlated by the client.
-pub fn parse_request(line: &str) -> Result<Request, WireError> {
+/// The `tile` array as scanned: how many elements, the first
+/// [`MAX_TILE_DIMS`] extents, and whether any element was not a positive
+/// integer.
+#[derive(Debug, Clone, Copy)]
+struct TileField {
+    tile: Tile,
+    count: usize,
+    bad_extent: bool,
+}
+
+fn read_tile(sc: &mut Scanner<'_>) -> Result<TileField, serde::Error> {
+    let mut field = TileField {
+        tile: Tile {
+            dims: [0; MAX_TILE_DIMS],
+            len: 0,
+        },
+        count: 0,
+        bad_extent: false,
+    };
+    sc.enter_array()?;
+    while sc.next_element()? {
+        let extent = match sc.peek()? {
+            Kind::Number => sc.number()?.as_int().filter(|&n| n > 0),
+            _ => sc.skip_value().map(|()| None)?,
+        };
+        match extent {
+            Some(n) if field.count < MAX_TILE_DIMS => {
+                field.tile.dims[field.count] = n as usize;
+                field.tile.len = field.count + 1;
+            }
+            Some(_) => {}
+            None => field.bad_extent = true,
+        }
+        field.count += 1;
+    }
+    Ok(field)
+}
+
+/// The fields of the `kernel` object.
+#[derive(Debug, Clone, Copy, Default)]
+struct KernelFields<'a> {
+    text: Field<RawStr<'a>>,
+    kind: Field<RawStr<'a>>,
+    tile: Field<TileField>,
+}
+
+fn read_kernel<'a>(sc: &mut Scanner<'a>) -> Result<KernelFields<'a>, serde::Error> {
+    let mut k = KernelFields::default();
+    sc.enter_object()?;
+    while let Some(key) = sc.next_key()? {
+        if key == "text" {
+            k.text.read(sc, Kind::String, Scanner::string)?;
+        } else if key == "kind" {
+            k.kind.read(sc, Kind::String, Scanner::string)?;
+        } else if key == "tile" {
+            k.tile.read(sc, Kind::Array, read_tile)?;
+        } else {
+            sc.skip_value()?;
+        }
+    }
+    Ok(k)
+}
+
+/// The fields of the request object; `None` if the line is some other
+/// JSON value.
+#[derive(Debug, Clone, Copy, Default)]
+struct RequestFields<'a> {
+    /// `Value::as_int` of the number, as for `deadline_ms`.
+    id: Field<Option<i128>>,
+    op: Field<RawStr<'a>>,
+    kernel: Field<KernelFields<'a>>,
+    deadline_ms: Field<Option<i128>>,
+    path: Field<RawStr<'a>>,
+}
+
+fn read_int(sc: &mut Scanner<'_>) -> Result<Option<i128>, serde::Error> {
+    sc.number().map(|n| n.as_int())
+}
+
+fn read_fields(line: &str) -> Result<Option<RequestFields<'_>>, serde::Error> {
+    let sc = &mut Scanner::new(line);
+    if sc.peek()? != Kind::Object {
+        sc.skip_value()?;
+        sc.finish()?;
+        return Ok(None);
+    }
+    let mut f = RequestFields::default();
+    sc.enter_object()?;
+    while let Some(key) = sc.next_key()? {
+        if key == "id" {
+            f.id.read(sc, Kind::Number, read_int)?;
+        } else if key == "op" {
+            f.op.read(sc, Kind::String, Scanner::string)?;
+        } else if key == "kernel" {
+            f.kernel.read(sc, Kind::Object, read_kernel)?;
+        } else if key == "deadline_ms" {
+            f.deadline_ms.read(sc, Kind::Number, read_int)?;
+        } else if key == "path" {
+            f.path.read(sc, Kind::String, Scanner::string)?;
+        } else {
+            sc.skip_value()?;
+        }
+    }
+    sc.finish()?;
+    Ok(Some(f))
+}
+
+fn predict_fields<'a>(
+    id: u64,
+    f: &RequestFields<'a>,
+) -> Result<(KernelRef<'a>, Option<u64>), WireError> {
+    let bad = |message: String| WireError::bad_request(Some(id), message);
+    let kernel = f
+        .kernel
+        .is()
+        .ok_or_else(|| bad("predict requires a \"kernel\" object".into()))?;
+    let text = kernel
+        .text
+        .is()
+        .ok_or_else(|| bad("kernel requires a string \"text\" field".into()))?;
+    let kind = match kernel.kind {
+        Field::Absent | Field::Null => None,
+        Field::Wrong => return Err(bad("kernel \"kind\" must be a string".into())),
+        Field::Is(name) => Some(
+            parse_kind(name)
+                .ok_or_else(|| bad(format!("unknown kernel kind {:?}", name.unescape())))?,
+        ),
+    };
+    let tile = match kernel.tile {
+        Field::Absent | Field::Null => None,
+        Field::Wrong => return Err(bad("kernel \"tile\" must be an array".into())),
+        Field::Is(t) if t.count > MAX_TILE_DIMS => {
+            return Err(bad(format!("tile has more than {MAX_TILE_DIMS} extents")))
+        }
+        Field::Is(t) if t.bad_extent => {
+            return Err(bad("tile extents must be positive integers".into()))
+        }
+        Field::Is(t) => Some(t.tile),
+    };
+    let deadline_ms = match f.deadline_ms {
+        Field::Absent | Field::Null => None,
+        Field::Is(Some(n)) if n >= 0 && n <= MAX_DEADLINE_MS as i128 => Some(n as u64),
+        _ => {
+            return Err(bad(format!(
+                "\"deadline_ms\" must be an integer in 0..={MAX_DEADLINE_MS}"
+            )))
+        }
+    };
+    Ok((KernelRef { text, kind, tile }, deadline_ms))
+}
+
+/// Scan one request line, borrowing from it: no `Value` tree is built and
+/// no string is copied. What the line must hold, and every error and its
+/// precedence, is [`parse_request`]'s: a syntax error anywhere in the line
+/// comes before any complaint about a field.
+pub fn scan_request(line: &str) -> Result<RequestRef<'_>, WireError> {
     if line.len() > MAX_LINE_BYTES {
         return Err(WireError::bad_request(
             None,
             format!("request line exceeds {MAX_LINE_BYTES} bytes"),
         ));
     }
-    let value = serde_json::parse_value_str(line).map_err(|e| WireError {
-        id: None,
-        code: "parse",
-        message: format!("invalid JSON: {e}"),
-    })?;
-    let fields = value
-        .as_object()
+    let f = read_fields(line)
+        .map_err(|e| WireError {
+            id: None,
+            code: "parse",
+            message: format!("invalid JSON: {e}"),
+        })?
         .ok_or_else(|| WireError::bad_request(None, "request must be a JSON object"))?;
-    let id = parse_id(fields)?;
-    let op = field(fields, "op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::bad_request(Some(id), "missing or non-string \"op\" field"))?;
-    match op {
-        "stats" => Ok(Request::Stats { id }),
-        "ping" => Ok(Request::Ping { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
-        "reload" => {
-            let path = field(fields, "path")
-                .and_then(Value::as_str)
-                .ok_or_else(|| {
-                    WireError::bad_request(Some(id), "reload requires a string \"path\" field")
-                })?;
-            if path.len() > MAX_PATH_BYTES {
-                return Err(WireError::bad_request(
-                    Some(id),
-                    format!("reload path exceeds {MAX_PATH_BYTES} bytes"),
-                ));
-            }
-            Ok(Request::Reload {
-                id,
-                path: path.to_string(),
-            })
-        }
-        "predict" => {
-            let kernel = field(fields, "kernel")
-                .and_then(Value::as_object)
-                .ok_or_else(|| {
-                    WireError::bad_request(Some(id), "predict requires a \"kernel\" object")
-                })?;
-            let text = field(kernel, "text")
-                .and_then(Value::as_str)
-                .ok_or_else(|| {
-                    WireError::bad_request(Some(id), "kernel requires a string \"text\" field")
-                })?
-                .to_string();
-            let kind = match field(kernel, "kind") {
-                None | Some(Value::Null) => None,
-                Some(v) => {
-                    let name = v.as_str().ok_or_else(|| {
-                        WireError::bad_request(Some(id), "kernel \"kind\" must be a string")
-                    })?;
-                    Some(parse_kind(name).ok_or_else(|| {
-                        WireError::bad_request(Some(id), format!("unknown kernel kind {name:?}"))
-                    })?)
-                }
-            };
-            let tile = match field(kernel, "tile") {
-                None | Some(Value::Null) => None,
-                Some(v) => {
-                    let dims = v.as_array().ok_or_else(|| {
-                        WireError::bad_request(Some(id), "kernel \"tile\" must be an array")
-                    })?;
-                    if dims.len() > MAX_TILE_DIMS {
-                        return Err(WireError::bad_request(
-                            Some(id),
-                            format!("tile has more than {MAX_TILE_DIMS} extents"),
-                        ));
-                    }
-                    let mut extents = Vec::with_capacity(dims.len());
-                    for d in dims {
-                        match d.as_int() {
-                            Some(n) if n > 0 => extents.push(n as usize),
-                            _ => {
-                                return Err(WireError::bad_request(
-                                    Some(id),
-                                    "tile extents must be positive integers",
-                                ))
-                            }
-                        }
-                    }
-                    Some(extents)
-                }
-            };
-            let deadline_ms = match field(fields, "deadline_ms") {
-                None | Some(Value::Null) => None,
-                Some(v) => match v.as_int() {
-                    Some(n) if n >= 0 && n <= MAX_DEADLINE_MS as i128 => Some(n as u64),
-                    _ => {
-                        return Err(WireError::bad_request(
-                            Some(id),
-                            format!("\"deadline_ms\" must be an integer in 0..={MAX_DEADLINE_MS}"),
-                        ))
-                    }
-                },
-            };
-            Ok(Request::Predict {
-                id,
-                spec: KernelSpec { text, kind, tile },
-                deadline_ms,
-            })
-        }
-        other => Err(WireError::bad_request(
-            Some(id),
-            format!("unknown op {other:?}"),
-        )),
+    let id = match f.id {
+        Field::Absent => return Err(WireError::bad_request(None, "missing \"id\" field")),
+        Field::Is(Some(n)) => u64::try_from(n).ok(),
+        _ => None,
     }
+    .ok_or_else(|| WireError::bad_request(None, "\"id\" must be a non-negative integer"))?;
+    let bad = |message: String| WireError::bad_request(Some(id), message);
+    let op =
+        f.op.is()
+            .ok_or_else(|| bad("missing or non-string \"op\" field".into()))?;
+    if op == "stats" {
+        Ok(RequestRef::Stats { id })
+    } else if op == "ping" {
+        Ok(RequestRef::Ping { id })
+    } else if op == "shutdown" {
+        Ok(RequestRef::Shutdown { id })
+    } else if op == "reload" {
+        let path = f
+            .path
+            .is()
+            .ok_or_else(|| bad("reload requires a string \"path\" field".into()))?
+            .unescape();
+        if path.len() > MAX_PATH_BYTES {
+            return Err(bad(format!("reload path exceeds {MAX_PATH_BYTES} bytes")));
+        }
+        Ok(RequestRef::Reload { id, path })
+    } else if op == "predict" {
+        let (kernel, deadline_ms) = predict_fields(id, &f)?;
+        Ok(RequestRef::Predict {
+            id,
+            kernel,
+            deadline_ms,
+        })
+    } else {
+        Err(bad(format!("unknown op {:?}", op.unescape())))
+    }
+}
+
+/// Parse one request line into an owned [`Request`].
+///
+/// On failure the returned [`WireError`] carries the request id when the
+/// line was at least well-formed enough to recover it, so the error reply
+/// can still be correlated by the client.
+pub fn parse_request(line: &str) -> Result<Request, WireError> {
+    Ok(match scan_request(line)? {
+        RequestRef::Predict {
+            id,
+            kernel,
+            deadline_ms,
+        } => Request::Predict {
+            id,
+            spec: kernel.to_spec(),
+            deadline_ms,
+        },
+        RequestRef::Stats { id } => Request::Stats { id },
+        RequestRef::Ping { id } => Request::Ping { id },
+        RequestRef::Reload { id, path } => Request::Reload { id, path },
+        RequestRef::Shutdown { id } => Request::Shutdown { id },
+    })
 }
 
 fn render(value: &Value) -> String {
@@ -376,23 +590,27 @@ pub fn simple_request_line(op: &str, id: u64) -> String {
     ]))
 }
 
-/// Successful predict reply. `degraded` marks answers served while the
-/// circuit breaker was open; the field is omitted on the healthy path so
-/// pre-breaker reply bytes are unchanged.
-pub fn predict_reply(id: u64, ns: Option<f64>, degraded: bool) -> String {
-    let ns = match ns {
-        Some(x) => Value::Float(x),
-        None => Value::Null,
-    };
-    let mut fields = vec![
-        ("id", Value::UInt(id)),
-        ("ok", Value::Bool(true)),
-        ("ns", ns),
-    ];
+/// Append a successful predict reply to `out`, byte for byte what the
+/// `Value` tree `{"id":…,"ok":true,"ns":…[,"degraded":true]}` renders as.
+/// `degraded` marks answers served while the circuit breaker was open;
+/// the field is omitted on the healthy path so pre-breaker reply bytes are
+/// unchanged.
+pub fn write_predict_reply(out: &mut String, id: u64, ns: Option<f64>, degraded: bool) {
+    let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"ns\":");
+    // A non-finite `ns` prints as `null`, like a missing one.
+    serde_json::write_float(ns.unwrap_or(f64::NAN), out);
     if degraded {
-        fields.push(("degraded", Value::Bool(true)));
+        out.push_str(",\"degraded\":true");
     }
-    render(&obj(fields))
+    out.push('}');
+}
+
+/// [`write_predict_reply`] into a fresh `String`.
+pub fn predict_reply(id: u64, ns: Option<f64>, degraded: bool) -> String {
+    // Room for the longest reply: 20 id digits, 24 for the float.
+    let mut out = String::with_capacity(80);
+    write_predict_reply(&mut out, id, ns, degraded);
+    out
 }
 
 /// Reload acknowledgement: the new model epoch now serving.
