@@ -474,6 +474,54 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_what_the_cost_models_would_index_past() {
+        // A layout of another rank than its shape (`Layout::strides`
+        // asserts), dot dimension numbers beyond an operand's rank
+        // (`dot_problem` indexes by them), a convolution that is not NHWC.
+        let mut c = diamond();
+        c.node_mut(NodeId(1)).layout = crate::shape::Layout::default_for_rank(1);
+        assert!(matches!(
+            c.validate(),
+            Err(HloError::ShapeMismatch {
+                node: NodeId(1),
+                ..
+            })
+        ));
+
+        let mut b = GraphBuilder::new("dot");
+        let x = b.parameter("x", Shape::matrix(4, 8), DType::F32);
+        let w = b.parameter("w", Shape::matrix(8, 2), DType::F32);
+        let d = b.dot(x, w);
+        let mut c = b.finish(d);
+        assert!(c.validate().is_ok());
+        c.node_mut(d).attrs.dot.as_mut().unwrap().lhs_contracting = 2;
+        assert!(matches!(c.validate(), Err(HloError::ShapeMismatch { .. })));
+        c.node_mut(d).attrs.dot.as_mut().unwrap().lhs_contracting = 1;
+        c.node_mut(d).attrs.dot.as_mut().unwrap().rhs_batch = vec![5];
+        assert!(matches!(c.validate(), Err(HloError::ShapeMismatch { .. })));
+
+        let mut b = GraphBuilder::new("conv");
+        let x = b.parameter("x", Shape::new(vec![1, 8, 8, 4]), DType::F32);
+        let w = b.parameter("w", Shape::new(vec![3, 3, 4, 8]), DType::F32);
+        let y = b.convolution(x, w, crate::attrs::ConvAttrs::same(3));
+        let mut c = b.finish(y);
+        assert!(c.validate().is_ok());
+        c.node_mut(w).shape = Shape::matrix(3, 3);
+        c.node_mut(w).layout = crate::shape::Layout::default_for_rank(2);
+        assert!(matches!(c.validate(), Err(HloError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn a_forward_operand_is_searched_for_a_cycle() {
+        // Ids in order skip Kahn's algorithm; a forward reference does not.
+        let mut c = diamond();
+        c.node_mut(NodeId(1)).operands = vec![NodeId(3)];
+        assert!(matches!(c.validate(), Err(HloError::Cycle { .. })));
+        c.node_mut(NodeId(1)).operands = vec![NodeId(2)];
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
     fn users_and_edges() {
         let c = diamond();
         let x = NodeId(0);

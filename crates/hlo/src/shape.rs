@@ -36,14 +36,14 @@ impl Shape {
         if dims.len() > MAX_RANK {
             return Err(format!("rank {} exceeds MAX_RANK", dims.len()));
         }
-        if dims.contains(&0) {
-            return Err(format!("zero-sized dimension in {dims:?}"));
+        let mut count = Some(1u64);
+        for &d in &dims {
+            if d == 0 {
+                return Err(format!("zero-sized dimension in {dims:?}"));
+            }
+            count = count.and_then(|n| n.checked_mul(d as u64));
         }
-        if dims
-            .iter()
-            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
-            .is_none()
-        {
+        if count.is_none() {
             return Err(format!("element count of {dims:?} overflows u64"));
         }
         Ok(Shape { dims })
@@ -299,6 +299,33 @@ mod tests {
     #[should_panic(expected = "MAX_RANK")]
     fn excess_rank_rejected() {
         Shape::new(vec![1; MAX_RANK + 1]);
+    }
+
+    #[test]
+    fn try_new_returns_what_new_panics_with() {
+        assert!(Shape::try_new(vec![4, 0])
+            .unwrap_err()
+            .contains("zero-sized"));
+        assert!(Shape::try_new(vec![1; MAX_RANK + 1])
+            .unwrap_err()
+            .contains("MAX_RANK"));
+        assert!(Shape::try_new(vec![1 << 32, 1 << 32])
+            .unwrap_err()
+            .contains("overflows"));
+        assert_eq!(Shape::try_new(vec![1 << 32, 1 << 31]).unwrap().rank(), 2);
+        assert!(Layout::try_new(vec![0, 0])
+            .unwrap_err()
+            .contains("duplicate"));
+        assert!(Layout::try_new(vec![5, 7])
+            .unwrap_err()
+            .contains("out of range"));
+        assert!(Layout::try_new((0..=MAX_RANK).collect())
+            .unwrap_err()
+            .contains("MAX_RANK"));
+        assert_eq!(
+            Layout::try_new(vec![0, 1]).unwrap(),
+            Layout::new(vec![0, 1])
+        );
     }
 
     #[test]

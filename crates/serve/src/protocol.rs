@@ -162,16 +162,19 @@ pub struct KernelRef<'a> {
     tile: Option<Tile>,
 }
 
-/// At most [`MAX_TILE_DIMS`] tile extents, held without a heap allocation.
+/// The `tile` array as scanned, without a heap allocation: its first
+/// [`MAX_TILE_DIMS`] extents, how many elements it had, and whether any
+/// was not a positive integer. A [`KernelRef`] holds only a valid one.
 #[derive(Debug, Clone, Copy)]
 struct Tile {
     dims: [usize; MAX_TILE_DIMS],
-    len: usize,
+    count: usize,
+    bad_extent: bool,
 }
 
 impl KernelRef<'_> {
     fn tile(&self) -> Option<&[usize]> {
-        self.tile.as_ref().map(|t| &t.dims[..t.len])
+        self.tile.as_ref().map(|t| &t.dims[..t.count])
     }
 
     /// Unescape the text into `scratch` (cleared first; a connection
@@ -297,22 +300,9 @@ impl<T> Field<T> {
     }
 }
 
-/// The `tile` array as scanned: how many elements, the first
-/// [`MAX_TILE_DIMS`] extents, and whether any element was not a positive
-/// integer.
-#[derive(Debug, Clone, Copy)]
-struct TileField {
-    tile: Tile,
-    count: usize,
-    bad_extent: bool,
-}
-
-fn read_tile(sc: &mut Scanner<'_>) -> Result<TileField, serde::Error> {
-    let mut field = TileField {
-        tile: Tile {
-            dims: [0; MAX_TILE_DIMS],
-            len: 0,
-        },
+fn read_tile(sc: &mut Scanner<'_>) -> Result<Tile, serde::Error> {
+    let mut tile = Tile {
+        dims: [0; MAX_TILE_DIMS],
         count: 0,
         bad_extent: false,
     };
@@ -322,17 +312,14 @@ fn read_tile(sc: &mut Scanner<'_>) -> Result<TileField, serde::Error> {
             Kind::Number => sc.number()?.as_int().filter(|&n| n > 0),
             _ => sc.skip_value().map(|()| None)?,
         };
-        match extent {
-            Some(n) if field.count < MAX_TILE_DIMS => {
-                field.tile.dims[field.count] = n as usize;
-                field.tile.len = field.count + 1;
-            }
-            Some(_) => {}
-            None => field.bad_extent = true,
+        match (extent, tile.dims.get_mut(tile.count)) {
+            (Some(n), Some(slot)) => *slot = n as usize,
+            (Some(_), None) => {}
+            (None, _) => tile.bad_extent = true,
         }
-        field.count += 1;
+        tile.count += 1;
     }
-    Ok(field)
+    Ok(tile)
 }
 
 /// The fields of the `kernel` object.
@@ -340,7 +327,7 @@ fn read_tile(sc: &mut Scanner<'_>) -> Result<TileField, serde::Error> {
 struct KernelFields<'a> {
     text: Field<RawStr<'a>>,
     kind: Field<RawStr<'a>>,
-    tile: Field<TileField>,
+    tile: Field<Tile>,
 }
 
 fn read_kernel<'a>(sc: &mut Scanner<'a>) -> Result<KernelFields<'a>, serde::Error> {
@@ -434,7 +421,7 @@ fn predict_fields<'a>(
         Field::Is(t) if t.bad_extent => {
             return Err(bad("tile extents must be positive integers".into()))
         }
-        Field::Is(t) => Some(t.tile),
+        Field::Is(t) => Some(t),
     };
     let deadline_ms = match f.deadline_ms {
         Field::Absent | Field::Null => None,
