@@ -98,9 +98,9 @@ fn answer(serve: &ServeEngine, line: &str, text: &mut String, reply: &mut String
     match protocol::scan_request(line) {
         Ok(RequestRef::Predict {
             id,
-            kernel,
+            spec,
             deadline_ms,
-        }) => match kernel.to_hashed(text) {
+        }) => match spec.to_hashed(text) {
             Ok(kernel) => match serve.submit_hashed(kernel, deadline_ms) {
                 Ok(p) => protocol::write_predict_reply(reply, id, p.ns, p.degraded),
                 Err(e) => *reply = protocol::error_reply(Some(id), e.code(), e.message()),

@@ -76,13 +76,14 @@ pub const MAX_PATH_BYTES: usize = 4096;
 /// client bug, not a deadline).
 pub const MAX_DEADLINE_MS: u64 = 86_400_000;
 
-/// A parsed client request.
+/// A parsed client request; `K` is the form its kernel payload takes —
+/// the owning [`KernelSpec`], or the [`KernelRef`] of a [`RequestRef`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub enum Request<K = KernelSpec> {
     /// Score one kernel, optionally under a deadline.
     Predict {
         id: u64,
-        spec: KernelSpec,
+        spec: K,
         /// Per-request deadline; `None` inherits the server default.
         deadline_ms: Option<u64>,
     },
@@ -96,7 +97,10 @@ pub enum Request {
     Shutdown { id: u64 },
 }
 
-impl Request {
+/// A request as [`scan_request`] found it, borrowing the line.
+pub type RequestRef<'a> = Request<KernelRef<'a>>;
+
+impl<K> Request<K> {
     /// The request id, echoed in every reply.
     pub fn id(&self) -> u64 {
         match self {
@@ -192,26 +196,6 @@ impl KernelRef<'_> {
             tile: self.tile().map(<[usize]>::to_vec),
         }
     }
-}
-
-/// A request as [`scan_request`] found it, borrowing the line.
-#[derive(Debug, Clone)]
-pub enum RequestRef<'a> {
-    /// Score one kernel, optionally under a deadline.
-    Predict {
-        id: u64,
-        kernel: KernelRef<'a>,
-        /// Per-request deadline; `None` inherits the server default.
-        deadline_ms: Option<u64>,
-    },
-    /// Report serving counters.
-    Stats { id: u64 },
-    /// Liveness check.
-    Ping { id: u64 },
-    /// Hot-reload the serving model from a `tpu-frozen.v2` blob.
-    Reload { id: u64, path: String },
-    /// Ask the daemon to drain and exit.
-    Shutdown { id: u64 },
 }
 
 /// A protocol-level failure: everything needed to build the error reply.
@@ -480,10 +464,10 @@ pub fn scan_request(line: &str) -> Result<RequestRef<'_>, WireError> {
         }
         Ok(RequestRef::Reload { id, path })
     } else if op == "predict" {
-        let (kernel, deadline_ms) = predict_fields(id, &f)?;
+        let (spec, deadline_ms) = predict_fields(id, &f)?;
         Ok(RequestRef::Predict {
             id,
-            kernel,
+            spec,
             deadline_ms,
         })
     } else {
@@ -500,11 +484,11 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     Ok(match scan_request(line)? {
         RequestRef::Predict {
             id,
-            kernel,
+            spec,
             deadline_ms,
         } => Request::Predict {
             id,
-            spec: kernel.to_spec(),
+            spec: spec.to_spec(),
             deadline_ms,
         },
         RequestRef::Stats { id } => Request::Stats { id },

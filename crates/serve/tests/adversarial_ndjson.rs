@@ -413,7 +413,7 @@ fn parse_request_is_the_function_it_replaced_on_every_damaged_line() {
             Ok(Request::Predict { spec, .. }) => {
                 ok += 1;
                 let owned = spec.to_kernel();
-                let Ok(RequestRef::Predict { kernel, .. }) = scan_request(line) else {
+                let Ok(RequestRef::Predict { spec: kernel, .. }) = scan_request(line) else {
                     panic!("scan_request disagrees with parse_request on {line:?}");
                 };
                 let hashed = kernel.to_hashed(&mut String::from("stale"));
@@ -509,7 +509,7 @@ fn every_corpus_kernel_comes_back_from_its_line_with_its_hash() {
         let line = predict_request_line(i as u64, kernel);
         let Ok(RequestRef::Predict {
             id,
-            kernel: scanned,
+            spec: scanned,
             deadline_ms: None,
         }) = scan_request(&line)
         else {
