@@ -8,19 +8,12 @@
 //! (no tile-size options; footnote 3).
 
 use crate::model::AnalyticalModel;
-use rayon::prelude::*;
 use tpu_hlo::Kernel;
 use tpu_learned_cost::CostModel;
 
 impl CostModel for AnalyticalModel {
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
         self.raw_cost(kernel)
-    }
-
-    /// Rayon fan-out over kernels; the order-preserving collect keeps
-    /// results positionally identical to the serial loop.
-    fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        kernels.par_iter().map(|k| self.raw_cost(k)).collect()
     }
 
     fn name(&self) -> &str {

@@ -47,9 +47,8 @@
 //! the layer is planned sequentially, in candidate order, by the search's
 //! planner: each candidate as a delta from the nearest candidate of the
 //! layer before, which decides what the plan costs and never what it is.
-//! The only parallelism lives inside the objective's order-preserving
-//! batch evaluation. Results are bit-identical for any
-//! `RAYON_NUM_THREADS`, any beam width, and any TT pre-warmth (a warm TT
+//! The objective's batch evaluation answers positionally. A run repeats
+//! bit for bit for any beam width and any TT pre-warmth (a warm TT
 //! changes how many evals are *spent*, never a scored cost).
 
 use crate::memo::Planner;

@@ -593,9 +593,9 @@ pub fn autotune_hardware_only(
 /// the model cannot score ([`CostModel`] returning `None`) makes its
 /// configs rank last (infinite predicted cost).
 ///
-/// The tuned config is bit-identical for any `RAYON_NUM_THREADS` and any
-/// cache pre-warmth; it does depend on `budgets.chains` (different chain
-/// count, different search trajectory).
+/// The tuned config is bit-identical for any cache pre-warmth; it does
+/// depend on `budgets.chains` (different chain count, different search
+/// trajectory).
 ///
 /// On an observed device the model phase records `autotuner.sa.*`,
 /// `autotuner.model.*` and the predictor's `core.engine.*` /
@@ -645,9 +645,9 @@ pub fn autotune_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
 /// `budgets.model_steps`/`budgets.top_k` so the two searchers meter from
 /// one source of truth.
 ///
-/// The tuned config is bit-identical for any `RAYON_NUM_THREADS` and any
-/// cache/TT pre-warmth. On an observed device the model phase records
-/// `autotuner.beam.*` where the SA entry records `autotuner.sa.*`.
+/// The tuned config is bit-identical for any cache/TT pre-warmth. On an
+/// observed device the model phase records `autotuner.beam.*` where the SA
+/// entry records `autotuner.sa.*`.
 pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
     program: &Program,
     device: &TpuDevice,

@@ -11,8 +11,9 @@
 //! scores each temperature step's candidates through one
 //! [`BatchObjective::evaluate`] call. The model-guided objective turns
 //! that into a single packed model forward over all chains' cache misses,
-//! while hardware stays a serial, budget-metered resource. Results are
-//! bit-identical for any `RAYON_NUM_THREADS`.
+//! while hardware stays a serial, budget-metered resource. Everything
+//! runs on the calling thread, in program order, so a run repeats bit for
+//! bit.
 //!
 //! - [`simulated_annealing`] — the multi-chain annealer, generic over any
 //!   [`BatchObjective`] (any `FnMut(&FusionConfig) -> f64` qualifies),

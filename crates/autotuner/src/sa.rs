@@ -12,9 +12,8 @@
 //! Determinism contract (the same one training established for gradient
 //! reduction): every chain owns a `ChaCha8Rng` seeded from
 //! ([`SaConfig::seed`], chain index), candidates are generated and results
-//! are reduced in ascending chain order, and any parallelism lives inside
-//! the objective's order-preserving batch evaluation — so the result is
-//! bit-identical for any `RAYON_NUM_THREADS`.
+//! are reduced in ascending chain order, and the objective's batch
+//! evaluation answers positionally — so a run repeats bit for bit.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

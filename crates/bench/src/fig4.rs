@@ -17,7 +17,6 @@
 //! ```
 
 use crate::{corpus, print_table, rows_with_summary, train_checkpointed, Args, Scale, Task};
-use rayon::prelude::*;
 use std::sync::Arc;
 use tpu_autotuner::{
     autotune_hardware_only, autotune_with_cost_model, Budgets, StartMode, TunedConfig,
@@ -116,11 +115,11 @@ pub fn run(args: &Args) {
         .collect();
 
     let rows: Vec<ProgramRow> = targets
-        .par_iter()
+        .iter()
         .map(|&pi| {
             let program = &corpus.entries[pi].program;
             // The observed device carries the report's registry into every
-            // run below (no thread-local could: these are rayon workers).
+            // run below.
             let device =
                 TpuDevice::with_config(machine.clone(), 1000 + pi as u64).observed(registry);
 

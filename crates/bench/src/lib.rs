@@ -40,7 +40,6 @@ pub use args::{Args, Experiment, SearchAlgo, EXPERIMENTS, USAGE};
 pub(crate) use task::train_best;
 pub use task::Task;
 
-use rayon::prelude::*;
 use tpu_analytical::{AnalyticalModel, Calibration};
 use tpu_dataset::{Corpus, CorpusScale, FusionDatasetConfig, TileDatasetConfig};
 use tpu_hlo::Kernel;
@@ -296,10 +295,6 @@ impl CalibratedAnalytical {
 impl CostModel for CalibratedAnalytical {
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
         self.predict_ns(kernel)
-    }
-
-    fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        kernels.par_iter().map(|k| self.predict_ns(k)).collect()
     }
 
     fn name(&self) -> &str {

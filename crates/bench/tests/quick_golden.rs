@@ -7,7 +7,7 @@
 //! text file per run under `tests/golden/`, compared with the run's stdout
 //! after its wall-clock timings — `[<Duration>]` and `done in <Duration>`
 //! — are replaced by a fixed token. Everything else a run prints is
-//! deterministic, across runs and across `RAYON_NUM_THREADS`.
+//! deterministic across runs.
 //!
 //! The files were recorded from the ten per-experiment binaries *before*
 //! they were folded into one driver and must keep passing unchanged. If a

@@ -1,7 +1,6 @@
 //! Dataset samples, pre-featurized kernels, and graph batching.
 
 use crate::features::{kernel_features, FEATURE_DIM};
-use rayon::prelude::*;
 use tpu_hlo::Kernel;
 use tpu_nn::Tensor;
 
@@ -70,8 +69,7 @@ impl Prepared {
     ///
     /// This is the inference-path entry point: featurization is a pure
     /// function of the kernel, so the result is identical whether computed
-    /// here, via [`Prepared::from_sample`], or on any thread of
-    /// [`Prepared::from_kernels`].
+    /// here, via [`Prepared::from_sample`], or by [`Prepared::from_kernels`].
     pub fn from_kernel(kernel: &Kernel) -> Prepared {
         let (opcode_ids, features) = kernel_features(kernel);
         let adj = kernel.computation.adjacency();
@@ -89,21 +87,14 @@ impl Prepared {
         }
     }
 
-    /// Featurize a slice of kernels in parallel, preserving order.
-    ///
-    /// Output is element-for-element identical to
-    /// `kernels.iter().map(Prepared::from_kernel)` regardless of thread
-    /// count: featurization touches no shared state and results are written
-    /// back by input index.
+    /// Featurize a slice of kernels, in order.
     pub fn from_kernels(kernels: &[Kernel]) -> Vec<Prepared> {
-        kernels.par_iter().map(Prepared::from_kernel).collect()
+        kernels.iter().map(Prepared::from_kernel).collect()
     }
 
-    /// Featurize a slice of samples in parallel, preserving order.
-    ///
-    /// Deterministic for the same reason as [`Prepared::from_kernels`].
+    /// Featurize a slice of samples, in order.
     pub fn from_samples(samples: &[Sample]) -> Vec<Prepared> {
-        samples.par_iter().map(Prepared::from_sample).collect()
+        samples.iter().map(Prepared::from_sample).collect()
     }
 
     /// Number of nodes.
@@ -120,8 +111,8 @@ impl Prepared {
 /// stay on the whole-graph scale. Graphs already within `max_nodes` are
 /// returned unchanged.
 ///
-/// Purely a function of `(p, max_nodes, seed)` — no thread-dependent
-/// state — so segment training stays bit-identical across thread counts.
+/// Purely a function of `(p, max_nodes, seed)`, so segment training
+/// repeats bit for bit.
 pub fn bfs_segment(p: &Prepared, max_nodes: usize, seed: u64) -> Prepared {
     let n = p.num_nodes();
     if max_nodes == 0 || n <= max_nodes {

@@ -3,7 +3,6 @@
 use crate::batch::Prepared;
 use crate::lstm_model::LstmModel;
 use crate::model::GnnModel;
-use rayon::prelude::*;
 use tpu_hlo::{FusedProgram, Kernel};
 
 /// Anything that can estimate kernel runtimes in nanoseconds.
@@ -30,8 +29,8 @@ pub trait CostModel {
     /// Estimated runtimes for a slice of kernels, positionally.
     ///
     /// The default loops [`CostModel::predict_kernel_ns`]; backends that
-    /// can amortize work across kernels (packed GNN/LSTM forwards, rayon
-    /// fan-out) override it. Implementations must match the per-kernel
+    /// can amortize work across kernels (packed GNN/LSTM forwards)
+    /// override it. Implementations must match the per-kernel
     /// path positionally — bit-identical for the GNN/oracle backends,
     /// within padding arithmetic (~1e-5 log-ns) for the masked LSTM — so
     /// caching batch results stays sound.
@@ -91,7 +90,7 @@ impl CostModel for GnnModel {
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
         Some(self.predict_ns(kernel))
     }
-    /// Parallel featurization, then **one** packed forward for the whole
+    /// Featurization, then **one** packed forward for the whole
     /// slice — the disjoint-union batching of §4.2 applied to serving.
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
         let prepared = Prepared::from_kernels(kernels);
@@ -141,14 +140,6 @@ impl SimOracle {
 impl CostModel for SimOracle {
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
         Some(tpu_sim::kernel_time_ns(kernel, &self.cfg))
-    }
-    /// Simulates kernels on rayon workers; order-preserving collect keeps
-    /// results positionally identical to the serial loop.
-    fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        kernels
-            .par_iter()
-            .map(|k| Some(tpu_sim::kernel_time_ns(k, &self.cfg)))
-            .collect()
     }
     fn name(&self) -> &str {
         "simulator-oracle"

@@ -10,7 +10,6 @@ use crate::model::GnnModel;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -49,11 +48,11 @@ pub struct TrainConfig {
     /// Cap on batches per epoch (subsampling very large datasets the way
     /// the paper's 207M-example corpus must be subsampled per epoch).
     pub max_batches_per_epoch: usize,
-    /// Number of shards each minibatch is split into for data-parallel
-    /// forward/backward. The shard count is fixed (independent of how many
-    /// rayon threads actually run them) and gradients are reduced in shard
-    /// order, so losses and weights are bit-identical for any
-    /// `RAYON_NUM_THREADS`. `1` disables sharding.
+    /// Number of shards each minibatch is split into. Not a parallelism
+    /// setting: shards run one after the other and their gradients are
+    /// summed in shard order, so this is the grouping of that float sum —
+    /// changing it moves losses and weights by rounding, which is why the
+    /// goldens pin the default. `1` is one packed batch.
     pub shards: usize,
     /// Bound on non-finite-loss rollbacks per epoch: each rollback
     /// restores the epoch-start weights/optimizer/RNG, halves the learning
@@ -133,10 +132,8 @@ impl TrainObs {
 }
 
 /// A model trainable on kernel batches: implemented by [`GnnModel`] and
-/// [`LstmModel`] so both share one training loop. `Sync` because the
-/// data-parallel train step runs `forward_batch` from several worker
-/// threads at once.
-pub trait KernelModel: Sync {
+/// [`LstmModel`] so both share one training loop.
+pub trait KernelModel {
     /// Forward pass producing `[B×1]` log-runtime predictions.
     fn forward_batch(&self, tape: &mut Tape, batch: &GraphBatch) -> Var;
     /// Parameter store.
@@ -177,8 +174,7 @@ impl KernelModel for LstmModel {
     }
 }
 
-/// Featurize samples once before training (rayon-parallel; output is
-/// identical to the serial per-sample path — see [`Prepared::from_samples`]).
+/// Featurize samples once before training ([`Prepared::from_samples`]).
 pub fn prepare(samples: &[Sample]) -> Vec<Prepared> {
     Prepared::from_samples(samples)
 }
@@ -282,8 +278,7 @@ fn batch_indices(
 /// Fusion batches split contiguously; tile batches split only at
 /// group-run boundaries, so every group's samples stay in one shard and
 /// the in-shard pair sets / per-group weights match the unsharded batch.
-/// The split depends only on the batch and `shards`, never on thread
-/// count.
+/// The split depends only on the batch and `shards`.
 fn shard_batch(
     prepared: &[Prepared],
     idxs: &[usize],
@@ -374,18 +369,19 @@ fn batch_loss<M: KernelModel>(
     }
 }
 
-/// One data-parallel training step over the batch `idxs`.
+/// One training step over the batch `idxs`.
 ///
-/// The batch is split into [`TrainConfig::shards`] shards; each shard
-/// runs its forward/backward pass on a rayon worker thread with its own
-/// tape and [`GradBuffer`], its in-tape loss scaled by the shard's share
-/// of the batch (samples for MSE losses, ordered pairs for the rank
-/// loss). Gradients are then reduced into the model's [`ParamStore`] in
-/// **fixed shard order**, so the summed loss and the updated weights are
-/// bit-identical for any `RAYON_NUM_THREADS`.
+/// The batch is split into [`TrainConfig::shards`] shards, run one after
+/// the other in shard order. Each shard's forward/backward pass fills its
+/// own [`GradBuffer`], its in-tape loss scaled by the shard's share of the
+/// batch (samples for MSE losses, ordered pairs for the rank loss).
+/// Gradients are then reduced into the model's [`ParamStore`] in the same
+/// shard order — the grouping of the float sum that every golden pins.
 ///
-/// `tapes` carries the per-shard tape arenas across steps so buffers are
-/// recycled; pass the same `Vec` every step.
+/// `tapes` carries the tape arena across steps so buffers are recycled;
+/// pass the same `Vec` every step. Every shard runs on its first tape (one
+/// is pushed when the `Vec` is empty), so a run holds one arena, not one
+/// per shard; further tapes in the `Vec` are left untouched.
 ///
 /// Returns the batch loss (the weighted sum of shard losses, equal to the
 /// unsharded batch loss), or `None` when the batch yields no loss (e.g. a
@@ -421,53 +417,43 @@ fn train_step_inner<M: KernelModel>(
     if is_rank && total_pairs == 0 {
         return None;
     }
-    while tapes.len() < shard_idxs.len() {
+    if tapes.is_empty() {
         tapes.push(Tape::new());
     }
-    let loss_kind = cfg.loss;
-    let jobs: Vec<(Tape, Vec<usize>, f32)> = shard_idxs
-        .into_iter()
+    let tape = &mut tapes[0];
+
+    let results: Vec<(Option<f32>, GradBuffer)> = shard_idxs
+        .iter()
         .map(|sidx| {
             let w = if is_rank {
-                count_rank_pairs(train_set, &sidx) as f32 / total_pairs as f32
+                count_rank_pairs(train_set, sidx) as f32 / total_pairs as f32
             } else {
                 sidx.len() as f32 / total_n as f32
             };
-            (tapes.pop().expect("tape per shard"), sidx, w)
-        })
-        .collect();
-
-    let model_ref = &*model;
-    let results: Vec<(Tape, Option<f32>, GradBuffer)> = jobs
-        .into_par_iter()
-        .map(|(mut tape, sidx, w)| {
             tape.reset();
             let refs: Vec<&Prepared> = sidx.iter().map(|&i| &train_set[i]).collect();
             let batch = GraphBatch::pack(&refs).expect("shards are non-empty");
             let mut gb = GradBuffer::new();
-            let val = batch_loss(model_ref, &mut tape, &batch, loss_kind).map(|loss| {
+            let val = batch_loss(&*model, tape, &batch, cfg.loss).map(|loss| {
                 let scaled = tape.scale(loss, w);
                 tape.backward_with(scaled, &mut gb);
                 tape.value(scaled).item()
             });
-            (tape, val, gb)
+            (val, gb)
         })
         .collect();
 
-    // Fixed-order reduce: `results` is in shard order no matter which
-    // thread ran which shard.
     // Records on drop, covering the reduce + clip + optimizer update.
     let _reduce_timer = obs.grad_reduce_ns.start_timer();
     model.params_mut().zero_grads();
     let mut loss_sum = 0.0f64;
     let mut any = false;
-    for (tape, val, gb) in results {
+    for (val, gb) in results {
         if let Some(v) = val {
             loss_sum += v as f64;
             any = true;
         }
         gb.apply_to(model.params_mut());
-        tapes.push(tape);
     }
     if !any {
         return None;
@@ -824,10 +810,7 @@ pub struct ExampleMeta {
 /// batches from: the in-memory `[Prepared]` slice and the on-disk
 /// `DatasetReader` (tpu-dataset) both implement it, so
 /// [`train_stream`] is bit-identical whichever backs it.
-///
-/// `Sync` so validation/planning can run while rayon owns worker threads;
-/// `load` itself is only ever called from the training thread.
-pub trait BatchSource: Sync {
+pub trait BatchSource {
     /// Number of examples.
     fn num_examples(&self) -> usize;
     /// Planning metadata for example `i` (must not require payload I/O).
@@ -882,9 +865,8 @@ impl Default for StreamConfig {
     }
 }
 
-/// splitmix64-style mix of (seed, epoch, example id) → segment seed.
-/// Computed on the planning thread, so segment choice can never depend on
-/// thread count or execution order.
+/// splitmix64-style mix of (seed, epoch, example id) → segment seed: a
+/// segment choice depends on nothing else.
 fn mix_seed(a: u64, b: u64, c: u64) -> u64 {
     let mut z = a
         ^ b.rotate_left(20)
@@ -948,8 +930,7 @@ pub fn stream_epoch_plan<S: BatchSource + ?Sized>(
 /// epoch reloads its batches). Graphs above
 /// [`StreamConfig::segment_nodes`] train on a [`crate::bfs_segment`]
 /// resampled per epoch with a seed mixed from
-/// `(segment_seed, epoch, example id)` on the planning thread, so results
-/// are bit-identical for any `RAYON_NUM_THREADS` and identical whether
+/// `(segment_seed, epoch, example id)`, so results are identical whether
 /// `source` is the in-memory slice or a streamed dataset file.
 ///
 /// # Errors

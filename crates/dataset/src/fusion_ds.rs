@@ -2,7 +2,6 @@
 //! decomposition → duplicate elimination → min-of-3 measurement.
 
 use crate::corpus::{Corpus, Split};
-use rayon::prelude::*;
 use std::collections::HashSet;
 use tpu_autotuner::random_configs;
 use tpu_fusion::{apply_fusion, default_space_and_config};
@@ -132,20 +131,20 @@ pub(crate) fn measured_program_kernels(
 }
 
 /// Build the fusion dataset over the fusion-eligible programs of a corpus,
-/// in parallel (the paper uses 50 machines; we use threads).
+/// program by program (the paper spreads this over 50 machines; each
+/// program's device is seeded by its index, so programs are independent).
 pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> FusionDataset {
     let eligible = corpus.fusion_eligible();
     let mut examples: Vec<KernelExample> = eligible
-        .par_iter()
+        .iter()
         .flat_map(|&pi| {
             measured_program_kernels(&corpus.entries[pi].program, pi, cfg)
                 .into_iter()
-                .map(|(kernel, runtime_ns)| KernelExample {
+                .map(move |(kernel, runtime_ns)| KernelExample {
                     kernel,
                     runtime_ns,
                     program_idx: pi,
                 })
-                .collect::<Vec<_>>()
         })
         .collect();
     // Global duplicate elimination across programs keeps the first

@@ -2,7 +2,6 @@
 //! tile sizes, measured min-of-3.
 
 use crate::corpus::{Corpus, Split};
-use rayon::prelude::*;
 use std::collections::HashSet;
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::{kernel_hash, Kernel};
@@ -100,24 +99,21 @@ pub fn build_tile_dataset(corpus: &Corpus, cfg: &TileDatasetConfig) -> TileDatas
     let num_kernels = kernels.len();
 
     let examples: Vec<TileExample> = kernels
-        .par_iter()
+        .iter()
         .enumerate()
         .flat_map(|(group, (pi, k))| {
             let tiles = valid_tile_sizes(k, &cfg.machine, cfg.max_tiles_per_kernel);
             let device = TpuDevice::with_config(cfg.machine.clone(), cfg.seed ^ group as u64);
-            tiles
-                .into_iter()
-                .map(|t| {
-                    let kt = k.clone().with_tile(t);
-                    let runtime_ns = device.measure_kernel(&kt, cfg.runs);
-                    TileExample {
-                        kernel: kt,
-                        runtime_ns,
-                        kernel_group: group,
-                        program_idx: *pi,
-                    }
-                })
-                .collect::<Vec<_>>()
+            tiles.into_iter().map(move |t| {
+                let kt = k.clone().with_tile(t);
+                let runtime_ns = device.measure_kernel(&kt, cfg.runs);
+                TileExample {
+                    kernel: kt,
+                    runtime_ns,
+                    kernel_group: group,
+                    program_idx: *pi,
+                }
+            })
         })
         .collect();
 

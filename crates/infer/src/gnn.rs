@@ -80,16 +80,6 @@ pub struct FrozenGnn {
 }
 
 impl FrozenGnn {
-    /// Rough multiply-accumulate count of one forward over a kernel of
-    /// `nodes` nodes and `edges` operand edges — drives the rayon
-    /// threshold in [`crate::FrozenModel`].
-    pub fn mac_estimate(&self, nodes: usize, edges: usize) -> usize {
-        let h = self.arch.hidden;
-        nodes * self.layers.encoder_macs()
-            + self.arch.hops * (3 * nodes * h * h + 2 * edges * h)
-            + self.arch.num_pools() * h
-    }
-
     /// f32s of scratch one forward over `nodes` nodes carves up: the
     /// gathered embeddings, node states, messages / next states,
     /// aggregates, neighbor counts and the pooled embedding.

@@ -216,11 +216,6 @@ impl Layers {
         self.affine[0].b.len()
     }
 
-    /// Multiply-accumulates per encoded node.
-    pub(crate) fn encoder_macs(&self) -> usize {
-        self.affine[0].w.len()
-    }
-
     /// The node encoder, `ε⁰ = relu([opcode embedding ‖ features]·W₁ + b₁)`
     /// — the GNN's initial node states and the LSTM's step inputs — for
     /// every node of `p` in one product. `emb` (`n × embed_dim`) receives

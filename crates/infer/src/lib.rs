@@ -16,12 +16,7 @@
 //! - **a compact versioned blob** (`tpu-frozen.v2`): fixed-layout records
 //!   loadable with plain little-endian byte reads — no tape, no serde
 //!   tree, no reflection ([`FrozenModel::from_bytes`]) — in which every
-//!   number is finite, checked at both ends,
-//! - **thread-count independence**: rayon fan-out only above a MAC
-//!   threshold — decided from node counts before any work, so a small
-//!   batch never touches the pool — and bit-identical for any thread
-//!   count because every kernel's forward is independent and runs its
-//!   additions in one fixed order.
+//!   number is finite, checked at both ends.
 //!
 //! [`FrozenModel`] implements [`CostModel`], so it drops behind
 //! `AtomicCache`, `FallbackChain`, and the `tpu-serve` daemon unchanged.
@@ -54,15 +49,8 @@ pub use blob::{FrozenError, KIND_GNN, KIND_LSTM, MAGIC, VERSION};
 pub use gnn::{freeze_gnn, FrozenGnn};
 pub use lstm::{freeze_lstm, FrozenLstm};
 
-use rayon::prelude::*;
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
 use tpu_learned_cost::{CostModel, Prepared};
-
-/// Batch MAC count above which [`FrozenModel::predict_batch_ns`] fans
-/// kernels out to rayon. Below it the serial loop wins — thread handoff
-/// costs more than the matmuls. Either path is bit-identical:
-/// kernels are independent and results are written back by input index.
-pub const PAR_MAC_THRESHOLD: usize = 1 << 21;
 
 /// A frozen cost model loaded from (or destined for) a `tpu-frozen.v2`
 /// blob.
@@ -137,16 +125,6 @@ impl FrozenModel {
             FrozenModel::Lstm(m) => m.scratch_len(nodes),
         }
     }
-
-    /// From the kernel's node and operand-edge counts alone, so the batch
-    /// path can choose serial or rayon before it featurizes anything.
-    fn mac_estimate(&self, kernel: &Kernel) -> usize {
-        let c = &kernel.computation;
-        match self {
-            FrozenModel::Gnn(m) => m.mac_estimate(c.num_nodes(), c.num_edges()),
-            FrozenModel::Lstm(m) => m.mac_estimate(c.num_nodes()),
-        }
-    }
 }
 
 impl CostModel for FrozenModel {
@@ -154,19 +132,9 @@ impl CostModel for FrozenModel {
         Some(self.predict_log_ns(&Prepared::from_kernel(kernel)).exp())
     }
 
-    /// Per-kernel independent featurize + forward. Below
-    /// [`PAR_MAC_THRESHOLD`] total MACs — decided from node counts, before
-    /// any work — a serial loop over one scratch sized for the largest
-    /// kernel, which never touches the rayon pool; above it, one rayon
-    /// fan-out over the kernels.
+    /// Per-kernel independent featurize + forward, in order, over one
+    /// scratch sized for the largest kernel.
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        let total: usize = kernels.iter().map(|k| self.mac_estimate(k)).sum();
-        if total >= PAR_MAC_THRESHOLD {
-            return kernels
-                .par_iter()
-                .map(|k| self.predict_kernel_ns(k))
-                .collect();
-        }
         let nodes = kernels.iter().map(|k| k.computation.num_nodes()).max();
         let mut scratch = vec![0.0f32; self.scratch_len(nodes.unwrap_or(0))];
         kernels
@@ -292,25 +260,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_on_either_side_of_the_threshold() {
+    fn batch_on_one_scratch_matches_single() {
         let frozen = frozen_gnn();
-        // Three kernels stay serial; forty cross PAR_MAC_THRESHOLD.
-        for (n, parallel) in [(3, false), (40, true)] {
-            let kernels = probe_kernels(n);
-            let macs: usize = kernels.iter().map(|k| frozen.mac_estimate(k)).sum();
+        let kernels = probe_kernels(40);
+        let batch = frozen.predict_batch_ns(&kernels);
+        for (k, b) in kernels.iter().zip(&batch) {
             assert_eq!(
-                macs >= PAR_MAC_THRESHOLD,
-                parallel,
-                "{n} kernels: {macs} MACs"
+                *b,
+                frozen.predict_kernel_ns(k),
+                "batch must be bit-identical"
             );
-            let batch = frozen.predict_batch_ns(&kernels);
-            for (k, b) in kernels.iter().zip(&batch) {
-                assert_eq!(
-                    *b,
-                    frozen.predict_kernel_ns(k),
-                    "batch must be bit-identical"
-                );
-            }
         }
     }
 

@@ -42,14 +42,6 @@ pub struct FrozenLstm {
 }
 
 impl FrozenLstm {
-    /// Rough multiply-accumulate count of one forward over a kernel of
-    /// `nodes` nodes — drives the rayon threshold in
-    /// [`crate::FrozenModel`].
-    pub fn mac_estimate(&self, nodes: usize) -> usize {
-        let (d, h) = (self.layers.encoded_dim(), self.hidden);
-        nodes * self.layers.encoder_macs() + nodes * (d + h) * 4 * h + h
-    }
-
     /// f32s of scratch one forward over `nodes` nodes carves up: the
     /// gathered embeddings, the step inputs, `c`, `h` and the gates.
     pub(crate) fn scratch_len(&self, nodes: usize) -> usize {

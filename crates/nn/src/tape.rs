@@ -7,9 +7,7 @@
 //! the fused [`Tensor::matmul_at`]/[`Tensor::matmul_bt`] kernels so the
 //! matmul backward never materializes a transposed copy.
 //!
-//! Op payloads are [`Arc`]s, so a [`Tape`] is `Send` and can run a
-//! forward/backward pass on a worker thread (the data-parallel training
-//! path ships one tape per batch shard).
+//! Op payloads are [`Arc`]s, so a [`Tape`] is `Send`.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -107,11 +105,10 @@ impl GradSink for ParamStore {
     }
 }
 
-/// A standalone gradient accumulator for the data-parallel training path:
-/// each batch shard's backward pass writes into its own `GradBuffer` on a
-/// worker thread, then the buffers are applied to the shared
-/// [`ParamStore`] in a fixed shard order so the summed gradients do not
-/// depend on thread scheduling.
+/// A standalone gradient accumulator for the sharded training step: each
+/// batch shard's backward pass writes into its own `GradBuffer`, then the
+/// buffers are applied to the shared [`ParamStore`] in shard order — the
+/// grouping of the gradient sum the training goldens pin.
 #[derive(Default)]
 pub struct GradBuffer {
     grads: Vec<Option<Tensor>>,
@@ -570,8 +567,8 @@ impl Tape {
         self.backward_with(loss, store);
     }
 
-    /// [`Tape::backward`] into any [`GradSink`] — the data-parallel
-    /// training path passes a per-shard [`GradBuffer`] here.
+    /// [`Tape::backward`] into any [`GradSink`] — the training step
+    /// passes a per-shard [`GradBuffer`] here.
     ///
     /// # Panics
     ///

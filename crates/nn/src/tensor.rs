@@ -1,14 +1,11 @@
-//! A minimal dense 2-D float tensor with a blocked, parallel matmul core.
+//! A minimal dense 2-D float tensor with a blocked matmul core.
 //!
 //! All three matrix-product kernels ([`Tensor::matmul`],
 //! [`Tensor::matmul_at`], [`Tensor::matmul_bt`]) accumulate each output
 //! element strictly in ascending-`k` order, exactly like the naive
-//! three-loop reference. Cache blocking only reorders *which* elements are
-//! worked on, never the summation order within one element, and the
-//! parallel path splits work by disjoint output-row chunks — so results
-//! are bit-identical to the serial reference for every shape and thread
-//! count. That invariant is what lets the training loop shard batches
-//! across threads and still produce reproducible losses.
+//! three-loop reference. Register blocking only reorders *which* elements
+//! are worked on, never the summation order within one element — so
+//! results are bit-identical to the reference for every shape.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -23,10 +20,6 @@ const MR: usize = 4;
 /// partial sums lives in registers for the whole `k` loop, so output
 /// elements are loaded and stored once instead of once per `k` step.
 const NR: usize = 16;
-
-/// Minimum multiply-add count before the parallel path pays for its
-/// thread handoff; below this everything runs on the calling thread.
-const PAR_FLOPS: usize = 1 << 20;
 
 /// A row-major 2-D tensor of `f32`. Scalars are `1×1`, vectors are `1×d`
 /// or `n×1`.
@@ -218,9 +211,8 @@ impl Tensor {
 
     /// Matrix product `self · other`.
     ///
-    /// Runs the blocked micro-kernel, splitting output rows across rayon
-    /// worker threads when the product is large enough. Bit-identical to
-    /// [`Tensor::matmul_reference`] for every shape and thread count.
+    /// Runs the blocked micro-kernel. Bit-identical to
+    /// [`Tensor::matmul_reference`] for every shape.
     ///
     /// # Panics
     ///
@@ -249,11 +241,7 @@ impl Tensor {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let a = &self.data;
-        let b = &other.data;
-        run_row_chunks(m, n, m * n * k, &mut out.data, |r0, chunk| {
-            mm_rows(a, k, b, n, chunk, r0);
-        });
+        mm_rows(&self.data, k, &other.data, n, &mut out.data);
     }
 
     /// Fused transposed product `selfᵀ · other` (`self [k×m]`, `other
@@ -287,11 +275,7 @@ impl Tensor {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let a = &self.data;
-        let b = &other.data;
-        run_row_chunks(m, n, m * n * k, &mut out.data, |r0, chunk| {
-            mm_at_rows(a, m, k, b, n, chunk, r0);
-        });
+        mm_at_rows(&self.data, m, k, &other.data, n, &mut out.data);
     }
 
     /// Fused transposed product `self · otherᵀ` (`self [m×k]`, `other
@@ -338,11 +322,7 @@ impl Tensor {
         // `bt` for `∂loss/∂A = g · Bᵀ` where `B` is a weight matrix).
         let bt = other.transpose();
         out.fill_zero();
-        let a = &self.data;
-        let b = &bt.data;
-        run_row_chunks(m, n, m * n * k, &mut out.data, |r0, chunk| {
-            mm_rows(a, k, b, n, chunk, r0);
-        });
+        mm_rows(&self.data, k, &bt.data, n, &mut out.data);
     }
 
     /// The naive serial three-loop matmul (`i-k-j` order), kept as the
@@ -458,29 +438,8 @@ fn reference_mm(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     }
 }
 
-/// Split an `m×n` output across rayon workers by disjoint row chunks and
-/// run `work(first_row, chunk)` on each; falls back to one call on the
-/// current thread for small products or a single worker. Chunk boundaries
-/// are multiples of [`MR`] so every chunk keeps full micro-kernel blocks.
-fn run_row_chunks<F>(m: usize, n: usize, flops: usize, out: &mut [f32], work: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    use rayon::prelude::*;
-    let threads = rayon::current_num_threads();
-    if threads > 1 && flops >= PAR_FLOPS && m > MR {
-        let chunk_rows = m.div_ceil(threads).div_ceil(MR).max(1) * MR;
-        out.par_chunks_mut(chunk_rows * n)
-            .enumerate()
-            .for_each(|(ci, chunk)| work(ci * chunk_rows, chunk));
-    } else {
-        work(0, out);
-    }
-}
-
-/// Blocked kernel for `out[r0 + i][j] += Σ_kk a[r0 + i][kk] * b[kk][j]`
-/// over the rows covered by `out` (a chunk of the full output). `a` is the
-/// full `[?×k]` input, `b` the full `[k×n]` input.
+/// Blocked kernel for `out[i][j] += Σ_kk a[i][kk] * b[kk][j]`: `a` is
+/// `[m×k]`, `b` `[k×n]`, `out` `[m×n]`.
 ///
 /// The output is tiled into `MR×NR` register blocks; each block runs the
 /// whole `k` loop with its partial sums in registers ([`mm_micro`]), so
@@ -488,67 +447,63 @@ where
 /// inner loop is a dense grid of independent multiply-then-add pairs,
 /// never contracted into FMAs (`.cargo/config.toml`: the bit contract
 /// depends on it).
-fn mm_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32], r0: usize) {
+fn mm_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     let mut i = 0;
     while i + MR <= rows {
-        mm_row_block::<MR>(a, k, b, n, out, r0 + i, i);
+        mm_row_block::<MR>(a, k, b, n, out, i);
         i += MR;
     }
     while i < rows {
-        mm_row_block::<1>(a, k, b, n, out, r0 + i, i);
+        mm_row_block::<1>(a, k, b, n, out, i);
         i += 1;
     }
 }
 
 /// Sweep one block of `R` output rows across all column tiles.
-#[allow(clippy::too_many_arguments)]
 fn mm_row_block<const R: usize>(
     a: &[f32],
     k: usize,
     b: &[f32],
     n: usize,
     out: &mut [f32],
-    ar0: usize,
     i: usize,
 ) {
     let mut jb = 0;
     while jb + NR <= n {
-        mm_micro::<R, NR>(a, k, b, n, out, ar0, i, jb);
+        mm_micro::<R, NR>(a, k, b, n, out, i, jb);
         jb += NR;
     }
     while jb + 4 <= n {
-        mm_micro::<R, 4>(a, k, b, n, out, ar0, i, jb);
+        mm_micro::<R, 4>(a, k, b, n, out, i, jb);
         jb += 4;
     }
     while jb < n {
-        mm_micro::<R, 1>(a, k, b, n, out, ar0, i, jb);
+        mm_micro::<R, 1>(a, k, b, n, out, i, jb);
         jb += 1;
     }
 }
 
-/// `R×C` register-tile micro-kernel: `out[i..i+R][jb..jb+C] += a[ar0..ar0+R][:] · b[:][jb..jb+C]`.
+/// `R×C` register-tile micro-kernel: `out[i..i+R][jb..jb+C] += a[i..i+R][:] · b[:][jb..jb+C]`.
 ///
 /// Partial sums stay in `acc` for the whole `k` loop and are added to
 /// `out` once at the end. `acc` starts at `+0.0` and `out` is zeroed by
 /// the caller, so the final `+=` is a bitwise no-op relative to the
 /// reference's running in-place sum.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn mm_micro<const R: usize, const C: usize>(
     a: &[f32],
     k: usize,
     b: &[f32],
     n: usize,
     out: &mut [f32],
-    ar0: usize,
     i: usize,
     jb: usize,
 ) {
-    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(ar0 + r) * k..(ar0 + r + 1) * k]);
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
     let mut acc = [[0.0f32; C]; R];
     for kk in 0..k {
         let b_tile = &b[kk * n + jb..kk * n + jb + C];
@@ -570,24 +525,23 @@ fn mm_micro<const R: usize, const C: usize>(
 /// [`mm_rows`] for the fused `aᵀ · b` product: `a` is `[k×m]` and the
 /// `A`-side loads walk down a column (`a[kk * m + row]`) instead of along
 /// a row — no transposed copy is ever built.
-fn mm_at_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32], r0: usize) {
+fn mm_at_rows(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     let mut i = 0;
     while i + MR <= rows {
-        mm_at_row_block::<MR>(a, m, k, b, n, out, r0 + i, i);
+        mm_at_row_block::<MR>(a, m, k, b, n, out, i);
         i += MR;
     }
     while i < rows {
-        mm_at_row_block::<1>(a, m, k, b, n, out, r0 + i, i);
+        mm_at_row_block::<1>(a, m, k, b, n, out, i);
         i += 1;
     }
 }
 
 /// Sweep one block of `R` output rows of `aᵀ · b` across all column tiles.
-#[allow(clippy::too_many_arguments)]
 fn mm_at_row_block<const R: usize>(
     a: &[f32],
     m: usize,
@@ -595,26 +549,25 @@ fn mm_at_row_block<const R: usize>(
     b: &[f32],
     n: usize,
     out: &mut [f32],
-    c0: usize,
     i: usize,
 ) {
     let mut jb = 0;
     while jb + NR <= n {
-        mm_at_micro::<R, NR>(a, m, k, b, n, out, c0, i, jb);
+        mm_at_micro::<R, NR>(a, m, k, b, n, out, i, jb);
         jb += NR;
     }
     while jb + 4 <= n {
-        mm_at_micro::<R, 4>(a, m, k, b, n, out, c0, i, jb);
+        mm_at_micro::<R, 4>(a, m, k, b, n, out, i, jb);
         jb += 4;
     }
     while jb < n {
-        mm_at_micro::<R, 1>(a, m, k, b, n, out, c0, i, jb);
+        mm_at_micro::<R, 1>(a, m, k, b, n, out, i, jb);
         jb += 1;
     }
 }
 
 /// [`mm_micro`] for `aᵀ · b`: the `R` `A`-values per `k` step are the
-/// contiguous run `a[kk*m + c0 .. kk*m + c0 + R]` (one `B`-style row
+/// contiguous run `a[kk*m + i .. kk*m + i + R]` (one `B`-style row
 /// slice), so the transpose costs nothing.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -625,13 +578,12 @@ fn mm_at_micro<const R: usize, const C: usize>(
     b: &[f32],
     n: usize,
     out: &mut [f32],
-    c0: usize,
     i: usize,
     jb: usize,
 ) {
     let mut acc = [[0.0f32; C]; R];
     for kk in 0..k {
-        let a_tile = &a[kk * m + c0..kk * m + c0 + R];
+        let a_tile = &a[kk * m + i..kk * m + i + R];
         let b_tile = &b[kk * n + jb..kk * n + jb + C];
         for r in 0..R {
             let av = a_tile[r];

@@ -95,9 +95,8 @@ enum MmLayout {
 
 /// Strategy for matmul operand pairs with *dependent* shapes (the stub
 /// proptest has no `prop_flat_map`). Dimension ranges are chosen so
-/// `m·k·n` spans the blocked kernel's parallelism threshold (2^17
-/// multiply-adds) in both directions, and degenerate rows/cols (0 and 1)
-/// come up.
+/// full 4×16 register tiles, their 4- and 1-wide remainders and degenerate
+/// rows/cols (0 and 1) all come up.
 struct MmPair(MmLayout);
 
 impl proptest::strategy::Strategy for MmPair {
@@ -155,10 +154,14 @@ fn matmul_edge_shapes_match_reference() {
         (1, 64, 48),   // single output row
         (48, 64, 1),   // single output column
         (4, 4, 4),
-        (63, 33, 47),  // just below the parallel threshold
-        (64, 32, 64),  // exactly at the threshold (2^17 flops)
-        (65, 40, 70),  // above it
-        (5, 1000, 3),  // spans multiple KC k-panels
+        (63, 33, 47),  // ragged in every dimension
+        (64, 32, 64),  // whole tiles only
+        (65, 40, 70),  // one row and six columns over
+        (5, 1000, 3),  // long k, narrower than one column tile
+        // Over 2^20 multiply-adds each:
+        (128, 128, 128), // whole tiles only
+        (257, 80, 70),   // one row and six columns over
+        (97, 120, 140),  // one row and twelve columns over
     ];
     for &(m, k, n) in shapes {
         let a = Tensor::from_vec(m, k, (0..m * k).map(|i| (i as f32).sin()).collect());

@@ -1,12 +1,7 @@
 //! The multi-chain, model-guided autotuner must return a bit-identical
-//! [`TunedConfig`] regardless of how many rayon threads execute the
-//! batched evaluation: per-chain RNG streams are fixed by (seed, chain),
-//! candidates and acceptances are reduced in ascending chain order, and
-//! parallelism only lives inside the order-preserving batch forward.
-//!
-//! This lives in its own integration-test binary because it mutates
-//! `RAYON_NUM_THREADS`, which other tests read. Everything runs inside a
-//! single `#[test]` so the set/restore sequence cannot race.
+//! [`TunedConfig`] every time it is run: per-chain RNG streams are fixed
+//! by (seed, chain), and candidates and acceptances are reduced in
+//! ascending chain order.
 
 use std::sync::Arc;
 use tpu_repro::autotuner::{autotune_with_cost_model, Budgets, StartMode, TunedConfig};
@@ -31,8 +26,8 @@ fn tunable_program() -> Program {
 }
 
 /// One full model-guided run: a real (small) GNN so the batched forward
-/// exercises the parallel numeric core, a fresh cache, and a fresh
-/// same-seed device so hardware noise is identical across runs.
+/// exercises the numeric core, a fresh cache, and a fresh same-seed device
+/// so hardware noise is identical across runs.
 fn run_once(program: &Program, gnn: &GnnModel, chains: usize) -> TunedConfig {
     let device = TpuDevice::new(13);
     let cache = Arc::new(AtomicCache::serving_default());
@@ -62,34 +57,22 @@ fn tuned_config_is_bit_identical_across_thread_counts() {
         hops: 1,
         ..Default::default()
     });
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-
     for chains in [1usize, 4] {
-        std::env::set_var("RAYON_NUM_THREADS", "1");
         let reference = run_once(&program, &gnn, chains);
-
-        for threads in ["2", "8"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let run = run_once(&program, &gnn, chains);
-            assert_eq!(
-                reference.config, run.config,
-                "chains={chains}: tuned config differs at {threads} threads"
-            );
-            assert_eq!(
-                reference.true_ns.to_bits(),
-                run.true_ns.to_bits(),
-                "chains={chains}: true_ns differs at {threads} threads"
-            );
-            assert_eq!(
-                (reference.hw_evals, reference.model_evals, reference.model_batches),
-                (run.hw_evals, run.model_evals, run.model_batches),
-                "chains={chains}: eval accounting differs at {threads} threads"
-            );
-        }
-    }
-
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
+        let run = run_once(&program, &gnn, chains);
+        assert_eq!(
+            reference.config, run.config,
+            "chains={chains}: tuned config differs between runs"
+        );
+        assert_eq!(
+            reference.true_ns.to_bits(),
+            run.true_ns.to_bits(),
+            "chains={chains}: true_ns differs between runs"
+        );
+        assert_eq!(
+            (reference.hw_evals, reference.model_evals, reference.model_batches),
+            (run.hw_evals, run.model_evals, run.model_batches),
+            "chains={chains}: eval accounting differs between runs"
+        );
     }
 }

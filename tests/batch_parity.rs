@@ -4,8 +4,8 @@
 //! `predict_batch_ns` call, so any drift between the batched and the
 //! per-kernel path silently changes served predictions. For the LSTM that
 //! drift would come from masked packing (variable-length sequences run in
-//! lockstep with per-row masks); for the analytical model from the rayon
-//! fan-out. Both must be **bit-identical** to the per-kernel path — not
+//! lockstep with per-row masks); the analytical model takes the trait's
+//! default loop. Both must be **bit-identical** to the per-kernel path — not
 //! approximately equal — across ragged batch shapes, including kernels
 //! the analytical model cannot score (`None`) and batches that are empty
 //! after cache dedup.

@@ -1,13 +1,7 @@
 //! The model-guided beam search must return a bit-identical
-//! [`TunedConfig`] and search accounting regardless of how many rayon
-//! threads execute the batched evaluation and for any beam width: the
-//! beam core contains no RNG, layers are reduced by a stable
-//! `total_cmp` sort in generation order, and parallelism only lives in
-//! the order-preserving candidate hashing and batch forward.
-//!
-//! This lives in its own integration-test binary because it mutates
-//! `RAYON_NUM_THREADS`, which other tests read. Everything runs inside a
-//! single `#[test]` so the set/restore sequence cannot race.
+//! [`TunedConfig`] and search accounting every time it is run, for any
+//! beam width: the beam core contains no RNG and layers are reduced by a
+//! stable `total_cmp` sort in generation order.
 
 use std::sync::Arc;
 use tpu_repro::autotuner::{
@@ -37,9 +31,9 @@ fn tunable_program() -> Program {
 }
 
 /// One full beam-guided run (model search + hardware re-rank): a real
-/// (small) GNN so the batched forward exercises the parallel numeric
-/// core, a fresh cache, and a fresh same-seed device so hardware noise is
-/// identical across runs. Also returns the raw [`BeamResult`] of a
+/// (small) GNN so the batched forward exercises the numeric core, a fresh
+/// cache, and a fresh same-seed device so hardware noise is identical
+/// across runs. Also returns the raw [`BeamResult`] of a
 /// standalone search so the [`BeamStats`] accounting is pinned too.
 fn run_once(program: &Program, gnn: &GnnModel, width: usize) -> (TunedConfig, BeamResult) {
     let device = TpuDevice::new(13);
@@ -89,51 +83,39 @@ fn beam_tuned_config_is_bit_identical_across_thread_counts() {
         hops: 1,
         ..Default::default()
     });
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-
     for width in [1usize, 8] {
-        std::env::set_var("RAYON_NUM_THREADS", "1");
         let (tuned_ref, raw_ref) = run_once(&program, &gnn, width);
-
-        for threads in ["2", "8"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let (tuned, raw) = run_once(&program, &gnn, width);
-            assert_eq!(
-                tuned_ref.config, tuned.config,
-                "width={width}: tuned config differs at {threads} threads"
-            );
-            assert_eq!(
-                tuned_ref.true_ns.to_bits(),
-                tuned.true_ns.to_bits(),
-                "width={width}: true_ns differs at {threads} threads"
-            );
-            assert_eq!(
-                (tuned_ref.hw_evals, tuned_ref.model_evals, tuned_ref.model_batches),
-                (tuned.hw_evals, tuned.model_evals, tuned.model_batches),
-                "width={width}: eval accounting differs at {threads} threads"
-            );
-            assert_eq!(
-                raw_ref.best_config, raw.best_config,
-                "width={width}: beam best config differs at {threads} threads"
-            );
-            assert_eq!(
-                raw_ref.best_cost.to_bits(),
-                raw.best_cost.to_bits(),
-                "width={width}: beam best cost differs at {threads} threads"
-            );
-            assert_eq!(
-                raw_ref.evals, raw.evals,
-                "width={width}: beam eval count differs at {threads} threads"
-            );
-            assert_eq!(
-                raw_ref.stats, raw.stats,
-                "width={width}: beam search stats differ at {threads} threads"
-            );
-        }
-    }
-
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
+        let (tuned, raw) = run_once(&program, &gnn, width);
+        assert_eq!(
+            tuned_ref.config, tuned.config,
+            "width={width}: tuned config differs between runs"
+        );
+        assert_eq!(
+            tuned_ref.true_ns.to_bits(),
+            tuned.true_ns.to_bits(),
+            "width={width}: true_ns differs between runs"
+        );
+        assert_eq!(
+            (tuned_ref.hw_evals, tuned_ref.model_evals, tuned_ref.model_batches),
+            (tuned.hw_evals, tuned.model_evals, tuned.model_batches),
+            "width={width}: eval accounting differs between runs"
+        );
+        assert_eq!(
+            raw_ref.best_config, raw.best_config,
+            "width={width}: beam best config differs between runs"
+        );
+        assert_eq!(
+            raw_ref.best_cost.to_bits(),
+            raw.best_cost.to_bits(),
+            "width={width}: beam best cost differs between runs"
+        );
+        assert_eq!(
+            raw_ref.evals, raw.evals,
+            "width={width}: beam eval count differs between runs"
+        );
+        assert_eq!(
+            raw_ref.stats, raw.stats,
+            "width={width}: beam search stats differ between runs"
+        );
     }
 }

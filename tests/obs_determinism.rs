@@ -13,7 +13,6 @@
 //! and nowhere otherwise; training takes its registry as an argument of
 //! `train_resumable`.
 
-use rayon::prelude::*;
 use std::sync::Arc;
 use tpu_repro::autotuner::{
     autotune_beam_with_cost_model, autotune_hardware_only, autotune_with_cost_model, Budgets,
@@ -270,14 +269,23 @@ fn the_device_registry_reaches_every_layer_of_a_plain_run() {
 #[test]
 fn concurrent_runs_record_into_one_registry_through_their_devices() {
     // Why the registry travels with the device and not in a thread-local:
-    // `fig4` tunes its programs inside `par_iter` workers, and a scope set
-    // on the calling thread would not reach them.
+    // the daemon's worker, connection and drive-client threads each hold
+    // a device or a predictor, and a scope set on the thread that built
+    // them would not reach those.
     let program = tunable_program();
     let registry = Registry::enabled();
-    let tuned: Vec<TunedConfig> = [13u64, 29]
-        .par_iter()
-        .map(|&seed| beam_once(&program, &device(seed, Some(&registry))))
-        .collect();
+    let start = std::sync::Barrier::new(2);
+    let tuned: Vec<TunedConfig> = std::thread::scope(|scope| {
+        let runs = [13u64, 29].map(|seed| {
+            let (program, registry, start) = (&program, &registry, &start);
+            scope.spawn(move || {
+                start.wait();
+                beam_once(program, &device(seed, Some(registry)))
+            })
+        });
+        runs.map(|run| run.join().expect("a tuning run panicked"))
+            .into()
+    });
 
     let snap = registry.snapshot();
     let sum = |f: fn(&TunedConfig) -> u64| tuned.iter().map(f).sum::<u64>();

