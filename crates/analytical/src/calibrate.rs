@@ -21,7 +21,11 @@ impl Calibration {
     /// Fit coefficients from default-config programs measured on the
     /// device. Kernels the model cannot score are skipped (1% of kernels
     /// in the paper's data; similar here).
-    pub fn fit(model: &AnalyticalModel, programs: &[FusedProgram], device: &TpuDevice) -> Calibration {
+    pub fn fit(
+        model: &AnalyticalModel,
+        programs: &[FusedProgram],
+        device: &TpuDevice,
+    ) -> Calibration {
         let mut actual = [0.0f64; 5];
         let mut predicted = [0.0f64; 5];
         for p in programs {
@@ -112,7 +116,11 @@ mod tests {
             let pred = cal.predict_ns(&model, k).unwrap();
             let truth = device.true_kernel_time(k);
             let ape = (pred - truth).abs() / truth;
-            assert!(ape < 0.6, "calibrated APE too large: {ape} for {:?}", k.kind);
+            assert!(
+                ape < 0.6,
+                "calibrated APE too large: {ape} for {:?}",
+                k.kind
+            );
         }
     }
 

@@ -131,8 +131,8 @@ impl AnalyticalModel {
                 _ => {}
             }
         }
-        let heavy = k.contains_category(OpCategory::Dot)
-            || k.contains_category(OpCategory::Convolution);
+        let heavy =
+            k.contains_category(OpCategory::Dot) || k.contains_category(OpCategory::Convolution);
         let peak = if heavy {
             self.cfg.peak_matmul_flops()
         } else {

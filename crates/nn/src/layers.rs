@@ -306,14 +306,7 @@ mod tests {
         }
         let inv = mask.map(|m| 1.0 - m);
         let x2 = tape.input(Tensor::full(2, 4, -1.0));
-        let s2 = cell.masked_step(
-            &mut tape,
-            &store,
-            x2,
-            s1,
-            &Arc::new(mask),
-            &Arc::new(inv),
-        );
+        let s2 = cell.masked_step(&mut tape, &store, x2, s1, &Arc::new(mask), &Arc::new(inv));
         let h1 = tape.value(s1.h).clone();
         let h2 = tape.value(s2.h).clone();
         assert_eq!(h1.row(1), h2.row(1), "masked row frozen");

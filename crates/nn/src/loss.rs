@@ -180,8 +180,7 @@ mod tests {
         let mut tape = Tape::new();
         let p = tape.input(Tensor::from_rows(&[&[9.0], &[5.0], &[2.0], &[-2.0]]));
         let l =
-            grouped_pairwise_rank_loss(&mut tape, p, &targets, &groups, RankPhi::Logistic)
-                .unwrap();
+            grouped_pairwise_rank_loss(&mut tape, p, &targets, &groups, RankPhi::Logistic).unwrap();
         let grouped = tape.value(l).item();
         // Same predictions scored without groups: cross-group inversions
         // (e.g. target 1000 predicted 2.0 < target 10 predicted 9.0) hurt.
@@ -214,8 +213,7 @@ mod tests {
                 let wcol = tape.gather_rows(w, Arc::new(vec![0, 0]));
                 tape.mul_const(wcol, Arc::new(Tensor::from_rows(&[&[1.0], &[0.0]])))
             };
-            let loss =
-                pairwise_rank_loss(&mut tape, pred, &targets, RankPhi::Logistic).unwrap();
+            let loss = pairwise_rank_loss(&mut tape, pred, &targets, RankPhi::Logistic).unwrap();
             last = tape.value(loss).item();
             store.zero_grads();
             tape.backward(loss, &mut store);

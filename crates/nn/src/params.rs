@@ -37,8 +37,7 @@ impl ParamStore {
     /// Register a parameter, returning its id.
     pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.values.len());
-        self.grads
-            .push(Tensor::zeros(value.rows(), value.cols()));
+        self.grads.push(Tensor::zeros(value.rows(), value.cols()));
         self.values.push(value);
         self.names.push(name.into());
         id
@@ -121,11 +120,7 @@ impl ParamStore {
 
     /// Global L2 norm of all gradients.
     pub fn grad_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .map(Tensor::sq_norm)
-            .sum::<f32>()
-            .sqrt()
+        self.grads.iter().map(Tensor::sq_norm).sum::<f32>().sqrt()
     }
 
     /// Scale all gradients in place (used for clipping).

@@ -791,7 +791,11 @@ impl Tape {
                             .sum();
                         for c in 0..x.cols() {
                             // Treat the ε-clamped region as constant-norm.
-                            let proj = if norm > L2_EPS { y.get(r, c) * dot } else { 0.0 };
+                            let proj = if norm > L2_EPS {
+                                y.get(r, c) * dot
+                            } else {
+                                0.0
+                            };
                             da.set(r, c, (g.get(r, c) - proj) / n);
                         }
                     }

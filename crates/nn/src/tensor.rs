@@ -338,7 +338,13 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        reference_mm(&self.data, self.cols, &other.data, other.cols, &mut out.data);
+        reference_mm(
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+            &mut out.data,
+        );
         out
     }
 
@@ -719,7 +725,13 @@ mod tests {
 
     #[test]
     fn blocked_matmul_matches_reference_bitwise() {
-        for (m, k, n) in [(1, 1, 1), (5, 7, 3), (17, 300, 9), (64, 64, 64), (130, 33, 7)] {
+        for (m, k, n) in [
+            (1, 1, 1),
+            (5, 7, 3),
+            (17, 300, 9),
+            (64, 64, 64),
+            (130, 33, 7),
+        ] {
             let a = random_tensor(m, k, 1);
             let b = random_tensor(k, n, 2);
             assert_eq!(a.matmul(&b), a.matmul_reference(&b), "{m}x{k}·{k}x{n}");

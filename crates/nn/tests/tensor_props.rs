@@ -151,13 +151,13 @@ fn matmul_edge_shapes_match_reference() {
         (2, 4, 0),
         (1, 1, 1),
         (1, 300, 1),
-        (1, 64, 48),   // single output row
-        (48, 64, 1),   // single output column
+        (1, 64, 48), // single output row
+        (48, 64, 1), // single output column
         (4, 4, 4),
-        (63, 33, 47),  // ragged in every dimension
-        (64, 32, 64),  // whole tiles only
-        (65, 40, 70),  // one row and six columns over
-        (5, 1000, 3),  // long k, narrower than one column tile
+        (63, 33, 47), // ragged in every dimension
+        (64, 32, 64), // whole tiles only
+        (65, 40, 70), // one row and six columns over
+        (5, 1000, 3), // long k, narrower than one column tile
         // Over 2^20 multiply-adds each:
         (128, 128, 128), // whole tiles only
         (257, 80, 70),   // one row and six columns over

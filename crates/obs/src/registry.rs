@@ -298,9 +298,7 @@ impl Counter {
 
     /// Current value (0 on a no-op handle).
     pub fn get(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -494,10 +492,7 @@ impl Snapshot {
 
     /// Look up a gauge by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Look up a histogram by name.

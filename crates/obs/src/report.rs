@@ -115,7 +115,12 @@ impl RunReport {
     }
 }
 
-fn render_map<V>(out: &mut String, key: &str, entries: &[(String, V)], render: impl Fn(&V) -> String) {
+fn render_map<V>(
+    out: &mut String,
+    key: &str,
+    entries: &[(String, V)],
+    render: impl Fn(&V) -> String,
+) {
     out.push_str(&format!("  \"{key}\": {{"));
     for (i, (name, value)) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
