@@ -103,7 +103,10 @@ pub fn node_compute_cycles(c: &Computation, node: &Node, cfg: &TpuConfig) -> f64
         | OpCategory::ElementwiseTernary => vpu_cycles(elems, node.opcode.elementwise_cost(), cfg),
         OpCategory::DataMovement => match node.opcode {
             // Loop-index remaps: free inside a fused loop.
-            Opcode::Reshape | Opcode::Broadcast | Opcode::Slice | Opcode::Pad
+            Opcode::Reshape
+            | Opcode::Broadcast
+            | Opcode::Slice
+            | Opcode::Pad
             | Opcode::Concatenate => 0.0,
             // Cross-lane data movement uses the permute unit.
             Opcode::Transpose | Opcode::Reverse => vpu_cycles(elems, 2.5, cfg),
@@ -148,7 +151,15 @@ mod tests {
         let d = b.dot(x, w);
         let c = b.finish(d);
         let p = dot_problem(&c, c.node(d));
-        assert_eq!(p, DotProblem { b: 1, m: 100, k: 300, n: 200 });
+        assert_eq!(
+            p,
+            DotProblem {
+                b: 1,
+                m: 100,
+                k: 300,
+                n: 200
+            }
+        );
     }
 
     #[test]
@@ -159,15 +170,39 @@ mod tests {
         let d = b.dot_general(x, w, DotDims::batch_matmul());
         let c = b.finish(d);
         let p = dot_problem(&c, c.node(d));
-        assert_eq!(p, DotProblem { b: 4, m: 16, k: 32, n: 8 });
+        assert_eq!(
+            p,
+            DotProblem {
+                b: 4,
+                m: 16,
+                k: 32,
+                n: 8
+            }
+        );
     }
 
     #[test]
     fn mxu_padding_quantizes() {
         let c = cfg();
         // 129 rows needs two row-blocks: exactly 2x the cycles of 128 rows.
-        let small = mxu_cycles(DotProblem { b: 1, m: 128, k: 256, n: 128 }, &c);
-        let padded = mxu_cycles(DotProblem { b: 1, m: 129, k: 256, n: 128 }, &c);
+        let small = mxu_cycles(
+            DotProblem {
+                b: 1,
+                m: 128,
+                k: 256,
+                n: 128,
+            },
+            &c,
+        );
+        let padded = mxu_cycles(
+            DotProblem {
+                b: 1,
+                m: 129,
+                k: 256,
+                n: 128,
+            },
+            &c,
+        );
         assert!((padded / small - 2.0).abs() < 1e-12);
     }
 

@@ -411,8 +411,7 @@ mod tests {
         let d = TpuDevice::new(7);
         let k = kernel();
         let m3: f64 = d.measure_kernel(&k, 3);
-        let one_run_avg: f64 =
-            (0..50).map(|_| d.execute_kernel(&k)).sum::<f64>() / 50.0;
+        let one_run_avg: f64 = (0..50).map(|_| d.execute_kernel(&k)).sum::<f64>() / 50.0;
         assert!(m3 <= one_run_avg * 1.01);
     }
 
@@ -450,7 +449,10 @@ mod tests {
     fn observed_device_meters_into_registry() {
         let registry = Registry::enabled();
         let d = TpuDevice::new(3).observed(&registry);
-        assert!(d.registry().is_enabled(), "an observed device carries its registry");
+        assert!(
+            d.registry().is_enabled(),
+            "an observed device carries its registry"
+        );
         assert!(!TpuDevice::new(3).registry().is_enabled());
         let k = kernel();
         let t1 = d.execute_kernel(&k);
@@ -460,7 +462,9 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("sim.device.kernel_execs"), Some(2));
         assert_eq!(snap.counter("sim.device.eval_overheads"), Some(1));
-        let h = snap.histogram("sim.device.exec_ns").expect("exec histogram");
+        let h = snap
+            .histogram("sim.device.exec_ns")
+            .expect("exec histogram");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, t1 as u64 + t2 as u64);
         let used = snap.gauge("sim.device.time_used_ns").expect("gauge");
@@ -597,7 +601,10 @@ mod tests {
         }
         let counts = d.fault_counts();
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("sim.fault.transients"), Some(counts.transients));
+        assert_eq!(
+            snap.counter("sim.fault.transients"),
+            Some(counts.transients)
+        );
         assert_eq!(
             snap.counter("sim.fault.preemptions"),
             Some(counts.preemptions)

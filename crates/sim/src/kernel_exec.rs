@@ -74,9 +74,7 @@ pub fn default_tile(k: &Kernel, cfg: &TpuConfig) -> TileSize {
             break;
         }
         idx -= 1;
-        while dims[idx] > 1
-            && dims.iter().map(|&d| d as u64).product::<u64>() * elem * 3 > budget
-        {
+        while dims[idx] > 1 && dims.iter().map(|&d| d as u64).product::<u64>() * elem * 3 > budget {
             dims[idx] = dims[idx].div_ceil(2);
         }
     }
@@ -122,14 +120,21 @@ fn traffic(k: &Kernel, per_dim: &[usize], n_tiles: u64) -> Traffic {
                 let p = dot_problem(c, h);
                 // Output [.., M, N]; minor tile covers N, next covers M.
                 let rank = root.shape.rank();
-                let tn = if rank >= 1 { per_dim[rank - 1] as u64 } else { p.n };
-                let tm = if rank >= 2 { per_dim[rank - 2] as u64 } else { p.m };
+                let tn = if rank >= 1 {
+                    per_dim[rank - 1] as u64
+                } else {
+                    p.n
+                };
+                let tm = if rank >= 2 {
+                    per_dim[rank - 2] as u64
+                } else {
+                    p.m
+                };
                 let row_passes = p.n.div_ceil(tn.max(1)) as f64;
                 let col_passes = p.m.div_ceil(tm.max(1)) as f64;
                 read_bytes += lhs.output_bytes() as f64 * row_passes;
                 read_bytes += rhs.output_bytes() as f64 * col_passes;
-                input_slice_bytes +=
-                    (tm * p.k) as f64 * elem + (p.k * tn) as f64 * elem;
+                input_slice_bytes += (tm * p.k) as f64 * elem + (p.k * tn) as f64 * elem;
             }
             _ => {
                 // Convolution: input re-read with halo overlap; filter
@@ -178,12 +183,8 @@ pub fn working_set_bytes(k: &Kernel, tile: &TileSize, _cfg: &TpuConfig) -> u64 {
     let root = c.node(c.root());
     let per_dim = tile_per_logical_dim(k, tile);
     let n_tiles = count_tiles(root, &per_dim);
-    let out_tile_bytes: u64 = per_dim
-        .iter()
-        .map(|&t| t as u64)
-        .product::<u64>()
-        .max(1)
-        * root.dtype.size_bytes() as u64;
+    let out_tile_bytes: u64 =
+        per_dim.iter().map(|&t| t as u64).product::<u64>().max(1) * root.dtype.size_bytes() as u64;
     // Live intermediates scale with the fused op count, sublinearly: a
     // fused loop keeps only a few registers' worth per op alive, but deep
     // fusions still need buffer space.
@@ -254,19 +255,15 @@ pub fn analyze_kernel(k: &Kernel, cfg: &TpuConfig) -> KernelTiming {
 
     // Vector-lane padding: tiles are processed in (sublanes × lanes)
     // registers; ragged tiles waste lanes.
-    let minor = per_dim
-        .last()
-        .map(|&t| t.max(1))
-        .unwrap_or(1);
+    let minor = per_dim.last().map(|&t| t.max(1)).unwrap_or(1);
     let subminor = if per_dim.len() >= 2 {
         per_dim[per_dim.len() - 2].max(1)
     } else {
         1
     };
-    let lane_pad = (minor as f64 / cfg.vpu_lanes as f64).ceil() * cfg.vpu_lanes as f64
-        / minor as f64;
-    let sub_pad = (subminor as f64 / cfg.vpu_sublanes as f64).ceil()
-        * cfg.vpu_sublanes as f64
+    let lane_pad =
+        (minor as f64 / cfg.vpu_lanes as f64).ceil() * cfg.vpu_lanes as f64 / minor as f64;
+    let sub_pad = (subminor as f64 / cfg.vpu_sublanes as f64).ceil() * cfg.vpu_sublanes as f64
         / subminor as f64;
     vpu *= lane_pad.min(4.0) * sub_pad.min(4.0);
 

@@ -25,9 +25,9 @@ mod kernel_exec;
 mod report;
 
 pub use config::TpuConfig;
-pub use fault::{DeviceError, Fault, FaultPlan};
 pub use cost::{conv_as_dot, dot_problem, mxu_cycles, node_compute_cycles, vpu_cycles, DotProblem};
 pub use device::{FaultCounts, TpuDevice};
+pub use fault::{DeviceError, Fault, FaultPlan};
 pub use kernel_exec::{
     analyze_kernel, default_tile, kernel_time_ns, tile_fits, working_set_bytes, KernelTiming,
 };

@@ -30,7 +30,10 @@ fn golden_kernels() -> Vec<(String, Kernel)> {
         let x = b.parameter("x", Shape::matrix(rows, cols), DType::F32);
         let t = b.tanh(x);
         let e = b.exp(t);
-        push(&format!("chain_tanh_exp_{rows}x{cols}"), Kernel::new(b.finish(e)));
+        push(
+            &format!("chain_tanh_exp_{rows}x{cols}"),
+            Kernel::new(b.finish(e)),
+        );
     }
     {
         let mut b = GraphBuilder::new("chain_bf16");
@@ -80,7 +83,10 @@ fn golden_kernels() -> Vec<(String, Kernel)> {
         let mut b = GraphBuilder::new("reduce");
         let x = b.parameter("x", Shape::matrix(512, 512), DType::F32);
         let r = b.reduce(x, vec![dim]);
-        push(&format!("reduce_dim{dim}_512x512"), Kernel::new(b.finish(r)));
+        push(
+            &format!("reduce_dim{dim}_512x512"),
+            Kernel::new(b.finish(r)),
+        );
     }
     {
         let mut b = GraphBuilder::new("softmax");
@@ -203,7 +209,11 @@ fn simulated_runtimes_match_golden_snapshot() {
 #[test]
 fn golden_kernel_set_is_diverse_and_positive() {
     let entries = simulate();
-    assert!(entries.len() >= 20, "want ~20 kernels, have {}", entries.len());
+    assert!(
+        entries.len() >= 20,
+        "want ~20 kernels, have {}",
+        entries.len()
+    );
     for (name, ns) in &entries {
         assert!(ns.is_finite() && *ns > 0.0, "{name}: bad runtime {ns}");
     }
