@@ -184,7 +184,8 @@ impl Computation {
     /// Validate structural invariants: non-empty, root exists, every
     /// layout of its shape's rank, operands exist, arities match, required
     /// attributes present, dot dimension numbers and convolution ranks
-    /// within the operands', acyclic.
+    /// within the operands', convolution, reduce-window and slice
+    /// attribute values within the operand extents they index, acyclic.
     ///
     /// # Errors
     ///
@@ -294,6 +295,12 @@ impl Computation {
                     reason: format!("{} attributes exceed its operands' ranks", node.opcode),
                 });
             }
+            if let Some(reason) = self.attr_values_mismatch(node) {
+                return Err(HloError::ShapeMismatch {
+                    node: node.id,
+                    reason,
+                });
+            }
         }
         // Operands that all precede their users are a topological order
         // already (every builder-made graph); only a graph with a forward
@@ -303,6 +310,72 @@ impl Computation {
             self.topo_order()?;
         }
         Ok(())
+    }
+
+    /// The builder's rules for attribute *values*, checked against the
+    /// operand shapes they index; `None` when they hold. Runs after the
+    /// rank checks, so a convolution's operands are NHWC and HWIO. A value
+    /// outside them made the cost models compute garbage in a release
+    /// build and overflow in a build with overflow checks.
+    fn attr_values_mismatch(&self, node: &Node) -> Option<String> {
+        let operand = |i: usize| &self.node(node.operands[i]).shape;
+        match node.opcode {
+            Opcode::Convolution => {
+                let conv = node.attrs.conv.as_ref()?;
+                let (input, filter) = (operand(0), operand(1));
+                if [filter.dim(0), filter.dim(1)] != [conv.filter_h, conv.filter_w] {
+                    return Some(format!(
+                        "convolution window {}x{} is not its filter's {filter}",
+                        conv.filter_h, conv.filter_w
+                    ));
+                }
+                if filter.dim(2).checked_mul(conv.feature_groups) != Some(input.dim(3)) {
+                    return Some(format!(
+                        "convolution input {input} does not have {} groups of filter {filter}",
+                        conv.feature_groups
+                    ));
+                }
+                let axes = [
+                    (input.dim(1), conv.filter_h, conv.stride_h, conv.pad_h),
+                    (input.dim(2), conv.filter_w, conv.stride_w, conv.pad_w),
+                ];
+                axes.into_iter().find_map(|(extent, k, s, (lo, hi))| {
+                    match extent.checked_add(lo).and_then(|e| e.checked_add(hi)) {
+                        Some(padded) if k <= padded && (1..=padded).contains(&s) => None,
+                        _ => Some(format!(
+                            "convolution filter {k} or stride {s} outside its input extent {extent} padded by ({lo}, {hi})"
+                        )),
+                    }
+                })
+            }
+            Opcode::ReduceWindow => {
+                let (wh, ww, sh, sw) = node.attrs.window?;
+                let x = operand(0);
+                let fits = match *x.dims() {
+                    [_, h, w, _] => (1..=h).contains(&wh) && (1..=w).contains(&ww),
+                    _ => false,
+                };
+                (!fits || sh == 0 || sw == 0).then(|| {
+                    format!("reduce-window {wh}x{ww} stride {sh}x{sw} does not fit its operand {x}")
+                })
+            }
+            Opcode::Slice => {
+                let s = node.attrs.slice.as_ref()?;
+                let x = operand(0);
+                let ranks = [s.starts.len(), s.limits.len(), s.strides.len()] == [x.rank(); 3];
+                let fits = x
+                    .dims()
+                    .iter()
+                    .zip(&s.starts)
+                    .zip(&s.limits)
+                    .zip(&s.strides)
+                    .all(|(((&d, &start), &limit), &stride)| {
+                        start <= limit && limit <= d && stride > 0
+                    });
+                (!ranks || !fits).then(|| format!("slice bounds do not fit its operand {x}"))
+            }
+            _ => None,
+        }
     }
 
     /// Undirected adjacency in CSR form, used by the GraphSAGE featurizer.
@@ -509,6 +582,66 @@ mod tests {
         c.node_mut(w).shape = Shape::matrix(3, 3);
         c.node_mut(w).layout = crate::shape::Layout::default_for_rank(2);
         assert!(matches!(c.validate(), Err(HloError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn validate_checks_attribute_values_against_the_operand_shapes() {
+        let mismatch =
+            |c: &Computation| matches!(c.validate(), Err(HloError::ShapeMismatch { .. }));
+
+        let mut b = GraphBuilder::new("conv");
+        let x = b.parameter("x", Shape::new(vec![1, 8, 8, 4]), DType::F32);
+        let w = b.parameter("w", Shape::new(vec![3, 3, 4, 8]), DType::F32);
+        let y = b.convolution(x, w, crate::attrs::ConvAttrs::valid(3));
+        let conv = b.finish(y);
+        assert!(conv.validate().is_ok());
+        let edits: [fn(&mut crate::attrs::ConvAttrs); 5] = [
+            |a| a.filter_h = 1 << 32,
+            |a| a.stride_w = 1 << 63,
+            |a| a.stride_h = 0,
+            |a| a.pad_w = (usize::MAX, 1),
+            |a| a.feature_groups = 2,
+        ];
+        for edit in edits {
+            let mut c = conv.clone();
+            edit(c.node_mut(y).attrs.conv.as_mut().unwrap());
+            assert!(mismatch(&c), "{:?}", c.node(y).attrs.conv);
+        }
+        // A 9x9 filter, consistent with its own shape, over a 4x4 input.
+        let mut c = conv.clone();
+        c.node_mut(x).shape = Shape::new(vec![1, 4, 4, 4]);
+        c.node_mut(w).shape = Shape::new(vec![9, 9, 4, 8]);
+        c.node_mut(y).attrs.conv = Some(crate::attrs::ConvAttrs::valid(9));
+        assert!(mismatch(&c));
+
+        let mut b = GraphBuilder::new("pool");
+        let x = b.parameter("x", Shape::new(vec![1, 4, 4, 2]), DType::F32);
+        let init = b.scalar_constant();
+        let p = b.reduce_window(x, init, (4, 4, 1, 1));
+        let pool = b.finish(p);
+        assert!(pool.validate().is_ok());
+        for window in [(5, 1, 1, 1), (1, 0, 1, 1), (2, 2, 0, 1)] {
+            let mut c = pool.clone();
+            c.node_mut(p).attrs.window = Some(window);
+            assert!(mismatch(&c), "{window:?}");
+        }
+
+        let mut b = GraphBuilder::new("slice");
+        let x = b.parameter("x", Shape::matrix(6, 10), DType::F32);
+        let s = b.slice_dim(x, 1, 2, 10);
+        let slice = b.finish(s);
+        assert!(slice.validate().is_ok());
+        let edits: [fn(&mut crate::attrs::SliceAttrs); 4] = [
+            |a| a.starts[1] = 11,
+            |a| a.limits[0] = 7,
+            |a| a.strides[0] = 0,
+            |a| a.strides.push(1),
+        ];
+        for edit in edits {
+            let mut c = slice.clone();
+            edit(c.node_mut(s).attrs.slice.as_mut().unwrap());
+            assert!(mismatch(&c), "{:?}", c.node(s).attrs.slice);
+        }
     }
 
     #[test]

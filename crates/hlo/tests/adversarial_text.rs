@@ -260,6 +260,36 @@ fn the_inputs_that_killed_or_degraded_the_daemon_are_typed_errors() {
 }
 
 #[test]
+fn attribute_values_outside_their_operands_are_shape_errors() {
+    // Parsed and validated before: the cost models then computed garbage
+    // in a release build and overflowed in one with overflow checks, on
+    // the worker, where the panic tripped the breaker for every client.
+    let mut b = GraphBuilder::new("conv");
+    let x = b.parameter("x", Shape::new(vec![1, 8, 8, 4]), DType::F32);
+    let w = b.parameter("w", Shape::new(vec![3, 3, 4, 8]), DType::F32);
+    let y = b.convolution(x, w, ConvAttrs::valid(3));
+    let conv = b.finish(y);
+    check_accepted(&check_against_oracle(&dump_computation(&conv)).expect("the unedited conv"));
+    // A filter larger than its input; a filter window of 2^32 x 2^32 over
+    // a 3x3 filter; a 2^63 stride.
+    let mut large = conv.clone();
+    large.node_mut(x).shape = Shape::new(vec![1, 2, 2, 4]);
+    let mut huge = conv.clone();
+    let attrs = huge.node_mut(y).attrs.conv.as_mut().unwrap();
+    (attrs.filter_h, attrs.filter_w) = (1 << 32, 1 << 32);
+    let mut strided = conv.clone();
+    strided.node_mut(y).attrs.conv.as_mut().unwrap().stride_h = 1 << 63;
+    for c in [large, huge, strided] {
+        let text = dump_computation(&c);
+        let result = check_against_oracle(&text);
+        assert!(
+            matches!(result, Err(HloError::ShapeMismatch { node, .. }) if node == y),
+            "{text}: {result:?}"
+        );
+    }
+}
+
+#[test]
 fn deep_nesting_is_an_error_not_a_stack_overflow() {
     // `attrs=[[[[…` and `name=[[[[…` went through a recursive JSON parser
     // with no bound: 100,000 brackets overflowed the stack, which aborts

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use support::mutations;
 use tpu_dataset::{Corpus, CorpusScale};
 use tpu_fusion::{apply_fusion, default_space_and_config};
-use tpu_hlo::{canonical_kernel_hash, Kernel};
+use tpu_hlo::{canonical_kernel_hash, ConvAttrs, DType, GraphBuilder, Kernel, Shape};
 use tpu_learned_cost::{
     AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, KernelCache, SimOracle,
 };
@@ -296,6 +296,23 @@ fn edge_lines() -> Vec<String> {
             "computation t root=%1 {{\\n  {body}\\n}}\\n"
         )));
     }
+    // Attribute values the shapes cannot hold: a 3x3 filter over a 2x2
+    // input, a 2^32 x 2^32 window over that 3x3 filter (its product
+    // overflowed in `conv_as_dot`: `backend_panic` under overflow checks),
+    // a 2^63 stride.
+    let conv = |input: usize, edit: fn(&mut ConvAttrs)| {
+        let mut b = GraphBuilder::new("conv");
+        let x = b.parameter("x", Shape::new(vec![1, 8, 8, 4]), DType::F32);
+        let w = b.parameter("w", Shape::new(vec![3, 3, 4, 8]), DType::F32);
+        let y = b.convolution(x, w, ConvAttrs::valid(3));
+        let mut c = b.finish(y);
+        c.node_mut(x).shape = Shape::new(vec![1, input, input, 4]);
+        edit(c.node_mut(y).attrs.conv.as_mut().unwrap());
+        predict_request_line(7, &Kernel::new(c))
+    };
+    out.push(conv(2, |_| {}));
+    out.push(conv(8, |a| (a.filter_h, a.filter_w) = (1 << 32, 1 << 32)));
+    out.push(conv(8, |a| a.stride_h = 1 << 63));
     out
 }
 
@@ -350,7 +367,8 @@ fn a_malformed_kernel_is_an_hlo_error_and_degrades_no_one() {
     // thread; `f32[2,2]{0}` panicked on the worker, which answered
     // `backend_panic` and force-tripped the breaker, so every other
     // client's replies were marked degraded; the 2^96-element shape was
-    // served with a size that had wrapped.
+    // served with a size that had wrapped; the convolution whose window
+    // overflowed panicked on the worker too.
     let engine = default_daemon();
     let healthy = golden_predict_lines().remove(0);
     let mut input = Vec::new();
