@@ -1,13 +1,16 @@
-//! The serving engine: a worker thread that batches concurrent requests
-//! into single [`Predictor::predict_hashed`] calls.
+//! The serving engine: cache hits answered on the caller's thread, misses
+//! batched by a worker thread into single [`Predictor::predict_hashed`]
+//! calls.
 //!
 //! Frontends (`stdin`, TCP client threads) call
 //! [`ServeEngine::submit_hashed`] with the kernel and the cache key they
 //! computed while parsing ([`ServeEngine::submit`] hashes for a caller
-//! that holds a bare kernel);
-//! the worker drains everything queued since its last batch and answers
-//! it with one predictor call, so concurrent clients share forward
-//! passes and cache probes. Admission control bounds the queue: past
+//! that holds a bare kernel). `submit_hashed` probes the cache itself: a
+//! hit is answered there, with no channel, no wake of the worker and no
+//! allocation, as a one-request batch of hits would have been. Only a
+//! miss is enqueued; the worker drains everything queued since its last
+//! batch and answers it with one predictor call, so concurrent clients
+//! share forward passes. Admission control bounds the queue: past
 //! `max_pending` in-flight requests, `submit` fails fast with
 //! [`ServeError::Overloaded`] instead of stacking latency. An optional
 //! model-evaluation budget turns the daemon cache-only once spent —
@@ -45,7 +48,9 @@
 //! a fault-injected device are `Send` but not `Sync`), which also makes
 //! request-order execution deterministic: the same serial request stream
 //! against the same seed replays bit-identically, breaker and reload
-//! state included (both are request-count driven, never wall-clock).
+//! state included (both are request-count driven, never wall-clock). A
+//! hit on the caller's thread never reaches the model, so it moves none
+//! of that state (DESIGN.md "Serving daemon" has the argument).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -60,7 +65,7 @@ use tpu_learned_cost::metrics::kendall_tau;
 use tpu_learned_cost::{
     BreakerState, CacheStats, CircuitBreaker, CostModel, KernelCache, PredictStats, Predictor,
 };
-use tpu_obs::Registry;
+use tpu_obs::{Counter, Registry};
 
 /// Why a request was not answered with a prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,7 +434,8 @@ struct Shared {
     // `EpochCache::tag` and by stats.
     epoch: AtomicU64,
     // The serving predict counters: the worker adds each batch's
-    // `PredictStats` before it sends that batch's replies.
+    // `PredictStats` before it sends that batch's replies, and
+    // `submit_hashed` adds a hit it answers before it returns.
     kernels: AtomicU64,
     cache_hits: AtomicU64,
     model_evals: AtomicU64,
@@ -463,9 +469,14 @@ impl Shared {
 /// A running serving engine; see the module docs for the design.
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    // The caller's cache, untagged: `stats` reads its residency and
-    // eviction count on request.
-    cache: Arc<dyn KernelCache>,
+    // The epoch-tagged cache, shared with the worker's predictor: hits are
+    // answered through it on the caller's thread, and `stats` reads its
+    // residency and eviction count on request.
+    cache: Arc<EpochCache>,
+    // The registry's `core.engine.kernels` / `cache_hits`: the worker's
+    // predictor counts what is enqueued, these the hits answered here.
+    obs_kernels: Counter,
+    obs_cache_hits: Counter,
     tx: Mutex<Option<Sender<Job>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     backend: Mutex<String>,
@@ -488,7 +499,8 @@ impl ServeEngine {
     ///
     /// The cache is taken as `Arc<dyn KernelCache>` so the caller keeps a
     /// handle on it (to pre-warm or inspect it); metrics go to `registry`
-    /// through the predictor's usual `core.engine.*` surface.
+    /// through the predictor's usual `core.engine.*` surface, hits
+    /// answered on the caller's thread included.
     pub fn start(
         model: Box<dyn CostModel + Send>,
         cache: Arc<dyn KernelCache>,
@@ -510,8 +522,16 @@ impl ServeEngine {
         // Captured before the model moves onto the worker thread, so stats
         // replies and run reports can name the serving backend.
         let backend = model.name().to_string();
+        // One tagged cache for caller and worker, so both tag keys with
+        // the one epoch the worker bumps.
+        let cache = Arc::new(EpochCache {
+            inner: cache,
+            shared: Arc::clone(&shared),
+        });
         let (tx, rx) = mpsc::channel::<Job>();
         let worker_shared = Arc::clone(&shared);
+        let obs_kernels = registry.counter("core.engine.kernels");
+        let obs_cache_hits = registry.counter("core.engine.cache_hits");
         let registry = registry.clone();
         let batch_max = cfg.batch_max.max(1);
         let budget = cfg.eval_budget;
@@ -521,13 +541,10 @@ impl ServeEngine {
         let worker = std::thread::Builder::new()
             .name("tpu-serve-worker".to_string())
             .spawn(move || {
-                let cache = Arc::new(EpochCache {
-                    inner: worker_cache,
-                    shared: Arc::clone(&worker_shared),
-                });
                 let mut ctx = Worker {
-                    predictor: Predictor::with_cache(model, Arc::clone(&cache)).observed(&registry),
-                    cache,
+                    predictor: Predictor::with_cache(model, Arc::clone(&worker_cache))
+                        .observed(&registry),
+                    cache: worker_cache,
                     registry,
                     shared: worker_shared,
                     clock: worker_clock,
@@ -541,6 +558,8 @@ impl ServeEngine {
         ServeEngine {
             shared,
             cache,
+            obs_kernels,
+            obs_cache_hits,
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
             backend: Mutex::new(backend),
@@ -563,10 +582,11 @@ impl ServeEngine {
         self.backend.lock().expect("serve backend lock").clone()
     }
 
-    /// Submit one kernel with the engine's default deadline and block
-    /// until the worker answers it.
+    /// Submit one kernel with the engine's default deadline: a cache hit
+    /// is answered on this thread, a miss blocks until the worker answers
+    /// it.
     ///
-    /// Concurrent callers are batched by the worker; this returns the
+    /// Concurrent misses are batched by the worker; this returns the
     /// prediction exactly as `Predictor::predict_ns` would produce it.
     pub fn submit(&self, kernel: Kernel) -> Result<Option<f64>, ServeError> {
         self.submit_with_deadline(kernel, None).map(|p| p.ns)
@@ -585,42 +605,74 @@ impl ServeEngine {
 
     /// [`ServeEngine::submit_with_deadline`] for a kernel that already
     /// carries its cache key: the frontends hash where they parse, on the
-    /// caller's thread, so the one worker never hashes.
+    /// caller's thread, so the one worker never hashes — and the key is
+    /// probed here, so a hit never reaches the worker.
     pub fn submit_hashed(
         &self,
         kernel: HashedKernel,
         deadline_ms: Option<u64>,
     ) -> Result<Prediction, ServeError> {
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        if self.shared.pending.fetch_add(1, Ordering::SeqCst) >= self.shared.max_pending {
-            self.shared.pending.fetch_sub(1, Ordering::SeqCst);
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+        let s = &self.shared;
+        s.submitted.fetch_add(1, Ordering::Relaxed);
+        if s.pending.fetch_add(1, Ordering::SeqCst) >= s.max_pending {
+            s.pending.fetch_sub(1, Ordering::SeqCst);
+            s.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded);
         }
-        let tx = match &*self.tx.lock().expect("serve tx lock") {
-            Some(tx) => tx.clone(),
-            None => {
-                self.shared.pending.fetch_sub(1, Ordering::SeqCst);
-                return Err(ServeError::ShuttingDown);
-            }
+        let deadline_ms = deadline_ms.or(self.default_deadline_ms);
+        let release = |result| {
+            s.pending.fetch_sub(1, Ordering::SeqCst);
+            result
+        };
+        if self.tx.lock().expect("serve tx lock").is_none() {
+            return release(Err(ServeError::ShuttingDown));
+        }
+        if let Some(ns) = self.cache.lookup_hash(kernel.hash()) {
+            return release(self.answer_hit(ns, deadline_ms));
+        }
+        let Some(tx) = self.sender() else {
+            return release(Err(ServeError::ShuttingDown));
         };
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        if tx
-            .send(Job::Predict {
-                kernel,
-                deadline_ms: deadline_ms.or(self.default_deadline_ms),
-                enqueued_ms: self.clock.now_ms(),
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            self.shared.pending.fetch_sub(1, Ordering::SeqCst);
-            return Err(ServeError::ShuttingDown);
+        let job = Job::Predict {
+            kernel,
+            deadline_ms,
+            enqueued_ms: self.clock.now_ms(),
+            reply: reply_tx,
+        };
+        if tx.send(job).is_err() {
+            return release(Err(ServeError::ShuttingDown));
         }
-        match reply_rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(ServeError::ShuttingDown),
+        reply_rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+    }
+
+    /// Answer a cache hit as the worker answered a one-request batch of
+    /// hits: the deadline judged at queue age 0, `degraded` read from the
+    /// breaker, and one batch, kernel, cache hit and answer counted.
+    fn answer_hit(
+        &self,
+        ns: Option<f64>,
+        deadline_ms: Option<u64>,
+    ) -> Result<Prediction, ServeError> {
+        let s = &self.shared;
+        s.batches.fetch_add(1, Ordering::Relaxed);
+        if expired(0, 0, deadline_ms) {
+            s.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            s.deadline_shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::DeadlineExpired);
         }
+        let degraded = degraded(&self.breaker);
+        s.kernels.fetch_add(1, Ordering::Relaxed);
+        s.cache_hits.fetch_add(1, Ordering::Relaxed);
+        s.answered.fetch_add(1, Ordering::Relaxed);
+        self.obs_kernels.inc();
+        self.obs_cache_hits.inc();
+        Ok(Prediction { ns, degraded })
+    }
+
+    /// A sender into the worker's queue; `None` once shutdown began.
+    fn sender(&self) -> Option<Sender<Job>> {
+        self.tx.lock().expect("serve tx lock").clone()
     }
 
     /// Hot-reload the serving model from a `tpu-frozen.v2` blob on disk.
@@ -725,10 +777,7 @@ impl ServeEngine {
         make: impl FnOnce(SyncSender<Vec<Option<f64>>>) -> Job,
     ) -> Result<Vec<Option<f64>>, ReloadError> {
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let tx = match &*self.tx.lock().expect("serve tx lock") {
-            Some(tx) => tx.clone(),
-            None => return Err(ReloadError::ShuttingDown),
-        };
+        let tx = self.sender().ok_or(ReloadError::ShuttingDown)?;
         if tx.send(make(reply_tx)).is_err() {
             return Err(ReloadError::ShuttingDown);
         }
@@ -796,6 +845,25 @@ impl Drop for ServeEngine {
     }
 }
 
+/// Whether a job queued at `enqueued_ms` with `deadline_ms` has expired
+/// at `now_ms`; a deadline of 0 has expired at any queue age.
+fn expired(now_ms: u64, enqueued_ms: u64, deadline_ms: Option<u64>) -> bool {
+    match deadline_ms {
+        Some(d) => now_ms.saturating_sub(enqueued_ms) >= d,
+        None => false,
+    }
+}
+
+/// Replies answered while the breaker is not closed are marked degraded:
+/// the primary backend did not (or may not) have answered them. Read
+/// before a batch, and by a hit at the same point of a serial stream, so
+/// the marker is a pure function of the request sequence.
+fn degraded(breaker: &Option<Arc<CircuitBreaker>>) -> bool {
+    breaker
+        .as_ref()
+        .is_some_and(|b| b.state() != BreakerState::Closed)
+}
+
 struct Worker {
     predictor: Predictor<Box<dyn CostModel + Send>, EpochCache>,
     cache: Arc<EpochCache>,
@@ -841,13 +909,6 @@ impl Worker {
         }
     }
 
-    fn expired(now_ms: u64, enqueued_ms: u64, deadline_ms: Option<u64>) -> bool {
-        match deadline_ms {
-            Some(d) => now_ms.saturating_sub(enqueued_ms) >= d,
-            None => false,
-        }
-    }
-
     fn run_batch(&mut self, jobs: Vec<Job>) {
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
 
@@ -867,7 +928,7 @@ impl Worker {
             else {
                 unreachable!("run_batch only takes predict jobs");
             };
-            if Self::expired(now, enqueued_ms, deadline_ms) {
+            if expired(now, enqueued_ms, deadline_ms) {
                 self.shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
                 self.shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
                 self.shared.pending.fetch_sub(1, Ordering::SeqCst);
@@ -881,14 +942,7 @@ impl Worker {
             return;
         }
 
-        // Replies to a batch that ran while the breaker was not closed are
-        // marked degraded: the primary backend did not (or may not) have
-        // answered them. Read before the batch so the marker is a pure
-        // function of the request sequence.
-        let degraded = self
-            .breaker
-            .as_ref()
-            .is_some_and(|b| b.state() != BreakerState::Closed);
+        let degraded = degraded(&self.breaker);
 
         let evals_so_far = self.shared.model_evals.load(Ordering::Relaxed);
         let within_budget = self.budget.is_none_or(|b| evals_so_far < b);
@@ -935,9 +989,7 @@ impl Worker {
         let now = self.clock.now_ms();
         for ((deadline_ms, enqueued_ms, reply), result) in live.into_iter().zip(results) {
             let result = match result {
-                Ok(_) if Self::expired(now, enqueued_ms, deadline_ms) => {
-                    Err(ServeError::DeadlineExpired)
-                }
+                Ok(_) if expired(now, enqueued_ms, deadline_ms) => Err(ServeError::DeadlineExpired),
                 other => other,
             };
             match &result {

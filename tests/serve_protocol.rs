@@ -212,9 +212,10 @@ fn oversized_lines_are_rejected_without_breaking_the_stream() {
     assert!(replies[2].contains("\"shutdown\":true"));
 }
 
-/// A [`KernelCache`] that counts the calls a served batch may and may not
-/// make: `lookup_hash` is per request, `len` and `stats` may scan every
-/// slot and belong to a `stats` request only.
+/// A [`KernelCache`] that counts the calls a served request may and may
+/// not make: `lookup_hash` once on the caller's thread per request and
+/// once more on the worker per miss, `len` and `stats` (which may scan
+/// every slot) for a `stats` request only.
 struct CountingCache {
     inner: AtomicCache,
     lookups: AtomicU64,
@@ -269,9 +270,16 @@ fn a_served_batch_never_scans_the_cache() {
     }
     assert_eq!(counting.lens.load(Ordering::Relaxed), 0, "a batch called len()");
     assert_eq!(counting.stats.load(Ordering::Relaxed), 0, "a batch called stats()");
-    assert_eq!(counting.lookups.load(Ordering::Relaxed), n);
 
     let stats = serve.stats();
+    // A hit is probed once, on the caller's thread; a miss once there and
+    // once more by the worker, which then evaluates it (serial submits:
+    // no other request can fill it in between).
+    assert!(stats.predict.cache_hits > 0 && stats.predict.model_evals > 0);
+    assert_eq!(
+        counting.lookups.load(Ordering::Relaxed),
+        n + stats.predict.model_evals
+    );
     assert_eq!(stats.cache_entries, counting.inner.len());
     assert_eq!(stats.cache_evictions, counting.inner.eviction_count());
     assert_eq!(stats.predict.kernels, n);
