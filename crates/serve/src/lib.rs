@@ -3,13 +3,14 @@
 //! The paper's model only pays off if it can sit inside a compiler or
 //! autotuner serving loop; this crate is that loop's server side. It
 //! speaks newline-delimited JSON (see [`protocol`]) over stdin or TCP,
-//! batches requests from concurrent clients into single
+//! answers cache hits on the requesting thread, batches concurrent
+//! clients' misses into single
 //! [`Predictor`](tpu_learned_cost::Predictor) calls over the lock-free
 //! [`AtomicCache`](tpu_learned_cost::AtomicCache), applies admission
 //! control and an optional model-evaluation budget, and shuts down
 //! gracefully (drain, then join).
 //!
-//! - [`ServeEngine`] — the batching worker,
+//! - [`ServeEngine`] — the caller-side cache probe and the batching worker,
 //! - [`serve_ndjson`] — serial frontend over any reader/writer (stdin mode;
 //!   deterministic, which the chaos-replay test relies on),
 //! - [`serve_tcp`] — TCP frontend, one thread per client, all funneling
@@ -182,8 +183,9 @@ pub fn serve_ndjson<R: BufRead, W: Write>(
 /// Serve TCP clients until one of them sends `shutdown`.
 ///
 /// Each accepted connection gets its own thread running [`serve_ndjson`];
-/// all threads submit into the shared engine, so requests from concurrent
-/// clients coalesce into shared predictor batches. After a shutdown
+/// all threads submit into the shared engine, which answers a hit on the
+/// connection's thread, so misses from concurrent clients coalesce into
+/// shared predictor batches. After a shutdown
 /// request the listener stops accepting, already-connected clients are
 /// served until they disconnect, and the engine drains.
 pub fn serve_tcp(serve: &Arc<ServeEngine>, listener: TcpListener) -> io::Result<()> {
