@@ -117,7 +117,14 @@ impl Corpus {
         // Validation: the last variant of six diverse families (largest
         // configs, least similar to the bulk of their family).
         let mut val = Vec::new();
-        for fam in ["lenet", "autoencoder", "char2feats", "mlp", "vgg", "bert_lite"] {
+        for fam in [
+            "lenet",
+            "autoencoder",
+            "char2feats",
+            "mlp",
+            "vgg",
+            "bert_lite",
+        ] {
             if let Some(i) =
                 (0..self.len()).rfind(|&i| self.entries[i].family == fam && !test.contains(&i))
             {
@@ -246,15 +253,9 @@ fn full_corpus() -> Vec<Entry> {
 
     // wavernn: 6.
     v.push(e(models::wavernn("WaveRNN", 9, 448), "wavernn"));
-    for (i, (steps, hidden)) in [
-        (6usize, 256usize),
-        (8, 256),
-        (6, 384),
-        (12, 320),
-        (8, 512),
-    ]
-    .into_iter()
-    .enumerate()
+    for (i, (steps, hidden)) in [(6usize, 256usize), (8, 256), (6, 384), (12, 320), (8, 512)]
+        .into_iter()
+        .enumerate()
     {
         v.push(e(
             models::wavernn(&format!("wavernn_{i}"), steps, hidden),
@@ -336,8 +337,14 @@ fn full_corpus() -> Vec<Entry> {
     }
 
     // transformer: 8 (includes "Translate" and "Transformer").
-    v.push(e(models::transformer("Translate", 3, 112, 320, 4), "transformer"));
-    v.push(e(models::transformer("Transformer", 2, 128, 256, 4), "transformer"));
+    v.push(e(
+        models::transformer("Translate", 3, 112, 320, 4),
+        "transformer",
+    ));
+    v.push(e(
+        models::transformer("Transformer", 2, 128, 256, 4),
+        "transformer",
+    ));
     for (i, (layers, seq, d, heads)) in [
         (1usize, 64usize, 128usize, 2usize),
         (2, 96, 192, 4),
@@ -406,7 +413,10 @@ fn full_corpus() -> Vec<Entry> {
 
     // char2feats: 4 (includes the autotuning target "Char2Feats").
     v.push(e(models::char2feats("Char2Feats", 128, 256), "char2feats"));
-    for (i, (chars, dim)) in [(64usize, 128usize), (96, 192), (192, 256)].into_iter().enumerate() {
+    for (i, (chars, dim)) in [(64usize, 128usize), (96, 192), (192, 256)]
+        .into_iter()
+        .enumerate()
+    {
         v.push(e(
             models::char2feats(&format!("char2feats_{i}"), chars, dim),
             "char2feats",
@@ -424,8 +434,14 @@ fn full_corpus() -> Vec<Entry> {
     ));
 
     // Held-out families (manual-split test): 6 programs.
-    v.push(e(models::inception("inception_0", 4, 32, 64, 2), "inception"));
-    v.push(e(models::inception("inception_1", 4, 32, 96, 3), "inception"));
+    v.push(e(
+        models::inception("inception_0", 4, 32, 64, 2),
+        "inception",
+    ));
+    v.push(e(
+        models::inception("inception_1", 4, 32, 96, 3),
+        "inception",
+    ));
     v.push(e(models::unet("unet_0", 2, 32, 32), "unet"));
     v.push(e(models::unet("unet_1", 4, 64, 32), "unet"));
     v.push(e(
@@ -453,11 +469,23 @@ fn large_corpus() -> Vec<Entry> {
             for w in [32usize, 64, 96] {
                 for blk in [2usize, 3, 4, 6] {
                     v.push(e(
-                        models::resnet_v1(&format!("L_resnet_v1_b{batch}p{px}w{w}k{blk}"), batch, px, w, blk),
+                        models::resnet_v1(
+                            &format!("L_resnet_v1_b{batch}p{px}w{w}k{blk}"),
+                            batch,
+                            px,
+                            w,
+                            blk,
+                        ),
                         "resnet_v1",
                     ));
                     v.push(e(
-                        models::resnet_v2(&format!("L_resnet_v2_b{batch}p{px}w{w}k{blk}"), batch, px, w, blk),
+                        models::resnet_v2(
+                            &format!("L_resnet_v2_b{batch}p{px}w{w}k{blk}"),
+                            batch,
+                            px,
+                            w,
+                            blk,
+                        ),
                         "resnet_v2",
                     ));
                 }
@@ -481,14 +509,20 @@ fn large_corpus() -> Vec<Entry> {
 
     // LeNet batch ladder.
     for batch in [16usize, 32, 64, 128, 256, 512, 1024] {
-        v.push(e(models::lenet(&format!("L_lenet_b{batch}"), batch), "lenet"));
+        v.push(e(
+            models::lenet(&format!("L_lenet_b{batch}"), batch),
+            "lenet",
+        ));
     }
 
     // SSD grid.
     for batch in [2usize, 4, 8] {
         for px in [32usize, 48, 64] {
             for w in [16usize, 24, 32] {
-                v.push(e(models::ssd(&format!("L_ssd_b{batch}p{px}w{w}"), batch, px, w), "ssd"));
+                v.push(e(
+                    models::ssd(&format!("L_ssd_b{batch}p{px}w{w}"), batch, px, w),
+                    "ssd",
+                ));
             }
         }
     }
@@ -501,7 +535,10 @@ fn large_corpus() -> Vec<Entry> {
                     v.push(e(
                         models::convdraw(
                             &format!("L_convdraw_b{batch}p{px}s{steps}h{hidden}"),
-                            batch, px, steps, hidden,
+                            batch,
+                            px,
+                            steps,
+                            hidden,
                         ),
                         "convdraw",
                     ));
@@ -523,7 +560,12 @@ fn large_corpus() -> Vec<Entry> {
         for hidden in [256usize, 384, 512, 768] {
             for vocab in [512usize, 1024, 2048] {
                 v.push(e(
-                    models::rnn_lm(&format!("L_rnn_lm_s{steps}h{hidden}v{vocab}"), steps, hidden, vocab),
+                    models::rnn_lm(
+                        &format!("L_rnn_lm_s{steps}h{hidden}v{vocab}"),
+                        steps,
+                        hidden,
+                        vocab,
+                    ),
                     "rnn_lm",
                 ));
             }
@@ -533,11 +575,21 @@ fn large_corpus() -> Vec<Entry> {
         for hidden in [192usize, 384, 512] {
             for vocab in [384usize, 1024, 2048] {
                 v.push(e(
-                    models::gru_lm(&format!("L_gru_lm_s{steps}h{hidden}v{vocab}"), steps, hidden, vocab),
+                    models::gru_lm(
+                        &format!("L_gru_lm_s{steps}h{hidden}v{vocab}"),
+                        steps,
+                        hidden,
+                        vocab,
+                    ),
                     "gru_lm",
                 ));
                 v.push(e(
-                    models::lstm_lm(&format!("L_lstm_lm_s{steps}h{hidden}v{vocab}"), steps, hidden, vocab),
+                    models::lstm_lm(
+                        &format!("L_lstm_lm_s{steps}h{hidden}v{vocab}"),
+                        steps,
+                        hidden,
+                        vocab,
+                    ),
                     "lstm_lm",
                 ));
             }
@@ -550,7 +602,13 @@ fn large_corpus() -> Vec<Entry> {
             for hidden in [256usize, 384, 512] {
                 for vocab in [1024usize, 2048] {
                     v.push(e(
-                        models::nmt(&format!("L_nmt_e{es}d{ds}h{hidden}v{vocab}"), es, ds, hidden, vocab),
+                        models::nmt(
+                            &format!("L_nmt_e{es}d{ds}h{hidden}v{vocab}"),
+                            es,
+                            ds,
+                            hidden,
+                            vocab,
+                        ),
                         "nmt",
                     ));
                 }
@@ -561,7 +619,13 @@ fn large_corpus() -> Vec<Entry> {
         for seq in [64usize, 128, 192] {
             for d in [128usize, 256, 320] {
                 v.push(e(
-                    models::transformer(&format!("L_transformer_l{layers}s{seq}d{d}"), layers, seq, d, 4),
+                    models::transformer(
+                        &format!("L_transformer_l{layers}s{seq}d{d}"),
+                        layers,
+                        seq,
+                        d,
+                        4,
+                    ),
                     "transformer",
                 ));
             }
@@ -589,7 +653,10 @@ fn large_corpus() -> Vec<Entry> {
         .into_iter()
         .enumerate()
         {
-            v.push(e(models::mlp(&format!("L_mlp_b{batch}w{wi}"), batch, &widths), "mlp"));
+            v.push(e(
+                models::mlp(&format!("L_mlp_b{batch}w{wi}"), batch, &widths),
+                "mlp",
+            ));
         }
     }
     for batch in [64usize, 128, 256, 512] {
@@ -613,28 +680,45 @@ fn large_corpus() -> Vec<Entry> {
     for batch in [256usize, 512, 1024] {
         for wide in [2048usize, 4096] {
             v.push(e(
-                models::deep_and_wide(&format!("L_dw_b{batch}w{wide}"), batch, wide, &[1024, 512, 256]),
+                models::deep_and_wide(
+                    &format!("L_dw_b{batch}w{wide}"),
+                    batch,
+                    wide,
+                    &[1024, 512, 256],
+                ),
                 "deep_and_wide",
             ));
         }
         for dim in [64usize, 128, 256] {
-            v.push(e(models::ncf(&format!("L_ncf_b{batch}d{dim}"), batch, dim), "ncf"));
+            v.push(e(
+                models::ncf(&format!("L_ncf_b{batch}d{dim}"), batch, dim),
+                "ncf",
+            ));
         }
     }
 
     // Held-out-family variants.
-    for (i, (batch, px, w, blk)) in
-        [(8usize, 32usize, 64usize, 2usize), (4, 32, 96, 2), (2, 32, 128, 3)]
-            .into_iter()
-            .enumerate()
+    for (i, (batch, px, w, blk)) in [
+        (8usize, 32usize, 64usize, 2usize),
+        (4, 32, 96, 2),
+        (2, 32, 128, 3),
+    ]
+    .into_iter()
+    .enumerate()
     {
-        v.push(e(models::inception(&format!("L_inception_{i}"), batch, px, w, blk), "inception"));
+        v.push(e(
+            models::inception(&format!("L_inception_{i}"), batch, px, w, blk),
+            "inception",
+        ));
     }
     for (i, (batch, px, w)) in [(2usize, 32usize, 48usize), (4, 32, 64), (2, 64, 32)]
         .into_iter()
         .enumerate()
     {
-        v.push(e(models::unet(&format!("L_unet_{i}"), batch, px, w), "unet"));
+        v.push(e(
+            models::unet(&format!("L_unet_{i}"), batch, px, w),
+            "unet",
+        ));
     }
 
     // Fused multi-kernel programs: single graphs far past
@@ -643,7 +727,14 @@ fn large_corpus() -> Vec<Entry> {
         for depth in [2usize, 4, 8] {
             for w in [16usize, 32] {
                 v.push(e(
-                    models::multi_tower(&format!("L_fused_mt_t{towers}d{depth}w{w}"), 2, 14, w, towers, depth),
+                    models::multi_tower(
+                        &format!("L_fused_mt_t{towers}d{depth}w{w}"),
+                        2,
+                        14,
+                        w,
+                        towers,
+                        depth,
+                    ),
                     "fused_multi_tower",
                 ));
             }
@@ -660,7 +751,14 @@ fn large_corpus() -> Vec<Entry> {
     for depth in [2usize, 4, 8] {
         for dim in [128usize, 256] {
             v.push(e(
-                models::conv_dense_hybrid(&format!("L_fused_cd_d{depth}w{dim}"), 2, 16, 16, dim, depth),
+                models::conv_dense_hybrid(
+                    &format!("L_fused_cd_d{depth}w{dim}"),
+                    2,
+                    16,
+                    16,
+                    dim,
+                    depth,
+                ),
                 "fused_hybrid",
             ));
         }
@@ -676,11 +774,17 @@ fn tiny_corpus() -> Vec<Entry> {
         e(models::rnn_lm("RNN", 6, 256, 512), "rnn_lm"),
         e(models::wavernn("WaveRNN", 6, 256), "wavernn"),
         e(models::nmt("NMT Model", 4, 4, 256, 512), "nmt"),
-        e(models::transformer("Translate", 1, 64, 128, 2), "transformer"),
+        e(
+            models::transformer("Translate", 1, 64, 128, 2),
+            "transformer",
+        ),
         e(models::ssd("SSD", 2, 32, 16), "ssd"),
         e(models::convdraw("ConvDRAW", 4, 16, 3, 128), "convdraw"),
         e(models::mlp("mlp_0", 128, &[512, 1024, 512]), "mlp"),
-        e(models::autoencoder("autoencoder_0", 64, 1024, 128), "autoencoder"),
+        e(
+            models::autoencoder("autoencoder_0", 64, 1024, 128),
+            "autoencoder",
+        ),
         e(models::lenet("lenet_0", 32), "lenet"),
         e(models::inception("inception_0", 4, 32, 64, 2), "inception"),
         e(models::unet("unet_0", 2, 32, 32), "unet"),
@@ -697,7 +801,11 @@ mod tests {
         let c = Corpus::build(CorpusScale::Tiny);
         assert!(c.len() >= 10);
         for entry in &c.entries {
-            assert!(entry.program.computation.validate().is_ok(), "{}", entry.program.name);
+            assert!(
+                entry.program.computation.validate().is_ok(),
+                "{}",
+                entry.program.name
+            );
         }
     }
 
@@ -764,14 +872,21 @@ mod full_tests {
                 "{} invalid",
                 entry.program.name
             );
-            assert!(names.insert(entry.program.name.clone()), "duplicate name {}", entry.program.name);
+            assert!(
+                names.insert(entry.program.name.clone()),
+                "duplicate name {}",
+                entry.program.name
+            );
             if entry.program.num_nodes() > FUSION_NODE_LIMIT {
                 past_limit += 1;
             }
         }
         // The large corpus must contain graphs only whole-graph records +
         // segment training can handle.
-        assert!(past_limit >= 20, "only {past_limit} programs past the fusion limit");
+        assert!(
+            past_limit >= 20,
+            "only {past_limit} programs past the fusion limit"
+        );
     }
 
     #[test]

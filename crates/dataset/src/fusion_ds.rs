@@ -66,7 +66,11 @@ impl FusionDataset {
     pub fn split(
         &self,
         split: &Split,
-    ) -> (Vec<&KernelExample>, Vec<&KernelExample>, Vec<&KernelExample>) {
+    ) -> (
+        Vec<&KernelExample>,
+        Vec<&KernelExample>,
+        Vec<&KernelExample>,
+    ) {
         (
             self.subset(&split.train),
             self.subset(&split.val),
@@ -77,11 +81,7 @@ impl FusionDataset {
 
 /// Generate the kernels of one program under random fusion configs,
 /// deduplicated by canonical hash.
-pub fn program_kernels(
-    program: &Program,
-    cfg: &FusionDatasetConfig,
-    seed: u64,
-) -> Vec<Kernel> {
+pub fn program_kernels(program: &Program, cfg: &FusionDatasetConfig, seed: u64) -> Vec<Kernel> {
     let (space, default_cfg) = default_space_and_config(&program.computation);
     let mut configs = random_configs(&space, cfg.configs_per_program, seed);
     configs.push(default_cfg);

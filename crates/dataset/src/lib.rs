@@ -35,8 +35,7 @@ mod stream;
 mod tile_ds;
 
 pub use corpus::{
-    Corpus, CorpusScale, Entry, Split, FUSION_NODE_LIMIT, HELD_OUT_FAMILIES,
-    RANDOM_TEST_PROGRAMS,
+    Corpus, CorpusScale, Entry, Split, FUSION_NODE_LIMIT, HELD_OUT_FAMILIES, RANDOM_TEST_PROGRAMS,
 };
 pub use fusion_ds::{
     build_fusion_dataset, program_kernels, FusionDataset, FusionDatasetConfig, KernelExample,

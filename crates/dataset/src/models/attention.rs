@@ -128,7 +128,12 @@ mod tests {
         ];
         for p in &programs {
             assert!(p.computation.validate().is_ok(), "{}", p.name);
-            assert!(p.num_nodes() > 40, "{} too small: {}", p.name, p.num_nodes());
+            assert!(
+                p.num_nodes() > 40,
+                "{} too small: {}",
+                p.name,
+                p.num_nodes()
+            );
         }
     }
 

@@ -4,17 +4,15 @@ use tpu_hlo::{ConvAttrs, DType, GraphBuilder, NodeId, Shape};
 
 /// A dense layer `relu?(x·W + b)` with parameter weights, returning the
 /// output node.
-pub fn dense(
-    b: &mut GraphBuilder,
-    name: &str,
-    x: NodeId,
-    out_dim: usize,
-    relu: bool,
-) -> NodeId {
+pub fn dense(b: &mut GraphBuilder, name: &str, x: NodeId, out_dim: usize, relu: bool) -> NodeId {
     let in_dim = *b.shape(x).dims().last().expect("dense needs rank>=1");
     let rows = b.shape(x).dims()[0];
     let _ = rows;
-    let w = b.parameter(&format!("{name}_w"), Shape::matrix(in_dim, out_dim), DType::F32);
+    let w = b.parameter(
+        &format!("{name}_w"),
+        Shape::matrix(in_dim, out_dim),
+        DType::F32,
+    );
     let bias = b.parameter(&format!("{name}_b"), Shape::vector(out_dim), DType::F32);
     let xw = b.dot(x, w);
     let target = b.shape(xw).clone();
@@ -93,14 +91,12 @@ pub fn flatten(b: &mut GraphBuilder, x: NodeId) -> NodeId {
 }
 
 /// Embedding lookup: gathers `seq_len` rows of a `[vocab × dim]` table.
-pub fn embed(
-    b: &mut GraphBuilder,
-    name: &str,
-    vocab: usize,
-    dim: usize,
-    seq_len: usize,
-) -> NodeId {
-    let table = b.parameter(&format!("{name}_table"), Shape::matrix(vocab, dim), DType::F32);
+pub fn embed(b: &mut GraphBuilder, name: &str, vocab: usize, dim: usize, seq_len: usize) -> NodeId {
+    let table = b.parameter(
+        &format!("{name}_table"),
+        Shape::matrix(vocab, dim),
+        DType::F32,
+    );
     let ids = b.parameter(&format!("{name}_ids"), Shape::vector(seq_len), DType::S32);
     b.gather_rows(table, ids)
 }

@@ -141,7 +141,13 @@ pub fn ncf(name: &str, batch: usize, dim: usize) -> Program {
 
 /// Two ResNet towers evaluated in parallel and merged — the paper's
 /// "ResNet-parallel" autotuning target.
-pub fn resnet_parallel(name: &str, batch: usize, px: usize, width: usize, blocks: usize) -> Program {
+pub fn resnet_parallel(
+    name: &str,
+    batch: usize,
+    px: usize,
+    width: usize,
+    blocks: usize,
+) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("input", Shape::new(vec![batch, px, px, 3]), DType::F32);
     let mut outs = Vec::new();

@@ -713,7 +713,10 @@ mod tests {
         assert!(summary.kernel_examples > 10);
 
         let r = DatasetReader::open(&path).unwrap();
-        assert_eq!(r.len(), summary.kernel_examples + summary.whole_graph_examples);
+        assert_eq!(
+            r.len(),
+            summary.kernel_examples + summary.whole_graph_examples
+        );
         let p = r.get(0).unwrap();
         assert!(p.runtime_ns > 0.0);
         assert!(p.num_nodes() > 0);
@@ -744,7 +747,11 @@ mod tests {
         for (i, ex) in in_mem.examples.iter().enumerate() {
             let got = r.get(i).unwrap();
             let expect = Prepared::from_sample(&Sample::new(ex.kernel.clone(), ex.runtime_ns));
-            assert_eq!(got.runtime_ns.to_bits(), expect.runtime_ns.to_bits(), "record {i}");
+            assert_eq!(
+                got.runtime_ns.to_bits(),
+                expect.runtime_ns.to_bits(),
+                "record {i}"
+            );
             assert_eq!(got.opcode_ids, expect.opcode_ids, "record {i}");
             assert_eq!(r.program_id(i), ex.program_idx, "record {i}");
         }

@@ -178,7 +178,10 @@ mod tests {
         let (_, ds) = quick();
         let mut by_group: std::collections::HashMap<usize, Vec<f64>> = Default::default();
         for ex in &ds.examples {
-            by_group.entry(ex.kernel_group).or_default().push(ex.runtime_ns);
+            by_group
+                .entry(ex.kernel_group)
+                .or_default()
+                .push(ex.runtime_ns);
         }
         let spread = by_group.values().filter(|v| v.len() >= 3).any(|v| {
             let min = v.iter().fold(f64::INFINITY, |a, &b| a.min(b));

@@ -43,7 +43,8 @@ fn valid_bytes() -> Vec<u8> {
     let path = tmp("seed");
     let mut w = DatasetWriter::create(&path).unwrap();
     for (i, cols) in [4usize, 8, 16].iter().enumerate() {
-        w.append(&kernel_prepared(*cols, 100.0 + i as f64, i), i as u32).unwrap();
+        w.append(&kernel_prepared(*cols, 100.0 + i as f64, i), i as u32)
+            .unwrap();
     }
     w.finish().unwrap();
     let bytes = std::fs::read(&path).unwrap();

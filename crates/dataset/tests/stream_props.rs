@@ -53,7 +53,10 @@ fn example_from_seed(seed: u64) -> Prepared {
                 0 => f32::NAN,
                 1 => f32::INFINITY,
                 2 => -0.0,
-                _ => f32::from_bits((w >> 32) as u32 & 0x7f7f_ffff) * if w & 1 == 0 { 1.0 } else { -1.0 },
+                _ => {
+                    f32::from_bits((w >> 32) as u32 & 0x7f7f_ffff)
+                        * if w & 1 == 0 { 1.0 } else { -1.0 }
+                }
             }
         })
         .collect();
@@ -70,7 +73,11 @@ fn example_from_seed(seed: u64) -> Prepared {
         1 => f64::INFINITY,
         _ => f64::from_bits(splitmix(&mut s) & 0x7fef_ffff_ffff_ffff),
     };
-    let group = if w & 8 == 0 { usize::MAX } else { (w >> 16) as usize % 10_000 };
+    let group = if w & 8 == 0 {
+        usize::MAX
+    } else {
+        (w >> 16) as usize % 10_000
+    };
     Prepared {
         opcode_ids,
         features: Tensor::from_vec(n, FEATURE_DIM, feats),
