@@ -100,6 +100,11 @@ impl Adam {
     /// Apply one update from the store's accumulated gradients. Gradients
     /// are *not* zeroed; call [`ParamStore::zero_grads`] before the next
     /// forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store's parameter count or shapes changed since the
+    /// first step.
     pub fn step(&mut self, store: &mut ParamStore) {
         if self.m.is_empty() {
             for id in store.ids() {
@@ -108,27 +113,22 @@ impl Adam {
                 self.v.push(Tensor::zeros(val.rows(), val.cols()));
             }
         }
+        assert_eq!(self.m.len(), store.num_params(), "Adam state per parameter");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for id in store.ids().collect::<Vec<_>>() {
-            let g = store.grad(id).clone();
-            let m = &mut self.m[id.0];
-            let v = &mut self.v[id.0];
-            for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
-            let lr = self.lr;
-            let eps = self.eps;
-            let wd = self.weight_decay;
-            let mdata = m.data().to_vec();
-            let vdata = v.data().to_vec();
-            let val = store.value_mut(id);
-            for ((x, mi), vi) in val.data_mut().iter_mut().zip(mdata).zip(vdata) {
-                let mhat = mi / bc1;
-                let vhat = vi / bc2;
-                *x -= lr * (mhat / (vhat.sqrt() + eps) + wd * *x);
+        let (beta1, beta2, lr, eps, wd) =
+            (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        for ((x, g), (m, v)) in store.values_and_grads_mut().zip(moments) {
+            assert_eq!(m.len(), x.len(), "Adam state shape");
+            let elems = x.data_mut().iter_mut().zip(g.data());
+            for ((xi, &gi), (mi, vi)) in elems.zip(m.data_mut().iter_mut().zip(v.data_mut())) {
+                *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                let mhat = *mi / bc1;
+                let vhat = *vi / bc2;
+                *xi -= lr * (mhat / (vhat.sqrt() + eps) + wd * *xi);
             }
         }
     }
@@ -161,6 +161,85 @@ mod tests {
         tape.backward(loss, store);
         opt.step(store);
         l
+    }
+
+    /// The three-pass update `Adam::step` replaced (moments, then a copy
+    /// of them, then the parameters), kept as the bit-exact oracle.
+    fn step_three_pass(opt: &mut Adam, store: &mut ParamStore) {
+        if opt.m.is_empty() {
+            for id in store.ids() {
+                let val = store.value(id);
+                opt.m.push(Tensor::zeros(val.rows(), val.cols()));
+                opt.v.push(Tensor::zeros(val.rows(), val.cols()));
+            }
+        }
+        opt.t += 1;
+        let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        for id in store.ids().collect::<Vec<_>>() {
+            let g = store.grad(id).clone();
+            let m = &mut opt.m[id.0];
+            let v = &mut opt.v[id.0];
+            for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
+                *mi = opt.beta1 * *mi + (1.0 - opt.beta1) * gi;
+                *vi = opt.beta2 * *vi + (1.0 - opt.beta2) * gi * gi;
+            }
+            let (lr, eps, wd) = (opt.lr, opt.eps, opt.weight_decay);
+            let mdata = m.data().to_vec();
+            let vdata = v.data().to_vec();
+            let val = store.value_mut(id);
+            for ((x, mi), vi) in val.data_mut().iter_mut().zip(mdata).zip(vdata) {
+                let mhat = mi / bc1;
+                let vhat = vi / bc2;
+                *x -= lr * (mhat / (vhat.sqrt() + eps) + wd * *x);
+            }
+        }
+    }
+
+    fn bits<'a>(ts: impl IntoIterator<Item = &'a Tensor>) -> Vec<u32> {
+        ts.into_iter()
+            .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+            .collect()
+    }
+
+    fn value_bits(store: &ParamStore) -> Vec<u32> {
+        bits(store.ids().map(|id| store.value(id)))
+    }
+
+    #[test]
+    fn fused_step_is_bit_identical_to_three_pass_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let mut fused_store = ParamStore::new();
+        for (i, (r, c)) in [(3, 5), (1, 7), (16, 4), (1, 1)].into_iter().enumerate() {
+            fused_store.register(format!("p{i}"), Tensor::uniform(r, c, 1.0, &mut rng));
+        }
+        let mut oracle_store = fused_store.clone();
+        let mut fused = Adam::new(3e-2).with_weight_decay(1e-2);
+        let mut oracle = fused.clone();
+        for step in 0..20 {
+            fused_store.zero_grads();
+            oracle_store.zero_grads();
+            for id in fused_store.ids().collect::<Vec<_>>() {
+                let (r, c) = fused_store.value(id).shape();
+                // Gradients span six decades; every fifth one is zero.
+                let scale = 10f32.powi(rng.gen_range(-4..3));
+                let mut g = Tensor::uniform(r, c, scale, &mut rng);
+                g.data_mut().iter_mut().step_by(5).for_each(|x| *x = 0.0);
+                fused_store.grad_mut(id).axpy(1.0, &g);
+                oracle_store.grad_mut(id).axpy(1.0, &g);
+            }
+            fused.step(&mut fused_store);
+            step_three_pass(&mut oracle, &mut oracle_store);
+            let (fv, ov) = (value_bits(&fused_store), value_bits(&oracle_store));
+            assert_eq!(fv, ov, "values, step {step}");
+            assert_eq!(bits(&fused.m), bits(&oracle.m), "first moment, step {step}");
+            assert_eq!(
+                bits(&fused.v),
+                bits(&oracle.v),
+                "second moment, step {step}"
+            );
+        }
     }
 
     #[test]

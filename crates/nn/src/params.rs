@@ -89,6 +89,12 @@ impl ParamStore {
         &mut self.grads[id.0]
     }
 
+    /// Every `(value, gradient)` pair in id order, values mutable — the
+    /// optimizer's single pass.
+    pub(crate) fn values_and_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
+        self.values.iter_mut().zip(&self.grads)
+    }
+
     /// Name of a parameter.
     ///
     /// # Panics

@@ -1,11 +1,15 @@
 //! Reverse-mode automatic differentiation on a tape.
 //!
 //! Tapes own a small buffer arena: [`Tape::reset`] recycles every forward
-//! value into a free list, so steady-state training steps allocate
-//! (almost) nothing. Backward passes accumulate gradients in place,
-//! transform the incoming gradient in place for elementwise ops, and use
-//! the fused [`Tensor::matmul_at`]/[`Tensor::matmul_bt`] kernels so the
-//! matmul backward never materializes a transposed copy.
+//! value into a free list that the next step's ops and backward scratch
+//! draw from, so a steady-state step takes its tensor buffers from the
+//! arena, not the allocator. Per-op bookkeeping — the backward's list of
+//! gradient slots, index lists, argmax tables, concat operand lists — is
+//! still allocated every step. Backward passes accumulate gradients in
+//! place and transform the incoming gradient in place for elementwise ops.
+//! The matmul backward forms `db = aᵀ·g` with the fused
+//! [`Tensor::matmul_at`], which reads `a`'s columns in place, and
+//! `da = g·bᵀ` from a copy of `bᵀ` in an arena buffer kept for it.
 //!
 //! Op payloads are [`Arc`]s, so a [`Tape`] is `Send`.
 
@@ -62,9 +66,31 @@ struct Node {
 #[derive(Default)]
 struct BufferPool {
     free: Vec<Vec<f32>>,
+    /// The matmul backward's transposed weight. Kept out of `free`: a pop
+    /// hands over whichever buffer was pushed last, whatever its size, so
+    /// one more take/put pair in the step re-deals which buffers grow to
+    /// the largest shapes — drawn from `free`, this transpose raised
+    /// `tpu-perf`'s `peak_rss_mib` from 323 to 351.
+    transpose: Vec<f32>,
 }
 
 impl BufferPool {
+    /// `srcᵀ` in the dedicated transpose buffer; hand it back with
+    /// [`BufferPool::put_transpose`].
+    fn take_transpose(&mut self, src: &Tensor) -> Tensor {
+        let mut buf = std::mem::take(&mut self.transpose);
+        buf.clear();
+        buf.resize(src.len(), 0.0);
+        let mut t = Tensor::from_vec(src.cols(), src.rows(), buf);
+        src.transpose_into(&mut t);
+        t
+    }
+
+    /// Return the buffer [`BufferPool::take_transpose`] lent out.
+    fn put_transpose(&mut self, t: Tensor) {
+        self.transpose = t.into_data();
+    }
+
     /// A `rows×cols` tensor filled with `fill`, reusing a free buffer.
     fn take_filled(&mut self, rows: usize, cols: usize, fill: f32) -> Tensor {
         let mut buf = self.free.pop().unwrap_or_default();
@@ -489,20 +515,18 @@ impl Tape {
         let mut argmax = vec![-1i64; n_segments * cols];
         for (r, &s) in seg.iter().enumerate() {
             assert!(s < n_segments);
-            for c in 0..cols {
-                let v = t.get(r, c);
-                if v > out.get(s, c) {
-                    out.set(s, c, v);
-                    argmax[s * cols + c] = r as i64;
+            let best = &mut argmax[s * cols..(s + 1) * cols];
+            for ((o, arg), &v) in out.row_mut(s).iter_mut().zip(best).zip(t.row(r)) {
+                if v > *o {
+                    *o = v;
+                    *arg = r as i64;
                 }
             }
         }
         // Empty segments: replace -inf with 0.
-        for s in 0..n_segments {
-            for c in 0..cols {
-                if argmax[s * cols + c] < 0 {
-                    out.set(s, c, 0.0);
-                }
+        for (o, &arg) in out.data_mut().iter_mut().zip(argmax.iter()) {
+            if arg < 0 {
+                *o = 0.0;
             }
         }
         self.push(Op::SegmentMax(a, seg, n_segments, Arc::new(argmax)), out)
@@ -598,10 +622,13 @@ impl Tape {
                 Op::MatMul(a, b) => {
                     let av = &nodes[a.0].value;
                     let bv = &nodes[b.0].value;
-                    // da = g · bᵀ and db = aᵀ · g via the fused kernels —
-                    // no transposed copies are ever built.
+                    // da = g · bᵀ through a pooled transpose of b (the
+                    // weight, small next to g); db = aᵀ · g reads a's
+                    // columns in place.
+                    let bt = pool.take_transpose(bv);
                     let mut da = pool.take_zeroed(g.rows(), bv.rows());
-                    g.matmul_bt_into(bv, &mut da);
+                    g.matmul_into(&bt, &mut da);
+                    pool.put_transpose(bt);
                     let mut db = pool.take_zeroed(av.cols(), g.cols());
                     av.matmul_at_into(&g, &mut db);
                     accumulate_owned(&mut grads, pool, *a, da);
@@ -764,12 +791,12 @@ impl Tape {
                 Op::SegmentMax(a, _, n, argmax) => {
                     let (tr, tc) = nodes[a.0].value.shape();
                     let mut da = pool.take_zeroed(tr, tc);
+                    let da_data = da.data_mut();
                     for s in 0..*n {
-                        for c in 0..tc {
-                            let r = argmax[s * tc + c];
+                        let best = &argmax[s * tc..(s + 1) * tc];
+                        for ((c, &r), &gv) in best.iter().enumerate().zip(g.row(s)) {
                             if r >= 0 {
-                                let v = da.get(r as usize, c) + g.get(s, c);
-                                da.set(r as usize, c, v);
+                                da_data[r as usize * tc + c] += gv;
                             }
                         }
                     }
@@ -783,20 +810,12 @@ impl Tape {
                     for r in 0..x.rows() {
                         let norm = x.row(r).iter().map(|&v| v * v).sum::<f32>().sqrt();
                         let n = norm.max(L2_EPS);
-                        let dot: f32 = y
-                            .row(r)
-                            .iter()
-                            .zip(g.row(r))
-                            .map(|(&yv, &gv)| yv * gv)
-                            .sum();
-                        for c in 0..x.cols() {
+                        let (y_row, g_row) = (y.row(r), g.row(r));
+                        let dot: f32 = y_row.iter().zip(g_row).map(|(&yv, &gv)| yv * gv).sum();
+                        for ((d, &yv), &gv) in da.row_mut(r).iter_mut().zip(y_row).zip(g_row) {
                             // Treat the ε-clamped region as constant-norm.
-                            let proj = if norm > L2_EPS {
-                                y.get(r, c) * dot
-                            } else {
-                                0.0
-                            };
-                            da.set(r, c, (g.get(r, c) - proj) / n);
+                            let proj = if norm > L2_EPS { yv * dot } else { 0.0 };
+                            *d = (gv - proj) / n;
                         }
                     }
                     accumulate_owned(&mut grads, pool, *a, da);

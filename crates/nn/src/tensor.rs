@@ -1,11 +1,18 @@
 //! A minimal dense 2-D float tensor with a blocked matmul core.
 //!
-//! All three matrix-product kernels ([`Tensor::matmul`],
-//! [`Tensor::matmul_at`], [`Tensor::matmul_bt`]) accumulate each output
-//! element strictly in ascending-`k` order, exactly like the naive
-//! three-loop reference. Register blocking only reorders *which* elements
-//! are worked on, never the summation order within one element — so
-//! results are bit-identical to the reference for every shape.
+//! All three matrix products ([`Tensor::matmul`], [`Tensor::matmul_at`],
+//! [`Tensor::matmul_bt`]) accumulate each output element strictly in
+//! ascending-`k` order, exactly like the naive three-loop reference.
+//! Register blocking only reorders *which* elements are worked on, never
+//! the summation order within one element — so results are bit-identical
+//! to the reference for every shape.
+//!
+//! The tile ladder, widest first: on a build with AVX-512F enabled, full
+//! 64-column tiles run an explicit `R×64` zmm micro-kernel (`zmm::tile`);
+//! every other column (and every column on other builds) runs the portable
+//! const-generic `R×C` tile at `C ∈ {16, 4, 1}`, which LLVM vectorizes at
+//! its preferred width. Both multiply, then add — never a fused
+//! multiply-add, whose single rounding would change the bits.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -16,10 +23,14 @@ use std::fmt;
 /// loaded element versus the one-row loop.
 const MR: usize = 4;
 
-/// Columns handled together by the micro-kernel. An `MR×NR` tile of
-/// partial sums lives in registers for the whole `k` loop, so output
+/// Columns handled together by the portable micro-kernel. An `MR×NR` tile
+/// of partial sums lives in registers for the whole `k` loop, so output
 /// elements are loaded and stored once instead of once per `k` step.
 const NR: usize = 16;
+
+/// Side of the square blocks [`Tensor::transpose_into`] copies through, so
+/// the strided writes of one block stay within a few cache lines.
+const TRANSPOSE_BLOCK: usize = 16;
 
 /// A row-major 2-D tensor of `f32`. Scalars are `1×1`, vectors are `1×d`
 /// or `n×1`.
@@ -278,51 +289,26 @@ impl Tensor {
         mm_at_rows(&self.data, m, k, &other.data, n, &mut out.data);
     }
 
-    /// Fused transposed product `self · otherᵀ` (`self [m×k]`, `other
-    /// [n×k]` → `[m×n]`). Internally transposes `other` once (an O(n·k)
-    /// copy of the small operand) and runs the blocked kernel.
+    /// Transposed product `self · otherᵀ` (`self [m×k]`, `other [n×k]` →
+    /// `[m×n]`): transposes `other` into a new tensor and runs
+    /// [`Tensor::matmul`].
     ///
-    /// Bit-identical to `self.matmul(&other.transpose())`.
+    /// Contracting along rows of both operands makes every output element
+    /// a dot product, which the strict ascending-`k` order would force to
+    /// stay scalar; the O(n·k) copy buys the vectorized kernel. The tape's
+    /// matmul backward, which needs this every step, transposes into a
+    /// pooled buffer instead of allocating.
     ///
     /// # Panics
     ///
     /// Panics if the column counts (the shared `k` dimension) disagree.
     pub fn matmul_bt(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        self.matmul_bt_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_bt`] into a caller-provided output (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or wrong `out` shape.
-    pub fn matmul_bt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_bt {}x{} ·ᵀ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        assert_eq!(out.shape(), (self.rows, other.rows), "matmul_bt out shape");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            out.fill_zero();
-            return;
-        }
-        // Contracting along rows of both operands means every output
-        // element is a dot product — which the strict ascending-`k` order
-        // forces to stay scalar. Transposing `other` first costs only
-        // O(n·k) against O(m·n·k) compute and unlocks the vectorized
-        // blocked kernel, which beats scalar dot chains at every shape we
-        // care about. `other` is the small operand here (the tape uses
-        // `bt` for `∂loss/∂A = g · Bᵀ` where `B` is a weight matrix).
-        let bt = other.transpose();
-        out.fill_zero();
-        mm_rows(&self.data, k, &bt.data, n, &mut out.data);
+        self.matmul(&other.transpose())
     }
 
     /// The naive serial three-loop matmul (`i-k-j` order), kept as the
@@ -351,12 +337,30 @@ impl Tensor {
     /// Transposed copy.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Write `selfᵀ` into `out` (overwritten), copying block by block.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` is `cols×rows`.
+    pub(crate) fn transpose_into(&self, out: &mut Tensor) {
+        assert_eq!(out.shape(), (self.cols, self.rows), "transpose out shape");
+        let (rows, cols) = (self.rows, self.cols);
+        for rb in (0..rows).step_by(TRANSPOSE_BLOCK) {
+            let r_end = (rb + TRANSPOSE_BLOCK).min(rows);
+            for cb in (0..cols).step_by(TRANSPOSE_BLOCK) {
+                let c_end = (cb + TRANSPOSE_BLOCK).min(cols);
+                for r in rb..r_end {
+                    let src = &self.data[r * cols + cb..r * cols + c_end];
+                    for (c, &v) in (cb..c_end).zip(src) {
+                        out.data[c * rows + r] = v;
+                    }
+                }
             }
         }
-        out
     }
 
     /// Elementwise map.
@@ -479,6 +483,13 @@ fn mm_row_block<const R: usize>(
     i: usize,
 ) {
     let mut jb = 0;
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    while jb + zmm::NC <= n {
+        // SAFETY: this build enables AVX-512F (the `cfg` above), so every
+        // CPU it runs on has it.
+        unsafe { zmm::tile::<R>(a, k, 1, k, b, n, out, i, jb) };
+        jb += zmm::NC;
+    }
     while jb + NR <= n {
         mm_micro::<R, NR>(a, k, b, n, out, i, jb);
         jb += NR;
@@ -558,6 +569,13 @@ fn mm_at_row_block<const R: usize>(
     i: usize,
 ) {
     let mut jb = 0;
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    while jb + zmm::NC <= n {
+        // SAFETY: this build enables AVX-512F (the `cfg` above), so every
+        // CPU it runs on has it.
+        unsafe { zmm::tile::<R>(a, 1, m, k, b, n, out, i, jb) };
+        jb += zmm::NC;
+    }
     while jb + NR <= n {
         mm_at_micro::<R, NR>(a, m, k, b, n, out, i, jb);
         jb += NR;
@@ -602,6 +620,99 @@ fn mm_at_micro<const R: usize, const C: usize>(
         let o = &mut out[(i + r) * n + jb..(i + r) * n + jb + C];
         for t in 0..C {
             o[t] += acc[r][t];
+        }
+    }
+}
+
+/// The AVX-512F rung of the tile ladder: `R×64` tiles held in `4·R` zmm
+/// accumulators.
+///
+/// LLVM's cost model keeps the portable tile at 256 bits on these cores,
+/// where two vector ports of 8 lanes, issuing a multiply and a separate
+/// add per lane-step (no FMA), cap it at 8 flops a cycle a port. Explicit
+/// 512-bit multiplies and adds double the lanes per instruction; the
+/// operation sequence per output element is unchanged.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm {
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+
+    /// Lanes in one zmm register.
+    const LANES: usize = 16;
+
+    /// Registers per tile row.
+    const REGS: usize = 4;
+
+    /// Columns in one tile.
+    pub(super) const NC: usize = LANES * REGS;
+
+    /// `out[i+r][jb..jb+64] += Σ_kk A(i+r, kk) · b[kk][jb..jb+64]` for
+    /// `r < R`, where `A(row, kk) = a[row·rs + kk·ks]` — `rs = k, ks = 1`
+    /// reads `A` row-major, `rs = 1, ks = m` reads the columns of a `[k×m]`
+    /// matrix (the fused `aᵀ·b`).
+    ///
+    /// Each accumulator lane starts at `+0.0` and adds the rounded
+    /// product `A · b` in ascending `kk`: the reference's operations in the
+    /// reference's order, sixteen elements at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `R ≥ 1`, `k ≥ 1`, the tile lies inside `n` columns
+    /// and every index the loops form lies inside `a`, `b` and `out`.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn tile<const R: usize>(
+        a: &[f32],
+        rs: usize,
+        ks: usize,
+        k: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+        i: usize,
+        jb: usize,
+    ) {
+        assert!(R >= 1 && k >= 1 && jb + NC <= n, "zmm tile shape");
+        assert!(
+            (i + R - 1) * rs + (k - 1) * ks < a.len(),
+            "zmm tile reads past A"
+        );
+        assert!(k * n <= b.len(), "zmm tile reads past B");
+        assert!((i + R) * n <= out.len(), "zmm tile writes past out");
+        let mut acc = [[_mm512_setzero_ps(); REGS]; R];
+        for kk in 0..k {
+            // SAFETY: kk < k and jb + 64 <= n, so the last lane read is
+            // kk·n + jb + 63 < k·n <= b.len() (asserted above).
+            let bv: [__m512; REGS] = unsafe {
+                let p = b.as_ptr().add(kk * n + jb);
+                [
+                    _mm512_loadu_ps(p),
+                    _mm512_loadu_ps(p.add(LANES)),
+                    _mm512_loadu_ps(p.add(2 * LANES)),
+                    _mm512_loadu_ps(p.add(3 * LANES)),
+                ]
+            };
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                // SAFETY: r < R and kk < k, so the index is at most
+                // (i + R - 1)·rs + (k - 1)·ks < a.len() (asserted above).
+                let av = _mm512_set1_ps(unsafe { *a.get_unchecked((i + r) * rs + kk * ks) });
+                for (acc_rt, &bt) in acc_r.iter_mut().zip(&bv) {
+                    *acc_rt = _mm512_add_ps(*acc_rt, _mm512_mul_ps(av, bt));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            // SAFETY: r < R and jb + 64 <= n, so the last lane touched is
+            // (i + r)·n + jb + 63 < (i + R)·n <= out.len() (asserted above).
+            unsafe {
+                let p = out.as_mut_ptr().add((i + r) * n + jb);
+                for (t, &acc_rt) in acc_r.iter().enumerate() {
+                    let q = p.add(t * LANES);
+                    _mm512_storeu_ps(q, _mm512_add_ps(_mm512_loadu_ps(q), acc_rt));
+                }
+            }
         }
     }
 }
@@ -767,6 +878,70 @@ mod tests {
         let mut out = Tensor::full(6, 4, 123.0); // stale contents must be overwritten
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul_reference(&b));
+    }
+
+    #[test]
+    fn blocked_transpose_matches_elementwise() {
+        // Ragged against the 16×16 copy blocks in both dimensions.
+        let a = random_tensor(37, 19, 10);
+        let t = a.transpose();
+        assert_eq!(t.shape(), (19, 37));
+        for r in 0..37 {
+            for c in 0..19 {
+                assert_eq!(t.get(c, r).to_bits(), a.get(r, c).to_bits());
+            }
+        }
+    }
+
+    /// The AVX-512 tile against the portable tile it stands in for, on
+    /// the same operands (NaN, ±inf and −0.0 included), for both `A`
+    /// layouts and both row counts.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn zmm_tile_equals_portable_tile() {
+        fn same(x: &[f32], y: &[f32]) -> bool {
+            x.iter()
+                .zip(y)
+                .all(|(a, b)| (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits())
+        }
+        let (m, k, n) = (10, 70, 131);
+        let mut a = random_tensor(m, k, 11);
+        let mut b = random_tensor(k, n, 12);
+        // Sparse enough that rows 3 and 7 of `a` and most columns of `b`
+        // stay finite.
+        for (i, x) in a.data_mut().iter_mut().step_by(97).enumerate() {
+            *x = [f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY][i % 4];
+        }
+        for (i, x) in b.data_mut().iter_mut().step_by(173).enumerate() {
+            *x = [-0.0, f32::NEG_INFINITY, f32::NAN, f32::INFINITY][i % 4];
+        }
+        let at = a.transpose();
+        for (i, jb) in [(0, 0), (5, 67)] {
+            let mut simd = vec![0.0; m * n];
+            let mut portable = vec![0.0; m * n];
+            // SAFETY: the cfg on this test means AVX-512F is enabled.
+            unsafe { zmm::tile::<4>(&a.data, k, 1, k, &b.data, n, &mut simd, i, jb) };
+            mm_micro::<4, 64>(&a.data, k, &b.data, n, &mut portable, i, jb);
+            // SAFETY: as above.
+            unsafe { zmm::tile::<1>(&a.data, k, 1, k, &b.data, n, &mut simd, i + 4, jb) };
+            mm_micro::<1, 64>(&a.data, k, &b.data, n, &mut portable, i + 4, jb);
+            assert!(simd.iter().any(|x| x.is_nan()));
+            assert!(simd.iter().any(|x| x.is_finite() && *x != 0.0));
+            assert!(same(&simd, &portable), "A row-major, tile at ({i}, {jb})");
+
+            let mut simd = vec![0.0; m * n];
+            let mut portable = vec![0.0; m * n];
+            // SAFETY: as above.
+            unsafe { zmm::tile::<4>(&at.data, 1, m, k, &b.data, n, &mut simd, i, jb) };
+            mm_at_micro::<4, 64>(&at.data, m, k, &b.data, n, &mut portable, i, jb);
+            // SAFETY: as above.
+            unsafe { zmm::tile::<1>(&at.data, 1, m, k, &b.data, n, &mut simd, i + 4, jb) };
+            mm_at_micro::<1, 64>(&at.data, m, k, &b.data, n, &mut portable, i + 4, jb);
+            assert!(
+                same(&simd, &portable),
+                "A column-major, tile at ({i}, {jb})"
+            );
+        }
     }
 
     #[test]

@@ -142,6 +142,53 @@ proptest! {
     }
 }
 
+/// Like [`assert_bits_equal`], except that any NaN matches any NaN: IEEE
+/// 754 leaves open which NaN payload (or sign) an operation on two NaNs
+/// returns, and the compiler may commute a multiply's operands.
+fn assert_same_floats(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}");
+    for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+        assert!(
+            (x.is_nan() && y.is_nan()) || x.to_bits() == y.to_bits(),
+            "{what}: element {i} differs: {x:?} vs {y:?}"
+        );
+    }
+}
+
+/// `rows×cols` of smooth values salted with NaN, ±inf and −0.0 at sparse
+/// positions that depend on `salt`, so some outputs stay finite.
+fn salted(rows: usize, cols: usize, salt: usize) -> Tensor {
+    let data = (0..rows * cols)
+        .map(|i| match (i + salt) % 211 {
+            5 => f32::NAN,
+            17 => f32::INFINITY,
+            101 => f32::NEG_INFINITY,
+            r if r % 13 == 0 => -0.0,
+            _ => ((i * 7 + salt) as f32 * 0.37).sin() * 3.0,
+        })
+        .collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+#[test]
+fn products_across_the_tile_ladder_match_reference() {
+    // n straddles one and two 64-column tiles; m covers the 4-row block,
+    // its 1-row remainder and both; k = 0 leaves every output +0.0.
+    for n in [63, 64, 65, 128, 129] {
+        for m in [1, 3, 4, 5, 26] {
+            for k in [0, 1, 68, 128] {
+                let a = salted(m, k, n);
+                let b = salted(k, n, m);
+                let want = a.matmul_reference(&b);
+                let shape = format!("{m}x{k}·{k}x{n}");
+                assert_same_floats(&a.matmul(&b), &want, &shape);
+                assert_same_floats(&a.transpose().matmul_at(&b), &want, &format!("at {shape}"));
+                assert_same_floats(&a.matmul_bt(&b.transpose()), &want, &format!("bt {shape}"));
+            }
+        }
+    }
+}
+
 #[test]
 fn matmul_edge_shapes_match_reference() {
     let shapes: &[(usize, usize, usize)] = &[

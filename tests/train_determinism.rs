@@ -58,7 +58,7 @@ fn run_once() -> (Vec<f64>, String) {
 }
 
 #[test]
-fn training_is_bit_identical_across_thread_counts() {
+fn training_is_bit_identical_across_runs() {
     let (losses_first, params_first) = run_once();
     let (losses, params) = run_once();
     assert_eq!(losses_first.len(), losses.len(), "epoch count differs");
