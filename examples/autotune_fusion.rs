@@ -53,8 +53,7 @@ fn main() {
 
         // A fresh prediction cache per run.
         let cache = Arc::new(AtomicCache::serving_default());
-        let tuned =
-            autotune_with_cost_model(&program, &device, &oracle, &cache, mode, &budgets, 1);
+        let tuned = autotune_with_cost_model(&program, &device, &oracle, &cache, mode, &budgets, 1);
         println!(
             "with cost model: {:>6.2} ms after {} hardware evals (speedup {:.3}x)",
             tuned.true_ns / 1e6,

@@ -6,7 +6,7 @@
 //! ```
 
 use tpu_repro::fusion::{default_space_and_config, fused_fraction};
-use tpu_repro::hlo::{dump_computation, parse_computation, canonical_hash};
+use tpu_repro::hlo::{canonical_hash, dump_computation, parse_computation};
 
 fn main() {
     // A small transformer block from the corpus generators.

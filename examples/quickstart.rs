@@ -72,7 +72,11 @@ fn main() {
         let truth = tpu_repro::sim::kernel_time_ns(kernel, &TpuConfig::default());
         predicted_total += pred;
         measured_total += truth;
-        println!("  predicted {:>10.2} us   actual {:>10.2} us", pred / 1000.0, truth / 1000.0);
+        println!(
+            "  predicted {:>10.2} us   actual {:>10.2} us",
+            pred / 1000.0,
+            truth / 1000.0
+        );
     }
 
     // 5. Program runtime = sum of kernel runtimes (§3.3 of the paper).

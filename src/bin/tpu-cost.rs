@@ -123,36 +123,39 @@ fn main() -> ExitCode {
 
     // Build the backend.
     type KernelPredictFn = Box<dyn Fn(&tpu_repro::hlo::Kernel) -> Option<f64>>;
-    let predict: KernelPredictFn =
-        match args.backend.split(':').next().unwrap_or("sim") {
-            "sim" => {
-                let m = machine.clone();
-                Box::new(move |k| Some(kernel_time_ns(k, &m)))
-            }
-            "analytical" => {
-                let model = AnalyticalModel::new(machine.clone());
-                let cal = Calibration::identity();
-                Box::new(move |k| cal.predict_ns(&model, k))
-            }
-            "frozen" => match load_frozen(&args.backend) {
-                Ok(model) => Box::new(move |k| model.predict_kernel_ns(k)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown backend `{other}` (sim|analytical|frozen:BLOB)");
+    let predict: KernelPredictFn = match args.backend.split(':').next().unwrap_or("sim") {
+        "sim" => {
+            let m = machine.clone();
+            Box::new(move |k| Some(kernel_time_ns(k, &m)))
+        }
+        "analytical" => {
+            let model = AnalyticalModel::new(machine.clone());
+            let cal = Calibration::identity();
+            Box::new(move |k| cal.predict_ns(&model, k))
+        }
+        "frozen" => match load_frozen(&args.backend) {
+            Ok(model) => Box::new(move |k| model.predict_kernel_ns(k)),
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
-        };
+        },
+        other => {
+            eprintln!("unknown backend `{other}` (sim|analytical|frozen:BLOB)");
+            return ExitCode::FAILURE;
+        }
+    };
 
     println!(
         "program `{}`: {} ops -> {} kernels ({})",
         program.name,
         program.num_nodes(),
         fused.num_kernels(),
-        if args.fuse { "default fusion" } else { "unfused" }
+        if args.fuse {
+            "default fusion"
+        } else {
+            "unfused"
+        }
     );
     let mut total = 0.0;
     let mut unsupported = 0usize;
@@ -169,7 +172,11 @@ fn main() -> ExitCode {
             }
             None => {
                 unsupported += 1;
-                println!("  kernel {i:>3}  {:?}  ops={:<3}  unsupported", k.kind, k.num_ops());
+                println!(
+                    "  kernel {i:>3}  {:?}  ops={:<3}  unsupported",
+                    k.kind,
+                    k.num_ops()
+                );
             }
         }
     }
@@ -186,8 +193,11 @@ fn main() -> ExitCode {
 
     if args.backend == "sim" {
         let report = tpu_repro::sim::analyze_program(&fused, &machine);
-        println!("
-{}", report.render());
+        println!(
+            "
+{}",
+            report.render()
+        );
     }
     ExitCode::SUCCESS
 }

@@ -70,7 +70,11 @@ fn tuned_config_is_bit_identical_across_thread_counts() {
             "chains={chains}: true_ns differs between runs"
         );
         assert_eq!(
-            (reference.hw_evals, reference.model_evals, reference.model_batches),
+            (
+                reference.hw_evals,
+                reference.model_evals,
+                reference.model_batches
+            ),
             (run.hw_evals, run.model_evals, run.model_batches),
             "chains={chains}: eval accounting differs between runs"
         );

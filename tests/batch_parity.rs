@@ -11,8 +11,8 @@
 //! after cache dedup.
 
 use std::sync::Arc;
-use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::analytical::AnalyticalModel;
+use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::learned::{AtomicCache, CostModel, LstmConfig, LstmModel, Predictor};
 use tpu_repro::sim::TpuConfig;
 
@@ -45,8 +45,7 @@ fn lstm_masked_batch_bit_identical_across_ragged_batches() {
     for n in [1usize, 2, 7, 64] {
         let kernels = ragged(n);
         let batch = model.predict_batch_ns(&kernels);
-        let single: Vec<Option<f64>> =
-            kernels.iter().map(|k| model.predict_kernel_ns(k)).collect();
+        let single: Vec<Option<f64>> = kernels.iter().map(|k| model.predict_kernel_ns(k)).collect();
         assert_eq!(
             bits(&batch),
             bits(&single),
@@ -92,8 +91,7 @@ fn analytical_batch_bit_identical_including_unsupported_kernels() {
             })
             .collect();
         let batch = model.predict_batch_ns(&kernels);
-        let single: Vec<Option<f64>> =
-            kernels.iter().map(|k| model.predict_kernel_ns(k)).collect();
+        let single: Vec<Option<f64>> = kernels.iter().map(|k| model.predict_kernel_ns(k)).collect();
         assert_eq!(
             bits(&batch),
             bits(&single),

@@ -4,11 +4,11 @@
 //! stable `total_cmp` sort in generation order.
 
 use std::sync::Arc;
+use tpu_repro::autotuner::BeamResult;
 use tpu_repro::autotuner::{
     autotune_beam_with_cost_model, beam_search, Budgets, ModelObjective, SearchParams, StartMode,
     TunedConfig,
 };
-use tpu_repro::autotuner::BeamResult;
 use tpu_repro::fusion::default_space_and_config;
 use tpu_repro::hlo::{DType, GraphBuilder, Program, Shape};
 use tpu_repro::learned::{AtomicCache, GnnConfig, GnnModel, Predictor};
@@ -96,7 +96,11 @@ fn beam_tuned_config_is_bit_identical_across_thread_counts() {
             "width={width}: true_ns differs between runs"
         );
         assert_eq!(
-            (tuned_ref.hw_evals, tuned_ref.model_evals, tuned_ref.model_batches),
+            (
+                tuned_ref.hw_evals,
+                tuned_ref.model_evals,
+                tuned_ref.model_batches
+            ),
             (tuned.hw_evals, tuned.model_evals, tuned.model_batches),
             "width={width}: eval accounting differs between runs"
         );

@@ -30,13 +30,19 @@ fn the_frozen_backend_prints_the_blobs_program_prediction() {
     let backend = format!("frozen:{}", blob.display());
     let out = tpu_cost(&backend);
     std::fs::remove_file(&blob).expect("remove blob");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // `--demo` is this program; `--fuse` its default fusion.
     let program = transformer("demo", 1, 32, 64, 2);
     let (space, config) = default_space_and_config(&program.computation);
     let fused = apply_fusion(&program, &space, &config);
-    let expected_ns = frozen.predict_program_ns(&fused).expect("frozen scores every kernel");
+    let expected_ns = frozen
+        .predict_program_ns(&fused)
+        .expect("frozen scores every kernel");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let total = stdout
         .lines()
@@ -50,7 +56,10 @@ fn the_frozen_backend_prints_the_blobs_program_prediction() {
 
 #[test]
 fn a_missing_unreadable_or_rejected_blob_is_an_error() {
-    let v1 = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/infer/tests/golden_frozen_v1.blob");
+    let v1 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/infer/tests/golden_frozen_v1.blob"
+    );
     for (backend, message) in [
         ("frozen", "needs a blob"),
         ("frozen:", "needs a blob"),

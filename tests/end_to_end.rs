@@ -102,7 +102,10 @@ fn learned_model_improves_with_training_on_unseen_programs() {
         ..Default::default()
     });
     let eval_mape = |m: &GnnModel| {
-        let preds: Vec<f64> = predict_log_ns(m, &test_p).into_iter().map(f64::exp).collect();
+        let preds: Vec<f64> = predict_log_ns(m, &test_p)
+            .into_iter()
+            .map(f64::exp)
+            .collect();
         let targets: Vec<f64> = test_p.iter().map(|p| p.runtime_ns).collect();
         tpu_repro::learned::metrics::mape(&preds, &targets)
     };
@@ -140,7 +143,10 @@ fn tile_dataset_ranks_are_learnable_signals() {
     let mut spreads = 0;
     let mut groups = std::collections::HashMap::<usize, Vec<f64>>::new();
     for ex in &ds.examples {
-        groups.entry(ex.kernel_group).or_default().push(ex.runtime_ns);
+        groups
+            .entry(ex.kernel_group)
+            .or_default()
+            .push(ex.runtime_ns);
     }
     for v in groups.values() {
         if v.len() >= 2 {
@@ -151,7 +157,10 @@ fn tile_dataset_ranks_are_learnable_signals() {
             }
         }
     }
-    assert!(spreads >= 3, "tile choice must matter: {spreads} spread groups");
+    assert!(
+        spreads >= 3,
+        "tile choice must matter: {spreads} spread groups"
+    );
 }
 
 #[test]
@@ -183,7 +192,9 @@ fn autotune_with_model(
     budgets: &Budgets,
     seed: u64,
 ) -> TunedConfig {
-    let model = FnCostModel::new("closure", move |k: &tpu_repro::hlo::Kernel| Some(kernel_cost(k)));
+    let model = FnCostModel::new("closure", move |k: &tpu_repro::hlo::Kernel| {
+        Some(kernel_cost(k))
+    });
     let cache = Arc::new(AtomicCache::serving_default());
     autotune_with_cost_model(program, device, &model, &cache, mode, budgets, seed)
 }
@@ -233,9 +244,8 @@ fn cost_model_trait_is_retargetable() {
     };
     let gnn = GnnModel::new(GnnConfig::default());
     let oracle = tpu_repro::learned::SimOracle::new(TpuConfig::default());
-    let closure = tpu_repro::learned::FnCostModel::new("const", |_k: &tpu_repro::hlo::Kernel| {
-        Some(1.0)
-    });
+    let closure =
+        tpu_repro::learned::FnCostModel::new("const", |_k: &tpu_repro::hlo::Kernel| Some(1.0));
     let models: Vec<&dyn CostModel> = vec![&gnn, &oracle, &closure];
     for m in models {
         let v = m.predict_kernel_ns(&kernel);

@@ -9,9 +9,7 @@ use tpu_repro::autotuner::{autotune_with_cost_model, Budgets, StartMode};
 use tpu_repro::hlo::{
     canonical_kernel_hash, DType, GraphBuilder, HashedKernel, Kernel, Program, Shape, TileSize,
 };
-use tpu_repro::learned::{
-    AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, Predictor,
-};
+use tpu_repro::learned::{AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, Predictor};
 use tpu_repro::sim::{kernel_time_ns, TpuConfig, TpuDevice};
 
 /// A varied kernel corpus: elementwise chains, dots, reductions, mixed
@@ -66,7 +64,11 @@ fn cached_predictions_bit_identical_to_uncached_serial() {
 
     let stats = predictor.stats();
     assert_eq!(stats.kernels, 2 * kernels.len() as u64);
-    assert_eq!(stats.model_evals, kernels.len() as u64, "one eval per distinct kernel");
+    assert_eq!(
+        stats.model_evals,
+        kernels.len() as u64,
+        "one eval per distinct kernel"
+    );
     assert_eq!(stats.cache_hits, kernels.len() as u64, "warm pass all hits");
 
     // And through the CostModel trait surface as well.
@@ -86,7 +88,10 @@ fn miss_batch_is_one_backend_call() {
 
     let _ = predictor.predict_ns(&kernels);
     let cold = predictor.stats();
-    assert_eq!(cold.model_batches, 1, "one packed forward for the cold batch");
+    assert_eq!(
+        cold.model_batches, 1,
+        "one packed forward for the cold batch"
+    );
     assert_eq!(cold.model_evals, kernels.len() as u64);
 
     let _ = predictor.predict_ns(&kernels);
@@ -144,10 +149,18 @@ fn keyed_prediction_is_the_unkeyed_one_minus_the_hashing() {
         assert_eq!(ps, ks, "per-call PredictStats differ");
     }
     assert_eq!(plain_total, keyed_total);
-    assert_eq!(plain_asked, keyed_asked, "the backend saw different miss batches");
+    assert_eq!(
+        plain_asked, keyed_asked,
+        "the backend saw different miss batches"
+    );
     let (_, mixed_stats) = &keyed[1];
     assert_eq!(
-        (mixed_stats.kernels, mixed_stats.cache_hits, mixed_stats.model_evals, mixed_stats.model_batches),
+        (
+            mixed_stats.kernels,
+            mixed_stats.cache_hits,
+            mixed_stats.model_evals,
+            mixed_stats.model_batches
+        ),
         (8, 3, 3, 1),
         "3 hit positions, 3 distinct misses in one batch"
     );
@@ -209,7 +222,13 @@ fn revisiting_a_configuration_costs_zero_fresh_model_evals() {
     };
 
     let first = autotune_with_cost_model(
-        &program, &device, &model, &cache, StartMode::Default, &budgets, 3,
+        &program,
+        &device,
+        &model,
+        &cache,
+        StartMode::Default,
+        &budgets,
+        3,
     );
     let evals_after_first = evals.load(Ordering::SeqCst);
     assert!(evals_after_first > 0, "first run must evaluate the model");
@@ -224,7 +243,13 @@ fn revisiting_a_configuration_costs_zero_fresh_model_evals() {
     // Same program, same search, same cache: every kernel the search can
     // reach was already scored, so the model is never invoked again.
     let second = autotune_with_cost_model(
-        &program, &device, &model, &cache, StartMode::Default, &budgets, 3,
+        &program,
+        &device,
+        &model,
+        &cache,
+        StartMode::Default,
+        &budgets,
+        3,
     );
     assert_eq!(
         evals.load(Ordering::SeqCst),
@@ -243,8 +268,7 @@ fn parallel_paths_match_serial_for_any_thread_count() {
     let model = GnnModel::new(GnnConfig::default());
 
     // Per-kernel references: one featurization and one forward each.
-    let serial_ns: Vec<Option<f64>> =
-        kernels.iter().map(|k| Some(model.predict_ns(k))).collect();
+    let serial_ns: Vec<Option<f64>> = kernels.iter().map(|k| Some(model.predict_ns(k))).collect();
 
     // The uncached predictor exercises the batch path (featurize the
     // slice, one packed forward) with every kernel treated as a fresh miss.

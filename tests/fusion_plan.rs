@@ -84,7 +84,11 @@ fn render() -> String {
             )
             .expect("write to string");
         }
-        out.push_str(if pi + 1 < programs.len() { "  },\n" } else { "  }\n" });
+        out.push_str(if pi + 1 < programs.len() {
+            "  },\n"
+        } else {
+            "  }\n"
+        });
     }
     out.push_str("}\n");
     out
@@ -210,10 +214,18 @@ fn a_replan_equals_the_plan_from_scratch_across_the_full_corpus() {
         let mut rng = proptest::TestRng::new(pi as u64);
         let random = random_configs(&space, 1, pi as u64).remove(0);
         let mut planner = FusionPlanner::new(program, &space);
-        for (si, start) in [default, space.none(), space.all(), random].into_iter().enumerate() {
+        for (si, start) in [default, space.none(), space.all(), random]
+            .into_iter()
+            .enumerate()
+        {
             let mut config = start;
             let mut plan = planner.plan(&config);
-            assert_eq!(plan, fusion_groups(program, &space, &config), "{}", program.name);
+            assert_eq!(
+                plan,
+                fusion_groups(program, &space, &config),
+                "{}",
+                program.name
+            );
             for step in 0..STEPS {
                 let mut flipped: Vec<usize> = Vec::new();
                 for _ in 0..1 + rng.below(4) {
@@ -226,8 +238,14 @@ fn a_replan_equals_the_plan_from_scratch_across_the_full_corpus() {
                 let roots: Vec<NodeId> = plan.iter().map(FusionGroup::root).collect();
                 let planned = planner.replan(&roots, &config, &flipped);
                 flips += flipped.len();
-                kept += planned.iter().filter(|p| matches!(p, Planned::Kept(_))).count();
-                fresh += planned.iter().filter(|p| matches!(p, Planned::Fresh(_))).count();
+                kept += planned
+                    .iter()
+                    .filter(|p| matches!(p, Planned::Kept(_)))
+                    .count();
+                fresh += planned
+                    .iter()
+                    .filter(|p| matches!(p, Planned::Fresh(_)))
+                    .count();
                 let next = splice(&plan, planned);
                 assert_eq!(
                     next,

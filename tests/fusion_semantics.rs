@@ -53,8 +53,7 @@ fn check_fusion_equivalence(program: &Program, fused: &FusedProgram) {
         for (a, b) in out.data().iter().zip(expected.data()) {
             // Bitwise-equal covers inf==inf and NaN==NaN (exp chains can
             // overflow; fusion must still agree exactly).
-            let equal = a.to_bits() == b.to_bits()
-                || (a - b).abs() <= 1e-4 * (1.0 + b.abs());
+            let equal = a.to_bits() == b.to_bits() || (a - b).abs() <= 1e-4 * (1.0 + b.abs());
             assert!(equal, "kernel for {source_root} diverged: {a} vs {b}");
         }
     }

@@ -112,7 +112,11 @@ fn render() -> String {
         .map(|ex| Sample::new(ex.kernel.clone(), ex.runtime_ns))
         .collect();
     let prepared = prepare(&samples);
-    assert!(prepared.len() >= 40, "tiny fusion dataset shrank to {}", prepared.len());
+    assert!(
+        prepared.len() >= 40,
+        "tiny fusion dataset shrank to {}",
+        prepared.len()
+    );
     let (train_set, val_set) = prepared.split_at(prepared.len() - 8);
     let calib: Vec<Kernel> = fusion
         .examples
@@ -176,7 +180,11 @@ fn render() -> String {
         .map(|(&g, _)| g)
         .take(2)
         .collect();
-    assert_eq!(val_groups.len(), 2, "tiny tile dataset lost its multi-tile kernels");
+    assert_eq!(
+        val_groups.len(),
+        2,
+        "tiny tile dataset lost its multi-tile kernels"
+    );
     let (tile_val, tile_rest): (Vec<Prepared>, Vec<Prepared>) = tile_prepared
         .into_iter()
         .partition(|p| val_groups.contains(&p.group));
@@ -196,14 +204,36 @@ fn render() -> String {
     let mut interrupted = small_gnn();
     let mut last: Option<String> = None;
     let mut sink = |c: &TrainCheckpoint| last = Some(c.to_json());
-    let two = TrainConfig { epochs: 2, ..cfg.clone() };
-    train_resumable(&mut interrupted, train_set, val_set, &two, &noop, None, Some(&mut sink))
-        .expect("fresh run");
+    let two = TrainConfig {
+        epochs: 2,
+        ..cfg.clone()
+    };
+    train_resumable(
+        &mut interrupted,
+        train_set,
+        val_set,
+        &two,
+        &noop,
+        None,
+        Some(&mut sink),
+    )
+    .expect("fresh run");
     let ckpt = TrainCheckpoint::from_json(&last.expect("a checkpoint per epoch")).expect("parses");
     let mut resumed = small_gnn();
-    let four = TrainConfig { epochs: 4, ..cfg.clone() };
-    let report = train_resumable(&mut resumed, train_set, val_set, &four, &noop, Some(&ckpt), None)
-        .expect("resume");
+    let four = TrainConfig {
+        epochs: 4,
+        ..cfg.clone()
+    };
+    let report = train_resumable(
+        &mut resumed,
+        train_set,
+        val_set,
+        &four,
+        &noop,
+        Some(&ckpt),
+        None,
+    )
+    .expect("resume");
     render_run(&mut out, "train_resumable_resumed", &report, &resumed);
 
     // --- train_stream from memory, capped by max_batches_per_epoch ---
@@ -233,7 +263,10 @@ fn render() -> String {
     )
     .expect("stream the tiny corpus");
     writer.finish().expect("finish dataset file");
-    assert!(summary.whole_graph_examples > 0, "no whole-graph record to segment");
+    assert!(
+        summary.whole_graph_examples > 0,
+        "no whole-graph record to segment"
+    );
     let reader = DatasetReader::open(&path).expect("open dataset file");
     let seg_cfg = StreamConfig {
         window: 16,
@@ -255,7 +288,10 @@ fn render() -> String {
     let frozen_lstm =
         |c: &[Kernel]| FrozenModel::Lstm(freeze_lstm(&lstm, c).expect("lstm freezes"));
     // The `calib` argument must not reach the result: one row per model.
-    assert_eq!(frozen(&gnn, &calib).to_bytes(), frozen(&gnn, &[]).to_bytes());
+    assert_eq!(
+        frozen(&gnn, &calib).to_bytes(),
+        frozen(&gnn, &[]).to_bytes()
+    );
     assert_eq!(frozen_lstm(&calib).to_bytes(), frozen_lstm(&[]).to_bytes());
     render_frozen(&mut out, "freeze_gnn", &frozen(&gnn, &[]), false);
     render_frozen(&mut out, "freeze_lstm", &frozen_lstm(&[]), false);
@@ -268,8 +304,22 @@ fn render() -> String {
     };
     let reductions = [Reduction::Sum, Reduction::Mean, Reduction::Max];
     let pools = [
-        ("sum", PoolCombo { sum: true, mean: false, max: false }),
-        ("mean+max", PoolCombo { sum: false, mean: true, max: true }),
+        (
+            "sum",
+            PoolCombo {
+                sum: true,
+                mean: false,
+                max: false,
+            },
+        ),
+        (
+            "mean+max",
+            PoolCombo {
+                sum: false,
+                mean: true,
+                max: true,
+            },
+        ),
         ("all", PoolCombo::all()),
     ];
     for (ri, reduction) in reductions.iter().enumerate() {

@@ -47,7 +47,10 @@ fn tunable_program() -> Program {
     Program::new("obs-determinism", b.finish(out))
 }
 
-fn training_data() -> (Vec<tpu_repro::learned::Prepared>, Vec<tpu_repro::learned::Prepared>) {
+fn training_data() -> (
+    Vec<tpu_repro::learned::Prepared>,
+    Vec<tpu_repro::learned::Prepared>,
+) {
     let hw = TpuConfig::default();
     let sizes = [
         (64, 128),
@@ -169,7 +172,10 @@ fn observed_training_is_byte_identical_and_recorded() {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(bits(&plain_report.train_loss), bits(&obs_report.train_loss));
     assert_eq!(bits(&plain_report.val_metric), bits(&obs_report.val_metric));
-    assert_eq!(plain_report.best_val.to_bits(), obs_report.best_val.to_bits());
+    assert_eq!(
+        plain_report.best_val.to_bits(),
+        obs_report.best_val.to_bits()
+    );
     assert_eq!(plain_report.best_epoch, obs_report.best_epoch);
     assert_eq!(plain_params, obs_params);
 
@@ -202,9 +208,18 @@ fn observed_autotuning_is_byte_identical_and_recorded() {
     let snap = registry.snapshot();
     let candidates = snap.counter("autotuner.sa.candidates").unwrap_or(0);
     assert!(candidates > 0, "SA recorded no candidates");
-    assert_eq!(snap.counter("core.engine.model_evals"), Some(observed.model_evals));
-    assert_eq!(snap.counter("core.engine.cache_hits"), Some(observed.cache_hits));
-    assert_eq!(snap.counter("autotuner.hw.evals"), Some(observed.hw_evals as u64));
+    assert_eq!(
+        snap.counter("core.engine.model_evals"),
+        Some(observed.model_evals)
+    );
+    assert_eq!(
+        snap.counter("core.engine.cache_hits"),
+        Some(observed.cache_hits)
+    );
+    assert_eq!(
+        snap.counter("autotuner.hw.evals"),
+        Some(observed.hw_evals as u64)
+    );
     let execs = snap.counter("sim.device.kernel_execs").unwrap_or(0);
     assert!(execs > 0, "device metered no kernel executions");
     assert!(
@@ -221,8 +236,7 @@ fn the_device_registry_reaches_every_layer_of_a_plain_run() {
     // exists hears nothing of the runs beside it.
     let bystander = Registry::enabled();
     let plain_beam = beam_once(&program, &device(13, None));
-    let plain_hw =
-        autotune_hardware_only(&program, &device(17, None), StartMode::Default, 20e9, 1);
+    let plain_hw = autotune_hardware_only(&program, &device(17, None), StartMode::Default, 20e9, 1);
     assert_eq!(bystander.snapshot(), Snapshot::default());
 
     // The same calls on observed devices record every layer they pass
@@ -230,9 +244,18 @@ fn the_device_registry_reaches_every_layer_of_a_plain_run() {
     let registry = Registry::enabled();
     let beam = beam_once(&program, &device(13, Some(&registry)));
     let snap = registry.snapshot();
-    assert!(snap.counter("autotuner.sa.candidates").is_none(), "beam ran no annealer");
-    assert_eq!(snap.counter("core.engine.model_evals"), Some(beam.model_evals));
-    assert_eq!(snap.counter("core.engine.cache_hits"), Some(beam.cache_hits));
+    assert!(
+        snap.counter("autotuner.sa.candidates").is_none(),
+        "beam ran no annealer"
+    );
+    assert_eq!(
+        snap.counter("core.engine.model_evals"),
+        Some(beam.model_evals)
+    );
+    assert_eq!(
+        snap.counter("core.engine.cache_hits"),
+        Some(beam.cache_hits)
+    );
     assert!(snap.gauge("core.cache.entries").is_some_and(|n| n > 0.0));
     assert!(snap.counter("autotuner.beam.scored").is_some_and(|n| n > 0));
     assert_eq!(
@@ -240,8 +263,14 @@ fn the_device_registry_reaches_every_layer_of_a_plain_run() {
         snap.counter("autotuner.beam.scored"),
         "every configuration the beam scored went through the model objective"
     );
-    assert_eq!(snap.counter("autotuner.hw.evals"), Some(beam.hw_evals as u64));
-    assert_eq!(snap.counter("sim.device.eval_overheads"), Some(beam.hw_evals as u64));
+    assert_eq!(
+        snap.counter("autotuner.hw.evals"),
+        Some(beam.hw_evals as u64)
+    );
+    assert_eq!(
+        snap.counter("sim.device.eval_overheads"),
+        Some(beam.hw_evals as u64)
+    );
 
     let registry = Registry::enabled();
     let hw = autotune_hardware_only(
@@ -259,7 +288,10 @@ fn the_device_registry_reaches_every_layer_of_a_plain_run() {
         Some(hw.hw_evals as u64),
         "the baseline's annealer saw exactly the measured candidates"
     );
-    assert!(snap.counter("core.engine.kernels").is_none(), "the baseline asks no model");
+    assert!(
+        snap.counter("core.engine.kernels").is_none(),
+        "the baseline asks no model"
+    );
 
     // ... and change nothing.
     assert_bit_identical(&plain_beam, &beam);
@@ -290,8 +322,20 @@ fn concurrent_runs_record_into_one_registry_through_their_devices() {
     let snap = registry.snapshot();
     let sum = |f: fn(&TunedConfig) -> u64| tuned.iter().map(f).sum::<u64>();
     assert!(tuned.iter().all(|t| t.hw_evals > 0 && t.model_evals > 0));
-    assert_eq!(snap.counter("autotuner.hw.evals"), Some(sum(|t| t.hw_evals as u64)));
-    assert_eq!(snap.counter("sim.device.eval_overheads"), Some(sum(|t| t.hw_evals as u64)));
-    assert_eq!(snap.counter("core.engine.model_evals"), Some(sum(|t| t.model_evals)));
-    assert_eq!(snap.counter("core.engine.cache_hits"), Some(sum(|t| t.cache_hits)));
+    assert_eq!(
+        snap.counter("autotuner.hw.evals"),
+        Some(sum(|t| t.hw_evals as u64))
+    );
+    assert_eq!(
+        snap.counter("sim.device.eval_overheads"),
+        Some(sum(|t| t.hw_evals as u64))
+    );
+    assert_eq!(
+        snap.counter("core.engine.model_evals"),
+        Some(sum(|t| t.model_evals))
+    );
+    assert_eq!(
+        snap.counter("core.engine.cache_hits"),
+        Some(sum(|t| t.cache_hits))
+    );
 }

@@ -119,8 +119,8 @@ fn costs_do_not_depend_on_how_configs_are_batched_or_ordered() {
         let costs: Vec<f64> = configs
             .iter()
             .map(|c| {
-                ModelObjective::new(program, &space, &predictor)
-                    .evaluate(std::slice::from_ref(c))[0]
+                ModelObjective::new(program, &space, &predictor).evaluate(std::slice::from_ref(c))
+                    [0]
             })
             .collect();
         assert_eq!(
@@ -152,7 +152,11 @@ fn the_beam_files_a_search_tune_trajectory_under_fused_structure_hash() {
     };
     let objective = ModelObjective::new(program, &space, &predictor);
     let result = beam_search_with_tt(program, &space, start, objective, &params, &tt);
-    assert!(result.top.len() > 100, "ranked {} configs", result.top.len());
+    assert!(
+        result.top.len() > 100,
+        "ranked {} configs",
+        result.top.len()
+    );
     for (config, cost) in &result.top {
         let filed = tt.lookup_hash(fused_structure_hash(program, &space, config));
         assert_eq!(

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use tpu_repro::fusion::{apply_fusion, default_space_and_config};
 use tpu_repro::hlo::{
-    canonical_hash, dump_computation, parse_computation, Computation, DType, GraphBuilder,
-    NodeId, Opcode, Program, Shape,
+    canonical_hash, dump_computation, parse_computation, Computation, DType, GraphBuilder, NodeId,
+    Opcode, Program, Shape,
 };
 use tpu_repro::learned::metrics::{kendall_tau, spearman};
 use tpu_repro::sim::{kernel_time_ns, TpuConfig};
@@ -14,18 +14,12 @@ use tpu_repro::sim::{kernel_time_ns, TpuConfig};
 /// Strategy: a random DAG of elementwise/reduce/dot ops over 2-D tensors.
 fn arb_program() -> impl Strategy<Value = Program> {
     // (rows, cols, op choices per step)
-    (
-        2usize..6,
-        prop::collection::vec(0u8..8, 1..24),
-        1usize..4,
-    )
-        .prop_map(|(size_exp, ops, n_params)| {
+    (2usize..6, prop::collection::vec(0u8..8, 1..24), 1usize..4).prop_map(
+        |(size_exp, ops, n_params)| {
             let dim = 1 << (size_exp + 3); // 16..256
             let mut b = GraphBuilder::new("main");
             let mut values: Vec<NodeId> = (0..n_params)
-                .map(|i| {
-                    b.parameter(&format!("p{i}"), Shape::matrix(dim, dim), DType::F32)
-                })
+                .map(|i| b.parameter(&format!("p{i}"), Shape::matrix(dim, dim), DType::F32))
                 .collect();
             for op in ops {
                 let pick = |b: &GraphBuilder, values: &[NodeId], salt: usize| -> NodeId {
@@ -76,19 +70,15 @@ fn arb_program() -> impl Strategy<Value = Program> {
             // Make sure everything feeds the root so there are no dead ends
             // with multiple sinks: combine the last few values.
             let mut root = *values.last().unwrap();
-            let tail: Vec<NodeId> = values
-                .iter()
-                .rev()
-                .take(3)
-                .copied()
-                .collect();
+            let tail: Vec<NodeId> = values.iter().rev().take(3).copied().collect();
             for v in tail {
                 if v != root {
                     root = b.add(root, v);
                 }
             }
             Program::new("prop", b.finish(root))
-        })
+        },
+    )
 }
 
 proptest! {

@@ -71,7 +71,10 @@ fn golden_path() -> std::path::PathBuf {
 #[test]
 fn run_report_json_matches_golden_snapshot() {
     let rendered = golden_report().to_json();
-    assert!(rendered.contains(SCHEMA), "report must carry the schema tag");
+    assert!(
+        rendered.contains(SCHEMA),
+        "report must carry the schema tag"
+    );
     let path = golden_path();
 
     if std::env::var("REGEN_GOLDEN").is_ok() {
@@ -87,8 +90,7 @@ fn run_report_json_matches_golden_snapshot() {
         )
     });
     assert_eq!(
-        rendered,
-        golden,
+        rendered, golden,
         "RunReport serialization drifted from the checked-in snapshot; if \
          the format change is intentional, regenerate with REGEN_GOLDEN=1"
     );

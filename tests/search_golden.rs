@@ -34,7 +34,10 @@ use tpu_repro::learned::{AtomicCache, CostModel, FnCostModel, Predictor, SimOrac
 use tpu_repro::sim::{TpuConfig, TpuDevice};
 
 /// The pinned (program, start mode) pairs, from the tiny corpus.
-const CASES: [(&str, StartMode); 2] = [("RNN", StartMode::Default), ("Translate", StartMode::Random)];
+const CASES: [(&str, StartMode); 2] = [
+    ("RNN", StartMode::Default),
+    ("Translate", StartMode::Random),
+];
 
 const SEED: u64 = 5;
 
@@ -173,7 +176,11 @@ fn render() -> String {
             .unwrap_or_else(|| panic!("the tiny corpus holds {name}"));
         writeln!(out, "  \"{name}\": {{").expect("write to string");
         out.push_str(&render_case(&corpus.entries[idx].program, *mode));
-        out.push_str(if i + 1 < CASES.len() { "  },\n" } else { "  }\n" });
+        out.push_str(if i + 1 < CASES.len() {
+            "  },\n"
+        } else {
+            "  }\n"
+        });
     }
     out.push_str("}\n");
     out

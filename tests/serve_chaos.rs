@@ -86,5 +86,8 @@ fn chaos_served_predictions_stay_finite_and_replay_bit_identically() {
     // different seed is allowed to differ — and with every fault class
     // enabled at chaos rates, it does.
     let other = run_once(24, &input);
-    assert_ne!(first, other, "different chaos seeds should perturb served values");
+    assert_ne!(
+        first, other,
+        "different chaos seeds should perturb served values"
+    );
 }

@@ -55,8 +55,7 @@ fn frozen_backend_is_deterministic_and_named() {
         hops: 1,
         ..Default::default()
     });
-    let blob = FrozenModel::Gnn(freeze_gnn(&gnn, &[]).expect("freeze"))
-        .to_bytes();
+    let blob = FrozenModel::Gnn(freeze_gnn(&gnn, &[]).expect("freeze")).to_bytes();
     let input = request_stream();
     let reference = run_once(&blob, &input);
     assert!(

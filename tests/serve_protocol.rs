@@ -126,7 +126,9 @@ fn render_transcript(requests: &[String], replies: &[String]) -> String {
 
 /// Minimal JSON string escaping for embedding request lines.
 fn escape_json_string(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 #[test]
@@ -150,8 +152,7 @@ fn serve_protocol_matches_golden_snapshot() {
         )
     });
     assert_eq!(
-        rendered,
-        golden,
+        rendered, golden,
         "serve protocol bytes drifted from tests/serve_golden.json; if intentional, \
          regenerate with REGEN_GOLDEN=1 and commit the diff"
     );
@@ -164,10 +165,17 @@ fn transcript_replies_have_expected_shapes() {
     let replies = run_transcript(&transcript());
     assert!(replies[0].contains("\"pong\":true"));
     assert!(replies[1].contains("\"ns\":200.5"));
-    assert_eq!(replies[2].replace("\"id\":3", "\"id\":2"), replies[1], "cache hit must reproduce the prediction bytes");
+    assert_eq!(
+        replies[2].replace("\"id\":3", "\"id\":2"),
+        replies[1],
+        "cache hit must reproduce the prediction bytes"
+    );
     assert!(replies[3].contains("\"ns\":300.5"));
     assert!(replies[4].contains("\"code\":\"budget\""));
-    assert!(replies[5].contains("\"backend\":\"golden\""), "stats must name the serving backend");
+    assert!(
+        replies[5].contains("\"backend\":\"golden\""),
+        "stats must name the serving backend"
+    );
     assert!(replies[5].contains("\"cache_hits\":1") && replies[5].contains("\"model_evals\":2"));
     assert!(replies[6].contains("\"code\":\"parse\"") && replies[6].contains("\"id\":null"));
     assert!(replies[7].contains("\"code\":\"bad_request\"") && replies[7].contains("\"id\":8"));
@@ -184,7 +192,11 @@ fn transcript_replies_have_expected_shapes() {
         "reload without a policy must be rejected typed: {}",
         replies[11]
     );
-    assert!(replies[12].contains("\"code\":\"bad_request\""), "over-rank tile: {}", replies[12]);
+    assert!(
+        replies[12].contains("\"code\":\"bad_request\""),
+        "over-rank tile: {}",
+        replies[12]
+    );
     assert!(replies[13].contains("\"shutdown\":true"));
 }
 
@@ -195,7 +207,10 @@ fn oversized_lines_are_rejected_without_breaking_the_stream() {
     // must come back `bad_request` and the connection must keep serving
     // subsequent well-formed lines.
     let a = chain_kernel(1, 32);
-    let huge = format!("{{\"op\":\"predict\",\"id\":1,\"pad\":\"{}\"}}", "x".repeat(protocol::MAX_LINE_BYTES));
+    let huge = format!(
+        "{{\"op\":\"predict\",\"id\":1,\"pad\":\"{}\"}}",
+        "x".repeat(protocol::MAX_LINE_BYTES)
+    );
     let lines = vec![
         huge,
         protocol::predict_request_line(2, &a),
@@ -208,7 +223,10 @@ fn oversized_lines_are_rejected_without_breaking_the_stream() {
         "oversized line: {}",
         replies[0]
     );
-    assert!(replies[1].contains("\"ns\":200.5"), "stream must survive the oversized line");
+    assert!(
+        replies[1].contains("\"ns\":200.5"),
+        "stream must survive the oversized line"
+    );
     assert!(replies[2].contains("\"shutdown\":true"));
 }
 
@@ -268,8 +286,16 @@ fn a_served_batch_never_scans_the_cache() {
         let nodes = kernel.computation.num_nodes() as f64;
         assert_eq!(serve.submit(kernel), Ok(Some(nodes)));
     }
-    assert_eq!(counting.lens.load(Ordering::Relaxed), 0, "a batch called len()");
-    assert_eq!(counting.stats.load(Ordering::Relaxed), 0, "a batch called stats()");
+    assert_eq!(
+        counting.lens.load(Ordering::Relaxed),
+        0,
+        "a batch called len()"
+    );
+    assert_eq!(
+        counting.stats.load(Ordering::Relaxed),
+        0,
+        "a batch called stats()"
+    );
 
     let stats = serve.stats();
     // A hit is probed once, without the model lock; a miss once there and

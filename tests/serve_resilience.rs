@@ -55,10 +55,7 @@ fn frozen_gnn_blob(seed: u64) -> Vec<u8> {
 /// Scripted primary: healthy for the first `good` calls, unscorable for
 /// the next `bad`, healthy again after. Call order is the only input,
 /// so the breaker's whole trajectory is fixed by the request sequence.
-fn scripted_primary(
-    good: usize,
-    bad: usize,
-) -> (Box<dyn CostModel + Send>, Arc<AtomicUsize>) {
+fn scripted_primary(good: usize, bad: usize) -> (Box<dyn CostModel + Send>, Arc<AtomicUsize>) {
     let calls = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&calls);
     let model = FnCostModel::new("scripted", move |k: &tpu_repro::hlo::Kernel| {
@@ -94,8 +91,7 @@ fn breaker_trip_cooldown_and_probe_are_request_count_deterministic() {
     // Expected degraded markers: closed(2 good), closed(2 bad -> trip at
     // the 4th), open(3 cool-down), probe (state read pre-batch is still
     // open), closed again.
-    let expected_degraded =
-        [false, false, false, false, true, true, true, true, false];
+    let expected_degraded = [false, false, false, false, true, true, true, true, false];
     for (i, kernel) in demo_kernels(9).into_iter().enumerate() {
         let p = engine
             .submit_with_deadline(kernel, None)
@@ -159,13 +155,15 @@ fn failed_probe_reopens_and_fallback_keeps_answering() {
 fn backend_panic_fails_one_batch_trips_the_breaker_and_serving_continues() {
     let calls = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&calls);
-    let primary: Box<dyn CostModel + Send> =
-        Box::new(FnCostModel::new("panicky", move |k: &tpu_repro::hlo::Kernel| {
+    let primary: Box<dyn CostModel + Send> = Box::new(FnCostModel::new(
+        "panicky",
+        move |k: &tpu_repro::hlo::Kernel| {
             if seen.fetch_add(1, Ordering::SeqCst) == 2 {
                 panic!("injected backend failure");
             }
             Some(k.computation.num_nodes() as f64 * 100.0)
-        }));
+        },
+    ));
     let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
         trip_after: 10,
         cooldown: 2,
@@ -203,9 +201,13 @@ fn backend_panic_fails_one_batch_trips_the_breaker_and_serving_continues() {
         assert!(p.degraded, "cool-down request {i} must be marked degraded");
         assert!(p.ns.is_some(), "fallback must still answer");
     }
-    let probe = engine.submit_with_deadline(kernels[5].clone(), None).unwrap();
+    let probe = engine
+        .submit_with_deadline(kernels[5].clone(), None)
+        .unwrap();
     assert!(probe.ns.is_some());
-    let after = engine.submit_with_deadline(kernels[6].clone(), None).unwrap();
+    let after = engine
+        .submit_with_deadline(kernels[6].clone(), None)
+        .unwrap();
     assert!(!after.degraded, "service must be healthy after the probe");
 
     let stats = engine.stats();
@@ -224,10 +226,10 @@ fn deadlines_shed_expired_work_and_report_slow_batches_typed() {
     // Every clock read advances 3 ms: a miss arrives at T, the check once
     // it holds the model lock sees T+3, the check after the model T+6.
     let clock = Arc::new(TickClock::advancing(3));
-    let model: Box<dyn CostModel + Send> = Box::new(FnCostModel::new(
-        "flat",
-        |k: &tpu_repro::hlo::Kernel| Some(k.computation.num_nodes() as f64 * 10.0),
-    ));
+    let model: Box<dyn CostModel + Send> =
+        Box::new(FnCostModel::new("flat", |k: &tpu_repro::hlo::Kernel| {
+            Some(k.computation.num_nodes() as f64 * 10.0)
+        }));
     let engine = ServeEngine::start_with(
         model,
         fresh_cache(),
@@ -269,10 +271,10 @@ fn deadlines_shed_expired_work_and_report_slow_batches_typed() {
     // A server-side default deadline applies to requests that carry none,
     // and an explicit per-request deadline overrides it.
     let clock = Arc::new(TickClock::advancing(3));
-    let model: Box<dyn CostModel + Send> = Box::new(FnCostModel::new(
-        "flat",
-        |k: &tpu_repro::hlo::Kernel| Some(k.computation.num_nodes() as f64 * 10.0),
-    ));
+    let model: Box<dyn CostModel + Send> =
+        Box::new(FnCostModel::new("flat", |k: &tpu_repro::hlo::Kernel| {
+            Some(k.computation.num_nodes() as f64 * 10.0)
+        }));
     let engine = ServeEngine::start_with(
         model,
         fresh_cache(),
@@ -340,7 +342,9 @@ fn reload_admission_accepts_equivalent_rejects_corrupt_and_low_tau() {
     assert_eq!(err.reason(), "parse");
 
     // A missing path is an io rejection (with a policy installed).
-    let err = engine.reload_from_path("/tmp/definitely-missing.blob").unwrap_err();
+    let err = engine
+        .reload_from_path("/tmp/definitely-missing.blob")
+        .unwrap_err();
     assert_eq!(err.reason(), "io");
 
     // The very same bytes are tau = 1.0 against the incumbent: admitted,
@@ -405,10 +409,18 @@ fn reloading_a_v1_blob_is_rejected_at_parse_and_the_incumbent_keeps_serving() {
         "\"reason\":\"parse\"",
         "unsupported tpu-frozen version 1",
     ] {
-        assert!(replies[1].contains(field), "reload reply missing {field}: {}", replies[1]);
+        assert!(
+            replies[1].contains(field),
+            "reload reply missing {field}: {}",
+            replies[1]
+        );
     }
     for field in ["\"reloads\":0", "\"reloads_rejected\":1", "\"epoch\":0"] {
-        assert!(replies[2].contains(field), "stats missing {field}: {}", replies[2]);
+        assert!(
+            replies[2].contains(field),
+            "stats missing {field}: {}",
+            replies[2]
+        );
     }
     // A kernel the cache has never seen: the model itself answers, and it
     // is still the incumbent, bit for bit.
@@ -421,8 +433,7 @@ fn reloading_a_v1_blob_is_rejected_at_parse_and_the_incumbent_keeps_serving() {
 #[test]
 fn mid_load_reload_drops_no_requests() {
     let blob = Arc::new(frozen_gnn_blob(71));
-    let model: Box<dyn CostModel + Send> =
-        Box::new(FrozenModel::from_bytes(&blob).unwrap());
+    let model: Box<dyn CostModel + Send> = Box::new(FrozenModel::from_bytes(&blob).unwrap());
     let engine = Arc::new(ServeEngine::start_with(
         model,
         fresh_cache(),
@@ -457,9 +468,16 @@ fn mid_load_reload_drops_no_requests() {
 
     let mut epochs = Vec::new();
     for _ in 0..3 {
-        epochs.push(engine.reload_from_bytes(&blob).expect("same-bytes reload admits"));
+        epochs.push(
+            engine
+                .reload_from_bytes(&blob)
+                .expect("same-bytes reload admits"),
+        );
     }
-    assert_eq!(engine.reload_from_bytes(&blob[..32]).unwrap_err().reason(), "parse");
+    assert_eq!(
+        engine.reload_from_bytes(&blob[..32]).unwrap_err().reason(),
+        "parse"
+    );
 
     let answered: usize = clients.into_iter().map(|c| c.join().unwrap()).sum();
     assert_eq!(answered, 160, "every in-flight request must be answered");
@@ -485,7 +503,11 @@ fn outage_transcript(corrupt_blob_path: &str) -> String {
         .enumerate()
         .map(|(i, k)| protocol::predict_request_line(i as u64 + 1, k))
         .collect();
-    lines.push(protocol::predict_request_line_with_deadline(14, &kernels[13], Some(0)));
+    lines.push(protocol::predict_request_line_with_deadline(
+        14,
+        &kernels[13],
+        Some(0),
+    ));
     lines.push(protocol::reload_request_line(15, corrupt_blob_path));
     lines.push(protocol::predict_request_line(16, &kernels[14]));
     lines.push(protocol::simple_request_line("stats", 17));
@@ -501,14 +523,16 @@ fn outage_transcript(corrupt_blob_path: &str) -> String {
 fn run_outage(input: &str) -> String {
     let calls = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&calls);
-    let primary: Box<dyn CostModel + Send> =
-        Box::new(FnCostModel::new("scripted", move |k: &tpu_repro::hlo::Kernel| {
+    let primary: Box<dyn CostModel + Send> = Box::new(FnCostModel::new(
+        "scripted",
+        move |k: &tpu_repro::hlo::Kernel| {
             let i = seen.fetch_add(1, Ordering::SeqCst);
             if i == 7 {
                 panic!("injected backend failure");
             }
             (!(4..6).contains(&i)).then(|| k.computation.num_nodes() as f64 * 100.0)
-        }));
+        },
+    ));
     let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
         trip_after: 2,
         cooldown: 2,
@@ -565,7 +589,12 @@ fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
         assert!(line.contains("\"ok\":true"), "reply {}: {line}", idx + 1);
     }
     for idx in [0, 1, 2, 3, 4, 5] {
-        assert!(!replies[idx].contains("degraded"), "reply {}: {}", idx + 1, replies[idx]);
+        assert!(
+            !replies[idx].contains("degraded"),
+            "reply {}: {}",
+            idx + 1,
+            replies[idx]
+        );
     }
     for idx in [6, 7, 8] {
         assert!(
@@ -575,7 +604,11 @@ fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
             replies[idx]
         );
     }
-    assert!(replies[9].contains("\"code\":\"backend_panic\""), "reply 10: {}", replies[9]);
+    assert!(
+        replies[9].contains("\"code\":\"backend_panic\""),
+        "reply 10: {}",
+        replies[9]
+    );
     for idx in [10, 11, 12] {
         assert!(
             replies[idx].contains("\"ok\":true") && replies[idx].contains("\"degraded\":true"),
@@ -584,7 +617,11 @@ fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
             replies[idx]
         );
     }
-    assert!(replies[13].contains("\"code\":\"deadline\""), "reply 14: {}", replies[13]);
+    assert!(
+        replies[13].contains("\"code\":\"deadline\""),
+        "reply 14: {}",
+        replies[13]
+    );
     assert!(
         replies[14].contains("\"code\":\"reload_rejected\"")
             && replies[14].contains("\"reason\":\"parse\""),

@@ -63,7 +63,8 @@ impl BatchSource for CountingSource<'_> {
         self.examples.meta(i)
     }
     fn load(&self, idxs: &[usize]) -> Result<Vec<Prepared>, String> {
-        self.stale.fetch_add(LIVE_TAGS.load(Ordering::SeqCst), Ordering::SeqCst);
+        self.stale
+            .fetch_add(LIVE_TAGS.load(Ordering::SeqCst), Ordering::SeqCst);
         self.loads.fetch_add(1, Ordering::SeqCst);
         self.largest_request.fetch_max(idxs.len(), Ordering::SeqCst);
         let mut batch = self.examples.load(idxs)?;
@@ -72,7 +73,11 @@ impl BatchSource for CountingSource<'_> {
             tagged.extend_from_slice(&p.opcode_ids);
             p.opcode_ids = tagged;
         }
-        assert_eq!(LIVE_TAGS.load(Ordering::SeqCst), batch.len(), "tag buffers are not unique");
+        assert_eq!(
+            LIVE_TAGS.load(Ordering::SeqCst),
+            batch.len(),
+            "tag buffers are not unique"
+        );
         Ok(batch)
     }
 }
@@ -138,13 +143,24 @@ fn train_stream_holds_one_batch_at_a_time() {
     let planned: usize = (0..train_cfg.epochs)
         .map(|epoch| stream_epoch_plan(&source, &train_cfg, &scfg, epoch).len())
         .sum();
-    assert!(planned > train_cfg.epochs, "plan too short to be meaningful");
-    assert_eq!(source.loads.load(Ordering::SeqCst), planned, "one load per planned batch");
+    assert!(
+        planned > train_cfg.epochs,
+        "plan too short to be meaningful"
+    );
+    assert_eq!(
+        source.loads.load(Ordering::SeqCst),
+        planned,
+        "one load per planned batch"
+    );
     assert!(source.largest_request.load(Ordering::SeqCst) <= train_cfg.batch_size);
     assert_eq!(
         source.stale.load(Ordering::SeqCst),
         0,
         "examples of an earlier batch were still alive at a later load"
     );
-    assert_eq!(LIVE_TAGS.load(Ordering::SeqCst), 0, "the last batch outlived training");
+    assert_eq!(
+        LIVE_TAGS.load(Ordering::SeqCst),
+        0,
+        "the last batch outlived training"
+    );
 }

@@ -70,8 +70,14 @@ fn streamed_file_training_matches_in_memory_training() {
     let report_file = train_stream(&mut from_file, &reader, &val_set, &train_cfg, &scfg).unwrap();
 
     let mut from_memory = small_model();
-    let report_memory =
-        train_stream(&mut from_memory, &in_memory[..], &val_set, &train_cfg, &scfg).unwrap();
+    let report_memory = train_stream(
+        &mut from_memory,
+        &in_memory[..],
+        &val_set,
+        &train_cfg,
+        &scfg,
+    )
+    .unwrap();
 
     assert_eq!(report_file.train_loss.len(), report_memory.train_loss.len());
     for (epoch, (a, b)) in report_file
@@ -198,7 +204,10 @@ fn train_stream_rolls_back_a_non_finite_epoch() {
     let mut model = small_model();
     let report = train_stream(&mut model, &source, val_set, &train_cfg, &scfg).unwrap();
 
-    assert!(report.train_loss.is_empty(), "a poisoned epoch was recorded");
+    assert!(
+        report.train_loss.is_empty(),
+        "a poisoned epoch was recorded"
+    );
     assert_eq!(
         model.params().to_json(),
         small_model().params().to_json(),

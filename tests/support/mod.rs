@@ -82,7 +82,9 @@ impl PredictionCache {
     fn lock(
         shard: &Mutex<HashMap<u64, Option<f64>>>,
     ) -> std::sync::MutexGuard<'_, HashMap<u64, Option<f64>>> {
-        shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        shard
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Look up by pre-computed hash, counting a hit or miss.
@@ -98,7 +100,9 @@ impl PredictionCache {
     /// Insert a prediction under a pre-computed hash, evicting if full.
     /// No-op on a zero-capacity cache.
     pub fn insert_hash(&self, hash: u64, prediction: Option<f64>) {
-        let cap = self.shard_caps.map(|caps| caps[PredictionCache::shard_index(hash)]);
+        let cap = self
+            .shard_caps
+            .map(|caps| caps[PredictionCache::shard_index(hash)]);
         if cap == Some(0) {
             // A shard with no slots. On a zero-capacity cache storage is
             // simply disabled (the uncached baseline — not eviction
@@ -106,7 +110,10 @@ impl PredictionCache {
             // capacity the incoming entry is discarded under pressure
             // and accounted for, keeping `len + evictions` equal to the
             // number of distinct inserts.
-            if self.shard_caps.is_some_and(|caps| caps.iter().any(|&c| c != 0)) {
+            if self
+                .shard_caps
+                .is_some_and(|caps| caps.iter().any(|&c| c != 0))
+            {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
             return;
@@ -141,7 +148,10 @@ impl PredictionCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| PredictionCache::lock(s).len()).sum()
+        self.shards
+            .iter()
+            .map(|s| PredictionCache::lock(s).len())
+            .sum()
     }
 
     /// Drop all entries (counters are kept).
