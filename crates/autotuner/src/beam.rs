@@ -51,7 +51,7 @@
 //! bit for bit for any beam width and any TT pre-warmth (a warm TT
 //! changes how many evals are *spent*, never a scored cost).
 
-use crate::memo::Planner;
+use crate::memo::{Planner, SharedPlanner};
 use crate::sa::{push_top, BatchObjective};
 use std::collections::{HashMap, HashSet};
 use tpu_fusion::{fusion_groups, materialize, FusionConfig, FusionSpace};
@@ -267,22 +267,23 @@ struct LayerScore {
 /// What a search owns besides its beam: the objective, the transposition
 /// table, the planner its keys are computed through (each group's kernel
 /// with its canonical hash), and the accounting.
-struct Scorer<'a, O> {
+struct Scorer<'t, 'p, O> {
     objective: O,
-    tt: &'a AtomicCache,
-    planner: Planner<'a>,
+    tt: &'t AtomicCache,
+    planner: SharedPlanner<'p>,
     stats: BeamStats,
     obs: BeamObs,
 }
 
-impl<O: BatchObjective> Scorer<'_, O> {
+impl<O: BatchObjective> Scorer<'_, '_, O> {
     /// The transposition-table key of every candidate: the inherited one
     /// where the caller knows it, otherwise [`fused_structure_hash`]
     /// computed through the planner, which plans only the candidates
     /// without a key.
     fn structure_keys(&mut self, cands: &[FusionConfig], inherited: &[Option<u64>]) -> Vec<u64> {
         let unknown = cands.iter().zip(inherited).filter(|(_, key)| key.is_none());
-        let mut plans = self.planner.plan_batch(unknown.map(|(c, _)| c)).iter();
+        let mut planner = self.planner.borrow_mut();
+        let mut plans = planner.plan_batch(unknown.map(|(c, _)| c)).iter();
         inherited
             .iter()
             .map(|known| {
@@ -301,7 +302,7 @@ impl<O: BatchObjective> Scorer<'_, O> {
 /// budget truncates the batch, it is the best-ordered candidates that get
 /// scored).
 fn score_candidates<O: BatchObjective>(
-    scorer: &mut Scorer<'_, O>,
+    scorer: &mut Scorer<'_, '_, O>,
     cands: &[FusionConfig],
     inherited: &[Option<u64>],
     remaining: usize,
@@ -419,11 +420,26 @@ pub fn beam_search_with_tt<O: BatchObjective>(
     params: &SearchParams,
     tt: &AtomicCache,
 ) -> BeamResult {
+    let planner = Planner::shared(program, space, &objective.registry());
+    beam_search_with_planner(space, start, objective, params, tt, planner)
+}
+
+/// The beam search, computing its transposition keys through `planner` —
+/// the tuning run's one planner, which its model objective plans through
+/// too, so a candidate keyed here is not planned again when it is scored.
+pub(crate) fn beam_search_with_planner<O: BatchObjective>(
+    space: &FusionSpace,
+    start: FusionConfig,
+    objective: O,
+    params: &SearchParams,
+    tt: &AtomicCache,
+    planner: SharedPlanner<'_>,
+) -> BeamResult {
     let width = params.beam_width.max(1);
     let registry = objective.registry();
     let mut scorer = Scorer {
         tt,
-        planner: Planner::new(program, space, &registry),
+        planner,
         stats: BeamStats::default(),
         obs: BeamObs::new(&registry),
         objective,
@@ -843,7 +859,7 @@ mod tests {
         let mut scorer = Scorer {
             objective: |c: &FusionConfig| unfused_edges(c),
             tt: &tt,
-            planner: Planner::new(&p, &space, &Registry::noop()),
+            planner: Planner::shared(&p, &space, &Registry::noop()),
             stats: BeamStats::default(),
             obs: BeamObs::default(),
         };
@@ -855,10 +871,10 @@ mod tests {
             assert_eq!(*k, fused_structure_hash(&p, &space, c));
         }
         // An inherited key is taken as is: nothing is planned or resolved.
-        let built = scorer.planner.built();
+        let built = scorer.planner.borrow().built();
         let keys = scorer.structure_keys(&cands[..1], &[Some(42)]);
         assert_eq!(keys, [42]);
-        assert_eq!(scorer.planner.built(), built);
+        assert_eq!(scorer.planner.borrow().built(), built);
     }
 
     #[test]

@@ -10,16 +10,22 @@
 //!   metered identically;
 //! - [`ModelObjective`] scores a whole batch of candidate configs through
 //!   a [`Predictor`] session: plan each candidate as a delta from the
-//!   nearest candidate of the batch before (the objective's per-search
-//!   planner — a group the flipped decisions cannot have touched is not
-//!   planned, extracted or hashed again), and score the flattened kernels
-//!   in one predictor call so all chains' cache misses share a single
-//!   packed model forward.
+//!   nearest candidate of the batch before (a group the flipped decisions
+//!   cannot have touched is not planned, extracted or hashed again), and
+//!   score the flattened kernels in one predictor call so all chains'
+//!   cache misses share a single packed model forward.
+//!
+//! Both build kernels through a planner (`memo.rs`). Standing alone each
+//! has its own; in a model-guided run the objective, the beam's
+//! transposition keys and the hardware re-rank share the run's one, so a
+//! configuration the search planned is measured without extracting a
+//! kernel again.
 
-use crate::beam::{beam_search, SearchParams};
-use crate::memo::Planner;
+use crate::beam::{beam_search_with_planner, SearchParams};
+use crate::memo::{Planner, SharedPlanner};
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
 use tpu_hlo::{HashedKernel, Program};
@@ -216,8 +222,7 @@ impl std::error::Error for MeasureError {
 /// against the budget (plus any overshoot) as gauges — go to the
 /// registry the device carries ([`TpuDevice::observed`]).
 pub struct HardwareObjective<'a> {
-    program: &'a Program,
-    space: &'a FusionSpace,
+    planner: SharedPlanner<'a>,
     device: &'a TpuDevice,
     budget_ns: f64,
     hw_evals: usize,
@@ -282,6 +287,18 @@ impl<'a> HardwareObjective<'a> {
         device: &'a TpuDevice,
         budget_ns: f64,
     ) -> HardwareObjective<'a> {
+        let planner = Planner::shared(program, space, device.registry());
+        HardwareObjective::with_planner(planner, device, budget_ns)
+    }
+
+    /// [`HardwareObjective::new`] building what it measures through
+    /// `planner`, the tuning run's one planner: a configuration the search
+    /// already planned costs no kernel extraction here.
+    pub(crate) fn with_planner(
+        planner: SharedPlanner<'a>,
+        device: &'a TpuDevice,
+        budget_ns: f64,
+    ) -> HardwareObjective<'a> {
         let retry = if device.config().fault.is_none() {
             RetryPolicy::default()
         } else {
@@ -291,8 +308,7 @@ impl<'a> HardwareObjective<'a> {
         obs.budget_ns.set(budget_ns);
         obs.device_time_ns.set(device.device_time_used());
         HardwareObjective {
-            program,
-            space,
+            planner,
             device,
             budget_ns,
             hw_evals: 0,
@@ -328,7 +344,9 @@ impl<'a> HardwareObjective<'a> {
         }
         let timer = self.obs.measure_ns.start_timer();
         self.device.charge_eval_overhead();
-        let fused = apply_fusion(self.program, self.space, config);
+        // The planner's kernels are `apply_fusion`'s, in emission order.
+        let mut planner = self.planner.borrow_mut();
+        let kernels = planner.plan(config).kernels();
         self.hw_evals += 1;
 
         let mut samples: Vec<f64> = Vec::with_capacity(self.retry.runs);
@@ -337,7 +355,10 @@ impl<'a> HardwareObjective<'a> {
         while samples.len() < self.retry.runs && attempts < self.retry.max_attempts.max(1) {
             attempts += 1;
             self.stats.attempts += 1;
-            match self.device.try_execute_program(&fused) {
+            match self
+                .device
+                .try_execute_kernels(kernels.iter().map(|k| k.kernel()))
+            {
                 Ok(t) => samples.push(t),
                 Err(e) => {
                     // Failed attempt: device time it burned (preemptions)
@@ -386,10 +407,13 @@ impl<'a> HardwareObjective<'a> {
     /// runtime beside this objective's hardware tallies and the faults the
     /// device injected since `faults_before`.
     fn tuned(&self, config: FusionConfig, faults_before: FaultCounts) -> TunedConfig {
-        let fused = apply_fusion(self.program, self.space, &config);
+        let mut planner = self.planner.borrow_mut();
+        let kernels = planner.plan(&config).kernels();
         let faults = self.device.fault_counts();
         TunedConfig {
-            true_ns: self.device.true_program_time(&fused),
+            true_ns: self
+                .device
+                .true_kernels_time(kernels.iter().map(|k| k.kernel())),
             config,
             hw_evals: self.hw_evals,
             model_evals: 0,
@@ -456,7 +480,7 @@ impl BatchObjective for HardwareObjective<'_> {
 /// session carries ([`Predictor::observed`]).
 pub struct ModelObjective<'a, M: CostModel + ?Sized, C: KernelCache = AtomicCache> {
     predictor: &'a Predictor<&'a M, C>,
-    planner: Planner<'a>,
+    planner: SharedPlanner<'a>,
     obs: ModelObs,
 }
 
@@ -476,10 +500,20 @@ impl<'a, M: CostModel + ?Sized, C: KernelCache> ModelObjective<'a, M, C> {
         space: &'a FusionSpace,
         predictor: &'a Predictor<&'a M, C>,
     ) -> ModelObjective<'a, M, C> {
+        let planner = Planner::shared(program, space, predictor.registry());
+        ModelObjective::with_planner(predictor, planner)
+    }
+
+    /// [`ModelObjective::new`] planning through `planner`, the tuning
+    /// run's one planner.
+    pub(crate) fn with_planner(
+        predictor: &'a Predictor<&'a M, C>,
+        planner: SharedPlanner<'a>,
+    ) -> ModelObjective<'a, M, C> {
         let registry = predictor.registry();
         ModelObjective {
             predictor,
-            planner: Planner::new(program, space, registry),
+            planner,
             obs: ModelObs {
                 configs: registry.counter("autotuner.model.configs"),
                 evaluate_ns: registry.histogram("autotuner.model.evaluate_ns"),
@@ -494,7 +528,8 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
         self.obs.configs.add(configs.len() as u64);
         // The predictor sees every config's kernels as one flat list, in
         // config, kernel order.
-        let plans = self.planner.plan_batch(configs);
+        let mut planner = self.planner.borrow_mut();
+        let plans = planner.plan_batch(configs);
         let refs: Vec<&HashedKernel> = plans
             .iter()
             .flat_map(|plan| plan.kernels())
@@ -625,10 +660,7 @@ pub fn autotune_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
         mode,
         seed,
         budgets,
-        |space, start, predictor| {
-            let objective = ModelObjective::new(program, space, predictor);
-            simulated_annealing(space, start, objective, &sa).top
-        },
+        |space, start, objective, _| simulated_annealing(space, start, objective, &sa).top,
     )
 }
 
@@ -670,19 +702,24 @@ pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
         mode,
         params.seed,
         budgets,
-        |space, start, predictor| {
-            let objective = ModelObjective::new(program, space, predictor);
-            beam_search(program, space, start, objective, &effective).top
+        |space, start, objective, planner| {
+            let tt = AtomicCache::with_capacity(effective.tt_slots);
+            beam_search_with_planner(space, start, objective, &effective, &tt, planner).top
         },
     )
 }
 
 /// Phases 1–2 of the §6.3 protocol, written once. Phase 1: `search` ranks
-/// configurations on the CPU through a [`Predictor`] session over `model`
-/// and `cache` — the session is observed into the registry `device`
-/// carries, so the objective and searcher built over it record there too.
-/// Phase 2: [`rerank_on_hardware`] measures the ranked candidates within
-/// `budgets.hardware_ns`.
+/// configurations on the CPU through a [`ModelObjective`] over a
+/// [`Predictor`] session over `model` and `cache` — the session is observed
+/// into the registry `device` carries, so the objective and searcher built
+/// over it record there too. Phase 2: [`rerank_on_hardware`] measures the
+/// ranked candidates within `budgets.hardware_ns`.
+///
+/// The run has one [`Planner`]: the objective, the search (which is also
+/// handed it, for the beam's transposition keys) and the re-rank all turn
+/// configurations into kernels through it, so each distinct fusion group
+/// of the run is extracted and hashed once.
 #[allow(clippy::too_many_arguments)]
 fn model_guided<M: CostModel + ?Sized, C: KernelCache>(
     program: &Program,
@@ -692,23 +729,23 @@ fn model_guided<M: CostModel + ?Sized, C: KernelCache>(
     mode: StartMode,
     seed: u64,
     budgets: &Budgets,
-    search: impl FnOnce(&FusionSpace, FusionConfig, &Predictor<&M, C>) -> Vec<(FusionConfig, f64)>,
+    search: impl FnOnce(
+        &FusionSpace,
+        FusionConfig,
+        ModelObjective<'_, M, C>,
+        SharedPlanner<'_>,
+    ) -> Vec<(FusionConfig, f64)>,
 ) -> TunedConfig {
     let (space, _) = default_space_and_config(&program.computation);
     let start = start_config(program, &space, mode, seed);
     let predictor = Predictor::with_cache(model, Arc::clone(cache)).observed(device.registry());
-    let ranked = search(&space, start.clone(), &predictor);
+    let planner = Planner::shared(program, &space, device.registry());
+    let objective = ModelObjective::with_planner(&predictor, Rc::clone(&planner));
+    let ranked = search(&space, start.clone(), objective, Rc::clone(&planner));
     predictor.record_cache_stats();
     let candidates = ranked.into_iter().map(|(c, _)| c).collect();
-    rerank_on_hardware(
-        program,
-        &space,
-        device,
-        budgets.hardware_ns,
-        candidates,
-        start,
-    )
-    .with_model_stats(predictor.stats())
+    rerank_on_hardware(planner, device, budgets.hardware_ns, candidates, start)
+        .with_model_stats(predictor.stats())
 }
 
 /// Phase 2 of the §6.3 protocol, shared verbatim by the SA and beam
@@ -725,10 +762,9 @@ fn model_guided<M: CostModel + ?Sized, C: KernelCache>(
 /// The returned [`TunedConfig`] carries this phase's hardware tallies; the
 /// caller adds its search phase's counters with
 /// [`TunedConfig::with_model_stats`].
-fn rerank_on_hardware(
-    program: &Program,
-    space: &FusionSpace,
-    device: &TpuDevice,
+fn rerank_on_hardware<'a>(
+    planner: SharedPlanner<'a>,
+    device: &'a TpuDevice,
     budget_ns: f64,
     mut candidates: Vec<FusionConfig>,
     start: FusionConfig,
@@ -738,7 +774,7 @@ fn rerank_on_hardware(
     if !candidates.contains(&start) {
         candidates.push(start.clone());
     }
-    let mut hw = HardwareObjective::new(program, space, device, budget_ns);
+    let mut hw = HardwareObjective::with_planner(planner, device, budget_ns);
     let mut best: Option<(FusionConfig, f64)> = None;
     for cfg in candidates {
         match hw.measure(&cfg) {
@@ -1138,7 +1174,8 @@ mod tests {
         let start = start_config(&p, &space, StartMode::Default, 0);
         let budget = 10e9;
         let candidates = vec![start.clone(); 64]; // plenty to exhaust the budget
-        let tuned = rerank_on_hardware(&p, &space, &device, budget, candidates, start.clone());
+        let planner = Planner::shared(&p, &space, device.registry());
+        let tuned = rerank_on_hardware(planner, &device, budget, candidates, start.clone());
         assert!(tuned.hw_evals > 0);
         let stats = tuned.retry_stats;
         let fused = apply_fusion(&p, &space, &start);
@@ -1204,6 +1241,72 @@ mod tests {
                 (oracle_sum - cost).abs() <= cost * 1e-12,
                 "fused program cost {oracle_sum} != objective {cost}"
             );
+        }
+    }
+
+    /// The hardware objective measures the kernels its planner hands out,
+    /// so a planner must hand out `apply_fusion`'s, in emission order,
+    /// whether it is fresh or met the groups while the model scored them:
+    /// then a device sees the same kernels in the same order and draws the
+    /// same noise as one running `apply_fusion`'s program.
+    #[test]
+    fn measuring_through_a_planner_is_measuring_apply_fusion() {
+        let mut b = GraphBuilder::new("main");
+        let x = b.parameter("x", Shape::matrix(256, 256), DType::F32);
+        let w1 = b.parameter("w1", Shape::matrix(256, 256), DType::F32);
+        let w2 = b.parameter("w2", Shape::matrix(256, 256), DType::F32);
+        let h = b.dot(x, w1);
+        let r = b.relu(h);
+        let e = b.exp(r);
+        let s = b.add(r, e);
+        let t = b.tanh(s);
+        let d = b.dot(t, w2);
+        let a = b.add(d, x);
+        let out = b.reduce(a, vec![1]);
+        let block = Program::new("block", b.finish(out));
+        let oracle = TpuConfig::default();
+        let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
+            Some(tpu_sim::kernel_time_ns(k, &oracle))
+        });
+        for p in [program(), block] {
+            let (space, _) = default_space_and_config(&p.computation);
+            let configs = crate::random_configs(&space, 20, 5);
+            let reference = TpuDevice::new(17);
+            let fresh_device = TpuDevice::new(17);
+            let met_device = TpuDevice::new(17);
+            let mut fresh = HardwareObjective::new(&p, &space, &fresh_device, f64::INFINITY);
+            // The model phase meets every group first.
+            let planner = Planner::shared(&p, &space, &Registry::noop());
+            let predictor = Predictor::with_cache(&model, fresh_cache());
+            ModelObjective::with_planner(&predictor, Rc::clone(&planner)).evaluate(&configs);
+            let mut met =
+                HardwareObjective::with_planner(Rc::clone(&planner), &met_device, f64::INFINITY);
+            for config in &configs {
+                let fused = apply_fusion(&p, &space, config);
+                {
+                    let mut planner = planner.borrow_mut();
+                    let planned = planner.plan(config).kernels().iter().map(|k| k.kernel());
+                    assert!(planned.eq(&fused.kernels));
+                }
+
+                reference.charge_eval_overhead();
+                let expected = reference.try_execute_program(&fused).unwrap().to_bits();
+                assert_eq!(fresh.measure(config).unwrap().to_bits(), expected);
+                assert_eq!(met.measure(config).unwrap().to_bits(), expected);
+                let true_ns = reference.true_program_time(&fused).to_bits();
+                let no_faults = FaultCounts::default();
+                assert_eq!(
+                    fresh.tuned(config.clone(), no_faults).true_ns.to_bits(),
+                    true_ns
+                );
+                assert_eq!(
+                    met.tuned(config.clone(), no_faults).true_ns.to_bits(),
+                    true_ns
+                );
+            }
+            let used = reference.device_time_used().to_bits();
+            assert_eq!(fresh_device.device_time_used().to_bits(), used);
+            assert_eq!(met_device.device_time_used().to_bits(), used);
         }
     }
 

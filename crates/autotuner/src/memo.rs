@@ -22,11 +22,16 @@
 //! plan costs and nothing else: a re-plan equals the plan from scratch
 //! group for group, so every value, in order, is the same either way.
 //! Everything runs sequentially under `&mut`, in candidate order. A planner
-//! belongs to one search over one program and dies with it: no capacity,
-//! no eviction (a program of N nodes has at most a few N distinct groups
-//! in play).
+//! belongs to one tuning run over one program and dies with it: no
+//! capacity, no eviction (a program of N nodes has at most a few N distinct
+//! groups in play). Within a run it is [`SharedPlanner`]: the beam's
+//! transposition keys, the model objective and the hardware re-rank all
+//! plan through the one planner, so a group any of them met is never
+//! extracted or hashed again.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use tpu_fusion::{materialize, FusionConfig, FusionGroup, FusionPlanner, FusionSpace, Planned};
 use tpu_hlo::{HashedKernel, NodeId, Program};
@@ -66,8 +71,8 @@ struct PlanObs {
     groups_kept: Counter,
 }
 
-/// Per-search planner: from a batch of configurations to the hashed kernel
-/// of each of their fusion groups.
+/// Per-run planner: from a batch of configurations to the hashed kernel of
+/// each of their fusion groups.
 pub(crate) struct Planner<'a> {
     program: &'a Program,
     fusion: FusionPlanner<'a>,
@@ -76,6 +81,10 @@ pub(crate) struct Planner<'a> {
     previous: Vec<Plan>,
     obs: PlanObs,
 }
+
+/// The one planner of a tuning run, handed to each of its users in turn
+/// (they run one after another on one thread, so no borrow overlaps).
+pub(crate) type SharedPlanner<'a> = Rc<RefCell<Planner<'a>>>;
 
 /// The decisions in which two configurations of one space differ.
 fn differing<'c>(a: &'c FusionConfig, b: &'c FusionConfig) -> impl Iterator<Item = usize> + 'c {
@@ -108,8 +117,17 @@ impl<'a> Planner<'a> {
         }
     }
 
+    /// [`Planner::new`], ready to be handed to every user of one run.
+    pub(crate) fn shared(
+        program: &'a Program,
+        space: &'a FusionSpace,
+        registry: &Registry,
+    ) -> SharedPlanner<'a> {
+        Rc::new(RefCell::new(Planner::new(program, space, registry)))
+    }
+
     /// The resolved plan of every configuration, in order; a group met for
-    /// the first time in this search has its kernel extracted and hashed.
+    /// the first time in this run has its kernel extracted and hashed.
     pub(crate) fn plan_batch<'c>(
         &mut self,
         configs: impl IntoIterator<Item = &'c FusionConfig>,
@@ -170,6 +188,11 @@ impl<'a> Planner<'a> {
         }
         self.previous = batch;
         &self.previous
+    }
+
+    /// The resolved plan of one configuration: a batch of one.
+    pub(crate) fn plan(&mut self, config: &FusionConfig) -> &Plan {
+        &self.plan_batch(std::slice::from_ref(config))[0]
     }
 
     /// Distinct groups built so far.

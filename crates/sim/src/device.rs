@@ -315,8 +315,17 @@ impl TpuDevice {
     /// kernel (the prefix executed so far stays charged, like a crashed
     /// run on real hardware).
     pub fn try_execute_program(&self, p: &FusedProgram) -> Result<f64, DeviceError> {
+        self.try_execute_kernels(&p.kernels)
+    }
+
+    /// [`TpuDevice::try_execute_program`] over a program's kernels, in
+    /// order, wherever the caller keeps them.
+    pub fn try_execute_kernels<'k>(
+        &self,
+        kernels: impl IntoIterator<Item = &'k Kernel>,
+    ) -> Result<f64, DeviceError> {
         let mut total = 0.0;
-        for k in &p.kernels {
+        for k in kernels {
             total += self.try_execute_kernel(k)?;
         }
         Ok(total)
@@ -379,7 +388,13 @@ impl TpuDevice {
 
     /// Noiseless ground-truth program time (no device-time charge).
     pub fn true_program_time(&self, p: &FusedProgram) -> f64 {
-        p.kernels.iter().map(|k| self.true_kernel_time(k)).sum()
+        self.true_kernels_time(&p.kernels)
+    }
+
+    /// [`TpuDevice::true_program_time`] over a program's kernels, in order,
+    /// wherever the caller keeps them.
+    pub fn true_kernels_time<'k>(&self, kernels: impl IntoIterator<Item = &'k Kernel>) -> f64 {
+        kernels.into_iter().map(|k| self.true_kernel_time(k)).sum()
     }
 }
 

@@ -1,21 +1,24 @@
 //! The searchers' planner is an optimisation with a memory, so what it
 //! remembers must never show in a result.
 //!
-//! `ModelObjective` and the beam's scorer plan each configuration as a
-//! delta from the nearest configuration of the batch before. These tests
-//! pin, on the `search_tune` programs, that this history decides only how
-//! much work a plan costs: the same configurations cost the same bits
-//! however they are batched and ordered, the key the beam files a cost
-//! under is still the public `fused_structure_hash`, and the delta path is
-//! the one the searchers actually take.
+//! A tuning run has one planner, which the model objective, the beam's
+//! transposition keys and the hardware re-rank share; it plans each
+//! configuration as a delta from the nearest configuration of the batch
+//! before. These tests pin, on the `search_tune` programs, that this
+//! history decides only how much work a plan costs: the same
+//! configurations cost the same bits however they are batched and ordered,
+//! the key the beam files a cost under is still the public
+//! `fused_structure_hash`, a measurement is the measurement of
+//! `apply_fusion`'s program, and the delta path is the one the searchers
+//! actually take.
 
 use std::sync::Arc;
 use tpu_repro::autotuner::{
     autotune_beam_with_cost_model, beam_search_with_tt, fused_structure_hash, random_configs,
-    BatchObjective, Budgets, ModelObjective, SearchParams, StartMode,
+    BatchObjective, Budgets, HardwareObjective, ModelObjective, SearchParams, StartMode,
 };
 use tpu_repro::dataset::{Corpus, CorpusScale};
-use tpu_repro::fusion::{default_space_and_config, FusionConfig, FusionSpace};
+use tpu_repro::fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
 use tpu_repro::hlo::{Kernel, Program};
 use tpu_repro::learned::{AtomicCache, CostModel, FnCostModel, PredictStats, Predictor, SimOracle};
 use tpu_repro::obs::Registry;
@@ -167,6 +170,39 @@ fn the_beam_files_a_search_tune_trajectory_under_fused_structure_hash() {
     }
 }
 
+/// The hardware objective measures the kernels its planner hands out. On
+/// two `search_tune` programs, 20 random configurations measured through
+/// it — by a fresh planner, then again once it has met every group — cost
+/// the device what running `apply_fusion`'s program costs a device with
+/// the same seed, bit for bit.
+#[test]
+fn measuring_through_the_planner_is_measuring_apply_fusion() {
+    let corpus = Corpus::build(CorpusScale::Full);
+    for name in ["ConvDRAW", "RNN"] {
+        let program = program(&corpus, name);
+        let (space, _) = default_space_and_config(&program.computation);
+        let configs = random_configs(&space, 20, 3);
+        let (reference, device) = (TpuDevice::new(5), TpuDevice::new(5));
+        let mut hw = HardwareObjective::new(program, &space, &device, f64::INFINITY);
+        for pass in 0..2 {
+            for config in &configs {
+                reference.charge_eval_overhead();
+                let fused = apply_fusion(program, &space, config);
+                let expected = reference.try_execute_program(&fused).unwrap();
+                assert_eq!(
+                    hw.measure(config).unwrap().to_bits(),
+                    expected.to_bits(),
+                    "{name}, pass {pass}"
+                );
+            }
+        }
+        assert_eq!(
+            device.device_time_used().to_bits(),
+            reference.device_time_used().to_bits()
+        );
+    }
+}
+
 /// A silent fall-back to planning every candidate from scratch would cost
 /// `search_tune` its speed and fail no other test: on NMT Model's beam run
 /// the planner must plan nearly every candidate as a delta and hand most
@@ -181,7 +217,7 @@ fn the_beam_plans_nmt_model_by_delta_and_keeps_most_groups() {
         model_steps: 400,
         ..Default::default()
     };
-    autotune_beam_with_cost_model(
+    let tuned = autotune_beam_with_cost_model(
         program,
         &device,
         &oracle(),
@@ -197,8 +233,17 @@ fn the_beam_plans_nmt_model_by_delta_and_keeps_most_groups() {
         count("autotuner.plan.groups_fresh"),
         count("autotuner.plan.groups_kept"),
     );
-    // The scorer and the objective each plan the start from scratch.
-    assert_eq!(full, 2, "{delta} delta plans, {full} full plans");
+    // One planner serves the run. The search plans from scratch once: the
+    // start, for its transposition key; the objective then finds every
+    // configuration it scores planned a moment before. The re-rank's plans,
+    // one per measurement and one for the tuned configuration, are counted
+    // apart: each follows a single configuration, so a jump of more than a
+    // few decisions is planned from scratch. On NMT Model there are two:
+    // to the start, measured after the ranked configurations, and from it
+    // back to the tuned one.
+    let rerank = tuned.hw_evals as u64 + 1;
+    assert_eq!(count("autotuner.hw.evals") + 1, rerank);
+    assert_eq!(full, 1 + 2, "{delta} delta plans, {full} full plans");
     assert!(delta > 400, "{delta} delta plans");
     let share = fresh as f64 / (fresh + kept) as f64;
     assert!(
