@@ -4,8 +4,8 @@
 use crate::corpus::{Corpus, Split};
 use std::collections::HashSet;
 use tpu_autotuner::random_configs;
-use tpu_fusion::{apply_fusion, default_space_and_config};
-use tpu_hlo::{kernel_hash, Kernel, Program};
+use tpu_fusion::{default_space_and_config, materialize, FusionGroup, FusionPlanner};
+use tpu_hlo::{HashedKernel, Kernel, Program};
 use tpu_sim::{default_tile, TpuConfig, TpuDevice};
 
 /// Pipeline parameters.
@@ -79,29 +79,37 @@ impl FusionDataset {
     }
 }
 
-/// Generate the kernels of one program under random fusion configs,
-/// deduplicated by canonical hash.
-pub fn program_kernels(program: &Program, cfg: &FusionDatasetConfig, seed: u64) -> Vec<Kernel> {
+/// Generate the kernels of one program under random fusion configs and
+/// the default one, deduplicated by canonical hash, in first-occurrence
+/// order, each with that hash.
+///
+/// One [`FusionPlanner`] plans every config, and a group met in an earlier
+/// config is not built again: a kernel is a pure function of its group, so
+/// that kernel is already kept or already a duplicate.
+pub fn program_kernels(
+    program: &Program,
+    cfg: &FusionDatasetConfig,
+    seed: u64,
+) -> Vec<HashedKernel> {
     let (space, default_cfg) = default_space_and_config(&program.computation);
     let mut configs = random_configs(&space, cfg.configs_per_program, seed);
     configs.push(default_cfg);
+    let mut planner = FusionPlanner::new(program, &space);
+    let mut met: HashSet<FusionGroup> = HashSet::new();
     let mut seen: HashSet<u64> = HashSet::new();
     let mut kernels = Vec::new();
-    for c in &configs {
-        let fused = apply_fusion(program, &space, c);
-        for k in fused.kernels {
-            // Attach the compiler-default tile so tile features are
-            // populated, as the paper's shared feature set requires.
-            let tiled = match k.tile {
-                Some(_) => k,
-                None => {
-                    let t = default_tile(&k, &cfg.machine);
-                    k.with_tile(t)
-                }
-            };
-            if seen.insert(kernel_hash(&tiled)) {
-                kernels.push(tiled);
-            }
+    for group in configs.iter().flat_map(|c| planner.plan(c)) {
+        if met.contains(&group) {
+            continue;
+        }
+        let kernel = materialize(program, &group);
+        met.insert(group);
+        // Attach the compiler-default tile so tile features are populated,
+        // as the paper's shared feature set requires.
+        let tile = default_tile(&kernel, &cfg.machine);
+        let kernel = HashedKernel::new(kernel.with_tile(tile));
+        if seen.insert(kernel.hash()) {
+            kernels.push(kernel);
         }
     }
     kernels
@@ -113,18 +121,18 @@ pub fn program_kernels(program: &Program, cfg: &FusionDatasetConfig, seed: u64) 
 ///
 /// The device's noise RNG is one sequential stream per program, so every
 /// kernel is measured in order here and cross-program duplicates are
-/// dropped by the callers only afterwards.
+/// dropped by the callers only afterwards, by the hash each kernel carries.
 pub(crate) fn measured_program_kernels(
     program: &Program,
     pi: usize,
     cfg: &FusionDatasetConfig,
-) -> Vec<(Kernel, f64)> {
+) -> Vec<(HashedKernel, f64)> {
     let kernels = program_kernels(program, cfg, cfg.seed ^ (pi as u64).wrapping_mul(0x9e37));
     let device = TpuDevice::with_config(cfg.machine.clone(), cfg.seed ^ pi as u64);
     kernels
         .into_iter()
         .map(|k| {
-            let runtime_ns = device.measure_kernel(&k, cfg.runs);
+            let runtime_ns = device.measure_kernel(k.kernel(), cfg.runs);
             (k, runtime_ns)
         })
         .collect()
@@ -134,23 +142,24 @@ pub(crate) fn measured_program_kernels(
 /// program by program (the paper spreads this over 50 machines; each
 /// program's device is seeded by its index, so programs are independent).
 pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> FusionDataset {
-    let eligible = corpus.fusion_eligible();
-    let mut examples: Vec<KernelExample> = eligible
-        .iter()
-        .flat_map(|&pi| {
-            measured_program_kernels(&corpus.entries[pi].program, pi, cfg)
-                .into_iter()
-                .map(move |(kernel, runtime_ns)| KernelExample {
-                    kernel,
-                    runtime_ns,
-                    program_idx: pi,
-                })
-        })
-        .collect();
     // Global duplicate elimination across programs keeps the first
     // occurrence (its program tag), mirroring §5.
     let mut seen: HashSet<u64> = HashSet::new();
-    examples.retain(|ex| seen.insert(kernel_hash(&ex.kernel)));
+    let examples = corpus
+        .fusion_eligible()
+        .into_iter()
+        .flat_map(|pi| {
+            measured_program_kernels(&corpus.entries[pi].program, pi, cfg)
+                .into_iter()
+                .map(move |(kernel, runtime_ns)| (pi, kernel, runtime_ns))
+        })
+        .filter(|(_, kernel, _)| seen.insert(kernel.hash()))
+        .map(|(pi, kernel, runtime_ns)| KernelExample {
+            kernel: kernel.into_kernel(),
+            runtime_ns,
+            program_idx: pi,
+        })
+        .collect();
     FusionDataset { examples }
 }
 
@@ -158,6 +167,8 @@ pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> Fusio
 mod tests {
     use super::*;
     use crate::corpus::CorpusScale;
+    use tpu_fusion::apply_fusion;
+    use tpu_hlo::kernel_hash;
 
     fn quick_cfg() -> FusionDatasetConfig {
         FusionDatasetConfig {
@@ -171,12 +182,48 @@ mod tests {
         let corpus = Corpus::build(CorpusScale::Tiny);
         let p = &corpus.entries[0].program;
         let kernels = program_kernels(p, &quick_cfg(), 1);
-        let mut hashes: Vec<u64> = kernels.iter().map(kernel_hash).collect();
+        let mut hashes: Vec<u64> = kernels.iter().map(|k| kernel_hash(k.kernel())).collect();
         let n = hashes.len();
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), n, "duplicate kernels in dataset");
         assert!(n > 5);
+    }
+
+    /// What `program_kernels` did before it planned: one `apply_fusion`
+    /// per config, every kernel tiled and hashed, duplicates dropped.
+    fn apply_fusion_per_config(
+        program: &Program,
+        cfg: &FusionDatasetConfig,
+        seed: u64,
+    ) -> Vec<Kernel> {
+        let (space, default_cfg) = default_space_and_config(&program.computation);
+        let mut configs = random_configs(&space, cfg.configs_per_program, seed);
+        configs.push(default_cfg);
+        let mut seen: HashSet<u64> = HashSet::new();
+        configs
+            .iter()
+            .flat_map(|c| apply_fusion(program, &space, c).kernels)
+            .map(|k| {
+                let tile = default_tile(&k, &cfg.machine);
+                k.with_tile(tile)
+            })
+            .filter(|k| seen.insert(kernel_hash(k)))
+            .collect()
+    }
+
+    #[test]
+    fn program_kernels_are_apply_fusion_per_config_deduplicated() {
+        let corpus = Corpus::build(CorpusScale::Tiny);
+        for (pi, entry) in corpus.entries.iter().enumerate() {
+            let got = program_kernels(&entry.program, &quick_cfg(), pi as u64);
+            let expected = apply_fusion_per_config(&entry.program, &quick_cfg(), pi as u64);
+            assert_eq!(got.len(), expected.len(), "{}", entry.program.name);
+            for (got, expected) in got.iter().zip(&expected) {
+                assert_eq!(got.kernel(), expected, "{}", entry.program.name);
+                assert_eq!(got.hash(), kernel_hash(expected));
+            }
+        }
     }
 
     #[test]

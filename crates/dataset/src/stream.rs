@@ -39,7 +39,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Mutex;
-use tpu_hlo::{kernel_hash, Kernel};
+use tpu_hlo::Kernel;
 use tpu_learned_cost::{BatchSource, ExampleMeta, Prepared, Sample};
 use tpu_sim::TpuDevice;
 
@@ -596,8 +596,8 @@ pub fn stream_corpus(
         if eligible.contains(&pi) {
             let samples: Vec<Sample> = measured_program_kernels(program, pi, &cfg.fusion)
                 .into_iter()
-                .filter(|(k, _)| seen.insert(kernel_hash(k)))
-                .map(|(k, runtime_ns)| Sample::new(k, runtime_ns))
+                .filter(|(k, _)| seen.insert(k.hash()))
+                .map(|(k, runtime_ns)| Sample::new(k.into_kernel(), runtime_ns))
                 .collect();
             for p in Prepared::from_samples(&samples) {
                 writer.append(&p, pi as u32)?;

@@ -396,7 +396,7 @@ pub fn fusion_groups(
 ///
 /// `group` must come from a [`FusionPlanner`] over the same `program`.
 pub fn materialize(program: &Program, group: &FusionGroup) -> Kernel {
-    let (sub, _) = program
+    let sub = program
         .computation
         .extract_subgraph(&group.members, group.root);
     Kernel::new(sub).with_source_root(group.root)

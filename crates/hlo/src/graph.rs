@@ -4,7 +4,7 @@ use crate::error::{HloError, Result};
 use crate::node::{Node, NodeId};
 use crate::opcode::Opcode;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// A computation: a directed acyclic graph of [`Node`]s with a designated
 /// root (output) node.
@@ -389,74 +389,80 @@ impl Computation {
     /// fresh `Parameter` nodes (the fused kernel's inputs), mirroring how a
     /// compiler outlines a fusion region.
     ///
-    /// Returns the new computation and the mapping from old member ids to
-    /// new ids.
-    ///
     /// # Panics
     ///
-    /// Panics if `root_of_subgraph` is not in `members`.
-    pub fn extract_subgraph(
-        &self,
-        members: &[NodeId],
-        root_of_subgraph: NodeId,
-    ) -> (Computation, HashMap<NodeId, NodeId>) {
-        assert!(
-            members.contains(&root_of_subgraph),
-            "subgraph root not a member"
-        );
-        let member_set: std::collections::HashSet<NodeId> = members.iter().copied().collect();
-        let mut sorted: Vec<NodeId> = members.to_vec();
-        sorted.sort();
-        sorted.dedup();
+    /// Panics if `root_of_subgraph` is not in `members`, or if a member
+    /// takes another member of a higher id as an operand.
+    pub fn extract_subgraph(&self, members: &[NodeId], root_of_subgraph: NodeId) -> Computation {
+        // A fusion group's members come sorted and distinct already.
+        let sorted: Cow<'_, [NodeId]> = if members.windows(2).all(|w| w[0] < w[1]) {
+            Cow::Borrowed(members)
+        } else {
+            let mut sorted = members.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            Cow::Owned(sorted)
+        };
+        let root_at = sorted
+            .binary_search(&root_of_subgraph)
+            .expect("subgraph root not a member");
 
         let mut new_nodes: Vec<Node> = Vec::new();
-        let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
+        // The new id of each member, in member order.
+        let mut new_ids: Vec<NodeId> = Vec::with_capacity(sorted.len());
         // Imported operands (outside `members`) become parameters; one per
-        // distinct external producer.
-        let mut imported: HashMap<NodeId, NodeId> = HashMap::new();
+        // distinct external producer, and a kernel has few.
+        let mut imported: Vec<(NodeId, NodeId)> = Vec::new();
 
-        for &old_id in &sorted {
+        for &old_id in sorted.iter() {
             let old = self.node(old_id);
             let mut operands = Vec::with_capacity(old.operands.len());
             for &op in &old.operands {
-                if member_set.contains(&op) {
-                    operands.push(*remap.get(&op).expect("members must be topo-sorted by id"));
-                } else {
-                    let pid = *imported.entry(op).or_insert_with(|| {
-                        let ext = self.node(op);
-                        let pid = NodeId(new_nodes.len() as u32);
-                        new_nodes.push(Node {
-                            id: pid,
-                            opcode: Opcode::Parameter,
-                            dtype: ext.dtype,
-                            shape: ext.shape.clone(),
-                            layout: ext.layout.clone(),
-                            operands: Vec::new(),
-                            attrs: Default::default(),
-                            // Imported values are named after the original
-                            // producer node so callers can thread values
-                            // between kernels (`in<original-id>`).
-                            name: format!("in{}", op.0),
-                        });
-                        pid
-                    });
-                    operands.push(pid);
-                }
+                let new_op = match sorted.binary_search(&op) {
+                    Ok(at) => *new_ids.get(at).expect("members must be topo-sorted by id"),
+                    Err(_) => match imported.iter().find(|(ext, _)| *ext == op) {
+                        Some(&(_, pid)) => pid,
+                        None => {
+                            let ext = self.node(op);
+                            let pid = NodeId(new_nodes.len() as u32);
+                            new_nodes.push(Node {
+                                id: pid,
+                                opcode: Opcode::Parameter,
+                                dtype: ext.dtype,
+                                shape: ext.shape.clone(),
+                                layout: ext.layout.clone(),
+                                operands: Vec::new(),
+                                attrs: Default::default(),
+                                // Imported values are named after the original
+                                // producer node so callers can thread values
+                                // between kernels (`in<original-id>`).
+                                name: format!("in{}", op.0),
+                            });
+                            imported.push((op, pid));
+                            pid
+                        }
+                    },
+                };
+                operands.push(new_op);
             }
-            let new_id = NodeId(new_nodes.len() as u32);
-            remap.insert(old_id, new_id);
-            let mut node = old.clone();
-            node.id = new_id;
-            node.operands = operands;
-            new_nodes.push(node);
+            let id = NodeId(new_nodes.len() as u32);
+            new_ids.push(id);
+            new_nodes.push(Node {
+                id,
+                opcode: old.opcode,
+                dtype: old.dtype,
+                shape: old.shape.clone(),
+                layout: old.layout.clone(),
+                operands,
+                attrs: old.attrs.clone(),
+                name: old.name.clone(),
+            });
         }
 
-        let new_root = remap[&root_of_subgraph];
+        let new_root = new_ids[root_at];
         // Mark the output node (§4.1 of the paper).
         new_nodes[new_root.index()].attrs.is_output = true;
-        let c =
-            Computation::from_parts_unchecked(format!("{}.fused", self.name), new_nodes, new_root);
-        (c, remap)
+        Computation::from_parts_unchecked(format!("{}.fused", self.name), new_nodes, new_root)
     }
 }
 
@@ -746,21 +752,27 @@ mod tests {
     fn extract_subgraph_imports_parameters() {
         let c = diamond();
         // Extract {exp, add}: tanh's value must arrive via a new parameter.
-        let (sub, remap) = c.extract_subgraph(&[NodeId(1), NodeId(3)], NodeId(3));
+        let sub = c.extract_subgraph(&[NodeId(1), NodeId(3)], NodeId(3));
         assert!(sub.validate().is_ok());
-        // exp's operand x becomes a parameter, tanh becomes a parameter.
-        assert_eq!(sub.parameters().len(), 2);
+        // exp's operand x becomes a parameter, tanh becomes a parameter:
+        // in0, exp, in2, add.
+        assert_eq!(sub.parameters(), [NodeId(0), NodeId(2)]);
+        assert_eq!(sub.node(NodeId(2)).name, "in2");
         assert_eq!(sub.num_nodes(), 4);
-        let new_root = remap[&NodeId(3)];
-        assert_eq!(sub.root(), new_root);
-        assert!(sub.node(new_root).attrs.is_output);
+        assert_eq!(sub.root(), NodeId(3));
+        assert!(sub.node(NodeId(3)).attrs.is_output);
+        // Members in any order, repeated, are the same members.
+        assert_eq!(
+            c.extract_subgraph(&[NodeId(3), NodeId(1), NodeId(3)], NodeId(3)),
+            sub
+        );
     }
 
     #[test]
     fn extract_full_graph_is_isomorphic() {
         let c = diamond();
         let members: Vec<NodeId> = c.nodes().iter().map(|n| n.id).collect();
-        let (sub, _) = c.extract_subgraph(&members, c.root());
+        let sub = c.extract_subgraph(&members, c.root());
         assert_eq!(sub.num_nodes(), c.num_nodes());
         assert_eq!(sub.parameters().len(), 1);
     }
@@ -769,7 +781,7 @@ mod tests {
     fn extract_shares_single_import_per_external_producer() {
         // kernel = {add}; both operands come from outside but are distinct.
         let c = diamond();
-        let (sub, _) = c.extract_subgraph(&[NodeId(3)], NodeId(3));
+        let sub = c.extract_subgraph(&[NodeId(3)], NodeId(3));
         assert_eq!(sub.parameters().len(), 2);
         assert_eq!(sub.num_nodes(), 3);
     }

@@ -142,6 +142,11 @@ impl HashedKernel {
     pub fn hash(&self) -> u64 {
         self.hash
     }
+
+    /// The kernel, without its hash.
+    pub fn into_kernel(self) -> Kernel {
+        self.kernel
+    }
 }
 
 #[cfg(test)]
