@@ -49,7 +49,7 @@ fn run_once(program: &Program, gnn: &GnnModel, chains: usize) -> TunedConfig {
 }
 
 #[test]
-fn tuned_config_is_bit_identical_across_thread_counts() {
+fn tuned_config_is_bit_identical_across_runs() {
     let program = tunable_program();
     let gnn = GnnModel::new(GnnConfig {
         hidden: 8,

@@ -75,7 +75,7 @@ fn run_once(program: &Program, gnn: &GnnModel, width: usize) -> (TunedConfig, Be
 }
 
 #[test]
-fn beam_tuned_config_is_bit_identical_across_thread_counts() {
+fn beam_tuned_config_is_bit_identical_across_runs() {
     let program = tunable_program();
     let gnn = GnnModel::new(GnnConfig {
         hidden: 8,

@@ -63,7 +63,7 @@ fn assert_identical(a: &TunedConfig, b: &TunedConfig, context: &str) {
 }
 
 #[test]
-fn chaos_autotune_is_bit_identical_across_thread_counts() {
+fn chaos_autotune_is_bit_identical_across_runs() {
     let program = tunable_program();
     for fault_seed in [5u64, 11, 42] {
         let reference = run_once(&program, fault_seed);
