@@ -1,4 +1,4 @@
-//! What one search remembers about the plans and kernels of its program.
+//! What one tuning run remembers about the plans and kernels of its program.
 //!
 //! A fused kernel is a pure function of `(program, root, members)` — a
 //! [`FusionGroup`] — and successive candidates of a search share almost all
@@ -96,7 +96,7 @@ fn differing<'c>(a: &'c FusionConfig, b: &'c FusionConfig) -> impl Iterator<Item
 }
 
 impl<'a> Planner<'a> {
-    /// A planner for one search over `program`, recording
+    /// A planner for one tuning run over `program`, recording
     /// `autotuner.plan.*` into `registry`.
     pub(crate) fn new(
         program: &'a Program,
