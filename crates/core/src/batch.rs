@@ -1,7 +1,8 @@
 //! Dataset samples, pre-featurized kernels, and graph batching.
 
 use crate::features::{kernel_features, FEATURE_DIM};
-use tpu_hlo::Kernel;
+use std::borrow::Borrow;
+use tpu_hlo::{Computation, Kernel};
 use tpu_nn::Tensor;
 
 /// One dataset example: a kernel and its measured runtime.
@@ -48,7 +49,8 @@ pub struct Prepared {
     pub opcode_ids: Vec<usize>,
     /// `N×FEATURE_DIM` feature matrix.
     pub features: Tensor,
-    /// Directed edges (producer index, consumer index), deduplicated.
+    /// Directed edges (producer index, consumer index), sorted and
+    /// deduplicated.
     pub edges: Vec<(usize, usize)>,
     /// Target: runtime in ns.
     pub runtime_ns: f64,
@@ -72,24 +74,21 @@ impl Prepared {
     /// here, via [`Prepared::from_sample`], or by [`Prepared::from_kernels`].
     pub fn from_kernel(kernel: &Kernel) -> Prepared {
         let (opcode_ids, features) = kernel_features(kernel);
-        let adj = kernel.computation.adjacency();
-        let edges = adj
-            .directed_edges()
-            .iter()
-            .map(|&(a, b)| (a.index(), b.index()))
-            .collect();
         Prepared {
             opcode_ids,
             features,
-            edges,
+            edges: operand_edges(&kernel.computation),
             runtime_ns: 0.0,
             group: usize::MAX,
         }
     }
 
-    /// Featurize a slice of kernels, in order.
-    pub fn from_kernels(kernels: &[Kernel]) -> Vec<Prepared> {
-        kernels.iter().map(Prepared::from_kernel).collect()
+    /// Featurize a slice of kernels, owned or borrowed, in order.
+    pub fn from_kernels<K: Borrow<Kernel>>(kernels: &[K]) -> Vec<Prepared> {
+        kernels
+            .iter()
+            .map(|k| Prepared::from_kernel(k.borrow()))
+            .collect()
     }
 
     /// Featurize a slice of samples, in order.
@@ -101,6 +100,20 @@ impl Prepared {
     pub fn num_nodes(&self) -> usize {
         self.opcode_ids.len()
     }
+}
+
+/// `(operand, user)` for every operand edge of `c`, sorted, an operand
+/// that one user takes twice counted once: the undirected neighbor
+/// relation of the paper's Eq. 1, which the GNN reads both ways.
+fn operand_edges(c: &Computation) -> Vec<(usize, usize)> {
+    let mut edges = Vec::with_capacity(c.num_edges());
+    for node in c.nodes() {
+        let user = node.id.index();
+        edges.extend(node.operands.iter().map(|op| (op.index(), user)));
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    edges
 }
 
 /// Extract a contiguous BFS segment of a large graph (TpuGraphs-style
@@ -290,6 +303,20 @@ mod tests {
         assert_eq!(p.num_nodes(), 3);
         assert_eq!(p.edges.len(), 2);
         assert_eq!(p.features.shape(), (3, FEATURE_DIM));
+    }
+
+    #[test]
+    fn edges_are_the_operand_relation_sorted_and_distinct() {
+        // x -> exp -> add <- tanh <- x, then add(x, x): an operand one
+        // user takes twice is one edge, not two.
+        let mut b = GraphBuilder::new("diamond");
+        let x = b.parameter("x", Shape::matrix(4, 4), DType::F32);
+        let e = b.exp(x);
+        let t = b.tanh(x);
+        let a = b.add(e, t);
+        let twice = b.add(a, a);
+        let p = Prepared::from_kernel(&Kernel::new(b.finish(twice)));
+        assert_eq!(p.edges, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
     }
 
     #[test]

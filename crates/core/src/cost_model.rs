@@ -3,6 +3,8 @@
 use crate::batch::Prepared;
 use crate::lstm_model::LstmModel;
 use crate::model::GnnModel;
+use crate::train::KernelModel;
+use std::borrow::Borrow;
 use tpu_hlo::{FusedProgram, Kernel};
 
 /// Anything that can estimate kernel runtimes in nanoseconds.
@@ -38,6 +40,19 @@ pub trait CostModel {
         kernels.iter().map(|k| self.predict_kernel_ns(k)).collect()
     }
 
+    /// [`CostModel::predict_batch_ns`] over borrowed kernels: what a
+    /// [`Predictor`](crate::Predictor) hands its backend, so a miss is lent
+    /// to the model rather than copied for it.
+    ///
+    /// The default copies the kernels and calls `predict_batch_ns`, so a
+    /// model that overrides only that method still sees every batch.
+    /// Backends that featurize from a reference override both with one
+    /// body; the answers must be the same.
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        let owned: Vec<Kernel> = kernels.iter().map(|&k| k.clone()).collect();
+        self.predict_batch_ns(&owned)
+    }
+
     /// Short name for reports.
     fn name(&self) -> &str;
 
@@ -60,6 +75,9 @@ impl<M: CostModel + ?Sized> CostModel for &M {
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
         (**self).predict_batch_ns(kernels)
     }
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        (**self).predict_refs_ns(kernels)
+    }
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -78,6 +96,9 @@ impl<M: CostModel + ?Sized> CostModel for Box<M> {
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
         (**self).predict_batch_ns(kernels)
     }
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        (**self).predict_refs_ns(kernels)
+    }
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -86,19 +107,31 @@ impl<M: CostModel + ?Sized> CostModel for Box<M> {
     }
 }
 
+/// Featurization, then **one** packed forward for the whole slice — the
+/// disjoint-union batching of §4.2 applied to serving, masked for the
+/// LSTM's sequences (§6.1 baseline). The one batch body of both tape
+/// models, over owned or borrowed kernels.
+fn packed_forward_ns<M: KernelModel, K: Borrow<Kernel>>(
+    model: &M,
+    kernels: &[K],
+) -> Vec<Option<f64>> {
+    let prepared = Prepared::from_kernels(kernels);
+    let refs: Vec<&Prepared> = prepared.iter().collect();
+    crate::engine::forward_log_ns(model, &refs)
+        .into_iter()
+        .map(|l| Some(l.exp()))
+        .collect()
+}
+
 impl CostModel for GnnModel {
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
         Some(self.predict_ns(kernel))
     }
-    /// Featurization, then **one** packed forward for the whole
-    /// slice — the disjoint-union batching of §4.2 applied to serving.
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        let prepared = Prepared::from_kernels(kernels);
-        let refs: Vec<&Prepared> = prepared.iter().collect();
-        crate::engine::forward_log_ns(self, &refs)
-            .into_iter()
-            .map(|l| Some(l.exp()))
-            .collect()
+        packed_forward_ns(self, kernels)
+    }
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        packed_forward_ns(self, kernels)
     }
     fn name(&self) -> &str {
         "learned-gnn"
@@ -109,14 +142,11 @@ impl CostModel for LstmModel {
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
         Some(self.predict_ns(kernel))
     }
-    /// One masked packed forward over all sequences (§6.1 baseline).
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        let prepared = Prepared::from_kernels(kernels);
-        let refs: Vec<&Prepared> = prepared.iter().collect();
-        crate::engine::forward_log_ns(self, &refs)
-            .into_iter()
-            .map(|l| Some(l.exp()))
-            .collect()
+        packed_forward_ns(self, kernels)
+    }
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        packed_forward_ns(self, kernels)
     }
     fn name(&self) -> &str {
         "lstm-baseline"

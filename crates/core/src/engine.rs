@@ -12,9 +12,10 @@
 //!   implementation is the lock-free [`AtomicCache`]),
 //! - [`Predictor`] — a serving session over any [`CostModel`]: it hashes
 //!   the incoming kernels, answers what it can from the cache, deduplicates
-//!   the distinct misses, and presents them to the backend as **one**
-//!   `predict_batch_ns` call (one packed forward pass for the neural
-//!   backends), reporting per-call and cumulative [`PredictStats`].
+//!   the distinct misses, and lends them to the backend — borrowed, not
+//!   copied — as **one** `predict_refs_ns` call (one packed forward pass
+//!   for the neural backends), reporting per-call and cumulative
+//!   [`PredictStats`].
 //!
 //! Cache keys are structural: two kernels with identical computations,
 //! kinds, and tile sizes share a key, so a prediction made for one is
@@ -25,6 +26,7 @@ use crate::atomic_cache::AtomicCache;
 use crate::batch::{GraphBatch, Prepared};
 use crate::cost_model::CostModel;
 use crate::train::KernelModel;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -168,11 +170,12 @@ impl PredictStats {
 ///
 /// Every `predict` call resolves its kernels in three steps: hash and look
 /// up each kernel in the session's [`KernelCache`]; deduplicate the
-/// distinct misses (first-occurrence order); hand those misses to the
-/// backend as **one** [`CostModel::predict_batch_ns`] call. For the neural
-/// backends that one call is one packed [`GraphBatch`] forward, so a batch
-/// with `m` distinct misses costs exactly one forward pass — and a batch
-/// with none costs zero.
+/// distinct misses (first-occurrence order); lend those misses to the
+/// backend as **one** [`CostModel::predict_refs_ns`] call — the caller's
+/// kernels, borrowed, not a copy of them. For the neural backends that one
+/// call is one packed [`GraphBatch`] forward, so a batch with `m` distinct
+/// misses costs exactly one forward pass — and a batch with none costs
+/// zero.
 ///
 /// The cache sits behind an [`Arc`] so one cache can back several sessions
 /// (e.g. the autotuner's model phase and the final report) and survive the
@@ -380,10 +383,9 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
             } else {
                 0
             };
-            let miss_kernels: Vec<Kernel> =
-                pending.iter().map(|&i| Kernel::clone(kernels[i])).collect();
+            let misses: Vec<&Kernel> = pending.iter().map(|&i| kernels[i]).collect();
             let forward_timer = self.obs.forward_ns.start_timer();
-            let fresh = self.model.predict_batch_ns(&miss_kernels);
+            let fresh = self.model.predict_refs_ns(&misses);
             forward_timer.stop();
             self.obs.miss_batch_size.observe(pending.len() as u64);
             model_batches = 1;
@@ -442,6 +444,9 @@ impl<M: CostModel, C: KernelCache> CostModel for Predictor<M, C> {
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
         self.predict_ns(kernels)
     }
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        self.predict_ns_refs(kernels).0
+    }
     fn name(&self) -> &str {
         &self.name
     }
@@ -456,8 +461,9 @@ impl<M: CostModel, C: KernelCache> CostModel for Predictor<M, C> {
 /// learned model that starts emitting NaN must degrade to a cheaper but
 /// sound estimate (e.g. the calibrated analytical model) instead of
 /// propagating NaN into the autotuner's objective. The secondary is asked
-/// **once** per call, with only the fallen-through kernels, so neural
-/// secondaries still get one packed forward.
+/// **once** per call, with only the fallen-through kernels (borrowed, as
+/// [`CostModel::predict_refs_ns`]), so neural secondaries still get one
+/// packed forward.
 ///
 /// `FallbackChain` is itself a [`CostModel`], so it nests (tertiary
 /// fallbacks) and composes with [`Predictor`] — wrap the chain in a
@@ -773,6 +779,28 @@ impl<P: CostModel, S: CostModel> CostModel for FallbackChain<P, S> {
     }
 
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
+        self.chain(kernels, |model, kernels| model.predict_batch_ns(kernels))
+    }
+
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        self.chain(kernels, |model, kernels| model.predict_refs_ns(kernels))
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl<P: CostModel, S: CostModel> FallbackChain<P, S> {
+    /// The one batch body, over owned or borrowed kernels: `ask` is the
+    /// batch method for that kind, which the primary (or, while the
+    /// breaker is open, the secondary) answers the whole batch through.
+    /// The positions that fall through are lent to the secondary.
+    fn chain<K: Borrow<Kernel>>(
+        &self,
+        kernels: &[K],
+        ask: impl Fn(&dyn CostModel, &[K]) -> Vec<Option<f64>>,
+    ) -> Vec<Option<f64>> {
         if kernels.is_empty() {
             return Vec::new();
         }
@@ -782,9 +810,9 @@ impl<P: CostModel, S: CostModel> CostModel for FallbackChain<P, S> {
         };
         if route == BatchRoute::FallbackOnly {
             self.count_fallbacks(kernels.len() as u64);
-            return self.secondary.predict_batch_ns(kernels);
+            return ask(&self.secondary, kernels);
         }
-        let mut out = self.primary.predict_batch_ns(kernels);
+        let mut out = ask(&self.primary, kernels);
         if let (Some(b), BatchRoute::Primary { probe }) = (&self.breaker, route) {
             let mask: Vec<bool> = out.iter().map(usable).collect();
             b.end_batch(probe, &mask);
@@ -794,15 +822,11 @@ impl<P: CostModel, S: CostModel> CostModel for FallbackChain<P, S> {
             return out;
         }
         self.count_fallbacks(fallen.len() as u64);
-        let retry: Vec<Kernel> = fallen.iter().map(|&i| kernels[i].clone()).collect();
-        for (&i, ns) in fallen.iter().zip(self.secondary.predict_batch_ns(&retry)) {
+        let retry: Vec<&Kernel> = fallen.iter().map(|&i| kernels[i].borrow()).collect();
+        for (&i, ns) in fallen.iter().zip(self.secondary.predict_refs_ns(&retry)) {
             out[i] = ns;
         }
         out
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -933,6 +957,57 @@ mod tests {
         assert_eq!((s2.cache_hits, s2.model_evals, s2.model_batches), (8, 0, 0));
         assert_eq!(first, second);
         assert_eq!(first[0], first[4], "duplicate kernels share predictions");
+    }
+
+    #[test]
+    fn a_model_that_overrides_only_the_owned_batch_still_sees_every_miss_batch() {
+        // The shape of a tracing seam: it wraps a model and overrides
+        // `predict_batch_ns` alone. The predictor lends its misses through
+        // `predict_refs_ns`, whose default must reach that override with
+        // every miss batch, in order, and nothing else.
+        struct Seam<M> {
+            inner: M,
+            batches: Mutex<Vec<Vec<u64>>>,
+        }
+        impl<M: CostModel> CostModel for Seam<M> {
+            fn predict_kernel_ns(&self, k: &Kernel) -> Option<f64> {
+                self.inner.predict_kernel_ns(k)
+            }
+            fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
+                let hashes = kernels.iter().map(canonical_kernel_hash).collect();
+                self.batches.lock().unwrap().push(hashes);
+                self.inner.predict_batch_ns(kernels)
+            }
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+        }
+        let model = GnnModel::new(GnnConfig::default());
+        let p = Predictor::new(Seam {
+            inner: &model,
+            batches: Mutex::new(Vec::new()),
+        });
+        let kernels: Vec<Kernel> = (1..=6).map(|i| kernel(i * 16)).collect();
+        let hash = |i: usize| canonical_kernel_hash(&kernels[i]);
+        let calls: [&[usize]; 4] = [&[2, 0, 2, 1], &[0, 1, 2], &[5, 3, 0, 5, 4], &[4]];
+        let mut got = Vec::new();
+        for call in calls {
+            let refs: Vec<&Kernel> = call.iter().map(|&i| &kernels[i]).collect();
+            got.extend(p.predict_ns_refs(&refs).0);
+        }
+        assert_eq!(
+            *p.model().batches.lock().unwrap(),
+            vec![
+                vec![hash(2), hash(0), hash(1)],
+                vec![hash(5), hash(3), hash(4)]
+            ],
+            "distinct misses per call, first-occurrence order; no batch for an all-hit call"
+        );
+        let want: Vec<Option<f64>> = calls
+            .iter()
+            .flat_map(|call| call.iter().map(|&i| Some(model.predict_ns(&kernels[i]))))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

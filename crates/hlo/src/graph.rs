@@ -378,11 +378,6 @@ impl Computation {
         }
     }
 
-    /// Undirected adjacency in CSR form, used by the GraphSAGE featurizer.
-    pub fn adjacency(&self) -> Adjacency {
-        Adjacency::from_computation(self)
-    }
-
     /// Extract the sub-computation reachable from `root_of_subgraph`
     /// restricted to `members`, remapping ids densely. Nodes in `members`
     /// whose operands fall outside `members` get those operands replaced by
@@ -463,75 +458,6 @@ impl Computation {
         // Mark the output node (§4.1 of the paper).
         new_nodes[new_root.index()].attrs.is_output = true;
         Computation::from_parts_unchecked(format!("{}.fused", self.name), new_nodes, new_root)
-    }
-}
-
-/// Undirected neighbor lists in compressed sparse row form.
-///
-/// `neighbors(i)` is the set of nodes adjacent to `i` through operand edges
-/// in either direction — the `neighbors(i)` of the paper's Eq. 1.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Adjacency {
-    offsets: Vec<usize>,
-    targets: Vec<NodeId>,
-    /// Directed edges (producer, consumer), deduplicated.
-    edges: Vec<(NodeId, NodeId)>,
-}
-
-impl Adjacency {
-    /// Build from a computation.
-    pub fn from_computation(c: &Computation) -> Adjacency {
-        let n = c.num_nodes();
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for node in c.nodes() {
-            for &op in &node.operands {
-                edges.push((op, node.id));
-            }
-        }
-        edges.sort();
-        edges.dedup();
-
-        let mut deg = vec![0usize; n];
-        for &(a, b) in &edges {
-            deg[a.index()] += 1;
-            deg[b.index()] += 1;
-        }
-        let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
-        }
-        let mut targets = vec![NodeId(0); offsets[n]];
-        let mut cursor = offsets.clone();
-        for &(a, b) in &edges {
-            targets[cursor[a.index()]] = b;
-            cursor[a.index()] += 1;
-            targets[cursor[b.index()]] = a;
-            cursor[b.index()] += 1;
-        }
-        Adjacency {
-            offsets,
-            targets,
-            edges,
-        }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Undirected neighbors of node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn neighbors(&self, i: NodeId) -> &[NodeId] {
-        &self.targets[self.offsets[i.index()]..self.offsets[i.index() + 1]]
-    }
-
-    /// Deduplicated directed edges `(producer, consumer)`.
-    pub fn directed_edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
     }
 }
 
@@ -715,37 +641,6 @@ mod tests {
         let mut c = diamond();
         c.node_mut(NodeId(3)).operands = vec![NodeId(1)];
         assert!(matches!(c.validate(), Err(HloError::ArityMismatch { .. })));
-    }
-
-    #[test]
-    fn adjacency_symmetric() {
-        let c = diamond();
-        let adj = c.adjacency();
-        assert_eq!(adj.num_nodes(), 4);
-        for i in 0..4 {
-            let id = NodeId(i as u32);
-            for &nb in adj.neighbors(id) {
-                assert!(
-                    adj.neighbors(nb).contains(&id),
-                    "adjacency must be symmetric"
-                );
-            }
-        }
-        // x has neighbors exp and tanh.
-        assert_eq!(adj.neighbors(NodeId(0)).len(), 2);
-        assert_eq!(adj.directed_edges().len(), 4);
-    }
-
-    #[test]
-    fn duplicate_operand_edges_are_deduped_in_adjacency() {
-        // add(x, x): one undirected neighbor relation, not two.
-        let mut b = GraphBuilder::new("dup");
-        let x = b.parameter("x", Shape::matrix(2, 2), DType::F32);
-        let a = b.add(x, x);
-        let c = b.finish(a);
-        let adj = c.adjacency();
-        assert_eq!(adj.neighbors(x).len(), 1);
-        assert_eq!(adj.neighbors(a).len(), 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use attrs::{Comparison, ConvAttrs, DotDims, NodeAttrs, PadConfig, SliceAttrs
 pub use builder::GraphBuilder;
 pub use dtype::DType;
 pub use error::{HloError, Result};
-pub use graph::{Adjacency, Computation};
+pub use graph::Computation;
 pub use hashing::{canonical_hash, canonical_kernel_hash, kernel_hash, HashedKernel};
 pub use kernel::{Kernel, KernelKind, TileSize};
 pub use node::{Node, NodeId};

@@ -56,7 +56,8 @@ impl Affine {
     /// consecutive rows of `w`, so nothing is copied side by side first.
     ///
     /// Rows go in blocks of up to [`BLOCK_ROWS`] and columns in register
-    /// tiles ([`Affine::tile`]), so a row of `w` is loaded once per block
+    /// tiles ([`Affine::tile`]; `zmm::tile` for whole 64-column tiles on
+    /// an AVX-512F build), so a row of `w` is loaded once per block
     /// rather than once per input row and no partial sum touches memory.
     /// Every output element still sees bias first, then ascending row of
     /// `w`, each term a multiply then an add, never contracted — one fixed
@@ -80,14 +81,37 @@ impl Affine {
         }
     }
 
-    /// Rows `i..i + R` across all column tiles, widest first. Fewer rows
-    /// take wider tiles, so a block keeps about the same number of vector
+    /// Rows `i..i + R` across all column tiles, widest first: on a build
+    /// with AVX-512F enabled, full 64-column tiles run the explicit zmm
+    /// tile (`zmm::tile`); the columns left over, and every column on
+    /// other builds, run the portable tiles.
+    fn row_block<const R: usize>(&self, n: usize, input: &[&[f32]], out: &mut [f32], i: usize) {
+        #[allow(unused_mut)]
+        let mut j = 0;
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        while j + zmm::NC <= self.b.len() {
+            // SAFETY: this build enables AVX-512F (the `cfg` above), so every
+            // CPU it runs on has it.
+            unsafe { zmm::tile::<R>(self, n, input, out, i, j) };
+            j += zmm::NC;
+        }
+        self.portable_tiles::<R>(n, input, out, i, j);
+    }
+
+    /// Rows `i..i + R`, columns `j..`, in portable tiles. Fewer rows take
+    /// wider tiles, so a block keeps about the same number of vector
     /// accumulators — enough independent add chains to hide the add's
     /// latency — whatever `R` is; 64, 48 and `4·hidden` are multiples of
     /// 16 and the head is one column, so no hot width has a scalar tail.
-    fn row_block<const R: usize>(&self, n: usize, input: &[&[f32]], out: &mut [f32], i: usize) {
+    fn portable_tiles<const R: usize>(
+        &self,
+        n: usize,
+        input: &[&[f32]],
+        out: &mut [f32],
+        i: usize,
+        mut j: usize,
+    ) {
         let width = self.b.len();
-        let mut j = 0;
         if R == 1 {
             while j + 64 <= width {
                 self.tile::<R, 64>(n, input, out, i, j);
@@ -176,6 +200,96 @@ fn accumulate<const R: usize, const C: usize>(
         }
     }
     acc
+}
+
+/// The AVX-512F rung of the tile ladder: `R×64` tiles held in `4·R` zmm
+/// accumulators.
+///
+/// LLVM's cost model keeps the portable tile at 256 bits on these cores,
+/// where a multiply and a separate add per lane-step (no FMA) cap it at
+/// eight lanes an instruction. Explicit 512-bit multiplies and adds double
+/// that; the operation sequence per output element is unchanged.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm {
+    use super::Affine;
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_storeu_ps,
+    };
+
+    /// Lanes in one zmm register.
+    const LANES: usize = 16;
+
+    /// Registers per tile row.
+    const REGS: usize = 4;
+
+    /// Columns in one tile.
+    pub(super) const NC: usize = LANES * REGS;
+
+    /// The first 64 f32s of `src` in four registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is shorter than 64.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(src: &[f32]) -> [__m512; REGS] {
+        let src = &src[..NC];
+        // SAFETY: `src` holds exactly 64 f32s (sliced above), so each read
+        // of 16 lanes at t·16 for t < 4 stays inside it.
+        std::array::from_fn(|t| unsafe { _mm512_loadu_ps(src.as_ptr().add(t * LANES)) })
+    }
+
+    /// The tile `out[i..i + R][j..j + 64]` of [`Affine::apply_rows`]: every
+    /// lane starts at its bias and takes the segments in order, each a
+    /// multiply then an add per ascending row of `w`, never an FMA — the
+    /// portable tile's operation sequence, sixteen lanes at a time, with
+    /// its block-zero skip ([`super::accumulate`] has the argument).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the tile lies inside the layer's width and the rows
+    /// `i..i + R` inside every segment and inside `out`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn tile<const R: usize>(
+        layer: &Affine,
+        n: usize,
+        input: &[&[f32]],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+    ) {
+        let width = layer.b.len();
+        assert!(R >= 1 && i + R <= n && j + NC <= width, "zmm tile shape");
+        let mut acc = [load(&layer.b[j..]); R];
+        let mut w = &layer.w[..];
+        for segment in input {
+            let k = segment.len() / n;
+            let rows: [&[f32]; R] = std::array::from_fn(|r| &segment[(i + r) * k..][..k]);
+            let (w_segment, rest) = w.split_at(k * width);
+            for (kk, w_row) in w_segment.chunks_exact(width).enumerate() {
+                let a: [f32; R] = std::array::from_fn(|r| rows[r][kk]);
+                if a.iter().fold(0, |bits, x| bits | x.to_bits()) << 1 == 0 {
+                    continue;
+                }
+                let w_tile = load(&w_row[j..]);
+                for (acc_r, &a_r) in acc.iter_mut().zip(&a) {
+                    let av = _mm512_set1_ps(a_r);
+                    for (acc_rt, &w_t) in acc_r.iter_mut().zip(&w_tile) {
+                        *acc_rt = _mm512_add_ps(*acc_rt, _mm512_mul_ps(av, w_t));
+                    }
+                }
+            }
+            w = rest;
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let dst = &mut out[(i + r) * width + j..][..NC];
+            for (t, &acc_rt) in acc_r.iter().enumerate() {
+                // SAFETY: `dst` holds exactly 64 f32s (sliced above), so the
+                // 16 lanes written at t·16 for t < 4 stay inside it.
+                unsafe { _mm512_storeu_ps(dst.as_mut_ptr().add(t * LANES), acc_rt) };
+            }
+        }
+    }
 }
 
 /// The first `len` f32s of `scratch`, grown if it is shorter: the one
@@ -416,6 +530,55 @@ mod tests {
                 let row: Vec<&[f32]> = (0..2).map(|s| &segments[s][i * ks[s]..][..ks[s]]).collect();
                 layer.apply(&row, &mut want);
                 prop_assert!(got_row == &want[..], "row {} of {}, width {}", i, n, width);
+            }
+        }
+    }
+
+    /// `apply_rows`' row blocks with the portable tiles alone.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    fn portable_rows(layer: &Affine, n: usize, input: &[&[f32]], out: &mut [f32]) {
+        let mut i = 0;
+        while i < n {
+            let r = (n - i).min(BLOCK_ROWS);
+            match r {
+                4 => layer.portable_tiles::<4>(n, input, out, i, 0),
+                3 => layer.portable_tiles::<3>(n, input, out, i, 0),
+                2 => layer.portable_tiles::<2>(n, input, out, i, 0),
+                _ => layer.portable_tiles::<1>(n, input, out, i, 0),
+            }
+            i += r;
+        }
+    }
+
+    /// The zmm rung against the portable tiles on the same data and the
+    /// same row blocks, `to_bits` per element: the two make the same f32
+    /// operations in the same order and skip the same `k`s, so not even
+    /// the sign of a zero may differ.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn zmm_tiles_equal_the_portable_tiles_bit_for_bit() {
+        let rng = &mut TestRng::new(29);
+        for width in [64, 128, 192, 256] {
+            for n in 1..=9 {
+                for zero_pct in [0, 30, 80] {
+                    let ks = [1 + rng.below(40) as usize, 1 + rng.below(40) as usize];
+                    let layer = Affine {
+                        w: values(rng, (ks[0] + ks[1]) * width, 10),
+                        b: values(rng, width, 10),
+                    };
+                    let segments = ks.map(|k| values(rng, n * k, zero_pct));
+                    let input: Vec<&[f32]> = segments.iter().map(Vec::as_slice).collect();
+                    let mut zmm = vec![f32::NAN; n * width];
+                    layer.apply_rows(n, &input, &mut zmm);
+                    let mut portable = vec![f32::NAN; n * width];
+                    portable_rows(&layer, n, &input, &mut portable);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&zmm),
+                        bits(&portable),
+                        "n {n}, width {width}, ks {ks:?}"
+                    );
+                }
             }
         }
     }

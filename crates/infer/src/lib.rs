@@ -49,6 +49,7 @@ pub use blob::{FrozenError, KIND_GNN, KIND_LSTM, MAGIC, VERSION};
 pub use gnn::{freeze_gnn, FrozenGnn};
 pub use lstm::{freeze_lstm, FrozenLstm};
 
+use std::borrow::Borrow;
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
 use tpu_learned_cost::{CostModel, Prepared};
 
@@ -125,6 +126,21 @@ impl FrozenModel {
             FrozenModel::Lstm(m) => m.scratch_len(nodes),
         }
     }
+
+    /// The one batch body, over owned or borrowed kernels: per-kernel
+    /// independent featurize + forward, in order, over one scratch sized
+    /// for the largest kernel.
+    fn predict_each<K: Borrow<Kernel>>(&self, kernels: &[K]) -> Vec<Option<f64>> {
+        let nodes = kernels.iter().map(|k| k.borrow().computation.num_nodes());
+        let mut scratch = vec![0.0f32; self.scratch_len(nodes.max().unwrap_or(0))];
+        kernels
+            .iter()
+            .map(|k| {
+                let p = Prepared::from_kernel(k.borrow());
+                Some(self.forward(&p, &mut scratch).exp())
+            })
+            .collect()
+    }
 }
 
 impl CostModel for FrozenModel {
@@ -132,15 +148,12 @@ impl CostModel for FrozenModel {
         Some(self.predict_log_ns(&Prepared::from_kernel(kernel)).exp())
     }
 
-    /// Per-kernel independent featurize + forward, in order, over one
-    /// scratch sized for the largest kernel.
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        let nodes = kernels.iter().map(|k| k.computation.num_nodes()).max();
-        let mut scratch = vec![0.0f32; self.scratch_len(nodes.unwrap_or(0))];
-        kernels
-            .iter()
-            .map(|k| Some(self.forward(&Prepared::from_kernel(k), &mut scratch).exp()))
-            .collect()
+        self.predict_each(kernels)
+    }
+
+    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+        self.predict_each(kernels)
     }
 
     fn name(&self) -> &str {

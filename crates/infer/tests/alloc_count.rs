@@ -4,9 +4,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use tpu_hlo::{DType, GraphBuilder, HashedKernel, Kernel, Shape};
 use tpu_infer::{freeze_gnn, freeze_lstm, probe_kernels, FrozenModel};
 use tpu_learned_cost::{
-    CostModel, GnnConfig, GnnModel, LstmConfig, LstmModel, Prepared, Reduction,
+    CostModel, GnnConfig, GnnModel, LstmConfig, LstmModel, Predictor, Prepared, Reduction,
 };
 
 thread_local! {
@@ -68,13 +69,47 @@ fn a_forward_allocates_its_one_scratch_and_nothing_else() {
 #[test]
 fn a_serial_batch_shares_one_scratch_between_its_forwards() {
     let kernels = probe_kernels(6);
+    let refs: Vec<&Kernel> = kernels.iter().collect();
     let featurize: usize = kernels
         .iter()
         .map(|k| allocations_of(|| Prepared::from_kernel(k)))
         .sum();
     for frozen in models() {
-        // Beyond featurizing each kernel: the scratch and the result Vec.
-        let allocs = allocations_of(|| frozen.predict_batch_ns(std::hint::black_box(&kernels)));
-        assert_eq!(allocs, featurize + 2, "{}", frozen.name());
+        // Beyond featurizing each kernel: the scratch and the result Vec,
+        // whether the kernels are owned or lent.
+        let owned = allocations_of(|| frozen.predict_batch_ns(std::hint::black_box(&kernels)));
+        let lent = allocations_of(|| frozen.predict_refs_ns(std::hint::black_box(&refs)));
+        assert_eq!(owned, featurize + 2, "{}", frozen.name());
+        assert_eq!(lent, featurize + 2, "{}", frozen.name());
+    }
+}
+
+#[test]
+fn a_predictor_miss_lends_the_kernel_instead_of_copying_it() {
+    // Beyond its featurize, a one-kernel miss allocates the same count for
+    // a 2-node kernel as for the largest probe kernel; a copy of the
+    // kernel would allocate per node.
+    let mut b = GraphBuilder::new("two");
+    let x = b.parameter("x", Shape::matrix(8, 8), DType::F32);
+    let y = b.tanh(x);
+    let small = HashedKernel::new(Kernel::new(b.finish(y)));
+    let largest = probe_kernels(40)
+        .into_iter()
+        .max_by_key(|k| k.computation.num_nodes())
+        .map(HashedKernel::new)
+        .unwrap();
+    assert!(largest.kernel().computation.num_nodes() > 2);
+    for frozen in models() {
+        let predictor = Predictor::uncached(&frozen);
+        let beyond_featurize = |k: &HashedKernel| {
+            let miss = allocations_of(|| predictor.predict_hashed(std::hint::black_box(&[k])));
+            miss - allocations_of(|| Prepared::from_kernel(k.kernel()))
+        };
+        assert_eq!(
+            beyond_featurize(&small),
+            beyond_featurize(&largest),
+            "{}",
+            frozen.name()
+        );
     }
 }

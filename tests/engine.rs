@@ -263,7 +263,7 @@ fn revisiting_a_configuration_costs_zero_fresh_model_evals() {
 }
 
 #[test]
-fn parallel_paths_match_serial_for_any_thread_count() {
+fn parallel_paths_match_serial_across_runs() {
     let kernels = kernel_corpus();
     let model = GnnModel::new(GnnConfig::default());
 

@@ -5,10 +5,11 @@
 use proptest::prelude::*;
 use tpu_repro::fusion::{apply_fusion, default_space_and_config};
 use tpu_repro::hlo::{
-    canonical_hash, dump_computation, parse_computation, Computation, DType, GraphBuilder, NodeId,
-    Opcode, Program, Shape,
+    canonical_hash, dump_computation, parse_computation, Computation, DType, GraphBuilder, Kernel,
+    NodeId, Opcode, Program, Shape,
 };
 use tpu_repro::learned::metrics::{kendall_tau, spearman};
+use tpu_repro::learned::Prepared;
 use tpu_repro::sim::{kernel_time_ns, TpuConfig};
 
 /// Strategy: a random DAG of elementwise/reduce/dot ops over 2-D tensors.
@@ -173,15 +174,30 @@ proptest! {
         prop_assert!(all <= none);
     }
 
+    /// The adjacency the GNN reads is the featurized edge list taken both
+    /// ways, so it is symmetric when that list is exactly the operand
+    /// relation: sorted, distinct, every edge from an operand to a later
+    /// user, and every operand of every node present.
     #[test]
     fn adjacency_is_symmetric(p in arb_program()) {
-        let adj = p.computation.adjacency();
-        for i in 0..adj.num_nodes() {
-            let id = NodeId(i as u32);
-            for &nb in adj.neighbors(id) {
-                prop_assert!(adj.neighbors(nb).contains(&id));
+        let edges = Prepared::from_kernel(&Kernel::new(p.computation.clone())).edges;
+        prop_assert!(edges.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
+        prop_assert!(edges.iter().all(|&(op, user)| op < user));
+        for node in p.computation.nodes() {
+            for op in &node.operands {
+                prop_assert!(edges.binary_search(&(op.index(), node.id.index())).is_ok());
             }
         }
+        let distinct_operands = |ops: &[NodeId]| {
+            (0..ops.len()).filter(|&i| !ops[..i].contains(&ops[i])).count()
+        };
+        let relation: usize = p
+            .computation
+            .nodes()
+            .iter()
+            .map(|n| distinct_operands(&n.operands))
+            .sum();
+        prop_assert_eq!(edges.len(), relation);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn run_once(input: &str) -> String {
 }
 
 #[test]
-fn served_bytes_are_identical_across_thread_counts() {
+fn served_bytes_are_identical_across_runs() {
     let input = request_stream();
     let reference = run_once(&input);
     assert!(

@@ -559,7 +559,7 @@ fn run_outage(input: &str) -> String {
 }
 
 #[test]
-fn scripted_outage_answers_every_request_and_replays_across_thread_counts() {
+fn scripted_outage_answers_every_request_and_replays_across_runs() {
     let corrupt_path = std::env::temp_dir().join(format!(
         "tpu_resilience_corrupt_{}.blob",
         std::process::id()

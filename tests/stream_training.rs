@@ -129,7 +129,7 @@ fn segment_workload() -> Vec<Prepared> {
 }
 
 #[test]
-fn segment_training_is_bit_identical_across_thread_counts() {
+fn segment_training_is_bit_identical_across_runs() {
     let prepared = segment_workload();
     let (train_set, val_set) = prepared.split_at(11);
     let train_cfg = TrainConfig {
