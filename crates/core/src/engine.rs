@@ -26,10 +26,9 @@ use crate::atomic_cache::AtomicCache;
 use crate::batch::{GraphBatch, Prepared};
 use crate::cost_model::CostModel;
 use crate::train::KernelModel;
-use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tpu_hlo::{canonical_kernel_hash, HashedKernel, Kernel};
 use tpu_nn::Tape;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
@@ -452,384 +451,6 @@ impl<M: CostModel, C: KernelCache> CostModel for Predictor<M, C> {
     }
 }
 
-/// A two-stage serving chain: score with `primary`, and for every position
-/// where the primary's answer is unusable — `None` (backend cannot score
-/// that kernel) or non-finite (a poisoned checkpoint, a diverged model, an
-/// overflowed feature) — fall through to `secondary`.
-///
-/// This is the serving-side safety net for §6.3-style deployment: a
-/// learned model that starts emitting NaN must degrade to a cheaper but
-/// sound estimate (e.g. the calibrated analytical model) instead of
-/// propagating NaN into the autotuner's objective. The secondary is asked
-/// **once** per call, with only the fallen-through kernels (borrowed, as
-/// [`CostModel::predict_refs_ns`]), so neural secondaries still get one
-/// packed forward.
-///
-/// `FallbackChain` is itself a [`CostModel`], so it nests (tertiary
-/// fallbacks) and composes with [`Predictor`] — wrap the chain in a
-/// session and resolved fallbacks are cached like any other prediction.
-/// Positions the secondary also cannot answer stay `None`.
-pub struct FallbackChain<P, S> {
-    primary: P,
-    secondary: S,
-    name: String,
-    fallbacks: AtomicU64,
-    obs_fallbacks: Counter,
-    breaker: Option<Arc<CircuitBreaker>>,
-}
-
-/// A usable prediction is present and finite.
-fn usable(v: &Option<f64>) -> bool {
-    matches!(v, Some(x) if x.is_finite())
-}
-
-/// Circuit-breaker tuning. All windows are counted in kernel positions,
-/// never wall-clock time, so breaker state is a pure function of the
-/// request sequence and replays bit-identically.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Consecutive unusable primary answers that trip the breaker open.
-    pub trip_after: u32,
-    /// Kernel positions served fallback-only while open before the next
-    /// batch probes the primary (half-open).
-    pub cooldown: u64,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            trip_after: 4,
-            cooldown: 64,
-        }
-    }
-}
-
-/// Where the breaker currently routes traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: every batch goes to the primary.
-    Closed,
-    /// Tripped: batches go fallback-only until the cool-down elapses.
-    Open,
-    /// Cool-down elapsed: the next primary batch is a probe.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable wire name (`stats` replies, reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-}
-
-/// How a batch should be routed, decided before the primary runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchRoute {
-    /// Send the batch to the primary; `probe` marks a half-open trial.
-    Primary {
-        /// True when this batch decides whether the breaker re-closes.
-        probe: bool,
-    },
-    /// Breaker open: skip the primary entirely.
-    FallbackOnly,
-}
-
-struct BreakerInner {
-    state: BreakerState,
-    consecutive_bad: u32,
-    cooldown_left: u64,
-}
-
-/// A per-backend circuit breaker (§6.3 deployment hardening): consecutive
-/// unusable primary answers — `None`, non-finite, or a panic reported via
-/// [`CircuitBreaker::force_trip`] — trip it open, diverting whole batches
-/// to the fallback for a deterministic cool-down window counted in kernel
-/// positions. Once the window elapses the next batch runs as a half-open
-/// probe against the primary: fully usable closes the breaker, anything
-/// else re-opens it for another full cool-down.
-///
-/// Shared (`Arc`) between the [`FallbackChain`] that consults it per batch
-/// and the serving engine that force-trips it on backend panics and reads
-/// it for `stats` replies. All transitions are request-count driven, never
-/// wall-clock, so a request script replays to bit-identical breaker state
-/// regardless of thread count or machine speed.
-pub struct CircuitBreaker {
-    cfg: BreakerConfig,
-    inner: Mutex<BreakerInner>,
-    trips: AtomicU64,
-    open_served: AtomicU64,
-    probes: AtomicU64,
-    obs_trips: Counter,
-    obs_open_served: Counter,
-    obs_probes: Counter,
-    obs_state: Gauge,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker with the given thresholds.
-    pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            cfg: BreakerConfig {
-                trip_after: cfg.trip_after.max(1),
-                cooldown: cfg.cooldown.max(1),
-            },
-            inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                consecutive_bad: 0,
-                cooldown_left: 0,
-            }),
-            trips: AtomicU64::new(0),
-            open_served: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            obs_trips: Counter::noop(),
-            obs_open_served: Counter::noop(),
-            obs_probes: Counter::noop(),
-            obs_state: Gauge::noop(),
-        }
-    }
-
-    /// Attach an observability registry (builder-style): transitions and
-    /// diverted positions are exported as `serve.breaker.*`.
-    pub fn observed(mut self, registry: &Registry) -> CircuitBreaker {
-        self.obs_trips = registry.counter("serve.breaker.trips");
-        self.obs_open_served = registry.counter("serve.breaker.open_served");
-        self.obs_probes = registry.counter("serve.breaker.probes");
-        self.obs_state = registry.gauge("serve.breaker.state");
-        self
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerInner> {
-        // A panic while holding this lock only poisons breaker metadata
-        // (state enum + two counters), which the recovering caller still
-        // reads consistently — predictions are never stored here.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Current routing state.
-    pub fn state(&self) -> BreakerState {
-        self.lock().state
-    }
-
-    /// Times the breaker tripped open (including forced trips and failed
-    /// probes).
-    pub fn trip_count(&self) -> u64 {
-        self.trips.load(Ordering::Relaxed)
-    }
-
-    /// Kernel positions served fallback-only while the breaker was open.
-    pub fn open_served_count(&self) -> u64 {
-        self.open_served.load(Ordering::Relaxed)
-    }
-
-    /// Half-open probe batches sent to the primary.
-    pub fn probe_count(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Trip the breaker open immediately (e.g. the primary panicked).
-    pub fn force_trip(&self) {
-        let mut inner = self.lock();
-        self.trip(&mut inner);
-    }
-
-    fn trip(&self, inner: &mut BreakerInner) {
-        inner.state = BreakerState::Open;
-        inner.consecutive_bad = 0;
-        inner.cooldown_left = self.cfg.cooldown;
-        self.trips.fetch_add(1, Ordering::Relaxed);
-        self.obs_trips.inc();
-        self.obs_state.set(1.0);
-    }
-
-    /// Route a batch of `n` kernels. Open batches burn `n` positions off
-    /// the cool-down; once it hits zero the *next* batch probes.
-    pub fn begin_batch(&self, n: usize) -> BatchRoute {
-        let mut inner = self.lock();
-        match inner.state {
-            BreakerState::Closed => BatchRoute::Primary { probe: false },
-            BreakerState::HalfOpen => BatchRoute::Primary { probe: true },
-            BreakerState::Open => {
-                if inner.cooldown_left == 0 {
-                    inner.state = BreakerState::HalfOpen;
-                    self.probes.fetch_add(1, Ordering::Relaxed);
-                    self.obs_probes.inc();
-                    self.obs_state.set(2.0);
-                    BatchRoute::Primary { probe: true }
-                } else {
-                    inner.cooldown_left = inner.cooldown_left.saturating_sub(n as u64);
-                    self.open_served.fetch_add(n as u64, Ordering::Relaxed);
-                    self.obs_open_served.add(n as u64);
-                    BatchRoute::FallbackOnly
-                }
-            }
-        }
-    }
-
-    /// Record the primary's per-position outcomes (`true` = usable) for a
-    /// batch routed to it. A probe batch closes the breaker only when
-    /// every position was usable; any bad position re-opens it.
-    pub fn end_batch(&self, probe: bool, usable: &[bool]) {
-        let mut inner = self.lock();
-        if probe {
-            if usable.iter().all(|&u| u) {
-                inner.state = BreakerState::Closed;
-                inner.consecutive_bad = 0;
-                self.obs_state.set(0.0);
-            } else {
-                self.trip(&mut inner);
-            }
-            return;
-        }
-        for &u in usable {
-            if u {
-                inner.consecutive_bad = 0;
-            } else {
-                inner.consecutive_bad += 1;
-                if inner.consecutive_bad >= self.cfg.trip_after {
-                    self.trip(&mut inner);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-impl<P: CostModel, S: CostModel> FallbackChain<P, S> {
-    /// Chain `primary` with `secondary` as its fallback.
-    pub fn new(primary: P, secondary: S) -> FallbackChain<P, S> {
-        let name = format!("{}+fallback-{}", primary.name(), secondary.name());
-        FallbackChain {
-            primary,
-            secondary,
-            name,
-            fallbacks: AtomicU64::new(0),
-            obs_fallbacks: Counter::noop(),
-            breaker: None,
-        }
-    }
-
-    /// Attach an observability registry (builder-style): every position
-    /// that falls through to the secondary bumps `core.engine.fallbacks`.
-    pub fn observed(mut self, registry: &Registry) -> FallbackChain<P, S> {
-        self.obs_fallbacks = registry.counter("core.engine.fallbacks");
-        self
-    }
-
-    /// Attach a circuit breaker (builder-style). Every batch is routed
-    /// through [`CircuitBreaker::begin_batch`] first: while the breaker is
-    /// open the primary is skipped entirely and the whole batch is served
-    /// by the secondary. The `Arc` is shared with the serving engine so a
-    /// worker that catches a primary panic can force-trip the same breaker.
-    pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> FallbackChain<P, S> {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    /// The attached breaker, if any.
-    pub fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        self.breaker.as_ref()
-    }
-
-    /// The primary model.
-    pub fn primary(&self) -> &P {
-        &self.primary
-    }
-
-    /// The fallback model.
-    pub fn secondary(&self) -> &S {
-        &self.secondary
-    }
-
-    /// Positions that have fallen through to the secondary so far.
-    pub fn fallback_count(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    fn count_fallbacks(&self, n: u64) {
-        if n > 0 {
-            self.fallbacks.fetch_add(n, Ordering::Relaxed);
-            self.obs_fallbacks.add(n);
-        }
-    }
-}
-
-impl<P: CostModel, S: CostModel> CostModel for FallbackChain<P, S> {
-    fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
-        if self.breaker.is_some() {
-            // Route through the batch path so breaker accounting sees a
-            // single consistent position stream.
-            return self
-                .predict_batch_ns(std::slice::from_ref(kernel))
-                .pop()
-                .expect("one prediction per kernel");
-        }
-        let first = self.primary.predict_kernel_ns(kernel);
-        if usable(&first) {
-            return first;
-        }
-        self.count_fallbacks(1);
-        self.secondary.predict_kernel_ns(kernel)
-    }
-
-    fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        self.chain(kernels, |model, kernels| model.predict_batch_ns(kernels))
-    }
-
-    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
-        self.chain(kernels, |model, kernels| model.predict_refs_ns(kernels))
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl<P: CostModel, S: CostModel> FallbackChain<P, S> {
-    /// The one batch body, over owned or borrowed kernels: `ask` is the
-    /// batch method for that kind, which the primary (or, while the
-    /// breaker is open, the secondary) answers the whole batch through.
-    /// The positions that fall through are lent to the secondary.
-    fn chain<K: Borrow<Kernel>>(
-        &self,
-        kernels: &[K],
-        ask: impl Fn(&dyn CostModel, &[K]) -> Vec<Option<f64>>,
-    ) -> Vec<Option<f64>> {
-        if kernels.is_empty() {
-            return Vec::new();
-        }
-        let route = match &self.breaker {
-            Some(b) => b.begin_batch(kernels.len()),
-            None => BatchRoute::Primary { probe: false },
-        };
-        if route == BatchRoute::FallbackOnly {
-            self.count_fallbacks(kernels.len() as u64);
-            return ask(&self.secondary, kernels);
-        }
-        let mut out = ask(&self.primary, kernels);
-        if let (Some(b), BatchRoute::Primary { probe }) = (&self.breaker, route) {
-            let mask: Vec<bool> = out.iter().map(usable).collect();
-            b.end_batch(probe, &mask);
-        }
-        let fallen: Vec<usize> = (0..out.len()).filter(|&i| !usable(&out[i])).collect();
-        if fallen.is_empty() {
-            return out;
-        }
-        self.count_fallbacks(fallen.len() as u64);
-        let retry: Vec<&Kernel> = fallen.iter().map(|&i| kernels[i].borrow()).collect();
-        for (&i, ns) in fallen.iter().zip(self.secondary.predict_refs_ns(&retry)) {
-            out[i] = ns;
-        }
-        out
-    }
-}
-
 /// One packed forward pass over already-featurized kernels, in the log-ns
 /// domain. Empty input is an empty output (no forward runs at all).
 ///
@@ -871,6 +492,7 @@ mod tests {
     use crate::cost_model::FnCostModel;
     use crate::model::{GnnConfig, GnnModel};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
     use tpu_hlo::{DType, GraphBuilder, Shape};
 
     fn kernel(cols: usize) -> Kernel {
@@ -1124,238 +746,6 @@ mod tests {
             .unwrap();
         assert_eq!(observed, p.cache_stats().evictions);
         assert!(observed > 0);
-    }
-
-    #[test]
-    fn fallback_chain_rescues_none_and_non_finite() {
-        let primary = FnCostModel::new("flaky", |k: &Kernel| {
-            match k.computation.num_nodes() % 3 {
-                0 => None,           // unsupported
-                1 => Some(f64::NAN), // poisoned
-                _ => Some(100.0),    // healthy
-            }
-        });
-        let secondary = FnCostModel::new("safe", |_k: &Kernel| Some(7.0));
-        let chain = FallbackChain::new(primary, secondary);
-        // num_nodes for kernel(cols) here is 3 (param, tanh, exp).
-        let k = kernel(32);
-        let n = k.computation.num_nodes();
-        let expected = match n % 3 {
-            0 | 1 => Some(7.0),
-            _ => Some(100.0),
-        };
-        assert_eq!(chain.predict_kernel_ns(&k), expected);
-        assert_eq!(chain.name(), "flaky+fallback-safe");
-    }
-
-    #[test]
-    fn fallback_batch_splices_positionally_with_one_secondary_call() {
-        struct Flaky;
-        impl CostModel for Flaky {
-            fn predict_kernel_ns(&self, k: &Kernel) -> Option<f64> {
-                let cols = k.computation.node(tpu_hlo::NodeId(0)).shape.dims()[1];
-                match cols {
-                    16 => Some(f64::NAN),
-                    32 => None,
-                    48 => Some(f64::NEG_INFINITY),
-                    c => Some(c as f64),
-                }
-            }
-            fn name(&self) -> &str {
-                "flaky"
-            }
-        }
-        let secondary_batches = AtomicUsize::new(0);
-        struct Safe<'a>(&'a AtomicUsize);
-        impl CostModel for Safe<'_> {
-            fn predict_kernel_ns(&self, k: &Kernel) -> Option<f64> {
-                let cols = k.computation.node(tpu_hlo::NodeId(0)).shape.dims()[1];
-                Some(1000.0 + cols as f64)
-            }
-            fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-                self.0.fetch_add(1, Ordering::SeqCst);
-                kernels.iter().map(|k| self.predict_kernel_ns(k)).collect()
-            }
-            fn name(&self) -> &str {
-                "safe"
-            }
-        }
-        let registry = Registry::enabled();
-        let chain = FallbackChain::new(Flaky, Safe(&secondary_batches)).observed(&registry);
-        let kernels: Vec<Kernel> = [16, 32, 48, 64, 80].map(kernel).to_vec();
-        let out = chain.predict_batch_ns(&kernels);
-        assert_eq!(
-            out,
-            vec![
-                Some(1016.0),
-                Some(1032.0),
-                Some(1048.0),
-                Some(64.0),
-                Some(80.0)
-            ],
-            "fallen positions filled by secondary, healthy ones untouched"
-        );
-        assert_eq!(
-            secondary_batches.load(Ordering::SeqCst),
-            1,
-            "one packed fallback batch"
-        );
-        assert_eq!(chain.fallback_count(), 3);
-        assert_eq!(
-            registry.snapshot().counter("core.engine.fallbacks"),
-            Some(3)
-        );
-    }
-
-    #[test]
-    fn fallback_chain_is_silent_when_primary_is_healthy() {
-        let primary = FnCostModel::new("ok", |_k: &Kernel| Some(5.0));
-        let secondary = FnCostModel::new("never", |_k: &Kernel| panic!("must not be asked"));
-        let chain = FallbackChain::new(primary, secondary);
-        let kernels: Vec<Kernel> = (1..=3).map(|i| kernel(i * 16)).collect();
-        assert_eq!(chain.predict_batch_ns(&kernels), vec![Some(5.0); 3]);
-        assert_eq!(chain.fallback_count(), 0);
-    }
-
-    #[test]
-    fn fallback_chain_composes_with_predictor() {
-        // A NaN-emitting primary behind a Predictor session: the resolved
-        // fallback value is cached, so the second call costs no model work
-        // and no additional fallbacks.
-        let primary = FnCostModel::new("nan", |_k: &Kernel| Some(f64::NAN));
-        let secondary = FnCostModel::new("safe", |_k: &Kernel| Some(9.0));
-        let p = Predictor::new(FallbackChain::new(primary, secondary));
-        let k = kernel(32);
-        assert_eq!(p.predict_kernel_ns(&k), Some(9.0));
-        assert_eq!(p.predict_kernel_ns(&k), Some(9.0));
-        let s = p.stats();
-        assert_eq!((s.cache_hits, s.model_evals), (1, 1));
-        assert_eq!(p.model().fallback_count(), 1, "cache absorbed the repeat");
-    }
-
-    #[test]
-    fn unanswerable_positions_stay_none_after_the_chain() {
-        let primary = FnCostModel::new("none", |_k: &Kernel| None);
-        let secondary = FnCostModel::new("also-none", |_k: &Kernel| None);
-        let chain = FallbackChain::new(primary, secondary);
-        assert_eq!(chain.predict_kernel_ns(&kernel(32)), None);
-        assert_eq!(chain.fallback_count(), 1);
-    }
-
-    #[test]
-    fn breaker_trips_cools_down_probes_and_recloses() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            trip_after: 2,
-            cooldown: 3,
-        });
-        assert_eq!(b.state(), BreakerState::Closed);
-        // One bad position does not trip; the second (consecutive) does.
-        assert_eq!(b.begin_batch(1), BatchRoute::Primary { probe: false });
-        b.end_batch(false, &[false]);
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.begin_batch(1), BatchRoute::Primary { probe: false });
-        b.end_batch(false, &[false]);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trip_count(), 1);
-        // Three positions of cool-down served fallback-only...
-        assert_eq!(b.begin_batch(2), BatchRoute::FallbackOnly);
-        assert_eq!(b.begin_batch(1), BatchRoute::FallbackOnly);
-        assert_eq!(b.open_served_count(), 3);
-        // ...then the next batch probes, and a clean probe re-closes.
-        assert_eq!(b.begin_batch(1), BatchRoute::Primary { probe: true });
-        assert_eq!(b.probe_count(), 1);
-        b.end_batch(true, &[true]);
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn failed_probe_reopens_for_a_full_cooldown() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            trip_after: 1,
-            cooldown: 2,
-        });
-        b.force_trip();
-        assert_eq!((b.state(), b.trip_count()), (BreakerState::Open, 1));
-        assert_eq!(b.begin_batch(2), BatchRoute::FallbackOnly);
-        assert_eq!(b.begin_batch(1), BatchRoute::Primary { probe: true });
-        b.end_batch(true, &[true, false]);
-        assert_eq!((b.state(), b.trip_count()), (BreakerState::Open, 2));
-        // The re-trip restarts the whole cool-down window.
-        assert_eq!(b.begin_batch(1), BatchRoute::FallbackOnly);
-        assert_eq!(b.begin_batch(1), BatchRoute::FallbackOnly);
-        assert_eq!(b.begin_batch(1), BatchRoute::Primary { probe: true });
-    }
-
-    #[test]
-    fn good_traffic_resets_the_consecutive_bad_count() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            trip_after: 2,
-            cooldown: 8,
-        });
-        // bad, good, bad, good... never two in a row: never trips.
-        for _ in 0..8 {
-            assert_eq!(b.begin_batch(2), BatchRoute::Primary { probe: false });
-            b.end_batch(false, &[false, true]);
-        }
-        assert_eq!((b.state(), b.trip_count()), (BreakerState::Closed, 0));
-    }
-
-    #[test]
-    fn breaker_chain_skips_primary_while_open() {
-        let primary_calls = AtomicUsize::new(0);
-        let primary = FnCostModel::new("nan", |_k: &Kernel| {
-            primary_calls.fetch_add(1, Ordering::SeqCst);
-            Some(f64::NAN)
-        });
-        let secondary = FnCostModel::new("safe", |_k: &Kernel| Some(7.0));
-        let registry = Registry::enabled();
-        let breaker = Arc::new(
-            CircuitBreaker::new(BreakerConfig {
-                trip_after: 2,
-                cooldown: 4,
-            })
-            .observed(&registry),
-        );
-        let chain = FallbackChain::new(primary, secondary).with_breaker(Arc::clone(&breaker));
-        let kernels: Vec<Kernel> = (1..=2).map(|i| kernel(i * 16)).collect();
-        // First batch: two NaNs trip the breaker (still served via fallback).
-        assert_eq!(chain.predict_batch_ns(&kernels), vec![Some(7.0); 2]);
-        assert_eq!(breaker.state(), BreakerState::Open);
-        let calls_when_tripped = primary_calls.load(Ordering::SeqCst);
-        // Cool-down traffic never touches the primary.
-        assert_eq!(chain.predict_batch_ns(&kernels), vec![Some(7.0); 2]);
-        assert_eq!(chain.predict_batch_ns(&kernels), vec![Some(7.0); 2]);
-        assert_eq!(primary_calls.load(Ordering::SeqCst), calls_when_tripped);
-        // Cool-down of 4 positions burned: next batch probes the (still
-        // broken) primary and re-opens.
-        assert_eq!(chain.predict_batch_ns(&kernels), vec![Some(7.0); 2]);
-        assert!(primary_calls.load(Ordering::SeqCst) > calls_when_tripped);
-        assert_eq!(breaker.state(), BreakerState::Open);
-        assert_eq!(breaker.trip_count(), 2);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("serve.breaker.trips"), Some(2));
-        assert_eq!(snap.counter("serve.breaker.open_served"), Some(4));
-        assert_eq!(snap.counter("serve.breaker.probes"), Some(1));
-        assert_eq!(snap.gauge("serve.breaker.state"), Some(1.0));
-    }
-
-    #[test]
-    fn breaker_chain_single_kernel_path_counts_positions() {
-        let primary = FnCostModel::new("dead", |_k: &Kernel| None);
-        let secondary = FnCostModel::new("safe", |_k: &Kernel| Some(1.0));
-        let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-            trip_after: 1,
-            cooldown: 2,
-        }));
-        let chain = FallbackChain::new(primary, secondary).with_breaker(Arc::clone(&breaker));
-        let k = kernel(32);
-        assert_eq!(chain.predict_kernel_ns(&k), Some(1.0)); // trips
-        assert_eq!(breaker.state(), BreakerState::Open);
-        assert_eq!(chain.predict_kernel_ns(&k), Some(1.0)); // cooldown 1/2
-        assert_eq!(chain.predict_kernel_ns(&k), Some(1.0)); // cooldown 2/2
-        assert_eq!(chain.predict_kernel_ns(&k), Some(1.0)); // probe, fails
-        assert_eq!(breaker.trip_count(), 2);
-        assert_eq!(chain.fallback_count(), 4, "every position was rescued");
     }
 
     #[test]

@@ -59,8 +59,7 @@ pub use batch::{bfs_segment, GraphBatch, Prepared, Sample};
 pub use checkpoint::{CheckpointError, TrainCheckpoint, SCHEMA as CHECKPOINT_SCHEMA};
 pub use cost_model::{CostModel, FnCostModel, SimOracle};
 pub use engine::{
-    forward_log_ns, forward_log_ns_chunked, BatchRoute, BreakerConfig, BreakerState, CacheStats,
-    CircuitBreaker, FallbackChain, KernelCache, PredictStats, Predictor,
+    forward_log_ns, forward_log_ns_chunked, CacheStats, KernelCache, PredictStats, Predictor,
 };
 pub use lstm_model::{LstmConfig, LstmModel};
 pub use model::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction, LOG_NS_OFFSET};

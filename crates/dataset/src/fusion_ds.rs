@@ -168,7 +168,7 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusScale;
     use tpu_fusion::apply_fusion;
-    use tpu_hlo::kernel_hash;
+    use tpu_hlo::canonical_kernel_hash;
 
     fn quick_cfg() -> FusionDatasetConfig {
         FusionDatasetConfig {
@@ -182,7 +182,10 @@ mod tests {
         let corpus = Corpus::build(CorpusScale::Tiny);
         let p = &corpus.entries[0].program;
         let kernels = program_kernels(p, &quick_cfg(), 1);
-        let mut hashes: Vec<u64> = kernels.iter().map(|k| kernel_hash(k.kernel())).collect();
+        let mut hashes: Vec<u64> = kernels
+            .iter()
+            .map(|k| canonical_kernel_hash(k.kernel()))
+            .collect();
         let n = hashes.len();
         hashes.sort_unstable();
         hashes.dedup();
@@ -208,7 +211,7 @@ mod tests {
                 let tile = default_tile(&k, &cfg.machine);
                 k.with_tile(tile)
             })
-            .filter(|k| seen.insert(kernel_hash(k)))
+            .filter(|k| seen.insert(canonical_kernel_hash(k)))
             .collect()
     }
 
@@ -221,7 +224,7 @@ mod tests {
             assert_eq!(got.len(), expected.len(), "{}", entry.program.name);
             for (got, expected) in got.iter().zip(&expected) {
                 assert_eq!(got.kernel(), expected, "{}", entry.program.name);
-                assert_eq!(got.hash(), kernel_hash(expected));
+                assert_eq!(got.hash(), canonical_kernel_hash(expected));
             }
         }
     }

@@ -4,7 +4,7 @@
 use crate::corpus::{Corpus, Split};
 use std::collections::HashSet;
 use tpu_fusion::{apply_fusion, default_space_and_config};
-use tpu_hlo::{kernel_hash, Kernel};
+use tpu_hlo::{canonical_kernel_hash, Kernel};
 use tpu_sim::{TpuConfig, TpuDevice};
 use tpu_tile::valid_tile_sizes;
 
@@ -91,7 +91,7 @@ pub fn build_tile_dataset(corpus: &Corpus, cfg: &TileDatasetConfig) -> TileDatas
         let (space, default_cfg) = default_space_and_config(&entry.program.computation);
         let fused = apply_fusion(&entry.program, &space, &default_cfg);
         for k in fused.kernels {
-            if seen.insert(kernel_hash(&k)) {
+            if seen.insert(canonical_kernel_hash(&k)) {
                 kernels.push((pi, k));
             }
         }

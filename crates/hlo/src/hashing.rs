@@ -9,18 +9,18 @@
 
 use crate::graph::Computation;
 use crate::kernel::Kernel;
+use crate::node::Node;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-fn hash_node(c: &Computation, id: crate::NodeId, h: &mut DefaultHasher, order_pos: &[usize]) {
-    let n = c.node(id);
+fn hash_node(n: &Node, h: &mut DefaultHasher) {
     n.opcode.mnemonic().hash(h);
     n.dtype.index().hash(h);
     n.shape.dims().hash(h);
     n.layout.minor_to_major().hash(h);
-    // Operands by canonical position.
+    // Operands by canonical position, which is the id.
     for &op in &n.operands {
-        order_pos[op.index()].hash(h);
+        op.index().hash(h);
     }
     // Attributes that affect semantics/cost.
     if let Some(d) = &n.attrs.dot {
@@ -79,23 +79,10 @@ fn hash_node(c: &Computation, id: crate::NodeId, h: &mut DefaultHasher, order_po
 /// ```
 pub fn canonical_hash(c: &Computation) -> u64 {
     let mut h = DefaultHasher::new();
-    let order_pos: Vec<usize> = (0..c.num_nodes()).collect();
     c.num_nodes().hash(&mut h);
-    order_pos[c.root().index()].hash(&mut h);
+    c.root().index().hash(&mut h);
     for n in c.nodes() {
-        hash_node(c, n.id, &mut h, &order_pos);
-    }
-    h.finish()
-}
-
-/// Hash a kernel: the computation hash combined with kind and tile size, so
-/// the same sub-graph at two tile sizes is two distinct dataset examples.
-pub fn kernel_hash(k: &Kernel) -> u64 {
-    let mut h = DefaultHasher::new();
-    canonical_hash(&k.computation).hash(&mut h);
-    k.kind.index().hash(&mut h);
-    if let Some(t) = &k.tile {
-        t.dims().hash(&mut h);
+        hash_node(n, &mut h);
     }
     h.finish()
 }
@@ -103,13 +90,20 @@ pub fn kernel_hash(k: &Kernel) -> u64 {
 /// Canonical hash of a [`Kernel`] — the key used for dataset duplicate
 /// elimination (§5) and for prediction caching in the inference engine.
 ///
-/// This is [`kernel_hash`] under its role-describing name: two kernels get
-/// the same key iff they have structurally identical computations (same
-/// opcodes, dtypes, shapes, layouts, attributes, and wiring — node names
-/// excluded) *and* the same kernel kind and tile size. A cached prediction
-/// for one is therefore valid for the other.
+/// The computation hash combined with the kernel kind and tile size: two
+/// kernels get the same key iff they have structurally identical
+/// computations (same opcodes, dtypes, shapes, layouts, attributes, and
+/// wiring — node names excluded) *and* the same kind and tile size, so the
+/// same sub-graph at two tile sizes is two distinct dataset examples, and a
+/// cached prediction for one kernel is valid for any other with its key.
 pub fn canonical_kernel_hash(k: &Kernel) -> u64 {
-    kernel_hash(k)
+    let mut h = DefaultHasher::new();
+    canonical_hash(&k.computation).hash(&mut h);
+    k.kind.index().hash(&mut h);
+    if let Some(t) = &k.tile {
+        t.dims().hash(&mut h);
+    }
+    h.finish()
 }
 
 /// A [`Kernel`] together with its [`canonical_kernel_hash`], computed once.
@@ -201,8 +195,43 @@ mod tests {
         let k1 = crate::Kernel::new(graph(8)).with_tile(TileSize(vec![8, 4]));
         let k2 = crate::Kernel::new(graph(8)).with_tile(TileSize(vec![4, 4]));
         let k3 = crate::Kernel::new(graph(8));
-        assert_ne!(kernel_hash(&k1), kernel_hash(&k2));
-        assert_ne!(kernel_hash(&k1), kernel_hash(&k3));
+        assert_ne!(canonical_kernel_hash(&k1), canonical_kernel_hash(&k2));
+        assert_ne!(canonical_kernel_hash(&k1), canonical_kernel_hash(&k3));
+    }
+
+    #[test]
+    fn hashes_keep_their_recorded_values() {
+        // Recorded before `canonical_hash` stopped building an identity
+        // position table per call: the same values are hashed, so every
+        // dataset key and cache key is unchanged.
+        let mut b = GraphBuilder::new("mlp");
+        let x = b.parameter("x", Shape::matrix(16, 32), DType::F32);
+        let w = b.parameter("w", Shape::matrix(32, 8), DType::F32);
+        let d = b.dot(x, w);
+        let t = b.tanh(d);
+        let s = b.add(d, t);
+        let r = b.reduce(s, vec![0]);
+        let mlp = b.finish(r);
+        let tiled = crate::Kernel::new(graph(8)).with_tile(TileSize(vec![8, 4]));
+        let got = [
+            canonical_hash(&graph(8)),
+            canonical_hash(&mlp),
+            canonical_kernel_hash(&crate::Kernel::new(graph(8))),
+            canonical_kernel_hash(&tiled),
+            canonical_kernel_hash(&crate::Kernel::new(mlp.clone())),
+            canonical_kernel_hash(&crate::Kernel::new(mlp).with_tile(TileSize(vec![8, 128]))),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x9b3e_ef3d_930c_b8b9,
+                0x39d5_8d7b_b964_b7de,
+                0x0d35_8222_d774_68b2,
+                0x1bc6_2887_48ba_8314,
+                0xf6f2_a59e_22cf_e96e,
+                0x1e4a_52bc_e658_f46a,
+            ]
+        );
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   tree, no reflection ([`FrozenModel::from_bytes`]) — in which every
 //!   number is finite, checked at both ends.
 //!
-//! [`FrozenModel`] implements [`CostModel`], so it drops behind
-//! `AtomicCache`, `FallbackChain`, and the `tpu-serve` daemon unchanged.
+//! [`FrozenModel`] implements [`CostModel`], so it drops behind a
+//! `Predictor` session or into the `tpu-serve` engine, ahead of the
+//! engine's fallback, unchanged; a hot reload swaps it in as the primary.
 //!
 //! # Example
 //!

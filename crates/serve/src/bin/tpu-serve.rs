@@ -11,15 +11,15 @@
 //!           [--breaker-cooldown N]
 //! ```
 //!
-//! The served model is always wrapped in a `FallbackChain` whose secondary
-//! is the simulator oracle, so a fault-injected primary (`--faults`) still
-//! answers every request with a finite prediction. A circuit breaker sits
-//! on the chain by default (`--no-breaker` removes it): consecutive
-//! unusable primary answers divert requests to the oracle for a
-//! request-count cool-down. `--deadline-ms` sets the default per-request
-//! deadline. The `reload` NDJSON op hot-swaps a `tpu-frozen.v2` blob
-//! after an admission check (finite predictions + Kendall-τ ≥ 0.99
-//! against the incumbent on the probe panel).
+//! The served model always has the simulator oracle as its fallback, so a
+//! fault-injected primary (`--faults`) still answers every request with a
+//! finite prediction. A circuit breaker routes between the two by default
+//! (`--no-breaker` removes it): consecutive unusable primary answers divert
+//! requests to the oracle for a request-count cool-down. `--deadline-ms`
+//! sets the default per-request deadline. The `reload` NDJSON op hot-swaps
+//! a `tpu-frozen.v2` blob in as the primary after an admission check
+//! (finite predictions + Kendall-τ ≥ 0.99 against the incumbent on the
+//! probe panel); the fallback and the breaker stay.
 //!
 //! An argument that is not one of the mode's flags, or a flag given last
 //! without its value, is a usage error (exit code 2).
@@ -56,13 +56,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tpu_infer::FrozenModel;
-use tpu_learned_cost::{
-    AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, SimOracle,
-};
+use tpu_learned_cost::{AtomicCache, CostModel, SimOracle};
 use tpu_obs::Registry;
 use tpu_serve::{
     demo_kernels, percentile, probe_panel, protocol, serve_ndjson, serve_tcp, AnalyticalCost,
-    DeviceModel, ReloadPolicy, ServeConfig, ServeEngine, ServeOptions,
+    BreakerConfig, DeviceModel, Fallback, ReloadPolicy, ServeConfig, ServeEngine, ServeOptions,
 };
 use tpu_sim::{TpuConfig, TpuDevice};
 
@@ -130,22 +128,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Wrap a primary in the standard serving chain: oracle fallback plus
-/// (optionally) the shared circuit breaker. Hot reloads re-wrap the new
-/// frozen model the same way, so a reloaded daemon keeps its safety net.
-fn wrap_primary(
-    primary: Box<dyn CostModel + Send>,
-    breaker: Option<Arc<CircuitBreaker>>,
-) -> Box<dyn CostModel + Send> {
-    let chain = FallbackChain::new(primary, SimOracle::new(TpuConfig::default()));
-    match breaker {
-        Some(b) => Box::new(chain.with_breaker(b)),
-        None => Box::new(chain),
-    }
-}
-
-/// Build the primary model from flags (the caller wraps it via
-/// [`wrap_primary`]).
+/// Build the primary model from flags.
 fn build_model(args: &[String]) -> Box<dyn CostModel + Send> {
     let cfg = TpuConfig::default();
     match flag_value(args, "--faults") {
@@ -193,30 +176,25 @@ fn run_serve(args: &[String]) -> ExitCode {
         }),
     };
     let registry = Registry::enabled();
-    let breaker = if args.iter().any(|a| a == "--no-breaker") {
-        None
-    } else {
-        Some(Arc::new(
-            CircuitBreaker::new(BreakerConfig {
-                trip_after: flag_parse(args, "--breaker-trip", 4),
-                cooldown: flag_parse(args, "--breaker-cooldown", 64),
-            })
-            .observed(&registry),
-        ))
-    };
-    let model = wrap_primary(build_model(args), breaker.clone());
-    let reload_breaker = breaker.clone();
+    // The oracle fallback and the breaker belong to the engine: an accepted
+    // reload replaces only the primary, so the daemon keeps its safety net.
+    let breaker = (!args.iter().any(|a| a == "--no-breaker")).then(|| BreakerConfig {
+        trip_after: flag_parse(args, "--breaker-trip", 4),
+        cooldown: flag_parse(args, "--breaker-cooldown", 64),
+    });
     let opts = ServeOptions {
-        breaker,
+        fallback: Some(Fallback {
+            model: Box::new(SimOracle::new(TpuConfig::default())),
+            breaker,
+        }),
         reload: Some(ReloadPolicy {
             min_tau: 0.99,
             panel: probe_panel(),
-            wrap: Box::new(move |frozen| wrap_primary(Box::new(frozen), reload_breaker.clone())),
         }),
         ..ServeOptions::default()
     };
     let engine = Arc::new(ServeEngine::start_with(
-        model,
+        build_model(args),
         Arc::new(AtomicCache::with_capacity(flag_parse(
             args,
             "--cache-slots",

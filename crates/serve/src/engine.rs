@@ -1,14 +1,14 @@
 //! The serving engine: every request is answered on the thread that
-//! submitted it — a cache hit by a lock-free probe, a miss by one
-//! [`Predictor::predict_hashed`] call made while holding the model lock.
+//! submitted it — a cache hit by a lock-free probe, a miss by the served
+//! model while holding the model lock.
 //!
 //! Frontends (`stdin`, TCP client threads) call
 //! [`ServeEngine::submit_hashed`] with the kernel and the cache key they
 //! computed while parsing ([`ServeEngine::submit`] hashes for a caller
 //! that holds a bare kernel). `submit_hashed` probes the cache itself: a
 //! hit is answered with no lock and no allocation. A miss takes the model
-//! lock and is scored there; the predictor probes again under the lock,
-//! so two clients' concurrent misses of one kernel cost one forward.
+//! lock and is scored there after a second probe under the lock, so two
+//! clients' concurrent misses of one kernel cost one forward.
 //! Admission control bounds the callers in flight: past `max_pending`,
 //! `submit` fails fast with [`ServeError::Overloaded`] instead of stacking
 //! latency. An optional model-evaluation budget turns the daemon
@@ -27,24 +27,28 @@
 //!   hit has no wait and is judged at age 0. Time comes from a pluggable
 //!   [`ServeClock`] so tests replay deterministically ([`TickClock`]); a
 //!   `deadline_ms` of `0` expires immediately under any clock.
-//! - **Circuit breaker** — a [`CircuitBreaker`] shared with the model's
-//!   [`FallbackChain`](tpu_learned_cost::FallbackChain): the chain
-//!   consults it per model call, the engine force-trips it when the
-//!   primary panics and reports its state in [`ServeStats`]. Replies
-//!   served while the breaker was open are marked degraded.
+//! - **Fallback and circuit breaker** — [`ServeOptions::fallback`] puts a
+//!   second model behind the served one: every position the primary
+//!   answers `None` or non-finite is lent to the fallback, and a
+//!   [circuit breaker](BreakerConfig) the engine owns sends everything
+//!   there while it is open. The engine routes each miss through it,
+//!   force-trips it when the primary panics and reports it in
+//!   [`ServeStats`]. Replies served while the breaker was not closed are
+//!   marked degraded.
 //! - **Validated hot reload** — [`ServeEngine::reload_from_bytes`] parses
 //!   a `tpu-frozen.v2` blob and admission-checks it (finite predictions +
 //!   Kendall-τ against the incumbent on a fixed probe panel) without the
 //!   model lock, then swaps it in under the lock, so no predict call is
-//!   split across models. The cache is cleared only on a successful swap,
-//!   and a model-epoch tag mixed into every cache key makes stale entries
-//!   unreachable even for a hit probing mid-swap.
+//!   split across models. A reload replaces only the primary: the fallback
+//!   and the breaker serve on across every swap. The cache is cleared only
+//!   on a successful swap, and a model-epoch tag mixed into every cache key
+//!   makes stale entries unreachable even for a hit probing mid-swap.
 //! - **Panic isolation** — every model call runs under `catch_unwind`; a
 //!   panicking backend fails that request with
 //!   [`ServeError::BackendPanic`], trips the breaker, and the daemon
 //!   keeps serving.
 //!
-//! The model sits in a `Mutex` (`Box<dyn CostModel + Send>` — backends
+//! The models sit in a `Mutex` (`Box<dyn CostModel + Send>` — backends
 //! like a fault-injected device are `Send` but not `Sync`), so misses are
 //! scored one at a time in the order they take the lock: the same serial
 //! request stream against the same seed replays bit-identically, breaker
@@ -57,12 +61,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::breaker::{BatchRoute, BreakerConfig, BreakerState, CircuitBreaker};
 use tpu_hlo::{HashedKernel, Kernel};
 use tpu_infer::FrozenModel;
 use tpu_learned_cost::metrics::kendall_tau;
-use tpu_learned_cost::{
-    BreakerState, CacheStats, CircuitBreaker, CostModel, KernelCache, PredictStats, Predictor,
-};
+use tpu_learned_cost::{CostModel, KernelCache, PredictStats};
 use tpu_obs::{Counter, Registry};
 
 /// Why a request was not answered with a prediction.
@@ -201,7 +204,8 @@ impl ServeClock for TickClock {
 /// A served prediction plus degradation marker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
-    /// The prediction, exactly as `Predictor::predict_ns` produced it.
+    /// The prediction: the primary's answer, or the fallback's where the
+    /// primary's was unusable or the breaker was open.
     pub ns: Option<f64>,
     /// True when the circuit breaker was not closed as the request was
     /// answered (the answer came from the fallback path, not the primary
@@ -264,27 +268,34 @@ impl ReloadError {
 }
 
 /// Admission policy for hot reloads: how a candidate `tpu-frozen.v2` blob
-/// is validated and wrapped before it replaces the serving model.
+/// is validated before it replaces the primary model.
 pub struct ReloadPolicy {
     /// Minimum Kendall-τ between candidate and incumbent predictions on
     /// the probe panel (the paper's ranking-quality metric, §5).
     pub min_tau: f64,
     /// The fixed probe-kernel panel both models are scored on.
     pub panel: Vec<Kernel>,
-    /// Wraps the validated frozen model into the served backend (e.g.
-    /// re-attaching the fallback chain and breaker).
-    pub wrap: Box<dyn Fn(FrozenModel) -> Box<dyn CostModel + Send> + Send + Sync>,
+}
+
+/// The model behind the served one, and the breaker that routes between
+/// the two. A reload replaces only the primary, so both survive every
+/// swap.
+pub struct Fallback {
+    /// Answers every position the primary cannot — a `None` or non-finite
+    /// answer — and every position while the breaker is open.
+    pub model: Box<dyn CostModel + Send>,
+    /// Circuit-breaker thresholds; `None` asks the primary every time.
+    pub breaker: Option<BreakerConfig>,
 }
 
 /// Resilience wiring for [`ServeEngine::start_with`]; the plain
-/// [`ServeEngine::start`] uses the defaults (wall clock, no breaker, no
+/// [`ServeEngine::start`] uses the defaults (wall clock, no fallback, no
 /// reload).
 pub struct ServeOptions {
     /// Deadline clock; swap in a [`TickClock`] for deterministic tests.
     pub clock: Arc<dyn ServeClock>,
-    /// Breaker handle shared with the model's fallback chain, so the
-    /// engine can force-trip it on panics and report it in stats.
-    pub breaker: Option<Arc<CircuitBreaker>>,
+    /// The fallback model and its breaker; `None` serves the primary alone.
+    pub fallback: Option<Fallback>,
     /// Hot-reload admission policy; `None` disables the `reload` op.
     pub reload: Option<ReloadPolicy>,
 }
@@ -293,7 +304,7 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             clock: Arc::new(MonotonicClock::new()),
-            breaker: None,
+            fallback: None,
             reload: None,
         }
     }
@@ -332,7 +343,7 @@ pub struct ServeStats {
     pub breaker_open_served: u64,
     /// Breaker state: 0 closed, 1 open, 2 half-open.
     pub breaker_state: u8,
-    /// Predictor counters summed over every served request (monotonic
+    /// Prediction counters summed over every served request (monotonic
     /// across reloads).
     pub predict: PredictStats,
     /// Cache residency at the time of the call.
@@ -352,10 +363,10 @@ impl ServeStats {
     }
 }
 
-/// A [`KernelCache`] wrapper mixing the model epoch into every key, so a
-/// swapped-in model can never be answered with the previous model's
+/// The caller's [`KernelCache`] with the model epoch mixed into every key,
+/// so a swapped-in model can never be answered with the previous model's
 /// predictions even if a stale entry survived the post-swap clear. Epoch
-/// 0 leaves hashes untouched (bit-compatible with the unwrapped cache).
+/// 0 leaves hashes untouched (bit-compatible with the untagged cache).
 struct EpochCache {
     inner: Arc<dyn KernelCache>,
     // Bumped by every swap, read by `tag` and by stats.
@@ -368,26 +379,13 @@ impl EpochCache {
         // splitmix64's odd multiplier: distinct epochs decorrelate fully.
         hash ^ e.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
-}
 
-impl KernelCache for EpochCache {
-    fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
+    fn lookup(&self, hash: u64) -> Option<Option<f64>> {
         self.inner.lookup_hash(self.tag(hash))
     }
-    fn insert_hash(&self, hash: u64, prediction: Option<f64>) {
+
+    fn insert(&self, hash: u64, prediction: Option<f64>) {
         self.inner.insert_hash(self.tag(hash), prediction);
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn clear(&self) {
-        self.inner.clear();
-    }
-    fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-    fn eviction_count(&self) -> u64 {
-        self.inner.eviction_count()
     }
 }
 
@@ -405,9 +403,8 @@ struct Shared {
     backend_panics: AtomicU64,
     reloads: AtomicU64,
     reloads_rejected: AtomicU64,
-    // The serving predict counters: a miss adds its call's
-    // `PredictStats` under the model lock, a hit adds itself; both before
-    // `submit_hashed` returns.
+    // The serving predict counters: a miss adds itself under the model
+    // lock, a hit without it; both before `submit_hashed` returns.
     kernels: AtomicU64,
     cache_hits: AtomicU64,
     model_evals: AtomicU64,
@@ -437,29 +434,51 @@ impl Shared {
     }
 }
 
-/// The served model behind its predictor, over the epoch-tagged cache.
-type Served = Predictor<Box<dyn CostModel + Send>, EpochCache>;
+/// What the model lock guards: the primary, which a reload replaces, and
+/// the fallback, which it keeps.
+struct Models {
+    primary: Box<dyn CostModel + Send>,
+    fallback: Option<Box<dyn CostModel + Send>>,
+}
+
+impl Models {
+    /// The served backend's name: `{primary}+fallback-{fallback}`.
+    fn backend(&self) -> String {
+        match &self.fallback {
+            Some(f) => format!("{}+fallback-{}", self.primary.name(), f.name()),
+            None => self.primary.name().to_string(),
+        }
+    }
+}
+
+/// `core.engine.*` counters in the engine's registry; all but
+/// `fallbacks` are the names a `Predictor` session records.
+struct EngineObs {
+    kernels: Counter,
+    cache_hits: Counter,
+    model_evals: Counter,
+    model_batches: Counter,
+    fallbacks: Counter,
+}
 
 /// A running serving engine; see the module docs for the design.
 pub struct ServeEngine {
     shared: Shared,
-    // The epoch-tagged cache, shared with the predictor: hits are answered
-    // through it without the model lock, and `stats` reads its residency
-    // and eviction count on request.
-    cache: Arc<EpochCache>,
-    // The registry's `core.engine.kernels` / `cache_hits`: the predictor
-    // counts the misses, these the hits answered without it.
-    obs_kernels: Counter,
-    obs_cache_hits: Counter,
+    // The epoch-tagged cache: hits are answered through it without the
+    // model lock, and `stats` reads its residency and eviction count on
+    // request.
+    cache: EpochCache,
+    obs: EngineObs,
     // The model lock: a miss is scored holding it, a reload swaps under
     // it, and `shutdown` takes it once to wait for the miss inside.
-    model: Mutex<Served>,
+    model: Mutex<Models>,
     closed: AtomicBool,
     backend: Mutex<String>,
     clock: Arc<dyn ServeClock>,
     default_deadline_ms: Option<u64>,
     budget: Option<u64>,
-    breaker: Option<Arc<CircuitBreaker>>,
+    // Fed only under the model lock; read without it by hits and stats.
+    breaker: Option<CircuitBreaker>,
     // Reload policy plus the incumbent's cached panel predictions; the
     // Mutex also serializes concurrent reload attempts.
     reload: Option<Mutex<ReloadSlot>>,
@@ -472,12 +491,12 @@ struct ReloadSlot {
 
 impl ServeEngine {
     /// Serve `model` over `cache` with default resilience options (wall
-    /// clock, no breaker, no reload).
+    /// clock, no fallback, no reload).
     ///
     /// The cache is taken as `Arc<dyn KernelCache>` so the caller keeps a
     /// handle on it (to pre-warm or inspect it); metrics go to `registry`
-    /// through the predictor's usual `core.engine.*` surface, hits
-    /// answered without the predictor included.
+    /// under a `Predictor` session's `core.engine.*` counter names, plus
+    /// `core.engine.fallbacks` and `serve.breaker.*`.
     pub fn start(
         model: Box<dyn CostModel + Send>,
         cache: Arc<dyn KernelCache>,
@@ -495,25 +514,40 @@ impl ServeEngine {
         opts: ServeOptions,
         registry: &Registry,
     ) -> ServeEngine {
+        let (fallback, breaker) = match opts.fallback {
+            Some(f) => (
+                Some(f.model),
+                f.breaker.map(|b| CircuitBreaker::new(b, registry)),
+            ),
+            None => (None, None),
+        };
+        let models = Models {
+            primary: model,
+            fallback,
+        };
         // Kept outside the model lock, so stats replies and run reports
         // name the serving backend without waiting for a miss.
-        let backend = model.name().to_string();
-        let cache = Arc::new(EpochCache {
-            inner: cache,
-            epoch: AtomicU64::new(0),
-        });
+        let backend = models.backend();
         ServeEngine {
             shared: Shared::new(cfg.max_pending),
-            model: Mutex::new(Predictor::with_cache(model, Arc::clone(&cache)).observed(registry)),
-            cache,
-            obs_kernels: registry.counter("core.engine.kernels"),
-            obs_cache_hits: registry.counter("core.engine.cache_hits"),
+            model: Mutex::new(models),
+            cache: EpochCache {
+                inner: cache,
+                epoch: AtomicU64::new(0),
+            },
+            obs: EngineObs {
+                kernels: registry.counter("core.engine.kernels"),
+                cache_hits: registry.counter("core.engine.cache_hits"),
+                model_evals: registry.counter("core.engine.model_evals"),
+                model_batches: registry.counter("core.engine.model_batches"),
+                fallbacks: registry.counter("core.engine.fallbacks"),
+            },
             closed: AtomicBool::new(false),
             backend: Mutex::new(backend),
             clock: opts.clock,
             default_deadline_ms: cfg.deadline_ms,
             budget: cfg.eval_budget,
-            breaker: opts.breaker,
+            breaker,
             reload: opts.reload.map(|policy| {
                 Mutex::new(ReloadSlot {
                     policy,
@@ -523,9 +557,10 @@ impl ServeEngine {
         }
     }
 
-    /// Name of the cost model serving this engine (the model's
-    /// [`CostModel::name`], e.g. `"learned-gnn"` or `"frozen-gnn"`).
-    /// Tracks reloads: after an accepted swap it names the new model.
+    /// Name of the backend serving this engine: the primary's
+    /// [`CostModel::name`] (e.g. `"frozen-gnn"`), followed by
+    /// `+fallback-{name}` when it has a fallback. Tracks reloads: after an
+    /// accepted swap it names the new primary.
     pub fn backend(&self) -> String {
         self.backend.lock().expect("serve backend lock").clone()
     }
@@ -535,8 +570,7 @@ impl ServeEngine {
     /// thread holds the model lock, so concurrent misses run one after
     /// another.
     ///
-    /// Returns the prediction exactly as `Predictor::predict_ns` would
-    /// produce it.
+    /// Returns the prediction exactly as the served model gives it.
     pub fn submit(&self, kernel: Kernel) -> Result<Option<f64>, ServeError> {
         self.submit_with_deadline(kernel, None).map(|p| p.ns)
     }
@@ -570,7 +604,7 @@ impl ServeEngine {
         let deadline_ms = deadline_ms.or(self.default_deadline_ms);
         let result = if self.closed.load(Ordering::SeqCst) {
             Err(ServeError::ShuttingDown)
-        } else if let Some(ns) = self.cache.lookup_hash(kernel.hash()) {
+        } else if let Some(ns) = self.cache.lookup(kernel.hash()) {
             self.answer_hit(ns, deadline_ms)
         } else {
             self.answer_miss(&kernel, deadline_ms)
@@ -594,13 +628,19 @@ impl ServeEngine {
             s.deadline_shed.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::DeadlineExpired);
         }
-        let degraded = degraded(&self.breaker);
+        let degraded = self.degraded();
+        self.count_hit();
+        s.answered.fetch_add(1, Ordering::Relaxed);
+        Ok(Prediction { ns, degraded })
+    }
+
+    /// Count one kernel answered from the cache.
+    fn count_hit(&self) {
+        let s = &self.shared;
         s.kernels.fetch_add(1, Ordering::Relaxed);
         s.cache_hits.fetch_add(1, Ordering::Relaxed);
-        s.answered.fetch_add(1, Ordering::Relaxed);
-        self.obs_kernels.inc();
-        self.obs_cache_hits.inc();
-        Ok(Prediction { ns, degraded })
+        self.obs.kernels.inc();
+        self.obs.cache_hits.inc();
     }
 
     /// Answer a cache miss as a batch of one under the model lock. The
@@ -615,43 +655,23 @@ impl ServeEngine {
     ) -> Result<Prediction, ServeError> {
         let s = &self.shared;
         let arrived_ms = self.clock.now_ms();
-        let predictor = self.model.lock().expect("serve model lock");
+        let models = self.model.lock().expect("serve model lock");
         s.batches.fetch_add(1, Ordering::Relaxed);
         if expired(self.clock.now_ms(), arrived_ms, deadline_ms) {
             s.deadline_expired.fetch_add(1, Ordering::Relaxed);
             s.deadline_shed.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::DeadlineExpired);
         }
-        let degraded = degraded(&self.breaker);
+        let degraded = self.degraded();
         let within_budget = self
             .budget
             .is_none_or(|b| s.model_evals.load(Ordering::Relaxed) < b);
         let result = if within_budget {
-            // Panic isolation: a panicking backend fails this request with
-            // a typed error and trips the breaker instead of killing the
-            // daemon. The cache and the counters are updated only after a
-            // successful call, so they stay consistent.
-            match catch_unwind(AssertUnwindSafe(|| predictor.predict_hashed(&[kernel]))) {
-                Ok((preds, call)) => {
-                    s.kernels.fetch_add(call.kernels, Ordering::Relaxed);
-                    s.cache_hits.fetch_add(call.cache_hits, Ordering::Relaxed);
-                    s.model_evals.fetch_add(call.model_evals, Ordering::Relaxed);
-                    s.model_batches
-                        .fetch_add(call.model_batches, Ordering::Relaxed);
-                    Ok(preds[0])
-                }
-                Err(_) => {
-                    s.backend_panics.fetch_add(1, Ordering::Relaxed);
-                    if let Some(b) = &self.breaker {
-                        b.force_trip();
-                    }
-                    Err(ServeError::BackendPanic)
-                }
-            }
+            self.score(&models, kernel)
         } else {
             // Budget spent: serve what the cache already knows, deny the rest.
             self.cache
-                .lookup_hash(kernel.hash())
+                .lookup(kernel.hash())
                 .ok_or(ServeError::BudgetExhausted)
         };
         let now = self.clock.now_ms();
@@ -674,8 +694,87 @@ impl ServeEngine {
         result.map(|ns| Prediction { ns, degraded })
     }
 
+    /// Score a missed kernel; `models` is the content of the held model
+    /// lock. The cache is probed again first — another client may have
+    /// scored the kernel while this one waited — and a fresh answer is
+    /// inserted and counted only once the model call has returned, so a
+    /// panic leaves cache and counters as they were.
+    fn score(&self, models: &Models, kernel: &HashedKernel) -> Result<Option<f64>, ServeError> {
+        if let Some(ns) = self.cache.lookup(kernel.hash()) {
+            self.count_hit();
+            return Ok(ns);
+        }
+        // Panic isolation: a panicking backend fails this request with a
+        // typed error and trips the breaker instead of killing the daemon.
+        let (answers, fell_back) =
+            catch_unwind(AssertUnwindSafe(|| self.route(models, &[kernel.kernel()]))).map_err(
+                |_| {
+                    self.shared.backend_panics.fetch_add(1, Ordering::Relaxed);
+                    if let Some(b) = &self.breaker {
+                        b.force_trip();
+                    }
+                    ServeError::BackendPanic
+                },
+            )?;
+        let ns = answers[0];
+        self.cache.insert(kernel.hash(), ns);
+        let s = &self.shared;
+        s.kernels.fetch_add(1, Ordering::Relaxed);
+        s.model_evals.fetch_add(1, Ordering::Relaxed);
+        s.model_batches.fetch_add(1, Ordering::Relaxed);
+        self.obs.kernels.inc();
+        self.obs.model_evals.inc();
+        self.obs.model_batches.inc();
+        self.obs.fallbacks.add(fell_back);
+        Ok(ns)
+    }
+
+    /// One batch through the primary and the fallback: route it through
+    /// the breaker, ask the primary for the whole batch (the fallback while
+    /// the breaker is open), feed the breaker the primary's answers, and
+    /// lend every position still unusable — `None` or non-finite — to the
+    /// fallback in one call. Returns the answers and how many positions the
+    /// fallback was asked for; without a fallback the primary's answers
+    /// stand as they are.
+    fn route(&self, models: &Models, kernels: &[&Kernel]) -> (Vec<Option<f64>>, u64) {
+        let Some(fallback) = &models.fallback else {
+            return (models.primary.predict_refs_ns(kernels), 0);
+        };
+        if kernels.is_empty() {
+            return (Vec::new(), 0);
+        }
+        let route = match &self.breaker {
+            Some(b) => b.begin_batch(kernels.len()),
+            None => BatchRoute::Primary { probe: false },
+        };
+        let BatchRoute::Primary { probe } = route else {
+            return (fallback.predict_refs_ns(kernels), kernels.len() as u64);
+        };
+        let mut answers = models.primary.predict_refs_ns(kernels);
+        if let Some(b) = &self.breaker {
+            b.end_batch(probe, answers.iter().map(usable));
+        }
+        let fallen: Vec<usize> = (0..answers.len())
+            .filter(|&i| !usable(&answers[i]))
+            .collect();
+        if !fallen.is_empty() {
+            let retry: Vec<&Kernel> = fallen.iter().map(|&i| kernels[i]).collect();
+            for (&i, ns) in fallen.iter().zip(fallback.predict_refs_ns(&retry)) {
+                answers[i] = ns;
+            }
+        }
+        (answers, fallen.len() as u64)
+    }
+
+    /// The reload panel's answers from the served models, routed like a
+    /// miss (the breaker sees them) but neither cached nor counted.
+    fn score_panel(&self, models: &Models, panel: &[Kernel]) -> Vec<Option<f64>> {
+        let refs: Vec<&Kernel> = panel.iter().collect();
+        self.route(models, &refs).0
+    }
+
     /// The model lock for a reload; refused once shutdown has begun.
-    fn lock_model(&self) -> Result<MutexGuard<'_, Served>, ReloadError> {
+    fn lock_model(&self) -> Result<MutexGuard<'_, Models>, ReloadError> {
         let model = self.model.lock().expect("serve model lock");
         if self.closed.load(Ordering::SeqCst) {
             return Err(ReloadError::ShuttingDown);
@@ -738,16 +837,12 @@ impl ServeEngine {
         {
             return Err(ReloadError::NonFinite(i));
         }
-        // The incumbent's panel answers come from the served model itself
-        // (lazily, then refreshed on every swap), so they reflect exactly
-        // what the daemon serves — fallback chain, breaker and all. They
-        // bypass cache and counters: probing must not perturb serving stats.
+        // The incumbent's panel answers come from the served models
+        // themselves (lazily, then refreshed on every swap), so they reflect
+        // exactly what the daemon serves — fallback, breaker and all.
         if slot.incumbent.is_none() {
-            let preds = self
-                .lock_model()?
-                .model()
-                .predict_batch_ns(&slot.policy.panel);
-            slot.incumbent = Some(preds);
+            let models = self.lock_model()?;
+            slot.incumbent = Some(self.score_panel(&models, &slot.policy.panel));
         }
         let incumbent = slot.incumbent.as_ref().expect("incumbent panel filled");
         let (a, b): (Vec<f64>, Vec<f64>) = incumbent
@@ -769,20 +864,28 @@ impl ServeEngine {
                 min: slot.policy.min_tau,
             });
         }
-        let model = (slot.policy.wrap)(candidate);
-        let new_backend = model.name().to_string();
-        let mut predictor = self.lock_model()?;
+        let mut models = self.lock_model()?;
         // Bump the epoch first (new keys immediately diverge), then clear:
         // stale entries are doubly unreachable.
         let epoch = self.cache.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.cache.clear();
-        let registry = predictor.registry().clone();
-        *predictor = Predictor::with_cache(model, Arc::clone(&self.cache)).observed(&registry);
-        let preds = predictor.model().predict_batch_ns(&slot.policy.panel);
-        drop(predictor);
+        self.cache.inner.clear();
+        models.primary = Box::new(candidate);
+        let preds = self.score_panel(&models, &slot.policy.panel);
+        let backend = models.backend();
+        drop(models);
         slot.incumbent = Some(preds);
-        *self.backend.lock().expect("serve backend lock") = new_backend;
+        *self.backend.lock().expect("serve backend lock") = backend;
         Ok(epoch)
+    }
+
+    /// Replies answered while the breaker is not closed are marked
+    /// degraded: the primary did not (or may not) have answered them. Read
+    /// before the model runs — by a hit at the same point of a serial
+    /// stream — so the marker is a pure function of the request sequence.
+    fn degraded(&self) -> bool {
+        self.breaker
+            .as_ref()
+            .is_some_and(|b| b.state() != BreakerState::Closed)
     }
 
     /// Snapshot the serving counters. The cache numbers are read from the
@@ -791,15 +894,7 @@ impl ServeEngine {
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared;
         let (breaker_trips, breaker_open_served, breaker_state) = match &self.breaker {
-            Some(b) => (
-                b.trip_count(),
-                b.open_served_count(),
-                match b.state() {
-                    BreakerState::Closed => 0,
-                    BreakerState::Open => 1,
-                    BreakerState::HalfOpen => 2,
-                },
-            ),
+            Some(b) => (b.trip_count(), b.open_served_count(), b.state() as u8),
             None => (0, 0, 0),
         };
         ServeStats {
@@ -823,8 +918,8 @@ impl ServeEngine {
                 model_evals: s.model_evals.load(Ordering::Relaxed),
                 model_batches: s.model_batches.load(Ordering::Relaxed),
             },
-            cache_entries: self.cache.len(),
-            cache_evictions: self.cache.eviction_count(),
+            cache_entries: self.cache.inner.len(),
+            cache_evictions: self.cache.inner.eviction_count(),
         }
     }
 
@@ -846,12 +941,7 @@ fn expired(now_ms: u64, arrived_ms: u64, deadline_ms: Option<u64>) -> bool {
     }
 }
 
-/// Replies answered while the breaker is not closed are marked degraded:
-/// the primary backend did not (or may not) have answered them. Read
-/// before the model runs — by a hit at the same point of a serial stream —
-/// so the marker is a pure function of the request sequence.
-fn degraded(breaker: &Option<Arc<CircuitBreaker>>) -> bool {
-    breaker
-        .as_ref()
-        .is_some_and(|b| b.state() != BreakerState::Closed)
+/// A usable prediction is present and finite.
+fn usable(v: &Option<f64>) -> bool {
+    matches!(v, Some(x) if x.is_finite())
 }

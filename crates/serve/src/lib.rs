@@ -4,12 +4,14 @@
 //! autotuner serving loop; this crate is that loop's server side. It
 //! speaks newline-delimited JSON (see [`protocol`]) over stdin or TCP and
 //! answers every request on the thread that read it: a hit from the
-//! lock-free [`AtomicCache`](tpu_learned_cost::AtomicCache), a miss by one
-//! [`Predictor`](tpu_learned_cost::Predictor) call under a model lock. It
-//! applies admission control and an optional model-evaluation budget, and
-//! shuts down gracefully (the miss inside the model finishes first).
+//! lock-free [`AtomicCache`](tpu_learned_cost::AtomicCache), a miss by the
+//! served model under a model lock, with an optional [`Fallback`] model
+//! and circuit breaker behind it. It applies admission control and an
+//! optional model-evaluation budget, and shuts down gracefully (the miss
+//! inside the model finishes first).
 //!
-//! - [`ServeEngine`] — the cache probe and the model lock,
+//! - [`ServeEngine`] — the cache probe, the model lock, the fallback and
+//!   the breaker,
 //! - [`serve_ndjson`] — serial frontend over any reader/writer (stdin mode;
 //!   deterministic, which the chaos-replay test relies on),
 //! - [`serve_tcp`] — TCP frontend, one thread per client, all submitting
@@ -28,12 +30,14 @@ use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
 use tpu_learned_cost::CostModel;
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
 
+mod breaker;
 mod engine;
 pub mod protocol;
 
+pub use breaker::BreakerConfig;
 pub use engine::{
-    MonotonicClock, Prediction, ReloadError, ReloadPolicy, ServeClock, ServeConfig, ServeEngine,
-    ServeError, ServeOptions, ServeStats, TickClock,
+    Fallback, MonotonicClock, Prediction, ReloadError, ReloadPolicy, ServeClock, ServeConfig,
+    ServeEngine, ServeError, ServeOptions, ServeStats, TickClock,
 };
 pub use protocol::{parse_request, KernelSpec, Request, RequestRef, WireError};
 
@@ -225,8 +229,8 @@ pub fn serve_tcp(serve: &Arc<ServeEngine>, listener: TcpListener) -> io::Result<
 
 /// The roofline baseline as a [`CostModel`]: identity calibration over
 /// [`AnalyticalModel`]. Scores any kernel with tile-size options; returns
-/// `None` for the rest (paper footnote 3), which is exactly what
-/// [`FallbackChain`](tpu_learned_cost::FallbackChain) expects.
+/// `None` for the rest (paper footnote 3), which the engine's [`Fallback`]
+/// answers instead.
 pub struct AnalyticalCost {
     model: AnalyticalModel,
     calibration: Calibration,
@@ -252,8 +256,8 @@ impl CostModel for AnalyticalCost {
 }
 
 /// A (possibly fault-injected) simulated device as a [`CostModel`]:
-/// transient [`DeviceError`](tpu_sim::DeviceError)s become `None`, so a wrapping
-/// [`FallbackChain`](tpu_learned_cost::FallbackChain) absorbs the faults.
+/// transient [`DeviceError`](tpu_sim::DeviceError)s become `None`, so the
+/// engine's [`Fallback`] absorbs the faults.
 /// Owns the device; `Send` but not `Sync`, which is why the engine keeps
 /// the model behind a lock.
 pub struct DeviceModel {
@@ -342,7 +346,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use tpu_learned_cost::{AtomicCache, FallbackChain, KernelCache, SimOracle};
+    use tpu_learned_cost::{AtomicCache, KernelCache, SimOracle};
     use tpu_obs::Registry;
 
     fn start_sim_engine(cfg: ServeConfig) -> ServeEngine {
@@ -437,12 +441,21 @@ mod tests {
     }
 
     #[test]
-    fn fallback_chain_covers_faulty_device() {
-        let primary = DeviceModel::chaos(11);
-        let secondary = SimOracle::new(TpuConfig::default());
-        let model: Box<dyn CostModel + Send> = Box::new(FallbackChain::new(primary, secondary));
-        let cache: Arc<dyn KernelCache> = Arc::new(AtomicCache::serving_default());
-        let serve = ServeEngine::start(model, cache, ServeConfig::default(), &Registry::noop());
+    fn fallback_covers_faulty_device() {
+        let fallback = Fallback {
+            model: Box::new(SimOracle::new(TpuConfig::default())),
+            breaker: None,
+        };
+        let serve = ServeEngine::start_with(
+            Box::new(DeviceModel::chaos(11)),
+            Arc::new(AtomicCache::serving_default()),
+            ServeConfig::default(),
+            ServeOptions {
+                fallback: Some(fallback),
+                ..ServeOptions::default()
+            },
+            &Registry::noop(),
+        );
         for kernel in demo_kernels(12) {
             let ns = serve.submit(kernel).expect("accepted").expect("scored");
             assert!(ns.is_finite() && ns > 0.0);

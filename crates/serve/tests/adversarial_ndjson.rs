@@ -33,16 +33,15 @@ use support::mutations;
 use tpu_dataset::{Corpus, CorpusScale};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::{canonical_kernel_hash, ConvAttrs, DType, GraphBuilder, Kernel, Shape};
-use tpu_learned_cost::{
-    AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, KernelCache, SimOracle,
-};
+use tpu_learned_cost::{AtomicCache, KernelCache, SimOracle};
 use tpu_obs::Registry;
 use tpu_serve::protocol::{
     self, predict_reply, predict_request_line, scan_request, simple_request_line, MAX_LINE_BYTES,
     MAX_TILE_DIMS,
 };
 use tpu_serve::{
-    parse_request, serve_ndjson, Request, RequestRef, ServeConfig, ServeEngine, ServeOptions,
+    parse_request, serve_ndjson, BreakerConfig, Fallback, Request, RequestRef, ServeConfig,
+    ServeEngine, ServeOptions,
 };
 use tpu_sim::TpuConfig;
 
@@ -81,22 +80,22 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// An engine wired as `tpu-serve` wires its default one: the simulator
-/// behind a fallback chain, sharing a circuit breaker with the engine.
+/// with the simulator as its fallback, routed by a circuit breaker.
 fn default_daemon() -> ServeEngine {
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-        trip_after: 4,
-        cooldown: 64,
-    }));
-    let oracle = || SimOracle::new(TpuConfig::default());
-    let model: Box<dyn CostModel + Send> =
-        Box::new(FallbackChain::new(oracle(), oracle()).with_breaker(Arc::clone(&breaker)));
+    let oracle = || Box::new(SimOracle::new(TpuConfig::default()));
     let cache: Arc<dyn KernelCache> = Arc::new(AtomicCache::with_capacity(1 << 12));
     let opts = ServeOptions {
-        breaker: Some(breaker),
+        fallback: Some(Fallback {
+            model: oracle(),
+            breaker: Some(BreakerConfig {
+                trip_after: 4,
+                cooldown: 64,
+            }),
+        }),
         ..ServeOptions::default()
     };
     ServeEngine::start_with(
-        model,
+        oracle(),
         cache,
         ServeConfig::default(),
         opts,

@@ -14,14 +14,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tpu_hlo::Kernel;
 use tpu_infer::{freeze_gnn, FrozenModel};
-use tpu_learned_cost::{
-    AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, FnCostModel, GnnConfig,
-    GnnModel, KernelCache,
-};
+use tpu_learned_cost::{AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, KernelCache};
 use tpu_obs::Registry;
 use tpu_serve::{
-    demo_kernels, probe_panel, protocol, serve_ndjson, ReloadError, ReloadPolicy, ServeConfig,
-    ServeEngine, ServeError, ServeOptions,
+    demo_kernels, probe_panel, protocol, serve_ndjson, BreakerConfig, Fallback, ReloadError,
+    ReloadPolicy, ServeConfig, ServeEngine, ServeError, ServeOptions,
 };
 
 fn nodes(k: &Kernel) -> Option<f64> {
@@ -126,23 +123,30 @@ fn a_zero_deadline_hit_is_shed() {
 
 #[test]
 fn a_hit_while_the_breaker_is_open_replies_degraded() {
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));
-    let chain = FallbackChain::new(
-        FnCostModel::new("primary", nodes),
-        FnCostModel::new("fallback", nodes),
-    )
-    .with_breaker(Arc::clone(&breaker));
+    let kernels = demo_kernels(2);
+    // The primary cannot score the second kernel: asking it trips the
+    // breaker.
+    let unscorable = kernels[1].computation.name().to_string();
+    let primary = FnCostModel::new("primary", move |k: &Kernel| {
+        nodes(k).filter(|_| k.computation.name() != unscorable)
+    });
     let engine = ServeEngine::start_with(
-        Box::new(chain),
+        Box::new(primary),
         cache(),
         ServeConfig::default(),
         ServeOptions {
-            breaker: Some(Arc::clone(&breaker)),
+            fallback: Some(Fallback {
+                model: Box::new(FnCostModel::new("fallback", nodes)),
+                breaker: Some(BreakerConfig {
+                    trip_after: 1,
+                    ..BreakerConfig::default()
+                }),
+            }),
             ..ServeOptions::default()
         },
         &Registry::noop(),
     );
-    let line = protocol::predict_request_line(1, &demo_kernels(1)[0]) + "\n";
+    let line = protocol::predict_request_line(1, &kernels[0]) + "\n";
     let serve = |input: &str| {
         let mut out = Vec::new();
         serve_ndjson(&engine, Cursor::new(input.to_string()), &mut out).unwrap();
@@ -150,7 +154,7 @@ fn a_hit_while_the_breaker_is_open_replies_degraded() {
     };
     let healthy = serve(&line);
     assert!(!healthy.contains("degraded"), "{healthy}");
-    breaker.force_trip();
+    engine.submit(kernels[1].clone()).unwrap();
     let degraded = serve(&line);
     assert_eq!(
         degraded,
@@ -159,7 +163,7 @@ fn a_hit_while_the_breaker_is_open_replies_degraded() {
     );
     let stats = engine.stats();
     assert_eq!(stats.predict.cache_hits, 1);
-    // The hit never reached the chain: the cool-down is untouched.
+    // The hit never reached the models: the cool-down is untouched.
     assert_eq!((stats.breaker_trips, stats.breaker_open_served), (1, 0));
     engine.shutdown();
 }
@@ -219,7 +223,6 @@ fn after_a_reload_a_formerly_cached_kernel_gets_the_new_models_value() {
             reload: Some(ReloadPolicy {
                 min_tau: -1.0,
                 panel: probe_panel(),
-                wrap: Box::new(|frozen| Box::new(frozen)),
             }),
             ..ServeOptions::default()
         },
@@ -339,7 +342,6 @@ fn shutdown_waits_for_the_miss_inside_the_model_then_refuses_work() {
             reload: Some(ReloadPolicy {
                 min_tau: -1.0,
                 panel: probe_panel(),
-                wrap: Box::new(|frozen| Box::new(frozen)),
             }),
             ..ServeOptions::default()
         },

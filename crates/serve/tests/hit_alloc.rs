@@ -7,11 +7,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use tpu_hlo::HashedKernel;
-use tpu_learned_cost::{
-    AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, SimOracle,
-};
+use tpu_learned_cost::{AtomicCache, SimOracle};
 use tpu_obs::Registry;
-use tpu_serve::{demo_kernels, ServeConfig, ServeEngine, ServeOptions};
+use tpu_serve::{demo_kernels, BreakerConfig, Fallback, ServeConfig, ServeEngine, ServeOptions};
 use tpu_sim::TpuConfig;
 
 thread_local! {
@@ -45,17 +43,17 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 fn a_warm_hit_allocates_nothing_and_a_miss_does() {
     // Wired as the daemon wires its default engine: a breaker the hit
-    // path reads, a fallback chain behind it.
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));
-    let oracle = || SimOracle::new(TpuConfig::default());
-    let model: Box<dyn CostModel + Send> =
-        Box::new(FallbackChain::new(oracle(), oracle()).with_breaker(Arc::clone(&breaker)));
+    // path reads, a fallback behind it.
+    let oracle = || Box::new(SimOracle::new(TpuConfig::default()));
     let engine = ServeEngine::start_with(
-        model,
+        oracle(),
         Arc::new(AtomicCache::serving_default()),
         ServeConfig::default(),
         ServeOptions {
-            breaker: Some(breaker),
+            fallback: Some(Fallback {
+                model: oracle(),
+                breaker: Some(BreakerConfig::default()),
+            }),
             ..ServeOptions::default()
         },
         &Registry::noop(),

@@ -280,22 +280,7 @@ impl TpuDevice {
     ///
     /// Panics if `runs == 0`.
     pub fn try_measure_kernel(&self, k: &Kernel, runs: usize) -> Result<f64, DeviceError> {
-        assert!(runs > 0, "need at least one run");
-        let mut best = f64::INFINITY;
-        let mut last_err = None;
-        for _ in 0..runs {
-            match self.try_execute_kernel(k) {
-                Ok(t) => best = best.min(t),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if best.is_finite() {
-            Ok(best)
-        } else {
-            // INVARIANT: zero successful runs (runs >= 1) implies at least
-            // one recorded error.
-            Err(last_err.expect("no successful run implies an error"))
-        }
+        min_of_runs(runs, || self.try_execute_kernel(k))
     }
 
     /// Execute `runs` times and return the minimum (§5's protocol).
@@ -349,22 +334,7 @@ impl TpuDevice {
     ///
     /// Panics if `runs == 0`.
     pub fn try_measure_program(&self, p: &FusedProgram, runs: usize) -> Result<f64, DeviceError> {
-        assert!(runs > 0, "need at least one run");
-        let mut best = f64::INFINITY;
-        let mut last_err = None;
-        for _ in 0..runs {
-            match self.try_execute_program(p) {
-                Ok(t) => best = best.min(t),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if best.is_finite() {
-            Ok(best)
-        } else {
-            // INVARIANT: zero successful runs (runs >= 1) implies at least
-            // one recorded error.
-            Err(last_err.expect("no successful run implies an error"))
-        }
+        min_of_runs(runs, || self.try_execute_program(p))
     }
 
     /// Program runtime as min of `runs` executions.
@@ -395,6 +365,35 @@ impl TpuDevice {
     /// wherever the caller keeps them.
     pub fn true_kernels_time<'k>(&self, kernels: impl IntoIterator<Item = &'k Kernel>) -> f64 {
         kernels.into_iter().map(|k| self.true_kernel_time(k)).sum()
+    }
+}
+
+/// The min-of-`runs` protocol under faults, over one fallible execution:
+/// failed runs are skipped, and the last error is returned only when every
+/// run failed.
+///
+/// # Panics
+///
+/// Panics if `runs == 0`.
+fn min_of_runs(
+    runs: usize,
+    mut run: impl FnMut() -> Result<f64, DeviceError>,
+) -> Result<f64, DeviceError> {
+    assert!(runs > 0, "need at least one run");
+    let mut best = f64::INFINITY;
+    let mut last_err = None;
+    for _ in 0..runs {
+        match run() {
+            Ok(t) => best = best.min(t),
+            Err(e) => last_err = Some(e),
+        }
+    }
+    if best.is_finite() {
+        Ok(best)
+    } else {
+        // INVARIANT: zero successful runs (runs >= 1) implies at least
+        // one recorded error.
+        Err(last_err.expect("no successful run implies an error"))
     }
 }
 

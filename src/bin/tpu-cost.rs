@@ -14,12 +14,12 @@
 //! is missing, unreadable or not such a blob is an error.
 
 use std::process::ExitCode;
-use tpu_repro::analytical::{AnalyticalModel, Calibration};
 use tpu_repro::fusion::{apply_fusion, default_space_and_config, unfused};
 use tpu_repro::hlo::{parse_computation, FusedProgram, Program};
 use tpu_repro::infer::FrozenModel;
-use tpu_repro::learned::CostModel;
-use tpu_repro::sim::{kernel_time_ns, TpuConfig};
+use tpu_repro::learned::{CostModel, SimOracle};
+use tpu_repro::serve::AnalyticalCost;
+use tpu_repro::sim::TpuConfig;
 
 struct Args {
     input: Option<String>,
@@ -121,20 +121,11 @@ fn main() -> ExitCode {
         eprintln!("wrote {dot_path}");
     }
 
-    // Build the backend.
-    type KernelPredictFn = Box<dyn Fn(&tpu_repro::hlo::Kernel) -> Option<f64>>;
-    let predict: KernelPredictFn = match args.backend.split(':').next().unwrap_or("sim") {
-        "sim" => {
-            let m = machine.clone();
-            Box::new(move |k| Some(kernel_time_ns(k, &m)))
-        }
-        "analytical" => {
-            let model = AnalyticalModel::new(machine.clone());
-            let cal = Calibration::identity();
-            Box::new(move |k| cal.predict_ns(&model, k))
-        }
+    let model: Box<dyn CostModel> = match args.backend.split(':').next().unwrap_or("sim") {
+        "sim" => Box::new(SimOracle::new(machine.clone())),
+        "analytical" => Box::new(AnalyticalCost::new(machine.clone())),
         "frozen" => match load_frozen(&args.backend) {
-            Ok(model) => Box::new(move |k| model.predict_kernel_ns(k)),
+            Ok(model) => Box::new(model),
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
@@ -160,7 +151,7 @@ fn main() -> ExitCode {
     let mut total = 0.0;
     let mut unsupported = 0usize;
     for (i, k) in fused.kernels.iter().enumerate() {
-        match predict(k) {
+        match model.predict_kernel_ns(k) {
             Some(ns) => {
                 total += ns;
                 println!(

@@ -1,9 +1,9 @@
 //! Fault-injected serving: the daemon over a chaos device must stay
 //! total and replayable.
 //!
-//! The serve stack wraps its primary model in a `FallbackChain` whose
-//! secondary is the fault-free simulator oracle. Two claims are pinned
-//! here, mirroring how `tpu-serve --faults SEED` wires the daemon:
+//! The engine serves the chaos device with the fault-free simulator oracle
+//! as its fallback. Two claims are pinned here, mirroring how
+//! `tpu-serve --faults SEED --no-breaker` wires the daemon:
 //!
 //! 1. **Totality**: with every fault class enabled on the primary
 //!    device, every predict reply still carries a finite, positive `ns`
@@ -16,10 +16,11 @@
 
 use std::io::Cursor;
 use std::sync::Arc;
-use tpu_repro::learned::{AtomicCache, CostModel, FallbackChain, KernelCache, SimOracle};
+use tpu_repro::learned::{AtomicCache, SimOracle};
 use tpu_repro::obs::Registry;
 use tpu_repro::serve::{
-    demo_kernels, protocol, serve_ndjson, DeviceModel, ServeConfig, ServeEngine,
+    demo_kernels, protocol, serve_ndjson, DeviceModel, Fallback, ServeConfig, ServeEngine,
+    ServeOptions,
 };
 use tpu_repro::sim::TpuConfig;
 
@@ -39,11 +40,20 @@ fn request_stream() -> String {
 
 /// One serve run over a fresh chaos-device + oracle fallback engine.
 fn run_once(seed: u64, input: &str) -> String {
-    let primary = DeviceModel::chaos(seed);
-    let secondary = SimOracle::new(TpuConfig::default());
-    let model: Box<dyn CostModel + Send> = Box::new(FallbackChain::new(primary, secondary));
-    let cache: Arc<dyn KernelCache> = Arc::new(AtomicCache::serving_default());
-    let engine = ServeEngine::start(model, cache, ServeConfig::default(), &Registry::noop());
+    let fallback = Fallback {
+        model: Box::new(SimOracle::new(TpuConfig::default())),
+        breaker: None,
+    };
+    let engine = ServeEngine::start_with(
+        Box::new(DeviceModel::chaos(seed)),
+        Arc::new(AtomicCache::serving_default()),
+        ServeConfig::default(),
+        ServeOptions {
+            fallback: Some(fallback),
+            ..ServeOptions::default()
+        },
+        &Registry::noop(),
+    );
     let mut output = Vec::new();
     serve_ndjson(&engine, Cursor::new(input.to_string()), &mut output).expect("serve io");
     engine.shutdown();

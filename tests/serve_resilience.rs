@@ -14,13 +14,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tpu_repro::infer::{freeze_gnn, freeze_lstm, FrozenModel};
 use tpu_repro::learned::{
-    AtomicCache, BreakerConfig, CircuitBreaker, CostModel, FallbackChain, FnCostModel, GnnConfig,
-    GnnModel, KernelCache, LstmConfig, LstmModel, SimOracle,
+    AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, KernelCache, LstmConfig, LstmModel,
+    SimOracle,
 };
 use tpu_repro::obs::Registry;
 use tpu_repro::serve::{
-    demo_kernels, probe_panel, protocol, serve_ndjson, ReloadPolicy, ServeConfig, ServeEngine,
-    ServeError, ServeOptions, TickClock,
+    demo_kernels, probe_panel, protocol, serve_ndjson, BreakerConfig, Fallback, ReloadPolicy,
+    ServeConfig, ServeEngine, ServeError, ServeOptions, TickClock,
 };
 use tpu_repro::sim::TpuConfig;
 
@@ -28,12 +28,22 @@ fn fresh_cache() -> Arc<dyn KernelCache> {
     Arc::new(AtomicCache::serving_default())
 }
 
-fn identity_reload_policy() -> ReloadPolicy {
+fn reload_policy() -> ReloadPolicy {
     ReloadPolicy {
         min_tau: 0.99,
         panel: probe_panel(),
-        wrap: Box::new(|frozen| Box::new(frozen)),
     }
+}
+
+/// The simulator oracle behind the primary, routed by a breaker.
+fn oracle_fallback(trip_after: u32, cooldown: u64) -> Option<Fallback> {
+    Some(Fallback {
+        model: Box::new(SimOracle::new(TpuConfig::default())),
+        breaker: Some(BreakerConfig {
+            trip_after,
+            cooldown,
+        }),
+    })
 }
 
 /// A small frozen GNN blob (the reload fixture).
@@ -68,20 +78,12 @@ fn scripted_primary(good: usize, bad: usize) -> (Box<dyn CostModel + Send>, Arc<
 #[test]
 fn breaker_trip_cooldown_and_probe_are_request_count_deterministic() {
     let (primary, _calls) = scripted_primary(2, 2);
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-        trip_after: 2,
-        cooldown: 3,
-    }));
-    let model: Box<dyn CostModel + Send> = Box::new(
-        FallbackChain::new(primary, SimOracle::new(TpuConfig::default()))
-            .with_breaker(Arc::clone(&breaker)),
-    );
     let engine = ServeEngine::start_with(
-        model,
+        primary,
         fresh_cache(),
         ServeConfig::default(),
         ServeOptions {
-            breaker: Some(Arc::clone(&breaker)),
+            fallback: oracle_fallback(2, 3),
             ..ServeOptions::default()
         },
         &Registry::noop(),
@@ -116,20 +118,12 @@ fn breaker_trip_cooldown_and_probe_are_request_count_deterministic() {
 fn failed_probe_reopens_and_fallback_keeps_answering() {
     // Bad streak long enough that the first probe still hits it.
     let (primary, _calls) = scripted_primary(0, 3);
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-        trip_after: 2,
-        cooldown: 1,
-    }));
-    let model: Box<dyn CostModel + Send> = Box::new(
-        FallbackChain::new(primary, SimOracle::new(TpuConfig::default()))
-            .with_breaker(Arc::clone(&breaker)),
-    );
     let engine = ServeEngine::start_with(
-        model,
+        primary,
         fresh_cache(),
         ServeConfig::default(),
         ServeOptions {
-            breaker: Some(Arc::clone(&breaker)),
+            fallback: oracle_fallback(2, 1),
             ..ServeOptions::default()
         },
         &Registry::noop(),
@@ -164,20 +158,12 @@ fn backend_panic_fails_one_batch_trips_the_breaker_and_serving_continues() {
             Some(k.computation.num_nodes() as f64 * 100.0)
         },
     ));
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-        trip_after: 10,
-        cooldown: 2,
-    }));
-    let model: Box<dyn CostModel + Send> = Box::new(
-        FallbackChain::new(primary, SimOracle::new(TpuConfig::default()))
-            .with_breaker(Arc::clone(&breaker)),
-    );
     let engine = ServeEngine::start_with(
-        model,
+        primary,
         fresh_cache(),
         ServeConfig::default(),
         ServeOptions {
-            breaker: Some(Arc::clone(&breaker)),
+            fallback: oracle_fallback(10, 2),
             ..ServeOptions::default()
         },
         &Registry::noop(),
@@ -318,7 +304,7 @@ fn reload_admission_accepts_equivalent_rejects_corrupt_and_low_tau() {
         fresh_cache(),
         ServeConfig::default(),
         ServeOptions {
-            reload: Some(identity_reload_policy()),
+            reload: Some(reload_policy()),
             ..ServeOptions::default()
         },
         &Registry::noop(),
@@ -386,7 +372,7 @@ fn reloading_a_v1_blob_is_rejected_at_parse_and_the_incumbent_keeps_serving() {
         fresh_cache(),
         ServeConfig::default(),
         ServeOptions {
-            reload: Some(identity_reload_policy()),
+            reload: Some(reload_policy()),
             ..ServeOptions::default()
         },
         &Registry::noop(),
@@ -439,7 +425,7 @@ fn mid_load_reload_drops_no_requests() {
         fresh_cache(),
         ServeConfig::default(),
         ServeOptions {
-            reload: Some(identity_reload_policy()),
+            reload: Some(reload_policy()),
             ..ServeOptions::default()
         },
         &Registry::noop(),
@@ -533,21 +519,13 @@ fn run_outage(input: &str) -> String {
             (!(4..6).contains(&i)).then(|| k.computation.num_nodes() as f64 * 100.0)
         },
     ));
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-        trip_after: 2,
-        cooldown: 2,
-    }));
-    let model: Box<dyn CostModel + Send> = Box::new(
-        FallbackChain::new(primary, SimOracle::new(TpuConfig::default()))
-            .with_breaker(Arc::clone(&breaker)),
-    );
     let engine = ServeEngine::start_with(
-        model,
+        primary,
         fresh_cache(),
         ServeConfig::default(),
         ServeOptions {
-            breaker: Some(breaker),
-            reload: Some(identity_reload_policy()),
+            fallback: oracle_fallback(2, 2),
+            reload: Some(reload_policy()),
             ..ServeOptions::default()
         },
         &Registry::noop(),
