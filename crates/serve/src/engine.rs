@@ -945,3 +945,106 @@ fn expired(now_ms: u64, arrived_ms: u64, deadline_ms: Option<u64>) -> bool {
 fn usable(v: &Option<f64>) -> bool {
     matches!(v, Some(x) if x.is_finite())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::demo_kernels;
+    use tpu_learned_cost::{AtomicCache, FnCostModel};
+
+    /// The demo kernel's index, from its name.
+    fn index(k: &Kernel) -> usize {
+        let name = k.computation.name();
+        name.rsplit('_').next().unwrap().parse().unwrap()
+    }
+
+    /// A fallback that answers `1000 + index` and records the indices of
+    /// every batch it is asked for.
+    struct Recorder(Arc<Mutex<Vec<Vec<usize>>>>);
+
+    impl CostModel for Recorder {
+        fn predict_kernel_ns(&self, k: &Kernel) -> Option<f64> {
+            Some(1000.0 + index(k) as f64)
+        }
+        fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+            self.0
+                .lock()
+                .unwrap()
+                .push(kernels.iter().map(|k| index(k)).collect());
+            kernels.iter().map(|k| self.predict_kernel_ns(k)).collect()
+        }
+        fn name(&self) -> &str {
+            "safe"
+        }
+    }
+
+    fn engine(breaker: Option<BreakerConfig>, calls: &Arc<Mutex<Vec<Vec<usize>>>>) -> ServeEngine {
+        let flaky = FnCostModel::new("flaky", |k: &Kernel| match index(k) {
+            0 => None,
+            1 => Some(f64::NAN),
+            2 => Some(f64::NEG_INFINITY),
+            i => Some(i as f64),
+        });
+        ServeEngine::start_with(
+            Box::new(flaky),
+            Arc::new(AtomicCache::serving_default()),
+            ServeConfig::default(),
+            ServeOptions {
+                fallback: Some(Fallback {
+                    model: Box::new(Recorder(Arc::clone(calls))),
+                    breaker,
+                }),
+                ..ServeOptions::default()
+            },
+            &Registry::noop(),
+        )
+    }
+
+    #[test]
+    fn route_splices_the_fallback_positionally_with_one_call() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let engine = engine(None, &calls);
+        let kernels = demo_kernels(5);
+        let refs: Vec<&Kernel> = kernels.iter().collect();
+        let (answers, fell_back) = engine.route(&engine.model.lock().unwrap(), &refs);
+        assert_eq!(
+            answers,
+            [
+                Some(1000.0),
+                Some(1001.0),
+                Some(1002.0),
+                Some(3.0),
+                Some(4.0)
+            ],
+            "fallen positions filled by the fallback, healthy ones untouched"
+        );
+        assert_eq!(*calls.lock().unwrap(), [vec![0, 1, 2]], "one fallback call");
+        assert_eq!(fell_back, 3);
+    }
+
+    #[test]
+    fn an_open_breaker_routes_the_whole_batch_to_the_fallback() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let engine = engine(
+            Some(BreakerConfig {
+                trip_after: 1,
+                cooldown: 8,
+            }),
+            &calls,
+        );
+        let kernels = demo_kernels(5);
+        let refs: Vec<&Kernel> = kernels.iter().collect();
+        let models = engine.model.lock().unwrap();
+        // The first position's `None` trips the breaker; the fallen three
+        // are still rescued in one call.
+        engine.route(&models, &refs);
+        assert!(engine.degraded());
+        let (answers, fell_back) = engine.route(&models, &refs);
+        assert_eq!(
+            answers,
+            (1000..1005).map(|i| Some(i as f64)).collect::<Vec<_>>()
+        );
+        assert_eq!(*calls.lock().unwrap(), [vec![0, 1, 2], vec![0, 1, 2, 3, 4]]);
+        assert_eq!(fell_back, 5);
+    }
+}
