@@ -116,7 +116,7 @@ impl TunedConfig {
 /// `outlier_threshold × median` (the §5 protocol hardened against injected
 /// tail spikes).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Target number of successful runs per measurement (min-of-k).
     pub runs: usize,
     /// Upper bound on execution attempts per measurement (>= `runs`).
@@ -143,7 +143,7 @@ impl RetryPolicy {
     /// and transient failures rarely lose a candidate and single spikes
     /// never win the min. Selected automatically when the device has a
     /// non-empty fault plan.
-    pub fn resilient() -> RetryPolicy {
+    pub(crate) fn resilient() -> RetryPolicy {
         RetryPolicy {
             runs: 3,
             max_attempts: 8,
@@ -276,11 +276,10 @@ fn robust_min(samples: &[f64], threshold: f64) -> (f64, u64) {
 }
 
 impl<'a> HardwareObjective<'a> {
-    /// Create an objective. The retry policy defaults to
-    /// [`RetryPolicy::default`] on a fault-free device (bit-identical to
-    /// the pre-retry harness) and [`RetryPolicy::resilient`] when the
-    /// device carries a non-empty fault plan; override with
-    /// [`HardwareObjective::with_retry_policy`].
+    /// Create an objective. The retry policy comes from the device: one
+    /// run per measurement on a fault-free device (bit-identical to the
+    /// pre-retry harness), min-of-3 with retries when it carries a
+    /// non-empty fault plan.
     pub fn new(
         program: &'a Program,
         space: &'a FusionSpace,
@@ -318,18 +317,8 @@ impl<'a> HardwareObjective<'a> {
         }
     }
 
-    /// Override the retry/aggregation policy (builder-style).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> HardwareObjective<'a> {
-        self.retry = RetryPolicy {
-            runs: retry.runs.max(1),
-            max_attempts: retry.max_attempts.max(retry.runs.max(1)),
-            outlier_threshold: retry.outlier_threshold,
-        };
-        self
-    }
-
     /// One metered measurement: the compile/eval overhead plus up to
-    /// `max_attempts` noisy runs aggregated per the [`RetryPolicy`].
+    /// `max_attempts` noisy runs aggregated per the device's retry policy.
     ///
     /// The budget check covers the eval overhead about to be charged, so a
     /// measurement is only admitted when overhead fits inside the budget —
@@ -751,7 +740,7 @@ fn model_guided<M: CostModel + ?Sized, C: KernelCache>(
 /// Phase 2 of the §6.3 protocol, shared verbatim by the SA and beam
 /// harnesses: reset the device meter, then measure the model-ranked
 /// candidates on hardware through the single metered
-/// [`HardwareObjective::measure`] path — same [`RetryPolicy`] resolution
+/// [`HardwareObjective::measure`] path — same retry-policy resolution
 /// (default on fault-free devices, resilient under a fault plan), same
 /// one-measurement budget-overshoot bound — with the start config appended
 /// as a safety net. The best measured config wins; a candidate whose

@@ -10,10 +10,14 @@
 //!   canonical kernel hash ([`tpu_hlo::canonical_kernel_hash`]) to a
 //!   cached prediction, with hit/miss/eviction counters (the shipped
 //!   implementation is the lock-free [`AtomicCache`]),
+//! - [`predict_keyed`] — the one serving body: it answers what it can from
+//!   the cache, deduplicates the distinct misses, lends them to a scorer —
+//!   borrowed, not copied — in **one** call, inserts the answers and
+//!   records them in [`EngineCounters`]. It has two callers: a
+//!   [`Predictor`] and the `tpu-serve` engine's miss,
 //! - [`Predictor`] — a serving session over any [`CostModel`]: it hashes
-//!   the incoming kernels, answers what it can from the cache, deduplicates
-//!   the distinct misses, and lends them to the backend — borrowed, not
-//!   copied — as **one** `predict_refs_ns` call (one packed forward pass
+//!   the incoming kernels and runs them through that body with the
+//!   backend's `predict_refs_ns` as the scorer (one packed forward pass
 //!   for the neural backends), reporting per-call and cumulative
 //!   [`PredictStats`].
 //!
@@ -26,12 +30,13 @@ use crate::atomic_cache::AtomicCache;
 use crate::batch::{GraphBatch, Prepared};
 use crate::cost_model::CostModel;
 use crate::train::KernelModel;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use tpu_hlo::{canonical_kernel_hash, HashedKernel, Kernel};
 use tpu_nn::Tape;
-use tpu_obs::{Counter, Gauge, Histogram, Registry};
+use tpu_obs::{Counter, Histogram, Registry};
 
 /// A point-in-time snapshot of cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -164,17 +169,195 @@ impl PredictStats {
     }
 }
 
+/// The cumulative [`PredictStats`] of one serving session, and their
+/// `core.engine.*` metrics.
+///
+/// Both callers of [`predict_keyed`] keep one: a [`Predictor`] and the
+/// `tpu-serve` engine. The four counters are atomics, and the metric
+/// handles are resolved once, so recording costs a few relaxed atomic ops
+/// (the handles cost nothing at all on the default no-op registry).
+#[derive(Default)]
+pub struct EngineCounters {
+    kernels: AtomicU64,
+    cache_hits: AtomicU64,
+    model_evals: AtomicU64,
+    model_batches: AtomicU64,
+    obs: EngineObs,
+}
+
+/// The `core.engine.*` handles [`predict_keyed`] records into.
+#[derive(Default)]
+struct EngineObs {
+    registry: Registry,
+    kernels: Counter,
+    cache_hits: Counter,
+    model_evals: Counter,
+    model_batches: Counter,
+    cache_evictions: Counter,
+    miss_batch_size: Histogram,
+    predict_ns: Histogram,
+    forward_ns: Histogram,
+}
+
+impl EngineObs {
+    fn new(registry: &Registry) -> EngineObs {
+        EngineObs {
+            registry: registry.clone(),
+            kernels: registry.counter("core.engine.kernels"),
+            cache_hits: registry.counter("core.engine.cache_hits"),
+            model_evals: registry.counter("core.engine.model_evals"),
+            model_batches: registry.counter("core.engine.model_batches"),
+            cache_evictions: registry.counter("core.engine.cache_evictions"),
+            miss_batch_size: registry.histogram("core.engine.miss_batch_size"),
+            predict_ns: registry.histogram("core.engine.predict_ns"),
+            forward_ns: registry.histogram("core.engine.forward_ns"),
+        }
+    }
+}
+
+impl EngineCounters {
+    /// Zeroed counters whose metrics go to `registry`.
+    pub fn new(registry: &Registry) -> EngineCounters {
+        EngineCounters {
+            obs: EngineObs::new(registry),
+            ..EngineCounters::default()
+        }
+    }
+
+    /// The cumulative counters.
+    pub fn stats(&self) -> PredictStats {
+        PredictStats {
+            kernels: self.kernels.load(Ordering::Relaxed),
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            model_evals: self.model_evals.load(Ordering::Relaxed),
+            model_batches: self.model_batches.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Add one call's counters, to the atomics and to their
+    /// `core.engine.*` counters. [`predict_keyed`] records every call it
+    /// answers; a caller that answers a hit without it records the hit
+    /// here.
+    pub fn record(&self, stats: &PredictStats) {
+        self.kernels.fetch_add(stats.kernels, Ordering::Relaxed);
+        self.cache_hits
+            .fetch_add(stats.cache_hits, Ordering::Relaxed);
+        self.model_evals
+            .fetch_add(stats.model_evals, Ordering::Relaxed);
+        self.model_batches
+            .fetch_add(stats.model_batches, Ordering::Relaxed);
+        self.obs.kernels.add(stats.kernels);
+        self.obs.cache_hits.add(stats.cache_hits);
+        self.obs.model_evals.add(stats.model_evals);
+        self.obs.model_batches.add(stats.model_batches);
+    }
+}
+
+/// The one keyed serving body: `keys[i]` is the cache key of
+/// `kernels[i]`.
+///
+/// It probes `cache` for every key, deduplicates the distinct misses in
+/// first-occurrence order, and lends them to `score` in **one** call.
+/// Then it inserts the answers, fills every position (duplicates of a miss
+/// included), and records the call in `counters`: the four
+/// [`PredictStats`] counters, the call's time (`core.engine.predict_ns`),
+/// the scorer's time (`core.engine.forward_ns`), the miss-batch size and
+/// the evictions the inserts caused. An all-hit call never calls `score`.
+///
+/// Nothing is inserted, counted or timed before `score` returns, so a
+/// scorer that panics leaves the cache's entries, the counters and the
+/// metrics as they were; only the probe's lookups have been counted by the
+/// cache.
+pub fn predict_keyed<C: KernelCache + ?Sized>(
+    cache: &C,
+    counters: &EngineCounters,
+    kernels: &[&Kernel],
+    keys: &[u64],
+    score: impl FnOnce(&[&Kernel]) -> Vec<Option<f64>>,
+) -> (Vec<Option<f64>>, PredictStats) {
+    let obs = &counters.obs;
+    // Clock reads, not scoped timers: a timer would record while a
+    // panicking scorer unwinds.
+    let recording = obs.registry.is_enabled();
+    let call_start = recording.then(Instant::now);
+    // `Some(cached)` = resolved (the cached value may itself be `None`
+    // for a kernel the backend cannot score); `None` = cache miss.
+    let mut resolved: Vec<Option<Option<f64>>> =
+        keys.iter().map(|&k| cache.lookup_hash(k)).collect();
+    let cache_hits = resolved.iter().filter(|r| r.is_some()).count() as u64;
+
+    // First input index per distinct missing key, and each missing key's
+    // slot in that list.
+    let mut pending: Vec<usize> = Vec::new();
+    let mut slot: HashMap<u64, usize> = HashMap::new();
+    for (i, r) in resolved.iter().enumerate() {
+        if r.is_none() {
+            slot.entry(keys[i]).or_insert_with(|| {
+                pending.push(i);
+                pending.len() - 1
+            });
+        }
+    }
+
+    let mut model_batches = 0u64;
+    if !pending.is_empty() {
+        let misses: Vec<&Kernel> = pending.iter().map(|&i| kernels[i]).collect();
+        let forward_start = recording.then(Instant::now);
+        let fresh = score(&misses);
+        if let Some(start) = forward_start {
+            obs.forward_ns.observe(ns_since(start));
+        }
+        let evictions_before = if recording { cache.eviction_count() } else { 0 };
+        for (&i, &ns) in pending.iter().zip(&fresh) {
+            cache.insert_hash(keys[i], ns);
+        }
+        for (i, r) in resolved.iter_mut().enumerate() {
+            if r.is_none() {
+                *r = Some(fresh[slot[&keys[i]]]);
+            }
+        }
+        obs.miss_batch_size.observe(pending.len() as u64);
+        if recording {
+            obs.cache_evictions
+                .add(cache.eviction_count() - evictions_before);
+        }
+        model_batches = 1;
+    }
+
+    let stats = PredictStats {
+        kernels: kernels.len() as u64,
+        cache_hits,
+        model_evals: pending.len() as u64,
+        model_batches,
+    };
+    counters.record(&stats);
+    if let Some(start) = call_start {
+        obs.predict_ns.observe(ns_since(start));
+    }
+    // INVARIANT: every position is either a cache hit or the slot of a
+    // distinct missing key, and `score` answered every slot.
+    let out = resolved
+        .into_iter()
+        .map(|r| r.expect("every kernel resolved"))
+        .collect();
+    (out, stats)
+}
+
+/// Nanoseconds since `start`, saturating.
+fn ns_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// A serving session over any [`CostModel`]: cache in front, miss-batching
 /// behind.
 ///
-/// Every `predict` call resolves its kernels in three steps: hash and look
-/// up each kernel in the session's [`KernelCache`]; deduplicate the
-/// distinct misses (first-occurrence order); lend those misses to the
-/// backend as **one** [`CostModel::predict_refs_ns`] call — the caller's
-/// kernels, borrowed, not a copy of them. For the neural backends that one
-/// call is one packed [`GraphBatch`] forward, so a batch with `m` distinct
-/// misses costs exactly one forward pass — and a batch with none costs
-/// zero.
+/// Every `predict` call hashes its kernels and runs them through
+/// [`predict_keyed`] with the backend's [`CostModel::predict_refs_ns`] as
+/// the scorer: the distinct misses are lent to the backend — the caller's
+/// kernels, borrowed, not a copy of them — as **one** call. For the neural
+/// backends that one call is one packed [`GraphBatch`] forward, so a batch
+/// with `m` distinct misses costs exactly one forward pass — and a batch
+/// with none costs zero.
 ///
 /// The cache sits behind an [`Arc`] so one cache can back several sessions
 /// (e.g. the autotuner's model phase and the final report) and survive the
@@ -190,51 +373,7 @@ pub struct Predictor<M, C: KernelCache = AtomicCache> {
     model: M,
     cache: Arc<C>,
     name: String,
-    kernels: AtomicU64,
-    hits: AtomicU64,
-    evals: AtomicU64,
-    batches: AtomicU64,
-    obs: EngineObs,
-}
-
-/// `tpu-obs` handles for the serving path, resolved once per session so
-/// the per-call cost is a few relaxed atomic ops (and nothing at all on
-/// the default no-op registry). Metric names live under `core.engine.*`
-/// (per-session serving counters and latencies) and `core.cache.*`
-/// (gauges mirroring the shared cache's own counters).
-#[derive(Default)]
-struct EngineObs {
-    registry: Registry,
-    kernels: Counter,
-    cache_hits: Counter,
-    model_evals: Counter,
-    model_batches: Counter,
-    cache_evictions: Counter,
-    miss_batch_size: Histogram,
-    predict_ns: Histogram,
-    forward_ns: Histogram,
-    cache_entries: Gauge,
-    cache_lookups: Gauge,
-    cache_hit_rate: Gauge,
-}
-
-impl EngineObs {
-    fn new(registry: &Registry) -> EngineObs {
-        EngineObs {
-            registry: registry.clone(),
-            kernels: registry.counter("core.engine.kernels"),
-            cache_hits: registry.counter("core.engine.cache_hits"),
-            model_evals: registry.counter("core.engine.model_evals"),
-            model_batches: registry.counter("core.engine.model_batches"),
-            cache_evictions: registry.counter("core.engine.cache_evictions"),
-            miss_batch_size: registry.histogram("core.engine.miss_batch_size"),
-            predict_ns: registry.histogram("core.engine.predict_ns"),
-            forward_ns: registry.histogram("core.engine.forward_ns"),
-            cache_entries: registry.gauge("core.cache.entries"),
-            cache_lookups: registry.gauge("core.cache.lookups"),
-            cache_hit_rate: registry.gauge("core.cache.hit_rate"),
-        }
-    }
+    counters: EngineCounters,
 }
 
 impl<M: CostModel> Predictor<M> {
@@ -261,11 +400,7 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
             model,
             cache,
             name,
-            kernels: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            evals: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            obs: EngineObs::default(),
+            counters: EngineCounters::default(),
         }
     }
 
@@ -278,14 +413,14 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
     /// over it record into [`Predictor::registry`] without being handed
     /// one.
     pub fn observed(mut self, registry: &Registry) -> Predictor<M, C> {
-        self.obs = EngineObs::new(registry);
+        self.counters.obs = EngineObs::new(registry);
         self
     }
 
     /// The registry this session was [`observed`](Predictor::observed)
     /// with (the no-op registry otherwise).
     pub fn registry(&self) -> &Registry {
-        &self.obs.registry
+        &self.counters.obs.registry
     }
 
     /// The wrapped model.
@@ -298,34 +433,25 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
         &self.cache
     }
 
-    /// Shortcut for `self.cache().stats()`.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Export the shared cache's counters as `core.cache.*` gauges.
     /// The entry count may scan the whole cache ([`AtomicCache::len`]
     /// reads every slot), so call this at phase boundaries (end of a run,
     /// before writing a report), not per predict. No-op without an
     /// attached registry.
     pub fn record_cache_stats(&self) {
-        if !self.obs.registry.is_enabled() {
+        let registry = self.registry();
+        if !registry.is_enabled() {
             return;
         }
         let s = self.cache.stats();
-        self.obs.cache_entries.set(s.entries as f64);
-        self.obs.cache_lookups.set(s.lookups() as f64);
-        self.obs.cache_hit_rate.set(s.hit_rate());
+        registry.gauge("core.cache.entries").set(s.entries as f64);
+        registry.gauge("core.cache.lookups").set(s.lookups() as f64);
+        registry.gauge("core.cache.hit_rate").set(s.hit_rate());
     }
 
     /// Cumulative serving counters for this session.
     pub fn stats(&self) -> PredictStats {
-        PredictStats {
-            kernels: self.kernels.load(Ordering::Relaxed),
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            model_evals: self.evals.load(Ordering::Relaxed),
-            model_batches: self.batches.load(Ordering::Relaxed),
-        }
+        self.counters.stats()
     }
 
     /// Runtime predictions (ns) for a slice of kernels, positionally.
@@ -337,98 +463,26 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
     /// Like [`Predictor::predict_ns`] but over references, returning this
     /// call's [`PredictStats`] alongside the predictions.
     pub fn predict_ns_refs(&self, kernels: &[&Kernel]) -> (Vec<Option<f64>>, PredictStats) {
-        let _call_timer = self.obs.predict_ns.start_timer();
         let hashes: Vec<u64> = kernels.iter().map(|k| canonical_kernel_hash(k)).collect();
-        self.predict_keyed(kernels, &hashes)
+        self.keyed(kernels, &hashes)
     }
 
     /// [`Predictor::predict_ns_refs`] for kernels that already carry their
     /// cache key: the same lookups, miss batch, inserts and
     /// [`PredictStats`], minus the hashing.
     pub fn predict_hashed(&self, kernels: &[&HashedKernel]) -> (Vec<Option<f64>>, PredictStats) {
-        let _call_timer = self.obs.predict_ns.start_timer();
         let refs: Vec<&Kernel> = kernels.iter().map(|k| k.kernel()).collect();
         let hashes: Vec<u64> = kernels.iter().map(|k| k.hash()).collect();
-        self.predict_keyed(&refs, &hashes)
+        self.keyed(&refs, &hashes)
     }
 
-    /// The one serving body: `hashes[i]` is the canonical hash of
-    /// `kernels[i]`. Private so that only the two entries above, which
-    /// guarantee that pairing, can reach the cache.
-    fn predict_keyed(
-        &self,
-        kernels: &[&Kernel],
-        hashes: &[u64],
-    ) -> (Vec<Option<f64>>, PredictStats) {
-        // `Some(cached)` = resolved (the cached value may itself be `None`
-        // for a kernel the backend cannot score); `None` = cache miss.
-        let mut resolved: Vec<Option<Option<f64>>> =
-            hashes.iter().map(|&h| self.cache.lookup_hash(h)).collect();
-        let call_hits = resolved.iter().filter(|r| r.is_some()).count() as u64;
-
-        // First input index per distinct missing hash.
-        let mut pending: Vec<usize> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for (i, r) in resolved.iter().enumerate() {
-            if r.is_none() && seen.insert(hashes[i]) {
-                pending.push(i);
-            }
-        }
-
-        let mut model_batches = 0u64;
-        if !pending.is_empty() {
-            let evictions_before = if self.obs.registry.is_enabled() {
-                self.cache.eviction_count()
-            } else {
-                0
-            };
-            let misses: Vec<&Kernel> = pending.iter().map(|&i| kernels[i]).collect();
-            let forward_timer = self.obs.forward_ns.start_timer();
-            let fresh = self.model.predict_refs_ns(&misses);
-            forward_timer.stop();
-            self.obs.miss_batch_size.observe(pending.len() as u64);
-            model_batches = 1;
-            let mut by_hash: HashMap<u64, Option<f64>> = HashMap::with_capacity(pending.len());
-            for (&i, ns) in pending.iter().zip(fresh) {
-                self.cache.insert_hash(hashes[i], ns);
-                by_hash.insert(hashes[i], ns);
-            }
-            // Fill every position (including duplicates of a miss).
-            for (i, r) in resolved.iter_mut().enumerate() {
-                if r.is_none() {
-                    *r = by_hash.get(&hashes[i]).copied();
-                }
-            }
-            if self.obs.registry.is_enabled() {
-                self.obs
-                    .cache_evictions
-                    .add(self.cache.eviction_count() - evictions_before);
-            }
-        }
-
-        let stats = PredictStats {
-            kernels: kernels.len() as u64,
-            cache_hits: call_hits,
-            model_evals: pending.len() as u64,
-            model_batches,
-        };
-        self.kernels.fetch_add(stats.kernels, Ordering::Relaxed);
-        self.hits.fetch_add(stats.cache_hits, Ordering::Relaxed);
-        self.evals.fetch_add(stats.model_evals, Ordering::Relaxed);
-        self.batches
-            .fetch_add(stats.model_batches, Ordering::Relaxed);
-        self.obs.kernels.add(stats.kernels);
-        self.obs.cache_hits.add(stats.cache_hits);
-        self.obs.model_evals.add(stats.model_evals);
-        self.obs.model_batches.add(stats.model_batches);
-
-        // INVARIANT: every position is either a cache hit or was filled
-        // from `by_hash`, which covers every distinct missing hash.
-        let out = resolved
-            .into_iter()
-            .map(|r| r.expect("every kernel resolved"))
-            .collect();
-        (out, stats)
+    /// The session's cache, counters and backend through the one body.
+    /// Private so that only the two entries above, which pair each kernel
+    /// with its canonical hash, can reach the cache.
+    fn keyed(&self, kernels: &[&Kernel], hashes: &[u64]) -> (Vec<Option<f64>>, PredictStats) {
+        predict_keyed(&*self.cache, &self.counters, kernels, hashes, |misses| {
+            self.model.predict_refs_ns(misses)
+        })
     }
 }
 
@@ -540,8 +594,9 @@ mod tests {
 
     #[test]
     fn one_backend_batch_per_miss_batch() {
-        // The Predictor must present all distinct misses of a call as ONE
-        // predict_batch_ns call, however many kernels and duplicates the
+        // The Predictor must lend all distinct misses of a call as ONE
+        // predict_refs_ns call (whose default reaches this probe's
+        // predict_batch_ns once), however many kernels and duplicates the
         // call contains — and zero calls when everything hits the cache.
         let batch_calls = AtomicUsize::new(0);
         struct Probe<'a> {
@@ -744,8 +799,47 @@ mod tests {
             .snapshot()
             .counter("core.engine.cache_evictions")
             .unwrap();
-        assert_eq!(observed, p.cache_stats().evictions);
+        assert_eq!(observed, p.cache().stats().evictions);
         assert!(observed > 0);
+    }
+
+    #[test]
+    fn a_panicking_scorer_leaves_cache_and_counters_untouched() {
+        // The daemon isolates a panicking backend with `catch_unwind`
+        // around this body; that is sound only because nothing is
+        // inserted or counted before the scorer returns.
+        let registry = Registry::enabled();
+        let counters = EngineCounters::new(&registry);
+        let cache = AtomicCache::with_capacity(64);
+        let kernels: Vec<Kernel> = (1..=4).map(|i| kernel(i * 16)).collect();
+        let refs: Vec<&Kernel> = kernels.iter().collect();
+        let keys: Vec<u64> = refs.iter().map(|k| canonical_kernel_hash(k)).collect();
+        // Two resident entries, so the panicking call has hits and misses.
+        predict_keyed(&cache, &counters, &refs[..2], &keys[..2], |m| {
+            m.iter().map(|_| Some(1.0)).collect()
+        });
+        let (stats, counted) = (cache.stats(), counters.stats());
+        let snapshot = registry.snapshot();
+
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            predict_keyed(&cache, &counters, &refs, &keys, |_| panic!("backend"))
+        }));
+        assert!(panicked.is_err());
+
+        assert_eq!(counters.stats(), counted, "no call counted");
+        assert_eq!(registry.snapshot(), snapshot, "no metric recorded");
+        // The probe's two hits and two misses are the cache's only change:
+        // entries and evictions are as they were.
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: stats.hits + 2,
+                misses: stats.misses + 2,
+                ..stats
+            }
+        );
+        let resident: Vec<_> = keys.iter().map(|&k| cache.lookup_hash(k)).collect();
+        assert_eq!(resident, [Some(Some(1.0)), Some(Some(1.0)), None, None]);
     }
 
     #[test]

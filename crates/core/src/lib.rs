@@ -18,13 +18,15 @@
 //! - [`metrics`]: MAPE and Kendall's τ as reported in Tables 2–3,
 //! - [`CostModel`]: one batch-first interface over learned/analytical/
 //!   simulator backends, making the model retargetable across compiler
-//!   tasks — `predict_batch_ns` is the primary serving surface,
+//!   tasks — a cache lends its misses to a backend, borrowed, through
+//!   `predict_refs_ns`,
 //! - [`Predictor`] / [`AtomicCache`]: the inference engine — a serving
 //!   session that answers what it can from the canonical-hash cache (the
 //!   lock-free fixed-capacity [`AtomicCache`], or any other
 //!   [`KernelCache`]) and presents the distinct misses to the backend as
 //!   one packed forward pass, for serving the model inside an autotuner
-//!   (§6.3).
+//!   (§6.3). Its body, [`predict_keyed`], is also the `tpu-serve` daemon's
+//!   miss path.
 //!
 //! # Example
 //!
@@ -59,7 +61,8 @@ pub use batch::{bfs_segment, GraphBatch, Prepared, Sample};
 pub use checkpoint::{CheckpointError, TrainCheckpoint, SCHEMA as CHECKPOINT_SCHEMA};
 pub use cost_model::{CostModel, FnCostModel, SimOracle};
 pub use engine::{
-    forward_log_ns, forward_log_ns_chunked, CacheStats, KernelCache, PredictStats, Predictor,
+    forward_log_ns, forward_log_ns_chunked, predict_keyed, CacheStats, EngineCounters, KernelCache,
+    PredictStats, Predictor,
 };
 pub use lstm_model::{LstmConfig, LstmModel};
 pub use model::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction, LOG_NS_OFFSET};

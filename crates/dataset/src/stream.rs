@@ -175,15 +175,7 @@ impl DatasetWriter {
     ///
     /// [`StreamError::Io`] on filesystem failure.
     pub fn create(path: &Path) -> Result<DatasetWriter, StreamError> {
-        Self::with_feature_dim(path, tpu_learned_cost::features::FEATURE_DIM as u32)
-    }
-
-    /// [`DatasetWriter::create`] with an explicit feature width (tests).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::Io`] on filesystem failure.
-    pub fn with_feature_dim(path: &Path, feature_dim: u32) -> Result<DatasetWriter, StreamError> {
+        let feature_dim = tpu_learned_cost::features::FEATURE_DIM as u32;
         let f = File::create(path)?;
         let mut w = BufWriter::new(f);
         w.write_all(&MAGIC)?;

@@ -151,15 +151,6 @@ impl Kernel {
             .count()
     }
 
-    /// Total bytes read from HBM (all parameters) if executed standalone.
-    pub fn input_bytes(&self) -> u64 {
-        self.computation
-            .parameters()
-            .iter()
-            .map(|&p| self.computation.node(p).output_bytes())
-            .sum()
-    }
-
     /// Bytes written back to HBM (the root output).
     pub fn output_bytes(&self) -> u64 {
         self.computation
@@ -273,7 +264,6 @@ mod tests {
     #[test]
     fn kernel_byte_counts() {
         let k = Kernel::new(single_tanh());
-        assert_eq!(k.input_bytes(), 8 * 128 * 4);
         assert_eq!(k.output_bytes(), 8 * 128 * 4);
         assert_eq!(k.num_ops(), 1);
     }

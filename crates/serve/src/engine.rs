@@ -65,7 +65,7 @@ use crate::breaker::{BatchRoute, BreakerConfig, BreakerState, CircuitBreaker};
 use tpu_hlo::{HashedKernel, Kernel};
 use tpu_infer::FrozenModel;
 use tpu_learned_cost::metrics::kendall_tau;
-use tpu_learned_cost::{CostModel, KernelCache, PredictStats};
+use tpu_learned_cost::{predict_keyed, CostModel, EngineCounters, KernelCache, PredictStats};
 use tpu_obs::{Counter, Registry};
 
 /// Why a request was not answered with a prediction.
@@ -182,16 +182,6 @@ impl TickClock {
             now: AtomicU64::new(0),
             step,
         }
-    }
-
-    /// A frozen clock moved only by [`TickClock::advance`].
-    pub fn frozen() -> TickClock {
-        TickClock::advancing(0)
-    }
-
-    /// Move the clock forward by `ms`.
-    pub fn advance(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::SeqCst);
     }
 }
 
@@ -383,10 +373,6 @@ impl EpochCache {
     fn lookup(&self, hash: u64) -> Option<Option<f64>> {
         self.inner.lookup_hash(self.tag(hash))
     }
-
-    fn insert(&self, hash: u64, prediction: Option<f64>) {
-        self.inner.insert_hash(self.tag(hash), prediction);
-    }
 }
 
 /// Admission and the counters `stats` reads, shared by every caller.
@@ -403,12 +389,6 @@ struct Shared {
     backend_panics: AtomicU64,
     reloads: AtomicU64,
     reloads_rejected: AtomicU64,
-    // The serving predict counters: a miss adds itself under the model
-    // lock, a hit without it; both before `submit_hashed` returns.
-    kernels: AtomicU64,
-    cache_hits: AtomicU64,
-    model_evals: AtomicU64,
-    model_batches: AtomicU64,
 }
 
 impl Shared {
@@ -426,10 +406,6 @@ impl Shared {
             backend_panics: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             reloads_rejected: AtomicU64::new(0),
-            kernels: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            model_evals: AtomicU64::new(0),
-            model_batches: AtomicU64::new(0),
         }
     }
 }
@@ -451,16 +427,6 @@ impl Models {
     }
 }
 
-/// `core.engine.*` counters in the engine's registry; all but
-/// `fallbacks` are the names a `Predictor` session records.
-struct EngineObs {
-    kernels: Counter,
-    cache_hits: Counter,
-    model_evals: Counter,
-    model_batches: Counter,
-    fallbacks: Counter,
-}
-
 /// A running serving engine; see the module docs for the design.
 pub struct ServeEngine {
     shared: Shared,
@@ -468,7 +434,13 @@ pub struct ServeEngine {
     // model lock, and `stats` reads its residency and eviction count on
     // request.
     cache: EpochCache,
-    obs: EngineObs,
+    // The predict counters: a miss adds itself under the model lock,
+    // through the keyed body; a hit without it. Both before
+    // `submit_hashed` returns.
+    counters: EngineCounters,
+    // `core.engine.fallbacks`: positions of served misses the fallback
+    // was asked for.
+    fallbacks: Counter,
     // The model lock: a miss is scored holding it, a reload swaps under
     // it, and `shutdown` takes it once to wait for the miss inside.
     model: Mutex<Models>,
@@ -494,8 +466,10 @@ impl ServeEngine {
     /// clock, no fallback, no reload).
     ///
     /// The cache is taken as `Arc<dyn KernelCache>` so the caller keeps a
-    /// handle on it (to pre-warm or inspect it); metrics go to `registry`
-    /// under a `Predictor` session's `core.engine.*` counter names, plus
+    /// handle on it (to pre-warm or inspect it). Metrics go to `registry`:
+    /// a miss runs the body a `Predictor` runs, so it records the same
+    /// eight `core.engine.*` names; a hit adds to the `kernels` and
+    /// `cache_hits` counters without the timings. On top of those come
     /// `core.engine.fallbacks` and `serve.breaker.*`.
     pub fn start(
         model: Box<dyn CostModel + Send>,
@@ -535,13 +509,8 @@ impl ServeEngine {
                 inner: cache,
                 epoch: AtomicU64::new(0),
             },
-            obs: EngineObs {
-                kernels: registry.counter("core.engine.kernels"),
-                cache_hits: registry.counter("core.engine.cache_hits"),
-                model_evals: registry.counter("core.engine.model_evals"),
-                model_batches: registry.counter("core.engine.model_batches"),
-                fallbacks: registry.counter("core.engine.fallbacks"),
-            },
+            counters: EngineCounters::new(registry),
+            fallbacks: registry.counter("core.engine.fallbacks"),
             closed: AtomicBool::new(false),
             backend: Mutex::new(backend),
             clock: opts.clock,
@@ -629,18 +598,13 @@ impl ServeEngine {
             return Err(ServeError::DeadlineExpired);
         }
         let degraded = self.degraded();
-        self.count_hit();
+        self.counters.record(&PredictStats {
+            kernels: 1,
+            cache_hits: 1,
+            ..PredictStats::default()
+        });
         s.answered.fetch_add(1, Ordering::Relaxed);
         Ok(Prediction { ns, degraded })
-    }
-
-    /// Count one kernel answered from the cache.
-    fn count_hit(&self) {
-        let s = &self.shared;
-        s.kernels.fetch_add(1, Ordering::Relaxed);
-        s.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.obs.kernels.inc();
-        self.obs.cache_hits.inc();
     }
 
     /// Answer a cache miss as a batch of one under the model lock. The
@@ -665,7 +629,7 @@ impl ServeEngine {
         let degraded = self.degraded();
         let within_budget = self
             .budget
-            .is_none_or(|b| s.model_evals.load(Ordering::Relaxed) < b);
+            .is_none_or(|b| self.counters.stats().model_evals < b);
         let result = if within_budget {
             self.score(&models, kernel)
         } else {
@@ -694,39 +658,39 @@ impl ServeEngine {
         result.map(|ns| Prediction { ns, degraded })
     }
 
-    /// Score a missed kernel; `models` is the content of the held model
-    /// lock. The cache is probed again first — another client may have
-    /// scored the kernel while this one waited — and a fresh answer is
-    /// inserted and counted only once the model call has returned, so a
-    /// panic leaves cache and counters as they were.
+    /// Score a missed kernel through the keyed body a `Predictor` runs,
+    /// under its epoch-tagged key; `models` is the content of the held
+    /// model lock. The body probes the cache again — another client may
+    /// have scored the kernel while this one waited — and lends a miss to
+    /// `route`; the positions the fallback answered are counted here, not
+    /// in `route`, which also scores the reload panel. The body inserts
+    /// and counts only once the route has returned, so a panic leaves
+    /// cache and counters as they were.
     fn score(&self, models: &Models, kernel: &HashedKernel) -> Result<Option<f64>, ServeError> {
-        if let Some(ns) = self.cache.lookup(kernel.hash()) {
-            self.count_hit();
-            return Ok(ns);
-        }
+        let key = self.cache.tag(kernel.hash());
         // Panic isolation: a panicking backend fails this request with a
         // typed error and trips the breaker instead of killing the daemon.
-        let (answers, fell_back) =
-            catch_unwind(AssertUnwindSafe(|| self.route(models, &[kernel.kernel()]))).map_err(
-                |_| {
-                    self.shared.backend_panics.fetch_add(1, Ordering::Relaxed);
-                    if let Some(b) = &self.breaker {
-                        b.force_trip();
-                    }
-                    ServeError::BackendPanic
+        let (answers, _) = catch_unwind(AssertUnwindSafe(|| {
+            predict_keyed(
+                &*self.cache.inner,
+                &self.counters,
+                &[kernel.kernel()],
+                &[key],
+                |misses| {
+                    let (answers, fell_back) = self.route(models, misses);
+                    self.fallbacks.add(fell_back);
+                    answers
                 },
-            )?;
-        let ns = answers[0];
-        self.cache.insert(kernel.hash(), ns);
-        let s = &self.shared;
-        s.kernels.fetch_add(1, Ordering::Relaxed);
-        s.model_evals.fetch_add(1, Ordering::Relaxed);
-        s.model_batches.fetch_add(1, Ordering::Relaxed);
-        self.obs.kernels.inc();
-        self.obs.model_evals.inc();
-        self.obs.model_batches.inc();
-        self.obs.fallbacks.add(fell_back);
-        Ok(ns)
+            )
+        }))
+        .map_err(|_| {
+            self.shared.backend_panics.fetch_add(1, Ordering::Relaxed);
+            if let Some(b) = &self.breaker {
+                b.force_trip();
+            }
+            ServeError::BackendPanic
+        })?;
+        Ok(answers[0])
     }
 
     /// One batch through the primary and the fallback: route it through
@@ -912,12 +876,7 @@ impl ServeEngine {
             breaker_trips,
             breaker_open_served,
             breaker_state,
-            predict: PredictStats {
-                kernels: s.kernels.load(Ordering::Relaxed),
-                cache_hits: s.cache_hits.load(Ordering::Relaxed),
-                model_evals: s.model_evals.load(Ordering::Relaxed),
-                model_batches: s.model_batches.load(Ordering::Relaxed),
-            },
+            predict: self.counters.stats(),
             cache_entries: self.cache.inner.len(),
             cache_evictions: self.cache.inner.eviction_count(),
         }

@@ -5,13 +5,16 @@
 //! positions; while the breaker is open the primary is not asked at all;
 //! a half-open probe re-closes the breaker or re-trips it; misses and the
 //! reload panel are one stream of breaker positions. A reload replaces the
-//! primary only: the fallback, the breaker and its cool-down carry on.
+//! primary only: the fallback, the breaker and its cool-down carry on. A
+//! miss runs a `Predictor`'s body, so it records the same metrics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use tpu_hlo::Kernel;
+use tpu_hlo::{HashedKernel, Kernel};
 use tpu_infer::{freeze_gnn, FrozenModel};
-use tpu_learned_cost::{AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, SimOracle};
+use tpu_learned_cost::{
+    AtomicCache, CostModel, FnCostModel, GnnConfig, GnnModel, Predictor, SimOracle,
+};
 use tpu_obs::Registry;
 use tpu_serve::{
     demo_kernels, probe_panel, BreakerConfig, Fallback, ReloadPolicy, ServeConfig, ServeEngine,
@@ -275,6 +278,52 @@ fn a_rescued_answer_is_cached_like_any_other() {
         Some(1),
         "the cache absorbed the repeat"
     );
+    engine.shutdown();
+}
+
+#[test]
+fn a_miss_records_what_a_predictor_records_over_the_same_kernels() {
+    // Kernel 0 falls back; the sequence is miss, miss, hit, hit, miss.
+    let flaky = FnCostModel::new("flaky", |k: &Kernel| (index(k) != 0).then(|| nodes(k)));
+    let safe = FnCostModel::new("safe", |k: &Kernel| Some(1000.0 + nodes(k)));
+    let registry = Registry::enabled();
+    let engine = engine(flaky, safe, None, &registry);
+    let kernels = demo_kernels(3);
+    let sequence = [0, 1, 0, 1, 2].map(|i| &kernels[i]);
+    for k in sequence {
+        engine.submit(k.clone()).unwrap();
+    }
+    let predictor_registry = Registry::enabled();
+    let predictor = Predictor::new(FnCostModel::new("nodes", |k: &Kernel| Some(nodes(k))))
+        .observed(&predictor_registry);
+    for k in sequence {
+        predictor.predict_hashed(&[&HashedKernel::new(k.clone())]);
+    }
+
+    let snap = registry.snapshot();
+    let stats = engine.stats();
+    assert_eq!(
+        snap.counter("core.engine.cache_evictions"),
+        Some(stats.cache_evictions)
+    );
+    for name in ["predict_ns", "forward_ns", "miss_batch_size"] {
+        let h = snap.histogram(&format!("core.engine.{name}"));
+        assert_eq!(h.map(|h| h.count), Some(3), "{name}: one per miss");
+    }
+    let counters = |registry: &Registry| {
+        let snap = registry.snapshot();
+        ["kernels", "cache_hits", "model_evals", "model_batches"]
+            .map(|name| snap.counter(&format!("core.engine.{name}")))
+    };
+    let p = stats.predict;
+    assert_eq!((p.kernels, p.cache_hits, p.model_evals), (5, 2, 3));
+    assert_eq!(p, predictor.stats());
+    assert_eq!(
+        counters(&registry),
+        [p.kernels, p.cache_hits, p.model_evals, p.model_batches].map(Some)
+    );
+    assert_eq!(counters(&registry), counters(&predictor_registry));
+    assert_eq!(fallbacks(&registry), Some(1));
     engine.shutdown();
 }
 

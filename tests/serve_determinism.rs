@@ -1,7 +1,7 @@
 //! Served results must repeat byte for byte.
 //!
-//! The engine answers a miss through `Predictor::predict_hashed` under its
-//! model lock and a hit without it; nothing about which path a request
+//! The engine answers a miss through the keyed body a `Predictor` runs
+//! (`predict_keyed`), under its model lock, and a hit without it; nothing about which path a request
 //! took may leak into served bytes: the same request stream produces the
 //! same reply stream every time it is served.
 
