@@ -67,7 +67,7 @@ impl Calibration {
     }
 
     /// The coefficient for a kernel kind.
-    pub fn coeff(&self, kind: KernelKind) -> f64 {
+    pub(crate) fn coeff(&self, kind: KernelKind) -> f64 {
         self.coeffs[kind.index()]
     }
 

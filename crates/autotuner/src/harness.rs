@@ -545,7 +545,7 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
 }
 
 /// The starting configuration for a mode.
-pub fn start_config(
+pub(crate) fn start_config(
     program: &Program,
     space: &FusionSpace,
     mode: StartMode,
@@ -1279,7 +1279,10 @@ mod tests {
                 }
 
                 reference.charge_eval_overhead();
-                let expected = reference.try_execute_program(&fused).unwrap().to_bits();
+                let expected = reference
+                    .try_execute_kernels(&fused.kernels)
+                    .unwrap()
+                    .to_bits();
                 assert_eq!(fresh.measure(config).unwrap().to_bits(), expected);
                 assert_eq!(met.measure(config).unwrap().to_bits(), expected);
                 let true_ns = reference.true_program_time(&fused).to_bits();

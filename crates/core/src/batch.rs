@@ -71,7 +71,7 @@ impl Prepared {
     ///
     /// This is the inference-path entry point: featurization is a pure
     /// function of the kernel, so the result is identical whether computed
-    /// here, via [`Prepared::from_sample`], or by [`Prepared::from_kernels`].
+    /// here, via [`Prepared::from_sample`], or by `Prepared::from_kernels`.
     pub fn from_kernel(kernel: &Kernel) -> Prepared {
         let (opcode_ids, features) = kernel_features(kernel);
         Prepared {
@@ -84,7 +84,7 @@ impl Prepared {
     }
 
     /// Featurize a slice of kernels, owned or borrowed, in order.
-    pub fn from_kernels<K: Borrow<Kernel>>(kernels: &[K]) -> Vec<Prepared> {
+    pub(crate) fn from_kernels<K: Borrow<Kernel>>(kernels: &[K]) -> Vec<Prepared> {
         kernels
             .iter()
             .map(|k| Prepared::from_kernel(k.borrow()))
@@ -126,7 +126,7 @@ fn operand_edges(c: &Computation) -> Vec<(usize, usize)> {
 ///
 /// Purely a function of `(p, max_nodes, seed)`, so segment training
 /// repeats bit for bit.
-pub fn bfs_segment(p: &Prepared, max_nodes: usize, seed: u64) -> Prepared {
+pub(crate) fn bfs_segment(p: &Prepared, max_nodes: usize, seed: u64) -> Prepared {
     let n = p.num_nodes();
     if max_nodes == 0 || n <= max_nodes {
         return p.clone();

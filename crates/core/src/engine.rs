@@ -520,7 +520,7 @@ pub fn forward_log_ns<M: KernelModel + ?Sized>(model: &M, prepared: &[&Prepared]
 /// per `chunk` kernels, one recycled tape arena across chunks. Results are
 /// positionally identical to the unchunked call for the GNN (disjoint
 /// segments) and within padding arithmetic for the masked LSTM.
-pub fn forward_log_ns_chunked<M: KernelModel + ?Sized>(
+pub(crate) fn forward_log_ns_chunked<M: KernelModel + ?Sized>(
     model: &M,
     prepared: &[&Prepared],
     chunk: usize,

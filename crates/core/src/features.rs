@@ -36,7 +36,7 @@ fn log1p(x: f64) -> f32 {
 
 /// The tile-size feature sub-vector of a kernel (§4.2). Kernels without a
 /// tile get the zero vector.
-pub fn tile_features(k: &Kernel) -> [f32; TILE_FEATURE_DIM] {
+fn tile_features(k: &Kernel) -> [f32; TILE_FEATURE_DIM] {
     let mut out = [0.0f32; TILE_FEATURE_DIM];
     if let Some(t) = &k.tile {
         for (i, &d) in t.dims().iter().take(MAX_RANK).enumerate() {
@@ -53,7 +53,7 @@ pub fn tile_features(k: &Kernel) -> [f32; TILE_FEATURE_DIM] {
 /// Every feature occupies a fixed region of the vector ("An op's features
 /// occupy a fixed region of the Xᶠᵢ vector", §4.1); all magnitudes are
 /// log-compressed.
-pub fn node_features(k: &Kernel, node: &Node) -> Vec<f32> {
+fn node_features(k: &Kernel, node: &Node) -> Vec<f32> {
     let c = &k.computation;
     let mut f = Vec::with_capacity(FEATURE_DIM);
 

@@ -180,7 +180,7 @@ pub fn prepare(samples: &[Sample]) -> Vec<Prepared> {
 }
 
 /// Batched log-runtime prediction over prepared samples (one packed
-/// forward pass per 64 kernels, via [`crate::forward_log_ns_chunked`]).
+/// forward pass per 64 kernels, via `forward_log_ns_chunked`).
 pub fn predict_log_ns<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
     let refs: Vec<&Prepared> = prepared.iter().collect();
     crate::engine::forward_log_ns_chunked(model, &refs, 64)
@@ -188,7 +188,11 @@ pub fn predict_log_ns<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f
 
 /// Validation metric: fusion → MAPE on ns (lower better); tile → mean
 /// per-group Kendall τ (higher better).
-pub fn validation_metric<M: KernelModel>(model: &M, val: &[Prepared], loss: TaskLoss) -> f64 {
+pub(crate) fn validation_metric<M: KernelModel>(
+    model: &M,
+    val: &[Prepared],
+    loss: TaskLoss,
+) -> f64 {
     if val.is_empty() {
         return f64::NAN;
     }
@@ -938,7 +942,7 @@ pub fn stream_epoch_plan<S: BatchSource + ?Sized>(
 /// loaded, (if oversized) segment-sampled, stepped, and dropped, so peak
 /// RSS is the model plus one batch, independent of corpus size (a retried
 /// epoch reloads its batches). Graphs above
-/// [`StreamConfig::segment_nodes`] train on a [`crate::bfs_segment`]
+/// [`StreamConfig::segment_nodes`] train on a `bfs_segment`
 /// resampled per epoch with a seed mixed from
 /// `(segment_seed, epoch, example id)`, so results are identical whether
 /// `source` is the in-memory slice or a streamed dataset file.

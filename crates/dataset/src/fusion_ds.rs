@@ -86,7 +86,7 @@ impl FusionDataset {
 /// One [`FusionPlanner`] plans every config, and a group met in an earlier
 /// config is not built again: a kernel is a pure function of its group, so
 /// that kernel is already kept or already a duplicate.
-pub fn program_kernels(
+pub(crate) fn program_kernels(
     program: &Program,
     cfg: &FusionDatasetConfig,
     seed: u64,

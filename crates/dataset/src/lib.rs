@@ -37,12 +37,10 @@ mod tile_ds;
 pub use corpus::{
     Corpus, CorpusScale, Entry, Split, FUSION_NODE_LIMIT, HELD_OUT_FAMILIES, RANDOM_TEST_PROGRAMS,
 };
-pub use fusion_ds::{
-    build_fusion_dataset, program_kernels, FusionDataset, FusionDatasetConfig, KernelExample,
-};
+pub use fusion_ds::{build_fusion_dataset, FusionDataset, FusionDatasetConfig, KernelExample};
 pub use stats::{fraction_below_5us, fusion_stats, tile_stats, SplitStats};
 pub use stream::{
-    stream_corpus, whole_graph_example, DatasetReader, DatasetWriter, RecordMeta, StreamError,
-    StreamGenConfig, StreamSummary, MAGIC as STREAM_MAGIC, VERSION as STREAM_VERSION,
+    stream_corpus, whole_graph_example, DatasetReader, DatasetWriter, StreamError, StreamGenConfig,
+    StreamSummary, MAGIC as STREAM_MAGIC, VERSION as STREAM_VERSION,
 };
 pub use tile_ds::{build_tile_dataset, TileDataset, TileDatasetConfig, TileExample};

@@ -6,7 +6,13 @@ use tpu_hlo::{GraphBuilder, NodeId, Program};
 
 /// RNN encoder-decoder with dot-product attention: the paper's
 /// "NMT Model".
-pub fn nmt(name: &str, enc_steps: usize, dec_steps: usize, hidden: usize, vocab: usize) -> Program {
+pub(crate) fn nmt(
+    name: &str,
+    enc_steps: usize,
+    dec_steps: usize,
+    hidden: usize,
+    vocab: usize,
+) -> Program {
     let mut b = GraphBuilder::new("main");
     let src = embed(&mut b, "src", vocab, hidden, enc_steps);
 
@@ -87,7 +93,7 @@ pub fn transformer(name: &str, layers: usize, seq: usize, d_model: usize, heads:
 
 /// BERT-lite: a transformer with a pooled classification head
 /// (train-only family).
-pub fn bert_lite(name: &str, layers: usize, seq: usize, d_model: usize) -> Program {
+pub(crate) fn bert_lite(name: &str, layers: usize, seq: usize, d_model: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let mut h = embed(&mut b, "tok", 2048, d_model, seq);
     let seg = embed(&mut b, "seg", 2, d_model, seq);

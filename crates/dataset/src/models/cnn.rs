@@ -28,7 +28,13 @@ pub fn resnet_v1(name: &str, batch: usize, px: usize, width: usize, blocks: usiz
 }
 
 /// ResNet v2: pre-activation ordering (bn → relu → conv) inside blocks.
-pub fn resnet_v2(name: &str, batch: usize, px: usize, width: usize, blocks: usize) -> Program {
+pub(crate) fn resnet_v2(
+    name: &str,
+    batch: usize,
+    px: usize,
+    width: usize,
+    blocks: usize,
+) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("input", Shape::new(vec![batch, px, px, 3]), DType::F32);
     let mut h = conv_layer(&mut b, "stem", x, width, 3, 1);
@@ -47,7 +53,7 @@ pub fn resnet_v2(name: &str, batch: usize, px: usize, width: usize, blocks: usiz
 }
 
 /// VGG-style plain conv stacks with pooling.
-pub fn vgg(name: &str, batch: usize, px: usize, width: usize, stages: usize) -> Program {
+pub(crate) fn vgg(name: &str, batch: usize, px: usize, width: usize, stages: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("input", Shape::new(vec![batch, px, px, 3]), DType::F32);
     let mut h = x;
@@ -68,7 +74,7 @@ pub fn vgg(name: &str, batch: usize, px: usize, width: usize, stages: usize) -> 
 }
 
 /// LeNet: the classic small convnet.
-pub fn lenet(name: &str, batch: usize) -> Program {
+pub(crate) fn lenet(name: &str, batch: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("input", Shape::new(vec![batch, 28, 28, 1]), DType::F32);
     let c1 = conv_layer(&mut b, "c1", x, 6, 5, 1);
@@ -87,7 +93,13 @@ pub fn lenet(name: &str, batch: usize) -> Program {
 
 /// Inception-style block: parallel 1×1 / 3×3 / 5×5 / pooled branches,
 /// concatenated along channels.
-pub fn inception(name: &str, batch: usize, px: usize, width: usize, blocks: usize) -> Program {
+pub(crate) fn inception(
+    name: &str,
+    batch: usize,
+    px: usize,
+    width: usize,
+    blocks: usize,
+) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("input", Shape::new(vec![batch, px, px, 3]), DType::F32);
     let mut h = conv_layer(&mut b, "stem", x, width, 3, 2);
@@ -110,7 +122,7 @@ pub fn inception(name: &str, batch: usize, px: usize, width: usize, blocks: usiz
 
 /// U-Net-lite: strided down-convs, cheap upsampling via channel reshape,
 /// skip concatenations.
-pub fn unet(name: &str, batch: usize, px: usize, width: usize) -> Program {
+pub(crate) fn unet(name: &str, batch: usize, px: usize, width: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("input", Shape::new(vec![batch, px, px, 4]), DType::F32);
     // Down path.
@@ -135,7 +147,7 @@ pub fn unet(name: &str, batch: usize, px: usize, width: usize) -> Program {
 
 /// SSD-like detector: a conv backbone plus class/box heads at three
 /// feature-map scales, concatenated.
-pub fn ssd(name: &str, batch: usize, px: usize, width: usize) -> Program {
+pub(crate) fn ssd(name: &str, batch: usize, px: usize, width: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("input", Shape::new(vec![batch, px, px, 3]), DType::F32);
     let c1 = conv_layer(&mut b, "bb1", x, width, 3, 2);

@@ -4,7 +4,13 @@ use tpu_hlo::{ConvAttrs, DType, GraphBuilder, NodeId, Shape};
 
 /// A dense layer `relu?(x·W + b)` with parameter weights, returning the
 /// output node.
-pub fn dense(b: &mut GraphBuilder, name: &str, x: NodeId, out_dim: usize, relu: bool) -> NodeId {
+pub(crate) fn dense(
+    b: &mut GraphBuilder,
+    name: &str,
+    x: NodeId,
+    out_dim: usize,
+    relu: bool,
+) -> NodeId {
     let in_dim = *b.shape(x).dims().last().expect("dense needs rank>=1");
     let rows = b.shape(x).dims()[0];
     let _ = rows;
@@ -26,7 +32,7 @@ pub fn dense(b: &mut GraphBuilder, name: &str, x: NodeId, out_dim: usize, relu: 
 }
 
 /// `sigmoid(x·W + U·h + bias)`-style gate used by the recurrent families.
-pub fn gate(
+pub(crate) fn gate(
     b: &mut GraphBuilder,
     name: &str,
     x: NodeId,
@@ -45,7 +51,7 @@ pub fn gate(
 }
 
 /// A convolution layer with parameter filter: `conv(x, W)` for NHWC `x`.
-pub fn conv_layer(
+pub(crate) fn conv_layer(
     b: &mut GraphBuilder,
     name: &str,
     x: NodeId,
@@ -68,7 +74,7 @@ pub fn conv_layer(
 }
 
 /// Batch-norm + ReLU, as fused inference-time ops.
-pub fn bn_relu(b: &mut GraphBuilder, name: &str, x: NodeId) -> NodeId {
+pub(crate) fn bn_relu(b: &mut GraphBuilder, name: &str, x: NodeId) -> NodeId {
     let ch = b.shape(x).dim(3);
     let scale = b.parameter(&format!("{name}_scale"), Shape::vector(ch), DType::F32);
     let offset = b.parameter(&format!("{name}_offset"), Shape::vector(ch), DType::F32);
@@ -77,13 +83,13 @@ pub fn bn_relu(b: &mut GraphBuilder, name: &str, x: NodeId) -> NodeId {
 }
 
 /// 2×2 max-pool (stride 2) on NHWC.
-pub fn max_pool(b: &mut GraphBuilder, x: NodeId) -> NodeId {
+pub(crate) fn max_pool(b: &mut GraphBuilder, x: NodeId) -> NodeId {
     let init = b.scalar_constant();
     b.reduce_window(x, init, (2, 2, 2, 2))
 }
 
 /// Flatten NHWC to `[N, H·W·C]`.
-pub fn flatten(b: &mut GraphBuilder, x: NodeId) -> NodeId {
+pub(crate) fn flatten(b: &mut GraphBuilder, x: NodeId) -> NodeId {
     let s = b.shape(x).clone();
     let n = s.dim(0);
     let rest: usize = s.dims()[1..].iter().product();
@@ -91,7 +97,13 @@ pub fn flatten(b: &mut GraphBuilder, x: NodeId) -> NodeId {
 }
 
 /// Embedding lookup: gathers `seq_len` rows of a `[vocab × dim]` table.
-pub fn embed(b: &mut GraphBuilder, name: &str, vocab: usize, dim: usize, seq_len: usize) -> NodeId {
+pub(crate) fn embed(
+    b: &mut GraphBuilder,
+    name: &str,
+    vocab: usize,
+    dim: usize,
+    seq_len: usize,
+) -> NodeId {
     let table = b.parameter(
         &format!("{name}_table"),
         Shape::matrix(vocab, dim),

@@ -9,7 +9,7 @@ use tpu_hlo::{DType, GraphBuilder, Program, Shape};
 
 /// `towers` parallel residual conv towers over a shared image input, each
 /// `depth` blocks deep, merged by concatenation into a joint MLP head.
-pub fn multi_tower(
+pub(crate) fn multi_tower(
     name: &str,
     batch: usize,
     px: usize,
@@ -42,7 +42,7 @@ pub fn multi_tower(
 
 /// A deep stack of gated residual dense stages — a single graph whose node
 /// count scales with `stages`, standing in for pipelines of fused models.
-pub fn stacked_pipeline(name: &str, batch: usize, dim: usize, stages: usize) -> Program {
+pub(crate) fn stacked_pipeline(name: &str, batch: usize, dim: usize, stages: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("x", Shape::matrix(batch, dim), DType::F32);
     let mut h = x;
@@ -62,7 +62,7 @@ pub fn stacked_pipeline(name: &str, batch: usize, dim: usize, stages: usize) -> 
 /// A hybrid program: a conv tower and a dense tower over separate inputs,
 /// fused at a joint head — the "multiple models in one graph" shape that
 /// motivates segment training.
-pub fn conv_dense_hybrid(
+pub(crate) fn conv_dense_hybrid(
     name: &str,
     batch: usize,
     px: usize,

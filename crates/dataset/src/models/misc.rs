@@ -17,7 +17,7 @@ pub fn mlp(name: &str, batch: usize, widths: &[usize]) -> Program {
 }
 
 /// Autoencoder with a reconstruction-error head.
-pub fn autoencoder(name: &str, batch: usize, dim: usize, code: usize) -> Program {
+pub(crate) fn autoencoder(name: &str, batch: usize, dim: usize, code: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("x", Shape::matrix(batch, dim), DType::F32);
     let e1 = dense(&mut b, "e1", x, dim / 2, true);
@@ -32,7 +32,13 @@ pub fn autoencoder(name: &str, batch: usize, dim: usize, code: usize) -> Program
 
 /// ConvDRAW-like recurrent variational sketcher: conv encoder, a recurrent
 /// latent loop with sampling, conv-ish decoder, KL terms.
-pub fn convdraw(name: &str, batch: usize, px: usize, steps: usize, hidden: usize) -> Program {
+pub(crate) fn convdraw(
+    name: &str,
+    batch: usize,
+    px: usize,
+    steps: usize,
+    hidden: usize,
+) -> Program {
     let mut b = GraphBuilder::new("main");
     let x = b.parameter("img", Shape::new(vec![batch, px, px, 1]), DType::F32);
     let c1 = conv_layer(&mut b, "enc1", x, 16, 3, 2);
@@ -72,7 +78,7 @@ pub fn convdraw(name: &str, batch: usize, px: usize, steps: usize, hidden: usize
 
 /// Character-to-features model: character embedding + 1-D convolutions +
 /// max-over-time pooling (the paper's "Char2Feats").
-pub fn char2feats(name: &str, chars: usize, dim: usize) -> Program {
+pub(crate) fn char2feats(name: &str, chars: usize, dim: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let e = embed(&mut b, "chars", 96, dim, chars);
     // Treat as a 1×1×chars×dim NHWC image and convolve over "width".
@@ -109,7 +115,12 @@ pub fn char2feats(name: &str, chars: usize, dim: usize) -> Program {
 
 /// Deep-and-wide recommender: a wide linear path over sparse features plus
 /// a deep MLP path, summed.
-pub fn deep_and_wide(name: &str, batch: usize, wide_dim: usize, deep_dims: &[usize]) -> Program {
+pub(crate) fn deep_and_wide(
+    name: &str,
+    batch: usize,
+    wide_dim: usize,
+    deep_dims: &[usize],
+) -> Program {
     let mut b = GraphBuilder::new("main");
     let wide = b.parameter("wide", Shape::matrix(batch, wide_dim), DType::F32);
     let wide_out = dense(&mut b, "wide_lr", wide, 1, false);
@@ -125,7 +136,7 @@ pub fn deep_and_wide(name: &str, batch: usize, wide_dim: usize, deep_dims: &[usi
 
 /// Neural collaborative filtering: user/item embeddings → elementwise
 /// product and MLP tower.
-pub fn ncf(name: &str, batch: usize, dim: usize) -> Program {
+pub(crate) fn ncf(name: &str, batch: usize, dim: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let users = embed(&mut b, "user", 10_000, dim, batch);
     let items = embed(&mut b, "item", 50_000, dim, batch);
@@ -141,7 +152,7 @@ pub fn ncf(name: &str, batch: usize, dim: usize) -> Program {
 
 /// Two ResNet towers evaluated in parallel and merged — the paper's
 /// "ResNet-parallel" autotuning target.
-pub fn resnet_parallel(
+pub(crate) fn resnet_parallel(
     name: &str,
     batch: usize,
     px: usize,

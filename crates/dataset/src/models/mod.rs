@@ -9,8 +9,12 @@ mod fused;
 mod misc;
 mod rnn;
 
-pub use attention::{bert_lite, nmt, transformer};
-pub use cnn::{inception, lenet, resnet_v1, resnet_v2, ssd, unet, vgg};
-pub use fused::{conv_dense_hybrid, multi_tower, stacked_pipeline};
-pub use misc::{autoencoder, char2feats, convdraw, deep_and_wide, mlp, ncf, resnet_parallel};
-pub use rnn::{gru_lm, lstm_lm, rnn_lm, wavernn};
+pub use attention::transformer;
+pub use cnn::resnet_v1;
+pub use misc::mlp;
+
+pub(crate) use attention::{bert_lite, nmt};
+pub(crate) use cnn::{inception, lenet, resnet_v2, ssd, unet, vgg};
+pub(crate) use fused::{conv_dense_hybrid, multi_tower, stacked_pipeline};
+pub(crate) use misc::{autoencoder, char2feats, convdraw, deep_and_wide, ncf, resnet_parallel};
+pub(crate) use rnn::{gru_lm, lstm_lm, rnn_lm, wavernn};

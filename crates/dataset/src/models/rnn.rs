@@ -5,7 +5,7 @@ use tpu_hlo::{GraphBuilder, NodeId, Program, Shape};
 
 /// Vanilla RNN language model: unrolled `h = tanh(x·W + h·U + b)` steps
 /// over embedded tokens, with a softmax head. Table 2's "RNN".
-pub fn rnn_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program {
+pub(crate) fn rnn_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let tokens = embed(&mut b, "emb", vocab, hidden, steps);
     let x0 = slice_step(&mut b, tokens, 0);
@@ -22,7 +22,7 @@ pub fn rnn_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program 
 
 /// WaveRNN-style audio model: a GRU-like cell with split gates, a dual
 /// softmax head (coarse + fine), unrolled.
-pub fn wavernn(name: &str, steps: usize, hidden: usize) -> Program {
+pub(crate) fn wavernn(name: &str, steps: usize, hidden: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let x0 = b.parameter("samples", Shape::matrix(steps, 3), tpu_hlo::DType::F32);
     let first = slice_step(&mut b, x0, 0);
@@ -58,7 +58,7 @@ pub fn wavernn(name: &str, steps: usize, hidden: usize) -> Program {
 }
 
 /// GRU language model (train-only family).
-pub fn gru_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program {
+pub(crate) fn gru_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let tokens = embed(&mut b, "emb", vocab, hidden, steps);
     let x0 = slice_step(&mut b, tokens, 0);
@@ -83,7 +83,7 @@ pub fn gru_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program 
 }
 
 /// LSTM language model (train-only family).
-pub fn lstm_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program {
+pub(crate) fn lstm_lm(name: &str, steps: usize, hidden: usize, vocab: usize) -> Program {
     let mut b = GraphBuilder::new("main");
     let tokens = embed(&mut b, "emb", vocab, hidden, steps);
     let x0 = slice_step(&mut b, tokens, 0);

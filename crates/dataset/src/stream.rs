@@ -412,11 +412,6 @@ impl DatasetReader {
         self.feature_dim as usize
     }
 
-    /// Per-record metadata (no payload I/O).
-    pub fn metas(&self) -> &[RecordMeta] {
-        &self.metas
-    }
-
     /// Read record `i` back as a [`Prepared`] example, bit-identical to
     /// the example that was appended.
     ///

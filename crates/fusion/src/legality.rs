@@ -18,7 +18,7 @@ use tpu_hlo::{Computation, NodeId, OpCategory, Opcode};
 pub const MAX_FUSIBLE_CONSTANT_ELEMS: u64 = 1024;
 
 /// Whether a producer op may in principle be fused into a consumer.
-pub fn producer_fusible(c: &Computation, p: NodeId) -> bool {
+fn producer_fusible(c: &Computation, p: NodeId) -> bool {
     let node = c.node(p);
     match node.opcode.category() {
         OpCategory::Parameter => false,
@@ -59,7 +59,7 @@ fn heavy_output_fusible(c: &Computation, p: NodeId) -> bool {
 }
 
 /// Whether the consumer side of an edge accepts fusion.
-pub fn consumer_fusible(c: &Computation, q: NodeId) -> bool {
+fn consumer_fusible(c: &Computation, q: NodeId) -> bool {
     let node = c.node(q);
     !matches!(
         node.opcode.category(),
@@ -69,7 +69,7 @@ pub fn consumer_fusible(c: &Computation, q: NodeId) -> bool {
 
 /// All edges `(producer, consumer)` whose fusion is a legal decision, in a
 /// deterministic order. This is the autotuner's search space.
-pub fn fusible_edges(c: &Computation) -> Vec<(NodeId, NodeId)> {
+pub(crate) fn fusible_edges(c: &Computation) -> Vec<(NodeId, NodeId)> {
     let mut edges = Vec::new();
     for node in c.nodes() {
         if !consumer_fusible(c, node.id) {

@@ -4,7 +4,7 @@
 //! stay in scratchpad instead of round-tripping through HBM. This crate
 //! provides:
 //!
-//! - [`fusible_edges`] / [`FusionSpace`] — the per-program search space of
+//! - [`FusionSpace`] — the per-program search space of
 //!   legal fusion decisions (one boolean per fusible edge),
 //! - [`FusionConfig`] — a point in that space,
 //! - [`apply_fusion`] — the pass decomposing a program into [`tpu_hlo::Kernel`]s
@@ -37,7 +37,7 @@ mod pass;
 mod space;
 
 pub use heuristic::{default_config, default_space_and_config, fused_fraction};
-pub use legality::{consumer_fusible, fusible_edges, producer_fusible, MAX_FUSIBLE_CONSTANT_ELEMS};
+pub use legality::MAX_FUSIBLE_CONSTANT_ELEMS;
 pub use pass::{
     apply_fusion, fusion_groups, materialize, unfused, FusionGroup, FusionPlanner, Planned,
 };

@@ -212,19 +212,19 @@ impl ConvAttrs {
 
     /// Output spatial size along one axis given input size `in_size`,
     /// filter `k`, stride `s`, and padding `(lo, hi)`.
-    pub fn out_size(in_size: usize, k: usize, s: usize, pad: (usize, usize)) -> usize {
+    fn out_size(in_size: usize, k: usize, s: usize, pad: (usize, usize)) -> usize {
         let padded = in_size + pad.0 + pad.1;
         assert!(padded >= k, "filter larger than padded input");
         (padded - k) / s + 1
     }
 
     /// Output spatial height for an input of height `h`.
-    pub fn out_h(&self, h: usize) -> usize {
+    pub(crate) fn out_h(&self, h: usize) -> usize {
         Self::out_size(h, self.filter_h, self.stride_h, self.pad_h)
     }
 
     /// Output spatial width for an input of width `w`.
-    pub fn out_w(&self, w: usize) -> usize {
+    pub(crate) fn out_w(&self, w: usize) -> usize {
         Self::out_size(w, self.filter_w, self.stride_w, self.pad_w)
     }
 }
@@ -255,7 +255,7 @@ impl SliceAttrs {
     }
 
     /// Output dimension sizes implied by the bounds.
-    pub fn out_dims(&self) -> Vec<usize> {
+    pub(crate) fn out_dims(&self) -> Vec<usize> {
         self.starts
             .iter()
             .zip(&self.limits)
@@ -281,7 +281,7 @@ impl PadConfig {
     }
 
     /// Output dimension sizes after applying this padding to `in_dims`.
-    pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
+    pub(crate) fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         assert_eq!(self.dims.len(), in_dims.len());
         self.dims
             .iter()

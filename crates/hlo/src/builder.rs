@@ -122,18 +122,6 @@ impl GraphBuilder {
         self.constant(Shape::scalar(), DType::F32)
     }
 
-    /// Add an `iota` (index-generating) node.
-    pub fn iota(&mut self, shape: Shape, dtype: DType) -> NodeId {
-        self.push(
-            Opcode::Iota,
-            dtype,
-            shape,
-            Vec::new(),
-            NodeAttrs::none(),
-            "",
-        )
-    }
-
     /// Add a random-number generator node.
     pub fn rng(&mut self, shape: Shape, dtype: DType) -> NodeId {
         self.push(Opcode::Rng, dtype, shape, Vec::new(), NodeAttrs::none(), "")
@@ -184,7 +172,7 @@ impl GraphBuilder {
         self.unary(Opcode::Sqrt, x)
     }
     /// `1/√x`.
-    pub fn rsqrt(&mut self, x: NodeId) -> NodeId {
+    pub(crate) fn rsqrt(&mut self, x: NodeId) -> NodeId {
         self.unary(Opcode::Rsqrt, x)
     }
     /// Hyperbolic tangent.
@@ -241,7 +229,7 @@ impl GraphBuilder {
         self.binary(Opcode::Multiply, a, b)
     }
     /// `a / b`.
-    pub fn divide(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn divide(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.binary(Opcode::Divide, a, b)
     }
     /// `max(a, b)`.

@@ -13,7 +13,6 @@ use std::fmt;
 /// ```
 /// use tpu_hlo::DType;
 /// assert_eq!(DType::F32.size_bytes(), 4);
-/// assert!(DType::BF16.is_floating());
 /// ```
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
@@ -40,11 +39,6 @@ impl DType {
             DType::BF16 => 2,
             DType::U8 | DType::Pred => 1,
         }
-    }
-
-    /// Whether the type is a floating-point type.
-    pub fn is_floating(self) -> bool {
-        matches!(self, DType::F32 | DType::BF16)
     }
 
     /// All element types, in a stable order (used to index feature one-hots).
@@ -100,14 +94,6 @@ mod tests {
         assert_eq!(DType::S32.size_bytes(), 4);
         assert_eq!(DType::U8.size_bytes(), 1);
         assert_eq!(DType::Pred.size_bytes(), 1);
-    }
-
-    #[test]
-    fn floating() {
-        assert!(DType::F32.is_floating());
-        assert!(DType::BF16.is_floating());
-        assert!(!DType::S32.is_floating());
-        assert!(!DType::Pred.is_floating());
     }
 
     #[test]

@@ -194,7 +194,7 @@ macro_rules! opcode_table {
             }
 
             /// Lowercase mnemonic used by the text format.
-            pub fn mnemonic(self) -> &'static str {
+            pub(crate) fn mnemonic(self) -> &'static str {
                 match self {
                     $(Opcode::$op => $text,)*
                 }

@@ -32,7 +32,7 @@ impl Shape {
     ///
     /// The rank exceeds [`MAX_RANK`], a dimension is zero, or the element
     /// count does not fit `u64`.
-    pub fn try_new(dims: Vec<usize>) -> Result<Shape, String> {
+    pub(crate) fn try_new(dims: Vec<usize>) -> Result<Shape, String> {
         if dims.len() > MAX_RANK {
             return Err(format!("rank {} exceeds MAX_RANK", dims.len()));
         }
@@ -53,7 +53,8 @@ impl Shape {
     ///
     /// # Panics
     ///
-    /// Panics where [`Shape::try_new`] returns an error.
+    /// Panics if the rank exceeds [`MAX_RANK`], a dimension is zero, or the
+    /// element count does not fit `u64`.
     pub fn new(dims: Vec<usize>) -> Shape {
         Shape::try_new(dims).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -105,14 +106,6 @@ impl Shape {
     /// Panics if `dim >= rank()`.
     pub fn dim(&self, dim: usize) -> usize {
         self.dims[dim]
-    }
-
-    /// The size of the minor-most dimension under `layout`, or 1 for scalars.
-    pub fn minor_dim_size(&self, layout: &Layout) -> usize {
-        match layout.minor_to_major().first() {
-            Some(&d) => self.dims[d],
-            None => 1,
-        }
     }
 
     /// Returns a new shape with `dim` replaced by `size`.
@@ -180,7 +173,7 @@ impl Layout {
     ///
     /// `minor_to_major` is longer than [`MAX_RANK`] or is not a
     /// permutation of `0..len`.
-    pub fn try_new(minor_to_major: Vec<usize>) -> Result<Layout, String> {
+    pub(crate) fn try_new(minor_to_major: Vec<usize>) -> Result<Layout, String> {
         if minor_to_major.len() > MAX_RANK {
             return Err(format!(
                 "layout rank {} exceeds MAX_RANK",
@@ -203,7 +196,8 @@ impl Layout {
     ///
     /// # Panics
     ///
-    /// Panics where [`Layout::try_new`] returns an error.
+    /// Panics if `minor_to_major` is longer than [`MAX_RANK`] or is not a
+    /// permutation of `0..len`.
     pub fn new(minor_to_major: Vec<usize>) -> Layout {
         Layout::try_new(minor_to_major).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -349,17 +343,6 @@ mod tests {
         let s = Shape::new(vec![2, 3]);
         let l = Layout::new(vec![0, 1]);
         assert_eq!(l.strides(&s), vec![1, 2]);
-    }
-
-    #[test]
-    fn minor_dim_size() {
-        let s = Shape::new(vec![2, 3]);
-        assert_eq!(s.minor_dim_size(&Layout::default_for_rank(2)), 3);
-        assert_eq!(s.minor_dim_size(&Layout::new(vec![0, 1])), 2);
-        assert_eq!(
-            Shape::scalar().minor_dim_size(&Layout::default_for_rank(0)),
-            1
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   (gather/segment sum/mean/max, row L2-normalization) needed by
 //!   GraphSAGE,
 //! - [`Linear`], [`Embedding`], [`LstmCell`] — layers,
-//! - [`mse_loss`], [`pairwise_rank_loss`] — the paper's two training
+//! - [`mse_loss`], [`grouped_pairwise_rank_loss`] — the paper's two training
 //!   objectives (§4.2),
 //! - [`Adam`], [`clip_grad_norm`] — the optimizer.
 //!
@@ -40,9 +40,7 @@ mod tape;
 mod tensor;
 
 pub use layers::{Activation, Embedding, Linear, LstmCell, LstmState};
-pub use loss::{
-    grouped_pairwise_rank_loss, mse_loss, pairwise_rank_loss, weighted_mse_loss, RankPhi,
-};
+pub use loss::{grouped_pairwise_rank_loss, mse_loss, weighted_mse_loss, RankPhi};
 pub use optim::{clip_grad_norm, Adam, AdamState};
 pub use params::{ParamId, ParamStore};
 pub use tape::{GradBuffer, GradSink, Tape, Var};

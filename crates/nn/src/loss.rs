@@ -44,29 +44,14 @@ pub fn weighted_mse_loss(tape: &mut Tape, pred: Var, target: Var, weights: Arc<T
 }
 
 /// The pairwise rank loss of Eq. 2 over a batch of predictions `pred
-/// [n×1]` with ground-truth runtimes `targets`.
+/// [n×1]` with ground-truth runtimes `targets`, restricted to pairs within
+/// the same group (the per-kernel batching of §4.2: a group holds "samples
+/// of different tile sizes of the same kernel").
 ///
-/// All ordered pairs `(i, j)` with `targets[i] > targets[j]` contribute
-/// `φ(pred_i − pred_j)`; the sum is normalized by `n(n−1)/2`. Samples are
-/// expected to be grouped so that a batch holds "samples of different tile
-/// sizes of the same kernel" — use `pairs_within_groups` to build the pair
-/// lists.
+/// Every ordered pair `(i, j)` of one group with `targets[i] > targets[j]`
+/// contributes `φ(pred_i − pred_j)`; the loss is the mean over those pairs.
 ///
 /// Returns `None` when no ordered pairs exist (e.g. all targets equal).
-pub fn pairwise_rank_loss(
-    tape: &mut Tape,
-    pred: Var,
-    targets: &[f64],
-    phi: RankPhi,
-) -> Option<Var> {
-    let groups = vec![0usize; targets.len()];
-    grouped_pairwise_rank_loss(tape, pred, targets, &groups, phi)
-}
-
-/// [`pairwise_rank_loss`] restricted to pairs within the same group (the
-/// per-kernel batching of §4.2).
-///
-/// Returns `None` when no ordered pairs exist.
 ///
 /// # Panics
 ///
@@ -153,12 +138,12 @@ mod tests {
         for phi in [RankPhi::Hinge, RankPhi::Logistic] {
             let mut tape = Tape::new();
             let good = tape.input(Tensor::from_rows(&[&[5.0], &[0.0]]));
-            let lg = pairwise_rank_loss(&mut tape, good, &targets, phi).unwrap();
+            let lg = grouped_pairwise_rank_loss(&mut tape, good, &targets, &[0, 0], phi).unwrap();
             let good_loss = tape.value(lg).item();
 
             let mut tape = Tape::new();
             let bad = tape.input(Tensor::from_rows(&[&[0.0], &[5.0]]));
-            let lb = pairwise_rank_loss(&mut tape, bad, &targets, phi).unwrap();
+            let lb = grouped_pairwise_rank_loss(&mut tape, bad, &targets, &[0, 0], phi).unwrap();
             let bad_loss = tape.value(lb).item();
             assert!(good_loss < bad_loss, "{phi:?}: {good_loss} vs {bad_loss}");
         }
@@ -168,7 +153,10 @@ mod tests {
     fn rank_loss_none_when_all_tied() {
         let mut tape = Tape::new();
         let p = tape.input(Tensor::from_rows(&[&[0.1], &[0.4]]));
-        assert!(pairwise_rank_loss(&mut tape, p, &[2.0, 2.0], RankPhi::Hinge).is_none());
+        assert!(
+            grouped_pairwise_rank_loss(&mut tape, p, &[2.0, 2.0], &[0, 0], RankPhi::Hinge)
+                .is_none()
+        );
     }
 
     #[test]
@@ -182,11 +170,12 @@ mod tests {
         let l =
             grouped_pairwise_rank_loss(&mut tape, p, &targets, &groups, RankPhi::Logistic).unwrap();
         let grouped = tape.value(l).item();
-        // Same predictions scored without groups: cross-group inversions
+        // Same predictions scored as one group: cross-group inversions
         // (e.g. target 1000 predicted 2.0 < target 10 predicted 9.0) hurt.
         let mut tape2 = Tape::new();
         let p2 = tape2.input(Tensor::from_rows(&[&[9.0], &[5.0], &[2.0], &[-2.0]]));
-        let l2 = pairwise_rank_loss(&mut tape2, p2, &targets, RankPhi::Logistic).unwrap();
+        let l2 = grouped_pairwise_rank_loss(&mut tape2, p2, &targets, &[0; 4], RankPhi::Logistic)
+            .unwrap();
         let ungrouped = tape2.value(l2).item();
         assert!(grouped < ungrouped);
     }
@@ -213,7 +202,9 @@ mod tests {
                 let wcol = tape.gather_rows(w, Arc::new(vec![0, 0]));
                 tape.mul_const(wcol, Arc::new(Tensor::from_rows(&[&[1.0], &[0.0]])))
             };
-            let loss = pairwise_rank_loss(&mut tape, pred, &targets, RankPhi::Logistic).unwrap();
+            let loss =
+                grouped_pairwise_rank_loss(&mut tape, pred, &targets, &[0, 0], RankPhi::Logistic)
+                    .unwrap();
             last = tape.value(loss).item();
             store.zero_grads();
             tape.backward(loss, &mut store);

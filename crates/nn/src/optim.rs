@@ -4,15 +4,13 @@ use crate::params::ParamStore;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Adam (Kingma & Ba) with bias correction and optional decoupled weight
-/// decay.
+/// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -26,17 +24,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Builder-style: set decoupled weight decay (AdamW).
-    pub fn with_weight_decay(mut self, wd: f32) -> Adam {
-        self.weight_decay = wd;
-        self
     }
 
     /// Current learning rate.
@@ -53,7 +44,6 @@ impl Adam {
             beta1: self.beta1,
             beta2: self.beta2,
             eps: self.eps,
-            weight_decay: self.weight_decay,
             t: self.t,
             m: self.m.clone(),
             v: self.v.clone(),
@@ -67,7 +57,6 @@ impl Adam {
             beta1: state.beta1,
             beta2: state.beta2,
             eps: state.eps,
-            weight_decay: state.weight_decay,
             t: state.t,
             m: state.m,
             v: state.v,
@@ -86,8 +75,6 @@ pub struct AdamState {
     pub beta2: f32,
     /// Denominator epsilon.
     pub eps: f32,
-    /// Decoupled weight decay (AdamW).
-    pub weight_decay: f32,
     /// Completed optimization steps (drives bias correction).
     pub t: u64,
     /// Per-parameter first-moment accumulators.
@@ -117,8 +104,7 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (beta1, beta2, lr, eps, wd) =
-            (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
         let moments = self.m.iter_mut().zip(&mut self.v);
         for ((x, g), (m, v)) in store.values_and_grads_mut().zip(moments) {
             assert_eq!(m.len(), x.len(), "Adam state shape");
@@ -128,7 +114,7 @@ impl Adam {
                 *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
                 let mhat = *mi / bc1;
                 let vhat = *vi / bc2;
-                *xi -= lr * (mhat / (vhat.sqrt() + eps) + wd * *xi);
+                *xi -= lr * (mhat / (vhat.sqrt() + eps));
             }
         }
     }
@@ -184,14 +170,14 @@ mod tests {
                 *mi = opt.beta1 * *mi + (1.0 - opt.beta1) * gi;
                 *vi = opt.beta2 * *vi + (1.0 - opt.beta2) * gi * gi;
             }
-            let (lr, eps, wd) = (opt.lr, opt.eps, opt.weight_decay);
+            let (lr, eps) = (opt.lr, opt.eps);
             let mdata = m.data().to_vec();
             let vdata = v.data().to_vec();
             let val = store.value_mut(id);
             for ((x, mi), vi) in val.data_mut().iter_mut().zip(mdata).zip(vdata) {
                 let mhat = mi / bc1;
                 let vhat = vi / bc2;
-                *x -= lr * (mhat / (vhat.sqrt() + eps) + wd * *x);
+                *x -= lr * (mhat / (vhat.sqrt() + eps));
             }
         }
     }
@@ -215,7 +201,7 @@ mod tests {
             fused_store.register(format!("p{i}"), Tensor::uniform(r, c, 1.0, &mut rng));
         }
         let mut oracle_store = fused_store.clone();
-        let mut fused = Adam::new(3e-2).with_weight_decay(1e-2);
+        let mut fused = Adam::new(3e-2);
         let mut oracle = fused.clone();
         for step in 0..20 {
             fused_store.zero_grads();
@@ -255,22 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_params() {
-        let mut store = ParamStore::new();
-        let id = store.register("p", Tensor::scalar(1.0));
-        let mut opt = Adam::new(0.0).with_weight_decay(0.5);
-        // Zero gradient; only decay acts.
-        opt.step(&mut store);
-        let _ = id;
-        // lr is 0 so decay (lr*wd*x) is 0 too — use nonzero lr.
-        let mut store = ParamStore::new();
-        let id = store.register("p", Tensor::scalar(1.0));
-        let mut opt = Adam::new(0.1).with_weight_decay(0.5);
-        opt.step(&mut store);
-        assert!(store.value(id).item() < 1.0);
-    }
-
-    #[test]
     fn clip_grad_norm_caps() {
         let mut store = ParamStore::new();
         let id = store.register("p", Tensor::zeros(1, 4));
@@ -288,7 +258,7 @@ mod tests {
     fn adam_state_round_trip_continues_bit_identically() {
         let mut store_a = ParamStore::new();
         store_a.register("p", Tensor::scalar(-5.0));
-        let mut opt_a = Adam::new(0.3).with_weight_decay(0.01);
+        let mut opt_a = Adam::new(0.3);
         for _ in 0..10 {
             quadratic_step(&mut store_a, &mut opt_a);
         }

@@ -85,7 +85,7 @@ impl ParamStore {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
+    pub(crate) fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.grads[id.0]
     }
 
@@ -125,12 +125,12 @@ impl ParamStore {
     }
 
     /// Global L2 norm of all gradients.
-    pub fn grad_norm(&self) -> f32 {
+    pub(crate) fn grad_norm(&self) -> f32 {
         self.grads.iter().map(Tensor::sq_norm).sum::<f32>().sqrt()
     }
 
     /// Scale all gradients in place (used for clipping).
-    pub fn scale_grads(&mut self, s: f32) {
+    pub(crate) fn scale_grads(&mut self, s: f32) {
         for g in &mut self.grads {
             for x in g.data_mut() {
                 *x *= s;

@@ -21,9 +21,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
-// Some op payloads (e.g. the scalar of `AddScalar`, segment counts) are
-// needed only at forward time but kept for debuggability of recorded tapes.
-#[allow(dead_code)]
 #[derive(Debug, Clone)]
 enum Op {
     Input,
@@ -34,7 +31,7 @@ enum Op {
     Mul(Var, Var),
     AddRow(Var, Var),
     Scale(Var, f32),
-    AddScalar(Var, f32),
+    AddScalar(Var),
     Relu(Var),
     Tanh(Var),
     Sigmoid(Var),
@@ -46,10 +43,10 @@ enum Op {
     ConcatCols(Vec<Var>),
     SliceCols(Var, usize, usize),
     GatherRows(Var, Arc<Vec<usize>>),
-    SegmentSum(Var, Arc<Vec<usize>>, usize),
+    SegmentSum(Var, Arc<Vec<usize>>),
     SegmentMean(Var, Arc<Vec<usize>>, usize),
     /// Per-(segment, column) argmax row recorded at forward time.
-    SegmentMax(Var, Arc<Vec<usize>>, usize, Arc<Vec<i64>>),
+    SegmentMax(Var, usize, Arc<Vec<i64>>),
     L2NormRows(Var),
     SumAll(Var),
     MeanAll(Var),
@@ -330,7 +327,7 @@ impl Tape {
     /// # Panics
     ///
     /// Panics if `b` is not `1×d` with matching `d`.
-    pub fn add_row(&mut self, a: Var, b: Var) -> Var {
+    pub(crate) fn add_row(&mut self, a: Var, b: Var) -> Var {
         let (ar, ac) = self.value(a).shape();
         let (br, bc) = self.value(b).shape();
         assert_eq!(br, 1, "add_row rhs must have one row");
@@ -352,7 +349,7 @@ impl Tape {
 
     /// Scalar offset `a + s`.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        self.unary(a, Op::AddScalar(a, s), |x| x + s)
+        self.unary(a, Op::AddScalar(a), |x| x + s)
     }
 
     /// Rectified linear unit.
@@ -428,7 +425,7 @@ impl Tape {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
+    pub(crate) fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
         let (rows, cols) = self.value(a).shape();
         assert!(start < end && end <= cols, "bad column range");
         let mut out = self.pool.take_zeroed(rows, end - start);
@@ -471,7 +468,7 @@ impl Tape {
                 *o += v;
             }
         }
-        self.push(Op::SegmentSum(a, seg, n_segments), out)
+        self.push(Op::SegmentSum(a, seg), out)
     }
 
     /// Mean rows of `a` per segment (empty segments give zero rows).
@@ -529,7 +526,7 @@ impl Tape {
                 *o = 0.0;
             }
         }
-        self.push(Op::SegmentMax(a, seg, n_segments, Arc::new(argmax)), out)
+        self.push(Op::SegmentMax(a, n_segments, Arc::new(argmax)), out)
     }
 
     /// L2-normalize each row (`x / max(‖x‖₂, ε)`), Eq. 1's `l2`.
@@ -566,7 +563,7 @@ impl Tape {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn mul_const(&mut self, a: Var, c: Arc<Tensor>) -> Var {
+    pub(crate) fn mul_const(&mut self, a: Var, c: Arc<Tensor>) -> Var {
         let (rows, cols) = self.value(a).shape();
         assert_eq!((rows, cols), c.shape(), "shape mismatch");
         let mut out = self.pool.take_zeroed(rows, cols);
@@ -679,7 +676,7 @@ impl Tape {
                     }
                     accumulate_owned(&mut grads, pool, *a, g);
                 }
-                Op::AddScalar(a, _) => accumulate_owned(&mut grads, pool, *a, g),
+                Op::AddScalar(a) => accumulate_owned(&mut grads, pool, *a, g),
                 Op::Relu(a) => {
                     for (gv, &x) in g.data_mut().iter_mut().zip(nodes[a.0].value.data()) {
                         if x <= 0.0 {
@@ -763,7 +760,7 @@ impl Tape {
                     accumulate_owned(&mut grads, pool, *a, da);
                     pool.put(g);
                 }
-                Op::SegmentSum(a, seg, _) => {
+                Op::SegmentSum(a, seg) => {
                     let (tr, tc) = nodes[a.0].value.shape();
                     let mut da = pool.take_zeroed(tr, tc);
                     for (r, &s) in seg.iter().enumerate() {
@@ -788,7 +785,7 @@ impl Tape {
                     accumulate_owned(&mut grads, pool, *a, da);
                     pool.put(g);
                 }
-                Op::SegmentMax(a, _, n, argmax) => {
+                Op::SegmentMax(a, n, argmax) => {
                     let (tr, tc) = nodes[a.0].value.shape();
                     let mut da = pool.take_zeroed(tr, tc);
                     let da_data = da.data_mut();

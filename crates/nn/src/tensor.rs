@@ -114,7 +114,7 @@ impl Tensor {
     }
 
     /// Xavier/Glorot-uniform initialization for a `rows×cols` weight.
-    pub fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Tensor {
+    pub(crate) fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Tensor {
         let limit = (6.0 / (rows + cols) as f32).sqrt();
         let data = (0..rows * cols)
             .map(|_| rng.gen_range(-limit..limit))
@@ -166,7 +166,7 @@ impl Tensor {
     }
 
     /// Consume the tensor, returning its flat row-major buffer.
-    pub fn into_data(self) -> Vec<f32> {
+    pub(crate) fn into_data(self) -> Vec<f32> {
         self.data
     }
 
@@ -240,7 +240,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if inner dimensions disagree or `out` has the wrong shape.
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.rows,
             "matmul {}x{} · {}x{}",
@@ -274,7 +274,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on dimension mismatch or wrong `out` shape.
-    pub fn matmul_at_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_at_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_at {}x{} ᵀ· {}x{}",
@@ -423,7 +423,7 @@ impl Tensor {
     }
 
     /// Fill with zeros in place.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 }

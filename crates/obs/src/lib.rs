@@ -59,7 +59,7 @@ mod registry;
 mod report;
 
 pub use registry::{
-    bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, Registry, ScopedTimer, Series,
-    Snapshot, HISTOGRAM_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, ScopedTimer, Series, Snapshot,
+    HISTOGRAM_BUCKETS,
 };
 pub use report::{RunReport, SCHEMA};

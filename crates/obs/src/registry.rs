@@ -34,7 +34,7 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// The fixed bucket index for a value: `0` for `0`, else
 /// `1 + floor(log2(v))`, clamped to the last bucket.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -334,7 +334,7 @@ impl Gauge {
 
 opaque_debug!(Gauge, cell);
 
-/// A fixed-bucket histogram handle (log₂ buckets; see [`bucket_index`]).
+/// A fixed-bucket histogram handle (log₂ buckets; see [`HISTOGRAM_BUCKETS`]).
 #[derive(Clone, Default)]
 pub struct Histogram {
     core: Option<Arc<HistogramCore>>,
@@ -451,8 +451,8 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest observation (0 when empty).
     pub max: u64,
-    /// Non-empty buckets as `(bucket_index, count)` pairs, ascending;
-    /// see [`bucket_index`] for the value range of an index.
+    /// Non-empty buckets as `(index, count)` pairs, ascending; see
+    /// [`HISTOGRAM_BUCKETS`] for the value range of an index.
     pub buckets: Vec<(usize, u64)>,
 }
 

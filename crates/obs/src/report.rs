@@ -30,7 +30,7 @@ pub const SCHEMA: &str = "tpu-obs.run-report.v1";
 /// }
 /// ```
 ///
-/// Histogram bucket indices follow [`bucket_index`](crate::bucket_index):
+/// Histogram bucket indices follow [`HISTOGRAM_BUCKETS`](crate::HISTOGRAM_BUCKETS):
 /// index 0 is the value 0, index `b >= 1` covers `[2^(b-1), 2^b)`.
 /// Non-finite floats render as `null` to keep the document valid JSON.
 #[derive(Debug, Clone)]

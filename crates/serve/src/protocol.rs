@@ -220,7 +220,7 @@ impl WireError {
 }
 
 /// Wire name of a [`KernelKind`].
-pub fn kind_name(kind: KernelKind) -> &'static str {
+fn kind_name(kind: KernelKind) -> &'static str {
     match kind {
         KernelKind::Single => "single",
         KernelKind::LoopFusion => "loop_fusion",
@@ -585,7 +585,7 @@ pub fn predict_reply(id: u64, ns: Option<f64>, degraded: bool) -> String {
 }
 
 /// Reload acknowledgement: the new model epoch now serving.
-pub fn reload_reply(id: u64, epoch: u64) -> String {
+pub(crate) fn reload_reply(id: u64, epoch: u64) -> String {
     render(&obj(vec![
         ("id", Value::UInt(id)),
         ("ok", Value::Bool(true)),
@@ -596,7 +596,7 @@ pub fn reload_reply(id: u64, epoch: u64) -> String {
 
 /// Reload rejection with its typed reason (`disabled`/`io`/`parse`/
 /// `non_finite`/`tau`/`shutdown`).
-pub fn reload_rejected_reply(id: u64, reason: &str, message: &str) -> String {
+pub(crate) fn reload_rejected_reply(id: u64, reason: &str, message: &str) -> String {
     render(&obj(vec![
         ("id", Value::UInt(id)),
         ("ok", Value::Bool(false)),
@@ -612,7 +612,7 @@ pub fn reload_rejected_reply(id: u64, reason: &str, message: &str) -> String {
 }
 
 /// Ping reply.
-pub fn ping_reply(id: u64) -> String {
+pub(crate) fn ping_reply(id: u64) -> String {
     render(&obj(vec![
         ("id", Value::UInt(id)),
         ("ok", Value::Bool(true)),
@@ -621,7 +621,7 @@ pub fn ping_reply(id: u64) -> String {
 }
 
 /// Shutdown acknowledgement.
-pub fn shutdown_reply(id: u64) -> String {
+pub(crate) fn shutdown_reply(id: u64) -> String {
     render(&obj(vec![
         ("id", Value::UInt(id)),
         ("ok", Value::Bool(true)),
@@ -632,7 +632,7 @@ pub fn shutdown_reply(id: u64) -> String {
 /// Stats reply over a [`ServeStats`](crate::ServeStats) snapshot.
 /// `backend` names the serving cost model (engine `backend()`), so
 /// drive artifacts and chaos reports record which model answered.
-pub fn stats_reply(id: u64, stats: &crate::ServeStats, backend: &str) -> String {
+pub(crate) fn stats_reply(id: u64, stats: &crate::ServeStats, backend: &str) -> String {
     let body = obj(vec![
         ("backend", Value::Str(backend.to_string())),
         ("submitted", Value::UInt(stats.submitted)),
@@ -670,7 +670,7 @@ pub fn stats_reply(id: u64, stats: &crate::ServeStats, backend: &str) -> String 
 }
 
 /// Error reply; `id` is `null` when it could not be recovered.
-pub fn error_reply(id: Option<u64>, code: &str, message: &str) -> String {
+pub(crate) fn error_reply(id: Option<u64>, code: &str, message: &str) -> String {
     let id = match id {
         Some(id) => Value::UInt(id),
         None => Value::Null,

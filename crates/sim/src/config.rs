@@ -113,11 +113,6 @@ impl TpuConfig {
     pub fn hbm_bytes_per_ns(&self) -> f64 {
         self.hbm_gibps * (1024.0 * 1024.0 * 1024.0) / 1e9
     }
-
-    /// Convert cycles to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: f64) -> f64 {
-        cycles / self.clock_ghz
-    }
 }
 
 #[cfg(test)]
@@ -140,11 +135,5 @@ mod tests {
         assert!(v3.peak_matmul_flops() > v2.peak_matmul_flops());
         assert!(v3.hbm_bytes_per_ns() > v2.hbm_bytes_per_ns());
         assert!(v3.vmem_bytes > v2.vmem_bytes);
-    }
-
-    #[test]
-    fn cycle_conversion() {
-        let c = TpuConfig::default();
-        assert!((c.cycles_to_ns(700.0) - 1000.0).abs() < 1e-9);
     }
 }

@@ -72,7 +72,7 @@ pub fn conv_as_dot(c: &Computation, node: &Node) -> DotProblem {
 /// pass streams `K` values plus a pipeline fill. Partial blocks waste the
 /// unused rows/columns — the padding nonlinearity the learned model has to
 /// discover.
-pub fn mxu_cycles(p: DotProblem, cfg: &TpuConfig) -> f64 {
+pub(crate) fn mxu_cycles(p: DotProblem, cfg: &TpuConfig) -> f64 {
     let d = cfg.mxu_dim as u64;
     let blocks_m = p.m.div_ceil(d);
     let blocks_n = p.n.div_ceil(d);
@@ -80,7 +80,7 @@ pub fn mxu_cycles(p: DotProblem, cfg: &TpuConfig) -> f64 {
 }
 
 /// Cycles for `elems` elementwise lanes of per-element cost `unit_cost`.
-pub fn vpu_cycles(elems: u64, unit_cost: f64, cfg: &TpuConfig) -> f64 {
+pub(crate) fn vpu_cycles(elems: u64, unit_cost: f64, cfg: &TpuConfig) -> f64 {
     (elems as f64 / cfg.vpu_width()).ceil() * unit_cost
 }
 
@@ -89,7 +89,7 @@ pub fn vpu_cycles(elems: u64, unit_cost: f64, cfg: &TpuConfig) -> f64 {
 /// Data-movement ops that a fused loop absorbs into its indexing (reshape,
 /// broadcast, slice, pad) are free; cross-lane shuffles (transpose,
 /// reverse) and irregular access (gather/scatter) are not.
-pub fn node_compute_cycles(c: &Computation, node: &Node, cfg: &TpuConfig) -> f64 {
+pub(crate) fn node_compute_cycles(c: &Computation, node: &Node, cfg: &TpuConfig) -> f64 {
     let elems = node.elem_count();
     match node.opcode.category() {
         OpCategory::Parameter | OpCategory::Leaf => match node.opcode {

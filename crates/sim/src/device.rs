@@ -255,22 +255,6 @@ impl TpuDevice {
         }
     }
 
-    /// Execute a kernel once, returning a noisy runtime in ns. Device time
-    /// is charged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured [`FaultPlan`] injects a failure — the
-    /// infallible API is for fault-free devices; use
-    /// [`TpuDevice::try_execute_kernel`] under a fault plan. Under
-    /// [`FaultPlan::none`] (the default) this never panics and is
-    /// bit-identical to the pre-fault-injection device.
-    pub fn execute_kernel(&self, k: &Kernel) -> f64 {
-        self.try_execute_kernel(k).unwrap_or_else(|e| {
-            panic!("infallible device API hit an injected fault ({e}); use try_execute_kernel")
-        })
-    }
-
     /// Fallible min-of-`runs` measurement (§5's protocol under faults):
     /// failed runs are skipped; errors only if *every* run fails, returning
     /// the last error. Device time is charged per the per-run fault
@@ -280,31 +264,48 @@ impl TpuDevice {
     ///
     /// Panics if `runs == 0`.
     pub fn try_measure_kernel(&self, k: &Kernel, runs: usize) -> Result<f64, DeviceError> {
-        min_of_runs(runs, || self.try_execute_kernel(k))
+        assert!(runs > 0, "need at least one run");
+        let mut best = f64::INFINITY;
+        let mut last_err = None;
+        for _ in 0..runs {
+            match self.try_execute_kernel(k) {
+                Ok(t) => best = best.min(t),
+                Err(e) => last_err = Some(e),
+            }
+        }
+        if best.is_finite() {
+            Ok(best)
+        } else {
+            // INVARIANT: zero successful runs (runs >= 1) implies at least
+            // one recorded error.
+            Err(last_err.expect("no successful run implies an error"))
+        }
     }
 
-    /// Execute `runs` times and return the minimum (§5's protocol).
+    /// Execute a kernel `runs` times and return the minimum (§5's
+    /// protocol), charging device time.
     ///
     /// # Panics
     ///
-    /// Panics if `runs == 0`, or if the fault plan injects a failure (see
-    /// [`TpuDevice::execute_kernel`]).
+    /// Panics if `runs == 0`, or if the configured [`FaultPlan`] injects a
+    /// failure — the infallible entries are for fault-free devices; use
+    /// [`TpuDevice::try_measure_kernel`] under a fault plan. Under
+    /// [`FaultPlan::none`] (the default) this never panics and is
+    /// bit-identical to the pre-fault-injection device.
     pub fn measure_kernel(&self, k: &Kernel, runs: usize) -> f64 {
         assert!(runs > 0, "need at least one run");
         (0..runs)
-            .map(|_| self.execute_kernel(k))
+            .map(|_| {
+                self.try_execute_kernel(k)
+                    .expect("infallible device API hit an injected fault; use try_measure_kernel")
+            })
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Execute a whole fused program once, or fail at the first faulted
-    /// kernel (the prefix executed so far stays charged, like a crashed
-    /// run on real hardware).
-    pub fn try_execute_program(&self, p: &FusedProgram) -> Result<f64, DeviceError> {
-        self.try_execute_kernels(&p.kernels)
-    }
-
-    /// [`TpuDevice::try_execute_program`] over a program's kernels, in
-    /// order, wherever the caller keeps them.
+    /// Execute a program's kernels once, in order, wherever the caller
+    /// keeps them (§3.3: "one kernel is executed at a time"), or fail at
+    /// the first faulted kernel. The prefix executed so far stays charged,
+    /// like a crashed run on real hardware.
     pub fn try_execute_kernels<'k>(
         &self,
         kernels: impl IntoIterator<Item = &'k Kernel>,
@@ -316,37 +317,21 @@ impl TpuDevice {
         Ok(total)
     }
 
-    /// Execute a whole fused program once (sum of kernels, §3.3: "one
-    /// kernel is executed at a time"), noisy, charging device time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault plan injects a failure (see
-    /// [`TpuDevice::execute_kernel`]).
-    pub fn execute_program(&self, p: &FusedProgram) -> f64 {
-        p.kernels.iter().map(|k| self.execute_kernel(k)).sum()
-    }
-
-    /// Fallible min-of-`runs` program measurement: failed executions are
-    /// skipped; errors only if every run fails, returning the last error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs == 0`.
-    pub fn try_measure_program(&self, p: &FusedProgram, runs: usize) -> Result<f64, DeviceError> {
-        min_of_runs(runs, || self.try_execute_program(p))
-    }
-
-    /// Program runtime as min of `runs` executions.
+    /// Program runtime as the min of `runs` executions, charging device
+    /// time.
     ///
     /// # Panics
     ///
     /// Panics if `runs == 0`, or if the fault plan injects a failure (see
-    /// [`TpuDevice::execute_kernel`]).
+    /// [`TpuDevice::measure_kernel`]); under a fault plan, use
+    /// [`TpuDevice::try_execute_kernels`].
     pub fn measure_program(&self, p: &FusedProgram, runs: usize) -> f64 {
         assert!(runs > 0, "need at least one run");
         (0..runs)
-            .map(|_| self.execute_program(p))
+            .map(|_| {
+                self.try_execute_kernels(&p.kernels)
+                    .expect("infallible device API hit an injected fault; use try_execute_kernels")
+            })
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -368,35 +353,6 @@ impl TpuDevice {
     }
 }
 
-/// The min-of-`runs` protocol under faults, over one fallible execution:
-/// failed runs are skipped, and the last error is returned only when every
-/// run failed.
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
-fn min_of_runs(
-    runs: usize,
-    mut run: impl FnMut() -> Result<f64, DeviceError>,
-) -> Result<f64, DeviceError> {
-    assert!(runs > 0, "need at least one run");
-    let mut best = f64::INFINITY;
-    let mut last_err = None;
-    for _ in 0..runs {
-        match run() {
-            Ok(t) => best = best.min(t),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        // INVARIANT: zero successful runs (runs >= 1) implies at least
-        // one recorded error.
-        Err(last_err.expect("no successful run implies an error"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,7 +371,7 @@ mod tests {
         let k = kernel();
         let truth = d.true_kernel_time(&k);
         for _ in 0..200 {
-            let t = d.execute_kernel(&k);
+            let t = d.measure_kernel(&k, 1);
             assert!((t / truth - 1.0).abs() <= 0.04 + 1e-9);
         }
     }
@@ -425,7 +381,7 @@ mod tests {
         let d = TpuDevice::new(7);
         let k = kernel();
         let m3: f64 = d.measure_kernel(&k, 3);
-        let one_run_avg: f64 = (0..50).map(|_| d.execute_kernel(&k)).sum::<f64>() / 50.0;
+        let one_run_avg: f64 = (0..50).map(|_| d.measure_kernel(&k, 1)).sum::<f64>() / 50.0;
         assert!(m3 <= one_run_avg * 1.01);
     }
 
@@ -434,7 +390,7 @@ mod tests {
         let d = TpuDevice::new(1);
         assert_eq!(d.device_time_used(), 0.0);
         let k = kernel();
-        let t = d.execute_kernel(&k);
+        let t = d.measure_kernel(&k, 1);
         assert!((d.device_time_used() - t).abs() < 1e-9);
         let overhead = d.charge_eval_overhead();
         assert!((d.device_time_used() - t - overhead).abs() < 1e-6);
@@ -454,8 +410,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let k = kernel();
-        let a = TpuDevice::new(99).execute_kernel(&k);
-        let b = TpuDevice::new(99).execute_kernel(&k);
+        let a = TpuDevice::new(99).measure_kernel(&k, 1);
+        let b = TpuDevice::new(99).measure_kernel(&k, 1);
         assert_eq!(a, b);
     }
 
@@ -469,8 +425,8 @@ mod tests {
         );
         assert!(!TpuDevice::new(3).registry().is_enabled());
         let k = kernel();
-        let t1 = d.execute_kernel(&k);
-        let t2 = d.execute_kernel(&k);
+        let t1 = d.measure_kernel(&k, 1);
+        let t2 = d.measure_kernel(&k, 1);
         let overhead = d.charge_eval_overhead();
 
         let snap = registry.snapshot();
@@ -495,9 +451,9 @@ mod tests {
     #[test]
     fn observed_device_is_bit_identical_to_plain() {
         let k = kernel();
-        let plain = TpuDevice::new(99).execute_kernel(&k);
+        let plain = TpuDevice::new(99).measure_kernel(&k, 1);
         let registry = Registry::enabled();
-        let observed = TpuDevice::new(99).observed(&registry).execute_kernel(&k);
+        let observed = TpuDevice::new(99).observed(&registry).measure_kernel(&k, 1);
         assert_eq!(plain.to_bits(), observed.to_bits());
     }
 
@@ -507,7 +463,7 @@ mod tests {
         let a = TpuDevice::new(99);
         let b = TpuDevice::new(99);
         for _ in 0..32 {
-            let ta = a.execute_kernel(&k);
+            let ta = a.measure_kernel(&k, 1);
             let tb = b.try_execute_kernel(&k).expect("no faults under none()");
             assert_eq!(ta.to_bits(), tb.to_bits());
         }
@@ -584,14 +540,13 @@ mod tests {
     }
 
     #[test]
-    fn try_measure_program_skips_failed_runs() {
+    fn try_measure_kernel_skips_failed_runs() {
         let k = kernel();
-        let p = FusedProgram::new("p", vec![k.clone(), k]);
-        // Moderate fault rate: with 6 runs of 2 kernels it is overwhelmingly
-        // likely at least one run completes for this seed (pinned below).
+        // Moderate fault rate: with 6 runs it is overwhelmingly likely at
+        // least one completes for this seed (pinned below).
         let d = TpuDevice::new(3).with_faults(FaultPlan::chaos(2));
         let t = d
-            .try_measure_program(&p, 6)
+            .try_measure_kernel(&k, 6)
             .expect("at least one clean run with this seed pair");
         assert!(t > 0.0);
 
@@ -600,7 +555,56 @@ mod tests {
             ..FaultPlan::none()
         };
         let d = TpuDevice::new(3).with_faults(all_fail);
-        assert!(d.try_measure_program(&p, 3).is_err());
+        assert!(d.try_measure_kernel(&k, 3).is_err());
+    }
+
+    /// The first chaos fault seed whose schedule lets event 0 through (no
+    /// fault, or a spike) and then fails event 1: with a preemption if
+    /// `preempt`, else with a transient failure.
+    fn seed_failing_event_one(preempt: bool) -> u64 {
+        (0..10_000)
+            .find(|&seed| {
+                let plan = FaultPlan::chaos(seed);
+                let passes = matches!(plan.fault_at(0), None | Some(Fault::Spike(_)));
+                let fails = match plan.fault_at(1) {
+                    Some(Fault::Preempt) => preempt,
+                    Some(Fault::Transient) => !preempt,
+                    _ => false,
+                };
+                passes && fails
+            })
+            .expect("some seed fails event 1")
+    }
+
+    #[test]
+    fn a_failed_program_run_charges_the_prefix_it_executed() {
+        let mut b = GraphBuilder::new("k1");
+        let x = b.parameter("x", Shape::matrix(256, 1024), DType::F32);
+        let e = b.exp(x);
+        let program = [kernel(), Kernel::new(b.finish(e)), kernel()];
+        for (noise_seed, preempt) in [(4, false), (8, true)] {
+            let plan = FaultPlan::chaos(seed_failing_event_one(preempt));
+            let d = TpuDevice::new(noise_seed).with_faults(plan.clone());
+            let err = d.try_execute_kernels(&program).expect_err("event 1 faults");
+            assert_eq!(err.event(), 1);
+            // The same seeds replay event 0 alone: the first kernel's charge.
+            let first = TpuDevice::new(noise_seed)
+                .with_faults(plan)
+                .try_execute_kernel(&program[0])
+                .expect("event 0 passes");
+            let lost = match err {
+                DeviceError::Transient { .. } => {
+                    assert!(!preempt);
+                    0.0
+                }
+                DeviceError::Preempted { charged_ns, .. } => {
+                    assert!(preempt && charged_ns > 0.0);
+                    charged_ns
+                }
+            };
+            // Kernel 2 never ran: the meter holds kernel 0 and the lost run.
+            assert_eq!(d.device_time_used().to_bits(), (first + lost).to_bits());
+        }
     }
 
     #[test]

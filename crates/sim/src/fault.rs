@@ -43,14 +43,6 @@ impl DeviceError {
             DeviceError::Preempted { event, .. } => *event,
         }
     }
-
-    /// Device time charged for the failed run, ns.
-    pub fn charged_ns(&self) -> f64 {
-        match self {
-            DeviceError::Transient { .. } => 0.0,
-            DeviceError::Preempted { charged_ns, .. } => *charged_ns,
-        }
-    }
 }
 
 impl fmt::Display for DeviceError {
@@ -147,7 +139,7 @@ impl FaultPlan {
 
     /// The fault (if any) injected at execution event `event`. Pure in
     /// `(self.seed, event)`.
-    pub fn fault_at(&self, event: u64) -> Option<Fault> {
+    pub(crate) fn fault_at(&self, event: u64) -> Option<Fault> {
         if self.is_none() {
             return None;
         }
@@ -263,8 +255,6 @@ mod tests {
         assert!(p.to_string().contains("event 9"));
         assert_eq!(t.event(), 5);
         assert_eq!(p.event(), 9);
-        assert_eq!(t.charged_ns(), 0.0);
-        assert!((p.charged_ns() - 1234.0).abs() < 1e-12);
         let dyn_err: &dyn std::error::Error = &t;
         assert!(dyn_err.source().is_none());
     }

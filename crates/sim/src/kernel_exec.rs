@@ -178,7 +178,7 @@ fn traffic(k: &Kernel, per_dim: &[usize], n_tiles: u64) -> Traffic {
 }
 
 /// Estimated VMEM working set at the given tiling, in bytes.
-pub fn working_set_bytes(k: &Kernel, tile: &TileSize, _cfg: &TpuConfig) -> u64 {
+fn working_set_bytes(k: &Kernel, tile: &TileSize) -> u64 {
     let c = &k.computation;
     let root = c.node(c.root());
     let per_dim = tile_per_logical_dim(k, tile);
@@ -195,7 +195,7 @@ pub fn working_set_bytes(k: &Kernel, tile: &TileSize, _cfg: &TpuConfig) -> u64 {
 
 /// Whether the tile's working set fits in VMEM.
 pub fn tile_fits(k: &Kernel, tile: &TileSize, cfg: &TpuConfig) -> bool {
-    working_set_bytes(k, tile, cfg) <= cfg.vmem_bytes
+    working_set_bytes(k, tile) <= cfg.vmem_bytes
 }
 
 /// Noiseless timing analysis of one kernel execution.
@@ -267,7 +267,7 @@ pub fn analyze_kernel(k: &Kernel, cfg: &TpuConfig) -> KernelTiming {
         / subminor as f64;
     vpu *= lane_pad.min(4.0) * sub_pad.min(4.0);
 
-    let compute_ns = cfg.cycles_to_ns(mxu + vpu);
+    let compute_ns = (mxu + vpu) / cfg.clock_ghz;
 
     // --- memory ---
     let tr = traffic(k, &per_dim, n_tiles);
@@ -281,7 +281,7 @@ pub fn analyze_kernel(k: &Kernel, cfg: &TpuConfig) -> KernelTiming {
     }
 
     // --- working set / overlap ---
-    let ws = working_set_bytes(k, &tile, cfg);
+    let ws = working_set_bytes(k, &tile);
     let double_buffered = 2 * ws <= cfg.vmem_bytes;
     if ws > cfg.vmem_bytes {
         // The compiler would spill; model it as a heavy traffic penalty.

@@ -25,10 +25,8 @@ mod kernel_exec;
 mod report;
 
 pub use config::TpuConfig;
-pub use cost::{conv_as_dot, dot_problem, mxu_cycles, node_compute_cycles, vpu_cycles, DotProblem};
+pub use cost::{conv_as_dot, dot_problem, DotProblem};
 pub use device::{FaultCounts, TpuDevice};
 pub use fault::{DeviceError, Fault, FaultPlan};
-pub use kernel_exec::{
-    analyze_kernel, default_tile, kernel_time_ns, tile_fits, working_set_bytes, KernelTiming,
-};
-pub use report::{analyze_program, bottleneck_of, Bottleneck, KernelReport, ProgramReport};
+pub use kernel_exec::{analyze_kernel, default_tile, kernel_time_ns, tile_fits, KernelTiming};
+pub use report::{analyze_program, Bottleneck, KernelReport, ProgramReport};

@@ -42,7 +42,7 @@ pub struct ProgramReport {
 }
 
 /// Classify what limits a kernel.
-pub fn bottleneck_of(t: &KernelTiming) -> Bottleneck {
+fn bottleneck_of(t: &KernelTiming) -> Bottleneck {
     if t.overhead_ns >= t.compute_ns.max(t.memory_ns) {
         Bottleneck::Overhead
     } else if t.compute_ns >= t.memory_ns {
@@ -79,7 +79,7 @@ pub fn analyze_program(p: &FusedProgram, cfg: &TpuConfig) -> ProgramReport {
 
 impl ProgramReport {
     /// Fraction of total time in kernels with the given bottleneck.
-    pub fn time_fraction(&self, b: Bottleneck) -> f64 {
+    fn time_fraction(&self, b: Bottleneck) -> f64 {
         if self.total_ns == 0.0 {
             return 0.0;
         }
@@ -92,7 +92,7 @@ impl ProgramReport {
     }
 
     /// The `n` slowest kernels, descending.
-    pub fn hottest(&self, n: usize) -> Vec<&KernelReport> {
+    fn hottest(&self, n: usize) -> Vec<&KernelReport> {
         let mut rows: Vec<&KernelReport> = self.kernels.iter().collect();
         rows.sort_by(|a, b| b.timing.total_ns.total_cmp(&a.timing.total_ns));
         rows.truncate(n);

@@ -18,7 +18,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The acceptance contract: under `FaultPlan::none()` the fallible API
-    /// and the legacy infallible API return bitwise-equal measurements,
+    /// and the infallible §5 entries return bitwise-equal measurements,
     /// charge bitwise-equal device time, and inject zero faults — for any
     /// seed, kernel shape, and interleaving of kernel/program calls.
     #[test]
@@ -34,7 +34,7 @@ proptest! {
         let plain = TpuDevice::new(seed);
         let faulty = TpuDevice::new(seed).with_faults(FaultPlan::none());
 
-        let a1 = plain.execute_kernel(&k);
+        let a1 = plain.measure_kernel(&k, 1);
         let b1 = faulty.try_execute_kernel(&k).unwrap();
         prop_assert_eq!(a1.to_bits(), b1.to_bits());
 
@@ -42,13 +42,11 @@ proptest! {
         let b2 = faulty.try_measure_kernel(&k, runs).unwrap();
         prop_assert_eq!(a2.to_bits(), b2.to_bits());
 
-        let a3 = plain.execute_program(&p);
-        let b3 = faulty.try_execute_program(&p).unwrap();
+        let a3 = plain.measure_program(&p, runs);
+        let b3 = (0..runs)
+            .map(|_| faulty.try_execute_kernels(&p.kernels).unwrap())
+            .fold(f64::INFINITY, f64::min);
         prop_assert_eq!(a3.to_bits(), b3.to_bits());
-
-        let a4 = plain.measure_program(&p, runs);
-        let b4 = faulty.try_measure_program(&p, runs).unwrap();
-        prop_assert_eq!(a4.to_bits(), b4.to_bits());
 
         prop_assert_eq!(
             plain.device_time_used().to_bits(),

@@ -80,7 +80,7 @@ proptest! {
         let k = ew_kernel(128, 128);
         let mut last = 0.0;
         for _ in 0..n_execs {
-            device.execute_kernel(&k);
+            device.measure_kernel(&k, 1);
             let used = device.device_time_used();
             prop_assert!(used > last);
             last = used;
