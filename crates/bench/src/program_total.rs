@@ -60,11 +60,12 @@ pub fn run(args: &Args) {
             format!("{:.2} ({a:.0}%, {unsupported} skipped)", ana / 1e6),
         ]);
     }
+    let (med_gnn, med_ana) = (median(&ape_gnn), median(&ape_ana));
     rows.push(vec![
         "Median APE".into(),
         String::new(),
-        format!("{:.1}%", median(&ape_gnn)),
-        format!("{:.1}%", median(&ape_ana)),
+        format!("{med_gnn:.1}%"),
+        format!("{med_ana:.1}%"),
     ]);
     print_table(
         "Whole-program totals: measured vs predicted (default config, ms)",
@@ -76,6 +77,44 @@ pub fn run(args: &Args) {
         ],
         &rows,
     );
-    println!("\nThe kernel-sum decomposition (§4) transfers kernel-level accuracy to whole");
-    println!("programs; the learned model needs no per-kernel-type scaling to do so.");
+    println!("\n{}", verdict(med_gnn, med_ana));
+}
+
+/// The conclusion the median APEs of the two models support, with the gap
+/// taken between the medians as the table prints them (one decimal).
+fn verdict(learned: f64, analytical: f64) -> String {
+    let tenths = |x: f64| (x * 10.0).round();
+    let gap = (tenths(learned) - tenths(analytical)).abs() / 10.0;
+    if gap == 0.0 {
+        return format!(
+            "Summed over kernels (§4), the two models tie on whole programs: median APE {learned:.1}%."
+        );
+    }
+    let (ahead, behind, best, worst) = if learned < analytical {
+        ("learned", "analytical", learned, analytical)
+    } else {
+        ("analytical", "learned", analytical, learned)
+    };
+    format!(
+        "Summed over kernels (§4), the {ahead} model is ahead on whole programs: median APE\n\
+         {best:.1}% against {worst:.1}% for the {behind} model, {gap:.1} points lower."
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::verdict;
+
+    #[test]
+    fn the_verdict_names_the_model_with_the_lower_median() {
+        let v = verdict(96.9, 25.0);
+        assert!(v.contains("the analytical model is ahead"), "{v}");
+        assert!(
+            v.contains("25.0% against 96.9% for the learned model, 71.9 points"),
+            "{v}"
+        );
+        assert!(verdict(9.9, 11.9).contains("the learned model is ahead"));
+        assert!(verdict(96.95, 24.99).contains("97.0% for the learned model, 72.0 points"));
+        assert!(verdict(10.0, 10.04).contains("tie"));
+    }
 }
