@@ -3,13 +3,17 @@
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Error, Kind, Scanner};
+use std::fmt::Write as _;
 
-// The text format's `attrs=` reader: the structs below read straight off a
-// [`Scanner`], with no `Value` tree in between. Every reader accepts and
-// refuses exactly what the derived `Deserialize` of its type does — every
-// field required, the first of a repeated key wins, unknown keys skipped,
-// `1.0` an integer — and the derive stays as the oracle the tests compare
-// it with.
+// The text format's `attrs=` reader and writer: the structs below read
+// straight off a [`Scanner`] and write straight into a `String`, with no
+// `Value` tree in between. The writer spells out only the `NodeAttrs` keys
+// whose value differs from the default, and in the `NodeAttrs` object an
+// absent key is its default. Beyond that every reader accepts and refuses
+// exactly what the derived `Deserialize` of its type does — every field of
+// a nested struct required, the first of a repeated key wins, unknown keys
+// skipped, `1.0` an integer — and the derive, with absent `NodeAttrs` keys
+// filled in, stays as the oracle the tests compare it with.
 
 type Read<T> = Result<T, Error>;
 
@@ -62,20 +66,126 @@ fn read_opt<T>(sc: &mut Scanner<'_>, read: fn(&mut Scanner<'_>) -> Read<T>) -> R
     }
 }
 
-/// Read the object at `$sc` into one local per named field.
-macro_rules! read_fields {
-    ($sc:ident, $ty:literal, $($field:ident: $read:expr,)*) => {
-        $(let mut $field = None;)*
-        $sc.enter_object()?;
-        while let Some(key) = $sc.next_key()? {
-            $(if $field.is_none() && key == stringify!($field) {
-                $field = Some($read($sc)?);
-                continue;
-            })*
-            $sc.skip_value()?;
+/// `scan` and `write_json` for the struct `$ty`, from one list of its
+/// fields. `scan` reads the object at the scanner — the first of a repeated
+/// key wins, unknown keys are skipped, a field whose key is absent gets
+/// `$absent(type, field)` — and `write_json` writes the fields in this
+/// order, leaving out each for which `$skip(&value)` holds.
+macro_rules! json_object {
+    ($ty:ident, absent: $absent:ident, skip: $skip:ident, $($field:ident: $read:expr,)+) => {
+        impl $ty {
+            fn scan(sc: &mut Scanner<'_>) -> Read<$ty> {
+                $(let mut $field = None;)+
+                sc.enter_object()?;
+                while let Some(key) = sc.next_key()? {
+                    $(if $field.is_none() && key == stringify!($field) {
+                        $field = Some($read(sc)?);
+                        continue;
+                    })+
+                    sc.skip_value()?;
+                }
+                Ok($ty {
+                    $($field: match $field {
+                        Some(value) => value,
+                        None => $absent(stringify!($ty), stringify!($field))?,
+                    },)+
+                })
+            }
         }
-        $(let $field = $field.ok_or_else(|| Error::missing(stringify!($field), $ty))?;)*
+
+        impl WriteJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let mut sep = '{';
+                $(if !$skip(&self.$field) {
+                    out.push(sep);
+                    sep = ',';
+                    out.push_str(concat!("\"", stringify!($field), "\":"));
+                    self.$field.write_json(out);
+                })+
+                if sep == '{' {
+                    out.push('{');
+                }
+                out.push('}');
+            }
+        }
     };
+}
+
+/// The `$absent` of a struct whose every field is required.
+fn required<T>(ty: &str, field: &str) -> Read<T> {
+    Err(Error::missing(field, ty))
+}
+
+/// The `$absent` of `NodeAttrs`: the key's default.
+fn absent_is_default<T: Default>(_ty: &str, _field: &str) -> Read<T> {
+    Ok(T::default())
+}
+
+/// The `$skip` of a struct whose every field is written.
+fn never<T>(_: &T) -> bool {
+    false
+}
+
+/// The `$skip` of `NodeAttrs`: what the reader restores.
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+/// Append `self` as the JSON its derived `Serialize` writes.
+pub(crate) trait WriteJson {
+    fn write_json(&self, out: &mut String);
+}
+
+impl WriteJson for usize {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl WriteJson for (usize, usize) {
+    fn write_json(&self, out: &mut String) {
+        [self.0, self.1].write_json(out);
+    }
+}
+
+impl WriteJson for (usize, usize, usize) {
+    fn write_json(&self, out: &mut String) {
+        [self.0, self.1, self.2].write_json(out);
+    }
+}
+
+impl WriteJson for (usize, usize, usize, usize) {
+    fn write_json(&self, out: &mut String) {
+        [self.0, self.1, self.2, self.3].write_json(out);
+    }
 }
 
 /// Dimension numbers for a [`Dot`](crate::Opcode::Dot) operation over rank-2
@@ -96,22 +206,14 @@ pub struct DotDims {
     pub rhs_batch: Vec<usize>,
 }
 
-impl DotDims {
-    fn scan(sc: &mut Scanner<'_>) -> Read<DotDims> {
-        read_fields!(sc, "DotDims",
-            lhs_contracting: read_usize,
-            rhs_contracting: read_usize,
-            lhs_batch: read_usizes,
-            rhs_batch: read_usizes,
-        );
-        Ok(DotDims {
-            lhs_contracting,
-            rhs_contracting,
-            lhs_batch,
-            rhs_batch,
-        })
-    }
+json_object!(DotDims, absent: required, skip: never,
+    lhs_contracting: read_usize,
+    rhs_contracting: read_usize,
+    lhs_batch: read_usizes,
+    rhs_batch: read_usizes,
+);
 
+impl DotDims {
     /// The canonical `[M,K] · [K,N]` matmul dimension numbers.
     pub fn matmul() -> DotDims {
         DotDims {
@@ -152,28 +254,17 @@ pub struct ConvAttrs {
     pub feature_groups: usize,
 }
 
-impl ConvAttrs {
-    fn scan(sc: &mut Scanner<'_>) -> Read<ConvAttrs> {
-        read_fields!(sc, "ConvAttrs",
-            filter_h: read_usize,
-            filter_w: read_usize,
-            stride_h: read_usize,
-            stride_w: read_usize,
-            pad_h: read_pair,
-            pad_w: read_pair,
-            feature_groups: read_usize,
-        );
-        Ok(ConvAttrs {
-            filter_h,
-            filter_w,
-            stride_h,
-            stride_w,
-            pad_h,
-            pad_w,
-            feature_groups,
-        })
-    }
+json_object!(ConvAttrs, absent: required, skip: never,
+    filter_h: read_usize,
+    filter_w: read_usize,
+    stride_h: read_usize,
+    stride_w: read_usize,
+    pad_h: read_pair,
+    pad_w: read_pair,
+    feature_groups: read_usize,
+);
 
+impl ConvAttrs {
     /// A `k`×`k` stride-1 SAME-padded convolution.
     pub fn same(k: usize) -> ConvAttrs {
         let lo = (k - 1) / 2;
@@ -240,20 +331,13 @@ pub struct SliceAttrs {
     pub strides: Vec<usize>,
 }
 
-impl SliceAttrs {
-    fn scan(sc: &mut Scanner<'_>) -> Read<SliceAttrs> {
-        read_fields!(sc, "SliceAttrs",
-            starts: read_usizes,
-            limits: read_usizes,
-            strides: read_usizes,
-        );
-        Ok(SliceAttrs {
-            starts,
-            limits,
-            strides,
-        })
-    }
+json_object!(SliceAttrs, absent: required, skip: never,
+    starts: read_usizes,
+    limits: read_usizes,
+    strides: read_usizes,
+);
 
+impl SliceAttrs {
     /// Output dimension sizes implied by the bounds.
     pub(crate) fn out_dims(&self) -> Vec<usize> {
         self.starts
@@ -272,14 +356,11 @@ pub struct PadConfig {
     pub dims: Vec<(usize, usize, usize)>,
 }
 
-impl PadConfig {
-    fn scan(sc: &mut Scanner<'_>) -> Read<PadConfig> {
-        read_fields!(sc, "PadConfig",
-            dims: (|sc| read_vec(sc, |sc| read_tuple(sc).map(|[lo, hi, int]| (lo, hi, int)))),
-        );
-        Ok(PadConfig { dims })
-    }
+json_object!(PadConfig, absent: required, skip: never,
+    dims: (|sc| read_vec(sc, |sc| read_tuple(sc).map(|[lo, hi, int]| (lo, hi, int)))),
+);
 
+impl PadConfig {
     /// Output dimension sizes after applying this padding to `in_dims`.
     pub(crate) fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         assert_eq!(self.dims.len(), in_dims.len());
@@ -309,19 +390,34 @@ pub enum Comparison {
 }
 
 impl Comparison {
+    /// Every variant with the name its derive reads and writes.
+    const NAMES: [(&'static str, Comparison); 6] = [
+        ("Eq", Comparison::Eq),
+        ("Ne", Comparison::Ne),
+        ("Lt", Comparison::Lt),
+        ("Le", Comparison::Le),
+        ("Gt", Comparison::Gt),
+        ("Ge", Comparison::Ge),
+    ];
+
     fn scan(sc: &mut Scanner<'_>) -> Read<Comparison> {
         let name = sc.string()?;
-        [
-            ("Eq", Comparison::Eq),
-            ("Ne", Comparison::Ne),
-            ("Lt", Comparison::Lt),
-            ("Le", Comparison::Le),
-            ("Gt", Comparison::Gt),
-            ("Ge", Comparison::Ge),
-        ]
-        .into_iter()
-        .find_map(|(text, variant)| (name == text).then_some(variant))
-        .ok_or_else(|| Error::expected("known variant", "Comparison"))
+        Self::NAMES
+            .into_iter()
+            .find_map(|(text, variant)| (name == text).then_some(variant))
+            .ok_or_else(|| Error::expected("known variant", "Comparison"))
+    }
+}
+
+impl WriteJson for Comparison {
+    fn write_json(&self, out: &mut String) {
+        let (name, _) = Self::NAMES
+            .into_iter()
+            .find(|&(_, variant)| variant == *self)
+            .expect("every variant is named");
+        out.push('"');
+        out.push_str(name);
+        out.push('"');
     }
 }
 
@@ -356,42 +452,33 @@ pub struct NodeAttrs {
     pub is_output: bool,
 }
 
+json_object!(NodeAttrs, absent: absent_is_default, skip: is_default,
+    dot: (|sc| read_opt(sc, DotDims::scan)),
+    conv: (|sc| read_opt(sc, ConvAttrs::scan)),
+    reduce_dims: read_usizes,
+    transpose_perm: read_usizes,
+    broadcast_dims: read_usizes,
+    slice: (|sc| read_opt(sc, SliceAttrs::scan)),
+    pad: (|sc| read_opt(sc, PadConfig::scan)),
+    concat_dim: (|sc| read_opt(sc, read_usize)),
+    comparison: (|sc| read_opt(sc, Comparison::scan)),
+    window: (|sc| read_opt(sc, |sc| read_tuple(sc).map(|[h, w, sh, sw]| (h, w, sh, sw)))),
+    is_output: Scanner::bool,
+);
+
 impl NodeAttrs {
     /// An empty attribute bag.
     pub fn none() -> NodeAttrs {
         NodeAttrs::default()
     }
 
-    /// Read the JSON object the text format writes after `attrs=`.
+    /// Read the JSON object the text format writes after `attrs=`; an
+    /// absent key is its default.
     pub(crate) fn from_json(text: &str) -> Read<NodeAttrs> {
         let sc = &mut Scanner::new(text);
-        read_fields!(sc, "NodeAttrs",
-            dot: (|sc| read_opt(sc, DotDims::scan)),
-            conv: (|sc| read_opt(sc, ConvAttrs::scan)),
-            reduce_dims: read_usizes,
-            transpose_perm: read_usizes,
-            broadcast_dims: read_usizes,
-            slice: (|sc| read_opt(sc, SliceAttrs::scan)),
-            pad: (|sc| read_opt(sc, PadConfig::scan)),
-            concat_dim: (|sc| read_opt(sc, read_usize)),
-            comparison: (|sc| read_opt(sc, Comparison::scan)),
-            window: (|sc| read_opt(sc, |sc| read_tuple(sc).map(|[h, w, sh, sw]| (h, w, sh, sw)))),
-            is_output: Scanner::bool,
-        );
+        let attrs = NodeAttrs::scan(sc)?;
         sc.finish()?;
-        Ok(NodeAttrs {
-            dot,
-            conv,
-            reduce_dims,
-            transpose_perm,
-            broadcast_dims,
-            slice,
-            pad,
-            concat_dim,
-            comparison,
-            window,
-            is_output,
-        })
+        Ok(attrs)
     }
 }
 

@@ -4,15 +4,20 @@
 //!
 //! ```text
 //! computation softmax root=%4 {
-//!   %0 = parameter f32[4,10]{1,0} name="x"
-//!   %1 = exp f32[4,10]{1,0} %0
-//!   %2 = reduce f32[4]{0} %1 attrs={"reduce_dims":[1]}
-//!   %3 = broadcast f32[4,10]{1,0} %2 attrs={"broadcast_dims":[0]}
-//!   %4 = divide f32[4,10]{1,0} %1 %3
+//!   %0 = parameter f32[4,10] name="x"
+//!   %1 = exp f32[4,10] %0
+//!   %2 = reduce f32[4] %1 attrs={"reduce_dims":[1]}
+//!   %3 = broadcast f32[4,10] %2 attrs={"broadcast_dims":[0]}
+//!   %4 = divide f32[4,10] %1 %3 attrs={"is_output":true}
 //! }
 //! ```
+//!
+//! The writer leaves out what the reader restores: a layout that is the
+//! row-major default of its rank, an `attrs=` key whose value is the
+//! default, and `attrs=` itself when every key is. Text that spells these
+//! out reads the same.
 
-use crate::attrs::NodeAttrs;
+use crate::attrs::{NodeAttrs, WriteJson};
 use crate::dtype::DType;
 use crate::error::{HloError, Result};
 use crate::graph::Computation;
@@ -25,33 +30,50 @@ use std::fmt::Write as _;
 /// Render a computation in the text format.
 pub fn dump_computation(c: &Computation) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "computation {} root={} {{", c.name(), c.root());
+    let _ = writeln!(
+        out,
+        "computation {} root={} {{",
+        header_name(c.name()),
+        c.root()
+    );
     for n in c.nodes() {
         let _ = write!(out, "  {} = {} {}{}", n.id, n.opcode, n.dtype, n.shape);
-        let _ = write!(out, "{}", n.layout);
+        if !n.layout.is_default() {
+            let _ = write!(out, "{}", n.layout);
+        }
         for op in &n.operands {
             let _ = write!(out, " {op}");
         }
         if !n.name.is_empty() {
-            // Names are whitespace-split by the parser; sanitize.
-            let safe: String = n
-                .name
-                .chars()
-                .map(|ch| if ch.is_whitespace() { '_' } else { ch })
-                .collect();
+            let safe = without_whitespace(&n.name);
             let _ = write!(out, " name={}", serde_json::to_string(&safe).unwrap());
         }
         if n.attrs != NodeAttrs::default() {
-            let _ = write!(
-                out,
-                " attrs={}",
-                serde_json::to_string(&n.attrs).expect("attrs serialize")
-            );
+            out.push_str(" attrs=");
+            n.attrs.write_json(&mut out);
         }
-        let _ = writeln!(out);
+        out.push('\n');
     }
     out.push_str("}\n");
     out
+}
+
+/// `name` with every whitespace character replaced by `_`: the parser
+/// splits tokens at whitespace.
+fn without_whitespace(name: &str) -> String {
+    name.chars()
+        .map(|ch| if ch.is_whitespace() { '_' } else { ch })
+        .collect()
+}
+
+/// The header token for a computation named `name`: one token, never
+/// empty.
+fn header_name(name: &str) -> String {
+    if name.is_empty() {
+        "_".to_string()
+    } else {
+        without_whitespace(name)
+    }
 }
 
 fn parse_err(line: usize, reason: impl Into<String>) -> HloError {
@@ -287,12 +309,55 @@ mod tests {
     }
 
     #[test]
-    fn dump_contains_all_nodes() {
-        let c = softmax_graph();
+    fn dump_is_the_module_doc_example() {
+        let doc: String = include_str!("text.rs")
+            .lines()
+            .skip_while(|l| *l != "//! ```text")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .map(|l| format!("{}\n", l.trim_start_matches("//! ")))
+            .collect();
+        assert_eq!(dump_computation(&softmax_graph()), doc);
+    }
+
+    #[test]
+    fn a_layout_other_than_the_default_is_written() {
+        let mut c = softmax_graph();
+        c.node_mut(NodeId(1)).layout = Layout::new(vec![0, 1]);
         let text = dump_computation(&c);
-        assert!(text.contains("computation softmax"));
-        for n in c.nodes() {
-            assert!(text.contains(&n.id.to_string()));
+        assert!(text.contains("%1 = exp f32[4,10]{0,1} %0\n"), "{text}");
+        assert_eq!(parse_computation(&text).unwrap(), c);
+    }
+
+    #[test]
+    fn the_full_form_reads_as_the_compact_one() {
+        let c = softmax_graph();
+        let full = "computation softmax root=%4 {\n\
+            %0 = parameter f32[4,10]{1,0} name=\"x\"\n\
+            %1 = exp f32[4,10]{1,0} %0 attrs={\"dot\":null,\"conv\":null,\"reduce_dims\":[],\
+            \"transpose_perm\":[],\"broadcast_dims\":[],\"slice\":null,\"pad\":null,\
+            \"concat_dim\":null,\"comparison\":null,\"window\":null,\"is_output\":false}\n\
+            %2 = reduce f32[4]{0} %1 attrs={\"reduce_dims\":[1]}\n\
+            %3 = broadcast f32[4,10]{1,0} %2 attrs={\"broadcast_dims\":[0]}\n\
+            %4 = divide f32[4,10]{1,0} %1 %3 attrs={\"is_output\":true}\n}\n";
+        assert_eq!(parse_computation(full).unwrap(), c);
+        assert_eq!(parse_computation(&dump_computation(&c)).unwrap(), c);
+    }
+
+    #[test]
+    fn computation_names_roundtrip_with_sanitization() {
+        for (name, read) in [
+            ("my kernel", "my_kernel"),
+            ("", "_"),
+            ("tab\tname", "tab_name"),
+        ] {
+            let mut b = GraphBuilder::new(name);
+            let x = b.parameter("x", Shape::vector(4), DType::F32);
+            let y = b.tanh(x);
+            let c = b.finish(y);
+            let parsed = parse_computation(&dump_computation(&c)).expect(name);
+            assert_eq!(parsed.name(), read);
+            assert_eq!(canonical_hash(&parsed), canonical_hash(&c));
         }
     }
 

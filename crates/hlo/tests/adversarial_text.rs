@@ -14,8 +14,10 @@
 //!   `Ok` ⇒ the same [`Computation`] and canonical hash, `Err` ⇒ `Err`,
 //!   except on the listed inputs the oracle panicked on or wrongly took;
 //! - the `attrs=` reader against the derived `Deserialize` of
-//!   [`NodeAttrs`], on every attrs object the Full corpus's default fusion
-//!   emits and on generated ones, damaged and not.
+//!   [`NodeAttrs`] with every absent top-level key taken as its default
+//!   (`support::attrs_from_str`), on every attrs object the Full corpus's
+//!   default fusion emits and on generated ones, in the writer's compact
+//!   form and with every key spelled out, damaged and not.
 
 mod support;
 
@@ -488,14 +490,29 @@ fn read_attrs(json: &str) -> Result<NodeAttrs, HloError> {
     parse_computation(&text).map(|c| c.node(NodeId(0)).attrs.clone())
 }
 
-/// Reader and derive agree on `json`: the same attrs, or both refuse.
+/// The JSON the writer puts after `attrs=` for `attrs` (`{}` when it
+/// leaves `attrs=` out, as it does when every key is the default).
+fn written_attrs(attrs: &NodeAttrs) -> String {
+    let mut b = GraphBuilder::new("t");
+    let x = b.parameter("x", Shape::vector(2), DType::F32);
+    let mut c = b.finish(x);
+    c.node_mut(x).attrs = attrs.clone();
+    let text = dump_computation(&c);
+    let line = text.lines().nth(1).expect("one node");
+    line.split_once(" attrs=")
+        .map_or("{}", |(_, json)| json)
+        .to_string()
+}
+
+/// Reader and derive agree on `json`: the same attrs, or both refuse. The
+/// derive takes an absent key as its default, as the reader does.
 fn check_attrs(json: &str) {
     // A token of the text format holds no whitespace: JSON that does is
     // cut short by the tokenizer before either reader sees it.
     if json.contains(char::is_whitespace) {
         return;
     }
-    match (read_attrs(json), serde_json::from_str::<NodeAttrs>(json)) {
+    match (read_attrs(json), support::attrs_from_str(json)) {
         (Ok(new), Ok(old)) => assert_eq!(new, old, "{json}"),
         (Err(_), Err(_)) => {}
         (new, old) => panic!("{json}: reader {new:?}, derive {old:?}"),
@@ -518,10 +535,11 @@ fn the_attrs_reader_agrees_with_the_derive_on_every_corpus_attrs_object() {
         distinct.len()
     );
     for json in &distinct {
-        assert_eq!(
-            read_attrs(json).unwrap(),
-            serde_json::from_str(json).unwrap()
-        );
+        let attrs: NodeAttrs = serde_json::from_str(json).unwrap();
+        assert_eq!(read_attrs(json).unwrap(), attrs);
+        let compact = written_attrs(&attrs);
+        assert_eq!(compact, support::attrs_without_defaults(&attrs));
+        assert_eq!(read_attrs(&compact).unwrap(), attrs, "{compact}");
     }
 }
 
@@ -571,51 +589,71 @@ fn random_attrs(rng: &mut TestRng) -> NodeAttrs {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Generated attrs round-trip through the reader as through the
-    /// derive; and after one edit — a cut, an overwritten or inserted
-    /// byte, a swapped-in fragment — the two still agree, `Ok` or `Err`.
+    /// Generated attrs round-trip through the reader, written by the
+    /// writer and by the derive; and after one edit of either — a cut, an
+    /// overwritten or inserted byte, a swapped-in fragment, a dropped key —
+    /// reader and derive still agree, `Ok` or `Err`.
     #[test]
     fn the_attrs_reader_agrees_with_the_derive_on_generated_attrs(seed in any::<u64>()) {
         let rng = &mut TestRng::new(seed);
         let attrs = random_attrs(rng);
-        let json = serde_json::to_string(&attrs).unwrap();
-        prop_assert_eq!(read_attrs(&json).unwrap(), attrs);
-        let fragments: [&str; 14] = [
-            "null", "1.0", "1e2", "-1", "1.5", "18446744073709551616", "\"Eq\"", "\"Xx\"", "[]",
-            "[1,2]", "{}", "true", "\"dot\":null,", "\"\\u0064ot\":7,",
-        ];
-        for _ in 0..16 {
-            let at = rng.below(json.len() as u64 + 1) as usize;
-            let fragment = fragments[rng.below(fragments.len() as u64) as usize];
-            let mut edited = json.clone();
-            match rng.below(4) {
-                0 => edited.truncate(at),
-                1 => edited.insert_str(at, fragment),
-                2 => {
-                    // Replace the value after a colon.
-                    if let Some(colon) = json[at..].find(':').map(|i| at + i + 1) {
-                        let end = json[colon..]
-                            .find([',', '}'])
-                            .map_or(json.len(), |i| colon + i);
-                        edited.replace_range(colon..end, fragment);
-                    }
-                }
-                _ => {
-                    // Drop one key with its value (when it is a scalar).
-                    if let Some(start) = json[at..].find(",\"").map(|i| at + i) {
-                        if let Some(end) = json[start + 1..].find(',').map(|i| start + 1 + i) {
-                            edited.replace_range(start..end, "");
-                        }
-                    }
-                }
-            }
-            check_attrs(&edited);
+        prop_assert_eq!(written_attrs(&attrs), support::attrs_without_defaults(&attrs));
+        for json in [written_attrs(&attrs), serde_json::to_string(&attrs).unwrap()] {
+            prop_assert_eq!(&read_attrs(&json).unwrap(), &attrs);
+            check_edits(rng, &json);
         }
     }
 }
 
+/// [`check_attrs`] on 16 one-edit variants of `json`.
+fn check_edits(rng: &mut TestRng, json: &str) {
+    let fragments: [&str; 14] = [
+        "null",
+        "1.0",
+        "1e2",
+        "-1",
+        "1.5",
+        "18446744073709551616",
+        "\"Eq\"",
+        "\"Xx\"",
+        "[]",
+        "[1,2]",
+        "{}",
+        "true",
+        "\"dot\":null,",
+        "\"\\u0064ot\":7,",
+    ];
+    for _ in 0..16 {
+        let at = rng.below(json.len() as u64 + 1) as usize;
+        let fragment = fragments[rng.below(fragments.len() as u64) as usize];
+        let mut edited = json.to_string();
+        match rng.below(4) {
+            0 => edited.truncate(at),
+            1 => edited.insert_str(at, fragment),
+            2 => {
+                // Replace the value after a colon.
+                if let Some(colon) = json[at..].find(':').map(|i| at + i + 1) {
+                    let end = json[colon..]
+                        .find([',', '}'])
+                        .map_or(json.len(), |i| colon + i);
+                    edited.replace_range(colon..end, fragment);
+                }
+            }
+            _ => {
+                // Drop one key with its value (when it is a scalar).
+                if let Some(start) = json[at..].find(",\"").map(|i| at + i) {
+                    if let Some(end) = json[start + 1..].find(',').map(|i| start + 1 + i) {
+                        edited.replace_range(start..end, "");
+                    }
+                }
+            }
+        }
+        check_attrs(&edited);
+    }
+}
+
 #[test]
-fn first_key_wins_unknown_keys_are_skipped_and_every_field_is_required() {
+fn first_key_wins_unknown_keys_are_skipped_and_an_absent_key_is_its_default() {
     let full = serde_json::to_string(&NodeAttrs::default()).unwrap();
     // A repeated key: the first one counts, the second is not even typed.
     let twice = full.replacen(
@@ -633,7 +671,8 @@ fn first_key_wins_unknown_keys_are_skipped_and_every_field_is_required() {
     let extra = full.replacen('{', "{\"later\":{\"a\":[1,{\"b\":null}]},", 1);
     assert_eq!(read_attrs(&extra).unwrap(), NodeAttrs::default());
     check_attrs(&extra);
-    // Every field is required, as in the derive; integral floats are integers.
+    // An absent top-level key is its default: the writer leaves out every
+    // key whose value is.
     for field in [
         "\"dot\":null,",
         "\"reduce_dims\":[],",
@@ -641,9 +680,59 @@ fn first_key_wins_unknown_keys_are_skipped_and_every_field_is_required() {
     ] {
         let missing = full.replacen(field, "", 1);
         assert_ne!(missing, full);
-        read_attrs(&missing).expect_err(field);
+        assert_eq!(
+            read_attrs(&missing).unwrap(),
+            NodeAttrs::default(),
+            "{field}"
+        );
         check_attrs(&missing);
     }
+    assert_eq!(read_attrs("{}").unwrap(), NodeAttrs::default());
+    let output = read_attrs("{\"is_output\":true}").unwrap();
+    assert_eq!(written_attrs(&output), "{\"is_output\":true}");
+    // A present key is typed as before: `null` is no list and no bool.
+    for json in [
+        "{\"reduce_dims\":null}",
+        "{\"is_output\":null}",
+        "{\"is_output\":0}",
+    ] {
+        read_attrs(json).expect_err(json);
+        check_attrs(json);
+    }
+    // A nested struct still needs every field, as in the derive.
+    let nested = [
+        (
+            "\"dot\":",
+            "{\"lhs_contracting\":1,\"rhs_contracting\":0,\"lhs_batch\":[],\"rhs_batch\":[]}",
+        ),
+        (
+            "\"conv\":",
+            "{\"filter_h\":3,\"filter_w\":3,\"stride_h\":1,\"stride_w\":1,\"pad_h\":[1,1],\"pad_w\":[1,1],\"feature_groups\":1}",
+        ),
+        (
+            "\"slice\":",
+            "{\"starts\":[0],\"limits\":[4],\"strides\":[1]}",
+        ),
+        ("\"pad\":", "{\"dims\":[[1,1,0]]}"),
+    ];
+    for (key, value) in nested {
+        let whole = format!("{{{key}{value}}}");
+        read_attrs(&whole).expect(&whole);
+        check_attrs(&whole);
+        // Drop each field in turn.
+        let fields = &value[1..value.len() - 1];
+        for (at, _) in fields.match_indices("\"").step_by(2) {
+            let end = fields[at..]
+                .find(",\"")
+                .map_or(fields.len(), |i| at + i + 1);
+            let without = format!("{{{}{}}}", &fields[..at], &fields[end..]).replace(",}", "}");
+            let json = format!("{{{key}{without}}}");
+            serde_json::parse_value_str(&json).expect(&json);
+            read_attrs(&json).expect_err(&json);
+            check_attrs(&json);
+        }
+    }
+    // Integral floats are integers.
     let float = full.replacen("\"concat_dim\":null", "\"concat_dim\":3.0", 1);
     assert_eq!(read_attrs(&float).unwrap().concat_dim, Some(3));
     check_attrs(&float);

@@ -13,7 +13,44 @@ fn arb_perm(rank: usize) -> Vec<usize> {
     (0..rank).rev().collect()
 }
 
+/// Characters a builder name may hold, the ones the text format splits
+/// or escapes at first; past them, any `char`.
+const NAME_CHARS: [char; 12] = [
+    ' ', '\t', '\n', '\r', '\u{a0}', '\u{2028}', '"', '\\', '{', '%', '=', 'a',
+];
+
+fn arb_name() -> impl Strategy<Value = String> {
+    prop::collection::vec((0..NAME_CHARS.len() + 1, any::<u32>()), 0..12).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(i, code)| {
+                NAME_CHARS
+                    .get(i)
+                    .copied()
+                    .unwrap_or_else(|| char::from_u32(code % 0x11_0000).unwrap_or('?'))
+            })
+            .collect()
+    })
+}
+
 proptest! {
+    /// Whatever the builder was named, and its nodes, the dump reads back:
+    /// the same graph under a name that is one non-empty token.
+    #[test]
+    fn any_names_roundtrip_through_the_text(name in arb_name(), param in arb_name()) {
+        let mut b = GraphBuilder::new(&name);
+        let x = b.parameter(&param, Shape::matrix(4, 8), DType::F32);
+        let y = b.tanh(x);
+        let c = b.finish(y);
+        let parsed = tpu_hlo::parse_computation(&tpu_hlo::dump_computation(&c)).unwrap();
+        prop_assert_eq!(tpu_hlo::canonical_hash(&parsed), tpu_hlo::canonical_hash(&c));
+        prop_assert_eq!(parsed.nodes().len(), c.nodes().len());
+        prop_assert!(!parsed.name().is_empty() && !parsed.name().contains(char::is_whitespace));
+        if !name.is_empty() && !name.contains(char::is_whitespace) {
+            prop_assert_eq!(parsed.name(), name.as_str());
+        }
+    }
+
     #[test]
     fn elem_count_is_product(dims in arb_dims()) {
         let s = Shape::new(dims.clone());

@@ -6,9 +6,13 @@
 //! crate's public API: `split_whitespace` tokens, `split(',').collect()`
 //! per type field, `Shape::new` / `Layout::new` (which panic), and
 //! `serde_json::from_str` — a `Value` tree and the derived `Deserialize` —
-//! for every `name=` and `attrs=`. Nothing but these tests calls it.
+//! for every `name=` and `attrs=`. One rule is newer than that parser: an
+//! absent top-level `attrs=` key is its default ([`attrs_from_str`]), since
+//! the writer leaves out the keys whose value is. Nothing but these tests
+//! calls it.
 #![allow(dead_code)]
 
+use serde::{Deserialize, Serialize, Value};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tpu_hlo::{Computation, DType, HloError, Layout, Node, NodeAttrs, NodeId, Opcode, Shape};
@@ -135,7 +139,7 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
                 name_field = serde_json::from_str(rest)
                     .map_err(|e| parse_err(line_no, format!("bad name: {e}")))?;
             } else if let Some(rest) = tok.strip_prefix("attrs=") {
-                attrs = serde_json::from_str(rest)
+                attrs = attrs_from_str(rest)
                     .map_err(|e| parse_err(line_no, format!("bad attrs: {e}")))?;
             } else {
                 operands.push(parse_node_id(tok, line_no)?);
@@ -160,6 +164,41 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
     }
 
     Computation::from_parts(name, nodes, root)
+}
+
+/// What the derived `Deserialize` of [`NodeAttrs`] makes of `json` once
+/// every top-level key the object lacks is added with its default value:
+/// the keys it has keep their place (so the first of a repeated one still
+/// wins), and a nested struct still needs every field.
+pub fn attrs_from_str(json: &str) -> std::result::Result<NodeAttrs, serde_json::Error> {
+    let mut value = serde_json::parse_value_str(json)?;
+    if let (Value::Object(fields), Value::Object(defaults)) =
+        (&mut value, NodeAttrs::default().to_value())
+    {
+        for (key, default) in defaults {
+            if !fields.iter().any(|(k, _)| *k == key) {
+                fields.push((key, default));
+            }
+        }
+    }
+    NodeAttrs::from_value(&value)
+}
+
+/// What the writer must put after `attrs=` for `attrs`: the derive's
+/// object less every key whose value is the default's.
+pub fn attrs_without_defaults(attrs: &NodeAttrs) -> String {
+    let (Value::Object(fields), Value::Object(defaults)) =
+        (attrs.to_value(), NodeAttrs::default().to_value())
+    else {
+        unreachable!("the derive writes a struct as an object")
+    };
+    let kept = fields
+        .into_iter()
+        .zip(defaults)
+        .filter(|(field, default)| field != default)
+        .map(|(field, _)| field)
+        .collect();
+    serde_json::value_to_string(&Value::Object(kept))
 }
 
 thread_local! {
