@@ -30,12 +30,7 @@ use std::fmt::Write as _;
 /// Render a computation in the text format.
 pub fn dump_computation(c: &Computation) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "computation {} root={} {{",
-        header_name(c.name()),
-        c.root()
-    );
+    let _ = writeln!(out, "computation {} root={} {{", token(c.name()), c.root());
     for n in c.nodes() {
         let _ = write!(out, "  {} = {} {}{}", n.id, n.opcode, n.dtype, n.shape);
         if !n.layout.is_default() {
@@ -45,8 +40,8 @@ pub fn dump_computation(c: &Computation) -> String {
             let _ = write!(out, " {op}");
         }
         if !n.name.is_empty() {
-            let safe = without_whitespace(&n.name);
-            let _ = write!(out, " name={}", serde_json::to_string(&safe).unwrap());
+            let name = serde_json::to_string(&token(&n.name)).unwrap();
+            let _ = write!(out, " name={name}");
         }
         if n.attrs != NodeAttrs::default() {
             out.push_str(" attrs=");
@@ -58,22 +53,15 @@ pub fn dump_computation(c: &Computation) -> String {
     out
 }
 
-/// `name` with every whitespace character replaced by `_`: the parser
-/// splits tokens at whitespace.
-fn without_whitespace(name: &str) -> String {
+/// `name` as one token of the text: whitespace, at which the parser
+/// splits tokens, becomes `_`, and so does an empty name.
+fn token(name: &str) -> String {
+    if name.is_empty() {
+        return "_".to_string();
+    }
     name.chars()
         .map(|ch| if ch.is_whitespace() { '_' } else { ch })
         .collect()
-}
-
-/// The header token for a computation named `name`: one token, never
-/// empty.
-fn header_name(name: &str) -> String {
-    if name.is_empty() {
-        "_".to_string()
-    } else {
-        without_whitespace(name)
-    }
 }
 
 fn parse_err(line: usize, reason: impl Into<String>) -> HloError {
