@@ -3,17 +3,15 @@
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Error, Kind, Scanner};
-use std::fmt::Write as _;
 
-// The text format's `attrs=` reader and writer: the structs below read
-// straight off a [`Scanner`] and write straight into a `String`, with no
-// `Value` tree in between. The writer spells out only the `NodeAttrs` keys
-// whose value differs from the default, and in the `NodeAttrs` object an
-// absent key is its default. Beyond that every reader accepts and refuses
-// exactly what the derived `Deserialize` of its type does — every field of
-// a nested struct required, the first of a repeated key wins, unknown keys
-// skipped, `1.0` an integer — and the derive, with absent `NodeAttrs` keys
-// filled in, stays as the oracle the tests compare it with.
+// The text format's `attrs=` reader: the structs below read straight off a
+// [`Scanner`], with no `Value` tree in between. In the `NodeAttrs` object
+// an absent key is its default (the writer leaves out every key whose
+// value is). Beyond that every reader accepts and refuses exactly what the
+// derived `Deserialize` of its type does — every field of a nested struct
+// required, the first of a repeated key wins, unknown keys skipped, `1.0`
+// an integer — and the derive, with absent `NodeAttrs` keys filled in,
+// stays as the oracle the tests compare it with.
 
 type Read<T> = Result<T, Error>;
 
@@ -66,13 +64,11 @@ fn read_opt<T>(sc: &mut Scanner<'_>, read: fn(&mut Scanner<'_>) -> Read<T>) -> R
     }
 }
 
-/// `scan` and `write_json` for the struct `$ty`, from one list of its
-/// fields. `scan` reads the object at the scanner — the first of a repeated
-/// key wins, unknown keys are skipped, a field whose key is absent gets
-/// `$absent(type, field)` — and `write_json` writes the fields in this
-/// order, leaving out each for which `$skip(&value)` holds.
-macro_rules! json_object {
-    ($ty:ident, absent: $absent:ident, skip: $skip:ident, $($field:ident: $read:expr,)+) => {
+/// `scan` for the struct `$ty`, from one list of its fields: it reads the
+/// object at the scanner — the first of a repeated key wins, unknown keys
+/// are skipped, a field whose key is absent gets `$absent(type, field)`.
+macro_rules! scan_object {
+    ($ty:ident, absent: $absent:ident, $($field:ident: $read:expr,)+) => {
         impl $ty {
             fn scan(sc: &mut Scanner<'_>) -> Read<$ty> {
                 $(let mut $field = None;)+
@@ -92,22 +88,6 @@ macro_rules! json_object {
                 })
             }
         }
-
-        impl WriteJson for $ty {
-            fn write_json(&self, out: &mut String) {
-                let mut sep = '{';
-                $(if !$skip(&self.$field) {
-                    out.push(sep);
-                    sep = ',';
-                    out.push_str(concat!("\"", stringify!($field), "\":"));
-                    self.$field.write_json(out);
-                })+
-                if sep == '{' {
-                    out.push('{');
-                }
-                out.push('}');
-            }
-        }
     };
 }
 
@@ -119,73 +99,6 @@ fn required<T>(ty: &str, field: &str) -> Read<T> {
 /// The `$absent` of `NodeAttrs`: the key's default.
 fn absent_is_default<T: Default>(_ty: &str, _field: &str) -> Read<T> {
     Ok(T::default())
-}
-
-/// The `$skip` of a struct whose every field is written.
-fn never<T>(_: &T) -> bool {
-    false
-}
-
-/// The `$skip` of `NodeAttrs`: what the reader restores.
-fn is_default<T: Default + PartialEq>(value: &T) -> bool {
-    *value == T::default()
-}
-
-/// Append `self` as the JSON its derived `Serialize` writes.
-pub(crate) trait WriteJson {
-    fn write_json(&self, out: &mut String);
-}
-
-impl WriteJson for usize {
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
-    }
-}
-
-impl WriteJson for bool {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
-    }
-}
-
-impl<T: WriteJson> WriteJson for [T] {
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item.write_json(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<T: WriteJson> WriteJson for Option<T> {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Some(value) => value.write_json(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
-impl WriteJson for (usize, usize) {
-    fn write_json(&self, out: &mut String) {
-        [self.0, self.1].write_json(out);
-    }
-}
-
-impl WriteJson for (usize, usize, usize) {
-    fn write_json(&self, out: &mut String) {
-        [self.0, self.1, self.2].write_json(out);
-    }
-}
-
-impl WriteJson for (usize, usize, usize, usize) {
-    fn write_json(&self, out: &mut String) {
-        [self.0, self.1, self.2, self.3].write_json(out);
-    }
 }
 
 /// Dimension numbers for a [`Dot`](crate::Opcode::Dot) operation over rank-2
@@ -206,7 +119,7 @@ pub struct DotDims {
     pub rhs_batch: Vec<usize>,
 }
 
-json_object!(DotDims, absent: required, skip: never,
+scan_object!(DotDims, absent: required,
     lhs_contracting: read_usize,
     rhs_contracting: read_usize,
     lhs_batch: read_usizes,
@@ -254,7 +167,7 @@ pub struct ConvAttrs {
     pub feature_groups: usize,
 }
 
-json_object!(ConvAttrs, absent: required, skip: never,
+scan_object!(ConvAttrs, absent: required,
     filter_h: read_usize,
     filter_w: read_usize,
     stride_h: read_usize,
@@ -331,7 +244,7 @@ pub struct SliceAttrs {
     pub strides: Vec<usize>,
 }
 
-json_object!(SliceAttrs, absent: required, skip: never,
+scan_object!(SliceAttrs, absent: required,
     starts: read_usizes,
     limits: read_usizes,
     strides: read_usizes,
@@ -356,7 +269,7 @@ pub struct PadConfig {
     pub dims: Vec<(usize, usize, usize)>,
 }
 
-json_object!(PadConfig, absent: required, skip: never,
+scan_object!(PadConfig, absent: required,
     dims: (|sc| read_vec(sc, |sc| read_tuple(sc).map(|[lo, hi, int]| (lo, hi, int)))),
 );
 
@@ -390,34 +303,19 @@ pub enum Comparison {
 }
 
 impl Comparison {
-    /// Every variant with the name its derive reads and writes.
-    const NAMES: [(&'static str, Comparison); 6] = [
-        ("Eq", Comparison::Eq),
-        ("Ne", Comparison::Ne),
-        ("Lt", Comparison::Lt),
-        ("Le", Comparison::Le),
-        ("Gt", Comparison::Gt),
-        ("Ge", Comparison::Ge),
-    ];
-
     fn scan(sc: &mut Scanner<'_>) -> Read<Comparison> {
         let name = sc.string()?;
-        Self::NAMES
-            .into_iter()
-            .find_map(|(text, variant)| (name == text).then_some(variant))
-            .ok_or_else(|| Error::expected("known variant", "Comparison"))
-    }
-}
-
-impl WriteJson for Comparison {
-    fn write_json(&self, out: &mut String) {
-        let (name, _) = Self::NAMES
-            .into_iter()
-            .find(|&(_, variant)| variant == *self)
-            .expect("every variant is named");
-        out.push('"');
-        out.push_str(name);
-        out.push('"');
+        [
+            ("Eq", Comparison::Eq),
+            ("Ne", Comparison::Ne),
+            ("Lt", Comparison::Lt),
+            ("Le", Comparison::Le),
+            ("Gt", Comparison::Gt),
+            ("Ge", Comparison::Ge),
+        ]
+        .into_iter()
+        .find_map(|(text, variant)| (name == text).then_some(variant))
+        .ok_or_else(|| Error::expected("known variant", "Comparison"))
     }
 }
 
@@ -452,7 +350,7 @@ pub struct NodeAttrs {
     pub is_output: bool,
 }
 
-json_object!(NodeAttrs, absent: absent_is_default, skip: is_default,
+scan_object!(NodeAttrs, absent: absent_is_default,
     dot: (|sc| read_opt(sc, DotDims::scan)),
     conv: (|sc| read_opt(sc, ConvAttrs::scan)),
     reduce_dims: read_usizes,

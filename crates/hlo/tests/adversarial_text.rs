@@ -9,7 +9,10 @@
 //!
 //! - the inputs that used to kill or degrade the daemon, one by one;
 //! - every truncation, bit flip, byte deletion and byte insertion of
-//!   kernels that between them carry every attribute struct;
+//!   kernels that between them carry every attribute struct, each in the
+//!   compact form `dump_computation` writes and in the full one
+//!   (`support::full_text`: every layout and every `attrs=` key spelled
+//!   out);
 //! - the reader against the parser it replaced (`support`, the oracle):
 //!   `Ok` ⇒ the same [`Computation`] and canonical hash, `Err` ⇒ `Err`,
 //!   except on the listed inputs the oracle panicked on or wrongly took;
@@ -25,12 +28,14 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
+use support::full_text::dump_full;
 use support::{catch_quietly, mutations};
 use tpu_dataset::{Corpus, CorpusScale};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::{
     canonical_hash, dump_computation, parse_computation, Comparison, Computation, ConvAttrs, DType,
-    DotDims, GraphBuilder, HloError, NodeAttrs, NodeId, PadConfig, Shape, SliceAttrs, MAX_RANK,
+    DotDims, GraphBuilder, HloError, Layout, NodeAttrs, NodeId, PadConfig, Shape, SliceAttrs,
+    MAX_RANK,
 };
 
 thread_local! {
@@ -67,8 +72,8 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCATED.with(Cell::get) - before)
 }
 
-/// Kernels that between them carry every attribute struct, every dtype
-/// and a name that needs escaping.
+/// Kernels that between them carry every attribute struct, every dtype,
+/// a name that needs escaping and layouts other than the default.
 fn seed_computations() -> Vec<Computation> {
     let mut out = Vec::new();
     {
@@ -87,7 +92,9 @@ fn seed_computations() -> Vec<Computation> {
         let flat = b.reshape(pooled, Shape::matrix(1, 2 * 2 * 8));
         let m = b.parameter("m", Shape::matrix(32, 16), DType::F32);
         let d = b.dot(flat, m);
-        out.push(b.finish(d));
+        let mut c = b.finish(d);
+        c.node_mut(w).layout = Layout::new(vec![1, 0, 3, 2]);
+        out.push(c);
     }
     {
         let mut b = GraphBuilder::new("movement");
@@ -112,7 +119,10 @@ fn seed_computations() -> Vec<Computation> {
         let bc = b.broadcast(r, Shape::matrix(18, 3), vec![0]);
         let cmp = b.compare(bc, bc, Comparison::Le);
         let sel = b.select(cmp, bc, bc);
-        out.push(b.finish(sel));
+        let mut c = b.finish(sel);
+        // A column-major transpose: the one layout the writer spells out.
+        c.node_mut(t).layout = Layout::new(vec![0, 1]);
+        out.push(c);
     }
     {
         let mut b = GraphBuilder::new("batched");
@@ -396,8 +406,13 @@ fn ids_operands_and_roots_are_checked() {
 #[test]
 fn every_one_edit_mutation_is_an_error_or_a_valid_computation() {
     let (mut accepted, mut refused) = (0usize, 0usize);
-    for seed in seed_computations() {
-        let text = dump_computation(&seed);
+    // Each seed in both forms: the compact one the writer makes, and the
+    // full one, whose every layout and spelled-out default is damaged too.
+    let texts = seed_computations()
+        .iter()
+        .flat_map(|seed| [dump_computation(seed), dump_full(seed)])
+        .collect::<Vec<_>>();
+    for text in texts {
         check_accepted(&check_against_oracle(&text).expect("the seed parses"));
         // Among the inserts: a lone continuation byte (breaks the UTF-8)
         // and U+00A0, whitespace that is not ASCII.
@@ -476,10 +491,11 @@ fn the_full_corpus_reads_as_the_oracle_read_it() {
         kernels.len()
     );
     for c in &kernels {
-        let text = dump_computation(c);
-        let parsed = check_against_oracle(&text).expect("a corpus kernel parses");
-        assert_eq!(canonical_hash(&parsed), canonical_hash(c), "{text}");
-        assert_eq!(parsed.root(), c.root());
+        for text in [dump_computation(c), dump_full(c)] {
+            let parsed = check_against_oracle(&text).expect("a corpus kernel parses");
+            assert_eq!(canonical_hash(&parsed), canonical_hash(c), "{text}");
+            assert_eq!(parsed.root(), c.root());
+        }
     }
 }
 
@@ -538,8 +554,9 @@ fn the_attrs_reader_agrees_with_the_derive_on_every_corpus_attrs_object() {
         let attrs: NodeAttrs = serde_json::from_str(json).unwrap();
         assert_eq!(read_attrs(json).unwrap(), attrs);
         let compact = written_attrs(&attrs);
-        assert_eq!(compact, support::attrs_without_defaults(&attrs));
+        assert!(compact.len() < json.len(), "{compact}");
         assert_eq!(read_attrs(&compact).unwrap(), attrs, "{compact}");
+        check_attrs(&compact);
     }
 }
 
@@ -597,7 +614,6 @@ proptest! {
     fn the_attrs_reader_agrees_with_the_derive_on_generated_attrs(seed in any::<u64>()) {
         let rng = &mut TestRng::new(seed);
         let attrs = random_attrs(rng);
-        prop_assert_eq!(written_attrs(&attrs), support::attrs_without_defaults(&attrs));
         for json in [written_attrs(&attrs), serde_json::to_string(&attrs).unwrap()] {
             prop_assert_eq!(&read_attrs(&json).unwrap(), &attrs);
             check_edits(rng, &json);

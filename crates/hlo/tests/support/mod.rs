@@ -1,6 +1,7 @@
 //! Support for the adversarial and differential suites of the text
-//! format: the parser as it was before it read bytes (the oracle), and the
-//! generators of hostile inputs.
+//! format: the parser as it was before it read bytes (the oracle), the
+//! generators of hostile inputs, and the writer of the full text form
+//! ([`full_text`]).
 //!
 //! The oracle is the old `parse_computation` moved here unchanged, on the
 //! crate's public API: `split_whitespace` tokens, `split(',').collect()`
@@ -11,6 +12,8 @@
 //! the writer leaves out the keys whose value is. Nothing but these tests
 //! calls it.
 #![allow(dead_code)]
+
+pub mod full_text;
 
 use serde::{Deserialize, Serialize, Value};
 use std::cell::Cell;
@@ -182,23 +185,6 @@ pub fn attrs_from_str(json: &str) -> std::result::Result<NodeAttrs, serde_json::
         }
     }
     NodeAttrs::from_value(&value)
-}
-
-/// What the writer must put after `attrs=` for `attrs`: the derive's
-/// object less every key whose value is the default's.
-pub fn attrs_without_defaults(attrs: &NodeAttrs) -> String {
-    let (Value::Object(fields), Value::Object(defaults)) =
-        (attrs.to_value(), NodeAttrs::default().to_value())
-    else {
-        unreachable!("the derive writes a struct as an object")
-    };
-    let kept = fields
-        .into_iter()
-        .zip(defaults)
-        .filter(|(field, default)| field != default)
-        .map(|(field, _)| field)
-        .collect();
-    serde_json::value_to_string(&Value::Object(kept))
 }
 
 thread_local! {

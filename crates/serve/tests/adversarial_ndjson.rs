@@ -12,7 +12,8 @@
 //!   engine wired as `tpu-serve` wires its default one;
 //! - every truncation, bit flip, byte deletion and byte insertion of
 //!   every predict line of `serve_golden.json` and of 64 corpus kernels'
-//!   lines, as pure parsing and through that live engine: afterwards
+//!   lines, each with its kernel text in the compact form and in the full
+//!   one, as pure parsing and through that live engine: afterwards
 //!   `backend_panics == 0`, `breaker_trips == 0`, and a `ping` answers;
 //! - `parse_request` against the function it replaced (`support`, the
 //!   oracle): the same `Ok(Request)` or the same `WireError`, message
@@ -21,8 +22,11 @@
 //!   gives back the kernel and its canonical hash;
 //! - the directly written predict reply against the tree-rendered one.
 
+#[path = "../../hlo/tests/support/full_text.rs"]
+mod full_text;
 mod support;
 
+use full_text::dump_full;
 use proptest::prelude::*;
 use serde::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -175,15 +179,36 @@ const INSERTS: [&[u8]; 10] = [
     b"\"", b"\\", b"[", b"{", b",", b":", b" ", b"\n", b"\x80", b"0",
 ];
 
+/// `line` with its kernel text in the full form older clients send
+/// (`full_text`): every layout and every `attrs=` key spelled out. `None`
+/// if the text is no kernel (the golden holds such a line on purpose).
+fn full_form(line: &str) -> Option<String> {
+    let Ok(Request::Predict { spec, .. }) = parse_request(line) else {
+        panic!("{line} does not parse as a predict request");
+    };
+    let computation = spec.to_kernel().ok()?.computation;
+    let compact = serde_json::to_string(&spec.text).unwrap();
+    let full = serde_json::to_string(&dump_full(&computation)).unwrap();
+    let out = line.replacen(&compact, &full, 1);
+    assert_ne!(out, line);
+    Some(out)
+}
+
 /// Every damaged line of the suite: all edits of the golden lines, the
-/// cuts and every 13th-byte edit of the corpus lines.
+/// cuts and every 13th-byte edit of the corpus lines, each line in its
+/// compact form and in the full one.
 fn damaged_lines() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for line in golden_predict_lines() {
         out.extend(mutations(line.as_bytes(), 1, &INSERTS));
+        out.extend(
+            full_form(&line).map_or_else(Vec::new, |full| mutations(full.as_bytes(), 1, &INSERTS)),
+        );
     }
     for line in corpus_lines() {
         out.extend(mutations(line.as_bytes(), 13, &INSERTS));
+        let full = full_form(&line).expect("a corpus kernel reads");
+        out.extend(mutations(full.as_bytes(), 13, &INSERTS));
     }
     out
 }
@@ -417,8 +442,10 @@ fn parse_request_is_the_function_it_replaced_on_every_damaged_line() {
         .filter_map(|bytes| String::from_utf8(bytes).ok())
         .collect();
     lines.extend(edge_lines());
-    lines.extend(golden_predict_lines());
-    lines.extend(corpus_lines());
+    for line in golden_predict_lines().into_iter().chain(corpus_lines()) {
+        lines.extend(full_form(&line));
+        lines.push(line);
+    }
     let (mut ok, mut parse, mut bad) = (0usize, 0usize, 0usize);
     for line in &lines {
         // An inserted or flipped-in newline splits a line in two on the

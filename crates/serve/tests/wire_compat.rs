@@ -4,39 +4,19 @@
 //! same kernel, and the daemon answers them with the same bytes from the
 //! same cache slot.
 
+#[path = "../../hlo/tests/support/full_text.rs"]
+mod full_text;
+
+use full_text::dump_full;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::io::Cursor;
 use std::sync::Arc;
 use tpu_dataset::{Corpus, CorpusScale};
 use tpu_fusion::{apply_fusion, default_space_and_config};
-use tpu_hlo::{canonical_kernel_hash, dump_computation, Computation, Kernel};
+use tpu_hlo::{canonical_kernel_hash, dump_computation, Kernel};
 use tpu_learned_cost::{AtomicCache, FnCostModel};
 use tpu_obs::Registry;
 use tpu_serve::{protocol, serve_ndjson, KernelSpec, ServeConfig, ServeEngine};
-
-/// The text format with nothing left out: every node's layout, and an
-/// `attrs=` on every node with all its keys, as the derive writes them.
-fn dump_full(c: &Computation) -> String {
-    let mut out = format!("computation {} root={} {{\n", c.name(), c.root());
-    for n in c.nodes() {
-        let _ = write!(
-            out,
-            "  {} = {} {}{}{}",
-            n.id, n.opcode, n.dtype, n.shape, n.layout
-        );
-        for op in &n.operands {
-            let _ = write!(out, " {op}");
-        }
-        if !n.name.is_empty() {
-            let _ = write!(out, " name={}", serde_json::to_string(&n.name).unwrap());
-        }
-        let attrs = serde_json::to_string(&n.attrs).unwrap();
-        let _ = writeln!(out, " attrs={attrs}");
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Every kernel the default fusion makes of the Full corpus's programs.
 fn corpus_kernels() -> Vec<Kernel> {
