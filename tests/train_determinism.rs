@@ -4,7 +4,11 @@
 //! the arithmetic.
 
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
-use tpu_repro::learned::{prepare, train, GnnConfig, GnnModel, KernelModel, Sample, TrainConfig};
+use tpu_repro::learned::{
+    prepare, train, train_step, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel, Prepared,
+    Sample, TrainConfig,
+};
+use tpu_repro::nn::Adam;
 use tpu_repro::sim::{kernel_time_ns, TpuConfig};
 
 fn ew_kernel(rows: usize, cols: usize) -> Kernel {
@@ -71,3 +75,68 @@ fn training_is_bit_identical_across_runs() {
     }
     assert_eq!(params_first, params, "final parameters differ between runs");
 }
+
+fn chain_kernel(len: usize, cols: usize) -> Kernel {
+    let mut b = GraphBuilder::new("chain");
+    let x = b.parameter("x", Shape::matrix(8, cols), DType::F32);
+    let mut h = x;
+    for i in 0..len {
+        h = if i % 2 == 0 { b.tanh(h) } else { b.exp(h) };
+    }
+    Kernel::new(b.finish(h))
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Recorded LSTM training bits. The LSTM reads every cell parameter once
+/// per time step, so each shard's gradient for it is a sum of many terms;
+/// these bits pin how that sum is grouped — within a shard first, then
+/// across the four shards in shard order — step after step.
+#[test]
+fn lstm_sharded_train_steps_keep_recorded_bits() {
+    let hw = TpuConfig::default();
+    let prepared: Vec<Prepared> = (0..24)
+        .map(|i| {
+            let k = chain_kernel(2 + i % 7, 16 + 8 * i);
+            let t = kernel_time_ns(&k, &hw);
+            Prepared::from_sample(&Sample::new(k, t))
+        })
+        .collect();
+    let mut model = LstmModel::new(LstmConfig {
+        opcode_embed_dim: 8,
+        node_dim: 16,
+        hidden: 16,
+        ..Default::default()
+    });
+    let cfg = TrainConfig {
+        lr: 5e-3,
+        shards: 4,
+        ..Default::default()
+    };
+    let mut opt = Adam::new(cfg.lr);
+    let mut tapes = Vec::new();
+    let mut loss_bits = Vec::new();
+    for step in 0..6 {
+        let idxs: Vec<usize> = (0..16).map(|j| (step * 5 + j * 3) % 24).collect();
+        let loss = train_step(&mut model, &prepared, &idxs, &cfg, &mut opt, &mut tapes)
+            .expect("an MSE batch always yields a loss");
+        loss_bits.push(loss.to_bits());
+    }
+    let weights = fnv1a(model.params().to_json().as_bytes());
+    assert_eq!(loss_bits, RECORDED_LSTM_LOSS_BITS, "LSTM step losses moved");
+    assert_eq!(weights, RECORDED_LSTM_WEIGHTS_FNV, "LSTM weights moved");
+}
+
+const RECORDED_LSTM_LOSS_BITS: [u64; 6] = [
+    4586461523026640896,
+    4590825410589097984,
+    4585468528466853888,
+    4564318207233490944,
+    4581502970935377920,
+    4584527171761995776,
+];
+const RECORDED_LSTM_WEIGHTS_FNV: u64 = 18414758634354098276;
