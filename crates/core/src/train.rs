@@ -14,8 +14,8 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tpu_nn::{
-    clip_grad_norm, grouped_pairwise_rank_loss, mse_loss, Adam, GradBuffer, ParamStore, RankPhi,
-    Tape, Tensor, Var,
+    clip_grad_norm, grouped_pairwise_rank_loss, mse_loss, Adam, ParamStore, RankPhi, Tape, Tensor,
+    Var,
 };
 use tpu_obs::{Counter, Gauge, Histogram, Registry, Series};
 
@@ -374,11 +374,13 @@ fn batch_loss<M: KernelModel>(
 /// One training step over the batch `idxs`.
 ///
 /// The batch is split into [`TrainConfig::shards`] shards, run one after
-/// the other in shard order. Each shard's forward/backward pass fills its
-/// own [`GradBuffer`], its in-tape loss scaled by the shard's share of the
-/// batch (samples for MSE losses, ordered pairs for the rank loss).
-/// Gradients are then reduced into the model's [`ParamStore`] in the same
-/// shard order — the grouping of the float sum that every golden pins.
+/// the other in shard order, each with its in-tape loss scaled by the
+/// shard's share of the batch (samples for MSE losses, ordered pairs for
+/// the rank loss). Each shard's backward pass sums its gradients per
+/// parameter and adds them into the model's zeroed [`ParamStore`] before
+/// the next shard runs — within a shard first, then in shard order: the
+/// grouping of the float sum that every golden pins. The tape transposes
+/// each weight once per call, for the first shard, and reuses it after.
 ///
 /// `tapes` carries the tape arena across steps so buffers are recycled;
 /// pass the same `Vec` every step. Every shard runs on its first tape (one
@@ -432,39 +434,28 @@ fn train_step_inner<M: KernelModel>(
     }
     let tape = &mut tapes[0];
 
-    let results: Vec<(Option<f32>, GradBuffer)> = shard_idxs
-        .iter()
-        .map(|sidx| {
-            let w = if is_rank {
-                count_rank_pairs(train_set, sidx) as f32 / total_pairs as f32
-            } else {
-                sidx.len() as f32 / total_n as f32
-            };
-            tape.reset();
-            let refs: Vec<&Prepared> = sidx.iter().map(|&i| &train_set[i]).collect();
-            let batch = GraphBatch::pack(&refs).expect("shards are non-empty");
-            let mut gb = GradBuffer::new();
-            let val = batch_loss(&*model, tape, &batch, cfg.loss).map(|loss| {
-                let scaled = tape.scale(loss, w);
-                tape.backward_with(scaled, &mut gb);
-                tape.value(scaled).item()
-            });
-            (val, gb)
-        })
-        .collect();
-
-    // Records on drop, covering the reduce + clip + optimizer update.
-    let _reduce_timer = obs.grad_reduce_ns.start_timer();
     model.params_mut().zero_grads();
     let mut loss_sum = 0.0f64;
     let mut any = false;
-    for (val, gb) in results {
-        if let Some(v) = val {
-            loss_sum += v as f64;
+    for sidx in &shard_idxs {
+        let w = if is_rank {
+            count_rank_pairs(train_set, sidx) as f32 / total_pairs as f32
+        } else {
+            sidx.len() as f32 / total_n as f32
+        };
+        tape.reset();
+        let refs: Vec<&Prepared> = sidx.iter().map(|&i| &train_set[i]).collect();
+        let batch = GraphBatch::pack(&refs).expect("shards are non-empty");
+        if let Some(loss) = batch_loss(&*model, tape, &batch, cfg.loss) {
+            let scaled = tape.scale(loss, w);
+            tape.backward(scaled, model.params_mut());
+            loss_sum += tape.value(scaled).item() as f64;
             any = true;
         }
-        gb.apply_to(model.params_mut());
     }
+
+    // Records on drop, covering clip + the optimizer update.
+    let _update_timer = obs.grad_reduce_ns.start_timer();
     if !any {
         return None;
     }

@@ -1,7 +1,8 @@
 //! Trainable parameter storage.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{field_required, Deserialize, Error, Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a parameter within a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -21,11 +22,50 @@ pub struct ParamId(pub usize);
 /// assert_eq!(store.num_params(), 1);
 /// assert_eq!(store.num_scalars(), 16);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,
     grads: Vec<Tensor>,
+    /// Names the current values: taken from a process-wide counter by
+    /// every change to them and by deserialization, so two stores with
+    /// equal stamps hold equal values (a clone keeps its original's stamp
+    /// until either side changes). Never serialized. The tape keys its
+    /// cached weight transposes on it.
+    stamp: u64,
+}
+
+/// The derive's object of `names`, `values` and `grads`, without the stamp.
+impl Serialize for ParamStore {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            (String::from("names"), self.names.to_value()),
+            (String::from("values"), self.values.to_value()),
+            (String::from("grads"), self.grads.to_value()),
+        ])
+    }
+}
+
+/// Reads what [`Serialize`] writes, under a fresh stamp.
+impl Deserialize for ParamStore {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| Error::expected("object", "ParamStore"))?;
+        Ok(ParamStore {
+            names: field_required(fields, "names", "ParamStore")?,
+            values: field_required(fields, "values", "ParamStore")?,
+            grads: field_required(fields, "grads", "ParamStore")?,
+            stamp: next_stamp(),
+        })
+    }
+}
+
+/// A stamp no store has held yet. Stamps start at 1; only an empty
+/// [`ParamStore::default`] holds 0.
+fn next_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl ParamStore {
@@ -37,6 +77,7 @@ impl ParamStore {
     /// Register a parameter, returning its id.
     pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.values.len());
+        self.stamp = next_stamp();
         self.grads.push(Tensor::zeros(value.rows(), value.cols()));
         self.values.push(value);
         self.names.push(name.into());
@@ -68,6 +109,7 @@ impl ParamStore {
     ///
     /// Panics if `id` is out of range.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
+        self.stamp = next_stamp();
         &mut self.values[id.0]
     }
 
@@ -92,7 +134,13 @@ impl ParamStore {
     /// Every `(value, gradient)` pair in id order, values mutable — the
     /// optimizer's single pass.
     pub(crate) fn values_and_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
+        self.stamp = next_stamp();
         self.values.iter_mut().zip(&self.grads)
+    }
+
+    /// The stamp of the current values (see the field's doc).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Name of a parameter.

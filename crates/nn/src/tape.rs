@@ -7,9 +7,19 @@
 //! gradient slots, index lists, argmax tables, concat operand lists — is
 //! still allocated every step. Backward passes accumulate gradients in
 //! place and transform the incoming gradient in place for elementwise ops.
+//!
+//! A backward pass first sums each parameter's gradient over its uses in
+//! buffers the tape keeps across passes, then adds the sums into the
+//! [`ParamStore`] in [`ParamId`] order; a sharded training step calls it
+//! once per shard on one tape, so the store receives shard after shard.
+//!
 //! The matmul backward forms `db = aᵀ·g` with the fused
 //! [`Tensor::matmul_at`], which reads `a`'s columns in place, and
-//! `da = g·bᵀ` from a copy of `bᵀ` in an arena buffer kept for it.
+//! `da = g·bᵀ` from a transposed copy of `b`. When `b` is a parameter the
+//! copy is cached per [`ParamId`] under the store's stamp at
+//! [`Tape::param`] time, so a weight is transposed once per optimizer step
+//! however many shards or time steps use it; any other `b` is transposed
+//! into an arena buffer kept for it.
 //!
 //! Op payloads are [`Arc`]s, so a [`Tape`] is `Send`.
 
@@ -24,7 +34,8 @@ pub struct Var(usize);
 #[derive(Debug, Clone)]
 enum Op {
     Input,
-    Param(ParamId),
+    /// A parameter and the store's stamp when its value was read.
+    Param(ParamId, u64),
     MatMul(Var, Var),
     Add(Var, Var),
     Sub(Var, Var),
@@ -76,7 +87,6 @@ impl BufferPool {
     /// [`BufferPool::put_transpose`].
     fn take_transpose(&mut self, src: &Tensor) -> Tensor {
         let mut buf = std::mem::take(&mut self.transpose);
-        buf.clear();
         buf.resize(src.len(), 0.0);
         let mut t = Tensor::from_vec(src.cols(), src.rows(), buf);
         src.transpose_into(&mut t);
@@ -93,6 +103,15 @@ impl BufferPool {
         let mut buf = self.free.pop().unwrap_or_default();
         buf.clear();
         buf.resize(rows * cols, fill);
+        Tensor::from_vec(rows, cols, buf)
+    }
+
+    /// A `rows×cols` tensor of unspecified contents, reusing a free
+    /// buffer, for an op that overwrites every element (the matmuls zero
+    /// their output themselves).
+    fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.resize(rows * cols, 0.0);
         Tensor::from_vec(rows, cols, buf)
     }
 
@@ -115,66 +134,72 @@ impl BufferPool {
     }
 }
 
-/// Destination for the parameter gradients produced by
-/// [`Tape::backward_with`].
-pub trait GradSink {
-    /// Add `grad` into the accumulator for `id`.
-    fn accumulate(&mut self, id: ParamId, grad: &Tensor);
-}
-
-impl GradSink for ParamStore {
-    fn accumulate(&mut self, id: ParamId, grad: &Tensor) {
-        self.grad_mut(id).axpy(1.0, grad);
-    }
-}
-
-/// A standalone gradient accumulator for the sharded training step: each
-/// batch shard's backward pass writes into its own `GradBuffer`, then the
-/// buffers are applied to the shared [`ParamStore`] in shard order — the
-/// grouping of the gradient sum the training goldens pin.
+/// Per-parameter gradient sums of one backward pass, indexed by
+/// [`ParamId`]. The buffers outlive the pass, so a steady-state pass
+/// copies each parameter's first gradient instead of allocating for it.
 #[derive(Default)]
-pub struct GradBuffer {
-    grads: Vec<Option<Tensor>>,
+struct GradSums {
+    sums: Vec<Option<Tensor>>,
+    live: Vec<bool>,
 }
 
-impl GradBuffer {
-    /// An empty buffer.
-    pub fn new() -> GradBuffer {
-        GradBuffer::default()
-    }
-
-    /// Drop all accumulated gradients, keeping capacity for reuse.
-    pub fn clear(&mut self) {
-        for g in &mut self.grads {
-            *g = None;
+impl GradSums {
+    /// Add one use's gradient to `id`'s sum.
+    fn add(&mut self, id: ParamId, g: &Tensor) {
+        if self.sums.len() <= id.0 {
+            self.sums.resize_with(id.0 + 1, || None);
+            self.live.resize(id.0 + 1, false);
+        }
+        let slot = &mut self.sums[id.0];
+        if self.live[id.0] {
+            slot.as_mut().expect("a live sum has a buffer").axpy(1.0, g);
+        } else {
+            let mut buf = slot.take().map(Tensor::into_data).unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(g.data());
+            *slot = Some(Tensor::from_vec(g.rows(), g.cols(), buf));
+            self.live[id.0] = true;
         }
     }
 
-    /// Whether no gradient has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.grads.iter().all(Option::is_none)
-    }
-
-    /// Add every accumulated gradient into `store`, in ascending
-    /// [`ParamId`] order.
-    pub fn apply_to(&self, store: &mut ParamStore) {
-        for (i, g) in self.grads.iter().enumerate() {
-            if let Some(g) = g {
-                store.grad_mut(ParamId(i)).axpy(1.0, g);
+    /// Add every sum into `store` in ascending [`ParamId`] order and start
+    /// the next pass empty.
+    fn fold_into(&mut self, store: &mut ParamStore) {
+        for (i, (sum, live)) in self.sums.iter().zip(&mut self.live).enumerate() {
+            if std::mem::take(live) {
+                let sum = sum.as_ref().expect("a live sum has a buffer");
+                store.grad_mut(ParamId(i)).axpy(1.0, sum);
             }
         }
     }
 }
 
-impl GradSink for GradBuffer {
-    fn accumulate(&mut self, id: ParamId, grad: &Tensor) {
-        if self.grads.len() <= id.0 {
-            self.grads.resize_with(id.0 + 1, || None);
+/// `bᵀ` of every parameter a matmul backward has used as its right
+/// operand, indexed by [`ParamId`] and tagged with the store stamp it was
+/// taken under. Stamps change with every change to a store's values, so an
+/// entry whose stamp matches a [`Op::Param`]'s is the transpose of that
+/// node's value.
+#[derive(Default)]
+struct TransposeCache {
+    entries: Vec<Option<(u64, Tensor)>>,
+}
+
+impl TransposeCache {
+    /// `bᵀ` for parameter `id`, whose value `b` was read under `stamp`;
+    /// transposes only when the entry was taken under another stamp.
+    fn get(&mut self, id: ParamId, stamp: u64, b: &Tensor) -> &Tensor {
+        if self.entries.len() <= id.0 {
+            self.entries.resize_with(id.0 + 1, || None);
         }
-        match &mut self.grads[id.0] {
-            Some(existing) => existing.axpy(1.0, grad),
-            slot @ None => *slot = Some(grad.clone()),
+        let slot = &mut self.entries[id.0];
+        if !matches!(slot, Some((at, _)) if *at == stamp) {
+            let mut buf = slot.take().map(|(_, t)| t.into_data()).unwrap_or_default();
+            buf.resize(b.len(), 0.0);
+            let mut bt = Tensor::from_vec(b.cols(), b.rows(), buf);
+            b.transpose_into(&mut bt);
+            *slot = Some((stamp, bt));
         }
+        &slot.as_ref().expect("filled above").1
     }
 }
 
@@ -205,6 +230,8 @@ impl GradSink for GradBuffer {
 pub struct Tape {
     nodes: Vec<Node>,
     pool: BufferPool,
+    grad_sums: GradSums,
+    transposes: TransposeCache,
 }
 
 impl Tape {
@@ -277,7 +304,7 @@ impl Tape {
     /// gradient into the store.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let t = self.pool.take_copy(store.value(id));
-        self.push(Op::Param(id), t)
+        self.push(Op::Param(id, store.stamp()), t)
     }
 
     /// Matrix product.
@@ -288,7 +315,7 @@ impl Tape {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let rows = self.value(a).rows();
         let cols = self.value(b).cols();
-        let mut out = self.pool.take_zeroed(rows, cols);
+        let mut out = self.pool.take_for_overwrite(rows, cols);
         self.nodes[a.0]
             .value
             .matmul_into(&self.nodes[b.0].value, &mut out);
@@ -579,28 +606,24 @@ impl Tape {
     }
 
     /// Run reverse-mode differentiation from `loss` (must be `1×1`),
-    /// accumulating parameter gradients into `store`.
+    /// adding parameter gradients into `store`: each parameter's uses are
+    /// summed first, then the sums are added in [`ParamId`] order.
     ///
     /// # Panics
     ///
     /// Panics if `loss` is not scalar.
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
-        self.backward_with(loss, store);
-    }
-
-    /// [`Tape::backward`] into any [`GradSink`] — the training step
-    /// passes a per-shard [`GradBuffer`] here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not scalar.
-    pub fn backward_with(&mut self, loss: Var, sink: &mut impl GradSink) {
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
             "backward needs a scalar loss"
         );
-        let Tape { nodes, pool } = self;
+        let Tape {
+            nodes,
+            pool,
+            grad_sums,
+            transposes,
+        } = self;
         let mut grads: Vec<Option<Tensor>> = Vec::new();
         grads.resize_with(nodes.len(), || None);
         grads[loss.0] = Some(pool.take_filled(1, 1, 1.0));
@@ -612,21 +635,25 @@ impl Tape {
             };
             match &nodes[i].op {
                 Op::Input => pool.put(g),
-                Op::Param(id) => {
-                    sink.accumulate(*id, &g);
+                Op::Param(id, _) => {
+                    grad_sums.add(*id, &g);
                     pool.put(g);
                 }
                 Op::MatMul(a, b) => {
                     let av = &nodes[a.0].value;
                     let bv = &nodes[b.0].value;
-                    // da = g · bᵀ through a pooled transpose of b (the
-                    // weight, small next to g); db = aᵀ · g reads a's
-                    // columns in place.
-                    let bt = pool.take_transpose(bv);
-                    let mut da = pool.take_zeroed(g.rows(), bv.rows());
-                    g.matmul_into(&bt, &mut da);
-                    pool.put_transpose(bt);
-                    let mut db = pool.take_zeroed(av.cols(), g.cols());
+                    // da = g · bᵀ through a transpose of b (the weight,
+                    // small next to g); db = aᵀ · g reads a's columns in
+                    // place.
+                    let mut da = pool.take_for_overwrite(g.rows(), bv.rows());
+                    if let Op::Param(id, stamp) = nodes[b.0].op {
+                        g.matmul_into(transposes.get(id, stamp, bv), &mut da);
+                    } else {
+                        let bt = pool.take_transpose(bv);
+                        g.matmul_into(&bt, &mut da);
+                        pool.put_transpose(bt);
+                    }
+                    let mut db = pool.take_for_overwrite(av.cols(), g.cols());
                     av.matmul_at_into(&g, &mut db);
                     accumulate_owned(&mut grads, pool, *a, da);
                     accumulate_owned(&mut grads, pool, *b, db);
@@ -838,6 +865,7 @@ impl Tape {
                 }
             }
         }
+        grad_sums.fold_into(store);
     }
 }
 
@@ -1103,7 +1131,7 @@ mod tests {
         assert_eq!(tape.value(m).get(1, 0), 0.0);
     }
 
-    /// A small two-matmul network used by the arena/sink tests below.
+    /// A small two-matmul network used by the arena test below.
     fn little_net(tape: &mut Tape, store: &ParamStore, w: ParamId, b: ParamId) -> Var {
         let x = tape.input(Tensor::from_rows(&[&[1.0, -2.0], &[0.5, 3.0], &[2.0, 2.0]]));
         let wv = tape.param(store, w);
@@ -1150,30 +1178,119 @@ mod tests {
     }
 
     #[test]
-    fn grad_buffer_matches_direct_store_accumulation() {
+    fn backward_sums_a_parameters_uses_before_adding_them() {
+        let mut store = ParamStore::new();
+        let p = store.register("p", Tensor::scalar(1.0));
+        let mut tape = Tape::new();
+        let pv = tape.param(&store, p);
+        tape.backward(pv, &mut store);
+        assert_eq!(store.grad(p).item(), 1.0);
+
+        // Two uses of `p`, 4e-8 each: added one by one, each is lost
+        // against the 1.0 already in the store; summed first, they are not.
+        let small = 4e-8f32;
+        assert_ne!(1.0 + (small + small), (1.0 + small) + small);
+        tape.reset();
+        let p1 = tape.param(&store, p);
+        let p2 = tape.param(&store, p);
+        let a = tape.scale(p1, small);
+        let b = tape.scale(p2, small);
+        let loss = tape.add(a, b);
+        tape.backward(loss, &mut store);
+        assert_eq!(store.grad(p).item(), 1.0 + (small + small));
+    }
+
+    /// `w` used twice, the second time after a nonlinearity, so its
+    /// gradient reads `wᵀ` through the first use's input gradient.
+    fn two_use_net(tape: &mut Tape, store: &ParamStore, w: ParamId, b: ParamId) -> Var {
+        let x = tape.input(Tensor::from_rows(&[&[1.0, -2.0], &[0.5, 3.0], &[2.0, 2.0]]));
+        let wv = tape.param(store, w);
+        let bv = tape.param(store, b);
+        let h = tape.matmul(x, wv);
+        let hb = tape.add_row(h, bv);
+        let r = tape.tanh(hb);
+        let wv2 = tape.param(store, w);
+        let y = tape.matmul(r, wv2);
+        let sq = tape.square(y);
+        tape.mean_all(sq)
+    }
+
+    /// `(dw, db)` of [`two_use_net`] on `tape`, from zeroed gradients.
+    fn grads_on(
+        tape: &mut Tape,
+        store: &mut ParamStore,
+        w: ParamId,
+        b: ParamId,
+    ) -> (Tensor, Tensor) {
+        store.zero_grads();
+        tape.reset();
+        let loss = two_use_net(tape, store, w, b);
+        tape.backward(loss, store);
+        (store.grad(w).clone(), store.grad(b).clone())
+    }
+
+    /// The oracle: the same gradients on a tape that has cached nothing.
+    fn fresh_grads(store: &mut ParamStore, w: ParamId, b: ParamId) -> (Tensor, Tensor) {
+        grads_on(&mut Tape::new(), store, w, b)
+    }
+
+    #[test]
+    fn transpose_cache_follows_value_mut() {
         let (mut store, w, b) = little_store();
         let mut tape = Tape::new();
-        let loss = little_net(&mut tape, &store, w, b);
-        store.zero_grads();
-        tape.backward(loss, &mut store);
-        let direct_w = store.grad(w).clone();
-        let direct_b = store.grad(b).clone();
+        let first = grads_on(&mut tape, &mut store, w, b);
+        assert_eq!(first, fresh_grads(&mut store, w, b));
+        store.value_mut(w).set(0, 1, 0.9);
+        let second = grads_on(&mut tape, &mut store, w, b);
+        assert_ne!(second.0, first.0, "the edit must move dw");
+        assert_eq!(second, fresh_grads(&mut store, w, b));
+    }
 
-        let mut tape2 = Tape::new();
-        let loss2 = little_net(&mut tape2, &store, w, b);
-        let mut gb = GradBuffer::new();
-        assert!(gb.is_empty());
-        tape2.backward_with(loss2, &mut gb);
-        assert!(!gb.is_empty());
-        store.zero_grads();
-        gb.apply_to(&mut store);
-        assert_eq!(store.grad(w), &direct_w);
-        assert_eq!(store.grad(b), &direct_b);
+    #[test]
+    fn transpose_cache_tells_a_clone_from_its_original() {
+        let (mut original, w, b) = little_store();
+        let mut clone = original.clone();
+        let mut tape = Tape::new();
+        // Unchanged, the two share a stamp and the entry serves both.
+        let shared = grads_on(&mut tape, &mut original, w, b);
+        assert_eq!(grads_on(&mut tape, &mut clone, w, b), shared);
+        clone.value_mut(w).set(1, 0, -0.7);
+        original.value_mut(w).set(0, 0, 1.3);
+        for round in 0..2 {
+            for store in [&mut original, &mut clone] {
+                let reused = grads_on(&mut tape, store, w, b);
+                assert_eq!(reused, fresh_grads(store, w, b), "round {round}");
+            }
+        }
+        assert_ne!(
+            grads_on(&mut tape, &mut original, w, b),
+            grads_on(&mut tape, &mut clone, w, b)
+        );
+    }
 
-        gb.clear();
-        assert!(gb.is_empty());
-        store.zero_grads();
-        gb.apply_to(&mut store);
-        assert_eq!(store.grad_norm(), 0.0);
+    #[test]
+    fn transpose_cache_never_serves_a_deserialized_store() {
+        let (mut live, w, b) = little_store();
+        let mut tape = Tape::new();
+        grads_on(&mut tape, &mut live, w, b);
+        let mut other = live.clone();
+        other.value_mut(w).set(1, 1, -1.5);
+        let mut from_live = ParamStore::from_json(&live.to_json()).unwrap();
+        let mut from_other = ParamStore::from_json(&other.to_json()).unwrap();
+        let stamps = [
+            live.stamp(),
+            other.stamp(),
+            from_live.stamp(),
+            from_other.stamp(),
+        ];
+        for (i, s) in stamps.iter().enumerate() {
+            assert!(!stamps[..i].contains(s), "stamp {s} shared: {stamps:?}");
+        }
+        for store in [&mut from_other, &mut from_live, &mut live] {
+            let reused = grads_on(&mut tape, store, w, b);
+            assert_eq!(reused, fresh_grads(store, w, b));
+        }
+        let reused = grads_on(&mut tape, &mut from_other, w, b);
+        assert_eq!(reused, fresh_grads(&mut from_other, w, b));
     }
 }
