@@ -2,6 +2,7 @@
 
 use crate::features::{kernel_features, FEATURE_DIM};
 use std::borrow::Borrow;
+use std::ops::Range;
 use tpu_hlo::{Computation, Kernel};
 use tpu_nn::Tensor;
 
@@ -207,9 +208,9 @@ pub struct GraphBatch {
     pub edges: Vec<(usize, usize)>,
     /// Kernel (segment) id per node.
     pub node_kernel: Vec<usize>,
-    /// Per-kernel node index lists in topological order (for the LSTM
-    /// baseline's sequences).
-    pub kernel_nodes: Vec<Vec<usize>>,
+    /// Per-kernel node index ranges, in topological order (for the LSTM
+    /// baseline's sequences): each kernel's nodes are contiguous.
+    pub kernel_nodes: Vec<Range<usize>>,
     /// Per-kernel targets, ns.
     pub targets_ns: Vec<f64>,
     /// Per-kernel group ids.
@@ -243,7 +244,7 @@ impl GraphBatch {
                 edges.push((a + offset, b + offset));
             }
             node_kernel.extend((0..p.num_nodes()).map(|_| ki));
-            kernel_nodes.push((offset..offset + p.num_nodes()).collect());
+            kernel_nodes.push(offset..offset + p.num_nodes());
             targets_ns.push(p.runtime_ns);
             groups.push(p.group);
             offset += p.num_nodes();
@@ -330,7 +331,7 @@ mod tests {
         // Second kernel's edges offset by 3.
         assert!(b.edges.contains(&(3, 4)));
         assert_eq!(b.node_kernel, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(b.kernel_nodes[1], vec![3, 4, 5]);
+        assert_eq!(b.kernel_nodes, vec![0..3, 3..6]);
     }
 
     #[test]

@@ -119,7 +119,12 @@ impl LstmModel {
         let nodes = self.f1.forward(tape, &self.store, x);
 
         let b = batch.num_kernels();
-        let max_len = batch.kernel_nodes.iter().map(Vec::len).max().unwrap_or(0);
+        let max_len = batch
+            .kernel_nodes
+            .iter()
+            .map(|r| r.len())
+            .max()
+            .unwrap_or(0);
         let mut state = self.cell.zero_state(tape, b);
 
         for t in 0..max_len {
@@ -129,7 +134,7 @@ impl LstmModel {
             let mut mask = Tensor::zeros(b, self.config.hidden);
             for (ki, nodes_of_k) in batch.kernel_nodes.iter().enumerate() {
                 if t < nodes_of_k.len() {
-                    idx.push(nodes_of_k[t]);
+                    idx.push(nodes_of_k.start + t);
                     for c in 0..self.config.hidden {
                         mask.set(ki, c, 1.0);
                     }
