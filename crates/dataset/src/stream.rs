@@ -167,15 +167,24 @@ pub struct DatasetWriter {
 }
 
 impl DatasetWriter {
-    /// Create a dataset file, truncating any existing one. The header is
+    /// Create a dataset file, replacing any existing one. The header is
     /// written with an `UNFINISHED` sentinel that [`DatasetWriter::finish`]
     /// replaces.
+    ///
+    /// An existing file is unlinked, not truncated: a [`DatasetReader`]
+    /// still open on it keeps reading the old bytes, and the new file does
+    /// not wait for the old one's pending writeback (a truncate over a
+    /// freshly written multi-MiB file stalls for hundreds of ms on ext4).
     ///
     /// # Errors
     ///
     /// [`StreamError::Io`] on filesystem failure.
     pub fn create(path: &Path) -> Result<DatasetWriter, StreamError> {
         let feature_dim = tpu_learned_cost::features::FEATURE_DIM as u32;
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
         let f = File::create(path)?;
         let mut w = BufWriter::new(f);
         w.write_all(&MAGIC)?;

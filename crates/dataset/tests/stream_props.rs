@@ -131,6 +131,30 @@ fn fixture() -> Vec<Prepared> {
     ]
 }
 
+/// Recreating a path replaces the file rather than rewriting it in place:
+/// a reader opened on the old file keeps reading the old records through
+/// its old index, and a reader opened afterwards sees the new ones.
+#[test]
+fn recreating_a_path_leaves_open_readers_on_the_old_file() {
+    let path = tmp("recreate.tpuds");
+    let a = fixture();
+    let b: Vec<Prepared> = (0..5).map(|i| example_from_seed(0xb0 + i)).collect();
+    write_examples(&path, &a);
+    let old = DatasetReader::open(&path).unwrap();
+    write_examples(&path, &b);
+    let new = DatasetReader::open(&path).unwrap();
+    assert_eq!(old.len(), a.len());
+    for (i, expect) in a.iter().enumerate() {
+        assert_bit_identical(&old.get(i).unwrap(), expect);
+    }
+    assert_eq!(new.len(), b.len());
+    for (i, expect) in b.iter().enumerate() {
+        assert_bit_identical(&new.get(i).unwrap(), expect);
+    }
+    drop((old, new));
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn truncated_file_is_a_typed_error_not_a_panic() {
     let path = tmp("trunc");
