@@ -65,6 +65,7 @@ impl Deserialize for ParamStore {
 /// [`ParamStore::default`] holds 0.
 fn next_stamp() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: a stamp only has to be unique, and publishes no other data.
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 

@@ -1131,7 +1131,7 @@ mod tests {
         assert_eq!(tape.value(m).get(1, 0), 0.0);
     }
 
-    /// A small two-matmul network used by the arena test below.
+    /// A small one-layer network used by the arena test below.
     fn little_net(tape: &mut Tape, store: &ParamStore, w: ParamId, b: ParamId) -> Var {
         let x = tape.input(Tensor::from_rows(&[&[1.0, -2.0], &[0.5, 3.0], &[2.0, 2.0]]));
         let wv = tape.param(store, w);
