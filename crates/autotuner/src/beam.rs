@@ -185,14 +185,18 @@ pub fn fused_structure_hash(program: &Program, space: &FusionSpace, config: &Fus
 }
 
 /// Fold per-kernel canonical hashes, in emission order, into the
-/// transposition-table key of a fused program.
+/// transposition-table key of a fused program: SipHash over the count as
+/// a `usize`, then each hash, native-endian, gathered and written once —
+/// the stream `len().hash()` and `hash()` per kernel would write.
 fn fold_structure_key(kernel_hashes: impl ExactSizeIterator<Item = u64>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    kernel_hashes.len().hash(&mut h);
+    use std::hash::Hasher;
+    let mut bytes = Vec::with_capacity(8 * (kernel_hashes.len() + 1));
+    bytes.extend_from_slice(&kernel_hashes.len().to_ne_bytes());
     for k in kernel_hashes {
-        k.hash(&mut h);
+        bytes.extend_from_slice(&k.to_ne_bytes());
     }
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write(&bytes);
     h.finish()
 }
 
@@ -888,5 +892,20 @@ mod tests {
         let b = fused_structure_hash(&p, &space, &space.none());
         assert_eq!(a, b);
         assert_ne!(a, fused_structure_hash(&p, &space, &space.all()));
+    }
+
+    #[test]
+    fn structure_key_is_the_per_field_fold() {
+        // The one-write key must stay the key `Hash` gives field by field:
+        // the transposition table and every recorded search depend on it.
+        use std::hash::{Hash, Hasher};
+        for hashes in [vec![], vec![7], vec![u64::MAX, 0, 0x9e37_79b9_7f4a_7c15]] {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            hashes.len().hash(&mut h);
+            for k in &hashes {
+                k.hash(&mut h);
+            }
+            assert_eq!(fold_structure_key(hashes.iter().copied()), h.finish());
+        }
     }
 }

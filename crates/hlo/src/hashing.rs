@@ -4,58 +4,130 @@
 //! (examples) after duplicate elimination") deduplicates kernels that are
 //! structurally identical regardless of node names or the program they came
 //! from. Two computations hash equal iff they have the same nodes (opcode,
-//! dtype, shape, layout, attributes) wired identically, compared in a
-//! canonical topological order.
+//! dtype, shape, layout, the attributes `KeyBytes::node` writes) wired
+//! identically, compared in a canonical topological order.
+//!
+//! # What the key leaves out
+//!
+//! Node names, the computation's name and [`NodeAttrs::comparison`] are
+//! not hashed: kernels that differ only in them share a key, so they are
+//! one dataset example and one cache slot. That is sound because nothing
+//! that prices a kernel reads them — the featurizer, the simulator and the
+//! analytical model see the same kernel either way (the root
+//! `canonical_hash` suite pins this for `comparison`). A cost that starts
+//! reading one of them must add it to the key first.
+//!
+//! # One write per key
+//!
+//! A key is SipHash-1-3 ([`DefaultHasher`]) over a byte stream gathered
+//! into one buffer and written once. The stream is the one the derived
+//! `Hash` impls of the same fields would feed the hasher call by call: a
+//! `usize` as its native-endian bytes, a slice as its length and then its
+//! elements, the opcode mnemonic as its bytes and then `0xff`, an `Option`
+//! as its `isize` discriminant and then its payload, a `bool` as one byte.
+//! SipHash's digest depends only on the concatenated stream, not on how
+//! it was split into writes, so the keys are the per-field hash's keys.
+//!
+//! [`NodeAttrs::comparison`]: crate::NodeAttrs::comparison
 
 use crate::graph::Computation;
 use crate::kernel::Kernel;
 use crate::node::Node;
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
-fn hash_node(n: &Node, h: &mut DefaultHasher) {
-    n.opcode.mnemonic().hash(h);
-    n.dtype.index().hash(h);
-    n.shape.dims().hash(h);
-    n.layout.minor_to_major().hash(h);
-    // Operands by canonical position, which is the id.
-    for &op in &n.operands {
-        op.index().hash(h);
+/// The byte stream of one key, written to SipHash in one call.
+struct KeyBytes(Vec<u8>);
+
+impl KeyBytes {
+    fn with_capacity(bytes: usize) -> KeyBytes {
+        KeyBytes(Vec::with_capacity(bytes))
     }
-    // Attributes that affect semantics/cost.
-    if let Some(d) = &n.attrs.dot {
-        (
-            d.lhs_contracting,
-            d.rhs_contracting,
-            &d.lhs_batch,
-            &d.rhs_batch,
-        )
-            .hash(h);
+
+    fn usize(&mut self, v: usize) {
+        self.0.extend_from_slice(&v.to_ne_bytes());
     }
-    if let Some(cv) = &n.attrs.conv {
-        (
-            cv.filter_h,
-            cv.filter_w,
-            cv.stride_h,
-            cv.stride_w,
-            cv.pad_h,
-            cv.pad_w,
-            cv.feature_groups,
-        )
-            .hash(h);
+
+    fn usizes(&mut self, vs: &[usize]) {
+        self.usize(vs.len());
+        for &v in vs {
+            self.usize(v);
+        }
     }
-    n.attrs.reduce_dims.hash(h);
-    n.attrs.transpose_perm.hash(h);
-    n.attrs.broadcast_dims.hash(h);
-    if let Some(s) = &n.attrs.slice {
-        (&s.starts, &s.limits, &s.strides).hash(h);
+
+    /// An `Option`'s discriminant: 0 for `None`, 1 for `Some`.
+    fn tag(&mut self, some: bool) {
+        self.0.extend_from_slice(&isize::from(some).to_ne_bytes());
     }
-    if let Some(p) = &n.attrs.pad {
-        p.dims.hash(h);
+
+    fn finish(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        h.write(&self.0);
+        h.finish()
     }
-    n.attrs.concat_dim.hash(h);
-    n.attrs.window.hash(h);
-    n.attrs.is_output.hash(h);
+
+    fn node(&mut self, n: &Node) {
+        self.0.extend_from_slice(n.opcode.mnemonic().as_bytes());
+        self.0.push(0xff);
+        self.usize(n.dtype.index());
+        self.usizes(n.shape.dims());
+        self.usizes(n.layout.minor_to_major());
+        // Operands by canonical position, which is the id.
+        for &op in &n.operands {
+            self.usize(op.index());
+        }
+        // Attributes that affect semantics/cost. An absent dot, conv,
+        // slice or pad writes nothing, not a discriminant.
+        let a = &n.attrs;
+        if let Some(d) = &a.dot {
+            self.usize(d.lhs_contracting);
+            self.usize(d.rhs_contracting);
+            self.usizes(&d.lhs_batch);
+            self.usizes(&d.rhs_batch);
+        }
+        if let Some(cv) = &a.conv {
+            for v in [
+                cv.filter_h,
+                cv.filter_w,
+                cv.stride_h,
+                cv.stride_w,
+                cv.pad_h.0,
+                cv.pad_h.1,
+                cv.pad_w.0,
+                cv.pad_w.1,
+                cv.feature_groups,
+            ] {
+                self.usize(v);
+            }
+        }
+        self.usizes(&a.reduce_dims);
+        self.usizes(&a.transpose_perm);
+        self.usizes(&a.broadcast_dims);
+        if let Some(s) = &a.slice {
+            self.usizes(&s.starts);
+            self.usizes(&s.limits);
+            self.usizes(&s.strides);
+        }
+        if let Some(p) = &a.pad {
+            self.usize(p.dims.len());
+            for &(lo, hi, interior) in &p.dims {
+                self.usize(lo);
+                self.usize(hi);
+                self.usize(interior);
+            }
+        }
+        self.tag(a.concat_dim.is_some());
+        if let Some(d) = a.concat_dim {
+            self.usize(d);
+        }
+        self.tag(a.window.is_some());
+        if let Some((h, w, sh, sw)) = a.window {
+            for v in [h, w, sh, sw] {
+                self.usize(v);
+            }
+        }
+        self.0.push(u8::from(a.is_output));
+    }
 }
 
 /// Hash a computation canonically: identical structure ⇒ identical hash,
@@ -78,13 +150,14 @@ fn hash_node(n: &Node, h: &mut DefaultHasher) {
 /// assert_eq!(canonical_hash(&build("a")), canonical_hash(&build("b")));
 /// ```
 pub fn canonical_hash(c: &Computation) -> u64 {
-    let mut h = DefaultHasher::new();
-    c.num_nodes().hash(&mut h);
-    c.root().index().hash(&mut h);
+    // Room for rank-2 nodes with two operands each; a larger graph regrows.
+    let mut b = KeyBytes::with_capacity(16 + 128 * c.num_nodes());
+    b.usize(c.num_nodes());
+    b.usize(c.root().index());
     for n in c.nodes() {
-        hash_node(n, &mut h);
+        b.node(n);
     }
-    h.finish()
+    b.finish()
 }
 
 /// Canonical hash of a [`Kernel`] — the key used for dataset duplicate
@@ -93,17 +166,20 @@ pub fn canonical_hash(c: &Computation) -> u64 {
 /// The computation hash combined with the kernel kind and tile size: two
 /// kernels get the same key iff they have structurally identical
 /// computations (same opcodes, dtypes, shapes, layouts, attributes, and
-/// wiring — node names excluded) *and* the same kind and tile size, so the
-/// same sub-graph at two tile sizes is two distinct dataset examples, and a
-/// cached prediction for one kernel is valid for any other with its key.
+/// wiring — node names and the comparison direction excluded, see the
+/// module docs) *and* the same kind and tile size, so the same sub-graph
+/// at two tile sizes is two distinct dataset examples, and a cached
+/// prediction for one kernel is valid for any other with its key.
 pub fn canonical_kernel_hash(k: &Kernel) -> u64 {
-    let mut h = DefaultHasher::new();
-    canonical_hash(&k.computation).hash(&mut h);
-    k.kind.index().hash(&mut h);
-    if let Some(t) = &k.tile {
-        t.dims().hash(&mut h);
+    let tile = k.tile.as_ref().map(|t| t.dims());
+    let mut b = KeyBytes::with_capacity(24 + 8 * tile.map_or(0, <[usize]>::len));
+    b.0.extend_from_slice(&canonical_hash(&k.computation).to_ne_bytes());
+    b.usize(k.kind.index());
+    // No tile writes nothing, not a discriminant.
+    if let Some(dims) = tile {
+        b.usizes(dims);
     }
-    h.finish()
+    b.finish()
 }
 
 /// A [`Kernel`] together with its [`canonical_kernel_hash`], computed once.

@@ -1,7 +1,15 @@
-//! Property-based tests for shapes, layouts, and the text format.
+//! Property-based tests for shapes, layouts, the text format and the
+//! canonical hash.
+
+#[path = "support/hash_oracle.rs"]
+mod hash_oracle;
 
 use proptest::prelude::*;
-use tpu_hlo::{DType, GraphBuilder, Layout, Shape};
+use tpu_hlo::{
+    canonical_hash, canonical_kernel_hash, Comparison, Computation, ConvAttrs, DType, DotDims,
+    GraphBuilder, Kernel, KernelKind, Layout, NodeAttrs, NodeId, PadConfig, Shape, SliceAttrs,
+    TileSize, MAX_RANK,
+};
 
 fn arb_dims() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..64, 0..5)
@@ -161,6 +169,222 @@ proptest! {
                 if o != d {
                     prop_assert_eq!(s2.dim(o), s.dim(o));
                 }
+            }
+        }
+    }
+}
+
+fn opt<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
+}
+
+fn arb_usizes() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(any::<usize>(), 0..4)
+}
+
+/// Any value of every hashed attribute, each present or absent, and a
+/// comparison (which the key leaves out).
+fn arb_attrs() -> impl Strategy<Value = NodeAttrs> {
+    let u = || any::<usize>();
+    let dot = opt((u(), u(), arb_usizes(), arb_usizes())).prop_map(|d| {
+        d.map(
+            |(lhs_contracting, rhs_contracting, lhs_batch, rhs_batch)| DotDims {
+                lhs_contracting,
+                rhs_contracting,
+                lhs_batch,
+                rhs_batch,
+            },
+        )
+    });
+    let conv = opt(((u(), u(), u(), u()), ((u(), u()), (u(), u()), u()))).prop_map(|c| {
+        c.map(
+            |((filter_h, filter_w, stride_h, stride_w), (pad_h, pad_w, feature_groups))| {
+                ConvAttrs {
+                    filter_h,
+                    filter_w,
+                    stride_h,
+                    stride_w,
+                    pad_h,
+                    pad_w,
+                    feature_groups,
+                }
+            },
+        )
+    });
+    let slice = opt((arb_usizes(), arb_usizes(), arb_usizes())).prop_map(|s| {
+        s.map(|(starts, limits, strides)| SliceAttrs {
+            starts,
+            limits,
+            strides,
+        })
+    });
+    let pad = opt(prop::collection::vec((u(), u(), u()), 0..4))
+        .prop_map(|p| p.map(|dims| PadConfig { dims }));
+    let comparison = opt(0usize..6).prop_map(|c| {
+        c.map(|i| {
+            [
+                Comparison::Eq,
+                Comparison::Ne,
+                Comparison::Lt,
+                Comparison::Le,
+                Comparison::Gt,
+                Comparison::Ge,
+            ][i]
+        })
+    });
+    (
+        (dot, conv, arb_usizes(), arb_usizes(), arb_usizes()),
+        (slice, pad, opt(u()), comparison, opt((u(), u(), u(), u()))),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(
+                (dot, conv, reduce_dims, transpose_perm, broadcast_dims),
+                (slice, pad, concat_dim, comparison, window),
+                is_output,
+            )| NodeAttrs {
+                dot,
+                conv,
+                reduce_dims,
+                transpose_perm,
+                broadcast_dims,
+                slice,
+                pad,
+                concat_dim,
+                comparison,
+                window,
+                is_output,
+            },
+        )
+}
+
+/// A shape and a layout of its rank, drawn from one list of keys: the
+/// dims are the keys folded into `1..=64`, the layout sorts the dims by
+/// key, so most layouts are not the default.
+fn arb_shape_layout() -> impl Strategy<Value = (Shape, Layout)> {
+    prop::collection::vec(any::<u32>(), 0..MAX_RANK + 1).prop_map(|keys| {
+        let dims = keys.iter().map(|&k| 1 + k as usize % 64).collect();
+        let mut perm: Vec<usize> = (0..keys.len()).collect();
+        perm.sort_by_key(|&d| keys[d]);
+        (Shape::new(dims), Layout::new(perm))
+    })
+}
+
+/// A builder-made chain over unary, binary and compare ops whose nodes
+/// then take any attributes, shape, layout and dtype: the hash reads
+/// those fields without validating them.
+fn arb_computation() -> impl Strategy<Value = Computation> {
+    let node = (
+        (0u8..6, any::<usize>()),
+        opt((arb_attrs(), arb_shape_layout(), 0..DType::all().len())),
+    );
+    (1usize..128, prop::collection::vec(node, 1..12)).prop_map(|(cols, steps)| {
+        let mut b = GraphBuilder::new("h");
+        let mut v = b.parameter("x", Shape::matrix(8, cols), DType::F32);
+        let mut ids = vec![v];
+        for ((op, pick), _) in &steps {
+            let other = ids[pick % ids.len()];
+            v = match op {
+                0 => b.tanh(v),
+                1 => b.exp(v),
+                2 => b.add(v, other),
+                3 => b.multiply(other, v),
+                4 => b.compare(v, other, Comparison::Lt),
+                _ => b.negate(v),
+            };
+            ids.push(v);
+        }
+        let mut c = b.finish(v);
+        // Node 0 is the parameter; step i made node i + 1.
+        for (i, (_, over)) in steps.into_iter().enumerate() {
+            if let Some((attrs, (shape, layout), dtype)) = over {
+                let n = c.node_mut(NodeId(i as u32 + 1));
+                n.attrs = attrs;
+                n.shape = shape;
+                n.layout = layout;
+                n.dtype = DType::all()[dtype];
+            }
+        }
+        c
+    })
+}
+
+fn arb_kernel() -> impl Strategy<Value = Kernel> {
+    (
+        arb_computation(),
+        0..KernelKind::all().len(),
+        opt(prop::collection::vec(1usize..512, 0..MAX_RANK + 1)),
+    )
+        .prop_map(|(computation, kind, tile)| Kernel {
+            computation,
+            kind: KernelKind::all()[kind],
+            tile: tile.map(TileSize),
+            source_root: None,
+        })
+}
+
+fn assert_hash_matches_oracle(k: &Kernel) {
+    assert_eq!(
+        canonical_hash(&k.computation),
+        hash_oracle::canonical_hash(&k.computation)
+    );
+    assert_eq!(
+        canonical_kernel_hash(k),
+        hash_oracle::canonical_kernel_hash(k)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-write hash is the per-field hash, bit for bit, over any
+    /// value of every hashed field.
+    #[test]
+    fn one_write_hash_equals_the_per_field_oracle(k in arb_kernel()) {
+        assert_hash_matches_oracle(&k);
+    }
+}
+
+/// Builder-made graphs holding every attribute the key reads, as real
+/// programs carry them, under every kernel kind with and without a tile.
+#[test]
+fn every_attribute_and_kind_hashes_as_the_oracle_does() {
+    let mut b = GraphBuilder::new("batched");
+    let x = b.parameter("x", Shape::new(vec![2, 8, 16]), DType::F32);
+    let y = b.parameter("y", Shape::new(vec![2, 16, 4]), DType::BF16);
+    let d = b.dot_general(x, y, DotDims::batch_matmul());
+    let t = b.transpose(d, vec![0, 2, 1]);
+    let s = b.slice_dim(t, 2, 1, 7);
+    let p = b.pad(
+        s,
+        PadConfig {
+            dims: vec![(0, 0, 0), (1, 2, 0), (0, 1, 1)],
+        },
+    );
+    let r = b.reduce(p, vec![2]);
+    let bc = b.broadcast(r, Shape::new(vec![2, 7, 3]), vec![0, 1]);
+    let cat = b.concatenate(&[bc, bc], 2);
+    let cmp = b.compare(cat, cat, Comparison::Ge);
+    let mut batched = b.finish(cmp);
+    batched.node_mut(t).layout = Layout::new(vec![0, 2, 1]);
+
+    let mut b = GraphBuilder::new("conv");
+    let img = b.parameter("img", Shape::new(vec![1, 8, 8, 4]), DType::F32);
+    let filt = b.parameter("filt", Shape::new(vec![3, 3, 4, 8]), DType::F32);
+    let cv = b.convolution(img, filt, ConvAttrs::same_strided(3, 2));
+    let init = b.scalar_constant();
+    let rw = b.reduce_window(cv, init, (2, 2, 1, 1));
+    let conv = b.finish(rw);
+
+    for c in [batched, conv] {
+        for &kind in KernelKind::all() {
+            for tile in [None, Some(TileSize(vec![8, 128])), Some(TileSize(vec![]))] {
+                assert_hash_matches_oracle(&Kernel {
+                    computation: c.clone(),
+                    kind,
+                    tile,
+                    source_root: None,
+                });
             }
         }
     }
