@@ -4,8 +4,8 @@
 //! (examples) after duplicate elimination") deduplicates kernels that are
 //! structurally identical regardless of node names or the program they came
 //! from. Two computations hash equal iff they have the same nodes (opcode,
-//! dtype, shape, layout, the attributes `KeyBytes::node` writes) wired
-//! identically, compared in a canonical topological order.
+//! dtype, shape, layout, cost-bearing attributes) wired identically,
+//! compared in a canonical topological order.
 //!
 //! # What the key leaves out
 //!
