@@ -3,9 +3,9 @@
 //! The bridge between the training stack and the frozen serving path:
 //! trains a model in-process, freezes it
 //! ([`tpu_infer::freeze_gnn`] / [`tpu_infer::freeze_lstm`]), verifies the
-//! frozen forward *is* its tape source — every probe prediction within
-//! [`MAX_LOG_DRIFT`] log-ns, or no blob is written — and writes the blob
-//! that `tpu-serve --model frozen --bundle <blob>` loads.
+//! frozen forward *is* its tape source — every probe prediction
+//! bit-identical to the tape's, or no blob is written — and writes the
+//! blob that `tpu-serve --model frozen --bundle <blob>` loads.
 //!
 //! ```text
 //! cargo run -p tpu-bench --release --bin tpu-freeze -- \
@@ -23,12 +23,6 @@ use tpu_dataset::build_fusion_dataset;
 use tpu_hlo::Kernel;
 use tpu_infer::{freeze_gnn, freeze_lstm, FrozenModel};
 use tpu_learned_cost::{train, CostModel, GnnModel, LstmModel};
-
-/// Largest |frozen − tape| log-ns difference a freeze may show on its
-/// probe kernels. The two run the same f32 arithmetic in different
-/// summation orders (about 1e-6 apart on a `--quick` model); past this
-/// they are not the same model.
-const MAX_LOG_DRIFT: f64 = 1e-4;
 
 const USAGE: &str = "usage: tpu-freeze [--quick] [--lstm] [--out PATH]";
 
@@ -93,35 +87,30 @@ fn main() -> ExitCode {
 
     let (trained, frozen, probes) = train_and_freeze(scale, lstm);
 
-    let mut drift = 0.0f64;
+    // The frozen forward runs the tape's f32 operations in the tape's
+    // order, through the same matmul kernel: any difference at all means
+    // the two are not the same model.
     for (i, k) in probes.iter().enumerate() {
-        let tape = trained
-            .predict_kernel_ns(k)
-            .expect("tape scores kernel")
-            .ln();
-        let got = frozen
-            .predict_kernel_ns(k)
-            .expect("frozen scores kernel")
-            .ln();
-        let d = (got - tape).abs();
-        if d.is_nan() || d > MAX_LOG_DRIFT {
+        let tape = trained.predict_kernel_ns(k).expect("tape scores kernel");
+        let got = frozen.predict_kernel_ns(k).expect("frozen scores kernel");
+        if got.to_bits() != tape.to_bits() {
             eprintln!(
-                "tpu-freeze: probe kernel {i}: frozen {got} vs tape {tape} log-ns, \
-                 apart by more than {MAX_LOG_DRIFT:e}; no blob written"
+                "tpu-freeze: probe kernel {i}: frozen {got} ns vs tape {tape} ns, \
+                 not bit-identical; no blob written"
             );
             return ExitCode::FAILURE;
         }
-        drift = drift.max(d);
     }
 
     let bytes = frozen.to_bytes();
     std::fs::write(&out, &bytes).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
     println!(
-        "froze {} -> {} ({} bytes, backend {}, max |frozen - tape| {drift:.1e} log-ns)",
+        "froze {} -> {} ({} bytes, backend {}, {} probe predictions bit-identical to the tape)",
         trained.name(),
         out,
         bytes.len(),
-        frozen.name()
+        frozen.name(),
+        probes.len()
     );
     ExitCode::SUCCESS
 }

@@ -33,9 +33,9 @@ pub trait CostModel {
     /// The default loops [`CostModel::predict_kernel_ns`]; backends that
     /// can amortize work across kernels (packed GNN/LSTM forwards)
     /// override it. Implementations must match the per-kernel
-    /// path positionally — bit-identical for the GNN/oracle backends,
-    /// within padding arithmetic (~1e-5 log-ns) for the masked LSTM — so
-    /// caching batch results stays sound.
+    /// path positionally and bit for bit — the packed GNN's kernels are
+    /// disjoint segments, and the masked LSTM's padding rows only add
+    /// zeros — so caching batch results stays sound.
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
         kernels.iter().map(|k| self.predict_kernel_ns(k)).collect()
     }
@@ -281,15 +281,15 @@ mod tests {
 
     #[test]
     fn lstm_batch_matches_single() {
-        // Masked batching is exact up to padding arithmetic (~1e-5 in the
-        // log domain), same tolerance as the masking unit test.
-        let m = LstmModel::new(crate::lstm_model::LstmConfig::default());
+        // Masked batching is exact: a kernel's row in the packed forward
+        // runs the single-kernel forward's operations, and a finished
+        // row's padding steps add only zeros.
+        let mut m = LstmModel::new(crate::lstm_model::LstmConfig::default());
+        crate::model::perturb_biases(m.store_mut());
         let kernels: Vec<Kernel> = (1..=4).map(|i| kernel_cols(i * 16)).collect();
         let batch = m.predict_batch_ns(&kernels);
         for (k, b) in kernels.iter().zip(&batch) {
-            let single = m.predict_ns(k);
-            let rel = (b.unwrap().ln() - single.ln()).abs();
-            assert!(rel < 1e-5, "masked batch drifted: {rel}");
+            assert_eq!(b.unwrap().to_bits(), m.predict_ns(k).to_bits());
         }
     }
 

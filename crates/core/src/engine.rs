@@ -518,8 +518,9 @@ pub fn forward_log_ns<M: KernelModel + ?Sized>(model: &M, prepared: &[&Prepared]
 /// Chunked variant of [`forward_log_ns`] for large evaluation sets, where
 /// packing everything into one graph would be memory-hungry: one forward
 /// per `chunk` kernels, one recycled tape arena across chunks. Results are
-/// positionally identical to the unchunked call for the GNN (disjoint
-/// segments) and within padding arithmetic for the masked LSTM.
+/// positionally bit-identical to the unchunked call: the GNN's kernels
+/// are disjoint segments, and the masked LSTM's padding rows add only
+/// zeros.
 pub(crate) fn forward_log_ns_chunked<M: KernelModel + ?Sized>(
     model: &M,
     prepared: &[&Prepared],

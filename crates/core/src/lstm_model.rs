@@ -200,16 +200,18 @@ mod tests {
     #[test]
     fn masked_batching_matches_single_inference() {
         // A short kernel batched with a long one must predict exactly what
-        // it predicts alone — masking must not leak.
-        let m = LstmModel::new(LstmConfig::default());
+        // it predicts alone, bit for bit — masking must not leak.
+        let mut m = LstmModel::new(LstmConfig::default());
+        crate::model::perturb_biases(m.store_mut());
         let short = kernel(1);
         let long = kernel(9);
         let alone = m.predict_log_ns(&short);
         let ps = Prepared::from_sample(&Sample::new(short, 0.0));
         let pl = Prepared::from_sample(&Sample::new(long, 0.0));
         let both = crate::engine::forward_log_ns(&m, &[&ps, &pl]);
-        assert!(
-            (both[0] - alone).abs() < 1e-5,
+        assert_eq!(
+            both[0].to_bits(),
+            alone.to_bits(),
             "batched={} alone={alone}",
             both[0]
         );

@@ -7,8 +7,9 @@
 //! per layer over all the kernel's nodes and the trained weight matrices,
 //! with ReLU, neighborhood aggregation, L2 normalization and pooling in
 //! the body itself, every buffer carved from one scratch allocation. It
-//! can differ from the tape only by f32 summation order
-//! (`tests/parity.rs` pins the two within 1e-5 log-ns).
+//! runs the tape's f32 operations in the tape's order, through tpu-nn's
+//! matmul kernel, so every prediction is the tape's bit for bit
+//! (`tests/parity.rs` compares `to_bits`).
 //!
 //! Blob header, after `kind`: `opcode_embed_dim`, `hidden`, `hops`, the
 //! reduction code (0 sum, 1 mean, 2 max) and the pool mask (bit 0 sum,
@@ -19,10 +20,7 @@ use crate::blob::{FrozenError, Reader, Writer, RECORD_HEADER_BYTES};
 use crate::layers::{carve, relu, LayerSpec, Layers};
 use tpu_hlo::Kernel;
 use tpu_learned_cost::{GnnArch, GnnModel, Prepared, Reduction};
-
-/// `x / max(‖x‖₂, ε)` uses the tape's epsilon so frozen and tape paths
-/// normalize degenerate rows identically.
-const L2_EPS: f32 = 1e-6;
+use tpu_nn::L2_EPS;
 
 fn reduction_code(r: Reduction) -> u32 {
     match r {
@@ -80,12 +78,18 @@ pub struct FrozenGnn {
 }
 
 impl FrozenGnn {
+    /// Width of a layer input laid out side by side: the encoder's
+    /// `[embedding ‖ features]` or a hop's `[ε ‖ aggregate]`.
+    fn cat_width(&self) -> usize {
+        self.layers.encoder_input_dim().max(2 * self.arch.hidden)
+    }
+
     /// f32s of scratch one forward over `nodes` nodes carves up: the
-    /// gathered embeddings, node states, messages / next states,
+    /// side-by-side layer inputs, node states, messages / next states,
     /// aggregates, neighbor counts and the pooled embedding.
     pub(crate) fn scratch_len(&self, nodes: usize) -> usize {
         let h = self.arch.hidden;
-        nodes * (self.layers.embed_dim() + 3 * h + 1) + self.arch.num_pools() * h
+        nodes * (self.cat_width() + 3 * h + 1) + self.arch.num_pools() * h
     }
 
     /// Predicted log-runtime (ns) of one featurized kernel: the one walk
@@ -107,13 +111,14 @@ impl FrozenGnn {
         }
 
         let scratch = carve(scratch, self.scratch_len(n));
-        let (emb, rest) = scratch.split_at_mut(n * self.layers.embed_dim());
+        let (cat, rest) = scratch.split_at_mut(n * self.cat_width());
         let (mut eps, rest) = rest.split_at_mut(n * h);
         let (mut next, rest) = rest.split_at_mut(n * h);
         let (agg, rest) = rest.split_at_mut(n * h);
         let (degree, kappa) = rest.split_at_mut(n);
 
-        self.layers.encode_rows(p, emb, eps);
+        self.layers
+            .encode_rows(p, &mut cat[..n * self.layers.encoder_input_dim()], eps);
         if reduction == Reduction::Mean {
             degree.fill(0.0);
             for &(a, b) in &p.edges {
@@ -126,11 +131,17 @@ impl FrozenGnn {
         for hop in hop_layers.chunks_exact(2) {
             let (f2, f3) = (&hop[0], &hop[1]);
             // Per-node message: relu(f₂(ε)).
-            f2.apply_rows(n, &[eps], next);
+            f2.apply_rows(eps, next);
             relu(next);
             aggregate(reduction, p, next, agg, degree, h);
             // εᵏ = l₂(relu(f₃([ε ‖ agg]))).
-            f3.apply_rows(n, &[eps, agg], next);
+            let cat = &mut cat[..n * 2 * h];
+            let inputs = eps.chunks_exact(h).zip(agg.chunks_exact(h));
+            for (row, (e, a)) in cat.chunks_exact_mut(2 * h).zip(inputs) {
+                row[..h].copy_from_slice(e);
+                row[h..].copy_from_slice(a);
+            }
+            f3.apply_rows(cat, next);
             relu(next);
             for row in next.chunks_exact_mut(h) {
                 let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(L2_EPS);
@@ -147,7 +158,7 @@ impl FrozenGnn {
             pool_into(which, eps, n, pool);
         }
         let mut y = [0.0f32];
-        head.apply_rows(1, &[kappa], &mut y);
+        head.apply_rows(kappa, &mut y);
         y[0] + self.layers.log_ns_offset
     }
 
@@ -303,92 +314,7 @@ pub fn freeze_gnn(model: &GnnModel, _calib: &[Kernel]) -> Result<FrozenGnn, Froz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_learned_cost::{GnnConfig, PoolCombo};
-
-    /// The body `forward_log_ns` had before `apply_rows`: one oracle
-    /// matvec per node and layer, a buffer per stage, the mean's neighbor
-    /// counts as integers.
-    fn per_node_forward(m: &FrozenGnn, p: &Prepared) -> f32 {
-        let (h, n) = (m.arch.hidden, p.num_nodes());
-        let (head, hop_layers) = m.layers.affine[1..].split_last().unwrap();
-        let mut eps = vec![0.0f32; n * h];
-        for (i, row) in eps.chunks_exact_mut(h).enumerate() {
-            m.layers.encode(p, i, row);
-        }
-        let mut counts = vec![0usize; n];
-        for &(a, b) in &p.edges {
-            counts[a] += 1;
-            counts[b] += 1;
-        }
-        let degree: Vec<f32> = counts.iter().map(|&c| c as f32).collect();
-        let mut next = vec![0.0f32; n * h];
-        let mut agg = vec![0.0f32; n * h];
-        for hop in hop_layers.chunks_exact(2) {
-            for (x, msg) in eps.chunks_exact(h).zip(next.chunks_exact_mut(h)) {
-                hop[0].apply(&[x], msg);
-            }
-            relu(&mut next);
-            aggregate(m.arch.reduction, p, &next, &mut agg, &degree, h);
-            let inputs = eps.chunks_exact(h).zip(agg.chunks_exact(h));
-            for ((x, a), row) in inputs.zip(next.chunks_exact_mut(h)) {
-                hop[1].apply(&[x, a], row);
-                relu(row);
-                let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(L2_EPS);
-                row.iter_mut().for_each(|v| *v /= norm);
-            }
-            std::mem::swap(&mut eps, &mut next);
-        }
-        let mut kappa = vec![0.0f32; head.rows()];
-        let enabled = (0..3).filter(|&which| m.arch.pools[which]);
-        for (which, pool) in enabled.zip(kappa.chunks_exact_mut(h)) {
-            pool_into(which, &eps, n, pool);
-        }
-        let mut y = [0.0f32];
-        head.apply(&[&kappa], &mut y);
-        y[0] + m.layers.log_ns_offset
-    }
-
-    #[test]
-    fn the_blocked_forward_is_the_per_node_forward_bit_for_bit() {
-        let prepared: Vec<Prepared> = crate::probe_kernels(64)
-            .iter()
-            .map(Prepared::from_kernel)
-            .collect();
-        let mut scratch = Vec::new();
-        for reduction in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
-            for mask in 1..8u32 {
-                for (hops, hidden) in [(0, 48), (2, 48), (0, 64), (2, 64)] {
-                    let model = GnnModel::new(GnnConfig {
-                        reduction,
-                        hops,
-                        hidden,
-                        pooling: PoolCombo {
-                            sum: mask & 1 != 0,
-                            mean: mask & 2 != 0,
-                            max: mask & 4 != 0,
-                        },
-                        seed: u64::from(mask),
-                        ..GnnConfig::default()
-                    });
-                    let mut frozen = freeze_gnn(&model, &[]).unwrap();
-                    // A fresh model's biases are all zero, which would hide
-                    // a bias added anywhere but first.
-                    for (l, layer) in frozen.layers.affine.iter_mut().enumerate() {
-                        for (j, b) in layer.b.iter_mut().enumerate() {
-                            *b = ((7 * l + 3 * j) % 17) as f32 * 0.03 - 0.25;
-                        }
-                    }
-                    for (i, p) in prepared.iter().enumerate() {
-                        assert_eq!(
-                            frozen.forward_log_ns(p, &mut scratch).to_bits(),
-                            per_node_forward(&frozen, p).to_bits(),
-                            "{reduction:?}, pools {mask:#b}, {hops} hops, hidden {hidden}, probe {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
+    use tpu_learned_cost::GnnConfig;
 
     #[test]
     fn gcn_mean_is_a_typed_unsupported_arch() {

@@ -6,8 +6,9 @@
 //! encoder shared with the GNN over all nodes at once (ε⁰), then per node
 //! the fused gate product over `[step input ‖ previous hidden]` and the
 //! `c`/`h` recurrence, every buffer carved from one scratch allocation.
-//! It can differ from the tape only by f32 summation order
-//! (`tests/parity.rs` pins the two within 1e-5 log-ns).
+//! It runs the tape's f32 operations in the tape's order, through
+//! tpu-nn's matmul kernel, so every prediction is the tape's bit for bit
+//! (`tests/parity.rs` compares `to_bits`).
 //!
 //! Blob header, after `kind`: `opcode_embed_dim`, `node_dim`, `hidden`,
 //! each a u32. The tensors: the embedding table, then weight and bias of
@@ -17,10 +18,7 @@ use crate::blob::{FrozenError, Reader, Writer};
 use crate::layers::{carve, LayerSpec, Layers};
 use tpu_hlo::Kernel;
 use tpu_learned_cost::{LstmModel, Prepared};
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
+use tpu_nn::sigmoid;
 
 /// The affine layers, in blob order: the encoder's f₁ (`node_dim` wide);
 /// the fused `i, f, g, o` gates over `[step input ‖ previous hidden]`;
@@ -43,9 +41,11 @@ pub struct FrozenLstm {
 
 impl FrozenLstm {
     /// f32s of scratch one forward over `nodes` nodes carves up: the
-    /// gathered embeddings, the step inputs, `c`, `h` and the gates.
+    /// encoder's side-by-side inputs, the step inputs, the gate input
+    /// `[step input ‖ h]`, `c` and the gates.
     pub(crate) fn scratch_len(&self, nodes: usize) -> usize {
-        nodes * (self.layers.embed_dim() + self.layers.encoded_dim()) + 6 * self.hidden
+        let d = self.layers.encoded_dim();
+        nodes * (self.layers.encoder_input_dim() + d) + d + 6 * self.hidden
     }
 
     /// Predicted log-runtime (ns) of one featurized kernel: the one walk
@@ -58,16 +58,20 @@ impl FrozenLstm {
         let (n, h, d) = (p.num_nodes(), self.hidden, self.layers.encoded_dim());
         let (gate_layer, head) = (&self.layers.affine[1], &self.layers.affine[2]);
         let scratch = carve(scratch, self.scratch_len(n));
-        let (emb, rest) = scratch.split_at_mut(n * self.layers.embed_dim());
+        let (x, rest) = scratch.split_at_mut(n * self.layers.encoder_input_dim());
         let (xs, rest) = rest.split_at_mut(n * d);
-        let (c, rest) = rest.split_at_mut(h);
-        let (hid, gates) = rest.split_at_mut(h);
+        // The gate input holds the hidden state in place, after the step
+        // input: `[x_t ‖ h]` is built by one copy a step.
+        let (z, rest) = rest.split_at_mut(d + h);
+        let (c, gates) = rest.split_at_mut(h);
 
-        self.layers.encode_rows(p, emb, xs);
+        self.layers.encode_rows(p, x, xs);
         c.fill(0.0);
-        hid.fill(0.0);
-        for x in xs.chunks_exact(d) {
-            gate_layer.apply_rows(1, &[x, hid], gates);
+        z[d..].fill(0.0);
+        for x_t in xs.chunks_exact(d) {
+            z[..d].copy_from_slice(x_t);
+            gate_layer.apply_rows(z, gates);
+            let hid = &mut z[d..];
             for j in 0..h {
                 let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
                 c[j] = sigmoid(f) * c[j] + sigmoid(i) * g.tanh();
@@ -75,7 +79,7 @@ impl FrozenLstm {
             }
         }
         let mut y = [0.0f32];
-        head.apply_rows(1, &[hid], &mut y);
+        head.apply_rows(&z[d..], &mut y);
         y[0] + self.layers.log_ns_offset
     }
 
@@ -111,51 +115,4 @@ pub fn freeze_lstm(model: &LstmModel, _calib: &[Kernel]) -> Result<FrozenLstm, F
         hidden: cfg.hidden,
         layers: Layers::from_store(model.store(), &specs)?,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tpu_learned_cost::LstmConfig;
-
-    /// The body `forward_log_ns` had before `apply_rows`: one node at a
-    /// time through the oracle matvec, a buffer per stage.
-    fn per_node_forward(m: &FrozenLstm, p: &Prepared) -> f32 {
-        let h = m.hidden;
-        let mut x = vec![0.0f32; m.layers.encoded_dim()];
-        let (mut c, mut hid) = (vec![0.0f32; h], vec![0.0f32; h]);
-        let mut gates = vec![0.0f32; 4 * h];
-        for t in 0..p.num_nodes() {
-            m.layers.encode(p, t, &mut x);
-            m.layers.affine[1].apply(&[&x, &hid], &mut gates);
-            for j in 0..h {
-                let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
-                c[j] = sigmoid(f) * c[j] + sigmoid(i) * g.tanh();
-                hid[j] = sigmoid(o) * c[j].tanh();
-            }
-        }
-        let mut y = [0.0f32];
-        m.layers.affine[2].apply(&[&hid], &mut y);
-        y[0] + m.layers.log_ns_offset
-    }
-
-    #[test]
-    fn the_blocked_forward_is_the_per_node_forward_bit_for_bit() {
-        let mut scratch = Vec::new();
-        for hidden in [48, 64] {
-            let model = LstmModel::new(LstmConfig {
-                hidden,
-                ..LstmConfig::default()
-            });
-            let frozen = freeze_lstm(&model, &[]).unwrap();
-            for (i, k) in crate::probe_kernels(64).iter().enumerate() {
-                let p = Prepared::from_kernel(k);
-                assert_eq!(
-                    frozen.forward_log_ns(&p, &mut scratch).to_bits(),
-                    per_node_forward(&frozen, &p).to_bits(),
-                    "hidden {hidden}, probe {i}"
-                );
-            }
-        }
-    }
 }

@@ -43,5 +43,5 @@ pub use layers::{Activation, Embedding, Linear, LstmCell, LstmState};
 pub use loss::{grouped_pairwise_rank_loss, mse_loss, weighted_mse_loss, RankPhi};
 pub use optim::{clip_grad_norm, Adam, AdamState};
 pub use params::{ParamId, ParamStore};
-pub use tape::{Tape, Var};
-pub use tensor::Tensor;
+pub use tape::{sigmoid, Tape, Var, L2_EPS};
+pub use tensor::{matmul_slices, Tensor};

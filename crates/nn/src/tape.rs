@@ -391,7 +391,7 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Sigmoid(a), |x| 1.0 / (1.0 + (-x).exp()))
+        self.unary(a, Op::Sigmoid(a), sigmoid)
     }
 
     /// Elementwise `e^x`.
@@ -869,7 +869,16 @@ impl Tape {
     }
 }
 
-const L2_EPS: f32 = 1e-6;
+/// The `ε` of [`Tape::l2_normalize_rows`]: a row is divided by
+/// `max(‖x‖₂, ε)`. Public so a tape-free forward normalizes with the same
+/// bits.
+pub const L2_EPS: f32 = 1e-6;
+
+/// The logistic sigmoid `1 / (1 + e^-x)` [`Tape::sigmoid`] applies per
+/// element. Public so a tape-free forward computes the same bits.
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
 
 /// Accumulate an owned gradient into `grads[v]`; when the slot is already
 /// occupied the addition happens in place and `g`'s buffer is recycled.

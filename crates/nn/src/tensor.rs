@@ -13,6 +13,9 @@
 //! const-generic `R×C` tile at `C ∈ {16, 4, 1}`, which LLVM vectorizes at
 //! its preferred width. Both multiply, then add — never a fused
 //! multiply-add, whose single rounding would change the bits.
+//!
+//! The same kernel serves the frozen forward (`tpu-infer`) through
+//! [`matmul_slices`], so a frozen prediction is the tape's, bit for bit.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -247,12 +250,13 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul out shape");
-        out.fill_zero();
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        mm_rows(&self.data, k, &other.data, n, &mut out.data);
+        matmul_slices::<false>(
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+            &mut out.data,
+        );
     }
 
     /// Fused transposed product `selfᵀ · other` (`self [k×m]`, `other
@@ -448,33 +452,75 @@ fn reference_mm(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     }
 }
 
+/// `out = a · b` over flat row-major buffers — `a` is `[m×k]`, `b`
+/// `[k×n]`, `out` `[m×n]` and overwritten — through the blocked kernel
+/// [`Tensor::matmul`] runs: every element is the f32 the tape computes.
+///
+/// With `SKIP_ZEROS`, a `kk` at which `a` is `±0` in every row of a
+/// register block is skipped. That is exact, but only for a finite `b`
+/// (a debug build asserts it): the skipped terms are then `±0`, and a
+/// partial sum that starts at `+0.0` is never `-0.0`, so adding a zero
+/// leaves it as it was. A `NaN` or `±inf` in `b` would turn the skipped
+/// `0 · b` into `NaN`, so the tape, whose weights may be anything,
+/// passes `false`; the frozen forward, whose weights are checked finite
+/// at freeze and at load, passes `true`.
+///
+/// # Panics
+///
+/// Panics unless `a` is `m×k` and `b` is `k×n` for the `m` that `out`
+/// implies.
+pub fn matmul_slices<const SKIP_ZEROS: bool>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    out.fill(0.0);
+    if n == 0 {
+        assert!(out.is_empty(), "matmul out shape");
+        return;
+    }
+    let m = out.len() / n;
+    assert_eq!(m * n, out.len(), "matmul out shape");
+    assert_eq!(a.len(), m * k, "matmul lhs shape");
+    assert_eq!(b.len(), k * n, "matmul rhs shape");
+    debug_assert!(
+        !SKIP_ZEROS || b.iter().all(|v| v.is_finite()),
+        "the zero skip needs a finite rhs"
+    );
+    if m > 0 && k > 0 {
+        mm_rows::<SKIP_ZEROS>(a, k, b, n, out);
+    }
+}
+
 /// Blocked kernel for `out[i][j] += Σ_kk a[i][kk] * b[kk][j]`: `a` is
 /// `[m×k]`, `b` `[k×n]`, `out` `[m×n]`.
 ///
-/// The output is tiled into `MR×NR` register blocks; each block runs the
-/// whole `k` loop with its partial sums in registers ([`mm_micro`]), so
-/// each output element still accumulates in ascending-`kk` order while the
-/// inner loop is a dense grid of independent multiply-then-add pairs,
+/// The output is tiled into register blocks of `MR` rows — then one of
+/// 3, 2 or 1 for the rows left over — by `NR` columns; each block runs
+/// the whole `k` loop with its partial sums in registers ([`mm_micro`]),
+/// so each output element still accumulates in ascending-`kk` order while
+/// the inner loop is a dense grid of independent multiply-then-add pairs,
 /// never contracted into FMAs (`.cargo/config.toml`: the bit contract
 /// depends on it).
-fn mm_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 {
-        return;
-    }
+fn mm_rows<const SKIP_ZEROS: bool>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let rows = out.len() / n;
     let mut i = 0;
     while i + MR <= rows {
-        mm_row_block::<MR>(a, k, b, n, out, i);
+        mm_row_block::<MR, SKIP_ZEROS>(a, k, b, n, out, i);
         i += MR;
     }
-    while i < rows {
-        mm_row_block::<1>(a, k, b, n, out, i);
-        i += 1;
+    match rows - i {
+        3 => mm_row_block::<3, SKIP_ZEROS>(a, k, b, n, out, i),
+        2 => mm_row_block::<2, SKIP_ZEROS>(a, k, b, n, out, i),
+        1 => mm_row_block::<1, SKIP_ZEROS>(a, k, b, n, out, i),
+        _ => {}
     }
 }
 
 /// Sweep one block of `R` output rows across all column tiles.
-fn mm_row_block<const R: usize>(
+fn mm_row_block<const R: usize, const SKIP_ZEROS: bool>(
     a: &[f32],
     k: usize,
     b: &[f32],
@@ -487,31 +533,41 @@ fn mm_row_block<const R: usize>(
     while jb + zmm::NC <= n {
         // SAFETY: this build enables AVX-512F (the `cfg` above), so every
         // CPU it runs on has it.
-        unsafe { zmm::tile::<R>(a, k, 1, k, b, n, out, i, jb) };
+        unsafe { zmm::tile::<R, SKIP_ZEROS>(a, k, 1, k, b, n, out, i, jb) };
         jb += zmm::NC;
     }
     while jb + NR <= n {
-        mm_micro::<R, NR>(a, k, b, n, out, i, jb);
+        mm_micro::<R, NR, SKIP_ZEROS>(a, k, b, n, out, i, jb);
         jb += NR;
     }
     while jb + 4 <= n {
-        mm_micro::<R, 4>(a, k, b, n, out, i, jb);
+        mm_micro::<R, 4, SKIP_ZEROS>(a, k, b, n, out, i, jb);
         jb += 4;
     }
     while jb < n {
-        mm_micro::<R, 1>(a, k, b, n, out, i, jb);
+        mm_micro::<R, 1, SKIP_ZEROS>(a, k, b, n, out, i, jb);
         jb += 1;
     }
 }
 
-/// `R×C` register-tile micro-kernel: `out[i..i+R][jb..jb+C] += a[i..i+R][:] · b[:][jb..jb+C]`.
+/// Whether every value is `±0`: one branch on the OR of the bits with the
+/// sign bit shifted out — a compare per row costs more than the skip
+/// saves.
+#[inline(always)]
+fn all_zero<const R: usize>(values: &[f32; R]) -> bool {
+    values.iter().fold(0, |bits, x| bits | x.to_bits()) << 1 == 0
+}
+
+/// `R×C` register-tile micro-kernel: `out[i..i+R][jb..jb+C] += a[i..i+R][:] · b[:][jb..jb+C]`,
+/// skipping the `kk`s [`all_zero`] finds when `SKIP_ZEROS` is on
+/// ([`matmul_slices`] has the contract).
 ///
 /// Partial sums stay in `acc` for the whole `k` loop and are added to
 /// `out` once at the end. `acc` starts at `+0.0` and `out` is zeroed by
 /// the caller, so the final `+=` is a bitwise no-op relative to the
 /// reference's running in-place sum.
 #[inline(always)]
-fn mm_micro<const R: usize, const C: usize>(
+fn mm_micro<const R: usize, const C: usize, const SKIP_ZEROS: bool>(
     a: &[f32],
     k: usize,
     b: &[f32],
@@ -523,11 +579,14 @@ fn mm_micro<const R: usize, const C: usize>(
     let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
     let mut acc = [[0.0f32; C]; R];
     for kk in 0..k {
+        let av: [f32; R] = std::array::from_fn(|r| a_rows[r][kk]);
+        if SKIP_ZEROS && all_zero(&av) {
+            continue;
+        }
         let b_tile = &b[kk * n + jb..kk * n + jb + C];
         for r in 0..R {
-            let av = a_rows[r][kk];
             for t in 0..C {
-                acc[r][t] += av * b_tile[t];
+                acc[r][t] += av[r] * b_tile[t];
             }
         }
     }
@@ -573,7 +632,7 @@ fn mm_at_row_block<const R: usize>(
     while jb + zmm::NC <= n {
         // SAFETY: this build enables AVX-512F (the `cfg` above), so every
         // CPU it runs on has it.
-        unsafe { zmm::tile::<R>(a, 1, m, k, b, n, out, i, jb) };
+        unsafe { zmm::tile::<R, false>(a, 1, m, k, b, n, out, i, jb) };
         jb += zmm::NC;
     }
     while jb + NR <= n {
@@ -655,7 +714,8 @@ mod zmm {
     ///
     /// Each accumulator lane starts at `+0.0` and adds the rounded
     /// product `A · b` in ascending `kk`: the reference's operations in the
-    /// reference's order, sixteen elements at a time.
+    /// reference's order, sixteen elements at a time — with the portable
+    /// tile's zero skip when `SKIP_ZEROS` is on.
     ///
     /// # Panics
     ///
@@ -663,7 +723,7 @@ mod zmm {
     /// and every index the loops form lies inside `a`, `b` and `out`.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn tile<const R: usize>(
+    pub(super) fn tile<const R: usize, const SKIP_ZEROS: bool>(
         a: &[f32],
         rs: usize,
         ks: usize,
@@ -683,6 +743,13 @@ mod zmm {
         assert!((i + R) * n <= out.len(), "zmm tile writes past out");
         let mut acc = [[_mm512_setzero_ps(); REGS]; R];
         for kk in 0..k {
+            // SAFETY: r < R and kk < k, so the index is at most
+            // (i + R - 1)·rs + (k - 1)·ks < a.len() (asserted above).
+            let a_k: [f32; R] =
+                std::array::from_fn(|r| unsafe { *a.get_unchecked((i + r) * rs + kk * ks) });
+            if SKIP_ZEROS && super::all_zero(&a_k) {
+                continue;
+            }
             // SAFETY: kk < k and jb + 64 <= n, so the last lane read is
             // kk·n + jb + 63 < k·n <= b.len() (asserted above).
             let bv: [__m512; REGS] = unsafe {
@@ -694,10 +761,8 @@ mod zmm {
                     _mm512_loadu_ps(p.add(3 * LANES)),
                 ]
             };
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                // SAFETY: r < R and kk < k, so the index is at most
-                // (i + R - 1)·rs + (k - 1)·ks < a.len() (asserted above).
-                let av = _mm512_set1_ps(unsafe { *a.get_unchecked((i + r) * rs + kk * ks) });
+            for (acc_r, &a_rk) in acc.iter_mut().zip(&a_k) {
+                let av = _mm512_set1_ps(a_rk);
                 for (acc_rt, &bt) in acc_r.iter_mut().zip(&bv) {
                     *acc_rt = _mm512_add_ps(*acc_rt, _mm512_mul_ps(av, bt));
                 }
@@ -894,8 +959,10 @@ mod tests {
     }
 
     /// The AVX-512 tile against the portable tile it stands in for, on
-    /// the same operands (NaN, ±inf and −0.0 included), for both `A`
-    /// layouts and both row counts.
+    /// the same operands (NaN, ±inf and ±0.0 included), for both `A`
+    /// layouts, every row count a block can have and the zero skip off
+    /// and on. `a`'s columns 4 and 9 are zero in every row, so the skip
+    /// has a `k` to skip in every block; the two skip the same `k`s.
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     #[test]
     fn zmm_tile_equals_portable_tile() {
@@ -903,6 +970,51 @@ mod tests {
             x.iter()
                 .zip(y)
                 .all(|(a, b)| (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits())
+        }
+        /// Rows `i..i + R` of both kernels, `A` row-major (`at` false) or
+        /// the columns of `aᵀ`.
+        fn rows<const R: usize, const SKIP: bool>(
+            a: &Tensor,
+            b: &Tensor,
+            at: bool,
+            i: usize,
+            jb: usize,
+            simd: &mut [f32],
+            portable: &mut [f32],
+        ) {
+            let (k, n) = (b.rows, b.cols);
+            if at {
+                let m = a.cols;
+                // SAFETY: the cfg on this test means AVX-512F is enabled.
+                unsafe { zmm::tile::<R, SKIP>(&a.data, 1, m, k, &b.data, n, simd, i, jb) };
+                if SKIP {
+                    // `mm_at_micro` has no skip: run the row-major tile on
+                    // the materialized transpose instead.
+                    let t = a.transpose();
+                    mm_micro::<R, 64, SKIP>(&t.data, k, &b.data, n, portable, i, jb);
+                } else {
+                    mm_at_micro::<R, 64>(&a.data, m, k, &b.data, n, portable, i, jb);
+                }
+            } else {
+                // SAFETY: as above.
+                unsafe { zmm::tile::<R, SKIP>(&a.data, k, 1, k, &b.data, n, simd, i, jb) };
+                mm_micro::<R, 64, SKIP>(&a.data, k, &b.data, n, portable, i, jb);
+            }
+        }
+        fn all_rows<const SKIP: bool>(a: &Tensor, b: &Tensor, at: bool, jb: usize) {
+            let (m, n) = (if at { a.cols } else { a.rows }, b.cols);
+            let mut simd = vec![0.0; m * n];
+            let mut portable = vec![0.0; m * n];
+            rows::<4, SKIP>(a, b, at, 0, jb, &mut simd, &mut portable);
+            rows::<3, SKIP>(a, b, at, 4, jb, &mut simd, &mut portable);
+            rows::<2, SKIP>(a, b, at, 7, jb, &mut simd, &mut portable);
+            rows::<1, SKIP>(a, b, at, 9, jb, &mut simd, &mut portable);
+            assert!(simd.iter().any(|x| x.is_nan()));
+            assert!(simd.iter().any(|x| x.is_finite() && *x != 0.0));
+            assert!(
+                same(&simd, &portable),
+                "A transposed {at}, skip {SKIP}, tile at column {jb}"
+            );
         }
         let (m, k, n) = (10, 70, 131);
         let mut a = random_tensor(m, k, 11);
@@ -915,32 +1027,16 @@ mod tests {
         for (i, x) in b.data_mut().iter_mut().step_by(173).enumerate() {
             *x = [-0.0, f32::NEG_INFINITY, f32::NAN, f32::INFINITY][i % 4];
         }
+        for r in 0..m {
+            a.set(r, 4, if r % 2 == 0 { 0.0 } else { -0.0 });
+            a.set(r, 9, 0.0);
+        }
         let at = a.transpose();
-        for (i, jb) in [(0, 0), (5, 67)] {
-            let mut simd = vec![0.0; m * n];
-            let mut portable = vec![0.0; m * n];
-            // SAFETY: the cfg on this test means AVX-512F is enabled.
-            unsafe { zmm::tile::<4>(&a.data, k, 1, k, &b.data, n, &mut simd, i, jb) };
-            mm_micro::<4, 64>(&a.data, k, &b.data, n, &mut portable, i, jb);
-            // SAFETY: as above.
-            unsafe { zmm::tile::<1>(&a.data, k, 1, k, &b.data, n, &mut simd, i + 4, jb) };
-            mm_micro::<1, 64>(&a.data, k, &b.data, n, &mut portable, i + 4, jb);
-            assert!(simd.iter().any(|x| x.is_nan()));
-            assert!(simd.iter().any(|x| x.is_finite() && *x != 0.0));
-            assert!(same(&simd, &portable), "A row-major, tile at ({i}, {jb})");
-
-            let mut simd = vec![0.0; m * n];
-            let mut portable = vec![0.0; m * n];
-            // SAFETY: as above.
-            unsafe { zmm::tile::<4>(&at.data, 1, m, k, &b.data, n, &mut simd, i, jb) };
-            mm_at_micro::<4, 64>(&at.data, m, k, &b.data, n, &mut portable, i, jb);
-            // SAFETY: as above.
-            unsafe { zmm::tile::<1>(&at.data, 1, m, k, &b.data, n, &mut simd, i + 4, jb) };
-            mm_at_micro::<1, 64>(&at.data, m, k, &b.data, n, &mut portable, i + 4, jb);
-            assert!(
-                same(&simd, &portable),
-                "A column-major, tile at ({i}, {jb})"
-            );
+        for jb in [0, 67] {
+            all_rows::<false>(&a, &b, false, jb);
+            all_rows::<true>(&a, &b, false, jb);
+            all_rows::<false>(&at, &b, true, jb);
+            all_rows::<true>(&at, &b, true, jb);
         }
     }
 
