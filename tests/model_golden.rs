@@ -20,7 +20,10 @@
 //! *before* `train_stream` and `train_resumable` came to share one epoch
 //! loop and must keep passing unchanged: a restructuring may not move one
 //! bit. The `freeze_*` rows were recorded by the f32 frozen forward of
-//! `tpu-frozen.v2`. If a change to training or freezing arithmetic is
+//! `tpu-frozen.v2` once it ran tpu-nn's matmul kernel, when its
+//! predictions became the tape's bit for bit (only their `log_ns_bits`
+//! moved; every `blob_fnv` held). If a change to training or freezing
+//! arithmetic is
 //! *intentional*, regenerate with:
 //!
 //! ```text
