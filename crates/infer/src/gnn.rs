@@ -86,10 +86,10 @@ impl FrozenGnn {
 
     /// f32s of scratch one forward over `nodes` nodes carves up: the
     /// side-by-side layer inputs, node states, messages / next states,
-    /// aggregates, neighbor counts and the pooled embedding.
+    /// neighbor counts and the pooled embedding.
     pub(crate) fn scratch_len(&self, nodes: usize) -> usize {
         let h = self.arch.hidden;
-        nodes * (self.cat_width() + 3 * h + 1) + self.arch.num_pools() * h
+        nodes * (self.cat_width() + 2 * h + 1) + self.arch.num_pools() * h
     }
 
     /// Predicted log-runtime (ns) of one featurized kernel: the one walk
@@ -114,11 +114,9 @@ impl FrozenGnn {
         let (cat, rest) = scratch.split_at_mut(n * self.cat_width());
         let (mut eps, rest) = rest.split_at_mut(n * h);
         let (mut next, rest) = rest.split_at_mut(n * h);
-        let (agg, rest) = rest.split_at_mut(n * h);
         let (degree, kappa) = rest.split_at_mut(n);
 
-        self.layers
-            .encode_rows(p, &mut cat[..n * self.layers.encoder_input_dim()], eps);
+        self.layers.encode_rows(p, cat, eps);
         if reduction == Reduction::Mean {
             degree.fill(0.0);
             for &(a, b) in &p.edges {
@@ -126,20 +124,18 @@ impl FrozenGnn {
                 degree[b] += 1.0;
             }
         }
-        // Messages first, then the hop's new node states: f₃ reads node
-        // `i` of `eps` and `agg` only, so it can overwrite message `i`.
+        // Messages first, then the hop's new node states: f₃ reads `cat`
+        // only, so it can overwrite the messages.
         for hop in hop_layers.chunks_exact(2) {
             let (f2, f3) = (&hop[0], &hop[1]);
             // Per-node message: relu(f₂(ε)).
             f2.apply_rows(eps, next);
             relu(next);
-            aggregate(reduction, p, next, agg, degree, h);
             // εᵏ = l₂(relu(f₃([ε ‖ agg]))).
             let cat = &mut cat[..n * 2 * h];
-            let inputs = eps.chunks_exact(h).zip(agg.chunks_exact(h));
-            for (row, (e, a)) in cat.chunks_exact_mut(2 * h).zip(inputs) {
+            aggregate(reduction, p, next, cat, degree, h);
+            for (row, e) in cat.chunks_exact_mut(2 * h).zip(eps.chunks_exact(h)) {
                 row[..h].copy_from_slice(e);
-                row[h..].copy_from_slice(a);
             }
             f3.apply_rows(cat, next);
             relu(next);
@@ -208,43 +204,42 @@ impl FrozenGnn {
     }
 }
 
-/// Neighborhood reduction of the `n×h` messages `msg` into `agg` over the
-/// doubled edge list, in the exact edge order the tape's gather + segment
-/// op uses. `degree[i]` is node `i`'s neighbor count (read by `Mean` only).
-fn aggregate(red: Reduction, p: &Prepared, msg: &[f32], agg: &mut [f32], degree: &[f32], h: usize) {
-    match red {
-        Reduction::Sum | Reduction::Mean => {
-            agg.fill(0.0);
-            for &(a, b) in &p.edges {
-                for j in 0..h {
-                    agg[b * h + j] += msg[a * h + j];
+/// Neighborhood reduction of the `n×h` messages `msg` over the doubled
+/// edge list, in the exact edge order the tape's gather + segment op
+/// uses, into the right half of each `2h`-wide row of `cat`: f₃'s
+/// `[ε ‖ aggregate]` input, which then needs only `ε` copied in.
+/// `degree[i]` is node `i`'s neighbor count (read by `Mean` only).
+fn aggregate(red: Reduction, p: &Prepared, msg: &[f32], cat: &mut [f32], degree: &[f32], h: usize) {
+    let max = red == Reduction::Max;
+    for row in cat.chunks_exact_mut(2 * h) {
+        row[h..].fill(if max { f32::NEG_INFINITY } else { 0.0 });
+    }
+    for &(a, b) in &p.edges {
+        for (to, from) in [(b, a), (a, b)] {
+            let agg = &mut cat[to * 2 * h + h..][..h];
+            let msg = &msg[from * h..][..h];
+            if max {
+                for (v, &m) in agg.iter_mut().zip(msg) {
+                    *v = v.max(m);
                 }
-                for j in 0..h {
-                    agg[a * h + j] += msg[b * h + j];
-                }
-            }
-            if red == Reduction::Mean {
-                for (row, &cnt) in agg.chunks_exact_mut(h).zip(degree) {
-                    if cnt > 0.0 {
-                        for v in row {
-                            *v /= cnt;
-                        }
-                    }
+            } else {
+                for (v, &m) in agg.iter_mut().zip(msg) {
+                    *v += m;
                 }
             }
         }
-        Reduction::Max => {
-            agg.fill(f32::NEG_INFINITY);
-            for &(a, b) in &p.edges {
-                for j in 0..h {
-                    agg[b * h + j] = agg[b * h + j].max(msg[a * h + j]);
-                }
-                for j in 0..h {
-                    agg[a * h + j] = agg[a * h + j].max(msg[b * h + j]);
+    }
+    for (row, &cnt) in cat.chunks_exact_mut(2 * h).zip(degree) {
+        let agg = &mut row[h..];
+        match red {
+            Reduction::Sum => {}
+            Reduction::Mean => {
+                if cnt > 0.0 {
+                    agg.iter_mut().for_each(|v| *v /= cnt);
                 }
             }
-            for v in agg.iter_mut() {
-                if *v == f32::NEG_INFINITY {
+            Reduction::Max => {
+                for v in agg.iter_mut().filter(|v| **v == f32::NEG_INFINITY) {
                     *v = 0.0;
                 }
             }

@@ -116,11 +116,12 @@ impl Layers {
 
     /// The node encoder, `ε⁰ = relu([opcode embedding ‖ features]·W₁ + b₁)`
     /// — the GNN's initial node states and the LSTM's step inputs — for
-    /// every node of `p` in one product. `x` (`n × encoder_input_dim`)
-    /// receives each node's embedding row and features side by side,
-    /// `out` (`n × encoded_dim`) the result.
+    /// every node of `p` in one product. The first `n × encoder_input_dim`
+    /// f32s of `x` receive each node's embedding row and features side by
+    /// side, `out` (`n × encoded_dim`) the result.
     pub(crate) fn encode_rows(&self, p: &Prepared, x: &mut [f32], out: &mut [f32]) {
         let d = self.embed_dim();
+        let x = &mut x[..p.num_nodes() * self.encoder_input_dim()];
         let rows = x.chunks_exact_mut(self.encoder_input_dim());
         let features = p.features.data().chunks_exact(FEATURE_DIM);
         for ((row, &op), feats) in rows.zip(&p.opcode_ids).zip(features) {

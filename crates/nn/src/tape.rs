@@ -107,8 +107,7 @@ impl BufferPool {
     }
 
     /// A `rows×cols` tensor of unspecified contents, reusing a free
-    /// buffer, for an op that overwrites every element (the matmuls zero
-    /// their output themselves).
+    /// buffer, for an op that overwrites every element (the matmuls).
     fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> Tensor {
         let mut buf = self.free.pop().unwrap_or_default();
         buf.resize(rows * cols, 0.0);

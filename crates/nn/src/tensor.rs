@@ -285,12 +285,12 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.cols, other.cols), "matmul_at out shape");
-        out.fill_zero();
         let (m, k, n) = (self.cols, self.rows, other.cols);
-        if m == 0 || n == 0 || k == 0 {
-            return;
+        if k == 0 {
+            out.fill_zero();
+        } else if m > 0 && n > 0 {
+            mm_at_rows(&self.data, m, k, &other.data, n, &mut out.data);
         }
-        mm_at_rows(&self.data, m, k, &other.data, n, &mut out.data);
     }
 
     /// Transposed product `self · otherᵀ` (`self [m×k]`, `other [n×k]` →
@@ -476,7 +476,6 @@ pub fn matmul_slices<const SKIP_ZEROS: bool>(
     n: usize,
     out: &mut [f32],
 ) {
-    out.fill(0.0);
     if n == 0 {
         assert!(out.is_empty(), "matmul out shape");
         return;
@@ -489,13 +488,15 @@ pub fn matmul_slices<const SKIP_ZEROS: bool>(
         !SKIP_ZEROS || b.iter().all(|v| v.is_finite()),
         "the zero skip needs a finite rhs"
     );
-    if m > 0 && k > 0 {
+    if k == 0 {
+        out.fill(0.0);
+    } else if m > 0 {
         mm_rows::<SKIP_ZEROS>(a, k, b, n, out);
     }
 }
 
-/// Blocked kernel for `out[i][j] += Σ_kk a[i][kk] * b[kk][j]`: `a` is
-/// `[m×k]`, `b` `[k×n]`, `out` `[m×n]`.
+/// Blocked kernel for `out[i][j] = Σ_kk a[i][kk] * b[kk][j]`: `a` is
+/// `[m×k]`, `b` `[k×n]`, `out` `[m×n]`, `k ≥ 1`.
 ///
 /// The output is tiled into register blocks of `MR` rows — then one of
 /// 3, 2 or 1 for the rows left over — by `NR` columns; each block runs
@@ -558,14 +559,15 @@ fn all_zero<const R: usize>(values: &[f32; R]) -> bool {
     values.iter().fold(0, |bits, x| bits | x.to_bits()) << 1 == 0
 }
 
-/// `R×C` register-tile micro-kernel: `out[i..i+R][jb..jb+C] += a[i..i+R][:] · b[:][jb..jb+C]`,
+/// `R×C` register-tile micro-kernel: `out[i..i+R][jb..jb+C] = a[i..i+R][:] · b[:][jb..jb+C]`,
 /// skipping the `kk`s [`all_zero`] finds when `SKIP_ZEROS` is on
 /// ([`matmul_slices`] has the contract).
 ///
-/// Partial sums stay in `acc` for the whole `k` loop and are added to
-/// `out` once at the end. `acc` starts at `+0.0` and `out` is zeroed by
-/// the caller, so the final `+=` is a bitwise no-op relative to the
-/// reference's running in-place sum.
+/// Partial sums stay in `acc` for the whole `k` loop and are stored to
+/// `out` once at the end. `acc` starts at `+0.0` and takes the
+/// reference's additions in the reference's order, so it is the
+/// reference's running sum from a zeroed output, bit for bit — nothing
+/// reads `out` first.
 #[inline(always)]
 fn mm_micro<const R: usize, const C: usize, const SKIP_ZEROS: bool>(
     a: &[f32],
@@ -591,10 +593,7 @@ fn mm_micro<const R: usize, const C: usize, const SKIP_ZEROS: bool>(
         }
     }
     for r in 0..R {
-        let o = &mut out[(i + r) * n + jb..(i + r) * n + jb + C];
-        for t in 0..C {
-            o[t] += acc[r][t];
-        }
+        out[(i + r) * n + jb..(i + r) * n + jb + C].copy_from_slice(&acc[r]);
     }
 }
 
@@ -676,10 +675,7 @@ fn mm_at_micro<const R: usize, const C: usize>(
         }
     }
     for r in 0..R {
-        let o = &mut out[(i + r) * n + jb..(i + r) * n + jb + C];
-        for t in 0..C {
-            o[t] += acc[r][t];
-        }
+        out[(i + r) * n + jb..(i + r) * n + jb + C].copy_from_slice(&acc[r]);
     }
 }
 
@@ -707,7 +703,7 @@ mod zmm {
     /// Columns in one tile.
     pub(super) const NC: usize = LANES * REGS;
 
-    /// `out[i+r][jb..jb+64] += Σ_kk A(i+r, kk) · b[kk][jb..jb+64]` for
+    /// `out[i+r][jb..jb+64] = Σ_kk A(i+r, kk) · b[kk][jb..jb+64]` for
     /// `r < R`, where `A(row, kk) = a[row·rs + kk·ks]` — `rs = k, ks = 1`
     /// reads `A` row-major, `rs = 1, ks = m` reads the columns of a `[k×m]`
     /// matrix (the fused `aᵀ·b`).
@@ -774,8 +770,7 @@ mod zmm {
             unsafe {
                 let p = out.as_mut_ptr().add((i + r) * n + jb);
                 for (t, &acc_rt) in acc_r.iter().enumerate() {
-                    let q = p.add(t * LANES);
-                    _mm512_storeu_ps(q, _mm512_add_ps(_mm512_loadu_ps(q), acc_rt));
+                    _mm512_storeu_ps(p.add(t * LANES), acc_rt);
                 }
             }
         }
@@ -959,10 +954,11 @@ mod tests {
     }
 
     /// The AVX-512 tile against the portable tile it stands in for, on
-    /// the same operands (NaN, ±inf and ±0.0 included), for both `A`
-    /// layouts, every row count a block can have and the zero skip off
-    /// and on. `a`'s columns 4 and 9 are zero in every row, so the skip
-    /// has a `k` to skip in every block; the two skip the same `k`s.
+    /// the same operands (NaN, ±inf and ±0.0 included), for every row
+    /// count a block can have: `A` row-major with the zero skip off and
+    /// on, and `A` read down the columns of `aᵀ` (`matmul_at`, which
+    /// never skips). `a`'s columns 4 and 9 are zero in every row, so the
+    /// skip has a `k` to skip in every block.
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     #[test]
     fn zmm_tile_equals_portable_tile() {
@@ -971,8 +967,8 @@ mod tests {
                 .zip(y)
                 .all(|(a, b)| (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits())
         }
-        /// Rows `i..i + R` of both kernels, `A` row-major (`at` false) or
-        /// the columns of `aᵀ`.
+        /// Rows `i..i + R` of both kernels; `at` reads `a` as `aᵀ`'s
+        /// columns.
         fn rows<const R: usize, const SKIP: bool>(
             a: &Tensor,
             b: &Tensor,
@@ -987,14 +983,7 @@ mod tests {
                 let m = a.cols;
                 // SAFETY: the cfg on this test means AVX-512F is enabled.
                 unsafe { zmm::tile::<R, SKIP>(&a.data, 1, m, k, &b.data, n, simd, i, jb) };
-                if SKIP {
-                    // `mm_at_micro` has no skip: run the row-major tile on
-                    // the materialized transpose instead.
-                    let t = a.transpose();
-                    mm_micro::<R, 64, SKIP>(&t.data, k, &b.data, n, portable, i, jb);
-                } else {
-                    mm_at_micro::<R, 64>(&a.data, m, k, &b.data, n, portable, i, jb);
-                }
+                mm_at_micro::<R, 64>(&a.data, m, k, &b.data, n, portable, i, jb);
             } else {
                 // SAFETY: as above.
                 unsafe { zmm::tile::<R, SKIP>(&a.data, k, 1, k, &b.data, n, simd, i, jb) };
@@ -1036,7 +1025,6 @@ mod tests {
             all_rows::<false>(&a, &b, false, jb);
             all_rows::<true>(&a, &b, false, jb);
             all_rows::<false>(&at, &b, true, jb);
-            all_rows::<true>(&at, &b, true, jb);
         }
     }
 
