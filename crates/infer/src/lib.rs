@@ -7,12 +7,12 @@
 //! - **one tape-free forward per architecture**: the trained
 //!   [`GnnModel`](tpu_learned_cost::GnnModel) /
 //!   [`LstmModel`](tpu_learned_cost::LstmModel) weights, copied as they
-//!   are, walked in plain f32 over flat arrays — the number system the
-//!   model was trained in, so a frozen prediction differs from the tape's
-//!   only by summation order. Each layer is one register-blocked product
-//!   over all of a kernel's nodes (`Affine::apply_rows`, the only matmul
-//!   here), and a forward's buffers are one scratch allocation that a
-//!   batch reuses,
+//!   are, walked in plain f32 over flat arrays — the tape's operations in
+//!   the tape's order, so a frozen prediction is bit-identical to the
+//!   tape's. Each layer is one product over all of a kernel's nodes
+//!   through `tpu-nn`'s matmul kernel, the one training runs
+//!   ([`tpu_nn::matmul_slices`]), then its bias; a forward's buffers are
+//!   one scratch allocation that a batch reuses,
 //! - **a compact versioned blob** (`tpu-frozen.v2`): fixed-layout records
 //!   loadable with plain little-endian byte reads — no tape, no serde
 //!   tree, no reflection ([`FrozenModel::from_bytes`]) — in which every

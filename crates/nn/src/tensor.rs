@@ -458,13 +458,13 @@ fn reference_mm(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
 ///
 /// With `SKIP_ZEROS`, a `kk` at which `a` is `±0` in every row of a
 /// register block is skipped (in tiles wider than one column). That is
-/// exact, but only for a finite `b`
-/// (a debug build asserts it): the skipped terms are then `±0`, and a
-/// partial sum that starts at `+0.0` is never `-0.0`, so adding a zero
-/// leaves it as it was. A `NaN` or `±inf` in `b` would turn the skipped
-/// `0 · b` into `NaN`, so the tape, whose weights may be anything,
-/// passes `false`; the frozen forward, whose weights are checked finite
-/// at freeze and at load, passes `true`.
+/// exact, but only for a finite `b` (a debug build asserts it): the
+/// skipped terms are then `±0`, and a partial sum that starts at `+0.0`
+/// is never `-0.0`, so adding a zero leaves it as it was. A `NaN` or
+/// `±inf` in `b` would turn the skipped `0 · b` into `NaN`, so the tape,
+/// whose weights may be anything, passes `false`; the frozen forward,
+/// whose weights are checked finite at freeze and at load, passes
+/// `true`.
 ///
 /// # Panics
 ///
