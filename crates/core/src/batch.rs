@@ -1,10 +1,9 @@
 //! Dataset samples, pre-featurized kernels, and graph batching.
 
 use crate::features::{kernel_features, FEATURE_DIM};
-use std::borrow::Borrow;
 use std::ops::Range;
 use tpu_hlo::{Computation, Kernel};
-use tpu_nn::Tensor;
+use tpu_nn::{Graph, Tensor};
 
 /// One dataset example: a kernel and its measured runtime.
 ///
@@ -72,7 +71,7 @@ impl Prepared {
     ///
     /// This is the inference-path entry point: featurization is a pure
     /// function of the kernel, so the result is identical whether computed
-    /// here, via [`Prepared::from_sample`], or by `Prepared::from_kernels`.
+    /// here or via [`Prepared::from_sample`].
     pub fn from_kernel(kernel: &Kernel) -> Prepared {
         let (opcode_ids, features) = kernel_features(kernel);
         Prepared {
@@ -84,14 +83,6 @@ impl Prepared {
         }
     }
 
-    /// Featurize a slice of kernels, owned or borrowed, in order.
-    pub(crate) fn from_kernels<K: Borrow<Kernel>>(kernels: &[K]) -> Vec<Prepared> {
-        kernels
-            .iter()
-            .map(|k| Prepared::from_kernel(k.borrow()))
-            .collect()
-    }
-
     /// Featurize a slice of samples, in order.
     pub fn from_samples(samples: &[Sample]) -> Vec<Prepared> {
         samples.iter().map(Prepared::from_sample).collect()
@@ -100,6 +91,19 @@ impl Prepared {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.opcode_ids.len()
+    }
+
+    /// This kernel as a one-kernel [`Graph`]; `whole` is its one node
+    /// range, `0..num_nodes()`.
+    pub fn graph<'a>(&'a self, whole: &'a Range<usize>) -> Graph<'a> {
+        debug_assert_eq!(*whole, 0..self.num_nodes());
+        Graph {
+            opcode_ids: &self.opcode_ids,
+            features: self.features.data(),
+            feature_dim: FEATURE_DIM,
+            edges: &self.edges,
+            kernel_nodes: std::slice::from_ref(whole),
+        }
     }
 }
 
@@ -206,8 +210,6 @@ pub struct GraphBatch {
     pub features: Tensor,
     /// Directed edges with batch-global node indices.
     pub edges: Vec<(usize, usize)>,
-    /// Kernel (segment) id per node.
-    pub node_kernel: Vec<usize>,
     /// Per-kernel node index ranges, in topological order (for the LSTM
     /// baseline's sequences): each kernel's nodes are contiguous.
     pub kernel_nodes: Vec<Range<usize>>,
@@ -231,19 +233,17 @@ impl GraphBatch {
         let mut opcode_ids = Vec::with_capacity(total_nodes);
         let mut data = Vec::with_capacity(total_nodes * FEATURE_DIM);
         let mut edges = Vec::new();
-        let mut node_kernel = Vec::with_capacity(total_nodes);
         let mut kernel_nodes = Vec::with_capacity(items.len());
         let mut targets_ns = Vec::with_capacity(items.len());
         let mut groups = Vec::with_capacity(items.len());
 
         let mut offset = 0usize;
-        for (ki, p) in items.iter().enumerate() {
+        for p in items {
             opcode_ids.extend_from_slice(&p.opcode_ids);
             data.extend_from_slice(p.features.data());
             for &(a, b) in &p.edges {
                 edges.push((a + offset, b + offset));
             }
-            node_kernel.extend((0..p.num_nodes()).map(|_| ki));
             kernel_nodes.push(offset..offset + p.num_nodes());
             targets_ns.push(p.runtime_ns);
             groups.push(p.group);
@@ -254,11 +254,21 @@ impl GraphBatch {
             opcode_ids,
             features: Tensor::from_vec(total_nodes, FEATURE_DIM, data),
             edges,
-            node_kernel,
             kernel_nodes,
             targets_ns,
             groups,
         })
+    }
+
+    /// The batch as the [`Graph`] a forward runs over.
+    pub fn graph(&self) -> Graph<'_> {
+        Graph {
+            opcode_ids: &self.opcode_ids,
+            features: self.features.data(),
+            feature_dim: FEATURE_DIM,
+            edges: &self.edges,
+            kernel_nodes: &self.kernel_nodes,
+        }
     }
 
     /// Number of kernels in the batch.
@@ -330,7 +340,6 @@ mod tests {
         assert_eq!(b.edges.len(), 4);
         // Second kernel's edges offset by 3.
         assert!(b.edges.contains(&(3, 4)));
-        assert_eq!(b.node_kernel, vec![0, 0, 0, 1, 1, 1]);
         assert_eq!(b.kernel_nodes, vec![0..3, 3..6]);
     }
 

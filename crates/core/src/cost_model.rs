@@ -1,11 +1,13 @@
 //! A common interface over every runtime predictor in this reproduction.
 
 use crate::batch::Prepared;
+use crate::features::FEATURE_DIM;
 use crate::lstm_model::LstmModel;
 use crate::model::GnnModel;
 use crate::train::KernelModel;
 use std::borrow::Borrow;
 use tpu_hlo::{FusedProgram, Kernel};
+use tpu_nn::{ArenaLen, Graph, NoTape};
 
 /// Anything that can estimate kernel runtimes in nanoseconds.
 ///
@@ -17,8 +19,8 @@ use tpu_hlo::{FusedProgram, Kernel};
 /// story (§6.3) scores thousands of candidate configurations, and every
 /// layer above this trait (the [`Predictor`](crate::Predictor) session, the
 /// autotuner's objectives) hands the backend *slices* of kernels so a
-/// neural backend can answer them with one packed forward pass instead of
-/// one per kernel. `predict_kernel_ns` remains for one-off queries.
+/// neural backend can answer them in one call, on one arena
+/// ([`predict_each`]). `predict_kernel_ns` remains for one-off queries.
 ///
 /// Returning `None` means the backend cannot score this kernel — the
 /// analytical model's behaviour on kernels without tile-size options
@@ -31,11 +33,10 @@ pub trait CostModel {
     /// Estimated runtimes for a slice of kernels, positionally.
     ///
     /// The default loops [`CostModel::predict_kernel_ns`]; backends that
-    /// can amortize work across kernels (packed GNN/LSTM forwards)
-    /// override it. Implementations must match the per-kernel
-    /// path positionally and bit for bit — the packed GNN's kernels are
-    /// disjoint segments, and the masked LSTM's padding rows only add
-    /// zeros — so caching batch results stays sound.
+    /// can amortize work across kernels (one arena for every GNN/LSTM
+    /// forward) override it. Implementations must match the per-kernel
+    /// path positionally and bit for bit, so caching batch results stays
+    /// sound.
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
         kernels.iter().map(|k| self.predict_kernel_ns(k)).collect()
     }
@@ -107,19 +108,54 @@ impl<M: CostModel + ?Sized> CostModel for Box<M> {
     }
 }
 
-/// Featurization, then **one** packed forward for the whole slice — the
-/// disjoint-union batching of §4.2 applied to serving, masked for the
-/// LSTM's sequences (§6.1 baseline). The one batch body of both tape
-/// models, over owned or borrowed kernels.
-fn packed_forward_ns<M: KernelModel, K: Borrow<Kernel>>(
+/// `f32`s of arena one tape-free forward of `model` over a kernel of
+/// `nodes` nodes needs: the shape pass of the model's forward. It grows
+/// with `nodes`, so an arena sized for the largest kernel fits them all.
+fn arena_len<M: KernelModel>(model: &M, nodes: usize) -> usize {
+    let whole = 0..nodes;
+    let mut shapes = ArenaLen::with_len(0);
+    let g = Graph::shape(std::slice::from_ref(&whole), FEATURE_DIM);
+    model.forward(&mut shapes, &g);
+    shapes.high_water()
+}
+
+/// Log-runtime of one featurized kernel, computed on `r` from its start.
+fn log_ns_on<const SKIP_ZEROS: bool, M: KernelModel>(
+    model: &M,
+    r: &mut NoTape<SKIP_ZEROS>,
+    p: &Prepared,
+) -> f64 {
+    r.reset();
+    let whole = 0..p.num_nodes();
+    let y = model.forward(r, &p.graph(&whole));
+    f64::from(r.value(y)[0])
+}
+
+/// Predicted log-runtime of one featurized kernel, without a tape: the
+/// model's forward over [`NoTape`], whose arena — sized by the shape pass
+/// — is the one allocation. `SKIP_ZEROS` turns the matmul kernel's zero
+/// skip on, which is exact only when every weight is finite.
+pub fn predict_one_log_ns<const SKIP_ZEROS: bool, M: KernelModel>(model: &M, p: &Prepared) -> f64 {
+    let mut r = NoTape::<SKIP_ZEROS>::with_len(arena_len(model, p.num_nodes()));
+    log_ns_on(model, &mut r, p)
+}
+
+/// The one serving body of every neural backend, over owned or borrowed
+/// kernels: per kernel in order, featurize and one tape-free forward, on
+/// one arena sized for the largest. Each kernel is its own forward, so a
+/// prediction never depends on the rest of the batch.
+pub fn predict_each<const SKIP_ZEROS: bool, M: KernelModel, K: Borrow<Kernel>>(
     model: &M,
     kernels: &[K],
 ) -> Vec<Option<f64>> {
-    let prepared = Prepared::from_kernels(kernels);
-    let refs: Vec<&Prepared> = prepared.iter().collect();
-    crate::engine::forward_log_ns(model, &refs)
-        .into_iter()
-        .map(|l| Some(l.exp()))
+    let nodes = kernels.iter().map(|k| k.borrow().computation.num_nodes());
+    let mut r = NoTape::<SKIP_ZEROS>::with_len(arena_len(model, nodes.max().unwrap_or(0)));
+    kernels
+        .iter()
+        .map(|k| {
+            let p = Prepared::from_kernel(k.borrow());
+            Some(log_ns_on(model, &mut r, &p).exp())
+        })
         .collect()
 }
 
@@ -128,10 +164,10 @@ impl CostModel for GnnModel {
         Some(self.predict_ns(kernel))
     }
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        packed_forward_ns(self, kernels)
+        predict_each::<false, _, _>(self, kernels)
     }
     fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
-        packed_forward_ns(self, kernels)
+        predict_each::<false, _, _>(self, kernels)
     }
     fn name(&self) -> &str {
         "learned-gnn"
@@ -143,10 +179,10 @@ impl CostModel for LstmModel {
         Some(self.predict_ns(kernel))
     }
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        packed_forward_ns(self, kernels)
+        predict_each::<false, _, _>(self, kernels)
     }
     fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
-        packed_forward_ns(self, kernels)
+        predict_each::<false, _, _>(self, kernels)
     }
     fn name(&self) -> &str {
         "lstm-baseline"
@@ -291,6 +327,102 @@ mod tests {
         for (k, b) in kernels.iter().zip(&batch) {
             assert_eq!(b.unwrap().to_bits(), m.predict_ns(k).to_bits());
         }
+    }
+
+    /// Ragged kernels: chains of 1..=7 ops, some with a second branch
+    /// joining the first (fan-in), over varied shapes.
+    fn ragged(n: usize) -> Vec<Kernel> {
+        (0..n)
+            .map(|i| {
+                let mut b = GraphBuilder::new("ragged");
+                let x = b.parameter("x", Shape::matrix(8 << (i % 5), 16 + 24 * i), DType::F32);
+                let mut v = x;
+                for step in 0..1 + i % 7 {
+                    v = if (i + step) % 2 == 0 {
+                        b.tanh(v)
+                    } else {
+                        b.exp(v)
+                    };
+                }
+                if i % 3 == 0 {
+                    let other = b.logistic(x);
+                    v = b.add(v, other);
+                }
+                Kernel::new(b.finish(v))
+            })
+            .collect()
+    }
+
+    /// The per-kernel tape-free body, zero skip off and on, against the
+    /// packed tape forward, `to_bits`, over ragged batches.
+    fn assert_serving_is_the_packed_tape<M: KernelModel>(label: &str, model: &M) {
+        for n in [1, 2, 7] {
+            let kernels = ragged(n);
+            let prepared: Vec<Prepared> = kernels.iter().map(Prepared::from_kernel).collect();
+            let refs: Vec<&Prepared> = prepared.iter().collect();
+            let packed: Vec<u64> = crate::engine::forward_log_ns(model, &refs)
+                .into_iter()
+                .map(|l| l.exp().to_bits())
+                .collect();
+            let bits = |v: Vec<Option<f64>>| -> Vec<u64> {
+                v.into_iter().map(|p| p.unwrap().to_bits()).collect()
+            };
+            assert_eq!(
+                bits(predict_each::<false, _, _>(model, &kernels)),
+                packed,
+                "{label}, {n}"
+            );
+            assert_eq!(
+                bits(predict_each::<true, _, _>(model, &kernels)),
+                packed,
+                "{label}, {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_architecture_serves_its_packed_tape_forward() {
+        use crate::model::{GnnArch, GnnConfig, PoolCombo, Reduction};
+        let pools = [
+            PoolCombo {
+                sum: true,
+                mean: false,
+                max: false,
+            },
+            PoolCombo {
+                sum: false,
+                mean: true,
+                max: true,
+            },
+            PoolCombo::all(),
+        ];
+        for reduction in [Reduction::Sum, Reduction::Mean, Reduction::Max] {
+            for pooling in pools {
+                for hops in [0, 2] {
+                    let mut m = GnnModel::new(GnnConfig {
+                        reduction,
+                        pooling,
+                        hops,
+                        ..GnnConfig::default()
+                    });
+                    crate::model::perturb_biases(m.store_mut());
+                    let label = format!("{reduction:?}/{pooling:?}/{hops} hops");
+                    assert_serving_is_the_packed_tape(&label, &m);
+                }
+            }
+        }
+        for hops in [0, 1, 3] {
+            let mut m = GnnModel::new(GnnConfig {
+                arch: GnnArch::GcnMean,
+                hops,
+                ..GnnConfig::default()
+            });
+            crate::model::perturb_biases(m.store_mut());
+            assert_serving_is_the_packed_tape(&format!("GcnMean/{hops} hops"), &m);
+        }
+        let mut m = LstmModel::new(crate::lstm_model::LstmConfig::default());
+        crate::model::perturb_biases(m.store_mut());
+        assert_serving_is_the_packed_tape("lstm", &m);
     }
 
     #[test]

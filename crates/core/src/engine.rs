@@ -505,12 +505,14 @@ impl<M: CostModel, C: KernelCache> CostModel for Predictor<M, C> {
     }
 }
 
-/// One packed forward pass over already-featurized kernels, in the log-ns
-/// domain. Empty input is an empty output (no forward runs at all).
+/// One packed forward pass on the tape over already-featurized kernels,
+/// in the log-ns domain: the whole slice becomes a single disjoint
+/// [`GraphBatch`], as a training step's batch does. Empty input is an
+/// empty output (no forward runs at all).
 ///
-/// This is the shared serving primitive behind the neural backends'
-/// [`CostModel::predict_batch_ns`]: the whole slice becomes a single
-/// disjoint [`GraphBatch`].
+/// Serving does not come here: [`CostModel::predict_batch_ns`] of the
+/// neural backends runs each kernel through the same forward without a
+/// tape ([`crate::predict_each`]), and gives these bits.
 pub fn forward_log_ns<M: KernelModel + ?Sized>(model: &M, prepared: &[&Prepared]) -> Vec<f64> {
     forward_log_ns_chunked(model, prepared, prepared.len())
 }
@@ -534,7 +536,7 @@ pub(crate) fn forward_log_ns_chunked<M: KernelModel + ?Sized>(
             continue;
         };
         tape.reset();
-        let pred = model.forward_batch(&mut tape, &batch);
+        let pred = model.forward(&mut tape, &batch.graph());
         let t = tape.value(pred);
         out.extend((0..t.rows()).map(|r| t.get(r, 0) as f64));
     }
@@ -847,7 +849,7 @@ mod tests {
     fn chunked_forward_matches_unchunked() {
         let model = GnnModel::new(GnnConfig::default());
         let kernels: Vec<Kernel> = (1..=7).map(|i| kernel(i * 16)).collect();
-        let prepared = Prepared::from_kernels(&kernels);
+        let prepared: Vec<Prepared> = kernels.iter().map(Prepared::from_kernel).collect();
         let refs: Vec<&Prepared> = prepared.iter().collect();
         let whole = forward_log_ns(&model, &refs);
         let chunked = forward_log_ns_chunked(&model, &refs, 3);

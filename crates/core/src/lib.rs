@@ -59,7 +59,7 @@ mod train;
 pub use atomic_cache::AtomicCache;
 pub use batch::{GraphBatch, Prepared, Sample};
 pub use checkpoint::{CheckpointError, TrainCheckpoint, SCHEMA as CHECKPOINT_SCHEMA};
-pub use cost_model::{CostModel, FnCostModel, SimOracle};
+pub use cost_model::{predict_each, predict_one_log_ns, CostModel, FnCostModel, SimOracle};
 pub use engine::{
     forward_log_ns, predict_keyed, CacheStats, EngineCounters, KernelCache, PredictStats, Predictor,
 };

@@ -2,13 +2,12 @@
 //! sequences of nodes, whose embeddings are the same per-node
 //! representations used in our proposed model."
 
-use crate::batch::{GraphBatch, Prepared};
+use crate::batch::Prepared;
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 use tpu_hlo::{Kernel, Opcode};
-use tpu_nn::{Activation, Embedding, Linear, LstmCell, ParamStore, Tape, Tensor, Var};
+use tpu_nn::{Activation, Embedding, Graph, Linear, LstmCell, ParamStore, Recorder};
 
 /// Hyperparameters of the LSTM baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +40,7 @@ impl Default for LstmConfig {
 ///
 /// Variable-length kernels in a batch run in lockstep with per-row masks,
 /// so one tape serves the whole batch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LstmModel {
     config: LstmConfig,
     store: ParamStore,
@@ -110,59 +109,55 @@ impl LstmModel {
         self.store.num_scalars()
     }
 
-    /// Forward pass over a batch: `[B×1]` log-runtime predictions.
-    pub fn forward(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
-        // Shared per-node representation (same as the GNN's ε⁰).
-        let emb = self.embedding.forward(tape, &self.store, &batch.opcode_ids);
-        let feats = tape.input(batch.features.clone());
-        let x = tape.concat_cols(&[emb, feats]);
-        let nodes = self.f1.forward(tape, &self.store, x);
-
-        let b = batch.num_kernels();
-        let max_len = batch
-            .kernel_nodes
-            .iter()
-            .map(|r| r.len())
-            .max()
-            .unwrap_or(0);
-        let mut state = self.cell.zero_state(tape, b);
-
-        for t in 0..max_len {
-            // Row i of the step input = node t of kernel i (or an arbitrary
-            // row masked out when kernel i is shorter).
-            let mut idx = Vec::with_capacity(b);
-            let mut mask = Tensor::zeros(b, self.config.hidden);
-            for (ki, nodes_of_k) in batch.kernel_nodes.iter().enumerate() {
-                if t < nodes_of_k.len() {
-                    idx.push(nodes_of_k.start + t);
-                    for c in 0..self.config.hidden {
-                        mask.set(ki, c, 1.0);
-                    }
-                } else {
-                    idx.push(0);
-                }
-            }
-            let inv = mask.map(|m| 1.0 - m);
-            let xt = tape.gather_rows(nodes, Arc::new(idx));
-            state = self.cell.masked_step(
-                tape,
-                &self.store,
-                xt,
-                state,
-                &Arc::new(mask),
-                &Arc::new(inv),
-            );
-        }
-
-        let y = self.head.forward(tape, &self.store, state.h);
-        tape.add_scalar(y, crate::model::LOG_NS_OFFSET)
+    /// The model over the already-trained parameters in `store`, named
+    /// and shaped as [`LstmModel::new`] registers them; `None` if one is
+    /// missing or misshapen.
+    pub fn from_store(config: LstmConfig, store: ParamStore) -> Option<LstmModel> {
+        let (d, h) = (config.node_dim, config.hidden);
+        let embedding = Embedding::from_store(
+            &store,
+            "opcode_embedding",
+            Opcode::count(),
+            config.opcode_embed_dim,
+        )?;
+        let f1_in = config.opcode_embed_dim + FEATURE_DIM;
+        let f1 = Linear::from_store(&store, "f1", f1_in, d, Activation::Relu)?;
+        let cell = LstmCell::from_store(&store, "lstm", d, h)?;
+        let head = Linear::from_store(&store, "head", h, 1, Activation::Identity)?;
+        Some(LstmModel {
+            config,
+            store,
+            embedding,
+            f1,
+            cell,
+            head,
+        })
     }
 
-    /// Predict log-runtime for one kernel. Batched callers go through
-    /// [`CostModel::predict_batch_ns`](crate::CostModel) or a
+    /// The model's one forward: `[kernels × 1]` log-runtime predictions
+    /// over every kernel of `g`, recorded by `r`. Kernel `k`'s nodes are
+    /// consumed in index order, its topological order; a kernel that has
+    /// ended keeps its state while longer ones step on.
+    pub fn forward<R: Recorder>(&self, r: &mut R, g: &Graph<'_>) -> R::Value {
+        let store = &self.store;
+        // Shared per-node representation (same as the GNN's ε⁰).
+        let start = r.mark();
+        let x = r.embed(store, &self.embedding, g);
+        let encoded = r.linear(store, &self.f1, x);
+        let nodes = r.keep(start, encoded);
+        let mut state = r.lstm_zero_state(&self.cell, g);
+        for t in 0..g.max_len() {
+            state = r.lstm_step(store, &self.cell, nodes, state, g, t);
+        }
+        let y = r.linear(store, &self.head, state.h);
+        r.add_scalar(y, crate::model::LOG_NS_OFFSET)
+    }
+
+    /// Predict log-runtime for one kernel (no tape). Batched callers go
+    /// through [`CostModel::predict_batch_ns`](crate::CostModel) or a
     /// [`Predictor`](crate::Predictor) session instead.
     pub fn predict_log_ns(&self, kernel: &Kernel) -> f64 {
-        crate::engine::forward_log_ns(self, &[&Prepared::from_kernel(kernel)])[0]
+        crate::cost_model::predict_one_log_ns::<false, _>(self, &Prepared::from_kernel(kernel))
     }
 
     /// Predict runtime in nanoseconds.
@@ -174,8 +169,9 @@ impl LstmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Sample;
+    use crate::batch::{GraphBatch, Sample};
     use tpu_hlo::{DType, GraphBuilder, Shape};
+    use tpu_nn::Tape;
 
     fn kernel(depth: usize) -> Kernel {
         let mut b = GraphBuilder::new("k");
@@ -193,7 +189,7 @@ mod tests {
         let p2 = Prepared::from_sample(&Sample::new(kernel(5), 100.0));
         let batch = GraphBatch::pack(&[&p1, &p2]).unwrap();
         let mut tape = Tape::new();
-        let out = m.forward(&mut tape, &batch);
+        let out = m.forward(&mut tape, &batch.graph());
         assert_eq!(tape.value(out).shape(), (2, 1));
     }
 

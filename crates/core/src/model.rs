@@ -1,12 +1,11 @@
 //! The GraphSAGE-based performance model (§4.1, Eq. 1).
 
-use crate::batch::{GraphBatch, Prepared};
+use crate::batch::Prepared;
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 use tpu_hlo::{Kernel, Opcode};
-use tpu_nn::{Activation, Embedding, Linear, ParamStore, Tape, Var};
+use tpu_nn::{Activation, Embedding, Graph, Linear, ParamStore, Recorder};
 
 /// Constant added to the head output: centers untrained predictions near
 /// `e^8 ≈ 3 µs`, the middle of the kernel-runtime distribution (§5).
@@ -24,16 +23,8 @@ pub enum GnnArch {
 }
 
 /// Neighborhood reduction Σ of Eq. 1 ("a reduction chosen during
-/// hyperparameter search").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Reduction {
-    /// Sum over neighbor embeddings.
-    Sum,
-    /// Mean over neighbor embeddings.
-    Mean,
-    /// Columnwise max over neighbor embeddings.
-    Max,
-}
+/// hyperparameter search"), also each kernel pool's reduction.
+pub use tpu_nn::Reduction;
 
 /// Which of sum/mean/max row-pools form the kernel embedding κ (§4.1:
 /// "the exact combination of sum, mean, and max vectors is tuned via
@@ -116,7 +107,7 @@ impl Default for GnnConfig {
 /// let log_ns = model.predict_log_ns(&kernel);
 /// assert!(log_ns.is_finite());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GnnModel {
     config: GnnConfig,
     store: ParamStore,
@@ -129,7 +120,16 @@ pub struct GnnModel {
 
 impl GnnModel {
     /// Initialize with fresh parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.pooling` enables no pool: the kernel embedding κ
+    /// would be empty, and the head would have no input.
     pub fn new(config: GnnConfig) -> GnnModel {
+        assert!(
+            config.pooling.count() > 0,
+            "GnnConfig::pooling enables no pool, so the head has no input"
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut store = ParamStore::new();
         let embedding = Embedding::new(
@@ -170,7 +170,7 @@ impl GnnModel {
         let head = Linear::new(
             &mut store,
             "head",
-            config.hidden * config.pooling.count().max(1),
+            config.hidden * config.pooling.count(),
             1,
             Activation::Identity,
             &mut rng,
@@ -205,89 +205,100 @@ impl GnnModel {
         self.store.num_scalars()
     }
 
-    /// Forward pass over a batch: returns the `[B×1]` prediction of
-    /// **log-runtime** per kernel.
-    pub fn forward(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
-        let n = batch.num_nodes();
-        // ε⁰ = f₁(X) where X = [opcode embedding ‖ features].
-        let emb = self.embedding.forward(tape, &self.store, &batch.opcode_ids);
-        let feats = tape.input(batch.features.clone());
-        let x = tape.concat_cols(&[emb, feats]);
-        let mut eps = self.f1.forward(tape, &self.store, x);
+    /// The model over the already-trained parameters in `store`, named
+    /// and shaped as [`GnnModel::new`] registers them; `None` if one is
+    /// missing or misshapen, or if `config` enables no pool.
+    pub fn from_store(config: GnnConfig, store: ParamStore) -> Option<GnnModel> {
+        let (d, h) = (config.opcode_embed_dim, config.hidden);
+        let linear =
+            |name: &str, rows, cols, act| Linear::from_store(&store, name, rows, cols, act);
+        let embedding = Embedding::from_store(&store, "opcode_embedding", Opcode::count(), d)?;
+        let f1 = linear("f1", d + FEATURE_DIM, h, Activation::Relu)?;
+        let hops = (0..config.hops)
+            .map(|k| {
+                let f2 = linear(&format!("hop{k}.f2"), h, h, Activation::Relu)?;
+                let f3 = linear(&format!("hop{k}.f3"), 2 * h, h, Activation::Relu)?;
+                Some((f2, f3))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let pools = config.pooling.count();
+        let head = linear("head", h * pools, 1, Activation::Identity).filter(|_| pools > 0)?;
+        Some(GnnModel {
+            config,
+            store,
+            embedding,
+            f1,
+            hops,
+            head,
+        })
+    }
 
-        // Message lists: every undirected neighbor relation, both ways.
-        let mut src = Vec::with_capacity(batch.edges.len() * 2);
-        let mut dst = Vec::with_capacity(batch.edges.len() * 2);
-        for &(a, b) in &batch.edges {
-            src.push(a);
-            dst.push(b);
-            src.push(b);
-            dst.push(a);
-        }
-        let src = Arc::new(src);
-        let dst = Arc::new(dst);
-
+    /// The model's one forward: `[kernels × 1]` predictions of
+    /// **log-runtime** over every kernel of `g`, recorded by `r` — the
+    /// tape in training, [`tpu_nn::NoTape`] in serving.
+    pub fn forward<R: Recorder>(&self, r: &mut R, g: &Graph<'_>) -> R::Value {
+        let store = &self.store;
+        // ε⁰ = f₁([opcode embedding ‖ features]); every hop then rewinds
+        // to `start`, keeping only its εᵏ.
+        let start = r.mark();
+        let x = r.embed(store, &self.embedding, g);
+        let e0 = r.linear(store, &self.f1, x);
+        let mut eps = r.keep(start, e0);
         for (f2, f3) in &self.hops {
-            match self.config.arch {
+            let next = match self.config.arch {
                 GnnArch::GraphSage => {
-                    // Σ_{j∈neighbors(i)} f₂ᵏ(ε_j^{k-1})
-                    let msg = f2.forward(tape, &self.store, eps);
-                    let gathered = tape.gather_rows(msg, src.clone());
-                    let agg = match self.config.reduction {
-                        Reduction::Sum => tape.segment_sum(gathered, dst.clone(), n),
-                        Reduction::Mean => tape.segment_mean(gathered, dst.clone(), n),
-                        Reduction::Max => tape.segment_max(gathered, dst.clone(), n),
-                    };
-                    // εᵏ = l₂(f₃ᵏ(concat(ε^{k-1}, agg)))
-                    let cat = tape.concat_cols(&[eps, agg]);
-                    let mixed = f3.forward(tape, &self.store, cat);
-                    eps = tape.l2_normalize_rows(mixed);
+                    // εᵏ = l₂(f₃ᵏ(concat(ε^{k-1}, Σ_{j∈neighbors(i)} f₂ᵏ(ε_j^{k-1}))))
+                    let msg = r.linear(store, f2, eps);
+                    let agg = r.aggregate(msg, g, self.config.reduction);
+                    let cat = r.concat(&[eps, agg]);
+                    let mixed = r.linear(store, f3, cat);
+                    r.l2_normalize(mixed)
                 }
                 GnnArch::GcnMean => {
-                    // mean over {self} ∪ neighbors, single projection.
-                    let gathered = tape.gather_rows(eps, src.clone());
-                    let neigh_sum = tape.segment_sum(gathered, dst.clone(), n);
-                    let with_self = tape.add(neigh_sum, eps);
-                    // Divide by (degree + 1) approximately via mean of the
-                    // two-term combination: use f2 to project, f3 unused
-                    // dimensions kept for parameter-count parity.
-                    let scaled = tape.scale(with_self, 0.5);
-                    eps = f2.forward(tape, &self.store, scaled);
+                    // Half of (self + neighbor sum), one projection; f₃
+                    // is kept unused for parameter-count parity.
+                    let neigh_sum = r.aggregate(eps, g, Reduction::Sum);
+                    let with_self = r.add(neigh_sum, eps);
+                    let scaled = r.scale(with_self, 0.5);
+                    r.linear(store, f2, scaled)
                 }
-            }
+            };
+            eps = r.keep(start, next);
         }
 
-        // Kernel embedding κ: chosen combination of sum/mean/max pools.
-        let seg = Arc::new(batch.node_kernel.clone());
-        let b = batch.num_kernels();
-        let mut pools = Vec::new();
-        if self.config.pooling.sum {
-            pools.push(tape.segment_sum(eps, seg.clone(), b));
+        // Kernel embedding κ: the chosen pools side by side.
+        let pooling = self.config.pooling;
+        let mut pools = [eps; 3];
+        let mut count = 0;
+        for (on, red) in [
+            (pooling.sum, Reduction::Sum),
+            (pooling.mean, Reduction::Mean),
+            (pooling.max, Reduction::Max),
+        ] {
+            if on {
+                pools[count] = r.pool(eps, g, red);
+                count += 1;
+            }
         }
-        if self.config.pooling.mean {
-            pools.push(tape.segment_mean(eps, seg.clone(), b));
-        }
-        if self.config.pooling.max {
-            pools.push(tape.segment_max(eps, seg.clone(), b));
-        }
-        let kappa = if pools.len() == 1 {
+        let kappa = if count == 1 {
             pools[0]
         } else {
-            tape.concat_cols(&pools)
+            r.concat(&pools[..count])
         };
         // Final feedforward layer without activation (§4.1). A constant
         // log-offset centers the untrained output near the dataset's scale
         // (µs) so optimization adjusts around it rather than ramping from
         // e⁰ = 1 ns.
-        let y = self.head.forward(tape, &self.store, kappa);
-        tape.add_scalar(y, LOG_NS_OFFSET)
+        let y = r.linear(store, &self.head, kappa);
+        r.add_scalar(y, LOG_NS_OFFSET)
     }
 
-    /// Predict log-runtime for a single kernel (inference). Batched callers
-    /// go through [`CostModel::predict_batch_ns`](crate::CostModel) or a
+    /// Predict log-runtime for a single kernel (inference, no tape).
+    /// Batched callers go through
+    /// [`CostModel::predict_batch_ns`](crate::CostModel) or a
     /// [`Predictor`](crate::Predictor) session instead.
     pub fn predict_log_ns(&self, kernel: &Kernel) -> f64 {
-        crate::engine::forward_log_ns(self, &[&Prepared::from_kernel(kernel)])[0]
+        crate::cost_model::predict_one_log_ns::<false, _>(self, &Prepared::from_kernel(kernel))
     }
 
     /// Predict runtime in nanoseconds for a single kernel.
@@ -316,8 +327,9 @@ pub(crate) fn perturb_biases(store: &mut ParamStore) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Sample;
+    use crate::batch::{GraphBatch, Sample};
     use tpu_hlo::{DType, GraphBuilder, Shape};
+    use tpu_nn::Tape;
 
     fn kernel(cols: usize) -> Kernel {
         let mut b = GraphBuilder::new("k");
@@ -334,7 +346,7 @@ mod tests {
         let p2 = Prepared::from_sample(&Sample::new(kernel(256), 2000.0));
         let batch = GraphBatch::pack(&[&p1, &p2]).unwrap();
         let mut tape = Tape::new();
-        let out = m.forward(&mut tape, &batch);
+        let out = m.forward(&mut tape, &batch.graph());
         assert_eq!(tape.value(out).shape(), (2, 1));
     }
 
@@ -382,6 +394,19 @@ mod tests {
                 assert!(v.is_finite(), "{red:?}/{pool:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "enables no pool")]
+    fn a_pool_less_config_is_rejected() {
+        GnnModel::new(GnnConfig {
+            pooling: PoolCombo {
+                sum: false,
+                mean: false,
+                max: false,
+            },
+            ..Default::default()
+        });
     }
 
     #[test]
@@ -517,7 +542,7 @@ mod invariance_tests {
         let fwd = |items: &[&Prepared]| -> Vec<f64> {
             let batch = GraphBatch::pack(items).unwrap();
             let mut tape = tpu_nn::Tape::new();
-            let out = model.forward(&mut tape, &batch);
+            let out = model.forward(&mut tape, &batch.graph());
             let t = tape.value(out);
             (0..t.rows()).map(|r| t.get(r, 0) as f64).collect()
         };

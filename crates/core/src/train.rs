@@ -14,8 +14,8 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tpu_nn::{
-    clip_grad_norm, grouped_pairwise_rank_loss, mse_loss, Adam, ParamStore, RankPhi, Tape, Tensor,
-    Var,
+    clip_grad_norm, grouped_pairwise_rank_loss, mse_loss, Adam, Graph, ParamStore, RankPhi,
+    Recorder, Tape, Tensor, Var,
 };
 use tpu_obs::{Counter, Gauge, Histogram, Registry, Series};
 
@@ -132,10 +132,12 @@ impl TrainObs {
 }
 
 /// A model trainable on kernel batches: implemented by [`GnnModel`] and
-/// [`LstmModel`] so both share one training loop.
+/// [`LstmModel`] so both share one training loop and one serving body.
 pub trait KernelModel {
-    /// Forward pass producing `[B×1]` log-runtime predictions.
-    fn forward_batch(&self, tape: &mut Tape, batch: &GraphBatch) -> Var;
+    /// The architecture's one forward, `[kernels × 1]` log-runtime
+    /// predictions over `g`: recorded on the tape to train, run on
+    /// [`tpu_nn::NoTape`] to serve.
+    fn forward<R: Recorder>(&self, r: &mut R, g: &Graph<'_>) -> R::Value;
     /// Parameter store.
     fn params(&self) -> &ParamStore;
     /// Mutable parameter store.
@@ -145,8 +147,8 @@ pub trait KernelModel {
 }
 
 impl KernelModel for GnnModel {
-    fn forward_batch(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
-        self.forward(tape, batch)
+    fn forward<R: Recorder>(&self, r: &mut R, g: &Graph<'_>) -> R::Value {
+        GnnModel::forward(self, r, g)
     }
     fn params(&self) -> &ParamStore {
         self.store()
@@ -160,8 +162,8 @@ impl KernelModel for GnnModel {
 }
 
 impl KernelModel for LstmModel {
-    fn forward_batch(&self, tape: &mut Tape, batch: &GraphBatch) -> Var {
-        self.forward(tape, batch)
+    fn forward<R: Recorder>(&self, r: &mut R, g: &Graph<'_>) -> R::Value {
+        LstmModel::forward(self, r, g)
     }
     fn params(&self) -> &ParamStore {
         self.store()
@@ -343,7 +345,7 @@ fn batch_loss<M: KernelModel>(
     batch: &GraphBatch,
     loss: TaskLoss,
 ) -> Option<Var> {
-    let pred = model.forward_batch(tape, batch);
+    let pred = model.forward(tape, &batch.graph());
     match loss {
         TaskLoss::FusionLogMse => {
             let target = tape.input(batch.log_targets());

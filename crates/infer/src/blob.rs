@@ -1,6 +1,6 @@
 //! The `tpu-frozen.v2` weight blob: a fixed-layout little-endian binary
-//! format readable with plain byte reads — no serde, no nn crate, no
-//! self-describing schema.
+//! format readable with plain byte reads — no serde, no self-describing
+//! schema.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -67,12 +67,9 @@ pub enum FrozenError {
     /// feature layout different from the one this build was compiled
     /// with).
     Corrupt(String),
-    /// Freeze-time: the model uses an architecture variant the frozen
-    /// path does not implement (currently `GcnMean`).
+    /// Freeze-time: the model uses an architecture variant the blob
+    /// format does not describe (currently `GcnMean`).
     UnsupportedArch(String),
-    /// Freeze-time: a parameter expected from the training store is
-    /// missing — the store does not come from the model family claimed.
-    MissingParam(String),
     /// Freeze-time: the named parameter holds a NaN or an infinity (a
     /// diverged training run); freezing it would serve garbage.
     NonFinite(String),
@@ -95,9 +92,6 @@ impl std::fmt::Display for FrozenError {
             FrozenError::Corrupt(msg) => write!(f, "corrupt blob: {msg}"),
             FrozenError::UnsupportedArch(arch) => {
                 write!(f, "architecture {arch} has no frozen inference path")
-            }
-            FrozenError::MissingParam(name) => {
-                write!(f, "parameter {name:?} not found in the training store")
             }
             FrozenError::NonFinite(name) => {
                 write!(f, "parameter {name:?} holds a NaN or infinite value")

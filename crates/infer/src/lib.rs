@@ -1,22 +1,23 @@
-//! Frozen inference for the learned TPU cost model.
+//! Frozen inference for the learned TPU cost model: the serving
+//! artifact.
 //!
-//! The training stack (`tpu-nn`) builds an autograd tape per forward: the
-//! right tool for gradients, pure overhead for serving. This crate is the
-//! serving artifact instead:
+//! A frozen model *is* the trained model: [`FrozenGnn`] / [`FrozenLstm`]
+//! wrap the restored [`GnnModel`](tpu_learned_cost::GnnModel) /
+//! [`LstmModel`](tpu_learned_cost::LstmModel), checked to hold only finite
+//! weights, and predict through the architecture's one forward in
+//! `tpu-learned-cost`, run over `tpu-nn`'s tape-free `NoTape` evaluator
+//! with the matmul kernel's zero skip on (exact because every weight is
+//! finite). So a frozen prediction is the tape's bit for bit, and this
+//! crate holds no dataflow of its own. What it adds:
 //!
-//! - **one tape-free forward per architecture**: the trained
-//!   [`GnnModel`](tpu_learned_cost::GnnModel) /
-//!   [`LstmModel`](tpu_learned_cost::LstmModel) weights, copied as they
-//!   are, walked in plain f32 over flat arrays — the tape's operations in
-//!   the tape's order, so a frozen prediction is bit-identical to the
-//!   tape's. Each layer is one product over all of a kernel's nodes
-//!   through `tpu-nn`'s matmul kernel, the one training runs
-//!   ([`tpu_nn::matmul_slices`]), then its bias; a forward's buffers are
-//!   one scratch allocation that a batch reuses,
 //! - **a compact versioned blob** (`tpu-frozen.v2`): fixed-layout records
 //!   loadable with plain little-endian byte reads — no tape, no serde
 //!   tree, no reflection ([`FrozenModel::from_bytes`]) — in which every
-//!   number is finite, checked at both ends.
+//!   number is finite, checked at both ends,
+//! - the freeze step ([`freeze_gnn`], [`freeze_lstm`]) and the finiteness
+//!   rule it enforces,
+//! - [`probe_kernels`], a fixed family of kernels to check a loaded blob
+//!   against its source model.
 //!
 //! [`FrozenModel`] implements [`CostModel`], so it drops behind a
 //! `Predictor` session or into the `tpu-serve` engine, ahead of the
@@ -43,8 +44,8 @@
 
 mod blob;
 mod gnn;
-mod layers;
 mod lstm;
+mod store;
 
 pub use blob::{FrozenError, KIND_GNN, KIND_LSTM, MAGIC, VERSION};
 pub use gnn::{freeze_gnn, FrozenGnn};
@@ -52,7 +53,7 @@ pub use lstm::{freeze_lstm, FrozenLstm};
 
 use std::borrow::Borrow;
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
-use tpu_learned_cost::{CostModel, Prepared};
+use tpu_learned_cost::{predict_each, predict_one_log_ns, CostModel, Prepared};
 
 /// A frozen cost model loaded from (or destined for) a `tpu-frozen.v2`
 /// blob.
@@ -109,38 +110,18 @@ impl FrozenModel {
 
     /// Predicted log-runtime (ns) of one featurized kernel.
     pub fn predict_log_ns(&self, p: &Prepared) -> f64 {
-        self.forward(p, &mut Vec::new())
-    }
-
-    /// One forward carved out of `scratch`, which it grows only if it is
-    /// shorter than `scratch_len` of `p`'s node count.
-    fn forward(&self, p: &Prepared, scratch: &mut Vec<f32>) -> f64 {
-        f64::from(match self {
-            FrozenModel::Gnn(m) => m.forward_log_ns(p, scratch),
-            FrozenModel::Lstm(m) => m.forward_log_ns(p, scratch),
-        })
-    }
-
-    fn scratch_len(&self, nodes: usize) -> usize {
         match self {
-            FrozenModel::Gnn(m) => m.scratch_len(nodes),
-            FrozenModel::Lstm(m) => m.scratch_len(nodes),
+            FrozenModel::Gnn(m) => predict_one_log_ns::<true, _>(m.model(), p),
+            FrozenModel::Lstm(m) => predict_one_log_ns::<true, _>(m.model(), p),
         }
     }
 
-    /// The one batch body, over owned or borrowed kernels: per-kernel
-    /// independent featurize + forward, in order, over one scratch sized
-    /// for the largest kernel.
+    /// Core's one serving body, with the zero skip on.
     fn predict_each<K: Borrow<Kernel>>(&self, kernels: &[K]) -> Vec<Option<f64>> {
-        let nodes = kernels.iter().map(|k| k.borrow().computation.num_nodes());
-        let mut scratch = vec![0.0f32; self.scratch_len(nodes.max().unwrap_or(0))];
-        kernels
-            .iter()
-            .map(|k| {
-                let p = Prepared::from_kernel(k.borrow());
-                Some(self.forward(&p, &mut scratch).exp())
-            })
-            .collect()
+        match self {
+            FrozenModel::Gnn(m) => predict_each::<true, _, _>(m.model(), kernels),
+            FrozenModel::Lstm(m) => predict_each::<true, _, _>(m.model(), kernels),
+        }
     }
 }
 
@@ -274,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_on_one_scratch_matches_single() {
+    fn batch_on_one_arena_matches_single() {
         let frozen = frozen_gnn();
         let kernels = probe_kernels(40);
         let batch = frozen.predict_batch_ns(&kernels);

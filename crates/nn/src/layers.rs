@@ -1,7 +1,7 @@
 //! Neural-network layers built on the tape.
 
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{Tape, Var};
+use crate::tape::{sigmoid, Tape, Var};
 use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -21,6 +21,17 @@ pub enum Activation {
 }
 
 impl Activation {
+    /// The activation of one element: the arithmetic the tape's op and
+    /// the tape-free evaluator share.
+    pub(crate) fn eval(self, x: f32) -> f32 {
+        match self {
+            Activation::Identity => x,
+            Activation::Relu => x.max(0.0),
+            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => sigmoid(x),
+        }
+    }
+
     fn apply(self, tape: &mut Tape, x: Var) -> Var {
         match self {
             Activation::Identity => x,
@@ -34,9 +45,9 @@ impl Activation {
 /// A fully-connected layer `act(x·W + b)`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
-    w: ParamId,
-    b: ParamId,
-    activation: Activation,
+    pub(crate) w: ParamId,
+    pub(crate) b: ParamId,
+    pub(crate) activation: Activation,
     in_dim: usize,
     out_dim: usize,
 }
@@ -60,6 +71,27 @@ impl Linear {
             in_dim,
             out_dim,
         }
+    }
+
+    /// The layer whose `{name}.w` (`in_dim × out_dim`) and `{name}.b`
+    /// (`1 × out_dim`) are already in `store`; `None` if either is
+    /// missing or misshapen.
+    pub fn from_store(
+        store: &ParamStore,
+        name: &str,
+        in_dim: usize,
+        out_dim: usize,
+        activation: Activation,
+    ) -> Option<Linear> {
+        let w = store.find_shaped(&format!("{name}.w"), in_dim, out_dim)?;
+        let b = store.find_shaped(&format!("{name}.b"), 1, out_dim)?;
+        Some(Linear {
+            w,
+            b,
+            activation,
+            in_dim,
+            out_dim,
+        })
     }
 
     /// Input width.
@@ -87,7 +119,7 @@ impl Linear {
 /// via a simple embedding lookup table", §4.1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Embedding {
-    table: ParamId,
+    pub(crate) table: ParamId,
     vocab: usize,
     dim: usize,
 }
@@ -103,6 +135,18 @@ impl Embedding {
     ) -> Embedding {
         let table = store.register(name, Tensor::uniform(vocab, dim, 0.1, rng));
         Embedding { table, vocab, dim }
+    }
+
+    /// The `vocab × dim` table `name` already in `store`; `None` if it is
+    /// missing or misshapen.
+    pub fn from_store(
+        store: &ParamStore,
+        name: &str,
+        vocab: usize,
+        dim: usize,
+    ) -> Option<Embedding> {
+        let table = store.find_shaped(name, vocab, dim)?;
+        Some(Embedding { table, vocab, dim })
     }
 
     /// Embedding width.
@@ -133,19 +177,20 @@ impl Embedding {
 /// topologically sorted node embeddings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LstmCell {
-    w: ParamId,
-    b: ParamId,
+    pub(crate) w: ParamId,
+    pub(crate) b: ParamId,
     input_dim: usize,
     hidden: usize,
 }
 
-/// Hidden and cell state of an [`LstmCell`].
+/// Hidden and cell state of an [`LstmCell`], as tape variables or as
+/// any other [`Recorder`](crate::Recorder)'s values.
 #[derive(Debug, Clone, Copy)]
-pub struct LstmState {
+pub struct LstmState<V = Var> {
     /// Hidden state `[batch × hidden]`.
-    pub h: Var,
+    pub h: V,
     /// Cell state `[batch × hidden]`.
-    pub c: Var,
+    pub c: V,
 }
 
 impl LstmCell {
@@ -174,6 +219,24 @@ impl LstmCell {
             input_dim,
             hidden,
         }
+    }
+
+    /// The cell whose fused gates `{name}.w` and `{name}.b` are already
+    /// in `store`; `None` if either is missing or misshapen.
+    pub fn from_store(
+        store: &ParamStore,
+        name: &str,
+        input_dim: usize,
+        hidden: usize,
+    ) -> Option<LstmCell> {
+        let w = store.find_shaped(&format!("{name}.w"), input_dim + hidden, 4 * hidden)?;
+        let b = store.find_shaped(&format!("{name}.b"), 1, 4 * hidden)?;
+        Some(LstmCell {
+            w,
+            b,
+            input_dim,
+            hidden,
+        })
     }
 
     /// Hidden width.

@@ -9,6 +9,8 @@
 //! - [`Tape`] / [`Var`] — define-by-run autodiff with graph ops
 //!   (gather/segment sum/mean/max, row L2-normalization) needed by
 //!   GraphSAGE,
+//! - [`Recorder`] — what a model's one forward is written against: the
+//!   [`Tape`], or the tape-free [`NoTape`] evaluator that serves,
 //! - [`Linear`], [`Embedding`], [`LstmCell`] — layers,
 //! - [`mse_loss`], [`grouped_pairwise_rank_loss`] — the paper's two training
 //!   objectives (§4.2),
@@ -36,6 +38,7 @@ mod layers;
 mod loss;
 mod optim;
 mod params;
+mod record;
 mod tape;
 mod tensor;
 
@@ -43,5 +46,6 @@ pub use layers::{Activation, Embedding, Linear, LstmCell, LstmState};
 pub use loss::{grouped_pairwise_rank_loss, mse_loss, weighted_mse_loss, RankPhi};
 pub use optim::{clip_grad_norm, Adam, AdamState};
 pub use params::{ParamId, ParamStore};
-pub use tape::{sigmoid, Tape, Var, L2_EPS};
+pub use record::{Arena, ArenaLen, Graph, Mark, NoTape, Recorder, Reduction, Slot};
+pub use tape::{Tape, Var};
 pub use tensor::{matmul_slices, Tensor};

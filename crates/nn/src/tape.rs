@@ -23,7 +23,9 @@
 //!
 //! Op payloads are [`Arc`]s, so a [`Tape`] is `Send`.
 
+use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
+use crate::record::{bias_act, l2_normalize_row, reduce_rows, Reduction};
 use crate::tensor::Tensor;
 use std::sync::Arc;
 
@@ -354,17 +356,16 @@ impl Tape {
     ///
     /// Panics if `b` is not `1×d` with matching `d`.
     pub(crate) fn add_row(&mut self, a: Var, b: Var) -> Var {
-        let (ar, ac) = self.value(a).shape();
+        let ac = self.value(a).cols();
         let (br, bc) = self.value(b).shape();
         assert_eq!(br, 1, "add_row rhs must have one row");
         assert_eq!(ac, bc, "add_row column mismatch");
         let mut out = self.pool.take_copy(&self.nodes[a.0].value);
-        let bias = self.nodes[b.0].value.data();
-        for r in 0..ar {
-            for (o, &bv) in out.row_mut(r).iter_mut().zip(bias) {
-                *o += bv;
-            }
-        }
+        bias_act(
+            out.data_mut(),
+            self.nodes[b.0].value.data(),
+            Activation::Identity,
+        );
         self.push(Op::AddRow(a, b), out)
     }
 
@@ -380,17 +381,17 @@ impl Tape {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Relu(a), |x| x.max(0.0))
+        self.unary(a, Op::Relu(a), |x| Activation::Relu.eval(x))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Tanh(a), f32::tanh)
+        self.unary(a, Op::Tanh(a), |x| Activation::Tanh.eval(x))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Sigmoid(a), sigmoid)
+        self.unary(a, Op::Sigmoid(a), |x| Activation::Sigmoid.eval(x))
     }
 
     /// Elementwise `e^x`.
@@ -484,16 +485,7 @@ impl Tape {
     ///
     /// Panics if `seg.len() != a.rows()` or a segment id is out of range.
     pub fn segment_sum(&mut self, a: Var, seg: Arc<Vec<usize>>, n_segments: usize) -> Var {
-        let (rows, cols) = self.value(a).shape();
-        assert_eq!(seg.len(), rows, "segment id per row required");
-        let mut out = self.pool.take_zeroed(n_segments, cols);
-        let t = &self.nodes[a.0].value;
-        for (r, &s) in seg.iter().enumerate() {
-            assert!(s < n_segments, "segment id out of range");
-            for (o, &v) in out.row_mut(s).iter_mut().zip(t.row(r)) {
-                *o += v;
-            }
-        }
+        let (out, _) = self.reduce_segments(Reduction::Sum, a, &seg, n_segments);
         self.push(Op::SegmentSum(a, seg), out)
     }
 
@@ -503,25 +495,7 @@ impl Tape {
     ///
     /// Panics like [`Tape::segment_sum`].
     pub fn segment_mean(&mut self, a: Var, seg: Arc<Vec<usize>>, n_segments: usize) -> Var {
-        let (rows, cols) = self.value(a).shape();
-        assert_eq!(seg.len(), rows);
-        let mut out = self.pool.take_zeroed(n_segments, cols);
-        let t = &self.nodes[a.0].value;
-        let mut counts = vec![0usize; n_segments];
-        for (r, &s) in seg.iter().enumerate() {
-            assert!(s < n_segments);
-            counts[s] += 1;
-            for (o, &v) in out.row_mut(s).iter_mut().zip(t.row(r)) {
-                *o += v;
-            }
-        }
-        for (s, &cnt) in counts.iter().enumerate() {
-            if cnt > 0 {
-                for o in out.row_mut(s) {
-                    *o /= cnt as f32;
-                }
-            }
-        }
+        let (out, _) = self.reduce_segments(Reduction::Mean, a, &seg, n_segments);
         self.push(Op::SegmentMean(a, seg, n_segments), out)
     }
 
@@ -531,40 +505,75 @@ impl Tape {
     ///
     /// Panics like [`Tape::segment_sum`].
     pub fn segment_max(&mut self, a: Var, seg: Arc<Vec<usize>>, n_segments: usize) -> Var {
-        let (rows, cols) = self.value(a).shape();
-        assert_eq!(seg.len(), rows);
-        let mut out = self.pool.take_filled(n_segments, cols, f32::NEG_INFINITY);
-        let t = &self.nodes[a.0].value;
-        let mut argmax = vec![-1i64; n_segments * cols];
-        for (r, &s) in seg.iter().enumerate() {
-            assert!(s < n_segments);
-            let best = &mut argmax[s * cols..(s + 1) * cols];
-            for ((o, arg), &v) in out.row_mut(s).iter_mut().zip(best).zip(t.row(r)) {
-                if v > *o {
-                    *o = v;
-                    *arg = r as i64;
-                }
-            }
-        }
-        // Empty segments: replace -inf with 0.
-        for (o, &arg) in out.data_mut().iter_mut().zip(argmax.iter()) {
-            if arg < 0 {
-                *o = 0.0;
-            }
-        }
+        let (out, argmax) = self.reduce_segments(Reduction::Max, a, &seg, n_segments);
         self.push(Op::SegmentMax(a, n_segments, Arc::new(argmax)), out)
+    }
+
+    /// The segment op of `red`, by its name on the tape.
+    pub(crate) fn segment(
+        &mut self,
+        red: Reduction,
+        a: Var,
+        seg: Arc<Vec<usize>>,
+        n_segments: usize,
+    ) -> Var {
+        match red {
+            Reduction::Sum => self.segment_sum(a, seg, n_segments),
+            Reduction::Mean => self.segment_mean(a, seg, n_segments),
+            Reduction::Max => self.segment_max(a, seg, n_segments),
+        }
+    }
+
+    /// [`reduce_rows`] of `a`'s rows into `n_segments` rows by `seg`,
+    /// and for `Max` the row each element came from (`-1`: none).
+    fn reduce_segments(
+        &mut self,
+        red: Reduction,
+        a: Var,
+        seg: &[usize],
+        n_segments: usize,
+    ) -> (Tensor, Vec<i64>) {
+        let (rows, cols) = self.value(a).shape();
+        assert_eq!(seg.len(), rows, "segment id per row required");
+        assert!(
+            seg.iter().all(|&s| s < n_segments),
+            "segment id out of range"
+        );
+        let mut out = self.pool.take_for_overwrite(n_segments, cols);
+        let mut counts = vec![
+            0.0f32;
+            if red == Reduction::Mean {
+                n_segments
+            } else {
+                0
+            }
+        ];
+        let mut argmax = vec![
+            -1i64;
+            if red == Reduction::Max {
+                n_segments * cols
+            } else {
+                0
+            }
+        ];
+        reduce_rows(
+            red,
+            self.nodes[a.0].value.data(),
+            cols,
+            seg.iter().copied().enumerate(),
+            out.data_mut(),
+            &mut counts,
+            |at, r| argmax[at] = r as i64,
+        );
+        (out, argmax)
     }
 
     /// L2-normalize each row (`x / max(‖x‖₂, ε)`), Eq. 1's `l2`.
     pub fn l2_normalize_rows(&mut self, a: Var) -> Var {
-        let rows = self.value(a).rows();
         let mut out = self.pool.take_copy(&self.nodes[a.0].value);
-        for r in 0..rows {
-            let norm = out.row(r).iter().map(|&x| x * x).sum::<f32>().sqrt();
-            let n = norm.max(L2_EPS);
-            for v in out.row_mut(r) {
-                *v /= n;
-            }
+        let cols = out.cols();
+        for row in out.data_mut().chunks_exact_mut(cols) {
+            l2_normalize_row(row);
         }
         self.push(Op::L2NormRows(a), out)
     }
@@ -869,13 +878,12 @@ impl Tape {
 }
 
 /// The `ε` of [`Tape::l2_normalize_rows`]: a row is divided by
-/// `max(‖x‖₂, ε)`. Public so a tape-free forward normalizes with the same
-/// bits.
-pub const L2_EPS: f32 = 1e-6;
+/// `max(‖x‖₂, ε)`.
+pub(crate) const L2_EPS: f32 = 1e-6;
 
 /// The logistic sigmoid `1 / (1 + e^-x)` [`Tape::sigmoid`] applies per
-/// element. Public so a tape-free forward computes the same bits.
-pub fn sigmoid(x: f32) -> f32 {
+/// element.
+pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 

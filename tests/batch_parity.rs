@@ -2,18 +2,21 @@
 //!
 //! The serving engine funnels every cache-miss batch through one
 //! `predict_batch_ns` call, so any drift between the batched and the
-//! per-kernel path silently changes served predictions. For the LSTM that
-//! drift would come from masked packing (variable-length sequences run in
-//! lockstep with per-row masks); the analytical model takes the trait's
-//! default loop. Both must be **bit-identical** to the per-kernel path — not
-//! approximately equal — across ragged batch shapes, including kernels
-//! the analytical model cannot score (`None`) and batches that are empty
-//! after cache dedup.
+//! per-kernel path silently changes served predictions. The LSTM serves
+//! one tape-free forward per kernel, but trains on masked packing
+//! (variable-length sequences run in lockstep with per-row masks), so its
+//! served predictions must also be the packed tape forward's; the
+//! analytical model takes the trait's default loop. All must be
+//! **bit-identical** — not approximately equal — across ragged batch
+//! shapes, including kernels the analytical model cannot score (`None`)
+//! and batches that are empty after cache dedup.
 
 use std::sync::Arc;
 use tpu_repro::analytical::AnalyticalModel;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
-use tpu_repro::learned::{AtomicCache, CostModel, LstmConfig, LstmModel, Predictor};
+use tpu_repro::learned::{
+    forward_log_ns, AtomicCache, CostModel, LstmConfig, LstmModel, Predictor, Prepared,
+};
 use tpu_repro::sim::TpuConfig;
 
 /// An elementwise chain of `len` ops over a `rows x cols` matrix: `len`
@@ -50,6 +53,17 @@ fn lstm_masked_batch_bit_identical_across_ragged_batches() {
             bits(&batch),
             bits(&single),
             "masked batch of {n} drifted from per-kernel predictions"
+        );
+        let prepared: Vec<Prepared> = kernels.iter().map(Prepared::from_kernel).collect();
+        let refs: Vec<&Prepared> = prepared.iter().collect();
+        let packed: Vec<Option<f64>> = forward_log_ns(&model, &refs)
+            .into_iter()
+            .map(|l| Some(l.exp()))
+            .collect();
+        assert_eq!(
+            bits(&batch),
+            bits(&packed),
+            "served batch of {n} drifted from the masked packed tape forward"
         );
     }
 }
