@@ -258,9 +258,8 @@ impl GnnModel {
                     // Half of (self + neighbor sum), one projection; f₃
                     // is kept unused for parameter-count parity.
                     let neigh_sum = r.aggregate(eps, g, Reduction::Sum);
-                    let with_self = r.add(neigh_sum, eps);
-                    let scaled = r.scale(with_self, 0.5);
-                    r.linear(store, f2, scaled)
+                    let with_self = r.half_sum(neigh_sum, eps);
+                    r.linear(store, f2, with_self)
                 }
             };
             eps = r.keep(start, next);

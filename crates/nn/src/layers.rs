@@ -180,17 +180,7 @@ pub struct LstmCell {
     pub(crate) w: ParamId,
     pub(crate) b: ParamId,
     input_dim: usize,
-    hidden: usize,
-}
-
-/// Hidden and cell state of an [`LstmCell`], as tape variables or as
-/// any other [`Recorder`](crate::Recorder)'s values.
-#[derive(Debug, Clone, Copy)]
-pub struct LstmState<V = Var> {
-    /// Hidden state `[batch × hidden]`.
-    pub h: V,
-    /// Cell state `[batch × hidden]`.
-    pub c: V,
+    pub(crate) hidden: usize,
 }
 
 impl LstmCell {
@@ -243,60 +233,6 @@ impl LstmCell {
     pub fn hidden(&self) -> usize {
         self.hidden
     }
-
-    /// Zero initial state for a batch.
-    pub fn zero_state(&self, tape: &mut Tape, batch: usize) -> LstmState {
-        LstmState {
-            h: tape.input(Tensor::zeros(batch, self.hidden)),
-            c: tape.input(Tensor::zeros(batch, self.hidden)),
-        }
-    }
-
-    /// One step: consume `x [batch × input_dim]`, return the new state.
-    pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, state: LstmState) -> LstmState {
-        let z = tape.concat_cols(&[x, state.h]);
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        let zw = tape.matmul(z, w);
-        let gates = tape.add_row(zw, b);
-        let h = self.hidden;
-        let i_g = tape.slice_cols(gates, 0, h);
-        let f_g = tape.slice_cols(gates, h, 2 * h);
-        let g_g = tape.slice_cols(gates, 2 * h, 3 * h);
-        let o_g = tape.slice_cols(gates, 3 * h, 4 * h);
-        let i = tape.sigmoid(i_g);
-        let f = tape.sigmoid(f_g);
-        let g = tape.tanh(g_g);
-        let o = tape.sigmoid(o_g);
-        let fc = tape.mul(f, state.c);
-        let ig = tape.mul(i, g);
-        let c_new = tape.add(fc, ig);
-        let ct = tape.tanh(c_new);
-        let h_new = tape.mul(o, ct);
-        LstmState { h: h_new, c: c_new }
-    }
-
-    /// One masked step for packed variable-length batches: rows with mask 0
-    /// keep their previous state.
-    pub fn masked_step(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        x: Var,
-        state: LstmState,
-        mask: &Arc<Tensor>,
-        inv_mask: &Arc<Tensor>,
-    ) -> LstmState {
-        let next = self.step(tape, store, x, state);
-        let h_on = tape.mul_const(next.h, mask.clone());
-        let h_off = tape.mul_const(state.h, inv_mask.clone());
-        let c_on = tape.mul_const(next.c, mask.clone());
-        let c_off = tape.mul_const(state.c, inv_mask.clone());
-        LstmState {
-            h: tape.add(h_on, h_off),
-            c: tape.add(c_on, c_off),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -341,39 +277,24 @@ mod tests {
     }
 
     #[test]
-    fn lstm_step_shapes_and_state_change() {
+    fn lstm_steps_update_running_kernels_and_freeze_finished_ones() {
+        use crate::record::{Graph, Recorder};
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let cell = LstmCell::new(&mut store, "lstm", 4, 8, &mut rng);
         let mut tape = Tape::new();
-        let s0 = cell.zero_state(&mut tape, 2);
-        let x = tape.input(Tensor::ones(2, 4));
-        let s1 = cell.step(&mut tape, &store, x, s0);
+        // Kernel 0 has two nodes, kernel 1 one: step 1 runs kernel 0 only.
+        let kernels = [0..2, 2..3];
+        let g = Graph::shape(&kernels, 4);
+        let nodes = tape.input(Tensor::from_rows(&[&[1.0; 4], &[-1.0; 4], &[0.5; 4]]));
+        let s0 = tape.lstm_zero_state(&cell, &g);
+        let s1 = tape.lstm_step(&store, &cell, nodes, s0, &g, 0);
         assert_eq!(tape.value(s1.h).shape(), (2, 8));
         assert!(tape.value(s1.h).sq_norm() > 0.0);
-    }
-
-    #[test]
-    fn lstm_masked_step_freezes_finished_rows() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut store = ParamStore::new();
-        let cell = LstmCell::new(&mut store, "lstm", 4, 8, &mut rng);
-        let mut tape = Tape::new();
-        let s0 = cell.zero_state(&mut tape, 2);
-        let x = tape.input(Tensor::ones(2, 4));
-        let s1 = cell.step(&mut tape, &store, x, s0);
-        // Row 1 masked off: its state must stay equal to s1's row 1.
-        let mut mask = Tensor::zeros(2, 8);
-        for c in 0..8 {
-            mask.set(0, c, 1.0);
-        }
-        let inv = mask.map(|m| 1.0 - m);
-        let x2 = tape.input(Tensor::full(2, 4, -1.0));
-        let s2 = cell.masked_step(&mut tape, &store, x2, s1, &Arc::new(mask), &Arc::new(inv));
-        let h1 = tape.value(s1.h).clone();
-        let h2 = tape.value(s2.h).clone();
-        assert_eq!(h1.row(1), h2.row(1), "masked row frozen");
-        assert_ne!(h1.row(0), h2.row(0), "active row updated");
+        let s2 = tape.lstm_step(&store, &cell, nodes, s1, &g, 1);
+        let (h1, h2) = (tape.value(s1.h), tape.value(s2.h));
+        assert_eq!(h1.row(1), h2.row(1), "a finished kernel keeps its state");
+        assert_ne!(h1.row(0), h2.row(0), "a running kernel steps");
     }
 
     #[test]

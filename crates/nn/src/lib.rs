@@ -42,10 +42,10 @@ mod record;
 mod tape;
 mod tensor;
 
-pub use layers::{Activation, Embedding, Linear, LstmCell, LstmState};
+pub use layers::{Activation, Embedding, Linear, LstmCell};
 pub use loss::{grouped_pairwise_rank_loss, mse_loss, weighted_mse_loss, RankPhi};
 pub use optim::{clip_grad_norm, Adam, AdamState};
 pub use params::{ParamId, ParamStore};
-pub use record::{Arena, ArenaLen, Graph, Mark, NoTape, Recorder, Reduction, Slot};
+pub use record::{Arena, ArenaLen, Graph, LstmState, Mark, NoTape, Recorder, Reduction, Slot};
 pub use tape::{Tape, Var};
-pub use tensor::{matmul_slices, Tensor};
+pub use tensor::Tensor;

@@ -1,28 +1,20 @@
-//! One forward, two recorders.
+//! One forward, two recorders. A model writes its forward once, generic
+//! over [`Recorder`]: over a [`Tape`] it records the graph training
+//! differentiates; over [`NoTape`] it computes the same values with no
+//! graph, reading weights in place from the [`ParamStore`] and keeping
+//! every value as a [`Slot`] of one `f32` arena. [`ArenaLen`] is
+//! `NoTape`'s allocation pattern without its arithmetic: a forward over it
+//! measures the arena before anything is allocated.
 //!
-//! A model writes its forward once, generic over [`Recorder`]. Run over a
-//! [`Tape`] it records the autodiff graph training differentiates; run
-//! over [`NoTape`] it computes the same values with no graph at all:
-//! weights are read in place from the [`ParamStore`], and every value is
-//! a [`Slot`] of one `f32` arena. [`ArenaLen`] is `NoTape`'s allocation
-//! pattern without its arithmetic, so a forward over it measures the
-//! arena the real one needs before anything is allocated.
-//!
-//! Each op's arithmetic is written once, in this module's kernels
-//! ([`reduce_rows`], [`bias_act`], [`l2_normalize_row`], [`lstm_cell`],
-//! [`blend`]) or in the matmul kernel, and both recorders call it, so a
-//! value is the same `f32` whichever recorder computed it
-//! (`tests/recorder_contract.rs` compares `to_bits`).
-//!
-//! Under `NoTape` some ops work in place, because the forward never
-//! reads their operand again: [`Recorder::l2_normalize`],
-//! [`Recorder::add_scalar`], [`Recorder::add`] (into its first operand),
-//! [`Recorder::scale`] and the LSTM state of [`Recorder::lstm_step`].
-//! [`Recorder::keep`] moves a value down to a [`Mark`] and frees
-//! everything above it, so a loop of hops reuses one stretch of arena.
-//! The tape records each of these as the plain op it always was.
+//! Each op's arithmetic is one function here ([`reduce_rows`],
+//! [`bias_act`], [`l2_normalize_row`], [`lstm_cell`], [`blend`]) or the
+//! matmul kernel, and both recorders call it, so both give the same bits
+//! (`tests/recorder_contract.rs`). Under `NoTape`, `l2_normalize`,
+//! `add_scalar`, `half_sum` (into its first operand) and the LSTM state
+//! work in place, because a forward never reads their operand again, and
+//! [`Recorder::keep`] frees a hop's temporaries; the tape records plain ops.
 
-use crate::layers::{Activation, Embedding, Linear, LstmCell, LstmState};
+use crate::layers::{Activation, Embedding, Linear, LstmCell};
 use crate::params::ParamStore;
 use crate::tape::{sigmoid, Tape, Var, L2_EPS};
 use crate::tensor::{matmul_slices, Tensor};
@@ -30,21 +22,21 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// A reduction over a set of rows: Eq. 1's neighbourhood Σ, and each
-/// kernel pool of κ.
+/// kernel pool of κ. An empty set gives zeros.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reduction {
     /// Sum of the rows.
     Sum,
-    /// Mean of the rows (an empty set gives zeros).
+    /// Mean of the rows.
     Mean,
-    /// Columnwise max of the rows (an empty set gives zeros).
+    /// Columnwise max of the rows.
     Max,
 }
 
-/// The graph a forward runs over: one or more kernels packed as a
-/// disjoint union. Node `i` has opcode `opcode_ids[i]` and the features
-/// `features[i·feature_dim..][..feature_dim]`; `kernel_nodes` splits
-/// `0..n` into each kernel's nodes, in order.
+/// The graph a forward runs over: kernels packed as a disjoint union.
+/// Node `i` has opcode `opcode_ids[i]` and features
+/// `features[i·feature_dim..][..feature_dim]`; `kernel_nodes` splits the
+/// nodes into each kernel's, contiguous and in order.
 #[derive(Debug, Clone, Copy)]
 pub struct Graph<'a> {
     /// Embedding id per node.
@@ -53,21 +45,21 @@ pub struct Graph<'a> {
     pub features: &'a [f32],
     /// Features per node.
     pub feature_dim: usize,
-    /// Directed edges `(a, b)`; every op reads them both ways.
+    /// Directed edges `(a, b)`, which every op reads both ways.
     pub edges: &'a [(usize, usize)],
-    /// Per-kernel node ranges, contiguous and in order.
+    /// Per-kernel node ranges.
     pub kernel_nodes: &'a [Range<usize>],
 }
 
 impl<'a> Graph<'a> {
-    /// A graph of `kernel_nodes` with no node data: all [`ArenaLen`]
-    /// reads, so an arena can be sized before any kernel is featurized.
+    /// `kernel_nodes` without node data: all [`ArenaLen`] reads.
     pub fn shape(kernel_nodes: &'a [Range<usize>], feature_dim: usize) -> Graph<'a> {
+        let (opcode_ids, features, edges) = (&[], &[], &[]);
         Graph {
-            opcode_ids: &[],
-            features: &[],
+            opcode_ids,
+            features,
             feature_dim,
-            edges: &[],
+            edges,
             kernel_nodes,
         }
     }
@@ -82,77 +74,65 @@ impl<'a> Graph<'a> {
         self.kernel_nodes.iter().map(|r| r.len()).max().unwrap_or(0)
     }
 
-    /// `(from, to)` for every edge both ways, in edge order: the message
-    /// list of a neighbourhood reduction.
+    /// `(from, to)` for every edge both ways, in edge order.
     fn neighbour_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)])
     }
 
     /// `(node, kernel)` for every node, in node order.
     fn kernel_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.kernel_nodes
-            .iter()
-            .enumerate()
-            .flat_map(|(k, nodes)| nodes.clone().map(move |i| (i, k)))
+        let kernels = self.kernel_nodes.iter().enumerate();
+        kernels.flat_map(|(k, nodes)| nodes.clone().map(move |i| (i, k)))
     }
 
-    /// The LSTM's input row for kernel `k` at step `t`: its node `t`, or
-    /// node 0 once the kernel has ended (the step is then masked off).
-    fn step_row(nodes: &Range<usize>, t: usize) -> (usize, bool) {
-        if t < nodes.len() {
-            (nodes.start + t, true)
-        } else {
-            (0, false)
-        }
+    /// Per kernel, its LSTM input row at step `t` and whether the step is
+    /// on: node `t`, or node 0 once the kernel has ended.
+    fn step_rows(&self, t: usize) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let row = move |k: &Range<usize>| (k.start + t < k.end).then_some(k.start + t);
+        self.kernel_nodes
+            .iter()
+            .map(move |k| row(k).map_or((0, false), |i| (i, true)))
     }
 }
 
-/// A rewind point of a [`Recorder`]'s storage: see [`Recorder::keep`].
+/// Hidden and cell state of an [`LstmCell`], one row per kernel.
+#[derive(Debug, Clone, Copy)]
+pub struct LstmState<V> {
+    /// Hidden state.
+    pub h: V,
+    /// Cell state.
+    pub c: V,
+}
+
+/// A rewind point of a [`Recorder`]: see [`Recorder::keep`].
 #[derive(Debug, Clone, Copy)]
 pub struct Mark(usize);
 
-/// What a forward is written against: the operations of the paper's
-/// models. See the module docs for which ops work in place.
+/// The operations of the paper's models, which a forward is written
+/// against.
 pub trait Recorder {
     /// A recorded value: a tape [`Var`], or an arena [`Slot`].
     type Value: Copy;
-
-    /// `[table[opcode_id] ‖ features]`, one row per node of `g`.
+    /// `[table[opcode_id] ‖ features]`, one row per node.
     fn embed(&mut self, store: &ParamStore, table: &Embedding, g: &Graph<'_>) -> Self::Value;
-
-    /// `act(x·W + b)` of a [`Linear`] layer.
+    /// `act(x·W + b)`.
     fn linear(&mut self, store: &ParamStore, layer: &Linear, x: Self::Value) -> Self::Value;
-
-    /// Each node's reduction of the rows of `x` at its neighbours, over
-    /// every edge both ways in edge order; a node with no neighbours
-    /// gets zeros.
+    /// Per node, the reduction of `x`'s rows at its neighbours.
     fn aggregate(&mut self, x: Self::Value, g: &Graph<'_>, red: Reduction) -> Self::Value;
-
-    /// Each kernel's reduction of the rows of `x` at its nodes:
-    /// `[kernels × cols]`.
+    /// Per kernel, the reduction of `x`'s rows at its nodes.
     fn pool(&mut self, x: Self::Value, g: &Graph<'_>, red: Reduction) -> Self::Value;
-
     /// `[xs[0] ‖ xs[1] ‖ …]` along columns.
     fn concat(&mut self, xs: &[Self::Value]) -> Self::Value;
-
     /// Each row divided by `max(‖row‖₂, L2_EPS)`.
     fn l2_normalize(&mut self, x: Self::Value) -> Self::Value;
-
     /// `x + s`.
     fn add_scalar(&mut self, x: Self::Value, s: f32) -> Self::Value;
-
-    /// `a + b`, same shape.
-    fn add(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
-
-    /// `s · x`.
-    fn scale(&mut self, x: Self::Value, s: f32) -> Self::Value;
-
-    /// A zero `h` and `c`, one row per kernel of `g`.
+    /// `(a + b) · ½`, rounded after the sum and after the product.
+    fn half_sum(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+    /// A zero state, one row per kernel.
     fn lstm_zero_state(&mut self, cell: &LstmCell, g: &Graph<'_>) -> LstmState<Self::Value>;
-
-    /// Step `t` of `cell` over every kernel of `g` at once: kernel `k`
-    /// consumes row `t` of its nodes in `nodes`, and a kernel shorter
-    /// than `t + 1` keeps its state (a masked blend).
+    /// Step `t` of every kernel at once: kernel `k` consumes its node `t`
+    /// (a row of `nodes`), and a kernel that has ended keeps its state.
     fn lstm_step(
         &mut self,
         store: &ParamStore,
@@ -162,12 +142,9 @@ pub trait Recorder {
         g: &Graph<'_>,
         t: usize,
     ) -> LstmState<Self::Value>;
-
     /// A point [`Recorder::keep`] can rewind to.
     fn mark(&self) -> Mark;
-
-    /// `v`, with everything recorded since `mark` (`v` included) freed
-    /// first. No value recorded after `mark` but `v` may be read again.
+    /// `v`, with every other value recorded since `mark` freed.
     fn keep(&mut self, mark: Mark, v: Self::Value) -> Self::Value;
 }
 
@@ -192,7 +169,7 @@ impl Recorder for Tape {
     }
 
     fn pool(&mut self, x: Var, g: &Graph<'_>, red: Reduction) -> Var {
-        let seg: Vec<usize> = g.kernel_pairs().map(|(_, k)| k).collect();
+        let seg = g.kernel_pairs().map(|(_, k)| k).collect();
         self.segment(red, x, Arc::new(seg), g.kernel_nodes.len())
     }
 
@@ -208,40 +185,65 @@ impl Recorder for Tape {
         Tape::add_scalar(self, x, s)
     }
 
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        Tape::add(self, a, b)
+    fn half_sum(&mut self, a: Var, b: Var) -> Var {
+        let sum = Tape::add(self, a, b);
+        self.scale(sum, 0.5)
     }
 
-    fn scale(&mut self, x: Var, s: f32) -> Var {
-        Tape::scale(self, x, s)
+    fn lstm_zero_state(&mut self, cell: &LstmCell, g: &Graph<'_>) -> LstmState<Var> {
+        let b = g.kernel_nodes.len();
+        let h = self.input(Tensor::zeros(b, cell.hidden));
+        let c = self.input(Tensor::zeros(b, cell.hidden));
+        LstmState { h, c }
     }
 
-    fn lstm_zero_state(&mut self, cell: &LstmCell, g: &Graph<'_>) -> LstmState {
-        cell.zero_state(self, g.kernel_nodes.len())
-    }
-
+    /// The gathered step input, the fused gate product, `c' = σ(f)·c +
+    /// σ(i)·tanh(g)`, `h' = σ(o)·tanh(c')`, then per row the blend
+    /// `new·m + old·(1 − m)` with `m` 1 while the kernel runs.
     fn lstm_step(
         &mut self,
         store: &ParamStore,
         cell: &LstmCell,
         nodes: Var,
-        state: LstmState,
+        state: LstmState<Var>,
         g: &Graph<'_>,
         t: usize,
-    ) -> LstmState {
-        let b = g.kernel_nodes.len();
-        let mut idx = Vec::with_capacity(b);
-        let mut mask = Tensor::zeros(b, cell.hidden());
-        for (k, kernel) in g.kernel_nodes.iter().enumerate() {
-            let (row, on) = Graph::step_row(kernel, t);
-            idx.push(row);
-            if on {
-                mask.row_mut(k).fill(1.0);
-            }
+    ) -> LstmState<Var> {
+        let h = cell.hidden;
+        let (idx, on): (Vec<usize>, Vec<bool>) = g.step_rows(t).unzip();
+        let mut mask = Tensor::zeros(on.len(), h);
+        for (k, _) in on.iter().enumerate().filter(|(_, on)| **on) {
+            mask.row_mut(k).fill(1.0);
         }
-        let inv = mask.map(|m| 1.0 - m);
+        let inv = Arc::new(mask.map(|m| 1.0 - m));
+        let mask = Arc::new(mask);
         let x = self.gather_rows(nodes, Arc::new(idx));
-        cell.masked_step(self, store, x, state, &Arc::new(mask), &Arc::new(inv))
+        let z = self.concat_cols(&[x, state.h]);
+        let w = self.param(store, cell.w);
+        let b = self.param(store, cell.b);
+        let zw = self.matmul(z, w);
+        let gates = self.add_row(zw, b);
+        let [i, f, g, o] = [0, 1, 2, 3].map(|q| self.slice_cols(gates, q * h, (q + 1) * h));
+        let (i, f, g, o) = (
+            self.sigmoid(i),
+            self.sigmoid(f),
+            self.tanh(g),
+            self.sigmoid(o),
+        );
+        let fc = self.mul(f, state.c);
+        let ig = self.mul(i, g);
+        let c_new = Tape::add(self, fc, ig);
+        let ct = self.tanh(c_new);
+        let h_new = self.mul(o, ct);
+        let h_on = self.mul_const(h_new, mask.clone());
+        let h_off = self.mul_const(state.h, inv.clone());
+        let c_on = self.mul_const(c_new, mask);
+        let c_off = self.mul_const(state.c, inv);
+        let h = Tape::add(self, h_on, h_off);
+        LstmState {
+            h,
+            c: Tape::add(self, c_on, c_off),
+        }
     }
 
     fn mark(&self) -> Mark {
@@ -262,19 +264,14 @@ pub struct Slot {
 }
 
 impl Slot {
-    fn len(self) -> usize {
-        self.rows * self.cols
-    }
-
     fn range(self) -> Range<usize> {
-        self.off..self.off + self.len()
+        self.off..self.off + self.rows * self.cols
     }
 }
 
-/// A stack of [`Slot`]s. With `RUN` it computes every value into its
-/// `f32` arena: [`NoTape`]. Without, it only allocates: [`ArenaLen`].
-/// `SKIP_ZEROS` turns the matmul kernel's zero skip on
-/// ([`matmul_slices`]), which is exact only for finite weights.
+/// A stack of [`Slot`]s: with `RUN`, computing every value into its arena
+/// ([`NoTape`]); without, only allocating ([`ArenaLen`]). `SKIP_ZEROS`
+/// turns the matmul kernel's zero skip on, exact only for finite weights.
 #[derive(Debug, Clone, Default)]
 pub struct Arena<const RUN: bool, const SKIP_ZEROS: bool> {
     data: Vec<f32>,
@@ -282,31 +279,32 @@ pub struct Arena<const RUN: bool, const SKIP_ZEROS: bool> {
     high: usize,
 }
 
-/// The tape-free evaluator: every value computed into one `f32` arena,
-/// grown only when a forward needs more than it was built with.
+/// The tape-free evaluator; its arena grows only if a forward needs more
+/// than it was built with.
 pub type NoTape<const SKIP_ZEROS: bool> = Arena<true, SKIP_ZEROS>;
 
-/// [`NoTape`]'s allocations without its arithmetic: a forward over it
-/// leaves in [`Arena::high_water`] the arena length the real one needs.
+/// The shape pass: [`Arena::high_water`] after a forward is the arena
+/// length [`NoTape`] needs for it.
 pub type ArenaLen = Arena<false, false>;
 
 impl<const RUN: bool, const SKIP_ZEROS: bool> Arena<RUN, SKIP_ZEROS> {
-    /// A stack over an arena of `len` zeros (ignored without `RUN`): the
-    /// one allocation of a forward that needs at most `len`.
+    /// A stack over `len` zeros (none without `RUN`): a forward's one
+    /// allocation.
     pub fn with_len(len: usize) -> Self {
+        let data = if RUN { vec![0.0; len] } else { Vec::new() };
         Arena {
-            data: if RUN { vec![0.0; len] } else { Vec::new() },
+            data,
             top: 0,
             high: 0,
         }
     }
 
-    /// Free every value, keeping the arena for the next forward.
+    /// Free every value, keeping the arena.
     pub fn reset(&mut self) {
         self.top = 0;
     }
 
-    /// The most `f32`s held at once since construction.
+    /// The most `f32`s held at once so far.
     pub fn high_water(&self) -> usize {
         self.high
     }
@@ -322,7 +320,7 @@ impl<const RUN: bool, const SKIP_ZEROS: bool> Arena<RUN, SKIP_ZEROS> {
             rows,
             cols,
         };
-        self.top += slot.len();
+        self.top += rows * cols;
         self.high = self.high.max(self.top);
         if RUN && self.data.len() < self.top {
             self.data.resize(self.top, 0.0);
@@ -330,40 +328,36 @@ impl<const RUN: bool, const SKIP_ZEROS: bool> Arena<RUN, SKIP_ZEROS> {
         slot
     }
 
-    /// The arena below `out` (where every operand lives) and `out`.
+    /// The arena below `out`, where every operand lives, and `out`.
     fn split(&mut self, out: Slot) -> (&[f32], &mut [f32]) {
         let (below, rest) = self.data.split_at_mut(out.off);
-        (below, &mut rest[..out.len()])
+        (below, &mut rest[..out.range().len()])
     }
 
-    /// A fresh `rows × cols` reduction of `x`'s rows over `pairs`, its
-    /// counts in a temporary slot above it.
-    fn reduce<I: Iterator<Item = (usize, usize)>>(
-        &mut self,
-        x: Slot,
-        rows: usize,
-        red: Reduction,
-        pairs: impl FnOnce() -> I,
-    ) -> Slot {
+    /// A fresh `rows`-row [`reduce_rows`] of `x` over `pairs`, with
+    /// `Mean`'s counts in a slot above it, freed again.
+    fn reduce<I>(&mut self, x: Slot, rows: usize, red: Reduction, pairs: impl FnOnce() -> I) -> Slot
+    where
+        I: Iterator<Item = (usize, usize)>,
+    {
+        let (len, counts) = (rows * x.cols, if red == Reduction::Mean { rows } else { 0 });
         let out = self.alloc(rows, x.cols);
-        let counts = self.alloc(if red == Reduction::Mean { rows } else { 0 }, 1);
+        let scratch = self.alloc(1, counts);
         if RUN {
             let (below, rest) = self.data.split_at_mut(out.off);
-            let (dst, counts_buf) = rest[..out.len() + counts.len()].split_at_mut(out.len());
-            let src = &below[x.range()];
-            reduce_rows(red, src, x.cols, pairs(), dst, counts_buf, |_, _| {});
+            let (dst, counts) = rest[..len + counts].split_at_mut(len);
+            reduce_rows(
+                red,
+                &below[x.range()],
+                x.cols,
+                pairs(),
+                dst,
+                counts,
+                |_, _| {},
+            );
         }
-        self.top = out.off + out.len();
+        self.top = scratch.off;
         out
-    }
-
-    fn in_place(&mut self, x: Slot, f: impl Fn(f32) -> f32) -> Slot {
-        if RUN {
-            for v in &mut self.data[x.range()] {
-                *v = f(*v);
-            }
-        }
-        x
     }
 }
 
@@ -407,17 +401,16 @@ impl<const RUN: bool, const SKIP_ZEROS: bool> Recorder for Arena<RUN, SKIP_ZEROS
 
     fn concat(&mut self, xs: &[Slot]) -> Slot {
         assert!(!xs.is_empty(), "concat of nothing");
-        let rows = xs[0].rows;
-        let out = self.alloc(rows, xs.iter().map(|x| x.cols).sum());
+        let out = self.alloc(xs[0].rows, xs.iter().map(|x| x.cols).sum());
         if RUN {
             let (below, y) = self.split(out);
             let mut at = 0;
             for x in xs {
-                assert_eq!(x.rows, rows, "concat row mismatch");
-                let src = below[x.range()].chunks_exact(x.cols);
-                for (row, part) in y.chunks_exact_mut(out.cols).zip(src) {
-                    row[at..at + x.cols].copy_from_slice(part);
-                }
+                assert_eq!(x.rows, out.rows, "concat row mismatch");
+                let rows = y
+                    .chunks_exact_mut(out.cols)
+                    .zip(below[x.range()].chunks_exact(x.cols));
+                rows.for_each(|(row, part)| row[at..at + x.cols].copy_from_slice(part));
                 at += x.cols;
             }
         }
@@ -426,37 +419,35 @@ impl<const RUN: bool, const SKIP_ZEROS: bool> Recorder for Arena<RUN, SKIP_ZEROS
 
     fn l2_normalize(&mut self, x: Slot) -> Slot {
         if RUN {
-            for row in self.data[x.range()].chunks_exact_mut(x.cols) {
-                l2_normalize_row(row);
-            }
+            self.data[x.range()]
+                .chunks_exact_mut(x.cols)
+                .for_each(l2_normalize_row);
         }
         x
     }
 
     fn add_scalar(&mut self, x: Slot, s: f32) -> Slot {
-        self.in_place(x, |v| v + s)
+        if RUN {
+            self.data[x.range()].iter_mut().for_each(|v| *v += s);
+        }
+        x
     }
 
-    fn add(&mut self, a: Slot, b: Slot) -> Slot {
+    fn half_sum(&mut self, a: Slot, b: Slot) -> Slot {
         assert_eq!((a.rows, a.cols), (b.rows, b.cols), "shape mismatch");
         if RUN {
-            for i in 0..a.len() {
-                self.data[a.off + i] += self.data[b.off + i];
+            for i in 0..a.rows * a.cols {
+                self.data[a.off + i] = (self.data[a.off + i] + self.data[b.off + i]) * 0.5;
             }
         }
         a
     }
 
-    fn scale(&mut self, x: Slot, s: f32) -> Slot {
-        self.in_place(x, |v| v * s)
-    }
-
     fn lstm_zero_state(&mut self, cell: &LstmCell, g: &Graph<'_>) -> LstmState<Slot> {
-        let b = g.kernel_nodes.len();
-        let h = self.alloc(b, cell.hidden());
-        let c = self.alloc(b, cell.hidden());
+        let rows = g.kernel_nodes.len();
+        let (h, c) = (self.alloc(rows, cell.hidden), self.alloc(rows, cell.hidden));
         if RUN {
-            self.data[h.off..c.off + c.len()].fill(0.0);
+            self.data[h.off..c.range().end].fill(0.0);
         }
         LstmState { h, c }
     }
@@ -470,30 +461,33 @@ impl<const RUN: bool, const SKIP_ZEROS: bool> Recorder for Arena<RUN, SKIP_ZEROS
         g: &Graph<'_>,
         t: usize,
     ) -> LstmState<Slot> {
-        let (d, hid, b) = (nodes.cols, cell.hidden(), g.kernel_nodes.len());
-        let z = self.alloc(b, d + hid);
-        let gates = self.alloc(b, 4 * hid);
+        let (d, h, rows) = (nodes.cols, cell.hidden, g.kernel_nodes.len());
+        let z = self.alloc(rows, d + h);
+        let gates = self.alloc(rows, 4 * h);
         if RUN {
             // z = [x_t ‖ h] per kernel, then the fused gate product.
             let (below, zs) = self.split(z);
-            for (k, row) in g.kernel_nodes.iter().zip(zs.chunks_exact_mut(d + hid)) {
-                let (node, _) = Graph::step_row(k, t);
+            let old_h = below[state.h.range()].chunks_exact(h);
+            for ((row, (node, _)), old_h) in
+                zs.chunks_exact_mut(d + h).zip(g.step_rows(t)).zip(old_h)
+            {
                 row[..d].copy_from_slice(&below[nodes.off + node * d..][..d]);
-            }
-            let hs = below[state.h.range()].chunks_exact(hid);
-            for (row, h) in zs.chunks_exact_mut(d + hid).zip(hs) {
-                row[d..].copy_from_slice(h);
+                row[d..].copy_from_slice(old_h);
             }
             let (below, gs) = self.split(gates);
-            let w = store.value(cell.w).data();
-            matmul_slices::<SKIP_ZEROS>(&below[z.range()], d + hid, w, 4 * hid, gs);
+            matmul_slices::<SKIP_ZEROS>(
+                &below[z.range()],
+                d + h,
+                store.value(cell.w).data(),
+                4 * h,
+                gs,
+            );
             bias_act(gs, store.value(cell.b).data(), Activation::Identity);
-            for (k, kernel) in g.kernel_nodes.iter().enumerate() {
-                let (_, on) = Graph::step_row(kernel, t);
-                for j in 0..hid {
-                    let gate = |q: usize| self.data[gates.off + k * 4 * hid + q * hid + j];
+            for (k, (_, on)) in g.step_rows(t).enumerate() {
+                for j in 0..h {
+                    let gate = |q: usize| self.data[gates.off + (4 * k + q) * h + j];
                     let (i, f, g, o) = (gate(0), gate(1), gate(2), gate(3));
-                    let (hi, ci) = (state.h.off + k * hid + j, state.c.off + k * hid + j);
+                    let (hi, ci) = (state.h.off + k * h + j, state.c.off + k * h + j);
                     let (c_new, h_new) = lstm_cell(i, f, g, o, self.data[ci]);
                     self.data[ci] = blend(c_new, self.data[ci], on);
                     self.data[hi] = blend(h_new, self.data[hi], on);
@@ -513,17 +507,17 @@ impl<const RUN: bool, const SKIP_ZEROS: bool> Recorder for Arena<RUN, SKIP_ZEROS
         if RUN {
             self.data.copy_within(v.range(), mark.0);
         }
-        self.top = mark.0 + v.len();
+        self.top = mark.0 + v.rows * v.cols;
         Slot { off: mark.0, ..v }
     }
 }
 
 /// `out[to] ⊕= x[from]` for every `(from, to)` of `pairs`, in order, over
-/// `cols`-wide rows — the one arithmetic of every segment op. `Sum` and
-/// `Mean` add onto zeros, and `Mean` then divides each row with a count
-/// (`counts`, one per row of `out`) by it. `Max` keeps a value only if it
-/// is strictly greater (`>`), starting from `-inf`, and reports each win
-/// as `won(index in out, from)`; a row nothing won becomes zeros.
+/// `cols`-wide rows: every segment op's arithmetic. `Sum` and `Mean` add
+/// onto zeros, then `Mean` divides each row that has a count (`counts`,
+/// one per row) by it. `Max` keeps a value only if strictly greater,
+/// starting from `-inf`, reporting each win as `won(index in out, from)`;
+/// a row nothing won becomes zeros.
 pub(crate) fn reduce_rows(
     red: Reduction,
     x: &[f32],
@@ -533,16 +527,12 @@ pub(crate) fn reduce_rows(
     counts: &mut [f32],
     mut won: impl FnMut(usize, usize),
 ) {
-    out.fill(if red == Reduction::Max {
-        f32::NEG_INFINITY
-    } else {
-        0.0
-    });
+    let max = red == Reduction::Max;
+    out.fill(if max { f32::NEG_INFINITY } else { 0.0 });
     counts.fill(0.0);
     for (from, to) in pairs {
-        let src = &x[from * cols..][..cols];
-        let dst = &mut out[to * cols..][..cols];
-        if red == Reduction::Max {
+        let (src, dst) = (&x[from * cols..][..cols], &mut out[to * cols..][..cols]);
+        if max {
             for (c, (o, &v)) in dst.iter_mut().zip(src).enumerate() {
                 if v > *o {
                     *o = v;
@@ -550,58 +540,51 @@ pub(crate) fn reduce_rows(
                 }
             }
         } else {
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o += v;
-            }
+            dst.iter_mut().zip(src).for_each(|(o, &v)| *o += v);
             if red == Reduction::Mean {
                 counts[to] += 1.0;
             }
         }
     }
-    match red {
-        Reduction::Sum => {}
-        Reduction::Mean => {
-            for (row, &cnt) in out.chunks_exact_mut(cols).zip(counts.iter()) {
-                if cnt > 0.0 {
-                    row.iter_mut().for_each(|v| *v /= cnt);
-                }
-            }
+    if red == Reduction::Mean {
+        for (row, &n) in out
+            .chunks_exact_mut(cols)
+            .zip(counts.iter())
+            .filter(|(_, &n)| n > 0.0)
+        {
+            row.iter_mut().for_each(|v| *v /= n);
         }
-        Reduction::Max => {
-            for v in out.iter_mut().filter(|v| **v == f32::NEG_INFINITY) {
-                *v = 0.0;
-            }
-        }
+    } else if max {
+        out.iter_mut()
+            .filter(|v| **v == f32::NEG_INFINITY)
+            .for_each(|v| *v = 0.0);
     }
 }
 
 /// `act(row + bias)` for every `bias.len()`-wide row of `out`, in place.
 pub(crate) fn bias_act(out: &mut [f32], bias: &[f32], act: Activation) {
     for row in out.chunks_exact_mut(bias.len()) {
-        for (o, &b) in row.iter_mut().zip(bias) {
-            *o = act.eval(*o + b);
-        }
+        row.iter_mut()
+            .zip(bias)
+            .for_each(|(o, &b)| *o = act.eval(*o + b));
     }
 }
 
 /// `row / max(‖row‖₂, L2_EPS)`, in place.
 pub(crate) fn l2_normalize_row(row: &mut [f32]) {
     let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(L2_EPS);
-    for v in row {
-        *v /= norm;
-    }
+    row.iter_mut().for_each(|v| *v /= norm);
 }
 
-/// One LSTM element from its pre-activation gates and previous cell:
-/// `(c', h')` with `c' = σ(f)·c + σ(i)·tanh(g)` and `h' = σ(o)·tanh(c')`,
-/// each product and sum rounded in the order the tape's ops round them.
+/// One LSTM element, `(c', h')` from the pre-activation gates and `c`,
+/// rounded in the order the tape's ops round it.
 fn lstm_cell(i: f32, f: f32, g: f32, o: f32, c: f32) -> (f32, f32) {
     let c_new = sigmoid(f) * c + sigmoid(i) * g.tanh();
     (c_new, sigmoid(o) * c_new.tanh())
 }
 
-/// The masked blend `next·m + prev·(1 − m)` with `m` 1 or 0.
-fn blend(next: f32, prev: f32, on: bool) -> f32 {
+/// The masked blend `new·m + old·(1 − m)`, `m` 1 or 0.
+fn blend(new: f32, old: f32, on: bool) -> f32 {
     let m = if on { 1.0f32 } else { 0.0 };
-    next * m + prev * (1.0 - m)
+    new * m + old * (1.0 - m)
 }

@@ -430,7 +430,7 @@ impl Tape {
     /// # Panics
     ///
     /// Panics if operand row counts differ or the list is empty.
-    pub fn concat_cols(&mut self, xs: &[Var]) -> Var {
+    pub(crate) fn concat_cols(&mut self, xs: &[Var]) -> Var {
         assert!(!xs.is_empty(), "concat of nothing");
         let rows = self.value(xs[0]).rows();
         let total: usize = xs.iter().map(|&x| self.value(x).cols()).sum();
@@ -479,66 +479,23 @@ impl Tape {
         self.push(Op::GatherRows(a, idx), out)
     }
 
-    /// Sum rows of `a` into `n_segments` buckets: `out[seg[r]] += a[r]`.
+    /// Reduce the rows of `a` into `n_segments` rows, row `r` into row
+    /// `seg[r]` (an empty segment gives a zero row).
     ///
     /// # Panics
     ///
     /// Panics if `seg.len() != a.rows()` or a segment id is out of range.
-    pub fn segment_sum(&mut self, a: Var, seg: Arc<Vec<usize>>, n_segments: usize) -> Var {
-        let (out, _) = self.reduce_segments(Reduction::Sum, a, &seg, n_segments);
-        self.push(Op::SegmentSum(a, seg), out)
-    }
-
-    /// Mean rows of `a` per segment (empty segments give zero rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Tape::segment_sum`].
-    pub fn segment_mean(&mut self, a: Var, seg: Arc<Vec<usize>>, n_segments: usize) -> Var {
-        let (out, _) = self.reduce_segments(Reduction::Mean, a, &seg, n_segments);
-        self.push(Op::SegmentMean(a, seg, n_segments), out)
-    }
-
-    /// Columnwise max per segment (empty segments give zero rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Tape::segment_sum`].
-    pub fn segment_max(&mut self, a: Var, seg: Arc<Vec<usize>>, n_segments: usize) -> Var {
-        let (out, argmax) = self.reduce_segments(Reduction::Max, a, &seg, n_segments);
-        self.push(Op::SegmentMax(a, n_segments, Arc::new(argmax)), out)
-    }
-
-    /// The segment op of `red`, by its name on the tape.
-    pub(crate) fn segment(
+    pub fn segment(
         &mut self,
         red: Reduction,
         a: Var,
         seg: Arc<Vec<usize>>,
         n_segments: usize,
     ) -> Var {
-        match red {
-            Reduction::Sum => self.segment_sum(a, seg, n_segments),
-            Reduction::Mean => self.segment_mean(a, seg, n_segments),
-            Reduction::Max => self.segment_max(a, seg, n_segments),
-        }
-    }
-
-    /// [`reduce_rows`] of `a`'s rows into `n_segments` rows by `seg`,
-    /// and for `Max` the row each element came from (`-1`: none).
-    fn reduce_segments(
-        &mut self,
-        red: Reduction,
-        a: Var,
-        seg: &[usize],
-        n_segments: usize,
-    ) -> (Tensor, Vec<i64>) {
         let (rows, cols) = self.value(a).shape();
         assert_eq!(seg.len(), rows, "segment id per row required");
-        assert!(
-            seg.iter().all(|&s| s < n_segments),
-            "segment id out of range"
-        );
+        let in_range = seg.iter().all(|&s| s < n_segments);
+        assert!(in_range, "segment id out of range");
         let mut out = self.pool.take_for_overwrite(n_segments, cols);
         let mut counts = vec![
             0.0f32;
@@ -556,20 +513,22 @@ impl Tape {
                 0
             }
         ];
-        reduce_rows(
-            red,
+        let (x, pairs) = (
             self.nodes[a.0].value.data(),
-            cols,
             seg.iter().copied().enumerate(),
-            out.data_mut(),
-            &mut counts,
-            |at, r| argmax[at] = r as i64,
         );
-        (out, argmax)
+        let won = |at: usize, r: usize| argmax[at] = r as i64;
+        reduce_rows(red, x, cols, pairs, out.data_mut(), &mut counts, won);
+        let op = match red {
+            Reduction::Sum => Op::SegmentSum(a, seg),
+            Reduction::Mean => Op::SegmentMean(a, seg, n_segments),
+            Reduction::Max => Op::SegmentMax(a, n_segments, Arc::new(argmax)),
+        };
+        self.push(op, out)
     }
 
     /// L2-normalize each row (`x / max(‖x‖₂, ε)`), Eq. 1's `l2`.
-    pub fn l2_normalize_rows(&mut self, a: Var) -> Var {
+    pub(crate) fn l2_normalize_rows(&mut self, a: Var) -> Var {
         let mut out = self.pool.take_copy(&self.nodes[a.0].value);
         let cols = out.cols();
         for row in out.data_mut().chunks_exact_mut(cols) {
@@ -1033,7 +992,7 @@ mod tests {
             init.clone(),
             |t, p| {
                 let g = t.gather_rows(p, idx.clone());
-                let s = t.segment_sum(g, seg.clone(), 2);
+                let s = t.segment(Reduction::Sum, g, seg.clone(), 2);
                 let sq = t.square(s);
                 t.sum_all(sq)
             },
@@ -1042,7 +1001,7 @@ mod tests {
         grad_check(
             init.clone(),
             |t, p| {
-                let s = t.segment_mean(p, Arc::new(vec![0, 0, 1]), 2);
+                let s = t.segment(Reduction::Mean, p, Arc::new(vec![0, 0, 1]), 2);
                 let sq = t.square(s);
                 t.sum_all(sq)
             },
@@ -1051,7 +1010,7 @@ mod tests {
         grad_check(
             init,
             |t, p| {
-                let s = t.segment_max(p, Arc::new(vec![0, 0, 1]), 2);
+                let s = t.segment(Reduction::Max, p, Arc::new(vec![0, 0, 1]), 2);
                 let sq = t.square(s);
                 t.sum_all(sq)
             },
@@ -1143,7 +1102,7 @@ mod tests {
     fn segment_max_empty_segment_is_zero() {
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_rows(&[&[1.0], &[2.0]]));
-        let m = tape.segment_max(x, Arc::new(vec![0, 0]), 2);
+        let m = tape.segment(Reduction::Max, x, Arc::new(vec![0, 0]), 2);
         assert_eq!(tape.value(m).get(1, 0), 0.0);
     }
 

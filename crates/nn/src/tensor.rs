@@ -470,7 +470,7 @@ fn reference_mm(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
 ///
 /// Panics unless `a` is `m×k` and `b` is `k×n` for the `m` that `out`
 /// implies.
-pub fn matmul_slices<const SKIP_ZEROS: bool>(
+pub(crate) fn matmul_slices<const SKIP_ZEROS: bool>(
     a: &[f32],
     k: usize,
     b: &[f32],
@@ -1037,5 +1037,66 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("Tensor 100x100"));
         assert!(s.len() < 2000);
+    }
+
+    /// The slice entry's own property: its kernel and zero skip against
+    /// the reference.
+    mod slice_props {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::TestRng;
+
+        /// `len` values, `zero_pct` % of them a zero of either sign, the rest
+        /// normal or subnormal, of either sign.
+        fn sparse_values(rng: &mut TestRng, len: usize, zero_pct: u64) -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                    if rng.below(100) < zero_pct {
+                        0.0 * sign
+                    } else if rng.below(8) == 0 {
+                        f32::from_bits(1 + rng.below(1 << 22) as u32) * sign
+                    } else {
+                        (rng.unit_f64() as f32 * 4.0 - 2.0) * sign
+                    }
+                })
+                .collect()
+        }
+
+        /// Output widths the serving layers use (48, 64, 192, 256 and the
+        /// one-column head) and ragged ones between the tiles.
+        const WIDTHS: [usize; 7] = [1, 5, 16, 48, 64, 192, 256];
+
+        proptest! {
+            // 10 row counts × 7 widths: ~15 cases a pair.
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// The slice entry against the reference over sparse inputs, every
+            /// remainder block included, `to_bits` per element with the zero skip
+            /// off and on: with a finite `b` the skip drops only `±0` terms from a
+            /// sum that starts at `+0.0`, which cannot change even a zero's sign.
+            #[test]
+            fn slice_matmul_is_the_reference_with_and_without_the_zero_skip(
+                m in 0usize..=9,
+                width in 0usize..WIDTHS.len(),
+                k in 0usize..80,
+                zero_pct in 0u64..=95,
+                seed in any::<u64>(),
+            ) {
+                let n = WIDTHS[width];
+                let rng = &mut TestRng::new(seed);
+                let a = Tensor::from_vec(m, k, sparse_values(rng, m * k, zero_pct));
+                let b = Tensor::from_vec(k, n, sparse_values(rng, k * n, 10));
+                let want: Vec<u32> = a.matmul_reference(&b).data().iter().map(|x| x.to_bits()).collect();
+                let mut out = vec![f32::NAN; m * n];
+                matmul_slices::<false>(a.data(), k, b.data(), n, &mut out);
+                let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                prop_assert!(got == want, "skip off, {}x{}·{}x{}", m, k, k, n);
+                let mut out = vec![f32::NAN; m * n];
+                matmul_slices::<true>(a.data(), k, b.data(), n, &mut out);
+                let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                prop_assert!(got == want, "skip on, {}x{}·{}x{}", m, k, k, n);
+            }
+        }
     }
 }

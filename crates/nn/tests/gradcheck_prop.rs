@@ -2,7 +2,7 @@
 //! central finite differences.
 
 use proptest::prelude::*;
-use tpu_nn::{ParamStore, Tape, Tensor, Var};
+use tpu_nn::{ParamStore, Recorder, Reduction, Tape, Tensor, Var};
 
 /// Finite-difference check for a scalar function of one parameter matrix.
 fn check<F>(init: Tensor, f: F) -> Result<(), String>
@@ -79,9 +79,9 @@ proptest! {
         use std::sync::Arc;
         let seg = Arc::new(vec![0usize, 1, 0, 1]);
         check(w, move |t, p| {
-            let summed = t.segment_sum(p, seg.clone(), 2);
-            let m = t.segment_mean(p, seg.clone(), 2);
-            let cat = t.concat_cols(&[summed, m]);
+            let summed = t.segment(Reduction::Sum, p, seg.clone(), 2);
+            let m = t.segment(Reduction::Mean, p, seg.clone(), 2);
+            let cat = t.concat(&[summed, m]);
             let sq = t.square(cat);
             t.mean_all(sq)
         }).unwrap();
@@ -92,7 +92,7 @@ proptest! {
         // Keep away from the zero-norm singularity.
         let w = w.map(|x| x + if x >= 0.0 { 0.5 } else { -0.5 });
         check(w, |t, p| {
-            let n = t.l2_normalize_rows(p);
+            let n = t.l2_normalize(p);
             let sq = t.square(n);
             t.sum_all(sq)
         }).unwrap();

@@ -148,9 +148,7 @@ impl Case {
         out.push(read(r, kept));
         let shifted = r.add_scalar(kept, 0.75);
         out.push(read(r, shifted));
-        let sum = r.add(aggs[0], y);
-        out.push(read(r, sum));
-        let half = r.scale(sum, 0.5);
+        let half = r.half_sum(aggs[0], y);
         out.push(read(r, half));
 
         // One step past the longest kernel, where every kernel is masked

@@ -1,8 +1,7 @@
 //! Property-based tests for tensor algebra.
 
 use proptest::prelude::*;
-use proptest::TestRng;
-use tpu_nn::{matmul_slices, Tensor};
+use tpu_nn::Tensor;
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-10.0f32..10.0, rows * cols)
@@ -231,58 +230,5 @@ fn matmul_edge_shapes_match_reference() {
         for (x, y) in got.data().iter().zip(want.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "bt {m}x{k}·{k}x{n}");
         }
-    }
-}
-
-/// `len` values, `zero_pct` % of them a zero of either sign, the rest
-/// normal or subnormal, of either sign.
-fn sparse_values(rng: &mut TestRng, len: usize, zero_pct: u64) -> Vec<f32> {
-    (0..len)
-        .map(|_| {
-            let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
-            if rng.below(100) < zero_pct {
-                0.0 * sign
-            } else if rng.below(8) == 0 {
-                f32::from_bits(1 + rng.below(1 << 22) as u32) * sign
-            } else {
-                (rng.unit_f64() as f32 * 4.0 - 2.0) * sign
-            }
-        })
-        .collect()
-}
-
-/// Output widths the serving layers use (48, 64, 192, 256 and the
-/// one-column head) and ragged ones between the tiles.
-const WIDTHS: [usize; 7] = [1, 5, 16, 48, 64, 192, 256];
-
-proptest! {
-    // 10 row counts × 7 widths: ~15 cases a pair.
-    #![proptest_config(ProptestConfig::with_cases(1024))]
-
-    /// The slice entry against the reference over sparse inputs, every
-    /// remainder block included, `to_bits` per element with the zero skip
-    /// off and on: with a finite `b` the skip drops only `±0` terms from a
-    /// sum that starts at `+0.0`, which cannot change even a zero's sign.
-    #[test]
-    fn slice_matmul_is_the_reference_with_and_without_the_zero_skip(
-        m in 0usize..=9,
-        width in 0usize..WIDTHS.len(),
-        k in 0usize..80,
-        zero_pct in 0u64..=95,
-        seed in any::<u64>(),
-    ) {
-        let n = WIDTHS[width];
-        let rng = &mut TestRng::new(seed);
-        let a = Tensor::from_vec(m, k, sparse_values(rng, m * k, zero_pct));
-        let b = Tensor::from_vec(k, n, sparse_values(rng, k * n, 10));
-        let want: Vec<u32> = a.matmul_reference(&b).data().iter().map(|x| x.to_bits()).collect();
-        let mut out = vec![f32::NAN; m * n];
-        matmul_slices::<false>(a.data(), k, b.data(), n, &mut out);
-        let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-        prop_assert!(got == want, "skip off, {}x{}·{}x{}", m, k, k, n);
-        let mut out = vec![f32::NAN; m * n];
-        matmul_slices::<true>(a.data(), k, b.data(), n, &mut out);
-        let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-        prop_assert!(got == want, "skip on, {}x{}·{}x{}", m, k, k, n);
     }
 }
