@@ -140,6 +140,17 @@ pub fn predict_one_log_ns<const SKIP_ZEROS: bool, M: KernelModel>(model: &M, p: 
     log_ns_on(model, &mut r, p)
 }
 
+/// Log-runtime of each featurized kernel, without a tape, on one arena
+/// sized for the largest.
+pub(crate) fn log_ns_each<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
+    let nodes = prepared.iter().map(Prepared::num_nodes).max().unwrap_or(0);
+    let mut r = NoTape::<false>::with_len(arena_len(model, nodes));
+    prepared
+        .iter()
+        .map(|p| log_ns_on(model, &mut r, p))
+        .collect()
+}
+
 /// The one serving body of every neural backend, over owned or borrowed
 /// kernels: per kernel in order, featurize and one tape-free forward, on
 /// one arena sized for the largest. Each kernel is its own forward, so a

@@ -514,33 +514,13 @@ impl<M: CostModel, C: KernelCache> CostModel for Predictor<M, C> {
 /// neural backends runs each kernel through the same forward without a
 /// tape ([`crate::predict_each`]), and gives these bits.
 pub fn forward_log_ns<M: KernelModel + ?Sized>(model: &M, prepared: &[&Prepared]) -> Vec<f64> {
-    forward_log_ns_chunked(model, prepared, prepared.len())
-}
-
-/// Chunked variant of [`forward_log_ns`] for large evaluation sets, where
-/// packing everything into one graph would be memory-hungry: one forward
-/// per `chunk` kernels, one recycled tape arena across chunks. Results are
-/// positionally bit-identical to the unchunked call: the GNN's kernels
-/// are disjoint segments, and the masked LSTM's padding rows add only
-/// zeros.
-pub(crate) fn forward_log_ns_chunked<M: KernelModel + ?Sized>(
-    model: &M,
-    prepared: &[&Prepared],
-    chunk: usize,
-) -> Vec<f64> {
-    let chunk = chunk.max(1);
-    let mut out = Vec::with_capacity(prepared.len());
+    let Some(batch) = GraphBatch::pack(prepared) else {
+        return Vec::new();
+    };
     let mut tape = Tape::new();
-    for part in prepared.chunks(chunk) {
-        let Some(batch) = GraphBatch::pack(part) else {
-            continue;
-        };
-        tape.reset();
-        let pred = model.forward(&mut tape, &batch.graph());
-        let t = tape.value(pred);
-        out.extend((0..t.rows()).map(|r| t.get(r, 0) as f64));
-    }
-    out
+    let pred = model.forward(&mut tape, &batch.graph());
+    let t = tape.value(pred);
+    (0..t.rows()).map(|r| t.get(r, 0) as f64).collect()
 }
 
 #[cfg(test)]
@@ -846,13 +826,13 @@ mod tests {
     }
 
     #[test]
-    fn chunked_forward_matches_unchunked() {
+    fn tape_free_evaluation_is_the_packed_forward() {
         let model = GnnModel::new(GnnConfig::default());
         let kernels: Vec<Kernel> = (1..=7).map(|i| kernel(i * 16)).collect();
         let prepared: Vec<Prepared> = kernels.iter().map(Prepared::from_kernel).collect();
         let refs: Vec<&Prepared> = prepared.iter().collect();
-        let whole = forward_log_ns(&model, &refs);
-        let chunked = forward_log_ns_chunked(&model, &refs, 3);
-        assert_eq!(whole, chunked, "disjoint segments: chunking is invisible");
+        let packed = forward_log_ns(&model, &refs);
+        let each = crate::train::predict_log_ns(&model, &prepared);
+        assert_eq!(packed, each, "disjoint segments: packing is invisible");
     }
 }

@@ -7,7 +7,7 @@ use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tpu_hlo::{Kernel, Opcode};
-use tpu_nn::{Activation, Embedding, Graph, Linear, LstmCell, ParamStore, Recorder};
+use tpu_nn::{Activation, Embedding, Graph, Linear, LstmCell, ParamSource, ParamStore, Recorder};
 
 /// Hyperparameters of the LSTM baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,13 +54,19 @@ impl LstmModel {
     /// Initialize with fresh parameters.
     pub fn new(config: LstmConfig) -> LstmModel {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        LstmModel::build(config, &mut rng)
+    }
+
+    /// The model with its parameters, in registration order, from `src`:
+    /// [`LstmModel::new`]'s fresh ones, or trained ones a loader restores.
+    pub fn build<S: ParamSource + ?Sized>(config: LstmConfig, src: &mut S) -> LstmModel {
         let mut store = ParamStore::new();
         let embedding = Embedding::new(
             &mut store,
             "opcode_embedding",
             Opcode::count(),
             config.opcode_embed_dim,
-            &mut rng,
+            &mut *src,
         );
         let f1 = Linear::new(
             &mut store,
@@ -68,16 +74,22 @@ impl LstmModel {
             config.opcode_embed_dim + FEATURE_DIM,
             config.node_dim,
             Activation::Relu,
-            &mut rng,
+            &mut *src,
         );
-        let cell = LstmCell::new(&mut store, "lstm", config.node_dim, config.hidden, &mut rng);
+        let cell = LstmCell::new(
+            &mut store,
+            "lstm",
+            config.node_dim,
+            config.hidden,
+            &mut *src,
+        );
         let head = Linear::new(
             &mut store,
             "head",
             config.hidden,
             1,
             Activation::Identity,
-            &mut rng,
+            &mut *src,
         );
         LstmModel {
             config,
@@ -107,31 +119,6 @@ impl LstmModel {
     /// Number of trainable scalars.
     pub fn num_parameters(&self) -> usize {
         self.store.num_scalars()
-    }
-
-    /// The model over the already-trained parameters in `store`, named
-    /// and shaped as [`LstmModel::new`] registers them; `None` if one is
-    /// missing or misshapen.
-    pub fn from_store(config: LstmConfig, store: ParamStore) -> Option<LstmModel> {
-        let (d, h) = (config.node_dim, config.hidden);
-        let embedding = Embedding::from_store(
-            &store,
-            "opcode_embedding",
-            Opcode::count(),
-            config.opcode_embed_dim,
-        )?;
-        let f1_in = config.opcode_embed_dim + FEATURE_DIM;
-        let f1 = Linear::from_store(&store, "f1", f1_in, d, Activation::Relu)?;
-        let cell = LstmCell::from_store(&store, "lstm", d, h)?;
-        let head = Linear::from_store(&store, "head", h, 1, Activation::Identity)?;
-        Some(LstmModel {
-            config,
-            store,
-            embedding,
-            f1,
-            cell,
-            head,
-        })
     }
 
     /// The model's one forward: `[kernels × 1]` log-runtime predictions

@@ -5,7 +5,7 @@ use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tpu_hlo::{Kernel, Opcode};
-use tpu_nn::{Activation, Embedding, Graph, Linear, ParamStore, Recorder};
+use tpu_nn::{Activation, Embedding, Graph, Linear, ParamSource, ParamStore, Recorder};
 
 /// Constant added to the head output: centers untrained predictions near
 /// `e^8 ≈ 3 µs`, the middle of the kernel-runtime distribution (§5).
@@ -126,18 +126,28 @@ impl GnnModel {
     /// Panics if `config.pooling` enables no pool: the kernel embedding κ
     /// would be empty, and the head would have no input.
     pub fn new(config: GnnConfig) -> GnnModel {
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        GnnModel::build(config, &mut rng)
+    }
+
+    /// The model with its parameters, in registration order, from `src`:
+    /// [`GnnModel::new`]'s fresh ones, or trained ones a loader restores.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`GnnModel::new`].
+    pub fn build<S: ParamSource + ?Sized>(config: GnnConfig, src: &mut S) -> GnnModel {
         assert!(
             config.pooling.count() > 0,
             "GnnConfig::pooling enables no pool, so the head has no input"
         );
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut store = ParamStore::new();
         let embedding = Embedding::new(
             &mut store,
             "opcode_embedding",
             Opcode::count(),
             config.opcode_embed_dim,
-            &mut rng,
+            &mut *src,
         );
         let f1 = Linear::new(
             &mut store,
@@ -145,7 +155,7 @@ impl GnnModel {
             config.opcode_embed_dim + FEATURE_DIM,
             config.hidden,
             Activation::Relu,
-            &mut rng,
+            &mut *src,
         );
         let mut hops = Vec::new();
         for k in 0..config.hops {
@@ -155,7 +165,7 @@ impl GnnModel {
                 config.hidden,
                 config.hidden,
                 Activation::Relu,
-                &mut rng,
+                &mut *src,
             );
             let f3 = Linear::new(
                 &mut store,
@@ -163,7 +173,7 @@ impl GnnModel {
                 2 * config.hidden,
                 config.hidden,
                 Activation::Relu,
-                &mut rng,
+                &mut *src,
             );
             hops.push((f2, f3));
         }
@@ -173,7 +183,7 @@ impl GnnModel {
             config.hidden * config.pooling.count(),
             1,
             Activation::Identity,
-            &mut rng,
+            &mut *src,
         );
         GnnModel {
             config,
@@ -203,34 +213,6 @@ impl GnnModel {
     /// Number of trainable scalars.
     pub fn num_parameters(&self) -> usize {
         self.store.num_scalars()
-    }
-
-    /// The model over the already-trained parameters in `store`, named
-    /// and shaped as [`GnnModel::new`] registers them; `None` if one is
-    /// missing or misshapen, or if `config` enables no pool.
-    pub fn from_store(config: GnnConfig, store: ParamStore) -> Option<GnnModel> {
-        let (d, h) = (config.opcode_embed_dim, config.hidden);
-        let linear =
-            |name: &str, rows, cols, act| Linear::from_store(&store, name, rows, cols, act);
-        let embedding = Embedding::from_store(&store, "opcode_embedding", Opcode::count(), d)?;
-        let f1 = linear("f1", d + FEATURE_DIM, h, Activation::Relu)?;
-        let hops = (0..config.hops)
-            .map(|k| {
-                let f2 = linear(&format!("hop{k}.f2"), h, h, Activation::Relu)?;
-                let f3 = linear(&format!("hop{k}.f3"), 2 * h, h, Activation::Relu)?;
-                Some((f2, f3))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let pools = config.pooling.count();
-        let head = linear("head", h * pools, 1, Activation::Identity).filter(|_| pools > 0)?;
-        Some(GnnModel {
-            config,
-            store,
-            embedding,
-            f1,
-            hops,
-            head,
-        })
     }
 
     /// The model's one forward: `[kernels × 1]` predictions of

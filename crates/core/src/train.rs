@@ -181,11 +181,10 @@ pub fn prepare(samples: &[Sample]) -> Vec<Prepared> {
     Prepared::from_samples(samples)
 }
 
-/// Batched log-runtime prediction over prepared samples (one packed
-/// forward pass per 64 kernels, via `forward_log_ns_chunked`).
+/// Log-runtime prediction over prepared samples, without a tape: one
+/// forward per kernel on one arena.
 pub fn predict_log_ns<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
-    let refs: Vec<&Prepared> = prepared.iter().collect();
-    crate::engine::forward_log_ns_chunked(model, &refs, 64)
+    crate::cost_model::log_ns_each(model, prepared)
 }
 
 /// Validation metric: fusion → MAPE on ns (lower better); tile → mean

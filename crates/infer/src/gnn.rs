@@ -7,9 +7,8 @@
 //! then weight and bias of f₁, of each hop's f₂ and f₃, and of the head.
 
 use crate::blob::{FrozenError, Reader, Writer, RECORD_HEADER_BYTES};
-use crate::store::{self, Spec};
+use crate::store;
 use tpu_hlo::Kernel;
-use tpu_learned_cost::features::FEATURE_DIM;
 use tpu_learned_cost::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction};
 
 fn reduction_code(r: Reduction) -> u32 {
@@ -27,21 +26,6 @@ fn reduction_from(code: u32) -> Result<Reduction, FrozenError> {
         2 => Ok(Reduction::Max),
         c => Err(FrozenError::Corrupt(format!("reduction code {c} unknown"))),
     }
-}
-
-/// The parameters of `config`'s model, in blob order: the embedding; f₁;
-/// per hop f₂, then f₃ over `[ε ‖ neighborhood aggregate]`; the head over
-/// the enabled pools.
-fn specs(config: &GnnConfig) -> Vec<Spec> {
-    let (d, h) = (config.opcode_embed_dim, config.hidden);
-    let mut specs = vec![store::embedding(d)];
-    specs.extend(store::layer("f1", d + FEATURE_DIM, h));
-    for k in 0..config.hops {
-        specs.extend(store::layer(&format!("hop{k}.f2"), h, h));
-        specs.extend(store::layer(&format!("hop{k}.f3"), 2 * h, h));
-    }
-    specs.extend(store::layer("head", h * config.pooling.count(), 1));
-    specs
 }
 
 /// A frozen [`GnnModel`]: a GraphSAGE model holding only finite weights.
@@ -98,10 +82,9 @@ impl FrozenGnn {
             arch: GnnArch::GraphSage,
             ..GnnConfig::default()
         };
-        let params = store::read(r, &specs(&config))?;
-        let model = GnnModel::from_store(config, params)
-            .ok_or_else(|| FrozenError::Corrupt("parameters do not form the model".into()))?;
-        Ok(FrozenGnn(model))
+        let mut records = store::Records::read(r)?;
+        let model = GnnModel::build(config, &mut records);
+        records.finish(FrozenGnn(model))
     }
 }
 

@@ -6,22 +6,9 @@
 //! f₁, of the fused `i, f, g, o` gates, and of the head.
 
 use crate::blob::{FrozenError, Reader, Writer};
-use crate::store::{self, Spec};
+use crate::store;
 use tpu_hlo::Kernel;
-use tpu_learned_cost::features::FEATURE_DIM;
 use tpu_learned_cost::{LstmConfig, LstmModel};
-
-/// The parameters of `config`'s model, in blob order: the embedding; f₁
-/// (`node_dim` wide); the fused gates over `[step input ‖ previous
-/// hidden]`; the head.
-fn specs(config: &LstmConfig) -> Vec<Spec> {
-    let (d, h) = (config.node_dim, config.hidden);
-    let mut specs = vec![store::embedding(config.opcode_embed_dim)];
-    specs.extend(store::layer("f1", config.opcode_embed_dim + FEATURE_DIM, d));
-    specs.extend(store::layer("lstm", d + h, 4 * h));
-    specs.extend(store::layer("head", h, 1));
-    specs
-}
 
 /// A frozen [`LstmModel`]: an LSTM baseline holding only finite weights.
 #[derive(Debug, Clone)]
@@ -48,10 +35,9 @@ impl FrozenLstm {
             hidden: r.width("hidden")?,
             ..LstmConfig::default()
         };
-        let params = store::read(r, &specs(&config))?;
-        let model = LstmModel::from_store(config, params)
-            .ok_or_else(|| FrozenError::Corrupt("parameters do not form the model".into()))?;
-        Ok(FrozenLstm(model))
+        let mut records = store::Records::read(r)?;
+        let model = LstmModel::build(config, &mut records);
+        records.finish(FrozenLstm(model))
     }
 }
 

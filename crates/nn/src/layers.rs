@@ -7,7 +7,57 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Activation applied by [`Linear::forward`].
+/// How a fresh parameter is made (a [`ParamSource`] restoring trained
+/// values ignores it).
+#[derive(Debug, Clone, Copy)]
+pub enum Init {
+    /// Xavier-uniform.
+    Xavier,
+    /// All zeros.
+    Zeros,
+    /// Uniform in `[-scale, scale)`.
+    Uniform(f32),
+    /// An LSTM's fused `i, f, g, o` bias: the forget gate's quarter ones
+    /// (the standard trick), the rest zeros.
+    ForgetBias,
+}
+
+/// Where a layer's parameters come from, one at a time in the order the
+/// model registers them: every RNG makes fresh ones, and a loader hands
+/// over trained ones.
+pub trait ParamSource {
+    /// The `rows × cols` value of the parameter `name`.
+    fn param(&mut self, name: &str, rows: usize, cols: usize, init: Init) -> Tensor;
+}
+
+impl<R: Rng + ?Sized> ParamSource for R {
+    fn param(&mut self, _name: &str, rows: usize, cols: usize, init: Init) -> Tensor {
+        match init {
+            Init::Xavier => Tensor::xavier(rows, cols, self),
+            Init::Zeros => Tensor::zeros(rows, cols),
+            Init::Uniform(scale) => Tensor::uniform(rows, cols, scale, self),
+            Init::ForgetBias => {
+                let mut bias = Tensor::zeros(rows, cols);
+                bias.data_mut()[cols / 4..cols / 2].fill(1.0);
+                bias
+            }
+        }
+    }
+}
+
+/// Register the parameter `name` with its value from `src`.
+fn fetch<S: ParamSource + ?Sized>(
+    store: &mut ParamStore,
+    src: &mut S,
+    name: String,
+    (rows, cols): (usize, usize),
+    init: Init,
+) -> ParamId {
+    let value = src.param(&name, rows, cols, init);
+    store.register(name, value)
+}
+
+/// Activation of a [`Linear`] layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
     /// No activation.
@@ -31,15 +81,6 @@ impl Activation {
             Activation::Sigmoid => sigmoid(x),
         }
     }
-
-    fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Identity => x,
-            Activation::Relu => tape.relu(x),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-        }
-    }
 }
 
 /// A fully-connected layer `act(x·W + b)`.
@@ -54,16 +95,22 @@ pub struct Linear {
 
 impl Linear {
     /// Create and register the layer's parameters.
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new<S: ParamSource + ?Sized>(
         store: &mut ParamStore,
         name: &str,
         in_dim: usize,
         out_dim: usize,
         activation: Activation,
-        rng: &mut R,
+        src: &mut S,
     ) -> Linear {
-        let w = store.register(format!("{name}.w"), Tensor::xavier(in_dim, out_dim, rng));
-        let b = store.register(format!("{name}.b"), Tensor::zeros(1, out_dim));
+        let w = fetch(
+            store,
+            src,
+            format!("{name}.w"),
+            (in_dim, out_dim),
+            Init::Xavier,
+        );
+        let b = fetch(store, src, format!("{name}.b"), (1, out_dim), Init::Zeros);
         Linear {
             w,
             b,
@@ -71,27 +118,6 @@ impl Linear {
             in_dim,
             out_dim,
         }
-    }
-
-    /// The layer whose `{name}.w` (`in_dim × out_dim`) and `{name}.b`
-    /// (`1 × out_dim`) are already in `store`; `None` if either is
-    /// missing or misshapen.
-    pub fn from_store(
-        store: &ParamStore,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        activation: Activation,
-    ) -> Option<Linear> {
-        let w = store.find_shaped(&format!("{name}.w"), in_dim, out_dim)?;
-        let b = store.find_shaped(&format!("{name}.b"), 1, out_dim)?;
-        Some(Linear {
-            w,
-            b,
-            activation,
-            in_dim,
-            out_dim,
-        })
     }
 
     /// Input width.
@@ -102,15 +128,6 @@ impl Linear {
     /// Output width.
     pub fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    /// Apply to `x [n×in_dim]`, producing `[n×out_dim]`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        let z = tape.add_row(xw, b);
-        self.activation.apply(tape, z)
     }
 }
 
@@ -126,27 +143,15 @@ pub struct Embedding {
 
 impl Embedding {
     /// Create and register the table.
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new<S: ParamSource + ?Sized>(
         store: &mut ParamStore,
         name: &str,
         vocab: usize,
         dim: usize,
-        rng: &mut R,
+        src: &mut S,
     ) -> Embedding {
-        let table = store.register(name, Tensor::uniform(vocab, dim, 0.1, rng));
+        let table = fetch(store, src, name.into(), (vocab, dim), Init::Uniform(0.1));
         Embedding { table, vocab, dim }
-    }
-
-    /// The `vocab × dim` table `name` already in `store`; `None` if it is
-    /// missing or misshapen.
-    pub fn from_store(
-        store: &ParamStore,
-        name: &str,
-        vocab: usize,
-        dim: usize,
-    ) -> Option<Embedding> {
-        let table = store.find_shaped(name, vocab, dim)?;
-        Some(Embedding { table, vocab, dim })
     }
 
     /// Embedding width.
@@ -186,47 +191,28 @@ pub struct LstmCell {
 impl LstmCell {
     /// Create and register parameters. Gate weights are a single fused
     /// `[input+hidden × 4·hidden]` matrix in `i, f, g, o` order.
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new<S: ParamSource + ?Sized>(
         store: &mut ParamStore,
         name: &str,
         input_dim: usize,
         hidden: usize,
-        rng: &mut R,
+        src: &mut S,
     ) -> LstmCell {
-        let w = store.register(
-            format!("{name}.w"),
-            Tensor::xavier(input_dim + hidden, 4 * hidden, rng),
+        let shape = (input_dim + hidden, 4 * hidden);
+        let w = fetch(store, src, format!("{name}.w"), shape, Init::Xavier);
+        let b = fetch(
+            store,
+            src,
+            format!("{name}.b"),
+            (1, 4 * hidden),
+            Init::ForgetBias,
         );
-        // Forget-gate bias initialized to 1 (standard trick).
-        let mut bias = Tensor::zeros(1, 4 * hidden);
-        for c in hidden..2 * hidden {
-            bias.set(0, c, 1.0);
-        }
-        let b = store.register(format!("{name}.b"), bias);
         LstmCell {
             w,
             b,
             input_dim,
             hidden,
         }
-    }
-
-    /// The cell whose fused gates `{name}.w` and `{name}.b` are already
-    /// in `store`; `None` if either is missing or misshapen.
-    pub fn from_store(
-        store: &ParamStore,
-        name: &str,
-        input_dim: usize,
-        hidden: usize,
-    ) -> Option<LstmCell> {
-        let w = store.find_shaped(&format!("{name}.w"), input_dim + hidden, 4 * hidden)?;
-        let b = store.find_shaped(&format!("{name}.b"), 1, 4 * hidden)?;
-        Some(LstmCell {
-            w,
-            b,
-            input_dim,
-            hidden,
-        })
     }
 
     /// Hidden width.
@@ -239,6 +225,7 @@ impl LstmCell {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use crate::record::Recorder;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -249,7 +236,7 @@ mod tests {
         let l = Linear::new(&mut store, "l", 4, 8, Activation::Relu, &mut rng);
         let mut tape = Tape::new();
         let x = tape.input(Tensor::ones(3, 4));
-        let y = l.forward(&mut tape, &store, x);
+        let y = tape.linear(&store, &l, x);
         assert_eq!(tape.value(y).shape(), (3, 8));
         assert!(tape.value(y).data().iter().all(|&v| v >= 0.0));
     }
@@ -311,8 +298,8 @@ mod tests {
         for _ in 0..300 {
             let mut tape = Tape::new();
             let xv = tape.input(x.clone());
-            let hidden = l0.forward(&mut tape, &store, xv);
-            let pred = l1.forward(&mut tape, &store, hidden);
+            let hidden = tape.linear(&store, &l0, xv);
+            let pred = tape.linear(&store, &l1, hidden);
             let yv = tape.input(y.clone());
             let diff = tape.sub(pred, yv);
             let sq = tape.square(diff);

@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use tpu_nn::{Activation, Linear, ParamStore, Tape, Tensor};
+//! use tpu_nn::{Activation, Linear, ParamStore, Recorder, Tape, Tensor};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
@@ -29,8 +29,8 @@
 //!
 //! let mut tape = Tape::new();
 //! let x = tape.input(Tensor::from_rows(&[&[0.5, -0.5]]));
-//! let h = hidden.forward(&mut tape, &store, x);
-//! let y = out.forward(&mut tape, &store, h);
+//! let h = tape.linear(&store, &hidden, x);
+//! let y = tape.linear(&store, &out, h);
 //! assert_eq!(tape.value(y).shape(), (1, 1));
 //! ```
 
@@ -42,7 +42,7 @@ mod record;
 mod tape;
 mod tensor;
 
-pub use layers::{Activation, Embedding, Linear, LstmCell};
+pub use layers::{Activation, Embedding, Init, Linear, LstmCell, ParamSource};
 pub use loss::{grouped_pairwise_rank_loss, mse_loss, weighted_mse_loss, RankPhi};
 pub use optim::{clip_grad_norm, Adam, AdamState};
 pub use params::{ParamId, ParamStore};

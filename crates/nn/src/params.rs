@@ -166,12 +166,6 @@ impl ParamStore {
         self.names.iter().position(|n| n == name).map(ParamId)
     }
 
-    /// [`ParamStore::find`], if the parameter is `rows × cols`.
-    pub(crate) fn find_shaped(&self, name: &str, rows: usize, cols: usize) -> Option<ParamId> {
-        self.find(name)
-            .filter(|&id| self.value(id).shape() == (rows, cols))
-    }
-
     /// Zero all gradient accumulators.
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {

@@ -159,7 +159,16 @@ impl Recorder for Tape {
     }
 
     fn linear(&mut self, store: &ParamStore, layer: &Linear, x: Var) -> Var {
-        layer.forward(self, store, x)
+        let w = self.param(store, layer.w);
+        let b = self.param(store, layer.b);
+        let xw = self.matmul(x, w);
+        let z = self.add_row(xw, b);
+        match layer.activation {
+            Activation::Identity => z,
+            Activation::Relu => self.relu(z),
+            Activation::Tanh => self.tanh(z),
+            Activation::Sigmoid => self.sigmoid(z),
+        }
     }
 
     fn aggregate(&mut self, x: Var, g: &Graph<'_>, red: Reduction) -> Var {
