@@ -22,7 +22,9 @@ use tpu_bench::{corpus, Scale, Task};
 use tpu_dataset::build_fusion_dataset;
 use tpu_hlo::Kernel;
 use tpu_infer::{freeze_gnn, freeze_lstm, FrozenModel};
-use tpu_learned_cost::{train, CostModel, GnnModel, LstmModel};
+use tpu_learned_cost::{
+    forward_log_ns, train, CostModel, GnnModel, KernelModel, LstmModel, Prepared,
+};
 
 const USAGE: &str = "usage: tpu-freeze [--quick] [--lstm] [--out PATH]";
 
@@ -31,10 +33,21 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Train a model on the fusion dataset and freeze it: the tape model, its
-/// frozen copy, and the dataset's kernels (the probe set: real serving
-/// traffic, not generators).
-fn train_and_freeze(scale: Scale, lstm: bool) -> (Box<dyn CostModel>, FrozenModel, Vec<Kernel>) {
+/// The tape's predictions (ns) of `probes`: one packed forward, as in
+/// training.
+fn tape_ns<M: KernelModel>(model: &M, probes: &[Kernel]) -> Vec<f64> {
+    let prepared: Vec<Prepared> = probes.iter().map(Prepared::from_kernel).collect();
+    let refs: Vec<&Prepared> = prepared.iter().collect();
+    forward_log_ns(model, &refs)
+        .into_iter()
+        .map(f64::exp)
+        .collect()
+}
+
+/// Train a model on the fusion dataset and freeze it: the trained model's
+/// name, its frozen copy, the dataset's kernels (the probe set: real
+/// serving traffic, not generators) and the tape's predictions of them.
+fn train_and_freeze(scale: Scale, lstm: bool) -> (String, FrozenModel, Vec<Kernel>, Vec<f64>) {
     let corpus = corpus(scale);
     let dataset = build_fusion_dataset(&corpus, &scale.fusion_cfg());
     let task = Task::fusion(&corpus, &dataset, corpus.random_split(0), (2_000, 500));
@@ -54,13 +67,15 @@ fn train_and_freeze(scale: Scale, lstm: bool) -> (Box<dyn CostModel>, FrozenMode
         let report = train(&mut model, &task.train, &task.val, &scale.train_cfg());
         println!("trained LSTM: best val metric {:.4}", report.best_val);
         let frozen = freeze_lstm(&model, &[]).unwrap_or_else(|e| die(&format!("freeze: {e}")));
-        (Box::new(model), FrozenModel::Lstm(frozen), probes)
+        let tape = tape_ns(&model, &probes);
+        (model.name().into(), FrozenModel::Lstm(frozen), probes, tape)
     } else {
         let mut model = GnnModel::new(scale.gnn_cfg());
         let report = train(&mut model, &task.train, &task.val, &scale.train_cfg());
         println!("trained GNN: best val metric {:.4}", report.best_val);
         let frozen = freeze_gnn(&model, &[]).unwrap_or_else(|e| die(&format!("freeze: {e}")));
-        (Box::new(model), FrozenModel::Gnn(frozen), probes)
+        let tape = tape_ns(&model, &probes);
+        (model.name().into(), FrozenModel::Gnn(frozen), probes, tape)
     }
 }
 
@@ -85,13 +100,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let (trained, frozen, probes) = train_and_freeze(scale, lstm);
+    let (trained, frozen, probes, tape_ns) = train_and_freeze(scale, lstm);
 
-    // The frozen forward runs the tape's f32 operations in the tape's
-    // order, through the same matmul kernel: any difference at all means
-    // the two are not the same model.
-    for (i, k) in probes.iter().enumerate() {
-        let tape = trained.predict_kernel_ns(k).expect("tape scores kernel");
+    // The frozen model runs the trained model's own forward without a
+    // tape, every op's arithmetic shared with the tape's: any difference
+    // at all means the two are not the same model.
+    for (i, (k, &tape)) in probes.iter().zip(&tape_ns).enumerate() {
         let got = frozen.predict_kernel_ns(k).expect("frozen scores kernel");
         if got.to_bits() != tape.to_bits() {
             eprintln!(
@@ -106,7 +120,7 @@ fn main() -> ExitCode {
     std::fs::write(&out, &bytes).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
     println!(
         "froze {} -> {} ({} bytes, backend {}, {} probe predictions bit-identical to the tape)",
-        trained.name(),
+        trained,
         out,
         bytes.len(),
         frozen.name(),
