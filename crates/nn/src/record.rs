@@ -172,13 +172,19 @@ impl Recorder for Tape {
     }
 
     fn aggregate(&mut self, x: Var, g: &Graph<'_>, red: Reduction) -> Var {
-        let (src, dst): (Vec<usize>, Vec<usize>) = g.neighbour_pairs().unzip();
+        let pairs = 2 * g.edges.len();
+        let (mut src, mut dst) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+        for (from, to) in g.neighbour_pairs() {
+            src.push(from);
+            dst.push(to);
+        }
         let gathered = self.gather_rows(x, Arc::new(src));
         self.segment(red, gathered, Arc::new(dst), g.num_nodes())
     }
 
     fn pool(&mut self, x: Var, g: &Graph<'_>, red: Reduction) -> Var {
-        let seg = g.kernel_pairs().map(|(_, k)| k).collect();
+        let mut seg = Vec::with_capacity(g.num_nodes());
+        seg.extend(g.kernel_pairs().map(|(_, k)| k));
         self.segment(red, x, Arc::new(seg), g.kernel_nodes.len())
     }
 
@@ -572,10 +578,16 @@ pub(crate) fn reduce_rows(
 
 /// `act(row + bias)` for every `bias.len()`-wide row of `out`, in place.
 pub(crate) fn bias_act(out: &mut [f32], bias: &[f32], act: Activation) {
-    for row in out.chunks_exact_mut(bias.len()) {
-        row.iter_mut()
-            .zip(bias)
-            .for_each(|(o, &b)| *o = act.eval(*o + b));
+    fn rows(out: &mut [f32], bias: &[f32], f: impl Fn(f32) -> f32) {
+        for row in out.chunks_exact_mut(bias.len()) {
+            row.iter_mut().zip(bias).for_each(|(o, &b)| *o = f(*o + b));
+        }
+    }
+    match act {
+        Activation::Identity => rows(out, bias, |x| Activation::Identity.eval(x)),
+        Activation::Relu => rows(out, bias, |x| Activation::Relu.eval(x)),
+        Activation::Tanh => rows(out, bias, |x| Activation::Tanh.eval(x)),
+        Activation::Sigmoid => rows(out, bias, |x| Activation::Sigmoid.eval(x)),
     }
 }
 
