@@ -73,6 +73,7 @@ pub enum Activation {
 impl Activation {
     /// The activation of one element: the arithmetic the tape's op and
     /// the tape-free evaluator share.
+    #[inline]
     pub(crate) fn eval(self, x: f32) -> f32 {
         match self {
             Activation::Identity => x,

@@ -576,7 +576,8 @@ pub(crate) fn reduce_rows(
     }
 }
 
-/// `act(row + bias)` for every `bias.len()`-wide row of `out`, in place.
+/// `act(row + bias)` for every `bias.len()`-wide row of `out`, in place:
+/// one loop per activation, so no element pays for the `match`.
 pub(crate) fn bias_act(out: &mut [f32], bias: &[f32], act: Activation) {
     fn rows(out: &mut [f32], bias: &[f32], f: impl Fn(f32) -> f32) {
         for row in out.chunks_exact_mut(bias.len()) {

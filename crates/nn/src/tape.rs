@@ -842,6 +842,7 @@ pub(crate) const L2_EPS: f32 = 1e-6;
 
 /// The logistic sigmoid `1 / (1 + e^-x)` [`Tape::sigmoid`] applies per
 /// element.
+#[inline]
 pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
