@@ -42,7 +42,7 @@ pub enum CheckpointError {
         found: usize,
     },
     /// Structurally valid JSON with an impossible payload (e.g. an RNG
-    /// snapshot that is not 33 words).
+    /// snapshot that is not 33 words, or a weight of the wrong shape).
     Corrupt(String),
 }
 
@@ -91,9 +91,9 @@ pub struct TrainCheckpoint {
     pub params: ParamStore,
     /// Full optimizer state.
     pub opt: AdamState,
-    /// Serialized best-validation weights, exactly as the training loop
-    /// holds them (a nested [`ParamStore`] JSON string), so the resumed
-    /// run restores the byte-identical early-stopping snapshot.
+    /// Serialized best-validation weights (a nested [`ParamStore`] JSON
+    /// string), so the resumed run restores the identical early-stopping
+    /// snapshot.
     pub best_weights: Option<String>,
     /// Best validation metric so far (`None` encodes NaN / "none yet").
     pub best_val: Option<f64>,
@@ -103,6 +103,41 @@ pub struct TrainCheckpoint {
     pub train_loss: Vec<Option<f64>>,
     /// Validation metric per completed epoch (`None` encodes non-finite).
     pub val_metric: Vec<Option<f64>>,
+}
+
+/// Check `found` against `model`'s parameters: other counts of tensors
+/// or of `rows × cols` scalars are [`CheckpointError::WeightMismatch`]; a
+/// name, shape or length that is not the model's is
+/// [`CheckpointError::Corrupt`], naming the first such parameter.
+pub(crate) fn check_fits(found: &ParamStore, model: &ParamStore) -> Result<(), CheckpointError> {
+    let size = |s: &ParamStore| {
+        s.ids()
+            .map(|id| s.value(id).rows() * s.value(id).cols())
+            .sum()
+    };
+    let (expected, size_found) = (size(model), size(found));
+    if found.num_params() != model.num_params() || size_found != expected {
+        return Err(CheckpointError::WeightMismatch {
+            expected,
+            found: size_found,
+        });
+    }
+    let shape = |s: &ParamStore, id| {
+        let (v, g) = (s.value(id), s.grad(id));
+        (v.shape(), v.len(), g.shape(), g.len())
+    };
+    let differs = |id| found.name(id) != model.name(id) || shape(found, id) != shape(model, id);
+    match model.ids().find(|&id| differs(id)) {
+        None => Ok(()),
+        Some(id) => Err(CheckpointError::Corrupt(format!(
+            "parameter {} (shape, length, gradient shape, length) is `{}` {:?}, the model's `{}` {:?}",
+            id.0,
+            found.name(id),
+            shape(found, id),
+            model.name(id),
+            shape(model, id)
+        ))),
+    }
 }
 
 /// JSON-encode a non-finite float as `null`.

@@ -3,7 +3,9 @@
 //! selected the best-performing models on the validation split").
 
 use crate::batch::{GraphBatch, Prepared, Sample};
-use crate::checkpoint::{decode_f64, encode_f64, CheckpointError, TrainCheckpoint, SCHEMA};
+use crate::checkpoint::{
+    check_fits, decode_f64, encode_f64, CheckpointError, TrainCheckpoint, SCHEMA,
+};
 use crate::lstm_model::LstmModel;
 use crate::metrics::{kendall_tau, mape, mean};
 use crate::model::GnnModel;
@@ -523,7 +525,7 @@ struct RunState {
     /// The per-epoch trace and the best validation epoch so far…
     report: TrainReport,
     /// …and that epoch's weights: the early-stopping selection.
-    best_weights: Option<String>,
+    best_weights: Option<ParamStore>,
 }
 
 impl RunState {
@@ -558,14 +560,12 @@ impl RunState {
             });
         }
         let arch = model.params();
-        if ckpt.params.num_params() != arch.num_params()
-            || ckpt.params.num_scalars() != arch.num_scalars()
-        {
-            return Err(CheckpointError::WeightMismatch {
-                expected: arch.num_scalars(),
-                found: ckpt.params.num_scalars(),
-            });
-        }
+        check_fits(&ckpt.params, arch)?;
+        let best_weights = match ckpt.best_weights.as_deref().map(ParamStore::from_json) {
+            None => None,
+            Some(Err(e)) => return Err(CheckpointError::Parse(format!("best_weights: {e}"))),
+            Some(Ok(best)) => Some(check_fits(&best, arch).map(|()| best)?),
+        };
         let words: [u32; 33] = ckpt.rng.as_slice().try_into().map_err(|_| {
             CheckpointError::Corrupt(format!(
                 "rng snapshot must be 33 words, got {}",
@@ -585,7 +585,7 @@ impl RunState {
                 best_val: decode_f64(ckpt.best_val),
                 best_epoch: ckpt.best_epoch,
             },
-            best_weights: ckpt.best_weights.clone(),
+            best_weights,
         })
     }
 
@@ -601,7 +601,7 @@ impl RunState {
             rng: self.rng.state_words().to_vec(),
             params: model.params().clone(),
             opt: self.opt.state(),
-            best_weights: self.best_weights.clone(),
+            best_weights: self.best_weights.as_ref().map(ParamStore::to_json),
             best_val: encode_f64(report.best_val),
             best_epoch: report.best_epoch,
             train_loss: report.train_loss.iter().map(|&v| encode_f64(v)).collect(),
@@ -627,16 +627,14 @@ impl RunState {
         if improved && vm.is_finite() {
             report.best_val = vm;
             report.best_epoch = epoch;
-            self.best_weights = Some(model.params().to_json());
+            self.best_weights = Some(model.params().clone());
         }
     }
 
     /// Restore the best-validation weights and hand back the trace.
     fn finish<M: KernelModel>(self, model: &mut M) -> TrainReport {
-        if let Some(w) = self.best_weights {
-            if let Ok(store) = ParamStore::from_json(&w) {
-                *model.params_mut() = store;
-            }
+        if let Some(best) = self.best_weights {
+            *model.params_mut() = best;
         }
         self.report
     }
@@ -773,9 +771,10 @@ pub fn train<M: KernelModel>(
 ///
 /// Only from `resume` validation: [`CheckpointError::WrongModel`] when the
 /// checkpoint is for a different model family,
-/// [`CheckpointError::WeightMismatch`] when its weights do not fit this
-/// architecture, and [`CheckpointError::Corrupt`] when the RNG snapshot is
-/// not 33 words.
+/// [`CheckpointError::WeightMismatch`] or [`CheckpointError::Corrupt`]
+/// when its weights or best weights do not fit this architecture (or do
+/// not parse: [`CheckpointError::Parse`]), and `Corrupt` when the RNG
+/// snapshot is not 33 words.
 pub fn train_resumable<M: KernelModel>(
     model: &mut M,
     train_set: &[Prepared],
@@ -1522,6 +1521,91 @@ mod checkpoint_tests {
             ),
             Err(CheckpointError::Corrupt(_))
         ));
+    }
+
+    /// A one-epoch checkpoint of [`small_gnn`], and `resume` from a
+    /// checkpoint into a fresh one.
+    fn one_epoch_checkpoint() -> (
+        TrainCheckpoint,
+        impl Fn(&TrainCheckpoint) -> Result<TrainReport, CheckpointError>,
+    ) {
+        let (train_set, val_set) = dataset();
+        let mut last: Option<TrainCheckpoint> = None;
+        let mut sink = |c: &TrainCheckpoint| last = Some(c.clone());
+        let noop = Registry::noop();
+        let mut model = small_gnn();
+        train_resumable(
+            &mut model,
+            &train_set,
+            &val_set,
+            &cfg(1),
+            &noop,
+            None,
+            Some(&mut sink),
+        )
+        .unwrap();
+        let resume = move |ckpt: &TrainCheckpoint| {
+            let noop = Registry::noop();
+            let mut model = small_gnn();
+            train_resumable(
+                &mut model,
+                &train_set,
+                &val_set,
+                &cfg(2),
+                &noop,
+                Some(ckpt),
+                None,
+            )
+        };
+        (last.unwrap(), resume)
+    }
+
+    /// `params` with the value of `name` replaced by `edit` of it.
+    fn with_value(params: &ParamStore, name: &str, edit: impl Fn(&Tensor) -> Tensor) -> ParamStore {
+        let mut out = ParamStore::new();
+        for id in params.ids() {
+            let (n, v) = (params.name(id), params.value(id));
+            out.register(n, if n == name { edit(v) } else { v.clone() });
+        }
+        out
+    }
+
+    /// Whether `result` is a [`CheckpointError::Corrupt`] naming `f1.w`.
+    fn names_f1w(result: Result<TrainReport, CheckpointError>) -> bool {
+        matches!(result, Err(CheckpointError::Corrupt(msg)) if msg.contains("`f1.w`"))
+    }
+
+    #[test]
+    fn resume_refuses_a_transposed_weight() {
+        let (ckpt, resume) = one_epoch_checkpoint();
+        let transposed = with_value(&ckpt.params, "f1.w", Tensor::transpose);
+        let w = transposed.value(transposed.find("f1.w").unwrap());
+        assert_ne!(w.rows(), w.cols(), "a square weight would fit transposed");
+        assert_eq!(transposed.num_scalars(), ckpt.params.num_scalars());
+
+        let mut bad = ckpt.clone();
+        bad.params = transposed.clone();
+        assert!(names_f1w(resume(&bad)));
+        let mut bad = ckpt.clone();
+        bad.best_weights = Some(transposed.to_json());
+        assert!(names_f1w(resume(&bad)));
+        assert!(resume(&ckpt).is_ok());
+    }
+
+    #[test]
+    fn resume_refuses_a_weight_with_short_data() {
+        let (ckpt, resume) = one_epoch_checkpoint();
+        let short = |w: &Tensor| {
+            let json = format!(
+                r#"{{"rows":{},"cols":{},"data":[0.5]}}"#,
+                w.rows(),
+                w.cols()
+            );
+            serde_json::from_str::<Tensor>(&json).unwrap()
+        };
+        let mut bad = ckpt.clone();
+        bad.params = with_value(&ckpt.params, "f1.w", short);
+        assert!(names_f1w(resume(&bad)));
     }
 
     #[test]

@@ -141,7 +141,7 @@ mod tests {
         let p = tape.param(store, id);
         let t = tape.add_scalar(p, -3.0);
         let sq = tape.square(t);
-        let loss = tape.sum_all(sq);
+        let loss = tape.mean_all(sq);
         let l = tape.value(loss).item();
         store.zero_grads();
         tape.backward(loss, store);

@@ -46,18 +46,23 @@ impl Serialize for ParamStore {
     }
 }
 
-/// Reads what [`Serialize`] writes, under a fresh stamp.
+/// Reads what [`Serialize`] writes, under a fresh stamp; a name and a
+/// gradient for every value.
 impl Deserialize for ParamStore {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let fields = v
             .as_object()
             .ok_or_else(|| Error::expected("object", "ParamStore"))?;
-        Ok(ParamStore {
+        let store = ParamStore {
             names: field_required(fields, "names", "ParamStore")?,
             values: field_required(fields, "values", "ParamStore")?,
             grads: field_required(fields, "grads", "ParamStore")?,
             stamp: next_stamp(),
-        })
+        };
+        if store.names.len() != store.values.len() || store.grads.len() != store.values.len() {
+            return Err(Error::expected("a name and a grad per value", "ParamStore"));
+        }
+        Ok(store)
     }
 }
 
@@ -243,5 +248,18 @@ mod tests {
     #[test]
     fn bad_json_is_an_error() {
         assert!(ParamStore::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn a_value_without_a_name_or_gradient_is_an_error() {
+        let mut s = ParamStore::new();
+        s.register("w", Tensor::from_rows(&[&[1.5, -2.0]]));
+        let json = s.to_json();
+        assert!(ParamStore::from_json(&json).is_ok());
+        for cut in [r#"["w"]"#, r#"[{"rows":1,"cols":2,"data":[0.0,0.0]}]"#] {
+            let ragged = json.replacen(cut, "[]", 1);
+            assert_ne!(ragged, json, "{cut} not found in {json}");
+            assert!(ParamStore::from_json(&ragged).is_err(), "{ragged}");
+        }
     }
 }

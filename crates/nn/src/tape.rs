@@ -15,11 +15,11 @@
 //!
 //! The matmul backward forms `db = aᵀ·g` with the fused
 //! [`Tensor::matmul_at`], which reads `a`'s columns in place, and
-//! `da = g·bᵀ` from a transposed copy of `b`. When `b` is a parameter the
-//! copy is cached per [`ParamId`] under the store's stamp at
-//! [`Tape::param`] time, so a weight is transposed once per optimizer step
-//! however many shards or time steps use it; any other `b` is transposed
-//! into an arena buffer kept for it.
+//! `da = g·bᵀ` from a transposed copy of `b`. When `b` is a parameter — as
+//! it is in every model — the copy is cached per [`ParamId`] under the
+//! store's stamp at [`Tape::param`] time, so a weight is transposed once
+//! per optimizer step however many shards or time steps use it; any other
+//! `b` takes [`Tensor::transpose`].
 //!
 //! Op payloads are [`Arc`]s, so a [`Tape`] is `Send`.
 
@@ -48,10 +48,7 @@ enum Op {
     Relu(Var),
     Tanh(Var),
     Sigmoid(Var),
-    Exp(Var),
-    Ln(Var),
     Square(Var),
-    Sqrt(Var),
     Softplus(Var),
     ConcatCols(Vec<Var>),
     SliceCols(Var, usize, usize),
@@ -61,7 +58,6 @@ enum Op {
     /// Per-(segment, column) argmax row recorded at forward time.
     SegmentMax(Var, usize, Arc<Vec<i64>>),
     L2NormRows(Var),
-    SumAll(Var),
     MeanAll(Var),
     MulConst(Var, Arc<Tensor>),
 }
@@ -76,30 +72,9 @@ struct Node {
 #[derive(Default)]
 struct BufferPool {
     free: Vec<Vec<f32>>,
-    /// The matmul backward's transposed weight. Kept out of `free`: a pop
-    /// hands over whichever buffer was pushed last, whatever its size, so
-    /// one more take/put pair in the step re-deals which buffers grow to
-    /// the largest shapes — drawn from `free`, this transpose raised
-    /// `tpu-perf`'s `peak_rss_mib` from 323 to 351.
-    transpose: Vec<f32>,
 }
 
 impl BufferPool {
-    /// `srcᵀ` in the dedicated transpose buffer; hand it back with
-    /// [`BufferPool::put_transpose`].
-    fn take_transpose(&mut self, src: &Tensor) -> Tensor {
-        let mut buf = std::mem::take(&mut self.transpose);
-        buf.resize(src.len(), 0.0);
-        let mut t = Tensor::from_vec(src.cols(), src.rows(), buf);
-        src.transpose_into(&mut t);
-        t
-    }
-
-    /// Return the buffer [`BufferPool::take_transpose`] lent out.
-    fn put_transpose(&mut self, t: Tensor) {
-        self.transpose = t.into_data();
-    }
-
     /// A `rows×cols` tensor filled with `fill`, reusing a free buffer.
     fn take_filled(&mut self, rows: usize, cols: usize, fill: f32) -> Tensor {
         let mut buf = self.free.pop().unwrap_or_default();
@@ -394,24 +369,9 @@ impl Tape {
         self.unary(a, Op::Sigmoid(a), |x| Activation::Sigmoid.eval(x))
     }
 
-    /// Elementwise `e^x`.
-    pub fn exp(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Exp(a), f32::exp)
-    }
-
-    /// Elementwise natural log. Inputs must be positive.
-    pub fn ln(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Ln(a), f32::ln)
-    }
-
     /// Elementwise square.
     pub fn square(&mut self, a: Var) -> Var {
         self.unary(a, Op::Square(a), |x| x * x)
-    }
-
-    /// Elementwise square root. Inputs must be non-negative.
-    pub fn sqrt(&mut self, a: Var) -> Var {
-        self.unary(a, Op::Sqrt(a), f32::sqrt)
     }
 
     /// Numerically stable `softplus(x) = ln(1 + e^x)`.
@@ -537,13 +497,6 @@ impl Tape {
         self.push(Op::L2NormRows(a), out)
     }
 
-    /// Sum of all elements → `1×1`.
-    pub fn sum_all(&mut self, a: Var) -> Var {
-        let s = self.value(a).sum();
-        let v = self.pool.take_filled(1, 1, s);
-        self.push(Op::SumAll(a), v)
-    }
-
     /// Mean of all elements → `1×1`.
     pub fn mean_all(&mut self, a: Var) -> Var {
         let m = self.value(a).mean();
@@ -616,9 +569,7 @@ impl Tape {
                     if let Op::Param(id, stamp) = nodes[b.0].op {
                         g.matmul_into(transposes.get(id, stamp, bv), &mut da);
                     } else {
-                        let bt = pool.take_transpose(bv);
-                        g.matmul_into(&bt, &mut da);
-                        pool.put_transpose(bt);
+                        g.matmul_into(&bv.transpose(), &mut da);
                     }
                     let mut db = pool.take_for_overwrite(av.cols(), g.cols());
                     av.matmul_at_into(&g, &mut db);
@@ -691,27 +642,9 @@ impl Tape {
                     }
                     accumulate_owned(&mut grads, pool, *a, g);
                 }
-                Op::Exp(a) => {
-                    for (gv, &y) in g.data_mut().iter_mut().zip(nodes[i].value.data()) {
-                        *gv *= y;
-                    }
-                    accumulate_owned(&mut grads, pool, *a, g);
-                }
-                Op::Ln(a) => {
-                    for (gv, &x) in g.data_mut().iter_mut().zip(nodes[a.0].value.data()) {
-                        *gv /= x;
-                    }
-                    accumulate_owned(&mut grads, pool, *a, g);
-                }
                 Op::Square(a) => {
                     for (gv, &x) in g.data_mut().iter_mut().zip(nodes[a.0].value.data()) {
                         *gv *= 2.0 * x;
-                    }
-                    accumulate_owned(&mut grads, pool, *a, g);
-                }
-                Op::Sqrt(a) => {
-                    for (gv, &y) in g.data_mut().iter_mut().zip(nodes[i].value.data()) {
-                        *gv /= 2.0 * y.max(1e-12);
                     }
                     accumulate_owned(&mut grads, pool, *a, g);
                 }
@@ -809,12 +742,6 @@ impl Tape {
                             *d = (gv - proj) / n;
                         }
                     }
-                    accumulate_owned(&mut grads, pool, *a, da);
-                    pool.put(g);
-                }
-                Op::SumAll(a) => {
-                    let (tr, tc) = nodes[a.0].value.shape();
-                    let da = pool.take_filled(tr, tc, g.item());
                     accumulate_owned(&mut grads, pool, *a, da);
                     pool.put(g);
                 }
@@ -923,7 +850,28 @@ mod tests {
                 let x = t.input(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, -1.0]]));
                 let y = t.matmul(x, p);
                 let sq = t.square(y);
-                t.sum_all(sq)
+                t.mean_all(sq)
+            },
+            1e-2,
+        );
+    }
+
+    /// The parameter on the left and an input on the right: the backward
+    /// transposes a right operand that is not a parameter.
+    #[test]
+    fn grad_matmul_by_an_input_on_the_right() {
+        let init = Tensor::from_rows(&[&[0.5, -1.0, 0.2], &[2.0, 0.3, -0.4]]);
+        grad_check(
+            init,
+            |t, p| {
+                let x = t.input(Tensor::from_rows(&[
+                    &[1.0, 2.0],
+                    &[3.0, -1.0],
+                    &[-0.5, 0.7],
+                ]));
+                let y = t.matmul(p, x);
+                let sq = t.square(y);
+                t.mean_all(sq)
             },
             1e-2,
         );
@@ -938,17 +886,18 @@ mod tests {
                 let a = t.tanh(p);
                 let b = t.sigmoid(a);
                 let c = t.softplus(b);
-                t.sum_all(c)
+                t.mean_all(c)
             },
             1e-2,
         );
         grad_check(
             init,
             |t, p| {
-                let a = t.exp(p);
-                let b = t.sqrt(a);
-                let c = t.ln(b);
-                t.mean_all(c)
+                let a = t.square(p);
+                let b = t.add_scalar(a, 0.5);
+                let c = t.scale(b, -0.7);
+                let d = t.tanh(c);
+                t.mean_all(d)
             },
             1e-2,
         );
@@ -963,7 +912,7 @@ mod tests {
             |t, p| {
                 let a = t.relu(p);
                 let b = t.square(a);
-                t.sum_all(b)
+                t.mean_all(b)
             },
             1e-2,
         );
@@ -978,7 +927,7 @@ mod tests {
                 let c = t.concat_cols(&[p, p]);
                 let s = t.slice_cols(c, 1, 3);
                 let sq = t.square(s);
-                t.sum_all(sq)
+                t.mean_all(sq)
             },
             1e-2,
         );
@@ -995,7 +944,7 @@ mod tests {
                 let g = t.gather_rows(p, idx.clone());
                 let s = t.segment(Reduction::Sum, g, seg.clone(), 2);
                 let sq = t.square(s);
-                t.sum_all(sq)
+                t.mean_all(sq)
             },
             1e-2,
         );
@@ -1004,7 +953,7 @@ mod tests {
             |t, p| {
                 let s = t.segment(Reduction::Mean, p, Arc::new(vec![0, 0, 1]), 2);
                 let sq = t.square(s);
-                t.sum_all(sq)
+                t.mean_all(sq)
             },
             1e-2,
         );
@@ -1013,7 +962,7 @@ mod tests {
             |t, p| {
                 let s = t.segment(Reduction::Max, p, Arc::new(vec![0, 0, 1]), 2);
                 let sq = t.square(s);
-                t.sum_all(sq)
+                t.mean_all(sq)
             },
             1e-2,
         );
@@ -1028,7 +977,7 @@ mod tests {
                 let n = t.l2_normalize_rows(p);
                 let w = t.input(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, -1.0]]));
                 let m = t.mul(n, w);
-                t.sum_all(m)
+                t.mean_all(m)
             },
             2e-2,
         );
@@ -1058,7 +1007,7 @@ mod tests {
             |t, p| {
                 let m = t.mul_const(p, mask.clone());
                 let sq = t.square(m);
-                t.sum_all(sq)
+                t.mean_all(sq)
             },
             1e-2,
         );

@@ -82,15 +82,13 @@ fn assert_bits_equal(got: &Tensor, want: &Tensor) {
     }
 }
 
-/// How the second operand of a generated matmul pair is laid out.
+/// How the first operand of a generated matmul pair is laid out.
 #[derive(Clone, Copy)]
 enum MmLayout {
     /// `a: [m×k]`, `b: [k×n]` — plain `matmul`.
     Plain,
     /// `a: [k×m]`, `b: [k×n]` — fused `matmul_at`.
     ATransposed,
-    /// `a: [m×k]`, `b: [n×k]` — fused `matmul_bt`.
-    BTransposed,
 }
 
 /// Strategy for matmul operand pairs with *dependent* shapes (the stub
@@ -115,7 +113,6 @@ impl proptest::strategy::Strategy for MmPair {
         match self.0 {
             MmLayout::Plain => (fill(m, k), fill(k, n)),
             MmLayout::ATransposed => (fill(k, m), fill(k, n)),
-            MmLayout::BTransposed => (fill(m, k), fill(n, k)),
         }
     }
 }
@@ -132,13 +129,6 @@ proptest! {
     ) {
         // a: [k×m] here — matmul_at contracts over rows.
         assert_bits_equal(&a.matmul_at(&b), &a.transpose().matmul_reference(&b));
-    }
-
-    #[test]
-    fn matmul_bt_is_bit_identical_to_transposed_reference(
-        (a, bt) in MmPair(MmLayout::BTransposed)
-    ) {
-        assert_bits_equal(&a.matmul_bt(&bt), &a.matmul_reference(&bt.transpose()));
     }
 }
 
@@ -184,7 +174,6 @@ fn products_across_the_tile_ladder_match_reference() {
                 let shape = format!("{m}x{k}·{k}x{n}");
                 assert_same_floats(&a.matmul(&b), &want, &shape);
                 assert_same_floats(&a.transpose().matmul_at(&b), &want, &format!("at {shape}"));
-                assert_same_floats(&a.matmul_bt(&b.transpose()), &want, &format!("bt {shape}"));
             }
         }
     }
@@ -224,11 +213,6 @@ fn matmul_edge_shapes_match_reference() {
         let got = at.matmul_at(&b);
         for (x, y) in got.data().iter().zip(want.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "at {m}x{k}·{k}x{n}");
-        }
-        let bt = b.transpose();
-        let got = a.matmul_bt(&bt);
-        for (x, y) in got.data().iter().zip(want.data()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "bt {m}x{k}·{k}x{n}");
         }
     }
 }
