@@ -269,8 +269,8 @@ struct LayerScore {
 }
 
 /// What a search owns besides its beam: the objective, the transposition
-/// table, the planner its keys are computed through (each group's kernel
-/// with its canonical hash), and the accounting.
+/// table, the planner its keys are computed through (each group's key,
+/// written in place without building its kernel), and the accounting.
 struct Scorer<'t, 'p, O> {
     objective: O,
     tt: &'t AtomicCache,
@@ -287,13 +287,14 @@ impl<O: BatchObjective> Scorer<'_, '_, O> {
     fn structure_keys(&mut self, cands: &[FusionConfig], inherited: &[Option<u64>]) -> Vec<u64> {
         let unknown = cands.iter().zip(inherited).filter(|(_, key)| key.is_none());
         let mut planner = self.planner.borrow_mut();
-        let mut plans = planner.plan_batch(unknown.map(|(c, _)| c)).iter();
+        let (plans, slots) = planner.plan_batch(unknown.map(|(c, _)| c));
+        let mut plans = plans.iter();
         inherited
             .iter()
             .map(|known| {
                 known.unwrap_or_else(|| {
                     let plan = plans.next().expect("one plan per candidate without a key");
-                    fold_structure_key(plan.kernels().iter().map(|k| k.hash()))
+                    fold_structure_key(plan.slots().iter().map(|&id| slots.key(id)))
                 })
             })
             .collect()
@@ -875,10 +876,10 @@ mod tests {
             assert_eq!(*k, fused_structure_hash(&p, &space, c));
         }
         // An inherited key is taken as is: nothing is planned or resolved.
-        let built = scorer.planner.borrow().built();
+        let distinct = scorer.planner.borrow().distinct();
         let keys = scorer.structure_keys(&cands[..1], &[Some(42)]);
         assert_eq!(keys, [42]);
-        assert_eq!(scorer.planner.borrow().built(), built);
+        assert_eq!(scorer.planner.borrow().distinct(), distinct);
     }
 
     #[test]

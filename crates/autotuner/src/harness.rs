@@ -11,24 +11,24 @@
 //! - [`ModelObjective`] scores a whole batch of candidate configs through
 //!   a [`Predictor`] session: plan each candidate as a delta from the
 //!   nearest candidate of the batch before (a group the flipped decisions
-//!   cannot have touched is not planned, extracted or hashed again), and
-//!   score the flattened kernels in one predictor call so all chains'
-//!   cache misses share a single packed model forward.
+//!   cannot have touched is not planned or keyed again), and score the
+//!   flattened keys in one predictor call so all chains' cache misses
+//!   share a single packed model forward; only a missed key's kernel is
+//!   built.
 //!
-//! Both build kernels through a planner (`memo.rs`). Standing alone each
-//! has its own; in a model-guided run the objective, the beam's
-//! transposition keys and the hardware re-rank share the run's one, so a
-//! configuration the search planned is measured without extracting a
-//! kernel again.
+//! Both plan through a planner (`memo.rs`). Standing alone each has its
+//! own; in a model-guided run the objective, the beam's transposition keys
+//! and the hardware re-rank share the run's one, so a group's kernel is
+//! built at most once a run, whoever needs it first.
 
 use crate::beam::{beam_search_with_planner, SearchParams};
-use crate::memo::{Planner, SharedPlanner};
+use crate::memo::{Plan, Planner, SharedPlanner, SlotId};
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
-use tpu_hlo::{HashedKernel, Program};
+use tpu_hlo::Program;
 use tpu_learned_cost::{AtomicCache, CostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 use tpu_sim::{DeviceError, FaultCounts, TpuDevice};
@@ -291,8 +291,8 @@ impl<'a> HardwareObjective<'a> {
     }
 
     /// [`HardwareObjective::new`] building what it measures through
-    /// `planner`, the tuning run's one planner: a configuration the search
-    /// already planned costs no kernel extraction here.
+    /// `planner`, the tuning run's one planner: a kernel the search already
+    /// built is not built again here.
     pub(crate) fn with_planner(
         planner: SharedPlanner<'a>,
         device: &'a TpuDevice,
@@ -333,9 +333,11 @@ impl<'a> HardwareObjective<'a> {
         }
         let timer = self.obs.measure_ns.start_timer();
         self.device.charge_eval_overhead();
-        // The planner's kernels are `apply_fusion`'s, in emission order.
+        // The planner's kernels are `apply_fusion`'s, in emission order,
+        // each built the first time the run needs it.
         let mut planner = self.planner.borrow_mut();
-        let kernels = planner.plan(config).kernels();
+        let (plan, slots) = planner.plan(config);
+        let kernels = || plan.slots().iter().map(|&id| slots.kernel(id));
         self.hw_evals += 1;
 
         let mut samples: Vec<f64> = Vec::with_capacity(self.retry.runs);
@@ -344,10 +346,7 @@ impl<'a> HardwareObjective<'a> {
         while samples.len() < self.retry.runs && attempts < self.retry.max_attempts.max(1) {
             attempts += 1;
             self.stats.attempts += 1;
-            match self
-                .device
-                .try_execute_kernels(kernels.iter().map(|k| k.kernel()))
-            {
+            match self.device.try_execute_kernels(kernels()) {
                 Ok(t) => samples.push(t),
                 Err(e) => {
                     // Failed attempt: device time it burned (preemptions)
@@ -397,12 +396,12 @@ impl<'a> HardwareObjective<'a> {
     /// device injected since `faults_before`.
     fn tuned(&self, config: FusionConfig, faults_before: FaultCounts) -> TunedConfig {
         let mut planner = self.planner.borrow_mut();
-        let kernels = planner.plan(&config).kernels();
+        let (plan, slots) = planner.plan(&config);
         let faults = self.device.fault_counts();
         TunedConfig {
             true_ns: self
                 .device
-                .true_kernels_time(kernels.iter().map(|k| k.kernel())),
+                .true_kernels_time(plan.slots().iter().map(|&id| slots.kernel(id))),
             config,
             hw_evals: self.hw_evals,
             model_evals: 0,
@@ -454,10 +453,11 @@ impl BatchObjective for HardwareObjective<'_> {
 /// [`Predictor`] session.
 ///
 /// A batch of `C` candidate configs becomes: `C` fusion plans, each a delta
-/// from the nearest config of the batch before; one flattened kernel list
-/// (each distinct fusion group of the search is extracted and hashed
-/// once); and **one** predictor call — so the distinct cache misses of all
-/// chains are scored in a single packed model forward. A kernel the model
+/// from the nearest config of the batch before; one flattened list of keys
+/// (each distinct fusion group of the search is keyed once, in place); and
+/// **one** predictor call, which builds a kernel only for a missed key — so
+/// the distinct cache misses of all chains are scored in a single packed
+/// model forward. A kernel the model
 /// cannot score — [`CostModel`] answering `None`, or a non-finite runtime —
 /// makes its config rank last (infinite predicted cost); the result is
 /// never `NaN`, which [`BatchObjective`] reserves for an exhausted budget.
@@ -515,23 +515,23 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
         let _timer = self.obs.evaluate_ns.start_timer();
         self.obs.configs.add(configs.len() as u64);
-        // The predictor sees every config's kernels as one flat list, in
-        // config, kernel order.
+        // The predictor sees every config's kernels as one flat list of
+        // keys, in config, kernel order, and is handed a kernel only for a
+        // key it misses.
         let mut planner = self.planner.borrow_mut();
-        let plans = planner.plan_batch(configs);
-        let refs: Vec<&HashedKernel> = plans
-            .iter()
-            .flat_map(|plan| plan.kernels())
-            .map(Arc::as_ref)
-            .collect();
-        let (preds, _) = self.predictor.predict_hashed(&refs);
+        let (plans, slots) = planner.plan_batch(configs);
+        let ids: Vec<SlotId> = plans.iter().flat_map(Plan::slots).copied().collect();
+        let keys: Vec<u64> = ids.iter().map(|&id| slots.key(id)).collect();
+        let (preds, _) = self
+            .predictor
+            .predict_keyed(&keys, |i| slots.kernel(ids[i]));
         let mut preds = preds.into_iter();
         plans
             .iter()
             .map(|plan| {
                 preds
                     .by_ref()
-                    .take(plan.kernels().len())
+                    .take(plan.slots().len())
                     .fold(0.0, |total, ns| {
                         total + ns.filter(|ns| ns.is_finite()).unwrap_or(f64::INFINITY)
                     })
@@ -707,8 +707,8 @@ pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
 ///
 /// The run has one [`Planner`]: the objective, the search (which is also
 /// handed it, for the beam's transposition keys) and the re-rank all turn
-/// configurations into kernels through it, so each distinct fusion group
-/// of the run is extracted and hashed once.
+/// configurations into keys and kernels through it, so each distinct
+/// fusion group of the run is keyed once and built at most once.
 #[allow(clippy::too_many_arguments)]
 fn model_guided<M: CostModel + ?Sized, C: KernelCache>(
     program: &Program,
@@ -1178,6 +1178,59 @@ mod tests {
     }
 
     #[test]
+    fn the_model_objective_builds_a_kernel_only_for_a_missed_key() {
+        let p = program();
+        let (space, _) = default_space_and_config(&p.computation);
+        let cfg = TpuConfig::default();
+        let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
+            Some(tpu_sim::kernel_time_ns(k, &cfg))
+        });
+        let configs = crate::random_configs(&space, 12, 3);
+        let registry = Registry::enabled();
+        let built = || registry.snapshot().counter("autotuner.plan.built");
+        let predictor = Predictor::with_cache(&model, fresh_cache()).observed(&registry);
+
+        // Cold: one kernel per distinct missed key, though the batch asks
+        // for many more positions than that.
+        let mut cold = ModelObjective::new(&p, &space, &predictor);
+        let costs = cold.evaluate(&configs);
+        let misses = predictor.stats();
+        assert!(misses.kernels > misses.model_evals && misses.model_evals > 0);
+        assert_eq!(built(), Some(misses.model_evals));
+
+        // Warm: a new planner, so no kernel of its own, over the warm
+        // cache — every key hits and nothing is built.
+        let mut warm = ModelObjective::new(&p, &space, &predictor);
+        assert_eq!(warm.evaluate(&configs), costs);
+        assert_eq!(predictor.stats().since(&misses).model_evals, 0);
+        assert_eq!(built(), Some(misses.model_evals));
+    }
+
+    #[test]
+    fn the_rerank_builds_each_measured_group_once() {
+        let p = program();
+        let (space, _) = default_space_and_config(&p.computation);
+        let start = start_config(&p, &space, StartMode::Default, 0);
+        let once = crate::random_configs(&space, 6, 9);
+        // Each candidate measured twice, and the start once more.
+        let candidates: Vec<FusionConfig> = once.iter().chain(&once).cloned().collect();
+        let registry = Registry::enabled();
+        let device = TpuDevice::new(4).observed(&registry);
+        let planner = Planner::shared(&p, &space, device.registry());
+        let tuned = rerank_on_hardware(planner, &device, f64::INFINITY, candidates, start.clone());
+        assert!(tuned.hw_evals >= 2 * once.len());
+        let measured: std::collections::HashSet<tpu_fusion::FusionGroup> = once
+            .iter()
+            .chain([&start])
+            .flat_map(|c| tpu_fusion::fusion_groups(&p, &space, c))
+            .collect();
+        assert_eq!(
+            registry.snapshot().counter("autotuner.plan.built"),
+            Some(measured.len() as u64)
+        );
+    }
+
+    #[test]
     fn beam_guided_tuning_from_default_does_not_regress() {
         let p = program();
         let cfg = TpuConfig::default();
@@ -1274,7 +1327,8 @@ mod tests {
                 let fused = apply_fusion(&p, &space, config);
                 {
                     let mut planner = planner.borrow_mut();
-                    let planned = planner.plan(config).kernels().iter().map(|k| k.kernel());
+                    let (plan, slots) = planner.plan(config);
+                    let planned = plan.slots().iter().map(|&id| slots.kernel(id));
                     assert!(planned.eq(&fused.kernels));
                 }
 

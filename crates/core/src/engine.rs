@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tpu_hlo::{canonical_kernel_hash, HashedKernel, Kernel};
+use tpu_hlo::{canonical_kernel_hash, Kernel};
 use tpu_nn::Tape;
 use tpu_obs::{Counter, Histogram, Registry};
 
@@ -253,26 +253,28 @@ impl EngineCounters {
     }
 }
 
-/// The one keyed serving body: `keys[i]` is the cache key of
-/// `kernels[i]`.
+/// The one keyed serving body: `keys[i]` is the cache key of the kernel
+/// at position `i`, which `kernel_of(i)` hands over when the body needs it.
 ///
 /// It probes `cache` for every key, deduplicates the distinct misses in
-/// first-occurrence order, and lends them to `score` in **one** call.
-/// Then it inserts the answers, fills every position (duplicates of a miss
-/// included), and records the call in `counters`: the four
-/// [`PredictStats`] counters, the call's time (`core.engine.predict_ns`),
-/// the scorer's time (`core.engine.forward_ns`), the miss-batch size and
-/// the evictions the inserts caused. An all-hit call never calls `score`.
+/// first-occurrence order, asks `kernel_of` for the kernel of each — for
+/// the first position of a missed key, and for no other position — and
+/// lends them to `score` in **one** call. Then it inserts the answers,
+/// fills every position (duplicates of a miss included), and records the
+/// call in `counters`: the four [`PredictStats`] counters, the call's time
+/// (`core.engine.predict_ns`), the scorer's time
+/// (`core.engine.forward_ns`), the miss-batch size and the evictions the
+/// inserts caused. An all-hit call never calls `kernel_of` or `score`.
 ///
 /// Nothing is inserted, counted or timed before `score` returns, so a
 /// scorer that panics leaves the cache's entries, the counters and the
 /// metrics as they were; only the probe's lookups have been counted by the
 /// cache.
-pub fn predict_keyed<C: KernelCache + ?Sized>(
+pub fn predict_keyed<'k, C: KernelCache + ?Sized>(
     cache: &C,
     counters: &EngineCounters,
-    kernels: &[&Kernel],
     keys: &[u64],
+    mut kernel_of: impl FnMut(usize) -> &'k Kernel,
     score: impl FnOnce(&[&Kernel]) -> Vec<Option<f64>>,
 ) -> (Vec<Option<f64>>, PredictStats) {
     let obs = &counters.obs;
@@ -301,7 +303,7 @@ pub fn predict_keyed<C: KernelCache + ?Sized>(
 
     let mut model_batches = 0u64;
     if !pending.is_empty() {
-        let misses: Vec<&Kernel> = pending.iter().map(|&i| kernels[i]).collect();
+        let misses: Vec<&Kernel> = pending.iter().map(|&i| kernel_of(i)).collect();
         let forward_start = recording.then(Instant::now);
         let fresh = score(&misses);
         if let Some(start) = forward_start {
@@ -325,7 +327,7 @@ pub fn predict_keyed<C: KernelCache + ?Sized>(
     }
 
     let stats = PredictStats {
-        kernels: kernels.len() as u64,
+        kernels: keys.len() as u64,
         cache_hits,
         model_evals: pending.len() as u64,
         model_batches,
@@ -464,23 +466,21 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
     /// call's [`PredictStats`] alongside the predictions.
     pub fn predict_ns_refs(&self, kernels: &[&Kernel]) -> (Vec<Option<f64>>, PredictStats) {
         let hashes: Vec<u64> = kernels.iter().map(|k| canonical_kernel_hash(k)).collect();
-        self.keyed(kernels, &hashes)
+        self.predict_keyed(&hashes, |i| kernels[i])
     }
 
-    /// [`Predictor::predict_ns_refs`] for kernels that already carry their
-    /// cache key: the same lookups, miss batch, inserts and
-    /// [`PredictStats`], minus the hashing.
-    pub fn predict_hashed(&self, kernels: &[&HashedKernel]) -> (Vec<Option<f64>>, PredictStats) {
-        let refs: Vec<&Kernel> = kernels.iter().map(|k| k.kernel()).collect();
-        let hashes: Vec<u64> = kernels.iter().map(|k| k.hash()).collect();
-        self.keyed(&refs, &hashes)
-    }
-
-    /// The session's cache, counters and backend through the one body.
-    /// Private so that only the two entries above, which pair each kernel
-    /// with its canonical hash, can reach the cache.
-    fn keyed(&self, kernels: &[&Kernel], hashes: &[u64]) -> (Vec<Option<f64>>, PredictStats) {
-        predict_keyed(&*self.cache, &self.counters, kernels, hashes, |misses| {
+    /// [`Predictor::predict_ns_refs`] for a caller that knows each
+    /// position's cache key: `keys[i]` must be the
+    /// [`canonical_kernel_hash`] of `kernel_of(i)`, which is asked for
+    /// only at the first position of each missed key. The same lookups,
+    /// miss batch, inserts and [`PredictStats`], minus the hashing, and
+    /// minus whatever it costs the caller to produce a kernel that hits.
+    pub fn predict_keyed<'k>(
+        &self,
+        keys: &[u64],
+        kernel_of: impl FnMut(usize) -> &'k Kernel,
+    ) -> (Vec<Option<f64>>, PredictStats) {
+        predict_keyed(&*self.cache, &self.counters, keys, kernel_of, |misses| {
             self.model.predict_refs_ns(misses)
         })
     }
@@ -798,14 +798,18 @@ mod tests {
         let refs: Vec<&Kernel> = kernels.iter().collect();
         let keys: Vec<u64> = refs.iter().map(|k| canonical_kernel_hash(k)).collect();
         // Two resident entries, so the panicking call has hits and misses.
-        predict_keyed(&cache, &counters, &refs[..2], &keys[..2], |m| {
-            m.iter().map(|_| Some(1.0)).collect()
-        });
+        predict_keyed(
+            &cache,
+            &counters,
+            &keys[..2],
+            |i| refs[i],
+            |m| m.iter().map(|_| Some(1.0)).collect(),
+        );
         let (stats, counted) = (cache.stats(), counters.stats());
         let snapshot = registry.snapshot();
 
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            predict_keyed(&cache, &counters, &refs, &keys, |_| panic!("backend"))
+            predict_keyed(&cache, &counters, &keys, |i| refs[i], |_| panic!("backend"))
         }));
         assert!(panicked.is_err());
 

@@ -48,17 +48,17 @@ fn tile_features(k: &Kernel) -> [f32; TILE_FEATURE_DIM] {
     out
 }
 
-/// Build the feature vector of one node within its kernel.
+/// Append the feature vector of one node within its kernel to `f`.
 ///
 /// Every feature occupies a fixed region of the vector ("An op's features
 /// occupy a fixed region of the Xᶠᵢ vector", §4.1); all magnitudes are
 /// log-compressed.
-fn node_features(k: &Kernel, node: &Node) -> Vec<f32> {
+fn push_node_features(f: &mut Vec<f32>, k: &Kernel, node: &Node) {
     let c = &k.computation;
-    let mut f = Vec::with_capacity(FEATURE_DIM);
+    let start = f.len();
 
     // Output shape dims (log), padded to MAX_RANK.
-    push_shape_dims(&mut f, &node.shape);
+    push_shape_dims(f, &node.shape);
     f.push(log1p(node.elem_count() as f64));
     f.push(log1p(node.output_bytes() as f64));
 
@@ -81,13 +81,9 @@ fn node_features(k: &Kernel, node: &Node) -> Vec<f32> {
     }
     f.extend_from_slice(&m2m);
 
-    // Strides (log), padded.
+    // Strides (log), padded: a zero stride past the rank logs to zero.
     let strides = node.layout.strides(&node.shape);
-    let mut sf = [0.0f32; MAX_RANK];
-    for (i, &s) in strides.iter().take(MAX_RANK).enumerate() {
-        sf[i] = log1p(s as f64);
-    }
-    f.extend_from_slice(&sf);
+    f.extend(strides.map(|s| log1p(s as f64)));
 
     // Category one-hot.
     let mut cat = [0.0f32; CATEGORY_ONE_HOT];
@@ -124,8 +120,7 @@ fn node_features(k: &Kernel, node: &Node) -> Vec<f32> {
     // Kernel tile-size sub-vector (same for every node of the kernel).
     f.extend_from_slice(&tile_features(k));
 
-    debug_assert_eq!(f.len(), FEATURE_DIM);
-    f
+    debug_assert_eq!(f.len() - start, FEATURE_DIM);
 }
 
 fn push_shape_dims(f: &mut Vec<f32>, shape: &Shape) {
@@ -145,7 +140,7 @@ pub fn kernel_features(k: &Kernel) -> (Vec<usize>, Tensor) {
     let mut data = Vec::with_capacity(n * FEATURE_DIM);
     for node in k.computation.nodes() {
         ids.push(node.opcode.index());
-        data.extend_from_slice(&node_features(k, node));
+        push_node_features(&mut data, k, node);
     }
     (ids, Tensor::from_vec(n, FEATURE_DIM, data))
 }
@@ -154,6 +149,12 @@ pub fn kernel_features(k: &Kernel) -> (Vec<usize>, Tensor) {
 mod tests {
     use super::*;
     use tpu_hlo::{ConvAttrs, GraphBuilder, Kernel, TileSize};
+
+    fn node_features(k: &Kernel, node: &Node) -> Vec<f32> {
+        let mut f = Vec::new();
+        push_node_features(&mut f, k, node);
+        f
+    }
 
     fn tanh_kernel() -> Kernel {
         let mut b = GraphBuilder::new("k");

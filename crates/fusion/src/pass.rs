@@ -6,8 +6,9 @@
 //! the decision tables of the [`FusionSpace`]. [`materialize`] *builds* one
 //! kernel from one group. [`apply_fusion`] is their composition and the
 //! only way a kernel is made; callers that score many configurations of
-//! one program plan each of them and materialize only the groups they have
-//! not met before.
+//! one program plan each of them, key each group in place
+//! ([`Computation::subgraph_kernel_hash`] over its members) and
+//! materialize only the groups whose kernel they need.
 //!
 //! Planning is **local**: the plan of a connected component of fused
 //! producer→consumer edges reads nothing outside the component (DESIGN.md,

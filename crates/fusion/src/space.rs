@@ -4,6 +4,7 @@ use crate::legality::fusible_edges;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use tpu_hlo::{Computation, NodeId};
 
 /// The set of legal fusion decisions for a program: one boolean per fusible
@@ -123,10 +124,26 @@ impl FusionSpace {
 
 /// One point of the fusion search space: a boolean decision per fusible
 /// edge of the corresponding [`FusionSpace`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FusionConfig {
     /// Per-edge decisions, indexed like [`FusionSpace::edges`].
     pub decisions: Vec<bool>,
+}
+
+/// The decision count, then the decisions packed 64 to a word: a few
+/// writes per configuration where one per decision would cost hundreds.
+/// Equal configurations write equal words, as `Eq` needs.
+impl Hash for FusionConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.decisions.len());
+        for word in self.decisions.chunks(64) {
+            let packed = word
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (i, &d)| acc | u64::from(d) << i);
+            state.write_u64(packed);
+        }
+    }
 }
 
 impl FusionConfig {

@@ -389,6 +389,26 @@ impl Computation {
     /// Panics if `root_of_subgraph` is not in `members`, or if a member
     /// takes another member of a higher id as an operand.
     pub fn extract_subgraph(&self, members: &[NodeId], root_of_subgraph: NodeId) -> Computation {
+        let mut nodes = NodeBuilder(Vec::new());
+        let (_, root) = self.walk_subgraph(members, root_of_subgraph, &mut nodes);
+        Computation::from_parts_unchecked(format!("{}.fused", self.name), nodes.0, root)
+    }
+
+    /// The one description of the sub-computation [`Self::extract_subgraph`]
+    /// builds: hands `sink` its nodes in their new id order and returns the
+    /// node count and the new root. Each member comes with its operands
+    /// remapped; an operand outside `members` arrives first, as a
+    /// parameter, at its first use.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::extract_subgraph`].
+    pub(crate) fn walk_subgraph(
+        &self,
+        members: &[NodeId],
+        root_of_subgraph: NodeId,
+        sink: &mut impl SubgraphSink,
+    ) -> (usize, NodeId) {
         // A fusion group's members come sorted and distinct already.
         let sorted: Cow<'_, [NodeId]> = if members.windows(2).all(|w| w[0] < w[1]) {
             Cow::Borrowed(members)
@@ -402,37 +422,26 @@ impl Computation {
             .binary_search(&root_of_subgraph)
             .expect("subgraph root not a member");
 
-        let mut new_nodes: Vec<Node> = Vec::new();
+        let mut next = 0u32;
         // The new id of each member, in member order.
         let mut new_ids: Vec<NodeId> = Vec::with_capacity(sorted.len());
         // Imported operands (outside `members`) become parameters; one per
         // distinct external producer, and a kernel has few.
         let mut imported: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut operands: Vec<NodeId> = Vec::new();
 
-        for &old_id in sorted.iter() {
+        for (at, &old_id) in sorted.iter().enumerate() {
             let old = self.node(old_id);
-            let mut operands = Vec::with_capacity(old.operands.len());
+            operands.clear();
             for &op in &old.operands {
                 let new_op = match sorted.binary_search(&op) {
                     Ok(at) => *new_ids.get(at).expect("members must be topo-sorted by id"),
                     Err(_) => match imported.iter().find(|(ext, _)| *ext == op) {
                         Some(&(_, pid)) => pid,
                         None => {
-                            let ext = self.node(op);
-                            let pid = NodeId(new_nodes.len() as u32);
-                            new_nodes.push(Node {
-                                id: pid,
-                                opcode: Opcode::Parameter,
-                                dtype: ext.dtype,
-                                shape: ext.shape.clone(),
-                                layout: ext.layout.clone(),
-                                operands: Vec::new(),
-                                attrs: Default::default(),
-                                // Imported values are named after the original
-                                // producer node so callers can thread values
-                                // between kernels (`in<original-id>`).
-                                name: format!("in{}", op.0),
-                            });
+                            let pid = NodeId(next);
+                            next += 1;
+                            sink.import(self.node(op), pid);
                             imported.push((op, pid));
                             pid
                         }
@@ -440,24 +449,62 @@ impl Computation {
                 };
                 operands.push(new_op);
             }
-            let id = NodeId(new_nodes.len() as u32);
+            let id = NodeId(next);
+            next += 1;
             new_ids.push(id);
-            new_nodes.push(Node {
-                id,
-                opcode: old.opcode,
-                dtype: old.dtype,
-                shape: old.shape.clone(),
-                layout: old.layout.clone(),
-                operands,
-                attrs: old.attrs.clone(),
-                name: old.name.clone(),
-            });
+            // The output node is marked (§4.1 of the paper).
+            sink.member(old, id, &operands, at == root_at);
         }
+        (next as usize, new_ids[root_at])
+    }
+}
 
-        let new_root = new_ids[root_at];
-        // Mark the output node (§4.1 of the paper).
-        new_nodes[new_root.index()].attrs.is_output = true;
-        Computation::from_parts_unchecked(format!("{}.fused", self.name), new_nodes, new_root)
+/// What [`Computation::walk_subgraph`] emits, in the new id order. The
+/// node builder behind [`Computation::extract_subgraph`] is one sink; the
+/// key writer behind [`Computation::subgraph_kernel_hash`] is the other.
+pub(crate) trait SubgraphSink {
+    /// The value of `ext`, a node outside the members, arrives as the
+    /// parameter `id`.
+    fn import(&mut self, ext: &Node, id: NodeId);
+
+    /// The member `node` becomes node `id` reading `operands`; `is_root`
+    /// marks the sub-computation's output.
+    fn member(&mut self, node: &Node, id: NodeId, operands: &[NodeId], is_root: bool);
+}
+
+/// The sink that builds the nodes.
+struct NodeBuilder(Vec<Node>);
+
+impl SubgraphSink for NodeBuilder {
+    fn import(&mut self, ext: &Node, id: NodeId) {
+        self.0.push(Node {
+            id,
+            opcode: Opcode::Parameter,
+            dtype: ext.dtype,
+            shape: ext.shape.clone(),
+            layout: ext.layout.clone(),
+            operands: Vec::new(),
+            attrs: Default::default(),
+            // Imported values are named after the original producer node
+            // so callers can thread values between kernels
+            // (`in<original-id>`).
+            name: format!("in{}", ext.id.0),
+        });
+    }
+
+    fn member(&mut self, node: &Node, id: NodeId, operands: &[NodeId], is_root: bool) {
+        let mut attrs = node.attrs.clone();
+        attrs.is_output |= is_root;
+        self.0.push(Node {
+            id,
+            opcode: node.opcode,
+            dtype: node.dtype,
+            shape: node.shape.clone(),
+            layout: node.layout.clone(),
+            operands: operands.to_vec(),
+            attrs,
+            name: node.name.clone(),
+        });
     }
 }
 

@@ -28,11 +28,20 @@
 //! SipHash's digest depends only on the concatenated stream, not on how
 //! it was split into writes, so the keys are the per-field hash's keys.
 //!
+//! # Keys of sub-graphs, in place
+//!
+//! [`Computation::subgraph_kernel_hash`] writes that same stream for the
+//! kernel [`Computation::extract_subgraph`] would build, from the walk that
+//! builds it, without building anything: the count and root index lead the
+//! stream, so their bytes are written last, over two placeholder words.
+//!
 //! [`NodeAttrs::comparison`]: crate::NodeAttrs::comparison
 
-use crate::graph::Computation;
-use crate::kernel::Kernel;
-use crate::node::Node;
+use crate::attrs::NodeAttrs;
+use crate::graph::{Computation, SubgraphSink};
+use crate::kernel::{Kernel, KernelKind, KindTally};
+use crate::node::{Node, NodeId};
+use crate::opcode::Opcode;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 
@@ -67,18 +76,32 @@ impl KeyBytes {
     }
 
     fn node(&mut self, n: &Node) {
-        self.0.extend_from_slice(n.opcode.mnemonic().as_bytes());
+        self.head(n.opcode, n);
+        self.operands(&n.operands);
+        self.attrs(&n.attrs, n.attrs.is_output);
+    }
+
+    /// A node's opcode, then the dtype, shape and layout of `value`.
+    fn head(&mut self, opcode: Opcode, value: &Node) {
+        self.0.extend_from_slice(opcode.mnemonic().as_bytes());
         self.0.push(0xff);
-        self.usize(n.dtype.index());
-        self.usizes(n.shape.dims());
-        self.usizes(n.layout.minor_to_major());
-        // Operands by canonical position, which is the id.
-        for &op in &n.operands {
+        self.usize(value.dtype.index());
+        self.usizes(value.shape.dims());
+        self.usizes(value.layout.minor_to_major());
+    }
+
+    /// Operands by canonical position, which is the id.
+    fn operands(&mut self, operands: &[NodeId]) {
+        for &op in operands {
             self.usize(op.index());
         }
-        // Attributes that affect semantics/cost. An absent dot, conv,
-        // slice or pad writes nothing, not a discriminant.
-        let a = &n.attrs;
+    }
+
+    /// Attributes that affect semantics/cost, with `is_output` in place of
+    /// the flag `a` holds.
+    fn attrs(&mut self, a: &NodeAttrs, is_output: bool) {
+        // An absent dot, conv, slice or pad writes nothing, not a
+        // discriminant.
         if let Some(d) = &a.dot {
             self.usize(d.lhs_contracting);
             self.usize(d.rhs_contracting);
@@ -126,7 +149,7 @@ impl KeyBytes {
                 self.usize(v);
             }
         }
-        self.0.push(u8::from(a.is_output));
+        self.0.push(u8::from(is_output));
     }
 }
 
@@ -172,14 +195,78 @@ pub fn canonical_hash(c: &Computation) -> u64 {
 /// prediction for one kernel is valid for any other with its key.
 pub fn canonical_kernel_hash(k: &Kernel) -> u64 {
     let tile = k.tile.as_ref().map(|t| t.dims());
+    kernel_key(canonical_hash(&k.computation), k.kind, tile)
+}
+
+/// The key of a kernel from the canonical hash of its computation, its
+/// kind and its tile.
+fn kernel_key(computation: u64, kind: KernelKind, tile: Option<&[usize]>) -> u64 {
     let mut b = KeyBytes::with_capacity(24 + 8 * tile.map_or(0, <[usize]>::len));
-    b.0.extend_from_slice(&canonical_hash(&k.computation).to_ne_bytes());
-    b.usize(k.kind.index());
+    b.0.extend_from_slice(&computation.to_ne_bytes());
+    b.usize(kind.index());
     // No tile writes nothing, not a discriminant.
     if let Some(dims) = tile {
         b.usizes(dims);
     }
     b.finish()
+}
+
+/// The sink of [`Computation::walk_subgraph`] that writes, node by node,
+/// the bytes [`canonical_hash`] would write for the sub-computation, and
+/// tallies its kind.
+struct KeyWriter {
+    bytes: KeyBytes,
+    kind: KindTally,
+    root: Opcode,
+}
+
+impl SubgraphSink for KeyWriter {
+    fn import(&mut self, ext: &Node, _id: NodeId) {
+        self.bytes.head(Opcode::Parameter, ext);
+        self.bytes.attrs(&NodeAttrs::default(), false);
+        self.kind.add(Opcode::Parameter);
+    }
+
+    fn member(&mut self, node: &Node, _id: NodeId, operands: &[NodeId], is_root: bool) {
+        self.bytes.head(node.opcode, node);
+        self.bytes.operands(operands);
+        self.bytes
+            .attrs(&node.attrs, node.attrs.is_output || is_root);
+        self.kind.add(node.opcode);
+        if is_root {
+            self.root = node.opcode;
+        }
+    }
+}
+
+impl Computation {
+    /// The [`canonical_kernel_hash`] of the untiled kernel over
+    /// [`Self::extract_subgraph`] of `members` — the key a fusion group's
+    /// kernel is cached under — computed in place, without building the
+    /// sub-computation: the one walk that builds it writes its key bytes
+    /// instead.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::extract_subgraph`].
+    pub fn subgraph_kernel_hash(&self, members: &[NodeId], root_of_subgraph: NodeId) -> u64 {
+        // Room for rank-2 nodes with two operands each, imports included;
+        // a larger sub-graph regrows.
+        let mut key = KeyWriter {
+            bytes: KeyBytes::with_capacity(16 + 128 * (2 * members.len() + 1)),
+            kind: KindTally::default(),
+            root: Opcode::Parameter,
+        };
+        // The node count and root index lead the stream, and are known
+        // once the walk is done.
+        key.bytes.usize(0);
+        key.bytes.usize(0);
+        let (nodes, root) = self.walk_subgraph(members, root_of_subgraph, &mut key);
+        let word = std::mem::size_of::<usize>();
+        key.bytes.0[..word].copy_from_slice(&nodes.to_ne_bytes());
+        key.bytes.0[word..2 * word].copy_from_slice(&root.index().to_ne_bytes());
+        kernel_key(key.bytes.finish(), key.kind.kind(key.root), None)
+    }
 }
 
 /// A [`Kernel`] together with its [`canonical_kernel_hash`], computed once.
@@ -308,6 +395,43 @@ mod tests {
                 0x1e4a_52bc_e658_f46a,
             ]
         );
+    }
+
+    #[test]
+    fn a_subgraph_key_is_the_key_of_the_extracted_kernel() {
+        // A dot with a fused producer, a shared operand and a reduce: every
+        // sub-set of members that contains its root and is closed under
+        // nothing in particular, in any member order.
+        let mut b = GraphBuilder::new("mlp");
+        let x = b.parameter("x", Shape::matrix(16, 32), DType::F32);
+        let w = b.parameter("w", Shape::matrix(32, 8), DType::F32);
+        let t = b.tanh(x);
+        let d = b.dot(t, w);
+        let e = b.exp(d);
+        let s = b.add(d, e);
+        let r = b.reduce(s, vec![0]);
+        let c = b.finish(r);
+        let ops = [t, d, e, s, r];
+        for bits in 1u32..1 << ops.len() {
+            let members: Vec<NodeId> = (0..ops.len())
+                .filter(|&i| bits >> i & 1 == 1)
+                .map(|i| ops[i])
+                .collect();
+            for &root in &members {
+                let kernel = crate::Kernel::new(c.extract_subgraph(&members, root));
+                let mut reversed = members.clone();
+                reversed.reverse();
+                assert_eq!(
+                    c.subgraph_kernel_hash(&members, root),
+                    canonical_kernel_hash(&kernel),
+                    "{members:?} rooted at {root}"
+                );
+                assert_eq!(
+                    c.subgraph_kernel_hash(&reversed, root),
+                    canonical_kernel_hash(&kernel)
+                );
+            }
+        }
     }
 
     #[test]

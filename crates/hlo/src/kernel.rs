@@ -169,35 +169,50 @@ impl Kernel {
 
 /// Classify a fused computation into a [`KernelKind`].
 pub fn classify(c: &Computation) -> KernelKind {
-    let has_conv = c
-        .nodes()
-        .iter()
-        .any(|n| n.opcode.category() == OpCategory::Convolution);
-    if has_conv {
-        return KernelKind::Convolution;
+    let mut tally = KindTally::default();
+    for n in c.nodes() {
+        tally.add(n.opcode);
     }
-    let num_real_ops = c
-        .nodes()
-        .iter()
-        .filter(|n| n.opcode != Opcode::Parameter)
-        .count();
-    let has_dot = c
-        .nodes()
-        .iter()
-        .any(|n| n.opcode.category() == OpCategory::Dot);
-    let root_cat = c.node(c.root()).opcode.category();
-    // Dot-containing kernels form their own cost class even when un-fused:
-    // the analytical baseline keeps per-class output scales.
-    if has_dot {
-        return KernelKind::OutputFusion;
+    tally.kind(c.node(c.root()).opcode)
+}
+
+/// What [`classify`] reads of a computation, gathered one node at a time,
+/// so a walk that never builds the computation can classify it too.
+#[derive(Default)]
+pub(crate) struct KindTally {
+    has_conv: bool,
+    has_dot: bool,
+    real_ops: usize,
+}
+
+impl KindTally {
+    /// Count one node of the computation.
+    pub(crate) fn add(&mut self, opcode: Opcode) {
+        let cat = opcode.category();
+        self.has_conv |= cat == OpCategory::Convolution;
+        self.has_dot |= cat == OpCategory::Dot;
+        self.real_ops += usize::from(opcode != Opcode::Parameter);
     }
-    if num_real_ops <= 1 {
-        return KernelKind::Single;
+
+    /// The kind of the computation whose every node was counted, rooted
+    /// at an op of `root`.
+    pub(crate) fn kind(&self, root: Opcode) -> KernelKind {
+        if self.has_conv {
+            return KernelKind::Convolution;
+        }
+        // Dot-containing kernels form their own cost class even when
+        // un-fused: the analytical baseline keeps per-class output scales.
+        if self.has_dot {
+            return KernelKind::OutputFusion;
+        }
+        if self.real_ops <= 1 {
+            return KernelKind::Single;
+        }
+        if root.category() == OpCategory::Reduction {
+            return KernelKind::InputFusion;
+        }
+        KernelKind::LoopFusion
     }
-    if root_cat == OpCategory::Reduction {
-        return KernelKind::InputFusion;
-    }
-    KernelKind::LoopFusion
 }
 
 #[cfg(test)]

@@ -229,18 +229,22 @@ impl Layout {
     }
 
     /// Strides (in elements) per logical dimension for `shape` under this
-    /// layout. `strides[d]` is the element distance between consecutive
-    /// indices along logical dimension `d`.
+    /// layout, zero past the rank. `strides[d]` is the element distance
+    /// between consecutive indices along logical dimension `d`.
     ///
     /// # Panics
     ///
     /// Panics if `shape.rank() != self.rank()`.
-    pub fn strides(&self, shape: &Shape) -> Vec<u64> {
+    pub fn strides(&self, shape: &Shape) -> [u64; MAX_RANK] {
         assert_eq!(shape.rank(), self.rank());
-        let mut strides = vec![0u64; self.rank()];
+        let mut strides = [0u64; MAX_RANK];
         let mut acc = 1u64;
         for &d in &self.minor_to_major {
-            strides[d] = acc;
+            // A rank past MAX_RANK only comes from deserialized data; its
+            // dimensions beyond MAX_RANK have no slot.
+            if let Some(stride) = strides.get_mut(d) {
+                *stride = acc;
+            }
             acc *= shape.dim(d) as u64;
         }
         strides
@@ -335,14 +339,14 @@ mod tests {
     fn strides_row_major() {
         let s = Shape::new(vec![2, 3, 4]);
         let l = Layout::default_for_rank(3);
-        assert_eq!(l.strides(&s), vec![12, 4, 1]);
+        assert_eq!(l.strides(&s), [12, 4, 1, 0, 0]);
     }
 
     #[test]
     fn strides_column_major() {
         let s = Shape::new(vec![2, 3]);
         let l = Layout::new(vec![0, 1]);
-        assert_eq!(l.strides(&s), vec![1, 2]);
+        assert_eq!(l.strides(&s), [1, 2, 0, 0, 0]);
     }
 
     #[test]

@@ -102,7 +102,9 @@ fn a_predictor_miss_lends_the_kernel_instead_of_copying_it() {
     for frozen in models() {
         let predictor = Predictor::uncached(&frozen);
         let beyond_featurize = |k: &HashedKernel| {
-            let miss = allocations_of(|| predictor.predict_hashed(std::hint::black_box(&[k])));
+            let miss = allocations_of(|| {
+                predictor.predict_keyed(std::hint::black_box(&[k.hash()]), |_| k.kernel())
+            });
             miss - allocations_of(|| Prepared::from_kernel(k.kernel()))
         };
         assert_eq!(

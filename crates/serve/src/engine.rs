@@ -674,8 +674,8 @@ impl ServeEngine {
             predict_keyed(
                 &*self.cache.inner,
                 &self.counters,
-                &[kernel.kernel()],
                 &[key],
+                |_| kernel.kernel(),
                 |misses| {
                     let (answers, fell_back) = self.route(models, misses);
                     self.fallbacks.add(fell_back);

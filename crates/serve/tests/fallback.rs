@@ -297,7 +297,7 @@ fn a_miss_records_what_a_predictor_records_over_the_same_kernels() {
     let predictor = Predictor::new(FnCostModel::new("nodes", |k: &Kernel| Some(nodes(k))))
         .observed(&predictor_registry);
     for k in sequence {
-        predictor.predict_hashed(&[&HashedKernel::new(k.clone())]);
+        predictor.predict_keyed(&[HashedKernel::new(k.clone()).hash()], |_| k);
     }
 
     let snap = registry.snapshot();

@@ -103,10 +103,11 @@ fn miss_batch_is_one_backend_call() {
 
 #[test]
 fn keyed_prediction_is_the_unkeyed_one_minus_the_hashing() {
-    // `predict_hashed` and `predict_ns_refs` share one body: on a batch
+    // `predict_keyed` and `predict_ns_refs` share one body: on a batch
     // mixing cache hits, fresh misses and duplicates of both, they must
     // return bit-equal predictions, equal per-call and cumulative stats,
-    // and ask the backend for the same kernels in the same order.
+    // and ask the backend for the same kernels in the same order. The keyed
+    // entry asks for a kernel only at the first position of a missed key.
     let kernels = kernel_corpus();
     let hashed: Vec<HashedKernel> = kernels.iter().cloned().map(HashedKernel::new).collect();
     for (k, h) in kernels.iter().zip(&hashed) {
@@ -127,8 +128,19 @@ fn keyed_prediction_is_the_unkeyed_one_minus_the_hashing() {
         let mut out = Vec::new();
         for batch in [&warm[..], &mixed[..]] {
             out.push(if keyed {
-                let refs: Vec<&HashedKernel> = batch.iter().map(|&i| &hashed[i]).collect();
-                predictor.predict_hashed(&refs)
+                let keys: Vec<u64> = batch.iter().map(|&i| hashed[i].hash()).collect();
+                let mut handed = Vec::new();
+                let call = predictor.predict_keyed(&keys, |at| {
+                    handed.push(at);
+                    hashed[batch[at]].kernel()
+                });
+                let first_misses: &[usize] = if batch == warm {
+                    &[0, 1, 2, 3]
+                } else {
+                    &[1, 3, 7]
+                };
+                assert_eq!(handed, first_misses, "kernels asked of {batch:?}");
+                call
             } else {
                 let refs: Vec<&Kernel> = batch.iter().map(|&i| &kernels[i]).collect();
                 predictor.predict_ns_refs(&refs)

@@ -20,7 +20,7 @@
 
 use std::fmt::Write;
 use std::hash::{Hash, Hasher};
-use tpu_repro::autotuner::random_configs;
+use tpu_repro::autotuner::{fused_structure_hash, random_configs};
 use tpu_repro::dataset::{Corpus, CorpusScale};
 use tpu_repro::fusion::{
     apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionGroup,
@@ -182,6 +182,59 @@ fn plan_and_materialize_are_the_pass() {
                 assert_eq!(&materialize(program, group), kernel, "{at}");
             }
         }
+    }
+}
+
+/// A planner keys each group in place (`subgraph_kernel_hash` over its
+/// members) and builds its kernel
+/// only when something needs it, so the in-place key must be the canonical
+/// hash of the kernel `materialize` would build — for every group the
+/// planner makes on the five `search_tune` programs — and the keys folded
+/// in emission order must be the beam's materializing reference,
+/// `fused_structure_hash`.
+#[test]
+fn a_group_key_is_the_hash_of_its_materialized_kernel() {
+    for program in &search_tune_programs() {
+        let c = &program.computation;
+        let (space, default) = default_space_and_config(c);
+        let mut configs: Vec<FusionConfig> = configs(&space, default)
+            .into_iter()
+            .map(|(_, config)| config)
+            .collect();
+        configs.extend(random_configs(&space, 24, 29));
+        let mut planner = FusionPlanner::new(program, &space);
+        let mut groups_keyed = 0;
+        for (i, config) in configs.iter().enumerate() {
+            let groups = planner.plan(config);
+            let keys: Vec<u64> = groups
+                .iter()
+                .map(|g| c.subgraph_kernel_hash(g.members(), g.root()))
+                .collect();
+            for (group, &key) in groups.iter().zip(&keys) {
+                assert_eq!(
+                    key,
+                    canonical_kernel_hash(&materialize(program, group)),
+                    "{} / config {i}: group rooted at {}",
+                    program.name,
+                    group.root()
+                );
+            }
+            // The fold of the keys, field by field: the count, then each
+            // key (the beam's one-write fold is pinned to this stream).
+            let mut folded = std::collections::hash_map::DefaultHasher::new();
+            keys.len().hash(&mut folded);
+            for key in &keys {
+                key.hash(&mut folded);
+            }
+            assert_eq!(
+                folded.finish(),
+                fused_structure_hash(program, &space, config),
+                "{} / config {i}",
+                program.name
+            );
+            groups_keyed += groups.len();
+        }
+        assert!(groups_keyed > 0, "{}", program.name);
     }
 }
 
