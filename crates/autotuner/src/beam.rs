@@ -175,6 +175,11 @@ impl BeamObs {
 /// the same key decompose into structurally identical kernel sets, so any
 /// deterministic objective gives them bit-equal costs — which is what
 /// makes a TT hit exactly substitutable for a fresh evaluation.
+///
+/// This is the materializing reference: it plans from scratch, builds
+/// every kernel and hashes it. The beam itself no longer runs it; it folds
+/// the keys its planner wrote in place for each interned group, which the
+/// tests pin to this function's value.
 pub fn fused_structure_hash(program: &Program, space: &FusionSpace, config: &FusionConfig) -> u64 {
     let groups = fusion_groups(program, space, config);
     fold_structure_key(

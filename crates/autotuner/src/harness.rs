@@ -22,12 +22,12 @@
 //! built at most once a run, whoever needs it first.
 
 use crate::beam::{beam_search_with_planner, SearchParams};
-use crate::memo::{Plan, Planner, SharedPlanner, SlotId};
+use crate::memo::{Plan, Planner, SharedPlanner};
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
-use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace};
+use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace, GroupId};
 use tpu_hlo::Program;
 use tpu_learned_cost::{AtomicCache, CostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
@@ -520,7 +520,7 @@ impl<M: CostModel + ?Sized, C: KernelCache> BatchObjective for ModelObjective<'_
         // key it misses.
         let mut planner = self.planner.borrow_mut();
         let (plans, slots) = planner.plan_batch(configs);
-        let ids: Vec<SlotId> = plans.iter().flat_map(Plan::slots).copied().collect();
+        let ids: Vec<GroupId> = plans.iter().flat_map(Plan::slots).copied().collect();
         let keys: Vec<u64> = ids.iter().map(|&id| slots.key(id)).collect();
         let (preds, _) = self
             .predictor

@@ -1,31 +1,34 @@
 //! What one tuning run remembers about the plans and kernels of its program.
 //!
 //! A fused kernel is a pure function of `(program, root, members)` — a
-//! [`FusionGroup`] — and successive candidates of a search share almost all
-//! of their groups: a candidate differs from one scored a batch earlier in
-//! one to four decisions, and a flipped decision changes the groups of the
-//! fused region it touches and no others (DESIGN.md, "Fusion planning is
-//! local"). So whoever scores configurations hands each batch to a
-//! [`Planner`], which
+//! [`FusionGroup`](tpu_fusion::FusionGroup) — and successive candidates of
+//! a search share almost all of their groups: a candidate differs from one
+//! scored a batch earlier in one to four decisions, and a flipped decision
+//! changes the groups of the fused region it touches and no others
+//! (DESIGN.md, "Fusion planning is local"). So whoever scores
+//! configurations hands each batch to a [`Planner`], which
 //!
-//! - remembers the previous batch's configurations with their resolved
-//!   plans, and plans each incoming configuration as a delta
-//!   ([`FusionPlanner::replan`]) from the nearest of them: the groups the
-//!   flips cannot have touched come back with the slot they already had;
-//! - resolves only the re-planned groups through a map from group to its
-//!   [`SlotId`]: a group met for the first time gets a slot holding its
-//!   cache key, written in place by
-//!   [`Computation::subgraph_kernel_hash`](tpu_hlo::Computation::subgraph_kernel_hash)
-//!   without building the kernel;
+//! - remembers the previous batch's plans, each with its configuration's
+//!   decisions packed 64 to a word, and plans each incoming configuration
+//!   as a delta ([`FusionPlanner::replan`]) from the nearest of them (XOR
+//!   and popcount over the words): the groups the flips cannot have
+//!   touched come back with the id they already had;
 //! - plans from scratch when nothing near is remembered (the first batch,
 //!   or a jump of more than [`MAX_DELTA_FLIPS`] decisions).
 //!
-//! A plan is its slots' keys, which is all a search reads of it: the
-//! beam's transposition keys fold them, and the prediction cache answers
-//! almost every one. A slot builds its kernel ([`materialize`]) only when
-//! something needs the kernel itself — a prediction-cache miss, a hardware
-//! measurement, a tuned configuration's true time — and keeps it for the
-//! rest of the run (`autotuner.plan.built` counts the kernels built).
+//! The [`FusionPlanner`] interns its groups, so a plan is a list of
+//! [`GroupId`]s and a slot of the run *is* a group id: a group met for the
+//! first time takes the next id, and the run keys it there, in place, with
+//! [`Computation::subgraph_kernel_hash`](tpu_hlo::Computation::subgraph_kernel_hash)
+//! and without building the kernel. A plan is its slots' keys, which is all
+//! a search reads of it: the beam's transposition keys fold them, and the
+//! prediction cache answers almost every one. A slot builds its kernel
+//! ([`materialize`]) only when something needs the kernel itself — a
+//! prediction-cache miss, a hardware measurement, a tuned configuration's
+//! true time — and keeps it for the rest of the run
+//! (`autotuner.plan.built` counts the kernels built). A batch reuses the
+//! buffers of the batch before the last, so once a run's groups are known
+//! planning allocates nothing.
 //!
 //! Which base a configuration is planned from decides how much work the
 //! plan costs and nothing else: a re-plan equals the plan from scratch
@@ -39,68 +42,70 @@
 //! again, and a kernel any of them built is never built again.
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::rc::Rc;
-use tpu_fusion::{materialize, FusionConfig, FusionGroup, FusionPlanner, FusionSpace, Planned};
-use tpu_hlo::{Kernel, NodeId, Program};
+use tpu_fusion::{materialize, FusionConfig, FusionPlanner, FusionSpace, GroupId, Planned};
+use tpu_hlo::{Kernel, Program};
 use tpu_obs::{Counter, Registry};
 
 /// A configuration further than this many decisions from every remembered
-/// one is planned from scratch. Where the touched regions are small a
-/// re-plan costs about 0.7–1.2 µs for one flipped decision and 0.6–1 µs
-/// for each further one, against 6–20 µs for the full plan, and passes it
-/// between 12 and 32 flips; where one fused region spans most of the
-/// graph it never wins (CHANGES.md, PR 19, has the table per program). The
-/// searchers stay within 4.
+/// one is planned from scratch. Measured on the interned planner from each
+/// `search_tune` program's default configuration, every group known
+/// (`results/search_intern.log`): where the touched regions are small a
+/// re-plan costs about 0.7–1.9 µs for one flipped decision and 0.3–0.9 µs
+/// for each further one, against 7–20 µs for the full plan, and passes it
+/// at about 9 (ConvDRAW), 18 (WaveRNN) and 28 (Translate) flips; where one
+/// fused region spans most of the graph it passes it at 2 (NMT Model) or
+/// never (RNN). No single cut suits every program, and the searchers stay
+/// within 4, so the cut stays at 8.
 const MAX_DELTA_FLIPS: usize = 8;
 
-/// One distinct fusion group of a run: its index among the run's [`Slots`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SlotId(usize);
-
-/// A distinct fusion group, its cache key, and its kernel once something
+/// The distinct fusion groups of a run — the planner's table, indexed by
+/// [`GroupId`] — each with its cache key, and its kernel once something
 /// has needed it.
-struct Slot {
-    group: FusionGroup,
-    key: u64,
-    kernel: OnceCell<Kernel>,
-}
-
-/// The distinct fusion groups of a run, each keyed when first met.
 pub(crate) struct Slots<'a> {
     program: &'a Program,
-    slots: Vec<Slot>,
+    fusion: FusionPlanner<'a>,
+    keys: Vec<u64>,
+    kernels: Vec<OnceCell<Kernel>>,
     built: Counter,
 }
 
 impl Slots<'_> {
-    /// The cache key of a slot's kernel: its `canonical_kernel_hash`.
-    pub(crate) fn key(&self, id: SlotId) -> u64 {
-        self.slots[id.0].key
+    /// The cache key of a group's kernel: its `canonical_kernel_hash`.
+    pub(crate) fn key(&self, id: GroupId) -> u64 {
+        self.keys[id.index()]
     }
 
-    /// A slot's kernel, built the first time it is asked for.
-    pub(crate) fn kernel(&self, id: SlotId) -> &Kernel {
-        let slot = &self.slots[id.0];
-        slot.kernel.get_or_init(|| {
+    /// A group's kernel, built the first time it is asked for.
+    pub(crate) fn kernel(&self, id: GroupId) -> &Kernel {
+        self.kernels[id.index()].get_or_init(|| {
             self.built.inc();
-            materialize(self.program, &slot.group)
+            materialize(self.program, &self.fusion.groups()[id.index()])
         })
+    }
+
+    /// Key every group the planner has met since the last call.
+    fn key_new_groups(&mut self) {
+        let c = &self.program.computation;
+        for group in &self.fusion.groups()[self.keys.len()..] {
+            self.keys
+                .push(c.subgraph_kernel_hash(group.members(), group.root()));
+            self.kernels.push(OnceCell::new());
+        }
     }
 }
 
-/// One configuration's plan, resolved: per group, in emission order, its
-/// slot.
+/// One configuration's plan: its decisions, 64 to a word, and per group,
+/// in emission order, its id.
+#[derive(Default)]
 pub(crate) struct Plan {
-    config: FusionConfig,
-    roots: Vec<NodeId>,
-    slots: Vec<SlotId>,
+    words: Vec<u64>,
+    slots: Vec<GroupId>,
 }
 
 impl Plan {
-    /// The slot of each group of the plan, in emission order.
-    pub(crate) fn slots(&self) -> &[SlotId] {
+    /// The id of each group of the plan, in emission order.
+    pub(crate) fn slots(&self) -> &[GroupId] {
         &self.slots
     }
 }
@@ -116,29 +121,22 @@ struct PlanObs {
     groups_kept: Counter,
 }
 
-/// Per-run planner: from a batch of configurations to the slot of each of
+/// Per-run planner: from a batch of configurations to the id of each of
 /// their fusion groups.
 pub(crate) struct Planner<'a> {
-    fusion: FusionPlanner<'a>,
-    ids: HashMap<FusionGroup, SlotId>,
     slots: Slots<'a>,
     /// The last non-empty batch, the bases of the next one.
     previous: Vec<Plan>,
+    /// The batch before it, kept for its buffers.
+    spare: Vec<Plan>,
+    flipped: Vec<usize>,
+    planned: Vec<Planned>,
     obs: PlanObs,
 }
 
 /// The one planner of a tuning run, handed to each of its users in turn
 /// (they run one after another on one thread, so no borrow overlaps).
 pub(crate) type SharedPlanner<'a> = Rc<RefCell<Planner<'a>>>;
-
-/// The decisions in which two configurations of one space differ.
-fn differing<'c>(a: &'c FusionConfig, b: &'c FusionConfig) -> impl Iterator<Item = usize> + 'c {
-    a.decisions
-        .iter()
-        .zip(&b.decisions)
-        .enumerate()
-        .filter_map(|(i, (x, y))| (x != y).then_some(i))
-}
 
 impl<'a> Planner<'a> {
     /// A planner for one tuning run over `program`, recording
@@ -149,14 +147,17 @@ impl<'a> Planner<'a> {
         registry: &Registry,
     ) -> Planner<'a> {
         Planner {
-            fusion: FusionPlanner::new(program, space),
-            ids: HashMap::new(),
             slots: Slots {
                 program,
-                slots: Vec::new(),
+                fusion: FusionPlanner::new(program, space),
+                keys: Vec::new(),
+                kernels: Vec::new(),
                 built: registry.counter("autotuner.plan.built"),
             },
             previous: Vec::new(),
+            spare: Vec::new(),
+            flipped: Vec::new(),
+            planned: Vec::new(),
             obs: PlanObs {
                 delta: registry.counter("autotuner.plan.delta"),
                 full: registry.counter("autotuner.plan.full"),
@@ -175,84 +176,80 @@ impl<'a> Planner<'a> {
         Rc::new(RefCell::new(Planner::new(program, space, registry)))
     }
 
-    /// The resolved plan of every configuration, in order, with the slots
-    /// their ids index; a group met for the first time in this run is
-    /// keyed.
+    /// The plan of every configuration, in order, with the slots their
+    /// ids index; a group met for the first time in this run is keyed.
     pub(crate) fn plan_batch<'c>(
         &mut self,
         configs: impl IntoIterator<Item = &'c FusionConfig>,
     ) -> (&[Plan], &Slots<'a>) {
-        let (ids, slots) = (&mut self.ids, &mut self.slots);
-        let mut resolve = |group: FusionGroup| {
-            let root = group.root();
-            let id = match ids.entry(group) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => {
-                    let id = SlotId(slots.slots.len());
-                    slots.slots.push(Slot {
-                        key: slots
-                            .program
-                            .computation
-                            .subgraph_kernel_hash(entry.key().members(), entry.key().root()),
-                        group: entry.key().clone(),
-                        kernel: OnceCell::new(),
-                    });
-                    *entry.insert(id)
-                }
-            };
-            (root, id)
-        };
-        let mut batch: Vec<Plan> = Vec::new();
-        let mut flipped: Vec<usize> = Vec::new();
+        let mut batch = std::mem::take(&mut self.spare);
+        let mut len = 0;
         for config in configs {
+            if len == batch.len() {
+                batch.push(Plan::default());
+            }
+            let plan = &mut batch[len];
+            len += 1;
+            plan.words.clear();
+            plan.words.extend(config.words());
+            let distance = |base: &Plan| -> u32 {
+                base.words
+                    .iter()
+                    .zip(&plan.words)
+                    .map(|(a, b)| (a ^ b).count_ones())
+                    .sum()
+            };
             let base = self
                 .previous
                 .iter()
-                .map(|base| (differing(&base.config, config).count(), base))
+                .map(|base| (distance(base), base))
                 .min_by_key(|&(distance, _)| distance)
-                .filter(|&(distance, _)| distance <= MAX_DELTA_FLIPS);
-            let (roots, slots): (Vec<NodeId>, Vec<SlotId>) = match base {
+                .filter(|&(distance, _)| distance as usize <= MAX_DELTA_FLIPS);
+            plan.slots.clear();
+            match base {
                 Some((_, base)) => {
-                    flipped.clear();
-                    flipped.extend(differing(&base.config, config));
-                    let planned = self.fusion.replan(&base.roots, config, &flipped);
+                    self.flipped.clear();
+                    for (w, (a, b)) in base.words.iter().zip(&plan.words).enumerate() {
+                        let mut diff = a ^ b;
+                        while diff != 0 {
+                            self.flipped.push(64 * w + diff.trailing_zeros() as usize);
+                            diff &= diff - 1;
+                        }
+                    }
+                    self.slots
+                        .fusion
+                        .replan(&base.slots, config, &self.flipped, &mut self.planned);
                     let mut kept = 0u64;
-                    let plan: (Vec<NodeId>, Vec<SlotId>) = planned
-                        .into_iter()
-                        .map(|group| match group {
+                    plan.slots
+                        .extend(self.planned.iter().map(|&group| match group {
                             Planned::Kept(i) => {
                                 kept += 1;
-                                (base.roots[i], base.slots[i])
+                                base.slots[i]
                             }
-                            Planned::Fresh(group) => resolve(group),
-                        })
-                        .unzip();
+                            Planned::Fresh(id) => id,
+                        }));
                     self.obs.delta.inc();
                     self.obs.groups_kept.add(kept);
-                    self.obs.groups_fresh.add(plan.0.len() as u64 - kept);
-                    plan
+                    self.obs.groups_fresh.add(plan.slots.len() as u64 - kept);
                 }
                 None => {
-                    let groups = self.fusion.plan(config);
+                    self.slots.fusion.plan(config, &mut plan.slots);
                     self.obs.full.inc();
-                    self.obs.groups_fresh.add(groups.len() as u64);
-                    groups.into_iter().map(&mut resolve).unzip()
+                    self.obs.groups_fresh.add(plan.slots.len() as u64);
                 }
-            };
-            batch.push(Plan {
-                config: config.clone(),
-                roots,
-                slots,
-            });
+            }
+            self.slots.key_new_groups();
         }
-        if batch.is_empty() {
+        if len == 0 {
+            self.spare = batch;
             return (&[], &self.slots);
         }
-        self.previous = batch;
+        batch.truncate(len);
+        self.spare = std::mem::replace(&mut self.previous, batch);
         (&self.previous, &self.slots)
     }
 
-    /// The resolved plan of one configuration: a batch of one.
+    /// The plan of one configuration: a batch of one.
     pub(crate) fn plan(&mut self, config: &FusionConfig) -> (&Plan, &Slots<'a>) {
         let (plans, slots) = self.plan_batch(std::slice::from_ref(config));
         (&plans[0], slots)
@@ -261,7 +258,7 @@ impl<'a> Planner<'a> {
     /// Distinct groups met so far.
     #[cfg(test)]
     pub(crate) fn distinct(&self) -> usize {
-        self.slots.slots.len()
+        self.slots.keys.len()
     }
 }
 
@@ -269,7 +266,7 @@ impl<'a> Planner<'a> {
 mod tests {
     use super::*;
     use tpu_fusion::apply_fusion;
-    use tpu_hlo::{canonical_kernel_hash, DType, GraphBuilder, Shape};
+    use tpu_hlo::{canonical_kernel_hash, DType, GraphBuilder, NodeId, Shape};
 
     /// Two independent chains joined at the end: flipping a decision in one
     /// chain leaves the other chain's groups untouched.
@@ -285,7 +282,7 @@ mod tests {
         Program::new("two-chains", b.finish(sum))
     }
 
-    fn slot_ids(planner: &mut Planner<'_>, configs: &[FusionConfig]) -> Vec<Vec<SlotId>> {
+    fn slot_ids(planner: &mut Planner<'_>, configs: &[FusionConfig]) -> Vec<Vec<GroupId>> {
         let (plans, _) = planner.plan_batch(configs);
         plans.iter().map(|plan| plan.slots().to_vec()).collect()
     }

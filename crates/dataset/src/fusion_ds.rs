@@ -4,7 +4,7 @@
 use crate::corpus::{Corpus, Split};
 use std::collections::HashSet;
 use tpu_autotuner::random_configs;
-use tpu_fusion::{default_space_and_config, materialize, FusionGroup, FusionPlanner};
+use tpu_fusion::{default_space_and_config, materialize, FusionPlanner};
 use tpu_hlo::{HashedKernel, Kernel, Program};
 use tpu_sim::{default_tile, TpuConfig, TpuDevice};
 
@@ -83,9 +83,9 @@ impl FusionDataset {
 /// the default one, deduplicated by canonical hash, in first-occurrence
 /// order, each with that hash.
 ///
-/// One [`FusionPlanner`] plans every config, and a group met in an earlier
-/// config is not built again: a kernel is a pure function of its group, so
-/// that kernel is already kept or already a duplicate.
+/// One [`FusionPlanner`] plans every config, and only a group it has not
+/// planned before is built: a kernel is a pure function of its group, so
+/// the kernel of a known group is already kept or already a duplicate.
 pub(crate) fn program_kernels(
     program: &Program,
     cfg: &FusionDatasetConfig,
@@ -95,21 +95,22 @@ pub(crate) fn program_kernels(
     let mut configs = random_configs(&space, cfg.configs_per_program, seed);
     configs.push(default_cfg);
     let mut planner = FusionPlanner::new(program, &space);
-    let mut met: HashSet<FusionGroup> = HashSet::new();
+    let mut plan = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
     let mut kernels = Vec::new();
-    for group in configs.iter().flat_map(|c| planner.plan(c)) {
-        if met.contains(&group) {
-            continue;
-        }
-        let kernel = materialize(program, &group);
-        met.insert(group);
-        // Attach the compiler-default tile so tile features are populated,
-        // as the paper's shared feature set requires.
-        let tile = default_tile(&kernel, &cfg.machine);
-        let kernel = HashedKernel::new(kernel.with_tile(tile));
-        if seen.insert(kernel.hash()) {
-            kernels.push(kernel);
+    for config in &configs {
+        // New groups take the next ids, in the order the plan emits them.
+        let known = planner.groups().len();
+        planner.plan(config, &mut plan);
+        for group in &planner.groups()[known..] {
+            let kernel = materialize(program, group);
+            // Attach the compiler-default tile so tile features are
+            // populated, as the paper's shared feature set requires.
+            let tile = default_tile(&kernel, &cfg.machine);
+            let kernel = HashedKernel::new(kernel.with_tile(tile));
+            if seen.insert(kernel.hash()) {
+                kernels.push(kernel);
+            }
         }
     }
     kernels

@@ -39,6 +39,6 @@ mod space;
 pub use heuristic::{default_config, default_space_and_config, fused_fraction};
 pub use legality::MAX_FUSIBLE_CONSTANT_ELEMS;
 pub use pass::{
-    apply_fusion, fusion_groups, materialize, unfused, FusionGroup, FusionPlanner, Planned,
+    apply_fusion, fusion_groups, materialize, unfused, FusionGroup, FusionPlanner, GroupId, Planned,
 };
 pub use space::{FusionConfig, FusionSpace};

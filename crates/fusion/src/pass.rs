@@ -7,39 +7,44 @@
 //! kernel from one group. [`apply_fusion`] is their composition and the
 //! only way a kernel is made; callers that score many configurations of
 //! one program plan each of them, key each group in place
-//! ([`Computation::subgraph_kernel_hash`] over its members) and
-//! materialize only the groups whose kernel they need.
+//! ([`Computation::subgraph_kernel_hash`](tpu_hlo::Computation::subgraph_kernel_hash)
+//! over its members) and materialize only the groups whose kernel they
+//! need.
+//!
+//! A planner *interns* its groups: each distinct group is stored once, the
+//! first time a plan makes it, and a plan is a list of [`GroupId`]s into
+//! that table. So a caller that plans many configurations pays for a
+//! group's member list once per planner, and tells two groups apart by
+//! comparing ids.
 //!
 //! Planning is **local**: the plan of a connected component of fused
 //! producer→consumer edges reads nothing outside the component (DESIGN.md,
 //! "Fusion planning is local"). So there is one planning body, run over a
-//! node set. [`FusionPlanner::plan`] (which is [`fusion_groups`]) runs it
-//! over every node; [`FusionPlanner::replan`] runs it over the components
-//! that a few flipped decisions touch and splices the result into the plan
-//! the caller already has.
+//! node set. [`FusionPlanner::plan`] (under [`fusion_groups`]) runs it over
+//! every node; [`FusionPlanner::replan`] runs it over the components that a
+//! few flipped decisions touch and splices the result into the plan the
+//! caller already has.
 
 use crate::space::{FusionConfig, FusionSpace};
-use tpu_hlo::{Computation, FusedProgram, Kernel, NodeId, OpCategory, Opcode, Program};
+use tpu_hlo::{FusedProgram, Kernel, NodeId, OpCategory, Opcode, Program};
 
-/// `Parameter` and `Constant` nodes never form kernels of their own and
-/// are never members of one.
-fn excluded(c: &Computation, id: NodeId) -> bool {
-    matches!(c.node(id).opcode, Opcode::Parameter | Opcode::Constant)
-}
-
-fn heavy(c: &Computation, id: NodeId) -> bool {
-    matches!(
-        c.node(id).opcode.category(),
-        OpCategory::Dot | OpCategory::Convolution | OpCategory::Reduction
-    )
+/// What the planning body needs to know of a node's opcode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// `Parameter` and `Constant` nodes never form kernels of their own
+    /// and are never members of one.
+    Excluded,
+    /// Dot, convolution and reduction: a kernel's hero.
+    Heavy,
+    Light,
 }
 
 /// Whether a non-excluded node materializes by its own consumer edges
 /// alone: it is the computation root, or one of those edges is unfused (an
 /// edge that is not a decision never fuses).
-fn natural_root(c: &Computation, space: &FusionSpace, config: &FusionConfig, id: NodeId) -> bool {
+fn natural_root(root: NodeId, space: &FusionSpace, config: &FusionConfig, id: NodeId) -> bool {
     let users = space.user_edges(id);
-    id == c.root()
+    id == root
         || users.is_empty()
         || users
             .iter()
@@ -72,14 +77,112 @@ impl FusionGroup {
     }
 }
 
+/// One distinct group of a [`FusionPlanner`]: its index in the planner's
+/// table ([`FusionPlanner::groups`]). Ids are dense and handed out in the
+/// order the groups are first planned, so two ids of one planner are equal
+/// exactly when their groups are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GroupId(u32);
+
+impl GroupId {
+    /// The id as an index into [`FusionPlanner::groups`].
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// One group of a re-planned configuration ([`FusionPlanner::replan`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Planned {
     /// The group at this index of the old plan, untouched by the flips.
     Kept(usize),
-    /// A group of a re-planned component. It may equal a group of the old
+    /// A group of a re-planned component. It may be a group of the old
     /// plan: a component is re-planned whole.
-    Fresh(FusionGroup),
+    Fresh(GroupId),
+}
+
+/// Each node's operands, back to back.
+struct Operands {
+    /// Node `i`'s operands are `ids[start[i]..start[i + 1]]`.
+    start: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl Operands {
+    fn of(&self, id: NodeId) -> &[NodeId] {
+        let i = id.index();
+        &self.ids[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// Marks a free slot of [`Interned::table`].
+const FREE: u32 = u32::MAX;
+
+/// The distinct groups of a planner, each stored once, and an open-addressed
+/// table over them keyed by their members (which end in the root, so they
+/// are the whole group). The planner makes every key from the program, and
+/// a probe compares members in full, so a weak hash costs probe steps and
+/// never a wrong id.
+struct Interned {
+    groups: Vec<FusionGroup>,
+    hashes: Vec<u64>,
+    /// Per slot, [`FREE`] or a group index; a power of two in length, at
+    /// most half full.
+    table: Vec<u32>,
+    /// `64 - log2(table.len())`: a hash's top bits pick its first slot.
+    shift: u32,
+}
+
+impl Interned {
+    fn new() -> Interned {
+        Interned {
+            groups: Vec::new(),
+            hashes: Vec::new(),
+            table: vec![FREE; 64],
+            shift: 64 - 6,
+        }
+    }
+
+    /// The first slot from `hash`'s on that is free or holds a group
+    /// `found` accepts.
+    fn probe(&self, hash: u64, found: impl Fn(usize) -> bool) -> usize {
+        let mask = self.table.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        while self.table[at] != FREE && !found(self.table[at] as usize) {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The id of the group with these members, stored first if it is new.
+    /// Only a new group allocates.
+    fn intern(&mut self, members: &[NodeId]) -> GroupId {
+        let hash = members.iter().fold(members.len() as u64, |h, m| {
+            (h.rotate_left(5) ^ u64::from(m.0)).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let at = self.probe(hash, |i| {
+            self.hashes[i] == hash && self.groups[i].members == members
+        });
+        if self.table[at] != FREE {
+            return GroupId(self.table[at]);
+        }
+        let id = GroupId(u32::try_from(self.groups.len()).expect("under 2^32 groups"));
+        self.table[at] = id.0;
+        self.groups.push(FusionGroup {
+            root: *members.last().expect("a group holds its root"),
+            members: members.to_vec(),
+        });
+        self.hashes.push(hash);
+        if 2 * self.groups.len() > self.table.len() {
+            self.shift -= 1;
+            self.table = vec![FREE; 2 * self.table.len()];
+            for i in 0..self.hashes.len() {
+                let at = self.probe(self.hashes[i], |_| false);
+                self.table[at] = i as u32;
+            }
+        }
+        id
+    }
 }
 
 /// Plans the fusion configurations of one program: which nodes materialize
@@ -111,15 +214,21 @@ pub enum Planned {
 /// construction — no legality DFS is needed at application time.
 ///
 /// Groups come out in root-id order (a topological order of the kernel
-/// DAG).
+/// DAG), each as the [`GroupId`] of its entry in the planner's table
+/// ([`Self::groups`]).
 ///
-/// The planner owns the scratch of the planning body (one slot per node),
-/// so a caller that plans many configurations of one program keeps one
-/// planner and pays for a flipped decision only what [`Self::replan`]
-/// touches.
+/// The planner owns the scratch of the planning body (one slot per node)
+/// and reads the program through a table of its own (each node's class
+/// and operands), so a caller that plans many configurations of one
+/// program keeps one planner, pays for a flipped decision only what
+/// [`Self::replan`] touches, and allocates only for a group it has never
+/// planned before.
 pub struct FusionPlanner<'a> {
-    program: &'a Program,
     space: &'a FusionSpace,
+    /// The computation root.
+    root: NodeId,
+    class: Vec<Class>,
+    operands: Operands,
     /// Whether a node is a kernel root. Written before it is read: a full
     /// plan writes every node, a re-plan every node of its region and each
     /// of their operands, which is all the planning body looks at.
@@ -135,8 +244,15 @@ pub struct FusionPlanner<'a> {
     appearances: Vec<u32>,
     stack: Vec<NodeId>,
     forced: Vec<NodeId>,
+    /// The closures of the current forcing round, back to back, and where
+    /// each ends in `members`.
+    members: Vec<NodeId>,
+    closure_ends: Vec<usize>,
     /// The nodes a re-plan runs the planning body over, ascending.
     region: Vec<NodeId>,
+    /// The groups a re-plan planned again, before the splice.
+    fresh: Vec<GroupId>,
+    interned: Interned,
 }
 
 impl<'a> FusionPlanner<'a> {
@@ -146,11 +262,34 @@ impl<'a> FusionPlanner<'a> {
     ///
     /// Panics if `space` was built for a different computation.
     pub fn new(program: &'a Program, space: &'a FusionSpace) -> FusionPlanner<'a> {
-        let n = program.computation.num_nodes();
+        let c = &program.computation;
+        let n = c.num_nodes();
         assert_eq!(space.num_nodes(), n, "space does not match program");
+        let class = c
+            .nodes()
+            .iter()
+            .map(|node| match (node.opcode, node.opcode.category()) {
+                (Opcode::Parameter | Opcode::Constant, _) => Class::Excluded,
+                (_, OpCategory::Dot | OpCategory::Convolution | OpCategory::Reduction) => {
+                    Class::Heavy
+                }
+                _ => Class::Light,
+            })
+            .collect();
+        let mut operands = Operands {
+            start: vec![0],
+            ids: Vec::new(),
+        };
+        for node in c.nodes() {
+            operands.ids.extend_from_slice(&node.operands);
+            let end = u32::try_from(operands.ids.len()).expect("under 2^32 operands");
+            operands.start.push(end);
+        }
         FusionPlanner {
-            program,
             space,
+            root: c.root(),
+            class,
+            operands,
             is_root: vec![false; n],
             rooted: vec![0; n],
             seen: vec![0; n],
@@ -158,34 +297,46 @@ impl<'a> FusionPlanner<'a> {
             appearances: vec![0; n],
             stack: Vec::new(),
             forced: Vec::new(),
+            members: Vec::new(),
+            closure_ends: Vec::new(),
             region: Vec::new(),
+            fresh: Vec::new(),
+            interned: Interned::new(),
         }
     }
 
-    /// Plan `config` from nothing: the planning body over every node.
+    /// Every distinct group this planner has planned, indexed by
+    /// [`GroupId::index`], in the order they were first planned.
+    pub fn groups(&self) -> &[FusionGroup] {
+        &self.interned.groups
+    }
+
+    /// Plan `config` from nothing: the planning body over every node. The
+    /// plan replaces the contents of `out`.
     ///
     /// # Panics
     ///
     /// Panics if `config` does not match the planner's space.
-    pub fn plan(&mut self, config: &FusionConfig) -> Vec<FusionGroup> {
-        let (c, space) = (&self.program.computation, self.space);
+    pub fn plan(&mut self, config: &FusionConfig, out: &mut Vec<GroupId>) {
+        let space = self.space;
         assert_eq!(
             config.decisions.len(),
             space.num_edges(),
             "config does not match space"
         );
-        for node in c.nodes() {
-            self.is_root[node.id.index()] =
-                !excluded(c, node.id) && natural_root(c, space, config, node.id);
+        for (i, class) in self.class.iter().enumerate() {
+            self.is_root[i] = *class != Class::Excluded
+                && natural_root(self.root, space, config, NodeId(i as u32));
         }
-        self.plan_nodes((0..c.num_nodes()).map(|i| NodeId(i as u32)))
+        out.clear();
+        self.plan_nodes((0..self.class.len()).map(|i| NodeId(i as u32)), out);
     }
 
-    /// Plan `config` given the plan of a configuration that differs from
-    /// it in the decisions `flipped` (each index once): `old_roots` are
-    /// that plan's group roots, in its order. Equals [`Self::plan`] of
-    /// `config` group for group, with every group the flips cannot have
-    /// touched reported as [`Planned::Kept`] under its old index.
+    /// Plan `config` given the plan `old` of a configuration that differs
+    /// from it in the decisions `flipped` (each index once). The plan
+    /// replaces the contents of `out`: it equals [`Self::plan`] of `config`
+    /// group for group, with every group the flips cannot have touched
+    /// reported as [`Planned::Kept`] under its index in `old`.
     ///
     /// An *effective edge* is a fused producer→consumer edge whose
     /// producer is neither `Parameter`/`Constant` nor a root by its own
@@ -199,15 +350,16 @@ impl<'a> FusionPlanner<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `config` does not match the planner's space or a flipped
-    /// index is out of range.
+    /// Panics if `config` does not match the planner's space, a flipped
+    /// index is out of range, or `old` holds an id of another planner.
     pub fn replan(
         &mut self,
-        old_roots: &[NodeId],
+        old: &[GroupId],
         config: &FusionConfig,
         flipped: &[usize],
-    ) -> Vec<Planned> {
-        let (c, space) = (&self.program.computation, self.space);
+        out: &mut Vec<Planned>,
+    ) {
+        let space = self.space;
         assert_eq!(
             config.decisions.len(),
             space.num_edges(),
@@ -234,11 +386,11 @@ impl<'a> FusionPlanner<'a> {
         for &i in flipped {
             let p = space.edges()[i].0;
             let users = space.user_edges(p);
-            let root_regardless = p == c.root()
+            let root_regardless = p == self.root
                 || users
                     .iter()
                     .any(|edge| !edge.is_some_and(|j| flipped.contains(&j) || config.fused(j)));
-            if excluded(c, p) || root_regardless {
+            if self.class[p.index()] == Class::Excluded || root_regardless {
                 continue;
             }
             reach(p, &mut region);
@@ -253,7 +405,7 @@ impl<'a> FusionPlanner<'a> {
             let i = id.index();
             if self.rooted[i] != visit {
                 self.rooted[i] = visit;
-                self.is_root[i] = natural_root(c, space, config, id);
+                self.is_root[i] = natural_root(self.root, space, config, id);
             }
             self.is_root[i]
         };
@@ -261,8 +413,8 @@ impl<'a> FusionPlanner<'a> {
         while at < region.len() {
             let v = region[at];
             at += 1;
-            for &op in &c.node(v).operands {
-                if !excluded(c, op) && !natural(op) {
+            for &op in self.operands.of(v) {
+                if self.class[op.index()] != Class::Excluded && !natural(op) {
                     reach(op, &mut region);
                 }
             }
@@ -276,76 +428,75 @@ impl<'a> FusionPlanner<'a> {
 
         // Re-plan the region and splice it into the old plan in root
         // order: an old group stays iff its root is outside the region.
-        let mut fresh = self
-            .plan_nodes(region.iter().copied())
-            .into_iter()
-            .peekable();
-        let mut out = Vec::with_capacity(old_roots.len() + fresh.len());
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        self.plan_nodes(region.iter().copied(), &mut fresh);
+        let root = |id: GroupId| self.interned.groups[id.index()].root;
+        let mut fresh_ids = fresh.iter().copied().peekable();
         let mut replaced = region.iter().copied().peekable();
-        for (i, &root) in old_roots.iter().enumerate() {
-            while replaced.next_if(|&r| r < root).is_some() {}
-            if replaced.peek() == Some(&root) {
+        out.clear();
+        for (i, &id) in old.iter().enumerate() {
+            let old_root = root(id);
+            while replaced.next_if(|&r| r < old_root).is_some() {}
+            if replaced.peek() == Some(&old_root) {
                 continue;
             }
-            while let Some(group) = fresh.next_if(|g| g.root < root) {
-                out.push(Planned::Fresh(group));
+            while let Some(id) = fresh_ids.next_if(|&g| root(g) < old_root) {
+                out.push(Planned::Fresh(id));
             }
             out.push(Planned::Kept(i));
         }
-        out.extend(fresh.map(Planned::Fresh));
+        out.extend(fresh_ids.map(Planned::Fresh));
+        self.fresh = fresh;
         self.region = region;
-        out
     }
 
-    /// Closure of a root under the current root set: operand edges cut at
-    /// roots and excluded nodes, in discovery order (which decides the
-    /// hero). An operand that is not a root has every consumer edge fused,
-    /// this one included.
-    fn collect(&mut self, root: NodeId) -> Vec<NodeId> {
-        let c = &self.program.computation;
+    /// Append the closure of a root under the current root set to
+    /// `members`: operand edges cut at roots and excluded nodes, in
+    /// discovery order (which decides the hero). An operand that is not a
+    /// root has every consumer edge fused, this one included.
+    fn collect(&mut self, root: NodeId) {
         self.stamp += 1;
         self.seen[root.index()] = self.stamp;
-        let mut members = Vec::with_capacity(8);
-        members.push(root);
+        self.members.push(root);
         self.stack.push(root);
         while let Some(cur) = self.stack.pop() {
-            for &op in &c.node(cur).operands {
-                if excluded(c, op) || self.is_root[op.index()] {
+            for &op in self.operands.of(cur) {
+                if self.class[op.index()] == Class::Excluded || self.is_root[op.index()] {
                     continue;
                 }
                 if self.seen[op.index()] != self.stamp {
                     self.seen[op.index()] = self.stamp;
-                    members.push(op);
+                    self.members.push(op);
                     self.stack.push(op);
                 }
             }
         }
-        members
     }
 
-    /// The planning body: the groups rooted in `nodes` (ascending), which
-    /// must be whole components of effective edges with `is_root` holding
-    /// the natural roots among them and their operands.
+    /// The planning body: append to `out` the groups rooted in `nodes`
+    /// (ascending), which must be whole components of effective edges with
+    /// `is_root` holding the natural roots among them and their operands.
     ///
     /// Fixed point: force heavies to materialize when a config would
     /// duplicate them across kernels or co-locate two heroes. The round
     /// that forces nothing has collected the final closures.
-    fn plan_nodes(&mut self, nodes: impl Iterator<Item = NodeId> + Clone) -> Vec<FusionGroup> {
-        let c = &self.program.computation;
-        let mut groups: Vec<FusionGroup> = loop {
-            let roots = nodes.clone().filter(|r| self.is_root[r.index()]).count();
-            let mut groups = Vec::with_capacity(roots);
+    fn plan_nodes(&mut self, nodes: impl Iterator<Item = NodeId> + Clone, out: &mut Vec<GroupId>) {
+        loop {
+            self.members.clear();
+            self.closure_ends.clear();
             for r in nodes.clone() {
                 if !self.is_root[r.index()] {
                     continue;
                 }
-                let members = self.collect(r);
+                let start = self.members.len();
+                self.collect(r);
                 // One hero per kernel: keep the first heavy (the root itself
                 // when it is heavy), force any further heavy member out.
-                let mut hero_seen = heavy(c, r);
-                for &m in &members {
+                let mut hero_seen = self.class[r.index()] == Class::Heavy;
+                for &m in &self.members[start..] {
                     self.appearances[m.index()] += 1;
-                    if m != r && heavy(c, m) {
+                    if m != r && self.class[m.index()] == Class::Heavy {
                         if hero_seen {
                             self.forced.push(m);
                         } else {
@@ -353,31 +504,37 @@ impl<'a> FusionPlanner<'a> {
                         }
                     }
                 }
-                groups.push(FusionGroup { root: r, members });
+                self.closure_ends.push(self.members.len());
             }
             // No heavy may be duplicated.
             for id in nodes.clone() {
                 let held_by = std::mem::take(&mut self.appearances[id.index()]);
-                if held_by > 1 && heavy(c, id) && !self.is_root[id.index()] {
+                if held_by > 1
+                    && self.class[id.index()] == Class::Heavy
+                    && !self.is_root[id.index()]
+                {
                     self.forced.push(id);
                 }
             }
             if self.forced.is_empty() {
-                break groups;
+                break;
             }
             for f in self.forced.drain(..) {
                 self.is_root[f.index()] = true;
             }
-        };
-        for g in &mut groups {
-            g.members.sort_unstable();
         }
-        groups
+        let mut start = 0;
+        for &end in &self.closure_ends {
+            let members = &mut self.members[start..end];
+            members.sort_unstable();
+            out.push(self.interned.intern(members));
+            start = end;
+        }
     }
 }
 
 /// Plan one configuration from nothing: [`FusionPlanner::plan`], which
-/// documents the semantics, on a planner of its own.
+/// documents the semantics, on a planner of its own, resolved to groups.
 ///
 /// # Panics
 ///
@@ -388,7 +545,13 @@ pub fn fusion_groups(
     space: &FusionSpace,
     config: &FusionConfig,
 ) -> Vec<FusionGroup> {
-    FusionPlanner::new(program, space).plan(config)
+    let mut planner = FusionPlanner::new(program, space);
+    let mut ids = Vec::new();
+    planner.plan(config, &mut ids);
+    // A plan holds no group twice, so a fresh planner's table is the plan,
+    // in order.
+    debug_assert!(ids.iter().enumerate().all(|(i, id)| id.index() == i));
+    planner.interned.groups
 }
 
 /// Build the kernel of one group of a plan: extract the members as a

@@ -136,17 +136,23 @@ pub struct FusionConfig {
 impl Hash for FusionConfig {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_usize(self.decisions.len());
-        for word in self.decisions.chunks(64) {
-            let packed = word
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, &d)| acc | u64::from(d) << i);
-            state.write_u64(packed);
+        for word in self.words() {
+            state.write_u64(word);
         }
     }
 }
 
 impl FusionConfig {
+    /// The decisions packed 64 to a word: decision `i` is bit `i % 64` of
+    /// word `i / 64`.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.decisions.chunks(64).map(|word| {
+            word.iter()
+                .enumerate()
+                .fold(0u64, |acc, (i, &d)| acc | u64::from(d) << i)
+        })
+    }
+
     /// Number of fused edges.
     pub fn num_fused(&self) -> usize {
         self.decisions.iter().filter(|&&d| d).count()

@@ -1,4 +1,4 @@
-//! A re-plan is the plan from scratch.
+//! A re-plan is the plan from scratch, and an interned id is its group.
 //!
 //! [`FusionPlanner::replan`] plans a configuration from the plan of one
 //! that differs from it in a few decisions, by planning again only the
@@ -6,6 +6,11 @@
 //! the whole contract: spliced into the plan it started from, a re-plan
 //! equals [`fusion_groups`] of the new configuration, group for group and
 //! in order, after every step of any sequence of simultaneous flips.
+//!
+//! A planner hands out its groups as [`GroupId`]s into a table of its own.
+//! So the walks also check the table: every id of a plan or a re-plan
+//! resolves to the group [`fusion_groups`] has at its position, and two
+//! ids are equal exactly when their groups are.
 //!
 //! The generated programs hold what makes planning non-local in
 //! appearance: dots and reductions that share consumers (forced
@@ -16,7 +21,10 @@
 //! is `tests/fusion_plan.rs` at the workspace root.
 
 use proptest::prelude::*;
-use tpu_fusion::{fusion_groups, FusionConfig, FusionGroup, FusionPlanner, FusionSpace, Planned};
+use std::collections::HashMap;
+use tpu_fusion::{
+    fusion_groups, FusionConfig, FusionGroup, FusionPlanner, FusionSpace, GroupId, Planned,
+};
 use tpu_hlo::{DType, GraphBuilder, NodeId, Program, Shape};
 
 /// One generated op: what it is and which earlier values it reads.
@@ -54,19 +62,51 @@ fn build(ops: &[OpSpec]) -> Program {
     Program::new("generated", b.finish(root))
 }
 
-fn roots(plan: &[FusionGroup]) -> Vec<NodeId> {
-    plan.iter().map(FusionGroup::root).collect()
+/// The groups a plan's ids name in the planner's table.
+fn resolve(planner: &FusionPlanner<'_>, plan: &[GroupId]) -> Vec<FusionGroup> {
+    plan.iter()
+        .map(|id| planner.groups()[id.index()].clone())
+        .collect()
+}
+
+fn roots(planner: &FusionPlanner<'_>, plan: &[GroupId]) -> Vec<NodeId> {
+    plan.iter()
+        .map(|id| planner.groups()[id.index()].root())
+        .collect()
 }
 
 /// A re-plan applied to the plan it was made from.
-fn splice(old: &[FusionGroup], planned: Vec<Planned>) -> Vec<FusionGroup> {
+fn splice(old: &[GroupId], planned: &[Planned]) -> Vec<GroupId> {
     planned
-        .into_iter()
-        .map(|p| match p {
-            Planned::Kept(i) => old[i].clone(),
-            Planned::Fresh(group) => group,
+        .iter()
+        .map(|&p| match p {
+            Planned::Kept(i) => old[i],
+            Planned::Fresh(id) => id,
         })
         .collect()
+}
+
+/// A random start configuration of `space` and a flip sequence, each flip
+/// an index taken modulo the decision count, deduplicated per step.
+fn walk(
+    space: &FusionSpace,
+    start: &[bool],
+    steps: &[Vec<usize>],
+) -> (FusionConfig, Vec<Vec<usize>>) {
+    let edges = space.num_edges();
+    let config = FusionConfig {
+        decisions: (0..edges).map(|i| start[i % start.len()]).collect(),
+    };
+    let steps = steps
+        .iter()
+        .map(|step| {
+            let mut flipped: Vec<usize> = step.iter().map(|i| i % edges).collect();
+            flipped.sort_unstable();
+            flipped.dedup();
+            flipped
+        })
+        .collect();
+    (config, steps)
 }
 
 proptest! {
@@ -83,34 +123,72 @@ proptest! {
     ) {
         let program = build(&ops);
         let space = FusionSpace::new(&program.computation);
-        let edges = space.num_edges();
-        if edges == 0 {
+        if space.num_edges() == 0 {
             return;
         }
-        let mut config = FusionConfig {
-            decisions: (0..edges).map(|i| start[i % start.len()]).collect(),
-        };
+        let (mut config, steps) = walk(&space, &start, &steps);
         let mut planner = FusionPlanner::new(&program, &space);
-        let mut plan = planner.plan(&config);
-        prop_assert_eq!(&plan, &fusion_groups(&program, &space, &config));
-        for (at, step) in steps.iter().enumerate() {
-            let mut flipped: Vec<usize> = step.iter().map(|i| i % edges).collect();
-            flipped.sort_unstable();
-            flipped.dedup();
-            for &i in &flipped {
+        let mut plan = Vec::new();
+        planner.plan(&config, &mut plan);
+        prop_assert_eq!(resolve(&planner, &plan), fusion_groups(&program, &space, &config));
+        let mut planned = Vec::new();
+        for (at, flipped) in steps.iter().enumerate() {
+            for &i in flipped {
                 config.decisions[i] = !config.decisions[i];
             }
-            let planned = planner.replan(&roots(&plan), &config, &flipped);
-            let next = splice(&plan, planned);
+            planner.replan(&plan, &config, flipped, &mut planned);
+            let next = splice(&plan, &planned);
             prop_assert_eq!(
-                &next,
-                &fusion_groups(&program, &space, &config),
+                resolve(&planner, &next),
+                fusion_groups(&program, &space, &config),
                 "after step {} of {:?} over {:?}",
                 at,
                 &steps[..=at],
                 space.edges()
             );
             plan = next;
+        }
+    }
+
+    /// Along a walk of re-plans, each followed by the plan of the same
+    /// configuration from scratch on the same planner: every id resolves
+    /// to `fusion_groups`' group at its position, the full plan hands back
+    /// the very ids the re-plan did, and no group is stored twice — so one
+    /// id per group, and one group per id.
+    #[test]
+    fn an_interned_id_names_exactly_one_group(
+        ops in prop::collection::vec((0u8..8, 0usize..64, 0usize..64), 3..40),
+        start in prop::collection::vec(any::<bool>(), 1..64),
+        steps in prop::collection::vec(prop::collection::vec(0usize..4096, 1..5), 1..16),
+    ) {
+        let program = build(&ops);
+        let space = FusionSpace::new(&program.computation);
+        if space.num_edges() == 0 {
+            return;
+        }
+        let (mut config, steps) = walk(&space, &start, &steps);
+        let mut planner = FusionPlanner::new(&program, &space);
+        let mut id_of: HashMap<FusionGroup, GroupId> = HashMap::new();
+        let mut check = |planner: &FusionPlanner<'_>, plan: &[GroupId], config: &FusionConfig| {
+            let expected = fusion_groups(&program, &space, config);
+            assert_eq!(resolve(planner, plan), expected);
+            for (group, &id) in expected.into_iter().zip(plan) {
+                assert_eq!(*id_of.entry(group).or_insert(id), id, "one group, two ids");
+            }
+            assert_eq!(id_of.len(), planner.groups().len(), "a group stored twice");
+        };
+        let (mut plan, mut full, mut planned) = (Vec::new(), Vec::new(), Vec::new());
+        planner.plan(&config, &mut plan);
+        check(&planner, &plan, &config);
+        for flipped in &steps {
+            for &i in flipped {
+                config.decisions[i] = !config.decisions[i];
+            }
+            planner.replan(&plan, &config, flipped, &mut planned);
+            plan = splice(&plan, &planned);
+            check(&planner, &plan, &config);
+            planner.plan(&config, &mut full);
+            prop_assert_eq!(&full, &plan);
         }
     }
 }
@@ -132,12 +210,13 @@ fn a_flip_in_one_chain_keeps_the_other_chains_groups() {
 
     let mut planner = FusionPlanner::new(&program, &space);
     let mut config = space.none();
-    let plan = planner.plan(&config);
-    assert_eq!(roots(&plan), [a1, a2, b1, b2, sum]);
+    let (mut plan, mut planned) = (Vec::new(), Vec::new());
+    planner.plan(&config, &mut plan);
+    assert_eq!(roots(&planner, &plan), [a1, a2, b1, b2, sum]);
 
     let flip = space.edge_index(a1, a2).expect("a1 -> a2 is a decision");
     config.decisions[flip] = true;
-    let planned = planner.replan(&roots(&plan), &config, &[flip]);
+    planner.replan(&plan, &config, &[flip], &mut planned);
     // {a1, a2} is planned again; b1, b2 and sum keep their old indices.
     assert!(matches!(
         planned[..],
@@ -148,15 +227,17 @@ fn a_flip_in_one_chain_keeps_the_other_chains_groups() {
             Planned::Kept(4)
         ]
     ));
+    let fused = splice(&plan, &planned);
     assert_eq!(
-        splice(&plan, planned),
+        resolve(&planner, &fused),
         fusion_groups(&program, &space, &config)
     );
+    assert_eq!(roots(&planner, &fused), [a2, b1, b2, sum]);
 
-    // Unfusing it again re-plans a1 and a2 alone.
+    // Unfusing it again re-plans a1 and a2 alone, and finds them in the
+    // table: the plan is the first one, id for id.
     config.decisions[flip] = false;
-    let fused_roots = [a2, b1, b2, sum];
-    let planned = planner.replan(&fused_roots, &config, &[flip]);
+    planner.replan(&fused, &config, &[flip], &mut planned);
     assert!(matches!(
         planned[..],
         [
@@ -167,6 +248,7 @@ fn a_flip_in_one_chain_keeps_the_other_chains_groups() {
             Planned::Kept(3)
         ]
     ));
+    assert_eq!(splice(&fused, &planned), plan);
 }
 
 /// A flip whose producer materializes whatever the flipped edge says
@@ -184,12 +266,16 @@ fn a_flip_under_a_producer_that_materializes_anyway_keeps_every_group() {
     let space = FusionSpace::new(&program.computation);
     let mut planner = FusionPlanner::new(&program, &space);
     let mut config = space.none();
-    let plan = planner.plan(&config);
+    let (mut plan, mut planned) = (Vec::new(), Vec::new());
+    planner.plan(&config, &mut plan);
 
     let flip = space.edge_index(t, e).expect("t -> e is a decision");
     config.decisions[flip] = true;
-    let planned = planner.replan(&roots(&plan), &config, &[flip]);
+    planner.replan(&plan, &config, &[flip], &mut planned);
     let kept: Vec<Planned> = (0..plan.len()).map(Planned::Kept).collect();
     assert_eq!(planned, kept);
-    assert_eq!(plan, fusion_groups(&program, &space, &config));
+    assert_eq!(
+        resolve(&planner, &plan),
+        fusion_groups(&program, &space, &config)
+    );
 }

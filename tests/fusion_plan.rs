@@ -24,7 +24,7 @@ use tpu_repro::autotuner::{fused_structure_hash, random_configs};
 use tpu_repro::dataset::{Corpus, CorpusScale};
 use tpu_repro::fusion::{
     apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionGroup,
-    FusionPlanner, FusionSpace, Planned,
+    FusionPlanner, FusionSpace, GroupId, Planned,
 };
 use tpu_repro::hlo::{canonical_kernel_hash, NodeId, OpCategory, Opcode, Program};
 
@@ -203,9 +203,14 @@ fn a_group_key_is_the_hash_of_its_materialized_kernel() {
             .collect();
         configs.extend(random_configs(&space, 24, 29));
         let mut planner = FusionPlanner::new(program, &space);
+        let mut plan = Vec::new();
         let mut groups_keyed = 0;
         for (i, config) in configs.iter().enumerate() {
-            let groups = planner.plan(config);
+            planner.plan(config, &mut plan);
+            let groups: Vec<&FusionGroup> = plan
+                .iter()
+                .map(|id| &planner.groups()[id.index()])
+                .collect();
             let keys: Vec<u64> = groups
                 .iter()
                 .map(|g| c.subgraph_kernel_hash(g.members(), g.root()))
@@ -239,13 +244,20 @@ fn a_group_key_is_the_hash_of_its_materialized_kernel() {
 }
 
 /// A re-plan applied to the plan it was made from.
-fn splice(old: &[FusionGroup], planned: Vec<Planned>) -> Vec<FusionGroup> {
+fn splice(old: &[GroupId], planned: &[Planned]) -> Vec<GroupId> {
     planned
-        .into_iter()
-        .map(|p| match p {
-            Planned::Kept(i) => old[i].clone(),
-            Planned::Fresh(group) => group,
+        .iter()
+        .map(|&p| match p {
+            Planned::Kept(i) => old[i],
+            Planned::Fresh(id) => id,
         })
+        .collect()
+}
+
+/// The groups a plan's ids name in the planner's table.
+fn resolve(planner: &FusionPlanner<'_>, plan: &[GroupId]) -> Vec<FusionGroup> {
+    plan.iter()
+        .map(|id| planner.groups()[id.index()].clone())
         .collect()
 }
 
@@ -267,14 +279,15 @@ fn a_replan_equals_the_plan_from_scratch_across_the_full_corpus() {
         let mut rng = proptest::TestRng::new(pi as u64);
         let random = random_configs(&space, 1, pi as u64).remove(0);
         let mut planner = FusionPlanner::new(program, &space);
+        let (mut plan, mut planned) = (Vec::new(), Vec::new());
         for (si, start) in [default, space.none(), space.all(), random]
             .into_iter()
             .enumerate()
         {
             let mut config = start;
-            let mut plan = planner.plan(&config);
+            planner.plan(&config, &mut plan);
             assert_eq!(
-                plan,
+                resolve(&planner, &plan),
                 fusion_groups(program, &space, &config),
                 "{}",
                 program.name
@@ -288,8 +301,7 @@ fn a_replan_equals_the_plan_from_scratch_across_the_full_corpus() {
                         config.decisions[i] = !config.decisions[i];
                     }
                 }
-                let roots: Vec<NodeId> = plan.iter().map(FusionGroup::root).collect();
-                let planned = planner.replan(&roots, &config, &flipped);
+                planner.replan(&plan, &config, &flipped, &mut planned);
                 flips += flipped.len();
                 kept += planned
                     .iter()
@@ -299,9 +311,9 @@ fn a_replan_equals_the_plan_from_scratch_across_the_full_corpus() {
                     .iter()
                     .filter(|p| matches!(p, Planned::Fresh(_)))
                     .count();
-                let next = splice(&plan, planned);
+                let next = splice(&plan, &planned);
                 assert_eq!(
-                    next,
+                    resolve(&planner, &next),
                     fusion_groups(program, &space, &config),
                     "{} / start {si} / step {step}: flipped {flipped:?}",
                     program.name
