@@ -8,12 +8,12 @@
 //! implements exactly that procedure.
 
 use crate::model::AnalyticalModel;
-use tpu_hlo::{FusedProgram, Kernel, KernelKind};
+use tpu_hlo::{FusedProgram, KernelKind};
 use tpu_sim::TpuDevice;
 
 /// Calibrated per-kind scaling coefficients mapping abstract units to ns.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Calibration {
+pub(crate) struct Calibration {
     coeffs: [f64; 5],
 }
 
@@ -21,7 +21,7 @@ impl Calibration {
     /// Fit coefficients from default-config programs measured on the
     /// device. Kernels the model cannot score are skipped (1% of kernels
     /// in the paper's data; similar here).
-    pub fn fit(
+    pub(crate) fn fit(
         model: &AnalyticalModel,
         programs: &[FusedProgram],
         device: &TpuDevice,
@@ -62,7 +62,7 @@ impl Calibration {
     /// within-kind ranking tasks like tile-size selection, where "the
     /// scaling coefficients used in the fusion task are no longer needed"
     /// (§6.2).
-    pub fn identity() -> Calibration {
+    pub(crate) fn identity() -> Calibration {
         Calibration { coeffs: [1.0; 5] }
     }
 
@@ -70,18 +70,13 @@ impl Calibration {
     pub(crate) fn coeff(&self, kind: KernelKind) -> f64 {
         self.coeffs[kind.index()]
     }
-
-    /// Predict a kernel runtime in ns, or `None` if the model does not
-    /// support the kernel.
-    pub fn predict_ns(&self, model: &AnalyticalModel, k: &Kernel) -> Option<f64> {
-        model.raw_cost(k).map(|raw| raw * self.coeff(k.kind))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_hlo::{DType, GraphBuilder, Shape};
+    use crate::AnalyticalCost;
+    use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
     use tpu_sim::TpuConfig;
 
     fn ew_kernel(rows: usize, cols: usize) -> Kernel {
@@ -101,7 +96,6 @@ mod tests {
 
     #[test]
     fn calibration_brings_predictions_near_truth() {
-        let model = AnalyticalModel::new(TpuConfig::default());
         let device = TpuDevice::new(3);
         let kernels: Vec<Kernel> = vec![
             ew_kernel(1024, 1024),
@@ -110,10 +104,10 @@ mod tests {
             dot_kernel(1024, 256, 1024),
         ];
         let programs = vec![FusedProgram::new("cal", kernels.clone())];
-        let cal = Calibration::fit(&model, &programs, &device);
+        let cost = AnalyticalCost::fit(TpuConfig::default(), &programs, &device);
 
         for k in &kernels {
-            let pred = cal.predict_ns(&model, k).unwrap();
+            let pred = cost.predict_ns(k).unwrap();
             let truth = device.true_kernel_time(k);
             let ape = (pred - truth).abs() / truth;
             assert!(
@@ -129,16 +123,17 @@ mod tests {
         let model = AnalyticalModel::new(TpuConfig::default());
         let k = ew_kernel(1024, 1024);
         let raw = model.raw_cost(&k).unwrap();
-        let pred = Calibration::identity().predict_ns(&model, &k).unwrap();
-        assert_eq!(raw, pred);
+        let pred = AnalyticalCost::new(TpuConfig::default())
+            .predict_ns(&k)
+            .unwrap();
+        assert_eq!(raw.to_bits(), pred.to_bits());
     }
 
     #[test]
     fn unsupported_kernels_stay_unsupported() {
-        let model = AnalyticalModel::new(TpuConfig::default());
-        let cal = Calibration::identity();
+        let cost = AnalyticalCost::new(TpuConfig::default());
         let tiny = ew_kernel(4, 4);
-        assert_eq!(cal.predict_ns(&model, &tiny), None);
+        assert_eq!(cost.predict_ns(&tiny), None);
     }
 
     #[test]

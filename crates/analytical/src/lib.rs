@@ -4,17 +4,22 @@
 //! execution time of a kernel on a TPU … extremely complex, taking several
 //! person-years to develop" (§3.2, §6.1 of the paper). Like XLA's model, it
 //!
-//! - emits costs in **different abstract scales per kernel type**, mapped
-//!   to nanoseconds by [`Calibration`] coefficients fitted on
+//! - emits costs in **different abstract scales per kernel type** (0.55 to
+//!   3.1 times a roofline estimate in ns), which [`AnalyticalCost::fit`]
+//!   maps to nanoseconds with per-kind coefficients fitted on
 //!   default-config hardware runs (§6.1's procedure),
-//! - is tile-size aware and strong at *ranking* tile sizes (§6.2),
-//! - cannot score kernels without tile-size options (footnote 3) —
-//!   [`AnalyticalModel::raw_cost`] returns `None` for those.
+//! - is tile-size aware and strong at *ranking* tile sizes (§6.2), where
+//!   the uncalibrated [`AnalyticalCost::new`] suffices,
+//! - cannot score kernels without tile-size options (footnote 3): it
+//!   returns `None` for those.
+//!
+//! Its tile geometry (extents, tile count, register padding) is the
+//! simulator's own [`tpu_sim::TileGeometry`].
 //!
 //! # Example
 //!
 //! ```
-//! use tpu_analytical::{AnalyticalModel, Calibration};
+//! use tpu_analytical::AnalyticalCost;
 //! use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
 //! use tpu_sim::TpuConfig;
 //!
@@ -23,14 +28,12 @@
 //! let t = b.tanh(x);
 //! let kernel = Kernel::new(b.finish(t));
 //!
-//! let model = AnalyticalModel::new(TpuConfig::default());
-//! let raw = model.raw_cost(&kernel);
-//! assert!(raw.is_some());
+//! let model = AnalyticalCost::new(TpuConfig::default());
+//! assert!(model.predict_ns(&kernel).is_some());
 //! ```
 
 mod calibrate;
 mod cost_model;
 mod model;
 
-pub use calibrate::Calibration;
-pub use model::AnalyticalModel;
+pub use cost_model::AnalyticalCost;

@@ -1,7 +1,7 @@
 //! The hand-written roofline cost model.
 
 use tpu_hlo::{Kernel, OpCategory, Opcode, TileSize};
-use tpu_sim::{conv_as_dot, dot_problem, TpuConfig};
+use tpu_sim::{conv_as_dot, dot_problem, TileGeometry, TpuConfig};
 use tpu_tile::has_tile_options;
 
 /// The analytical performance model: a roofline estimate in
@@ -13,7 +13,7 @@ use tpu_tile::has_tile_options;
 /// simulator that plays "real hardware":
 ///
 /// - no MXU block quantization (smooth padding instead of 128-blocks),
-/// - no pipeline-fill cycles, launch overhead, or per-tile DMA latency,
+/// - no pipeline-fill cycles or per-tile DMA latency,
 /// - no double-buffering/working-set effects, spill modeling, or
 ///   bank-aliasing quirks,
 /// - one flat cost for all elementwise ops (no transcendental table).
@@ -21,7 +21,7 @@ use tpu_tile::has_tile_options;
 /// Kernels without tile-size options are unsupported and return `None`
 /// (paper footnote 3).
 #[derive(Debug, Clone)]
-pub struct AnalyticalModel {
+pub(crate) struct AnalyticalModel {
     cfg: TpuConfig,
     /// Hidden per-kind unit scales. Downstream users must calibrate these
     /// away (see [`Calibration`](crate::Calibration)); they model the fact
@@ -31,7 +31,7 @@ pub struct AnalyticalModel {
 
 impl AnalyticalModel {
     /// Create the model for a machine configuration.
-    pub fn new(cfg: TpuConfig) -> AnalyticalModel {
+    pub(crate) fn new(cfg: TpuConfig) -> AnalyticalModel {
         AnalyticalModel {
             cfg,
             // Arbitrary non-1 scales per kernel kind (Single, LoopFusion,
@@ -40,14 +40,9 @@ impl AnalyticalModel {
         }
     }
 
-    /// The machine configuration the model assumes.
-    pub fn config(&self) -> &TpuConfig {
-        &self.cfg
-    }
-
     /// Raw cost in abstract units, or `None` for unsupported kernels
     /// (those without tile-size options).
-    pub fn raw_cost(&self, k: &Kernel) -> Option<f64> {
+    pub(crate) fn raw_cost(&self, k: &Kernel) -> Option<f64> {
         if !has_tile_options(k, &self.cfg) {
             return None;
         }
@@ -64,39 +59,11 @@ impl AnalyticalModel {
             .clone()
             .unwrap_or_else(|| TileSize(root.shape.dims().iter().rev().copied().collect()));
 
-        // Tile geometry: extents per logical output dim, tile count, and
-        // the (sublane, lane) padding waste — the hand model knows the
-        // register-file shape, which is exactly what makes it strong at
-        // tile-size *ranking* (§6.2).
-        let m2m = root.layout.minor_to_major();
-        let mut per_dim: Vec<usize> = root.shape.dims().to_vec();
-        for (i, &d) in m2m.iter().enumerate() {
-            if i < tile.dims().len() {
-                per_dim[d] = tile.dims()[i].min(root.shape.dim(d)).max(1);
-            }
-        }
-        let n_tiles: f64 = root
-            .shape
-            .dims()
-            .iter()
-            .zip(&per_dim)
-            .map(|(&d, &t)| (d as f64 / t as f64).ceil())
-            .product::<f64>()
-            .max(1.0);
-        let minor = per_dim.last().copied().unwrap_or(1).max(1) as f64;
-        let subminor = if per_dim.len() >= 2 {
-            per_dim[per_dim.len() - 2].max(1) as f64
-        } else {
-            1.0
-        };
-        let lane_pad = ((minor / self.cfg.vpu_lanes as f64).ceil() * self.cfg.vpu_lanes as f64
-            / minor)
-            .min(4.0);
-        let sub_pad = ((subminor / self.cfg.vpu_sublanes as f64).ceil()
-            * self.cfg.vpu_sublanes as f64
-            / subminor)
-            .min(4.0);
-        let pad_factor = lane_pad * sub_pad;
+        // Tile geometry: tile count and the (sublane, lane) padding waste
+        // — the hand model knows the register-file shape, which is exactly
+        // what makes it strong at tile-size *ranking* (§6.2).
+        let geo = TileGeometry::new(k, &tile, &self.cfg);
+        let (n_tiles, pad_factor) = (geo.n_tiles as f64, geo.pad_factor);
 
         // --- compute ---
         let mut flops = 0.0f64;
@@ -259,8 +226,8 @@ mod tests {
         let e = ew_kernel(2048, 2048);
         let rd = m.raw_cost(&d).unwrap();
         let re = m.raw_cost(&e).unwrap();
-        let sd = tpu_sim::kernel_time_ns(&d, m.config());
-        let se = tpu_sim::kernel_time_ns(&e, m.config());
+        let sd = tpu_sim::kernel_time_ns(&d, &TpuConfig::default());
+        let se = tpu_sim::kernel_time_ns(&e, &TpuConfig::default());
         let scale_d = rd / sd;
         let scale_e = re / se;
         assert!(
@@ -287,7 +254,7 @@ mod tests {
         // The analytical model is purpose-built for tile selection: its
         // tile ranking should correlate with the simulator's.
         let m = model();
-        let cfg = m.config().clone();
+        let cfg = TpuConfig::default();
         let k = dot_kernel(1024, 512, 1024);
         let tiles = tpu_tile::valid_tile_sizes(&k, &cfg, 64);
         assert!(tiles.len() >= 4);

@@ -62,15 +62,16 @@ impl<F: FnMut(&FusionConfig) -> f64> BatchObjective for F {
     }
 }
 
+/// Initial annealing temperature (relative cost scale).
+const INIT_TEMP: f64 = 0.10;
+/// Final annealing temperature; the schedule is geometric in between.
+const FINAL_TEMP: f64 = 0.002;
+
 /// Annealing schedule parameters.
 #[derive(Debug, Clone)]
 pub struct SaConfig {
     /// Maximum number of candidate evaluations (shared across chains).
     pub steps: usize,
-    /// Initial temperature (relative cost scale).
-    pub init_temp: f64,
-    /// Final temperature.
-    pub final_temp: f64,
     /// Decision bits flipped per move.
     pub flips: usize,
     /// RNG seed.
@@ -87,8 +88,6 @@ impl Default for SaConfig {
     fn default() -> Self {
         SaConfig {
             steps: 2_000,
-            init_temp: 0.10,
-            final_temp: 0.002,
             flips: 2,
             seed: 7,
             top_k: 16,
@@ -238,7 +237,7 @@ where
     'anneal: while steps_done < cfg.steps {
         let batch_n = chains.min(cfg.steps - steps_done);
         let frac = steps_done as f64 / cfg.steps.max(1) as f64;
-        let temp = cfg.init_temp * (cfg.final_temp / cfg.init_temp).powf(frac);
+        let temp = INIT_TEMP * (FINAL_TEMP / INIT_TEMP).powf(frac);
         let cands: Vec<FusionConfig> = (0..batch_n)
             .map(|c| space.perturb(&current[c], &mut rngs[c], cfg.flips))
             .collect();

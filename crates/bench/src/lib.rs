@@ -40,14 +40,13 @@ pub use args::{Args, Experiment, SearchAlgo, EXPERIMENTS, USAGE};
 pub(crate) use task::train_best;
 pub use task::Task;
 
-use tpu_analytical::{AnalyticalModel, Calibration};
+use tpu_analytical::AnalyticalCost;
 use tpu_dataset::{Corpus, CorpusScale, FusionDatasetConfig, TileDatasetConfig};
-use tpu_hlo::Kernel;
 use tpu_learned_cost::{
-    train_resumable, CostModel, GnnConfig, KernelModel, LstmConfig, Prepared, Sample,
-    TrainCheckpoint, TrainConfig, TrainReport,
+    train_resumable, GnnConfig, KernelModel, LstmConfig, Prepared, Sample, TrainCheckpoint,
+    TrainConfig, TrainReport,
 };
-use tpu_sim::TpuConfig;
+use tpu_sim::{TpuConfig, TpuDevice};
 
 /// Experiment scale, selected by the `--quick` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,86 +219,25 @@ pub(crate) fn train_checkpointed<M: KernelModel>(
     })
 }
 
-/// A calibrated analytical model bundled as a kernel-cost closure.
-pub(crate) struct CalibratedAnalytical {
-    model: AnalyticalModel,
-    calibration: Calibration,
-}
-
-impl CalibratedAnalytical {
-    /// Calibrate per-kind coefficients "by executing each program in the
-    /// test set … with a default fusion configuration" (§6.1).
-    pub(crate) fn fit(corpus: &Corpus, test_programs: &[usize], machine: &TpuConfig) -> Self {
-        let device = tpu_sim::TpuDevice::with_config(machine.clone(), 99);
-        Self::fit_with_device(corpus, test_programs, machine, &device)
-    }
-
-    /// [`CalibratedAnalytical::fit`] against a caller-supplied device —
-    /// the hook for calibrating on a fault-injecting device (`--faults`):
-    /// `Calibration::fit` retries faulted measurements and drops kernels
-    /// it cannot measure, and is bit-identical to [`Self::fit`] when
-    /// `device` is `TpuDevice::with_config(machine, 99)` with no faults.
-    pub(crate) fn fit_with_device(
-        corpus: &Corpus,
-        test_programs: &[usize],
-        machine: &TpuConfig,
-        device: &tpu_sim::TpuDevice,
-    ) -> Self {
-        let model = AnalyticalModel::new(machine.clone());
-        let fused: Vec<tpu_hlo::FusedProgram> = test_programs
-            .iter()
-            .map(|&i| {
-                let p = &corpus.entries[i].program;
-                let (space, cfg) = tpu_fusion::default_space_and_config(&p.computation);
-                tpu_fusion::apply_fusion(p, &space, &cfg)
-            })
-            .collect();
-        let calibration = Calibration::fit(&model, &fused, device);
-        CalibratedAnalytical { model, calibration }
-    }
-
-    /// Calibrate with distinct machines: the model's *internal constants*
-    /// come from `model_machine` (possibly stale), while the calibration
-    /// coefficients are fit against measurements on `real_machine`. Used
-    /// by the retargeting experiment.
-    pub(crate) fn fit_with_machines(
-        corpus: &Corpus,
-        test_programs: &[usize],
-        model_machine: &TpuConfig,
-        real_machine: &TpuConfig,
-    ) -> Self {
-        let device = tpu_sim::TpuDevice::with_config(real_machine.clone(), 99);
-        Self::fit_with_device(corpus, test_programs, model_machine, &device)
-    }
-
-    /// Uncalibrated (identity coefficients) — for within-kernel ranking
-    /// tasks where scales cancel (§6.2).
-    pub(crate) fn identity(machine: &TpuConfig) -> Self {
-        CalibratedAnalytical {
-            model: AnalyticalModel::new(machine.clone()),
-            calibration: Calibration::identity(),
-        }
-    }
-
-    /// Predicted runtime in ns, or `None` for unsupported kernels.
-    pub(crate) fn predict_ns(&self, k: &Kernel) -> Option<f64> {
-        self.calibration.predict_ns(&self.model, k)
-    }
-}
-
-/// The calibrated analytical baseline behind the common [`CostModel`]
-/// interface, so experiment harnesses (the autotuner, the [`Predictor`]
-/// cache) treat it interchangeably with the learned models.
-///
-/// [`Predictor`]: tpu_learned_cost::Predictor
-impl CostModel for CalibratedAnalytical {
-    fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
-        self.predict_ns(kernel)
-    }
-
-    fn name(&self) -> &str {
-        "analytical-calibrated"
-    }
+/// The calibrated analytical baseline (§6.1): the model of
+/// `model_machine`, its per-kind coefficients fit "by executing each
+/// program in the test set … with a default fusion configuration" on
+/// `device`, the real target (fault-injecting under `--faults`).
+pub(crate) fn fit_analytical(
+    corpus: &Corpus,
+    test_programs: &[usize],
+    model_machine: &TpuConfig,
+    device: &TpuDevice,
+) -> AnalyticalCost {
+    let fused: Vec<tpu_hlo::FusedProgram> = test_programs
+        .iter()
+        .map(|&i| {
+            let p = &corpus.entries[i].program;
+            let (space, cfg) = tpu_fusion::default_space_and_config(&p.computation);
+            tpu_fusion::apply_fusion(p, &space, &cfg)
+        })
+        .collect();
+    AnalyticalCost::fit(model_machine.clone(), &fused, device)
 }
 
 /// Model predictions in nanoseconds for a prepared evaluation set
@@ -398,6 +336,8 @@ pub(crate) fn cap_prepared(mut prepared: Vec<Prepared>, cap: usize, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_hlo::Kernel;
+    use tpu_learned_cost::CostModel;
 
     #[test]
     fn quick_scale_pipeline_end_to_end() {
@@ -405,7 +345,9 @@ mod tests {
         let c = corpus(scale);
         assert!(c.len() >= 10);
         let split = c.random_split(0);
-        let analytical = CalibratedAnalytical::fit(&c, &split.test, &TpuConfig::default());
+        let machine = TpuConfig::default();
+        let device = TpuDevice::with_config(machine.clone(), 99);
+        let analytical = fit_analytical(&c, &split.test, &machine, &device);
         // Score one real program's kernels.
         let p = &c.entries[split.test[0]].program;
         let (space, cfg) = tpu_fusion::default_space_and_config(&p.computation);
@@ -422,7 +364,9 @@ mod tests {
     fn calibrated_analytical_serves_as_cost_model() {
         let c = corpus(Scale::Quick);
         let split = c.random_split(0);
-        let analytical = CalibratedAnalytical::fit(&c, &split.test, &TpuConfig::default());
+        let machine = TpuConfig::default();
+        let device = TpuDevice::with_config(machine.clone(), 99);
+        let analytical = fit_analytical(&c, &split.test, &machine, &device);
         let p = &c.entries[split.test[0]].program;
         let (space, cfg) = tpu_fusion::default_space_and_config(&p.computation);
         let fused = tpu_fusion::apply_fusion(p, &space, &cfg);
@@ -430,7 +374,6 @@ mod tests {
         for (k, b) in fused.kernels.iter().zip(&batch) {
             assert_eq!(*b, analytical.predict_ns(k), "batch must match per-kernel");
         }
-        assert_eq!(CostModel::name(&analytical), "analytical-calibrated");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cargo run -p tpu-bench --release -- program_total [--quick]
 //! ```
 
-use crate::{corpus, print_table, Args, CalibratedAnalytical, Task};
+use crate::{corpus, fit_analytical, print_table, Args, Task};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_learned_cost::metrics::{mape, median};
 use tpu_learned_cost::{train, CostModel, GnnModel};
@@ -25,7 +25,8 @@ pub fn run(args: &Args) {
     let rep = train(&mut gnn, &task.train, &task.val, &scale.train_cfg());
     println!("learned model: best val MAPE {:.1}%", rep.best_val);
 
-    let analytical = CalibratedAnalytical::fit(&corpus, &task.split.test, &machine);
+    let calibration_device = TpuDevice::with_config(machine.clone(), 99);
+    let analytical = fit_analytical(&corpus, &task.split.test, &machine, &calibration_device);
     let device = TpuDevice::with_config(machine.clone(), 77);
 
     let mut rows = Vec::new();

@@ -9,11 +9,11 @@
 //! cargo run -p tpu-bench --release -- retarget [--quick]
 //! ```
 
-use crate::{corpus, predict_ns_prepared, print_table, Args, CalibratedAnalytical, Task};
+use crate::{corpus, fit_analytical, predict_ns_prepared, print_table, Args, Task};
 use tpu_dataset::Corpus;
 use tpu_learned_cost::metrics::{mape, median};
 use tpu_learned_cost::{prepare, train, GnnModel};
-use tpu_sim::TpuConfig;
+use tpu_sim::{TpuConfig, TpuDevice};
 
 struct TargetResult {
     learned_mape: f64,
@@ -39,7 +39,8 @@ fn run_target(
     // calibration coefficients are fit against the real target hardware
     // (calibration is cheap; re-deriving the model is not).
     let analytical_for = |model_machine: &TpuConfig| {
-        CalibratedAnalytical::fit_with_machines(corpus, &task.split.test, model_machine, machine)
+        let device = TpuDevice::with_config(machine.clone(), 99);
+        fit_analytical(corpus, &task.split.test, model_machine, &device)
     };
     let fresh = analytical_for(machine);
     let stale = analytical_for(stale_machine);

@@ -17,8 +17,8 @@
 //! uninterrupted run).
 
 use crate::{
-    corpus, predict_ns_prepared, print_table, rows_with_summary, train_best, Args,
-    CalibratedAnalytical, Scale, Task,
+    corpus, fit_analytical, predict_ns_prepared, print_table, rows_with_summary, train_best, Args,
+    Scale, Task,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -143,12 +143,7 @@ fn run_split(
             let device = TpuDevice::with_config(machine.clone(), 99)
                 .with_faults(FaultPlan::chaos(seed))
                 .observed(&args.registry);
-            let a = CalibratedAnalytical::fit_with_device(
-                task.corpus,
-                test_programs,
-                &machine,
-                &device,
-            );
+            let a = fit_analytical(task.corpus, test_programs, &machine, &device);
             let f = device.fault_counts();
             println!(
                 "[{split_name}] calibration under chaos({seed}): {} faults tolerated ({} transient, {} preempted, {} spikes)",
@@ -156,7 +151,10 @@ fn run_split(
             );
             a
         }
-        None => CalibratedAnalytical::fit(task.corpus, test_programs, &machine),
+        None => {
+            let device = TpuDevice::with_config(machine.clone(), 99);
+            fit_analytical(task.corpus, test_programs, &machine, &device)
+        }
     };
 
     // Evaluate per test program. Kernels the analytical model cannot score

@@ -7,8 +7,9 @@
 //! cargo run -p tpu-bench --release -- table3 [--quick]
 //! ```
 
-use crate::{corpus, print_table, rows_with_summary, Args, CalibratedAnalytical, Task};
+use crate::{corpus, print_table, rows_with_summary, Args, Task};
 use std::time::Instant;
+use tpu_analytical::AnalyticalCost;
 use tpu_dataset::build_tile_dataset;
 use tpu_learned_cost::metrics::{mean, median};
 use tpu_learned_cost::{
@@ -52,7 +53,7 @@ fn run_split(args: &Args, task: &Task, name: &str) -> (Vec<Vec<String>>, [f64; 3
 
     // The analytical model needs no calibration here: ranking within a
     // kernel is scale-invariant (§6.2).
-    let analytical = CalibratedAnalytical::identity(&TpuConfig::default());
+    let analytical = AnalyticalCost::new(TpuConfig::default());
 
     let mut rows = Vec::new();
     for (program, samples) in task.test_by_program(0.0) {

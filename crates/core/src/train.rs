@@ -32,6 +32,9 @@ pub enum TaskLoss {
     TileMse,
 }
 
+/// Global L2 norm gradients are clipped to before each optimizer step.
+const CLIP_NORM: f32 = 5.0;
+
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
@@ -41,8 +44,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Gradient clipping norm.
-    pub clip: f32,
     /// Shuffling seed.
     pub seed: u64,
     /// The objective.
@@ -70,7 +71,6 @@ impl Default for TrainConfig {
             epochs: 25,
             batch_size: 24,
             lr: 1e-3,
-            clip: 5.0,
             seed: 5,
             loss: TaskLoss::FusionLogMse,
             max_batches_per_epoch: 400,
@@ -462,7 +462,7 @@ fn train_step_inner<M: KernelModel>(
     if !any {
         return None;
     }
-    clip_grad_norm(model.params_mut(), cfg.clip);
+    clip_grad_norm(model.params_mut(), CLIP_NORM);
     opt.step(model.params_mut());
     Some(loss_sum)
 }
@@ -848,6 +848,9 @@ impl BatchSource for [Prepared] {
     }
 }
 
+/// Base seed of the segment sampler.
+const SEGMENT_SEED: u64 = 17;
+
 /// Streaming/segment-training parameters layered on [`TrainConfig`].
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
@@ -860,8 +863,6 @@ pub struct StreamConfig {
     /// at most this many nodes per step (TpuGraphs-style), resampled with
     /// a fresh seed every epoch.
     pub segment_nodes: usize,
-    /// Base seed of the segment sampler.
-    pub segment_seed: u64,
 }
 
 impl Default for StreamConfig {
@@ -869,7 +870,6 @@ impl Default for StreamConfig {
         StreamConfig {
             window: 4096,
             segment_nodes: 256,
-            segment_seed: 17,
         }
     }
 }
@@ -935,7 +935,7 @@ pub fn stream_epoch_plan<S: BatchSource + ?Sized>(
 /// epoch reloads its batches). Graphs above
 /// [`StreamConfig::segment_nodes`] train on a `bfs_segment`
 /// resampled per epoch with a seed mixed from
-/// `(segment_seed, epoch, example id)`, so results are identical whether
+/// `(SEGMENT_SEED, epoch, example id)`, so results are identical whether
 /// `source` is the in-memory slice or a streamed dataset file.
 ///
 /// # Errors
@@ -961,7 +961,7 @@ pub fn train_stream<M: KernelModel, S: BatchSource + ?Sized>(
                     *p = crate::batch::bfs_segment(
                         p,
                         scfg.segment_nodes,
-                        mix_seed(scfg.segment_seed, epoch as u64, gi as u64),
+                        mix_seed(SEGMENT_SEED, epoch as u64, gi as u64),
                     );
                 }
             }

@@ -11,6 +11,11 @@
 //!           [--breaker-cooldown N]
 //! ```
 //!
+//! `--model analytical` serves the uncalibrated roofline baseline: its
+//! `ns` are per-kernel-kind abstract units (0.55 to 3.1 times a roofline
+//! estimate in ns, depending on the kernel kind), fit for ranking tiles of
+//! one kernel, not for comparing kernels of different kinds.
+//!
 //! The served model always has the simulator oracle as its fallback, so a
 //! fault-injected primary (`--faults`) still answers every request with a
 //! finite prediction. A circuit breaker routes between the two by default

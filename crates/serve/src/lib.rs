@@ -25,10 +25,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tpu_analytical::{AnalyticalModel, Calibration};
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
 use tpu_learned_cost::CostModel;
-use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
+use tpu_sim::{FaultPlan, TpuDevice};
 
 mod breaker;
 mod engine;
@@ -40,6 +39,10 @@ pub use engine::{
     ServeEngine, ServeError, ServeOptions, ServeStats, TickClock,
 };
 pub use protocol::{parse_request, KernelSpec, Request, RequestRef, WireError};
+/// The roofline baseline, served uncalibrated: each kernel kind answers in
+/// its own abstract scale, and a kernel without tile-size options gets
+/// `None` (paper footnote 3), which the engine's [`Fallback`] answers.
+pub use tpu_analytical::AnalyticalCost;
 
 /// How [`read_client_line`] left the line buffer.
 enum ClientLine {
@@ -227,34 +230,6 @@ pub fn serve_tcp(serve: &Arc<ServeEngine>, listener: TcpListener) -> io::Result<
     Ok(())
 }
 
-/// The roofline baseline as a [`CostModel`]: identity calibration over
-/// [`AnalyticalModel`]. Scores any kernel with tile-size options; returns
-/// `None` for the rest (paper footnote 3), which the engine's [`Fallback`]
-/// answers instead.
-pub struct AnalyticalCost {
-    model: AnalyticalModel,
-    calibration: Calibration,
-}
-
-impl AnalyticalCost {
-    /// Identity-calibrated analytical model over `cfg`.
-    pub fn new(cfg: TpuConfig) -> AnalyticalCost {
-        AnalyticalCost {
-            model: AnalyticalModel::new(cfg),
-            calibration: Calibration::identity(),
-        }
-    }
-}
-
-impl CostModel for AnalyticalCost {
-    fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
-        self.calibration.predict_ns(&self.model, kernel)
-    }
-    fn name(&self) -> &str {
-        "analytical"
-    }
-}
-
 /// A (possibly fault-injected) simulated device as a [`CostModel`]:
 /// transient [`DeviceError`](tpu_sim::DeviceError)s become `None`, so the
 /// engine's [`Fallback`] absorbs the faults.
@@ -348,6 +323,7 @@ mod tests {
     use std::io::Cursor;
     use tpu_learned_cost::{AtomicCache, KernelCache, SimOracle};
     use tpu_obs::Registry;
+    use tpu_sim::TpuConfig;
 
     fn start_sim_engine(cfg: ServeConfig) -> ServeEngine {
         let model: Box<dyn CostModel + Send> = Box::new(SimOracle::new(TpuConfig::default()));

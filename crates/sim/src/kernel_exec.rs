@@ -24,31 +24,51 @@ pub struct KernelTiming {
     pub double_buffered: bool,
 }
 
-/// Tile extents aligned with the output's logical dims: `per_dim[d]` is the
-/// tile extent along logical dimension `d`.
-fn tile_per_logical_dim(k: &Kernel, tile: &TileSize) -> Vec<usize> {
-    let root = k.computation.node(k.computation.root());
-    let rank = root.shape.rank();
-    let m2m = root.layout.minor_to_major();
-    let mut per_dim: Vec<usize> = root.shape.dims().to_vec();
-    for (i, &d) in m2m.iter().enumerate() {
-        if i < tile.dims().len() {
-            per_dim[d] = tile.dims()[i].min(root.shape.dim(d)).max(1);
-        }
-    }
-    let _ = rank;
-    per_dim
+/// The output-tile geometry of a kernel at one tiling: what the simulator
+/// and the analytical baseline both read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TileGeometry {
+    /// `per_dim[d]` is the tile extent along logical output dimension `d`.
+    pub per_dim: Vec<usize>,
+    /// Number of output tiles.
+    pub n_tiles: u64,
+    /// Vector-register padding waste: tiles are processed in (sublanes ×
+    /// lanes) registers, so ragged tiles waste lanes. The lane factor times
+    /// the sublane factor, each capped at 4.
+    pub pad_factor: f64,
 }
 
-/// Number of output tiles for the given per-logical-dim extents.
-fn count_tiles(root: &Node, per_dim: &[usize]) -> u64 {
-    root.shape
-        .dims()
-        .iter()
-        .zip(per_dim)
-        .map(|(&d, &t)| (d as u64).div_ceil(t as u64))
-        .product::<u64>()
-        .max(1)
+impl TileGeometry {
+    /// The geometry of `k`'s output tiled by `tile` (extents in the
+    /// output's minor-to-major order) on `cfg`'s vector unit.
+    pub fn new(k: &Kernel, tile: &TileSize, cfg: &TpuConfig) -> TileGeometry {
+        let root = k.computation.node(k.computation.root());
+        let dims = root.shape.dims();
+        let mut per_dim = dims.to_vec();
+        for (&d, &t) in root.layout.minor_to_major().iter().zip(tile.dims()) {
+            per_dim[d] = t.min(dims[d]).max(1);
+        }
+        let n_tiles = dims
+            .iter()
+            .zip(&per_dim)
+            .map(|(&d, &t)| (d as u64).div_ceil(t as u64))
+            .product::<u64>()
+            .max(1);
+        let minor = per_dim.last().map_or(1, |&t| t.max(1)) as f64;
+        let subminor = match per_dim.len() {
+            0 | 1 => 1.0,
+            n => per_dim[n - 2].max(1) as f64,
+        };
+        let pad = |extent: f64, width: usize| {
+            ((extent / width as f64).ceil() * width as f64 / extent).min(4.0)
+        };
+        let pad_factor = pad(minor, cfg.vpu_lanes) * pad(subminor, cfg.vpu_sublanes);
+        TileGeometry {
+            per_dim,
+            n_tiles,
+            pad_factor,
+        }
+    }
 }
 
 /// A reasonable compiler-default tile: the full output, with major
@@ -90,7 +110,8 @@ struct Traffic {
 /// HBM traffic and per-tile input residency for the kernel at the given
 /// tiling. Dot- and conv-rooted kernels re-read their big operands once per
 /// tile row/column — the classic tiling reuse trade-off.
-fn traffic(k: &Kernel, per_dim: &[usize], n_tiles: u64) -> Traffic {
+fn traffic(k: &Kernel, geo: &TileGeometry) -> Traffic {
+    let (per_dim, n_tiles) = (&geo.per_dim, geo.n_tiles);
     let c = &k.computation;
     let root = c.node(c.root());
     let write_bytes = root.output_bytes() as f64;
@@ -177,25 +198,28 @@ fn traffic(k: &Kernel, per_dim: &[usize], n_tiles: u64) -> Traffic {
     }
 }
 
-/// Estimated VMEM working set at the given tiling, in bytes.
-fn working_set_bytes(k: &Kernel, tile: &TileSize) -> u64 {
-    let c = &k.computation;
-    let root = c.node(c.root());
-    let per_dim = tile_per_logical_dim(k, tile);
-    let n_tiles = count_tiles(root, &per_dim);
-    let out_tile_bytes: u64 =
-        per_dim.iter().map(|&t| t as u64).product::<u64>().max(1) * root.dtype.size_bytes() as u64;
+/// Estimated VMEM working set, in bytes, of the tiling `geo` describes,
+/// given that tiling's HBM traffic `tr`.
+fn working_set_bytes(k: &Kernel, geo: &TileGeometry, tr: &Traffic) -> u64 {
+    let root = k.computation.node(k.computation.root());
+    let out_tile_bytes: u64 = geo
+        .per_dim
+        .iter()
+        .map(|&t| t as u64)
+        .product::<u64>()
+        .max(1)
+        * root.dtype.size_bytes() as u64;
     // Live intermediates scale with the fused op count, sublinearly: a
     // fused loop keeps only a few registers' worth per op alive, but deep
     // fusions still need buffer space.
     let live = (k.num_ops() as f64).sqrt().min(4.0);
-    let tr = traffic(k, &per_dim, n_tiles);
     out_tile_bytes + (out_tile_bytes as f64 * live) as u64 + tr.input_slice_bytes as u64
 }
 
 /// Whether the tile's working set fits in VMEM.
 pub fn tile_fits(k: &Kernel, tile: &TileSize, cfg: &TpuConfig) -> bool {
-    working_set_bytes(k, tile) <= cfg.vmem_bytes
+    let geo = TileGeometry::new(k, tile, cfg);
+    working_set_bytes(k, &geo, &traffic(k, &geo)) <= cfg.vmem_bytes
 }
 
 /// Noiseless timing analysis of one kernel execution.
@@ -205,9 +229,11 @@ pub fn tile_fits(k: &Kernel, tile: &TileSize, cfg: &TpuConfig) -> bool {
 pub fn analyze_kernel(k: &Kernel, cfg: &TpuConfig) -> KernelTiming {
     let c = &k.computation;
     let root = c.node(c.root());
-    let tile = k.tile.clone().unwrap_or_else(|| default_tile(k, cfg));
-    let per_dim = tile_per_logical_dim(k, &tile);
-    let n_tiles = count_tiles(root, &per_dim);
+    let geo = match &k.tile {
+        Some(tile) => TileGeometry::new(k, tile, cfg),
+        None => TileGeometry::new(k, &default_tile(k, cfg), cfg),
+    };
+    let (per_dim, n_tiles) = (&geo.per_dim, geo.n_tiles);
 
     // --- compute ---
     let mut mxu = 0.0f64;
@@ -225,7 +251,7 @@ pub fn analyze_kernel(k: &Kernel, cfg: &TpuConfig) -> KernelTiming {
     // meaningful when the kernel has a single dot whose output shape the
     // kernel's output inherits (the usual epilogue-fusion case) — kernels
     // with other geometry keep the base estimate.
-    let dots: Vec<&tpu_hlo::Node> = c
+    let dots: Vec<&Node> = c
         .nodes()
         .iter()
         .filter(|n| n.opcode == Opcode::Dot)
@@ -253,35 +279,24 @@ pub fn analyze_kernel(k: &Kernel, cfg: &TpuConfig) -> KernelTiming {
         mxu *= 1.15;
     }
 
-    // Vector-lane padding: tiles are processed in (sublanes × lanes)
-    // registers; ragged tiles waste lanes.
-    let minor = per_dim.last().map(|&t| t.max(1)).unwrap_or(1);
-    let subminor = if per_dim.len() >= 2 {
-        per_dim[per_dim.len() - 2].max(1)
-    } else {
-        1
-    };
-    let lane_pad =
-        (minor as f64 / cfg.vpu_lanes as f64).ceil() * cfg.vpu_lanes as f64 / minor as f64;
-    let sub_pad = (subminor as f64 / cfg.vpu_sublanes as f64).ceil() * cfg.vpu_sublanes as f64
-        / subminor as f64;
-    vpu *= lane_pad.min(4.0) * sub_pad.min(4.0);
+    vpu *= geo.pad_factor;
 
     let compute_ns = (mxu + vpu) / cfg.clock_ghz;
 
     // --- memory ---
-    let tr = traffic(k, &per_dim, n_tiles);
+    let tr = traffic(k, &geo);
     let mut memory_ns = (tr.read_bytes + tr.write_bytes) / cfg.hbm_bytes_per_ns()
         + n_tiles as f64 * 2.0 * cfg.dma_latency_ns;
 
     // Bank-aliasing quirk: power-of-two-aligned wide tiles hit the same HBM
     // banks; a real machine effect the analytical model does not know.
+    let minor = per_dim.last().map_or(1, |&t| t.max(1));
     if minor >= 256 && minor.is_multiple_of(256) {
         memory_ns *= 1.06;
     }
 
     // --- working set / overlap ---
-    let ws = working_set_bytes(k, &tile);
+    let ws = working_set_bytes(k, &geo, &tr);
     let double_buffered = 2 * ws <= cfg.vmem_bytes;
     if ws > cfg.vmem_bytes {
         // The compiler would spill; model it as a heavy traffic penalty.

@@ -28,5 +28,7 @@ pub use config::TpuConfig;
 pub use cost::{conv_as_dot, dot_problem, DotProblem};
 pub use device::{FaultCounts, TpuDevice};
 pub use fault::{DeviceError, Fault, FaultPlan};
-pub use kernel_exec::{analyze_kernel, default_tile, kernel_time_ns, tile_fits, KernelTiming};
+pub use kernel_exec::{
+    analyze_kernel, default_tile, kernel_time_ns, tile_fits, KernelTiming, TileGeometry,
+};
 pub use report::{analyze_program, Bottleneck, KernelReport, ProgramReport};

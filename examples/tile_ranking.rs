@@ -6,7 +6,7 @@
 //! cargo run --release --example tile_ranking
 //! ```
 
-use tpu_repro::analytical::{AnalyticalModel, Calibration};
+use tpu_repro::analytical::AnalyticalCost;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::learned::metrics::kendall_tau;
 use tpu_repro::learned::{GnnConfig, GnnModel};
@@ -32,12 +32,12 @@ fn main() {
         .collect();
 
     // Model 1: the analytical model (no calibration needed for ranking).
-    let analytical = AnalyticalModel::new(machine.clone());
-    let cal = Calibration::identity();
+    let analytical = AnalyticalCost::new(machine.clone());
     let ana: Vec<f64> = tiles
         .iter()
         .map(|t| {
-            cal.predict_ns(&analytical, &kernel.clone().with_tile(t.clone()))
+            analytical
+                .predict_ns(&kernel.clone().with_tile(t.clone()))
                 .unwrap_or(f64::INFINITY)
         })
         .collect();
@@ -56,7 +56,7 @@ fn main() {
 
     // Best tile under the analytical model vs the true best.
     let ranked = rank_tiles(&kernel, &machine, 200, |k| {
-        cal.predict_ns(&analytical, k).unwrap_or(f64::INFINITY)
+        analytical.predict_ns(k).unwrap_or(f64::INFINITY)
     });
     let (ana_best, _) = &ranked[0];
     let true_best = tiles

@@ -12,6 +12,12 @@
 //! otherwise every op is its own kernel. `frozen:BLOB` scores with the
 //! `tpu-frozen.v2` blob at `BLOB` (what `tpu-freeze` writes); a path that
 //! is missing, unreadable or not such a blob is an error.
+//!
+//! The `analytical` backend is the uncalibrated roofline baseline: it
+//! answers in per-kernel-kind abstract units (0.55 to 3.1 times a roofline
+//! estimate in ns, depending on the kernel kind), so its "us" column ranks
+//! tiles of one kernel but is not a runtime, and its kernels of different
+//! kinds do not add up to one.
 
 use std::process::ExitCode;
 use tpu_repro::fusion::{apply_fusion, default_space_and_config, unfused};
@@ -47,7 +53,7 @@ fn parse_args() -> Result<Args, String> {
             "--demo" => args.demo = true,
             "--dot" => args.dot_out = Some(it.next().ok_or("--dot needs a path")?),
             "--help" | "-h" => {
-                return Err("usage: tpu-cost <program.hlo> [--backend sim|analytical|frozen:BLOB] [--fuse] [--dot out.dot] | --demo".into());
+                return Err("usage: tpu-cost <program.hlo> [--backend sim|analytical|frozen:BLOB] [--fuse] [--dot out.dot] | --demo\n(analytical answers in uncalibrated per-kernel-kind units, 0.55-3.1x a roofline ns estimate, not in us)".into());
             }
             other if args.input.is_none() && !other.starts_with('-') => {
                 args.input = Some(other.to_string());

@@ -12,7 +12,7 @@
 //! and batches that are empty after cache dedup.
 
 use std::sync::Arc;
-use tpu_repro::analytical::AnalyticalModel;
+use tpu_repro::analytical::AnalyticalCost;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::learned::{
     forward_log_ns, AtomicCache, CostModel, LstmConfig, LstmModel, Predictor, Prepared,
@@ -90,7 +90,7 @@ fn lstm_prediction_independent_of_batch_neighbors() {
 
 #[test]
 fn analytical_batch_bit_identical_including_unsupported_kernels() {
-    let model = AnalyticalModel::new(TpuConfig::default());
+    let model = AnalyticalCost::new(TpuConfig::default());
     for n in [1usize, 2, 7, 64] {
         // Interleave supported kernels with tiny ones that have no
         // tile-size options — the analytical model scores those as `None`

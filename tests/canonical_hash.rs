@@ -5,7 +5,7 @@
 #[path = "../crates/hlo/tests/support/hash_oracle.rs"]
 mod hash_oracle;
 
-use tpu_repro::analytical::AnalyticalModel;
+use tpu_repro::analytical::AnalyticalCost;
 use tpu_repro::dataset::{build_fusion_dataset, Corpus, CorpusScale, FusionDatasetConfig};
 use tpu_repro::hlo::{
     canonical_hash, canonical_kernel_hash, Comparison, DType, GraphBuilder, Kernel, Shape,
@@ -64,7 +64,7 @@ fn comparison_direction_shares_a_key_because_no_cost_reads_it() {
     let lt = compare_kernel(Comparison::Lt);
     let cfg = TpuConfig::default();
     let sim = SimOracle::new(cfg.clone());
-    let analytical = AnalyticalModel::new(cfg);
+    let analytical = AnalyticalCost::new(cfg);
     let (lt_ops, lt_feats) = kernel_features(&lt);
     for cmp in [
         Comparison::Eq,

@@ -274,7 +274,6 @@ fn render() -> String {
     let seg_cfg = StreamConfig {
         window: 16,
         segment_nodes: 24,
-        ..Default::default()
     };
     assert!(
         (0..reader.num_examples()).any(|i| reader.meta(i).num_nodes > seg_cfg.segment_nodes),

@@ -3,14 +3,16 @@
 //! metrics.
 
 use proptest::prelude::*;
+use tpu_repro::dataset::{Corpus, CorpusScale};
 use tpu_repro::fusion::{apply_fusion, default_space_and_config};
 use tpu_repro::hlo::{
     canonical_hash, dump_computation, parse_computation, Computation, DType, GraphBuilder, Kernel,
-    NodeId, Opcode, Program, Shape,
+    NodeId, Opcode, Program, Shape, TileSize,
 };
 use tpu_repro::learned::metrics::{kendall_tau, spearman};
 use tpu_repro::learned::Prepared;
-use tpu_repro::sim::{kernel_time_ns, TpuConfig};
+use tpu_repro::sim::{analyze_kernel, kernel_time_ns, tile_fits, TileGeometry, TpuConfig};
+use tpu_repro::tile::valid_tile_sizes;
 
 /// Strategy: a random DAG of elementwise/reduce/dot ops over 2-D tensors.
 fn arb_program() -> impl Strategy<Value = Program> {
@@ -254,4 +256,64 @@ fn determinism_helper_compiles() {
     let y = b.tanh(x);
     let c = b.finish(y);
     assert!(is_computation_deterministic(&c));
+}
+
+/// The simulator's timing and its fit check read one tile geometry: for
+/// every default-fused kernel of the Tiny corpus, at each of its valid
+/// tiles and at the whole output, the working set `analyze_kernel` reports
+/// is within VMEM exactly when `tile_fits` says so, and its tile count is
+/// the shared geometry's. The Tiny corpus fits the default VMEM whole, so
+/// the check also runs on a machine with 1/64 of it, where tiles spill.
+#[test]
+fn analyze_kernel_reads_the_shared_tile_geometry() {
+    let corpus = Corpus::build(CorpusScale::Tiny);
+    let kernels: Vec<Kernel> = corpus
+        .entries
+        .iter()
+        .flat_map(|entry| {
+            let p = &entry.program;
+            let (space, config) = default_space_and_config(&p.computation);
+            apply_fusion(p, &space, &config).kernels
+        })
+        .collect();
+    let default = TpuConfig::default();
+    let small = TpuConfig {
+        vmem_bytes: default.vmem_bytes / 64,
+        ..default.clone()
+    };
+    let (mut fitting, mut spilling) = (0usize, 0usize);
+    for cfg in [default, small] {
+        for k in &kernels {
+            let root = k.computation.node(k.computation.root());
+            let m2m = root.layout.minor_to_major();
+            let whole = TileSize(m2m.iter().map(|&d| root.shape.dim(d)).collect());
+            for tile in valid_tile_sizes(k, &cfg, 64).into_iter().chain([whole]) {
+                let timing = analyze_kernel(&k.clone().with_tile(tile.clone()), &cfg);
+                let fits = tile_fits(k, &tile, &cfg);
+                assert_eq!(
+                    timing.working_set <= cfg.vmem_bytes,
+                    fits,
+                    "{}: tile {tile}, working set {}",
+                    k.computation.name(),
+                    timing.working_set
+                );
+                let geo = TileGeometry::new(k, &tile, &cfg);
+                assert_eq!(
+                    timing.n_tiles,
+                    geo.n_tiles,
+                    "{}: tile {tile}",
+                    k.computation.name()
+                );
+                if fits {
+                    fitting += 1;
+                } else {
+                    spilling += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        fitting > 0 && spilling > 0,
+        "{fitting} fitting, {spilling} spilling"
+    );
 }

@@ -63,7 +63,6 @@ fn streamed_file_training_matches_in_memory_training() {
     let scfg = StreamConfig {
         window: 16,
         segment_nodes: 24,
-        ..Default::default()
     };
 
     let mut from_file = small_model();
