@@ -77,6 +77,7 @@ mod tests {
     use super::*;
     use crate::AnalyticalCost;
     use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
+    use tpu_learned_cost::CostModel;
     use tpu_sim::TpuConfig;
 
     fn ew_kernel(rows: usize, cols: usize) -> Kernel {
@@ -107,7 +108,7 @@ mod tests {
         let cost = AnalyticalCost::fit(TpuConfig::default(), &programs, &device);
 
         for k in &kernels {
-            let pred = cost.predict_ns(k).unwrap();
+            let pred = cost.predict_kernel_ns(k).unwrap();
             let truth = device.true_kernel_time(k);
             let ape = (pred - truth).abs() / truth;
             assert!(
@@ -124,7 +125,7 @@ mod tests {
         let k = ew_kernel(1024, 1024);
         let raw = model.raw_cost(&k).unwrap();
         let pred = AnalyticalCost::new(TpuConfig::default())
-            .predict_ns(&k)
+            .predict_kernel_ns(&k)
             .unwrap();
         assert_eq!(raw.to_bits(), pred.to_bits());
     }
@@ -133,7 +134,7 @@ mod tests {
     fn unsupported_kernels_stay_unsupported() {
         let cost = AnalyticalCost::new(TpuConfig::default());
         let tiny = ew_kernel(4, 4);
-        assert_eq!(cost.predict_ns(&tiny), None);
+        assert_eq!(cost.predict_kernel_ns(&tiny), None);
     }
 
     #[test]

@@ -49,18 +49,15 @@ impl AnalyticalCost {
         let calibration = Calibration::fit(&model, programs, device);
         AnalyticalCost { model, calibration }
     }
-
-    /// Predicted runtime, or `None` for a kernel the model cannot score.
-    pub fn predict_ns(&self, k: &Kernel) -> Option<f64> {
-        self.model
-            .raw_cost(k)
-            .map(|raw| raw * self.calibration.coeff(k.kind))
-    }
 }
 
 impl CostModel for AnalyticalCost {
+    /// The raw cost times the kind's coefficient, or `None` for a kernel
+    /// the model cannot score.
     fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
-        self.predict_ns(kernel)
+        self.model
+            .raw_cost(kernel)
+            .map(|raw| raw * self.calibration.coeff(kernel.kind))
     }
 
     fn name(&self) -> &str {

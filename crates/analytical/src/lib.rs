@@ -21,6 +21,7 @@
 //! ```
 //! use tpu_analytical::AnalyticalCost;
 //! use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
+//! use tpu_learned_cost::CostModel;
 //! use tpu_sim::TpuConfig;
 //!
 //! let mut b = GraphBuilder::new("k");
@@ -29,7 +30,7 @@
 //! let kernel = Kernel::new(b.finish(t));
 //!
 //! let model = AnalyticalCost::new(TpuConfig::default());
-//! assert!(model.predict_ns(&kernel).is_some());
+//! assert!(model.predict_kernel_ns(&kernel).is_some());
 //! ```
 
 mod calibrate;

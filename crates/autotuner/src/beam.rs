@@ -24,9 +24,9 @@
 //! bits a fresh evaluation would (objectives are deterministic functions
 //! of the fused structure) and costs zero model evaluations, which is what
 //! lets the beam cover more of the space than its eval budget alone would
-//! allow. A zero-capacity table (`tt_slots: 0`, or
-//! `AtomicCache::with_capacity(0)` passed in) disables reuse without
-//! changing any scored cost.
+//! allow. A zero-capacity table (`AtomicCache::with_capacity(0)` passed
+//! to [`beam_search_with_tt`]) disables reuse without changing any scored
+//! cost.
 //!
 //! # Pruning
 //!
@@ -79,10 +79,11 @@ pub struct SearchParams {
     /// Seed for the random start mode. The beam itself is deterministic
     /// and never draws from it.
     pub seed: u64,
-    /// Slots of the internally-created TT (when the caller does not pass
-    /// one). 0 disables reuse.
-    pub tt_slots: usize,
 }
+
+/// Slots of the transposition table a search creates for itself (when the
+/// caller does not pass one).
+pub(crate) const TT_SLOTS: usize = 1 << 16;
 
 impl Default for SearchParams {
     fn default() -> Self {
@@ -92,7 +93,6 @@ impl Default for SearchParams {
             max_evals: usize::MAX >> 1,
             top_k: 16,
             seed: 7,
-            tt_slots: 1 << 16,
         }
     }
 }
@@ -400,8 +400,7 @@ fn score_candidates<O: BatchObjective>(
     }
 }
 
-/// [`beam_search_with_tt`] with an internally-created transposition table
-/// of `params.tt_slots` slots.
+/// [`beam_search_with_tt`] with a fresh transposition table of 2¹⁶ slots.
 pub fn beam_search<O: BatchObjective>(
     program: &Program,
     space: &FusionSpace,
@@ -409,7 +408,7 @@ pub fn beam_search<O: BatchObjective>(
     objective: O,
     params: &SearchParams,
 ) -> BeamResult {
-    let tt = AtomicCache::with_capacity(params.tt_slots);
+    let tt = AtomicCache::with_capacity(TT_SLOTS);
     beam_search_with_tt(program, space, start, objective, params, &tt)
 }
 
@@ -637,18 +636,16 @@ mod tests {
         let p = chain_program(10);
         let space = FusionSpace::new(&p.computation);
         let run = |tt_slots| {
-            beam_search(
+            beam_search_with_tt(
                 &p,
                 &space,
                 space.none(),
                 |c: &FusionConfig| unfused_edges(c) + 0.125,
-                &SearchParams {
-                    tt_slots,
-                    ..Default::default()
-                },
+                &SearchParams::default(),
+                &AtomicCache::with_capacity(tt_slots),
             )
         };
-        let with_tt = run(SearchParams::default().tt_slots);
+        let with_tt = run(TT_SLOTS);
         let without = run(0);
         assert_eq!(with_tt.best_config, without.best_config);
         assert_eq!(with_tt.best_cost.to_bits(), without.best_cost.to_bits());
@@ -682,7 +679,7 @@ mod tests {
         let p = chain_program(12);
         let space = FusionSpace::new(&p.computation);
         let mut calls = 0usize;
-        let result = beam_search(
+        let result = beam_search_with_tt(
             &p,
             &space,
             space.none(),
@@ -692,9 +689,9 @@ mod tests {
             },
             &SearchParams {
                 max_evals: 7,
-                tt_slots: 0,
                 ..Default::default()
             },
+            &AtomicCache::with_capacity(0),
         );
         // Start is free; the loop spends at most max_evals.
         assert!(result.evals <= 8, "evals={}", result.evals);
@@ -706,7 +703,7 @@ mod tests {
         let p = chain_program(10);
         let space = FusionSpace::new(&p.computation);
         let mut budget = 5usize;
-        let result = beam_search(
+        let result = beam_search_with_tt(
             &p,
             &space,
             space.none(),
@@ -717,10 +714,8 @@ mod tests {
                 budget -= 1;
                 unfused_edges(c)
             },
-            &SearchParams {
-                tt_slots: 0,
-                ..Default::default()
-            },
+            &SearchParams::default(),
+            &AtomicCache::with_capacity(0),
         );
         assert!(result.evals <= 5, "evals={}", result.evals);
         assert!(result.best_cost.is_finite());

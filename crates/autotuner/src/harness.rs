@@ -21,7 +21,7 @@
 //! and the hardware re-rank share the run's one, so a group's kernel is
 //! built at most once a run, whoever needs it first.
 
-use crate::beam::{beam_search_with_planner, SearchParams};
+use crate::beam::{beam_search_with_planner, SearchParams, TT_SLOTS};
 use crate::memo::{Plan, Planner, SharedPlanner};
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
 use std::fmt;
@@ -692,7 +692,7 @@ pub fn autotune_beam_with_cost_model<M: CostModel + ?Sized, C: KernelCache>(
         params.seed,
         budgets,
         |space, start, objective, planner| {
-            let tt = AtomicCache::with_capacity(effective.tt_slots);
+            let tt = AtomicCache::with_capacity(TT_SLOTS);
             beam_search_with_planner(space, start, objective, &effective, &tt, planner).top
         },
     )

@@ -164,12 +164,13 @@ proptest! {
             ..Default::default()
         };
         let with_tt = beam_search(&p, &space, space.none(), objective, &base);
-        let without = beam_search(
+        let without = beam_search_with_tt(
             &p,
             &space,
             space.none(),
             objective,
-            &SearchParams { tt_slots: 0, ..base },
+            &base,
+            &AtomicCache::with_capacity(0),
         );
         prop_assert_eq!(&with_tt.best_config, &without.best_config);
         prop_assert_eq!(with_tt.best_cost.to_bits(), without.best_cost.to_bits());

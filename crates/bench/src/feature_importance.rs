@@ -8,13 +8,13 @@
 //! cargo run -p tpu-bench --release -- feature_importance [--quick]
 //! ```
 
-use crate::{cap_prepared, corpus, predict_ns_prepared, print_table, Args, Scale, Task};
+use crate::{cap_prepared, corpus, print_table, Args, Scale, Task};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tpu_hlo::MAX_RANK;
 use tpu_learned_cost::metrics::mape;
-use tpu_learned_cost::{prepare, train, GnnModel, Prepared};
+use tpu_learned_cost::{predict_log_ns, prepare, train, GnnModel, Prepared};
 use tpu_sim::TpuConfig;
 
 /// The fixed feature regions of `tpu_learned_cost::features` (§4.1: "an
@@ -85,7 +85,10 @@ pub fn run(args: &Args) {
     println!("trained: best val MAPE {:.1}%", rep.best_val);
 
     let targets: Vec<f64> = eval_prep.iter().map(|p| p.runtime_ns).collect();
-    let eval_mape = |prepared: &[Prepared]| mape(&predict_ns_prepared(&model, prepared), &targets);
+    let eval_mape = |prepared: &[Prepared]| {
+        let preds: Vec<f64> = predict_log_ns(&model, prepared).map(f64::exp).collect();
+        mape(&preds, &targets)
+    };
     let baseline = eval_mape(&eval_prep);
     println!("baseline test MAPE: {baseline:.1}%\n");
 

@@ -240,13 +240,6 @@ pub(crate) fn fit_analytical(
     AnalyticalCost::fit(model_machine.clone(), &fused, device)
 }
 
-/// Model predictions in nanoseconds for a prepared evaluation set
-/// ([`tpu_learned_cost::predict_log_ns`], exponentiated).
-pub(crate) fn predict_ns_prepared<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
-    let log_ns = tpu_learned_cost::predict_log_ns(model, prepared);
-    log_ns.into_iter().map(f64::exp).collect()
-}
-
 /// Render an aligned text table.
 pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -336,7 +329,6 @@ pub(crate) fn cap_prepared(mut prepared: Vec<Prepared>, cap: usize, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_hlo::Kernel;
     use tpu_learned_cost::CostModel;
 
     #[test]
@@ -355,7 +347,7 @@ mod tests {
         let scored = fused
             .kernels
             .iter()
-            .filter_map(|k| analytical.predict_ns(k))
+            .filter_map(|k| analytical.predict_kernel_ns(k))
             .count();
         assert!(scored > 0, "analytical model scored no kernels");
     }
@@ -372,32 +364,11 @@ mod tests {
         let fused = tpu_fusion::apply_fusion(p, &space, &cfg);
         let batch = analytical.predict_batch_ns(&fused.kernels);
         for (k, b) in fused.kernels.iter().zip(&batch) {
-            assert_eq!(*b, analytical.predict_ns(k), "batch must match per-kernel");
-        }
-    }
-
-    #[test]
-    fn predict_ns_prepared_matches_per_kernel_predictions() {
-        use tpu_hlo::{DType, GraphBuilder, Shape};
-        let model = tpu_learned_cost::GnnModel::new(GnnConfig {
-            hidden: 8,
-            opcode_embed_dim: 4,
-            hops: 1,
-            ..Default::default()
-        });
-        let kernels: Vec<Kernel> = [32usize, 64, 96]
-            .iter()
-            .map(|&n| {
-                let mut b = GraphBuilder::new("k");
-                let x = b.parameter("x", Shape::matrix(n, n), DType::F32);
-                let t = b.tanh(x);
-                Kernel::new(b.finish(t))
-            })
-            .collect();
-        let prepared: Vec<Prepared> = kernels.iter().map(Prepared::from_kernel).collect();
-        let batch = predict_ns_prepared(&model, &prepared);
-        for (k, b) in kernels.iter().zip(&batch) {
-            assert_eq!(*b, model.predict_ns(k));
+            assert_eq!(
+                *b,
+                analytical.predict_kernel_ns(k),
+                "batch must match per-kernel"
+            );
         }
     }
 

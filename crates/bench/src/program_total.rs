@@ -45,7 +45,7 @@ pub fn run(args: &Args) {
         let mut ana = 0.0;
         let mut unsupported = 0usize;
         for k in &fused.kernels {
-            match analytical.predict_ns(k) {
+            match analytical.predict_kernel_ns(k) {
                 Some(v) => ana += v,
                 None => unsupported += 1,
             }

@@ -9,10 +9,10 @@
 //! cargo run -p tpu-bench --release -- retarget [--quick]
 //! ```
 
-use crate::{corpus, fit_analytical, predict_ns_prepared, print_table, Args, Task};
+use crate::{corpus, fit_analytical, print_table, Args, Task};
 use tpu_dataset::Corpus;
 use tpu_learned_cost::metrics::{mape, median};
-use tpu_learned_cost::{prepare, train, GnnModel};
+use tpu_learned_cost::{predict_log_ns, prepare, train, CostModel, GnnModel};
 use tpu_sim::{TpuConfig, TpuDevice};
 
 struct TargetResult {
@@ -53,7 +53,8 @@ fn run_target(
             continue;
         }
         let targets: Vec<f64> = samples.iter().map(|s| s.runtime_ns).collect();
-        let learned = predict_ns_prepared(&gnn, &prepare(&samples));
+        let prepared = prepare(&samples);
+        let learned: Vec<f64> = predict_log_ns(&gnn, &prepared).map(f64::exp).collect();
         learned_mapes.push(mape(&learned, &targets));
 
         let mut f_pred = Vec::new();
@@ -61,7 +62,10 @@ fn run_target(
         let mut t_kept = Vec::new();
         for (sample, &t) in samples.iter().zip(&targets) {
             let kernel = &sample.kernel;
-            if let (Some(f), Some(s)) = (fresh.predict_ns(kernel), stale.predict_ns(kernel)) {
+            if let (Some(f), Some(s)) = (
+                fresh.predict_kernel_ns(kernel),
+                stale.predict_kernel_ns(kernel),
+            ) {
                 f_pred.push(f);
                 s_pred.push(s);
                 t_kept.push(t);

@@ -17,8 +17,7 @@
 //! uninterrupted run).
 
 use crate::{
-    corpus, fit_analytical, predict_ns_prepared, print_table, rows_with_summary, train_best, Args,
-    Scale, Task,
+    corpus, fit_analytical, print_table, rows_with_summary, train_best, Args, Scale, Task,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,8 +28,8 @@ use tpu_dataset::{
 use tpu_hlo::Kernel;
 use tpu_learned_cost::metrics::{kendall_tau, mape, median};
 use tpu_learned_cost::{
-    prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel, Predictor,
-    Prepared, Sample,
+    predict_log_ns, prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel,
+    Predictor, Prepared, Sample,
 };
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
 
@@ -183,8 +182,8 @@ fn run_split(
         evals.push(ProgramEval {
             name: name.to_string(),
             targets: scored.iter().map(|s| s.runtime_ns).collect(),
-            ours: predict_ns_prepared(&gnn, &prepared),
-            lstm: predict_ns_prepared(&lstm, &prepared),
+            ours: predict_log_ns(&gnn, &prepared).map(f64::exp).collect(),
+            lstm: predict_log_ns(&lstm, &prepared).map(f64::exp).collect(),
             analytical,
         });
     }
@@ -252,8 +251,8 @@ pub fn run(args: &Args) {
     // The analytical baseline is per-kernel (tile-driven) and cannot score
     // a whole multi-kernel program, so only the learned models appear.
     let targets: Vec<f64> = holdout.iter().map(|p| p.runtime_ns).collect();
-    let ours = predict_ns_prepared(&gnn, &holdout);
-    let lstm_pred = predict_ns_prepared(&lstm, &holdout);
+    let ours: Vec<f64> = predict_log_ns(&gnn, &holdout).map(f64::exp).collect();
+    let lstm_pred: Vec<f64> = predict_log_ns(&lstm, &holdout).map(f64::exp).collect();
     print_table(
         "Table 2 addendum: large-graph holdout (whole fused programs, random-split models)",
         &["Holdout", "MAPE Ours", "MAPE LSTM", "tau Ours", "tau LSTM"],

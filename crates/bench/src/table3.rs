@@ -13,7 +13,7 @@ use tpu_analytical::AnalyticalCost;
 use tpu_dataset::build_tile_dataset;
 use tpu_learned_cost::metrics::{mean, median};
 use tpu_learned_cost::{
-    per_group_kendall, predict_log_ns, prepare, train, GnnModel, TaskLoss, TrainConfig,
+    per_group_kendall, predict_log_ns, prepare, train, CostModel, GnnModel, TaskLoss, TrainConfig,
 };
 use tpu_nn::RankPhi;
 use tpu_sim::TpuConfig;
@@ -64,17 +64,16 @@ fn run_split(args: &Args, task: &Task, name: &str) -> (Vec<Vec<String>>, [f64; 3
         // Kernels the analytical model cannot score count against its own
         // column only (it is "developed specifically for this task" and
         // supports all tiled kernels by construction here).
-        let ana_preds: Vec<f64> = samples
+        let ana_preds = samples
             .iter()
-            .map(|s| analytical.predict_ns(&s.kernel).unwrap_or(f64::NAN))
-            .collect();
+            .map(|s| analytical.predict_kernel_ns(&s.kernel).unwrap_or(f64::NAN));
         // Mean per-kernel τ (`prepared` carries each example's kernel
         // group and measured runtime).
-        let program_tau = |preds: &[f64]| mean(&per_group_kendall(preds, &prepared));
+        let program_tau = |preds: Vec<f64>| mean(&per_group_kendall(&preds, &prepared));
         let taus = [
-            program_tau(&predict_log_ns(&rank_model, &prepared)),
-            program_tau(&predict_log_ns(&mse_model, &prepared)),
-            program_tau(&ana_preds),
+            program_tau(predict_log_ns(&rank_model, &prepared).collect()),
+            program_tau(predict_log_ns(&mse_model, &prepared).collect()),
+            program_tau(ana_preds.collect()),
         ];
         rows.push((program.to_string(), taus));
     }

@@ -20,7 +20,7 @@
 //! training to `<stem>.<tag>.json` files next to `path` and resumes them
 //! on rerun (bit-identical to an uninterrupted run).
 
-use crate::{corpus, predict_ns_prepared, print_table, train_best, Args, Scale, SearchAlgo, Task};
+use crate::{corpus, print_table, train_best, Args, Scale, SearchAlgo, Task};
 use std::sync::Arc;
 use std::time::Instant;
 use tpu_autotuner::{
@@ -29,8 +29,8 @@ use tpu_autotuner::{
 };
 use tpu_learned_cost::metrics::{kendall_tau, mape, median};
 use tpu_learned_cost::{
-    prepare, AtomicCache, CostModel, GnnConfig, GnnModel, KernelModel, LstmModel, Prepared,
-    Reduction, TaskLoss, TrainConfig, TrainReport,
+    predict_log_ns, prepare, AtomicCache, CostModel, GnnConfig, GnnModel, KernelModel, LstmModel,
+    Prepared, Reduction, TaskLoss, TrainConfig, TrainReport,
 };
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
 
@@ -40,7 +40,7 @@ fn test_medians<M: KernelModel>(model: &M, by_program: &[Vec<Prepared>]) -> (f64
     let (mapes, taus): (Vec<f64>, Vec<f64>) = by_program
         .iter()
         .map(|prepared| {
-            let preds = predict_ns_prepared(model, prepared);
+            let preds: Vec<f64> = predict_log_ns(model, prepared).map(f64::exp).collect();
             let targets: Vec<f64> = prepared.iter().map(|p| p.runtime_ns).collect();
             (mape(&preds, &targets), kendall_tau(&preds, &targets))
         })

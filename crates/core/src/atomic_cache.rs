@@ -117,10 +117,13 @@ impl Slot {
 /// the canonical kernel hash.
 ///
 /// Drop-in serving replacement for the historical sharded-mutex map
-/// behind the [`KernelCache`] trait: same counters, same
-/// [`CacheStats`] snapshot, same `Option<Option<f64>>` lookup contract
-/// (the cached value may itself be `None` for a kernel the backend
-/// cannot score). The differences are deliberate serving trade-offs:
+/// behind the [`KernelCache`] trait: the same [`CacheStats`] snapshot
+/// (evictions and resident entries) and the same `Option<Option<f64>>`
+/// lookup contract (the cached value may itself be `None` for a kernel
+/// the backend cannot score). A probe writes nothing: hits are counted
+/// once, by [`predict_keyed`](crate::predict_keyed), in
+/// [`EngineCounters`](crate::EngineCounters). The differences are
+/// deliberate serving trade-offs:
 ///
 /// - **lossy**: an insert may replace a colliding resident entry (or be
 ///   lost outright in a writer/writer race) — sound because predictions
@@ -134,8 +137,6 @@ impl Slot {
 ///   module docs on torn reads).
 pub struct AtomicCache {
     slots: Box<[Slot]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -161,8 +162,6 @@ impl AtomicCache {
     pub fn with_capacity(slots: usize) -> AtomicCache {
         AtomicCache {
             slots: (0..slots).map(|_| Slot::empty()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -192,27 +191,18 @@ impl AtomicCache {
         (0..PROBE_WINDOW.min(cap)).map(move |i| &self.slots[(base + i) % cap])
     }
 
-    /// Look up by pre-computed hash, counting a hit or miss. Lock-free:
-    /// at most `PROBE_WINDOW` pairs of atomic loads.
+    /// Look up by pre-computed hash. Lock-free and read-only: at most
+    /// `PROBE_WINDOW` pairs of atomic loads.
     pub fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
-        if self.slots.is_empty() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
         let k = vkey(hash);
-        for slot in self.probe(k) {
+        // Torn or foreign pairs fail the check and fall through to a
+        // miss; only a self-consistent (tag, val) pair written for this
+        // key can verify. A zero-capacity cache has an empty window.
+        self.probe(k).find_map(|slot| {
             let tag = slot.tag.load(Ordering::Acquire);
             let val = slot.val.load(Ordering::Acquire);
-            // Torn or foreign pairs fail this check and fall through to a
-            // miss; only a self-consistent (tag, val) pair written for
-            // this key can verify.
-            if tag ^ val == k {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(decode(val));
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+            (tag ^ val == k).then(|| decode(val))
+        })
     }
 
     /// Insert a prediction under a pre-computed hash. Lossy: a full probe
@@ -254,43 +244,27 @@ impl AtomicCache {
         victim.val.store(word, Ordering::Release);
         victim.tag.store(k ^ word, Ordering::Release);
     }
+}
 
-    /// Return the cached prediction for `kernel`, computing it with
-    /// `compute` on a miss. Nothing is held while `compute` runs; under
-    /// contention two threads may both compute, which is harmless
-    /// (predictions are deterministic).
-    pub fn get_or_compute(
-        &self,
-        kernel: &Kernel,
-        compute: impl FnOnce() -> Option<f64>,
-    ) -> Option<f64> {
-        let hash = AtomicCache::key(kernel);
-        if let Some(cached) = self.lookup_hash(hash) {
-            return cached;
-        }
-        let fresh = compute();
-        self.insert_hash(hash, fresh);
-        fresh
+/// The bookkeeping half of the contract lives only here; the probe and the
+/// insert are also inherent, for callers that hold an `AtomicCache`.
+impl KernelCache for AtomicCache {
+    fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
+        AtomicCache::lookup_hash(self, hash)
     }
-
-    /// Number of resident entries (occupied slots). A full scan, and a
-    /// point-in-time approximation under concurrent writes — use at
-    /// phase boundaries, not per probe. Never exceeds
-    /// [`AtomicCache::capacity`].
-    pub fn len(&self) -> usize {
+    fn insert_hash(&self, hash: u64, prediction: Option<f64>) {
+        AtomicCache::insert_hash(self, hash, prediction)
+    }
+    /// Occupied slots: a full scan, and a point-in-time approximation under
+    /// concurrent writes — use at phase boundaries, not per probe. Never
+    /// exceeds [`AtomicCache::capacity`].
+    fn len(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| s.tag.load(Ordering::Acquire) != 0 || s.val.load(Ordering::Acquire) != 0)
             .count()
     }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all entries (counters are kept).
-    pub fn clear(&self) {
+    fn clear(&self) {
         for s in self.slots.iter() {
             // tag first: an all-zero tag can never verify, so a reader
             // racing with clear misses instead of seeing a half-cleared
@@ -299,41 +273,15 @@ impl AtomicCache {
             s.val.store(0, Ordering::Release);
         }
     }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: self.eviction_count(),
             entries: self.len(),
         }
     }
-
-    /// Evictions so far — one atomic read (no slot scan).
-    pub fn eviction_count(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
-impl KernelCache for AtomicCache {
-    fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
-        AtomicCache::lookup_hash(self, hash)
-    }
-    fn insert_hash(&self, hash: u64, prediction: Option<f64>) {
-        AtomicCache::insert_hash(self, hash, prediction)
-    }
-    fn len(&self) -> usize {
-        AtomicCache::len(self)
-    }
-    fn clear(&self) {
-        AtomicCache::clear(self)
-    }
-    fn stats(&self) -> CacheStats {
-        AtomicCache::stats(self)
-    }
+    /// One atomic read (no slot scan).
     fn eviction_count(&self) -> u64 {
-        AtomicCache::eviction_count(self)
+        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -349,8 +297,13 @@ mod tests {
         assert_eq!(cache.lookup_hash(7), Some(Some(42.5)));
         assert_eq!(cache.lookup_hash(9), Some(None));
         assert_eq!(cache.lookup_hash(8), None);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 2));
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                evictions: 0,
+                entries: 2
+            }
+        );
     }
 
     #[test]
@@ -385,7 +338,6 @@ mod tests {
         cache.insert_hash(1, Some(1.0));
         assert_eq!(cache.lookup_hash(1), None);
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.eviction_count(), 0);
     }
 
@@ -402,13 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_counters_and_empties_slots() {
-        let cache = AtomicCache::with_capacity(16);
+    fn clear_keeps_evictions_and_empties_slots() {
+        let cache = AtomicCache::with_capacity(1);
         cache.insert_hash(1, Some(1.0));
-        cache.lookup_hash(1);
+        cache.insert_hash(2, Some(2.0));
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.lookup_hash(1), None);
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.lookup_hash(2), None);
+        assert_eq!(cache.eviction_count(), 1);
     }
 }

@@ -13,7 +13,8 @@ use tpu_nn::{ArenaLen, Graph, NoTape};
 ///
 /// Backends: the learned GNN ([`GnnModel`]), the LSTM baseline
 /// ([`LstmModel`]), the analytical model, or the simulator itself as an
-/// oracle ([`SimOracle`]).
+/// oracle ([`SimOracle`]). None of them has a prediction method of its
+/// own: this trait is the one way to ask.
 ///
 /// The batch method is the primary serving surface: the paper's deployment
 /// story (§6.3) scores thousands of candidate configurations, and every
@@ -140,15 +141,15 @@ pub fn predict_one_log_ns<const SKIP_ZEROS: bool, M: KernelModel>(model: &M, p: 
     log_ns_on(model, &mut r, p)
 }
 
-/// Log-runtime of each featurized kernel, without a tape, on one arena
-/// sized for the largest.
-pub(crate) fn log_ns_each<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
+/// Predicted log-runtime of each featurized kernel, in order, without a
+/// tape: one forward per kernel, on one arena sized for the largest.
+pub fn predict_log_ns<'a, M: KernelModel>(
+    model: &'a M,
+    prepared: &'a [Prepared],
+) -> impl Iterator<Item = f64> + 'a {
     let nodes = prepared.iter().map(Prepared::num_nodes).max().unwrap_or(0);
     let mut r = NoTape::<false>::with_len(arena_len(model, nodes));
-    prepared
-        .iter()
-        .map(|p| log_ns_on(model, &mut r, p))
-        .collect()
+    prepared.iter().map(move |p| log_ns_on(model, &mut r, p))
 }
 
 /// The one serving body of every neural backend, over owned or borrowed
@@ -170,35 +171,29 @@ pub fn predict_each<const SKIP_ZEROS: bool, M: KernelModel, K: Borrow<Kernel>>(
         .collect()
 }
 
-impl CostModel for GnnModel {
-    fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
-        Some(self.predict_ns(kernel))
-    }
-    fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        predict_each::<false, _, _>(self, kernels)
-    }
-    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
-        predict_each::<false, _, _>(self, kernels)
-    }
-    fn name(&self) -> &str {
-        "learned-gnn"
-    }
+/// The neural backends answer through one body: a kernel on its own is
+/// [`predict_one_log_ns`], a slice is [`predict_each`] (zero skip off:
+/// a trained model's weights are not checked for finiteness).
+macro_rules! neural_cost_model {
+    ($($model:ty => $name:literal),*) => {$(
+        impl CostModel for $model {
+            fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
+                Some(predict_one_log_ns::<false, _>(self, &Prepared::from_kernel(kernel)).exp())
+            }
+            fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
+                predict_each::<false, _, _>(self, kernels)
+            }
+            fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
+                predict_each::<false, _, _>(self, kernels)
+            }
+            fn name(&self) -> &str {
+                $name
+            }
+        }
+    )*};
 }
 
-impl CostModel for LstmModel {
-    fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
-        Some(self.predict_ns(kernel))
-    }
-    fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        predict_each::<false, _, _>(self, kernels)
-    }
-    fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
-        predict_each::<false, _, _>(self, kernels)
-    }
-    fn name(&self) -> &str {
-        "lstm-baseline"
-    }
-}
+neural_cost_model!(GnnModel => "learned-gnn", LstmModel => "lstm-baseline");
 
 /// The simulator as an oracle cost model (useful for upper-bound
 /// comparisons and tests).
@@ -322,7 +317,7 @@ mod tests {
         let kernels: Vec<Kernel> = (1..=6).map(|i| kernel_cols(i * 16)).collect();
         let batch = m.predict_batch_ns(&kernels);
         for (k, b) in kernels.iter().zip(&batch) {
-            assert_eq!(*b, Some(m.predict_ns(k)), "packed forward must match");
+            assert_eq!(*b, m.predict_kernel_ns(k), "packed forward must match");
         }
     }
 
@@ -336,7 +331,10 @@ mod tests {
         let kernels: Vec<Kernel> = (1..=4).map(|i| kernel_cols(i * 16)).collect();
         let batch = m.predict_batch_ns(&kernels);
         for (k, b) in kernels.iter().zip(&batch) {
-            assert_eq!(b.unwrap().to_bits(), m.predict_ns(k).to_bits());
+            assert_eq!(
+                b.unwrap().to_bits(),
+                m.predict_kernel_ns(k).unwrap().to_bits()
+            );
         }
     }
 

@@ -8,8 +8,9 @@
 //!
 //! - [`KernelCache`] — the storage contract: a thread-safe map from the
 //!   canonical kernel hash ([`tpu_hlo::canonical_kernel_hash`]) to a
-//!   cached prediction, with hit/miss/eviction counters (the shipped
-//!   implementation is the lock-free [`AtomicCache`]),
+//!   cached prediction, with an eviction counter (the shipped
+//!   implementation is the lock-free [`AtomicCache`]); hits are counted
+//!   once, by the body below, in [`EngineCounters`],
 //! - [`predict_keyed`] — the one serving body: it answers what it can from
 //!   the cache, deduplicates the distinct misses, lends them to a scorer —
 //!   borrowed, not copied — in **one** call, inserts the answers and
@@ -38,39 +39,20 @@ use tpu_hlo::{canonical_kernel_hash, Kernel};
 use tpu_nn::Tape;
 use tpu_obs::{Counter, Histogram, Registry};
 
-/// A point-in-time snapshot of cache counters.
+/// A point-in-time snapshot of a cache's residency. Hits are not a cache
+/// statistic: the one body that probes, [`predict_keyed`], counts them in
+/// [`EngineCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that required computing a prediction.
-    pub misses: u64,
     /// Entries discarded to stay within capacity.
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Total lookups observed.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups served from the cache (0 when none were made).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.lookups();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The storage contract behind a [`Predictor`] session: a thread-safe map
-/// from the canonical kernel hash to a cached prediction, with hit /
-/// miss / eviction accounting.
+/// from the canonical kernel hash to a cached prediction, with eviction
+/// accounting.
 ///
 /// One implementation ships: [`AtomicCache`] — fixed-capacity,
 /// open-addressed, lock-free atomic slots with lossy replacement (see
@@ -85,8 +67,8 @@ impl CacheStats {
 /// are pure functions of the kernel and the frozen weights; they must
 /// never return a value that was inserted under a *different* hash.
 pub trait KernelCache: Send + Sync {
-    /// Look up by pre-computed hash, counting a hit or miss. The outer
-    /// `Option` is residency; the inner is the cached prediction itself.
+    /// Look up by pre-computed hash. The outer `Option` is residency; the
+    /// inner is the cached prediction itself.
     fn lookup_hash(&self, hash: u64) -> Option<Option<f64>>;
 
     /// Insert a prediction under a pre-computed hash.
@@ -267,9 +249,8 @@ impl EngineCounters {
 /// inserts caused. An all-hit call never calls `kernel_of` or `score`.
 ///
 /// Nothing is inserted, counted or timed before `score` returns, so a
-/// scorer that panics leaves the cache's entries, the counters and the
-/// metrics as they were; only the probe's lookups have been counted by the
-/// cache.
+/// scorer that panics leaves the cache, the counters and the metrics as
+/// they were.
 pub fn predict_keyed<'k, C: KernelCache + ?Sized>(
     cache: &C,
     counters: &EngineCounters,
@@ -435,20 +416,19 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
         &self.cache
     }
 
-    /// Export the shared cache's counters as `core.cache.*` gauges.
-    /// The entry count may scan the whole cache ([`AtomicCache::len`]
-    /// reads every slot), so call this at phase boundaries (end of a run,
-    /// before writing a report), not per predict. No-op without an
-    /// attached registry.
+    /// Export the shared cache's resident entries as the
+    /// `core.cache.entries` gauge (lookups and hits are
+    /// `core.engine.kernels` and `core.engine.cache_hits`). The count may
+    /// scan the whole cache (an `AtomicCache` reads every slot), so
+    /// call this at phase boundaries (end of a run, before writing a
+    /// report), not per predict. No-op without an attached registry.
     pub fn record_cache_stats(&self) {
         let registry = self.registry();
         if !registry.is_enabled() {
             return;
         }
-        let s = self.cache.stats();
-        registry.gauge("core.cache.entries").set(s.entries as f64);
-        registry.gauge("core.cache.lookups").set(s.lookups() as f64);
-        registry.gauge("core.cache.hit_rate").set(s.hit_rate());
+        let entries = self.cache.stats().entries;
+        registry.gauge("core.cache.entries").set(entries as f64);
     }
 
     /// Cumulative serving counters for this session.
@@ -456,14 +436,9 @@ impl<M: CostModel, C: KernelCache> Predictor<M, C> {
         self.counters.stats()
     }
 
-    /// Runtime predictions (ns) for a slice of kernels, positionally.
-    pub fn predict_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        let refs: Vec<&Kernel> = kernels.iter().collect();
-        self.predict_ns_refs(&refs).0
-    }
-
-    /// Like [`Predictor::predict_ns`] but over references, returning this
-    /// call's [`PredictStats`] alongside the predictions.
+    /// Runtime predictions (ns) for a slice of kernels, positionally, and
+    /// this call's [`PredictStats`]. The [`CostModel`] methods answer
+    /// through this one.
     pub fn predict_ns_refs(&self, kernels: &[&Kernel]) -> (Vec<Option<f64>>, PredictStats) {
         let hashes: Vec<u64> = kernels.iter().map(|k| canonical_kernel_hash(k)).collect();
         self.predict_keyed(&hashes, |i| kernels[i])
@@ -495,7 +470,7 @@ impl<M: CostModel, C: KernelCache> CostModel for Predictor<M, C> {
             .expect("one prediction per kernel")
     }
     fn predict_batch_ns(&self, kernels: &[Kernel]) -> Vec<Option<f64>> {
-        self.predict_ns(kernels)
+        self.predict_refs_ns(&kernels.iter().collect::<Vec<_>>())
     }
     fn predict_refs_ns(&self, kernels: &[&Kernel]) -> Vec<Option<f64>> {
         self.predict_ns_refs(kernels).0
@@ -545,9 +520,7 @@ mod tests {
         // Fresh-start stats must print as definite zeros: a serve daemon
         // answering a `stats` request before any predict traffic would
         // otherwise emit NaN, which is not representable in JSON.
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
         assert_eq!(PredictStats::default().hit_rate(), 0.0);
-        assert_eq!(AtomicCache::with_capacity(8).stats().hit_rate(), 0.0);
     }
 
     #[test]
@@ -665,7 +638,7 @@ mod tests {
         );
         let want: Vec<Option<f64>> = calls
             .iter()
-            .flat_map(|call| call.iter().map(|&i| Some(model.predict_ns(&kernels[i]))))
+            .flat_map(|call| call.iter().map(|&i| model.predict_kernel_ns(&kernels[i])))
             .collect();
         assert_eq!(got, want);
     }
@@ -679,16 +652,16 @@ mod tests {
         let model = GnnModel::new(GnnConfig::default());
         let p = Predictor::new(&model);
         let kernels: Vec<Kernel> = (1..=6).map(|i| kernel(i * 16)).collect();
-        let cold = p.predict_ns(&kernels);
+        let cold = p.predict_batch_ns(&kernels);
         let s = p.stats();
         assert_eq!((s.kernels, s.model_evals, s.model_batches), (6, 6, 1));
-        let warm = p.predict_ns(&kernels);
+        let warm = p.predict_batch_ns(&kernels);
         let s = p.stats();
         assert_eq!((s.kernels, s.cache_hits, s.model_batches), (12, 6, 1));
         assert_eq!(cold, warm, "cached values are reused bit-for-bit");
         // And positionally bit-identical to the per-kernel path.
         for (k, c) in kernels.iter().zip(&cold) {
-            assert_eq!(*c, Some(model.predict_ns(k)));
+            assert_eq!(*c, model.predict_kernel_ns(k));
         }
     }
 
@@ -722,7 +695,7 @@ mod tests {
     fn empty_batch_is_empty_and_free() {
         let model = GnnModel::new(GnnConfig::default());
         let p = Predictor::new(&model);
-        assert!(p.predict_ns(&[]).is_empty());
+        assert!(p.predict_batch_ns(&[]).is_empty());
         assert_eq!(p.stats().model_batches, 0);
         assert!(forward_log_ns(&model, &[]).is_empty());
     }
@@ -738,8 +711,8 @@ mod tests {
         );
         assert!(!Predictor::new(&model).registry().is_enabled());
         let kernels: Vec<Kernel> = (1..=4).map(|i| kernel(i * 16)).collect();
-        let cold = p.predict_ns(&kernels);
-        let warm = p.predict_ns(&kernels);
+        let cold = p.predict_batch_ns(&kernels);
+        let warm = p.predict_batch_ns(&kernels);
         assert_eq!(cold, warm, "instrumentation must not perturb predictions");
         p.record_cache_stats();
 
@@ -766,7 +739,9 @@ mod tests {
         let fwd = s.histogram("core.engine.forward_ns").unwrap();
         assert_eq!(fwd.count, 1, "warm call must not time a forward");
         assert_eq!(s.gauge("core.cache.entries"), Some(4.0));
-        assert_eq!(s.gauge("core.cache.hit_rate"), Some(0.5));
+        // Lookups and hits are the engine's counters, not the cache's.
+        assert_eq!(s.gauge("core.cache.lookups"), None);
+        assert_eq!(s.gauge("core.cache.hit_rate"), None);
     }
 
     #[test]
@@ -777,7 +752,7 @@ mod tests {
         let cache = Arc::new(AtomicCache::with_capacity(16));
         let p = Predictor::with_cache(inner, cache).observed(&registry);
         let kernels: Vec<Kernel> = (1..=64).map(kernel).collect();
-        p.predict_ns(&kernels);
+        p.predict_batch_ns(&kernels);
         let observed = registry
             .snapshot()
             .counter("core.engine.cache_evictions")
@@ -815,16 +790,7 @@ mod tests {
 
         assert_eq!(counters.stats(), counted, "no call counted");
         assert_eq!(registry.snapshot(), snapshot, "no metric recorded");
-        // The probe's two hits and two misses are the cache's only change:
-        // entries and evictions are as they were.
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: stats.hits + 2,
-                misses: stats.misses + 2,
-                ..stats
-            }
-        );
+        assert_eq!(cache.stats(), stats, "entries and evictions as they were");
         let resident: Vec<_> = keys.iter().map(|&k| cache.lookup_hash(k)).collect();
         assert_eq!(resident, [Some(Some(1.0)), Some(Some(1.0)), None, None]);
     }
@@ -836,7 +802,7 @@ mod tests {
         let prepared: Vec<Prepared> = kernels.iter().map(Prepared::from_kernel).collect();
         let refs: Vec<&Prepared> = prepared.iter().collect();
         let packed = forward_log_ns(&model, &refs);
-        let each = crate::train::predict_log_ns(&model, &prepared);
+        let each: Vec<f64> = crate::predict_log_ns(&model, &prepared).collect();
         assert_eq!(packed, each, "disjoint segments: packing is invisible");
     }
 }

@@ -59,16 +59,18 @@ mod train;
 pub use atomic_cache::AtomicCache;
 pub use batch::{GraphBatch, Prepared, Sample};
 pub use checkpoint::{CheckpointError, TrainCheckpoint, SCHEMA as CHECKPOINT_SCHEMA};
-pub use cost_model::{predict_each, predict_one_log_ns, CostModel, FnCostModel, SimOracle};
+pub use cost_model::{
+    predict_each, predict_log_ns, predict_one_log_ns, CostModel, FnCostModel, SimOracle,
+};
 pub use engine::{
     forward_log_ns, predict_keyed, CacheStats, EngineCounters, KernelCache, PredictStats, Predictor,
 };
 pub use lstm_model::{LstmConfig, LstmModel};
 pub use model::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction, LOG_NS_OFFSET};
 pub use train::{
-    per_group_kendall, predict_log_ns, prepare, stream_epoch_plan, train, train_resumable,
-    train_step, train_stream, BatchSource, ExampleMeta, KernelModel, StreamConfig, TaskLoss,
-    TrainConfig, TrainReport,
+    per_group_kendall, prepare, stream_epoch_plan, train, train_resumable, train_step,
+    train_stream, BatchSource, ExampleMeta, KernelModel, StreamConfig, TaskLoss, TrainConfig,
+    TrainReport,
 };
 
 // Re-exported so downstream crates (e.g. the streamed dataset reader) can

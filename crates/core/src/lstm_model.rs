@@ -2,11 +2,10 @@
 //! sequences of nodes, whose embeddings are the same per-node
 //! representations used in our proposed model."
 
-use crate::batch::Prepared;
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tpu_hlo::{Kernel, Opcode};
+use tpu_hlo::Opcode;
 use tpu_nn::{Activation, Embedding, Graph, Linear, LstmCell, ParamSource, ParamStore, Recorder};
 
 /// Hyperparameters of the LSTM baseline.
@@ -139,25 +138,14 @@ impl LstmModel {
         let y = r.linear(store, &self.head, state.h);
         r.add_scalar(y, crate::model::LOG_NS_OFFSET)
     }
-
-    /// Predict log-runtime for one kernel (no tape). Batched callers go
-    /// through [`CostModel::predict_batch_ns`](crate::CostModel) or a
-    /// [`Predictor`](crate::Predictor) session instead.
-    pub fn predict_log_ns(&self, kernel: &Kernel) -> f64 {
-        crate::cost_model::predict_one_log_ns::<false, _>(self, &Prepared::from_kernel(kernel))
-    }
-
-    /// Predict runtime in nanoseconds.
-    pub fn predict_ns(&self, kernel: &Kernel) -> f64 {
-        self.predict_log_ns(kernel).exp()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{GraphBatch, Sample};
-    use tpu_hlo::{DType, GraphBuilder, Shape};
+    use crate::batch::{GraphBatch, Prepared, Sample};
+    use crate::model::log_ns;
+    use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
     use tpu_nn::Tape;
 
     fn kernel(depth: usize) -> Kernel {
@@ -188,7 +176,7 @@ mod tests {
         crate::model::perturb_biases(m.store_mut());
         let short = kernel(1);
         let long = kernel(9);
-        let alone = m.predict_log_ns(&short);
+        let alone = log_ns(&m, &short);
         let ps = Prepared::from_sample(&Sample::new(short, 0.0));
         let pl = Prepared::from_sample(&Sample::new(long, 0.0));
         let both = crate::engine::forward_log_ns(&m, &[&ps, &pl]);
@@ -203,15 +191,15 @@ mod tests {
     #[test]
     fn sequence_length_matters() {
         let m = LstmModel::new(LstmConfig::default());
-        let a = m.predict_log_ns(&kernel(1));
-        let b = m.predict_log_ns(&kernel(8));
+        let a = log_ns(&m, &kernel(1));
+        let b = log_ns(&m, &kernel(8));
         assert_ne!(a, b);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = LstmModel::new(LstmConfig::default()).predict_log_ns(&kernel(3));
-        let b = LstmModel::new(LstmConfig::default()).predict_log_ns(&kernel(3));
+        let a = log_ns(&LstmModel::new(LstmConfig::default()), &kernel(3));
+        let b = log_ns(&LstmModel::new(LstmConfig::default()), &kernel(3));
         assert_eq!(a, b);
     }
 }

@@ -1,10 +1,9 @@
 //! The GraphSAGE-based performance model (§4.1, Eq. 1).
 
-use crate::batch::Prepared;
 use crate::features::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tpu_hlo::{Kernel, Opcode};
+use tpu_hlo::Opcode;
 use tpu_nn::{Activation, Embedding, Graph, Linear, ParamSource, ParamStore, Recorder};
 
 /// Constant added to the head output: centers untrained predictions near
@@ -95,7 +94,7 @@ impl Default for GnnConfig {
 /// # Example
 ///
 /// ```
-/// use tpu_learned_cost::{GnnConfig, GnnModel};
+/// use tpu_learned_cost::{CostModel, GnnConfig, GnnModel};
 /// use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
 ///
 /// let mut b = GraphBuilder::new("k");
@@ -104,8 +103,8 @@ impl Default for GnnConfig {
 /// let kernel = Kernel::new(b.finish(t));
 ///
 /// let model = GnnModel::new(GnnConfig::default());
-/// let log_ns = model.predict_log_ns(&kernel);
-/// assert!(log_ns.is_finite());
+/// let ns = model.predict_kernel_ns(&kernel).unwrap();
+/// assert!(ns.is_finite() && ns > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GnnModel {
@@ -273,19 +272,14 @@ impl GnnModel {
         let y = r.linear(store, &self.head, kappa);
         r.add_scalar(y, LOG_NS_OFFSET)
     }
+}
 
-    /// Predict log-runtime for a single kernel (inference, no tape).
-    /// Batched callers go through
-    /// [`CostModel::predict_batch_ns`](crate::CostModel) or a
-    /// [`Predictor`](crate::Predictor) session instead.
-    pub fn predict_log_ns(&self, kernel: &Kernel) -> f64 {
-        crate::cost_model::predict_one_log_ns::<false, _>(self, &Prepared::from_kernel(kernel))
-    }
-
-    /// Predict runtime in nanoseconds for a single kernel.
-    pub fn predict_ns(&self, kernel: &Kernel) -> f64 {
-        self.predict_log_ns(kernel).exp()
-    }
+/// Predicted log-runtime of one kernel, without a tape: what the model
+/// tests compare.
+#[cfg(test)]
+pub(crate) fn log_ns<M: crate::KernelModel>(model: &M, kernel: &tpu_hlo::Kernel) -> f64 {
+    let p = crate::Prepared::from_kernel(kernel);
+    crate::cost_model::predict_one_log_ns::<false, _>(model, &p)
 }
 
 /// Every bias of `store` (a parameter named `*.b`) set to a fixed pattern
@@ -308,8 +302,8 @@ pub(crate) fn perturb_biases(store: &mut ParamStore) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{GraphBatch, Sample};
-    use tpu_hlo::{DType, GraphBuilder, Shape};
+    use crate::batch::{GraphBatch, Prepared, Sample};
+    use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
     use tpu_nn::Tape;
 
     fn kernel(cols: usize) -> Kernel {
@@ -333,16 +327,16 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = GnnModel::new(GnnConfig::default()).predict_log_ns(&kernel(128));
-        let b = GnnModel::new(GnnConfig::default()).predict_log_ns(&kernel(128));
+        let a = log_ns(&GnnModel::new(GnnConfig::default()), &kernel(128));
+        let b = log_ns(&GnnModel::new(GnnConfig::default()), &kernel(128));
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_kernels_different_predictions() {
         let m = GnnModel::new(GnnConfig::default());
-        let a = m.predict_log_ns(&kernel(128));
-        let b = m.predict_log_ns(&kernel(4096));
+        let a = log_ns(&m, &kernel(128));
+        let b = log_ns(&m, &kernel(4096));
         assert_ne!(a, b);
     }
 
@@ -371,7 +365,7 @@ mod tests {
                     ..Default::default()
                 };
                 let m = GnnModel::new(cfg);
-                let v = m.predict_log_ns(&kernel(64));
+                let v = log_ns(&m, &kernel(64));
                 assert!(v.is_finite(), "{red:?}/{pool:?}");
             }
         }
@@ -397,7 +391,7 @@ mod tests {
             ..Default::default()
         };
         let m = GnnModel::new(cfg);
-        assert!(m.predict_log_ns(&kernel(64)).is_finite());
+        assert!(log_ns(&m, &kernel(64)).is_finite());
     }
 
     #[test]
@@ -408,7 +402,10 @@ mod tests {
         let kernels = [kernel(128), kernel(512)];
         let batch_preds = m.predict_batch_ns(&kernels);
         for (k, b) in kernels.iter().zip(&batch_preds) {
-            assert_eq!(b.unwrap().to_bits(), m.predict_ns(k).to_bits());
+            assert_eq!(
+                b.unwrap().to_bits(),
+                m.predict_kernel_ns(k).unwrap().to_bits()
+            );
         }
     }
 }
@@ -475,8 +472,8 @@ mod invariance_tests {
         );
 
         let model = GnnModel::new(GnnConfig::default());
-        let a = model.predict_log_ns(&Kernel::new(c));
-        let b2 = model.predict_log_ns(&Kernel::new(relabeled));
+        let a = log_ns(&model, &Kernel::new(c));
+        let b2 = log_ns(&model, &Kernel::new(relabeled));
         assert!(
             (a - b2).abs() < 1e-4,
             "GNN must be permutation-invariant: {a} vs {b2}"
@@ -497,8 +494,8 @@ mod invariance_tests {
         let relabeled = isomorphic_relabel(&c);
 
         let model = crate::lstm_model::LstmModel::new(crate::lstm_model::LstmConfig::default());
-        let a = model.predict_log_ns(&Kernel::new(c));
-        let b2 = model.predict_log_ns(&Kernel::new(relabeled));
+        let a = log_ns(&model, &Kernel::new(c));
+        let b2 = log_ns(&model, &Kernel::new(relabeled));
         assert!(
             (a - b2).abs() > 1e-7,
             "LSTM should depend on sequence order: {a} vs {b2}"
@@ -554,8 +551,8 @@ mod arch_tests {
             arch: GnnArch::GcnMean,
             ..Default::default()
         });
-        let a = sage.predict_log_ns(&kernel());
-        let b = gcn.predict_log_ns(&kernel());
+        let a = log_ns(&sage, &kernel());
+        let b = log_ns(&gcn, &kernel());
         assert!(a.is_finite() && b.is_finite());
         assert_ne!(a, b, "architectures should compute differently");
     }
@@ -568,7 +565,7 @@ mod arch_tests {
                 hops,
                 ..Default::default()
             });
-            assert!(gcn.predict_log_ns(&kernel()).is_finite(), "hops={hops}");
+            assert!(log_ns(&gcn, &kernel()).is_finite(), "hops={hops}");
         }
     }
 }

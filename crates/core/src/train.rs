@@ -6,6 +6,7 @@ use crate::batch::{GraphBatch, Prepared, Sample};
 use crate::checkpoint::{
     check_fits, decode_f64, encode_f64, CheckpointError, TrainCheckpoint, SCHEMA,
 };
+use crate::cost_model::predict_log_ns;
 use crate::lstm_model::LstmModel;
 use crate::metrics::{kendall_tau, mape, mean};
 use crate::model::GnnModel;
@@ -183,12 +184,6 @@ pub fn prepare(samples: &[Sample]) -> Vec<Prepared> {
     Prepared::from_samples(samples)
 }
 
-/// Log-runtime prediction over prepared samples, without a tape: one
-/// forward per kernel on one arena.
-pub fn predict_log_ns<M: KernelModel>(model: &M, prepared: &[Prepared]) -> Vec<f64> {
-    crate::cost_model::log_ns_each(model, prepared)
-}
-
 /// Validation metric: fusion → MAPE on ns (lower better); tile → mean
 /// per-group Kendall τ (higher better).
 pub(crate) fn validation_metric<M: KernelModel>(
@@ -202,11 +197,13 @@ pub(crate) fn validation_metric<M: KernelModel>(
     let preds = predict_log_ns(model, val);
     match loss {
         TaskLoss::FusionLogMse => {
-            let pred_ns: Vec<f64> = preds.iter().map(|&p| p.exp()).collect();
+            let pred_ns: Vec<f64> = preds.map(f64::exp).collect();
             let targets: Vec<f64> = val.iter().map(|p| p.runtime_ns).collect();
             mape(&pred_ns, &targets)
         }
-        TaskLoss::TileRank(_) | TaskLoss::TileMse => mean(&per_group_kendall(&preds, val)),
+        TaskLoss::TileRank(_) | TaskLoss::TileMse => {
+            mean(&per_group_kendall(&preds.collect::<Vec<_>>(), val))
+        }
     }
 }
 
@@ -1171,8 +1168,8 @@ mod tests {
         // different tile, different prediction.
         let model = GnnModel::new(GnnConfig::default());
         let k = ew_kernel(1024, 1024);
-        let a = model.predict_log_ns(&k.clone().with_tile(TileSize(vec![128, 64])));
-        let b = model.predict_log_ns(&k.clone().with_tile(TileSize(vec![1024, 8])));
+        let a = crate::model::log_ns(&model, &k.clone().with_tile(TileSize(vec![128, 64])));
+        let b = crate::model::log_ns(&model, &k.clone().with_tile(TileSize(vec![1024, 8])));
         assert_ne!(a, b);
     }
 }

@@ -10,9 +10,38 @@ use tpu_sim::{tile_fits, TpuConfig};
 /// ~1% of kernels; mostly tiny reductions and scalar epilogues here).
 pub const MIN_TILABLE_ELEMS: u64 = 256;
 
+/// The output dimensions of a kernel that has tile-size options, in
+/// minor-to-major order, each with its hardware alignment (128 lanes for
+/// the minor dimension, 8 sublanes for the second minor, unaligned for
+/// outer dimensions); `None` for an output under the size floor.
+fn tilable_dims(k: &Kernel) -> Option<impl Iterator<Item = (usize, usize)> + '_> {
+    let root = k.computation.node(k.computation.root());
+    if root.shape.is_scalar() || root.shape.elem_count() < MIN_TILABLE_ELEMS {
+        return None;
+    }
+    let m2m = root.layout.minor_to_major();
+    Some(m2m.iter().enumerate().map(|(i, &d)| {
+        let align = match i {
+            0 => 128,
+            1 => 8,
+            _ => 1,
+        };
+        (root.shape.dim(d), align)
+    }))
+}
+
+/// The divisors `frac` of a dimension's unaligned extents
+/// `d.div_ceil(frac)`.
+fn unaligned_fracs(align: usize) -> &'static [usize] {
+    if align > 1 {
+        &[3, 5, 7, 9]
+    } else {
+        &[3, 5]
+    }
+}
+
 /// Candidate extents for one dimension of size `d` with hardware alignment
-/// `align` (128 lanes for the minor dimension, 8 sublanes for the second
-/// minor, unaligned for outer dimensions).
+/// `align`.
 fn dim_candidates(d: usize, align: usize) -> Vec<usize> {
     let mut out = Vec::new();
     if align > 1 {
@@ -25,31 +54,37 @@ fn dim_candidates(d: usize, align: usize) -> Vec<usize> {
                 out.push(v);
             }
         }
-        // Deliberately unaligned extents — real compilers expose them, and
-        // they are the slow options a good model must rank low.
-        for frac in [3usize, 5, 7, 9] {
-            let u = d.div_ceil(frac);
-            if u > 1 && u < d {
-                out.push(u);
-            }
-        }
     } else {
         let mut v = 1;
         while v < d {
             out.push(v);
             v *= 2;
         }
-        for frac in [3usize, 5] {
-            let u = d.div_ceil(frac);
-            if u > 1 && u < d {
-                out.push(u);
-            }
+    }
+    // Deliberately unaligned extents — real compilers expose them, and
+    // they are the slow options a good model must rank low.
+    for &frac in unaligned_fracs(align) {
+        let u = d.div_ceil(frac);
+        if u > 1 && u < d {
+            out.push(u);
         }
     }
     out.push(d);
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// The smallest of [`dim_candidates`]`(d, align)`, without building them:
+/// the first aligned extent (or 1), the finest unaligned one or `d`.
+fn smallest_candidate(d: usize, align: usize) -> usize {
+    unaligned_fracs(align)
+        .iter()
+        .map(|&frac| d.div_ceil(frac))
+        .filter(|&u| u > 1)
+        .chain([align])
+        .filter(|&v| v < d)
+        .fold(d, usize::min)
 }
 
 /// Enumerate the valid tile sizes for a kernel's output tensor, in
@@ -60,22 +95,10 @@ fn dim_candidates(d: usize, align: usize) -> Vec<usize> {
 /// The candidate count is capped at `max_candidates` by coarsening the
 /// outer dimensions first, mirroring how a compiler prunes its search.
 pub fn valid_tile_sizes(k: &Kernel, cfg: &TpuConfig, max_candidates: usize) -> Vec<TileSize> {
-    let root = k.computation.node(k.computation.root());
-    if root.shape.is_scalar() || root.shape.elem_count() < MIN_TILABLE_ELEMS {
+    let Some(dims) = tilable_dims(k) else {
         return Vec::new();
-    }
-    let m2m = root.layout.minor_to_major();
-    let dims: Vec<usize> = m2m.iter().map(|&d| root.shape.dim(d)).collect();
-
-    let mut per_dim: Vec<Vec<usize>> = Vec::with_capacity(dims.len());
-    for (i, &d) in dims.iter().enumerate() {
-        let align = match i {
-            0 => 128,
-            1 => 8,
-            _ => 1,
-        };
-        per_dim.push(dim_candidates(d, align));
-    }
+    };
+    let mut per_dim: Vec<Vec<usize>> = dims.map(|(d, align)| dim_candidates(d, align)).collect();
 
     // Cap the cartesian product by trimming outer-dimension choices.
     loop {
@@ -126,9 +149,20 @@ pub fn valid_tile_sizes(k: &Kernel, cfg: &TpuConfig, max_candidates: usize) -> V
     tiles
 }
 
-/// Whether a kernel has tile-size options at all.
+/// Whether a kernel has tile-size options at all: whether its output is
+/// over the size floor and the tile of each dimension's smallest candidate
+/// fits VMEM. That tile is the first [`valid_tile_sizes`] tries (capping
+/// keeps every dimension's smallest candidate), and the working set grows
+/// with the tile, so no other candidate fits when it does not
+/// (`tests/tile_options.rs` checks the two answers agree).
 pub fn has_tile_options(k: &Kernel, cfg: &TpuConfig) -> bool {
-    !valid_tile_sizes(k, cfg, 64).is_empty()
+    tilable_dims(k).is_some_and(|dims| {
+        let smallest = TileSize(
+            dims.map(|(d, align)| smallest_candidate(d, align))
+                .collect(),
+        );
+        tile_fits(k, &smallest, cfg)
+    })
 }
 
 #[cfg(test)]
@@ -145,6 +179,19 @@ mod tests {
         let x = b.parameter("x", Shape::new(dims), DType::F32);
         let t = b.tanh(x);
         Kernel::new(b.finish(t))
+    }
+
+    #[test]
+    fn smallest_candidate_is_the_first_enumerated() {
+        for align in [1, 8, 128] {
+            for d in 1..=20_000 {
+                assert_eq!(
+                    smallest_candidate(d, align),
+                    dim_candidates(d, align)[0],
+                    "d {d}, align {align}"
+                );
+            }
+        }
     }
 
     #[test]

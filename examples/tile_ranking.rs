@@ -9,7 +9,7 @@
 use tpu_repro::analytical::AnalyticalCost;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
 use tpu_repro::learned::metrics::kendall_tau;
-use tpu_repro::learned::{GnnConfig, GnnModel};
+use tpu_repro::learned::{CostModel, GnnConfig, GnnModel};
 use tpu_repro::sim::{kernel_time_ns, TpuConfig};
 use tpu_repro::tile::{rank_tiles, valid_tile_sizes};
 
@@ -37,7 +37,7 @@ fn main() {
         .iter()
         .map(|t| {
             analytical
-                .predict_ns(&kernel.clone().with_tile(t.clone()))
+                .predict_kernel_ns(&kernel.clone().with_tile(t.clone()))
                 .unwrap_or(f64::INFINITY)
         })
         .collect();
@@ -46,7 +46,10 @@ fn main() {
     let gnn = GnnModel::new(GnnConfig::default());
     let learned: Vec<f64> = tiles
         .iter()
-        .map(|t| gnn.predict_ns(&kernel.clone().with_tile(t.clone())))
+        .map(|t| {
+            gnn.predict_kernel_ns(&kernel.clone().with_tile(t.clone()))
+                .unwrap_or(f64::INFINITY)
+        })
         .collect();
 
     println!("\nKendall tau vs ground truth:");
@@ -56,7 +59,7 @@ fn main() {
 
     // Best tile under the analytical model vs the true best.
     let ranked = rank_tiles(&kernel, &machine, 200, |k| {
-        analytical.predict_ns(k).unwrap_or(f64::INFINITY)
+        analytical.predict_kernel_ns(k).unwrap_or(f64::INFINITY)
     });
     let (ana_best, _) = &ranked[0];
     let true_best = tiles

@@ -71,7 +71,7 @@ fn main() {
         m
     };
 
-    let before = eval(predict_log_ns(&model, &test_prep), "untrained");
+    let before = eval(predict_log_ns(&model, &test_prep).collect(), "untrained");
 
     let cfg = TrainConfig {
         epochs: 60,
@@ -89,7 +89,7 @@ fn main() {
         report.val_metric.last().unwrap()
     );
 
-    let after = eval(predict_log_ns(&model, &test_prep), "trained  ");
+    let after = eval(predict_log_ns(&model, &test_prep).collect(), "trained  ");
     println!(
         "\nimprovement on held-out kernels: {:.1}% -> {:.1}% MAPE",
         before, after

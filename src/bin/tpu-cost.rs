@@ -15,9 +15,9 @@
 //!
 //! The `analytical` backend is the uncalibrated roofline baseline: it
 //! answers in per-kernel-kind abstract units (0.55 to 3.1 times a roofline
-//! estimate in ns, depending on the kernel kind), so its "us" column ranks
-//! tiles of one kernel but is not a runtime, and its kernels of different
-//! kinds do not add up to one.
+//! estimate in ns, depending on the kernel kind). Its column is labelled
+//! "units": they rank tiles of one kernel but are not a runtime, and
+//! kernels of different kinds do not add up, so it prints no total.
 
 use std::process::ExitCode;
 use tpu_repro::fusion::{apply_fusion, default_space_and_config, unfused};
@@ -53,7 +53,7 @@ fn parse_args() -> Result<Args, String> {
             "--demo" => args.demo = true,
             "--dot" => args.dot_out = Some(it.next().ok_or("--dot needs a path")?),
             "--help" | "-h" => {
-                return Err("usage: tpu-cost <program.hlo> [--backend sim|analytical|frozen:BLOB] [--fuse] [--dot out.dot] | --demo\n(analytical answers in uncalibrated per-kernel-kind units, 0.55-3.1x a roofline ns estimate, not in us)".into());
+                return Err("usage: tpu-cost <program.hlo> [--backend sim|analytical|frozen:BLOB] [--fuse] [--dot out.dot] | --demo\n(analytical answers in uncalibrated per-kernel-kind units, 0.55-3.1x a roofline ns estimate, and prints no total)".into());
             }
             other if args.input.is_none() && !other.starts_with('-') => {
                 args.input = Some(other.to_string());
@@ -154,6 +154,13 @@ fn main() -> ExitCode {
             "unfused"
         }
     );
+    // Per-kind units print as they are; nanoseconds print as us.
+    let per_kind_units = args.backend == "analytical";
+    let (label, scale) = if per_kind_units {
+        ("units", 1.0)
+    } else {
+        ("us", 1e-3)
+    };
     let mut total = 0.0;
     let mut unsupported = 0usize;
     for (i, k) in fused.kernels.iter().enumerate() {
@@ -161,10 +168,10 @@ fn main() -> ExitCode {
             Some(ns) => {
                 total += ns;
                 println!(
-                    "  kernel {i:>3}  {:?}  ops={:<3}  {:>12.2} us",
+                    "  kernel {i:>3}  {:?}  ops={:<3}  {:>12.2} {label}",
                     k.kind,
                     k.num_ops(),
-                    ns / 1000.0
+                    ns * scale
                 );
             }
             None => {
@@ -177,16 +184,23 @@ fn main() -> ExitCode {
             }
         }
     }
-    println!(
-        "total ({} backend): {:.3} ms{}",
-        args.backend,
-        total / 1e6,
-        if unsupported > 0 {
-            format!(" ({unsupported} unsupported kernels excluded)")
-        } else {
-            String::new()
-        }
-    );
+    let excluded = if unsupported > 0 {
+        format!(" ({unsupported} unsupported kernels excluded)")
+    } else {
+        String::new()
+    };
+    if per_kind_units {
+        println!(
+            "no total ({} backend): units of different kernel kinds do not add{excluded}",
+            args.backend
+        );
+    } else {
+        println!(
+            "total ({} backend): {:.3} ms{excluded}",
+            args.backend,
+            total / 1e6
+        );
+    }
 
     if args.backend == "sim" {
         let report = tpu_repro::sim::analyze_program(&fused, &machine);

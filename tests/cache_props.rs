@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Shape};
-use tpu_repro::learned::{AtomicCache, FnCostModel, Predictor};
+use tpu_repro::learned::{AtomicCache, CostModel, FnCostModel, KernelCache, Predictor};
 
 mod support;
 use support::PredictionCache;
@@ -51,7 +51,7 @@ proptest! {
             prop_assert_eq!(got.map(|o| o.map(f64::to_bits)), Some(v.map(f64::to_bits)));
         }
         let stats = cache.stats();
-        prop_assert_eq!(stats.hits, entries.len() as u64);
+        prop_assert_eq!(stats.entries, entries.len());
         prop_assert_eq!(stats.evictions, 0);
     }
 
@@ -100,19 +100,23 @@ proptest! {
         }
         prop_assert_eq!(cache.len(), 0);
         prop_assert_eq!(cache.eviction_count(), 0);
-        prop_assert_eq!(cache.stats().misses, entries.len() as u64);
     }
 
-    /// `get_or_compute` runs the closure exactly once per distinct key, in
-    /// any interleaving of revisits, and always returns the first value.
+    /// A predictor over the lossless cache asks its model exactly once per
+    /// distinct kernel, in any interleaving of revisits, and always
+    /// answers with the first value.
     #[test]
-    fn get_or_compute_computes_once_per_key(
+    fn predictor_computes_once_per_key(
         // Visit sequence with deliberate revisits: indices into a small
         // key space so duplicates are common.
         visits in prop::collection::vec(0u64..24, 1..120),
     ) {
-        let cache = PredictionCache::new();
         let computes = AtomicUsize::new(0);
+        let model = FnCostModel::new("count", |k: &Kernel| {
+            computes.fetch_add(1, Ordering::Relaxed);
+            Some(k.computation.node(k.computation.root()).shape.dim(0) as f64 * 3.5)
+        });
+        let predictor = Predictor::with_cache(model, Arc::new(PredictionCache::new()));
         let mut expected: HashMap<u64, f64> = HashMap::new();
         for &key in &visits {
             // Distinct kernels per key: rows encode the key.
@@ -120,12 +124,8 @@ proptest! {
             let x = b.parameter("x", Shape::matrix(8 + key as usize, 8), DType::F32);
             let t = b.tanh(x);
             let kernel = Kernel::new(b.finish(t));
-            let value = key as f64 * 3.5 + 1.0;
-            let got = cache.get_or_compute(&kernel, || {
-                computes.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            });
-            let first = *expected.entry(key).or_insert(value);
+            let got = predictor.predict_kernel_ns(&kernel);
+            let first = *expected.entry(key).or_insert((8 + key) as f64 * 3.5);
             prop_assert_eq!(got.map(f64::to_bits), Some(first.to_bits()));
         }
         prop_assert_eq!(computes.load(Ordering::Relaxed), expected.len());

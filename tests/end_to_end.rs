@@ -102,10 +102,7 @@ fn learned_model_improves_with_training_on_unseen_programs() {
         ..Default::default()
     });
     let eval_mape = |m: &GnnModel| {
-        let preds: Vec<f64> = predict_log_ns(m, &test_p)
-            .into_iter()
-            .map(f64::exp)
-            .collect();
+        let preds: Vec<f64> = predict_log_ns(m, &test_p).map(f64::exp).collect();
         let targets: Vec<f64> = test_p.iter().map(|p| p.runtime_ns).collect();
         tpu_repro::learned::metrics::mape(&preds, &targets)
     };

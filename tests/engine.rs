@@ -53,11 +53,11 @@ fn cached_predictions_bit_identical_to_uncached_serial() {
     let kernels = kernel_corpus();
 
     // Reference: the serial, uncached, one-kernel-at-a-time path.
-    let serial: Vec<Option<f64>> = kernels.iter().map(|k| Some(model.predict_ns(k))).collect();
+    let serial: Vec<Option<f64>> = kernels.iter().map(|k| model.predict_kernel_ns(k)).collect();
 
     let predictor = Predictor::new(&model);
-    let cold = predictor.predict_ns(&kernels);
-    let warm = predictor.predict_ns(&kernels);
+    let cold = predictor.predict_batch_ns(&kernels);
+    let warm = predictor.predict_batch_ns(&kernels);
 
     assert_eq!(serial, cold, "cold cached path must be bit-identical");
     assert_eq!(serial, warm, "warm cached path must be bit-identical");
@@ -86,7 +86,7 @@ fn miss_batch_is_one_backend_call() {
     let kernels = kernel_corpus();
     let predictor = Predictor::new(&model);
 
-    let _ = predictor.predict_ns(&kernels);
+    let _ = predictor.predict_batch_ns(&kernels);
     let cold = predictor.stats();
     assert_eq!(
         cold.model_batches, 1,
@@ -94,7 +94,7 @@ fn miss_batch_is_one_backend_call() {
     );
     assert_eq!(cold.model_evals, kernels.len() as u64);
 
-    let _ = predictor.predict_ns(&kernels);
+    let _ = predictor.predict_batch_ns(&kernels);
     let warm = predictor.stats().since(&cold);
     assert_eq!(warm.model_batches, 0, "warm batch needs no forward at all");
     assert_eq!(warm.model_evals, 0);
@@ -280,12 +280,12 @@ fn parallel_paths_match_serial_across_runs() {
     let model = GnnModel::new(GnnConfig::default());
 
     // Per-kernel references: one featurization and one forward each.
-    let serial_ns: Vec<Option<f64>> = kernels.iter().map(|k| Some(model.predict_ns(k))).collect();
+    let serial_ns: Vec<Option<f64>> = kernels.iter().map(|k| model.predict_kernel_ns(k)).collect();
 
     // The uncached predictor exercises the batch path (featurize the
     // slice, one packed forward) with every kernel treated as a fresh miss.
     for run in 0..2 {
-        let ns = Predictor::uncached(&model).predict_ns(&kernels);
+        let ns = Predictor::uncached(&model).predict_batch_ns(&kernels);
         assert_eq!(ns, serial_ns, "run {run}: predictions differ");
     }
 }

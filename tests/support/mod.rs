@@ -7,7 +7,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use tpu_repro::hlo::{canonical_kernel_hash, Kernel};
 use tpu_repro::learned::{CacheStats, KernelCache};
 
 /// Number of independent shards; bounds lock contention under parallel
@@ -20,17 +19,13 @@ const SHARDS: usize = 16;
 /// analytical model on kernels without tile-size options, §6.3 footnote 3)
 /// is cached too instead of being recomputed on every visit.
 ///
-/// Lookups and inserts never hold a lock across a model evaluation: under
-/// contention two threads may both miss and compute the same prediction,
-/// which is harmless (predictions are deterministic) and cheaper than
-/// serialising forward passes behind a lock.
+/// A lookup or an insert holds one shard's lock for one `HashMap`
+/// operation, never across a model evaluation.
 pub struct PredictionCache {
     shards: [Mutex<HashMap<u64, Option<f64>>>; SHARDS],
     /// Per-shard entry caps; `None` = unbounded. The caps sum to exactly
     /// the `max_entries` passed to [`PredictionCache::with_capacity`].
     shard_caps: Option<[usize; SHARDS]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -40,8 +35,6 @@ impl PredictionCache {
         PredictionCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             shard_caps: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -87,14 +80,9 @@ impl PredictionCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Look up by pre-computed hash, counting a hit or miss.
+    /// Look up by pre-computed hash.
     pub fn lookup_hash(&self, hash: u64) -> Option<Option<f64>> {
-        let found = PredictionCache::lock(self.shard(hash)).get(&hash).copied();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        PredictionCache::lock(self.shard(hash)).get(&hash).copied()
     }
 
     /// Insert a prediction under a pre-computed hash, evicting if full.
@@ -130,22 +118,6 @@ impl PredictionCache {
         map.insert(hash, prediction);
     }
 
-    /// Return the cached prediction for `kernel`, computing it with
-    /// `compute` on a miss. The lock is not held while `compute` runs.
-    pub fn get_or_compute(
-        &self,
-        kernel: &Kernel,
-        compute: impl FnOnce() -> Option<f64>,
-    ) -> Option<f64> {
-        let hash = canonical_kernel_hash(kernel);
-        if let Some(cached) = self.lookup_hash(hash) {
-            return cached;
-        }
-        let fresh = compute();
-        self.insert_hash(hash, fresh);
-        fresh
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -154,18 +126,16 @@ impl PredictionCache {
             .sum()
     }
 
-    /// Drop all entries (counters are kept).
+    /// Drop all entries (the eviction count is kept).
     pub fn clear(&self) {
         for s in &self.shards {
             PredictionCache::lock(s).clear();
         }
     }
 
-    /// Snapshot the counters.
+    /// Snapshot the eviction count and the resident entries.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
         }
