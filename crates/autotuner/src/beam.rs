@@ -191,17 +191,25 @@ pub fn fused_structure_hash(program: &Program, space: &FusionSpace, config: &Fus
 
 /// Fold per-kernel canonical hashes, in emission order, into the
 /// transposition-table key of a fused program: SipHash over the count as
-/// a `usize`, then each hash, native-endian, gathered and written once —
-/// the stream `len().hash()` and `hash()` per kernel would write.
+/// a `usize`, then each hash, native-endian — the stream `len().hash()`
+/// and `hash()` per kernel would write. The words are gathered on the
+/// stack and written a chunk at a time: SipHash's digest depends only on
+/// the stream, and a few long writes hash it faster than a write a word.
 fn fold_structure_key(kernel_hashes: impl ExactSizeIterator<Item = u64>) -> u64 {
     use std::hash::Hasher;
-    let mut bytes = Vec::with_capacity(8 * (kernel_hashes.len() + 1));
-    bytes.extend_from_slice(&kernel_hashes.len().to_ne_bytes());
-    for k in kernel_hashes {
-        bytes.extend_from_slice(&k.to_ne_bytes());
-    }
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write(&bytes);
+    let mut chunk = [0u8; 8 * 64];
+    chunk[..8].copy_from_slice(&kernel_hashes.len().to_ne_bytes());
+    let mut len = 8;
+    for k in kernel_hashes {
+        if len == chunk.len() {
+            h.write(&chunk);
+            len = 0;
+        }
+        chunk[len..len + 8].copy_from_slice(&k.to_ne_bytes());
+        len += 8;
+    }
+    h.write(&chunk[..len]);
     h.finish()
 }
 
@@ -897,10 +905,23 @@ mod tests {
 
     #[test]
     fn structure_key_is_the_per_field_fold() {
-        // The one-write key must stay the key `Hash` gives field by field:
+        // The chunked key must stay the key `Hash` gives field by field:
         // the transposition table and every recorded search depend on it.
+        // 63 hashes fill the first chunk exactly; 64 and 200 spill over.
         use std::hash::{Hash, Hasher};
-        for hashes in [vec![], vec![7], vec![u64::MAX, 0, 0x9e37_79b9_7f4a_7c15]] {
+        let long = |n: u64| {
+            (0..n)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect()
+        };
+        for hashes in [
+            vec![],
+            vec![7],
+            vec![u64::MAX, 0, 0x9e37_79b9_7f4a_7c15],
+            long(63),
+            long(64),
+            long(200),
+        ] {
             let mut h = std::collections::hash_map::DefaultHasher::new();
             hashes.len().hash(&mut h);
             for k in &hashes {

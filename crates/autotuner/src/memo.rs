@@ -44,7 +44,7 @@
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 use tpu_fusion::{materialize, FusionConfig, FusionPlanner, FusionSpace, GroupId, Planned};
-use tpu_hlo::{Kernel, Program};
+use tpu_hlo::{Kernel, KeyScratch, Program};
 use tpu_obs::{Counter, Registry};
 
 /// A configuration further than this many decisions from every remembered
@@ -66,6 +66,8 @@ pub(crate) struct Slots<'a> {
     program: &'a Program,
     fusion: FusionPlanner<'a>,
     keys: Vec<u64>,
+    /// The buffers every group is keyed in.
+    key_scratch: KeyScratch,
     kernels: Vec<OnceCell<Kernel>>,
     built: Counter,
 }
@@ -88,8 +90,8 @@ impl Slots<'_> {
     fn key_new_groups(&mut self) {
         let c = &self.program.computation;
         for group in &self.fusion.groups()[self.keys.len()..] {
-            self.keys
-                .push(c.subgraph_kernel_hash(group.members(), group.root()));
+            let key = c.subgraph_kernel_hash(group.members(), group.root(), &mut self.key_scratch);
+            self.keys.push(key);
             self.kernels.push(OnceCell::new());
         }
     }
@@ -151,6 +153,7 @@ impl<'a> Planner<'a> {
                 program,
                 fusion: FusionPlanner::new(program, space),
                 keys: Vec::new(),
+                key_scratch: KeyScratch::default(),
                 kernels: Vec::new(),
                 built: registry.counter("autotuner.plan.built"),
             },

@@ -390,7 +390,8 @@ impl Computation {
     /// takes another member of a higher id as an operand.
     pub fn extract_subgraph(&self, members: &[NodeId], root_of_subgraph: NodeId) -> Computation {
         let mut nodes = NodeBuilder(Vec::new());
-        let (_, root) = self.walk_subgraph(members, root_of_subgraph, &mut nodes);
+        let tables = &mut WalkTables::default();
+        let (_, root) = self.walk_subgraph(members, root_of_subgraph, &mut nodes, tables);
         Computation::from_parts_unchecked(format!("{}.fused", self.name), nodes.0, root)
     }
 
@@ -398,7 +399,8 @@ impl Computation {
     /// builds: hands `sink` its nodes in their new id order and returns the
     /// node count and the new root. Each member comes with its operands
     /// remapped; an operand outside `members` arrives first, as a
-    /// parameter, at its first use.
+    /// parameter, at its first use. The walk's id tables live in `tables`,
+    /// cleared first.
     ///
     /// # Panics
     ///
@@ -408,6 +410,7 @@ impl Computation {
         members: &[NodeId],
         root_of_subgraph: NodeId,
         sink: &mut impl SubgraphSink,
+        tables: &mut WalkTables,
     ) -> (usize, NodeId) {
         // A fusion group's members come sorted and distinct already.
         let sorted: Cow<'_, [NodeId]> = if members.windows(2).all(|w| w[0] < w[1]) {
@@ -423,12 +426,13 @@ impl Computation {
             .expect("subgraph root not a member");
 
         let mut next = 0u32;
-        // The new id of each member, in member order.
-        let mut new_ids: Vec<NodeId> = Vec::with_capacity(sorted.len());
-        // Imported operands (outside `members`) become parameters; one per
-        // distinct external producer, and a kernel has few.
-        let mut imported: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut operands: Vec<NodeId> = Vec::new();
+        let WalkTables {
+            new_ids,
+            imported,
+            operands,
+        } = tables;
+        new_ids.clear();
+        imported.clear();
 
         for (at, &old_id) in sorted.iter().enumerate() {
             let old = self.node(old_id);
@@ -453,10 +457,22 @@ impl Computation {
             next += 1;
             new_ids.push(id);
             // The output node is marked (§4.1 of the paper).
-            sink.member(old, id, &operands, at == root_at);
+            sink.member(old, id, operands, at == root_at);
         }
         (next as usize, new_ids[root_at])
     }
+}
+
+/// The id tables of [`Computation::walk_subgraph`].
+#[derive(Default)]
+pub(crate) struct WalkTables {
+    /// The new id of each member, in member order.
+    new_ids: Vec<NodeId>,
+    /// Imported operands (outside `members`) become parameters; one per
+    /// distinct external producer, and a kernel has few.
+    imported: Vec<(NodeId, NodeId)>,
+    /// The current member's operands, remapped.
+    operands: Vec<NodeId>,
 }
 
 /// What [`Computation::walk_subgraph`] emits, in the new id order. The

@@ -27,18 +27,23 @@
 //! as its `isize` discriminant and then its payload, a `bool` as one byte.
 //! SipHash's digest depends only on the concatenated stream, not on how
 //! it was split into writes, so the keys are the per-field hash's keys.
+//! The kernel level — a computation's key, its kind, its tile — is a few
+//! words, written as they come, with no buffer.
 //!
 //! # Keys of sub-graphs, in place
 //!
 //! [`Computation::subgraph_kernel_hash`] writes that same stream for the
 //! kernel [`Computation::extract_subgraph`] would build, from the walk that
 //! builds it, without building anything: the count and root index lead the
-//! stream, so their bytes are written last, over two placeholder words.
+//! stream, so their bytes are written last, over two placeholder words —
+//! which is why the stream is gathered rather than fed to the hasher as it
+//! is walked. A caller that keys many groups keeps one [`KeyScratch`] for
+//! them: the stream's buffer and the walk's id tables.
 //!
 //! [`NodeAttrs::comparison`]: crate::NodeAttrs::comparison
 
 use crate::attrs::NodeAttrs;
-use crate::graph::{Computation, SubgraphSink};
+use crate::graph::{Computation, SubgraphSink, WalkTables};
 use crate::kernel::{Kernel, KernelKind, KindTally};
 use crate::node::{Node, NodeId};
 use crate::opcode::Opcode;
@@ -51,6 +56,13 @@ struct KeyBytes(Vec<u8>);
 impl KeyBytes {
     fn with_capacity(bytes: usize) -> KeyBytes {
         KeyBytes(Vec::with_capacity(bytes))
+    }
+
+    /// An empty stream that writes into `buffer`'s allocation.
+    fn reusing(buffer: &mut Vec<u8>) -> KeyBytes {
+        let mut bytes = std::mem::take(buffer);
+        bytes.clear();
+        KeyBytes(bytes)
     }
 
     fn usize(&mut self, v: usize) {
@@ -201,14 +213,27 @@ pub fn canonical_kernel_hash(k: &Kernel) -> u64 {
 /// The key of a kernel from the canonical hash of its computation, its
 /// kind and its tile.
 fn kernel_key(computation: u64, kind: KernelKind, tile: Option<&[usize]>) -> u64 {
-    let mut b = KeyBytes::with_capacity(24 + 8 * tile.map_or(0, <[usize]>::len));
-    b.0.extend_from_slice(&computation.to_ne_bytes());
-    b.usize(kind.index());
+    // A few words, fed to the hasher as they come: the digest is the one
+    // their concatenation gives, and nothing is allocated.
+    let mut h = DefaultHasher::new();
+    h.write(&computation.to_ne_bytes());
+    h.write(&kind.index().to_ne_bytes());
     // No tile writes nothing, not a discriminant.
     if let Some(dims) = tile {
-        b.usizes(dims);
+        h.write(&dims.len().to_ne_bytes());
+        for &d in dims {
+            h.write(&d.to_ne_bytes());
+        }
     }
-    b.finish()
+    h.finish()
+}
+
+/// The buffers [`Computation::subgraph_kernel_hash`] works in, kept by a
+/// caller that keys many sub-graphs.
+#[derive(Default)]
+pub struct KeyScratch {
+    bytes: Vec<u8>,
+    walk: WalkTables,
 }
 
 /// The sink of [`Computation::walk_subgraph`] that writes, node by node,
@@ -246,14 +271,21 @@ impl Computation {
     /// sub-computation: the one walk that builds it writes its key bytes
     /// instead.
     ///
+    /// The bytes and the walk's tables live in `scratch`: a caller that
+    /// keys many groups passes the same one each time, and once its buffers
+    /// have grown to the largest group, keying allocates nothing.
+    ///
     /// # Panics
     ///
     /// As [`Self::extract_subgraph`].
-    pub fn subgraph_kernel_hash(&self, members: &[NodeId], root_of_subgraph: NodeId) -> u64 {
-        // Room for rank-2 nodes with two operands each, imports included;
-        // a larger sub-graph regrows.
+    pub fn subgraph_kernel_hash(
+        &self,
+        members: &[NodeId],
+        root_of_subgraph: NodeId,
+        scratch: &mut KeyScratch,
+    ) -> u64 {
         let mut key = KeyWriter {
-            bytes: KeyBytes::with_capacity(16 + 128 * (2 * members.len() + 1)),
+            bytes: KeyBytes::reusing(&mut scratch.bytes),
             kind: KindTally::default(),
             root: Opcode::Parameter,
         };
@@ -261,11 +293,14 @@ impl Computation {
         // once the walk is done.
         key.bytes.usize(0);
         key.bytes.usize(0);
-        let (nodes, root) = self.walk_subgraph(members, root_of_subgraph, &mut key);
+        let (nodes, root) =
+            self.walk_subgraph(members, root_of_subgraph, &mut key, &mut scratch.walk);
         let word = std::mem::size_of::<usize>();
         key.bytes.0[..word].copy_from_slice(&nodes.to_ne_bytes());
         key.bytes.0[word..2 * word].copy_from_slice(&root.index().to_ne_bytes());
-        kernel_key(key.bytes.finish(), key.kind.kind(key.root), None)
+        let hash = key.bytes.finish();
+        scratch.bytes = key.bytes.0;
+        kernel_key(hash, key.kind.kind(key.root), None)
     }
 }
 
@@ -412,6 +447,7 @@ mod tests {
         let r = b.reduce(s, vec![0]);
         let c = b.finish(r);
         let ops = [t, d, e, s, r];
+        let mut scratch = KeyScratch::default();
         for bits in 1u32..1 << ops.len() {
             let members: Vec<NodeId> = (0..ops.len())
                 .filter(|&i| bits >> i & 1 == 1)
@@ -421,13 +457,14 @@ mod tests {
                 let kernel = crate::Kernel::new(c.extract_subgraph(&members, root));
                 let mut reversed = members.clone();
                 reversed.reverse();
+                // One scratch for every key, left holding the last one's.
                 assert_eq!(
-                    c.subgraph_kernel_hash(&members, root),
+                    c.subgraph_kernel_hash(&members, root, &mut scratch),
                     canonical_kernel_hash(&kernel),
                     "{members:?} rooted at {root}"
                 );
                 assert_eq!(
-                    c.subgraph_kernel_hash(&reversed, root),
+                    c.subgraph_kernel_hash(&reversed, root, &mut scratch),
                     canonical_kernel_hash(&kernel)
                 );
             }

@@ -52,7 +52,7 @@ pub use builder::GraphBuilder;
 pub use dtype::DType;
 pub use error::{HloError, Result};
 pub use graph::Computation;
-pub use hashing::{canonical_hash, canonical_kernel_hash, HashedKernel};
+pub use hashing::{canonical_hash, canonical_kernel_hash, HashedKernel, KeyScratch};
 pub use kernel::{Kernel, KernelKind, TileSize};
 pub use node::{Node, NodeId};
 pub use opcode::{OpCategory, Opcode};

@@ -1,11 +1,86 @@
 //! Tensor shapes and physical layouts.
 
 use crate::dtype::DType;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Maximum tensor rank supported by the IR.
 pub const MAX_RANK: usize = 5;
+
+/// At most [`MAX_RANK`] indices, stored inline: a shape's dimension sizes
+/// or a layout's permutation. It reads as the slice of its first `len`
+/// entries everywhere — equality, `Hash`, `Debug` and serde see what a
+/// `Vec<usize>` of them would show — so a node's shape and layout cost no
+/// allocation. The entries past `len` stay zero.
+#[derive(Clone, Copy, Default)]
+struct Dims {
+    len: u8,
+    buf: [usize; MAX_RANK],
+}
+
+impl Dims {
+    /// `dims`, which the caller has checked is at most [`MAX_RANK`] long.
+    fn from_slice(dims: &[usize]) -> Dims {
+        let mut out = Dims::default();
+        out.buf[..dims.len()].copy_from_slice(dims);
+        out.len = dims.len() as u8;
+        out
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.buf[..usize::from(self.len)]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [usize] {
+        &mut self.buf[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Dims {
+    fn eq(&self, other: &Dims) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Dims {}
+
+impl Hash for Dims {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Dims {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl Serialize for Dims {
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
+    }
+}
+
+impl Deserialize for Dims {
+    /// An array of at most [`MAX_RANK`] integers; a longer one is an
+    /// error, not a rank the IR cannot hold.
+    fn from_value(v: &Value) -> Result<Dims, Error> {
+        let items = v
+            .as_array()
+            .ok_or_else(|| Error::expected("array", "Vec"))?;
+        if items.len() > MAX_RANK {
+            return Err(Error(format!("rank {} exceeds MAX_RANK", items.len())));
+        }
+        let mut out = Dims::default();
+        for (slot, item) in out.buf.iter_mut().zip(items) {
+            *slot = usize::from_value(item)?;
+        }
+        out.len = items.len() as u8;
+        Ok(out)
+    }
+}
 
 /// A tensor shape: the logical dimension sizes, major-to-minor as written
 /// (dimension 0 first, like XLA's logical dimension order).
@@ -21,7 +96,7 @@ pub const MAX_RANK: usize = 5;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
-    dims: Vec<usize>,
+    dims: Dims,
 }
 
 impl Shape {
@@ -32,12 +107,12 @@ impl Shape {
     ///
     /// The rank exceeds [`MAX_RANK`], a dimension is zero, or the element
     /// count does not fit `u64`.
-    pub(crate) fn try_new(dims: Vec<usize>) -> Result<Shape, String> {
+    pub(crate) fn try_new(dims: &[usize]) -> Result<Shape, String> {
         if dims.len() > MAX_RANK {
             return Err(format!("rank {} exceeds MAX_RANK", dims.len()));
         }
         let mut count = Some(1u64);
-        for &d in &dims {
+        for &d in dims {
             if d == 0 {
                 return Err(format!("zero-sized dimension in {dims:?}"));
             }
@@ -46,7 +121,9 @@ impl Shape {
         if count.is_none() {
             return Err(format!("element count of {dims:?} overflows u64"));
         }
-        Ok(Shape { dims })
+        Ok(Shape {
+            dims: Dims::from_slice(dims),
+        })
     }
 
     /// Create a shape from dimension sizes.
@@ -56,42 +133,44 @@ impl Shape {
     /// Panics if the rank exceeds [`MAX_RANK`], a dimension is zero, or the
     /// element count does not fit `u64`.
     pub fn new(dims: Vec<usize>) -> Shape {
-        Shape::try_new(dims).unwrap_or_else(|e| panic!("{e}"))
+        Shape::try_new(&dims).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A rank-0 (scalar) shape.
     pub fn scalar() -> Shape {
-        Shape { dims: Vec::new() }
+        Shape {
+            dims: Dims::default(),
+        }
     }
 
     /// A rank-1 shape.
     pub fn vector(n: usize) -> Shape {
-        Shape::new(vec![n])
+        Shape::from([n])
     }
 
     /// A rank-2 shape.
     pub fn matrix(rows: usize, cols: usize) -> Shape {
-        Shape::new(vec![rows, cols])
+        Shape::from([rows, cols])
     }
 
     /// Dimension sizes, major to minor logical order.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        self.dims.as_slice()
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        usize::from(self.dims.len)
     }
 
     /// Whether this is a rank-0 shape.
     pub fn is_scalar(&self) -> bool {
-        self.dims.is_empty()
+        self.rank() == 0
     }
 
     /// Total number of elements.
     pub fn elem_count(&self) -> u64 {
-        self.dims.iter().map(|&d| d as u64).product()
+        self.dims().iter().map(|&d| d as u64).product()
     }
 
     /// Total size in bytes for the given element type.
@@ -105,7 +184,7 @@ impl Shape {
     ///
     /// Panics if `dim >= rank()`.
     pub fn dim(&self, dim: usize) -> usize {
-        self.dims[dim]
+        self.dims()[dim]
     }
 
     /// Returns a new shape with `dim` replaced by `size`.
@@ -115,8 +194,8 @@ impl Shape {
     /// Panics if `dim` is out of range or `size` is zero.
     pub fn with_dim(&self, dim: usize, size: usize) -> Shape {
         assert!(size > 0);
-        let mut dims = self.dims.clone();
-        dims[dim] = size;
+        let mut dims = self.dims;
+        dims.as_mut_slice()[dim] = size;
         Shape { dims }
     }
 }
@@ -124,7 +203,7 @@ impl Shape {
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.dims.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -136,13 +215,13 @@ impl fmt::Display for Shape {
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Shape {
-        Shape::new(dims.to_vec())
+        Shape::try_new(dims).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Shape {
-        Shape::new(dims.to_vec())
+        Shape::from(&dims[..])
     }
 }
 
@@ -162,7 +241,7 @@ impl<const N: usize> From<[usize; N]> for Shape {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Layout {
-    minor_to_major: Vec<usize>,
+    minor_to_major: Dims,
 }
 
 impl Layout {
@@ -173,7 +252,7 @@ impl Layout {
     ///
     /// `minor_to_major` is longer than [`MAX_RANK`] or is not a
     /// permutation of `0..len`.
-    pub(crate) fn try_new(minor_to_major: Vec<usize>) -> Result<Layout, String> {
+    pub(crate) fn try_new(minor_to_major: &[usize]) -> Result<Layout, String> {
         if minor_to_major.len() > MAX_RANK {
             return Err(format!(
                 "layout rank {} exceeds MAX_RANK",
@@ -181,7 +260,7 @@ impl Layout {
             ));
         }
         let mut seen = [false; MAX_RANK];
-        for &d in &minor_to_major {
+        for &d in minor_to_major {
             if d >= minor_to_major.len() {
                 return Err(format!("layout index {d} out of range"));
             }
@@ -189,7 +268,9 @@ impl Layout {
                 return Err(format!("duplicate layout index {d}"));
             }
         }
-        Ok(Layout { minor_to_major })
+        Ok(Layout {
+            minor_to_major: Dims::from_slice(minor_to_major),
+        })
     }
 
     /// Create a layout from a minor-to-major permutation.
@@ -199,29 +280,39 @@ impl Layout {
     /// Panics if `minor_to_major` is longer than [`MAX_RANK`] or is not a
     /// permutation of `0..len`.
     pub fn new(minor_to_major: Vec<usize>) -> Layout {
-        Layout::try_new(minor_to_major).unwrap_or_else(|e| panic!("{e}"))
+        Layout::try_new(&minor_to_major).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The row-major default for a given rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` exceeds [`MAX_RANK`].
     pub fn default_for_rank(rank: usize) -> Layout {
-        Layout {
-            minor_to_major: (0..rank).rev().collect(),
+        assert!(rank <= MAX_RANK, "layout rank {rank} exceeds MAX_RANK");
+        let mut minor_to_major = Dims {
+            len: rank as u8,
+            ..Dims::default()
+        };
+        for (i, d) in minor_to_major.as_mut_slice().iter_mut().enumerate() {
+            *d = rank - 1 - i;
         }
+        Layout { minor_to_major }
     }
 
     /// The permutation, minor-most dimension index first.
     pub fn minor_to_major(&self) -> &[usize] {
-        &self.minor_to_major
+        self.minor_to_major.as_slice()
     }
 
     /// Rank this layout applies to.
     pub fn rank(&self) -> usize {
-        self.minor_to_major.len()
+        usize::from(self.minor_to_major.len)
     }
 
     /// Whether this is the row-major default layout.
     pub fn is_default(&self) -> bool {
-        self.minor_to_major
+        self.minor_to_major()
             .iter()
             .rev()
             .enumerate()
@@ -239,12 +330,8 @@ impl Layout {
         assert_eq!(shape.rank(), self.rank());
         let mut strides = [0u64; MAX_RANK];
         let mut acc = 1u64;
-        for &d in &self.minor_to_major {
-            // A rank past MAX_RANK only comes from deserialized data; its
-            // dimensions beyond MAX_RANK have no slot.
-            if let Some(stride) = strides.get_mut(d) {
-                *stride = acc;
-            }
+        for &d in self.minor_to_major() {
+            strides[d] = acc;
             acc *= shape.dim(d) as u64;
         }
         strides
@@ -254,7 +341,7 @@ impl Layout {
 impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, d) in self.minor_to_major.iter().enumerate() {
+        for (i, d) in self.minor_to_major().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -301,29 +388,22 @@ mod tests {
 
     #[test]
     fn try_new_returns_what_new_panics_with() {
-        assert!(Shape::try_new(vec![4, 0])
-            .unwrap_err()
-            .contains("zero-sized"));
-        assert!(Shape::try_new(vec![1; MAX_RANK + 1])
+        assert!(Shape::try_new(&[4, 0]).unwrap_err().contains("zero-sized"));
+        assert!(Shape::try_new(&[1; MAX_RANK + 1])
             .unwrap_err()
             .contains("MAX_RANK"));
-        assert!(Shape::try_new(vec![1 << 32, 1 << 32])
+        assert!(Shape::try_new(&[1 << 32, 1 << 32])
             .unwrap_err()
             .contains("overflows"));
-        assert_eq!(Shape::try_new(vec![1 << 32, 1 << 31]).unwrap().rank(), 2);
-        assert!(Layout::try_new(vec![0, 0])
-            .unwrap_err()
-            .contains("duplicate"));
-        assert!(Layout::try_new(vec![5, 7])
+        assert_eq!(Shape::try_new(&[1 << 32, 1 << 31]).unwrap().rank(), 2);
+        assert!(Layout::try_new(&[0, 0]).unwrap_err().contains("duplicate"));
+        assert!(Layout::try_new(&[5, 7])
             .unwrap_err()
             .contains("out of range"));
-        assert!(Layout::try_new((0..=MAX_RANK).collect())
+        assert!(Layout::try_new(&[0, 1, 2, 3, 4, 5])
             .unwrap_err()
             .contains("MAX_RANK"));
-        assert_eq!(
-            Layout::try_new(vec![0, 1]).unwrap(),
-            Layout::new(vec![0, 1])
-        );
+        assert_eq!(Layout::try_new(&[0, 1]).unwrap(), Layout::new(vec![0, 1]));
     }
 
     #[test]
@@ -353,6 +433,60 @@ mod tests {
     #[should_panic(expected = "duplicate layout index")]
     fn layout_duplicate_rejected() {
         Layout::new(vec![0, 0]);
+    }
+
+    #[test]
+    fn inline_dims_read_as_the_vectors_they_replace() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+        let (s, l) = (Shape::new(vec![2, 3, 4]), Layout::new(vec![0, 2, 1]));
+        assert_eq!(format!("{s:?}"), "Shape { dims: [2, 3, 4] }");
+        assert_eq!(format!("{l:?}"), "Layout { minor_to_major: [0, 2, 1] }");
+        assert_eq!(hash_of(&s), hash_of(&vec![2usize, 3, 4]));
+        assert_eq!(hash_of(&l), hash_of(&vec![0usize, 2, 1]));
+        assert_eq!(hash_of(&Shape::scalar()), hash_of(&Vec::<usize>::new()));
+        assert_eq!(serde_json::to_string(&s).unwrap(), "{\"dims\":[2,3,4]}");
+        assert_eq!(
+            serde_json::to_string(&l).unwrap(),
+            "{\"minor_to_major\":[0,2,1]}"
+        );
+        assert_eq!(
+            serde_json::from_str::<Shape>("{\"dims\":[2,3,4]}").unwrap(),
+            s
+        );
+        assert_eq!(
+            serde_json::from_str::<Layout>("{\"minor_to_major\":[]}").unwrap(),
+            Layout::default_for_rank(0)
+        );
+        // Equal shapes are equal whatever they were made from.
+        assert_eq!(Shape::new(vec![4, 8]).with_dim(1, 2), Shape::matrix(4, 2));
+    }
+
+    #[test]
+    fn a_deserialized_rank_past_max_rank_is_an_error() {
+        let six = Value::Array(vec![Value::Int(1); MAX_RANK + 1]);
+        let obj = |key: &str| Value::Object(vec![(key.to_string(), six.clone())]);
+        let err = Shape::from_value(&obj("dims")).unwrap_err();
+        assert_eq!(err.to_string(), "rank 6 exceeds MAX_RANK");
+        let err = Layout::from_value(&obj("minor_to_major")).unwrap_err();
+        assert_eq!(err.to_string(), "rank 6 exceeds MAX_RANK");
+        assert!(serde_json::from_str::<Shape>("{\"dims\":[1,1,1,1,1,1]}").is_err());
+        // Rank MAX_RANK is the most there is room for.
+        let five = "{\"dims\":[1,1,1,1,1]}";
+        assert_eq!(
+            serde_json::from_str::<Shape>(five).unwrap().rank(),
+            MAX_RANK
+        );
+        // What is no array of integers is refused as the vector refused it.
+        let err = Shape::from_value(&Value::Object(vec![("dims".into(), Value::Null)]));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "expected array while deserializing Vec"
+        );
     }
 
     #[test]

@@ -99,38 +99,47 @@ fn parse_node_id(tok: &str, line: usize) -> Result<NodeId> {
 }
 
 /// The comma-separated indices of `list` (none if it is empty), at most
-/// [`MAX_RANK`] of them: a longer list is refused before it is stored, in
-/// a message that does not quote it.
-fn parse_indices(list: &str, what: &str, line: usize) -> Result<Vec<usize>> {
+/// [`MAX_RANK`] of them, read in place into an array with their count: a
+/// longer list is refused before it is stored, in a message that does not
+/// quote it.
+fn parse_indices(list: &str, what: &str, line: usize) -> Result<([usize; MAX_RANK], usize)> {
+    let mut out = [0; MAX_RANK];
     if list.is_empty() {
-        return Ok(Vec::new());
+        return Ok((out, 0));
     }
-    let mut out = Vec::with_capacity(MAX_RANK);
+    let mut len = 0;
     for d in list.split(',') {
-        if out.len() == MAX_RANK {
+        if len == MAX_RANK {
             return Err(parse_err(
                 line,
                 format!("{what} list longer than {MAX_RANK}"),
             ));
         }
         let d = d.parse::<usize>();
-        out.push(d.map_err(|_| parse_err(line, format!("bad {what} in `{list}`")))?);
+        out[len] = d.map_err(|_| parse_err(line, format!("bad {what} in `{list}`")))?;
+        len += 1;
     }
-    Ok(out)
+    Ok((out, len))
 }
 
 /// Parse `f32[4,10]{1,0}` into (dtype, shape, layout).
 fn parse_type(tok: &str, line: usize) -> Result<(DType, Shape, Layout)> {
-    let lb = tok
-        .find('[')
+    let bytes = tok.as_bytes();
+    let lb = bytes
+        .iter()
+        .position(|&b| b == b'[')
         .ok_or_else(|| parse_err(line, format!("missing `[` in type `{tok}`")))?;
     let dtype = DType::parse(&tok[..lb])
         .ok_or_else(|| parse_err(line, format!("unknown dtype in `{tok}`")))?;
-    let rb = tok
-        .find(']')
+    // No dtype holds a `]`: the first one after the `[` is the token's first.
+    let rb = bytes[lb..]
+        .iter()
+        .position(|&b| b == b']')
+        .map(|at| lb + at)
         .ok_or_else(|| parse_err(line, format!("missing `]` in type `{tok}`")))?;
     let bad = |reason: String| parse_err(line, format!("bad type `{tok}`: {reason}"));
-    let shape = Shape::try_new(parse_indices(&tok[lb + 1..rb], "dim", line)?).map_err(bad)?;
+    let (dims, rank) = parse_indices(&tok[lb + 1..rb], "dim", line)?;
+    let shape = Shape::try_new(&dims[..rank]).map_err(bad)?;
     // Sizes downstream are byte counts in `u64`.
     if shape
         .elem_count()
@@ -147,7 +156,8 @@ fn parse_type(tok: &str, line: usize) -> Result<(DType, Shape, Layout)> {
             .strip_prefix('{')
             .and_then(|r| r.strip_suffix('}'))
             .ok_or_else(|| parse_err(line, format!("bad layout `{rest}`")))?;
-        Layout::try_new(parse_indices(inner, "layout index", line)?).map_err(bad)?
+        let (m2m, rank) = parse_indices(inner, "layout index", line)?;
+        Layout::try_new(&m2m[..rank]).map_err(bad)?
     };
     Ok((dtype, shape, layout))
 }
@@ -180,95 +190,178 @@ fn find_ws_candidate(bytes: &[u8]) -> Option<usize> {
     bytes[at..].iter().position(is_candidate).map(|i| at + i)
 }
 
-/// The tokens `str::split_whitespace` would yield.
-struct Tokens<'a>(&'a str);
+/// A forward cursor over the text that counts the lines it passes.
+/// Whitespace is what `char::is_whitespace` says it is: an ASCII byte is
+/// classified as it stands, and only a byte of 0x80 or more has its
+/// character decoded (U+00A0 splits tokens as a space does). Only `\n`
+/// ends a line, as in `str::lines`, whose `\r` is whitespace anyway.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The 1-based number of the line `pos` is on.
+    line: usize,
+}
 
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a str;
+impl<'a> Cursor<'a> {
+    /// Whether the character at `at` (a char boundary, not the end) is
+    /// whitespace, and its length in bytes.
+    fn char_at(&self, at: usize) -> (bool, usize) {
+        let b = self.text.as_bytes()[at];
+        if b.is_ascii() {
+            (matches!(b, b'\t'..=b'\r' | b' '), 1)
+        } else {
+            let c = self.text[at..].chars().next().expect("a char boundary");
+            (c.is_whitespace(), c.len_utf8())
+        }
+    }
 
-    fn next(&mut self) -> Option<&'a str> {
-        let s = self.0.trim_start();
-        if s.is_empty() {
+    /// Skip whitespace, line ends included; whether anything follows.
+    fn skip_blank(&mut self) -> bool {
+        while self.pos < self.text.len() {
+            match self.char_at(self.pos) {
+                (true, len) => {
+                    if self.text.as_bytes()[self.pos] == b'\n' {
+                        self.line += 1;
+                    }
+                    self.pos += len;
+                }
+                (false, _) => return true,
+            }
+        }
+        false
+    }
+
+    /// Skip whitespace up to the end of the line; whether the line ends
+    /// here.
+    fn skip_space(&mut self) -> bool {
+        while self.pos < self.text.len() && self.text.as_bytes()[self.pos] != b'\n' {
+            match self.char_at(self.pos) {
+                (true, len) => self.pos += len,
+                (false, _) => return false,
+            }
+        }
+        true
+    }
+
+    /// The next token of this line: the characters up to the next
+    /// whitespace.
+    fn token(&mut self) -> Option<&'a str> {
+        if self.skip_space() {
             return None;
         }
-        let mut end = 0;
-        while let Some(at) = find_ws_candidate(&s.as_bytes()[end..]) {
-            end += at;
-            let c = s[end..].chars().next().expect("end is a char boundary");
-            if c.is_whitespace() {
-                let (tok, rest) = s.split_at(end);
-                self.0 = rest;
-                return Some(tok);
+        let start = self.pos;
+        while let Some(at) = find_ws_candidate(&self.text.as_bytes()[self.pos..]) {
+            self.pos += at;
+            match self.char_at(self.pos) {
+                (true, _) => return Some(&self.text[start..self.pos]),
+                (false, len) => self.pos += len,
             }
-            end += c.len_utf8();
         }
-        self.0 = "";
-        Some(s)
+        self.pos = self.text.len();
+        Some(&self.text[start..])
+    }
+
+    /// Whether the rest of this line is a lone `}`.
+    fn at_closing_brace(&mut self) -> bool {
+        if self.text.as_bytes()[self.pos] != b'}' {
+            return false;
+        }
+        let brace = self.pos;
+        self.pos += 1;
+        let alone = self.skip_space();
+        self.pos = brace;
+        alone
+    }
+
+    /// Move past the end of this line.
+    fn next_line(&mut self) {
+        match self.text.as_bytes()[self.pos..]
+            .iter()
+            .position(|&b| b == b'\n')
+        {
+            Some(at) => {
+                self.pos += at + 1;
+                self.line += 1;
+            }
+            None => self.pos = self.text.len(),
+        }
     }
 }
+
+/// The fewest bytes a node line can take (`%0=or u8[]`): a text has room
+/// for no more nodes than its remaining length over this, which caps what
+/// the node list reserves.
+const MIN_NODE_LINE: usize = 10;
 
 /// Parse the text format back into a [`Computation`]. Validates the result.
 ///
 /// The text may come from the network (`tpu-serve` hands it every predict
 /// request's `kernel.text`): any input gives a computation or an error,
 /// never a panic, and nothing is allocated beyond the size of the text.
+/// One forward pass reads it, with integers read where they stand: a node
+/// allocates only its operand list, its name and its attributes, when it
+/// has them.
 ///
 /// # Errors
 ///
 /// Returns [`HloError::Parse`] on malformed input and any validation error
 /// on structurally invalid graphs.
 pub fn parse_computation(text: &str) -> Result<Computation> {
-    let mut lines = text.lines().enumerate();
-    let (header_line_no, header) = lines
-        .by_ref()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .find(|(_, l)| !l.is_empty())
-        .ok_or_else(|| parse_err(0, "empty input"))?;
-
-    let header = header
-        .strip_prefix("computation ")
-        .ok_or_else(|| parse_err(header_line_no, "expected `computation <name> root=%N {`"))?;
-    let mut parts = Tokens(header);
-    let name = parts
-        .next()
-        .ok_or_else(|| parse_err(header_line_no, "missing name"))?
-        .to_string();
-    let root_tok = parts
-        .next()
+    let mut cur = Cursor {
+        text,
+        pos: 0,
+        line: 1,
+    };
+    if !cur.skip_blank() {
+        return Err(parse_err(0, "empty input"));
+    }
+    let header_line_no = cur.line;
+    let bad_header = || parse_err(header_line_no, "expected `computation <name> root=%N {`");
+    // The line, trimmed, must go on past the prefix's space.
+    if !text[cur.pos..].starts_with("computation ") {
+        return Err(bad_header());
+    }
+    cur.pos += "computation ".len();
+    let name = cur.token().ok_or_else(bad_header)?;
+    let root_tok = cur
+        .token()
         .and_then(|t| t.strip_prefix("root="))
         .ok_or_else(|| parse_err(header_line_no, "missing root=%N"))?;
     let root = parse_node_id(root_tok, header_line_no)?;
+    cur.next_line();
 
-    let mut nodes = Vec::new();
-    for (i, raw) in lines {
-        let line_no = i + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "}" {
+    let mut nodes: Vec<Node> = Vec::new();
+    while cur.skip_blank() {
+        let line_no = cur.line;
+        if cur.at_closing_brace() {
             break;
         }
         // `%id = opcode type [operands...] [name=..] [attrs=..]`
-        let (lhs, rhs) = line
-            .split_once('=')
+        let eq = text.as_bytes()[cur.pos..]
+            .iter()
+            .position(|&b| b == b'=' || b == b'\n')
+            .map(|at| cur.pos + at)
+            .filter(|&at| text.as_bytes()[at] == b'=')
             .ok_or_else(|| parse_err(line_no, "missing `=`"))?;
-        let id = parse_node_id(lhs.trim(), line_no)?;
-        let mut toks = Tokens(rhs);
-        let op_tok = toks
-            .next()
+        let id = parse_node_id(text[cur.pos..eq].trim_end(), line_no)?;
+        cur.pos = eq + 1;
+        let op_tok = cur
+            .token()
             .ok_or_else(|| parse_err(line_no, "missing opcode"))?;
         let opcode = Opcode::parse(op_tok)
             .ok_or_else(|| parse_err(line_no, format!("unknown opcode `{op_tok}`")))?;
-        let type_tok = toks
-            .next()
+        let type_tok = cur
+            .token()
             .ok_or_else(|| parse_err(line_no, "missing type"))?;
         let (dtype, shape, layout) = parse_type(type_tok, line_no)?;
 
-        let mut operands = Vec::new();
+        // Operands are gathered on the stack, so that the list is
+        // allocated once, at its length (past `head`'s room, a vector
+        // grows instead).
+        let (mut head, mut count, mut spill) = ([NodeId(0); 16], 0, Vec::new());
         let mut name_field = String::new();
         let mut attrs = NodeAttrs::default();
-        for tok in toks {
+        while let Some(tok) = cur.token() {
             if let Some(rest) = tok.strip_prefix("name=") {
                 name_field =
                     parse_name(rest).map_err(|e| parse_err(line_no, format!("bad name: {e}")))?;
@@ -276,14 +369,31 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
                 attrs = NodeAttrs::from_json(rest)
                     .map_err(|e| parse_err(line_no, format!("bad attrs: {e}")))?;
             } else {
-                operands.push(parse_node_id(tok, line_no)?);
+                let op = parse_node_id(tok, line_no)?;
+                match head.get_mut(count) {
+                    Some(slot) => *slot = op,
+                    None if spill.is_empty() => spill = [&head[..], &[op]].concat(),
+                    None => spill.push(op),
+                }
+                count += 1;
             }
         }
+        let operands = if count <= head.len() {
+            head[..count].to_vec()
+        } else {
+            spill
+        };
         if id.index() != nodes.len() {
             return Err(parse_err(
                 line_no,
                 format!("node ids must be dense and ordered; got {id}"),
             ));
+        }
+        if nodes.capacity() == 0 {
+            // Room up to the root, which a written kernel puts last, but
+            // never for more nodes than the rest of the text can hold.
+            let room = (text.len() - eq) / MIN_NODE_LINE + 1;
+            nodes.reserve_exact(root.index().saturating_add(1).min(room));
         }
         nodes.push(Node {
             id,
@@ -297,7 +407,7 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
         });
     }
 
-    Computation::from_parts(name, nodes, root)
+    Computation::from_parts(name.to_string(), nodes, root)
 }
 
 #[cfg(test)]

@@ -13,9 +13,12 @@
 //!   compact form `dump_computation` writes and in the full one
 //!   (`support::full_text`: every layout and every `attrs=` key spelled
 //!   out);
-//! - the reader against the parser it replaced (`support`, the oracle):
-//!   `Ok` ⇒ the same [`Computation`] and canonical hash, `Err` ⇒ `Err`,
-//!   except on the listed inputs the oracle panicked on or wrongly took;
+//! - the reader against the line reader it replaced (`support::tokens`):
+//!   the same [`Computation`] and canonical hash, or the same error,
+//!   variant, line and message;
+//! - the reader against the first parser (`support`, the oracle): `Ok` ⇒
+//!   the same [`Computation`] and canonical hash, `Err` ⇒ `Err`, except on
+//!   the listed inputs the oracle panicked on or wrongly took;
 //! - the `attrs=` reader against the derived `Deserialize` of
 //!   [`NodeAttrs`] with every absent top-level key taken as its default
 //!   (`support::attrs_from_str`), on every attrs object the Full corpus's
@@ -166,10 +169,18 @@ fn oracle_wrongly_accepted(c: &Computation) -> bool {
     })
 }
 
-/// Parse `text` with the reader and the oracle and hold them to the
-/// differential contract; returns the reader's verdict.
+/// Parse `text` with the reader and both oracles and hold them to the
+/// differential contracts; returns the reader's verdict.
 fn check_against_oracle(text: &str) -> Result<Computation, HloError> {
     let new = parse_computation(text);
+    let line_reader = support::tokens::parse_computation(text);
+    assert_eq!(
+        new, line_reader,
+        "reader and line reader disagree on {text:?}"
+    );
+    if let (Ok(new), Ok(old)) = (&new, &line_reader) {
+        assert_eq!(canonical_hash(new), canonical_hash(old));
+    }
     match (&new, catch_quietly(|| support::parse_computation(text))) {
         (Ok(new), Some(Ok(old))) => {
             assert_eq!(new, &old, "reader and oracle disagree on {text:?}");
@@ -414,9 +425,11 @@ fn every_one_edit_mutation_is_an_error_or_a_valid_computation() {
         .collect::<Vec<_>>();
     for text in texts {
         check_accepted(&check_against_oracle(&text).expect("the seed parses"));
-        // Among the inserts: a lone continuation byte (breaks the UTF-8)
-        // and U+00A0, whitespace that is not ASCII.
-        let inserts: [&[u8]; 12] = [
+        // Among the inserts: a lone continuation byte (breaks the UTF-8);
+        // U+00A0 and U+2028, whitespace that is not ASCII (the second no
+        // line end); and `\x0b` and `\r`, ASCII whitespace that a byte
+        // reader could take for none or for a line end.
+        let inserts: [&[u8]; 15] = [
             b"\"",
             b"\\",
             b"[",
@@ -429,6 +442,9 @@ fn every_one_edit_mutation_is_an_error_or_a_valid_computation() {
             b"\n",
             b"\x80",
             "\u{a0}".as_bytes(),
+            "\u{2028}".as_bytes(),
+            b"\x0b",
+            b"\r",
         ];
         for mutant in mutations(text.as_bytes(), 1, &inserts) {
             // The reader takes `&str`: bytes that are not UTF-8 never

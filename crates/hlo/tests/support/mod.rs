@@ -1,19 +1,22 @@
 //! Support for the adversarial and differential suites of the text
-//! format: the parser as it was before it read bytes (the oracle), the
+//! format: the two readers the one-pass reader replaced (the oracles), the
 //! generators of hostile inputs, and the writer of the full text form
 //! ([`full_text`]).
 //!
-//! The oracle is the old `parse_computation` moved here unchanged, on the
-//! crate's public API: `split_whitespace` tokens, `split(',').collect()`
-//! per type field, `Shape::new` / `Layout::new` (which panic), and
-//! `serde_json::from_str` — a `Value` tree and the derived `Deserialize` —
-//! for every `name=` and `attrs=`. One rule is newer than that parser: an
-//! absent top-level `attrs=` key is its default ([`attrs_from_str`]), since
-//! the writer leaves out the keys whose value is. Nothing but these tests
-//! calls it.
+//! [`tokens`] is the reader as it was before it read bytes in one pass;
+//! the one-pass reader must answer exactly as it does, errors included.
+//! [`parse_computation`] here is the parser before that one, moved here
+//! unchanged, on the crate's public API: `split_whitespace` tokens,
+//! `split(',').collect()` per type field, `Shape::new` / `Layout::new`
+//! (which panic), and `serde_json::from_str` — a `Value` tree and the
+//! derived `Deserialize` — for every `name=` and `attrs=`. One rule is
+//! newer than that parser: an absent top-level `attrs=` key is its default
+//! ([`attrs_from_str`]), since the writer leaves out the keys whose value
+//! is. Nothing but these tests calls either.
 #![allow(dead_code)]
 
 pub mod full_text;
+pub mod tokens;
 
 use serde::{Deserialize, Serialize, Value};
 use std::cell::Cell;

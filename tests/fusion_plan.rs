@@ -26,7 +26,7 @@ use tpu_repro::fusion::{
     apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionGroup,
     FusionPlanner, FusionSpace, GroupId, Planned,
 };
-use tpu_repro::hlo::{canonical_kernel_hash, NodeId, OpCategory, Opcode, Program};
+use tpu_repro::hlo::{canonical_kernel_hash, KeyScratch, NodeId, OpCategory, Opcode, Program};
 
 /// The held-out programs with at least 100 fusion decisions (the
 /// benchmark's `search_tune` set).
@@ -204,6 +204,7 @@ fn a_group_key_is_the_hash_of_its_materialized_kernel() {
         configs.extend(random_configs(&space, 24, 29));
         let mut planner = FusionPlanner::new(program, &space);
         let mut plan = Vec::new();
+        let mut scratch = KeyScratch::default();
         let mut groups_keyed = 0;
         for (i, config) in configs.iter().enumerate() {
             planner.plan(config, &mut plan);
@@ -213,7 +214,7 @@ fn a_group_key_is_the_hash_of_its_materialized_kernel() {
                 .collect();
             let keys: Vec<u64> = groups
                 .iter()
-                .map(|g| c.subgraph_kernel_hash(g.members(), g.root()))
+                .map(|g| c.subgraph_kernel_hash(g.members(), g.root(), &mut scratch))
                 .collect();
             for (group, &key) in groups.iter().zip(&keys) {
                 assert_eq!(
@@ -225,7 +226,7 @@ fn a_group_key_is_the_hash_of_its_materialized_kernel() {
                 );
             }
             // The fold of the keys, field by field: the count, then each
-            // key (the beam's one-write fold is pinned to this stream).
+            // key (the beam's streamed fold is pinned to this stream).
             let mut folded = std::collections::hash_map::DefaultHasher::new();
             keys.len().hash(&mut folded);
             for key in &keys {

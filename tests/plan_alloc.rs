@@ -7,7 +7,9 @@
 //! the first time any plan makes it, and a plan is a list of ids written
 //! into a buffer the caller owns. So after a warm-up over the same
 //! configurations, a re-plan allocates nothing, and a search's batch of
-//! re-plans allocates no group and no vector per plan.
+//! re-plans allocates no group and no vector per plan. A new group is
+//! keyed in place, in buffers the run keeps (`KeyScratch`), so keying it
+//! allocates nothing either once they have grown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +19,7 @@ use tpu_repro::dataset::{Corpus, CorpusScale};
 use tpu_repro::fusion::{
     default_space_and_config, FusionConfig, FusionPlanner, FusionSpace, Planned,
 };
-use tpu_repro::hlo::Program;
+use tpu_repro::hlo::{KeyScratch, Program};
 use tpu_repro::learned::{AtomicCache, Predictor, SimOracle};
 use tpu_repro::obs::Registry;
 use tpu_repro::sim::TpuConfig;
@@ -119,6 +121,40 @@ fn a_replan_over_known_groups_allocates_nothing() {
     assert!(fresh > 0, "the walk re-plans groups");
     assert_eq!(planner.groups().len(), groups, "no group is new");
     assert_eq!(allocs, 0, "{fresh} re-planned groups, all known");
+}
+
+#[test]
+fn keying_a_group_in_place_allocates_nothing_once_its_scratch_has_grown() {
+    let program = nmt_model();
+    let c = &program.computation;
+    let (space, default) = default_space_and_config(c);
+    let mut rng = proptest::TestRng::new(5);
+    let mut planner = FusionPlanner::new(&program, &space);
+    let mut plan = Vec::new();
+    planner.plan(&default, &mut plan);
+    for _ in 0..16 {
+        planner.plan(&flip(&space, &default, &mut rng).0, &mut plan);
+    }
+    let groups = planner.groups();
+    assert!(groups.len() > 100, "only {} groups", groups.len());
+
+    // Each group is new to the scratch, as a run's new groups are: only
+    // the largest group so far grows its buffers.
+    let mut scratch = KeyScratch::default();
+    let key_all = |scratch: &mut KeyScratch| {
+        groups.iter().fold(0u64, |acc, g| {
+            acc ^ c.subgraph_kernel_hash(g.members(), g.root(), scratch)
+        })
+    };
+    let (keys, growth) = allocations_of(|| key_all(&mut scratch));
+    assert!(
+        growth < 32,
+        "{growth} allocations keying {} groups",
+        groups.len()
+    );
+    let (again, allocs) = allocations_of(|| key_all(&mut scratch));
+    assert_eq!(again, keys);
+    assert_eq!(allocs, 0, "{} groups keyed", groups.len());
 }
 
 #[test]
