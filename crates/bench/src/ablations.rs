@@ -97,7 +97,7 @@ pub fn run(args: &Args) {
 
     // --- Tile-task ablation: phi of the rank loss (Eq. 2) ---
     let tile_dataset = build_tile_dataset(&corpus, &scale.tile_cfg());
-    let tile = Task::tile(&corpus, &tile_dataset, corpus.random_split(0), args.caps());
+    let tile = Task::new(&corpus, &tile_dataset, corpus.random_split(0), args.caps());
     let mut rows = Vec::new();
     for (label, loss) in [
         ("phi=hinge", TaskLoss::TileRank(RankPhi::Hinge)),

@@ -50,7 +50,7 @@ fn tape_ns<M: KernelModel>(model: &M, probes: &[Kernel]) -> Vec<f64> {
 fn train_and_freeze(scale: Scale, lstm: bool) -> (String, FrozenModel, Vec<Kernel>, Vec<f64>) {
     let corpus = corpus(scale);
     let dataset = build_fusion_dataset(&corpus, &scale.fusion_cfg());
-    let task = Task::fusion(&corpus, &dataset, corpus.random_split(0), (2_000, 500));
+    let task = Task::new(&corpus, &dataset, corpus.random_split(0), (2_000, 500));
     println!(
         "training on {} kernels ({} validation)",
         task.train.len(),

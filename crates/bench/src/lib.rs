@@ -43,8 +43,8 @@ pub use task::Task;
 use tpu_analytical::AnalyticalCost;
 use tpu_dataset::{Corpus, CorpusScale, FusionDatasetConfig, TileDatasetConfig};
 use tpu_learned_cost::{
-    train_resumable, GnnConfig, KernelModel, LstmConfig, Prepared, Sample, TrainCheckpoint,
-    TrainConfig, TrainReport,
+    train_resumable, GnnConfig, KernelModel, LstmConfig, Prepared, TrainCheckpoint, TrainConfig,
+    TrainReport,
 };
 use tpu_sim::{TpuConfig, TpuDevice};
 
@@ -298,22 +298,6 @@ pub(crate) fn rows_with_summary<const N: usize>(
     (table, summaries)
 }
 
-/// Convert fusion-dataset example refs into training samples.
-pub(crate) fn fusion_samples(examples: &[&tpu_dataset::KernelExample]) -> Vec<Sample> {
-    examples
-        .iter()
-        .map(|ex| Sample::new(ex.kernel.clone(), ex.runtime_ns))
-        .collect()
-}
-
-/// Convert tile-dataset example refs into grouped training samples.
-pub(crate) fn tile_samples(examples: &[&tpu_dataset::TileExample]) -> Vec<Sample> {
-    examples
-        .iter()
-        .map(|ex| Sample::grouped(ex.kernel.clone(), ex.runtime_ns, ex.kernel_group))
-        .collect()
-}
-
 /// Subsample a prepared set to at most `cap` items, deterministically.
 pub(crate) fn cap_prepared(mut prepared: Vec<Prepared>, cap: usize, seed: u64) -> Vec<Prepared> {
     use rand::seq::SliceRandom;
@@ -393,8 +377,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let refs: Vec<&tpu_dataset::KernelExample> = ds.examples.iter().collect();
-        let samples = fusion_samples(&refs);
+        let samples: Vec<_> = ds.examples.iter().map(|ex| ex.sample()).collect();
         let prepared = tpu_learned_cost::prepare(&samples);
         let capped = cap_prepared(prepared, 5, 0);
         assert_eq!(capped.len(), 5);

@@ -6,9 +6,7 @@
 //! ```
 
 use crate::{corpus, print_table, Args};
-use tpu_dataset::{
-    build_fusion_dataset, build_tile_dataset, fraction_below_5us, fusion_stats, tile_stats,
-};
+use tpu_dataset::{build_fusion_dataset, build_tile_dataset, fraction_below_5us, split_stats};
 
 /// Run the experiment.
 pub fn run(args: &Args) {
@@ -38,7 +36,7 @@ pub fn run(args: &Args) {
     println!(
         "tile dataset: {} examples over {} kernels  [{:?}]",
         tile.examples.len(),
-        tile.num_kernels,
+        tile.kernels,
         t0.elapsed()
     );
 
@@ -47,8 +45,8 @@ pub fn run(args: &Args) {
 
     let mut rows = Vec::new();
     for (split_name, split) in [("Manual", &manual), ("Random", &random)] {
-        let fs = fusion_stats(&fusion, split);
-        let ts = tile_stats(&tile, split);
+        let fs = split_stats(&fusion, split);
+        let ts = split_stats(&tile, split);
         for (row_name, progs, kernels) in [
             (
                 "Train",

@@ -236,7 +236,7 @@ pub fn run(args: &Args) {
     );
 
     // --- Random split (Table 2 proper) ---
-    let random = Task::fusion(&corpus, &dataset, corpus.random_split(0), args.caps());
+    let random = Task::new(&corpus, &dataset, corpus.random_split(0), args.caps());
     let (evals, gnn, lstm) = run_split(args, &random, "random");
     let (rows, med_big) = metric_rows(&evals, |t| t >= 5_000.0);
     print_table(
@@ -278,7 +278,7 @@ pub fn run(args: &Args) {
     println!("\nPaper medians (<5us, random): MAPE 8.4 / 12.1 / 21.0; tau 0.82 / 0.82 / 0.71");
 
     // --- Manual split (in-text "harder task") ---
-    let manual = Task::fusion(&corpus, &dataset, corpus.manual_split(), args.caps());
+    let manual = Task::new(&corpus, &dataset, corpus.manual_split(), args.caps());
     let (manual_evals, ..) = run_split(args, &manual, "manual");
     let (rows_manual, med_manual) = metric_rows(&manual_evals, |t| t >= 5_000.0);
     print_table(

@@ -89,10 +89,10 @@ pub fn run(args: &Args) {
     println!(
         "tile dataset: {} examples over {} kernels",
         dataset.examples.len(),
-        dataset.num_kernels
+        dataset.kernels
     );
 
-    let random = Task::tile(&corpus, &dataset, corpus.random_split(0), args.caps());
+    let random = Task::new(&corpus, &dataset, corpus.random_split(0), args.caps());
     let (rows, r) = run_split(args, &random, "random");
     print_table(
         "Table 3: tile-size task, mean per-kernel Kendall tau, random split",
@@ -101,7 +101,7 @@ pub fn run(args: &Args) {
     );
     println!("\nPaper medians (random): 0.68 / 0.64 / 0.75");
 
-    let manual = Task::tile(&corpus, &dataset, corpus.manual_split(), args.caps());
+    let manual = Task::new(&corpus, &dataset, corpus.manual_split(), args.caps());
     let (rows, m) = run_split(args, &manual, "manual");
     print_table("In-text: tile-size task, manual split", &HEADER, &rows);
     println!("\nPaper (manual split): analytical leads the rank-loss model by ~0.16 tau;");

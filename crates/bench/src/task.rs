@@ -1,9 +1,10 @@
 //! What every training experiment sets up before it trains: one learning
 //! task on one corpus split.
 
-use crate::{cap_prepared, fusion_samples, tile_samples, train_checkpointed, Args};
-use tpu_dataset::{build_fusion_dataset, Corpus, FusionDataset, FusionDatasetConfig, Split};
-use tpu_dataset::{KernelExample, TileDataset, TileExample};
+use crate::{cap_prepared, train_checkpointed, Args};
+use tpu_dataset::{
+    build_fusion_dataset, Corpus, Dataset, FusionDatasetConfig, KernelExample, Split,
+};
 use tpu_learned_cost::{prepare, KernelModel, Prepared, Sample, TrainConfig, TrainReport};
 use tpu_sim::TpuConfig;
 
@@ -28,20 +29,27 @@ pub struct Task<'a> {
 }
 
 impl<'a> Task<'a> {
-    /// The fusion task (§6.1) of `dataset` under `split`.
-    pub fn fusion(
+    /// The task of `dataset` under `split`: the fusion task (§6.1) of a
+    /// fusion dataset, the tile-size task (§6.2) of a tile dataset.
+    pub fn new(
         corpus: &'a Corpus,
-        dataset: &FusionDataset,
+        dataset: &Dataset,
         split: Split,
-        caps: (usize, usize),
+        (train_cap, val_cap): (usize, usize),
     ) -> Task<'a> {
         let (train, val, test) = dataset.split(&split);
-        let test_program = test
-            .iter()
-            .map(|ex: &&KernelExample| ex.program_idx)
-            .collect();
-        let samples = [train, val, test].map(|exs| fusion_samples(&exs));
-        Task::new(corpus, split, samples, test_program, caps, (1, 2))
+        let samples =
+            |exs: &[&KernelExample]| -> Vec<Sample> { exs.iter().map(|ex| ex.sample()).collect() };
+        let (train, val) = (samples(&train), samples(&val));
+        Task {
+            corpus,
+            split,
+            train: cap_prepared(prepare(&train), train_cap, 1),
+            val: cap_prepared(prepare(&val), val_cap, 2),
+            sizes: [train.len(), val.len(), test.len()],
+            test_program: test.iter().map(|ex| ex.program_idx).collect(),
+            test: samples(&test),
+        }
     }
 
     /// The fusion task measured on `machine`, under the random split — all
@@ -52,42 +60,7 @@ impl<'a> Task<'a> {
             ..args.scale.fusion_cfg()
         };
         let dataset = build_fusion_dataset(corpus, &cfg);
-        Task::fusion(corpus, &dataset, corpus.random_split(0), args.caps())
-    }
-
-    /// The tile-size task (§6.2) of `dataset` under `split`.
-    pub(crate) fn tile(
-        corpus: &'a Corpus,
-        dataset: &TileDataset,
-        split: Split,
-        caps: (usize, usize),
-    ) -> Task<'a> {
-        let (train, val, test) = dataset.split(&split);
-        let test_program = test
-            .iter()
-            .map(|ex: &&TileExample| ex.program_idx)
-            .collect();
-        let samples = [train, val, test].map(|exs| tile_samples(&exs));
-        Task::new(corpus, split, samples, test_program, caps, (3, 4))
-    }
-
-    fn new(
-        corpus: &'a Corpus,
-        split: Split,
-        [train, val, test]: [Vec<Sample>; 3],
-        test_program: Vec<usize>,
-        (train_cap, val_cap): (usize, usize),
-        (train_seed, val_seed): (u64, u64),
-    ) -> Task<'a> {
-        Task {
-            corpus,
-            split,
-            train: cap_prepared(prepare(&train), train_cap, train_seed),
-            val: cap_prepared(prepare(&val), val_cap, val_seed),
-            sizes: [train.len(), val.len(), test.len()],
-            test,
-            test_program,
-        }
+        Task::new(corpus, &dataset, corpus.random_split(0), args.caps())
     }
 
     /// Per test program, in split order: its name and those of its test

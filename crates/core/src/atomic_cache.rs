@@ -81,7 +81,7 @@ fn decode(word: u64) -> Option<f64> {
 
 /// Finalizer of splitmix64: a bijective mix that spreads canonical kernel
 /// hashes (which may be structured) across slots and verification keys.
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -1,11 +1,12 @@
 //! The fusion dataset pipeline (§5): random fusion configs → kernel
 //! decomposition → duplicate elimination → min-of-3 measurement.
 
-use crate::corpus::{Corpus, Split};
+use crate::corpus::Corpus;
+use crate::example::{Dataset, KernelExample};
 use std::collections::HashSet;
 use tpu_autotuner::random_configs;
 use tpu_fusion::{default_space_and_config, materialize, FusionPlanner};
-use tpu_hlo::{HashedKernel, Kernel, Program};
+use tpu_hlo::{HashedKernel, Program};
 use tpu_sim::{default_tile, TpuConfig, TpuDevice};
 
 /// Pipeline parameters.
@@ -30,52 +31,6 @@ impl Default for FusionDatasetConfig {
             seed: 11,
             machine: TpuConfig::default(),
         }
-    }
-}
-
-/// One fusion-dataset example: a kernel and its measured runtime.
-#[derive(Debug, Clone)]
-pub struct KernelExample {
-    /// The kernel, with the compiler-default tile attached (the learned
-    /// model's node features include the tile sub-vector).
-    pub kernel: Kernel,
-    /// min-of-`runs` measured runtime, ns.
-    pub runtime_ns: f64,
-    /// Index of the source program in the corpus.
-    pub program_idx: usize,
-}
-
-/// All fusion examples generated from one corpus, tagged by program.
-#[derive(Debug, Clone, Default)]
-pub struct FusionDataset {
-    /// Deduplicated measured kernels.
-    pub examples: Vec<KernelExample>,
-}
-
-impl FusionDataset {
-    /// Examples whose program index is in the given split subset.
-    pub fn subset(&self, idxs: &[usize]) -> Vec<&KernelExample> {
-        let set: HashSet<usize> = idxs.iter().copied().collect();
-        self.examples
-            .iter()
-            .filter(|ex| set.contains(&ex.program_idx))
-            .collect()
-    }
-
-    /// Split the dataset by program sets: (train, val, test) example refs.
-    pub fn split(
-        &self,
-        split: &Split,
-    ) -> (
-        Vec<&KernelExample>,
-        Vec<&KernelExample>,
-        Vec<&KernelExample>,
-    ) {
-        (
-            self.subset(&split.train),
-            self.subset(&split.val),
-            self.subset(&split.test),
-        )
     }
 }
 
@@ -142,7 +97,8 @@ pub(crate) fn measured_program_kernels(
 /// Build the fusion dataset over the fusion-eligible programs of a corpus,
 /// program by program (the paper spreads this over 50 machines; each
 /// program's device is seeded by its index, so programs are independent).
-pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> FusionDataset {
+/// Every example is a distinct kernel in a group of its own.
+pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> Dataset {
     // Global duplicate elimination across programs keeps the first
     // occurrence (its program tag), mirroring §5.
     let mut seen: HashSet<u64> = HashSet::new();
@@ -158,10 +114,14 @@ pub fn build_fusion_dataset(corpus: &Corpus, cfg: &FusionDatasetConfig) -> Fusio
         .map(|(pi, kernel, runtime_ns)| KernelExample {
             kernel: kernel.into_kernel(),
             runtime_ns,
+            group: usize::MAX,
             program_idx: pi,
         })
-        .collect();
-    FusionDataset { examples }
+        .collect::<Vec<_>>();
+    Dataset {
+        kernels: examples.len(),
+        examples,
+    }
 }
 
 #[cfg(test)]
@@ -169,7 +129,7 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusScale;
     use tpu_fusion::apply_fusion;
-    use tpu_hlo::canonical_kernel_hash;
+    use tpu_hlo::{canonical_kernel_hash, Kernel};
 
     fn quick_cfg() -> FusionDatasetConfig {
         FusionDatasetConfig {

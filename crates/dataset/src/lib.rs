@@ -16,6 +16,13 @@
 //!   random split holds out the eight Table-2 programs; the manual split
 //!   holds out whole model families.
 //!
+//! Both pipelines yield one [`Dataset`] of one example type,
+//! [`KernelExample`]: a kernel, its min-of-3 runtime, its ranking group
+//! (the kernel's id for a tile, `usize::MAX` for a fusion kernel) and its
+//! program. [`Dataset::split`] divides either by a corpus split,
+//! [`split_stats`] counts it for Table 1, and [`KernelExample::sample`] is
+//! the training sample of an example.
+//!
 //! # Example
 //!
 //! ```
@@ -28,6 +35,7 @@
 //! ```
 
 mod corpus;
+mod example;
 mod fusion_ds;
 pub mod models;
 mod stats;
@@ -37,10 +45,11 @@ mod tile_ds;
 pub use corpus::{
     Corpus, CorpusScale, Entry, Split, FUSION_NODE_LIMIT, HELD_OUT_FAMILIES, RANDOM_TEST_PROGRAMS,
 };
-pub use fusion_ds::{build_fusion_dataset, FusionDataset, FusionDatasetConfig, KernelExample};
-pub use stats::{fraction_below_5us, fusion_stats, tile_stats, SplitStats};
+pub use example::{Dataset, KernelExample};
+pub use fusion_ds::{build_fusion_dataset, FusionDatasetConfig};
+pub use stats::{fraction_below_5us, split_stats, SplitStats};
 pub use stream::{
     stream_corpus, whole_graph_example, DatasetReader, DatasetWriter, StreamError, StreamGenConfig,
     StreamSummary, MAGIC as STREAM_MAGIC, VERSION as STREAM_VERSION,
 };
-pub use tile_ds::{build_tile_dataset, TileDataset, TileDatasetConfig, TileExample};
+pub use tile_ds::{build_tile_dataset, TileDatasetConfig};

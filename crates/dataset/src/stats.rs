@@ -1,10 +1,9 @@
 //! Dataset statistics — the numbers behind Table 1.
 
 use crate::corpus::Split;
-use crate::fusion_ds::FusionDataset;
-use crate::tile_ds::TileDataset;
+use crate::example::{Dataset, KernelExample};
 
-/// Program and kernel counts for one (task, split) combination, one row
+/// Program and example counts of one dataset under one split, one row
 /// group of Table 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitStats {
@@ -14,10 +13,10 @@ pub struct SplitStats {
     pub examples: (usize, usize, usize),
 }
 
-/// Table-1 statistics for the fusion dataset under a split.
-pub fn fusion_stats(ds: &FusionDataset, split: &Split) -> SplitStats {
+/// Table-1 statistics of a dataset under a split.
+pub fn split_stats(ds: &Dataset, split: &Split) -> SplitStats {
     let (tr, va, te) = ds.split(split);
-    let count_programs = |idxs: &[usize], examples: &[&crate::fusion_ds::KernelExample]| {
+    let count_programs = |idxs: &[usize], examples: &[&KernelExample]| {
         idxs.iter()
             .filter(|&&i| examples.iter().any(|e| e.program_idx == i))
             .count()
@@ -32,26 +31,9 @@ pub fn fusion_stats(ds: &FusionDataset, split: &Split) -> SplitStats {
     }
 }
 
-/// Table-1 statistics for the tile dataset under a split.
-pub fn tile_stats(ds: &TileDataset, split: &Split) -> SplitStats {
-    let (tr, va, te) = ds.split(split);
-    let count_programs = |idxs: &[usize], examples: &[&crate::tile_ds::TileExample]| {
-        idxs.iter()
-            .filter(|&&i| examples.iter().any(|e| e.program_idx == i))
-            .count()
-    };
-    SplitStats {
-        programs: (
-            count_programs(&split.train, &tr),
-            count_programs(&split.val, &va),
-            count_programs(&split.test, &te),
-        ),
-        examples: (tr.len(), va.len(), te.len()),
-    }
-}
-
-/// Fraction of fusion examples with runtime below 5 µs (§5 reports ~half).
-pub fn fraction_below_5us(ds: &FusionDataset) -> f64 {
+/// Fraction of examples with runtime below 5 µs (§5 reports ~half of the
+/// fusion dataset).
+pub fn fraction_below_5us(ds: &Dataset) -> f64 {
     if ds.examples.is_empty() {
         return 0.0;
     }
@@ -67,22 +49,35 @@ mod tests {
     use super::*;
     use crate::corpus::{Corpus, CorpusScale};
     use crate::fusion_ds::{build_fusion_dataset, FusionDatasetConfig};
+    use crate::tile_ds::{build_tile_dataset, TileDatasetConfig};
 
     #[test]
-    fn fusion_stats_counts_match_split() {
+    fn split_stats_counts_match_split() {
         let corpus = Corpus::build(CorpusScale::Tiny);
-        let ds = build_fusion_dataset(
+        let fusion = build_fusion_dataset(
             &corpus,
             &FusionDatasetConfig {
                 configs_per_program: 4,
                 ..Default::default()
             },
         );
+        let tile = build_tile_dataset(
+            &corpus,
+            &TileDatasetConfig {
+                max_tiles_per_kernel: 4,
+                ..Default::default()
+            },
+        );
         let split = corpus.random_split(0);
-        let stats = fusion_stats(&ds, &split);
-        let total = stats.examples.0 + stats.examples.1 + stats.examples.2;
-        assert_eq!(total, ds.examples.len());
-        assert!(stats.programs.0 <= split.train.len());
+        for ds in [&fusion, &tile] {
+            assert!(!ds.examples.is_empty());
+            let stats = split_stats(ds, &split);
+            let total = stats.examples.0 + stats.examples.1 + stats.examples.2;
+            assert_eq!(total, ds.examples.len());
+            assert!(stats.programs.0 <= split.train.len());
+            assert!(stats.programs.1 <= split.val.len());
+            assert!(stats.programs.2 <= split.test.len());
+        }
     }
 
     #[test]

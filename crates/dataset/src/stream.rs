@@ -742,7 +742,7 @@ mod tests {
         assert_eq!(r.len(), in_mem.examples.len());
         for (i, ex) in in_mem.examples.iter().enumerate() {
             let got = r.get(i).unwrap();
-            let expect = Prepared::from_sample(&Sample::new(ex.kernel.clone(), ex.runtime_ns));
+            let expect = Prepared::from_sample(&ex.sample());
             assert_eq!(
                 got.runtime_ns.to_bits(),
                 expect.runtime_ns.to_bits(),

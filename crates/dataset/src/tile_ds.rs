@@ -1,7 +1,8 @@
 //! The tile-size dataset pipeline (§5): default-fusion kernels × valid
 //! tile sizes, measured min-of-3.
 
-use crate::corpus::{Corpus, Split};
+use crate::corpus::Corpus;
+use crate::example::{Dataset, KernelExample};
 use std::collections::HashSet;
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::{canonical_kernel_hash, Kernel};
@@ -33,56 +34,11 @@ impl Default for TileDatasetConfig {
     }
 }
 
-/// One tile-size example: a (kernel, tile) pair and its runtime.
-#[derive(Debug, Clone)]
-pub struct TileExample {
-    /// The kernel with the candidate tile attached.
-    pub kernel: Kernel,
-    /// min-of-`runs` runtime, ns.
-    pub runtime_ns: f64,
-    /// Globally unique id of the kernel this tile belongs to — the group
-    /// key for in-batch ranking (§4.2).
-    pub kernel_group: usize,
-    /// Source program index in the corpus.
-    pub program_idx: usize,
-}
-
-/// The tile dataset.
-#[derive(Debug, Clone, Default)]
-pub struct TileDataset {
-    /// All measured (kernel, tile) examples.
-    pub examples: Vec<TileExample>,
-    /// Number of distinct kernels.
-    pub num_kernels: usize,
-}
-
-impl TileDataset {
-    /// Examples from a program subset.
-    pub fn subset(&self, idxs: &[usize]) -> Vec<&TileExample> {
-        let set: HashSet<usize> = idxs.iter().copied().collect();
-        self.examples
-            .iter()
-            .filter(|ex| set.contains(&ex.program_idx))
-            .collect()
-    }
-
-    /// Split examples by a program split.
-    pub fn split(
-        &self,
-        split: &Split,
-    ) -> (Vec<&TileExample>, Vec<&TileExample>, Vec<&TileExample>) {
-        (
-            self.subset(&split.train),
-            self.subset(&split.val),
-            self.subset(&split.test),
-        )
-    }
-}
-
 /// Build the tile dataset: compile each program "using the compiler's
 /// default fusion heuristics", decompose into kernels, query valid tile
-/// sizes, and measure each (kernel, tile) pair.
-pub fn build_tile_dataset(corpus: &Corpus, cfg: &TileDatasetConfig) -> TileDataset {
+/// sizes, and measure each (kernel, tile) pair. The tiles of one kernel
+/// share its group: the id of that kernel, in first-occurrence order.
+pub fn build_tile_dataset(corpus: &Corpus, cfg: &TileDatasetConfig) -> Dataset {
     // Collect (program, kernel) pairs first, deduplicating kernels
     // globally so each unique kernel gets one group id.
     let mut kernels: Vec<(usize, Kernel)> = Vec::new();
@@ -96,9 +52,7 @@ pub fn build_tile_dataset(corpus: &Corpus, cfg: &TileDatasetConfig) -> TileDatas
             }
         }
     }
-    let num_kernels = kernels.len();
-
-    let examples: Vec<TileExample> = kernels
+    let examples = kernels
         .iter()
         .enumerate()
         .flat_map(|(group, (pi, k))| {
@@ -107,19 +61,18 @@ pub fn build_tile_dataset(corpus: &Corpus, cfg: &TileDatasetConfig) -> TileDatas
             tiles.into_iter().map(move |t| {
                 let kt = k.clone().with_tile(t);
                 let runtime_ns = device.measure_kernel(&kt, cfg.runs);
-                TileExample {
+                KernelExample {
                     kernel: kt,
                     runtime_ns,
-                    kernel_group: group,
+                    group,
                     program_idx: *pi,
                 }
             })
         })
         .collect();
-
-    TileDataset {
+    Dataset {
         examples,
-        num_kernels,
+        kernels: kernels.len(),
     }
 }
 
@@ -128,7 +81,7 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusScale;
 
-    fn quick() -> (Corpus, TileDataset) {
+    fn quick() -> (Corpus, Dataset) {
         let corpus = Corpus::build(CorpusScale::Tiny);
         let small = Corpus {
             entries: corpus.entries[..3].to_vec(),
@@ -147,7 +100,7 @@ mod tests {
         assert!(!ds.examples.is_empty());
         let mut per_group: std::collections::HashMap<usize, usize> = Default::default();
         for ex in &ds.examples {
-            *per_group.entry(ex.kernel_group).or_default() += 1;
+            *per_group.entry(ex.group).or_default() += 1;
         }
         assert!(
             per_group.values().any(|&n| n >= 2),
@@ -158,9 +111,10 @@ mod tests {
     #[test]
     fn tiles_differ_within_group() {
         let (_, ds) = quick();
-        let mut by_group: std::collections::HashMap<usize, Vec<&TileExample>> = Default::default();
+        let mut by_group: std::collections::HashMap<usize, Vec<&KernelExample>> =
+            Default::default();
         for ex in &ds.examples {
-            by_group.entry(ex.kernel_group).or_default().push(ex);
+            by_group.entry(ex.group).or_default().push(ex);
         }
         for (_, items) in by_group.iter().filter(|(_, v)| v.len() >= 2) {
             let t0 = items[0].kernel.tile.as_ref().unwrap();
@@ -178,10 +132,7 @@ mod tests {
         let (_, ds) = quick();
         let mut by_group: std::collections::HashMap<usize, Vec<f64>> = Default::default();
         for ex in &ds.examples {
-            by_group
-                .entry(ex.kernel_group)
-                .or_default()
-                .push(ex.runtime_ns);
+            by_group.entry(ex.group).or_default().push(ex.runtime_ns);
         }
         let spread = by_group.values().filter(|v| v.len() >= 3).any(|v| {
             let min = v.iter().fold(f64::INFINITY, |a, &b| a.min(b));
@@ -194,8 +145,8 @@ mod tests {
     #[test]
     fn kernel_count_reported() {
         let (_, ds) = quick();
-        assert!(ds.num_kernels > 0);
-        let max_group = ds.examples.iter().map(|e| e.kernel_group).max().unwrap();
-        assert!(max_group < ds.num_kernels);
+        assert!(ds.kernels > 0);
+        let max_group = ds.examples.iter().map(|e| e.group).max().unwrap();
+        assert!(max_group < ds.kernels);
     }
 }

@@ -9,9 +9,7 @@
 use tpu_repro::dataset::{build_fusion_dataset, Corpus, CorpusScale, FusionDatasetConfig};
 use tpu_repro::infer::{freeze_gnn, FrozenModel};
 use tpu_repro::learned::metrics::mape;
-use tpu_repro::learned::{
-    predict_log_ns, prepare, train, GnnConfig, GnnModel, Sample, TrainConfig,
-};
+use tpu_repro::learned::{predict_log_ns, prepare, train, GnnConfig, GnnModel, TrainConfig};
 
 fn main() {
     // Build a small corpus and its fusion dataset against the simulator.
@@ -37,7 +35,7 @@ fn main() {
     let mut val_s = Vec::new();
     let mut test_s = Vec::new();
     for (i, ex) in dataset.examples.iter().enumerate() {
-        let s = Sample::new(ex.kernel.clone(), ex.runtime_ns);
+        let s = ex.sample();
         if i % 10 == 0 {
             test_s.push(s);
         } else if i % 9 == 0 {

@@ -86,9 +86,7 @@ fn learned_model_improves_with_training_on_unseen_programs() {
     let split = corpus.random_split(0);
     let (train_ex, val_ex, test_ex) = ds.split(&split);
     let to_samples = |exs: &[&tpu_repro::dataset::KernelExample]| -> Vec<Sample> {
-        exs.iter()
-            .map(|e| Sample::new(e.kernel.clone(), e.runtime_ns))
-            .collect()
+        exs.iter().map(|e| e.sample()).collect()
     };
     let train_p = prepare(&to_samples(&train_ex));
     let val_p = prepare(&to_samples(&val_ex));
@@ -140,10 +138,7 @@ fn tile_dataset_ranks_are_learnable_signals() {
     let mut spreads = 0;
     let mut groups = std::collections::HashMap::<usize, Vec<f64>>::new();
     for ex in &ds.examples {
-        groups
-            .entry(ex.kernel_group)
-            .or_default()
-            .push(ex.runtime_ns);
+        groups.entry(ex.group).or_default().push(ex.runtime_ns);
     }
     for v in groups.values() {
         if v.len() >= 2 {

@@ -109,11 +109,7 @@ fn render() -> String {
         ..Default::default()
     };
     let fusion = build_fusion_dataset(&corpus, &fusion_cfg);
-    let samples: Vec<Sample> = fusion
-        .examples
-        .iter()
-        .map(|ex| Sample::new(ex.kernel.clone(), ex.runtime_ns))
-        .collect();
+    let samples: Vec<Sample> = fusion.examples.iter().map(|ex| ex.sample()).collect();
     let prepared = prepare(&samples);
     assert!(
         prepared.len() >= 40,
@@ -167,11 +163,7 @@ fn render() -> String {
             ..Default::default()
         },
     );
-    let tile_samples: Vec<Sample> = tiles
-        .examples
-        .iter()
-        .map(|ex| Sample::grouped(ex.kernel.clone(), ex.runtime_ns, ex.kernel_group))
-        .collect();
+    let tile_samples: Vec<Sample> = tiles.examples.iter().map(|ex| ex.sample()).collect();
     let tile_prepared = prepare(&tile_samples);
     let mut sizes = std::collections::BTreeMap::<usize, usize>::new();
     for p in &tile_prepared {
