@@ -55,7 +55,7 @@ use crate::memo::{Planner, SharedPlanner};
 use crate::sa::{push_top, BatchObjective};
 use std::collections::{HashMap, HashSet};
 use tpu_fusion::{fusion_groups, materialize, FusionConfig, FusionSpace};
-use tpu_hlo::{canonical_kernel_hash, Program};
+use tpu_hlo::{canonical_kernel_hash, KeyScratch, Program};
 use tpu_learned_cost::AtomicCache;
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
 
@@ -182,10 +182,11 @@ impl BeamObs {
 /// tests pin to this function's value.
 pub fn fused_structure_hash(program: &Program, space: &FusionSpace, config: &FusionConfig) -> u64 {
     let groups = fusion_groups(program, space, config);
+    let scratch = &mut KeyScratch::default();
     fold_structure_key(
         groups
             .iter()
-            .map(|g| canonical_kernel_hash(&materialize(program, g))),
+            .map(|g| canonical_kernel_hash(&materialize(program, g, scratch))),
     )
 }
 

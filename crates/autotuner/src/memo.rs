@@ -66,8 +66,8 @@ pub(crate) struct Slots<'a> {
     program: &'a Program,
     fusion: FusionPlanner<'a>,
     keys: Vec<u64>,
-    /// The buffers every group is keyed in.
-    key_scratch: KeyScratch,
+    /// The buffers every group is keyed and built in.
+    key_scratch: RefCell<KeyScratch>,
     kernels: Vec<OnceCell<Kernel>>,
     built: Counter,
 }
@@ -82,15 +82,17 @@ impl Slots<'_> {
     pub(crate) fn kernel(&self, id: GroupId) -> &Kernel {
         self.kernels[id.index()].get_or_init(|| {
             self.built.inc();
-            materialize(self.program, &self.fusion.groups()[id.index()])
+            let scratch = &mut self.key_scratch.borrow_mut();
+            materialize(self.program, &self.fusion.groups()[id.index()], scratch)
         })
     }
 
     /// Key every group the planner has met since the last call.
     fn key_new_groups(&mut self) {
         let c = &self.program.computation;
+        let scratch = self.key_scratch.get_mut();
         for group in &self.fusion.groups()[self.keys.len()..] {
-            let key = c.subgraph_kernel_hash(group.members(), group.root(), &mut self.key_scratch);
+            let key = c.subgraph_kernel_hash(group.members(), group.root(), scratch);
             self.keys.push(key);
             self.kernels.push(OnceCell::new());
         }
@@ -153,7 +155,7 @@ impl<'a> Planner<'a> {
                 program,
                 fusion: FusionPlanner::new(program, space),
                 keys: Vec::new(),
-                key_scratch: KeyScratch::default(),
+                key_scratch: RefCell::default(),
                 kernels: Vec::new(),
                 built: registry.counter("autotuner.plan.built"),
             },

@@ -6,7 +6,7 @@
 //! static analysis or performance counters are involved — that is the
 //! paper's point of difference from Halide's learned model.
 
-use tpu_hlo::{Kernel, Node, OpCategory, Shape, MAX_RANK};
+use tpu_hlo::{Kernel, Node, OpAttrs, OpCategory, Shape, MAX_RANK};
 use tpu_nn::Tensor;
 
 /// Length of the tile-size sub-vector: tile extents minor→major padded to
@@ -91,12 +91,12 @@ fn push_node_features(f: &mut Vec<f32>, k: &Kernel, node: &Node) {
     f.extend_from_slice(&cat);
 
     // Flags.
-    f.push(if node.attrs.is_output { 1.0 } else { 0.0 });
+    f.push(if node.is_output { 1.0 } else { 0.0 });
     f.push(if node.is_parameter() { 1.0 } else { 0.0 });
     f.push(node.operands.len() as f32);
 
     // Convolution window.
-    if let Some(cv) = &node.attrs.conv {
+    if let OpAttrs::Conv(cv) = &node.attrs {
         f.push(log1p(cv.filter_h as f64));
         f.push(log1p(cv.filter_w as f64));
         f.push(cv.stride_h as f32);

@@ -6,7 +6,7 @@ use crate::example::{Dataset, KernelExample};
 use std::collections::HashSet;
 use tpu_autotuner::random_configs;
 use tpu_fusion::{default_space_and_config, materialize, FusionPlanner};
-use tpu_hlo::{HashedKernel, Program};
+use tpu_hlo::{HashedKernel, KeyScratch, Program};
 use tpu_sim::{default_tile, TpuConfig, TpuDevice};
 
 /// Pipeline parameters.
@@ -50,7 +50,7 @@ pub(crate) fn program_kernels(
     let mut configs = random_configs(&space, cfg.configs_per_program, seed);
     configs.push(default_cfg);
     let mut planner = FusionPlanner::new(program, &space);
-    let mut plan = Vec::new();
+    let (mut plan, scratch) = (Vec::new(), &mut KeyScratch::default());
     let mut seen: HashSet<u64> = HashSet::new();
     let mut kernels = Vec::new();
     for config in &configs {
@@ -58,7 +58,7 @@ pub(crate) fn program_kernels(
         let known = planner.groups().len();
         planner.plan(config, &mut plan);
         for group in &planner.groups()[known..] {
-            let kernel = materialize(program, group);
+            let kernel = materialize(program, group, scratch);
             // Attach the compiler-default tile so tile features are
             // populated, as the paper's shared feature set requires.
             let tile = default_tile(&kernel, &cfg.machine);

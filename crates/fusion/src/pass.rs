@@ -26,7 +26,7 @@
 //! caller already has.
 
 use crate::space::{FusionConfig, FusionSpace};
-use tpu_hlo::{FusedProgram, Kernel, NodeId, OpCategory, Opcode, Program};
+use tpu_hlo::{FusedProgram, Kernel, KeyScratch, NodeId, OpCategory, Opcode, Program};
 
 /// What the planning body needs to know of a node's opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -559,10 +559,13 @@ pub fn fusion_groups(
 /// classify it, and record which program node it computes.
 ///
 /// `group` must come from a [`FusionPlanner`] over the same `program`.
-pub fn materialize(program: &Program, group: &FusionGroup) -> Kernel {
+/// The extraction works in `scratch` (see
+/// [`Computation::extract_subgraph`](tpu_hlo::Computation::extract_subgraph)):
+/// a caller that builds many kernels passes the same one each time.
+pub fn materialize(program: &Program, group: &FusionGroup, scratch: &mut KeyScratch) -> Kernel {
     let sub = program
         .computation
-        .extract_subgraph(&group.members, group.root);
+        .extract_subgraph(&group.members, group.root, scratch);
     Kernel::new(sub).with_source_root(group.root)
 }
 
@@ -575,9 +578,10 @@ pub fn materialize(program: &Program, group: &FusionGroup) -> Kernel {
 ///
 /// Panics if `config` does not match `space`.
 pub fn apply_fusion(program: &Program, space: &FusionSpace, config: &FusionConfig) -> FusedProgram {
+    let scratch = &mut KeyScratch::default();
     let kernels = fusion_groups(program, space, config)
         .iter()
-        .map(|g| materialize(program, g))
+        .map(|g| materialize(program, g, scratch))
         .collect();
     FusedProgram::new(program.name.clone(), kernels)
 }
@@ -770,7 +774,7 @@ mod tests {
         for k in &fp.kernels {
             assert!(k.computation.validate().is_ok());
             let root = k.computation.root();
-            assert!(k.computation.node(root).attrs.is_output);
+            assert!(k.computation.node(root).is_output);
         }
     }
 

@@ -1,17 +1,20 @@
-//! Per-node attributes: dot dimension numbers, convolution windows, slices,
-//! pads, and other operation configuration.
+//! Per-node attributes: the one attribute shape of each opcode family
+//! ([`OpAttrs`]) — dot dimension numbers, convolution windows, slices,
+//! pads and the rest.
 
+use crate::opcode::Opcode;
+use crate::shape::{Dims, MAX_RANK};
 use serde::{Deserialize, Serialize};
 use serde_json::{Error, Kind, Scanner};
+use std::fmt;
 
 // The text format's `attrs=` reader: the structs below read straight off a
-// [`Scanner`], with no `Value` tree in between. In the `NodeAttrs` object
-// an absent key is its default (the writer leaves out every key whose
-// value is). Beyond that every reader accepts and refuses exactly what the
-// derived `Deserialize` of its type does — every field of a nested struct
-// required, the first of a repeated key wins, unknown keys skipped, `1.0`
-// an integer — and the derive, with absent `NodeAttrs` keys filled in,
-// stays as the oracle the tests compare it with.
+// [`Scanner`], with no `Value` tree in between, and accept and refuse what
+// their derived `Deserialize` does — every field required, the first of a
+// repeated key wins, unknown keys skipped, `1.0` an integer. The
+// eleven-field struct whose derive read the object before each opcode held
+// its own attributes stays in the tests as the oracle of
+// [`OpAttrs::from_json`].
 
 type Read<T> = Result<T, Error>;
 
@@ -32,6 +35,21 @@ fn read_vec<T>(sc: &mut Scanner<'_>, read: fn(&mut Scanner<'_>) -> Read<T>) -> R
 
 fn read_usizes(sc: &mut Scanner<'_>) -> Read<Vec<usize>> {
     read_vec(sc, read_usize)
+}
+
+/// An index list, stored inline: more than [`MAX_RANK`] entries are
+/// refused before they are stored.
+fn read_dims(sc: &mut Scanner<'_>) -> Read<Dims> {
+    sc.enter_array()?;
+    let (mut buf, mut len) = ([0; MAX_RANK], 0);
+    while sc.next_element()? {
+        if len == MAX_RANK {
+            return Err(Error(format!("index list longer than {MAX_RANK}")));
+        }
+        buf[len] = read_usize(sc)?;
+        len += 1;
+    }
+    Ok(Dims::from_slice(&buf[..len]))
 }
 
 fn read_tuple<const N: usize>(sc: &mut Scanner<'_>) -> Read<[usize; N]> {
@@ -66,9 +84,9 @@ fn read_opt<T>(sc: &mut Scanner<'_>, read: fn(&mut Scanner<'_>) -> Read<T>) -> R
 
 /// `scan` for the struct `$ty`, from one list of its fields: it reads the
 /// object at the scanner — the first of a repeated key wins, unknown keys
-/// are skipped, a field whose key is absent gets `$absent(type, field)`.
+/// are skipped, every field is required.
 macro_rules! scan_object {
-    ($ty:ident, absent: $absent:ident, $($field:ident: $read:expr,)+) => {
+    ($ty:ident, $($field:ident: $read:expr,)+) => {
         impl $ty {
             fn scan(sc: &mut Scanner<'_>) -> Read<$ty> {
                 $(let mut $field = None;)+
@@ -81,24 +99,13 @@ macro_rules! scan_object {
                     sc.skip_value()?;
                 }
                 Ok($ty {
-                    $($field: match $field {
-                        Some(value) => value,
-                        None => $absent(stringify!($ty), stringify!($field))?,
-                    },)+
+                    $($field: $field.ok_or_else(|| {
+                        Error::missing(stringify!($field), stringify!($ty))
+                    })?,)+
                 })
             }
         }
     };
-}
-
-/// The `$absent` of a struct whose every field is required.
-fn required<T>(ty: &str, field: &str) -> Read<T> {
-    Err(Error::missing(field, ty))
-}
-
-/// The `$absent` of `NodeAttrs`: the key's default.
-fn absent_is_default<T: Default>(_ty: &str, _field: &str) -> Read<T> {
-    Ok(T::default())
 }
 
 /// Dimension numbers for a [`Dot`](crate::Opcode::Dot) operation over rank-2
@@ -119,7 +126,7 @@ pub struct DotDims {
     pub rhs_batch: Vec<usize>,
 }
 
-scan_object!(DotDims, absent: required,
+scan_object!(DotDims,
     lhs_contracting: read_usize,
     rhs_contracting: read_usize,
     lhs_batch: read_usizes,
@@ -167,7 +174,7 @@ pub struct ConvAttrs {
     pub feature_groups: usize,
 }
 
-scan_object!(ConvAttrs, absent: required,
+scan_object!(ConvAttrs,
     filter_h: read_usize,
     filter_w: read_usize,
     stride_h: read_usize,
@@ -244,7 +251,7 @@ pub struct SliceAttrs {
     pub strides: Vec<usize>,
 }
 
-scan_object!(SliceAttrs, absent: required,
+scan_object!(SliceAttrs,
     starts: read_usizes,
     limits: read_usizes,
     strides: read_usizes,
@@ -269,7 +276,7 @@ pub struct PadConfig {
     pub dims: Vec<(usize, usize, usize)>,
 }
 
-scan_object!(PadConfig, absent: required,
+scan_object!(PadConfig,
     dims: (|sc| read_vec(sc, |sc| read_tuple(sc).map(|[lo, hi, int]| (lo, hi, int)))),
 );
 
@@ -319,64 +326,202 @@ impl Comparison {
     }
 }
 
-/// The full attribute bag of a node. Most fields are `None`/empty for most
-/// opcodes; the graph validator checks that required attributes are present.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct NodeAttrs {
+/// The attributes of a node, in the one shape its opcode reads (§4.1: "the
+/// attributes of the operation"). An opcode that reads none holds
+/// [`OpAttrs::None`]; the graph validator holds every node to its opcode's
+/// variant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OpAttrs {
+    /// No attributes: every opcode not named below.
+    None,
     /// Dot dimension numbers ([`Dot`](crate::Opcode::Dot)).
-    pub dot: Option<DotDims>,
+    Dot(DotDims),
     /// Convolution window ([`Convolution`](crate::Opcode::Convolution)).
-    pub conv: Option<ConvAttrs>,
+    Conv(ConvAttrs),
     /// Dimensions reduced over ([`Reduce`](crate::Opcode::Reduce)).
-    pub reduce_dims: Vec<usize>,
+    Reduce(Dims),
     /// Permutation ([`Transpose`](crate::Opcode::Transpose)).
-    pub transpose_perm: Vec<usize>,
-    /// Mapping of operand dims into output dims
+    Transpose(Dims),
+    /// The output dimension of each operand dimension
     /// ([`Broadcast`](crate::Opcode::Broadcast)).
-    pub broadcast_dims: Vec<usize>,
+    Broadcast(Dims),
     /// Static slice bounds ([`Slice`](crate::Opcode::Slice)).
-    pub slice: Option<SliceAttrs>,
+    Slice(SliceAttrs),
     /// Padding config ([`Pad`](crate::Opcode::Pad)).
-    pub pad: Option<PadConfig>,
+    Pad(PadConfig),
     /// Concatenation dimension ([`Concatenate`](crate::Opcode::Concatenate)).
-    pub concat_dim: Option<usize>,
+    Concat(usize),
     /// Comparison direction ([`Compare`](crate::Opcode::Compare)).
-    pub comparison: Option<Comparison>,
-    /// Window size for [`ReduceWindow`](crate::Opcode::ReduceWindow)
-    /// (height, width, stride_h, stride_w), applied over NHWC inputs.
-    pub window: Option<(usize, usize, usize, usize)>,
-    /// Marks kernel output nodes (§4.1: "outputs are expressed via an extra
-    /// feature associated with the output nodes").
-    pub is_output: bool,
+    Compare(Comparison),
+    /// Height, width and the strides along them of a
+    /// [`ReduceWindow`](crate::Opcode::ReduceWindow) over NHWC input.
+    Window(usize, usize, usize, usize),
 }
 
-scan_object!(NodeAttrs, absent: absent_is_default,
-    dot: (|sc| read_opt(sc, DotDims::scan)),
-    conv: (|sc| read_opt(sc, ConvAttrs::scan)),
-    reduce_dims: read_usizes,
-    transpose_perm: read_usizes,
-    broadcast_dims: read_usizes,
-    slice: (|sc| read_opt(sc, SliceAttrs::scan)),
-    pad: (|sc| read_opt(sc, PadConfig::scan)),
-    concat_dim: (|sc| read_opt(sc, read_usize)),
-    comparison: (|sc| read_opt(sc, Comparison::scan)),
-    window: (|sc| read_opt(sc, |sc| read_tuple(sc).map(|[h, w, sh, sw]| (h, w, sh, sw)))),
-    is_output: Scanner::bool,
-);
+/// The keys of the text format's `attrs=` object, in the order the full
+/// form writes them: each opcode family's attributes, then the output mark.
+#[rustfmt::skip]
+const KEYS: [&str; 11] = [
+    "dot", "conv", "reduce_dims", "transpose_perm", "broadcast_dims", "slice", "pad",
+    "concat_dim", "comparison", "window", "is_output",
+];
 
-impl NodeAttrs {
-    /// An empty attribute bag.
-    pub fn none() -> NodeAttrs {
-        NodeAttrs::default()
+/// The `attrs=` key of the attributes `opcode` reads, if it reads any.
+pub(crate) fn attr_key(opcode: Opcode) -> Option<&'static str> {
+    Some(match opcode {
+        Opcode::Dot => "dot",
+        Opcode::Convolution => "conv",
+        Opcode::Reduce => "reduce_dims",
+        Opcode::Transpose => "transpose_perm",
+        Opcode::Broadcast => "broadcast_dims",
+        Opcode::Slice => "slice",
+        Opcode::Pad => "pad",
+        Opcode::Concatenate => "concat_dim",
+        Opcode::Compare => "comparison",
+        Opcode::ReduceWindow => "window",
+        _ => return None,
+    })
+}
+
+impl OpAttrs {
+    /// The `attrs=` key these attributes are written under.
+    pub(crate) fn key(&self) -> Option<&'static str> {
+        Some(match self {
+            OpAttrs::None => return None,
+            OpAttrs::Dot(_) => "dot",
+            OpAttrs::Conv(_) => "conv",
+            OpAttrs::Reduce(_) => "reduce_dims",
+            OpAttrs::Transpose(_) => "transpose_perm",
+            OpAttrs::Broadcast(_) => "broadcast_dims",
+            OpAttrs::Slice(_) => "slice",
+            OpAttrs::Pad(_) => "pad",
+            OpAttrs::Concat(_) => "concat_dim",
+            OpAttrs::Compare(_) => "comparison",
+            OpAttrs::Window(..) => "window",
+        })
     }
 
-    /// Read the JSON object the text format writes after `attrs=`; an
-    /// absent key is its default.
-    pub(crate) fn from_json(text: &str) -> Read<NodeAttrs> {
+    /// What a node of `opcode` holds when its `attrs=` leaves its key out:
+    /// an empty index list for a reduce, transpose or broadcast, and
+    /// otherwise nothing.
+    pub(crate) fn absent(opcode: Opcode) -> OpAttrs {
+        match opcode {
+            Opcode::Reduce => OpAttrs::Reduce(Dims::default()),
+            Opcode::Transpose => OpAttrs::Transpose(Dims::default()),
+            Opcode::Broadcast => OpAttrs::Broadcast(Dims::default()),
+            _ => OpAttrs::None,
+        }
+    }
+
+    /// Read the JSON object the text format writes after `attrs=` on a
+    /// node of `opcode`: its attributes and whether it is an output. An
+    /// absent key is its default. The full form older clients send spells
+    /// out all eleven keys, so a key of another opcode is taken at its
+    /// default and refused with anything more.
+    pub(crate) fn from_json(text: &str, opcode: Opcode) -> Read<(OpAttrs, bool)> {
         let sc = &mut Scanner::new(text);
-        let attrs = NodeAttrs::scan(sc)?;
+        let (own, mut attrs, mut is_output) = (attr_key(opcode), OpAttrs::absent(opcode), false);
+        let (mut seen, mut foreign) = ([false; KEYS.len()], None);
+        sc.enter_object()?;
+        while let Some(key) = sc.next_key()? {
+            match KEYS.iter().position(|&k| key == k) {
+                Some(i) if !std::mem::replace(&mut seen[i], true) => match KEYS[i] {
+                    "is_output" => is_output = sc.bool()?,
+                    key => match read_value(sc, key)? {
+                        Some(value) if own == Some(key) => attrs = value,
+                        Some(_) => foreign = foreign.or(Some(key)),
+                        None => {}
+                    },
+                },
+                // A repeated key after its first, or an unknown one.
+                _ => sc.skip_value()?,
+            }
+        }
         sc.finish()?;
-        Ok(attrs)
+        match foreign {
+            Some(key) => Err(Error(format!("`{key}` is not an attribute of `{opcode}`"))),
+            None => Ok((attrs, is_output)),
+        }
+    }
+
+    /// These attributes, with `is_output`, as the eleven fields every node
+    /// carried before each opcode held its own: what the canonical key
+    /// bytes and `Node`'s `Debug` text are written from, so both read as
+    /// they did.
+    pub(crate) fn fields(&self, is_output: bool) -> Fields<'_> {
+        let mut f = Fields {
+            is_output,
+            ..Fields::default()
+        };
+        match self {
+            OpAttrs::None => {}
+            OpAttrs::Dot(d) => f.dot = Some(d),
+            OpAttrs::Conv(c) => f.conv = Some(c),
+            OpAttrs::Reduce(d) => f.reduce_dims = d,
+            OpAttrs::Transpose(d) => f.transpose_perm = d,
+            OpAttrs::Broadcast(d) => f.broadcast_dims = d,
+            OpAttrs::Slice(s) => f.slice = Some(s),
+            OpAttrs::Pad(p) => f.pad = Some(p),
+            &OpAttrs::Concat(d) => f.concat_dim = Some(d),
+            &OpAttrs::Compare(c) => f.comparison = Some(c),
+            &OpAttrs::Window(h, w, sh, sw) => f.window = Some((h, w, sh, sw)),
+        }
+        f
+    }
+}
+
+/// The value of the attribute key `key`, as the attributes it holds;
+/// `None` at its default (`null`, an empty index list).
+fn read_value(sc: &mut Scanner<'_>, key: &str) -> Read<Option<OpAttrs>> {
+    let list = |sc: &mut Scanner<'_>, variant: fn(Dims) -> OpAttrs| {
+        read_dims(sc).map(|d| (!d.is_empty()).then(|| variant(d)))
+    };
+    Ok(match key {
+        "dot" => read_opt(sc, DotDims::scan)?.map(OpAttrs::Dot),
+        "conv" => read_opt(sc, ConvAttrs::scan)?.map(OpAttrs::Conv),
+        "reduce_dims" => list(sc, OpAttrs::Reduce)?,
+        "transpose_perm" => list(sc, OpAttrs::Transpose)?,
+        "broadcast_dims" => list(sc, OpAttrs::Broadcast)?,
+        "slice" => read_opt(sc, SliceAttrs::scan)?.map(OpAttrs::Slice),
+        "pad" => read_opt(sc, PadConfig::scan)?.map(OpAttrs::Pad),
+        "concat_dim" => read_opt(sc, read_usize)?.map(OpAttrs::Concat),
+        "comparison" => read_opt(sc, Comparison::scan)?.map(OpAttrs::Compare),
+        _ => read_opt(sc, read_tuple)?.map(|[h, w, sh, sw]| OpAttrs::Window(h, w, sh, sw)),
+    })
+}
+
+/// [`OpAttrs::fields`]: every field but the node's own holds its default.
+#[derive(Default)]
+pub(crate) struct Fields<'a> {
+    pub(crate) dot: Option<&'a DotDims>,
+    pub(crate) conv: Option<&'a ConvAttrs>,
+    pub(crate) reduce_dims: &'a [usize],
+    pub(crate) transpose_perm: &'a [usize],
+    pub(crate) broadcast_dims: &'a [usize],
+    pub(crate) slice: Option<&'a SliceAttrs>,
+    pub(crate) pad: Option<&'a PadConfig>,
+    pub(crate) concat_dim: Option<usize>,
+    pub(crate) comparison: Option<Comparison>,
+    pub(crate) window: Option<(usize, usize, usize, usize)>,
+    pub(crate) is_output: bool,
+}
+
+/// The text the eleven-field struct's derived `Debug` wrote.
+impl fmt::Debug for Fields<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeAttrs")
+            .field("dot", &self.dot)
+            .field("conv", &self.conv)
+            .field("reduce_dims", &self.reduce_dims)
+            .field("transpose_perm", &self.transpose_perm)
+            .field("broadcast_dims", &self.broadcast_dims)
+            .field("slice", &self.slice)
+            .field("pad", &self.pad)
+            .field("concat_dim", &self.concat_dim)
+            .field("comparison", &self.comparison)
+            .field("window", &self.window)
+            .field("is_output", &self.is_output)
+            .finish()
     }
 }
 

@@ -1,11 +1,11 @@
 //! A shape-inferring builder for computation graphs.
 
-use crate::attrs::{Comparison, ConvAttrs, DotDims, NodeAttrs, PadConfig, SliceAttrs};
+use crate::attrs::{Comparison, ConvAttrs, DotDims, OpAttrs, PadConfig, SliceAttrs};
 use crate::dtype::DType;
 use crate::graph::Computation;
 use crate::node::{Node, NodeId};
 use crate::opcode::Opcode;
-use crate::shape::{Layout, Shape};
+use crate::shape::{Dims, Layout, Shape};
 
 /// Builds a [`Computation`] node by node, inferring output shapes.
 ///
@@ -71,8 +71,7 @@ impl GraphBuilder {
         dtype: DType,
         shape: Shape,
         operands: Vec<NodeId>,
-        attrs: NodeAttrs,
-        name: impl Into<String>,
+        attrs: OpAttrs,
     ) -> NodeId {
         for &op in &operands {
             assert!(op.index() < self.nodes.len(), "operand {op} not yet added");
@@ -86,35 +85,24 @@ impl GraphBuilder {
             shape,
             layout,
             operands,
+            is_output: false,
             attrs,
-            name: name.into(),
+            name: String::new(),
         });
         id
     }
 
     /// Add a graph input.
     pub fn parameter(&mut self, name: &str, shape: Shape, dtype: DType) -> NodeId {
-        self.push(
-            Opcode::Parameter,
-            dtype,
-            shape,
-            Vec::new(),
-            NodeAttrs::none(),
-            name,
-        )
+        let id = self.push(Opcode::Parameter, dtype, shape, Vec::new(), OpAttrs::None);
+        self.nodes[id.index()].name = name.to_string();
+        id
     }
 
     /// Add a constant tensor (contents are irrelevant to cost modeling;
     /// only shape/dtype matter).
     pub fn constant(&mut self, shape: Shape, dtype: DType) -> NodeId {
-        self.push(
-            Opcode::Constant,
-            dtype,
-            shape,
-            Vec::new(),
-            NodeAttrs::none(),
-            "",
-        )
+        self.push(Opcode::Constant, dtype, shape, Vec::new(), OpAttrs::None)
     }
 
     /// Add a scalar f32 constant.
@@ -124,13 +112,13 @@ impl GraphBuilder {
 
     /// Add a random-number generator node.
     pub fn rng(&mut self, shape: Shape, dtype: DType) -> NodeId {
-        self.push(Opcode::Rng, dtype, shape, Vec::new(), NodeAttrs::none(), "")
+        self.push(Opcode::Rng, dtype, shape, Vec::new(), OpAttrs::None)
     }
 
     fn unary(&mut self, opcode: Opcode, x: NodeId) -> NodeId {
         let shape = self.shape(x).clone();
         let dtype = self.dtype(x);
-        self.push(opcode, dtype, shape, vec![x], NodeAttrs::none(), "")
+        self.push(opcode, dtype, shape, vec![x], OpAttrs::None)
     }
 
     fn binary(&mut self, opcode: Opcode, a: NodeId, b: NodeId) -> NodeId {
@@ -146,7 +134,7 @@ impl GraphBuilder {
             panic!("elementwise operands disagree: {sa} vs {sb} (insert an explicit broadcast)");
         };
         let dtype = self.dtype(a);
-        self.push(opcode, dtype, shape, vec![a, b], NodeAttrs::none(), "")
+        self.push(opcode, dtype, shape, vec![a, b], OpAttrs::None)
     }
 
     // --- elementwise unary ---
@@ -211,7 +199,7 @@ impl GraphBuilder {
     /// Element type conversion.
     pub fn convert(&mut self, x: NodeId, to: DType) -> NodeId {
         let shape = self.shape(x).clone();
-        self.push(Opcode::Convert, to, shape, vec![x], NodeAttrs::none(), "")
+        self.push(Opcode::Convert, to, shape, vec![x], OpAttrs::None)
     }
 
     // --- elementwise binary ---
@@ -248,39 +236,23 @@ impl GraphBuilder {
     /// Elementwise comparison producing a `pred` tensor.
     pub fn compare(&mut self, a: NodeId, b: NodeId, cmp: Comparison) -> NodeId {
         let shape = self.shape(a).clone();
-        let attrs = NodeAttrs {
-            comparison: Some(cmp),
-            ..Default::default()
-        };
-        self.push(Opcode::Compare, DType::Pred, shape, vec![a, b], attrs, "")
+        let attrs = OpAttrs::Compare(cmp);
+        self.push(Opcode::Compare, DType::Pred, shape, vec![a, b], attrs)
     }
 
     /// `select(pred, on_true, on_false)`.
     pub fn select(&mut self, pred: NodeId, on_true: NodeId, on_false: NodeId) -> NodeId {
         let shape = self.shape(on_true).clone();
         let dtype = self.dtype(on_true);
-        self.push(
-            Opcode::Select,
-            dtype,
-            shape,
-            vec![pred, on_true, on_false],
-            NodeAttrs::none(),
-            "",
-        )
+        let operands = vec![pred, on_true, on_false];
+        self.push(Opcode::Select, dtype, shape, operands, OpAttrs::None)
     }
 
     /// `clamp(lo, x, hi)`.
     pub fn clamp(&mut self, lo: NodeId, x: NodeId, hi: NodeId) -> NodeId {
         let shape = self.shape(x).clone();
         let dtype = self.dtype(x);
-        self.push(
-            Opcode::Clamp,
-            dtype,
-            shape,
-            vec![lo, x, hi],
-            NodeAttrs::none(),
-            "",
-        )
+        self.push(Opcode::Clamp, dtype, shape, vec![lo, x, hi], OpAttrs::None)
     }
 
     // --- data movement ---
@@ -297,14 +269,7 @@ impl GraphBuilder {
             "reshape must preserve element count"
         );
         let dtype = self.dtype(x);
-        self.push(
-            Opcode::Reshape,
-            dtype,
-            target,
-            vec![x],
-            NodeAttrs::none(),
-            "",
-        )
+        self.push(Opcode::Reshape, dtype, target, vec![x], OpAttrs::None)
     }
 
     /// Transpose by `perm` (output dim `i` = input dim `perm[i]`).
@@ -317,18 +282,8 @@ impl GraphBuilder {
         assert_eq!(perm.len(), in_shape.rank(), "permutation rank mismatch");
         let dims: Vec<usize> = perm.iter().map(|&p| in_shape.dim(p)).collect();
         let dtype = self.dtype(x);
-        let attrs = NodeAttrs {
-            transpose_perm: perm,
-            ..Default::default()
-        };
-        self.push(
-            Opcode::Transpose,
-            dtype,
-            Shape::new(dims),
-            vec![x],
-            attrs,
-            "",
-        )
+        let attrs = OpAttrs::Transpose(Dims::from_slice(&perm));
+        self.push(Opcode::Transpose, dtype, Shape::new(dims), vec![x], attrs)
     }
 
     /// Broadcast `x` into `target`, with `broadcast_dims[i]` giving the
@@ -348,11 +303,8 @@ impl GraphBuilder {
             );
         }
         let dtype = self.dtype(x);
-        let attrs = NodeAttrs {
-            broadcast_dims,
-            ..Default::default()
-        };
-        self.push(Opcode::Broadcast, dtype, target, vec![x], attrs, "")
+        let attrs = OpAttrs::Broadcast(Dims::from_slice(&broadcast_dims));
+        self.push(Opcode::Broadcast, dtype, target, vec![x], attrs)
     }
 
     /// Broadcast a scalar into `target`.
@@ -365,11 +317,7 @@ impl GraphBuilder {
     pub fn slice(&mut self, x: NodeId, attrs: SliceAttrs) -> NodeId {
         let out = Shape::new(attrs.out_dims());
         let dtype = self.dtype(x);
-        let na = NodeAttrs {
-            slice: Some(attrs),
-            ..Default::default()
-        };
-        self.push(Opcode::Slice, dtype, out, vec![x], na, "")
+        self.push(Opcode::Slice, dtype, out, vec![x], OpAttrs::Slice(attrs))
     }
 
     /// Slice `[start, limit)` along one dimension, full extent elsewhere.
@@ -413,22 +361,15 @@ impl GraphBuilder {
         }
         let out = first.with_dim(dim, total);
         let dtype = self.dtype(xs[0]);
-        let attrs = NodeAttrs {
-            concat_dim: Some(dim),
-            ..Default::default()
-        };
-        self.push(Opcode::Concatenate, dtype, out, xs.to_vec(), attrs, "")
+        let attrs = OpAttrs::Concat(dim);
+        self.push(Opcode::Concatenate, dtype, out, xs.to_vec(), attrs)
     }
 
     /// Pad with the given configuration.
     pub fn pad(&mut self, x: NodeId, config: PadConfig) -> NodeId {
         let out = Shape::new(config.out_dims(self.shape(x).dims()));
         let dtype = self.dtype(x);
-        let attrs = NodeAttrs {
-            pad: Some(config),
-            ..Default::default()
-        };
-        self.push(Opcode::Pad, dtype, out, vec![x], attrs, "")
+        self.push(Opcode::Pad, dtype, out, vec![x], OpAttrs::Pad(config))
     }
 
     /// Reverse along all dimensions.
@@ -444,14 +385,8 @@ impl GraphBuilder {
         assert_eq!(idx.rank(), 1, "gather_rows expects rank-1 indices");
         let out = Shape::new(vec![idx.dim(0), t.dim(1)]);
         let dtype = self.dtype(table);
-        self.push(
-            Opcode::Gather,
-            dtype,
-            out,
-            vec![table, indices],
-            NodeAttrs::none(),
-            "",
-        )
+        let operands = vec![table, indices];
+        self.push(Opcode::Gather, dtype, out, operands, OpAttrs::None)
     }
 
     // --- reductions ---
@@ -476,11 +411,8 @@ impl GraphBuilder {
             Shape::new(out_dims)
         };
         let dtype = self.dtype(x);
-        let attrs = NodeAttrs {
-            reduce_dims: dims,
-            ..Default::default()
-        };
-        self.push(Opcode::Reduce, dtype, out, vec![x], attrs, "")
+        let attrs = OpAttrs::Reduce(Dims::from_slice(&dims));
+        self.push(Opcode::Reduce, dtype, out, vec![x], attrs)
     }
 
     /// Windowed reduction (pooling) over NHWC input.
@@ -497,11 +429,8 @@ impl GraphBuilder {
         let ow = (s.dim(2) - ww) / sw + 1;
         let out = Shape::new(vec![s.dim(0), oh, ow, s.dim(3)]);
         let dtype = self.dtype(x);
-        let attrs = NodeAttrs {
-            window: Some(window),
-            ..Default::default()
-        };
-        self.push(Opcode::ReduceWindow, dtype, out, vec![x, init], attrs, "")
+        let attrs = OpAttrs::Window(wh, ww, sh, sw);
+        self.push(Opcode::ReduceWindow, dtype, out, vec![x, init], attrs)
     }
 
     // --- heavy compute ---
@@ -546,11 +475,7 @@ impl GraphBuilder {
         }
         let out = Shape::new(out_dims);
         let dtype = self.dtype(a);
-        let attrs = NodeAttrs {
-            dot: Some(dims),
-            ..Default::default()
-        };
-        self.push(Opcode::Dot, dtype, out, vec![a, b], attrs, "")
+        self.push(Opcode::Dot, dtype, out, vec![a, b], OpAttrs::Dot(dims))
     }
 
     /// 2-D convolution over NHWC input with HWIO filter.
@@ -577,18 +502,8 @@ impl GraphBuilder {
             sf.dim(3),
         ]);
         let dtype = self.dtype(input);
-        let attrs = NodeAttrs {
-            conv: Some(conv),
-            ..Default::default()
-        };
-        self.push(
-            Opcode::Convolution,
-            dtype,
-            out,
-            vec![input, filter],
-            attrs,
-            "",
-        )
+        let attrs = OpAttrs::Conv(conv);
+        self.push(Opcode::Convolution, dtype, out, vec![input, filter], attrs)
     }
 
     /// Fused batch-norm at inference: `(x - mean) * inv_stddev_scale`,
@@ -601,8 +516,7 @@ impl GraphBuilder {
             dtype,
             shape,
             vec![x, scale, offset],
-            NodeAttrs::none(),
-            "",
+            OpAttrs::None,
         )
     }
 
@@ -644,7 +558,7 @@ impl GraphBuilder {
     pub fn finish(mut self, root: NodeId) -> Computation {
         assert!(!self.nodes.is_empty(), "empty computation");
         assert!(root.index() < self.nodes.len(), "root does not exist");
-        self.nodes[root.index()].attrs.is_output = true;
+        self.nodes[root.index()].is_output = true;
         Computation::from_parts_unchecked(self.name, self.nodes, root)
     }
 }
@@ -782,8 +696,8 @@ mod tests {
         let x = b.parameter("x", Shape::matrix(2, 2), DType::F32);
         let y = b.tanh(x);
         let c = b.finish(y);
-        assert!(c.node(y).attrs.is_output);
-        assert!(!c.node(x).attrs.is_output);
+        assert!(c.node(y).is_output);
+        assert!(!c.node(x).is_output);
     }
 
     #[test]

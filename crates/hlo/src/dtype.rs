@@ -1,6 +1,5 @@
 //! Element types for tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element type of a tensor.
@@ -14,9 +13,7 @@ use std::fmt;
 /// use tpu_hlo::DType;
 /// assert_eq!(DType::F32.size_bytes(), 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DType {
     /// 32-bit IEEE float.
     #[default]

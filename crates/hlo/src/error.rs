@@ -38,6 +38,14 @@ pub enum HloError {
         /// Name of the missing attribute.
         attr: &'static str,
     },
+    /// A node holds the attributes of another opcode (e.g. a `tanh` with
+    /// [`DotDims`](crate::DotDims)).
+    ForeignAttr {
+        /// The offending node.
+        node: NodeId,
+        /// Name of the foreign attribute.
+        attr: &'static str,
+    },
     /// Operand shapes are inconsistent with the opcode.
     ShapeMismatch {
         /// The offending node.
@@ -75,6 +83,9 @@ impl fmt::Display for HloError {
             HloError::Cycle { node } => write!(f, "cycle detected through node {node}"),
             HloError::MissingAttr { node, attr } => {
                 write!(f, "node {node} is missing required attribute `{attr}`")
+            }
+            HloError::ForeignAttr { node, attr } => {
+                write!(f, "node {node} holds attribute `{attr}` of another opcode")
             }
             HloError::ShapeMismatch { node, reason } => {
                 write!(f, "shape mismatch at node {node}: {reason}")

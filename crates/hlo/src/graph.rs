@@ -1,10 +1,12 @@
 //! Computation graphs: DAGs of primitive tensor operations.
 
+use crate::attrs::{attr_key, OpAttrs};
 use crate::error::{HloError, Result};
+use crate::hashing::KeyScratch;
 use crate::node::{Node, NodeId};
 use crate::opcode::Opcode;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// A computation: a directed acyclic graph of [`Node`]s with a designated
 /// root (output) node.
@@ -23,7 +25,7 @@ use std::borrow::Cow;
 /// assert_eq!(c.root(), y);
 /// assert_eq!(c.users(x), &[y]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Computation {
     name: String,
     nodes: Vec<Node>,
@@ -231,47 +233,18 @@ impl Computation {
                     });
                 }
             }
-            match node.opcode {
-                Opcode::Dot if node.attrs.dot.is_none() => {
+            // Each node holds the attributes of its own opcode.
+            match (attr_key(node.opcode), node.attrs.key()) {
+                (Some(attr), held) if held != Some(attr) => {
                     return Err(HloError::MissingAttr {
                         node: node.id,
-                        attr: "dot",
+                        attr,
                     })
                 }
-                Opcode::Convolution if node.attrs.conv.is_none() => {
-                    return Err(HloError::MissingAttr {
+                (None, Some(attr)) => {
+                    return Err(HloError::ForeignAttr {
                         node: node.id,
-                        attr: "conv",
-                    })
-                }
-                Opcode::Slice if node.attrs.slice.is_none() => {
-                    return Err(HloError::MissingAttr {
-                        node: node.id,
-                        attr: "slice",
-                    })
-                }
-                Opcode::Pad if node.attrs.pad.is_none() => {
-                    return Err(HloError::MissingAttr {
-                        node: node.id,
-                        attr: "pad",
-                    })
-                }
-                Opcode::Concatenate if node.attrs.concat_dim.is_none() => {
-                    return Err(HloError::MissingAttr {
-                        node: node.id,
-                        attr: "concat_dim",
-                    })
-                }
-                Opcode::Compare if node.attrs.comparison.is_none() => {
-                    return Err(HloError::MissingAttr {
-                        node: node.id,
-                        attr: "comparison",
-                    })
-                }
-                Opcode::ReduceWindow if node.attrs.window.is_none() => {
-                    return Err(HloError::MissingAttr {
-                        node: node.id,
-                        attr: "window",
+                        attr,
                     })
                 }
                 _ => {}
@@ -279,14 +252,14 @@ impl Computation {
             // What the cost models index by must exist: a dot's dimension
             // numbers in its operands, a convolution's NHWC / HWIO ranks.
             let rank = |i: usize| self.node(node.operands[i]).shape.rank();
-            let indexable = match (node.opcode, &node.attrs.dot) {
-                (Opcode::Dot, Some(d)) => {
+            let indexable = match &node.attrs {
+                OpAttrs::Dot(d) => {
                     d.lhs_contracting < rank(0)
                         && d.rhs_contracting < rank(1)
                         && d.lhs_batch.iter().all(|&b| b < rank(0))
                         && d.rhs_batch.iter().all(|&b| b < rank(1))
                 }
-                (Opcode::Convolution, _) => [node.shape.rank(), rank(0), rank(1)] == [4; 3],
+                OpAttrs::Conv(_) => [node.shape.rank(), rank(0), rank(1)] == [4; 3],
                 _ => true,
             };
             if !indexable {
@@ -319,9 +292,8 @@ impl Computation {
     /// build and overflow in a build with overflow checks.
     fn attr_values_mismatch(&self, node: &Node) -> Option<String> {
         let operand = |i: usize| &self.node(node.operands[i]).shape;
-        match node.opcode {
-            Opcode::Convolution => {
-                let conv = node.attrs.conv.as_ref()?;
+        match &node.attrs {
+            OpAttrs::Conv(conv) => {
                 let (input, filter) = (operand(0), operand(1));
                 if [filter.dim(0), filter.dim(1)] != [conv.filter_h, conv.filter_w] {
                     return Some(format!(
@@ -348,8 +320,7 @@ impl Computation {
                     }
                 })
             }
-            Opcode::ReduceWindow => {
-                let (wh, ww, sh, sw) = node.attrs.window?;
+            &OpAttrs::Window(wh, ww, sh, sw) => {
                 let x = operand(0);
                 let fits = match *x.dims() {
                     [_, h, w, _] => (1..=h).contains(&wh) && (1..=w).contains(&ww),
@@ -359,8 +330,7 @@ impl Computation {
                     format!("reduce-window {wh}x{ww} stride {sh}x{sw} does not fit its operand {x}")
                 })
             }
-            Opcode::Slice => {
-                let s = node.attrs.slice.as_ref()?;
+            OpAttrs::Slice(s) => {
                 let x = operand(0);
                 let ranks = [s.starts.len(), s.limits.len(), s.strides.len()] == [x.rank(); 3];
                 let fits = x
@@ -384,15 +354,30 @@ impl Computation {
     /// fresh `Parameter` nodes (the fused kernel's inputs), mirroring how a
     /// compiler outlines a fusion region.
     ///
+    /// The walk's tables and the staged node list live in `scratch`: a
+    /// caller that extracts many sub-graphs passes the same one each time,
+    /// and once its buffers have grown, an extraction allocates only what
+    /// the sub-computation owns.
+    ///
     /// # Panics
     ///
     /// Panics if `root_of_subgraph` is not in `members`, or if a member
     /// takes another member of a higher id as an operand.
-    pub fn extract_subgraph(&self, members: &[NodeId], root_of_subgraph: NodeId) -> Computation {
-        let mut nodes = NodeBuilder(Vec::new());
-        let tables = &mut WalkTables::default();
-        let (_, root) = self.walk_subgraph(members, root_of_subgraph, &mut nodes, tables);
-        Computation::from_parts_unchecked(format!("{}.fused", self.name), nodes.0, root)
+    pub fn extract_subgraph(
+        &self,
+        members: &[NodeId],
+        root_of_subgraph: NodeId,
+        scratch: &mut KeyScratch,
+    ) -> Computation {
+        let (walk, staged) = (&mut scratch.walk, &mut scratch.nodes);
+        staged.clear();
+        let (_, root) =
+            self.walk_subgraph(members, root_of_subgraph, &mut NodeBuilder(staged), walk);
+        // One allocation each, of the node count and of the name.
+        let mut nodes = Vec::with_capacity(staged.len());
+        nodes.append(staged);
+        let name = [self.name.as_str(), ".fused"].concat();
+        Computation::from_parts_unchecked(name, nodes, root)
     }
 
     /// The one description of the sub-computation [`Self::extract_subgraph`]
@@ -489,9 +474,9 @@ pub(crate) trait SubgraphSink {
 }
 
 /// The sink that builds the nodes.
-struct NodeBuilder(Vec<Node>);
+struct NodeBuilder<'a>(&'a mut Vec<Node>);
 
-impl SubgraphSink for NodeBuilder {
+impl SubgraphSink for NodeBuilder<'_> {
     fn import(&mut self, ext: &Node, id: NodeId) {
         self.0.push(Node {
             id,
@@ -500,17 +485,20 @@ impl SubgraphSink for NodeBuilder {
             shape: ext.shape.clone(),
             layout: ext.layout.clone(),
             operands: Vec::new(),
-            attrs: Default::default(),
+            is_output: false,
+            attrs: OpAttrs::None,
             // Imported values are named after the original producer node
             // so callers can thread values between kernels
-            // (`in<original-id>`).
-            name: format!("in{}", ext.id.0),
+            // (`in<original-id>`), in one allocation: room for any id.
+            name: {
+                let mut name = String::with_capacity("in4294967295".len());
+                let _ = write!(name, "in{}", ext.id.0);
+                name
+            },
         });
     }
 
     fn member(&mut self, node: &Node, id: NodeId, operands: &[NodeId], is_root: bool) {
-        let mut attrs = node.attrs.clone();
-        attrs.is_output |= is_root;
         self.0.push(Node {
             id,
             opcode: node.opcode,
@@ -518,7 +506,8 @@ impl SubgraphSink for NodeBuilder {
             shape: node.shape.clone(),
             layout: node.layout.clone(),
             operands: operands.to_vec(),
-            attrs,
+            is_output: node.is_output || is_root,
+            attrs: node.attrs.clone(),
             name: node.name.clone(),
         });
     }
@@ -562,10 +551,16 @@ mod tests {
         let d = b.dot(x, w);
         let mut c = b.finish(d);
         assert!(c.validate().is_ok());
-        c.node_mut(d).attrs.dot.as_mut().unwrap().lhs_contracting = 2;
+        let set = |c: &mut Computation, edit: fn(&mut crate::attrs::DotDims)| {
+            let OpAttrs::Dot(dims) = &mut c.node_mut(d).attrs else {
+                unreachable!("a dot")
+            };
+            edit(dims);
+        };
+        set(&mut c, |d| d.lhs_contracting = 2);
         assert!(matches!(c.validate(), Err(HloError::ShapeMismatch { .. })));
-        c.node_mut(d).attrs.dot.as_mut().unwrap().lhs_contracting = 1;
-        c.node_mut(d).attrs.dot.as_mut().unwrap().rhs_batch = vec![5];
+        set(&mut c, |d| d.lhs_contracting = 1);
+        set(&mut c, |d| d.rhs_batch = vec![5]);
         assert!(matches!(c.validate(), Err(HloError::ShapeMismatch { .. })));
 
         let mut b = GraphBuilder::new("conv");
@@ -599,14 +594,17 @@ mod tests {
         ];
         for edit in edits {
             let mut c = conv.clone();
-            edit(c.node_mut(y).attrs.conv.as_mut().unwrap());
-            assert!(mismatch(&c), "{:?}", c.node(y).attrs.conv);
+            let OpAttrs::Conv(attrs) = &mut c.node_mut(y).attrs else {
+                unreachable!("a convolution")
+            };
+            edit(attrs);
+            assert!(mismatch(&c), "{:?}", c.node(y).attrs);
         }
         // A 9x9 filter, consistent with its own shape, over a 4x4 input.
         let mut c = conv.clone();
         c.node_mut(x).shape = Shape::new(vec![1, 4, 4, 4]);
         c.node_mut(w).shape = Shape::new(vec![9, 9, 4, 8]);
-        c.node_mut(y).attrs.conv = Some(crate::attrs::ConvAttrs::valid(9));
+        c.node_mut(y).attrs = OpAttrs::Conv(crate::attrs::ConvAttrs::valid(9));
         assert!(mismatch(&c));
 
         let mut b = GraphBuilder::new("pool");
@@ -615,10 +613,10 @@ mod tests {
         let p = b.reduce_window(x, init, (4, 4, 1, 1));
         let pool = b.finish(p);
         assert!(pool.validate().is_ok());
-        for window in [(5, 1, 1, 1), (1, 0, 1, 1), (2, 2, 0, 1)] {
+        for (wh, ww, sh, sw) in [(5, 1, 1, 1), (1, 0, 1, 1), (2, 2, 0, 1)] {
             let mut c = pool.clone();
-            c.node_mut(p).attrs.window = Some(window);
-            assert!(mismatch(&c), "{window:?}");
+            c.node_mut(p).attrs = OpAttrs::Window(wh, ww, sh, sw);
+            assert!(mismatch(&c), "{:?}", c.node(p).attrs);
         }
 
         let mut b = GraphBuilder::new("slice");
@@ -634,9 +632,56 @@ mod tests {
         ];
         for edit in edits {
             let mut c = slice.clone();
-            edit(c.node_mut(s).attrs.slice.as_mut().unwrap());
-            assert!(mismatch(&c), "{:?}", c.node(s).attrs.slice);
+            let OpAttrs::Slice(attrs) = &mut c.node_mut(s).attrs else {
+                unreachable!("a slice")
+            };
+            edit(attrs);
+            assert!(mismatch(&c), "{:?}", c.node(s).attrs);
         }
+    }
+
+    #[test]
+    fn validate_holds_each_node_to_its_opcodes_attributes() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.parameter("x", Shape::matrix(4, 4), DType::F32);
+        let d = b.dot(x, x);
+        let r = b.reduce(d, vec![1]);
+        let t = b.tanh(r);
+        let c = b.finish(t);
+        assert!(c.validate().is_ok());
+        let held = |id: NodeId, attrs: OpAttrs| {
+            let mut c = c.clone();
+            c.node_mut(id).attrs = attrs;
+            c.validate()
+        };
+        // What the text reader could always leave out, with the same error.
+        assert_eq!(
+            held(d, OpAttrs::None),
+            Err(HloError::MissingAttr {
+                node: d,
+                attr: "dot"
+            })
+        );
+        assert_eq!(
+            held(r, OpAttrs::Concat(0)),
+            Err(HloError::MissingAttr {
+                node: r,
+                attr: "reduce_dims"
+            })
+        );
+        // A tanh holding a dot's dimension numbers is no longer a tanh.
+        let foreign = held(t, OpAttrs::Dot(crate::attrs::DotDims::matmul()));
+        assert_eq!(
+            foreign,
+            Err(HloError::ForeignAttr {
+                node: t,
+                attr: "dot"
+            })
+        );
+        assert_eq!(
+            foreign.unwrap_err().to_string(),
+            "node %3 holds attribute `dot` of another opcode"
+        );
     }
 
     #[test]
@@ -710,7 +755,8 @@ mod tests {
     fn extract_subgraph_imports_parameters() {
         let c = diamond();
         // Extract {exp, add}: tanh's value must arrive via a new parameter.
-        let sub = c.extract_subgraph(&[NodeId(1), NodeId(3)], NodeId(3));
+        let scratch = &mut KeyScratch::default();
+        let sub = c.extract_subgraph(&[NodeId(1), NodeId(3)], NodeId(3), scratch);
         assert!(sub.validate().is_ok());
         // exp's operand x becomes a parameter, tanh becomes a parameter:
         // in0, exp, in2, add.
@@ -718,10 +764,10 @@ mod tests {
         assert_eq!(sub.node(NodeId(2)).name, "in2");
         assert_eq!(sub.num_nodes(), 4);
         assert_eq!(sub.root(), NodeId(3));
-        assert!(sub.node(NodeId(3)).attrs.is_output);
+        assert!(sub.node(NodeId(3)).is_output);
         // Members in any order, repeated, are the same members.
         assert_eq!(
-            c.extract_subgraph(&[NodeId(3), NodeId(1), NodeId(3)], NodeId(3)),
+            c.extract_subgraph(&[NodeId(3), NodeId(1), NodeId(3)], NodeId(3), scratch),
             sub
         );
     }
@@ -730,7 +776,7 @@ mod tests {
     fn extract_full_graph_is_isomorphic() {
         let c = diamond();
         let members: Vec<NodeId> = c.nodes().iter().map(|n| n.id).collect();
-        let sub = c.extract_subgraph(&members, c.root());
+        let sub = c.extract_subgraph(&members, c.root(), &mut KeyScratch::default());
         assert_eq!(sub.num_nodes(), c.num_nodes());
         assert_eq!(sub.parameters().len(), 1);
     }
@@ -739,7 +785,7 @@ mod tests {
     fn extract_shares_single_import_per_external_producer() {
         // kernel = {add}; both operands come from outside but are distinct.
         let c = diamond();
-        let sub = c.extract_subgraph(&[NodeId(3)], NodeId(3));
+        let sub = c.extract_subgraph(&[NodeId(3)], NodeId(3), &mut KeyScratch::default());
         assert_eq!(sub.parameters().len(), 2);
         assert_eq!(sub.num_nodes(), 3);
     }

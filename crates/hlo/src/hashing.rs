@@ -9,13 +9,14 @@
 //!
 //! # What the key leaves out
 //!
-//! Node names, the computation's name and [`NodeAttrs::comparison`] are
-//! not hashed: kernels that differ only in them share a key, so they are
-//! one dataset example and one cache slot. That is sound because nothing
-//! that prices a kernel reads them — the featurizer, the simulator and the
-//! analytical model see the same kernel either way (the root
-//! `canonical_hash` suite pins this for `comparison`). A cost that starts
-//! reading one of them must add it to the key first.
+//! Node names, the computation's name and the comparison direction
+//! ([`OpAttrs::Compare`]) are not hashed: kernels that differ only in them
+//! share a key, so they are one dataset example and one cache slot. That
+//! is sound because nothing that prices a kernel reads them — the
+//! featurizer, the simulator and the analytical model see the same kernel
+//! either way (the root `canonical_hash` suite pins this for the
+//! comparison). A cost that starts reading one of them must add it to the
+//! key first.
 //!
 //! # One write per key
 //!
@@ -27,6 +28,11 @@
 //! as its `isize` discriminant and then its payload, a `bool` as one byte.
 //! SipHash's digest depends only on the concatenated stream, not on how
 //! it was split into writes, so the keys are the per-field hash's keys.
+//! The attributes are written as the eleven fields every node carried
+//! before each opcode held its own ([`OpAttrs`]): an empty list for each
+//! index list a node does not hold, nothing for an absent dot,
+//! convolution, slice or pad, a `None` tag for an absent concatenation
+//! dimension or window. So every key is the key it was.
 //! The kernel level — a computation's key, its kind, its tile — is a few
 //! words, written as they come, with no buffer.
 //!
@@ -38,11 +44,10 @@
 //! stream, so their bytes are written last, over two placeholder words —
 //! which is why the stream is gathered rather than fed to the hasher as it
 //! is walked. A caller that keys many groups keeps one [`KeyScratch`] for
-//! them: the stream's buffer and the walk's id tables.
-//!
-//! [`NodeAttrs::comparison`]: crate::NodeAttrs::comparison
+//! them: the stream's buffer and the walk's id tables, which
+//! [`Computation::extract_subgraph`] works in too.
 
-use crate::attrs::NodeAttrs;
+use crate::attrs::OpAttrs;
 use crate::graph::{Computation, SubgraphSink, WalkTables};
 use crate::kernel::{Kernel, KernelKind, KindTally};
 use crate::node::{Node, NodeId};
@@ -90,7 +95,7 @@ impl KeyBytes {
     fn node(&mut self, n: &Node) {
         self.head(n.opcode, n);
         self.operands(&n.operands);
-        self.attrs(&n.attrs, n.attrs.is_output);
+        self.attrs(&n.attrs, n.is_output);
     }
 
     /// A node's opcode, then the dtype, shape and layout of `value`.
@@ -110,17 +115,19 @@ impl KeyBytes {
     }
 
     /// Attributes that affect semantics/cost, with `is_output` in place of
-    /// the flag `a` holds.
-    fn attrs(&mut self, a: &NodeAttrs, is_output: bool) {
+    /// the node's flag, as the eleven fields nodes carried before each
+    /// opcode held its own.
+    fn attrs(&mut self, a: &OpAttrs, is_output: bool) {
+        let a = a.fields(is_output);
         // An absent dot, conv, slice or pad writes nothing, not a
         // discriminant.
-        if let Some(d) = &a.dot {
+        if let Some(d) = a.dot {
             self.usize(d.lhs_contracting);
             self.usize(d.rhs_contracting);
             self.usizes(&d.lhs_batch);
             self.usizes(&d.rhs_batch);
         }
-        if let Some(cv) = &a.conv {
+        if let Some(cv) = a.conv {
             for v in [
                 cv.filter_h,
                 cv.filter_w,
@@ -135,15 +142,15 @@ impl KeyBytes {
                 self.usize(v);
             }
         }
-        self.usizes(&a.reduce_dims);
-        self.usizes(&a.transpose_perm);
-        self.usizes(&a.broadcast_dims);
-        if let Some(s) = &a.slice {
+        self.usizes(a.reduce_dims);
+        self.usizes(a.transpose_perm);
+        self.usizes(a.broadcast_dims);
+        if let Some(s) = a.slice {
             self.usizes(&s.starts);
             self.usizes(&s.limits);
             self.usizes(&s.strides);
         }
-        if let Some(p) = &a.pad {
+        if let Some(p) = a.pad {
             self.usize(p.dims.len());
             for &(lo, hi, interior) in &p.dims {
                 self.usize(lo);
@@ -161,7 +168,7 @@ impl KeyBytes {
                 self.usize(v);
             }
         }
-        self.0.push(u8::from(is_output));
+        self.0.push(u8::from(a.is_output));
     }
 }
 
@@ -228,12 +235,16 @@ fn kernel_key(computation: u64, kind: KernelKind, tile: Option<&[usize]>) -> u64
     h.finish()
 }
 
-/// The buffers [`Computation::subgraph_kernel_hash`] works in, kept by a
-/// caller that keys many sub-graphs.
+/// The buffers [`Computation::subgraph_kernel_hash`] and
+/// [`Computation::extract_subgraph`] work in, kept by a caller that keys
+/// or extracts many sub-graphs.
 #[derive(Default)]
 pub struct KeyScratch {
     bytes: Vec<u8>,
-    walk: WalkTables,
+    pub(crate) walk: WalkTables,
+    /// The nodes of an extraction, staged before they move into a list of
+    /// their exact count.
+    pub(crate) nodes: Vec<Node>,
 }
 
 /// The sink of [`Computation::walk_subgraph`] that writes, node by node,
@@ -248,15 +259,14 @@ struct KeyWriter {
 impl SubgraphSink for KeyWriter {
     fn import(&mut self, ext: &Node, _id: NodeId) {
         self.bytes.head(Opcode::Parameter, ext);
-        self.bytes.attrs(&NodeAttrs::default(), false);
+        self.bytes.attrs(&OpAttrs::None, false);
         self.kind.add(Opcode::Parameter);
     }
 
     fn member(&mut self, node: &Node, _id: NodeId, operands: &[NodeId], is_root: bool) {
         self.bytes.head(node.opcode, node);
         self.bytes.operands(operands);
-        self.bytes
-            .attrs(&node.attrs, node.attrs.is_output || is_root);
+        self.bytes.attrs(&node.attrs, node.is_output || is_root);
         self.kind.add(node.opcode);
         if is_root {
             self.root = node.opcode;
@@ -454,7 +464,7 @@ mod tests {
                 .map(|i| ops[i])
                 .collect();
             for &root in &members {
-                let kernel = crate::Kernel::new(c.extract_subgraph(&members, root));
+                let kernel = crate::Kernel::new(c.extract_subgraph(&members, root, &mut scratch));
                 let mut reversed = members.clone();
                 reversed.reverse();
                 // One scratch for every key, left holding the last one's.

@@ -7,7 +7,7 @@
 //! property tests check algebraic identities (e.g. fusion never changes
 //! results — it is purely a scheduling decision).
 
-use crate::attrs::Comparison;
+use crate::attrs::{Comparison, OpAttrs};
 use crate::error::{HloError, Result};
 use crate::graph::Computation;
 use crate::node::{Node, NodeId};
@@ -275,7 +275,9 @@ fn eval_node(
         Or => arg(0).zip(arg(1), |a, b| ((a != 0.0) || (b != 0.0)) as u8 as f32),
         Xor => arg(0).zip(arg(1), |a, b| ((a != 0.0) != (b != 0.0)) as u8 as f32),
         Compare => {
-            let cmp = node.attrs.comparison.expect("compare attrs");
+            let &OpAttrs::Compare(cmp) = &node.attrs else {
+                panic!("compare attrs")
+            };
             arg(0).zip(arg(1), move |a, b| {
                 let r = match cmp {
                     Comparison::Eq => a == b,
@@ -315,7 +317,9 @@ fn eval_node(
         Reshape => NdArray::new(out_dims, arg(0).data.clone()),
         Transpose => {
             let input = arg(0);
-            let perm = &node.attrs.transpose_perm;
+            let OpAttrs::Transpose(perm) = &node.attrs else {
+                panic!("transpose attrs")
+            };
             let mut out = NdArray::zeros(out_dims.clone());
             let out_dims2 = out_dims.clone();
             let mut data = vec![0.0f32; input.len()];
@@ -335,7 +339,9 @@ fn eval_node(
         }
         Broadcast => {
             let input = arg(0);
-            let bdims = &node.attrs.broadcast_dims;
+            let OpAttrs::Broadcast(bdims) = &node.attrs else {
+                panic!("broadcast attrs")
+            };
             let mut out = NdArray::zeros(out_dims.clone());
             let dims = out_dims.clone();
             let mut data = vec![0.0f32; dims.iter().product()];
@@ -349,7 +355,9 @@ fn eval_node(
         }
         Slice => {
             let input = arg(0);
-            let sl = node.attrs.slice.as_ref().expect("slice attrs");
+            let OpAttrs::Slice(sl) = &node.attrs else {
+                panic!("slice attrs")
+            };
             let mut out = NdArray::zeros(out_dims.clone());
             let dims = out_dims.clone();
             let mut data = vec![0.0f32; dims.iter().product()];
@@ -366,7 +374,9 @@ fn eval_node(
             out
         }
         Concatenate => {
-            let dim = node.attrs.concat_dim.expect("concat dim");
+            let &OpAttrs::Concat(dim) = &node.attrs else {
+                panic!("concat dim")
+            };
             let mut out = NdArray::zeros(out_dims.clone());
             let dims = out_dims.clone();
             let mut data = vec![0.0f32; dims.iter().product()];
@@ -395,7 +405,9 @@ fn eval_node(
         }
         Pad => {
             let input = arg(0);
-            let cfg = node.attrs.pad.as_ref().expect("pad attrs");
+            let OpAttrs::Pad(cfg) = &node.attrs else {
+                panic!("pad attrs")
+            };
             let mut out = NdArray::zeros(out_dims.clone());
             let in_dims = input.dims().to_vec();
             let mut data = vec![0.0f32; out_dims.iter().product()];
@@ -500,7 +512,9 @@ fn eval_node(
 
         Reduce => {
             let input = arg(0);
-            let rdims = &node.attrs.reduce_dims;
+            let OpAttrs::Reduce(rdims) = &node.attrs else {
+                panic!("reduce attrs")
+            };
             let in_dims = input.dims().to_vec();
             let out = NdArray::zeros(out_dims.clone());
             let mut data = vec![0.0f32; out_dims.iter().product::<usize>().max(1)];
@@ -520,7 +534,9 @@ fn eval_node(
         }
         ReduceWindow => {
             let input = arg(0);
-            let (wh, ww, sh, sw) = node.attrs.window.expect("window attrs");
+            let &OpAttrs::Window(wh, ww, sh, sw) = &node.attrs else {
+                panic!("window attrs")
+            };
             let dims = out_dims.clone();
             let out = NdArray::zeros(dims.clone());
             let mut data = vec![f32::NEG_INFINITY; dims.iter().product()];
@@ -540,7 +556,9 @@ fn eval_node(
         }
 
         Dot => {
-            let dims_attr = node.attrs.dot.as_ref().expect("dot attrs");
+            let OpAttrs::Dot(dims_attr) = &node.attrs else {
+                panic!("dot attrs")
+            };
             let lhs = arg(0);
             let rhs = arg(1);
             // Supported: rank-2 matmul and rank-3 single-batch matmul.
@@ -577,7 +595,9 @@ fn eval_node(
         Convolution => {
             let input = arg(0);
             let filter = arg(1);
-            let conv = node.attrs.conv.as_ref().expect("conv attrs");
+            let OpAttrs::Conv(conv) = &node.attrs else {
+                panic!("conv attrs")
+            };
             let (n, ih, iw, ci) = (
                 input.dims()[0],
                 input.dims()[1],

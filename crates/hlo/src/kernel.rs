@@ -3,14 +3,13 @@
 
 use crate::graph::Computation;
 use crate::opcode::{OpCategory, Opcode};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a kernel was formed by the fusion pass. Mirrors XLA's fusion kinds;
 /// the analytical baseline keeps a separate output scale per kind (§6.1:
 /// "estimated costs of different types of kernels ... are in different
 /// scales").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// A single un-fused primitive op.
     Single,
@@ -55,7 +54,7 @@ impl fmt::Display for KernelKind {
 /// (minor-most dimension's tile extent first), matching §4.2's tile-size
 /// feature sub-vector ("elements are the sizes of a tile from minor to
 /// major dimensions").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TileSize(pub Vec<usize>);
 
 impl TileSize {
@@ -100,7 +99,7 @@ impl fmt::Display for TileSize {
 /// The contained [`Computation`] is self-contained — its parameters are the
 /// kernel's inputs (tensors read from HBM) and its root is the kernel's
 /// output (written back to HBM).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// The fused sub-graph.
     pub computation: Computation,
@@ -113,7 +112,6 @@ pub struct Kernel {
     /// The node of the *original* (pre-fusion) computation this kernel's
     /// root corresponds to, when produced by the fusion pass. Lets callers
     /// thread values between kernels.
-    #[serde(default)]
     pub source_root: Option<crate::node::NodeId>,
 }
 

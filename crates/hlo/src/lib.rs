@@ -47,7 +47,7 @@ mod shape;
 mod text;
 pub mod viz;
 
-pub use attrs::{Comparison, ConvAttrs, DotDims, NodeAttrs, PadConfig, SliceAttrs};
+pub use attrs::{Comparison, ConvAttrs, DotDims, OpAttrs, PadConfig, SliceAttrs};
 pub use builder::GraphBuilder;
 pub use dtype::DType;
 pub use error::{HloError, Result};
@@ -57,5 +57,5 @@ pub use kernel::{Kernel, KernelKind, TileSize};
 pub use node::{Node, NodeId};
 pub use opcode::{OpCategory, Opcode};
 pub use program::{FusedProgram, Program};
-pub use shape::{Layout, Shape, MAX_RANK};
+pub use shape::{Dims, Layout, Shape, MAX_RANK};
 pub use text::{dump_computation, parse_computation};

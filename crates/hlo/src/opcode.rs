@@ -1,6 +1,5 @@
 //! Primitive tensor operation opcodes and their categories.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A primitive tensor operation, modeled on XLA's HLO opcode set.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The set covers the operations emitted by the model-family generators in
 /// `tpu-dataset` and is the vocabulary of the learned model's opcode
 /// embedding table (§4.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Opcode {
     // Leaves.
     Parameter,
@@ -80,7 +79,7 @@ pub enum Opcode {
 
 /// Coarse category of an opcode; drives fusion legality, cost modeling, and
 /// one-hot features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpCategory {
     /// Graph inputs ([`Opcode::Parameter`]).
     Parameter,

@@ -2,11 +2,10 @@
 
 use crate::graph::Computation;
 use crate::kernel::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// An un-fused tensor program: a named computation graph whose nodes are
 /// single primitive ops (the paper's §3.1 pre-fusion state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Program name, e.g. `"resnet_v1_50"`.
     pub name: String,
@@ -32,7 +31,7 @@ impl Program {
 /// A program after the fusion pass: an ordered list of kernels. On the TPU
 /// "one kernel is executed at a time" (§3.3), so the program runtime is the
 /// sum of the kernel runtimes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     /// Program name.
     pub name: String,

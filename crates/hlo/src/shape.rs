@@ -1,35 +1,40 @@
 //! Tensor shapes and physical layouts.
 
 use crate::dtype::DType;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Maximum tensor rank supported by the IR.
 pub const MAX_RANK: usize = 5;
 
-/// At most [`MAX_RANK`] indices, stored inline: a shape's dimension sizes
-/// or a layout's permutation. It reads as the slice of its first `len`
-/// entries everywhere — equality, `Hash`, `Debug` and serde see what a
-/// `Vec<usize>` of them would show — so a node's shape and layout cost no
-/// allocation. The entries past `len` stay zero.
+/// At most [`MAX_RANK`] indices, stored inline: a shape's dimension sizes,
+/// a layout's permutation, or the index list of a reduce, transpose or
+/// broadcast ([`OpAttrs`](crate::OpAttrs)). It reads as the slice of its
+/// first `len` entries everywhere — it derefs to it, and equality, `Hash`
+/// and `Debug` see what a `Vec<usize>` of them would show — so none of
+/// these costs an allocation. The entries past `len` stay zero.
 #[derive(Clone, Copy, Default)]
-struct Dims {
+pub struct Dims {
     len: u8,
     buf: [usize; MAX_RANK],
 }
 
 impl Dims {
     /// `dims`, which the caller has checked is at most [`MAX_RANK`] long.
-    fn from_slice(dims: &[usize]) -> Dims {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` is longer than [`MAX_RANK`].
+    pub(crate) fn from_slice(dims: &[usize]) -> Dims {
+        assert!(
+            dims.len() <= MAX_RANK,
+            "{} indices exceed MAX_RANK",
+            dims.len()
+        );
         let mut out = Dims::default();
         out.buf[..dims.len()].copy_from_slice(dims);
         out.len = dims.len() as u8;
         out
-    }
-
-    fn as_slice(&self) -> &[usize] {
-        &self.buf[..usize::from(self.len)]
     }
 
     fn as_mut_slice(&mut self) -> &mut [usize] {
@@ -37,9 +42,29 @@ impl Dims {
     }
 }
 
+impl std::ops::Deref for Dims {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
+impl TryFrom<&[usize]> for Dims {
+    type Error = String;
+
+    /// `dims`, or an error if it is longer than [`MAX_RANK`].
+    fn try_from(dims: &[usize]) -> Result<Dims, String> {
+        if dims.len() > MAX_RANK {
+            return Err(format!("{} indices exceed MAX_RANK", dims.len()));
+        }
+        Ok(Dims::from_slice(dims))
+    }
+}
+
 impl PartialEq for Dims {
     fn eq(&self, other: &Dims) -> bool {
-        self.as_slice() == other.as_slice()
+        **self == **other
     }
 }
 
@@ -47,38 +72,13 @@ impl Eq for Dims {}
 
 impl Hash for Dims {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        (**self).hash(state);
     }
 }
 
 impl fmt::Debug for Dims {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl Serialize for Dims {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
-    }
-}
-
-impl Deserialize for Dims {
-    /// An array of at most [`MAX_RANK`] integers; a longer one is an
-    /// error, not a rank the IR cannot hold.
-    fn from_value(v: &Value) -> Result<Dims, Error> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| Error::expected("array", "Vec"))?;
-        if items.len() > MAX_RANK {
-            return Err(Error(format!("rank {} exceeds MAX_RANK", items.len())));
-        }
-        let mut out = Dims::default();
-        for (slot, item) in out.buf.iter_mut().zip(items) {
-            *slot = usize::from_value(item)?;
-        }
-        out.len = items.len() as u8;
-        Ok(out)
+        (**self).fmt(f)
     }
 }
 
@@ -94,7 +94,7 @@ impl Deserialize for Dims {
 /// assert_eq!(s.elem_count(), 24);
 /// assert_eq!(s.byte_size(DType::F32), 96);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Dims,
 }
@@ -155,7 +155,7 @@ impl Shape {
 
     /// Dimension sizes, major to minor logical order.
     pub fn dims(&self) -> &[usize] {
-        self.dims.as_slice()
+        &self.dims
     }
 
     /// Number of dimensions.
@@ -239,7 +239,7 @@ impl<const N: usize> From<[usize; N]> for Shape {
 /// assert_eq!(l.minor_to_major(), &[2, 1, 0]);
 /// assert!(l.is_default());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layout {
     minor_to_major: Dims,
 }
@@ -302,7 +302,7 @@ impl Layout {
 
     /// The permutation, minor-most dimension index first.
     pub fn minor_to_major(&self) -> &[usize] {
-        self.minor_to_major.as_slice()
+        &self.minor_to_major
     }
 
     /// Rank this layout applies to.
@@ -449,44 +449,17 @@ mod tests {
         assert_eq!(hash_of(&s), hash_of(&vec![2usize, 3, 4]));
         assert_eq!(hash_of(&l), hash_of(&vec![0usize, 2, 1]));
         assert_eq!(hash_of(&Shape::scalar()), hash_of(&Vec::<usize>::new()));
-        assert_eq!(serde_json::to_string(&s).unwrap(), "{\"dims\":[2,3,4]}");
-        assert_eq!(
-            serde_json::to_string(&l).unwrap(),
-            "{\"minor_to_major\":[0,2,1]}"
-        );
-        assert_eq!(
-            serde_json::from_str::<Shape>("{\"dims\":[2,3,4]}").unwrap(),
-            s
-        );
-        assert_eq!(
-            serde_json::from_str::<Layout>("{\"minor_to_major\":[]}").unwrap(),
-            Layout::default_for_rank(0)
-        );
         // Equal shapes are equal whatever they were made from.
         assert_eq!(Shape::new(vec![4, 8]).with_dim(1, 2), Shape::matrix(4, 2));
     }
 
     #[test]
-    fn a_deserialized_rank_past_max_rank_is_an_error() {
-        let six = Value::Array(vec![Value::Int(1); MAX_RANK + 1]);
-        let obj = |key: &str| Value::Object(vec![(key.to_string(), six.clone())]);
-        let err = Shape::from_value(&obj("dims")).unwrap_err();
-        assert_eq!(err.to_string(), "rank 6 exceeds MAX_RANK");
-        let err = Layout::from_value(&obj("minor_to_major")).unwrap_err();
-        assert_eq!(err.to_string(), "rank 6 exceeds MAX_RANK");
-        assert!(serde_json::from_str::<Shape>("{\"dims\":[1,1,1,1,1,1]}").is_err());
-        // Rank MAX_RANK is the most there is room for.
-        let five = "{\"dims\":[1,1,1,1,1]}";
-        assert_eq!(
-            serde_json::from_str::<Shape>(five).unwrap().rank(),
-            MAX_RANK
-        );
-        // What is no array of integers is refused as the vector refused it.
-        let err = Shape::from_value(&Value::Object(vec![("dims".into(), Value::Null)]));
-        assert_eq!(
-            err.unwrap_err().to_string(),
-            "expected array while deserializing Vec"
-        );
+    fn an_index_list_holds_at_most_max_rank_entries() {
+        let five = Dims::try_from(&[1, 2, 3, 4, 5][..]).unwrap();
+        assert_eq!(*five, [1, 2, 3, 4, 5]);
+        let err = Dims::try_from(&[1; MAX_RANK + 1][..]).unwrap_err();
+        assert_eq!(err, "6 indices exceed MAX_RANK");
+        assert_eq!(five, Dims::from_slice(&[1, 2, 3, 4, 5]));
     }
 
     #[test]

@@ -12,19 +12,22 @@
 //! }
 //! ```
 //!
-//! The writer leaves out what the reader restores: a layout that is the
-//! row-major default of its rank, an `attrs=` key whose value is the
-//! default, and `attrs=` itself when every key is. Text that spells these
-//! out reads the same.
+//! An `attrs=` object holds the node's [`OpAttrs`] under its key and
+//! `"is_output":true` on an output node. The writer leaves out what the
+//! reader restores: a layout that is the row-major default of its rank, an
+//! empty index list, and `attrs=` itself when nothing is left. Text that
+//! spells these out reads the same, as does the full form older clients
+//! send, with all eleven keys; one of another opcode is refused unless it
+//! holds its default.
 
-use crate::attrs::NodeAttrs;
+use crate::attrs::OpAttrs;
 use crate::dtype::DType;
 use crate::error::{HloError, Result};
 use crate::graph::Computation;
 use crate::node::{Node, NodeId};
 use crate::opcode::Opcode;
 use crate::shape::{Layout, Shape, MAX_RANK};
-use serde::{Serialize, Value};
+use serde::Serialize;
 use serde_json::Scanner;
 use std::fmt::Write as _;
 
@@ -44,8 +47,17 @@ pub fn dump_computation(c: &Computation) -> String {
             let name = serde_json::to_string(&token(&n.name)).unwrap();
             let _ = write!(out, " name={name}");
         }
-        if n.attrs != NodeAttrs::default() {
-            let _ = write!(out, " attrs={}", attrs_json(&n.attrs));
+        let field = n.attrs.key().zip(attrs_value(&n.attrs));
+        if field.is_some() || n.is_output {
+            out.push_str(" attrs={");
+            if let Some((key, value)) = &field {
+                let _ = write!(out, "\"{key}\":{value}");
+            }
+            if n.is_output {
+                let comma = if field.is_some() { "," } else { "" };
+                let _ = write!(out, "{comma}\"is_output\":true");
+            }
+            out.push('}');
         }
         out.push('\n');
     }
@@ -53,21 +65,26 @@ pub fn dump_computation(c: &Computation) -> String {
     out
 }
 
-/// `attrs` as the object its derive writes, less every key whose value is
-/// the default's: the reader restores those.
-fn attrs_json(attrs: &NodeAttrs) -> String {
-    let (Value::Object(fields), Value::Object(defaults)) =
-        (attrs.to_value(), NodeAttrs::default().to_value())
-    else {
-        unreachable!("the derive writes a struct as an object")
+/// The JSON `attrs` is written as under its key, or `None` when it is
+/// the default the reader restores: no attributes, an empty index list.
+fn attrs_value(attrs: &OpAttrs) -> Option<String> {
+    let value = match attrs {
+        OpAttrs::None => return None,
+        OpAttrs::Reduce(d) | OpAttrs::Transpose(d) | OpAttrs::Broadcast(d) => {
+            if d.is_empty() {
+                return None;
+            }
+            d.to_value()
+        }
+        OpAttrs::Dot(d) => d.to_value(),
+        OpAttrs::Conv(c) => c.to_value(),
+        OpAttrs::Slice(s) => s.to_value(),
+        OpAttrs::Pad(p) => p.to_value(),
+        OpAttrs::Concat(d) => d.to_value(),
+        OpAttrs::Compare(c) => c.to_value(),
+        &OpAttrs::Window(h, w, sh, sw) => (h, w, sh, sw).to_value(),
     };
-    let kept = fields
-        .into_iter()
-        .zip(defaults)
-        .filter(|(field, default)| field != default)
-        .map(|(field, _)| field)
-        .collect();
-    serde_json::value_to_string(&Value::Object(kept))
+    Some(serde_json::value_to_string(&value))
 }
 
 /// `name` as one token of the text: whitespace, at which the parser
@@ -299,8 +316,8 @@ const MIN_NODE_LINE: usize = 10;
 /// request's `kernel.text`): any input gives a computation or an error,
 /// never a panic, and nothing is allocated beyond the size of the text.
 /// One forward pass reads it, with integers read where they stand: a node
-/// allocates only its operand list, its name and its attributes, when it
-/// has them.
+/// allocates only its operand list, its name and the lists of its
+/// attributes, when it has them.
 ///
 /// # Errors
 ///
@@ -360,13 +377,13 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
         // grows instead).
         let (mut head, mut count, mut spill) = ([NodeId(0); 16], 0, Vec::new());
         let mut name_field = String::new();
-        let mut attrs = NodeAttrs::default();
+        let (mut attrs, mut is_output) = (OpAttrs::absent(opcode), false);
         while let Some(tok) = cur.token() {
             if let Some(rest) = tok.strip_prefix("name=") {
                 name_field =
                     parse_name(rest).map_err(|e| parse_err(line_no, format!("bad name: {e}")))?;
             } else if let Some(rest) = tok.strip_prefix("attrs=") {
-                attrs = NodeAttrs::from_json(rest)
+                (attrs, is_output) = OpAttrs::from_json(rest, opcode)
                     .map_err(|e| parse_err(line_no, format!("bad attrs: {e}")))?;
             } else {
                 let op = parse_node_id(tok, line_no)?;
@@ -402,6 +419,7 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
             shape,
             layout,
             operands,
+            is_output,
             attrs,
             name: name_field,
         });

@@ -19,11 +19,16 @@
 //! - the reader against the first parser (`support`, the oracle): `Ok` ⇒
 //!   the same [`Computation`] and canonical hash, `Err` ⇒ `Err`, except on
 //!   the listed inputs the oracle panicked on or wrongly took;
-//! - the `attrs=` reader against the derived `Deserialize` of
-//!   [`NodeAttrs`] with every absent top-level key taken as its default
-//!   (`support::attrs_from_str`), on every attrs object the Full corpus's
-//!   default fusion emits and on generated ones, in the writer's compact
-//!   form and with every key spelled out, damaged and not.
+//! - the `attrs=` reader against the derived `Deserialize` of the
+//!   eleven-field attribute struct nodes carried before each opcode held
+//!   its own shape of attributes, with every absent top-level key taken as
+//!   its default and the node keeping what its opcode carries
+//!   (`support::node_attrs`), on every attrs object the Full corpus's
+//!   default fusion emits and on generated ones — each on a node of its
+//!   opcode — in the writer's compact form and with every key spelled
+//!   out, damaged and not;
+//! - a key of another opcode that holds more than its default, and an
+//!   index list longer than `MAX_RANK`, are typed errors.
 
 mod support;
 
@@ -32,13 +37,14 @@ use proptest::TestRng;
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 use support::full_text::dump_full;
+use support::node_attrs::{op_attrs_from_str, NodeAttrs};
 use support::{catch_quietly, mutations};
 use tpu_dataset::{Corpus, CorpusScale};
 use tpu_fusion::{apply_fusion, default_space_and_config};
 use tpu_hlo::{
     canonical_hash, dump_computation, parse_computation, Comparison, Computation, ConvAttrs, DType,
-    DotDims, GraphBuilder, HloError, Layout, NodeAttrs, NodeId, PadConfig, Shape, SliceAttrs,
-    MAX_RANK,
+    Dims, DotDims, GraphBuilder, HloError, Layout, NodeId, OpAttrs, Opcode, PadConfig, Shape,
+    SliceAttrs, MAX_RANK,
 };
 
 thread_local! {
@@ -297,11 +303,16 @@ fn attribute_values_outside_their_operands_are_shape_errors() {
     // a 3x3 filter; a 2^63 stride.
     let mut large = conv.clone();
     large.node_mut(x).shape = Shape::new(vec![1, 2, 2, 4]);
+    let conv_of = |c: &mut Computation, edit: fn(&mut ConvAttrs)| {
+        let OpAttrs::Conv(attrs) = &mut c.node_mut(y).attrs else {
+            unreachable!("a convolution")
+        };
+        edit(attrs);
+    };
     let mut huge = conv.clone();
-    let attrs = huge.node_mut(y).attrs.conv.as_mut().unwrap();
-    (attrs.filter_h, attrs.filter_w) = (1 << 32, 1 << 32);
+    conv_of(&mut huge, |a| (a.filter_h, a.filter_w) = (1 << 32, 1 << 32));
     let mut strided = conv.clone();
-    strided.node_mut(y).attrs.conv.as_mut().unwrap().stride_h = 1 << 63;
+    conv_of(&mut strided, |a| a.stride_h = 1 << 63);
     for c in [large, huge, strided] {
         let text = dump_computation(&c);
         let result = check_against_oracle(&text);
@@ -507,48 +518,125 @@ fn the_full_corpus_reads_as_the_oracle_read_it() {
         kernels.len()
     );
     for c in &kernels {
-        for text in [dump_computation(c), dump_full(c)] {
+        let [compact, full] = [dump_computation(c), dump_full(c)].map(|text| {
             let parsed = check_against_oracle(&text).expect("a corpus kernel parses");
             assert_eq!(canonical_hash(&parsed), canonical_hash(c), "{text}");
             assert_eq!(parsed.root(), c.root());
+            parsed
+        });
+        // All eleven keys spelled out read to the computation the compact
+        // form reads to, with every node's attributes as the kernel's.
+        assert_eq!(full, compact);
+        for (read, node) in full.nodes().iter().zip(c.nodes()) {
+            assert_eq!((&read.attrs, read.is_output), (&node.attrs, node.is_output));
         }
     }
 }
 
-/// The `NodeAttrs` of the single node of a computation whose `attrs=` is
-/// `json`: the reader's way in, as the oracle's is `from_str`.
-fn read_attrs(json: &str) -> Result<NodeAttrs, HloError> {
-    let text = format!("computation t root=%0 {{\n  %0 = parameter f32[2]{{0}} attrs={json}\n}}\n");
-    parse_computation(&text).map(|c| c.node(NodeId(0)).attrs.clone())
+/// The shapes of the operands a node of `opcode` reads in the attrs
+/// suites, and its own: what its attributes index (a batched rank-3 dot,
+/// an NHWC convolution and pooling, a rank-2 slice).
+fn context(opcode: Opcode) -> (Vec<Shape>, Shape) {
+    let s = |dims: &[usize]| Shape::from(dims);
+    match opcode {
+        Opcode::Dot => (vec![s(&[2, 3, 4]), s(&[2, 4, 5])], s(&[2, 3, 5])),
+        Opcode::Convolution => (vec![s(&[1, 8, 8, 4]), s(&[3, 3, 4, 8])], s(&[1, 8, 8, 8])),
+        Opcode::ReduceWindow => (vec![s(&[1, 8, 8, 4]), Shape::scalar()], s(&[1, 4, 4, 4])),
+        Opcode::Concatenate | Opcode::Compare => (vec![s(&[6, 10]); 2], s(&[6, 10])),
+        Opcode::Parameter => (Vec::new(), s(&[6, 10])),
+        _ => (vec![s(&[6, 10])], s(&[6, 10])),
+    }
 }
 
-/// The JSON the writer puts after `attrs=` for `attrs` (`{}` when it
-/// leaves `attrs=` out, as it does when every key is the default).
-fn written_attrs(attrs: &NodeAttrs) -> String {
+/// A node of `opcode` holding `attrs` and the output mark `is_output`, as
+/// the root of a computation over parameters of its context's shapes. It
+/// need not validate: the reader must then refuse its text as validation
+/// refuses it.
+fn attrs_computation(opcode: Opcode, attrs: OpAttrs, is_output: bool) -> Computation {
+    let (operands, out) = context(opcode);
     let mut b = GraphBuilder::new("t");
-    let x = b.parameter("x", Shape::vector(2), DType::F32);
-    let mut c = b.finish(x);
-    c.node_mut(x).attrs = attrs.clone();
-    let text = dump_computation(&c);
-    let line = text.lines().nth(1).expect("one node");
-    line.split_once(" attrs=")
+    let ids = operands
+        .into_iter()
+        .map(|shape| b.parameter("", shape, DType::F32))
+        .collect();
+    let root = b.parameter("", out, DType::F32);
+    let mut c = b.finish(root);
+    let n = c.node_mut(root);
+    (n.opcode, n.operands, n.attrs, n.is_output) = (opcode, ids, attrs, is_output);
+    c
+}
+
+/// What reading `c` back from text must give: `c`, or the error
+/// validation refuses it with.
+fn expected(c: &Computation) -> Result<Computation, HloError> {
+    c.validate().map(|()| c.clone())
+}
+
+/// The text of `c` with `attrs={json}` on its root, the last line.
+fn with_root_attrs(c: &Computation, json: &str) -> String {
+    let text = dump_computation(c);
+    let (head, root_line) = text
+        .trim_end_matches("}\n")
+        .trim_end()
+        .rsplit_once('\n')
+        .expect("a root line");
+    let stem = root_line.split(" attrs=").next().expect("a line");
+    format!("{head}\n{stem} attrs={json}\n}}\n")
+}
+
+/// The JSON the writer puts after `attrs=` on `c`'s root (`{}` when it
+/// leaves `attrs=` out, as it does when there is nothing to write).
+fn written_attrs(c: &Computation) -> String {
+    let text = dump_computation(c);
+    let root_line = text.lines().nth(1 + c.root().index()).expect("a root line");
+    root_line
+        .split_once(" attrs=")
         .map_or("{}", |(_, json)| json)
         .to_string()
 }
 
-/// Reader and derive agree on `json`: the same attrs, or both refuse. The
-/// derive takes an absent key as its default, as the reader does.
-fn check_attrs(json: &str) {
+/// The JSON the derive wrote for `c`'s root: every key spelled out.
+fn full_attrs(c: &Computation) -> String {
+    serde_json::to_string(&NodeAttrs::of(c.node(c.root()))).unwrap()
+}
+
+/// The reader on `c`'s text with `json` as its root's `attrs=`, held to
+/// the readers it replaced (`check_against_oracle`) and to the derive: it
+/// refuses the object exactly when the derive does, or the derive's node
+/// keeps other attributes than it; and the attributes it reads are the
+/// derive's.
+fn check_attrs(c: &Computation, json: &str) {
     // A token of the text format holds no whitespace: JSON that does is
     // cut short by the tokenizer before either reader sees it.
     if json.contains(char::is_whitespace) {
         return;
     }
-    match (read_attrs(json), support::attrs_from_str(json)) {
-        (Ok(new), Ok(old)) => assert_eq!(new, old, "{json}"),
-        (Err(_), Err(_)) => {}
-        (new, old) => panic!("{json}: reader {new:?}, derive {old:?}"),
+    let opcode = c.node(c.root()).opcode;
+    let result = check_against_oracle(&with_root_attrs(c, json));
+    let reference = op_attrs_from_str(json, opcode);
+    let refused = matches!(
+        &result,
+        Err(HloError::Parse { reason, .. }) if reason.starts_with("bad attrs: ")
+    );
+    assert_eq!(
+        refused,
+        reference.is_err(),
+        "{json} on {opcode}: reader {result:?}, derive {reference:?}"
+    );
+    if let (Ok(read), Ok((attrs, is_output))) = (&result, &reference) {
+        let root = read.node(read.root());
+        assert_eq!((&root.attrs, root.is_output), (attrs, *is_output), "{json}");
     }
+}
+
+/// The opcode and attributes of the root of `attrs_computation`, read
+/// from `json`.
+fn read_attrs(opcode: Opcode, json: &str) -> Result<(OpAttrs, bool), HloError> {
+    let text = with_root_attrs(&attrs_computation(opcode, OpAttrs::None, false), json);
+    parse_computation(&text).map(|c| {
+        let root = c.node(c.root());
+        (root.attrs.clone(), root.is_output)
+    })
 }
 
 #[test]
@@ -556,8 +644,9 @@ fn the_attrs_reader_agrees_with_the_derive_on_every_corpus_attrs_object() {
     let mut distinct = std::collections::BTreeSet::new();
     for c in corpus_computations().iter().chain(&seed_computations()) {
         for node in c.nodes() {
-            if node.attrs != NodeAttrs::default() {
-                distinct.insert(serde_json::to_string(&node.attrs).unwrap());
+            if node.attrs != OpAttrs::None || node.is_output {
+                let json = serde_json::to_string(&NodeAttrs::of(node)).unwrap();
+                distinct.insert((node.opcode, json));
             }
         }
     }
@@ -566,80 +655,112 @@ fn the_attrs_reader_agrees_with_the_derive_on_every_corpus_attrs_object() {
         "only {} distinct attrs objects",
         distinct.len()
     );
-    for json in &distinct {
-        let attrs: NodeAttrs = serde_json::from_str(json).unwrap();
-        assert_eq!(read_attrs(json).unwrap(), attrs);
-        let compact = written_attrs(&attrs);
+    for (opcode, json) in &distinct {
+        let (attrs, is_output) = op_attrs_from_str(json, *opcode).unwrap();
+        let c = attrs_computation(*opcode, attrs, is_output);
+        assert_eq!(parse_computation(&with_root_attrs(&c, json)), expected(&c));
+        let compact = written_attrs(&c);
         assert!(compact.len() < json.len(), "{compact}");
-        assert_eq!(read_attrs(&compact).unwrap(), attrs, "{compact}");
-        check_attrs(&compact);
+        assert_eq!(parse_computation(&dump_computation(&c)), expected(&c));
+        check_attrs(&c, json);
+        check_attrs(&c, &compact);
     }
 }
 
-fn random_attrs(rng: &mut TestRng) -> NodeAttrs {
-    let n = |rng: &mut TestRng| (rng.next_u64() >> rng.below(64)) as usize;
+/// An opcode with attributes of its own shape, and an output mark. Half
+/// the integers are below 4, so that the attributes often fit their
+/// context and are compared read for read; the rest are any size.
+fn random_attrs(rng: &mut TestRng) -> (Opcode, OpAttrs, bool) {
+    let n = |rng: &mut TestRng| match rng.below(2) {
+        0 => rng.below(4) as usize,
+        _ => (rng.next_u64() >> rng.below(64)) as usize,
+    };
     let ns = |rng: &mut TestRng| (0..rng.below(4)).map(|_| n(rng)).collect::<Vec<usize>>();
-    let some = |rng: &mut TestRng| rng.below(2) == 1;
-    NodeAttrs {
-        dot: some(rng).then(|| DotDims {
-            lhs_contracting: n(rng),
-            rhs_contracting: n(rng),
-            lhs_batch: ns(rng),
-            rhs_batch: ns(rng),
-        }),
-        conv: some(rng).then(|| ConvAttrs {
-            filter_h: n(rng),
-            filter_w: n(rng),
-            stride_h: n(rng),
-            stride_w: n(rng),
-            pad_h: (n(rng), n(rng)),
-            pad_w: (n(rng), n(rng)),
-            feature_groups: n(rng),
-        }),
-        reduce_dims: ns(rng),
-        transpose_perm: ns(rng),
-        broadcast_dims: ns(rng),
-        slice: some(rng).then(|| SliceAttrs {
-            starts: ns(rng),
-            limits: ns(rng),
-            strides: ns(rng),
-        }),
-        pad: some(rng).then(|| PadConfig {
-            dims: (0..rng.below(3))
-                .map(|_| (n(rng), n(rng), n(rng)))
-                .collect(),
-        }),
-        concat_dim: some(rng).then(|| n(rng)),
-        comparison: some(rng).then(|| {
+    let dims = |rng: &mut TestRng| {
+        let list: Vec<usize> = (0..rng.below(MAX_RANK as u64 + 1))
+            .map(|_| n(rng))
+            .collect();
+        Dims::try_from(&list[..]).unwrap()
+    };
+    let (opcode, attrs) = match rng.below(11) {
+        0 => (Opcode::Tanh, OpAttrs::None),
+        1 => (
+            Opcode::Dot,
+            OpAttrs::Dot(DotDims {
+                lhs_contracting: n(rng),
+                rhs_contracting: n(rng),
+                lhs_batch: ns(rng),
+                rhs_batch: ns(rng),
+            }),
+        ),
+        2 => (
+            Opcode::Convolution,
+            OpAttrs::Conv(ConvAttrs {
+                filter_h: n(rng),
+                filter_w: n(rng),
+                stride_h: n(rng),
+                stride_w: n(rng),
+                pad_h: (n(rng), n(rng)),
+                pad_w: (n(rng), n(rng)),
+                feature_groups: n(rng),
+            }),
+        ),
+        3 => (Opcode::Reduce, OpAttrs::Reduce(dims(rng))),
+        4 => (Opcode::Transpose, OpAttrs::Transpose(dims(rng))),
+        5 => (Opcode::Broadcast, OpAttrs::Broadcast(dims(rng))),
+        6 => (
+            Opcode::Slice,
+            OpAttrs::Slice(SliceAttrs {
+                starts: ns(rng),
+                limits: ns(rng),
+                strides: ns(rng),
+            }),
+        ),
+        7 => (
+            Opcode::Pad,
+            OpAttrs::Pad(PadConfig {
+                dims: (0..rng.below(3))
+                    .map(|_| (n(rng), n(rng), n(rng)))
+                    .collect(),
+            }),
+        ),
+        8 => (Opcode::Concatenate, OpAttrs::Concat(n(rng))),
+        9 => {
             use Comparison::*;
-            [Eq, Ne, Lt, Le, Gt, Ge][rng.below(6) as usize]
-        }),
-        window: some(rng).then(|| (n(rng), n(rng), n(rng), n(rng))),
-        is_output: some(rng),
-    }
+            let cmp = [Eq, Ne, Lt, Le, Gt, Ge][rng.below(6) as usize];
+            (Opcode::Compare, OpAttrs::Compare(cmp))
+        }
+        _ => (
+            Opcode::ReduceWindow,
+            OpAttrs::Window(n(rng), n(rng), n(rng), n(rng)),
+        ),
+    };
+    (opcode, attrs, rng.below(2) == 1)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Generated attrs round-trip through the reader, written by the
-    /// writer and by the derive; and after one edit of either — a cut, an
-    /// overwritten or inserted byte, a swapped-in fragment, a dropped key —
-    /// reader and derive still agree, `Ok` or `Err`.
+    /// Generated attrs, each on a node of its opcode, round-trip through
+    /// the reader, written by the writer and by the derive; and after one
+    /// edit of either — a cut, an overwritten or inserted byte, a
+    /// swapped-in fragment, a dropped key — reader and derive still agree,
+    /// `Ok` or `Err`.
     #[test]
     fn the_attrs_reader_agrees_with_the_derive_on_generated_attrs(seed in any::<u64>()) {
         let rng = &mut TestRng::new(seed);
-        let attrs = random_attrs(rng);
-        for json in [written_attrs(&attrs), serde_json::to_string(&attrs).unwrap()] {
-            prop_assert_eq!(&read_attrs(&json).unwrap(), &attrs);
-            check_edits(rng, &json);
+        let (opcode, attrs, is_output) = random_attrs(rng);
+        let c = attrs_computation(opcode, attrs, is_output);
+        for json in [written_attrs(&c), full_attrs(&c)] {
+            prop_assert_eq!(parse_computation(&with_root_attrs(&c, &json)), expected(&c));
+            check_edits(rng, &c, &json);
         }
     }
 }
 
-/// [`check_attrs`] on 16 one-edit variants of `json`.
-fn check_edits(rng: &mut TestRng, json: &str) {
-    let fragments: [&str; 14] = [
+/// [`check_attrs`] on 16 one-edit variants of `json` on `c`'s root.
+fn check_edits(rng: &mut TestRng, c: &Computation, json: &str) {
+    let fragments: [&str; 15] = [
         "null",
         "1.0",
         "1e2",
@@ -650,6 +771,7 @@ fn check_edits(rng: &mut TestRng, json: &str) {
         "\"Xx\"",
         "[]",
         "[1,2]",
+        "[0,0,0,0,0,0]",
         "{}",
         "true",
         "\"dot\":null,",
@@ -680,29 +802,34 @@ fn check_edits(rng: &mut TestRng, json: &str) {
                 }
             }
         }
-        check_attrs(&edited);
+        check_attrs(c, &edited);
     }
 }
 
 #[test]
 fn first_key_wins_unknown_keys_are_skipped_and_an_absent_key_is_its_default() {
-    let full = serde_json::to_string(&NodeAttrs::default()).unwrap();
+    let param = attrs_computation(Opcode::Parameter, OpAttrs::None, false);
+    let full = full_attrs(&param);
+    let none = Ok((OpAttrs::None, false));
     // A repeated key: the first one counts, the second is not even typed.
     let twice = full.replacen(
         "\"is_output\":false",
         "\"is_output\":true,\"is_output\":7",
         1,
     );
-    assert!(read_attrs(&twice).unwrap().is_output);
-    check_attrs(&twice);
+    assert_eq!(
+        read_attrs(Opcode::Parameter, &twice),
+        Ok((OpAttrs::None, true))
+    );
+    check_attrs(&param, &twice);
     // An escaped key is the key it decodes to.
     let escaped = full.replacen("\"dot\"", "\"\\u0064ot\"", 1);
-    assert_eq!(read_attrs(&escaped).unwrap(), NodeAttrs::default());
-    check_attrs(&escaped);
+    assert_eq!(read_attrs(Opcode::Parameter, &escaped), none);
+    check_attrs(&param, &escaped);
     // Unknown keys, of any shape, are skipped.
     let extra = full.replacen('{', "{\"later\":{\"a\":[1,{\"b\":null}]},", 1);
-    assert_eq!(read_attrs(&extra).unwrap(), NodeAttrs::default());
-    check_attrs(&extra);
+    assert_eq!(read_attrs(Opcode::Parameter, &extra), none);
+    check_attrs(&param, &extra);
     // An absent top-level key is its default: the writer leaves out every
     // key whose value is.
     for field in [
@@ -712,45 +839,60 @@ fn first_key_wins_unknown_keys_are_skipped_and_an_absent_key_is_its_default() {
     ] {
         let missing = full.replacen(field, "", 1);
         assert_ne!(missing, full);
-        assert_eq!(
-            read_attrs(&missing).unwrap(),
-            NodeAttrs::default(),
-            "{field}"
-        );
-        check_attrs(&missing);
+        assert_eq!(read_attrs(Opcode::Parameter, &missing), none, "{field}");
+        check_attrs(&param, &missing);
     }
-    assert_eq!(read_attrs("{}").unwrap(), NodeAttrs::default());
-    let output = read_attrs("{\"is_output\":true}").unwrap();
+    assert_eq!(read_attrs(Opcode::Parameter, "{}"), none);
+    let output = attrs_computation(Opcode::Parameter, OpAttrs::None, true);
     assert_eq!(written_attrs(&output), "{\"is_output\":true}");
+    assert_eq!(
+        read_attrs(Opcode::Parameter, "{\"is_output\":true}"),
+        Ok((OpAttrs::None, true))
+    );
+    // An empty index list is the default the writer leaves out.
+    let reduce = attrs_computation(Opcode::Reduce, OpAttrs::Reduce(Dims::default()), false);
+    assert_eq!(written_attrs(&reduce), "{}");
+    assert_eq!(
+        parse_computation(&dump_computation(&reduce)),
+        Ok(reduce.clone())
+    );
     // A present key is typed as before: `null` is no list and no bool.
-    for json in [
-        "{\"reduce_dims\":null}",
-        "{\"is_output\":null}",
-        "{\"is_output\":0}",
+    for (c, json) in [
+        (&reduce, "{\"reduce_dims\":null}"),
+        (&param, "{\"reduce_dims\":null}"),
+        (&param, "{\"is_output\":null}"),
+        (&param, "{\"is_output\":0}"),
     ] {
-        read_attrs(json).expect_err(json);
-        check_attrs(json);
+        let opcode = c.node(c.root()).opcode;
+        read_attrs(opcode, json).expect_err(json);
+        check_attrs(c, json);
     }
     // A nested struct still needs every field, as in the derive.
     let nested = [
         (
+            Opcode::Dot,
             "\"dot\":",
-            "{\"lhs_contracting\":1,\"rhs_contracting\":0,\"lhs_batch\":[],\"rhs_batch\":[]}",
+            "{\"lhs_contracting\":2,\"rhs_contracting\":1,\"lhs_batch\":[0],\"rhs_batch\":[0]}",
         ),
         (
+            Opcode::Convolution,
             "\"conv\":",
             "{\"filter_h\":3,\"filter_w\":3,\"stride_h\":1,\"stride_w\":1,\"pad_h\":[1,1],\"pad_w\":[1,1],\"feature_groups\":1}",
         ),
         (
+            Opcode::Slice,
             "\"slice\":",
-            "{\"starts\":[0],\"limits\":[4],\"strides\":[1]}",
+            "{\"starts\":[0,2],\"limits\":[4,10],\"strides\":[1,2]}",
         ),
-        ("\"pad\":", "{\"dims\":[[1,1,0]]}"),
+        (Opcode::Pad, "\"pad\":", "{\"dims\":[[1,1,0],[0,2,1]]}"),
     ];
-    for (key, value) in nested {
+    for (opcode, key, value) in nested {
+        let c = attrs_computation(opcode, OpAttrs::None, false);
         let whole = format!("{{{key}{value}}}");
-        read_attrs(&whole).expect(&whole);
-        check_attrs(&whole);
+        let (attrs, _) = read_attrs(opcode, &whole).expect(&whole);
+        assert_eq!(attrs.clone(), op_attrs_from_str(&whole, opcode).unwrap().0);
+        assert_ne!(attrs, OpAttrs::None);
+        check_attrs(&c, &whole);
         // Drop each field in turn.
         let fields = &value[1..value.len() - 1];
         for (at, _) in fields.match_indices("\"").step_by(2) {
@@ -760,15 +902,97 @@ fn first_key_wins_unknown_keys_are_skipped_and_an_absent_key_is_its_default() {
             let without = format!("{{{}{}}}", &fields[..at], &fields[end..]).replace(",}", "}");
             let json = format!("{{{key}{without}}}");
             serde_json::parse_value_str(&json).expect(&json);
-            read_attrs(&json).expect_err(&json);
-            check_attrs(&json);
+            read_attrs(opcode, &json).expect_err(&json);
+            check_attrs(&c, &json);
         }
     }
     // Integral floats are integers.
+    let concat = attrs_computation(Opcode::Concatenate, OpAttrs::None, false);
     let float = full.replacen("\"concat_dim\":null", "\"concat_dim\":3.0", 1);
-    assert_eq!(read_attrs(&float).unwrap().concat_dim, Some(3));
-    check_attrs(&float);
+    assert_eq!(
+        read_attrs(Opcode::Concatenate, &float),
+        Ok((OpAttrs::Concat(3), false))
+    );
+    check_attrs(&concat, &float);
     for json in ["[]", "null", "7", "\"x\"", "{}x", ""] {
-        check_attrs(json);
+        check_attrs(&param, json);
     }
+}
+
+#[test]
+fn a_key_of_another_opcode_is_a_typed_error_unless_it_holds_its_default() {
+    let matmul = serde_json::to_string(&DotDims::matmul()).unwrap();
+    let foreign = [
+        (Opcode::Tanh, format!("{{\"dot\":{matmul}}}"), "dot"),
+        (Opcode::Parameter, "{\"concat_dim\":0}".to_string(), "concat_dim"),
+        (Opcode::Reduce, "{\"reduce_dims\":[1],\"transpose_perm\":[1,0]}".to_string(), "transpose_perm"),
+        // The dot's own key left at its default takes no other in its place.
+        (Opcode::Dot, "{\"dot\":null,\"conv\":{\"filter_h\":3,\"filter_w\":3,\"stride_h\":1,\"stride_w\":1,\"pad_h\":[1,1],\"pad_w\":[1,1],\"feature_groups\":1}}".to_string(), "conv"),
+        (Opcode::Compare, "{\"comparison\":\"Lt\",\"window\":[2,2,2,2]}".to_string(), "window"),
+    ];
+    for (opcode, json, key) in foreign {
+        let err = read_attrs(opcode, &json).unwrap_err();
+        assert_eq!(
+            err,
+            HloError::Parse {
+                line: 2 + context(opcode).0.len(),
+                reason: format!("bad attrs: `{key}` is not an attribute of `{opcode}`"),
+            }
+        );
+        check_attrs(&attrs_computation(opcode, OpAttrs::None, false), &json);
+    }
+    // Every key at its default, as the full form writes them, is taken.
+    let tanh = attrs_computation(Opcode::Tanh, OpAttrs::None, true);
+    let full = full_attrs(&tanh);
+    assert!(full.contains("\"dot\":null") && full.contains("\"reduce_dims\":[]"));
+    assert_eq!(
+        parse_computation(&with_root_attrs(&tanh, &full)),
+        Ok(tanh.clone())
+    );
+    check_attrs(&tanh, &full);
+    // A node validated by hand holds its own opcode's attributes only.
+    let mut dotted = tanh.clone();
+    dotted.node_mut(NodeId(1)).attrs = OpAttrs::Dot(DotDims::matmul());
+    assert_eq!(
+        dotted.validate(),
+        Err(HloError::ForeignAttr {
+            node: NodeId(1),
+            attr: "dot"
+        })
+    );
+}
+
+#[test]
+fn an_index_list_longer_than_max_rank_is_a_typed_error() {
+    let five = Dims::try_from(&[0, 1, 0, 1, 0][..]).unwrap();
+    assert_eq!(
+        read_attrs(Opcode::Transpose, "{\"transpose_perm\":[0,1,0,1,0]}"),
+        Ok((OpAttrs::Transpose(five), false))
+    );
+    for (opcode, json) in [
+        (Opcode::Reduce, "{\"reduce_dims\":[0,0,0,0,0,0]}"),
+        (Opcode::Broadcast, "{\"broadcast_dims\":[0,1,0,1,0,1,0]}"),
+        // Refused for its length before its key is weighed.
+        (Opcode::Tanh, "{\"transpose_perm\":[0,0,0,0,0,0]}"),
+    ] {
+        assert_eq!(
+            read_attrs(opcode, json),
+            Err(HloError::Parse {
+                line: 3,
+                reason: format!("bad attrs: index list longer than {MAX_RANK}"),
+            }),
+            "{json}"
+        );
+        check_attrs(&attrs_computation(opcode, OpAttrs::None, false), json);
+    }
+    // A long list is refused before it is stored.
+    let json = format!("{{\"reduce_dims\":[{}]}}", vec!["1"; 200_000].join(","));
+    let reduce = attrs_computation(Opcode::Reduce, OpAttrs::None, false);
+    let text = with_root_attrs(&reduce, &json);
+    let (result, bytes) = allocated_by(|| parse_computation(&text));
+    assert!(matches!(result, Err(HloError::Parse { line: 3, .. })));
+    assert!(
+        bytes < 4096,
+        "{bytes} bytes allocated to refuse a 200,000-entry list"
+    );
 }

@@ -3,10 +3,11 @@
 //! thread's `alloc` and `realloc` calls. Its own test binary, so the
 //! counter sees nothing else.
 //!
-//! A node's shape and layout are stored inline and the reader reads
-//! integers where they stand, so a parse allocates the node list, the
-//! computation's name, and per node what it owns on the heap: its operand
-//! list, its name and its attributes, when it has them.
+//! A node's shape and layout, and the index list of a reduce, transpose or
+//! broadcast, are stored inline and the reader reads integers where they
+//! stand, so a parse allocates the node list, the computation's name, and
+//! per node what it owns on the heap: its operand list, its name and the
+//! lists of its attributes, when it has them.
 
 mod support;
 
@@ -49,31 +50,16 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// What reading `json` as a node's `attrs=` allocates: a lone parameter
-/// carrying it, less the same parameter without it.
-fn attrs_allocations(json: &str) -> usize {
-    let lone = |attrs: &str| {
-        let text = format!("computation t root=%0 {{\n  %0 = parameter f32[1]{attrs}\n}}\n");
-        let (parsed, allocs) = allocations_of(|| parse_computation(&text));
-        parsed.expect("a lone parameter parses");
-        allocs
-    };
-    lone(&format!(" attrs={json}")) - lone("")
-}
-
-/// The most one parse of `text`, which reads as `c`, may allocate: the
-/// node list and the name, then per node one for its operands, one for its
-/// name and what its attributes take.
-fn allowance(c: &Computation, text: &str) -> usize {
-    // Line 1 is the header, line n + 2 node n.
-    let lines: Vec<&str> = text.lines().skip(1).collect();
-    let owned = |(n, line): (&Node, &&str)| {
-        let attrs = line
-            .split_once(" attrs=")
-            .map_or(0, |(_, json)| attrs_allocations(json));
+/// The most one parse of a text that reads as `c` may allocate: the node
+/// list and the name, then per node one for its operands, one for its
+/// name and what its attributes own — one for each of their lists that is
+/// not empty, as cloning them counts it.
+fn allowance(c: &Computation) -> usize {
+    let owned = |n: &Node| {
+        let attrs = allocations_of(|| n.attrs.clone()).1;
         usize::from(!n.operands.is_empty()) + usize::from(!n.name.is_empty()) + attrs
     };
-    2 + c.nodes().iter().zip(&lines).map(owned).sum::<usize>()
+    2 + c.nodes().iter().map(owned).sum::<usize>()
 }
 
 #[test]
@@ -87,7 +73,7 @@ fn a_parse_allocates_its_node_list_its_name_and_what_each_node_owns() {
             for text in [dump_computation(c), dump_full(c)] {
                 let (parsed, allocs) = allocations_of(|| parse_computation(&text));
                 assert_eq!(&parsed.expect("a corpus kernel parses"), c);
-                let allowed = allowance(c, &text);
+                let allowed = allowance(c);
                 assert!(
                     allocs <= allowed,
                     "{allocs} > {allowed} allocations: {text}"
@@ -100,7 +86,7 @@ fn a_parse_allocates_its_node_list_its_name_and_what_each_node_owns() {
 }
 
 #[test]
-fn the_warm_pool_parses_in_at_most_ten_allocations_a_kernel() {
+fn the_warm_pool_parses_in_at_most_8_1_allocations_a_kernel() {
     // The benchmark's `serve_warm` pool: the first 256 test-split kernels
     // of the Full corpus's fusion dataset (8 configurations a program,
     // seed 2), sent as `dump_computation` writes them.
@@ -124,5 +110,7 @@ fn the_warm_pool_parses_in_at_most_ten_allocations_a_kernel() {
         .sum();
     let mean = total as f64 / texts.len() as f64;
     eprintln!("warm pool: {mean:.2} allocations a parse");
-    assert!(mean <= 10.0, "{mean:.2} allocations a parse");
+    // 8.07 with the reduce, transpose and broadcast lists stored inline;
+    // 8.52 while they were vectors.
+    assert!(mean <= 8.1, "{mean:.2} allocations a parse");
 }

@@ -6,9 +6,9 @@ mod hash_oracle;
 
 use proptest::prelude::*;
 use tpu_hlo::{
-    canonical_hash, canonical_kernel_hash, Comparison, Computation, ConvAttrs, DType, DotDims,
-    GraphBuilder, Kernel, KernelKind, Layout, NodeAttrs, NodeId, PadConfig, Shape, SliceAttrs,
-    TileSize, MAX_RANK,
+    canonical_hash, canonical_kernel_hash, Comparison, Computation, ConvAttrs, DType, Dims,
+    DotDims, GraphBuilder, Kernel, KernelKind, Layout, NodeId, OpAttrs, Opcode, PadConfig, Shape,
+    SliceAttrs, TileSize, MAX_RANK,
 };
 
 fn arb_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -182,80 +182,84 @@ fn arb_usizes() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(any::<usize>(), 0..4)
 }
 
-/// Any value of every hashed attribute, each present or absent, and a
-/// comparison (which the key leaves out).
-fn arb_attrs() -> impl Strategy<Value = NodeAttrs> {
+fn arb_index_list() -> impl Strategy<Value = Dims> {
+    prop::collection::vec(any::<usize>(), 0..MAX_RANK + 1)
+        .prop_map(|dims| Dims::try_from(&dims[..]).unwrap())
+}
+
+/// An opcode with attributes of its own shape, each family with any value
+/// of every hashed field, and a comparison (which the key leaves out).
+fn arb_attrs() -> impl Strategy<Value = (Opcode, OpAttrs)> {
     let u = || any::<usize>();
-    let dot = opt((u(), u(), arb_usizes(), arb_usizes())).prop_map(|d| {
-        d.map(
-            |(lhs_contracting, rhs_contracting, lhs_batch, rhs_batch)| DotDims {
+    let dot = (u(), u(), arb_usizes(), arb_usizes()).prop_map(
+        |(lhs_contracting, rhs_contracting, lhs_batch, rhs_batch)| {
+            let dims = DotDims {
                 lhs_contracting,
                 rhs_contracting,
                 lhs_batch,
                 rhs_batch,
-            },
-        )
-    });
-    let conv = opt(((u(), u(), u(), u()), ((u(), u()), (u(), u()), u()))).prop_map(|c| {
-        c.map(
-            |((filter_h, filter_w, stride_h, stride_w), (pad_h, pad_w, feature_groups))| {
-                ConvAttrs {
-                    filter_h,
-                    filter_w,
-                    stride_h,
-                    stride_w,
-                    pad_h,
-                    pad_w,
-                    feature_groups,
-                }
-            },
-        )
-    });
-    let slice = opt((arb_usizes(), arb_usizes(), arb_usizes())).prop_map(|s| {
-        s.map(|(starts, limits, strides)| SliceAttrs {
+            };
+            (Opcode::Dot, OpAttrs::Dot(dims))
+        },
+    );
+    let conv = ((u(), u(), u(), u()), ((u(), u()), (u(), u()), u())).prop_map(
+        |((filter_h, filter_w, stride_h, stride_w), (pad_h, pad_w, feature_groups))| {
+            let conv = ConvAttrs {
+                filter_h,
+                filter_w,
+                stride_h,
+                stride_w,
+                pad_h,
+                pad_w,
+                feature_groups,
+            };
+            (Opcode::Convolution, OpAttrs::Conv(conv))
+        },
+    );
+    let slice = (arb_usizes(), arb_usizes(), arb_usizes()).prop_map(|(starts, limits, strides)| {
+        let slice = SliceAttrs {
             starts,
             limits,
             strides,
-        })
+        };
+        (Opcode::Slice, OpAttrs::Slice(slice))
     });
-    let pad = opt(prop::collection::vec((u(), u(), u()), 0..4))
-        .prop_map(|p| p.map(|dims| PadConfig { dims }));
-    let comparison = opt(0usize..6).prop_map(|c| {
-        c.map(|i| {
-            [
-                Comparison::Eq,
-                Comparison::Ne,
-                Comparison::Lt,
-                Comparison::Le,
-                Comparison::Gt,
-                Comparison::Ge,
-            ][i]
-        })
-    });
-    (
-        (dot, conv, arb_usizes(), arb_usizes(), arb_usizes()),
-        (slice, pad, opt(u()), comparison, opt((u(), u(), u(), u()))),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(
-                (dot, conv, reduce_dims, transpose_perm, broadcast_dims),
-                (slice, pad, concat_dim, comparison, window),
-                is_output,
-            )| NodeAttrs {
-                dot,
-                conv,
-                reduce_dims,
-                transpose_perm,
-                broadcast_dims,
-                slice,
-                pad,
-                concat_dim,
-                comparison,
-                window,
-                is_output,
-            },
+    let pad = prop::collection::vec((u(), u(), u()), 0..4)
+        .prop_map(|dims| (Opcode::Pad, OpAttrs::Pad(PadConfig { dims })));
+    let comparison = (0usize..6).prop_map(|i| {
+        use Comparison::*;
+        (
+            Opcode::Compare,
+            OpAttrs::Compare([Eq, Ne, Lt, Le, Gt, Ge][i]),
         )
+    });
+    OneOf(vec![
+        Box::new(Just((Opcode::Tanh, OpAttrs::None))),
+        Box::new(dot),
+        Box::new(conv),
+        Box::new(arb_index_list().prop_map(|d| (Opcode::Reduce, OpAttrs::Reduce(d)))),
+        Box::new(arb_index_list().prop_map(|d| (Opcode::Transpose, OpAttrs::Transpose(d)))),
+        Box::new(arb_index_list().prop_map(|d| (Opcode::Broadcast, OpAttrs::Broadcast(d)))),
+        Box::new(slice),
+        Box::new(pad),
+        Box::new(u().prop_map(|d| (Opcode::Concatenate, OpAttrs::Concat(d)))),
+        Box::new(comparison),
+        Box::new(
+            (u(), u(), u(), u())
+                .prop_map(|(h, w, sh, sw)| (Opcode::ReduceWindow, OpAttrs::Window(h, w, sh, sw))),
+        ),
+    ])
+}
+
+/// A value of one of the strategies, picked uniformly.
+struct OneOf<T>(Vec<Box<dyn Strategy<Value = T>>>);
+
+impl<T> Strategy for OneOf<T> {
+    type Value = T;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> T {
+        self.0[rng.below(self.0.len() as u64) as usize].generate(rng)
+    }
 }
 
 /// A shape and a layout of its rank, drawn from one list of keys: the
@@ -271,12 +275,16 @@ fn arb_shape_layout() -> impl Strategy<Value = (Shape, Layout)> {
 }
 
 /// A builder-made chain over unary, binary and compare ops whose nodes
-/// then take any attributes, shape, layout and dtype: the hash reads
-/// those fields without validating them.
+/// then take any opcode with attributes of its own, output mark, shape,
+/// layout and dtype: the hash reads those fields without validating them.
 fn arb_computation() -> impl Strategy<Value = Computation> {
     let node = (
         (0u8..6, any::<usize>()),
-        opt((arb_attrs(), arb_shape_layout(), 0..DType::all().len())),
+        opt((
+            (arb_attrs(), any::<bool>()),
+            arb_shape_layout(),
+            0..DType::all().len(),
+        )),
     );
     (1usize..128, prop::collection::vec(node, 1..12)).prop_map(|(cols, steps)| {
         let mut b = GraphBuilder::new("h");
@@ -297,9 +305,9 @@ fn arb_computation() -> impl Strategy<Value = Computation> {
         let mut c = b.finish(v);
         // Node 0 is the parameter; step i made node i + 1.
         for (i, (_, over)) in steps.into_iter().enumerate() {
-            if let Some((attrs, (shape, layout), dtype)) = over {
+            if let Some((((opcode, attrs), is_output), (shape, layout), dtype)) = over {
                 let n = c.node_mut(NodeId(i as u32 + 1));
-                n.attrs = attrs;
+                (n.opcode, n.attrs, n.is_output) = (opcode, attrs, is_output);
                 n.shape = shape;
                 n.layout = layout;
                 n.dtype = DType::all()[dtype];

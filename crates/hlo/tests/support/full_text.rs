@@ -2,8 +2,9 @@
 //! node's layout, and an `attrs=` on every node with all its keys, as the
 //! derive writes them. `dump_computation` leaves out what the reader
 //! restores; the suites mutate and compare both forms. Also compiled into
-//! the `tpu-serve` suites, by path.
+//! the `tpu-serve` suites, by path, next to `node_attrs`.
 
+use super::node_attrs::NodeAttrs;
 use std::fmt::Write as _;
 use tpu_hlo::Computation;
 
@@ -22,7 +23,7 @@ pub fn dump_full(c: &Computation) -> String {
         if !n.name.is_empty() {
             let _ = write!(out, " name={}", serde_json::to_string(&n.name).unwrap());
         }
-        let attrs = serde_json::to_string(&n.attrs).unwrap();
+        let attrs = serde_json::to_string(&NodeAttrs::of(n)).unwrap();
         let _ = writeln!(out, " attrs={attrs}");
     }
     out.push_str("}\n");

@@ -3,11 +3,14 @@
 //! here unchanged on the crate's public API (`Opcode`'s `Display` writes
 //! the mnemonic the crate hashes). The equivalence suites compare
 //! `tpu_hlo::canonical_hash` and `tpu_hlo::canonical_kernel_hash`
-//! against these bit for bit; nothing else calls them.
+//! against these bit for bit; nothing else calls them. The one change
+//! since: a node holds its opcode's attributes alone ([`OpAttrs`]), so
+//! the fields of the eleven-field attribute struct it hashed are read off
+//! that, every field of another opcode absent or empty.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use tpu_hlo::{Computation, Kernel, Node};
+use tpu_hlo::{Computation, Kernel, Node, OpAttrs};
 
 fn hash_node(n: &Node, h: &mut DefaultHasher) {
     n.opcode.to_string().hash(h);
@@ -18,8 +21,11 @@ fn hash_node(n: &Node, h: &mut DefaultHasher) {
     for &op in &n.operands {
         op.index().hash(h);
     }
-    // Attributes that affect semantics/cost.
-    if let Some(d) = &n.attrs.dot {
+    // Attributes that affect semantics/cost, as the eleven fields every
+    // node carried then: the node's own attributes in their field, every
+    // other field absent or empty.
+    let a = &n.attrs;
+    if let OpAttrs::Dot(d) = a {
         (
             d.lhs_contracting,
             d.rhs_contracting,
@@ -28,7 +34,7 @@ fn hash_node(n: &Node, h: &mut DefaultHasher) {
         )
             .hash(h);
     }
-    if let Some(cv) = &n.attrs.conv {
+    if let OpAttrs::Conv(cv) = a {
         (
             cv.filter_h,
             cv.filter_w,
@@ -40,18 +46,32 @@ fn hash_node(n: &Node, h: &mut DefaultHasher) {
         )
             .hash(h);
     }
-    n.attrs.reduce_dims.hash(h);
-    n.attrs.transpose_perm.hash(h);
-    n.attrs.broadcast_dims.hash(h);
-    if let Some(s) = &n.attrs.slice {
+    let lists: [&[usize]; 3] = match a {
+        OpAttrs::Reduce(d) => [d, &[], &[]],
+        OpAttrs::Transpose(d) => [&[], d, &[]],
+        OpAttrs::Broadcast(d) => [&[], &[], d],
+        _ => [&[]; 3],
+    };
+    for list in lists {
+        list.hash(h);
+    }
+    if let OpAttrs::Slice(s) = a {
         (&s.starts, &s.limits, &s.strides).hash(h);
     }
-    if let Some(p) = &n.attrs.pad {
+    if let OpAttrs::Pad(p) = a {
         p.dims.hash(h);
     }
-    n.attrs.concat_dim.hash(h);
-    n.attrs.window.hash(h);
-    n.attrs.is_output.hash(h);
+    match *a {
+        OpAttrs::Concat(d) => Some(d),
+        _ => None,
+    }
+    .hash(h);
+    match *a {
+        OpAttrs::Window(wh, ww, sh, sw) => Some((wh, ww, sh, sw)),
+        _ => None,
+    }
+    .hash(h);
+    n.is_output.hash(h);
 }
 
 /// The per-field `canonical_hash`.

@@ -1,7 +1,8 @@
 //! Support for the adversarial and differential suites of the text
 //! format: the two readers the one-pass reader replaced (the oracles), the
-//! generators of hostile inputs, and the writer of the full text form
-//! ([`full_text`]).
+//! generators of hostile inputs, the writer of the full text form
+//! ([`full_text`]) and the attribute struct the nodes carried before each
+//! opcode held its own shape of attributes ([`node_attrs`]).
 //!
 //! [`tokens`] is the reader as it was before it read bytes in one pass;
 //! the one-pass reader must answer exactly as it does, errors included.
@@ -9,19 +10,22 @@
 //! unchanged, on the crate's public API: `split_whitespace` tokens,
 //! `split(',').collect()` per type field, `Shape::new` / `Layout::new`
 //! (which panic), and `serde_json::from_str` — a `Value` tree and the
-//! derived `Deserialize` — for every `name=` and `attrs=`. One rule is
+//! derived `Deserialize` — for every `name=` and `attrs=`. Two rules are
 //! newer than that parser: an absent top-level `attrs=` key is its default
-//! ([`attrs_from_str`]), since the writer leaves out the keys whose value
-//! is. Nothing but these tests calls either.
+//! ([`node_attrs::attrs_from_str`]), since the writer leaves out the keys
+//! whose value is; and a node keeps the attributes of its own opcode
+//! ([`node_attrs::NodeAttrs::into_op_attrs`]). Nothing but these tests
+//! calls either.
 #![allow(dead_code)]
 
 pub mod full_text;
+pub mod node_attrs;
 pub mod tokens;
 
-use serde::{Deserialize, Serialize, Value};
+use node_attrs::op_attrs_from_str;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use tpu_hlo::{Computation, DType, HloError, Layout, Node, NodeAttrs, NodeId, Opcode, Shape};
+use tpu_hlo::{Computation, DType, HloError, Layout, Node, NodeId, Opcode, Shape};
 
 type Result<T> = std::result::Result<T, HloError>;
 
@@ -139,13 +143,14 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
 
         let mut operands = Vec::new();
         let mut name_field = String::new();
-        let mut attrs = NodeAttrs::default();
+        // No `attrs=` reads as an empty object.
+        let (mut attrs, mut is_output) = op_attrs_from_str("{}", opcode).unwrap();
         for tok in toks {
             if let Some(rest) = tok.strip_prefix("name=") {
                 name_field = serde_json::from_str(rest)
                     .map_err(|e| parse_err(line_no, format!("bad name: {e}")))?;
             } else if let Some(rest) = tok.strip_prefix("attrs=") {
-                attrs = attrs_from_str(rest)
+                (attrs, is_output) = op_attrs_from_str(rest, opcode)
                     .map_err(|e| parse_err(line_no, format!("bad attrs: {e}")))?;
             } else {
                 operands.push(parse_node_id(tok, line_no)?);
@@ -164,30 +169,13 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
             shape,
             layout,
             operands,
+            is_output,
             attrs,
             name: name_field,
         });
     }
 
     Computation::from_parts(name, nodes, root)
-}
-
-/// What the derived `Deserialize` of [`NodeAttrs`] makes of `json` once
-/// every top-level key the object lacks is added with its default value:
-/// the keys it has keep their place (so the first of a repeated one still
-/// wins), and a nested struct still needs every field.
-pub fn attrs_from_str(json: &str) -> std::result::Result<NodeAttrs, serde_json::Error> {
-    let mut value = serde_json::parse_value_str(json)?;
-    if let (Value::Object(fields), Value::Object(defaults)) =
-        (&mut value, NodeAttrs::default().to_value())
-    {
-        for (key, default) in defaults {
-            if !fields.iter().any(|(k, _)| *k == key) {
-                fields.push((key, default));
-            }
-        }
-    }
-    NodeAttrs::from_value(&value)
 }
 
 thread_local! {

@@ -8,12 +8,13 @@
 //! It is moved here as it was, on the crate's public API: the shape and
 //! layout checks it called are restated with their messages
 //! ([`shape_try_new`], [`layout_try_new`]), and the `attrs=` reader, which
-//! both readers share, is reached through a one-node text
+//! both readers share, is asked through a one-node text for its verdict
 //! ([`attrs_from_json`]).
 
+use super::node_attrs::op_attrs_from_str;
 use serde_json::Scanner;
 use tpu_hlo::{
-    Computation, DType, HloError, Layout, Node, NodeAttrs, NodeId, Opcode, Shape, MAX_RANK,
+    Computation, DType, HloError, Layout, Node, NodeId, OpAttrs, Opcode, Shape, MAX_RANK,
 };
 
 type Result<T> = std::result::Result<T, HloError>;
@@ -56,17 +57,21 @@ fn layout_try_new(minor_to_major: Vec<usize>) -> std::result::Result<Layout, Str
     Ok(Layout::new(minor_to_major))
 }
 
-/// The crate's `attrs=` reader on `json` (a token: no whitespace), as the
-/// attributes of a lone parameter, or the message it refuses it with.
-fn attrs_from_json(json: &str) -> std::result::Result<NodeAttrs, String> {
-    let text = format!("computation t root=%0 {{\n  %0 = parameter f32[1] attrs={json}\n}}\n");
+/// The crate's `attrs=` reader on `json` (a token: no whitespace) as the
+/// attributes of a lone node of `opcode`: the message it refuses it with,
+/// or, when it takes it, the attributes the reference reads (a lone node
+/// of most opcodes does not validate, so the crate's are not to be had;
+/// the attrs suites hold the two readers to the same values).
+fn attrs_from_json(json: &str, opcode: Opcode) -> std::result::Result<(OpAttrs, bool), String> {
+    let text = format!("computation t root=%0 {{\n  %0 = {opcode} f32[1] attrs={json}\n}}\n");
     match tpu_hlo::parse_computation(&text) {
-        Ok(c) => Ok(c.node(NodeId(0)).attrs.clone()),
         Err(HloError::Parse { line: 2, reason }) => Err(reason
             .strip_prefix("bad attrs: ")
             .unwrap_or_else(|| panic!("not an attrs error: {reason}"))
             .to_string()),
-        Err(e) => panic!("a parameter with attrs={json} fails to validate: {e}"),
+        _ => Ok(op_attrs_from_str(json, opcode).unwrap_or_else(|e| {
+            panic!("the reader takes attrs={json} on {opcode}, the reference says {e}")
+        })),
     }
 }
 
@@ -256,13 +261,14 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
 
         let mut operands = Vec::new();
         let mut name_field = String::new();
-        let mut attrs = NodeAttrs::default();
+        // No `attrs=` reads as an empty object.
+        let (mut attrs, mut is_output) = op_attrs_from_str("{}", opcode).unwrap();
         for tok in toks {
             if let Some(rest) = tok.strip_prefix("name=") {
                 name_field =
                     parse_name(rest).map_err(|e| parse_err(line_no, format!("bad name: {e}")))?;
             } else if let Some(rest) = tok.strip_prefix("attrs=") {
-                attrs = attrs_from_json(rest)
+                (attrs, is_output) = attrs_from_json(rest, opcode)
                     .map_err(|e| parse_err(line_no, format!("bad attrs: {e}")))?;
             } else {
                 operands.push(parse_node_id(tok, line_no)?);
@@ -281,6 +287,7 @@ pub fn parse_computation(text: &str) -> Result<Computation> {
             shape,
             layout,
             operands,
+            is_output,
             attrs,
             name: name_field,
         });

@@ -24,6 +24,8 @@
 
 #[path = "../../hlo/tests/support/full_text.rs"]
 mod full_text;
+#[path = "../../hlo/tests/support/node_attrs.rs"]
+mod node_attrs;
 mod support;
 
 use full_text::dump_full;
@@ -36,7 +38,7 @@ use std::sync::Arc;
 use support::mutations;
 use tpu_dataset::{Corpus, CorpusScale};
 use tpu_fusion::{apply_fusion, default_space_and_config};
-use tpu_hlo::{canonical_kernel_hash, ConvAttrs, DType, GraphBuilder, Kernel, Shape};
+use tpu_hlo::{canonical_kernel_hash, ConvAttrs, DType, GraphBuilder, Kernel, OpAttrs, Shape};
 use tpu_learned_cost::{AtomicCache, KernelCache, SimOracle};
 use tpu_obs::Registry;
 use tpu_serve::protocol::{
@@ -331,9 +333,13 @@ fn edge_lines() -> Vec<String> {
         let y = b.convolution(x, w, ConvAttrs::valid(3));
         let mut c = b.finish(y);
         c.node_mut(x).shape = Shape::new(vec![1, input, input, 4]);
-        edit(c.node_mut(y).attrs.conv.as_mut().unwrap());
+        let OpAttrs::Conv(attrs) = &mut c.node_mut(y).attrs else {
+            unreachable!("a convolution")
+        };
+        edit(attrs);
         predict_request_line(7, &Kernel::new(c))
     };
+    out.push(tanh_with_dot_dims_line());
     out.push(conv(2, |_| {}));
     out.push(conv(8, |a| (a.filter_h, a.filter_w) = (1 << 32, 1 << 32)));
     out.push(conv(8, |a| a.stride_h = 1 << 63));
@@ -425,6 +431,37 @@ fn a_malformed_kernel_is_an_hlo_error_and_degrades_no_one() {
     assert_eq!(refused, hostile.len() - 1);
     let stats = engine.stats();
     assert_eq!((stats.backend_panics, stats.breaker_trips), (0, 0));
+    engine.shutdown();
+}
+
+/// A predict line whose `tanh` carries a dot's dimension numbers, which
+/// the text reader refuses: a key of another opcode must hold its default.
+fn tanh_with_dot_dims_line() -> String {
+    let dot = "{\"lhs_contracting\":1,\"rhs_contracting\":0,\"lhs_batch\":[],\"rhs_batch\":[]}";
+    let text = format!(
+        "computation t root=%1 {{\n  %0 = parameter f32[2,2] name=\"x\"\n  %1 = tanh f32[2,2] %0 attrs={{\"dot\":{dot},\"is_output\":true}}\n}}\n"
+    );
+    let text = serde_json::to_string(&text).unwrap();
+    format!("{{\"op\":\"predict\",\"id\":7,\"kernel\":{{\"text\":{text}}}}}")
+}
+
+#[test]
+fn a_tanh_that_carries_dot_dims_is_a_typed_error_and_the_stream_goes_on() {
+    let engine = default_daemon();
+    let mut input = Vec::new();
+    for line in [tanh_with_dot_dims_line(), simple_request_line("ping", 9)] {
+        input.extend_from_slice(line.as_bytes());
+        input.push(b'\n');
+    }
+    let replies = serve(&engine, input);
+    assert_eq!(replies.len(), 2);
+    assert_eq!(verdict(&replies[0]), (false, Some("hlo".to_string())));
+    assert!(
+        replies[0].contains("bad attrs: `dot` is not an attribute of `tanh`"),
+        "{}",
+        replies[0]
+    );
+    assert!(replies[1].contains("\"pong\":true"), "{}", replies[1]);
     engine.shutdown();
 }
 

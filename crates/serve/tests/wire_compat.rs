@@ -6,6 +6,8 @@
 
 #[path = "../../hlo/tests/support/full_text.rs"]
 mod full_text;
+#[path = "../../hlo/tests/support/node_attrs.rs"]
+mod node_attrs;
 
 use full_text::dump_full;
 use std::collections::HashSet;

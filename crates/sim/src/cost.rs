@@ -1,7 +1,7 @@
 //! Per-node compute cost estimation (cycles on the MXU or VPU).
 
 use crate::config::TpuConfig;
-use tpu_hlo::{Computation, Node, OpCategory, Opcode};
+use tpu_hlo::{Computation, Node, OpAttrs, OpCategory, Opcode};
 
 /// Matrix-multiply problem dimensions extracted from a `dot` node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,7 +22,9 @@ pub struct DotProblem {
 ///
 /// Panics if the node is not a `dot` or is missing its dimension numbers.
 pub fn dot_problem(c: &Computation, node: &Node) -> DotProblem {
-    let dims = node.attrs.dot.as_ref().expect("dot node without DotDims");
+    let OpAttrs::Dot(dims) = &node.attrs else {
+        panic!("dot node without DotDims")
+    };
     let lhs = &c.node(node.operands[0]).shape;
     let rhs = &c.node(node.operands[1]).shape;
     let k = lhs.dim(dims.lhs_contracting) as u64;
@@ -52,7 +54,9 @@ pub fn dot_problem(c: &Computation, node: &Node) -> DotProblem {
 ///
 /// Panics if the node is not a convolution.
 pub fn conv_as_dot(c: &Computation, node: &Node) -> DotProblem {
-    let conv = node.attrs.conv.as_ref().expect("conv node without attrs");
+    let OpAttrs::Conv(conv) = &node.attrs else {
+        panic!("conv node without attrs")
+    };
     let out = &node.shape;
     let filter = &c.node(node.operands[1]).shape;
     let m = (out.dim(0) * out.dim(1) * out.dim(2)) as u64;
@@ -120,7 +124,9 @@ pub(crate) fn node_compute_cycles(c: &Computation, node: &Node, cfg: &TpuConfig)
             let in_elems = c.node(node.operands[0]).elem_count();
             match node.opcode {
                 Opcode::ReduceWindow => {
-                    let (wh, ww, _, _) = node.attrs.window.expect("window attrs");
+                    let &OpAttrs::Window(wh, ww, _, _) = &node.attrs else {
+                        panic!("window attrs")
+                    };
                     vpu_cycles(elems * (wh * ww) as u64, 1.2, cfg)
                 }
                 // Tree reduction: one pass over input plus log-depth tail.

@@ -3,7 +3,7 @@
 
 use crate::config::TpuConfig;
 use crate::cost::{dot_problem, mxu_cycles, node_compute_cycles, DotProblem};
-use tpu_hlo::{Kernel, Node, OpCategory, Opcode, TileSize};
+use tpu_hlo::{Kernel, Node, OpAttrs, OpCategory, Opcode, TileSize};
 
 /// Detailed timing breakdown for one kernel execution (noiseless).
 #[derive(Debug, Clone, PartialEq)]
@@ -160,7 +160,9 @@ fn traffic(k: &Kernel, geo: &TileGeometry) -> Traffic {
             _ => {
                 // Convolution: input re-read with halo overlap; filter
                 // resident if small, re-fetched per spatial tile otherwise.
-                let conv = h.attrs.conv.as_ref().expect("conv attrs");
+                let OpAttrs::Conv(conv) = &h.attrs else {
+                    panic!("conv attrs")
+                };
                 let halo = 1.0
                     + 0.5 * ((conv.filter_h - 1) + (conv.filter_w - 1)) as f64
                         / (per_dim.get(1).copied().unwrap_or(8) as f64 + 1.0);

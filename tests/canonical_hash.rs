@@ -1,6 +1,6 @@
 //! The canonical kernel hash over real kernels: every kernel of the Tiny
 //! fusion dataset keys as the per-field oracle keys it, and what the key
-//! leaves out (`NodeAttrs::comparison`) changes no cost.
+//! leaves out (a compare's direction, `OpAttrs::Compare`) changes no cost.
 
 #[path = "../crates/hlo/tests/support/hash_oracle.rs"]
 mod hash_oracle;

@@ -129,6 +129,7 @@ fn plan_and_materialize_are_the_pass() {
             .into_iter()
             .map(|e| e.program),
     );
+    let scratch = &mut KeyScratch::default();
     for program in &programs {
         let c = &program.computation;
         let (space, default) = default_space_and_config(c);
@@ -179,7 +180,7 @@ fn plan_and_materialize_are_the_pass() {
                         group.root()
                     );
                 }
-                assert_eq!(&materialize(program, group), kernel, "{at}");
+                assert_eq!(&materialize(program, group, scratch), kernel, "{at}");
             }
         }
     }
@@ -219,7 +220,7 @@ fn a_group_key_is_the_hash_of_its_materialized_kernel() {
             for (group, &key) in groups.iter().zip(&keys) {
                 assert_eq!(
                     key,
-                    canonical_kernel_hash(&materialize(program, group)),
+                    canonical_kernel_hash(&materialize(program, group, &mut scratch)),
                     "{} / config {i}: group rooted at {}",
                     program.name,
                     group.root()

@@ -28,7 +28,7 @@ fn check_fusion_equivalence(program: &Program, fused: &FusedProgram) {
     let mut original_values: HashMap<NodeId, NdArray> = HashMap::new();
     for node in c.nodes() {
         let mut nodes = c.nodes()[..=node.id.index()].to_vec();
-        nodes[node.id.index()].attrs.is_output = true;
+        nodes[node.id.index()].is_output = true;
         let sub = tpu_repro::hlo::Computation::from_parts("prefix", nodes, node.id)
             .expect("prefix computation");
         let val = evaluate(&sub, &inputs).expect("prefix eval");

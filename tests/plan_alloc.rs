@@ -9,7 +9,9 @@
 //! configurations, a re-plan allocates nothing, and a search's batch of
 //! re-plans allocates no group and no vector per plan. A new group is
 //! keyed in place, in buffers the run keeps (`KeyScratch`), so keying it
-//! allocates nothing either once they have grown.
+//! allocates nothing either once they have grown; and a group's kernel is
+//! built in those buffers too, so building it allocates only what the
+//! kernel owns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +19,8 @@ use std::sync::Arc;
 use tpu_repro::autotuner::{BatchObjective, ModelObjective};
 use tpu_repro::dataset::{Corpus, CorpusScale};
 use tpu_repro::fusion::{
-    default_space_and_config, FusionConfig, FusionPlanner, FusionSpace, Planned,
+    default_space_and_config, fusion_groups, materialize, FusionConfig, FusionPlanner, FusionSpace,
+    Planned,
 };
 use tpu_repro::hlo::{KeyScratch, Program};
 use tpu_repro::learned::{AtomicCache, Predictor, SimOracle};
@@ -155,6 +158,35 @@ fn keying_a_group_in_place_allocates_nothing_once_its_scratch_has_grown() {
     let (again, allocs) = allocations_of(|| key_all(&mut scratch));
     assert_eq!(again, keys);
     assert_eq!(allocs, 0, "{} groups keyed", groups.len());
+}
+
+#[test]
+fn materializing_a_group_allocates_only_what_its_kernel_owns_once_its_scratch_has_grown() {
+    let program = nmt_model();
+    let (space, default) = default_space_and_config(&program.computation);
+    let mut groups = fusion_groups(&program, &space, &default);
+    groups.extend(fusion_groups(&program, &space, &space.none()));
+    let mut scratch = KeyScratch::default();
+    for group in &groups {
+        materialize(&program, group, &mut scratch);
+    }
+    for group in &groups {
+        let (kernel, allocs) = allocations_of(|| materialize(&program, group, &mut scratch));
+        // What the kernel owns: its node list and name, and per node its
+        // operand list, its name and its attributes' lists, when it has
+        // them — what cloning it allocates.
+        let c = &kernel.computation;
+        let owned = 2 + c
+            .nodes()
+            .iter()
+            .map(|n| {
+                let lists = allocations_of(|| n.attrs.clone()).1;
+                usize::from(!n.operands.is_empty()) + usize::from(!n.name.is_empty()) + lists
+            })
+            .sum::<usize>();
+        assert_eq!(allocations_of(|| kernel.clone()).1, owned);
+        assert_eq!(allocs, owned, "group rooted at {}", group.root());
+    }
 }
 
 #[test]
