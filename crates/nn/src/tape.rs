@@ -226,11 +226,15 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Clear the recorded graph, recycling every value buffer into the
-    /// tape's arena for the next step.
+    /// Clear the recorded graph, recycling every value buffer the arena
+    /// handed out into it for the next step. An input's buffer came from
+    /// the caller and is dropped: kept, it would grow the arena by one
+    /// buffer per input on every step.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            self.pool.free.push(node.value.into_data());
+            if !matches!(node.op, Op::Input) {
+                self.pool.free.push(node.value.into_data());
+            }
         }
     }
 
@@ -1100,6 +1104,22 @@ mod tests {
         assert!(!tape.is_empty());
         tape.reset();
         assert!(tape.is_empty());
+    }
+
+    #[test]
+    fn the_arena_does_not_grow_across_steps() {
+        let (mut store, w, b) = little_store();
+        let mut tape = Tape::new();
+        let mut step = |tape: &mut Tape| {
+            let loss = little_net(tape, &store, w, b);
+            tape.backward(loss, &mut store);
+            tape.reset();
+            tape.pool.free.len()
+        };
+        let settled = step(&mut tape);
+        for _ in 0..10 {
+            assert_eq!(step(&mut tape), settled, "the input's buffer was pooled");
+        }
     }
 
     #[test]
