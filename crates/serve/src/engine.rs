@@ -9,6 +9,11 @@
 //! hit is answered with no lock and no allocation. A miss takes the model
 //! lock and is scored there after a second probe under the lock, so two
 //! clients' concurrent misses of one kernel cost one forward.
+//! The NDJSON frontend probes first with the request's text key (a hash of
+//! the kernel's bytes as they came, see `protocol::KernelRef::text_key`)
+//! and parses only on a miss; the answer is then stored under both keys,
+//! in the one cache, tagged from one epoch load. A reload's bump-then-clear
+//! covers both.
 //! Admission control bounds the callers in flight: past `max_pending`,
 //! `submit` fails fast with [`ServeError::Overloaded`] instead of stacking
 //! latency. An optional model-evaluation budget turns the daemon
@@ -336,7 +341,9 @@ pub struct ServeStats {
     /// Prediction counters summed over every served request (monotonic
     /// across reloads).
     pub predict: PredictStats,
-    /// Cache residency at the time of the call.
+    /// Cache slots resident at the time of the call. A kernel holds one
+    /// slot under its canonical key and, once served from text, one more
+    /// per distinct text it came in: N spellings take N + 1 slots.
     pub cache_entries: usize,
     /// Cache evictions at the time of the call.
     pub cache_evictions: u64,
@@ -364,15 +371,20 @@ struct EpochCache {
 }
 
 impl EpochCache {
-    fn tag(&self, hash: u64) -> u64 {
-        let e = self.epoch.load(Ordering::Relaxed);
-        // splitmix64's odd multiplier: distinct epochs decorrelate fully.
-        hash ^ e.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
     }
 
     fn lookup(&self, hash: u64) -> Option<Option<f64>> {
-        self.inner.lookup_hash(self.tag(hash))
+        self.inner.lookup_hash(tag(hash, self.epoch()))
     }
+}
+
+/// `hash` tagged with model epoch `epoch`. Two keys stored for one answer
+/// are tagged from one epoch load, so both name the model that gave it.
+fn tag(hash: u64, epoch: u64) -> u64 {
+    // splitmix64's odd multiplier: distinct epochs decorrelate fully.
+    hash ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Admission and the counters `stats` reads, shared by every caller.
@@ -563,6 +575,58 @@ impl ServeEngine {
         kernel: HashedKernel,
         deadline_ms: Option<u64>,
     ) -> Result<Prediction, ServeError> {
+        self.submit_parsed(&kernel, None, deadline_ms)
+    }
+
+    /// Answer a request from its text key alone, if the key is resident:
+    /// the frontend probes with it before it parses anything. `None` on a
+    /// miss, which moves no counter; the caller then parses the text and
+    /// calls [`ServeEngine::submit_parsed`] with the same key. A hit goes
+    /// through the admission, shutdown and deadline checks of any other
+    /// and counts what a canonical hit counts.
+    pub(crate) fn submit_text(
+        &self,
+        text_key: u64,
+        deadline_ms: Option<u64>,
+    ) -> Option<Result<Prediction, ServeError>> {
+        let ns = self.cache.lookup(text_key)?;
+        Some(self.admitted(deadline_ms, |deadline_ms| self.answer_hit(ns, deadline_ms)))
+    }
+
+    /// [`ServeEngine::submit_hashed`] for a kernel parsed from text whose
+    /// text key is `text_key`: whoever resolves its answer — a canonical
+    /// hit, or the model under its lock — stores it under the text key
+    /// too, tagged from the same epoch load as the canonical key.
+    pub(crate) fn submit_parsed(
+        &self,
+        kernel: &HashedKernel,
+        text_key: Option<u64>,
+        deadline_ms: Option<u64>,
+    ) -> Result<Prediction, ServeError> {
+        self.admitted(deadline_ms, |deadline_ms| {
+            let epoch = self.cache.epoch();
+            match self.cache.inner.lookup_hash(tag(kernel.hash(), epoch)) {
+                Some(ns) => {
+                    // A second spelling of a resident kernel. Should a
+                    // reload swap between the probe and this insert, the
+                    // entry is tagged with the old epoch: unreachable.
+                    if let Some(text_key) = text_key {
+                        self.cache.inner.insert_hash(tag(text_key, epoch), ns);
+                    }
+                    self.answer_hit(ns, deadline_ms)
+                }
+                None => self.answer_miss(kernel, text_key, deadline_ms),
+            }
+        })
+    }
+
+    /// Count a request in, apply admission control and the shutdown check,
+    /// and answer it with `answer` under its effective deadline.
+    fn admitted(
+        &self,
+        deadline_ms: Option<u64>,
+        answer: impl FnOnce(Option<u64>) -> Result<Prediction, ServeError>,
+    ) -> Result<Prediction, ServeError> {
         let s = &self.shared;
         s.submitted.fetch_add(1, Ordering::Relaxed);
         if s.pending.fetch_add(1, Ordering::SeqCst) >= s.max_pending {
@@ -570,13 +634,10 @@ impl ServeEngine {
             s.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded);
         }
-        let deadline_ms = deadline_ms.or(self.default_deadline_ms);
         let result = if self.closed.load(Ordering::SeqCst) {
             Err(ServeError::ShuttingDown)
-        } else if let Some(ns) = self.cache.lookup(kernel.hash()) {
-            self.answer_hit(ns, deadline_ms)
         } else {
-            self.answer_miss(&kernel, deadline_ms)
+            answer(deadline_ms.or(self.default_deadline_ms))
         };
         s.pending.fetch_sub(1, Ordering::SeqCst);
         result
@@ -615,6 +676,7 @@ impl ServeEngine {
     fn answer_miss(
         &self,
         kernel: &HashedKernel,
+        text_key: Option<u64>,
         deadline_ms: Option<u64>,
     ) -> Result<Prediction, ServeError> {
         let s = &self.shared;
@@ -631,7 +693,7 @@ impl ServeEngine {
             .budget
             .is_none_or(|b| self.counters.stats().model_evals < b);
         let result = if within_budget {
-            self.score(&models, kernel)
+            self.score(&models, kernel, text_key)
         } else {
             // Budget spent: serve what the cache already knows, deny the rest.
             self.cache
@@ -665,9 +727,17 @@ impl ServeEngine {
     /// `route`; the positions the fallback answered are counted here, not
     /// in `route`, which also scores the reload panel. The body inserts
     /// and counts only once the route has returned, so a panic leaves
-    /// cache and counters as they were.
-    fn score(&self, models: &Models, kernel: &HashedKernel) -> Result<Option<f64>, ServeError> {
-        let key = self.cache.tag(kernel.hash());
+    /// cache and counters as they were. The answer it resolved is stored
+    /// under `text_key` too, still under the lock: a reload swaps under
+    /// it, so an old model's answer never lands under a new epoch.
+    fn score(
+        &self,
+        models: &Models,
+        kernel: &HashedKernel,
+        text_key: Option<u64>,
+    ) -> Result<Option<f64>, ServeError> {
+        let epoch = self.cache.epoch();
+        let key = tag(kernel.hash(), epoch);
         // Panic isolation: a panicking backend fails this request with a
         // typed error and trips the breaker instead of killing the daemon.
         let (answers, _) = catch_unwind(AssertUnwindSafe(|| {
@@ -690,6 +760,11 @@ impl ServeEngine {
             }
             ServeError::BackendPanic
         })?;
+        if let Some(text_key) = text_key {
+            self.cache
+                .inner
+                .insert_hash(tag(text_key, epoch), answers[0]);
+        }
         Ok(answers[0])
     }
 
@@ -872,7 +947,7 @@ impl ServeEngine {
             backend_panics: s.backend_panics.load(Ordering::Relaxed),
             reloads: s.reloads.load(Ordering::Relaxed),
             reloads_rejected: s.reloads_rejected.load(Ordering::Relaxed),
-            epoch: self.cache.epoch.load(Ordering::Relaxed),
+            epoch: self.cache.epoch(),
             breaker_trips,
             breaker_open_served,
             breaker_state,

@@ -107,13 +107,23 @@ fn answer(serve: &ServeEngine, line: &str, text: &mut String, reply: &mut String
             id,
             spec,
             deadline_ms,
-        }) => match spec.to_hashed(text) {
-            Ok(kernel) => match serve.submit_hashed(kernel, deadline_ms) {
+        }) => {
+            let text_key = spec.text_key();
+            let result = match serve.submit_text(text_key, deadline_ms) {
+                Some(result) => result,
+                None => match spec.to_hashed(text) {
+                    Ok(kernel) => serve.submit_parsed(&kernel, Some(text_key), deadline_ms),
+                    Err(msg) => {
+                        *reply = protocol::error_reply(Some(id), "hlo", &msg);
+                        return false;
+                    }
+                },
+            };
+            match result {
                 Ok(p) => protocol::write_predict_reply(reply, id, p.ns, p.degraded),
                 Err(e) => *reply = protocol::error_reply(Some(id), e.code(), e.message()),
-            },
-            Err(msg) => *reply = protocol::error_reply(Some(id), "hlo", &msg),
-        },
+            }
+        }
         Ok(RequestRef::Stats { id }) => {
             *reply = protocol::stats_reply(id, &serve.stats(), &serve.backend());
         }
@@ -143,10 +153,15 @@ fn answer(serve: &ServeEngine, line: &str, text: &mut String, reply: &mut String
 /// and resilience tests pin this).
 ///
 /// A predict line goes from the line buffer to the engine in one pass
-/// (see [`protocol`]): scanned in place, its kernel text unescaped into
-/// one scratch string, parsed, hashed here, and submitted as a
-/// [`HashedKernel`](tpu_hlo::HashedKernel). The three buffers live as
-/// long as the connection, and each reply leaves in one `write_all`.
+/// (see [`protocol`]): scanned in place, and its escaped kernel text,
+/// kind and tile hashed into a text key
+/// ([`KernelRef::text_key`](protocol::KernelRef::text_key)) that the
+/// engine probes first. A warm line is answered from that probe: nothing
+/// unescaped, parsed or allocated. Otherwise the text is unescaped into
+/// one scratch string, parsed, hashed canonically here, and submitted as
+/// a [`HashedKernel`](tpu_hlo::HashedKernel); its answer is then stored
+/// under the text key too. The three buffers live as long as the
+/// connection, and each reply leaves in one `write_all`.
 pub fn serve_ndjson<R: BufRead, W: Write>(
     serve: &ServeEngine,
     mut input: R,

@@ -26,6 +26,10 @@
 //! breaker was open (the fallback answered, not the primary); the field
 //! is omitted on the healthy path.
 //!
+//! The `stats` reply's `cache_entries` counts cache slots, not kernels: a
+//! kernel served from text holds its canonical slot plus one slot per
+//! distinct text (escaping, names, whitespace) it arrived as.
+//!
 //! Error codes: `parse` (line is not valid JSON), `bad_request` (JSON is
 //! valid but the fields are not — also oversized or non-UTF-8 lines),
 //! `hlo` (the kernel text does not parse), `overloaded` (admission
@@ -45,8 +49,11 @@
 //! A request line is read in one pass and copied nowhere:
 //! [`scan_request`] walks it with the pull [`Scanner`], noting the fields
 //! it needs and leaving `kernel.text` as a validated span of the line
-//! ([`KernelRef`]); [`KernelRef::to_hashed`] unescapes that span into a
-//! buffer the connection reuses, parses it and hashes the kernel, and the
+//! ([`KernelRef`]). [`KernelRef::text_key`] hashes that span as it stands,
+//! with the kind and tile, and the engine probes its cache with that key
+//! first: a warm line is answered without unescaping or parsing. On a
+//! miss, [`KernelRef::to_hashed`] unescapes the span into a buffer the
+//! connection reuses, parses it and hashes the kernel, and the
 //! [`HashedKernel`] goes to the engine. No `Value` tree, no `String` per
 //! key, no owned copy of the text. [`parse_request`] / [`KernelSpec`] are
 //! the owning form of the same scan, for callers that keep a request.
@@ -58,7 +65,9 @@
 
 use serde::Value;
 use serde_json::{Kind, RawStr, Scanner};
+use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use tpu_hlo::{dump_computation, parse_computation, HashedKernel, Kernel, KernelKind, TileSize};
 
 /// Longest accepted request line, in bytes. Anything longer is refused
@@ -176,9 +185,39 @@ struct Tile {
     bad_extent: bool,
 }
 
+/// The leading byte of a [`KernelRef::text_key`]'s stream, which keeps
+/// it apart from every canonical key's.
+const TEXT_KEY_DOMAIN: u8 = b'T';
+
 impl KernelRef<'_> {
     fn tile(&self) -> Option<&[usize]> {
         self.tile.as_ref().map(|t| &t.dims[..t.count])
+    }
+
+    /// The key of the request's kernel bytes: SipHash over a domain byte,
+    /// the text as it stands in the line (still escaped), the kind or its
+    /// absence, and the tile's count and extents. The kernel is a pure
+    /// function of those, so one text key names one kernel and can stand
+    /// for its canonical key in the cache; nothing is unescaped, parsed
+    /// or allocated.
+    pub fn text_key(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        h.write_u8(TEXT_KEY_DOMAIN);
+        let raw = self.text.raw().as_bytes();
+        h.write_usize(raw.len());
+        h.write(raw);
+        h.write_usize(self.kind.map_or(0, |k| 1 + k.index()));
+        match self.tile() {
+            None => h.write_u8(0),
+            Some(dims) => {
+                h.write_u8(1);
+                h.write_usize(dims.len());
+                for &d in dims {
+                    h.write_usize(d);
+                }
+            }
+        }
+        h.finish()
     }
 
     /// Unescape the text into `scratch` (cleared first; a connection

@@ -20,7 +20,11 @@
 //!   included, on every one of those lines;
 //! - for every kernel of the Full corpus, line → scan → `HashedKernel`
 //!   gives back the kernel and its canonical hash;
-//! - the directly written predict reply against the tree-rendered one.
+//! - the directly written predict reply against the tree-rendered one;
+//! - the text key: one kernel in two escapings is one model evaluation,
+//!   two text slots and bit-identical answers; an unparseable text moves
+//!   nothing, however often it comes; and over generated kernels a text
+//!   hit answers what the canonical path answers, bit for bit.
 
 #[path = "../../hlo/tests/support/full_text.rs"]
 mod full_text;
@@ -656,11 +660,14 @@ proptest! {
 }
 
 #[test]
-fn scanning_allocates_nothing_and_refusing_allocates_a_message() {
+fn scanning_and_keying_allocate_nothing_and_refusing_allocates_a_message() {
     for line in golden_predict_lines().iter().chain(&corpus_lines()) {
-        let (request, bytes) = allocated_by(|| scan_request(line));
-        assert!(matches!(request, Ok(RequestRef::Predict { .. })));
-        assert_eq!(bytes, 0, "scanning {line}");
+        let (request, bytes) = allocated_by(|| match scan_request(line) {
+            Ok(RequestRef::Predict { spec, .. }) => Some(spec.text_key()),
+            _ => None,
+        });
+        assert!(request.is_some());
+        assert_eq!(bytes, 0, "scanning and keying {line}");
     }
     // What is refused for its size is refused before it is stored: a tile
     // of a hundred thousand extents, a megabyte of brackets.
@@ -678,4 +685,111 @@ fn scanning_allocates_nothing_and_refusing_allocates_a_message() {
     let ((), bytes) = allocated_by(|| protocol::write_predict_reply(&mut out, 1, Some(2.5), false));
     assert_eq!(out, "kept{\"id\":1,\"ok\":true,\"ns\":2.5}");
     assert_eq!(bytes, 0);
+}
+
+/// The `ns` field of a predict reply, as its bits.
+fn ns_bits(reply: &str) -> u64 {
+    let value = serde_json::parse_value_str(reply).expect("a reply is JSON");
+    let fields = value.as_object().expect("a reply is an object");
+    serde::get_field(fields, "ns")
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no ns in {reply}"))
+        .to_bits()
+}
+
+#[test]
+fn one_kernel_in_two_escapings_is_one_eval_two_text_slots_and_one_answer() {
+    let engine = default_daemon();
+    let kernel = &corpus_kernels()[0];
+    let line = predict_request_line(1, kernel);
+    let respelled = line.replace("\\n", "\\u000a");
+    assert_ne!(line, respelled);
+    assert_eq!(
+        parse_request(&line).unwrap(),
+        parse_request(&respelled).unwrap()
+    );
+    let input = [&line, &respelled, &line, &respelled]
+        .map(|l| format!("{l}\n"))
+        .concat();
+    let replies = serve(&engine, input.into_bytes());
+    assert_eq!(replies.len(), 4);
+    for reply in &replies {
+        assert_eq!(ns_bits(reply), ns_bits(&replies[0]), "{reply}");
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.predict.model_evals, 1);
+    assert_eq!(stats.predict.cache_hits, 3);
+    assert_eq!(stats.cache_entries, 3, "one canonical slot, two text slots");
+    engine.shutdown();
+}
+
+#[test]
+fn an_unparseable_text_sent_twice_is_the_same_hlo_error_and_moves_nothing() {
+    let engine = default_daemon();
+    serve(
+        &engine,
+        format!("{}\n", golden_predict_lines()[0]).into_bytes(),
+    );
+    let before = engine.stats();
+    let line =
+        "{\"op\":\"predict\",\"id\":5,\"kernel\":{\"text\":\"not hlo at all\",\"tile\":[8]}}\n";
+    let replies = serve(&engine, line.repeat(2).into_bytes());
+    assert_eq!(
+        verdict(&replies[0]).1.as_deref(),
+        Some("hlo"),
+        "{}",
+        replies[0]
+    );
+    assert_eq!(replies[0], replies[1]);
+    assert_eq!(engine.stats(), before);
+    engine.shutdown();
+}
+
+/// A kernel of a generated elementwise chain, maybe reduced, maybe tiled.
+fn generated_kernel(
+    rows: usize,
+    cols: usize,
+    ops: &[bool],
+    reduce: bool,
+    tile: Option<usize>,
+) -> Kernel {
+    let mut b = GraphBuilder::new("generated");
+    let mut cur = b.parameter("x", Shape::matrix(rows, cols), DType::F32);
+    for &exp in ops {
+        cur = if exp { b.exp(cur) } else { b.tanh(cur) };
+    }
+    if reduce {
+        cur = b.reduce(cur, vec![0]);
+    }
+    let kernel = Kernel::new(b.finish(cur));
+    match tile {
+        Some(t) => kernel.with_tile(tpu_hlo::TileSize(vec![t, cols])),
+        None => kernel,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_text_hit_answers_what_the_canonical_path_answers(
+        rows in 1usize..96,
+        cols in 1usize..300,
+        ops in proptest::collection::vec(any::<bool>(), 1..5),
+        reduce in any::<bool>(),
+        tile in 0usize..16,
+    ) {
+        // A tile of 0 rows stands for no tile.
+        let kernel = generated_kernel(rows, cols, &ops, reduce, (tile > 0).then_some(tile));
+        let engine = default_daemon();
+        let line = format!("{}\n", predict_request_line(1, &kernel));
+        // A miss, then a text hit of the same bytes.
+        let replies = serve(&engine, line.repeat(2).into_bytes());
+        let canonical = engine.submit_with_deadline(kernel.clone(), None).unwrap();
+        prop_assert_eq!(&replies[0], &replies[1]);
+        prop_assert_eq!(&replies[1], &predict_reply(1, canonical.ns, canonical.degraded));
+        let stats = engine.stats();
+        prop_assert_eq!((stats.predict.model_evals, stats.predict.cache_hits), (1, 2));
+        engine.shutdown();
+    }
 }

@@ -5,7 +5,9 @@
 //! of one; the registry counts the hits too. For misses under the lock:
 //! two clients' misses of one kernel cost one forward, concurrent misses
 //! never overshoot the eval budget, and `shutdown` waits for the miss
-//! inside the model and then refuses requests and reloads.
+//! inside the model and then refuses requests and reloads. For a line
+//! answered from its text key: a reload reaches it, an open breaker marks
+//! it as it marks a canonical hit, and a budget-denied miss stores none.
 
 use std::io::Cursor;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -371,4 +373,126 @@ fn shutdown_waits_for_the_miss_inside_the_model_then_refuses_work() {
         engine.reload_from_bytes(&frozen_gnn(72).to_bytes()),
         Err(ReloadError::ShuttingDown)
     );
+}
+
+/// Serve `input` through `serve_ndjson` and return the replies.
+fn serve_lines(engine: &ServeEngine, input: &str) -> String {
+    let mut out = Vec::new();
+    serve_ndjson(engine, Cursor::new(input.to_string()), &mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+#[test]
+fn after_a_reload_a_text_served_before_is_scored_by_the_new_model() {
+    let (incumbent, candidate) = (frozen_gnn(71), frozen_gnn(72));
+    let engine = ServeEngine::start_with(
+        Box::new(incumbent.clone()),
+        cache(),
+        ServeConfig::default(),
+        ServeOptions {
+            reload: Some(ReloadPolicy {
+                min_tau: -1.0,
+                panel: probe_panel(),
+            }),
+            ..ServeOptions::default()
+        },
+        &Registry::noop(),
+    );
+    let kernel = demo_kernels(1).remove(0);
+    let line = protocol::predict_request_line(1, &kernel) + "\n";
+    let reply = |ns| protocol::predict_reply(1, ns, false) + "\n";
+    let before = incumbent.predict_kernel_ns(&kernel);
+    // A miss, then a text hit.
+    assert_eq!(
+        serve_lines(&engine, &line.repeat(2)),
+        reply(before).repeat(2)
+    );
+    assert_eq!(
+        engine.stats().cache_entries,
+        2,
+        "a canonical and a text slot"
+    );
+
+    assert_eq!(engine.reload_from_bytes(&candidate.to_bytes()), Ok(1));
+    let after = candidate.predict_kernel_ns(&kernel);
+    assert_ne!(after, before);
+    // The old text entry is gone and would be unreachable if it were not:
+    // the model runs once more, and its answer is the new text hit's.
+    assert_eq!(
+        serve_lines(&engine, &line.repeat(2)),
+        reply(after).repeat(2)
+    );
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.predict.cache_hits, stats.predict.model_evals),
+        (2, 2)
+    );
+    assert_eq!(stats.cache_entries, 2);
+    engine.shutdown();
+}
+
+#[test]
+fn with_the_breaker_open_a_text_hit_answers_as_the_canonical_path() {
+    let kernels = demo_kernels(2);
+    let unscorable = kernels[1].computation.name().to_string();
+    let primary = FnCostModel::new("primary", move |k: &Kernel| {
+        nodes(k)
+            .map(|ns| ns + 0.25)
+            .filter(|_| k.computation.name() != unscorable)
+    });
+    let engine = ServeEngine::start_with(
+        Box::new(primary),
+        cache(),
+        ServeConfig::default(),
+        ServeOptions {
+            fallback: Some(Fallback {
+                model: Box::new(FnCostModel::new("fallback", nodes)),
+                breaker: Some(BreakerConfig {
+                    trip_after: 1,
+                    ..BreakerConfig::default()
+                }),
+            }),
+            ..ServeOptions::default()
+        },
+        &Registry::noop(),
+    );
+    let line = protocol::predict_request_line(1, &kernels[0]) + "\n";
+    serve_lines(&engine, &line);
+    // Asking the primary for the second kernel trips the breaker open.
+    engine.submit(kernels[1].clone()).unwrap();
+    let canonical = engine
+        .submit_with_deadline(kernels[0].clone(), None)
+        .unwrap();
+    assert!(canonical.degraded);
+    assert_eq!(canonical.ns, nodes(&kernels[0]).map(|ns| ns + 0.25));
+    let text_hit = serve_lines(&engine, &line);
+    assert_eq!(
+        text_hit,
+        protocol::predict_reply(1, canonical.ns, canonical.degraded) + "\n"
+    );
+    let stats = engine.stats();
+    assert_eq!(stats.predict.cache_hits, 2);
+    assert_eq!((stats.breaker_trips, stats.breaker_open_served), (1, 0));
+    engine.shutdown();
+}
+
+#[test]
+fn a_budget_denied_miss_stores_no_text_key() {
+    let engine = nodes_engine(ServeConfig {
+        eval_budget: Some(1),
+        ..ServeConfig::default()
+    });
+    let kernels = demo_kernels(2);
+    let line = |i: usize| protocol::predict_request_line(i as u64, &kernels[i]) + "\n";
+    serve_lines(&engine, &line(0));
+    assert_eq!(engine.stats().cache_entries, 2);
+    let denied = serve_lines(&engine, &line(1).repeat(2));
+    assert_eq!(denied.matches("\"code\":\"budget\"").count(), 2, "{denied}");
+    let stats = engine.stats();
+    assert_eq!(stats.cache_entries, 2, "nothing stored for the denied text");
+    assert_eq!((stats.budget_denied, stats.predict.cache_hits), (2, 0));
+    // The budget-spent path still answers a resident kernel, from its text.
+    assert!(serve_lines(&engine, &line(0)).contains("\"ok\":true"));
+    assert_eq!(engine.stats().predict.cache_hits, 1);
+    engine.shutdown();
 }
