@@ -4,9 +4,10 @@
 //! `fusion_golden.json` records, for the five `search_tune` programs under
 //! the all-unfused, all-fused, default and two seeded random
 //! configurations, how many kernels `apply_fusion` emits, each kernel's
-//! canonical hash in emission order, and a digest of the whole
-//! `FusedProgram`'s `Debug` rendering (which covers what the canonical hash
-//! leaves out: node and parameter names, `source_root`, kernel kind). It
+//! canonical hash in emission order, and a digest of the `FusedProgram`:
+//! its name and, per kernel, the text `dump_computation` writes (which
+//! round-trips every node field, names included), kind, tile and
+//! `source_root` — what the canonical hash leaves out. It
 //! was generated by the single-function pass and must keep passing
 //! unchanged, so "the split emits byte-identical kernels" is checked
 //! against the old code and not against itself. If a change to the pass's
@@ -26,7 +27,9 @@ use tpu_repro::fusion::{
     apply_fusion, default_space_and_config, fusion_groups, materialize, FusionConfig, FusionGroup,
     FusionPlanner, FusionSpace, GroupId, Planned,
 };
-use tpu_repro::hlo::{canonical_kernel_hash, KeyScratch, NodeId, OpCategory, Opcode, Program};
+use tpu_repro::hlo::{
+    canonical_kernel_hash, dump_computation, KeyScratch, NodeId, OpCategory, Opcode, Program,
+};
 
 /// The held-out programs with at least 100 fusion decisions (the
 /// benchmark's `search_tune` set).
@@ -68,7 +71,13 @@ fn render() -> String {
         for (ci, (label, config)) in configs.iter().enumerate() {
             let fused = apply_fusion(program, &space, config);
             let mut digest = std::collections::hash_map::DefaultHasher::new();
-            format!("{fused:?}").hash(&mut digest);
+            fused.name.hash(&mut digest);
+            for k in &fused.kernels {
+                dump_computation(&k.computation).hash(&mut digest);
+                k.kind.index().hash(&mut digest);
+                k.tile.as_ref().map(|t| t.dims()).hash(&mut digest);
+                k.source_root.map(NodeId::index).hash(&mut digest);
+            }
             let hashes: Vec<String> = fused
                 .kernels
                 .iter()
