@@ -6,7 +6,6 @@ use crate::opcode::Opcode;
 use crate::shape::{Dims, MAX_RANK};
 use serde::{Deserialize, Serialize};
 use serde_json::{Error, Kind, Scanner};
-use std::fmt;
 
 // The text format's `attrs=` reader: the structs below read straight off a
 // [`Scanner`], with no `Value` tree in between, and accept and refuse what
@@ -504,25 +503,6 @@ pub(crate) struct Fields<'a> {
     pub(crate) comparison: Option<Comparison>,
     pub(crate) window: Option<(usize, usize, usize, usize)>,
     pub(crate) is_output: bool,
-}
-
-/// The text the eleven-field struct's derived `Debug` wrote.
-impl fmt::Debug for Fields<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NodeAttrs")
-            .field("dot", &self.dot)
-            .field("conv", &self.conv)
-            .field("reduce_dims", &self.reduce_dims)
-            .field("transpose_perm", &self.transpose_perm)
-            .field("broadcast_dims", &self.broadcast_dims)
-            .field("slice", &self.slice)
-            .field("pad", &self.pad)
-            .field("concat_dim", &self.concat_dim)
-            .field("comparison", &self.comparison)
-            .field("window", &self.window)
-            .field("is_output", &self.is_output)
-            .finish()
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A single primitive tensor operation in a computation graph.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// This node's id within its computation.
     pub id: NodeId,
@@ -50,24 +50,6 @@ pub struct Node {
     pub attrs: OpAttrs,
     /// Optional human-readable name (parameters keep their given names).
     pub name: String,
-}
-
-/// The text the derive wrote while every node carried all eleven attribute
-/// fields (`attrs: NodeAttrs { dot: None, .., is_output: false }`): the
-/// fusion golden pins digests of fused programs' `Debug` text.
-impl fmt::Debug for Node {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Node")
-            .field("id", &self.id)
-            .field("opcode", &self.opcode)
-            .field("dtype", &self.dtype)
-            .field("shape", &self.shape)
-            .field("layout", &self.layout)
-            .field("operands", &self.operands)
-            .field("attrs", &self.attrs.fields(self.is_output))
-            .field("name", &self.name)
-            .finish()
-    }
 }
 
 impl Node {
