@@ -660,7 +660,7 @@ proptest! {
 }
 
 #[test]
-fn scanning_and_keying_allocate_nothing_and_refusing_allocates_a_message() {
+fn scanning_allocates_nothing_and_refusing_allocates_a_message() {
     for line in golden_predict_lines().iter().chain(&corpus_lines()) {
         let (request, bytes) = allocated_by(|| match scan_request(line) {
             Ok(RequestRef::Predict { spec, .. }) => Some(spec.text_key()),
