@@ -11,22 +11,18 @@
 
 use crate::{corpus, fit_analytical, print_table, Args, Task};
 use tpu_dataset::Corpus;
-use tpu_learned_cost::metrics::{mape, median};
+use tpu_learned_cost::metrics::Scorecard;
 use tpu_learned_cost::{predict_log_ns, prepare, train, CostModel, GnnModel};
 use tpu_sim::{TpuConfig, TpuDevice};
 
-struct TargetResult {
-    learned_mape: f64,
-    analytical_mape: f64,
-    stale_analytical_mape: f64,
-}
-
+/// The median test MAPE on `machine` of the retrained learned model, the
+/// re-tuned analytical model and the stale one built for `stale_machine`.
 fn run_target(
     args: &Args,
     corpus: &Corpus,
     machine: &TpuConfig,
     stale_machine: &TpuConfig,
-) -> TargetResult {
+) -> [f64; 3] {
     let task = Task::random_fusion(corpus, args, machine);
 
     // Retrain the learned model on the new machine's measurements — the
@@ -45,43 +41,25 @@ fn run_target(
     let fresh = analytical_for(machine);
     let stale = analytical_for(stale_machine);
 
-    let mut learned_mapes = Vec::new();
-    let mut fresh_mapes = Vec::new();
-    let mut stale_mapes = Vec::new();
-    for (_, samples) in task.test_by_program(5_000.0) {
-        if samples.len() < 2 {
-            continue;
-        }
-        let targets: Vec<f64> = samples.iter().map(|s| s.runtime_ns).collect();
+    // One group per test program. The learned model scores every kernel;
+    // the two analytical models share one card, so both are scored on the
+    // kernels they can both predict.
+    let mut learned = Vec::new();
+    let mut analytical = Vec::new();
+    for (program, (_, samples)) in task.test_by_program(5_000.0).into_iter().enumerate() {
         let prepared = prepare(&samples);
-        let learned: Vec<f64> = predict_log_ns(&gnn, &prepared).map(f64::exp).collect();
-        learned_mapes.push(mape(&learned, &targets));
-
-        let mut f_pred = Vec::new();
-        let mut s_pred = Vec::new();
-        let mut t_kept = Vec::new();
-        for (sample, &t) in samples.iter().zip(&targets) {
-            let kernel = &sample.kernel;
-            if let (Some(f), Some(s)) = (
-                fresh.predict_kernel_ns(kernel),
-                stale.predict_kernel_ns(kernel),
-            ) {
-                f_pred.push(f);
-                s_pred.push(s);
-                t_kept.push(t);
-            }
-        }
-        if t_kept.len() >= 2 {
-            fresh_mapes.push(mape(&f_pred, &t_kept));
-            stale_mapes.push(mape(&s_pred, &t_kept));
+        for (sample, log_ns) in samples.iter().zip(predict_log_ns(&gnn, &prepared)) {
+            let (kernel, target) = (&sample.kernel, sample.runtime_ns);
+            learned.push((program, target, [Some(log_ns.exp())]));
+            let pair = [&fresh, &stale].map(|model| model.predict_kernel_ns(kernel));
+            analytical.push((program, target, pair));
         }
     }
+    let learned: Scorecard<1> = learned.into_iter().collect();
+    let analytical: Scorecard<2> = analytical.into_iter().collect();
 
-    TargetResult {
-        learned_mape: median(&learned_mapes),
-        analytical_mape: median(&fresh_mapes),
-        stale_analytical_mape: median(&stale_mapes),
-    }
+    let [fresh, stale] = analytical.median.mape;
+    [learned.median.mape[0], fresh, stale]
 }
 
 /// Run the experiment.
@@ -97,6 +75,10 @@ pub fn run(args: &Args) {
     println!("\ntarget = TPU-v3-like (learned retrains; stale analytical keeps v2 constants):");
     let on_v3 = run_target(args, &corpus, &v3, &v2);
 
+    let row = |target: &str, mapes: [f64; 3]| {
+        let cells = mapes.map(|v| format!("{v:.1}"));
+        std::iter::once(target.to_string()).chain(cells).collect()
+    };
     print_table(
         "Retargeting: median test MAPE (>=5us kernels)",
         &[
@@ -105,30 +87,12 @@ pub fn run(args: &Args) {
             "Analytical (re-tuned)",
             "Analytical (stale)",
         ],
-        &[
-            vec![
-                "TPU-v2-like".into(),
-                format!("{:.1}", on_v2.learned_mape),
-                format!("{:.1}", on_v2.analytical_mape),
-                format!("{:.1}", on_v2.stale_analytical_mape),
-            ],
-            vec![
-                "TPU-v3-like".into(),
-                format!("{:.1}", on_v3.learned_mape),
-                format!("{:.1}", on_v3.analytical_mape),
-                format!("{:.1}", on_v3.stale_analytical_mape),
-            ],
-        ],
+        &[row("TPU-v2-like", on_v2), row("TPU-v3-like", on_v3)],
     );
+    let [learned, _, stale] = on_v3;
     println!("\nShape check: on the new target, the retrained learned model should beat the");
     println!(
-        "stale analytical model: {:.1} vs {:.1} ({})",
-        on_v3.learned_mape,
-        on_v3.stale_analytical_mape,
-        if on_v3.learned_mape <= on_v3.stale_analytical_mape {
-            "OK"
-        } else {
-            "MISS"
-        }
+        "stale analytical model: {learned:.1} vs {stale:.1} ({})",
+        if learned <= stale { "OK" } else { "MISS" }
     );
 }

@@ -26,10 +26,10 @@ use tpu_dataset::{
     FUSION_NODE_LIMIT,
 };
 use tpu_hlo::Kernel;
-use tpu_learned_cost::metrics::{kendall_tau, mape, median};
+use tpu_learned_cost::metrics::{median, Score, Scorecard};
 use tpu_learned_cost::{
     predict_log_ns, prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel,
-    Predictor, Prepared, Sample,
+    Predictor, Prepared,
 };
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
 
@@ -44,40 +44,26 @@ const HEADER: [&str; 7] = [
     "tau Analytical",
 ];
 
-/// Per-model predictions for one program's evaluation kernels.
-struct ProgramEval {
-    name: String,
-    targets: Vec<f64>,
-    ours: Vec<f64>,
-    lstm: Vec<f64>,
-    analytical: Vec<f64>,
-}
-
-/// The table rows (MAPE of ours / LSTM / analytical, then their τ) over
-/// the kernels whose true runtime `keep`s them — programs left with
-/// fewer than two are skipped — and the column medians.
-fn metric_rows(evals: &[ProgramEval], keep: impl Fn(f64) -> bool) -> (Vec<Vec<String>>, [f64; 6]) {
-    let program_row = |ev: &ProgramEval| {
-        let kept: Vec<usize> = (0..ev.targets.len())
-            .filter(|&i| keep(ev.targets[i]))
-            .collect();
-        if kept.len() < 2 {
-            return None;
-        }
-        let pick = |v: &[f64]| kept.iter().map(|&i| v[i]).collect::<Vec<f64>>();
-        let targets = pick(&ev.targets);
-        let models = [pick(&ev.ours), pick(&ev.lstm), pick(&ev.analytical)];
-        let metrics: [f64; 6] = std::array::from_fn(|column| match column {
-            0..3 => mape(&models[column], &targets),
-            _ => kendall_tau(&models[column - 3], &targets),
-        });
-        Some((ev.name.clone(), metrics))
-    };
-    let rows: Vec<(String, [f64; 6])> = evals.iter().filter_map(program_row).collect();
-    rows_with_summary(&rows, "Median", median, |column, v| match column {
+/// Print `card` under `title`, one row per scored program of `programs`
+/// (MAPE of ours / LSTM / analytical, then their τ) and a row of column
+/// medians, and then the paper's medians; returns the medians.
+fn print_card(title: &str, card: &Scorecard<3>, programs: &[&str], paper: &str) -> [f64; 6] {
+    let rows: Vec<(String, [f64; 6])> = card
+        .groups
+        .iter()
+        .map(|g| {
+            let Score { mape, tau } = g.score;
+            let metrics = [mape[0], mape[1], mape[2], tau[0], tau[1], tau[2]];
+            (programs[g.id].to_string(), metrics)
+        })
+        .collect();
+    let (rows, medians) = rows_with_summary(&rows, "Median", median, |column, v| match column {
         0..3 => format!("{v:.1}"),
         _ => format!("{v:.2}"),
-    })
+    });
+    print_table(title, &HEADER, &rows);
+    println!("\nPaper medians {paper}");
+    medians
 }
 
 /// Train one model of `family` per seed (like the paper's hyperparameter
@@ -109,11 +95,14 @@ fn select_by_seed<M: KernelModel>(
     best
 }
 
-fn run_split(
+/// The split's test kernels scored by ours, the LSTM and the analytical
+/// model, one group per test program (named in the returned list), and
+/// the two learned models.
+fn run_split<'a>(
     args: &Args,
-    task: &Task,
+    task: &Task<'a>,
     split_name: &str,
-) -> (Vec<ProgramEval>, GnnModel, LstmModel) {
+) -> (Scorecard<3>, Vec<&'a str>, GnnModel, LstmModel) {
     let scale = args.scale;
     let machine = TpuConfig::default();
     let [train, val, test] = task.sizes;
@@ -157,38 +146,29 @@ fn run_split(
     };
 
     // Evaluate per test program. Kernels the analytical model cannot score
-    // (no tile-size options — ~1% in the paper) are excluded from the
-    // comparison, per footnote 3. Scoring goes through an observed
-    // [`Predictor`] session so a `--report` run captures the cache and
-    // model-eval metrics of the serving path (predictions are identical
-    // to calling the analytical model per kernel).
+    // (no tile-size options — ~1% in the paper) leave every column, per
+    // footnote 3: the scorecard drops a row any column did not predict.
+    // Scoring goes through an observed [`Predictor`] session so a
+    // `--report` run captures the cache and model-eval metrics of the
+    // serving path (predictions are identical to calling the analytical
+    // model per kernel).
     let predictor = Predictor::with_cache(&analytical, Arc::new(AtomicCache::serving_default()))
         .observed(&args.registry);
-    let mut evals = Vec::new();
-    for (name, samples) in task.test_by_program(0.0) {
-        let analytical_preds = {
-            let kernels: Vec<&Kernel> = samples.iter().map(|s| &s.kernel).collect();
-            predictor.predict_ns_refs(&kernels).0
-        };
-        let (scored, analytical): (Vec<Sample>, Vec<f64>) = samples
-            .into_iter()
-            .zip(analytical_preds)
-            .filter_map(|(sample, pred)| Some((sample, pred?)))
-            .unzip();
-        if scored.len() < 2 {
-            continue;
+    let mut programs = Vec::new();
+    let mut rows = Vec::new();
+    for (program, (name, samples)) in task.test_by_program(0.0).into_iter().enumerate() {
+        programs.push(name);
+        let kernels: Vec<&Kernel> = samples.iter().map(|s| &s.kernel).collect();
+        let analytical = predictor.predict_ns_refs(&kernels).0;
+        let prepared = prepare(&samples);
+        let learned = predict_log_ns(&gnn, &prepared).zip(predict_log_ns(&lstm, &prepared));
+        for ((sample, (ours, lstm)), analytical) in samples.iter().zip(learned).zip(analytical) {
+            let predictions = [Some(ours.exp()), Some(lstm.exp()), analytical];
+            rows.push((program, sample.runtime_ns, predictions));
         }
-        let prepared = prepare(&scored);
-        evals.push(ProgramEval {
-            name: name.to_string(),
-            targets: scored.iter().map(|s| s.runtime_ns).collect(),
-            ours: predict_log_ns(&gnn, &prepared).map(f64::exp).collect(),
-            lstm: predict_log_ns(&lstm, &prepared).map(f64::exp).collect(),
-            analytical,
-        });
     }
     predictor.record_cache_stats();
-    (evals, gnn, lstm)
+    (rows.into_iter().collect(), programs, gnn, lstm)
 }
 
 /// Run the experiment.
@@ -220,104 +200,86 @@ pub fn run(args: &Args) {
         .map(|e| whole_graph_example(&e.program, &wg_cfg))
         .collect();
     drop(large_corpus);
+    let nodes = holdout.iter().map(|p| p.opcode_ids.len());
+    let (fewest, most) = (nodes.clone().min().unwrap_or(0), nodes.max().unwrap_or(0));
     println!(
-        "large-graph holdout: {} whole-program graphs ({}..{} nodes)",
-        holdout.len(),
-        holdout
-            .iter()
-            .map(|p| p.opcode_ids.len())
-            .min()
-            .unwrap_or(0),
-        holdout
-            .iter()
-            .map(|p| p.opcode_ids.len())
-            .max()
-            .unwrap_or(0),
+        "large-graph holdout: {} whole-program graphs ({fewest}..{most} nodes)",
+        holdout.len()
     );
 
     // --- Random split (Table 2 proper) ---
     let random = Task::new(&corpus, &dataset, corpus.random_split(0), args.caps());
-    let (evals, gnn, lstm) = run_split(args, &random, "random");
-    let (rows, med_big) = metric_rows(&evals, |t| t >= 5_000.0);
-    print_table(
+    let (card, programs, gnn, lstm) = run_split(args, &random, "random");
+    let med_big = print_card(
         "Table 2: fusion task, >=5us kernels, random split",
-        &HEADER,
-        &rows,
+        &card.filtered(|t| t >= 5_000.0),
+        &programs,
+        "(>=5us, random): MAPE 13.9 / 26.6 / 23.9; tau 0.90 / 0.81 / 0.81",
     );
-    println!("\nPaper medians (>=5us, random): MAPE 13.9 / 26.6 / 23.9; tau 0.90 / 0.81 / 0.81");
 
     // Large-graph holdout: whole-program graphs far past FUSION_NODE_LIMIT,
     // a scale regime the per-kernel training distribution never contains.
     // The analytical baseline is per-kernel (tile-driven) and cannot score
     // a whole multi-kernel program, so only the learned models appear.
-    let targets: Vec<f64> = holdout.iter().map(|p| p.runtime_ns).collect();
-    let ours: Vec<f64> = predict_log_ns(&gnn, &holdout).map(f64::exp).collect();
-    let lstm_pred: Vec<f64> = predict_log_ns(&lstm, &holdout).map(f64::exp).collect();
+    let ours = predict_log_ns(&gnn, &holdout).zip(predict_log_ns(&lstm, &holdout));
+    let holdout_card: Scorecard<2> = holdout
+        .iter()
+        .zip(ours)
+        .map(|(p, (o, l))| (0, p.runtime_ns, [Some(o.exp()), Some(l.exp())]))
+        .collect();
+    let Score { mape, tau } = holdout_card.mean;
+    let mut row = vec![format!("{} graphs", holdout.len())];
+    row.extend(mape.map(|v| format!("{v:.1}")));
+    row.extend(tau.map(|v| format!("{v:.2}")));
     print_table(
         "Table 2 addendum: large-graph holdout (whole fused programs, random-split models)",
         &["Holdout", "MAPE Ours", "MAPE LSTM", "tau Ours", "tau LSTM"],
-        &[vec![
-            format!("{} graphs", targets.len()),
-            format!("{:.1}", mape(&ours, &targets)),
-            format!("{:.1}", mape(&lstm_pred, &targets)),
-            format!("{:.2}", kendall_tau(&ours, &targets)),
-            format!("{:.2}", kendall_tau(&lstm_pred, &targets)),
-        ]],
+        &[row],
     );
     println!(
         "\n(whole-program graphs exceed FUSION_NODE_LIMIT = {FUSION_NODE_LIMIT} nodes; \
          the per-kernel analytical baseline cannot score them)"
     );
 
-    let (rows_small, med_small) = metric_rows(&evals, |t| t < 5_000.0);
-    print_table(
+    let med_small = print_card(
         "In-text: fusion task, <5us kernels, random split",
-        &HEADER,
-        &rows_small,
+        &card.filtered(|t| t < 5_000.0),
+        &programs,
+        "(<5us, random): MAPE 8.4 / 12.1 / 21.0; tau 0.82 / 0.82 / 0.71",
     );
-    println!("\nPaper medians (<5us, random): MAPE 8.4 / 12.1 / 21.0; tau 0.82 / 0.82 / 0.71");
 
     // --- Manual split (in-text "harder task") ---
     let manual = Task::new(&corpus, &dataset, corpus.manual_split(), args.caps());
-    let (manual_evals, ..) = run_split(args, &manual, "manual");
-    let (rows_manual, med_manual) = metric_rows(&manual_evals, |t| t >= 5_000.0);
-    print_table(
+    let (manual_card, manual_programs, ..) = run_split(args, &manual, "manual");
+    let med_manual = print_card(
         "In-text: fusion task, >=5us kernels, manual split",
-        &HEADER,
-        &rows_manual,
+        &manual_card.filtered(|t| t >= 5_000.0),
+        &manual_programs,
+        "(>=5us, manual): MAPE 31.8 / 40.0 / 12.6; tau 0.71 / 0.70 / 0.92",
     );
-    println!("\nPaper medians (>=5us, manual): MAPE 31.8 / 40.0 / 12.6; tau 0.71 / 0.70 / 0.92");
 
+    let (ours, lstm, analytical) = (med_big[0], med_big[1], med_big[2]);
     println!("\nShape checks:");
     println!(
-        "  random >=5us: ours-vs-lstm MAPE {:.1} vs {:.1} ({})",
-        med_big[0],
-        med_big[1],
-        if med_big[0] <= med_big[1] {
+        "  random >=5us: ours-vs-lstm MAPE {ours:.1} vs {lstm:.1} ({})",
+        if ours <= lstm {
             "OK: ours <= lstm"
         } else {
             "MISS"
         }
     );
     println!(
-        "  random >=5us: ours-vs-analytical MAPE {:.1} vs {:.1} ({})",
-        med_big[0],
-        med_big[2],
-        if med_big[0] <= med_big[2] {
+        "  random >=5us: ours-vs-analytical MAPE {ours:.1} vs {analytical:.1} ({})",
+        if ours <= analytical {
             "OK: ours <= analytical"
         } else {
             "MISS"
         }
     );
     println!(
-        "  manual harder than random for ours: {:.1} vs {:.1} ({})",
+        "  manual harder than random for ours: {:.1} vs {ours:.1} ({})",
         med_manual[0],
-        med_big[0],
-        if med_manual[0] >= med_big[0] {
-            "OK"
-        } else {
-            "MISS"
-        }
+        if med_manual[0] >= ours { "OK" } else { "MISS" }
     );
     println!(
         "  <5us medians: ours {:.1} lstm {:.1} analytical {:.1}",

@@ -11,9 +11,9 @@ use crate::{corpus, print_table, rows_with_summary, Args, Task};
 use std::time::Instant;
 use tpu_analytical::AnalyticalCost;
 use tpu_dataset::build_tile_dataset;
-use tpu_learned_cost::metrics::{mean, median};
+use tpu_learned_cost::metrics::{median, Scorecard};
 use tpu_learned_cost::{
-    per_group_kendall, predict_log_ns, prepare, train, CostModel, GnnModel, TaskLoss, TrainConfig,
+    predict_log_ns, prepare, train, CostModel, GnnModel, TaskLoss, TrainConfig,
 };
 use tpu_nn::RankPhi;
 use tpu_sim::TpuConfig;
@@ -60,22 +60,21 @@ fn run_split(args: &Args, task: &Task, name: &str) -> (Vec<Vec<String>>, [f64; 3
         if samples.is_empty() {
             continue;
         }
+        // Mean τ over the program's kernels: one group per kernel. Every
+        // example has tile options, so the analytical model scores them
+        // all and the card drops no row.
         let prepared = prepare(&samples);
-        // Kernels the analytical model cannot score count against its own
-        // column only (it is "developed specifically for this task" and
-        // supports all tiled kernels by construction here).
-        let ana_preds = samples
+        let learned =
+            predict_log_ns(&rank_model, &prepared).zip(predict_log_ns(&mse_model, &prepared));
+        let card: Scorecard<3> = samples
             .iter()
-            .map(|s| analytical.predict_kernel_ns(&s.kernel).unwrap_or(f64::NAN));
-        // Mean per-kernel τ (`prepared` carries each example's kernel
-        // group and measured runtime).
-        let program_tau = |preds: Vec<f64>| mean(&per_group_kendall(&preds, &prepared));
-        let taus = [
-            program_tau(predict_log_ns(&rank_model, &prepared).collect()),
-            program_tau(predict_log_ns(&mse_model, &prepared).collect()),
-            program_tau(ana_preds.collect()),
-        ];
-        rows.push((program.to_string(), taus));
+            .zip(learned)
+            .map(|(s, (rank, mse))| {
+                let analytical = analytical.predict_kernel_ns(&s.kernel);
+                (s.group, s.runtime_ns, [Some(rank), Some(mse), analytical])
+            })
+            .collect();
+        rows.push((program.to_string(), card.mean.tau));
     }
     rows_with_summary(&rows, "Median", median, |_, tau| format!("{tau:.2}"))
 }

@@ -27,29 +27,16 @@ use tpu_autotuner::{
     autotune_beam_with_cost_model, autotune_with_cost_model, speedup_over_default, Budgets,
     SearchParams, StartMode,
 };
-use tpu_learned_cost::metrics::{kendall_tau, mape, median};
+use tpu_learned_cost::metrics::Scorecard;
 use tpu_learned_cost::{
     predict_log_ns, prepare, AtomicCache, CostModel, GnnConfig, GnnModel, KernelModel, LstmModel,
     Prepared, Reduction, TaskLoss, TrainConfig, TrainReport,
 };
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
 
-/// Median MAPE and median τ of `model` over the test programs' prepared
-/// evaluation sets.
-fn test_medians<M: KernelModel>(model: &M, by_program: &[Vec<Prepared>]) -> (f64, f64) {
-    let (mapes, taus): (Vec<f64>, Vec<f64>) = by_program
-        .iter()
-        .map(|prepared| {
-            let preds: Vec<f64> = predict_log_ns(model, prepared).map(f64::exp).collect();
-            let targets: Vec<f64> = prepared.iter().map(|p| p.runtime_ns).collect();
-            (mape(&preds, &targets), kendall_tau(&preds, &targets))
-        })
-        .unzip();
-    (median(&mapes), median(&taus))
-}
-
-/// The sweep-table row of one trained variant; says how long the variant
-/// took `since` the last one and restarts that clock.
+/// The sweep-table row of one trained variant: its validation metric and
+/// its median MAPE and τ over the test programs' prepared sets. Says how
+/// long the variant took `since` the last one and restarts that clock.
 fn sweep_row<M: KernelModel>(
     name: &str,
     model: &M,
@@ -57,14 +44,20 @@ fn sweep_row<M: KernelModel>(
     by_program: &[Vec<Prepared>],
     since: &mut Instant,
 ) -> Vec<String> {
-    let (test_mape, test_tau) = test_medians(model, by_program);
+    let mut rows = Vec::new();
+    for (program, prepared) in by_program.iter().enumerate() {
+        for (p, log_ns) in prepared.iter().zip(predict_log_ns(model, prepared)) {
+            rows.push((program, p.runtime_ns, [Some(log_ns.exp())]));
+        }
+    }
+    let card: Scorecard<1> = rows.into_iter().collect();
     println!("{name}: done in {:?}", since.elapsed());
     *since = Instant::now();
     vec![
         name.to_string(),
         format!("{:.1}", rep.best_val),
-        format!("{test_mape:.1}"),
-        format!("{test_tau:.2}"),
+        format!("{:.1}", card.median.mape[0]),
+        format!("{:.2}", card.median.tau[0]),
     ]
 }
 
@@ -83,7 +76,6 @@ pub fn run(args: &Args) {
     let by_program: Vec<Vec<Prepared>> = task
         .test_by_program(5_000.0)
         .iter()
-        .filter(|(_, samples)| samples.len() >= 2)
         .map(|(_, samples)| prepare(samples))
         .collect();
 

@@ -485,7 +485,7 @@ impl<M: CostModel, C: KernelCache> CostModel for Predictor<M, C> {
 /// [`GraphBatch`], as a training step's batch does. Empty input is an
 /// empty output (no forward runs at all).
 ///
-/// Serving does not come here: [`CostModel::predict_batch_ns`] of the
+/// Serving does not come here: [`CostModel::predict_refs_ns`] of the
 /// neural backends runs each kernel through the same forward without a
 /// tape ([`crate::predict_each`]), and gives these bits.
 pub fn forward_log_ns<M: KernelModel + ?Sized>(model: &M, prepared: &[&Prepared]) -> Vec<f64> {

@@ -68,9 +68,8 @@ pub use engine::{
 pub use lstm_model::{LstmConfig, LstmModel};
 pub use model::{GnnArch, GnnConfig, GnnModel, PoolCombo, Reduction, LOG_NS_OFFSET};
 pub use train::{
-    per_group_kendall, prepare, stream_epoch_plan, train, train_resumable, train_step,
-    train_stream, BatchSource, ExampleMeta, KernelModel, StreamConfig, TaskLoss, TrainConfig,
-    TrainReport,
+    prepare, stream_epoch_plan, train, train_resumable, train_step, train_stream, BatchSource,
+    ExampleMeta, KernelModel, StreamConfig, TaskLoss, TrainConfig, TrainReport,
 };
 
 // Re-exported so downstream crates (e.g. the streamed dataset reader) can

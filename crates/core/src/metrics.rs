@@ -1,4 +1,7 @@
-//! Evaluation metrics: MAPE and Kendall's τ (§6).
+//! Evaluation metrics: MAPE and Kendall's τ (§6), and the [`Scorecard`]
+//! that reports them per program or per kernel, as Tables 2 and 3 do.
+
+use std::collections::BTreeMap;
 
 /// Mean absolute percentage error between predictions and targets, in
 /// percent (as reported in Table 2).
@@ -201,6 +204,105 @@ fn pearson(a: &[f64], b: &[f64]) -> f64 {
     cov / (va * vb).sqrt()
 }
 
+/// MAPE and Kendall's τ-b of each of `N` model columns.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Score<const N: usize> {
+    /// [`mape`] of each column against the targets, in percent.
+    pub mape: [f64; N],
+    /// [`kendall_tau`] of each column against the targets.
+    pub tau: [f64; N],
+}
+
+/// One scored group of a [`Scorecard`]: its id, row count and score.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GroupScore<const N: usize> {
+    pub id: usize,
+    pub n: usize,
+    pub score: Score<N>,
+}
+
+/// The accuracy of `N` models against measured targets per group (a
+/// program in Table 2, a kernel's tiles in Table 3), and each column's
+/// mean and median over the groups.
+///
+/// Collected from rows `(group id, target, one prediction per column)`,
+/// under two rules:
+/// - a row counts only if every column predicted it: a `None` drops it
+///   from every column, so the columns compare on one set of kernels
+///   (the paper's footnote 3 for the analytical model);
+/// - a group is scored only if it keeps at least two rows, and groups
+///   are reduced in ascending id order (rows within a group in input
+///   order), so a mean has the same bits in every run: training picks
+///   its best epoch on one.
+#[derive(Clone, Debug)]
+pub struct Scorecard<const N: usize> {
+    rows: Vec<(usize, f64, [Option<f64>; N])>,
+    /// Every group of at least two rows, in ascending id order.
+    pub groups: Vec<GroupScore<N>>,
+    /// The mean over `groups` of each column (NaN without a group).
+    pub mean: Score<N>,
+    /// The median over `groups` of each column (NaN without a group).
+    pub median: Score<N>,
+}
+
+impl<const N: usize> Scorecard<N> {
+    /// The card of the rows whose target `keep`s them.
+    pub fn filtered(&self, keep: impl Fn(f64) -> bool) -> Scorecard<N> {
+        let rows = self.rows.iter().filter(|&&(_, target, _)| keep(target));
+        rows.copied().collect()
+    }
+}
+
+impl<const N: usize> FromIterator<(usize, f64, [Option<f64>; N])> for Scorecard<N> {
+    fn from_iter<I: IntoIterator<Item = (usize, f64, [Option<f64>; N])>>(rows: I) -> Self {
+        let rows: Vec<(usize, f64, [Option<f64>; N])> = rows.into_iter().collect();
+        let mut by_group: BTreeMap<usize, Vec<(f64, [f64; N])>> = BTreeMap::new();
+        for &(id, target, predictions) in &rows {
+            if predictions.iter().all(Option::is_some) {
+                let predictions = predictions.map(Option::unwrap);
+                by_group.entry(id).or_default().push((target, predictions));
+            }
+        }
+        let groups: Vec<GroupScore<N>> = by_group
+            .into_iter()
+            .filter(|(_, group)| group.len() >= 2)
+            .map(|(id, group)| {
+                let targets: Vec<f64> = group.iter().map(|row| row.0).collect();
+                let columns = transpose(group.iter().map(|row| row.1));
+                let score = Score {
+                    mape: columns.each_ref().map(|c| mape(c, &targets)),
+                    tau: columns.each_ref().map(|c| kendall_tau(c, &targets)),
+                };
+                let n = group.len();
+                GroupScore { id, n, score }
+            })
+            .collect();
+        let mapes = transpose(groups.iter().map(|g| g.score.mape));
+        let taus = transpose(groups.iter().map(|g| g.score.tau));
+        let summary = |reduce: fn(&[f64]) -> f64| Score {
+            mape: mapes.each_ref().map(|c| reduce(c)),
+            tau: taus.each_ref().map(|c| reduce(c)),
+        };
+        Scorecard {
+            mean: summary(mean),
+            median: summary(median),
+            groups,
+            rows,
+        }
+    }
+}
+
+/// The `N` columns of `rows`.
+fn transpose<const N: usize>(rows: impl Iterator<Item = [f64; N]>) -> [Vec<f64>; N] {
+    let mut columns: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+    for row in rows {
+        for (column, v) in columns.iter_mut().zip(row) {
+            column.push(v);
+        }
+    }
+    columns
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,5 +424,95 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert!(mean(&[]).is_nan());
+    }
+
+    fn taus(card: &Scorecard<1>) -> Vec<f64> {
+        card.groups.iter().map(|g| g.score.tau[0]).collect()
+    }
+
+    #[test]
+    fn scorecard_respects_groups() {
+        // Predictions perfectly ordered within group 0, inverted in 1.
+        let rows = [(0, 1.0, 0.1), (0, 2.0, 0.2), (1, 5.0, 0.3), (1, 3.0, 0.9)];
+        let card: Scorecard<1> = rows
+            .map(|(g, t, p)| (g, t, [Some(p)]))
+            .into_iter()
+            .collect();
+        assert_eq!(taus(&card), vec![1.0, -1.0]);
+    }
+
+    /// Groups come back in ascending id order, whatever order the rows
+    /// arrive in: validation averages their τ, and a sum taken in hash
+    /// order differs in its last bits between identical runs.
+    #[test]
+    fn scorecard_orders_groups_by_id() {
+        // 80 groups, visited in a scattered order; group g is ranked
+        // correctly iff g is even.
+        let rows = (0..80usize).map(|i| (i * 37) % 80).flat_map(|g| {
+            [(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)]
+                .map(|(t, p)| (g, t, [Some(if g % 2 == 0 { p } else { -p })]))
+        });
+        let card: Scorecard<1> = rows.collect();
+        let ids: Vec<usize> = card.groups.iter().map(|g| g.id).collect();
+        assert_eq!(ids, (0..80).collect::<Vec<_>>());
+        for (g, tau) in taus(&card).iter().enumerate() {
+            assert_eq!(*tau, if g % 2 == 0 { 1.0 } else { -1.0 }, "group {g}");
+        }
+    }
+
+    /// Two columns, worked by hand: a tie, a group of one, a constant
+    /// column and a row that one column did not predict.
+    #[test]
+    fn scorecard_hand_computed() {
+        let card: Scorecard<2> = [
+            // Group 7: column 0 ranks right, column 1 inverts.
+            (7, 10.0, [Some(10.0), Some(30.0)]),
+            (7, 20.0, [Some(30.0), Some(10.0)]),
+            // Group 3: column 0 ties its last two rows, column 1 is
+            // constant; the fourth row has no column-1 prediction and
+            // leaves both columns.
+            (3, 100.0, [Some(110.0), Some(100.0)]),
+            (3, 200.0, [Some(180.0), Some(100.0)]),
+            (3, 400.0, [Some(180.0), Some(100.0)]),
+            (3, 300.0, [Some(500.0), None]),
+            // Group 1 has one row: not scored.
+            (1, 50.0, [Some(40.0), Some(60.0)]),
+        ]
+        .into_iter()
+        .collect();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        let ids: Vec<(usize, usize)> = card.groups.iter().map(|g| (g.id, g.n)).collect();
+        assert_eq!(ids, vec![(3, 3), (7, 2)]);
+
+        // Group 3, column 0: APEs 10 %, 10 %, 55 %; pairs 2 concordant,
+        // 1 tied in the prediction only: τ-b = 2 / √(2·3).
+        // Column 1: APEs 0 %, 50 %, 75 %; constant, so τ 0.
+        let g3 = card.groups[0].score;
+        assert!(
+            close(g3.mape[0], 25.0) && close(g3.mape[1], 125.0 / 3.0),
+            "{g3:?}"
+        );
+        assert!(
+            close(g3.tau[0], 2.0 / 6f64.sqrt()) && g3.tau[1] == 0.0,
+            "{g3:?}"
+        );
+        // Group 7: APEs 0 % and 50 % in column 0, 200 % and 50 % in 1.
+        let g7 = card.groups[1].score;
+        assert_eq!((g7.mape, g7.tau), ([25.0, 125.0], [1.0, -1.0]));
+
+        // Two groups: mean and median agree.
+        for summary in [card.mean, card.median] {
+            assert!(close(summary.mape[0], 25.0));
+            assert!(close(summary.mape[1], (125.0 / 3.0 + 125.0) / 2.0));
+            assert!(close(summary.tau[0], (2.0 / 6f64.sqrt() + 1.0) / 2.0));
+            assert!(close(summary.tau[1], -0.5));
+        }
+
+        // A target filter rescores the kept rows: group 7 falls away.
+        let big = card.filtered(|t| t >= 100.0);
+        assert_eq!(big.groups, card.groups[..1]);
+        assert_eq!(big.median, g3);
+        let none = card.filtered(|t| t > 1e6);
+        assert!(none.groups.is_empty() && none.mean.tau[0].is_nan());
     }
 }

@@ -9,7 +9,7 @@ use crate::checkpoint::{
 };
 use crate::cost_model::predict_log_ns;
 use crate::lstm_model::LstmModel;
-use crate::metrics::{kendall_tau, mape, mean};
+use crate::metrics::{mean, Scorecard};
 use crate::model::GnnModel;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -185,45 +185,25 @@ pub fn prepare(samples: &[Sample]) -> Vec<Prepared> {
     Prepared::from_samples(samples)
 }
 
-/// Validation metric: fusion → MAPE on ns (lower better); tile → mean
-/// per-group Kendall τ (higher better).
+/// Validation metric: fusion → MAPE on ns over the whole set as one
+/// group (lower better); tile → mean Kendall τ over the kernel groups
+/// (higher better). NaN when nothing is scored.
 pub(crate) fn validation_metric<M: KernelModel>(
     model: &M,
     val: &[Prepared],
     loss: TaskLoss,
 ) -> f64 {
-    if val.is_empty() {
-        return f64::NAN;
-    }
-    let preds = predict_log_ns(model, val);
+    let rows = val.iter().zip(predict_log_ns(model, val));
+    let card: Scorecard<1> = rows
+        .map(|(p, log_ns)| match loss {
+            TaskLoss::FusionLogMse => (0, p.runtime_ns, [Some(log_ns.exp())]),
+            TaskLoss::TileRank(_) | TaskLoss::TileMse => (p.group, p.runtime_ns, [Some(log_ns)]),
+        })
+        .collect();
     match loss {
-        TaskLoss::FusionLogMse => {
-            let pred_ns: Vec<f64> = preds.map(f64::exp).collect();
-            let targets: Vec<f64> = val.iter().map(|p| p.runtime_ns).collect();
-            mape(&pred_ns, &targets)
-        }
-        TaskLoss::TileRank(_) | TaskLoss::TileMse => {
-            mean(&per_group_kendall(&preds.collect::<Vec<_>>(), val))
-        }
+        TaskLoss::FusionLogMse => card.mean.mape[0],
+        TaskLoss::TileRank(_) | TaskLoss::TileMse => card.mean.tau[0],
     }
-}
-
-/// Kendall τ between predictions and targets within each group of at
-/// least two samples, in ascending group-id order: callers average the
-/// result, and an f64 sum taken in a `HashMap`'s process-random order
-/// would differ in its last bits between identical runs.
-pub fn per_group_kendall(preds: &[f64], prepared: &[Prepared]) -> Vec<f64> {
-    let mut by_group: BTreeMap<usize, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
-    for (p, item) in preds.iter().zip(prepared) {
-        let e = by_group.entry(item.group).or_default();
-        e.0.push(*p);
-        e.1.push(item.runtime_ns);
-    }
-    by_group
-        .values()
-        .filter(|(a, _)| a.len() >= 2)
-        .map(|(a, b)| kendall_tau(a, b))
-        .collect()
 }
 
 /// Tile-task batches: whole rank groups packed greedily up to
@@ -1120,46 +1100,6 @@ mod tests {
     }
 
     #[test]
-    fn per_group_kendall_respects_groups() {
-        let k = ew_kernel(256, 256);
-        let mut prepared = Vec::new();
-        for (g, t) in [(0usize, 1.0f64), (0, 2.0), (1, 5.0), (1, 3.0)] {
-            prepared.push(Prepared::from_sample(&Sample::grouped(k.clone(), t, g)));
-        }
-        // Predictions perfectly ordered within group 0, inverted in 1.
-        let preds = [0.1, 0.2, 0.3, 0.9];
-        let taus = per_group_kendall(&preds, &prepared);
-        assert_eq!(taus.len(), 2);
-        let mut sorted = taus.clone();
-        sorted.sort_by(f64::total_cmp);
-        assert_eq!(sorted, vec![-1.0, 1.0]);
-    }
-
-    /// The taus come back in ascending group-id order, whatever order the
-    /// samples arrive in: `validation_metric` averages them, and a sum
-    /// taken in hash order differs in its last bits between identical
-    /// runs.
-    #[test]
-    fn per_group_kendall_orders_by_group_id() {
-        let k = ew_kernel(64, 64);
-        let mut prepared = Vec::new();
-        let mut preds = Vec::new();
-        // 80 groups, visited in a scattered order; group g is ranked
-        // correctly iff g is even.
-        for g in (0..80usize).map(|i| (i * 37) % 80) {
-            for (t, pred) in [(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)] {
-                prepared.push(Prepared::from_sample(&Sample::grouped(k.clone(), t, g)));
-                preds.push(if g % 2 == 0 { pred } else { -pred });
-            }
-        }
-        let taus = per_group_kendall(&preds, &prepared);
-        assert_eq!(taus.len(), 80);
-        for (g, tau) in taus.iter().enumerate() {
-            assert_eq!(*tau, if g % 2 == 0 { 1.0 } else { -1.0 }, "group {g}");
-        }
-    }
-
-    #[test]
     fn tile_size_feature_changes_prediction() {
         // The tile sub-vector must flow through the model: same kernel,
         // different tile, different prediction.
@@ -1178,10 +1118,19 @@ mod obs_tests {
     use tpu_hlo::{DType, GraphBuilder, Kernel, Shape};
     use tpu_sim::{kernel_time_ns, TpuConfig};
 
+    /// Three training kernels and two validation kernels: a validation
+    /// MAPE needs a group of at least two.
     fn tiny_dataset() -> (Vec<Prepared>, Vec<Prepared>) {
         let cfg = TpuConfig::default();
         let mut samples = Vec::new();
-        for &(r, c) in &[(64usize, 128usize), (256, 256), (512, 512), (1024, 1024)] {
+        let shapes = [
+            (64usize, 128usize),
+            (256, 256),
+            (512, 512),
+            (1024, 1024),
+            (128, 2048),
+        ];
+        for &(r, c) in &shapes {
             let mut b = GraphBuilder::new("k");
             let x = b.parameter("x", Shape::matrix(r, c), DType::F32);
             let t = b.tanh(x);

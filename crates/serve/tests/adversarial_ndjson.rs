@@ -37,12 +37,15 @@ use proptest::prelude::*;
 use serde::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::io::Cursor;
 use std::sync::Arc;
 use support::mutations;
 use tpu_dataset::{Corpus, CorpusScale};
 use tpu_fusion::{apply_fusion, default_space_and_config};
-use tpu_hlo::{canonical_kernel_hash, ConvAttrs, DType, GraphBuilder, Kernel, OpAttrs, Shape};
+use tpu_hlo::{
+    canonical_kernel_hash, ConvAttrs, DType, GraphBuilder, Kernel, KernelKind, OpAttrs, Shape,
+};
 use tpu_learned_cost::{AtomicCache, KernelCache, SimOracle};
 use tpu_obs::Registry;
 use tpu_serve::protocol::{
@@ -778,18 +781,44 @@ proptest! {
         ops in proptest::collection::vec(any::<bool>(), 1..5),
         reduce in any::<bool>(),
         tile in 0usize..16,
+        other_tile in 0usize..16,
+        other_kind in 0usize..KernelKind::all().len(),
     ) {
         // A tile of 0 rows stands for no tile.
         let kernel = generated_kernel(rows, cols, &ops, reduce, (tile > 0).then_some(tile));
+        // The same text under another tile, and under another kind: the
+        // text key must tell each from the first wherever the canonical
+        // key does.
+        let other_tile = (other_tile > 0).then_some(other_tile);
+        let retiled = generated_kernel(rows, cols, &ops, reduce, other_tile);
+        let mut rekinded = kernel.clone();
+        rekinded.kind = KernelKind::all()[other_kind];
+        let spellings = [kernel, retiled, rekinded];
         let engine = default_daemon();
-        let line = format!("{}\n", predict_request_line(1, &kernel));
-        // A miss, then a text hit of the same bytes.
-        let replies = serve(&engine, line.repeat(2).into_bytes());
-        let canonical = engine.submit_with_deadline(kernel.clone(), None).unwrap();
-        prop_assert_eq!(&replies[0], &replies[1]);
-        prop_assert_eq!(&replies[1], &predict_reply(1, canonical.ns, canonical.degraded));
-        let stats = engine.stats();
-        prop_assert_eq!((stats.predict.model_evals, stats.predict.cache_hits), (1, 2));
+        // Per spelling, a miss (or a canonical hit), then a text hit of
+        // the same bytes.
+        let input: String = (1..)
+            .zip(&spellings)
+            .map(|(id, kernel)| format!("{}\n", predict_request_line(id, kernel)).repeat(2))
+            .collect();
+        let replies = serve(&engine, input.into_bytes());
+        prop_assert_eq!(replies.len(), 6);
+        // One model evaluation per distinct canonical kernel, a cache hit
+        // for every other line; then each spelling's canonical submit hits.
+        let keys: HashSet<u64> = spellings.iter().map(canonical_kernel_hash).collect();
+        let distinct = keys.len() as u64;
+        let counts = |engine: &ServeEngine| {
+            let stats = engine.stats().predict;
+            (stats.model_evals, stats.cache_hits)
+        };
+        prop_assert_eq!(counts(&engine), (distinct, 6 - distinct));
+        for ((id, kernel), pair) in (1..).zip(&spellings).zip(replies.chunks(2)) {
+            let canonical = engine.submit_with_deadline(kernel.clone(), None).unwrap();
+            let reply = predict_reply(id, canonical.ns, canonical.degraded);
+            prop_assert_eq!(&pair[0], &reply);
+            prop_assert_eq!(&pair[1], &reply);
+        }
+        prop_assert_eq!(counts(&engine), (distinct, 9 - distinct));
         engine.shutdown();
     }
 }

@@ -1,11 +1,11 @@
 //! The frozen backend behind the serve stack: determinism and backend
 //! visibility.
 //!
-//! The frozen forward batches through `FrozenModel::predict_batch_ns`.
-//! Each kernel's f32 summation order is fixed and kernels are
-//! independent, so the same request stream must produce byte-identical
-//! replies every time it is served, and the stats reply must name
-//! `frozen-gnn` as the active backend.
+//! The serve path asks the frozen model through
+//! `FrozenModel::predict_refs_ns`. Each kernel's f32 summation order is
+//! fixed and kernels are independent, so the same request stream must
+//! produce byte-identical replies every time it is served, and the stats
+//! reply must name `frozen-gnn` as the active backend.
 
 use std::io::Cursor;
 use std::sync::Arc;
