@@ -16,9 +16,7 @@
 //! to `path` and resumes them on rerun (bit-identical to an
 //! uninterrupted run).
 
-use crate::{
-    corpus, fit_analytical, print_table, rows_with_summary, train_best, Args, Scale, Task,
-};
+use crate::{corpus, fit_analytical, print_table, train_best, Args, Scale, Task};
 use std::sync::Arc;
 use std::time::Instant;
 use tpu_dataset::{
@@ -26,12 +24,15 @@ use tpu_dataset::{
     FUSION_NODE_LIMIT,
 };
 use tpu_hlo::Kernel;
-use tpu_learned_cost::metrics::{median, Score, Scorecard};
+use tpu_learned_cost::metrics::{Score, Scorecard};
 use tpu_learned_cost::{
     predict_log_ns, prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel,
     Predictor, Prepared,
 };
 use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
+
+/// (test program, measured runtime, [ours, LSTM, analytical]) of a kernel.
+type Row = (usize, f64, [Option<f64>; 3]);
 
 /// The columns of every per-program accuracy table.
 const HEADER: [&str; 7] = [
@@ -44,26 +45,29 @@ const HEADER: [&str; 7] = [
     "tau Analytical",
 ];
 
+/// `label`, then one cell per MAPE (one decimal) and per τ (two).
+fn score_row<const N: usize>(label: &str, score: &Score<N>) -> Vec<String> {
+    let mape = score.mape.iter().map(|v| format!("{v:.1}"));
+    let tau = score.tau.iter().map(|v| format!("{v:.2}"));
+    std::iter::once(label.to_string())
+        .chain(mape)
+        .chain(tau)
+        .collect()
+}
+
 /// Print `card` under `title`, one row per scored program of `programs`
 /// (MAPE of ours / LSTM / analytical, then their τ) and a row of column
 /// medians, and then the paper's medians; returns the medians.
-fn print_card(title: &str, card: &Scorecard<3>, programs: &[&str], paper: &str) -> [f64; 6] {
-    let rows: Vec<(String, [f64; 6])> = card
+fn print_card(title: &str, card: Scorecard<3>, programs: &[&str], paper: &str) -> Score<3> {
+    let mut table: Vec<Vec<String>> = card
         .groups
         .iter()
-        .map(|g| {
-            let Score { mape, tau } = g.score;
-            let metrics = [mape[0], mape[1], mape[2], tau[0], tau[1], tau[2]];
-            (programs[g.id].to_string(), metrics)
-        })
+        .map(|g| score_row(programs[g.id], &g.score))
         .collect();
-    let (rows, medians) = rows_with_summary(&rows, "Median", median, |column, v| match column {
-        0..3 => format!("{v:.1}"),
-        _ => format!("{v:.2}"),
-    });
-    print_table(title, &HEADER, &rows);
+    table.push(score_row("Median", &card.median));
+    print_table(title, &HEADER, &table);
     println!("\nPaper medians {paper}");
-    medians
+    card.median
 }
 
 /// Train one model of `family` per seed (like the paper's hyperparameter
@@ -95,14 +99,13 @@ fn select_by_seed<M: KernelModel>(
     best
 }
 
-/// The split's test kernels scored by ours, the LSTM and the analytical
-/// model, one group per test program (named in the returned list), and
-/// the two learned models.
+/// The split's test kernels as rows, the test programs' names, and the
+/// two learned models.
 fn run_split<'a>(
     args: &Args,
     task: &Task<'a>,
     split_name: &str,
-) -> (Scorecard<3>, Vec<&'a str>, GnnModel, LstmModel) {
+) -> (Vec<Row>, Vec<&'a str>, GnnModel, LstmModel) {
     let scale = args.scale;
     let machine = TpuConfig::default();
     let [train, val, test] = task.sizes;
@@ -168,7 +171,7 @@ fn run_split<'a>(
         }
     }
     predictor.record_cache_stats();
-    (rows.into_iter().collect(), programs, gnn, lstm)
+    (rows, programs, gnn, lstm)
 }
 
 /// Run the experiment.
@@ -209,10 +212,10 @@ pub fn run(args: &Args) {
 
     // --- Random split (Table 2 proper) ---
     let random = Task::new(&corpus, &dataset, corpus.random_split(0), args.caps());
-    let (card, programs, gnn, lstm) = run_split(args, &random, "random");
+    let (rows, programs, gnn, lstm) = run_split(args, &random, "random");
     let med_big = print_card(
         "Table 2: fusion task, >=5us kernels, random split",
-        &card.filtered(|t| t >= 5_000.0),
+        rows.iter().filter(|r| r.1 >= 5_000.0).copied().collect(),
         &programs,
         "(>=5us, random): MAPE 13.9 / 26.6 / 23.9; tau 0.90 / 0.81 / 0.81",
     );
@@ -221,16 +224,11 @@ pub fn run(args: &Args) {
     // a scale regime the per-kernel training distribution never contains.
     // The analytical baseline is per-kernel (tile-driven) and cannot score
     // a whole multi-kernel program, so only the learned models appear.
-    let ours = predict_log_ns(&gnn, &holdout).zip(predict_log_ns(&lstm, &holdout));
-    let holdout_card: Scorecard<2> = holdout
-        .iter()
-        .zip(ours)
-        .map(|(p, (o, l))| (0, p.runtime_ns, [Some(o.exp()), Some(l.exp())]))
-        .collect();
-    let Score { mape, tau } = holdout_card.mean;
-    let mut row = vec![format!("{} graphs", holdout.len())];
-    row.extend(mape.map(|v| format!("{v:.1}")));
-    row.extend(tau.map(|v| format!("{v:.2}")));
+    let targets: Vec<f64> = holdout.iter().map(|p| p.runtime_ns).collect();
+    let ours_ns: Vec<f64> = predict_log_ns(&gnn, &holdout).map(f64::exp).collect();
+    let lstm_ns: Vec<f64> = predict_log_ns(&lstm, &holdout).map(f64::exp).collect();
+    let score = Score::of(&[ours_ns, lstm_ns], &targets);
+    let row = score_row(&format!("{} graphs", holdout.len()), &score);
     print_table(
         "Table 2 addendum: large-graph holdout (whole fused programs, random-split models)",
         &["Holdout", "MAPE Ours", "MAPE LSTM", "tau Ours", "tau LSTM"],
@@ -243,22 +241,22 @@ pub fn run(args: &Args) {
 
     let med_small = print_card(
         "In-text: fusion task, <5us kernels, random split",
-        &card.filtered(|t| t < 5_000.0),
+        rows.iter().filter(|r| r.1 < 5_000.0).copied().collect(),
         &programs,
         "(<5us, random): MAPE 8.4 / 12.1 / 21.0; tau 0.82 / 0.82 / 0.71",
     );
 
     // --- Manual split (in-text "harder task") ---
     let manual = Task::new(&corpus, &dataset, corpus.manual_split(), args.caps());
-    let (manual_card, manual_programs, ..) = run_split(args, &manual, "manual");
+    let (manual_rows, manual_programs, ..) = run_split(args, &manual, "manual");
     let med_manual = print_card(
         "In-text: fusion task, >=5us kernels, manual split",
-        &manual_card.filtered(|t| t >= 5_000.0),
+        manual_rows.into_iter().filter(|r| r.1 >= 5_000.0).collect(),
         &manual_programs,
         "(>=5us, manual): MAPE 31.8 / 40.0 / 12.6; tau 0.71 / 0.70 / 0.92",
     );
 
-    let (ours, lstm, analytical) = (med_big[0], med_big[1], med_big[2]);
+    let [ours, lstm, analytical] = med_big.mape;
     println!("\nShape checks:");
     println!(
         "  random >=5us: ours-vs-lstm MAPE {ours:.1} vs {lstm:.1} ({})",
@@ -276,15 +274,13 @@ pub fn run(args: &Args) {
             "MISS"
         }
     );
+    let manual = med_manual.mape[0];
     println!(
-        "  manual harder than random for ours: {:.1} vs {ours:.1} ({})",
-        med_manual[0],
-        if med_manual[0] >= ours { "OK" } else { "MISS" }
+        "  manual harder than random for ours: {manual:.1} vs {ours:.1} ({})",
+        if manual >= ours { "OK" } else { "MISS" }
     );
-    println!(
-        "  <5us medians: ours {:.1} lstm {:.1} analytical {:.1}",
-        med_small[0], med_small[1], med_small[2]
-    );
+    let [ours, lstm, analytical] = med_small.mape;
+    println!("  <5us medians: ours {ours:.1} lstm {lstm:.1} analytical {analytical:.1}");
 
     // The "Ours" column's serving backend (the per-split models are dropped
     // by now; the name is a per-type constant).

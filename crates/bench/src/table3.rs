@@ -60,9 +60,9 @@ fn run_split(args: &Args, task: &Task, name: &str) -> (Vec<Vec<String>>, [f64; 3
         if samples.is_empty() {
             continue;
         }
-        // Mean τ over the program's kernels: one group per kernel. Every
-        // example has tile options, so the analytical model scores them
-        // all and the card drops no row.
+        // Mean τ over the program's kernels: one group per kernel. The
+        // analytical model scores every tile example, so the card drops
+        // no row (`analytical_scores_every_tile_example`).
         let prepared = prepare(&samples);
         let learned =
             predict_log_ns(&rank_model, &prepared).zip(predict_log_ns(&mse_model, &prepared));
@@ -125,4 +125,34 @@ pub fn run(args: &Args) {
         r[0],
         if m[0] <= r[0] + 0.05 { "OK" } else { "MISS" }
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Scale;
+    use tpu_fusion::{apply_fusion, default_space_and_config};
+    use tpu_tile::valid_tile_sizes;
+
+    /// The tile dataset measures each of a kernel's `valid_tile_sizes`;
+    /// the analytical model must score every one, up to the full-scale
+    /// tile cap, or the scorecard would drop that row from the rank and
+    /// MSE columns too.
+    #[test]
+    fn analytical_scores_every_tile_example() {
+        let cfg = Scale::Full.tile_cfg();
+        let analytical = AnalyticalCost::new(cfg.machine.clone());
+        let mut tiles = 0;
+        for entry in &corpus(Scale::Quick).entries {
+            let (space, default) = default_space_and_config(&entry.program.computation);
+            for k in apply_fusion(&entry.program, &space, &default).kernels {
+                for t in valid_tile_sizes(&k, &cfg.machine, cfg.max_tiles_per_kernel) {
+                    let tiled = k.clone().with_tile(t);
+                    assert!(analytical.predict_kernel_ns(&tiled).is_some(), "{tiled:?}");
+                    tiles += 1;
+                }
+            }
+        }
+        assert!(tiles > 0);
+    }
 }

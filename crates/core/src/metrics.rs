@@ -213,11 +213,21 @@ pub struct Score<const N: usize> {
     pub tau: [f64; N],
 }
 
-/// One scored group of a [`Scorecard`]: its id, row count and score.
+impl<const N: usize> Score<N> {
+    /// Each of `columns` against `targets` as one whole set, with no
+    /// group rule (one row: its APE, τ 0). Panics where [`mape`] does.
+    pub fn of(columns: &[Vec<f64>; N], targets: &[f64]) -> Self {
+        Score {
+            mape: columns.each_ref().map(|c| mape(c, targets)),
+            tau: columns.each_ref().map(|c| kendall_tau(c, targets)),
+        }
+    }
+}
+
+/// One scored group of a [`Scorecard`]: its id and score.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GroupScore<const N: usize> {
     pub id: usize,
-    pub n: usize,
     pub score: Score<N>,
 }
 
@@ -234,9 +244,10 @@ pub struct GroupScore<const N: usize> {
 ///   are reduced in ascending id order (rows within a group in input
 ///   order), so a mean has the same bits in every run: training picks
 ///   its best epoch on one.
+///
+/// A whole set scored as one, with no group rule, is [`Score::of`].
 #[derive(Clone, Debug)]
 pub struct Scorecard<const N: usize> {
-    rows: Vec<(usize, f64, [Option<f64>; N])>,
     /// Every group of at least two rows, in ascending id order.
     pub groups: Vec<GroupScore<N>>,
     /// The mean over `groups` of each column (NaN without a group).
@@ -245,19 +256,10 @@ pub struct Scorecard<const N: usize> {
     pub median: Score<N>,
 }
 
-impl<const N: usize> Scorecard<N> {
-    /// The card of the rows whose target `keep`s them.
-    pub fn filtered(&self, keep: impl Fn(f64) -> bool) -> Scorecard<N> {
-        let rows = self.rows.iter().filter(|&&(_, target, _)| keep(target));
-        rows.copied().collect()
-    }
-}
-
 impl<const N: usize> FromIterator<(usize, f64, [Option<f64>; N])> for Scorecard<N> {
     fn from_iter<I: IntoIterator<Item = (usize, f64, [Option<f64>; N])>>(rows: I) -> Self {
-        let rows: Vec<(usize, f64, [Option<f64>; N])> = rows.into_iter().collect();
         let mut by_group: BTreeMap<usize, Vec<(f64, [f64; N])>> = BTreeMap::new();
-        for &(id, target, predictions) in &rows {
+        for (id, target, predictions) in rows {
             if predictions.iter().all(Option::is_some) {
                 let predictions = predictions.map(Option::unwrap);
                 by_group.entry(id).or_default().push((target, predictions));
@@ -269,12 +271,8 @@ impl<const N: usize> FromIterator<(usize, f64, [Option<f64>; N])> for Scorecard<
             .map(|(id, group)| {
                 let targets: Vec<f64> = group.iter().map(|row| row.0).collect();
                 let columns = transpose(group.iter().map(|row| row.1));
-                let score = Score {
-                    mape: columns.each_ref().map(|c| mape(c, &targets)),
-                    tau: columns.each_ref().map(|c| kendall_tau(c, &targets)),
-                };
-                let n = group.len();
-                GroupScore { id, n, score }
+                let score = Score::of(&columns, &targets);
+                GroupScore { id, score }
             })
             .collect();
         let mapes = transpose(groups.iter().map(|g| g.score.mape));
@@ -287,7 +285,6 @@ impl<const N: usize> FromIterator<(usize, f64, [Option<f64>; N])> for Scorecard<
             mean: summary(mean),
             median: summary(median),
             groups,
-            rows,
         }
     }
 }
@@ -464,7 +461,7 @@ mod tests {
     /// column and a row that one column did not predict.
     #[test]
     fn scorecard_hand_computed() {
-        let card: Scorecard<2> = [
+        let rows = [
             // Group 7: column 0 ranks right, column 1 inverts.
             (7, 10.0, [Some(10.0), Some(30.0)]),
             (7, 20.0, [Some(30.0), Some(10.0)]),
@@ -477,12 +474,14 @@ mod tests {
             (3, 300.0, [Some(500.0), None]),
             // Group 1 has one row: not scored.
             (1, 50.0, [Some(40.0), Some(60.0)]),
-        ]
-        .into_iter()
-        .collect();
+        ];
+        let card: Scorecard<2> = rows.into_iter().collect();
         let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
-        let ids: Vec<(usize, usize)> = card.groups.iter().map(|g| (g.id, g.n)).collect();
-        assert_eq!(ids, vec![(3, 3), (7, 2)]);
+        let ids: Vec<usize> = card.groups.iter().map(|g| g.id).collect();
+        assert_eq!(ids, vec![3, 7]);
+        // Group 1 scored as a whole set of its own, with no group rule.
+        let g1 = Score::of(&[vec![40.0], vec![60.0]], &[50.0]);
+        assert_eq!((g1.mape, g1.tau), ([20.0, 20.0], [0.0, 0.0]));
 
         // Group 3, column 0: APEs 10 %, 10 %, 55 %; pairs 2 concordant,
         // 1 tied in the prediction only: τ-b = 2 / √(2·3).
@@ -508,11 +507,15 @@ mod tests {
             assert!(close(summary.tau[1], -0.5));
         }
 
-        // A target filter rescores the kept rows: group 7 falls away.
-        let big = card.filtered(|t| t >= 100.0);
+        // A target filter over the rows rescores what it keeps: group 7
+        // falls away.
+        let view = |keep: fn(f64) -> bool| -> Scorecard<2> {
+            rows.into_iter().filter(|r| keep(r.1)).collect()
+        };
+        let big = view(|t| t >= 100.0);
         assert_eq!(big.groups, card.groups[..1]);
         assert_eq!(big.median, g3);
-        let none = card.filtered(|t| t > 1e6);
+        let none = view(|t| t > 1e6);
         assert!(none.groups.is_empty() && none.mean.tau[0].is_nan());
     }
 }
