@@ -38,7 +38,7 @@ impl Calibration {
                     // so each coefficient stays a ratio over successfully
                     // measured kernels. A fault-free device never errors,
                     // so under `FaultPlan::none()` this is bit-identical
-                    // to the historical `measure_kernel(k, 3)` path.
+                    // to `measure_kernel(k, 3)`.
                     let measured = device
                         .try_measure_kernel(k, 3)
                         .or_else(|_| device.try_measure_kernel(k, 3));

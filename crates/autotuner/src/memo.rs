@@ -5,7 +5,7 @@
 //! a search share almost all of their groups: a candidate differs from one
 //! scored a batch earlier in one to four decisions, and a flipped decision
 //! changes the groups of the fused region it touches and no others
-//! (DESIGN.md, "Fusion planning is local"). So whoever scores
+//! (DESIGN.md "Fusion planning is local"). So whoever scores
 //! configurations hands each batch to a [`Planner`], which
 //!
 //! - remembers the previous batch's plans, each with its configuration's

@@ -137,8 +137,8 @@ impl SaObs {
 }
 
 /// The RNG seed of a chain. The golden-ratio stride decorrelates chains
-/// while chain 0 keeps the bare seed, so a `chains == 1` run reproduces
-/// the historical single-chain stream bit-for-bit.
+/// while chain 0 keeps the bare seed, so a `chains == 1` run draws the
+/// stream of a single-chain annealer seeded with `seed`, bit for bit.
 fn chain_seed(seed: u64, chain: usize) -> u64 {
     seed ^ (chain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

@@ -20,7 +20,7 @@ usage: tpu-bench <experiment> [--quick] [flags]
 /// Which model-guided searcher drives the autotuning demo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchAlgo {
-    /// Multi-chain simulated annealing (the historical default).
+    /// Multi-chain simulated annealing (the default).
     Sa,
     /// Transposition-table-backed beam search.
     Beam,

@@ -1,7 +1,6 @@
 //! A lock-free, fixed-capacity prediction cache with atomic packed
-//! entries — the serving-grade replacement for the historical
-//! sharded-mutex map (now the test-only reference under
-//! `tests/support/`).
+//! entries. A lossless sharded-mutex map is the reference the property
+//! tests compare it against (`tests/support/` at the workspace root).
 //!
 //! The serving workload (a daemon answering kernel-cost queries from many
 //! concurrent autotuner clients, §6.3 at fleet scale) is read-mostly and
@@ -43,10 +42,8 @@
 //!
 //! The slot array is allocated once at construction and never grows:
 //! [`AtomicCache::with_capacity`]`(n)` holds **at most exactly `n`**
-//! entries (unlike the historical sharded cache, whose per-shard
-//! rounding could overshoot small capacities). Inserting into a full
-//! probe window lossily replaces the window's first slot and counts an
-//! eviction.
+//! entries. Inserting into a full probe window lossily replaces the
+//! window's first slot and counts an eviction.
 
 use crate::engine::{CacheStats, KernelCache};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,21 +113,19 @@ impl Slot {
 /// Lock-free, fixed-capacity, open-addressed prediction cache keyed by
 /// the canonical kernel hash.
 ///
-/// Drop-in serving replacement for the historical sharded-mutex map
-/// behind the [`KernelCache`] trait: the same [`CacheStats`] snapshot
-/// (evictions and resident entries) and the same `Option<Option<f64>>`
+/// Behind the [`KernelCache`] trait it gives the [`CacheStats`] snapshot
+/// (evictions and resident entries) and the `Option<Option<f64>>`
 /// lookup contract (the cached value may itself be `None` for a kernel
 /// the backend cannot score). A probe writes nothing: hits are counted
 /// once, by [`predict_keyed`](crate::predict_keyed), in
-/// [`EngineCounters`](crate::EngineCounters). The differences are
-/// deliberate serving trade-offs:
+/// [`EngineCounters`](crate::EngineCounters). Unlike a lossless map it
+/// makes deliberate serving trade-offs:
 ///
 /// - **lossy**: an insert may replace a colliding resident entry (or be
 ///   lost outright in a writer/writer race) — sound because predictions
 ///   are pure functions of the kernel and the frozen weights, so a lost
 ///   entry only costs a recomputation;
-/// - **bounded exactly**: never more than `capacity()` resident entries,
-///   with no per-shard rounding;
+/// - **bounded exactly**: never more than `capacity()` resident entries;
 /// - **lock-free**: probes and inserts are a bounded number of atomic
 ///   loads/stores; no operation can block another thread, and a verified
 ///   hit can never return a value written for a different key (see the

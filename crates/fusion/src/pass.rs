@@ -18,7 +18,7 @@
 //! comparing ids.
 //!
 //! Planning is **local**: the plan of a connected component of fused
-//! producer→consumer edges reads nothing outside the component (DESIGN.md,
+//! producer→consumer edges reads nothing outside the component (DESIGN.md
 //! "Fusion planning is local"). So there is one planning body, run over a
 //! node set. [`FusionPlanner::plan`] (under [`fusion_groups`]) runs it over
 //! every node; [`FusionPlanner::replan`] runs it over the components that a

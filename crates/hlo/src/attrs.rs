@@ -443,10 +443,9 @@ impl OpAttrs {
         }
     }
 
-    /// These attributes, with `is_output`, as the eleven fields every node
-    /// carried before each opcode held its own: what the canonical key
-    /// bytes and `Node`'s `Debug` text are written from, so both read as
-    /// they did.
+    /// These attributes, with `is_output`, as eleven fields, every one but
+    /// the node's own at its default: what the canonical key bytes are
+    /// written from, in the order and form that keeps every recorded key.
     pub(crate) fn fields(&self, is_output: bool) -> Fields<'_> {
         let mut f = Fields {
             is_output,

@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use tpu_infer::{freeze_gnn, freeze_lstm, probe_kernels, FrozenError, FrozenModel, MAGIC, VERSION};
-use tpu_learned_cost::{CostModel, GnnConfig, GnnModel, LstmConfig, LstmModel};
+use tpu_learned_cost::{CostModel, GnnConfig, GnnModel, LstmConfig, LstmModel, LOG_NS_OFFSET};
 
 /// A small fixed-seed frozen GNN: the fuzz corpus seed.
 fn gnn_blob() -> Vec<u8> {
@@ -180,6 +180,28 @@ fn non_finite_values_are_corrupt() {
                 }
                 other => panic!("offset {at}, {poison}: expected Corrupt, got {other:?}"),
             }
+        }
+    }
+}
+
+/// A finite log-ns offset other than this build's is corrupt too: the
+/// model adds this build's offset to every log-ns output, so a blob frozen
+/// against another would serve finite, plausible and wrong numbers.
+#[test]
+fn a_foreign_log_ns_offset_is_corrupt() {
+    let full = gnn_blob();
+    // At byte 44, as in `non_finite_values_are_corrupt`.
+    let at = 44;
+    assert_eq!(
+        f32::from_le_bytes(full[at..at + 4].try_into().unwrap()),
+        LOG_NS_OFFSET
+    );
+    for foreign in [LOG_NS_OFFSET + 1.0, -LOG_NS_OFFSET, 0.0] {
+        let mut bytes = full.clone();
+        bytes[at..at + 4].copy_from_slice(&foreign.to_le_bytes());
+        match FrozenModel::from_bytes(&bytes) {
+            Err(FrozenError::Corrupt(msg)) => assert!(msg.contains("log_ns_offset"), "{msg}"),
+            other => panic!("offset {foreign}: expected Corrupt, got {other:?}"),
         }
     }
 }

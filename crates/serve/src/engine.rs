@@ -59,7 +59,7 @@
 //! request stream against the same seed replays bit-identically, breaker
 //! and reload state included (both are request-count driven, never
 //! wall-clock). A hit never reaches the model, so it moves none of that
-//! state (DESIGN.md "Serving daemon" has the argument).
+//! state (DESIGN.md "tpu-serve: the serving daemon" has the argument).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -390,3 +390,38 @@ fn without_a_fallback_the_primary_answers_alone() {
     assert!(ns.is_some_and(f64::is_nan));
     engine.shutdown();
 }
+
+/// Admission scores the probe panel through the routing a miss takes, but
+/// serves nothing: no panel answer is cached and no serving counter moves.
+#[test]
+fn admission_scores_its_panel_without_caching_or_counting_it() {
+    let registry = Registry::enabled();
+    let engine = engine(
+        FnCostModel::new("ok", |k: &Kernel| Some(nodes(k))),
+        FnCostModel::new("safe", |k: &Kernel| Some(1000.0 + nodes(k))),
+        breaker(2, 4),
+        &registry,
+    );
+    for k in demo_kernels(3) {
+        engine.submit(k).unwrap();
+    }
+    let before = engine.stats();
+    let kernels = |r: &Registry| r.snapshot().counter("core.engine.kernels");
+    let recorded = kernels(&registry);
+    assert_eq!(engine.reload_from_bytes(&frozen_blob()), Ok(1));
+    let after = engine.stats();
+    assert_eq!(after.predict, before.predict);
+    assert_eq!(
+        (after.submitted, after.answered, after.batches),
+        (before.submitted, before.answered, before.batches)
+    );
+    assert_eq!(after.cache_entries, 0, "the swap cleared the cache");
+    assert_eq!(kernels(&registry), recorded);
+    // A panel kernel is a miss for the new primary.
+    engine.submit(probe_panel()[0].clone()).unwrap();
+    assert_eq!(
+        engine.stats().predict.model_evals,
+        before.predict.model_evals + 1
+    );
+    engine.shutdown();
+}
