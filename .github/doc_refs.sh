@@ -16,10 +16,11 @@
 #            DESIGN.md "X" or DESIGN.md § *X* (also written as a link,
 #            [DESIGN.md](DESIGN.md) § *X*), is a heading of DESIGN.md;
 #   design   DESIGN.md names "PR <n>" at most once (its pointer to
-#            CHANGELOG.md) and, given MAX_DESIGN_BYTES, is no larger.
+#            CHANGELOG.md) and is no larger than MAX_DESIGN_BYTES.
 #
-# Run from the repository root: .github/doc_refs.sh [MAX_DESIGN_BYTES]
+# Run from the repository root: .github/doc_refs.sh
 export LC_ALL=C
+MAX_DESIGN_BYTES=40960
 docs="DESIGN.md README.md EXPERIMENTS.md"
 misses=$(mktemp) && headings=$(mktemp) || exit 1
 trap 'rm -f "$misses" "$headings"' EXIT
@@ -72,9 +73,8 @@ grep -E '^#+ ' DESIGN.md | sed -E 's/^#+ //' > "$headings"
 prs=$(grep -c 'PR [0-9]' DESIGN.md)
 [ "$prs" -le 1 ] || miss "DESIGN.md: design: $prs lines name a PR (at most 1)"
 bytes=$(wc -c < DESIGN.md | tr -d ' ')
-if [ -n "$1" ] && [ "$bytes" -gt "$1" ]; then
-  miss "DESIGN.md: design: $bytes bytes, above the ceiling of $1"
-fi
+[ "$bytes" -le "$MAX_DESIGN_BYTES" ] \
+  || miss "DESIGN.md: design: $bytes bytes, above the ceiling of $MAX_DESIGN_BYTES"
 
 count=$(wc -l < "$misses" | tr -d ' ')
 cat "$misses"
