@@ -31,18 +31,7 @@ impl Calibration {
         for p in programs {
             for k in &p.kernels {
                 if let Some(raw) = model.raw_cost(k) {
-                    // Resilient measurement: `try_measure_kernel` already
-                    // skips individually faulted runs; a measurement whose
-                    // every run faulted gets one retry, and a kernel that
-                    // still cannot be measured is dropped from *both* sums
-                    // so each coefficient stays a ratio over successfully
-                    // measured kernels. A fault-free device never errors,
-                    // so under `FaultPlan::none()` this is bit-identical
-                    // to `measure_kernel(k, 3)`.
-                    let measured = device
-                        .try_measure_kernel(k, 3)
-                        .or_else(|_| device.try_measure_kernel(k, 3));
-                    let Ok(ns) = measured else { continue };
+                    let ns = device.measure_kernel(k, 3);
                     let idx = k.kind.index();
                     actual[idx] += ns;
                     predicted[idx] += raw;
@@ -135,56 +124,6 @@ mod tests {
         let cost = AnalyticalCost::new(TpuConfig::default());
         let tiny = ew_kernel(4, 4);
         assert_eq!(cost.predict_kernel_ns(&tiny), None);
-    }
-
-    #[test]
-    fn fit_tolerates_injected_faults() {
-        use tpu_sim::FaultPlan;
-        let model = AnalyticalModel::new(TpuConfig::default());
-        let programs = vec![FusedProgram::new(
-            "cal",
-            vec![
-                ew_kernel(1024, 1024),
-                ew_kernel(512, 2048),
-                dot_kernel(512, 512, 512),
-            ],
-        )];
-        // Under the default chaos plan calibration completes without
-        // panicking and still produces usable (finite, positive)
-        // coefficients for the measured kinds.
-        let device = TpuDevice::new(3).with_faults(FaultPlan::chaos(7));
-        let cal = Calibration::fit(&model, &programs, &device);
-        for kind in [KernelKind::Single, KernelKind::OutputFusion] {
-            let c = cal.coeff(kind);
-            assert!(c.is_finite() && c > 0.0, "{kind:?}: coeff {c}");
-        }
-        // A device that faults every run leaves no measured kernels;
-        // calibration degrades to identity coefficients rather than
-        // dividing by zero or panicking.
-        let always_fail = FaultPlan {
-            transient_prob: 1.0,
-            ..FaultPlan::none()
-        };
-        let device = TpuDevice::new(3).with_faults(always_fail);
-        let cal = Calibration::fit(&model, &programs, &device);
-        assert_eq!(cal, Calibration::identity());
-    }
-
-    #[test]
-    fn fit_under_none_plan_matches_fault_free_device() {
-        use tpu_sim::FaultPlan;
-        let model = AnalyticalModel::new(TpuConfig::default());
-        let programs = vec![FusedProgram::new(
-            "cal",
-            vec![ew_kernel(1024, 1024), dot_kernel(512, 512, 512)],
-        )];
-        let plain = Calibration::fit(&model, &programs, &TpuDevice::new(3));
-        let none = Calibration::fit(
-            &model,
-            &programs,
-            &TpuDevice::new(3).with_faults(FaultPlan::none()),
-        );
-        assert_eq!(plain, none);
     }
 
     #[test]

@@ -36,10 +36,9 @@ impl AnalyticalCost {
     /// fusion configuration, and dividing the actual total runtime for all
     /// kernels of each type by the estimate in its original scale".
     /// `programs` are those default-fused programs and `device` the target,
-    /// which may be another machine than `model_cfg` (a stale model). A
-    /// faulted measurement is retried once; a kernel that still cannot be
-    /// measured is left out of its kind's ratio, and a kind with nothing
-    /// measured keeps coefficient 1.
+    /// which may be another machine than `model_cfg` (a stale model). Each
+    /// kernel is measured min-of-3 (§5); a kind with nothing measured keeps
+    /// coefficient 1.
     pub fn fit(
         model_cfg: TpuConfig,
         programs: &[FusedProgram],

@@ -1,5 +1,5 @@
-//! Model-guided beam search over the fusion configuration space
-//! (ROADMAP item 4: learned-model-guided tree search to augment SA).
+//! Model-guided beam search over the fusion configuration space: a
+//! learned-model-guided tree search beside SA.
 //!
 //! The searcher walks the fusion decisions in edge order: a *state* at
 //! depth `d` is a complete [`FusionConfig`] whose first `d` decisions are

@@ -24,14 +24,13 @@
 use crate::beam::{beam_search_with_planner, SearchParams, TT_SLOTS};
 use crate::memo::{Plan, Planner, SharedPlanner};
 use crate::sa::{anneal, simulated_annealing, BatchObjective, SaConfig};
-use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use tpu_fusion::{apply_fusion, default_space_and_config, FusionConfig, FusionSpace, GroupId};
 use tpu_hlo::Program;
 use tpu_learned_cost::{AtomicCache, CostModel, KernelCache, PredictStats, Predictor};
 use tpu_obs::{Counter, Gauge, Histogram, Registry};
-use tpu_sim::{DeviceError, FaultCounts, TpuDevice};
+use tpu_sim::TpuDevice;
 
 /// Where the search starts (§6.3 runs the autotuner "in two modes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +85,6 @@ pub struct TunedConfig {
     /// Batched backend calls in the model-guided phase (for the neural
     /// models: packed forward passes); 0 for hardware-only runs.
     pub model_batches: u64,
-    /// Retry/outlier accounting of the hardware measurement path.
-    pub retry_stats: HwRetryStats,
-    /// Faults the device injected during this run's hardware phase.
-    pub faults: FaultCounts,
 }
 
 impl TunedConfig {
@@ -105,109 +100,6 @@ impl TunedConfig {
     }
 }
 
-/// How [`HardwareObjective::measure`] retries and aggregates under faults.
-///
-/// One *measurement* admits one config past the budget check, charges one
-/// eval overhead, then makes up to `max_attempts` program-execution
-/// attempts aiming for `runs` successes. Failed attempts stay charged
-/// against the §6.3 budget (preemptions burn their device time; the budget
-/// check happens once per measurement, not per attempt). Successful runs
-/// are aggregated min-of-k after rejecting samples above
-/// `outlier_threshold × median` (the §5 protocol hardened against injected
-/// tail spikes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct RetryPolicy {
-    /// Target number of successful runs per measurement (min-of-k).
-    pub runs: usize,
-    /// Upper bound on execution attempts per measurement (>= `runs`).
-    pub max_attempts: usize,
-    /// Reject successful runs above this multiple of the sample median.
-    pub outlier_threshold: f64,
-}
-
-impl Default for RetryPolicy {
-    /// Fault-free compatible: a single run per measurement (exactly the
-    /// pre-retry harness behavior, bit-identical under `FaultPlan::none()`)
-    /// with a few spare attempts should faults be injected anyway.
-    fn default() -> Self {
-        RetryPolicy {
-            runs: 1,
-            max_attempts: 4,
-            outlier_threshold: 1.3,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Chaos-hardened: min-of-3 with headroom for retries, so preemptions
-    /// and transient failures rarely lose a candidate and single spikes
-    /// never win the min. Selected automatically when the device has a
-    /// non-empty fault plan.
-    pub(crate) fn resilient() -> RetryPolicy {
-        RetryPolicy {
-            runs: 3,
-            max_attempts: 8,
-            outlier_threshold: 1.3,
-        }
-    }
-}
-
-/// Retry/outlier accounting for the hardware measurement path.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HwRetryStats {
-    /// Program-execution attempts across all measurements.
-    pub attempts: u64,
-    /// Failed attempts (each either retried or abandoned).
-    pub retries: u64,
-    /// Successful runs discarded as tail-latency outliers.
-    pub outliers_rejected: u64,
-    /// Candidates abandoned after exhausting `max_attempts`.
-    pub exhausted_candidates: u64,
-    /// How far the device meter ended past the budget, ns (bounded by one
-    /// measurement's execution time; see `budget_overshoot_is_bounded`).
-    pub budget_overshoot_ns: f64,
-}
-
-/// Why a metered measurement failed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MeasureError {
-    /// The device-time budget cannot cover another eval overhead; the
-    /// search is over (maps to the annealer's NaN sentinel).
-    BudgetExhausted,
-    /// Every execution attempt for this candidate faulted; the candidate
-    /// is unmeasurable this round (maps to infinite cost: ranks last, the
-    /// search continues).
-    RetriesExhausted {
-        /// Attempts spent before giving up.
-        attempts: usize,
-        /// The last device fault observed.
-        last: DeviceError,
-    },
-}
-
-impl fmt::Display for MeasureError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MeasureError::BudgetExhausted => write!(f, "hardware-time budget exhausted"),
-            MeasureError::RetriesExhausted { attempts, last } => {
-                write!(
-                    f,
-                    "all {attempts} measurement attempts faulted (last: {last})"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for MeasureError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MeasureError::BudgetExhausted => None,
-            MeasureError::RetriesExhausted { last, .. } => Some(last),
-        }
-    }
-}
-
 /// The hardware evaluation path, with its budget accounting.
 ///
 /// Every measurement — annealer candidates and top-k re-ranking alike —
@@ -217,17 +109,15 @@ impl std::error::Error for MeasureError {
 /// (hardware is a serial resource) and reports `f64::NAN` once the budget
 /// is exhausted.
 ///
-/// `autotuner.hw.*` metrics — measurement counts, retry/outlier/exhaustion
-/// counters, wall time per measurement, and the metered device time
-/// against the budget (plus any overshoot) as gauges — go to the
-/// registry the device carries ([`TpuDevice::observed`]).
+/// `autotuner.hw.*` metrics — measurement and budget-exhaustion counts,
+/// wall time per measurement, and the metered device time against the
+/// budget (plus any overshoot) as gauges — go to the registry the device
+/// carries ([`TpuDevice::observed`]).
 pub struct HardwareObjective<'a> {
     planner: SharedPlanner<'a>,
     device: &'a TpuDevice,
     budget_ns: f64,
     hw_evals: usize,
-    retry: RetryPolicy,
-    stats: HwRetryStats,
     obs: HwObs,
 }
 
@@ -235,9 +125,6 @@ pub struct HardwareObjective<'a> {
 struct HwObs {
     evals: Counter,
     budget_exhausted: Counter,
-    retries: Counter,
-    outliers_rejected: Counter,
-    exhausted_candidates: Counter,
     measure_ns: Histogram,
     device_time_ns: Gauge,
     budget_ns: Gauge,
@@ -249,9 +136,6 @@ impl HwObs {
         HwObs {
             evals: registry.counter("autotuner.hw.evals"),
             budget_exhausted: registry.counter("autotuner.hw.budget_exhausted"),
-            retries: registry.counter("autotuner.hw.retries"),
-            outliers_rejected: registry.counter("autotuner.hw.outliers_rejected"),
-            exhausted_candidates: registry.counter("autotuner.hw.exhausted_candidates"),
             measure_ns: registry.histogram("autotuner.hw.measure_ns"),
             device_time_ns: registry.gauge("autotuner.hw.device_time_ns"),
             budget_ns: registry.gauge("autotuner.hw.budget_ns"),
@@ -260,26 +144,9 @@ impl HwObs {
     }
 }
 
-/// Min of `samples` after rejecting tail outliers above
-/// `threshold × median`; returns the aggregate and how many samples were
-/// rejected. The min always survives rejection (it is never above the
-/// median), so the aggregate equals the plain min — the rejection count is
-/// what flags measurements whose tail was polluted by injected spikes.
-fn robust_min(samples: &[f64], threshold: f64) -> (f64, u64) {
-    debug_assert!(!samples.is_empty());
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-    let cut = median * threshold.max(1.0);
-    let rejected = sorted.iter().filter(|&&t| t > cut).count() as u64;
-    (sorted[0], rejected)
-}
-
 impl<'a> HardwareObjective<'a> {
-    /// Create an objective. The retry policy comes from the device: one
-    /// run per measurement on a fault-free device (bit-identical to the
-    /// pre-retry harness), min-of-3 with retries when it carries a
-    /// non-empty fault plan.
+    /// An objective measuring configurations of `program` over `space`
+    /// on `device`, within `budget_ns` of device time.
     pub fn new(
         program: &'a Program,
         space: &'a FusionSpace,
@@ -298,11 +165,6 @@ impl<'a> HardwareObjective<'a> {
         device: &'a TpuDevice,
         budget_ns: f64,
     ) -> HardwareObjective<'a> {
-        let retry = if device.config().fault.is_none() {
-            RetryPolicy::default()
-        } else {
-            RetryPolicy::resilient()
-        };
         let obs = HwObs::new(device.registry());
         obs.budget_ns.set(budget_ns);
         obs.device_time_ns.set(device.device_time_used());
@@ -311,25 +173,23 @@ impl<'a> HardwareObjective<'a> {
             device,
             budget_ns,
             hw_evals: 0,
-            retry,
-            stats: HwRetryStats::default(),
             obs,
         }
     }
 
-    /// One metered measurement: the compile/eval overhead plus up to
-    /// `max_attempts` noisy runs aggregated per the device's retry policy.
+    /// One metered measurement: the compile/eval overhead plus one noisy
+    /// run of the program, or `None` once the budget is spent.
     ///
     /// The budget check covers the eval overhead about to be charged, so a
     /// measurement is only admitted when overhead fits inside the budget —
     /// the meter can end past the budget by at most one measurement's
     /// execution time (recorded in `autotuner.hw.budget_overshoot_ns`),
     /// never by an unbounded number of stacked evals.
-    pub fn measure(&mut self, config: &FusionConfig) -> Result<f64, MeasureError> {
+    pub fn measure(&mut self, config: &FusionConfig) -> Option<f64> {
         let used = self.device.device_time_used();
         if used >= self.budget_ns || used + self.device.config().eval_overhead_ns > self.budget_ns {
             self.obs.budget_exhausted.inc();
-            return Err(MeasureError::BudgetExhausted);
+            return None;
         }
         let timer = self.obs.measure_ns.start_timer();
         self.device.charge_eval_overhead();
@@ -337,48 +197,18 @@ impl<'a> HardwareObjective<'a> {
         // each built the first time the run needs it.
         let mut planner = self.planner.borrow_mut();
         let (plan, slots) = planner.plan(config);
-        let kernels = || plan.slots().iter().map(|&id| slots.kernel(id));
+        let t = self
+            .device
+            .execute_kernels(plan.slots().iter().map(|&id| slots.kernel(id)));
         self.hw_evals += 1;
-
-        let mut samples: Vec<f64> = Vec::with_capacity(self.retry.runs);
-        let mut attempts = 0usize;
-        let mut last_err: Option<DeviceError> = None;
-        while samples.len() < self.retry.runs && attempts < self.retry.max_attempts.max(1) {
-            attempts += 1;
-            self.stats.attempts += 1;
-            match self.device.try_execute_kernels(kernels()) {
-                Ok(t) => samples.push(t),
-                Err(e) => {
-                    // Failed attempt: device time it burned (preemptions)
-                    // stays charged against the budget.
-                    self.stats.retries += 1;
-                    self.obs.retries.inc();
-                    last_err = Some(e);
-                }
-            }
-        }
         timer.stop();
         let used = self.device.device_time_used();
-        let overshoot = (used - self.budget_ns).max(0.0);
-        self.stats.budget_overshoot_ns = overshoot;
         self.obs.device_time_ns.set(used);
-        self.obs.budget_overshoot_ns.set(overshoot);
-
-        if samples.is_empty() {
-            self.stats.exhausted_candidates += 1;
-            self.obs.exhausted_candidates.inc();
-            return Err(MeasureError::RetriesExhausted {
-                attempts,
-                // INVARIANT: zero successes with >=1 attempt implies at
-                // least one recorded device error.
-                last: last_err.expect("no successful attempt implies a device error"),
-            });
-        }
-        let (t, rejected) = robust_min(&samples, self.retry.outlier_threshold);
-        self.stats.outliers_rejected += rejected;
-        self.obs.outliers_rejected.add(rejected);
+        self.obs
+            .budget_overshoot_ns
+            .set((used - self.budget_ns).max(0.0));
         self.obs.evals.inc();
-        Ok(t)
+        Some(t)
     }
 
     /// Measurements performed so far.
@@ -386,18 +216,11 @@ impl<'a> HardwareObjective<'a> {
         self.hw_evals
     }
 
-    /// Retry/outlier accounting so far.
-    pub fn retry_stats(&self) -> HwRetryStats {
-        self.stats
-    }
-
     /// The outcome of a run that settled on `config`: its noiseless
-    /// runtime beside this objective's hardware tallies and the faults the
-    /// device injected since `faults_before`.
-    fn tuned(&self, config: FusionConfig, faults_before: FaultCounts) -> TunedConfig {
+    /// runtime beside this objective's hardware tallies.
+    fn tuned(&self, config: FusionConfig) -> TunedConfig {
         let mut planner = self.planner.borrow_mut();
         let (plan, slots) = planner.plan(&config);
-        let faults = self.device.fault_counts();
         TunedConfig {
             true_ns: self
                 .device
@@ -407,41 +230,22 @@ impl<'a> HardwareObjective<'a> {
             model_evals: 0,
             cache_hits: 0,
             model_batches: 0,
-            retry_stats: self.stats,
-            // The device's tallies are monotonic across runs; a
-            // `TunedConfig` reports only its own run.
-            faults: FaultCounts {
-                transients: faults.transients - faults_before.transients,
-                preemptions: faults.preemptions - faults_before.preemptions,
-                spikes: faults.spikes - faults_before.spikes,
-            },
         }
     }
 }
 
 impl BatchObjective for HardwareObjective<'_> {
     fn evaluate(&mut self, configs: &[FusionConfig]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(configs.len());
+        // Once the budget is spent, every remaining config is NaN.
         let mut exhausted = false;
-        for cfg in configs {
-            if exhausted {
-                out.push(f64::NAN);
-                continue;
-            }
-            match self.measure(cfg) {
-                Ok(t) => out.push(t),
-                // A candidate whose every attempt faulted is unmeasurable,
-                // not a reason to end the search: infinite cost ranks it
-                // last and the annealer moves on. NaN stays reserved for
-                // budget exhaustion, which *is* terminal.
-                Err(MeasureError::RetriesExhausted { .. }) => out.push(f64::INFINITY),
-                Err(MeasureError::BudgetExhausted) => {
-                    exhausted = true;
-                    out.push(f64::NAN);
-                }
-            }
-        }
-        out
+        configs
+            .iter()
+            .map(|cfg| {
+                let t = if exhausted { None } else { self.measure(cfg) };
+                exhausted = t.is_none();
+                t.unwrap_or(f64::NAN)
+            })
+            .collect()
     }
 
     fn registry(&self) -> Registry {
@@ -581,7 +385,6 @@ pub fn autotune_hardware_only(
     let (space, _) = default_space_and_config(&program.computation);
     let start = start_config(program, &space, mode, seed);
     device.reset_time_used();
-    let faults_before = device.fault_counts();
     let mut hw = HardwareObjective::new(program, &space, device, budget_ns);
     let result = anneal(
         &space,
@@ -599,7 +402,7 @@ pub fn autotune_hardware_only(
     } else {
         start
     };
-    hw.tuned(best, faults_before)
+    hw.tuned(best)
 }
 
 /// Model-guided: multi-chain SA on the cost model for `model_steps` (no
@@ -740,13 +543,10 @@ fn model_guided<M: CostModel + ?Sized, C: KernelCache>(
 /// Phase 2 of the §6.3 protocol, shared verbatim by the SA and beam
 /// harnesses: reset the device meter, then measure the model-ranked
 /// candidates on hardware through the single metered
-/// [`HardwareObjective::measure`] path — same retry-policy resolution
-/// (default on fault-free devices, resilient under a fault plan), same
-/// one-measurement budget-overshoot bound — with the start config appended
-/// as a safety net. The best measured config wins; a candidate whose
-/// measurement exhausts its retries is skipped (the next-ranked one still
-/// gets its chance); budget exhaustion ends the re-rank; with nothing
-/// measurable the start config is returned.
+/// [`HardwareObjective::measure`] path — same one-measurement
+/// budget-overshoot bound — with the start config appended as a safety
+/// net. The best measured config wins; budget exhaustion ends the
+/// re-rank; with nothing measured the start config is returned.
 ///
 /// The returned [`TunedConfig`] carries this phase's hardware tallies; the
 /// caller adds its search phase's counters with
@@ -759,24 +559,18 @@ fn rerank_on_hardware<'a>(
     start: FusionConfig,
 ) -> TunedConfig {
     device.reset_time_used();
-    let faults_before = device.fault_counts();
     if !candidates.contains(&start) {
         candidates.push(start.clone());
     }
     let mut hw = HardwareObjective::with_planner(planner, device, budget_ns);
     let mut best: Option<(FusionConfig, f64)> = None;
     for cfg in candidates {
-        match hw.measure(&cfg) {
-            Ok(t) => {
-                if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                    best = Some((cfg, t));
-                }
-            }
-            Err(MeasureError::RetriesExhausted { .. }) => continue,
-            Err(MeasureError::BudgetExhausted) => break,
+        let Some(t) = hw.measure(&cfg) else { break };
+        if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
+            best = Some((cfg, t));
         }
     }
-    hw.tuned(best.map(|(c, _)| c).unwrap_or(start), faults_before)
+    hw.tuned(best.map(|(c, _)| c).unwrap_or(start))
 }
 
 /// Speedup of a tuned config over the default heuristic config (how Fig. 4
@@ -1060,13 +854,7 @@ mod tests {
         let start = start_config(&p, &space, StartMode::Default, 0);
         let budget = 10e9;
         let mut hw = HardwareObjective::new(&p, &space, &device, budget);
-        loop {
-            match hw.measure(&start) {
-                Ok(_) => {}
-                Err(MeasureError::BudgetExhausted) => break,
-                Err(e) => panic!("fault-free device cannot fault: {e}"),
-            }
-        }
+        while hw.measure(&start).is_some() {}
         let fused = apply_fusion(&p, &space, &start);
         let exec_bound = device.true_program_time(&fused) * 1.0401;
         let overshoot = device.device_time_used() - budget;
@@ -1074,37 +862,31 @@ mod tests {
             overshoot <= exec_bound,
             "overshoot {overshoot} ns exceeds one execution ({exec_bound} ns)"
         );
+        let gauge = registry
+            .snapshot()
+            .gauge("autotuner.hw.budget_overshoot_ns")
+            .expect("overshoot gauge");
         assert!(
-            (hw.retry_stats().budget_overshoot_ns - overshoot.max(0.0)).abs() < 1e-6,
-            "stats overshoot {} vs meter {}",
-            hw.retry_stats().budget_overshoot_ns,
-            overshoot
-        );
-        assert_eq!(
-            registry
-                .snapshot()
-                .gauge("autotuner.hw.budget_overshoot_ns"),
-            Some(hw.retry_stats().budget_overshoot_ns)
+            (gauge - overshoot.max(0.0)).abs() < 1e-6,
+            "gauge overshoot {gauge} vs meter {overshoot}"
         );
 
         // A budget smaller than one eval overhead admits nothing at all.
         let device = TpuDevice::new(21);
         let overhead = device.config().eval_overhead_ns;
         let mut hw = HardwareObjective::new(&p, &space, &device, overhead * 0.5);
-        assert_eq!(hw.measure(&start), Err(MeasureError::BudgetExhausted));
+        assert_eq!(hw.measure(&start), None);
         assert_eq!(hw.hw_evals(), 0);
         assert_eq!(device.device_time_used(), 0.0);
     }
 
     #[test]
     fn sa_and_beam_share_one_metered_rerank_path() {
-        // Satellite pin: the two searchers must route phase 2 through one
-        // metered path. With a zero model budget both produce the same
-        // candidate list (the start config alone), so on fresh same-seed
-        // devices the hardware accounting — measurements, retry stats,
-        // fault counts, overshoot — must be bit-identical between the SA
-        // and beam entries, fault-free and under chaos alike (the chaos
-        // case also pins that both resolve the resilient RetryPolicy).
+        // The two searchers must route phase 2 through one metered path.
+        // With a zero model budget both produce the same candidate list
+        // (the start config alone), so on fresh same-seed devices the
+        // hardware accounting — measurements and the metered device time —
+        // must be bit-identical between the SA and beam entries.
         let p = program();
         let cfg = TpuConfig::default();
         let model = FnCostModel::new("oracle", move |k: &tpu_hlo::Kernel| {
@@ -1114,43 +896,36 @@ mod tests {
             model_steps: 0,
             ..quick_budgets()
         };
-        for fault_seed in [None, Some(11u64)] {
-            let mk_device = || match fault_seed {
-                Some(s) => TpuDevice::new(5).with_faults(tpu_sim::FaultPlan::chaos(s)),
-                None => TpuDevice::new(5),
-            };
-            let device = mk_device();
-            let sa = autotune_with_cost_model(
-                &p,
-                &device,
-                &model,
-                &fresh_cache(),
-                StartMode::Default,
-                &budgets,
-                0,
-            );
-            let device = mk_device();
-            let beam = autotune_beam_with_cost_model(
-                &p,
-                &device,
-                &model,
-                &fresh_cache(),
-                StartMode::Default,
-                &budgets,
-                &crate::beam::SearchParams {
-                    seed: 0,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(sa.config, beam.config, "fault_seed={fault_seed:?}");
-            assert_eq!(sa.true_ns.to_bits(), beam.true_ns.to_bits());
-            assert_eq!(sa.hw_evals, beam.hw_evals);
-            assert_eq!(
-                sa.retry_stats, beam.retry_stats,
-                "fault_seed={fault_seed:?}"
-            );
-            assert_eq!(sa.faults, beam.faults, "fault_seed={fault_seed:?}");
-        }
+        let sa_device = TpuDevice::new(5);
+        let sa = autotune_with_cost_model(
+            &p,
+            &sa_device,
+            &model,
+            &fresh_cache(),
+            StartMode::Default,
+            &budgets,
+            0,
+        );
+        let beam_device = TpuDevice::new(5);
+        let beam = autotune_beam_with_cost_model(
+            &p,
+            &beam_device,
+            &model,
+            &fresh_cache(),
+            StartMode::Default,
+            &budgets,
+            &crate::beam::SearchParams {
+                seed: 0,
+                ..Default::default()
+            },
+        );
+        assert_eq!(sa.config, beam.config);
+        assert_eq!(sa.true_ns.to_bits(), beam.true_ns.to_bits());
+        assert_eq!(sa.hw_evals, beam.hw_evals);
+        assert_eq!(
+            sa_device.device_time_used().to_bits(),
+            beam_device.device_time_used().to_bits()
+        );
     }
 
     #[test]
@@ -1158,7 +933,8 @@ mod tests {
         // The overshoot bound the SA harness pinned now lives in the
         // shared path, so it holds for any searcher feeding it.
         let p = program();
-        let device = TpuDevice::new(21);
+        let registry = Registry::enabled();
+        let device = TpuDevice::new(21).observed(&registry);
         let (space, _) = default_space_and_config(&p.computation);
         let start = start_config(&p, &space, StartMode::Default, 0);
         let budget = 10e9;
@@ -1166,13 +942,15 @@ mod tests {
         let planner = Planner::shared(&p, &space, device.registry());
         let tuned = rerank_on_hardware(planner, &device, budget, candidates, start.clone());
         assert!(tuned.hw_evals > 0);
-        let stats = tuned.retry_stats;
         let fused = apply_fusion(&p, &space, &start);
         let exec_bound = device.true_program_time(&fused) * 1.0401;
+        let overshoot = registry
+            .snapshot()
+            .gauge("autotuner.hw.budget_overshoot_ns")
+            .expect("overshoot gauge");
         assert!(
-            stats.budget_overshoot_ns <= exec_bound,
-            "overshoot {} ns exceeds one execution ({exec_bound} ns)",
-            stats.budget_overshoot_ns
+            overshoot <= exec_bound,
+            "overshoot {overshoot} ns exceeds one execution ({exec_bound} ns)"
         );
         assert!(device.device_time_used() - budget <= exec_bound);
     }
@@ -1333,22 +1111,12 @@ mod tests {
                 }
 
                 reference.charge_eval_overhead();
-                let expected = reference
-                    .try_execute_kernels(&fused.kernels)
-                    .unwrap()
-                    .to_bits();
+                let expected = reference.execute_kernels(&fused.kernels).to_bits();
                 assert_eq!(fresh.measure(config).unwrap().to_bits(), expected);
                 assert_eq!(met.measure(config).unwrap().to_bits(), expected);
                 let true_ns = reference.true_program_time(&fused).to_bits();
-                let no_faults = FaultCounts::default();
-                assert_eq!(
-                    fresh.tuned(config.clone(), no_faults).true_ns.to_bits(),
-                    true_ns
-                );
-                assert_eq!(
-                    met.tuned(config.clone(), no_faults).true_ns.to_bits(),
-                    true_ns
-                );
+                assert_eq!(fresh.tuned(config.clone()).true_ns.to_bits(), true_ns);
+                assert_eq!(met.tuned(config.clone()).true_ns.to_bits(), true_ns);
             }
             let used = reference.device_time_used().to_bits();
             assert_eq!(fresh_device.device_time_used().to_bits(), used);
@@ -1405,119 +1173,6 @@ mod tests {
             Some(budgets.model_steps as u64 + 1),
             "SA stopped before spending its model_steps"
         );
-    }
-
-    #[test]
-    fn chaos_autotune_converges_near_fault_free() {
-        // Acceptance criterion: under the default chaos plan the
-        // hardware-only autotuner completes without panicking and lands
-        // within 5% of the fault-free run's true program time. Injected
-        // faults perturb the measurement-noise stream, so a chaos run is a
-        // *different* (deterministic) SA trajectory — any single seed pair
-        // can diverge by the fixture's local-optimum spread — hence the
-        // contract is pinned across a panel of fault seeds.
-        let p = program();
-        let budget = 40e9;
-        let fault_free = {
-            let device = TpuDevice::new(3);
-            autotune_hardware_only(&p, &device, StartMode::Default, budget, 0)
-        };
-        assert_eq!(fault_free.faults.total(), 0);
-        assert_eq!(fault_free.retry_stats.retries, 0);
-        assert_eq!(
-            fault_free.retry_stats.attempts, fault_free.hw_evals as u64,
-            "fault-free default policy is exactly one attempt per eval"
-        );
-        let mut saw_faults = false;
-        for fault_seed in [5u64, 11, 13] {
-            let device = TpuDevice::new(3).with_faults(tpu_sim::FaultPlan::chaos(fault_seed));
-            let chaos = autotune_hardware_only(&p, &device, StartMode::Default, budget, 0);
-            assert!(
-                chaos.true_ns <= fault_free.true_ns * 1.05,
-                "fault seed {fault_seed}: chaos {} ns vs fault-free {} ns",
-                chaos.true_ns,
-                fault_free.true_ns
-            );
-            saw_faults |= chaos.faults.total() > 0;
-        }
-        assert!(saw_faults, "no chaos run saw a fault");
-    }
-
-    #[test]
-    fn chaos_measurements_reject_spikes_and_retry() {
-        let p = program();
-        let (space, _) = default_space_and_config(&p.computation);
-        let start = start_config(&p, &space, StartMode::Default, 0);
-        let device = TpuDevice::new(5).with_faults(tpu_sim::FaultPlan::chaos(11));
-        let mut hw = HardwareObjective::new(&p, &space, &device, 200e9);
-        let mut measured = 0;
-        while hw.measure(&start).is_ok() {
-            measured += 1;
-            if measured >= 40 {
-                break;
-            }
-        }
-        let stats = hw.retry_stats();
-        assert!(stats.retries > 0, "chaos produced no retries: {stats:?}");
-        assert!(
-            stats.outliers_rejected > 0,
-            "min-of-3 under chaos rejected no spikes: {stats:?}"
-        );
-        assert!(stats.attempts >= stats.retries + measured as u64);
-    }
-
-    #[test]
-    fn retries_exhausted_degrades_without_killing_the_search() {
-        // A fully-faulty device: every candidate exhausts retries. The
-        // search must not panic and must fall back to the start config;
-        // the budget is what finally stops it.
-        let p = program();
-        let always_fail = tpu_sim::FaultPlan {
-            transient_prob: 1.0,
-            ..tpu_sim::FaultPlan::none()
-        };
-        let device = TpuDevice::new(3).with_faults(always_fail);
-        let tuned = autotune_hardware_only(&p, &device, StartMode::Default, 20e9, 1);
-        assert!(tuned.true_ns > 0.0);
-        assert!(tuned.retry_stats.exhausted_candidates > 0);
-        assert_eq!(
-            tuned.retry_stats.retries, tuned.retry_stats.attempts,
-            "every attempt failed"
-        );
-        // Transient faults charge no execution time, so only overheads
-        // drained the budget: 20e9 / 1.5e9 -> 13 admitted candidates.
-        assert_eq!(tuned.hw_evals, 13);
-    }
-
-    #[test]
-    fn chaos_run_exports_retry_metrics_into_the_device_registry() {
-        let p = program();
-        let registry = Registry::enabled();
-        let device = TpuDevice::new(3)
-            .with_faults(tpu_sim::FaultPlan::chaos(7))
-            .observed(&registry);
-        let tuned = autotune_hardware_only(&p, &device, StartMode::Default, 30e9, 1);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("autotuner.hw.retries"),
-            Some(tuned.retry_stats.retries)
-        );
-        assert_eq!(
-            snap.counter("autotuner.hw.outliers_rejected"),
-            Some(tuned.retry_stats.outliers_rejected)
-        );
-        assert_eq!(
-            snap.counter("autotuner.hw.exhausted_candidates"),
-            Some(tuned.retry_stats.exhausted_candidates)
-        );
-        assert_eq!(
-            snap.gauge("autotuner.hw.budget_overshoot_ns"),
-            Some(tuned.retry_stats.budget_overshoot_ns)
-        );
-        let fault_total = snap.counter("sim.fault.transients").unwrap_or(0)
-            + snap.counter("sim.fault.preemptions").unwrap_or(0)
-            + snap.counter("sim.fault.spikes").unwrap_or(0);
-        assert_eq!(fault_total, tuned.faults.total());
     }
 
     #[test]

@@ -64,8 +64,7 @@ pub use beam::{
 };
 pub use harness::{
     autotune_beam_with_cost_model, autotune_hardware_only, autotune_with_cost_model,
-    speedup_over_default, Budgets, HardwareObjective, HwRetryStats, MeasureError, ModelObjective,
-    StartMode, TunedConfig,
+    speedup_over_default, Budgets, HardwareObjective, ModelObjective, StartMode, TunedConfig,
 };
 pub use random_search::random_configs;
 pub use sa::{simulated_annealing, BatchObjective, SaConfig, SaResult};

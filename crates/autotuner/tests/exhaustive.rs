@@ -1,4 +1,4 @@
-//! The searchers against the exhaustive optimum (ROADMAP item 4b).
+//! The searchers against the exhaustive optimum.
 //!
 //! For programs small enough to enumerate (at most 12 fusion decisions,
 //! 4,096 configurations) every configuration is scored by the simulator,

@@ -13,9 +13,9 @@ use tpu_obs::{Registry, RunReport};
 pub const USAGE: &str = "\
 usage: tpu-bench <experiment> [--quick] [flags]
   table1 | table3 | ablations | retarget | program_total | feature_importance
-  table2 [--faults SEED] [--checkpoint PATH] [--report PATH]
+  table2 [--checkpoint PATH] [--report PATH]
   fig4   [default|random] [--report PATH]
-  tune   [--search sa|beam] [--faults SEED] [--checkpoint PATH] [--report PATH]";
+  tune   [--search sa|beam] [--checkpoint PATH] [--report PATH]";
 
 /// Which model-guided searcher drives the autotuning demo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +52,7 @@ pub const EXPERIMENTS: [Experiment; 9] = [
     },
     Experiment {
         name: "table2",
-        flags: &["--faults", "--checkpoint", "--report"],
+        flags: &["--checkpoint", "--report"],
         caps: [(800, 300), (14_000, 2_500)],
         run: table2::run,
     },
@@ -76,7 +76,7 @@ pub const EXPERIMENTS: [Experiment; 9] = [
     },
     Experiment {
         name: "tune",
-        flags: &["--search", "--faults", "--checkpoint", "--report"],
+        flags: &["--search", "--checkpoint", "--report"],
         caps: [(800, 300), (14_000, 2_500)],
         run: tune::run,
     },
@@ -115,10 +115,6 @@ pub struct Args {
     /// What the run records into: enabled iff `--report` will write it out
     /// (results are bit-identical either way).
     pub registry: Registry,
-    /// `--faults <seed>`: run the experiment's device under
-    /// `tpu_sim::FaultPlan::chaos(seed)`, exercising the retrying
-    /// measurement paths; without it the device is fault-free.
-    pub faults: Option<u64>,
     /// `--checkpoint <path>`: a stem for per-model checkpoint files, for
     /// `sweeps/ckpt.json` and a model tagged `v0` `sweeps/ckpt.v0.json`. A
     /// run resumes any checkpoints it finds and rewrites them after every
@@ -145,7 +141,6 @@ impl Args {
             start: StartMode::Default,
             report: None,
             registry: Registry::noop(),
-            faults: None,
             checkpoint: None,
             search: SearchAlgo::Sa,
         };
@@ -163,12 +158,6 @@ impl Args {
                     args.registry = Registry::enabled();
                 }
                 "--checkpoint" => args.checkpoint = Some(value()?.into()),
-                "--faults" => {
-                    let seed = value()?;
-                    args.faults = Some(seed.parse().map_err(|_| {
-                        format!("--faults takes an unsigned integer seed, got {seed:?}")
-                    })?);
-                }
                 "--search" => {
                     args.search = match value()?.as_str() {
                         "sa" => SearchAlgo::Sa,
@@ -192,15 +181,11 @@ impl Args {
     }
 
     /// With `--report`: write what the run recorded, under the experiment's
-    /// name and with the scale, the fault seed if any and `context`, and say
-    /// where it went.
+    /// name and with the scale and `context`, and say where it went.
     pub(crate) fn write_report(&self, context: &[(&str, String)]) {
         let Some(path) = &self.report else { return };
         let mut report = RunReport::new(self.experiment.name, &self.registry)
             .with_context("scale", format!("{:?}", self.scale));
-        if let Some(seed) = self.faults {
-            report = report.with_context("fault_seed", seed);
-        }
         for (key, value) in context {
             report = report.with_context(*key, value);
         }
@@ -254,13 +239,10 @@ mod tests {
 
     #[test]
     fn parsed_values_land_in_their_fields() {
-        let args = parse("tune --search beam --faults 7 --checkpoint d/ckpt.json --report r.json")
+        let args = parse("tune --search beam --checkpoint d/ckpt.json --report r.json")
             .expect("a valid command line");
         assert_eq!(args.experiment.name, "tune");
-        assert_eq!(
-            (args.scale, args.search, args.faults),
-            (Scale::Full, SearchAlgo::Beam, Some(7))
-        );
+        assert_eq!((args.scale, args.search), (Scale::Full, SearchAlgo::Beam));
         assert_eq!(args.caps(), (14_000, 2_500));
         assert_eq!(args.report, Some(PathBuf::from("r.json")));
         assert!(args.registry.is_enabled());

@@ -222,7 +222,7 @@ pub(crate) fn train_checkpointed<M: KernelModel>(
 /// The calibrated analytical baseline (§6.1): the model of
 /// `model_machine`, its per-kind coefficients fit "by executing each
 /// program in the test set … with a default fusion configuration" on
-/// `device`, the real target (fault-injecting under `--faults`).
+/// `device`, the real target.
 pub(crate) fn fit_analytical(
     corpus: &Corpus,
     test_programs: &[usize],

@@ -6,15 +6,12 @@
 //!
 //! ```text
 //! cargo run -p tpu-bench --release -- table2 [--quick] \
-//!     [--faults <seed>] [--checkpoint <path>] [--report <path>]
+//!     [--checkpoint <path>] [--report <path>]
 //! ```
 //!
-//! `--faults <seed>` calibrates the analytical baseline on a device
-//! carrying `FaultPlan::chaos(seed)` (the calibrator retries faulted
-//! measurements and drops unmeasurable kernels); `--checkpoint <path>`
-//! checkpoints every model's training to `<stem>.<tag>.json` files next
-//! to `path` and resumes them on rerun (bit-identical to an
-//! uninterrupted run).
+//! `--checkpoint <path>` checkpoints every model's training to
+//! `<stem>.<tag>.json` files next to `path` and resumes them on rerun
+//! (bit-identical to an uninterrupted run).
 
 use crate::{corpus, fit_analytical, print_table, train_best, Args, Scale, Task};
 use std::sync::Arc;
@@ -29,7 +26,7 @@ use tpu_learned_cost::{
     predict_log_ns, prepare, AtomicCache, GnnConfig, GnnModel, KernelModel, LstmConfig, LstmModel,
     Predictor, Prepared,
 };
-use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
+use tpu_sim::{TpuConfig, TpuDevice};
 
 /// (test program, measured runtime, [ours, LSTM, analytical]) of a kernel.
 type Row = (usize, f64, [Option<f64>; 3]);
@@ -124,29 +121,9 @@ fn run_split<'a>(
         })
     });
 
-    // Calibrate the analytical model on the test programs (§6.1). With
-    // `--faults`, calibration runs on a chaos-faulted device: the
-    // calibrator retries faulted measurements and drops kernels it still
-    // cannot measure, so the baseline stays usable instead of panicking.
-    let test_programs = &task.split.test;
-    let analytical = match args.faults {
-        Some(seed) => {
-            let device = TpuDevice::with_config(machine.clone(), 99)
-                .with_faults(FaultPlan::chaos(seed))
-                .observed(&args.registry);
-            let a = fit_analytical(task.corpus, test_programs, &machine, &device);
-            let f = device.fault_counts();
-            println!(
-                "[{split_name}] calibration under chaos({seed}): {} faults tolerated ({} transient, {} preempted, {} spikes)",
-                f.total(), f.transients, f.preemptions, f.spikes,
-            );
-            a
-        }
-        None => {
-            let device = TpuDevice::with_config(machine.clone(), 99);
-            fit_analytical(task.corpus, test_programs, &machine, &device)
-        }
-    };
+    // Calibrate the analytical model on the test programs (§6.1).
+    let device = TpuDevice::with_config(machine.clone(), 99);
+    let analytical = fit_analytical(task.corpus, &task.split.test, &machine, &device);
 
     // Evaluate per test program. Kernels the analytical model cannot score
     // (no tile-size options — ~1% in the paper) leave every column, per
@@ -178,9 +155,6 @@ fn run_split<'a>(
 pub fn run(args: &Args) {
     let scale = args.scale;
     println!("Table 2 reproduction (scale: {scale:?})");
-    if let Some(seed) = args.faults {
-        println!("fault injection: FaultPlan::chaos({seed}) on the calibration device");
-    }
     let corpus = corpus(scale);
     let dataset = build_fusion_dataset(&corpus, &scale.fusion_cfg());
     println!("fusion dataset: {} unique kernels", dataset.examples.len());

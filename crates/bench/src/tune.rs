@@ -8,15 +8,12 @@
 //!
 //! ```text
 //! cargo run -p tpu-bench --release -- tune [--quick] \
-//!     [--search sa|beam] [--faults <seed>] [--checkpoint <path>] \
-//!     [--report <path>]
+//!     [--search sa|beam] [--checkpoint <path>] [--report <path>]
 //! ```
 //!
 //! `--search beam` drives the demo with the transposition-table-backed
 //! beam search instead of SA (same model-eval budget, same metered
-//! hardware re-rank); `--faults <seed>` runs the autotuning demo on a
-//! device carrying `FaultPlan::chaos(seed)`, exercising the retrying
-//! measurement harness; `--checkpoint <path>` checkpoints every model's
+//! hardware re-rank); `--checkpoint <path>` checkpoints every model's
 //! training to `<stem>.<tag>.json` files next to `path` and resumes them
 //! on rerun (bit-identical to an uninterrupted run).
 
@@ -32,7 +29,7 @@ use tpu_learned_cost::{
     predict_log_ns, prepare, AtomicCache, CostModel, GnnConfig, GnnModel, KernelModel, LstmModel,
     Prepared, Reduction, TaskLoss, TrainConfig, TrainReport,
 };
-use tpu_sim::{FaultPlan, TpuConfig, TpuDevice};
+use tpu_sim::{TpuConfig, TpuDevice};
 
 /// The sweep-table row of one trained variant: its validation metric and
 /// its median MAPE and τ over the test programs' prepared sets. Says how
@@ -65,9 +62,6 @@ fn sweep_row<M: KernelModel>(
 pub fn run(args: &Args) {
     let (scale, search) = (args.scale, args.search);
     println!("Fusion-task hyperparameter sweep (scale: {scale:?}, search: {search:?})");
-    if let Some(seed) = args.faults {
-        println!("fault injection: FaultPlan::chaos({seed}) on the autotuning device");
-    }
     let corpus = corpus(scale);
     let task = Task::random_fusion(&corpus, args, &TpuConfig::default());
 
@@ -188,11 +182,7 @@ pub fn run(args: &Args) {
         chains: 4,
     };
     let cache = Arc::new(AtomicCache::serving_default());
-    let device = match args.faults {
-        Some(seed) => TpuDevice::new(42).with_faults(FaultPlan::chaos(seed)),
-        None => TpuDevice::new(42),
-    }
-    .observed(&args.registry);
+    let device = TpuDevice::new(42).observed(&args.registry);
     let tuned = match search {
         SearchAlgo::Sa => autotune_with_cost_model(
             target,
@@ -224,15 +214,6 @@ pub fn run(args: &Args) {
         tuned.model_batches,
         tuned.cache_hits,
     );
-    if args.faults.is_some() {
-        let f = &tuned.faults;
-        let r = &tuned.retry_stats;
-        println!(
-            "chaos: {} faults ({} transient, {} preempted, {} spikes) | {} retries | {} outliers rejected | {} candidates exhausted",
-            f.total(), f.transients, f.preemptions, f.spikes,
-            r.retries, r.outliers_rejected, r.exhausted_candidates,
-        );
-    }
 
     let context = [
         ("target_program", target.name.clone()),

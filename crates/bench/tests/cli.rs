@@ -23,7 +23,8 @@ fn bad_command_lines_exit_2_with_the_usage_text_and_run_nothing() {
         (&["table3", "--report", "r.json"][..], "\"--report\""),
         (&["tune", "--search"][..], "--search requires a value"),
         (&["tune", "--search", "dfs"][..], "\"dfs\""),
-        (&["tune", "--quick", "--faults", "seven"][..], "\"seven\""),
+        // No experiment reads `--faults`: it is refused, not ignored.
+        (&["tune", "--quick", "--faults", "7"][..], "\"--faults\""),
         // Anything but `random` used to run Figure 4a.
         (&["fig4", "sideways", "--quick"][..], "\"sideways\""),
     ] {

@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! tpu-serve [--tcp ADDR] [--model sim|analytical|frozen] [--bundle BLOB]
-//!           [--faults SEED] [--runs N] [--cache-slots N]
-//!           [--max-pending N] [--eval-budget N]
+//!           [--cache-slots N] [--max-pending N] [--eval-budget N]
 //!           [--deadline-ms N] [--no-breaker] [--breaker-trip N]
 //!           [--breaker-cooldown N]
 //! ```
@@ -17,7 +16,8 @@
 //! one kernel, not for comparing kernels of different kinds.
 //!
 //! The served model always has the simulator oracle as its fallback, so a
-//! fault-injected primary (`--faults`) still answers every request with a
+//! primary that cannot score a kernel (the analytical model on a kernel
+//! without tile-size options, say) still answers every request with a
 //! finite prediction. A circuit breaker routes between the two by default
 //! (`--no-breaker` removes it): consecutive unusable primary answers divert
 //! requests to the oracle for a request-count cool-down. `--deadline-ms`
@@ -65,14 +65,13 @@ use tpu_learned_cost::{AtomicCache, CostModel, SimOracle};
 use tpu_obs::Registry;
 use tpu_serve::{
     demo_kernels, percentile, probe_panel, protocol, serve_ndjson, serve_tcp, AnalyticalCost,
-    BreakerConfig, DeviceModel, Fallback, ReloadPolicy, ServeConfig, ServeEngine, ServeOptions,
+    BreakerConfig, Fallback, ReloadPolicy, ServeConfig, ServeEngine, ServeOptions,
 };
-use tpu_sim::{TpuConfig, TpuDevice};
+use tpu_sim::TpuConfig;
 
 const USAGE: &str = "\
 usage: tpu-serve [--tcp ADDR] [--model sim|analytical|frozen] [--bundle BLOB]
-                 [--faults SEED] [--runs N] [--cache-slots N]
-                 [--max-pending N] [--eval-budget N]
+                 [--cache-slots N] [--max-pending N] [--eval-budget N]
                  [--deadline-ms MS] [--no-breaker] [--breaker-trip N]
                  [--breaker-cooldown N]
        tpu-serve drive ADDR [--clients N] [--requests N] [--distinct K]
@@ -80,12 +79,10 @@ usage: tpu-serve [--tcp ADDR] [--model sim|analytical|frozen] [--bundle BLOB]
        tpu-serve reload ADDR PATH";
 
 /// Flags of serve mode that take a value, and those that do not.
-const SERVE_VALUED: [&str; 11] = [
+const SERVE_VALUED: [&str; 9] = [
     "--tcp",
     "--model",
     "--bundle",
-    "--faults",
-    "--runs",
     "--cache-slots",
     "--max-pending",
     "--eval-budget",
@@ -136,34 +133,21 @@ fn die(msg: &str) -> ! {
 /// Build the primary model from flags.
 fn build_model(args: &[String]) -> Box<dyn CostModel + Send> {
     let cfg = TpuConfig::default();
-    match flag_value(args, "--faults") {
-        Some(seed) => {
-            let seed = seed
-                .parse()
-                .unwrap_or_else(|_| die("--faults takes an integer seed"));
-            let runs = flag_parse(args, "--runs", 2usize);
-            Box::new(DeviceModel::new(
-                TpuDevice::new(seed).with_faults(tpu_sim::FaultPlan::chaos(seed)),
-                runs,
-            ))
+    match flag_value(args, "--model").as_deref().unwrap_or("sim") {
+        "sim" => Box::new(SimOracle::new(cfg)),
+        "analytical" => Box::new(AnalyticalCost::new(cfg)),
+        "frozen" => {
+            let path = flag_value(args, "--bundle")
+                .unwrap_or_else(|| die("--model frozen requires --bundle BLOB"));
+            let bytes = std::fs::read(&path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
+            Box::new(
+                FrozenModel::from_bytes(&bytes)
+                    .unwrap_or_else(|e| die(&format!("load {path}: {e}"))),
+            )
         }
-        None => match flag_value(args, "--model").as_deref().unwrap_or("sim") {
-            "sim" => Box::new(SimOracle::new(cfg.clone())),
-            "analytical" => Box::new(AnalyticalCost::new(cfg.clone())),
-            "frozen" => {
-                let path = flag_value(args, "--bundle")
-                    .unwrap_or_else(|| die("--model frozen requires --bundle BLOB"));
-                let bytes =
-                    std::fs::read(&path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-                Box::new(
-                    FrozenModel::from_bytes(&bytes)
-                        .unwrap_or_else(|e| die(&format!("load {path}: {e}"))),
-                )
-            }
-            other => die(&format!(
-                "unknown model {other:?} (sim|analytical|frozen)\n{USAGE}"
-            )),
-        },
+        other => die(&format!(
+            "unknown model {other:?} (sim|analytical|frozen)\n{USAGE}"
+        )),
     }
 }
 

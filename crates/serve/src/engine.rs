@@ -53,9 +53,9 @@
 //!   [`ServeError::BackendPanic`], trips the breaker, and the daemon
 //!   keeps serving.
 //!
-//! The models sit in a `Mutex` (`Box<dyn CostModel + Send>` — backends
-//! like a fault-injected device are `Send` but not `Sync`), so misses are
-//! scored one at a time in the order they take the lock: the same serial
+//! The models sit in a `Mutex` (`Box<dyn CostModel + Send>`: a backend
+//! need not be `Sync`), so misses are scored one at a time in the order
+//! they take the lock: the same serial
 //! request stream against the same seed replays bit-identically, breaker
 //! and reload state included (both are request-count driven, never
 //! wall-clock). A hit never reaches the model, so it moves none of that

@@ -13,7 +13,7 @@
 //! - [`ServeEngine`] — the cache probe, the model lock, the fallback and
 //!   the breaker,
 //! - [`serve_ndjson`] — serial frontend over any reader/writer (stdin mode;
-//!   deterministic, which the chaos-replay test relies on),
+//!   deterministic, which the replay tests rely on),
 //! - [`serve_tcp`] — TCP frontend, one thread per client, all submitting
 //!   into the shared engine,
 //! - [`demo_kernels`] / [`percentile`] — load-generator helpers shared by
@@ -26,8 +26,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tpu_hlo::{DType, GraphBuilder, Kernel, Shape, TileSize};
-use tpu_learned_cost::CostModel;
-use tpu_sim::{FaultPlan, TpuDevice};
 
 mod breaker;
 mod engine;
@@ -149,8 +147,8 @@ fn answer(serve: &ServeEngine, line: &str, text: &mut String, reply: &mut String
 /// simply ended. Blank lines are skipped; oversized or non-UTF-8 lines
 /// get a `bad_request` error without unbounded buffering. This frontend
 /// is what stdin mode uses; because it is serial, a given request stream
-/// produces a byte-identical response stream run-to-run (the chaos-replay
-/// and resilience tests pin this).
+/// produces a byte-identical response stream run-to-run (the fallback
+/// replay and resilience tests pin this).
 ///
 /// A predict line goes from the line buffer to the engine in one pass
 /// (see [`protocol`]): scanned in place, and its escaped kernel text,
@@ -245,40 +243,6 @@ pub fn serve_tcp(serve: &Arc<ServeEngine>, listener: TcpListener) -> io::Result<
     Ok(())
 }
 
-/// A (possibly fault-injected) simulated device as a [`CostModel`]:
-/// transient [`DeviceError`](tpu_sim::DeviceError)s become `None`, so the
-/// engine's [`Fallback`] absorbs the faults.
-/// Owns the device; `Send` but not `Sync`, which is why the engine keeps
-/// the model behind a lock.
-pub struct DeviceModel {
-    device: TpuDevice,
-    runs: usize,
-}
-
-impl DeviceModel {
-    /// Wrap a device, measuring each kernel over `runs` repetitions.
-    pub fn new(device: TpuDevice, runs: usize) -> DeviceModel {
-        DeviceModel {
-            device,
-            runs: runs.max(1),
-        }
-    }
-
-    /// A chaos device: every fault class enabled, seeded for replay.
-    pub fn chaos(seed: u64) -> DeviceModel {
-        DeviceModel::new(TpuDevice::new(seed).with_faults(FaultPlan::chaos(seed)), 2)
-    }
-}
-
-impl CostModel for DeviceModel {
-    fn predict_kernel_ns(&self, kernel: &Kernel) -> Option<f64> {
-        self.device.try_measure_kernel(kernel, self.runs).ok()
-    }
-    fn name(&self) -> &str {
-        "device"
-    }
-}
-
 /// A deterministic family of distinct kernels for load generation:
 /// elementwise chains and reductions over varying shapes, all carrying a
 /// tile size so every backend (analytical included) can score them.
@@ -336,7 +300,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use tpu_learned_cost::{AtomicCache, KernelCache, SimOracle};
+    use tpu_learned_cost::{AtomicCache, CostModel, KernelCache, SimOracle};
     use tpu_obs::Registry;
     use tpu_sim::TpuConfig;
 
@@ -428,29 +392,6 @@ mod tests {
         assert!(lines[1].contains("\"ok\":true"));
         assert!(lines[2].contains("\"code\":\"parse\""));
         assert!(lines[3].contains("\"shutdown\":true"));
-        serve.shutdown();
-    }
-
-    #[test]
-    fn fallback_covers_faulty_device() {
-        let fallback = Fallback {
-            model: Box::new(SimOracle::new(TpuConfig::default())),
-            breaker: None,
-        };
-        let serve = ServeEngine::start_with(
-            Box::new(DeviceModel::chaos(11)),
-            Arc::new(AtomicCache::serving_default()),
-            ServeConfig::default(),
-            ServeOptions {
-                fallback: Some(fallback),
-                ..ServeOptions::default()
-            },
-            &Registry::noop(),
-        );
-        for kernel in demo_kernels(12) {
-            let ns = serve.submit(kernel).expect("accepted").expect("scored");
-            assert!(ns.is_finite() && ns > 0.0);
-        }
         serve.shutdown();
     }
 

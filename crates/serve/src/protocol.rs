@@ -670,7 +670,7 @@ pub(crate) fn shutdown_reply(id: u64) -> String {
 
 /// Stats reply over a [`ServeStats`](crate::ServeStats) snapshot.
 /// `backend` names the serving cost model (engine `backend()`), so
-/// drive artifacts and chaos reports record which model answered.
+/// drive artifacts record which model answered.
 pub(crate) fn stats_reply(id: u64, stats: &crate::ServeStats, backend: &str) -> String {
     let body = obj(vec![
         ("backend", Value::Str(backend.to_string())),

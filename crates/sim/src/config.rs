@@ -1,8 +1,5 @@
 //! TPU v2-class machine configuration.
 
-use crate::fault::FaultPlan;
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated accelerator.
 ///
 /// Defaults approximate a single TPU v2 core: a 128×128 systolic matrix
@@ -19,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.mxu_dim, 128);
 /// assert!(cfg.peak_matmul_flops() > 1e12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TpuConfig {
     /// Core clock in GHz.
     pub clock_ghz: f64,
@@ -51,12 +48,6 @@ pub struct TpuConfig {
     /// budget (compile + load + harness), ns. The paper's autotuner spends
     /// "most of its time compiling and executing programs on the TPU".
     pub eval_overhead_ns: f64,
-    /// Injected-fault schedule for chaos testing. Defaults to
-    /// [`FaultPlan::none`], under which the device is bit-identical to the
-    /// fault-free simulator. Absent from serialized configs predating fault
-    /// injection, hence `serde(default)`.
-    #[serde(default)]
-    pub fault: FaultPlan,
 }
 
 impl Default for TpuConfig {
@@ -75,7 +66,6 @@ impl Default for TpuConfig {
             mxu_fill_cycles: 128.0,
             noise_sigma: 0.012,
             eval_overhead_ns: 1.5e9,
-            fault: FaultPlan::none(),
         }
     }
 }

@@ -20,14 +20,12 @@
 mod config;
 mod cost;
 mod device;
-mod fault;
 mod kernel_exec;
 mod report;
 
 pub use config::TpuConfig;
 pub use cost::{conv_as_dot, dot_problem, DotProblem};
-pub use device::{FaultCounts, TpuDevice};
-pub use fault::{DeviceError, Fault, FaultPlan};
+pub use device::TpuDevice;
 pub use kernel_exec::{
     analyze_kernel, default_tile, kernel_time_ns, tile_fits, KernelTiming, TileGeometry,
 };

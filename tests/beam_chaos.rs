@@ -1,10 +1,10 @@
-//! The chaos contract for the beam-guided autotuner: the model-search
-//! phase never touches the device, and the shared hardware re-rank
-//! consumes injected faults in a fixed serial order — so a beam-guided
-//! autotune under a chaos plan returns a bit-identical [`TunedConfig`],
-//! fault tally, and retry accounting for repeated runs, every returned
-//! cost stays finite, and the tuned result converges to within 5% of the
-//! fault-free run.
+//! Determinism and convergence of the beam-guided autotuner across device
+//! seeds: the model-search phase never touches the device, and the shared
+//! hardware re-rank measures each candidate with one program run in a
+//! fixed serial order — so a beam-guided autotune repeats bit for bit
+//! under a device seed, every cost the beam returns is finite, and the
+//! tuned result lands within 5% of another seed's run (the §5 noise moves
+//! which near-equal candidate wins, not how good it is).
 
 use std::sync::Arc;
 use tpu_repro::autotuner::{
@@ -14,7 +14,7 @@ use tpu_repro::autotuner::{
 use tpu_repro::fusion::default_space_and_config;
 use tpu_repro::hlo::{DType, GraphBuilder, Kernel, Program, Shape};
 use tpu_repro::learned::{AtomicCache, FnCostModel, Predictor};
-use tpu_repro::sim::{kernel_time_ns, FaultPlan, TpuConfig, TpuDevice};
+use tpu_repro::sim::{kernel_time_ns, TpuConfig, TpuDevice};
 
 fn tunable_program() -> Program {
     let mut b = GraphBuilder::new("main");
@@ -29,7 +29,7 @@ fn tunable_program() -> Program {
     }
     let r = b.reduce(v, vec![1]);
     let t = b.tanh(r);
-    Program::new("beam-chaos", b.finish(t))
+    Program::new("beam-seeds", b.finish(t))
 }
 
 fn oracle() -> FnCostModel<impl Fn(&Kernel) -> Option<f64>> {
@@ -37,14 +37,10 @@ fn oracle() -> FnCostModel<impl Fn(&Kernel) -> Option<f64>> {
     FnCostModel::new("oracle", move |k: &Kernel| Some(kernel_time_ns(k, &cfg)))
 }
 
-/// One full beam-guided autotune. `fault_seed: None` is the fault-free
-/// control. Fresh device per run so the noise stream, fault event
-/// counter, and budget meter all start from the same state.
-fn run_once(program: &Program, fault_seed: Option<u64>) -> TunedConfig {
-    let device = match fault_seed {
-        Some(seed) => TpuDevice::new(13).with_faults(FaultPlan::chaos(seed)),
-        None => TpuDevice::new(13),
-    };
+/// One full beam-guided autotune on a fresh device, with the device's
+/// meter at the end.
+fn run_once(program: &Program, device_seed: u64) -> (TunedConfig, f64) {
+    let device = TpuDevice::new(device_seed);
     let model = oracle();
     let cache = Arc::new(AtomicCache::serving_default());
     let budgets = Budgets {
@@ -53,7 +49,7 @@ fn run_once(program: &Program, fault_seed: Option<u64>) -> TunedConfig {
         top_k: 5,
         chains: 1,
     };
-    autotune_beam_with_cost_model(
+    let tuned = autotune_beam_with_cost_model(
         program,
         &device,
         &model,
@@ -64,49 +60,41 @@ fn run_once(program: &Program, fault_seed: Option<u64>) -> TunedConfig {
             seed: 7,
             ..Default::default()
         },
-    )
+    );
+    (tuned, device.device_time_used())
 }
 
-fn assert_identical(a: &TunedConfig, b: &TunedConfig, context: &str) {
+fn assert_identical(a: &(TunedConfig, f64), b: &(TunedConfig, f64), context: &str) {
+    let ((a, a_meter), (b, b_meter)) = (a, b);
     assert_eq!(a.config, b.config, "{context}: tuned config differs");
     assert_eq!(
         a.true_ns.to_bits(),
         b.true_ns.to_bits(),
         "{context}: true_ns differs"
     );
-    assert_eq!(a.hw_evals, b.hw_evals, "{context}: hw_evals differs");
-    assert_eq!(a.faults, b.faults, "{context}: fault tally differs");
     assert_eq!(
-        (a.retry_stats.attempts, a.retry_stats.retries),
-        (b.retry_stats.attempts, b.retry_stats.retries),
-        "{context}: retry accounting differs"
+        (a.hw_evals, a.model_evals, a.model_batches, a.cache_hits),
+        (b.hw_evals, b.model_evals, b.model_batches, b.cache_hits),
+        "{context}: counters differ"
     );
     assert_eq!(
-        a.retry_stats.outliers_rejected, b.retry_stats.outliers_rejected,
-        "{context}: outlier accounting differs"
-    );
-    assert_eq!(
-        a.retry_stats.exhausted_candidates, b.retry_stats.exhausted_candidates,
-        "{context}: exhaustion accounting differs"
-    );
-    assert_eq!(
-        a.retry_stats.budget_overshoot_ns.to_bits(),
-        b.retry_stats.budget_overshoot_ns.to_bits(),
-        "{context}: budget overshoot differs"
+        a_meter.to_bits(),
+        b_meter.to_bits(),
+        "{context}: device meter differs"
     );
 }
 
 #[test]
 fn beam_chaos_autotune_is_bit_identical_and_converges() {
     let program = tunable_program();
-    let fault_free = run_once(&program, None);
+    let (control, _) = run_once(&program, 13);
     assert!(
-        fault_free.true_ns.is_finite() && fault_free.true_ns > 0.0,
-        "fault-free tuned time is not a positive finite number"
+        control.true_ns.is_finite() && control.true_ns > 0.0,
+        "seed-13 tuned time is not a positive finite number"
     );
 
     // The model phase never consults the device, so every cost the beam
-    // returns is finite even when the hardware is faulty.
+    // returns is finite.
     let (space, start) = default_space_and_config(&program.computation);
     let model = oracle();
     let predictor = Predictor::with_cache(&model, Arc::new(AtomicCache::serving_default()));
@@ -126,31 +114,25 @@ fn beam_chaos_autotune_is_bit_identical_and_converges() {
         assert!(cost.is_finite(), "beam top[{i}] cost is not finite");
     }
 
-    for fault_seed in [5u64, 11, 42] {
-        let reference = run_once(&program, Some(fault_seed));
+    for device_seed in [5u64, 11, 42] {
+        let reference = run_once(&program, device_seed);
+        let tuned = &reference.0;
         assert!(
-            reference.faults.total() > 0,
-            "fault seed {fault_seed}: chaos plan injected nothing — the sweep is vacuous"
+            tuned.true_ns.is_finite() && tuned.true_ns > 0.0,
+            "device seed {device_seed}: tuned time is not a positive finite number"
         );
         assert!(
-            reference.true_ns.is_finite() && reference.true_ns > 0.0,
-            "fault seed {fault_seed}: tuned time is not a positive finite number"
+            (tuned.true_ns - control.true_ns).abs() <= 0.05 * control.true_ns,
+            "device seed {device_seed}: tuned time {} ns is more than 5% off \
+             the seed-13 run's {} ns",
+            tuned.true_ns,
+            control.true_ns
         );
-        // The retrying re-rank absorbs the injected faults: the tuned
-        // result stays within 5% of the fault-free control.
-        assert!(
-            reference.true_ns <= 1.05 * fault_free.true_ns,
-            "fault seed {fault_seed}: chaos tuned time {} ns is more than 5% worse \
-             than fault-free {} ns",
-            reference.true_ns,
-            fault_free.true_ns
-        );
-
         // Same seed: runs are reproducible.
         assert_identical(
             &reference,
-            &run_once(&program, Some(fault_seed)),
-            &format!("fault seed {fault_seed}, repeat"),
+            &run_once(&program, device_seed),
+            &format!("device seed {device_seed}, repeat"),
         );
     }
 }

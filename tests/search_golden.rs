@@ -1,7 +1,7 @@
 //! Golden regression test for the model-guided searchers.
 //!
-//! The determinism suites compare a run with itself (across thread counts,
-//! under chaos); nothing else pins what the searchers *return* across a
+//! The determinism suites compare a run with itself (across thread counts
+//! and device seeds); nothing else pins what the searchers *return* across a
 //! refactor of the code between a configuration and its predicted cost —
 //! the fusion pass, kernel hashing, the prediction cache, the transposition
 //! table. This snapshot does: for small corpus programs it records the
